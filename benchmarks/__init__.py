@@ -1,1 +1,1 @@
-"""Benchmark harness: one module per paper table/figure (see DESIGN.md)."""
+"""Benchmark harness: one module per paper table/figure (PAPER.md, §4)."""

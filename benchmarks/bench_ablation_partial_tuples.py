@@ -86,14 +86,14 @@ def _cells(result, beas: BEAS) -> int:
 
 def _run(benchmark, access: AccessSchema, label: str, dedup: bool = False):
     ds = dataset(SCALE)
-    beas = BEAS(ds.database, access, dedup_keys=dedup)
+    session = BEAS(ds.database, access, dedup_keys=dedup).session()
     sql = query_by_name(ds.params, "Q1").sql
 
     timings: list[float] = []
 
     def run():
         t0 = time.perf_counter()
-        result = beas.execute(sql)
+        result = session.run(sql, use_result_cache=False)
         timings.append(time.perf_counter() - t0)
         return result
 
@@ -103,7 +103,7 @@ def _run(benchmark, access: AccessSchema, label: str, dedup: bool = False):
             label,
             f"{min(timings) * 1000:.2f} ms",
             result.metrics.tuples_fetched,
-            _cells(result, beas),
+            _cells(result, session.beas),
         )
     )
     return result

@@ -23,7 +23,7 @@ def _setup():
     beas = beas_for(SCALE)
     sql = query_by_name(dataset(SCALE).params, "Q1").sql
     decision = beas.check(sql)
-    exact = beas.execute(sql)
+    exact = beas.session().run(sql, use_result_cache=False)
     return beas, sql, decision, set(exact.rows), exact.metrics.tuples_fetched
 
 
@@ -71,7 +71,7 @@ def test_approximation_granular_sweep(benchmark):
     )
     decision = beas.check(sql)
     assert decision.covered
-    exact = set(beas.execute(sql).rows)
+    exact = set(beas.session().run(sql, use_result_cache=False).rows)
     approximator = BoundedApproximator(beas.catalog)
 
     def run():

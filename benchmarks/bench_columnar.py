@@ -146,22 +146,25 @@ def _median_seconds(fn, repeats: int) -> float:
 def measure(keys: int, rows_per_bucket: int, repeats: int) -> dict:
     db = build_event_db(keys, rows_per_bucket)
     access = event_access(rows_per_bucket)
-    row_beas = BEAS(db, access, executor="row")
-    columnar_beas = BEAS(db, access, executor="columnar")
+    row = BEAS(db, access, executor="row").session()
+    columnar = BEAS(db, access, executor="columnar").session()
 
     results = []
     for name, sql in workload_queries(keys):
-        row_answer = row_beas.execute(sql)  # warm (plans, statistics)
-        columnar_answer = columnar_beas.execute(sql)
+        # warm (plans, statistics)
+        row_answer = row.run(sql, use_result_cache=False)
+        columnar_answer = columnar.run(sql, use_result_cache=False)
         assert row_answer.mode.value == "bounded", name
         assert columnar_answer.rows == row_answer.rows, name
         assert (
             columnar_answer.metrics.tuples_fetched
             == row_answer.metrics.tuples_fetched
         ), name
-        row_seconds = _median_seconds(lambda: row_beas.execute(sql), repeats)
+        row_seconds = _median_seconds(
+            lambda: row.run(sql, use_result_cache=False), repeats
+        )
         columnar_seconds = _median_seconds(
-            lambda: columnar_beas.execute(sql), repeats
+            lambda: columnar.run(sql, use_result_cache=False), repeats
         )
         results.append(
             {

@@ -103,7 +103,7 @@ def query_for(table_index: int) -> str:
 
 def make_server(sharded: bool) -> BEASServer:
     db, schema = synthetic_db()
-    return BEAS(db, schema).serve(sharded=sharded)
+    return BEAS(db, schema).session(sharded=sharded).server
 
 
 def _warm(server: BEASServer) -> None:

@@ -40,12 +40,12 @@ def _sql(scale: int) -> str:
 
 @pytest.mark.parametrize("scale", SCALES)
 def test_fig4_beas(benchmark, scale):
-    beas = beas_for(scale)
+    session = beas_for(scale).session()
     sql = _sql(scale)
 
     def run():
         t0 = time.perf_counter()
-        result = beas.execute(sql)
+        result = session.run(sql, use_result_cache=False)
         _note(("beas", scale), time.perf_counter() - t0)
         return result
 
@@ -69,7 +69,7 @@ def test_fig4_conventional(benchmark, profile_name, scale):
 
     result = few(benchmark, run, rounds=3)
     # same answers as BEAS at the same scale (set semantics)
-    bounded = beas_for(scale).execute(sql)
+    bounded = beas_for(scale).session().run(sql, use_result_cache=False)
     assert set(result.rows) == set(bounded.rows)
     benchmark.extra_info["scale"] = scale
 

@@ -167,6 +167,7 @@ def client_queries(client: int, keys: int, queries: int) -> list[str]:
 def drive_clients(beas: BEAS, workloads: list[list[str]]) -> float:
     """Run every client's query stream on its own thread; returns the
     wall-clock seconds for the whole herd to finish."""
+    session = beas.session()
     barrier = threading.Barrier(len(workloads))
     errors: list[BaseException] = []
 
@@ -174,7 +175,7 @@ def drive_clients(beas: BEAS, workloads: list[list[str]]) -> float:
         try:
             barrier.wait()
             for sql in sqls:
-                beas.execute(sql)
+                session.run(sql, use_result_cache=False)
         except BaseException as error:  # noqa: BLE001 - reported below
             errors.append(error)
 
@@ -218,8 +219,8 @@ def measure(
     # fleet in the main thread, before any client thread exists)
     homes = set()
     for client, sqls in enumerate(workloads):
-        a = single.execute(sqls[0])
-        b = fleet.execute(sqls[0])
+        a = single.session().run(sqls[0], use_result_cache=False)
+        b = fleet.session().run(sqls[0], use_result_cache=False)
         assert a.rows == b.rows, f"fleet answer diverged (client {client})"
         assert a.metrics.tuples_fetched == b.metrics.tuples_fetched
         assert b.metrics.replica_id >= 0, (

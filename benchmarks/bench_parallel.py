@@ -93,6 +93,7 @@ def client_queries(client: int, keys: int, queries: int) -> list[str]:
 def drive_clients(beas: BEAS, workloads: list[list[str]]) -> float:
     """Run every client's query stream on its own thread; returns the
     wall-clock seconds for the whole fleet to finish."""
+    session = beas.session()
     barrier = threading.Barrier(len(workloads))
     errors: list[BaseException] = []
 
@@ -100,7 +101,7 @@ def drive_clients(beas: BEAS, workloads: list[list[str]]) -> float:
         try:
             barrier.wait()
             for sql in sqls:
-                beas.execute(sql)
+                session.run(sql, use_result_cache=False)
         except BaseException as error:  # noqa: BLE001 - reported below
             errors.append(error)
 
@@ -134,8 +135,8 @@ def measure(
 
     # correctness first: both placements answer every query identically
     for sql in workloads[0]:
-        a = inproc.execute(sql)
-        b = pooled.execute(sql)
+        a = inproc.session().run(sql, use_result_cache=False)
+        b = pooled.session().run(sql, use_result_cache=False)
         assert a.rows == b.rows, "pooled answer diverged"
         assert a.metrics.tuples_fetched == b.metrics.tuples_fetched
     # warm both (plans, statistics, worker snapshots)

@@ -77,7 +77,7 @@ def measure_restart(keys: int, rows_per_bucket: int) -> dict:
         # cold: build every index from base rows, checkpoint to segments
         start = time.perf_counter()
         cold = BEAS(db, access, storage="mmap", storage_dir=directory)
-        cold_result = cold.execute(sql)
+        cold_result = cold.session().run(sql)
         cold_seconds = time.perf_counter() - start
         cold_stats = cold.storage_stats()
         assert cold_stats is not None and not cold_stats.warm_start
@@ -86,7 +86,7 @@ def measure_restart(keys: int, rows_per_bucket: int) -> dict:
         # warm: map the checkpointed segments, replay the (empty) WAL
         start = time.perf_counter()
         warm = BEAS(db, access, storage="mmap", storage_dir=directory)
-        warm_result = warm.execute(sql)
+        warm_result = warm.session().run(sql)
         warm_seconds = time.perf_counter() - start
         warm_stats = warm.storage_stats()
         assert warm_stats is not None, "mmap engine reports no storage stats"
@@ -125,6 +125,7 @@ def measure_traffic(keys: int, rows_per_bucket: int) -> dict:
         ):
             db = build_event_db(keys, rows_per_bucket)
             beas = BEAS(db, access, parallelism=POOL_WORKERS, **options)
+            session = beas.session()
             rows = []
             for round_number in range(MAINTENANCE_ROUNDS):
                 beas.insert(
@@ -139,7 +140,7 @@ def measure_traffic(keys: int, rows_per_bucket: int) -> dict:
                         )
                     ],
                 )
-                result = beas.execute(sql)
+                result = session.run(sql, use_result_cache=False)
                 rows = result.rows
             stats = beas.pool_stats()
             assert stats is not None, "parallelism >= 2 must start the pool"

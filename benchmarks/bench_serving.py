@@ -4,14 +4,15 @@ The serving layer amortises parse + normalize + BE Checker cost behind
 prepared statements and caches. Reported, for a repeated covered query
 (the paper's Example 2 / TLC Q1):
 
-* cold ``BEAS.execute()`` — full frontend + checker + executor per call;
+* cold — the bare engine: parse + BE Checker (``BEAS.check``) + the
+  engine entry (``BEAS.evaluate``) on every call, no serving cache;
 * prepared, result cache off — pinned decision/plan, bounded execution;
 * prepared + result cache — the steady-state serving path;
 * a fresh binding of the same template (plan re-check, no re-parse).
 
 The acceptance bar asserted here: the prepared/cached path answers a
 repeated covered query with a median latency at least 5x better than
-cold ``BEAS.execute()``.
+the cold engine path.
 
 Runs under pytest (``PYTHONPATH=src python -m pytest
 benchmarks/bench_serving.py``) or standalone (``PYTHONPATH=src python
@@ -54,45 +55,48 @@ def measure_serving(scale: int, repeats: int) -> dict[str, float]:
     beas = beas_for(scale)
     ds = dataset(scale)
     q1 = tlc_queries(ds.params)[0]
-    server = beas.serve()
-    prepared = server.prepare(q1.sql, name="bench-q1")
+    session = beas.session()
+    prepared = session.query(q1.sql, name="bench-q1")
 
-    expected = beas.execute(q1.sql)  # warms statistics, pins nothing
-    assert expected.mode.value == "bounded"
+    def run_cold():
+        return beas.evaluate(q1.sql, beas.check(q1.sql), session.options)
 
-    cold = _median_seconds(lambda: beas.execute(q1.sql), repeats)
+    mode, expected = run_cold()  # warms statistics, pins nothing
+    assert mode.value == "bounded"
 
-    prepared.execute(use_result_cache=False)  # pin the decision
+    cold = _median_seconds(run_cold, repeats)
+
+    prepared.run(use_result_cache=False)  # pin the decision
     pinned = _median_seconds(
-        lambda: prepared.execute(use_result_cache=False), repeats
+        lambda: prepared.run(use_result_cache=False), repeats
     )
 
-    prepared.execute()  # populate the result cache
-    cached = _median_seconds(lambda: prepared.execute(), repeats)
+    prepared.run()  # populate the result cache
+    cached = _median_seconds(lambda: prepared.run(), repeats)
 
     # a fresh binding per call: substitution + checker (decision cache
     # misses on the first sight of each binding, hits afterwards)
     dates = [f"2016-06-{2 + (i % 25):02d}" for i in range(repeats)]
     rebind = _median_seconds(
-        lambda i=iter(dates): prepared.execute({"call.date": next(i)}),
+        lambda i=iter(dates): prepared.bind({"call.date": next(i)}).run(),
         repeats,
     )
 
-    sanity = prepared.execute()
+    sanity = prepared.run()
     assert sorted(sanity.rows) == sorted(expected.rows)
     return {
         "cold": cold,
         "pinned": pinned,
         "cached": cached,
         "rebind": rebind,
-        "stats": server.stats(),
+        "stats": session.stats(),
     }
 
 
 def _report(measured: dict, scale: int, repeats: int) -> str:
     cold = measured["cold"]
     rows = [
-        ("cold BEAS.execute()", cold * 1000, 1.0),
+        ("cold engine (check + evaluate)", cold * 1000, 1.0),
         ("prepared, no result cache", measured["pinned"] * 1000,
          cold / max(measured["pinned"], 1e-9)),
         ("prepared + result cache", measured["cached"] * 1000,

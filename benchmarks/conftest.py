@@ -1,7 +1,7 @@
 """Shared infrastructure for the benchmark harness.
 
-Each bench file regenerates one table/figure of the paper (see DESIGN.md's
-experiment index). Datasets and BEAS instances are cached per scale so the
+Each bench file regenerates one table/figure of the paper (its docstring
+says which). Datasets and BEAS instances are cached per scale so the
 Fig.-4 sweep pays generation once, and every bench writes a plain-text
 report with the paper-style rows to ``bench_results/``.
 """

@@ -1,17 +1,5 @@
 #!/usr/bin/env python3
-"""Prepared serving — via the DEPRECATED pre-Session entry points.
-
-This example deliberately keeps exercising the legacy shims
-(``BEAS.serve``/``prepare``/``PreparedQuery.execute``) to document the
-migration path: each call still works, delegating to the unified
-Session/Query/Decision/Result model, and emits
-``BEASDeprecationWarning``. See ``examples/session_lifecycle.py`` for
-the replacement lifecycle and ``docs/api.md`` for the migration table.
-(It is excluded from the warning-strict CI leg for exactly this
-reason.)
-
-Original walkthrough: prepare once, execute many, watch the caches
-work.
+"""Prepared serving: prepare once, execute many, watch the caches work.
 
 Walks the serving layer (``repro.serving``) over the paper's Example 1
 setting:
@@ -39,7 +27,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from repro import BEAS
+from repro import Session
 
 from tests.conftest import (
     EXAMPLE2_SQL,
@@ -47,23 +35,22 @@ from tests.conftest import (
     example1_database,
 )
 
-# ---- 1. build BEAS + the serving layer -----------------------------------
-beas = BEAS(example1_database(), example1_access_schema())
-server = beas.serve()
+# ---- 1. build the session (engine + serving layer) -----------------------
+session = Session(example1_database(), example1_access_schema())
 
-prepared = server.prepare(EXAMPLE2_SQL, name="example2")
+prepared = session.query(EXAMPLE2_SQL, name="example2")
 print("== prepared template ==")
-print(prepared.describe())
+print(session.server.prepared("example2").describe())
 
 # ---- 2. prepare once, execute many ---------------------------------------
 start = time.perf_counter()
-first = prepared.execute()
+first = prepared.run()
 cold_ms = (time.perf_counter() - start) * 1000
 
-prepared.execute()  # second sighting: admitted to the result cache
+prepared.run()  # second sighting: admitted to the result cache
 
 start = time.perf_counter()
-again = prepared.execute()
+again = prepared.run()
 warm_ms = (time.perf_counter() - start) * 1000
 
 print("\n== repeated execution ==")
@@ -80,21 +67,21 @@ for overrides in (
     {"business.type": "shop"},
     {"business.region": "west", "business.type": "bank"},
 ):
-    result = prepared.execute(overrides)
+    result = prepared.bind(overrides).run()
     print(f"{overrides} -> {sorted(result.rows)} ({result.mode.value})")
 
 # ---- 4. maintenance-aware invalidation -----------------------------------
-package_query = server.prepare(
+package_query = session.query(
     "SELECT pid FROM package WHERE pnum = '100' AND year = 2016",
     name="packages-of-100",
 )
-package_query.execute()
-package_query.execute()  # second sighting: cached; depends only on `package`
+package_query.run()
+package_query.run()  # second sighting: cached; depends only on `package`
 
-server.insert("call", [(800, "100", "555", "2016-06-01", "harbor")])
+session.insert("call", [(800, "100", "555", "2016-06-01", "harbor")])
 
-refreshed = prepared.execute()
-untouched = package_query.execute()
+refreshed = prepared.run()
+untouched = package_query.run()
 print("\n== after inserting into `call` ==")
 print(
     f"example2 recomputed (cache hit: "
@@ -108,4 +95,5 @@ print(
 
 # ---- 5. the counters ------------------------------------------------------
 print("\n== serving stats ==")
-print(server.stats().describe())
+print(session.stats().describe())
+session.close()

@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """The unified Session/Query/Decision/Result lifecycle, end to end.
 
-One lifecycle replaces the four old entry paths (``BEAS.execute``,
-``execute_decided``, ``prepare``, ``serve``):
+The one way to run a query:
 
 1. ``Session`` — context-managed facade over the engine + the sharded
    serving backend;

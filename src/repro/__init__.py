@@ -35,10 +35,9 @@ Quickstart (the unified Session/Query/Decision/Result lifecycle)::
         # binding (no BE Checker re-run for equal-arity bindings):
         other = q.bind(date="2016-06-02").run()
 
-See DESIGN.md for the system inventory, EXPERIMENTS.md for the
-paper-vs-measured record, and docs/api.md for the API reference and the
-migration guide from the deprecated ``BEAS.execute``/``prepare``/
-``serve`` entry points.
+See docs/api.md for the API reference (the lifecycle, the options
+precedence chain and the request path) and docs/invariants.md for the
+invariants the house lint enforces.
 """
 
 from repro.catalog.types import DataType
@@ -59,10 +58,10 @@ from repro.bounded.optimizer import BEPlanOptimizer
 from repro.bounded.approximation import BoundedApproximator
 from repro.bounded.analyzer import PerformanceAnalyzer
 from repro.beas.system import BEAS
-from repro.beas.result import BEASResult, ExecutionMode
+from repro.beas.result import ExecutionMode
 from repro.beas.session import Decision, ExecutionOptions, Query, Result, Session
 from repro.config import EnvConfig, load_env_config
-from repro.errors import BEASDeprecationWarning, BEASError
+from repro.errors import BEASError
 from repro.serving import BEASServer, PreparedQuery, ServingStats
 
 __version__ = "2.0.0"
@@ -95,8 +94,6 @@ __all__ = [
     "BoundedApproximator",
     "PerformanceAnalyzer",
     "BEAS",
-    "BEASResult",
-    "BEASDeprecationWarning",
     "BEASError",
     "ExecutionMode",
     "BEASServer",

@@ -88,7 +88,7 @@ class AccessConstraint:
         """True when ``X ∪ Y`` contains a declared candidate key of ``R``.
 
         Key-covering fetches return partial tuples in bijection with rows,
-        which makes bag-semantics aggregates exact (DESIGN.md).
+        which makes bag-semantics aggregates exact.
         """
         return schema.has_key_within(self.attributes)
 

@@ -31,8 +31,7 @@ LEAF_LOCKS = frozenset({"_mutex", "_admin_lock", "_dep_lock", "_lock", "mutex"})
 DISPATCH_CALLS = frozenset(
     {
         "execute",
-        "execute_decided",
-        "_execute_decided",
+        "evaluate",
         "run_plan",
         "run_chunks",
         "dispatch",

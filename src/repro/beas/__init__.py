@@ -2,17 +2,16 @@
 
 The blessed public surface is the unified lifecycle in
 :mod:`repro.beas.session` (``Session`` / ``Query`` / ``Decision`` /
-``Result``); :class:`~repro.beas.system.BEAS` remains the engine
-underneath, with its old entry points kept as deprecation shims.
+``Result``); :class:`~repro.beas.system.BEAS` is the engine core
+underneath (check / plan / evaluate / maintain).
 """
 
-from repro.beas.result import BEASResult, ExecutionMode
+from repro.beas.result import ExecutionMode
 from repro.beas.session import Decision, ExecutionOptions, Query, Result, Session
 from repro.beas.system import BEAS
 
 __all__ = [
     "BEAS",
-    "BEASResult",
     "Decision",
     "ExecutionMode",
     "ExecutionOptions",

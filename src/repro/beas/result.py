@@ -1,15 +1,8 @@
-"""Result wrapper returned by the BEAS facade."""
+"""How BEAS answered a query."""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
-
-from repro.engine.executor import QueryResult
-from repro.engine.metrics import ExecutionMetrics
-from repro.bounded.approximation import ApproximateResult
-from repro.bounded.coverage import CoverageDecision
 
 
 class ExecutionMode(enum.Enum):
@@ -19,50 +12,3 @@ class ExecutionMode(enum.Enum):
     PARTIAL = "partial"  # not covered: partially bounded plan, exact answers
     CONVENTIONAL = "conventional"  # not covered: host DBMS plan, exact answers
     APPROXIMATE = "approximate"  # over budget: resource-bounded approximation
-
-
-@dataclass
-class BEASResult:
-    """Rows plus how they were computed and what the checker decided."""
-
-    columns: list[str]
-    rows: list[tuple]
-    mode: ExecutionMode
-    decision: CoverageDecision
-    metrics: ExecutionMetrics
-    approximation: Optional[ApproximateResult] = None
-
-    @classmethod
-    def from_query_result(
-        cls,
-        result: QueryResult,
-        mode: ExecutionMode,
-        decision: CoverageDecision,
-    ) -> "BEASResult":
-        return cls(
-            columns=result.columns,
-            rows=result.rows,
-            mode=mode,
-            decision=decision,
-            metrics=result.metrics,
-        )
-
-    def to_set(self) -> set[tuple]:
-        return set(self.rows)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def describe(self) -> str:
-        summary = (
-            f"{len(self.rows)} rows via {self.mode.value} evaluation in "
-            f"{self.metrics.seconds * 1000:.2f} ms "
-            f"(fetched {self.metrics.tuples_fetched}, "
-            f"scanned {self.metrics.tuples_scanned} tuples)"
-        )
-        if self.approximation is not None:
-            summary += f"; {self.approximation.describe()}"
-        return summary

@@ -1,11 +1,8 @@
 """The unified public API: ``Session`` / ``Query`` / ``Decision`` / ``Result``.
 
 BEAS's value (§3 of the paper) is that a query is *decided once* against
-the access schema and then executed within bounds many times. The
-pre-2.0 surface had grown four divergent entry paths for that lifecycle
-(``BEAS.execute``, ``execute_decided``, ``prepare``/``PreparedQuery``,
-``serve``/``serve_async``) with inconsistent result shapes and per-call
-option plumbing. This module collapses them into one lifecycle::
+the access schema and then executed within bounds many times. This
+module is that lifecycle, and the only way to run a query::
 
     with Session(database, access_schema) as session:
         q = session.query(
@@ -53,7 +50,7 @@ from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence, Union
 from repro import config
 from repro.access.constraint import AccessConstraint
 from repro.access.schema import AccessSchema
-from repro.beas.result import BEASResult, ExecutionMode
+from repro.beas.result import ExecutionMode
 from repro.beas.system import BEAS
 from repro.bounded.coverage import CoverageDecision
 from repro.bounded.plan import AnyBoundedPlan, explain_plan
@@ -160,6 +157,55 @@ class ExecutionOptions:
     def replace(self, **fields) -> "ExecutionOptions":
         return dataclasses.replace(self, **fields)
 
+    def refine(
+        self, *layers: Optional["ExecutionOptions"]
+    ) -> "ExecutionOptions":
+        """This fully resolved base with ``layers`` applied lowest first
+        (Query, then call) — the engine-pinned fields guarded against
+        silent divergence."""
+        resolved = self
+        for layer in layers:
+            if layer is None:
+                continue
+            for name in _ENGINE_PINNED:
+                wanted = getattr(layer, name)
+                if wanted is not None and wanted != getattr(resolved, name):
+                    raise BEASError(
+                        f"{name}={wanted!r} cannot be overridden per query "
+                        f"or per call (the Session's engine is pinned to "
+                        f"{name}={getattr(resolved, name)!r}); set it on the "
+                        "Session, the EngineProfile, or the environment"
+                    )
+            pinned = layer.executor is not None and layer.routing is None
+            resolved = layer.over(resolved)
+            if pinned and resolved.routing == "learned":
+                # an explicit executor at this layer pins the mode:
+                # routing inherited from a lower layer (e.g. ambient
+                # BEAS_ROUTING=learned) must not reroute it — setting
+                # routing alongside the executor re-enables the router
+                resolved = resolved.replace(routing="static")
+        return resolved
+
+    @staticmethod
+    def of_engine(beas: BEAS) -> "ExecutionOptions":
+        """The resolved options of a built engine: its pinned knobs,
+        then the environment for the engine-independent fields (e.g.
+        ``BEAS_RESULT_REUSE``), then the built-in defaults."""
+        return (
+            ExecutionOptions(
+                executor=beas.executor,
+                rows_per_batch=beas._rows_per_batch,
+                parallelism=beas.parallelism,
+                parallel_dispatch=beas._parallel_dispatch,
+                storage=beas.storage,
+                storage_dir=beas.storage_dir,
+                replicas=beas.replicas,
+                fleet_port_base=beas.fleet_port_base,
+            )
+            .over(ExecutionOptions.from_environment())
+            .over(ExecutionOptions.defaults())
+        )
+
     @staticmethod
     def from_profile(profile: EngineProfile) -> "ExecutionOptions":
         """The EngineProfile layer of the chain. Profile fields at their
@@ -221,7 +267,7 @@ class ExecutionOptions:
         return f"ExecutionOptions({pairs or 'inherit all'})"
 
 
-def _coerce_options(
+def options_layer(
     options: Optional[ExecutionOptions], fields: Mapping[str, Any]
 ) -> Optional[ExecutionOptions]:
     """Combine an options object and/or loose keyword fields into one
@@ -239,11 +285,12 @@ def _coerce_options(
 class Result:
     """The unified execution outcome: rows, schema, metrics, provenance.
 
-    Wraps what the engine produced with the :class:`Decision` that
-    drove it and the fully resolved :class:`ExecutionOptions` the run
-    used — one shape for bounded, partially bounded, conventional and
-    approximate answers, cached or computed, row or columnar, pooled or
-    in-process.
+    What the engine produced, the :class:`Decision` that drove it and
+    the fully resolved :class:`ExecutionOptions` the run used — one
+    shape for bounded, partially bounded, conventional and approximate
+    answers, cached or computed, row or columnar, pooled or in-process.
+    Built once per request by the serving layer's last stage
+    (:mod:`repro.serving.request`).
     """
 
     columns: list[str]
@@ -477,7 +524,7 @@ class Query:
         self, options: Optional[ExecutionOptions] = None, **fields
     ) -> "Query":
         """A new handle with an options layer merged over this one's."""
-        layer = _coerce_options(options, fields)
+        layer = options_layer(options, fields)
         if layer is None:
             return self
         return Query(
@@ -492,18 +539,14 @@ class Query:
         run; later equal-signature bindings patch the pinned plan's
         constants directly (``provenance == "rebound"``) — no checker
         run. ``budget`` defaults to the resolved options' budget."""
-        resolved = self._session._resolve(self._options, None)
-        if budget is None:
-            budget = resolved.budget
-        coverage, provenance = self._session.server.decide_prepared(
-            self._prepared, self._params or None, budget=budget
-        )
-        return Decision(
-            coverage=coverage,
-            provenance=provenance,
-            generation=self._session.beas.catalog.schema_generation,
-            query=self,
-            budget=budget,
+        from repro.serving.request import Request, decide_only
+
+        resolved = self._session.options.refine(self._options)
+        if budget is not None:
+            resolved = resolved.replace(budget=budget)
+        return decide_only(
+            self._session.server,
+            Request(resolved, self._prepared, self._params or None, self),
         )
 
     def explain(self) -> str:
@@ -525,20 +568,14 @@ class Query:
 
         ``options``/keyword fields form the call layer of the precedence
         chain (e.g. ``run(budget=5000, executor="columnar")``)."""
-        call_layer = _coerce_options(options, fields)
-        resolved = self._session._resolve(self._options, call_layer)
-        raw = self._session.server.execute_prepared(
-            self._prepared,
-            self._params or None,
-            budget=resolved.budget,
-            allow_partial=resolved.allow_partial,
-            approximate_over_budget=resolved.approximate_over_budget,
-            use_result_cache=resolved.use_result_cache,
-            executor=resolved.executor,
-            result_reuse=resolved.result_reuse,
-            routing=resolved.routing,
+        from repro.serving.request import Request
+
+        resolved = self._session.options.refine(
+            self._options, options_layer(options, fields)
         )
-        return self._session._wrap(raw, self, resolved)
+        return self._session.server.serve(
+            Request(resolved, self._prepared, self._params or None, self)
+        )
 
     __call__ = run
 
@@ -595,24 +632,10 @@ class Session:
             self._beas = beas
             self._owns_engine = False
             # the engine's pinned knobs are the session layer's floor
-            base = ExecutionOptions(
-                executor=beas.executor,
-                rows_per_batch=beas._rows_per_batch,
-                parallelism=beas.parallelism,
-                parallel_dispatch=beas._parallel_dispatch,
-                storage=beas.storage,
-                storage_dir=beas.storage_dir,
-                replicas=beas.replicas,
-                fleet_port_base=beas.fleet_port_base,
-            )
+            base = ExecutionOptions.of_engine(beas)
             self._check_engine_consistency(options, base)
-            # the engine's pinned knobs are all set in `base`, so the
-            # environment layer only fills engine-independent fields
-            # (e.g. BEAS_RESULT_REUSE) before the built-in defaults
             self._resolved_options = (
                 options.over(base) if options is not None else base
-            ).over(ExecutionOptions.from_environment()).over(
-                ExecutionOptions.defaults()
             )
         else:
             resolved = self._chain(options, profile)
@@ -667,36 +690,6 @@ class Session:
                     "are fixed when the BEAS engine is built"
                 )
 
-    def _resolve(
-        self,
-        query_layer: Optional[ExecutionOptions],
-        call_layer: Optional[ExecutionOptions],
-    ) -> ExecutionOptions:
-        """call > Query > (session-resolved) — with the engine-pinned
-        fields guarded against silent divergence."""
-        resolved = self._resolved_options
-        for layer in (query_layer, call_layer):
-            if layer is None:
-                continue
-            for name in _ENGINE_PINNED:
-                wanted = getattr(layer, name)
-                if wanted is not None and wanted != getattr(resolved, name):
-                    raise BEASError(
-                        f"{name}={wanted!r} cannot be overridden per query "
-                        f"or per call (the Session's engine is pinned to "
-                        f"{name}={getattr(resolved, name)!r}); set it on the "
-                        "Session, the EngineProfile, or the environment"
-                    )
-            pinned = layer.executor is not None and layer.routing is None
-            resolved = layer.over(resolved)
-            if pinned and resolved.routing == "learned":
-                # an explicit executor at this layer pins the mode:
-                # routing inherited from a lower layer (e.g. ambient
-                # BEAS_ROUTING=learned) must not reroute it — setting
-                # routing alongside the executor re-enables the router
-                resolved = resolved.replace(routing="static")
-        return resolved
-
     # ------------------------------------------------------------------ #
     @property
     def beas(self) -> BEAS:
@@ -709,11 +702,15 @@ class Session:
 
     @property
     def server(self) -> "BEASServer":
-        """The shared sharded serving backend (built on first use; the
-        session's ``server_options`` apply to that first build)."""
+        """The engine's one sharded serving backend (built on first
+        use; this session's resolved options become the base layer of
+        every request it serves, and its ``server_options`` apply to
+        that first build)."""
         server = self._server_ref
         if server is None:
-            server = self._beas._serve(**self._server_options)
+            server = self._beas._serve(
+                self._resolved_options, **self._server_options
+            )
             self._server_ref = server
         return server
 
@@ -738,19 +735,7 @@ class Session:
     ) -> Result:
         """One-shot convenience: ``session.query(sql).run(...)`` without
         keeping the handle (still served through every cache)."""
-        call_layer = _coerce_options(options, fields)
-        resolved = self._resolve(None, call_layer)
-        raw = self.server.execute(
-            sql,
-            budget=resolved.budget,
-            allow_partial=resolved.allow_partial,
-            approximate_over_budget=resolved.approximate_over_budget,
-            use_result_cache=resolved.use_result_cache,
-            executor=resolved.executor,
-            result_reuse=resolved.result_reuse,
-            routing=resolved.routing,
-        )
-        return self._wrap(raw, None, resolved)
+        return self.server.execute(sql, options=options, **fields)
 
     def explain(self, sql: str) -> str:
         return self.query(sql).explain()
@@ -759,29 +744,6 @@ class Session:
         """The Fig.-3 performance panel for a covered query (engine
         knobs follow this session's resolved options)."""
         return self._beas.analyze_performance(sql, profiles)
-
-    def _wrap(
-        self,
-        raw: BEASResult,
-        query: Optional[Query],
-        resolved: ExecutionOptions,
-    ) -> Result:
-        decision = Decision(
-            coverage=raw.decision,
-            provenance=raw.metrics.decision_provenance or "fresh",
-            generation=self._beas.catalog.schema_generation,
-            query=query,
-            budget=resolved.budget,
-        )
-        return Result(
-            columns=list(raw.columns),
-            rows=list(raw.rows),
-            mode=raw.mode,
-            metrics=raw.metrics,
-            decision=decision,
-            options=resolved,
-            approximation=raw.approximation,
-        )
 
     # ------------------------------------------------------------------ #
     # access schema + maintenance (through the serving locks)

@@ -11,37 +11,36 @@ Ties the architecture of Fig. 1 together over one database:
    helps. With an explicit tuple budget, covered-but-over-budget queries
    can instead take the resource-bounded approximation route.
 
-Typical use::
+``BEAS`` is the engine core — check, plan, evaluate, maintain. Queries
+are served through a :class:`~repro.beas.session.Session` over it::
 
-    beas = BEAS(database)
-    beas.register(AccessConstraint("call", ["pnum", "date"],
-                                   ["recnum", "region"], 500))
-    result = beas.execute("SELECT ...")
-    print(result.mode, result.rows)
+    with Session(database) as session:
+        session.register(AccessConstraint("call", ["pnum", "date"],
+                                          ["recnum", "region"], 500))
+        result = session.run("SELECT ...")
+        print(result.mode, result.rows)
 """
 
 from __future__ import annotations
 
-import dataclasses
 import shutil
 import tempfile
 import threading
-import warnings
 import weakref
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.beas.session import Session
+    from repro.beas.session import ExecutionOptions, Session
+    from repro.bounded.approximation import ApproximateResult
     from repro.distributed.fleet import FleetStats, ReplicaFleet
-    from repro.serving.async_server import AsyncBEASServer
-    from repro.serving.prepared import PreparedQuery
+    from repro.engine.executor import QueryResult
     from repro.serving.server import BEASServer
 
 from repro import config
 from repro.access.catalog import ASCatalog
 from repro.access.constraint import AccessConstraint
 from repro.access.schema import AccessSchema
-from repro.errors import BEASDeprecationWarning, BEASError, BudgetExceededError
+from repro.errors import BEASError, BudgetExceededError
 from repro.sql import ast
 from repro.storage.database import Database
 from repro.storage.mmapstore import MmapStore, StorageStats
@@ -60,16 +59,7 @@ from repro.bounded.coverage import BoundedEvaluabilityChecker, CoverageDecision
 from repro.bounded.executor import BoundedPlanExecutor
 from repro.bounded.optimizer import BEPlanOptimizer
 from repro.bounded.plan import BoundedPlan, explain_plan
-from repro.beas.result import BEASResult, ExecutionMode
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"BEAS.{old} is deprecated; use {new} — see docs/api.md for the "
-        "Session/Query/Decision/Result lifecycle and migration table",
-        BEASDeprecationWarning,
-        stacklevel=3,
-    )
+from repro.beas.result import ExecutionMode
 
 
 class BEAS:
@@ -529,164 +519,68 @@ class BEAS:
         lines.append(self._host.explain(query))
         return "\n".join(lines)
 
-    def execute(
+    def evaluate(
         self,
-        query: Union[str, ast.Statement],
-        *,
-        budget: Optional[int] = None,
-        allow_partial: bool = True,
-        approximate_over_budget: bool = False,
-        executor: Optional[str] = None,
-    ) -> BEASResult:
-        """Answer ``query``, choosing the evaluation mode per paper §2.
-
-        .. deprecated:: 2.0
-            Use the unified lifecycle instead:
-            ``session.query(sql).run()`` (see :mod:`repro.beas.session`).
-
-        With a ``budget``: covered queries whose deduced bound exceeds it
-        either raise :class:`~repro.errors.BudgetExceededError` or, with
-        ``approximate_over_budget=True``, take the resource-bounded
-        approximation route. ``executor`` overrides the bounded
-        pipeline's execution mode ("row"/"columnar") for this query.
-        """
-        _deprecated("execute", "Session.query(sql).run()")
-        return self._execute_query(
-            query,
-            budget=budget,
-            allow_partial=allow_partial,
-            approximate_over_budget=approximate_over_budget,
-            executor=executor,
-        )
-
-    def _execute_query(
-        self,
-        query: Union[str, ast.Statement],
-        *,
-        budget: Optional[int] = None,
-        allow_partial: bool = True,
-        approximate_over_budget: bool = False,
-        executor: Optional[str] = None,
-    ) -> BEASResult:
-        """Check-then-execute, shared by the ``execute`` shim and the
-        performance analyzer (no serving caches involved)."""
-        decision = self.check(query, budget)
-        return self._execute_decided(
-            query,
-            decision,
-            budget=budget,
-            allow_partial=allow_partial,
-            approximate_over_budget=approximate_over_budget,
-            executor=executor,
-        )
-
-    def execute_decided(
-        self,
-        query: Union[str, ast.Statement],
+        query: Union[str, ast.Statement, Callable[[], ast.Statement]],
         decision: CoverageDecision,
+        options: "ExecutionOptions",
         *,
-        budget: Optional[int] = None,
-        allow_partial: bool = True,
-        approximate_over_budget: bool = False,
-        executor: Optional[str] = None,
-    ) -> BEASResult:
-        """Execute ``query`` under an already-made checker ``decision``.
-
-        .. deprecated:: 2.0
-            Use ``query.decide().run()`` — a pinned
-            :class:`~repro.beas.session.Decision` is the lifecycle's
-            handle for decide-once/execute-many.
-        """
-        _deprecated("execute_decided", "Query.decide().run()")
-        return self._execute_decided(
-            query,
-            decision,
-            budget=budget,
-            allow_partial=allow_partial,
-            approximate_over_budget=approximate_over_budget,
-            executor=executor,
-        )
-
-    def _execute_decided(
-        self,
-        query: Union[str, ast.Statement],
-        decision: CoverageDecision,
-        *,
-        budget: Optional[int] = None,
-        allow_partial: bool = True,
-        approximate_over_budget: bool = False,
-        executor: Optional[str] = None,
         route: Optional[str] = None,
-    ) -> BEASResult:
-        """Execute ``query`` under an already-made checker ``decision``.
+    ) -> tuple[ExecutionMode, Union["QueryResult", "ApproximateResult"]]:
+        """The one engine entry: answer ``query`` under an already-made
+        checker ``decision`` and the resolved ``options``, choosing the
+        evaluation mode per paper §2. No serving cache is involved.
 
-        The serving layer (``repro.serving``) pins decisions in a cache
-        keyed by query fingerprint and access-schema generation — or
-        rebinds a pinned plan for an equal-arity binding — and then
-        executes through this entry point, skipping the BE Checker.
+        ``query`` may be a zero-argument provider of the statement: only
+        a not-covered decision needs the AST (a covered one runs its
+        pinned plan), so a prepared binding is substituted only then.
 
         A decision made without a budget carries ``within_budget=None``;
-        when a ``budget`` is passed here, feasibility is (re)derived from
-        the decision's access bound. ``executor`` overrides the bounded
-        execution mode per query; answers are mode-independent, so the
-        decision and result caches need no extra keying. ``route``
-        (learned routing) goes further and pins the full engine shape
-        for the covered bounded branch — see :meth:`routed_executor`;
-        non-covered paths still follow ``executor``.
+        under ``options.budget`` feasibility is derived from its access
+        bound: over budget raises
+        :class:`~repro.errors.BudgetExceededError` or, with
+        ``approximate_over_budget``, takes the resource-bounded
+        approximation route. ``options.executor`` picks the bounded
+        execution mode; ``route`` (learned routing) pins the full engine
+        shape for the covered branch instead — see
+        :meth:`routed_executor`. Answers are mode-independent.
         """
-        if (
-            budget is not None
-            and decision.covered
-            and decision.within_budget is None
-        ):
-            decision = dataclasses.replace(
-                decision, within_budget=decision.access_bound <= budget
-            )
+        budget = options.budget
         if decision.covered:
-            if budget is not None and not decision.within_budget:
-                if approximate_over_budget and isinstance(
+            within_budget = decision.within_budget
+            if within_budget is None and budget is not None:
+                within_budget = decision.access_bound <= budget
+            if budget is not None and not within_budget:
+                if options.approximate_over_budget and isinstance(
                     decision.plan, BoundedPlan
                 ):
-                    approx = self._approximator.execute(decision.plan, budget)
-                    return BEASResult(
-                        columns=approx.columns,
-                        rows=approx.rows,
-                        mode=ExecutionMode.APPROXIMATE,
-                        decision=decision,
-                        metrics=approx.metrics,
-                        approximation=approx,
+                    return ExecutionMode.APPROXIMATE, self._approximator.execute(
+                        decision.plan, budget
                     )
                 raise BudgetExceededError(decision.access_bound, budget)
             engine = (
                 self.routed_executor(route)
                 if route is not None
-                else self.bounded_executor(executor)
+                else self.bounded_executor(options.executor)
             )
-            result = engine.execute(decision.plan)
-            return BEASResult.from_query_result(
-                result, ExecutionMode.BOUNDED, decision
-            )
+            return ExecutionMode.BOUNDED, engine.execute(decision.plan)
 
-        if allow_partial:
+        if callable(query):
+            query = query()
+        if options.allow_partial:
             partial = self._optimizer.analyze(query)
             if partial is not None:
-                result = self._optimizer.execute(partial, executor=executor)
-                return BEASResult.from_query_result(
-                    result, ExecutionMode.PARTIAL, decision
+                return ExecutionMode.PARTIAL, self._optimizer.execute(
+                    partial, executor=options.executor
                 )
-
-        result = self._host.execute(query)
-        return BEASResult.from_query_result(
-            result, ExecutionMode.CONVENTIONAL, decision
-        )
+        return ExecutionMode.CONVENTIONAL, self._host.execute(query)
 
     # ------------------------------------------------------------------ #
     # the serving layer (prepared queries + maintenance-aware caches)
     # ------------------------------------------------------------------ #
     def session(self, **server_options) -> "Session":
-        """The unified Session/Query/Decision/Result lifecycle over this
-        instance (see :mod:`repro.beas.session`): the blessed entry
-        point, replacing ``execute``/``prepare``/``serve``.
+        """The Session/Query/Decision/Result lifecycle over this
+        instance (see :mod:`repro.beas.session`): how queries are run.
 
         ``server_options`` are forwarded to the shared serving backend
         (:class:`~repro.serving.server.BEASServer`) when it is first
@@ -695,80 +589,30 @@ class BEAS:
 
         return Session(beas=self, server_options=server_options or None)
 
-    def serve(self, **cache_options) -> "BEASServer":
-        """The serving layer over this instance (created once, memoised).
-
-        .. deprecated:: 2.0
-            Use :meth:`session` — a
-            :class:`~repro.beas.session.Session` drives the same sharded
-            serving backend through the unified lifecycle.
-
-        The server is **sharded by table**: prepared executes take read
-        locks only on their dependency tables and maintenance takes one
-        table's write lock, so traffic on disjoint tables proceeds in
-        parallel (pass ``sharded=False`` for the single-lock baseline).
-
-        Keyword options (``result_cache_entries``, ``result_cache_bytes``,
-        ``sharded``, ``decision_stripes``, ``result_admission``, …) are
-        forwarded to :class:`~repro.serving.server.BEASServer` on first
-        use; pass them on the first call.
-        """
-        _deprecated("serve", "BEAS.session() / Session")
-        return self._serve(**cache_options)
-
-    def _serve(self, **cache_options) -> "BEASServer":
-        """The memoised serving backend (non-deprecated internal entry:
-        ``Session`` and the shims share one server per BEAS)."""
+    def _serve(
+        self, options: Optional["ExecutionOptions"] = None, **cache_options
+    ) -> "BEASServer":
+        """The memoised serving backend: every Session over this engine
+        shares one (one set of shard locks and caches per engine), built
+        by the first with its resolved ``options`` as the base layer."""
         with self._serve_lock:
             if self._server is None:
                 from repro.serving.server import BEASServer
 
-                self._server = BEASServer(self, **cache_options)
+                self._server = BEASServer(self, options, **cache_options)
             elif cache_options:
                 raise ValueError(
-                    "the serving layer is already built; pass cache options "
-                    "on the first serve() call or construct BEASServer "
-                    "directly"
+                    "the serving layer is already built; pass server "
+                    "options to the first Session over this engine"
+                )
+            elif options is not None and options != self._server.options:
+                raise BEASError(
+                    "this engine's serving layer was built by a Session "
+                    f"with {self._server.options.describe()}; a second "
+                    f"Session cannot rebase it to {options.describe()} — "
+                    "set the difference per Query or per call"
                 )
             return self._server
-
-    def serve_async(
-        self,
-        *,
-        max_workers: Optional[int] = None,
-        admission_limit: Optional[int] = None,
-        **cache_options,
-    ) -> "AsyncBEASServer":
-        """An asyncio front end over the (shared) serving layer.
-
-        .. deprecated:: 2.0
-            Use ``session.serve_async()`` on a
-            :class:`~repro.beas.session.Session`.
-
-        Each call builds a fresh front end — its bounded worker pool and
-        per-shard maintenance queues belong to the caller's event loop —
-        but every front end drives the same memoised sharded
-        :class:`~repro.serving.server.BEASServer`, so caches are shared.
-        """
-        _deprecated("serve_async", "Session.serve_async()")
-        from repro.serving.async_server import AsyncBEASServer
-
-        return AsyncBEASServer(
-            self._serve(**cache_options),
-            max_workers=max_workers,
-            admission_limit=admission_limit,
-        )
-
-    def prepare(self, sql: str, name: Optional[str] = None) -> "PreparedQuery":
-        """Prepare a query template on the default serving layer.
-
-        .. deprecated:: 2.0
-            Use ``session.query(sql)`` — a
-            :class:`~repro.beas.session.Query` handle wraps the same
-            prepared template with ``bind``/``decide``/``run``.
-        """
-        _deprecated("prepare", "Session.query(sql)")
-        return self._serve().prepare(sql, name)
 
     # ------------------------------------------------------------------ #
     # data updates (routed through incremental maintenance)

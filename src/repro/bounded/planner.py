@@ -8,8 +8,9 @@ an ordering of ``fetch`` operations such that
   through the query's equality classes), and
 * every relation occurrence is *soundly covered*: either one constraint's
   ``X ∪ Y`` contains all attributes the query needs from it, or a chain of
-  fetches anchored on a candidate key extends the occurrence (key-chaining;
-  see DESIGN.md for the soundness argument).
+  fetches anchored on a candidate key extends the occurrence (key-chaining:
+  sound because a key-covering fetch returns partial tuples in bijection
+  with rows, :meth:`~repro.access.constraint.AccessConstraint.covers_key_of`).
 
 The search is a depth-first walk over fetch choices ordered greedily by
 deduced access bound (smallest first), with memoisation on the materialised

@@ -4,7 +4,8 @@ A :class:`TableSchema` names its columns, their types, and (optionally) one
 or more candidate keys. Keys matter to the bounded-evaluation core: a fetch
 whose attributes include a key of the relation returns partial tuples that
 are in bijection with rows, which is what makes bag-semantics aggregates
-exact under bounded plans (see DESIGN.md).
+exact under bounded plans
+(:meth:`~repro.access.constraint.AccessConstraint.covers_key_of`).
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ bounded evaluation of the query load, (b) storage limit for indices, (c)
 historical query patterns, and (d) statistics of datasets in the
 application."* The algorithm itself was deferred to a later publication;
 this package implements a principled instantiation honouring exactly those
-inputs and outputs (see DESIGN.md §1):
+inputs and outputs:
 
 1. :mod:`repro.discovery.candidates` mines candidate ``R(X -> Y)`` shapes
    from the workload's query patterns (constants and join attributes form

@@ -4,8 +4,8 @@ This engine plays the role PostgreSQL plays in the paper's demo: it parses
 and answers arbitrary queries in the supported fragment by scanning base
 tables, so its cost grows with ``|D|``. Three :class:`EngineProfile`
 configurations stand in for the commercial systems of the evaluation
-(PostgreSQL / MySQL / MariaDB) — see DESIGN.md for the substitution
-rationale.
+(PostgreSQL / MySQL / MariaDB) — see :mod:`repro.engine.profiles` for
+the substitution rationale.
 """
 
 from repro.engine.executor import ConventionalEngine, QueryResult

@@ -1,7 +1,7 @@
 """Engine profiles standing in for the commercial DBMSs of the evaluation.
 
 The paper compares BEAS against PostgreSQL, MySQL and MariaDB. Those
-systems are closed substitutes here (see DESIGN.md §1): each profile runs
+systems are closed substitutes here: each profile runs
 the *same* correct engine but with different physical choices, all of them
 honest work (really executed, affecting wall-clock), never fudged timings:
 

@@ -115,17 +115,6 @@ class BEASError(ReproError):
     """
 
 
-class BEASDeprecationWarning(DeprecationWarning):
-    """A deprecated entry point of the pre-Session public API was used.
-
-    The ``Session`` / ``Query`` / ``Decision`` / ``Result`` lifecycle
-    (``repro.beas.session``) replaces the divergent ``BEAS.execute`` /
-    ``execute_decided`` / ``prepare`` / ``serve`` / ``serve_async``
-    paths; the old names remain as thin shims delegating to the new
-    model. See ``docs/api.md`` for the migration table.
-    """
-
-
 class ExecutionError(ReproError):
     """Raised when a physical plan fails during execution."""
 

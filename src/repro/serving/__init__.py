@@ -1,10 +1,10 @@
 """Prepared-query serving layer (online amortisation of BEAS frontends).
 
 BEAS's promise — answers under a fixed access bound regardless of
-``|D|`` — fits repeated analytic workloads, but the seed prototype paid
-parse + normalize + BE Checker cost on every ``BEAS.execute()``. This
-package amortises that cost behind prepared statements and a multi-level
-cache hierarchy, partitioned by table so concurrent traffic scales:
+``|D|`` — fits repeated analytic workloads, but a bare engine pays
+parse + normalize + BE Checker cost on every query. This package
+amortises that cost behind prepared statements and a multi-level cache
+hierarchy, partitioned by table so concurrent traffic scales:
 
 * :class:`~repro.serving.prepared.PreparedQuery` — parse/fingerprint
   once, parameterised constant slots, per-binding memoisation;
@@ -14,6 +14,8 @@ cache hierarchy, partitioned by table so concurrent traffic scales:
   multi-shard read locking for joins, and admit-on-second-hit result
   admission — all with maintenance-aware invalidation (access-schema
   generation + per-table data versions);
+* :mod:`~repro.serving.request` — the request path: the per-request
+  context and the ordered stages every read runs through;
 * :class:`~repro.serving.async_server.AsyncBEASServer` — the asyncio
   front end: bounded worker pool, admission control, per-shard
   maintenance queues with batched draining;
@@ -22,17 +24,17 @@ cache hierarchy, partitioned by table so concurrent traffic scales:
 * :class:`~repro.serving.cache.LRUCache` / ``CacheStats`` — the shared
   budgeted-LRU primitive and its counters.
 
-Entry points::
+The layer is an internal of :class:`~repro.beas.session.Session`::
 
-    server = beas.serve()                       # sharded, thread-safe
-    pq = server.prepare("SELECT ... WHERE call.date = '2016-06-01' ...")
-    r1 = pq()                                   # cold: plan pinned
-    r2 = pq()                                   # admitted to the cache
-    r3 = pq({"call.date": "2016-06-02"})        # new binding, same template
-    print(server.stats().describe())            # incl. per-shard counters
+    session = Session(database, access_schema)  # sharded, thread-safe
+    q = session.query("SELECT ... WHERE call.date = '2016-06-01' ...")
+    r1 = q.run()                                # cold: plan pinned
+    r2 = q.run()                                # admitted to the cache
+    r3 = q.bind({"call.date": "2016-06-02"}).run()  # same template
+    print(session.stats().describe())           # incl. per-shard counters
 
-    aserver = beas.serve_async()                # asyncio front end
-    results = await asyncio.gather(*(aserver.execute(q) for q in queries))
+    async with session.serve_async() as aserver:    # asyncio front end
+        results = await asyncio.gather(*(aserver.execute(s) for s in sqls))
 """
 
 from repro.serving.async_server import AsyncBEASServer, AsyncServingStats

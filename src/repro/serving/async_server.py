@@ -49,8 +49,7 @@ from repro.serving.prepared import PreparedQuery
 from repro.serving.server import BEASServer, ServingStats
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.beas.result import BEASResult
-    from repro.beas.system import BEAS
+    from repro.beas.session import Decision, Result
     from repro.bounded.coverage import CoverageDecision
     from repro.maintenance.incremental import UpdateBatch
 
@@ -105,13 +104,11 @@ class AsyncBEASServer:
 
     def __init__(
         self,
-        server: Union[BEASServer, "BEAS"],
+        server: BEASServer,
         *,
         max_workers: Optional[int] = None,
         admission_limit: Optional[int] = None,
     ):
-        if not isinstance(server, BEASServer):
-            server = server._serve()  # shared memoised backend, no shim
         self._server = server
         self._workers = max_workers or _default_workers()
         self._pool = ThreadPoolExecutor(
@@ -180,10 +177,11 @@ class AsyncBEASServer:
             finally:
                 self._in_flight -= 1
 
-    async def execute(self, query, **options) -> "BEASResult":
-        """Options are forwarded to :meth:`BEASServer.execute` verbatim —
-        including ``executor="columnar"`` for a per-query vectorised run
-        and ``routing="learned"`` for cost-model executor routing."""
+    async def execute(self, query, **options) -> "Result":
+        """``options`` (an ``options=`` layer and/or keyword fields) are
+        the call layer over the server's base options, forwarded to
+        :meth:`BEASServer.execute` verbatim: with none given this is
+        exactly ``Session.run(query)``."""
         return await self._run(partial(self._server.execute, query, **options))
 
     async def execute_prepared(
@@ -191,7 +189,7 @@ class AsyncBEASServer:
         prepared: Union[str, PreparedQuery],
         params: Optional[Mapping[str, Any]] = None,
         **options,
-    ) -> "BEASResult":
+    ) -> "Result":
         return await self._run(
             partial(self._server.execute_prepared, prepared, params, **options)
         )
@@ -210,8 +208,8 @@ class AsyncBEASServer:
         params: Optional[Mapping[str, Any]] = None,
         *,
         budget: Optional[int] = None,
-    ) -> tuple["CoverageDecision", str]:
-        """The (possibly rebound) decision for one binding plus its
+    ) -> "Decision":
+        """The (possibly rebound) decision for one binding, with its
         cache provenance — see :meth:`BEASServer.decide_prepared`."""
         return await self._run(
             partial(

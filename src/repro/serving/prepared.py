@@ -30,7 +30,7 @@ from repro.serving.params import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.beas.result import BEASResult
+    from repro.beas.session import ExecutionOptions, Result
     from repro.bounded.coverage import CoverageDecision
     from repro.serving.server import BEASServer
 
@@ -203,32 +203,13 @@ class PreparedQuery:
         self,
         params: Optional[Mapping[str, Any]] = None,
         *,
-        budget: Optional[int] = None,
-        allow_partial: bool = True,
-        approximate_over_budget: bool = False,
-        use_result_cache: bool = True,
-        executor: Optional[str] = None,
-        result_reuse: str = "exact",
-        routing: str = "static",
-    ) -> "BEASResult":
-        """Execute one binding through the serving caches.
-
-        ``executor`` overrides the bounded execution mode
-        ("row"/"columnar") for this call only; ``result_reuse="subsume"``
-        additionally lets a cached bounded superset binding answer this
-        one by re-filtering its rows; ``routing="learned"`` delegates
-        the mode choice to the server's online cost model.
-        """
+        options: Optional["ExecutionOptions"] = None,
+        **fields: Any,
+    ) -> "Result":
+        """Execute one binding through the serving caches; ``options`` /
+        keyword fields are the call layer, as in ``Query.run``."""
         return self._server.execute_prepared(
-            self,
-            params,
-            budget=budget,
-            allow_partial=allow_partial,
-            approximate_over_budget=approximate_over_budget,
-            use_result_cache=use_result_cache,
-            executor=executor,
-            result_reuse=result_reuse,
-            routing=routing,
+            self, params, options=options, **fields
         )
 
     __call__ = execute

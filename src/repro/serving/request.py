@@ -1,0 +1,624 @@
+"""The served-read request path: one context, one ordered list of stages.
+
+Every read entry point — ``Session.run``, ``Query.run`` (and through it
+``Decision.run``), ``BEASServer.execute`` / ``execute_prepared`` (and
+through them ``PreparedQuery.execute`` and both ``AsyncBEASServer``
+forwards) — builds one :class:`Request` holding the fully resolved
+:class:`~repro.beas.session.ExecutionOptions` and hands it to
+:func:`serve`, which runs :data:`STAGES` in order. The first stage that
+returns a :class:`~repro.beas.session.Result` ends the request; the
+read locks the ``observe`` stage took are released on every way out.
+
+The answer is the paper's (§2, Fig. 1): BE Checker -> BE Plan Generator
+-> bounded / partially bounded / conventional / approximate execution.
+The serving-side :class:`~repro.engine.metrics.ExecutionMetrics` fields
+(``cache_hits``, ``cache_misses``, ``lock_wait_seconds``,
+``table_versions``, ``decision_provenance``) are written in
+:func:`_result` and nowhere else; ``docs/api.md`` ("The request path")
+lists which stage feeds which field.
+"""
+
+from __future__ import annotations
+
+import time
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Union, cast
+
+from repro.beas.result import ExecutionMode
+from repro.beas.session import Decision, Result
+from repro.bounded.plan import BoundedPlan
+from repro.bounded.rebind import RebindTemplate, build_rebind_template
+from repro.bounded.subsume import (
+    Candidate,
+    QuerySummary,
+    apply_refilter,
+    subsumes,
+    summarize_statement,
+)
+from repro.engine.metrics import ExecutionMetrics
+from repro.engine.router import routing_features
+from repro.errors import ServingError
+from repro.serving.cache import approx_size
+from repro.serving.prepared import PreparedBinding, PreparedQuery
+from repro.sql import ast
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.beas.session import ExecutionOptions, Query
+    from repro.bounded.approximation import ApproximateResult
+    from repro.bounded.coverage import CoverageDecision
+    from repro.engine.executor import QueryResult
+    from repro.engine.router import RouteChoice
+    from repro.serving.server import BEASServer
+    from repro.serving.shard import TableShard
+
+
+@dataclass
+class CachedResult:
+    """One result-cache entry plus the generations it depends on.
+
+    ``summary`` is the entry's predicate-lattice summary, present only
+    when the request ran with ``result_reuse="subsume"`` and the entry
+    is an eligible subsumption source (BOUNDED mode, reusable shape);
+    ``template_fingerprint`` records the pinned rebind template the
+    answer derived from, so a merged-arity fallback can drop candidates
+    with stale plan provenance.
+    """
+
+    columns: list[str]
+    rows: list[tuple[Any, ...]]
+    mode: ExecutionMode
+    decision: "CoverageDecision"
+    table_versions: dict[str, int]
+    schema_generation: int
+    summary: Optional[QuerySummary] = None
+    template_fingerprint: Optional[str] = None
+
+
+def result_size(entry: CachedResult) -> int:
+    return approx_size(entry.columns) + approx_size(entry.rows)
+
+
+def _entry_fresh(
+    entry: CachedResult, versions: dict[str, int], generation: int
+) -> bool:
+    """A hit is served only when the entry's recorded generations all
+    equal the live ones observed under the current read locks."""
+    return (
+        entry.schema_generation == generation
+        and entry.table_versions == versions
+    )
+
+
+@dataclass(frozen=True)
+class RebindRequest:
+    """Plan-reuse context for one prepared binding.
+
+    The decision cache holds, next to the per-binding exact entries, one
+    *pinned template* per (template fingerprint, arity signature,
+    schema generation): the first binding of each signature pays a full
+    BE Checker run and pins its decision plus a
+    :class:`~repro.bounded.rebind.RebindTemplate`; every later
+    equal-signature binding patches the pinned plan's constant key parts
+    directly — zero checker runs. A binding that changes a slot's
+    IN-list arity, NULL-ness, or type class lands on a different
+    signature (or trips the rebinder's merged-arity guard) and re-checks.
+    """
+
+    template_fingerprint: str
+    signature: tuple[Any, ...]
+    overrides: Mapping[str, tuple[Any, ...]]
+
+    def cache_key(self, generation: int) -> tuple[Any, ...]:
+        return ("rebind", self.template_fingerprint, self.signature, generation)
+
+
+@dataclass(slots=True, eq=False, repr=False)
+class Request:
+    """One served read: what was asked, then what each stage observed.
+
+    The entry point fixes ``options`` (fully resolved), ``source`` (SQL
+    text, a parsed statement, or a prepared template with ``params``)
+    and ``query`` (the handle a ``Decision`` re-runs through). Every
+    other field is written by exactly one stage and read by later ones.
+    """
+
+    options: "ExecutionOptions"
+    source: Union[str, ast.Statement, PreparedQuery]
+    params: Optional[Mapping[str, Any]] = None
+    query: Optional["Query"] = None
+    # front_end
+    fingerprint: str = field(init=False)
+    tables: frozenset[str] = field(init=False)
+    rebind: Optional[RebindRequest] = field(default=None, init=False)
+    _binding: Optional[PreparedBinding] = field(default=None, init=False)
+    _statement: Optional[ast.Statement] = field(default=None, init=False)
+    hits: int = field(default=0, init=False)
+    misses: int = field(default=0, init=False)
+    # observe
+    started: float = field(init=False)
+    #: the read holds :func:`serve` releases
+    shards: Optional[list["TableShard"]] = field(default=None, init=False)
+    lock_wait: float = field(init=False)
+    generation: int = field(init=False)
+    versions: dict[str, int] = field(init=False)
+    home: "TableShard" = field(init=False)
+    result_key: tuple[Any, ...] = field(init=False)
+    # decide / route / execute
+    coverage: "CoverageDecision" = field(init=False)
+    provenance: str = field(init=False)
+    choice: Optional["RouteChoice"] = field(default=None, init=False)
+    features: tuple[float, ...] = field(init=False)
+    mode: ExecutionMode = field(init=False)
+    answer: Union["QueryResult", "ApproximateResult"] = field(init=False)
+
+    def statement(self) -> ast.Statement:
+        """The bound AST. A prepared binding substitutes it on first
+        use only: a decision served from the cache or by rebinding, then
+        executed as a bounded plan, never needs it."""
+        statement = self._statement
+        if statement is None:
+            bound = cast(PreparedBinding, self._binding)
+            statement = self._statement = bound.statement
+        return statement
+
+    @property
+    def template_fingerprint(self) -> str:
+        """What the router keys its models by: every binding of one
+        prepared template shares a model."""
+        rebind = self.rebind
+        return rebind.template_fingerprint if rebind else self.fingerprint
+
+
+Stage = Callable[["BEASServer", Request], Optional[Result]]
+
+
+# --------------------------------------------------------------------------- #
+# the stages, in request order
+# --------------------------------------------------------------------------- #
+def front_end(server: "BEASServer", request: Request) -> None:
+    """Parse + fingerprint + dependency set (through the parse cache),
+    or the memoised binding of a prepared template."""
+    source = request.source
+    if isinstance(source, PreparedQuery):
+        bound = request._binding = source.binding(request.params)
+        request.fingerprint = bound.fingerprint
+        request.tables = source.tables
+        if bound.overrides:  # the template's own constants: exact key suffices
+            request.rebind = RebindRequest(
+                source.fingerprint, bound.signature, bound.overrides
+            )
+        request.hits = 1  # the template parse is amortised
+        return
+    statement, request.fingerprint, request.tables, hit = server.frontend(source)
+    request._statement = statement
+    if hit:
+        request.hits = 1
+    else:
+        request.misses = 1
+
+
+def observe(server: "BEASServer", request: Request) -> None:
+    """Take the schema + dependency read locks and observe, under them,
+    the access-schema generation and the table-version vector."""
+    # wall-clock anchor for the serve paths that never execute (result
+    # cache, subsumption): their latency is what cost-aware admission
+    # weighs re-execution against, so it must be real, not 0.0
+    request.started = time.perf_counter()
+    server.count("executions")
+    shards, request.lock_wait = server.acquire_reads(request.tables)
+    request.shards = shards
+    # observed while holding the schema + shard read locks: a completed
+    # register/unregister (schema write section) and a completed
+    # adjust_bounds batch on any dependency table (its shard write
+    # section) are both visible here, so a decision or result pinned
+    # under the old schema can never be consumed by this request
+    request.generation = server.observe_schema_generation()
+    # the consistent table-version vector this request observes: read
+    # under the shard read locks, so no dependency can move under us
+    database = server.database
+    versions = request.versions = {
+        name: database.table(name).version
+        for name in request.tables
+        if name in database
+    }
+    for shard in shards:
+        if shard.table in versions and shard.observe_version(
+            versions[shard.table]
+        ):
+            # the table moved around the serving layer: sweep entries
+            # homed here that depend on it (cross-homed dependents are
+            # rejected by the per-hit freshness check)
+            moved = shard.table
+            shard.invalidate_where(
+                lambda _key, entry: moved in entry.table_versions
+            )
+    request.home = server.home_shard(request.tables)
+    options = request.options
+    request.result_key = (
+        request.fingerprint,
+        options.budget,
+        options.allow_partial,
+        options.approximate_over_budget,
+    )
+
+
+def probe_exact(server: "BEASServer", request: Request) -> Optional[Result]:
+    """Serve a presentation-equal answer from the home shard's slice of
+    the result cache, if it is still fresh."""
+    if not request.options.use_result_cache:
+        return None
+    entry = request.home.lookup(request.result_key)
+    if entry is not None:
+        if _entry_fresh(entry, request.versions, request.generation):
+            return _serve_cached(
+                server, request, entry, list(entry.rows), "result-cache"
+            )
+        # stale despite sweeps: drop defensively
+        request.home.invalidate(request.result_key)
+    request.misses += 1
+    return None
+
+
+def probe_subsumed(server: "BEASServer", request: Request) -> Optional[Result]:
+    """Answer from a cached bounded superset after an exact miss
+    (``result_reuse="subsume"``), or fall through.
+
+    Runs under the request's read locks, so the freshness check applied
+    to a candidate is made against the same consistent snapshot the
+    fresh path would execute under.
+    """
+    options = request.options
+    if not options.use_result_cache or options.result_reuse != "subsume":
+        return None
+    summary = _summary(server, request)
+    if not summary.reusable:
+        server.count("subsumption_rejects")
+        return None
+    examined = 0
+    for candidate in server.subsume_index.candidates(summary.shape_key):
+        entry = _live_source(server, request, candidate)
+        if entry is None or entry.summary is None:
+            continue
+        examined += 1
+        plan = subsumes(entry.summary, summary)
+        if plan is None:
+            continue
+        rows = apply_refilter(plan, entry.columns, entry.rows)
+        if rows is None:
+            continue
+        server.count("subsumed_hits")
+        # The re-filtered answer is NOT re-admitted under its own key,
+        # nor indexed as a candidate: it is strictly narrower than its
+        # source, so the source answers every repeat and every further
+        # refinement at probe cost, while a private copy would
+        # double-cache the same rows and (if indexed) evict broader
+        # sources from the per-shape LRU. Only the source's recency is
+        # refreshed.
+        server.subsume_index.touch(candidate.shape_key, candidate.result_key)
+        return _serve_cached(server, request, entry, rows, "subsumed")
+    if examined:
+        # live same-shape candidates existed but none subsumed this
+        # binding's region (or post-filtering was refused)
+        server.count("subsumption_rejects")
+    return None
+
+
+def decide(server: "BEASServer", request: Request) -> None:
+    """Decide or rebind: the coverage decision for this request, from
+    the decision cache, a pinned template, or a full BE Checker run."""
+    coverage, request.provenance = _decision(server, request)
+    if request.provenance == "fresh":
+        request.misses += 1
+    else:
+        request.hits += 1
+    budget = request.options.budget
+    if budget is not None and coverage.access_bound is not None:
+        coverage = replace(
+            coverage, within_budget=coverage.access_bound <= budget
+        )
+    request.coverage = coverage
+
+
+def route(server: "BEASServer", request: Request) -> None:
+    """Learned routing: pick the engine shape for a covered, in-budget
+    bounded plan from the per-template cost model. Answers are
+    route-independent, so a wrong prediction costs latency only."""
+    options, coverage = request.options, request.coverage
+    if (
+        options.routing == "learned"
+        and coverage.covered
+        and isinstance(coverage.plan, BoundedPlan)
+        and (options.budget is None or coverage.within_budget)
+    ):
+        beas = server.beas
+        request.features = routing_features(
+            coverage.plan,
+            # scoped to the locked dependency tables: never scans (or
+            # races with) tables this request did not lock
+            beas._host.statistics(tables=request.tables),
+            rows_per_batch=beas._rows_per_batch,
+            parallelism=beas.parallelism,
+        )
+        request.choice = server.router.route(
+            request.template_fingerprint, request.features
+        )
+
+
+def execute(server: "BEASServer", request: Request) -> None:
+    """Run the decision on the engine and train the router on it."""
+    choice = request.choice
+    mode, answer = server.beas.evaluate(
+        request.statement,
+        request.coverage,
+        request.options,
+        route=choice.route if choice is not None else None,
+    )
+    request.mode, request.answer = mode, answer
+    if choice is not None and mode is ExecutionMode.BOUNDED:
+        answer.metrics.routed_mode = choice.route
+        answer.metrics.routing_explored = choice.explored
+        server.router.observe(
+            request.template_fingerprint,
+            choice.route,
+            request.features,
+            answer.metrics,
+        )
+
+
+def admit(server: "BEASServer", request: Request) -> Result:
+    """Offer the executed answer to the result cache, then answer."""
+    options, mode, answer = request.options, request.mode, request.answer
+    approximate = mode is ExecutionMode.APPROXIMATE
+    if (
+        options.use_result_cache
+        and not approximate
+        # cost-aware admission: when re-executing this answer is already
+        # as cheap as a cache lookup, keep it from displacing entries
+        # whose re-execution is expensive
+        and not (
+            options.routing == "learned"
+            and mode is ExecutionMode.BOUNDED
+            and not server.router.should_admit(answer.metrics.seconds)
+        )
+    ):
+        _admit(server, request)
+    return _result(
+        request,
+        answer.columns,
+        answer.rows,
+        mode,
+        request.coverage,
+        answer.metrics,
+        request.provenance,
+        cast("ApproximateResult", answer) if approximate else None,
+    )
+
+
+#: The request path. ``observe`` takes the read locks every later stage
+#: runs under; :func:`serve` releases them.
+STAGES: tuple[Stage, ...] = (
+    front_end,
+    observe,
+    probe_exact,
+    probe_subsumed,
+    decide,
+    route,
+    execute,
+    admit,
+)
+
+
+def serve(server: "BEASServer", request: Request) -> Result:
+    """Run ``request`` through :data:`STAGES`; the first stage that
+    returns a result ends it."""
+    try:
+        for stage in STAGES:
+            result = stage(server, request)
+            if result is not None:
+                return result
+    finally:
+        if request.shards is not None:
+            server.release_reads(request.shards)
+    raise ServingError("no stage answered the request")
+
+
+def decide_only(server: "BEASServer", request: Request) -> Decision:
+    """The decision-only path (``check`` / ``decide_prepared`` /
+    ``Query.decide``): front end, then decide-or-rebind under the schema
+    read lock alone — no result probe, no execution."""
+    front_end(server, request)
+    with server.schema_read():
+        # observed under the read lock: a completed register/unregister
+        # (write section) is guaranteed visible here
+        request.generation = server.observe_schema_generation()
+        decide(server, request)
+    return _stamp(request, request.coverage, request.provenance)
+
+
+# --------------------------------------------------------------------------- #
+# stage helpers
+# --------------------------------------------------------------------------- #
+def _stamp(
+    request: Request, coverage: "CoverageDecision", provenance: str
+) -> Decision:
+    """The ``Decision`` for this request, stamped with the generation
+    observed under the read locks — not the catalog's at return time."""
+    return Decision(
+        coverage=coverage,
+        provenance=provenance,
+        generation=request.generation,
+        query=request.query,
+        budget=request.options.budget,
+    )
+
+
+def _result(
+    request: Request,
+    columns: list[str],
+    rows: list[tuple[Any, ...]],
+    mode: ExecutionMode,
+    coverage: "CoverageDecision",
+    metrics: ExecutionMetrics,
+    provenance: str,
+    approximation: Optional["ApproximateResult"] = None,
+) -> Result:
+    """Build the one ``Result``: the only writer of the serving-side
+    metric fields."""
+    metrics.cache_hits = request.hits
+    metrics.cache_misses = request.misses
+    metrics.lock_wait_seconds = request.lock_wait
+    metrics.table_versions = request.versions
+    metrics.decision_provenance = provenance
+    return Result(
+        columns=list(columns),
+        rows=rows,
+        mode=mode,
+        metrics=metrics,
+        decision=_stamp(request, coverage, provenance),
+        options=request.options,
+        approximation=approximation,
+    )
+
+
+def _serve_cached(
+    server: "BEASServer",
+    request: Request,
+    entry: CachedResult,
+    rows: list[tuple[Any, ...]],
+    provenance: str,
+) -> Result:
+    seconds = time.perf_counter() - request.started
+    # a cached serve is lookup (+ refilter): exactly the cost cost-aware
+    # admission weighs re-execution against
+    server.router.note_lookup(seconds)
+    request.hits += 1
+    metrics = ExecutionMetrics(
+        rows_output=len(rows), seconds=seconds, served_from_cache=True
+    )
+    return _result(
+        request, entry.columns, rows, entry.mode, entry.decision, metrics,
+        provenance,
+    )  # fmt: skip
+
+
+def _summary(server: "BEASServer", request: Request) -> QuerySummary:
+    """The statement's predicate-lattice summary, through the summary
+    cache (a pure function of the statement, keyed by fingerprint —
+    never flushed for freshness)."""
+    summary: Optional[QuerySummary] = server.summary_cache.get(
+        request.fingerprint
+    )
+    if summary is None:
+        summary = summarize_statement(request.statement())
+        server.summary_cache.put(request.fingerprint, summary)
+    return summary
+
+
+def _live_source(
+    server: "BEASServer", request: Request, candidate: Candidate
+) -> Optional[CachedResult]:
+    """The candidate's cache entry when it may soundly answer this
+    request: cached under the same (budget, allow_partial,
+    approximate_over_budget) triple — a subsumed answer must never
+    out-run a budget refusal the fresh path would have issued — still
+    cached, bounded, and fresh."""
+    key = cast("tuple[Any, ...]", candidate.result_key)
+    if key == request.result_key or key[1:] != request.result_key[1:]:
+        return None  # the exact lookup missed on it / not comparable
+    entry: Optional[CachedResult] = None
+    if candidate.generation == request.generation:
+        entry = server.shard(candidate.home).peek(key)
+    if entry is None:  # stale generation, or evicted/invalidated
+        server.subsume_index.discard(candidate.shape_key, key)
+        return None
+    if entry.mode is ExecutionMode.BOUNDED and _entry_fresh(
+        entry, request.versions, request.generation
+    ):
+        return entry
+    return None
+
+
+def _decision(
+    server: "BEASServer", request: Request
+) -> tuple["CoverageDecision", str]:
+    """The budget-free coverage decision and its provenance:
+    ``"cached"`` (exact per-binding hit), ``"rebound"`` (pinned plan
+    patched for this binding — no BE Checker run), or ``"fresh"``.
+
+    Exact entries are keyed by (binding fingerprint, access-schema
+    generation): a decision pinned under an old schema can never be
+    served after a change. Pinned rebind templates are keyed by
+    (template fingerprint, arity signature, generation) — the values of
+    a binding never enter that key, only its shape.
+    """
+    cache, generation = server.decision_cache, request.generation
+    rebind = request.rebind
+    key = (request.fingerprint, generation)
+    cached: Optional["CoverageDecision"] = cache.get(key)
+    if cached is not None:
+        return cached, "cached"
+    if rebind is not None:
+        pinned = cache.get(rebind.cache_key(generation))
+        if isinstance(pinned, RebindTemplate):
+            rebound = pinned.rebind(rebind.overrides)
+            if rebound is not None:
+                cache.put(key, rebound)  # repeats of this binding hit directly
+                server.count("rebinds")
+                return rebound, "rebound"
+            server.count("rebind_fallbacks")
+            # the pinned plan is being abandoned (merged-arity or other
+            # guard): any subsumption candidate derived from it carries
+            # stale plan provenance — stop offering them
+            dropped = server.subsume_index.drop_template(
+                rebind.template_fingerprint
+            )
+            if dropped:
+                server.count("subsumption_invalidations", dropped)
+    coverage: "CoverageDecision" = server.beas.check(request.statement())
+    cache.put(key, coverage)
+    if rebind is not None:
+        template = build_rebind_template(coverage, rebind.overrides)
+        if template is not None:
+            cache.put(rebind.cache_key(generation), template)
+    return coverage, "fresh"
+
+
+def _admit(server: "BEASServer", request: Request) -> None:
+    options, answer, home = request.options, request.answer, request.home
+    bounded = request.mode is ExecutionMode.BOUNDED
+    summary: Optional[QuerySummary] = None
+    if bounded and options.result_reuse == "subsume":
+        # only a complete bounded answer is a sound subsumption source
+        # (a PARTIAL answer's missing rows could be exactly the tighter
+        # query's)
+        summary = _summary(server, request)
+        if not summary.reusable:
+            summary = None
+    template = request.rebind.template_fingerprint if request.rebind else None
+    entry = CachedResult(
+        columns=list(answer.columns),
+        rows=list(answer.rows),
+        mode=request.mode,
+        decision=request.coverage,
+        table_versions=dict(request.versions),
+        schema_generation=request.generation,
+        summary=summary,
+        template_fingerprint=template,
+    )
+    if not home.admit(request.result_key, entry):
+        return
+    # registered while still holding every dependency's read lock: a
+    # writer invalidating one of these tables cannot run until we
+    # release, so it will see this entry
+    server.register_dependents(request.result_key, request.tables, home.table)
+    if summary is not None:
+        server.subsume_index.add(
+            Candidate(
+                shape_key=summary.shape_key,
+                result_key=request.result_key,
+                home=home.table,
+                generation=request.generation,
+                summary=summary,
+                template_fingerprint=template,
+            )
+        )

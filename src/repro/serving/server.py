@@ -48,33 +48,24 @@ compares against.
 from __future__ import annotations
 
 import threading
-import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Hashable, Mapping, Optional, Union
 
-from repro.beas.result import BEASResult, ExecutionMode
-from repro.bounded.plan import BoundedPlan
-from repro.bounded.rebind import RebindTemplate, build_rebind_template
-from repro.bounded.subsume import (
-    Candidate,
-    QuerySummary,
-    SubsumptionIndex,
-    apply_refilter,
-    subsumes,
-    summarize_statement,
-)
-from repro.config import env_routing_epsilon, validate_result_reuse, validate_routing
-from repro.engine.columnar import resolve_executor_mode
-from repro.engine.metrics import ExecutionMetrics
+from repro.beas.session import Decision, ExecutionOptions, Result, options_layer
+from repro.bounded.subsume import SubsumptionIndex
+from repro.config import env_routing_epsilon
 from repro.engine.pool import PoolStats
 from repro.distributed.fleet import FleetStats
-from repro.engine.router import ExecutorRouter, RouterStats, routing_features
+from repro.engine.router import ExecutorRouter, RouterStats
 from repro.errors import ServingError, UnknownTableError
 from repro.sql import ast
 from repro.sql.fingerprint import statement_fingerprint, statement_tables
 from repro.sql.parser import parse
-from repro.serving.cache import CacheStats, LRUCache, approx_size
-from repro.serving.prepared import PreparedBinding, PreparedQuery
+from repro.serving import request as stages
+from repro.serving.cache import CacheStats
+from repro.serving.prepared import PreparedQuery
+from repro.serving.request import CachedResult, Request, result_size
 from repro.storage.mmapstore import StorageStats
 from repro.serving.shard import (
     LockStats,
@@ -96,55 +87,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Shard name used when ``sharded=False`` (every table maps here) and for
 #: queries with an empty dependency set.
 GLOBAL_SHARD = "__global__"
-
-
-@dataclass
-class _CachedResult:
-    """One result-cache entry plus the generations it depends on.
-
-    ``summary`` is the entry's predicate-lattice summary, present only
-    when the server runs with ``result_reuse="subsume"`` and the entry
-    is an eligible subsumption source (BOUNDED mode, reusable shape);
-    ``template_fingerprint`` records the pinned rebind template the
-    answer derived from, so a merged-arity fallback can drop candidates
-    with stale plan provenance.
-    """
-
-    columns: list[str]
-    rows: list[tuple]
-    mode: ExecutionMode
-    decision: "CoverageDecision"
-    table_versions: dict[str, int]
-    schema_generation: int
-    summary: Optional[QuerySummary] = None
-    template_fingerprint: Optional[str] = None
-
-
-def _result_size(entry: _CachedResult) -> int:
-    return approx_size(entry.columns) + approx_size(entry.rows)
-
-
-@dataclass(frozen=True)
-class _RebindRequest:
-    """Plan-reuse context for one prepared binding.
-
-    The decision cache holds, next to the per-binding exact entries, one
-    *pinned template* per (template fingerprint, arity signature,
-    schema generation): the first binding of each signature pays a full
-    BE Checker run and pins its decision plus a
-    :class:`~repro.bounded.rebind.RebindTemplate`; every later
-    equal-signature binding patches the pinned plan's constant key parts
-    directly — zero checker runs. A binding that changes a slot's
-    IN-list arity, NULL-ness, or type class lands on a different
-    signature (or trips the rebinder's merged-arity guard) and re-checks.
-    """
-
-    template_fingerprint: str
-    signature: tuple
-    overrides: Mapping[str, tuple]
-
-    def cache_key(self, generation: int) -> tuple:
-        return ("rebind", self.template_fingerprint, self.signature, generation)
 
 
 @dataclass
@@ -251,6 +193,7 @@ class BEASServer:
     def __init__(
         self,
         beas: "BEAS",
+        options: Optional[ExecutionOptions] = None,
         *,
         parse_cache_entries: int = 512,
         decision_cache_entries: int = 1024,
@@ -266,10 +209,13 @@ class BEASServer:
                 "(expected 'second-hit' or 'always')"
             )
         self._beas = beas
+        #: the resolved base layer of every request: the options of the
+        #: Session that built this server (else the engine's own)
+        self._options = options or ExecutionOptions.of_engine(beas)
         self._sharded = sharded
         self._admission = result_admission
         self._schema_lock = ShardLock("schema")
-        #: leaf mutex guarding prepared registry, execution counter, and
+        #: leaf mutex guarding prepared registry, request counters, and
         #: the observed schema generation
         self._admin_lock = threading.Lock()
         #: leaf mutex guarding the table -> {result key -> home shard}
@@ -278,18 +224,18 @@ class BEASServer:
         self._dep_index: dict[str, dict[Hashable, str]] = {}
 
         stripes = decision_stripes if sharded else 1
-        self._parse_cache = StripedCache(
+        self.parse_cache = StripedCache(
             "parse", max_entries=parse_cache_entries, stripes=min(4, stripes)
         )
-        self._decision_cache = StripedCache(
+        self.decision_cache = StripedCache(
             "decision", max_entries=decision_cache_entries, stripes=stripes
         )
         # predicate-lattice summaries, keyed by fingerprint — pure
         # functions of the statement, so never flushed for freshness
-        self._summary_cache = StripedCache(
+        self.summary_cache = StripedCache(
             "summary", max_entries=parse_cache_entries, stripes=min(4, stripes)
         )
-        self._subsume_index = SubsumptionIndex()
+        self.subsume_index = SubsumptionIndex()
 
         self._result_entries_budget = result_cache_entries
         self._result_bytes_budget = result_cache_bytes
@@ -308,12 +254,9 @@ class BEASServer:
                 shard.version = beas.database.table(shard.table).version
 
         self._prepared: dict[str, PreparedQuery] = {}
-        self._executions = 0
-        self._rebinds = 0
-        self._rebind_fallbacks = 0
-        self._subsumed_hits = 0
-        self._subsumption_rejects = 0
-        self._subsumption_invalidations = 0
+        #: executions, rebinds, rebind_fallbacks, subsumed_hits,
+        #: subsumption_rejects, subsumption_invalidations
+        self._counts: Counter[str] = Counter()
         self._schema_generation = beas.catalog.schema_generation
         self._router = ExecutorRouter(
             parallelism=beas.parallelism, epsilon=env_routing_epsilon()
@@ -330,7 +273,7 @@ class BEASServer:
             name,
             result_entries=entries,
             result_bytes=byte_budget,
-            sizeof=_result_size,
+            sizeof=result_size,
             admit_on_second_hit=self._admission == "second-hit",
         )
 
@@ -338,6 +281,11 @@ class BEASServer:
     @property
     def beas(self) -> "BEAS":
         return self._beas
+
+    @property
+    def options(self) -> ExecutionOptions:
+        """The resolved base layer every request's options refine."""
+        return self._options
 
     @property
     def router(self) -> ExecutorRouter:
@@ -379,10 +327,7 @@ class BEASServer:
         with self._admin_lock:
             return dict(self._shards)
 
-    def _shards_for(self, tables: frozenset[str]) -> list[TableShard]:
-        return order_shards(self.shard(name) for name in tables)
-
-    def _home_shard(self, tables: frozenset[str]) -> TableShard:
+    def home_shard(self, tables: frozenset[str]) -> TableShard:
         if not tables:
             return self._shards[GLOBAL_SHARD]
         return self.shard(min(tables))
@@ -396,7 +341,7 @@ class BEASServer:
         Preparing the same text again returns the existing handle (under
         its existing name when ``name`` is not given).
         """
-        statement, fingerprint, tables, _ = self._frontend(sql)
+        statement, fingerprint, tables, _ = self.frontend(sql)
         with self._admin_lock:
             for existing in self._prepared.values():
                 if existing.fingerprint == fingerprint and (
@@ -427,60 +372,35 @@ class BEASServer:
             return sorted(self._prepared)
 
     # ------------------------------------------------------------------ #
-    # execute
+    # reads: every entry point builds one Request and runs the stages
     # ------------------------------------------------------------------ #
+    def serve(self, request: Request) -> Result:
+        """Run one request through :data:`repro.serving.request.STAGES`."""
+        return stages.serve(self, request)
+
     def execute(
         self,
         query: Union[str, ast.Statement],
         *,
-        budget: Optional[int] = None,
-        allow_partial: bool = True,
-        approximate_over_budget: bool = False,
-        use_result_cache: bool = True,
-        executor: Optional[str] = None,
-        result_reuse: str = "exact",
-        routing: str = "static",
-    ) -> BEASResult:
+        options: Optional[ExecutionOptions] = None,
+        **fields: Any,
+    ) -> Result:
         """One-shot execution through the serving caches (no prepare).
 
-        ``executor`` selects the bounded execution mode ("row" or
-        "columnar") for this query only; answers are mode-independent,
-        so cached results are shared across modes. ``result_reuse``
-        selects the cache-matching policy: ``"exact"`` serves only
-        presentation-equal fingerprints; ``"subsume"`` additionally
-        answers from a cached bounded superset by re-filtering its rows
-        (:mod:`repro.bounded.subsume`). ``routing="learned"`` hands the
-        mode choice for covered bounded plans to the online cost model
-        (:mod:`repro.engine.router`) instead of ``executor``.
+        ``options`` / keyword fields form the call layer over this
+        server's base options — exactly ``Session.run``.
         """
-        statement, fingerprint, tables, parse_hit = self._frontend(query)
-        return self._execute(
-            statement,
-            fingerprint,
-            tables,
-            budget=budget,
-            allow_partial=allow_partial,
-            approximate_over_budget=approximate_over_budget,
-            use_result_cache=use_result_cache,
-            parse_hit=parse_hit,
-            executor=executor,
-            result_reuse=result_reuse,
-            routing=routing,
-        )
+        layer = options_layer(options, fields)
+        return self.serve(Request(self._options.refine(layer), query))
 
     def execute_prepared(
         self,
         prepared: Union[str, PreparedQuery],
         params: Optional[Mapping[str, Any]] = None,
         *,
-        budget: Optional[int] = None,
-        allow_partial: bool = True,
-        approximate_over_budget: bool = False,
-        use_result_cache: bool = True,
-        executor: Optional[str] = None,
-        result_reuse: str = "exact",
-        routing: str = "static",
-    ) -> BEASResult:
+        options: Optional[ExecutionOptions] = None,
+        **fields: Any,
+    ) -> Result:
         """Execute a prepared query (by handle or name) for one binding.
 
         A binding whose arity signature matches an earlier one reuses
@@ -492,33 +412,17 @@ class BEASServer:
         """
         if isinstance(prepared, str):
             prepared = self.prepared(prepared)
-        bound = prepared.binding(params)
-        return self._execute(
-            bound.statement,
-            bound.fingerprint,
-            prepared.tables,
-            budget=budget,
-            allow_partial=allow_partial,
-            approximate_over_budget=approximate_over_budget,
-            use_result_cache=use_result_cache,
-            parse_hit=True,  # the template parse is amortised
-            executor=executor,
-            rebind=self._rebind_request(prepared, bound),
-            result_reuse=result_reuse,
-            routing=routing,
+        layer = options_layer(options, fields)
+        return self.serve(
+            Request(self._options.refine(layer), prepared, params)
         )
 
     def check(
         self, query: Union[str, ast.Statement], budget: Optional[int] = None
     ) -> "CoverageDecision":
         """The (cached) BE Checker outcome for a query."""
-        statement, fingerprint, _, _ = self._frontend(query)
-        with self._schema_lock.read():
-            # observed under the read lock: a completed register/unregister
-            # (write section) is guaranteed visible here
-            generation = self._observe_schema_generation()
-            decision, _ = self._decision(statement, fingerprint, generation)
-        return self._with_budget(decision, budget)
+        request = Request(self._budgeted(budget), query)
+        return stages.decide_only(self, request).coverage
 
     def check_prepared(
         self,
@@ -527,7 +431,7 @@ class BEASServer:
         *,
         budget: Optional[int] = None,
     ) -> "CoverageDecision":
-        return self.decide_prepared(prepared, params, budget=budget)[0]
+        return self.decide_prepared(prepared, params, budget=budget).coverage
 
     def decide_prepared(
         self,
@@ -535,37 +439,50 @@ class BEASServer:
         params: Optional[Mapping[str, Any]] = None,
         *,
         budget: Optional[int] = None,
-    ) -> tuple["CoverageDecision", str]:
-        """The coverage decision for one binding plus its provenance:
-        ``"fresh"`` (full BE Checker run), ``"cached"`` (exact
-        decision-cache hit), or ``"rebound"`` (pinned plan patched for
-        this binding, no checker run)."""
+    ) -> Decision:
+        """The (possibly rebound) decision for one binding: the BE
+        Checker outcome, how it was obtained (``"fresh"`` | ``"cached"``
+        | ``"rebound"``) and under which access-schema generation."""
         if isinstance(prepared, str):
             prepared = self.prepared(prepared)
-        bound = prepared.binding(params)
-        with self._schema_lock.read():
-            generation = self._observe_schema_generation()
-            decision, provenance = self._decision(
-                # lazy: a rebound or cached decision never substitutes
-                # the binding's AST at all
-                lambda: bound.statement,
-                bound.fingerprint,
-                generation,
-                rebind=self._rebind_request(prepared, bound),
-            )
-        return self._with_budget(decision, budget), provenance
-
-    @staticmethod
-    def _rebind_request(
-        prepared: PreparedQuery, bound: PreparedBinding
-    ) -> Optional[_RebindRequest]:
-        if not bound.overrides:
-            return None  # the template's own constants: exact key suffices
-        return _RebindRequest(
-            template_fingerprint=prepared.fingerprint,
-            signature=bound.signature,
-            overrides=bound.overrides,
+        return stages.decide_only(
+            self, Request(self._budgeted(budget), prepared, params)
         )
+
+    def _budgeted(self, budget: Optional[int]) -> ExecutionOptions:
+        if budget is None:
+            return self._options
+        return self._options.replace(budget=budget)
+
+    # ------------------------------------------------------------------ #
+    # what the stages use of the server
+    # ------------------------------------------------------------------ #
+    def count(self, name: str, by: int = 1) -> None:
+        with self._admin_lock:
+            self._counts[name] += by
+
+    def acquire_reads(
+        self, tables: frozenset[str]
+    ) -> tuple[list[TableShard], float]:
+        """Read-hold the schema lock, then every dependency shard in
+        canonical order; returns the held shards and the seconds waited."""
+        waited = self._schema_lock.acquire_read()
+        try:
+            shards = order_shards(self.shard(name) for name in tables)
+            waited += acquire_read_ordered(shards)
+        # beaslint: ok(except-discipline) - drops the schema hold, then re-raises whatever it was
+        except BaseException:
+            self._schema_lock.release_read()
+            raise
+        return shards, waited
+
+    def release_reads(self, shards: list[TableShard]) -> None:
+        release_read_ordered(shards)
+        self._schema_lock.release_read()
+
+    def schema_read(self):
+        """A read hold on the schema lock alone (decision-only calls)."""
+        return self._schema_lock.read()
 
     # ------------------------------------------------------------------ #
     # maintenance (per-shard write locks; disjoint tables run in parallel)
@@ -586,7 +503,7 @@ class BEASServer:
         )
 
     def _maintain(self, table_name: str, apply) -> "UpdateBatch":
-        self._observe_schema_generation()
+        self.observe_schema_generation()
         self._schema_lock.acquire_read()
         try:
             # raises UnknownTableError before any shard state is touched
@@ -606,7 +523,7 @@ class BEASServer:
         finally:
             self._schema_lock.release_read()
         # an ADJUST batch may have widened a bound (schema generation)
-        self._observe_schema_generation()
+        self.observe_schema_generation()
         return batch
 
     def _after_table_write(self, table_name: str, shard: TableShard) -> None:
@@ -634,7 +551,7 @@ class BEASServer:
             if home_shard is not None:
                 home_shard.invalidate_keys(keys)
 
-    def _register_dependents(
+    def register_dependents(
         self, key: Hashable, tables: frozenset[str], home: str
     ) -> None:
         with self._dep_lock:
@@ -656,7 +573,7 @@ class BEASServer:
     ) -> None:
         with self._schema_lock.write():
             self._beas.register(constraint, validate=validate)
-        self._observe_schema_generation()
+        self.observe_schema_generation()
 
     def register_all(
         self, constraints, *, validate: bool = True
@@ -666,18 +583,18 @@ class BEASServer:
         of per constraint."""
         with self._schema_lock.write():
             self._beas.register_all(constraints, validate=validate)
-        self._observe_schema_generation()
+        self.observe_schema_generation()
 
     def unregister(self, constraint_name: str) -> None:
         with self._schema_lock.write():
             self._beas.unregister(constraint_name)
-        self._observe_schema_generation()
+        self.observe_schema_generation()
 
     # ------------------------------------------------------------------ #
     # stats
     # ------------------------------------------------------------------ #
     def stats(self) -> ServingStats:
-        self._observe_schema_generation()
+        self.observe_schema_generation()
         shards = self.shards()
         # Two-phase counter read, ordered against a request's own bump
         # order so concurrent traffic can never tear the snapshot's
@@ -691,11 +608,7 @@ class BEASServer:
         # admin-lock block in either position reports torn totals — e.g.
         # subsumed_hits > result misses with the old sweep-first order.
         with self._admin_lock:
-            rebinds = self._rebinds
-            rebind_fallbacks = self._rebind_fallbacks
-            subsumed_hits = self._subsumed_hits
-            subsumption_rejects = self._subsumption_rejects
-            subsumption_invalidations = self._subsumption_invalidations
+            counts = Counter(self._counts)
         snapshots: dict[str, ShardStats] = {}
         result = CacheStats("result")
         entries = 0
@@ -715,18 +628,18 @@ class BEASServer:
             size += snap.bytes
             declines += snap.admission_declines
         with self._admin_lock:
-            executions = self._executions
+            executions = self._counts["executions"]
             prepared_count = len(self._prepared)
             generation = self._schema_generation
         return ServingStats(
-            rebinds=rebinds,
-            rebind_fallbacks=rebind_fallbacks,
-            subsumed_hits=subsumed_hits,
-            subsumption_rejects=subsumption_rejects,
-            subsumption_invalidations=subsumption_invalidations,
+            rebinds=counts["rebinds"],
+            rebind_fallbacks=counts["rebind_fallbacks"],
+            subsumed_hits=counts["subsumed_hits"],
+            subsumption_rejects=counts["subsumption_rejects"],
+            subsumption_invalidations=counts["subsumption_invalidations"],
             checker_runs=self._beas.checker_runs,
-            parse=self._parse_cache.stats(),
-            decision=self._decision_cache.stats(),
+            parse=self.parse_cache.stats(),
+            decision=self.decision_cache.stats(),
             result=result,
             result_entries=entries,
             result_bytes=size,
@@ -761,7 +674,7 @@ class BEASServer:
         triples: list[tuple[str, Hashable, Any]] = []
         for name, shard in self.shards().items():
             for key, entry in shard.entries():
-                if isinstance(entry, _CachedResult):
+                if isinstance(entry, CachedResult):
                     triples.append((name, key, entry))
         return store.save_results(triples)
 
@@ -777,7 +690,7 @@ class BEASServer:
         if store is None:  # pragma: no cover - guarded by the caller
             return
         for home, key, entry in store.load_results():
-            if not isinstance(entry, _CachedResult):
+            if not isinstance(entry, CachedResult):
                 continue
             shard = self._shards.get(home)
             if shard is None:
@@ -785,16 +698,16 @@ class BEASServer:
                 # dropped) — the entry has no home here, skip it
                 continue
             shard.install(key, entry)
-            self._register_dependents(
+            self.register_dependents(
                 key, frozenset(entry.table_versions), shard.table
             )
 
     def reset_caches(self) -> None:
         """Drop all cached state (keeps prepared handles)."""
-        self._parse_cache.invalidate_all()
-        self._decision_cache.invalidate_all()
-        self._summary_cache.invalidate_all()
-        self._subsume_index.clear()
+        self.parse_cache.invalidate_all()
+        self.decision_cache.invalidate_all()
+        self.summary_cache.invalidate_all()
+        self.subsume_index.clear()
         for shard in self.shards().values():
             shard.flush()
         with self._dep_lock:
@@ -807,7 +720,7 @@ class BEASServer:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _frontend(
+    def frontend(
         self, query: Union[str, ast.Statement]
     ) -> tuple[ast.Statement, str, frozenset[str], bool]:
         """Parse + fingerprint + dependency set, through the parse cache."""
@@ -818,16 +731,16 @@ class BEASServer:
                 statement_tables(query),
                 False,
             )
-        cached = self._parse_cache.get(query)
+        cached = self.parse_cache.get(query)
         if cached is not None:
             return (*cached, True)
         statement = parse(query)
         fingerprint = statement_fingerprint(statement)
         tables = statement_tables(statement)
-        self._parse_cache.put(query, (statement, fingerprint, tables))
+        self.parse_cache.put(query, (statement, fingerprint, tables))
         return statement, fingerprint, tables, False
 
-    def _observe_schema_generation(self) -> int:
+    def observe_schema_generation(self) -> int:
         """Notice access-schema changes made around ``register``/
         ``unregister`` (bound adjustments, direct catalog calls) and
         flush whatever they stale. Returns the current generation."""
@@ -842,488 +755,21 @@ class BEASServer:
         # the decision cache is keyed by (fingerprint, generation) and the
         # result entries record their generation, so flushing here is a
         # memory measure, not a correctness one
-        self._decision_cache.invalidate_all()
+        self.decision_cache.invalidate_all()
         # candidates are generation-stamped (the prober would skip them
         # anyway); clearing here keeps the index from holding references
         # to flushed entries across a bump
-        self._subsume_index.clear()
+        self.subsume_index.clear()
         for shard in shards.values():
             shard.flush()
         with self._dep_lock:
             self._dep_index.clear()
         return generation
 
-    def _decision(
-        self,
-        statement,  # an ast.Statement, or a zero-arg provider of one
-        fingerprint: str,
-        generation: int,
-        rebind: Optional[_RebindRequest] = None,
-    ) -> tuple["CoverageDecision", str]:
-        """The budget-free coverage decision, through the decision cache.
-
-        Returns ``(decision, provenance)`` with provenance ``"cached"``
-        (exact per-binding hit), ``"rebound"`` (pinned plan patched for
-        this binding — no BE Checker run), or ``"fresh"`` (full check).
-
-        Exact entries are keyed by (binding fingerprint, access-schema
-        generation): a decision pinned under an old schema can never be
-        served after a change. Pinned rebind templates are keyed by
-        (template fingerprint, arity signature, generation) — the values
-        of a binding never enter that key, only its shape.
-        """
-        key = (fingerprint, generation)
-        decision = self._decision_cache.get(key)
-        if decision is not None:
-            return decision, "cached"
-        if rebind is not None:
-            template_key = rebind.cache_key(generation)
-            pinned = self._decision_cache.get(template_key)
-            if isinstance(pinned, RebindTemplate):
-                rebound = pinned.rebind(rebind.overrides)
-                if rebound is not None:
-                    # future executes of this exact binding hit directly
-                    self._decision_cache.put(key, rebound)
-                    with self._admin_lock:
-                        self._rebinds += 1
-                    return rebound, "rebound"
-                with self._admin_lock:
-                    self._rebind_fallbacks += 1
-                # the pinned plan is being abandoned (merged-arity or
-                # other guard): any subsumption candidate derived from
-                # it carries stale plan provenance — stop offering them
-                dropped = self._subsume_index.drop_template(
-                    rebind.template_fingerprint
-                )
-                if dropped:
-                    with self._admin_lock:
-                        self._subsumption_invalidations += dropped
-        if callable(statement):
-            statement = statement()  # only the fresh path needs the AST
-        decision = self._beas.check(statement)
-        self._decision_cache.put(key, decision)
-        if rebind is not None:
-            template = build_rebind_template(decision, rebind.overrides)
-            if template is not None:
-                self._decision_cache.put(rebind.cache_key(generation), template)
-        return decision, "fresh"
-
-    @staticmethod
-    def _with_budget(
-        decision: "CoverageDecision", budget: Optional[int]
-    ) -> "CoverageDecision":
-        if budget is None or not decision.covered:
-            return decision
-        return replace(
-            decision, within_budget=decision.access_bound <= budget
-        )
-
-    def _execute(
-        self,
-        statement: ast.Statement,
-        fingerprint: str,
-        tables: frozenset[str],
-        *,
-        budget: Optional[int],
-        allow_partial: bool,
-        approximate_over_budget: bool,
-        use_result_cache: bool,
-        parse_hit: bool,
-        executor: Optional[str] = None,
-        rebind: Optional[_RebindRequest] = None,
-        result_reuse: str = "exact",
-        routing: str = "static",
-    ) -> BEASResult:
-        if executor is not None:
-            # fail on a bad per-query mode here, before any lock is taken
-            # or the bounded pipeline is entered
-            resolve_executor_mode(executor)
-        validate_result_reuse(result_reuse)
-        validate_routing(routing)
-        # wall-clock anchor for the serve paths that never execute (result
-        # cache, subsumption): their latency is what cost-aware admission
-        # weighs re-execution against, so it must be real, not 0.0
-        serve_start = time.perf_counter()
-        with self._admin_lock:
-            self._executions += 1
-        hits = 1 if parse_hit else 0
-        misses = 0 if parse_hit else 1
-
-        lock_wait = self._schema_lock.acquire_read()
-        try:
-            shards = self._shards_for(tables)
-            lock_wait += acquire_read_ordered(shards)
-            try:
-                # observed while holding the schema + shard read locks: a
-                # completed register/unregister (schema write section) and
-                # a completed adjust_bounds batch on any dependency table
-                # (its shard write section) are both visible here, so a
-                # decision or result pinned under the old schema can never
-                # be consumed by this request
-                generation = self._observe_schema_generation()
-                return self._execute_locked(
-                    statement,
-                    fingerprint,
-                    tables,
-                    shards,
-                    generation,
-                    budget=budget,
-                    allow_partial=allow_partial,
-                    approximate_over_budget=approximate_over_budget,
-                    use_result_cache=use_result_cache,
-                    hits=hits,
-                    misses=misses,
-                    lock_wait=lock_wait,
-                    executor=executor,
-                    rebind=rebind,
-                    result_reuse=result_reuse,
-                    routing=routing,
-                    serve_start=serve_start,
-                )
-            finally:
-                release_read_ordered(shards)
-        finally:
-            self._schema_lock.release_read()
-
-    def _execute_locked(
-        self,
-        statement: ast.Statement,
-        fingerprint: str,
-        tables: frozenset[str],
-        shards: list[TableShard],
-        generation: int,
-        *,
-        budget: Optional[int],
-        allow_partial: bool,
-        approximate_over_budget: bool,
-        use_result_cache: bool,
-        hits: int,
-        misses: int,
-        lock_wait: float,
-        executor: Optional[str] = None,
-        rebind: Optional[_RebindRequest] = None,
-        result_reuse: str = "exact",
-        routing: str = "static",
-        serve_start: Optional[float] = None,
-    ) -> BEASResult:
-        if serve_start is None:
-            serve_start = time.perf_counter()
-        # the consistent table-version vector this request observes: read
-        # under the shard read locks, so no dependency can move under us
-        versions: dict[str, int] = {}
-        database = self._beas.database
-        for name in tables:
-            if name in database:
-                versions[name] = database.table(name).version
-        for shard in shards:
-            if shard.table in versions and shard.observe_version(
-                versions[shard.table]
-            ):
-                # the table moved around the serving layer: sweep entries
-                # homed here that depend on it (cross-homed dependents are
-                # rejected by the per-hit freshness check below)
-                moved = shard.table
-                shard.invalidate_where(
-                    lambda _key, entry: moved in entry.table_versions
-                )
-
-        home = self._home_shard(tables)
-        result_key = (fingerprint, budget, allow_partial, approximate_over_budget)
-        if use_result_cache:
-            entry = home.lookup(result_key)
-            if entry is not None and self._entry_fresh(
-                entry, versions, generation
-            ):
-                serve_seconds = time.perf_counter() - serve_start
-                self._router.note_lookup(serve_seconds)
-                metrics = ExecutionMetrics(
-                    rows_output=len(entry.rows),
-                    seconds=serve_seconds,
-                    served_from_cache=True,
-                    cache_hits=hits + 1,
-                    cache_misses=misses,
-                    lock_wait_seconds=lock_wait,
-                    table_versions=dict(versions),
-                    decision_provenance="result-cache",
-                )
-                return BEASResult(
-                    columns=list(entry.columns),
-                    rows=list(entry.rows),
-                    mode=entry.mode,
-                    decision=entry.decision,
-                    metrics=metrics,
-                )
-            if entry is not None:  # stale despite sweeps: drop defensively
-                home.invalidate(result_key)
-            misses += 1
-            if result_reuse == "subsume":
-                served = self._probe_subsumption(
-                    statement,
-                    fingerprint,
-                    tables,
-                    versions,
-                    generation,
-                    home,
-                    result_key,
-                    hits=hits,
-                    misses=misses,
-                    lock_wait=lock_wait,
-                    serve_start=serve_start,
-                )
-                if served is not None:
-                    return served
-
-        decision, provenance = self._decision(
-            statement, fingerprint, generation, rebind=rebind
-        )
-        decision_hit = provenance != "fresh"
-        hits += 1 if decision_hit else 0
-        misses += 0 if decision_hit else 1
-        decision = self._with_budget(decision, budget)
-
-        # learned routing: pick the execution mode for this covered
-        # bounded plan from the per-template cost model. The choice is
-        # made (and trained) per *template* fingerprint, so every
-        # binding of one prepared query shares a model; answers are
-        # mode-independent, so a wrong prediction costs latency only.
-        route_choice = None
-        features: Optional[tuple[float, ...]] = None
-        template_fp = (
-            rebind.template_fingerprint if rebind is not None else fingerprint
-        )
-        if (
-            routing == "learned"
-            and decision.covered
-            and isinstance(decision.plan, BoundedPlan)
-            and (budget is None or decision.within_budget)
-        ):
-            features = routing_features(
-                decision.plan,
-                # scoped to the locked dependency tables: never scans
-                # (or races with) tables this request did not lock
-                self._beas._host.statistics(tables=frozenset(tables)),
-                rows_per_batch=self._beas._rows_per_batch,
-                parallelism=self._beas.parallelism,
-            )
-            route_choice = self._router.route(template_fp, features)
-
-        result = self._beas._execute_decided(
-            statement,
-            decision,
-            budget=budget,
-            allow_partial=allow_partial,
-            approximate_over_budget=approximate_over_budget,
-            executor=executor,
-            route=route_choice.route if route_choice is not None else None,
-        )
-        result.metrics.cache_hits += hits
-        result.metrics.cache_misses += misses
-        result.metrics.lock_wait_seconds += lock_wait
-        result.metrics.table_versions = dict(versions)
-        result.metrics.decision_provenance = provenance
-        if route_choice is not None and result.mode is ExecutionMode.BOUNDED:
-            result.metrics.routed_mode = route_choice.route
-            result.metrics.routing_explored = route_choice.explored
-            self._router.observe(
-                template_fp, route_choice.route, features, result.metrics
-            )
-
-        if (
-            routing == "learned"
-            and use_result_cache
-            and result.mode is ExecutionMode.BOUNDED
-            and not self._router.should_admit(result.metrics.seconds)
-        ):
-            # cost-aware admission: re-executing this answer is already
-            # as cheap as a cache lookup, so keep it from displacing
-            # entries whose re-execution is expensive
-            use_result_cache = False
-
-        if use_result_cache and result.mode is not ExecutionMode.APPROXIMATE:
-            summary: Optional[QuerySummary] = None
-            if result_reuse == "subsume" and result.mode is ExecutionMode.BOUNDED:
-                # only a complete bounded answer is a sound subsumption
-                # source (a PARTIAL answer's missing rows could be
-                # exactly the tighter query's)
-                candidate_summary = self._summary_of(statement, fingerprint)
-                if candidate_summary.reusable:
-                    summary = candidate_summary
-            template_fp = (
-                rebind.template_fingerprint if rebind is not None else None
-            )
-            admitted = home.admit(
-                result_key,
-                _CachedResult(
-                    columns=list(result.columns),
-                    rows=list(result.rows),
-                    mode=result.mode,
-                    decision=decision,
-                    table_versions=dict(versions),
-                    schema_generation=generation,
-                    summary=summary,
-                    template_fingerprint=template_fp,
-                ),
-            )
-            if admitted:
-                # registered while still holding every dependency's read
-                # lock: a writer invalidating one of these tables cannot
-                # run until we release, so it will see this entry
-                self._register_dependents(result_key, tables, home.table)
-                if summary is not None:
-                    self._subsume_index.add(
-                        Candidate(
-                            shape_key=summary.shape_key,
-                            result_key=result_key,
-                            home=home.table,
-                            generation=generation,
-                            summary=summary,
-                            template_fingerprint=template_fp,
-                        )
-                    )
-        return result
-
-    def _summary_of(
-        self, statement: ast.Statement, fingerprint: str
-    ) -> QuerySummary:
-        """The statement's predicate-lattice summary, through the
-        summary cache (a pure function of the statement, keyed by
-        fingerprint — never flushed for freshness)."""
-        summary = self._summary_cache.get(fingerprint)
-        if summary is None:
-            summary = summarize_statement(statement)
-            self._summary_cache.put(fingerprint, summary)
-        return summary
-
-    def _probe_subsumption(
-        self,
-        statement: ast.Statement,
-        fingerprint: str,
-        tables: frozenset[str],
-        versions: dict[str, int],
-        generation: int,
-        home: TableShard,
-        result_key: tuple,
-        *,
-        hits: int,
-        misses: int,
-        lock_wait: float,
-        serve_start: Optional[float] = None,
-    ) -> Optional[BEASResult]:
-        """Try to answer from a cached bounded superset after an exact
-        result-cache miss. Returns the subsumed result, or ``None`` to
-        fall through to a fresh decision + execution.
-
-        Runs under the request's schema + dependency read locks, so the
-        version-vector freshness check it applies to a candidate entry
-        is made against the same consistent snapshot the fresh path
-        would execute under. Candidates are only eligible when they were
-        cached under the same (budget, allow_partial,
-        approximate_over_budget) option triple — a subsumed answer must
-        never out-run a budget refusal the fresh path would have issued.
-        """
-        summary = self._summary_of(statement, fingerprint)
-        if not summary.reusable:
-            with self._admin_lock:
-                self._subsumption_rejects += 1
-            return None
-        candidates = self._subsume_index.candidates(summary.shape_key)
-        examined = 0
-        for candidate in candidates:
-            if candidate.result_key == result_key:
-                continue  # the exact lookup already missed on this key
-            if candidate.result_key[1:] != result_key[1:]:
-                continue  # different option triple: not comparable
-            if candidate.generation != generation:
-                self._subsume_index.discard(
-                    summary.shape_key, candidate.result_key
-                )
-                continue
-            shard = self._shards.get(candidate.home)
-            entry = (
-                shard.peek(candidate.result_key) if shard is not None else None
-            )
-            if entry is None:  # evicted/invalidated under the candidate
-                self._subsume_index.discard(
-                    summary.shape_key, candidate.result_key
-                )
-                continue
-            if (
-                entry.mode is not ExecutionMode.BOUNDED
-                or entry.summary is None
-                or not self._entry_fresh(entry, versions, generation)
-            ):
-                continue
-            examined += 1
-            plan = subsumes(entry.summary, summary)
-            if plan is None:
-                continue
-            rows = apply_refilter(plan, entry.columns, entry.rows)
-            if rows is None:
-                continue
-            with self._admin_lock:
-                self._subsumed_hits += 1
-            serve_seconds = (
-                time.perf_counter() - serve_start
-                if serve_start is not None
-                else 0.0
-            )
-            # a subsumed serve is lookup + refilter: exactly the cost
-            # cost-aware admission weighs re-execution against
-            self._router.note_lookup(serve_seconds)
-            metrics = ExecutionMetrics(
-                rows_output=len(rows),
-                seconds=serve_seconds,
-                served_from_cache=True,
-                cache_hits=hits + 1,
-                cache_misses=misses,
-                lock_wait_seconds=lock_wait,
-                table_versions=dict(versions),
-                decision_provenance="subsumed",
-            )
-            # The re-filtered answer is NOT re-admitted under its own
-            # key, nor indexed as a candidate: it is strictly narrower
-            # than its source, so the source answers every repeat and
-            # every further refinement at probe cost, while a private
-            # copy would double-cache the same rows and (if indexed)
-            # evict broader sources from the per-shape LRU. Only the
-            # source's recency is refreshed.
-            self._subsume_index.touch(
-                candidate.shape_key, candidate.result_key
-            )
-            return BEASResult(
-                columns=list(entry.columns),
-                rows=rows,
-                mode=entry.mode,
-                decision=entry.decision,
-                metrics=metrics,
-            )
-        if examined:
-            # live same-shape candidates existed but none subsumed this
-            # binding's region (or post-filtering was refused)
-            with self._admin_lock:
-                self._subsumption_rejects += 1
-        return None
-
-    def _entry_fresh(
-        self,
-        entry: _CachedResult,
-        versions: dict[str, int],
-        generation: int,
-    ) -> bool:
-        """A hit is served only when the entry's recorded generations all
-        equal the live ones observed under the current read locks."""
-        if entry.schema_generation != generation:
-            return False
-        if entry.table_versions.keys() != versions.keys():
-            return False
-        return all(
-            versions[name] == version
-            for name, version in entry.table_versions.items()
-        )
-
     def __repr__(self) -> str:
         mode = "sharded" if self._sharded else "global-lock"
         return (
             f"BEASServer({self._beas.database.name}: {mode}, "
-            f"{len(self._prepared)} prepared, {self._executions} served)"
+            f"{len(self._prepared)} prepared, "
+            f"{self._counts['executions']} served)"
         )

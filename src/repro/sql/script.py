@@ -74,8 +74,8 @@ def run_script(
 
     SELECT statements need an engine; by default a fresh
     :class:`~repro.engine.executor.ConventionalEngine` over ``database``
-    is used (pass a BEAS instance or any object with ``execute`` to route
-    them elsewhere).
+    is used (pass a Session's ``server`` or any object with ``execute``
+    to route them elsewhere).
     """
     from repro.engine.executor import ConventionalEngine
 

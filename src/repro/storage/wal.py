@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, BinaryIO, Optional
@@ -152,6 +153,9 @@ class WriteAheadLog:
         self.path = Path(path)
         self._sync = sync
         self._handle: Optional[BinaryIO] = None
+        #: maintenance on different tables appends from different shard
+        #: write sections: one handle, whole frames, counted once
+        self._lock = threading.Lock()
         self.records_appended = 0
         self.bytes_appended = 0
 
@@ -168,13 +172,14 @@ class WriteAheadLog:
             record, separators=(",", ":"), sort_keys=True, allow_nan=False
         ).encode("utf-8")
         frame = frame_record(payload)
-        handle = self._file()
-        handle.write(frame)
-        handle.flush()
-        if self._sync:
-            os.fsync(handle.fileno())
-        self.records_appended += 1
-        self.bytes_appended += len(frame)
+        with self._lock:
+            handle = self._file()
+            handle.write(frame)
+            handle.flush()
+            if self._sync:
+                os.fsync(handle.fileno())
+            self.records_appended += 1
+            self.bytes_appended += len(frame)
         return len(frame)
 
     def close(self) -> None:

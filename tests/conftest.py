@@ -141,6 +141,14 @@ def ex1_beas(ex1_db, ex1_access) -> BEAS:
     return BEAS(ex1_db, ex1_access)
 
 
+def engine_run(beas: BEAS, sql, **fields):
+    """One uncached, statically routed run on ``beas``'s own executor:
+    what the differential suites compare engines by, whichever ``BEAS_*``
+    defaults a CI leg sets for sessions."""
+    fields.setdefault("routing", "static")
+    return beas.session().run(sql, use_result_cache=False, **fields)
+
+
 @pytest.fixture(scope="session")
 def tlc_small():
     """One shared TLC instance (scale 1) for integration tests."""

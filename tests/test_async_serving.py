@@ -44,7 +44,7 @@ def test_gathered_clients_share_the_caches():
     )
 
     async def scenario():
-        async with beas.serve_async(max_workers=4) as aserver:
+        async with beas.session().serve_async(max_workers=4) as aserver:
             results = await asyncio.gather(
                 *(aserver.execute(CALL_SQL) for _ in range(12))
             )
@@ -62,7 +62,7 @@ def test_gathered_clients_share_the_caches():
 
 def test_prepare_and_execute_prepared():
     async def scenario():
-        async with make_beas().serve_async() as aserver:
+        async with make_beas().session().serve_async() as aserver:
             prepared = await aserver.prepare(CALL_SQL, name="q")
             first = await aserver.execute_prepared("q")
             rebound = await aserver.execute_prepared(
@@ -79,7 +79,7 @@ def test_prepare_and_execute_prepared():
 def test_maintenance_queue_preserves_per_table_fifo_order():
     async def scenario():
         beas = make_beas()
-        async with AsyncBEASServer(beas.serve(), max_workers=2) as aserver:
+        async with AsyncBEASServer(beas.session().server, max_workers=2) as aserver:
             row = (7_000, "100", "fifo", "2016-06-01", "bay")
             batches = await asyncio.gather(
                 aserver.insert("call", [row]),
@@ -106,7 +106,7 @@ def test_maintenance_queue_preserves_per_table_fifo_order():
 
 def test_rejected_batch_raises_for_its_caller_only():
     async def scenario():
-        async with make_beas().serve_async() as aserver:
+        async with make_beas().session().serve_async() as aserver:
             violating = [
                 (300 + i, "100", f"c{i}", "2016-01-01", "2016-12-31", 2016)
                 for i in range(13)  # psi2 allows 12 per (pnum, year)
@@ -129,7 +129,7 @@ def test_rejected_batch_raises_for_its_caller_only():
 
 def test_interleaved_queries_and_maintenance_stay_fresh():
     async def scenario():
-        async with make_beas().serve_async(max_workers=3) as aserver:
+        async with make_beas().session().serve_async(max_workers=3) as aserver:
             await aserver.execute(CALL_SQL)
             await aserver.execute(CALL_SQL)  # admitted
 
@@ -157,7 +157,7 @@ def test_interleaved_queries_and_maintenance_stay_fresh():
 
 def test_closed_server_refuses_work():
     async def scenario():
-        aserver = make_beas().serve_async()
+        aserver = make_beas().session().serve_async()
         await aserver.aclose()
         with pytest.raises(ServingError):
             await aserver.execute(CALL_SQL)
@@ -172,7 +172,7 @@ def test_queries_parked_on_admission_fail_cleanly_at_close():
     the documented ServingError, not the pool's raw RuntimeError."""
 
     async def scenario():
-        aserver = make_beas().serve_async(max_workers=2, admission_limit=2)
+        aserver = make_beas().session().serve_async(max_workers=2, admission_limit=2)
         tasks = [
             asyncio.create_task(aserver.execute(CALL_SQL)) for _ in range(12)
         ]
@@ -190,7 +190,7 @@ def test_queries_parked_on_admission_fail_cleanly_at_close():
 
 def test_stats_describe_mentions_front_end_and_shards():
     async def scenario():
-        async with make_beas().serve_async(max_workers=2) as aserver:
+        async with make_beas().session().serve_async(max_workers=2) as aserver:
             await aserver.execute(CALL_SQL)
             await aserver.insert(
                 "call", [(7_300, "100", "desc", "2016-06-01", "cape")]

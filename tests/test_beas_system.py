@@ -14,7 +14,7 @@ from tests.conftest import EXAMPLE2_SQL
 
 class TestModes:
     def test_covered_query_runs_bounded(self, ex1_beas):
-        result = ex1_beas.execute(EXAMPLE2_SQL)
+        result = ex1_beas.session().run(EXAMPLE2_SQL)
         assert result.mode is ExecutionMode.BOUNDED
         assert result.metrics.tuples_scanned == 0
         assert set(result.rows) == {("north",), ("south",), ("east",)}
@@ -25,14 +25,14 @@ class TestModes:
             SELECT DISTINCT p.pid FROM package p, business b
             WHERE b.type = 'bank' AND b.region = 'east' AND p.pnum = b.pnum
         """
-        result = ex1_beas.execute(sql)
+        result = ex1_beas.session().run(sql)
         assert result.mode is ExecutionMode.PARTIAL
         host = ex1_beas.host_engine().execute(sql)
         assert sorted(result.rows) == sorted(host.rows)
 
     def test_hopeless_query_runs_conventional(self, ex1_beas):
         sql = "SELECT DISTINCT region FROM call"
-        result = ex1_beas.execute(sql)
+        result = ex1_beas.session().run(sql)
         assert result.mode is ExecutionMode.CONVENTIONAL
         assert not result.decision.covered
 
@@ -41,33 +41,33 @@ class TestModes:
             SELECT DISTINCT p.pid FROM package p, business b
             WHERE b.type = 'bank' AND b.region = 'east' AND p.pnum = b.pnum
         """
-        result = ex1_beas.execute(sql, allow_partial=False)
+        result = ex1_beas.session().run(sql, allow_partial=False)
         assert result.mode is ExecutionMode.CONVENTIONAL
 
     def test_describe_summary(self, ex1_beas):
-        text = ex1_beas.execute(EXAMPLE2_SQL).describe()
+        text = ex1_beas.session().run(EXAMPLE2_SQL).describe()
         assert "bounded" in text and "fetched" in text
 
 
 class TestBudget:
     def test_within_budget_runs_bounded(self, ex1_beas):
-        result = ex1_beas.execute(EXAMPLE2_SQL, budget=13_000_000)
+        result = ex1_beas.session().run(EXAMPLE2_SQL, budget=13_000_000)
         assert result.mode is ExecutionMode.BOUNDED
 
     def test_over_budget_raises(self, ex1_beas):
         with pytest.raises(BudgetExceededError) as exc:
-            ex1_beas.execute(EXAMPLE2_SQL, budget=100)
+            ex1_beas.session().run(EXAMPLE2_SQL, budget=100)
         assert exc.value.bound == 12_026_000
         assert exc.value.budget == 100
 
     def test_over_budget_approximation(self, ex1_beas):
-        result = ex1_beas.execute(
+        result = ex1_beas.session().run(
             EXAMPLE2_SQL, budget=100, approximate_over_budget=True
         )
         assert result.mode is ExecutionMode.APPROXIMATE
         assert result.approximation is not None
         assert result.approximation.tuples_fetched <= 100
-        exact = ex1_beas.execute(EXAMPLE2_SQL)
+        exact = ex1_beas.session().run(EXAMPLE2_SQL)
         assert set(result.rows) <= set(exact.rows)
 
     def test_check_reports_budget(self, ex1_beas):
@@ -114,7 +114,7 @@ class TestSchemaManagement:
         assert beas.check(EXAMPLE2_SQL).covered
 
     def test_result_iteration_and_len(self, ex1_beas):
-        result = ex1_beas.execute(EXAMPLE2_SQL)
+        result = ex1_beas.session().run(EXAMPLE2_SQL)
         assert len(result) == len(list(result)) == len(result.to_set())
 
 

@@ -31,7 +31,7 @@ from repro import (
 )
 from repro.beas.result import ExecutionMode
 
-from tests.conftest import example1_access_schema
+from tests.conftest import engine_run, example1_access_schema
 from tests.test_fuzz_differential import (
     DATES,
     PNUMS,
@@ -69,8 +69,8 @@ def _inject_nulls(db: Database, rng: random.Random) -> None:
 
 def _compare_modes(row_beas: BEAS, col_beas: BEAS, sql: str) -> None:
     global _SCENARIOS
-    row_result = row_beas.execute(sql)
-    col_result = col_beas.execute(sql)
+    row_result = engine_run(row_beas, sql)
+    col_result = engine_run(col_beas, sql)
     assert row_result.mode == col_result.mode, sql
     assert row_result.columns == col_result.columns, sql
     # both modes enumerate keys, buckets, and tail operators in the same
@@ -180,8 +180,8 @@ def _batch_beas(db: Database, executor: str) -> BEAS:
 
 
 def _both(db: Database, sql: str):
-    row = _batch_beas(db, "row").execute(sql)
-    col = _batch_beas(db, "columnar").execute(sql)
+    row = engine_run(_batch_beas(db, "row"), sql)
+    col = engine_run(_batch_beas(db, "columnar"), sql)
     assert row.mode is ExecutionMode.BOUNDED
     assert col.mode is ExecutionMode.BOUNDED
     assert row.rows == col.rows, sql
@@ -297,8 +297,8 @@ class TestModeWiring:
         db = _batch_db(2 * BATCH)
         beas = _batch_beas(db, "row")
         sql = "SELECT DISTINCT u FROM t WHERE k = 'k'"
-        default_run = beas.execute(sql)
-        override_run = beas.execute(sql, executor="columnar")
+        default_run = engine_run(beas, sql)
+        override_run = engine_run(beas, sql, executor="columnar")
         assert default_run.rows == override_run.rows
         assert default_run.metrics.batches == 0
         assert override_run.metrics.batches > 0
@@ -306,7 +306,7 @@ class TestModeWiring:
 
     def test_serving_layer_selects_mode_per_query(self):
         db = _batch_db(2 * BATCH)
-        server = _batch_beas(db, "row").serve()
+        server = _batch_beas(db, "row").session().server
         sql = "SELECT DISTINCT u FROM t WHERE k = 'k'"
         row_run = server.execute(sql, use_result_cache=False)
         col_run = server.execute(
@@ -354,8 +354,8 @@ class TestModeWiring:
             "SELECT DISTINCT t.u, w.x FROM t, w "
             "WHERE t.k = 'k' AND t.g = w.g"
         )
-        row_run = beas.execute(sql)
-        col_run = beas.execute(sql, executor="columnar")
+        row_run = engine_run(beas, sql)
+        col_run = engine_run(beas, sql, executor="columnar")
         assert row_run.mode is ExecutionMode.PARTIAL
         assert col_run.mode is ExecutionMode.PARTIAL
         assert sorted(row_run.rows) == sorted(col_run.rows)

@@ -27,6 +27,8 @@ from repro import (
 )
 from repro.beas.result import ExecutionMode
 
+from tests.conftest import engine_run
+
 BATCH = 4
 
 
@@ -65,8 +67,8 @@ def beas_for(db: Database, executor: str, **kwargs) -> BEAS:
 
 def both(sql: str):
     db = null_db()
-    row = beas_for(db, "row").execute(sql)
-    col = beas_for(db, "columnar").execute(sql)
+    row = engine_run(beas_for(db, "row"), sql)
+    col = engine_run(beas_for(db, "columnar"), sql)
     assert row.mode is ExecutionMode.BOUNDED, sql
     assert col.mode is ExecutionMode.BOUNDED, sql
     assert row.rows == col.rows, sql
@@ -186,10 +188,10 @@ def test_null_tail_matches_under_pooled_execution():
         "SELECT g, COUNT(*) AS c, COUNT(n) AS cn, SUM(n) AS s, MIN(n) AS lo "
         "FROM t WHERE k = 'k' GROUP BY g ORDER BY g"
     )
-    oracle = beas_for(db, "row").execute(sql)
+    oracle = engine_run(beas_for(db, "row"), sql)
     pooled = beas_for(db, "columnar", parallelism=2)
     try:
-        result = pooled.execute(sql)
+        result = engine_run(pooled, sql)
         assert result.rows == oracle.rows
         assert result.metrics.tuples_fetched == oracle.metrics.tuples_fetched
     finally:

@@ -10,13 +10,8 @@ class TestHierarchy:
         for name in dir(errors):
             obj = getattr(errors, name)
             if isinstance(obj, type) and issubclass(obj, Exception):
-                if issubclass(obj, Warning):
-                    continue  # warning categories (deprecations) are not errors
                 if obj is not errors.ReproError:
                     assert issubclass(obj, errors.ReproError), name
-
-    def test_deprecation_warning_category(self):
-        assert issubclass(errors.BEASDeprecationWarning, DeprecationWarning)
 
     def test_sql_errors_group(self):
         assert issubclass(errors.LexerError, errors.SQLError)

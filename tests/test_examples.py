@@ -14,20 +14,12 @@ import pytest
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
-def run_example(
-    name: str, *args: str, strict_warnings: bool = True
-) -> subprocess.CompletedProcess:
-    """Run one example in a fresh interpreter.
-
-    With ``strict_warnings`` (the default) the subprocess turns every
-    DeprecationWarning into an error, so a migrated example that slips
-    back onto a deprecated entry point fails here — pytest's own ``-W``
-    flags cannot reach these child interpreters. The deliberate
-    legacy-shim example opts out.
-    """
+def run_example(name: str, *args: str) -> subprocess.CompletedProcess:
+    """Run one example in a fresh interpreter, warnings as errors —
+    pytest's own ``filterwarnings`` cannot reach these child
+    interpreters."""
     env = dict(os.environ)
-    if strict_warnings:
-        env["PYTHONWARNINGS"] = "error::DeprecationWarning"
+    env["PYTHONWARNINGS"] = "error"
     return subprocess.run(
         [sys.executable, str(EXAMPLES / name), *args],
         capture_output=True,
@@ -78,10 +70,8 @@ class TestExamples:
         assert "plan rebinds" in proc.stdout
 
     def test_prepared_serving(self):
-        """The deliberate legacy-shim example: still works, and warns."""
-        proc = run_example("prepared_serving.py", strict_warnings=False)
+        proc = run_example("prepared_serving.py")
         assert proc.returncode == 0, proc.stderr
-        assert "BEASDeprecationWarning" in proc.stderr
         assert "served_from_cache=True" in proc.stdout
         assert "packages-of-100 retained (cache hit: True)" in proc.stdout
         assert "serving stats:" in proc.stdout

@@ -24,7 +24,7 @@ import threading
 import time
 from collections import Counter
 
-from repro import BEAS
+from repro import BEAS, ExecutionOptions, Session
 
 from tests.conftest import example1_access_schema, example1_database
 
@@ -134,7 +134,11 @@ def test_fleet_history_is_linearizable_with_replica_kill():
         replicas=REPLICAS,
         fleet_port_base=PORT_BASE,
     )
-    server = beas.serve()
+    # static routing whatever BEAS_ROUTING says: the fleet serves the
+    # engine's own executor, which is what this history must exercise
+    server = Session(
+        beas=beas, options=ExecutionOptions(routing="static")
+    ).server
     logs = {
         table: _WriterLog(server.database.table(table).version)
         for table in WRITERS
@@ -260,7 +264,7 @@ def test_fleet_history_is_linearizable_with_replica_kill():
     assert stats.plans_dispatched > 0
 
     # final state == serial replay of the same per-thread operations
-    replay = BEAS(example1_database(), example1_access_schema()).serve()
+    replay = BEAS(example1_database(), example1_access_schema()).session().server
     for table, index in WRITERS.items():
         for op in range(WRITES_PER_THREAD):
             replay.insert(table, _write_rows(table, index, op))

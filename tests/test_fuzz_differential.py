@@ -40,7 +40,7 @@ from repro.errors import MaintenanceError
 from repro.workloads.tlc import tlc_access_schema
 from repro.workloads.tlc.schema import tlc_schema
 
-from tests.conftest import example1_access_schema, example1_schema
+from tests.conftest import engine_run, example1_access_schema, example1_schema
 from tests.reference_evaluator import reference_execute
 
 _SCENARIOS = 0  # comparisons performed across the whole module
@@ -272,7 +272,7 @@ def test_example1_differential(seed: int):
     rng = random.Random(987_001 + seed)
     db = random_example1_db(rng)
     beas = BEAS(db, example1_access_schema())
-    server = beas.serve()
+    server = beas.session().server
     queries = [random_example1_query(rng) for _ in range(4)]
     prepared = [server.prepare(sql) for sql, _ in queries]
 
@@ -291,7 +291,7 @@ def test_example1_differential(seed: int):
             assert_matches_oracle(db, handle.execute(), sql, limit)
         # exercise the conventional path on one query per round too
         sql, limit = queries[round_index % len(queries)]
-        conventional = beas.execute(sql, allow_partial=False)
+        conventional = engine_run(beas, sql, allow_partial=False)
         assert_matches_oracle(db, conventional, sql, limit)
     assert _SCENARIOS - before == EXAMPLE1_SCENARIOS_PER_SEED
 
@@ -348,7 +348,7 @@ def test_tlc_differential(seed: int, tlc_small):
     rng = random.Random(123_400 + seed)
     db = truncated_tlc_db(tlc_small.database, rng)
     beas = BEAS(db, tlc_access_schema())
-    server = beas.serve()
+    server = beas.session().server
     queries = [random_tlc_query(rng, db) for _ in range(3)]
     for sql, limit in queries:
         assert_matches_oracle(db, server.execute(sql), sql, limit)
@@ -507,7 +507,7 @@ def test_concurrent_differential(seed: int):
     rng = random.Random(555_000 + seed)
     db = random_example1_db(rng)
     beas = BEAS(db, example1_access_schema())
-    server = beas.serve()
+    server = beas.session().server
 
     snapshots: dict[str, dict[int, list[tuple]]] = {}
     for table in db:

@@ -18,9 +18,9 @@ class TestBeasUpdates:
             "SELECT DISTINCT recnum FROM call "
             "WHERE pnum = '100' AND date = '2016-06-01'"
         )
-        before = ex1_beas.execute(sql)
+        before = ex1_beas.session().run(sql)
         ex1_beas.insert("call", [(99, "100", "999", "2016-06-01", "east")])
-        after = ex1_beas.execute(sql)
+        after = ex1_beas.session().run(sql)
         assert after.metrics.tuples_scanned == 0
         assert after.to_set() == before.to_set() | {("999",)}
 
@@ -30,11 +30,11 @@ class TestBeasUpdates:
             "SELECT DISTINCT recnum, region FROM call "
             "WHERE pnum = '100' AND date = '2016-06-01'"
         )
-        result = ex1_beas.execute(sql)
+        result = ex1_beas.session().run(sql)
         # call_id 7 still supports (555, north)
         assert ("555", "north") in result.to_set()
         ex1_beas.delete("call", [(7, "100", "555", "2016-06-01", "north")])
-        result = ex1_beas.execute(sql)
+        result = ex1_beas.session().run(sql)
         assert ("555", "north") not in result.to_set()
 
     def test_violating_insert_rejected(self, ex1_beas):
@@ -121,7 +121,7 @@ class TestDiscoveryBatchFallback:
         db = example1_database()
         result = discover(db, [EXAMPLE2_SQL], slack=100.0)
         beas = BEAS(db, result.schema)
-        mine = beas.execute(EXAMPLE2_SQL)
+        mine = beas.session().run(EXAMPLE2_SQL)
         assert mine.mode is ExecutionMode.BOUNDED
         host = beas.host_engine().execute(EXAMPLE2_SQL)
         assert mine.to_set() == set(host.rows)

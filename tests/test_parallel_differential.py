@@ -30,7 +30,7 @@ from repro import BEAS, EngineProfile
 from repro.beas.result import ExecutionMode
 from repro.errors import BEASError
 
-from tests.conftest import example1_access_schema
+from tests.conftest import engine_run, example1_access_schema
 from tests.test_columnar_differential import _inject_nulls
 from tests.test_fuzz_differential import (
     random_example1_db,
@@ -76,10 +76,10 @@ def _compare_four(
     row_beas, col_beas, plan_beas, batch_beas, sql: str
 ) -> ExecutionMode:
     global _SCENARIOS
-    row = row_beas.execute(sql)
-    col = col_beas.execute(sql)
-    pooled_plan = plan_beas.execute(sql)
-    pooled_batch = batch_beas.execute(sql)
+    row = engine_run(row_beas, sql)
+    col = engine_run(col_beas, sql)
+    pooled_plan = engine_run(plan_beas, sql)
+    pooled_batch = engine_run(batch_beas, sql)
     runs = (row, col, pooled_plan, pooled_batch)
 
     # answers: mode, columns, and even the row order must agree exactly
@@ -242,16 +242,19 @@ def test_batch_dispatch_fans_out(dedup: bool):
     from repro import AccessConstraint  # noqa: F401 - imported via helper
 
     db, access, sql = _join_workload()
-    baseline = BEAS(
-        db, access, executor="columnar", rows_per_batch=4,
-        dedup_keys=dedup, parallelism=1,
-    ).execute(sql)
+    baseline = engine_run(
+        BEAS(
+            db, access, executor="columnar", rows_per_batch=4,
+            dedup_keys=dedup, parallelism=1,
+        ),
+        sql,
+    )
     pooled = BEAS(
         db, access, executor="columnar", rows_per_batch=4,
         dedup_keys=dedup, parallelism=2, parallel_dispatch="batch",
     )
     try:
-        result = pooled.execute(sql)
+        result = engine_run(pooled, sql)
         assert result.rows == baseline.rows
         assert result.metrics.tuples_fetched == baseline.metrics.tuples_fetched
         # the second fetch's 48-row input splits into 12 chunks; at least
@@ -268,10 +271,10 @@ def test_row_default_with_pool_matches_row():
     """BEAS(executor="row", parallelism>=2): pooled execution upgrades to
     the columnar wire format but answers must match row mode exactly."""
     db, access, sql = _join_workload()
-    row = BEAS(db, access, executor="row", parallelism=1).execute(sql)
+    row = engine_run(BEAS(db, access, executor="row", parallelism=1), sql)
     pooled = BEAS(db, access, executor="row", parallelism=2)
     try:
-        result = pooled.execute(sql)
+        result = engine_run(pooled, sql)
         assert result.rows == row.rows
         assert result.metrics.tuples_fetched == row.metrics.tuples_fetched
         assert result.metrics.pool_workers == 2
@@ -370,13 +373,13 @@ class TestPoolWiring:
         db, access, sql = _join_workload()
         beas = BEAS(db, access, parallelism=2)
         assert beas.pool is None  # nothing forked yet
-        result = beas.execute(sql)
+        result = engine_run(beas, sql)
         assert beas.pool is not None
         assert result.metrics.pool_workers == 2
         beas.close()
         beas.close()
         # pooled execution transparently restarts after close
-        again = beas.execute(sql)
+        again = engine_run(beas, sql)
         assert again.rows == result.rows
         beas.close()
 
@@ -384,8 +387,8 @@ class TestPoolWiring:
         db, access, sql = _join_workload()
         beas = BEAS(db, access, parallelism=2)
         try:
-            server = beas.serve()
-            result = server.execute(sql)
+            server = beas.session().server
+            result = server.execute(sql, routing="static")
             assert result.metrics.pool_workers == 2
             stats = server.stats()
             assert stats.pool is not None
@@ -399,11 +402,11 @@ class TestPoolWiring:
         from collections import Counter
 
         db, access, sql = _join_workload()
-        baseline = BEAS(db, access, parallelism=1).execute(sql)
+        baseline = engine_run(BEAS(db, access, parallelism=1), sql)
         beas = BEAS(db, access, parallelism=3)
 
         async def scenario():
-            async with beas.serve_async(max_workers=3) as aserver:
+            async with beas.session().serve_async(max_workers=3) as aserver:
                 results = await asyncio.gather(
                     *(
                         aserver.execute(sql, use_result_cache=False)

@@ -31,6 +31,8 @@ from repro import (
 from repro.beas.result import ExecutionMode
 from repro.errors import ExecutionError
 
+from tests.conftest import engine_run
+
 
 # --------------------------------------------------------------------------- #
 # fixtures: a two-fetch workload and a deterministic one-worker pool
@@ -176,12 +178,12 @@ def test_maintenance_refreshes_worker_snapshots(workload):
     db, access, sql = workload
     beas = BEAS(db, access, parallelism=2)
     try:
-        first = beas.execute(sql)
+        first = engine_run(beas, sql)
         assert first.mode is ExecutionMode.BOUNDED
         baseline_rows = len(first.rows)
         beas.insert("t", [("k", "g0", "u9998"), ("k", "g1", "u9999")])
-        fresh_oracle = BEAS(db, access, parallelism=1).execute(sql)
-        second = beas.execute(sql)
+        fresh_oracle = engine_run(BEAS(db, access, parallelism=1), sql)
+        second = engine_run(beas, sql)
         assert len(second.rows) == baseline_rows + 2
         assert second.rows == fresh_oracle.rows
         stats = beas.pool_stats()
@@ -288,16 +290,16 @@ def test_serving_layer_survives_worker_chaos(workload):
     sharded serving layer while its pool workers are killed."""
     db, access, sql = workload
     beas = BEAS(db, access, parallelism=2)
-    oracle = BEAS(db, access, parallelism=1).serve().execute(sql)
+    oracle = engine_run(BEAS(db, access, parallelism=1), sql)
     try:
-        server = beas.serve()
-        first = server.execute(sql, use_result_cache=False)
+        server = beas.session().server
+        first = server.execute(sql, use_result_cache=False, routing="static")
         assert first.rows == oracle.rows
         pool = beas.pool
         assert pool is not None
         pool.debug("die_on_next_task")
         for _ in range(3):
-            result = server.execute(sql, use_result_cache=False)
+            result = server.execute(sql, use_result_cache=False, routing="static")
             assert result.rows == oracle.rows
         stats = beas.pool_stats()
         assert stats is not None and stats.alive == 2
@@ -331,7 +333,7 @@ def test_empty_bucket_index_installs_under_full_snapshot_key(tmp_path):
         db, access, parallelism=2, storage="mmap", storage_dir=tmp_path
     )
     try:
-        result = beas.execute("SELECT DISTINCT u FROM e WHERE k = 'x'")
+        result = engine_run(beas, "SELECT DISTINCT u FROM e WHERE k = 'x'")
         assert result.mode is ExecutionMode.BOUNDED
         assert result.rows == []
         stats = beas.pool_stats()
@@ -351,8 +353,8 @@ def test_shm_exporter_decline_falls_back_to_pickle_wire(tmp_path, workload):
         db, access, parallelism=2, storage="mmap", storage_dir=tmp_path
     )
     try:
-        oracle = BEAS(db, access, parallelism=1).execute(sql)
-        first = beas.execute(sql)
+        oracle = engine_run(BEAS(db, access, parallelism=1), sql)
+        first = engine_run(beas, sql)
         assert first.rows == oracle.rows
         pool = beas.pool
         assert pool is not None
@@ -361,8 +363,8 @@ def test_shm_exporter_decline_falls_back_to_pickle_wire(tmp_path, workload):
         # maintenance bumps the version vector, forcing a re-ship that
         # can no longer ride the shm wire
         beas.insert("t", [("k", "g0", "u9998")])
-        fresh_oracle = BEAS(db, access, parallelism=1).execute(sql)
-        second = beas.execute(sql)
+        fresh_oracle = engine_run(BEAS(db, access, parallelism=1), sql)
+        second = engine_run(beas, sql)
         assert second.rows == fresh_oracle.rows
         stats = beas.pool_stats()
         assert stats is not None

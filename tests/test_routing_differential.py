@@ -29,7 +29,7 @@ from repro.beas.result import ExecutionMode
 from repro.beas.session import ExecutionOptions
 from repro.errors import BEASError
 
-from tests.conftest import example1_access_schema
+from tests.conftest import engine_run, example1_access_schema
 from tests.test_columnar_differential import _inject_nulls
 from tests.test_fuzz_differential import (
     random_example1_db,
@@ -71,7 +71,7 @@ def _static_oracles(db, dedup: bool, rows_per_batch: int):
 def _compare_learned(server, oracles, sql: str) -> ExecutionMode:
     global _SCENARIOS
     learned = server.execute(sql, routing="learned", use_result_cache=False)
-    statics = {name: beas.execute(sql) for name, beas in oracles.items()}
+    statics = {name: engine_run(beas, sql) for name, beas in oracles.items()}
 
     for name, static in statics.items():
         assert learned.mode == static.mode, (sql, name)
@@ -122,7 +122,7 @@ def test_learned_routing_vs_static_differential(seed: int):
         parallelism=2,
     )
     try:
-        server = learned_beas.serve()
+        server = learned_beas.session().server
         modes = []
         for epsilon in EPSILONS:
             server.router.epsilon = epsilon
@@ -170,7 +170,7 @@ def test_poisoned_cost_model_never_changes_answers():
         rows_per_batch=3, parallelism=2,
     )
     try:
-        server = beas.serve()
+        server = beas.session().server
         server.router.epsilon = 0.0  # force pure exploitation of the poison
         # pre-train every model with absurd, inverted latencies so the
         # greedy pick is maximally wrong for every template
@@ -189,7 +189,7 @@ def test_poisoned_cost_model_never_changes_answers():
                         ExecutionMetrics(seconds=seconds),
                     )
         for sql in queries:
-            expected = oracle.execute(sql)
+            expected = engine_run(oracle, sql)
             for _ in range(3):  # greedy picks stay pinned to the poison
                 got = server.execute(
                     sql, routing="learned", use_result_cache=False
@@ -291,7 +291,7 @@ class TestRoutingWiring:
         beas = BEAS(
             random_example1_db(rng), example1_access_schema(), parallelism=1
         )
-        server = beas.serve()
+        server = beas.session().server
         server.router.epsilon = 1.0  # exploration can only reach its routes
         for _ in range(8):
             result = server.execute(

@@ -34,7 +34,7 @@ NEW_CALL = (900, "100", "990", "2016-06-01", "lagoon")
 
 @pytest.fixture
 def server(ex1_beas) -> BEASServer:
-    return ex1_beas.serve()
+    return ex1_beas.session().server
 
 
 # --------------------------------------------------------------------------- #
@@ -160,7 +160,7 @@ class TestDecisionInvalidation:
 
     def test_register_forces_recheck(self, ex1_db):
         beas = BEAS(ex1_db)  # empty access schema
-        server = beas.serve()
+        server = beas.session().server
         prepared = server.prepare(CALL_SQL)
         assert not prepared.check().covered
         server.register(
@@ -225,7 +225,7 @@ class TestPreparedQueries:
         prepared = server.prepare(CALL_SQL)
         default = prepared.execute()
         rebound = prepared.execute({"call.date": "2016-06-02"})
-        fresh = ex1_beas.execute(
+        fresh = ex1_beas.session().run(
             CALL_SQL.replace("2016-06-01", "2016-06-02")
         )
         assert set(rebound.rows) == set(fresh.rows)
@@ -234,7 +234,7 @@ class TestPreparedQueries:
     def test_unqualified_and_in_list_bindings(self, server):
         prepared = server.prepare(CALL_SQL)
         rebound = prepared.execute({"pnum": ["100", "101"]})
-        expected = server.beas.execute(
+        expected = server.execute(
             "SELECT DISTINCT recnum, region FROM call "
             "WHERE pnum IN ('100', '101') AND date = '2016-06-01'"
         )
@@ -297,16 +297,19 @@ class TestServingBudgets:
         assert second.mode is ExecutionMode.APPROXIMATE
         assert not second.metrics.served_from_cache
 
-    def test_execute_decided_budgets_an_unbudgeted_decision(self, ex1_beas):
-        """A pinned decision carries within_budget=None; passing a budget
-        to execute_decided must derive feasibility from the access bound,
+    def test_evaluate_budgets_an_unbudgeted_decision(self, ex1_beas):
+        """A pinned decision carries within_budget=None; under a budget
+        the engine entry must derive feasibility from the access bound,
         not treat None as over-budget."""
         decision = ex1_beas.check(CALL_SQL)
         assert decision.covered and decision.within_budget is None
-        ok = ex1_beas.execute_decided(CALL_SQL, decision, budget=10_000)
-        assert ok.mode is ExecutionMode.BOUNDED
+        options = ex1_beas.session().options
+        mode, _ = ex1_beas.evaluate(
+            CALL_SQL, decision, options.replace(budget=10_000)
+        )
+        assert mode is ExecutionMode.BOUNDED
         with pytest.raises(BudgetExceededError):
-            ex1_beas.execute_decided(CALL_SQL, decision, budget=1)
+            ex1_beas.evaluate(CALL_SQL, decision, options.replace(budget=1))
 
     def test_metrics_expose_cache_counters(self, server):
         server.execute(CALL_SQL)

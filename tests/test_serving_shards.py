@@ -46,7 +46,7 @@ BUSINESS_SQL = (
 
 @pytest.fixture
 def server() -> BEASServer:
-    return BEAS(example1_database(), example1_access_schema()).serve()
+    return BEAS(example1_database(), example1_access_schema()).session().server
 
 
 # --------------------------------------------------------------------------- #
@@ -174,7 +174,7 @@ class TestAdmissionPolicy:
         """A scan of distinct one-off queries must not evict the hot
         entry — the ROADMAP's cache-churn complaint."""
         beas = BEAS(example1_database(), example1_access_schema())
-        server = beas.serve(result_cache_entries=8, sharded=True)
+        server = beas.session(result_cache_entries=8, sharded=True).server
         server.execute(CALL_SQL)
         server.execute(CALL_SQL)  # admitted
         assert server.execute(CALL_SQL).metrics.served_from_cache
@@ -188,7 +188,7 @@ class TestAdmissionPolicy:
 
     def test_always_policy_restores_eager_admission(self):
         beas = BEAS(example1_database(), example1_access_schema())
-        server = beas.serve(result_admission="always")
+        server = beas.session(result_admission="always").server
         server.execute(CALL_SQL)
         assert server.execute(CALL_SQL).metrics.served_from_cache
         assert server.stats().admission_declines == 0

@@ -101,7 +101,7 @@ class _WriterLog:
 
 
 def test_linearizable_history_and_serial_replay():
-    server = BEAS(example1_database(), example1_access_schema()).serve()
+    server = BEAS(example1_database(), example1_access_schema()).session().server
     logs = {
         table: _WriterLog(server.database.table(table).version)
         for table in WRITERS
@@ -170,7 +170,7 @@ def test_linearizable_history_and_serial_replay():
                 last_seen[table] = version
 
     # final state == serial replay of the same per-thread operations
-    replay = BEAS(example1_database(), example1_access_schema()).serve()
+    replay = BEAS(example1_database(), example1_access_schema()).session().server
     for table, index in WRITERS.items():
         for op in range(WRITES_PER_THREAD):
             replay.insert(table, _write_rows(table, index, op))
@@ -192,7 +192,7 @@ def test_linearizable_history_and_serial_replay():
 
 def test_maintenance_on_one_table_does_not_block_reads_of_another():
     """Reads of ``package`` proceed while a big batch lands in ``call``."""
-    server = BEAS(example1_database(), example1_access_schema()).serve()
+    server = BEAS(example1_database(), example1_access_schema()).session().server
     package_query = server.prepare(QUERIES["package"])
     package_query.execute()
     package_query.execute()  # admitted: steady-state read path
@@ -241,7 +241,7 @@ def test_maintenance_on_one_table_does_not_block_reads_of_another():
 def test_mixed_workload_deadlock_canary():
     """Joins (multi-shard read locks), maintenance (write locks), and
     schema changes (schema write lock) interleave without deadlock."""
-    server = BEAS(example1_database(), example1_access_schema()).serve()
+    server = BEAS(example1_database(), example1_access_schema()).session().server
     errors: list = []
     stop = threading.Event()
 
@@ -313,9 +313,9 @@ def test_stats_snapshot_is_never_torn_under_subsume_load():
     """
     import sys
 
-    server = BEAS(build_events_database(), events_access()).serve(
+    server = BEAS(build_events_database(), events_access()).session(
         result_admission="always"
-    )
+    ).server
     select = "SELECT event_id, day, region, score FROM events WHERE "
     wide = f"{select}pnum = 'p1' AND day >= 10 AND day <= 80 ORDER BY day"
     narrow = f"{select}pnum = 'p1' AND day >= 20 AND day <= 60 ORDER BY day"

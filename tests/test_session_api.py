@@ -3,13 +3,15 @@
 Covers the redesigned public API: construction, the query lifecycle,
 the single options-precedence chain (call > Query > Session >
 EngineProfile > environment), engine-pinned option guards, result
-shapes, deprecation shims, and the construction-time validation
-satellites (executor strings, failed pool spawns).
+shapes, the one request path every entry point shares, and the
+construction-time validation satellites (executor strings, failed pool
+spawns).
 """
 
 from __future__ import annotations
 
-import warnings
+import asyncio
+from collections import Counter
 
 import pytest
 
@@ -22,16 +24,19 @@ from repro import (
 )
 from repro.beas import system as beas_system
 from repro.engine.profiles import EngineProfile
-from repro.errors import (
-    BEASDeprecationWarning,
-    BEASError,
-    BudgetExceededError,
-)
+from repro.errors import BEASError, BudgetExceededError
+from repro.serving import request as request_path
+from repro.workloads.tlc import tlc_access_schema, tlc_queries
 
 from tests.conftest import (
     EXAMPLE2_SQL,
     example1_access_schema,
     example1_database,
+)
+from tests.test_subsumption_differential import (
+    SELECT as EVENTS_SELECT,
+    build_events_database,
+    events_access,
 )
 
 CALL_SQL = (
@@ -63,7 +68,7 @@ class TestConstruction:
             assert s.beas is engine
             assert len(s.query(CALL_SQL).run()) == 2
         # adopted engines are not closed by the session
-        assert engine.execute is not None
+        assert len(engine.session().run(CALL_SQL)) == 2
 
     def test_beas_session_helper(self):
         engine = BEAS(example1_database(), example1_access_schema())
@@ -197,19 +202,18 @@ class TestLifecycle:
         assert "plan rebinds" in stats.describe()
 
     def test_serve_async_front_end(self, session):
-        import asyncio
-
         async def go():
             async with session.serve_async(max_workers=2) as aserver:
                 result = await aserver.execute(CALL_SQL)
-                decision, provenance = await aserver.decide_prepared(
+                decision = await aserver.decide_prepared(
                     session.query(CALL_SQL)._prepared, {"date": "2016-06-02"}
                 )
-                return result, decision, provenance
+                return result, decision
 
-        result, decision, provenance = asyncio.run(go())
+        result, decision = asyncio.run(go())
         assert len(result.rows) == 2
-        assert decision.covered and provenance in ("fresh", "cached", "rebound")
+        assert decision.covered
+        assert decision.provenance in ("fresh", "cached", "rebound")
 
 
 # --------------------------------------------------------------------------- #
@@ -307,43 +311,157 @@ class TestOptionsChain:
 
 
 # --------------------------------------------------------------------------- #
-# deprecation shims
+# one request path
 # --------------------------------------------------------------------------- #
-class TestDeprecationShims:
-    def test_old_entry_points_warn_and_delegate(self):
-        beas = BEAS(example1_database(), example1_access_schema())
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = beas.execute(CALL_SQL)
-            server = beas.serve()
-            prepared = beas.prepare(CALL_SQL)
-            decided = beas.execute_decided(CALL_SQL, beas.check(CALL_SQL))
-        assert len(result.rows) == 2 and len(decided.rows) == 2
-        assert server.prepared(prepared.name) is prepared
-        names = {w.category for w in caught}
-        assert names == {BEASDeprecationWarning}
-        assert len(caught) >= 4
+def _alternative_binding(database, query) -> dict:
+    """The template's first slot bound to a *different* value of its
+    column drawn from the data (the template's own when the slot does
+    not name a base table)."""
+    name, slot = sorted(query.slots.items())[0]
+    table, column = name.split(".")
+    if table not in database:
+        return {name: list(slot.values)}
+    position = database.table(table).schema.positions([column])[0]
+    values = sorted(
+        {row[position] for row in database.table(table).rows} - {None}
+    )
+    return {name: values[(values.index(slot.values[0]) + 1) % len(values)]}
 
-    def test_session_path_is_warning_free(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            with Session(example1_database(), example1_access_schema()) as s:
-                q = s.query(CALL_SQL)
-                q.decide().run()
-                q.bind(date="2016-06-02").run()
-                s.insert("call", [(98, "100", "998", "2016-06-01", "cove")])
-                q.run()
-                s.stats()
 
-    def test_shims_share_the_session_server(self):
-        """Old and new paths must drive one serving backend (caches are
-        shared during migration)."""
-        with Session(example1_database(), example1_access_schema()) as s:
-            backend = s.server
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                assert s.beas.serve() is backend
+class TestOneRequestPath:
+    @pytest.fixture(scope="class")
+    def tlc_session(self, tlc_small):
+        # uncached, so that every entry point really executes and the
+        # tuples_fetched accounting is comparable (and so that the async
+        # front end has a session option to honour)
+        with Session(
+            tlc_small.database,
+            tlc_access_schema(),
+            options=ExecutionOptions(use_result_cache=False),
+        ) as s:
+            yield s
 
+    @pytest.mark.parametrize("bound", [False, True], ids=["unbound", "bound"])
+    @pytest.mark.parametrize("name", [f"Q{i}" for i in range(1, 12)])
+    def test_entry_points_agree(self, tlc_small, tlc_session, name, bound):
+        session = tlc_session
+        sql = next(q.sql for q in tlc_queries(tlc_small.params) if q.name == name)
+        query = session.query(sql)
+        prepared = session.server.prepare(sql)
+        params = _alternative_binding(session.database, query) if bound else None
+        statement = prepared.binding(params).statement
+
+        async def through_async():
+            async with session.serve_async(max_workers=2) as aserver:
+                return (
+                    await aserver.execute(statement),
+                    await aserver.execute_prepared(prepared, params),
+                )
+
+        results = [
+            session.run(statement),
+            query.bind(params).run(),
+            query.bind(params).decide().run(),
+            *asyncio.run(through_async()),
+        ]
+        first = results[0]
+        for other in results[1:]:
+            assert Counter(other.rows) == Counter(first.rows)
+            assert other.mode is first.mode
+            assert other.metrics.tuples_fetched == first.metrics.tuples_fetched
+            assert other.decision.access_bound == first.decision.access_bound
+            assert other.options == first.options == session.options
+        assert not any(r.served_from_cache for r in results)
+
+    def test_async_front_end_honours_session_options(self):
+        """serve_async() with no keywords behaves exactly like
+        Session.run: the session's options are every request's base."""
+        wide = EVENTS_SELECT + "pnum = 'p4' AND day >= 0 AND day <= 90"
+        narrow = EVENTS_SELECT + "pnum = 'p4' AND day >= 10 AND day <= 50"
+
+        async def thrice(session, *queries):
+            async with session.serve_async(max_workers=2) as aserver:
+                return [await aserver.execute(sql) for sql in queries]
+
+        with Session(
+            build_events_database(),
+            events_access(),
+            options=ExecutionOptions(use_result_cache=False),
+        ) as uncached:
+            results = asyncio.run(thrice(uncached, wide, wide, wide))
+            assert not any(r.served_from_cache for r in results)
+            assert all(r.options == uncached.options for r in results)
+        with Session(
+            build_events_database(),
+            events_access(),
+            options=ExecutionOptions(result_reuse="subsume"),
+            server_options={"result_admission": "always"},
+        ) as subsuming:
+            _, tighter = asyncio.run(thrice(subsuming, wide, narrow))
+            assert tighter.decision.provenance == "subsumed"
+            # per-call keywords still override the session's layer
+            async def exact():
+                async with subsuming.serve_async() as aserver:
+                    return await aserver.execute(narrow, result_reuse="exact")
+
+            assert asyncio.run(exact()).decision.provenance != "subsumed"
+
+    def test_result_cache_hit_stops_at_the_probe(self, session, monkeypatch):
+        """A result-cache hit ends the request at the exact probe: no
+        decide, route or execute stage runs."""
+        for _ in range(2):  # second sighting admits
+            session.run(CALL_SQL)
+        ran: list[str] = []
+        evaluations: list[int] = []
+
+        def recording(stage):
+            def run(server, request):
+                ran.append(stage.__name__)
+                return stage(server, request)
+
+            return run
+
+        monkeypatch.setattr(
+            request_path, "STAGES", tuple(map(recording, request_path.STAGES))
+        )
+        evaluate = session.beas.evaluate
+        monkeypatch.setattr(
+            session.beas,
+            "evaluate",
+            lambda *a, **k: evaluations.append(1) or evaluate(*a, **k),
+        )
+        before = session.stats()
+        hit = session.run(CALL_SQL)
+        after = session.stats()
+        assert hit.served_from_cache
+        assert ran == ["front_end", "observe", "probe_exact"]
+        assert not evaluations
+        assert after.checker_runs == before.checker_runs
+        assert after.rebinds == before.rebinds
+        assert after.executions == before.executions + 1
+
+    def test_generation_is_stamped_from_the_locked_observation(
+        self, session, monkeypatch
+    ):
+        """A register that lands after the request's locked observation
+        must not restamp the answer: Decision.generation is the
+        generation the answer was decided and executed under."""
+        observed = session.beas.catalog.schema_generation
+
+        def bump(server, request):
+            # a direct catalog call: it bypasses the schema write lock,
+            # so it can land while this request still holds its read locks
+            server.beas.catalog.register(
+                AccessConstraint("call", ["region"], ["pnum"], 100, name="late")
+            )
+
+        stages = list(request_path.STAGES)
+        stages.insert(stages.index(request_path.admit), bump)
+        monkeypatch.setattr(request_path, "STAGES", tuple(stages))
+        result = session.query(CALL_SQL).run()
+        assert session.beas.catalog.schema_generation == observed + 1
+        assert result.decision.generation == observed
+        assert len(result.rows) == 2
 
 # --------------------------------------------------------------------------- #
 # construction-time validation satellites
@@ -382,9 +500,7 @@ class TestValidationSatellites:
         with BEAS(
             example1_database(), example1_access_schema(), parallelism=2
         ) as beas:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                result = beas.execute(CALL_SQL)  # in-process fallback
+            result = beas.session().run(CALL_SQL)  # in-process fallback
             assert len(result.rows) == 2
             assert beas.pool is None
             beas.close()
@@ -401,8 +517,6 @@ class TestValidationSatellites:
 
         monkeypatch.setattr(beas_system, "EnginePool", ExplodingPool)
         beas = BEAS(example1_database(), example1_access_schema(), parallelism=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            for _ in range(3):
-                beas.execute(CALL_SQL)
+        for _ in range(3):
+            beas.session().run(CALL_SQL, use_result_cache=False)
         assert len(attempts) == 1

@@ -142,8 +142,8 @@ class TestRunScript:
             )
 
     def test_select_through_custom_engine(self):
-        """A BEAS instance can serve the SELECTs of a script."""
-        from repro import AccessConstraint, BEAS
+        """A Session's serving backend can serve the SELECTs of a script."""
+        from repro import AccessConstraint, Session
 
         db = Database()
         run_script(
@@ -151,10 +151,10 @@ class TestRunScript:
             "CREATE TABLE t (k STRING, v STRING);"
             "INSERT INTO t VALUES ('a', 'x'), ('a', 'y'), ('b', 'z')",
         )
-        beas = BEAS(db)
-        beas.register(AccessConstraint("t", ["k"], ["v"], 10, name="c"))
+        session = Session(db)
+        session.register(AccessConstraint("t", ["k"], ["v"], 10, name="c"))
         result = run_script(
-            db, "SELECT DISTINCT v FROM t WHERE k = 'a'", engine=beas
+            db, "SELECT DISTINCT v FROM t WHERE k = 'a'", engine=session.server
         )
         assert sorted(result.select_results[0].rows) == [("x",), ("y",)]
         assert result.select_results[0].metrics.tuples_scanned == 0

@@ -21,6 +21,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 from repro import BEAS
@@ -34,6 +35,8 @@ from repro.storage.codec import CANONICAL_NAN
 from repro.storage.database import Database
 from repro.storage.mmapstore import MmapStore
 from repro.storage.wal import WriteAheadLog, frame_record
+
+from tests.conftest import engine_run
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 ROOT = SRC.parent
@@ -166,6 +169,40 @@ class TestWalRepair:
         assert [r["seq"] for r in report.records] == [0]
         assert report.truncated
 
+    def test_concurrent_appends_share_one_handle(self, tmp_path):
+        """Writers of different tables append from different shard write
+        sections: every frame must land whole, through one handle (a
+        second, leaked handle surfaces as a ResourceWarning)."""
+        wal = WriteAheadLog(tmp_path / "log.wal")
+        writers, each = 8, 50
+        barrier = threading.Barrier(writers)
+
+        def write(writer: int) -> None:
+            barrier.wait(timeout=30)
+            for seq in range(each):
+                wal.append({"op": "insert", "writer": writer, "seq": seq})
+
+        threads = [
+            threading.Thread(target=write, args=(w,)) for w in range(writers)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wal.records_appended == writers * each
+        wal.close()
+        report = wal.replay()
+        assert not report.truncated
+        for writer in range(writers):
+            mine = [r["seq"] for r in report.records if r["writer"] == writer]
+            assert mine == list(range(each))
+
 
 # --------------------------------------------------------------------------- #
 # warm restart through the BEAS constructor
@@ -178,7 +215,7 @@ class TestWarmRestart:
         for i in range(5):
             first.insert("event", [gen_insert(i)])
         first.delete("event", [gen_insert(0)])
-        expected = first.execute(QUERY)
+        expected = engine_run(first, QUERY)
         version = first.database.table("event").version
         first.close()
 
@@ -189,7 +226,7 @@ class TestWarmRestart:
         assert stats is not None and stats.warm_start
         assert stats.wal_records_replayed >= 6
         assert second.database.table("event").version == version
-        recovered = second.execute(QUERY)
+        recovered = engine_run(second, QUERY)
         assert recovered.rows == expected.rows
         second.close()
 
@@ -203,7 +240,7 @@ class TestWarmRestart:
         oracle_db = build_base()
         oracle_db.insert("event", ("k000", "2016-06-01", "extra", 1.0))
         oracle = BEAS(oracle_db, ACCESS)
-        assert beas.execute(QUERY).rows == oracle.execute(QUERY).rows
+        assert engine_run(beas, QUERY).rows == engine_run(oracle, QUERY).rows
         beas.close()
         oracle.close()
 
@@ -243,7 +280,7 @@ class TestWarmRestart:
         first = BEAS(
             build_base(), ACCESS, storage="mmap", storage_dir=tmp_path
         )
-        expected = first.execute(QUERY)
+        expected = engine_run(first, QUERY)
         first.close()
         second = BEAS(
             build_base(), ACCESS, storage="mmap", storage_dir=tmp_path
@@ -261,7 +298,7 @@ class TestWarmRestart:
         assert by_recnum["rnan0"] is CANONICAL_NAN
         assert by_recnum["rinf0"] == float("inf")
         assert by_recnum["rnull"] is None
-        assert second.execute(QUERY).rows == expected.rows
+        assert engine_run(second, QUERY).rows == expected.rows
         second.close()
 
 
@@ -280,7 +317,7 @@ class TestCorruptStore:
         stats = beas.storage_stats()
         assert stats is not None and not stats.warm_start
         oracle = BEAS(build_base(), ACCESS)
-        assert beas.execute(QUERY).rows == oracle.execute(QUERY).rows
+        assert engine_run(beas, QUERY).rows == engine_run(oracle, QUERY).rows
         beas.close()
         oracle.close()
         # the rebuild re-checkpointed: a third start is warm again
@@ -314,7 +351,7 @@ class TestCorruptStore:
         first = BEAS(build_base(), ACCESS, storage="mmap", storage_dir=tmp_path)
         for i in range(4):
             first.insert("event", [gen_insert(i)])
-        expected = first.execute(QUERY)
+        expected = engine_run(first, QUERY)
         first.close()
         with open(tmp_path / "wal.log", "ab") as handle:
             handle.write(b"\x99\x00\x00")  # crash mid-append
@@ -324,7 +361,7 @@ class TestCorruptStore:
         stats = second.storage_stats()
         assert stats is not None and stats.warm_start
         assert stats.wal_dropped_bytes == 3
-        assert second.execute(QUERY).rows == expected.rows
+        assert engine_run(second, QUERY).rows == expected.rows
         second.close()
 
 
@@ -366,6 +403,7 @@ def test_kill9_recovers_exactly_the_logged_prefix(tmp_path):
     finally:
         child.kill()
         child.wait(timeout=30)
+        child.stdout.close()
 
     recovered = BEAS(
         build_base(), ACCESS, storage="mmap", storage_dir=store_dir
@@ -389,8 +427,8 @@ def test_kill9_recovers_exactly_the_logged_prefix(tmp_path):
     )
 
     oracle = BEAS(oracle_db, ACCESS)
-    recovered_answer = recovered.execute(QUERY)
-    oracle_answer = oracle.execute(QUERY)
+    recovered_answer = engine_run(recovered, QUERY)
+    oracle_answer = engine_run(oracle, QUERY)
     assert recovered_answer.rows == oracle_answer.rows
     assert (
         recovered_answer.metrics.tuples_fetched

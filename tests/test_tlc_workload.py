@@ -136,13 +136,13 @@ class TestBuiltInQueries:
     def test_all_queries_nonempty(self, tlc_beas, tlc_small):
         """Planted data guarantees meaningful answers at every scale."""
         for query in tlc_queries(tlc_small.params):
-            result = tlc_beas.execute(query.sql)
+            result = tlc_beas.session().run(query.sql)
             assert len(result.rows) > 0, query.name
 
     def test_bounded_answers_equal_host_answers(self, tlc_beas, tlc_small):
         host = tlc_beas.host_engine()
         for query in tlc_queries(tlc_small.params):
-            mine = tlc_beas.execute(query.sql)
+            mine = tlc_beas.session().run(query.sql)
             theirs = host.execute(query.sql)
             if mine.decision.bag_exact:
                 assert Counter(mine.rows) == Counter(theirs.rows), query.name
@@ -161,7 +161,7 @@ class TestBuiltInQueries:
         assert decision.covered and decision.bag_exact
 
     def test_q11_takes_partial_route(self, tlc_beas, tlc_small):
-        result = tlc_beas.execute(query_by_name(tlc_small.params, "Q11").sql)
+        result = tlc_beas.session().run(query_by_name(tlc_small.params, "Q11").sql)
         assert result.mode is ExecutionMode.PARTIAL
 
     def test_query_by_name_unknown(self, tlc_small):
@@ -172,5 +172,5 @@ class TestBuiltInQueries:
         for query in tlc_queries(tlc_small.params):
             if not query.covered:
                 continue
-            result = tlc_beas.execute(query.sql)
+            result = tlc_beas.session().run(query.sql)
             assert result.metrics.tuples_scanned == 0, query.name
