@@ -8,4 +8,5 @@ from repro.analysis.checkers import (  # noqa: F401  (registration imports)
     metrics_accounting,
     null_guard,
     storage_codec,
+    table_mutation,
 )

@@ -626,6 +626,7 @@ class BEAS:
         """
         from repro.maintenance.incremental import MaintenanceManager, ViolationPolicy
 
+        rows = list(rows)  # any iterable is accepted; it is read once here
         policy = (
             ViolationPolicy.ADJUST if adjust_bounds else ViolationPolicy.REJECT
         )
@@ -663,6 +664,9 @@ class BEAS:
         """Delete rows (bag semantics), keeping access indices exact."""
         from repro.maintenance.incremental import MaintenanceManager
 
+        # the batch is read again after the apply (fleet delta, WAL
+        # record): an iterator would reach them exhausted
+        rows = list(rows)
         fleet = self._fleet_for_maintenance()
         prev_version = (
             self.database.table(table_name).version

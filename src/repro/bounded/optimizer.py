@@ -217,9 +217,9 @@ class BEPlanOptimizer:
         )
         prefix_result = executor.execute(partial.sub_plan)
 
-        temp_table = Table(partial.temp_schema)
-        for row in prefix_result.rows:
-            temp_table.rows.append(tuple(row))
+        temp_table = Table.from_trusted_rows(
+            partial.temp_schema, map(tuple, prefix_result.rows)
+        )
 
         overlay = Database(name="overlay")
         for table in self._catalog.database:

@@ -24,7 +24,7 @@ from typing import Any, Sequence
 
 from repro.access.catalog import ASCatalog
 from repro.access.constraint import AccessConstraint
-from repro.errors import ConformanceError, MaintenanceError
+from repro.errors import ConformanceError, MaintenanceError, StorageError
 
 
 class ViolationPolicy(enum.Enum):
@@ -107,12 +107,8 @@ class MaintenanceManager:
         applied: list[tuple],
         applied_index_rows: dict[str, int],
     ) -> None:
-        # remove inserted rows from the table (last occurrences)
-        for row in applied:
-            for position in range(len(table.rows) - 1, -1, -1):
-                if table.rows[position] == row:
-                    del table.rows[position]
-                    break
+        # the batch's rows are the table's tail: this writer appended them
+        table.undo_inserts(len(applied))
         # undo the index insertions that did succeed
         for constraint in constraints:
             index = self._catalog.index_for(constraint)
@@ -146,22 +142,31 @@ class MaintenanceManager:
 
     # ------------------------------------------------------------------ #
     def delete(self, table_name: str, rows: Sequence[Sequence[Any]]) -> UpdateBatch:
-        """Delete one occurrence of each row (bag semantics) everywhere."""
+        """Delete one occurrence of each row (bag semantics) everywhere.
+
+        A batch naming a row that is not present is refused before
+        anything is touched: a missing row means caller state is stale.
+        """
+        removed = apply_delete(self._catalog, table_name, rows)
         table = self._catalog.database.table(table_name)
-        constraints = self._catalog.constraints_for(table_name)
-        removed = table.delete_rows(rows)
-        if len(removed) != len(list(rows)):
-            # restore and refuse: a missing row means caller state is stale
-            for row in removed:
-                table.rows.append(row)
-            raise MaintenanceError(
-                "delete batch rejected: some rows are not present in "
-                f"{table_name!r}"
-            )
-        for constraint in constraints:
-            index = self._catalog.index_for(constraint)
-            for row in removed:
-                index.delete_row(row)
         return UpdateBatch(
             table=table_name, deleted=len(removed), table_version=table.version
         )
+
+
+def apply_delete(
+    catalog: ASCatalog, table_name: str, rows: Sequence[Sequence[Any]]
+) -> list[tuple]:
+    """Validate, then remove ``rows`` from the table and every index on
+    it, at cost proportional to the batch. The one delete path: live
+    maintenance and WAL replay both end here. Returns the removed rows."""
+    table = catalog.database.table(table_name)
+    try:
+        removed = table.delete_rows(rows, strict=True)
+    except StorageError as error:
+        raise MaintenanceError(f"delete batch rejected: {error}") from error
+    for constraint in catalog.constraints_for(table_name):
+        index = catalog.index_for(constraint)
+        for row in removed:
+            index.delete_row(row)
+    return removed

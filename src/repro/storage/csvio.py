@@ -83,16 +83,16 @@ def load_csv(
                 raise StorageError(
                     f"CSV header {got!r} does not match schema columns {expected!r}"
                 )
-        table = Table(schema)
+        rows = []
         for row in reader:
             if len(row) != schema.arity:
                 raise StorageError(
                     f"CSV row arity {len(row)} does not match schema arity {schema.arity}"
                 )
-            table.rows.append(
+            rows.append(
                 tuple(_decode(cell, col.dtype) for cell, col in zip(row, schema.columns))
             )
-        return table
+        return Table.from_trusted_rows(schema, rows)
     finally:
         if own:
             handle.close()

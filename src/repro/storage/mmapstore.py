@@ -55,7 +55,8 @@ from repro.access.index import AccessIndex, Key
 from repro.access.io import schema_from_dict, schema_to_dict
 from repro.catalog.schema import TableSchema
 from repro.catalog.types import DataType
-from repro.errors import AccessSchemaError, StorageError
+from repro.errors import AccessSchemaError, MaintenanceError, StorageError
+from repro.maintenance.incremental import apply_delete
 from repro.storage.codec import canonical_key, decode_row, encode_row, is_nan
 from repro.storage.database import Database
 from repro.storage.table import Table
@@ -834,16 +835,13 @@ class MmapStore:
                         stored, validate=False
                     )
         else:
-            removed = table.delete_rows(rows)
-            if len(removed) != len(rows):
+            try:
+                apply_delete(catalog, record["table"], rows)
+            except MaintenanceError:
                 raise StorageError(
                     f"WAL delete for {record['table']!r} references rows "
                     "missing from the base data — store and dataset diverged"
-                )
-            for constraint in constraints:
-                index = catalog.index_for(constraint)
-                for row in removed:
-                    index.delete_row(row)
+                ) from None
         table.version = int(record["version"])
 
     @property

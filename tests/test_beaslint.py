@@ -32,6 +32,7 @@ def test_registry_has_all_house_rules():
         "cache-guard",
         "except-discipline",
         "storage-codec",
+        "table-mutation",
     }
 
 
@@ -551,6 +552,95 @@ class TestStorageCodec:
             "storage/wal.py",
         )
         assert not _hits(report, "storage-codec")
+
+
+# --------------------------------------------------------------------------- #
+# table-mutation — PR 14's row locator needs every edit of Table.rows in table.py
+# --------------------------------------------------------------------------- #
+class TestTableMutation:
+    def test_flags_the_parent_commits_restore_loop(self):
+        # MaintenanceManager.delete at PR 13: a refused batch was put
+        # back by appending behind Table's back (and out of order)
+        report = _lint(
+            """\
+            def restore(table, removed):
+                for row in removed:
+                    table.rows.append(row)
+            """,
+            "maintenance/incremental.py",
+        )
+        hits = _hits(report, "table-mutation")
+        assert len(hits) == 1
+        assert hits[0].line == 3
+
+    def test_flags_the_parent_commits_rollback_scan(self):
+        report = _lint(
+            """\
+            def rollback(table, position):
+                del table.rows[position]
+            """,
+            "maintenance/incremental.py",
+        )
+        hits = _hits(report, "table-mutation")
+        assert len(hits) == 1
+        assert hits[0].line == 2
+
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "table.rows.extend(batch)",
+            "table.rows.insert(0, row)",
+            "table.rows.pop()",
+            "table.rows.remove(row)",
+            "db.table('call').rows.clear()",
+            "table.rows.sort()",
+            "table.rows = list(batch)",
+            "table.rows[0] = row",
+            "table.rows += batch",
+            "table.rows, n = batch, 0",
+            "del table.rows[2:4]",
+        ],
+    )
+    def test_flags_every_in_place_edit(self, statement):
+        report = _lint(
+            f"def load(db, table, batch, row):\n    {statement}\n",
+            "storage/csvio.py",
+        )
+        hits = _hits(report, "table-mutation")
+        assert len(hits) == 1, statement
+        assert hits[0].line == 2
+
+    def test_table_module_is_exempt(self):
+        report = _lint(
+            """\
+            def insert(table, row):
+                table.rows.append(row)
+            """,
+            "storage/table.py",
+        )
+        assert not _hits(report, "table-mutation")
+
+    def test_reads_methods_and_own_attribute_are_silent(self):
+        # the repaired spellings, plus what the rule must not mistake for
+        # a table: a class filling its own ``self.rows``, a local list
+        report = _lint(
+            """\
+            class Relation:
+                def __init__(self, rows):
+                    self.rows = rows
+                    self.rows.append(())
+
+            def load(schema, decoded, table, batch):
+                fresh = Table.from_trusted_rows(schema, decoded)
+                table.undo_inserts(len(batch))
+                tail = table.rows[-len(batch):]
+                rows = list(table.rows)
+                rows.append(tail)
+                return fresh, len(table.rows), QueryResult(rows=table.rows)
+            """,
+            "bounded/optimizer.py",
+        )
+        assert not _hits(report, "table-mutation")
 
 
 # --------------------------------------------------------------------------- #

@@ -93,13 +93,35 @@ class TestDelete:
         assert ("555", "north") not in index.fetch(("2016-06-01", "100"))
 
     def test_delete_missing_row_rejected_and_restored(self, catalog, manager):
-        before = list(catalog.database.table("call").rows)
+        table = catalog.database.table("call")
+        before, version = list(table.rows), table.version
+        constraint = catalog.schema.get("psi1")
+        index_before = catalog.index_for(constraint).snapshot()
         with pytest.raises(MaintenanceError):
             manager.delete(
                 "call",
                 [(1, "100", "555", "2016-06-01", "north"), (999, "x", "y", "2016-01-01", "z")],
             )
-        assert sorted(catalog.database.table("call").rows) == sorted(before)
+        # refusal is atomic: no reorder (the present row used to move to
+        # the tail), no version bump, indices untouched
+        assert table.rows == before
+        assert table.version == version
+        assert catalog.index_for(constraint).snapshot() == index_before
+
+    def test_delete_more_occurrences_than_held_is_rejected(self, catalog, manager):
+        table = catalog.database.table("call")
+        before, version = list(table.rows), table.version
+        with pytest.raises(MaintenanceError):
+            manager.delete("call", [(1, "100", "555", "2016-06-01", "north")] * 2)
+        assert table.rows == before and table.version == version
+
+    def test_delete_accepts_a_generator(self, catalog, manager):
+        # the batch used to be consumed twice, so a generator naming only
+        # present rows was always refused
+        victims = [(1, "100", "555", "2016-06-01", "north"), (3, "101", "557", "2016-06-01", "east")]
+        batch = manager.delete("call", (row for row in victims))
+        assert batch.deleted == 2
+        assert not set(victims) & set(catalog.database.table("call").rows)
 
     def test_incremental_delete_equals_rebuild(self, catalog, manager):
         manager.delete("call", [(3, "101", "557", "2016-06-01", "east")])

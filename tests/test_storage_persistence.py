@@ -24,13 +24,16 @@ import textwrap
 import threading
 from pathlib import Path
 
-from repro import BEAS
+import pytest
+
+from repro import BEAS, ExecutionOptions, Session
 from repro.access.catalog import ASCatalog
 from repro.access.constraint import AccessConstraint
 from repro.access.index import AccessIndex
 from repro.access.schema import AccessSchema
 from repro.catalog.schema import DatabaseSchema, TableSchema
 from repro.catalog.types import DataType
+from repro.errors import MaintenanceError
 from repro.storage.codec import CANONICAL_NAN
 from repro.storage.database import Database
 from repro.storage.mmapstore import MmapStore
@@ -229,6 +232,49 @@ class TestWarmRestart:
         recovered = engine_run(second, QUERY)
         assert recovered.rows == expected.rows
         second.close()
+
+    def test_generator_batches_reach_the_wal(self, tmp_path):
+        """A delete given as a generator used to be refused (the batch
+        was consumed twice), and the WAL record and fleet delta after the
+        apply were handed the exhausted iterator."""
+        options = ExecutionOptions(storage="mmap", storage_dir=str(tmp_path))
+        first = Session(build_base(), ACCESS, options=options)
+        inserted = first.insert("event", (gen_insert(i) for i in range(3)))
+        assert inserted.inserted == 3
+        victims = [gen_insert(1), ("k000", "2016-06-01", "r00000", 0.0)]
+        deleted = first.delete("event", (row for row in victims))
+        assert deleted.deleted == 2
+        survivors = list(first.database.table("event").rows)
+        assert not set(victims) & set(survivors)
+        first.close()
+
+        second = Session(build_base(), ACCESS, options=options)
+        try:
+            assert second.stats().storage.warm_start
+            # NaN cells come back as the one canonical object: list-equal
+            assert second.database.table("event").rows == survivors
+        finally:
+            second.close()
+
+    def test_refused_delete_leaves_live_and_recovered_versions_equal(self, tmp_path):
+        options = ExecutionOptions(storage="mmap", storage_dir=str(tmp_path))
+        first = Session(build_base(), ACCESS, options=options)
+        table = first.database.table("event")
+        first.insert("event", [gen_insert(0)])
+        before, version = list(table.rows), table.version
+        with pytest.raises(MaintenanceError):
+            first.delete("event", [gen_insert(0), gen_insert(99)])  # 99: absent
+        # no reorder, no bump — and so nothing the WAL would have to carry
+        assert table.rows == before and table.version == version
+        first.close()
+
+        second = Session(build_base(), ACCESS, options=options)
+        try:
+            assert second.stats().storage.warm_start
+            assert second.database.table("event").version == version
+            assert second.database.table("event").rows == before
+        finally:
+            second.close()
 
     def test_base_data_drift_forces_cold_rebuild(self, tmp_path):
         BEAS(build_base(), ACCESS, storage="mmap", storage_dir=tmp_path).close()
