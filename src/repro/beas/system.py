@@ -46,6 +46,7 @@ from repro.storage.database import Database
 from repro.storage.mmapstore import MmapStore, StorageStats
 from repro.engine.columnar import resolve_executor_mode, resolve_rows_per_batch
 from repro.engine.executor import ConventionalEngine
+from repro.engine.logical import explain as explain_logical
 from repro.engine.pool import (
     EnginePool,
     PoolStats,
@@ -503,18 +504,33 @@ class BEAS:
     def check(
         self, query: Union[str, ast.Statement], budget: Optional[int] = None
     ) -> CoverageDecision:
-        """BE Checker: coverage + deduced bound, without executing."""
-        return self._checker.check(query, budget)
+        """BE Checker: coverage + deduced bound, without executing.
+
+        A not-covered decision also carries the BE Plan Optimizer's
+        analysis (``decision.partial``), so whoever caches the decision
+        caches the partially bounded plan — or its absence — with it, and
+        :meth:`evaluate` never analyses."""
+        decision = self._checker.check(query, budget)
+        if not decision.covered:
+            decision.partial = self._optimizer.analyze(query)
+        return decision
 
     def explain(self, query: Union[str, ast.Statement]) -> str:
-        """Bounded plan listing when covered; reasons + host plan otherwise."""
+        """Bounded plan listing when covered; otherwise the reasons, the
+        partially bounded plan with its residual's logical plan (if a
+        bounded prefix exists), and the host plan of the whole query."""
         decision = self.check(query)
         if decision.covered:
             return explain_plan(decision.plan)
-        partial = self._optimizer.analyze(query)
+        partial = decision.partial
         lines = [decision.describe()]
         if partial is not None:
             lines.append(partial.describe())
+            lines.append(
+                f"residual plan ({partial.temp_schema.name} sized at the "
+                "prefix's deduced bound):"
+            )
+            lines.append(explain_logical(self._optimizer.residual_plan(partial)))
         lines.append("host plan:")
         lines.append(self._host.explain(query))
         return "\n".join(lines)
@@ -532,8 +548,9 @@ class BEAS:
         evaluation mode per paper §2. No serving cache is involved.
 
         ``query`` may be a zero-argument provider of the statement: only
-        a not-covered decision needs the AST (a covered one runs its
-        pinned plan), so a prepared binding is substituted only then.
+        the conventional fallback needs the AST (a covered decision runs
+        its pinned plan, a not-covered one its pinned ``partial``), so a
+        prepared binding is substituted only then.
 
         A decision made without a budget carries ``within_budget=None``;
         under ``options.budget`` feasibility is derived from its access
@@ -565,14 +582,12 @@ class BEAS:
             )
             return ExecutionMode.BOUNDED, engine.execute(decision.plan)
 
+        if options.allow_partial and decision.partial is not None:
+            return ExecutionMode.PARTIAL, self._optimizer.execute(
+                decision.partial, executor=options.executor
+            )
         if callable(query):
             query = query()
-        if options.allow_partial:
-            partial = self._optimizer.analyze(query)
-            if partial is not None:
-                return ExecutionMode.PARTIAL, self._optimizer.execute(
-                    partial, executor=options.executor
-                )
         return ExecutionMode.CONVENTIONAL, self._host.execute(query)
 
     # ------------------------------------------------------------------ #

@@ -20,7 +20,7 @@ policies on top of raw plan existence:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.access.constraint import AccessConstraint
 from repro.access.schema import AccessSchema
@@ -31,6 +31,9 @@ from repro.sql.normalize import ConjunctiveQuery, normalize
 from repro.sql.parser import parse
 from repro.bounded.plan import AnyBoundedPlan, SetOpPlan
 from repro.bounded.planner import BoundedPlanGenerator
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.bounded.optimizer import PartialPlan
 
 #: Aggregates whose value changes when duplicates collapse.
 _DUPLICATE_SENSITIVE = ("COUNT", "SUM", "AVG")
@@ -66,6 +69,11 @@ class CoverageDecision:
     tight_access_bound: Optional[int] = None
     within_budget: Optional[bool] = None  # None when no budget was given
     constraints_used: list[AccessConstraint] = field(default_factory=list)
+    #: Not covered: the BE Plan Optimizer's partially bounded plan, made
+    #: once by ``BEAS.check`` and cached with this decision the way a
+    #: covered decision keeps ``plan`` (None: no useful bounded prefix).
+    #: ``access_bound`` stays None either way: the answer is not bounded.
+    partial: Optional["PartialPlan"] = None
 
     def describe(self) -> str:
         if not self.covered:

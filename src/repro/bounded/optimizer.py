@@ -13,6 +13,12 @@ temporary relation — runs on the conventional engine. Scans of the covered
 relations are thereby replaced with index fetches, which is exactly the
 speed-up the paper describes.
 
+The residual plan is a hash join of the temporary relation with the
+uncovered scans, and the conventional engine passes a hash join's build
+keys sideways into a scan on its probe side (:mod:`repro.engine.physical`):
+an uncovered relation is read once, and only its tuples that join the
+prefix are interpreted.
+
 Soundness of the splice requires the temporary relation to carry correct
 multiplicities into the residual join: we therefore only splice when the
 final query is duplicate-insensitive (DISTINCT, or only MIN/MAX/COUNT-
@@ -28,6 +34,7 @@ from typing import Optional, Union
 
 from repro.access.catalog import ASCatalog
 from repro.catalog.schema import Column, TableSchema
+from repro.catalog.statistics import TableStatistics
 from repro.errors import NormalizationError, SQLError
 from repro.sql import ast
 from repro.sql.normalize import (
@@ -41,7 +48,7 @@ from repro.sql.parser import parse
 from repro.storage.database import Database
 from repro.storage.table import Table
 from repro.engine.executor import QueryResult
-from repro.engine.metrics import ExecutionMetrics
+from repro.engine.logical import PlanNode
 from repro.engine.physical import PhysicalExecutor
 from repro.engine.planner import plan_conjunctive_query
 from repro.engine.profiles import EngineProfile, POSTGRESQL
@@ -115,14 +122,33 @@ class PartialPlan:
     def access_bound(self) -> int:
         return self.sub_plan.access_bound
 
+    @property
+    def sideways_scans(self) -> dict[str, list[str]]:
+        """Uncovered binding -> its columns equated with the prefix: the
+        residual scans whose join with the temporary relation hands them
+        the prefix's keys."""
+        scans: dict[str, list[str]] = {}
+        for left, right in self.residual_cq.equalities:
+            if right.binding == _TEMP:
+                left, right = right, left
+            if left.binding == _TEMP and right.binding != _TEMP:
+                scans.setdefault(right.binding, []).append(right.column)
+        return scans
+
     def describe(self) -> str:
-        return (
+        text = (
             f"partially bounded plan: bounded prefix covers "
             f"{{{', '.join(self.covered_bindings)}}} "
             f"(<= {self.sub_plan.access_bound} tuples via "
             f"{len(self.sub_plan.fetch_ops)} fetches); conventional residual "
             f"over {{{', '.join(self.uncovered_bindings) or 'none'}}}"
         )
+        for binding, columns in self.sideways_scans.items():
+            text += (
+                f"; the prefix's keys go sideways into the scan of "
+                f"{binding} (on {', '.join(columns)})"
+            )
+        return text
 
 
 class BEPlanOptimizer:
@@ -220,33 +246,19 @@ class BEPlanOptimizer:
         temp_table = Table.from_trusted_rows(
             partial.temp_schema, map(tuple, prefix_result.rows)
         )
-
+        # the residual reads its own relations only: the temporary one and
+        # the uncovered occurrences' tables
+        database = self._catalog.database
         overlay = Database(name="overlay")
-        for table in self._catalog.database:
-            overlay.add_table(table)
         overlay.add_table(temp_table)
+        for name in set(partial.residual_cq.occurrences.values()) - {_TEMP}:
+            overlay.add_table(database.table(name))
 
-        # row-count-only statistics for the residual plan: computing full
-        # column statistics per execution would dwarf the query itself, and
-        # the residual join graph is small enough that row counts suffice
-        from repro.catalog.statistics import TableStatistics
-
-        statistics = {}
-        for name in set(partial.residual_cq.occurrences.values()):
-            statistics[name] = TableStatistics(
-                table=name, row_count=len(overlay.table(name))
-            )
-        plan = plan_conjunctive_query(partial.residual_cq, statistics)
-        metrics = ExecutionMetrics()
-        metrics.tuples_fetched = prefix_result.metrics.tuples_fetched
-        metrics.rows_per_batch = prefix_result.metrics.rows_per_batch
-        metrics.batches = prefix_result.metrics.batches
-        metrics.pool_workers = prefix_result.metrics.pool_workers
-        metrics.pool_batches = prefix_result.metrics.pool_batches
-        metrics.pool_wait_seconds = prefix_result.metrics.pool_wait_seconds
-        metrics.operations.extend(prefix_result.metrics.operations)
-        physical = PhysicalExecutor(overlay, self._profile, metrics)
-        result = physical.run(plan)
+        plan = self.residual_plan(partial, len(temp_table))
+        # one metrics object for the whole answer: the residual's counters
+        # add to whatever the prefix (pooled, fleet-run, ...) recorded
+        metrics = prefix_result.metrics
+        result = PhysicalExecutor(overlay, self._profile, metrics).run(plan)
         metrics.seconds = time.perf_counter() - start
         metrics.rows_output = len(result.rows)
         columns = [
@@ -254,6 +266,27 @@ class BEPlanOptimizer:
             for label in result.labels
         ]
         return QueryResult(columns=columns, rows=result.rows, metrics=metrics)
+
+    def residual_plan(
+        self, partial: PartialPlan, temp_rows: Optional[int] = None
+    ) -> PlanNode:
+        """The residual's logical plan under row-count-only statistics:
+        computing full column statistics per execution would dwarf the
+        query itself, and the residual join graph is small enough that row
+        counts suffice. ``temp_rows`` is the temporary relation's exact
+        size at run time; before execution (``explain``) the prefix's
+        deduced bound stands in for it."""
+        if temp_rows is None:
+            temp_rows = partial.access_bound
+        database = self._catalog.database
+        statistics = {
+            name: TableStatistics(
+                table=name,
+                row_count=temp_rows if name == _TEMP else len(database.table(name)),
+            )
+            for name in set(partial.residual_cq.occurrences.values())
+        }
+        return plan_conjunctive_query(partial.residual_cq, statistics)
 
     # ------------------------------------------------------------------ #
     def _build_sub_cq(

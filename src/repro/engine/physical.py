@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from itertools import compress
+from operator import itemgetter
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from repro.errors import ExecutionError
 from repro.sql import ast
@@ -62,6 +64,41 @@ def _busy_work(row: Row, units: int) -> None:
         list(row)
 
 
+def _tuples(rows: Iterable[Row], positions: Sequence[int]) -> Iterator[tuple]:
+    """``tuple(row[i] for i in positions)`` for each row, with no generator
+    per row: early projections and join keys go through this one helper.
+
+    One column still yields 1-tuples (``itemgetter(i)`` alone would yield
+    the bare cell), so join keys are tuples at every arity: ``None in key``
+    and the dict's identity-then-equality lookup see NULL and NaN cells the
+    same way whatever the key width."""
+    if not positions:
+        return (() for _ in rows)
+    if len(positions) == 1:
+        return zip(map(itemgetter(positions[0]), rows))
+    return map(itemgetter(*positions), rows)
+
+
+def _build(rows: list[Row], keys: Sequence[int]) -> dict[tuple, list[Row]]:
+    """The hash join's build table. NULL never joins: a key containing
+    ``None`` is not entered, so no probe key containing one can hit."""
+    table: dict[tuple, list[Row]] = {}
+    for key, row in zip(_tuples(rows, keys), rows):
+        if None not in key:
+            table.setdefault(key, []).append(row)
+    return table
+
+
+@dataclass
+class _KeyFilter:
+    """Join keys passed sideways into a scan: only rows whose ``positions``
+    (in the table's own row layout) form a key of ``build`` can join."""
+
+    positions: list[int]
+    build: dict[tuple, list[Row]]
+    label: str  # where the keys come from, e.g. ``__bounded__[pnum]``
+
+
 class PhysicalExecutor:
     """Interprets logical plans against a database under a profile."""
 
@@ -110,43 +147,38 @@ class PhysicalExecutor:
         raise ExecutionError(f"unknown plan node {node!r}")  # pragma: no cover
 
     # ------------------------------------------------------------------ #
-    def _scan(self, node: ScanNode) -> Intermediate:
+    def _scan(
+        self, node: ScanNode, sideways: Optional[_KeyFilter] = None
+    ) -> Intermediate:
+        """Read every tuple of the table (all of them count in
+        ``tuples_scanned``), keep those passing the pushed-down predicate,
+        and project early. With ``sideways`` keys, key membership is tested
+        first — one C-level pass — so the interpreted predicate and the
+        projection run on the rows that can join, and only on them."""
         start = time.perf_counter()
         table = self._db.table(node.table_name)
-        base_labels = [
-            Attribute(node.binding, column) for column in table.schema.column_names
-        ]
-        base_layout = {label: i for i, label in enumerate(base_labels)}
-        keep = table.schema.positions(node.columns)
         labels: list[object] = [Attribute(node.binding, c) for c in node.columns]
-        overhead = self._profile.row_overhead
+        label = f"scan({node.table_name} as {node.binding})"
 
-        predicate = (
-            compile_predicate(node.predicate, base_layout)
-            if node.predicate is not None
-            else None
-        )
-        rows: list[Row] = []
+        overhead = self._profile.row_overhead
         if overhead:
             for row in table.rows:
                 _busy_work(row, overhead)
-                if predicate is None or predicate(row):
-                    rows.append(tuple(row[i] for i in keep))
-        else:
-            if predicate is None:
-                rows = [tuple(row[i] for i in keep) for row in table.rows]
-            else:
-                rows = [
-                    tuple(row[i] for i in keep)
-                    for row in table.rows
-                    if predicate(row)
-                ]
+        kept: Iterable[Row] = table.rows
+        if sideways is not None:
+            label += f" ⋉ {sideways.label}"
+            keys = _tuples(table.rows, sideways.positions)
+            kept = compress(kept, map(sideways.build.__contains__, keys))
+        if node.predicate is not None:
+            base_layout = {
+                Attribute(node.binding, column): i
+                for i, column in enumerate(table.schema.column_names)
+            }
+            kept = filter(compile_predicate(node.predicate, base_layout), kept)
+        rows = list(_tuples(kept, table.schema.positions(node.columns)))
         self._metrics.tuples_scanned += len(table)
         self._metrics.record(
-            f"scan({node.table_name} as {node.binding})",
-            len(table),
-            len(rows),
-            time.perf_counter() - start,
+            label, len(table), len(rows), time.perf_counter() - start
         )
         return Intermediate(labels, rows)
 
@@ -162,21 +194,18 @@ class PhysicalExecutor:
 
     # ------------------------------------------------------------------ #
     def _join(self, node: JoinNode) -> Intermediate:
+        algorithm = self._profile.join_algorithm if node.pairs else "cross"
+        if algorithm == "hash":
+            return self._hash_join(node)
         left = self.run(node.left)
         right = self.run(node.right)
         start = time.perf_counter()
-        labels = left.labels + right.labels
-
-        if not node.pairs:
+        if algorithm == "cross":
             rows = [l + r for l in left.rows for r in right.rows]
-            algorithm = "cross"
         else:
             left_keys = [left.layout[a] for a, _ in node.pairs]
             right_keys = [right.layout[b] for _, b in node.pairs]
-            algorithm = self._profile.join_algorithm
-            if algorithm == "hash":
-                rows = self._hash_join(left.rows, right.rows, left_keys, right_keys)
-            elif algorithm == "sort_merge":
+            if algorithm == "sort_merge":
                 rows = self._sort_merge_join(
                     left.rows, right.rows, left_keys, right_keys
                 )
@@ -191,45 +220,60 @@ class PhysicalExecutor:
             len(rows),
             time.perf_counter() - start,
         )
-        return Intermediate(labels, rows)
+        return Intermediate(left.labels + right.labels, rows)
 
-    @staticmethod
-    def _hash_join(
-        left_rows: list[Row],
-        right_rows: list[Row],
-        left_keys: list[int],
-        right_keys: list[int],
-    ) -> list[Row]:
-        # build on the smaller input
-        if len(left_rows) <= len(right_rows):
-            table: dict[tuple, list[Row]] = {}
-            for row in left_rows:
-                key = tuple(row[i] for i in left_keys)
-                if None in key:
-                    continue
-                table.setdefault(key, []).append(row)
-            out: list[Row] = []
-            for row in right_rows:
-                key = tuple(row[i] for i in right_keys)
-                if None in key:
-                    continue
-                for match in table.get(key, ()):
-                    out.append(match + row)
-            return out
-        table = {}
-        for row in right_rows:
-            key = tuple(row[i] for i in right_keys)
-            if None in key:
-                continue
-            table.setdefault(key, []).append(row)
-        out = []
-        for row in left_rows:
-            key = tuple(row[i] for i in left_keys)
-            if None in key:
-                continue
-            for match in table.get(key, ()):
-                out.append(row + match)
-        return out
+    def _hash_join(self, node: JoinNode) -> Intermediate:
+        """Build on the child the planner expects to be smaller, probe
+        with the other. A probe child that is a table scan is handed the
+        build table (sideways information passing): ``d JOIN T`` equals
+        ``(d SEMIJOIN T) JOIN T``, multiplicities included, so the scan may
+        drop every tuple whose key is not in ``T`` before interpreting
+        anything on it."""
+        children = (node.left, node.right)
+        build, probe = (
+            (0, 1) if node.left.estimated_rows <= node.right.estimated_rows else (1, 0)
+        )
+        build_attrs = [pair[build] for pair in node.pairs]
+        probe_attrs = [pair[probe] for pair in node.pairs]
+
+        built = self.run(children[build])
+        start = time.perf_counter()
+        table = _build(built.rows, [built.layout[a] for a in build_attrs])
+        seconds = time.perf_counter() - start
+        probe_node = children[probe]
+        if isinstance(probe_node, ScanNode):
+            schema = self._db.table(probe_node.table_name).schema
+            columns = [attr.column for attr in probe_attrs]
+            origin = ",".join(dict.fromkeys(a.binding for a in build_attrs))
+            probed = self._scan(
+                probe_node,
+                _KeyFilter(
+                    schema.positions(columns),
+                    table,
+                    f"{origin}[{','.join(columns)}]",
+                ),
+            )
+        else:
+            probed = self.run(probe_node)
+
+        start = time.perf_counter()
+        keys = _tuples(probed.rows, [probed.layout[a] for a in probe_attrs])
+        matches = table.get
+        # columns are found by label, so build-then-probe order serves
+        # whichever child built
+        rows = [
+            match + row
+            for key, row in zip(keys, probed.rows)
+            for match in matches(key, ())
+        ]
+        self._metrics.intermediate_rows += len(rows)
+        self._metrics.record(
+            "join[hash]",
+            len(built.rows) + len(probed.rows),
+            len(rows),
+            seconds + time.perf_counter() - start,
+        )
+        return Intermediate(built.labels + probed.labels, rows)
 
     @staticmethod
     def _sort_merge_join(
@@ -239,13 +283,12 @@ class PhysicalExecutor:
         right_keys: list[int],
     ) -> list[Row]:
         def keyed(rows: list[Row], keys: list[int]) -> list[tuple[tuple, Row]]:
-            out = []
-            for row in rows:
-                key = tuple(row[i] for i in keys)
-                if None in key:
-                    continue
-                out.append((key, row))
-            out.sort(key=lambda kr: kr[0])
+            out = [
+                (key, row)
+                for key, row in zip(_tuples(rows, keys), rows)
+                if None not in key
+            ]
+            out.sort(key=itemgetter(0))
             return out
 
         left_sorted = keyed(left_rows, left_keys)

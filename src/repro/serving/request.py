@@ -154,7 +154,8 @@ class Request:
     def statement(self) -> ast.Statement:
         """The bound AST. A prepared binding substitutes it on first
         use only: a decision served from the cache or by rebinding, then
-        executed as a bounded plan, never needs it."""
+        executed as its pinned bounded (or partially bounded) plan,
+        never needs it."""
         statement = self._statement
         if statement is None:
             bound = cast(PreparedBinding, self._binding)
@@ -543,7 +544,10 @@ def _decision(
 ) -> tuple["CoverageDecision", str]:
     """The budget-free coverage decision and its provenance:
     ``"cached"`` (exact per-binding hit), ``"rebound"`` (pinned plan
-    patched for this binding — no BE Checker run), or ``"fresh"``.
+    patched for this binding — no BE Checker run), or ``"fresh"`` (a
+    full BE Checker run and, when that says not covered, the BE Plan
+    Optimizer's analysis: the decision is cached with its ``partial``
+    plan, so neither runs again for this key).
 
     Exact entries are keyed by (binding fingerprint, access-schema
     generation): a decision pinned under an old schema can never be

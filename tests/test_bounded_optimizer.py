@@ -11,8 +11,13 @@ from repro import (
     Database,
     DatabaseSchema,
     DataType,
+    ExecutionMode,
+    ExecutionOptions,
+    Session,
     TableSchema,
 )
+from repro.bounded.executor import BoundedPlanExecutor
+from repro.workloads.tlc import generate_tlc, query_by_name, tlc_access_schema
 
 
 def schema() -> DatabaseSchema:
@@ -80,6 +85,29 @@ class TestAnalyze:
         partial = BEPlanOptimizer(ASCatalog(db, access)).analyze(SQL)
         text = partial.describe()
         assert "bounded prefix" in text and "d" in text
+        # which residual scan receives the prefix's keys, and on what
+        assert partial.sideways_scans == {"b": ["k"]}
+        assert "keys go sideways into the scan of b (on k)" in text
+
+    def test_session_explain_prints_the_residual_plan(self):
+        db, access = build()
+        with Session(db, access) as session:
+            text = session.explain(SQL)
+        residual, host = text.split("host plan:")
+        assert "NOT covered" in residual and "partially bounded plan" in residual
+        # what runs under allow_partial: the temporary relation joined
+        # with the uncovered scan, dim nowhere in it ...
+        assert "residual plan" in residual
+        assert "Scan __bounded__ AS __bounded__" in residual
+        assert "Scan big AS b" in residual and "Scan dim" not in residual
+        # ... next to the host plan of the whole query
+        assert "Scan dim AS d" in host and "Scan big AS b" in host
+
+    def test_session_explain_without_a_prefix_is_the_host_plan(self):
+        db, _ = build()
+        with Session(db, AccessSchema()) as session:
+            text = session.explain(SQL)
+        assert "residual plan" not in text and "host plan:" in text
 
     def test_no_constraints_no_partial(self):
         db, _ = build()
@@ -183,3 +211,66 @@ class TestExecute:
         result = optimizer.execute(partial)
         host = ConventionalEngine(db).execute(sql)
         assert sorted(result.rows) == sorted(host.rows)
+
+
+class TestPartialAnswerMetrics:
+    """A PARTIAL answer's metrics are the prefix's plus the residual's."""
+
+    @staticmethod
+    def two_fetch_session(**options) -> tuple[Session, str]:
+        """Q1 (as a set) with package's constraints unregistered: the
+        prefix fetches business then call, package is scanned."""
+        dataset = generate_tlc(2, 42)
+        session = Session(
+            dataset.database, tlc_access_schema(), options=ExecutionOptions(**options)
+        )
+        session.unregister("psi2")
+        session.unregister("psi7")
+        sql = query_by_name(dataset.params, "Q1").sql.replace(
+            "select call.region", "select distinct call.region"
+        )
+        return session, sql
+
+    def test_intermediate_rows_are_prefix_plus_residual(self):
+        session, sql = self.two_fetch_session()
+        with session:
+            result = session.run(sql)
+            partial = result.decision.coverage.partial
+            prefix = session.beas.bounded_executor().execute(partial.sub_plan)
+        assert result.mode is ExecutionMode.PARTIAL
+        assert len(partial.sub_plan.fetch_ops) == 2
+        assert prefix.metrics.intermediate_rows > 0
+        (join,) = [op for op in result.metrics.operations if op.label == "join[hash]"]
+        assert (
+            result.metrics.intermediate_rows
+            == prefix.metrics.intermediate_rows + join.tuples_out
+        )
+        assert result.metrics.tuples_fetched == prefix.metrics.tuples_fetched
+
+    def test_pooled_prefix_reports_its_pool_fields(self):
+        session, sql = self.two_fetch_session(parallelism=2)
+        with session:
+            result = session.run(sql)
+        assert result.mode is ExecutionMode.PARTIAL
+        assert result.metrics.pool_workers == 2
+        assert result.metrics.pool_batches >= 1
+
+    def test_no_prefix_field_is_dropped(self, monkeypatch):
+        """A prefix that fell back, or ran on a replica, must not look
+        clean in the PARTIAL answer."""
+        execute = BoundedPlanExecutor.execute
+
+        def fell_back(self, plan):
+            result = execute(self, plan)
+            result.metrics.pool_fallbacks = 2
+            result.metrics.replica_id = 1
+            result.metrics.wire_seconds = 0.25
+            return result
+
+        monkeypatch.setattr(BoundedPlanExecutor, "execute", fell_back)
+        db, access = build()
+        optimizer = BEPlanOptimizer(ASCatalog(db, access))
+        metrics = optimizer.execute(optimizer.analyze(SQL)).metrics
+        assert metrics.pool_fallbacks == 2
+        assert metrics.replica_id == 1
+        assert metrics.wire_seconds == 0.25

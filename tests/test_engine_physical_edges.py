@@ -6,7 +6,7 @@ import pytest
 from repro import ConventionalEngine, Database, DatabaseSchema, DataType, TableSchema
 from repro.engine.logical import MaterializedNode, SetOpNode
 from repro.engine.metrics import ExecutionMetrics
-from repro.engine.physical import Intermediate, PhysicalExecutor
+from repro.engine.physical import Intermediate, PhysicalExecutor, _build, _tuples
 from repro.engine.profiles import EngineProfile, POSTGRESQL
 
 
@@ -66,6 +66,38 @@ class TestJoinAlgorithmEdges:
         for left, right in ([[], [(1, "b")]], [[(1, "a")], []], [[], []]):
             db = two_table_db(left, right)
             assert ConventionalEngine(db).execute(JOIN_SQL).rows == []
+
+
+class TestTupleHelper:
+    """The one early-projection / join-key helper."""
+
+    ROWS = [(1, "a", None), (2, "b", 2.5)]
+
+    def test_no_columns(self):
+        assert list(_tuples(self.ROWS, [])) == [(), ()]
+        assert list(_tuples(iter(self.ROWS), [])) == [(), ()]  # any iterable
+
+    def test_one_column_stays_a_one_tuple(self):
+        assert list(_tuples(self.ROWS, [1])) == [("a",), ("b",)]
+        assert list(_tuples(self.ROWS, [2])) == [(None,), (2.5,)]
+
+    def test_two_columns_in_the_order_asked(self):
+        assert list(_tuples(self.ROWS, [2, 0])) == [(None, 1), (2.5, 2)]
+
+    def test_null_keys_never_build_and_nan_is_found_by_identity(self):
+        nan = float("nan")
+        rows = [(None, 1), (nan, 2), (nan, 3), (float("nan"), 4), (1.0, None)]
+        assert _build(rows, [0]) == {
+            (nan,): [(nan, 2), (nan, 3)],
+            (rows[3][0],): [rows[3]],  # another NaN object is another key
+            (1.0,): [(1.0, None)],
+        }
+        assert _build(rows, [0, 1]).keys() == {(nan, 2), (nan, 3), (rows[3][0], 4)}
+        assert _build(rows, []) == {(): rows}
+
+    def test_count_star_scan_projects_no_columns(self):
+        db = two_table_db([(1, "a"), (2, "b")], [])
+        assert ConventionalEngine(db).execute("SELECT COUNT(*) FROM l").rows == [(2,)]
 
 
 class TestOverheadProfiles:
