@@ -21,19 +21,10 @@ from dataclasses import dataclass, field
 
 
 from repro.access.catalog import ASCatalog
-from repro.errors import ExecutionError, PlanningError
-from repro.engine.expressions import compile_predicate
-from repro.engine.logical import MaterializedNode
+from repro.errors import PlanningError
 from repro.engine.metrics import ExecutionMetrics
-from repro.engine.physical import Intermediate, PhysicalExecutor
-from repro.engine.planner import attach_tail
-from repro.engine.profiles import EngineProfile
-from repro.bounded.executor import _KeyPlan
-from repro.bounded.plan import BoundedPlan, FetchOp, SelectOp
-
-_NEUTRAL_PROFILE = EngineProfile(
-    name="beas-approx-tail", join_algorithm="hash", row_overhead=0
-)
+from repro.bounded.plan import BoundedPlan, FetchOp
+from repro.bounded.skeleton import _KeyPlan, skeleton_of
 
 
 @dataclass
@@ -82,36 +73,30 @@ class BoundedApproximator:
         metrics = ExecutionMetrics()
         start = time.perf_counter()
         remaining = budget
-        intermediate = Intermediate(labels=[], rows=[()])
+        skeleton = skeleton_of(plan)
+        rows: list[tuple] = [()]
         truncated = False
         # dropped input rows per fetch index, for the missed-answer bound
         fetch_ops = plan.fetch_ops
         dropped: list[int] = [0] * len(fetch_ops)
         fetch_index = -1
 
-        for op in plan.ops:
-            if isinstance(op, FetchOp):
+        for step, op in zip(skeleton.steps, plan.ops):
+            if isinstance(step, _KeyPlan):
                 fetch_index += 1
-                intermediate, used, rows_dropped = self._fetch_within(
-                    op, intermediate, remaining
+                rows, used, rows_dropped = self._fetch_within(
+                    step, op, rows, remaining
                 )
                 remaining -= used
                 metrics.tuples_fetched += used
                 dropped[fetch_index] = rows_dropped
                 if rows_dropped:
                     truncated = True
-            elif isinstance(op, SelectOp):
-                intermediate = self._select(op, intermediate)
-            else:  # pragma: no cover - defensive
-                raise ExecutionError(f"unknown bounded plan op {op!r}")
+            else:
+                rows = step.keep(op, rows)
 
-        tail = attach_tail(
-            MaterializedNode(intermediate.labels, intermediate.rows),
-            cq,
-            force_distinct=True,  # approximate answers are a set
-        )
-        executor = PhysicalExecutor(self._catalog.database, _NEUTRAL_PROFILE, metrics)
-        final = executor.run(tail)
+        # approximate answers are a set
+        final = skeleton.tail(plan, as_set=True).run(rows, metrics)
 
         missed = self._missed_bound(fetch_ops, dropped)
         found = len(final.rows)
@@ -135,8 +120,8 @@ class BoundedApproximator:
 
     # ------------------------------------------------------------------ #
     def _fetch_within(
-        self, op: FetchOp, intermediate: Intermediate, remaining: int
-    ) -> tuple[Intermediate, int, int]:
+        self, key_plan: _KeyPlan, op: FetchOp, rows: list[tuple], remaining: int
+    ) -> tuple[list[tuple], int, int]:
         """Run one fetch, stopping before the budget is exceeded.
 
         (row, key) pairs are consumed atomically — a key's whole bucket or
@@ -144,62 +129,31 @@ class BoundedApproximator:
         dropped keys cleanly bounds the missed answers (each dropped key
         yields at most N output rows at this fetch).
         """
-        index = self._catalog.index_for(op.constraint)
-        key_plan = _KeyPlan(op, intermediate.layout)
-        labels = intermediate.labels + key_plan.new_labels
-        parts_len = len(op.key_parts)
+        fetch = self._catalog.index_for(op.constraint).fetch
+        const_keys = key_plan.const_keys(op)
+        pick_x, pick_y, y_existing = key_plan.pick_x, key_plan.pick_y, key_plan.y_existing
 
         used = 0
         out_rows: list[tuple] = []
         dropped_keys = 0
         exhausted = False
-        for row in intermediate.rows:
-            for key_tuple in key_plan.keys_for(row, parts_len):
+        for row in rows:
+            for key_tuple in key_plan.keys_for(row, const_keys):
                 if exhausted:
                     dropped_keys += 1
                     continue
-                bucket = index.fetch(key_tuple)
+                bucket = fetch(key_tuple)
                 if used + len(bucket) > remaining:
                     exhausted = True
                     dropped_keys += 1
                     continue
                 used += len(bucket)
-                x_extension = tuple(key_tuple[i] for i in key_plan.x_new)
+                prefix = row + pick_x(key_tuple)
                 for y_value in bucket:
-                    if any(
-                        y_value[i] != row[pos] for i, pos in key_plan.y_existing
-                    ):
+                    if any(y_value[i] != row[pos] for i, pos in y_existing):
                         continue
-                    out_rows.append(
-                        row
-                        + x_extension
-                        + tuple(y_value[i] for i in key_plan.y_new)
-                    )
-        return Intermediate(labels, out_rows), used, dropped_keys
-
-    @staticmethod
-    def _select(op: SelectOp, intermediate: Intermediate) -> Intermediate:
-        layout = intermediate.layout
-        if op.kind == "selection":
-            position = layout[op.column]
-            allowed = set(op.values or ())
-            rows = [
-                row
-                for row in intermediate.rows
-                if row[position] is not None and row[position] in allowed
-            ]
-        elif op.kind == "equality":
-            a = layout[op.column]
-            b = layout[op.other]
-            rows = [
-                row
-                for row in intermediate.rows
-                if row[a] is not None and row[a] == row[b]
-            ]
-        else:
-            predicate = compile_predicate(op.predicate, layout)
-            rows = [row for row in intermediate.rows if predicate(row)]
-        return Intermediate(intermediate.labels, rows)
+                    out_rows.append(prefix + pick_y(y_value))
+        return out_rows, used, dropped_keys
 
     # ------------------------------------------------------------------ #
     @staticmethod

@@ -21,7 +21,7 @@ Two execution modes share the same plans, bounds, and accounting:
   batches (``engine.columnar``): fetches gather index postings for a
   whole key batch and build the output column by column, selections only
   shrink a selection vector, and the tail operators stream batches of
-  ``rows_per_batch`` rows (``engine.physical.ColumnarTailExecutor``).
+  ``rows_per_batch`` rows (``engine.physical.ColumnarTail``).
 
 Both modes present exactly the same keys to the indices in the same
 order, so ``tuples_fetched``, the per-fetch bound enforcement, and the
@@ -32,6 +32,13 @@ logic — an equality against NULL is UNKNOWN), whether the part comes
 from a materialised column or an enumerated constant, and key dedup
 never conflates distinct NULL-bearing keys because such keys are never
 presented at all.
+
+Neither mode interprets the plan per request: what depends on the plan's
+shape alone — key layouts, label lists, select positions and predicates,
+the compiled tail — comes from the plan's skeleton
+(:mod:`repro.bounded.skeleton`), compiled by the first execution and
+shared by every rebinding; a run pairs each step with the request's own
+operator for the constants and the bound.
 
 With an :class:`~repro.engine.pool.EnginePool` attached, the columnar
 pipeline additionally runs **in parallel across worker processes**:
@@ -47,167 +54,31 @@ in-process execution — answers are never wrong, only slower.
 
 from __future__ import annotations
 
-import itertools
 import time
 from typing import Optional
 
 from repro.access.catalog import ASCatalog
 from repro.errors import ExecutionError
-from repro.sql.normalize import Attribute
 from repro.engine.columnar import (
     ColumnarIntermediate,
-    compile_columnar_predicate,
     resolve_executor_mode,
     resolve_rows_per_batch,
 )
 from repro.engine.executor import QueryResult
-from repro.engine.expressions import compile_predicate
 from repro.engine.logical import MaterializedNode, SetOpNode
 from repro.engine.metrics import ExecutionMetrics
-from repro.engine.physical import ColumnarTailExecutor, Intermediate, PhysicalExecutor
-from repro.engine.planner import attach_tail
+from repro.engine.physical import Intermediate, PhysicalExecutor
 from repro.engine.pool import (
     EnginePool,
-    FetchChunkSpec,
     merge_dedup_counts,
     resolve_dispatch,
     run_fetch_chunk,
 )
 from repro.engine.profiles import EngineProfile
 from repro.bounded.plan import AnyBoundedPlan, BoundedPlan, FetchOp, SelectOp, SetOpPlan
+from repro.bounded.skeleton import _KeyPlan, _SelectPlan, skeleton_of
 
 _NEUTRAL_PROFILE = EngineProfile(name="beas-tail", join_algorithm="hash", row_overhead=0)
-
-
-class _KeyPlan:
-    """Resolved fetch-key layout: how each X part obtains its value, which
-    fetched attributes extend the row, and which must match existing columns.
-
-    Shared by the BE Plan Executor (both modes) and the resource-bounded
-    approximator.
-    """
-
-    def __init__(self, op: FetchOp, layout: dict[object, int]):
-        self.column_positions: list[Optional[int]] = []
-        const_values: list[Optional[tuple]] = []
-        for part in op.key_parts:
-            if part.source == "column":
-                self.column_positions.append(layout[part.column])
-                const_values.append(None)
-            else:
-                self.column_positions.append(None)
-                const_values.append(part.values or ())
-
-        # constant parts sharing the same values tuple (same equality class)
-        # must take the same enumerated value
-        const_groups: dict[int, list[int]] = {}
-        for i, values in enumerate(const_values):
-            if values is not None:
-                const_groups.setdefault(id(values), []).append(i)
-        self.group_value_lists = [
-            const_values[positions[0]] for positions in const_groups.values()
-        ]
-        self.group_positions = list(const_groups.values())
-
-        new_set = set(op.new_columns)
-        self.x_new = [
-            i
-            for i, part in enumerate(op.key_parts)
-            if Attribute(op.binding, part.attribute) in new_set
-        ]
-        y_names = op.constraint.y
-        self.y_new = [
-            i
-            for i, name in enumerate(y_names)
-            if Attribute(op.binding, name) in new_set
-        ]
-        self.y_existing = [
-            (i, layout[Attribute(op.binding, name)])
-            for i, name in enumerate(y_names)
-            if Attribute(op.binding, name) not in new_set
-        ]
-        self.new_labels = [
-            Attribute(op.binding, op.key_parts[i].attribute) for i in self.x_new
-        ] + [Attribute(op.binding, y_names[i]) for i in self.y_new]
-
-    def _const_combos(self):
-        """Enumerated constant combinations, NULL-bearing ones skipped:
-        a key part equal to NULL can never match (three-valued logic)."""
-        if not self.group_value_lists:
-            return ((),)
-        return (
-            combo
-            for combo in itertools.product(*self.group_value_lists)
-            if None not in combo
-        )
-
-    def keys_for(self, row: tuple, key_parts_len: int):
-        """Yield the fully resolved key tuples for one input row (several
-        when an IN-list enumerates constants); yields nothing when a key
-        part — column-sourced or constant — is NULL."""
-        for combo in self._const_combos():
-            key = [None] * key_parts_len
-            for group_index, positions in enumerate(self.group_positions):
-                for position in positions:
-                    key[position] = combo[group_index]
-            valid = True
-            for i, position in enumerate(self.column_positions):
-                if position is not None:
-                    value = row[position]
-                    if value is None:
-                        valid = False  # SQL: NULL never joins
-                        break
-                    key[i] = value
-            if valid:
-                yield tuple(key)
-
-    def chunk_spec(self, parts_len: int, track_gather: bool) -> FetchChunkSpec:
-        """The fetch-chunk kernel spec with slots = real intermediate
-        positions (the in-process columnar path hands the kernel the full
-        column list)."""
-        return FetchChunkSpec(
-            parts_len=parts_len,
-            column_slots=tuple(self.column_positions),
-            group_value_lists=tuple(self.group_value_lists),
-            group_positions=tuple(tuple(p) for p in self.group_positions),
-            x_new=tuple(self.x_new),
-            y_new=tuple(self.y_new),
-            y_existing=tuple(self.y_existing),
-            track_gather=track_gather,
-        )
-
-    def wire_spec(
-        self, parts_len: int, track_gather: bool
-    ) -> tuple[FetchChunkSpec, list[int]]:
-        """The same spec in compact *wire* terms: slots index the list of
-        needed columns only, so a dispatched chunk pickles just the
-        columns the key plan actually reads (key sources + existing-Y
-        consistency checks), not the whole intermediate."""
-        needed: list[int] = []
-        slot_of: dict[int, int] = {}
-
-        def slot(position: int) -> int:
-            if position not in slot_of:
-                slot_of[position] = len(needed)
-                needed.append(position)
-            return slot_of[position]
-
-        column_slots = tuple(
-            slot(position) if position is not None else None
-            for position in self.column_positions
-        )
-        y_existing = tuple((i, slot(position)) for i, position in self.y_existing)
-        spec = FetchChunkSpec(
-            parts_len=parts_len,
-            column_slots=column_slots,
-            group_value_lists=tuple(self.group_value_lists),
-            group_positions=tuple(tuple(p) for p in self.group_positions),
-            x_new=tuple(self.x_new),
-            y_new=tuple(self.y_new),
-            y_existing=y_existing,
-            track_gather=track_gather,
-        )
-        return spec, needed
 
 
 class BoundedPlanExecutor:
@@ -379,102 +250,66 @@ class BoundedPlanExecutor:
     # row mode
     # ------------------------------------------------------------------ #
     def _run_select(self, plan: BoundedPlan, metrics: ExecutionMetrics) -> Intermediate:
-        intermediate = Intermediate(labels=[], rows=[()])
-        for op in plan.ops:
-            if isinstance(op, FetchOp):
-                intermediate = self._fetch(op, intermediate, metrics)
-            elif isinstance(op, SelectOp):
-                intermediate = self._select(op, intermediate, metrics)
-            else:  # pragma: no cover - defensive
-                raise ExecutionError(f"unknown bounded plan op {op!r}")
-
+        skeleton = skeleton_of(plan)
+        rows: list[tuple] = [()]
+        for step, op in zip(skeleton.steps, plan.ops):
+            if isinstance(step, _KeyPlan):
+                rows = self._fetch(step, op, rows, metrics)
+            else:
+                start = time.perf_counter()
+                kept = step.keep(op, rows)
+                metrics.record(
+                    step.label(op), len(rows), len(kept), time.perf_counter() - start
+                )
+                rows = kept
         # hand the final intermediate to the conventional tail operators
-        tail = attach_tail(
-            MaterializedNode(intermediate.labels, intermediate.rows),
-            plan.cq,
-            force_distinct=not plan.bag_exact,
-        )
-        executor = PhysicalExecutor(self._catalog.database, _NEUTRAL_PROFILE, metrics)
-        return executor.run(tail)
+        return skeleton.tail(plan).run(rows, metrics)
 
     # ------------------------------------------------------------------ #
     def _fetch(
-        self, op: FetchOp, intermediate: Intermediate, metrics: ExecutionMetrics
-    ) -> Intermediate:
+        self,
+        key_plan: _KeyPlan,
+        op: FetchOp,
+        rows: list[tuple],
+        metrics: ExecutionMetrics,
+    ) -> list[tuple]:
         start = time.perf_counter()
-        index = self._catalog.index_for(op.constraint)
-        key_plan = _KeyPlan(op, intermediate.layout)
-        labels = intermediate.labels + key_plan.new_labels
-        parts_len = len(op.key_parts)
+        fetch = self._catalog.index_for(op.constraint).fetch
+        const_keys = key_plan.const_keys(op)
+        keys_for, pick_x, pick_y = key_plan.keys_for, key_plan.pick_x, key_plan.pick_y
+        y_existing = key_plan.y_existing
 
-        cache: dict[tuple, list[tuple]] = {}
+        cache: Optional[dict[tuple, list[tuple]]] = {} if self._dedup_keys else None
         fetched = 0
         out_rows: list[tuple] = []
-        for row in intermediate.rows:
-            for key_tuple in key_plan.keys_for(row, parts_len):
-                if self._dedup_keys:
-                    if key_tuple in cache:
-                        bucket = cache[key_tuple]
-                    else:
-                        bucket = index.fetch(key_tuple)
-                        cache[key_tuple] = bucket
-                        fetched += len(bucket)
-                else:
-                    bucket = index.fetch(key_tuple)
+        for row in rows:
+            for key_tuple in keys_for(row, const_keys):
+                if cache is None:
+                    bucket = fetch(key_tuple)
                     fetched += len(bucket)
-                x_extension = tuple(key_tuple[i] for i in key_plan.x_new)
+                elif key_tuple in cache:
+                    bucket = cache[key_tuple]
+                else:
+                    bucket = cache[key_tuple] = fetch(key_tuple)
+                    fetched += len(bucket)
+                if not bucket:
+                    continue
+                prefix = row + pick_x(key_tuple)
                 for y_value in bucket:
                     # consistency with already-materialised Y columns
-                    if any(
-                        y_value[i] != row[pos] for i, pos in key_plan.y_existing
+                    if y_existing and any(
+                        y_value[i] != row[pos] for i, pos in y_existing
                     ):
                         continue
-                    out_rows.append(
-                        row
-                        + x_extension
-                        + tuple(y_value[i] for i in key_plan.y_new)
-                    )
+                    out_rows.append(prefix + pick_y(y_value))
 
         self._enforce_bound(op, fetched)
         metrics.tuples_fetched += fetched
         metrics.intermediate_rows += len(out_rows)
         metrics.record(
-            f"fetch[{op.constraint.name}]({op.constraint.relation} as {op.binding})",
-            len(intermediate.rows),
-            len(out_rows),
-            time.perf_counter() - start,
+            key_plan.label, len(rows), len(out_rows), time.perf_counter() - start
         )
-        return Intermediate(labels, out_rows)
-
-    # ------------------------------------------------------------------ #
-    def _select(
-        self, op: SelectOp, intermediate: Intermediate, metrics: ExecutionMetrics
-    ) -> Intermediate:
-        start = time.perf_counter()
-        layout = intermediate.layout
-        if op.kind == "selection":
-            position = layout[op.column]
-            allowed = set(op.values or ())
-            rows = [
-                row
-                for row in intermediate.rows
-                if row[position] is not None and row[position] in allowed
-            ]
-        elif op.kind == "equality":
-            a = layout[op.column]
-            b = layout[op.other]
-            rows = [
-                row
-                for row in intermediate.rows
-                if row[a] is not None and row[a] == row[b]
-            ]
-        else:
-            predicate = compile_predicate(op.predicate, layout)
-            rows = [row for row in intermediate.rows if predicate(row)]
-        metrics.record(
-            op.describe(), len(intermediate.rows), len(rows), time.perf_counter() - start
-        )
-        return Intermediate(intermediate.labels, rows)
+        return out_rows
 
     # ------------------------------------------------------------------ #
     # columnar mode
@@ -482,36 +317,22 @@ class BoundedPlanExecutor:
     def _run_select_columnar(
         self, plan: BoundedPlan, metrics: ExecutionMetrics
     ) -> Intermediate:
+        skeleton = skeleton_of(plan)
         intermediate = ColumnarIntermediate.seed()
-        for op in plan.ops:
-            if isinstance(op, FetchOp):
-                intermediate = self._fetch_columnar(op, intermediate, metrics)
-            elif isinstance(op, SelectOp):
-                intermediate = self._select_columnar(op, intermediate, metrics)
-            else:  # pragma: no cover - defensive
-                raise ExecutionError(f"unknown bounded plan op {op!r}")
-
+        for step, op in zip(skeleton.steps, plan.ops):
+            if isinstance(step, _KeyPlan):
+                intermediate = self._fetch_columnar(step, op, intermediate, metrics)
+            else:
+                intermediate = self._select_columnar(step, op, intermediate, metrics)
         # the same conventional tail, interpreted batch-wise
-        sentinel = MaterializedNode(intermediate.labels, [])
-        tail = attach_tail(sentinel, plan.cq, force_distinct=not plan.bag_exact)
-        chain = ColumnarTailExecutor.match(tail)
-        if chain is None or chain.child is not sentinel:  # pragma: no cover
-            # defensive: an unexpected tail shape falls back to row mode
-            rows_tail = attach_tail(
-                MaterializedNode(intermediate.labels, intermediate.to_rows()),
-                plan.cq,
-                force_distinct=not plan.bag_exact,
-            )
-            executor = PhysicalExecutor(
-                self._catalog.database, _NEUTRAL_PROFILE, metrics
-            )
-            return executor.run(rows_tail)
-        executor = ColumnarTailExecutor(metrics, self.rows_per_batch)
-        return executor.run(chain, intermediate)
+        return skeleton.tail(plan, columnar=True).run(
+            intermediate, metrics, self.rows_per_batch
+        )
 
     # ------------------------------------------------------------------ #
     def _fetch_columnar(
         self,
+        key_plan: _KeyPlan,
         op: FetchOp,
         intermediate: ColumnarIntermediate,
         metrics: ExecutionMetrics,
@@ -527,9 +348,6 @@ class BoundedPlanExecutor:
         """
         start = time.perf_counter()
         index = self._catalog.index_for(op.constraint)
-        key_plan = _KeyPlan(op, intermediate.layout)
-        labels = intermediate.labels + key_plan.new_labels
-        parts_len = len(op.key_parts)
         columns = intermediate.columns
         dedup = self._dedup_keys
         rows_in = intermediate.live_count
@@ -551,7 +369,7 @@ class BoundedPlanExecutor:
             and pool.idle_count() > 0
         )
         if use_pool:
-            spec, needed = key_plan.wire_spec(parts_len, track_gather)
+            spec, needed = key_plan.wire_spec(op, track_gather)
             payloads = [
                 ([[columns[p][i] for i in chunk] for p in needed], len(chunk))
                 for chunk in chunks
@@ -582,7 +400,7 @@ class BoundedPlanExecutor:
                 for chunk, result in zip(chunks, results):
                     gather.extend(chunk[g] for g in result.gather)
         else:
-            spec = key_plan.chunk_spec(parts_len, track_gather)
+            spec = key_plan.chunk_spec(op, track_gather)
             cache: Optional[dict] = {} if dedup else None
             results = [
                 run_fetch_chunk(index.fetch, spec, columns, chunk, dedup, cache)
@@ -607,46 +425,21 @@ class BoundedPlanExecutor:
         ] + new_x_columns + new_y_columns
         metrics.tuples_fetched += fetched
         metrics.intermediate_rows += out_count
-        metrics.record(
-            f"fetch[{op.constraint.name}]({op.constraint.relation} as {op.binding})",
-            rows_in,
-            out_count,
-            time.perf_counter() - start,
-        )
-        return ColumnarIntermediate(labels, out_columns, out_count)
+        metrics.record(key_plan.label, rows_in, out_count, time.perf_counter() - start)
+        return ColumnarIntermediate(key_plan.labels, out_columns, out_count)
 
     # ------------------------------------------------------------------ #
     def _select_columnar(
         self,
+        step: _SelectPlan,
         op: SelectOp,
         intermediate: ColumnarIntermediate,
         metrics: ExecutionMetrics,
     ) -> ColumnarIntermediate:
-        """Column-wise filters: only the selection vector shrinks."""
         start = time.perf_counter()
-        layout = intermediate.layout
-        live = intermediate.live
         rows_in = intermediate.live_count
-        if op.kind == "selection":
-            column = intermediate.columns[layout[op.column]]
-            allowed = set(op.values or ())
-            sel = [
-                i
-                for i in live
-                if (value := column[i]) is not None and value in allowed
-            ]
-        elif op.kind == "equality":
-            a = intermediate.columns[layout[op.column]]
-            b = intermediate.columns[layout[op.other]]
-            sel = [
-                i for i in live if (value := a[i]) is not None and value == b[i]
-            ]
-        else:
-            columnar_predicate = compile_columnar_predicate(op.predicate, layout)
-            sel = columnar_predicate(intermediate.columns, live)
-        metrics.record(
-            op.describe(), rows_in, len(sel), time.perf_counter() - start
-        )
+        sel = step.keep_columnar(op, intermediate.columns, intermediate.live)
+        metrics.record(step.label(op), rows_in, len(sel), time.perf_counter() - start)
         return ColumnarIntermediate(
             intermediate.labels, intermediate.columns, intermediate.count, sel=sel
         )

@@ -15,11 +15,28 @@ paper: 2 000, 24 000, 12 000 000 for Q under A0).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal, Optional
+from typing import TYPE_CHECKING, Any, Literal, Optional, TypeVar
 
 from repro.access.constraint import AccessConstraint
 from repro.sql import ast
 from repro.sql.normalize import Attribute, ConjunctiveQuery
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.bounded.skeleton import PlanSkeleton
+
+_T = TypeVar("_T")
+
+
+def patched(instance: _T, **changes: Any) -> _T:
+    """``dataclasses.replace`` for the request path: a shallow copy of a
+    plain (unfrozen, slot-less) dataclass instance with some fields
+    swapped. It skips ``__init__`` and the field introspection, a fifth
+    of the cost, and carries every other attribute over as it is —
+    which is how a rebound plan keeps its template's skeleton slot."""
+    copy = object.__new__(type(instance))
+    copy.__dict__.update(instance.__dict__)
+    copy.__dict__.update(changes)
+    return copy
 
 
 @dataclass(frozen=True)
@@ -98,6 +115,17 @@ class SelectOp:
 PlanOp = FetchOp | SelectOp
 
 
+class SkeletonSlot:
+    """Where a plan keeps its compiled shape: one slot, shared by the plan
+    and every rebinding of it, filled by the first of them to execute
+    (:func:`repro.bounded.skeleton.skeleton_of`)."""
+
+    __slots__ = ("skeleton",)
+
+    def __init__(self) -> None:
+        self.skeleton: Optional["PlanSkeleton"] = None
+
+
 @dataclass
 class BoundedPlan:
     """A complete bounded plan for one SELECT block."""
@@ -109,6 +137,21 @@ class BoundedPlan:
     tight_access_bound: int
     output_bound: int  # bound on the final intermediate size
     constraints_used: list[AccessConstraint] = field(default_factory=list)
+    #: The plan's constant-free compiled shape. Derived state: it is not
+    #: part of the plan's value (``==``, ``repr``) and never crosses a
+    #: pickle boundary — a pool worker or replica compiles its own.
+    _shape: SkeletonSlot = field(
+        default_factory=SkeletonSlot, init=False, repr=False, compare=False
+    )
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_shape"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._shape = SkeletonSlot()
 
     @property
     def fetch_ops(self) -> list[FetchOp]:
@@ -117,24 +160,17 @@ class BoundedPlan:
     def rebound(
         self, ops: list[PlanOp], cq: ConjunctiveQuery
     ) -> "BoundedPlan":
-        """A copy of this plan with patched ops/cq and *identical* bounds.
+        """A copy of this plan with patched ops/cq, *identical* bounds and
+        the same skeleton slot.
 
         Used by constraint-preserving plan rebinding
         (:mod:`repro.bounded.rebind`): when a new binding keeps every
         equality class's constant arity, the §3 bound arithmetic —
-        ``access_bound``, ``tight_access_bound``, ``output_bound`` — is
-        unchanged by construction, so only the operator pipeline and the
-        canonical query carry new constants.
+        ``access_bound``, ``tight_access_bound``, ``output_bound`` — and
+        the plan's shape are unchanged by construction, so only the
+        operator pipeline and the canonical query carry new constants.
         """
-        return BoundedPlan(
-            cq=cq,
-            ops=ops,
-            bag_exact=self.bag_exact,
-            access_bound=self.access_bound,
-            tight_access_bound=self.tight_access_bound,
-            output_bound=self.output_bound,
-            constraints_used=self.constraints_used,
-        )
+        return patched(self, ops=ops, cq=cq)
 
     def describe(self) -> str:
         lines = [op.describe() for op in self.ops]

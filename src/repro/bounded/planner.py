@@ -98,10 +98,10 @@ def class_constant_map(
 
     ``selections`` defaults to ``cq.selections``; rebinding passes a
     patched copy with fresh constants to recompute the per-class tuples
-    for a new binding without re-running the planner. Distinct classes
-    never share a tuple object — the executor's key planner groups
-    constant key parts by tuple identity, so each class's parts must
-    share exactly one tuple.
+    for a new binding without re-running the planner. A class's tuple may
+    be the very object a selection holds (and so may be shared between
+    classes): the executor's key planner groups constant key parts by
+    class root, never by tuple identity.
     """
     if selections is None:
         selections = cq.selections

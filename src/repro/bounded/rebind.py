@@ -16,8 +16,8 @@ arity by patching the plan's constant key parts directly:
 
 * every ``fetch`` op's ``KeyPart(source="const")`` tuples,
 * every ``selection`` op's value tuple,
-* the canonical query's per-attribute selections (consumed by the tail
-  operators),
+* the canonical query's per-attribute selections (what makes the
+  rebound plan ``==`` to a freshly decided one),
 
 leaving the deduced bounds — and therefore budget feasibility — exactly
 as pinned. The executor then presents the same *number* of keys per
@@ -28,12 +28,16 @@ locks rebound-vs-fresh equality down to exact row order and per-fetch-op
 metrics, in the spirit of bag-semantics equivalence checking (Zhou et
 al., PAPERS.md).
 
-The rebind itself is built to be orders of magnitude cheaper than a
-checker run (``benchmarks/bench_rebind.py`` asserts >= 5x across a
+The rebind itself is built to be an order of magnitude cheaper than a
+checker run (``benchmarks/bench_rebind.py`` measures it across a
 binding stream): :func:`build_rebind_template` precomputes, once per
 (template, arity signature), which plan operators draw constants from
-which equality class and which classes each slot feeds, so a rebind
-only touches the classes the new binding actually changes.
+which equality class and which class each slot feeds, so a rebind only
+touches the classes the new binding actually changes — it re-derives
+their merged tuples, checks the arity guard and writes the tuples into
+shallow copies of the operators that read them. The rebound plan shares
+the pinned plan's compiled skeleton (:mod:`repro.bounded.skeleton`), so
+executing it re-derives nothing either.
 
 Guards — a rebind is refused (``None``; the caller falls back to a full
 BE Checker run) whenever the new binding could change the decision:
@@ -52,11 +56,10 @@ BE Checker run) whenever the new binding could change the decision:
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Mapping, Optional
 
 from repro.bounded.coverage import CoverageDecision
-from repro.bounded.plan import BoundedPlan, FetchOp, KeyPart
+from repro.bounded.plan import BoundedPlan, FetchOp, KeyPart, patched
 from repro.bounded.planner import class_constant_map, equality_classes
 from repro.sql.normalize import Attribute, ConjunctiveQuery
 
@@ -66,7 +69,25 @@ def _canonical_selection(values) -> tuple:
     (``sql.normalize._intersect_selection``): dedupe, then sort by
     (type name, value) so the rebound plan enumerates keys in the same
     order a fresh normalize would."""
+    if len(values) == 1:
+        return tuple(values)
     return tuple(sorted(set(values), key=lambda v: (str(type(v)), v)))
+
+
+class _ClassSlot:
+    """One equality class that carries constants: who contributes to its
+    merged constant tuple, the arity the decision was pinned at, and every
+    site of the pinned plan that reads the tuple."""
+
+    __slots__ = ("contributors", "arity", "fetch_sites", "select_sites")
+
+    def __init__(self, arity: int) -> None:
+        #: (slot name, selection attribute, the template's own values),
+        #: in ``cq.selections`` order — the order the merge intersects in
+        self.contributors: list[tuple[str, Attribute, tuple]] = []
+        self.arity = arity
+        self.fetch_sites: list[tuple[int, int]] = []  # (op index, key part index)
+        self.select_sites: list[int] = []  # op index
 
 
 class RebindTemplate:
@@ -76,19 +97,12 @@ class RebindTemplate:
     :func:`build_rebind_template`; every equal-signature binding then
     pays only the patch in :meth:`rebind` — no parse, no normalize, no
     plan search, and no work on equality classes the binding leaves
-    untouched.
+    untouched. What the pinned plan's first execution compiled (its
+    skeleton, :mod:`repro.bounded.skeleton`) travels with every rebound
+    plan, so an equal-signature binding re-derives nothing but constants.
     """
 
-    __slots__ = (
-        "decision",
-        "plan",
-        "pinned_classes",
-        "_sel_contributors",
-        "_roots_by_slot",
-        "_sel_attrs_by_root",
-        "_fetch_patches",
-        "_select_patches",
-    )
+    __slots__ = ("decision", "plan", "_class_of_slot")
 
     def __init__(self, decision: CoverageDecision):
         self.decision = decision
@@ -97,34 +111,28 @@ class RebindTemplate:
         self.plan: BoundedPlan = plan
         cq = plan.cq
         uf = equality_classes(cq)
-        self.pinned_classes = class_constant_map(cq, uf)
+        pinned = class_constant_map(cq, uf)
 
-        # per class root, the ordered contributors to its merged constant
-        # tuple: (slot name or None, the template's own value tuple)
-        self._sel_contributors: dict[Attribute, list[tuple[Optional[str], tuple]]] = {}
-        self._roots_by_slot: dict[str, set[Attribute]] = {}
-        self._sel_attrs_by_root: dict[Attribute, list[Attribute]] = {}
+        by_root: dict[Attribute, _ClassSlot] = {}
+        self._class_of_slot: dict[str, _ClassSlot] = {}
         for attr, values in cq.selections.items():
             root = uf.find(attr)
+            slot = by_root.get(root)
+            if slot is None:
+                slot = by_root[root] = _ClassSlot(len(pinned[root]))
             name = str(attr)
-            self._sel_contributors.setdefault(root, []).append((name, values))
-            self._roots_by_slot.setdefault(name, set()).add(root)
-            self._sel_attrs_by_root.setdefault(root, []).append(attr)
+            slot.contributors.append((name, attr, values))
+            self._class_of_slot[name] = slot
 
         # the patch plan: which ops draw constants from which class
-        self._fetch_patches: list[tuple[int, list[tuple[int, Attribute]]]] = []
-        self._select_patches: list[tuple[int, Attribute]] = []
         for index, op in enumerate(plan.ops):
             if isinstance(op, FetchOp):
-                const_parts = [
-                    (i, uf.find(Attribute(op.binding, part.attribute)))
-                    for i, part in enumerate(op.key_parts)
-                    if part.source == "const"
-                ]
-                if const_parts:
-                    self._fetch_patches.append((index, const_parts))
+                for i, part in enumerate(op.key_parts):
+                    if part.source == "const":
+                        root = uf.find(Attribute(op.binding, part.attribute))
+                        by_root[root].fetch_sites.append((index, i))
             elif op.kind == "selection":
-                self._select_patches.append((index, uf.find(op.column)))
+                by_root[uf.find(op.column)].select_sites.append(index)
 
     # ------------------------------------------------------------------ #
     def rebind(
@@ -138,67 +146,59 @@ class RebindTemplate:
         overridden keep the template's own constants.
         """
         # which equality classes does this binding actually touch?
-        affected: set[Attribute] = set()
+        touched: list[_ClassSlot] = []
         for name in overrides:
-            roots = self._roots_by_slot.get(name)
-            if roots is None:
+            slot = self._class_of_slot.get(name)
+            if slot is None:
                 return None  # unknown slot: shape mismatch, re-check
-            affected.update(roots)
-        if not affected:
+            if slot not in touched:
+                touched.append(slot)
+        if not touched:
             return self.decision  # the template's own constants
 
-        # re-derive the merged constants of the touched classes only;
-        # any merged-arity change would change the deduced bounds, so it
-        # forces a full re-check (the guard)
-        class_tuples: dict[Attribute, tuple] = {}
-        new_attr_values: dict[Attribute, tuple] = {}
-        for root in affected:
+        # Patch copies (untouched ops are shared). The copies keep every
+        # deduced bound, and the plan copy keeps the pinned plan's
+        # skeleton slot: what was compiled for one binding of this shape
+        # runs them all.
+        plan = self.plan
+        pinned_ops = plan.ops
+        new_ops = list(pinned_ops)
+        new_selections = dict(plan.cq.selections)
+        for slot in touched:
+            # re-derive the class's merged constants; a merged-arity
+            # change would change the deduced bounds, so it forces a full
+            # re-check (the guard)
             merged: Optional[tuple] = None
-            for attr, (name, template_values) in zip(
-                self._sel_attrs_by_root[root], self._sel_contributors[root]
-            ):
+            for name, attr, template_values in slot.contributors:
                 fresh = overrides.get(name)
                 values = (
                     _canonical_selection(fresh)
                     if fresh is not None
                     else template_values
                 )
-                new_attr_values[attr] = values
+                new_selections[attr] = values  # the canonical query's copy
                 if merged is None:
                     merged = values
                 else:
                     existing = set(merged)
                     merged = tuple(v for v in values if v in existing)
             assert merged is not None
-            if len(merged) != len(self.pinned_classes[root]):
+            if len(merged) != slot.arity:
                 return None  # merged arity changed: bounds would move
-            class_tuples[root] = merged
 
-        # patch the operator pipeline (untouched ops are shared)
-        plan = self.plan
-        new_ops = list(plan.ops)
-        for index, const_parts in self._fetch_patches:
-            op = plan.ops[index]
-            if not any(root in class_tuples for _, root in const_parts):
-                continue
-            parts = list(op.key_parts)
-            for i, root in const_parts:
-                values = class_tuples.get(root)
-                if values is not None:
-                    parts[i] = KeyPart(
-                        parts[i].attribute, "const", values=values
-                    )
-            new_ops[index] = replace(op, key_parts=parts)
-        for index, root in self._select_patches:
-            values = class_tuples.get(root)
-            if values is not None:
-                new_ops[index] = replace(plan.ops[index], values=values)
+            # fill the class's sites with the merged tuple
+            for index, part_index in slot.fetch_sites:
+                op = new_ops[index]
+                if op is pinned_ops[index]:
+                    op = new_ops[index] = patched(op, key_parts=list(op.key_parts))
+                op.key_parts[part_index] = KeyPart(
+                    op.key_parts[part_index].attribute, "const", None, merged
+                )
+            for index in slot.select_sites:
+                new_ops[index] = patched(pinned_ops[index], values=merged)
 
-        # patch the canonical query's selections (tail-operator input)
-        new_selections = dict(plan.cq.selections)
-        new_selections.update(new_attr_values)
-        new_cq = replace(plan.cq, selections=new_selections)
-        return replace(self.decision, plan=plan.rebound(new_ops, new_cq))
+        new_cq = patched(plan.cq, selections=new_selections)
+        return patched(self.decision, plan=plan.rebound(new_ops, new_cq))
 
 
 def build_rebind_template(

@@ -31,7 +31,7 @@ Soundness rules (hard refusals, never best-effort):
 * **NULL constants.** A summary containing a NULL constant in an
   IN-list or range slot is never judged a subset *or* superset of
   anything (UNKNOWN poisons containment in both directions — mirroring
-  the ``_KeyPlan`` const-combo skip in the bounded executor); the
+  the ``_KeyPlan`` const-combo skip in ``bounded.skeleton``); the
   summary is marked non-reusable at extraction time and the comparators
   guard again defensively.
 * **Incomparable constants.** Any ``TypeError`` while comparing bounds

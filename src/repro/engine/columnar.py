@@ -10,7 +10,7 @@ of per-row tuple construction and into per-column passes:
   the output column by column (no per-row tuple concatenation);
 * the tail operators (aggregate, sort, project, distinct, limit) consume
   the final intermediate in batches of ``rows_per_batch`` rows with
-  cross-batch accumulators (see ``engine.physical.ColumnarTailExecutor``).
+  cross-batch accumulators (see ``engine.physical.ColumnarTail``).
 
 Semantics are identical to the row executor by construction: predicate
 and expression fallbacks compile through the *same*
@@ -137,14 +137,16 @@ def gather(column: list, indices: Iterable[int]) -> list:
 # --------------------------------------------------------------------------- #
 # columnar expression evaluation
 # --------------------------------------------------------------------------- #
-def columnar_values(
+ColumnarValues = Callable[[list, Sequence[int]], list]
+"""``(columns, indices) -> one value per index`` for one expression."""
+
+
+def compile_columnar_values(
     expr: ast.Expression,
     layout: Mapping[object, int],
-    columns: list[list],
-    indices: Sequence[int],
     aggregate_values: Optional[Mapping[ast.FunctionCall, int]] = None,
-) -> list:
-    """Evaluate ``expr`` for each live index, returning one value list.
+) -> ColumnarValues:
+    """Compile ``expr`` to a per-batch evaluator under ``layout``.
 
     Plain column references and literals are gathered directly; every
     other shape falls back to the scalar compiler over materialised row
@@ -159,9 +161,10 @@ def columnar_values(
         position = aggregate_values.get(expr)
         if position is None:
             raise ExecutionError(f"aggregate {expr!r} was not computed")
-        return gather(columns[position], indices)
+        return lambda columns, indices: gather(columns[position], indices)
     if isinstance(expr, ast.Literal):
-        return [expr.value] * len(indices)
+        value = expr.value
+        return lambda columns, indices: [value] * len(indices)
     if isinstance(expr, ast.ColumnRef):
         label = Attribute(expr.table, expr.name) if expr.table else expr.name
         try:
@@ -170,9 +173,9 @@ def columnar_values(
             raise ExecutionError(
                 f"column {label} not present in row layout"
             ) from None
-        return gather(columns[position], indices)
+        return lambda columns, indices: gather(columns[position], indices)
     evaluator = compile_expression(expr, layout, aggregate_values)
-    return [
+    return lambda columns, indices: [
         evaluator(tuple(column[i] for column in columns)) for i in indices
     ]
 

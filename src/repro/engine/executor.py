@@ -124,17 +124,3 @@ class ConventionalEngine:
             for label in result.labels
         ]
         return QueryResult(columns=columns, rows=result.rows, metrics=metrics)
-
-    def execute_plan(self, plan: PlanNode) -> QueryResult:
-        """Execute an already-built logical plan (used by the BE optimizer)."""
-        metrics = ExecutionMetrics()
-        start = time.perf_counter()
-        executor = PhysicalExecutor(self.database, self.profile, metrics)
-        result = executor.run(plan)
-        metrics.seconds = time.perf_counter() - start
-        metrics.rows_output = len(result.rows)
-        columns = [
-            label if isinstance(label, str) else str(label)
-            for label in result.labels
-        ]
-        return QueryResult(columns=columns, rows=result.rows, metrics=metrics)

@@ -4,6 +4,13 @@ Everything is materialised (lists of row tuples) — predictable, easy to
 meter, and appropriate for an in-memory engine. Each operator records an
 :class:`~repro.engine.metrics.OperationCost` so the Fig.-3-style analyzer
 can break a query's cost down per operation.
+
+The tail operators (aggregate, sort, project, distinct, limit) come in one
+prepare-then-run form: preparing binds everything that depends on the plan
+and the input's labels (positions, compiled expressions), running reads
+rows. The conventional engine prepares and runs each back to back; a
+bounded plan's skeleton keeps the prepared tail (:class:`PreparedTail`,
+:class:`ColumnarTail`) and runs it once per request.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import compress
 from operator import itemgetter
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.errors import ExecutionError
 from repro.sql import ast
@@ -20,7 +27,8 @@ from repro.sql.normalize import Attribute
 from repro.storage.database import Database
 from repro.engine.columnar import (
     ColumnarIntermediate,
-    columnar_values,
+    _column_position,
+    compile_columnar_values,
     resolve_rows_per_batch,
 )
 from repro.engine.expressions import compile_expression, compile_predicate
@@ -115,31 +123,29 @@ class PhysicalExecutor:
     # ------------------------------------------------------------------ #
     def run(self, node: PlanNode) -> Intermediate:
         if self._profile.executor == "columnar":
-            chain = ColumnarTailExecutor.match(node)
+            chain = match_tail(node)
             if chain is not None:
                 child = self.run(chain.child)  # scans/joins stay row-wise
                 source = ColumnarIntermediate.from_rows(child.labels, child.rows)
-                tail = ColumnarTailExecutor(
+                return ColumnarTail(chain, child.labels).run(
+                    source,
                     self._metrics,
                     resolve_rows_per_batch(self._profile.rows_per_batch or None),
                 )
-                return tail.run(chain, source)
+        prepare = _TAIL_OPERATORS.get(type(node))
+        if prepare is not None:
+            # the conventional engine plans per query, so its tail operators
+            # are prepared and run back to back; a bounded plan's skeleton
+            # keeps the prepared form (``prepare_tail``) across requests
+            child = self.run(node.child)
+            labels, run = prepare(node, child.labels)
+            return Intermediate(labels, run(child.rows, self._metrics))
         if isinstance(node, ScanNode):
             return self._scan(node)
         if isinstance(node, FilterNode):
             return self._filter(node)
         if isinstance(node, JoinNode):
             return self._join(node)
-        if isinstance(node, AggregateNode):
-            return self._aggregate(node)
-        if isinstance(node, ProjectNode):
-            return self._project(node)
-        if isinstance(node, DistinctNode):
-            return self._distinct(node)
-        if isinstance(node, SortNode):
-            return self._sort(node)
-        if isinstance(node, LimitNode):
-            return self._limit(node)
         if isinstance(node, SetOpNode):
             return self._set_op(node)
         if isinstance(node, MaterializedNode):
@@ -337,153 +343,6 @@ class PhysicalExecutor:
         return out
 
     # ------------------------------------------------------------------ #
-    def _aggregate(self, node: AggregateNode) -> Intermediate:
-        child = self.run(node.child)
-        start = time.perf_counter()
-        group_positions = [child.layout[attr] for attr in node.group_by]
-
-        groups: dict[tuple, list[Row]] = {}
-        if group_positions:
-            for row in child.rows:
-                key = tuple(row[i] for i in group_positions)
-                groups.setdefault(key, []).append(row)
-        else:
-            groups[()] = list(child.rows)  # scalar aggregate: one (maybe empty) group
-
-        labels: list[object] = list(node.group_by) + list(node.calls)
-        evaluators = [
-            self._compile_aggregate(call, child.layout) for call in node.calls
-        ]
-        rows: list[Row] = []
-        for key, members in groups.items():
-            values = tuple(evaluate(members) for evaluate in evaluators)
-            rows.append(key + values)
-
-        result = Intermediate(labels, rows)
-        if node.having is not None:
-            aggregate_values = {
-                call: result.layout[call] for call in node.calls
-            }
-            predicate = compile_predicate(
-                node.having, result.layout, aggregate_values
-            )
-            result = Intermediate(labels, [r for r in result.rows if predicate(r)])
-        self._metrics.record(
-            "aggregate", len(child.rows), len(result.rows), time.perf_counter() - start
-        )
-        return result
-
-    @staticmethod
-    def _compile_aggregate(call: ast.FunctionCall, layout: dict[object, int]):
-        """Return ``rows -> aggregate value`` for one call."""
-        if call.name == "COUNT" and isinstance(call.args[0], ast.Star):
-            if call.distinct:
-                return lambda rows: len({tuple(r) for r in rows})
-            return lambda rows: len(rows)
-
-        argument = compile_expression(call.args[0], layout)
-
-        def non_null(rows: list[Row]):
-            for row in rows:
-                value = argument(row)
-                if value is not None:
-                    yield value
-
-        name = call.name
-        distinct = call.distinct
-        if name == "COUNT":
-            if distinct:
-                return lambda rows: len(set(non_null(rows)))
-            return lambda rows: sum(1 for _ in non_null(rows))
-        if name == "SUM":
-            def agg_sum(rows: list[Row]):
-                values = set(non_null(rows)) if distinct else list(non_null(rows))
-                return sum(values) if values else None
-            return agg_sum
-        if name == "AVG":
-            def agg_avg(rows: list[Row]):
-                values = (
-                    list(set(non_null(rows))) if distinct else list(non_null(rows))
-                )
-                return sum(values) / len(values) if values else None
-            return agg_avg
-        if name == "MIN":
-            def agg_min(rows: list[Row]):
-                values = list(non_null(rows))
-                return min(values) if values else None
-            return agg_min
-        if name == "MAX":
-            def agg_max(rows: list[Row]):
-                values = list(non_null(rows))
-                return max(values) if values else None
-            return agg_max
-        raise ExecutionError(f"unsupported aggregate {name}")  # pragma: no cover
-
-    # ------------------------------------------------------------------ #
-    def _project(self, node: ProjectNode) -> Intermediate:
-        child = self.run(node.child)
-        start = time.perf_counter()
-        aggregate_values = {
-            label: index
-            for label, index in child.layout.items()
-            if isinstance(label, ast.FunctionCall)
-        }
-        evaluators = [
-            compile_expression(item.expression, child.layout, aggregate_values)
-            for item in node.items
-        ]
-        labels: list[object] = [item.name for item in node.items]
-        rows = [tuple(e(row) for e in evaluators) for row in child.rows]
-        self._metrics.record(
-            "project", len(child.rows), len(rows), time.perf_counter() - start
-        )
-        return Intermediate(labels, rows)
-
-    def _distinct(self, node: DistinctNode) -> Intermediate:
-        child = self.run(node.child)
-        start = time.perf_counter()
-        seen: set[Row] = set()
-        rows: list[Row] = []
-        for row in child.rows:
-            if row not in seen:
-                seen.add(row)
-                rows.append(row)
-        self._metrics.record(
-            "distinct", len(child.rows), len(rows), time.perf_counter() - start
-        )
-        return Intermediate(child.labels, rows)
-
-    def _sort(self, node: SortNode) -> Intermediate:
-        child = self.run(node.child)
-        start = time.perf_counter()
-        aggregate_values = {
-            label: index
-            for label, index in child.layout.items()
-            if isinstance(label, ast.FunctionCall)
-        }
-        rows = list(child.rows)
-        # stable sorts applied last-key-first
-        for order in reversed(node.order_by):
-            evaluator = compile_expression(
-                order.expression, child.layout, aggregate_values
-            )
-            rows.sort(
-                key=lambda row: _sort_key(evaluator(row)),
-                reverse=not order.ascending,
-            )
-        self._metrics.record(
-            "sort", len(child.rows), len(rows), time.perf_counter() - start
-        )
-        return Intermediate(child.labels, rows)
-
-    def _limit(self, node: LimitNode) -> Intermediate:
-        child = self.run(node.child)
-        offset = node.offset or 0
-        end = offset + node.limit if node.limit is not None else None
-        rows = child.rows[offset:end]
-        self._metrics.record("limit", len(child.rows), len(rows), 0.0)
-        return Intermediate(child.labels, rows)
-
     def _set_op(self, node: SetOpNode) -> Intermediate:
         left = self.run(node.left)
         right = self.run(node.right)
@@ -535,6 +394,221 @@ class PhysicalExecutor:
         return Intermediate(left.labels, rows)
 
 
+# --------------------------------------------------------------------------- #
+# row tail operators: prepared once against their input labels, run many times
+# --------------------------------------------------------------------------- #
+#: ``(rows, metrics) -> rows`` — one prepared tail operator. Everything that
+#: depends on the plan and the input's labels alone (positions, compiled
+#: expressions) is bound when it is prepared; a run reads its rows, records
+#: its :class:`~repro.engine.metrics.OperationCost` and holds no state, so
+#: one prepared operator serves concurrent requests.
+TailRun = Callable[[list[Row], ExecutionMetrics], list[Row]]
+
+
+def _layout_of(labels: Sequence[object]) -> dict[object, int]:
+    return {label: i for i, label in enumerate(labels)}
+
+
+def _aggregate_positions(layout: dict[object, int]) -> dict[object, int]:
+    """Where an Aggregate operator below left each call's value."""
+    return {
+        label: index
+        for label, index in layout.items()
+        if isinstance(label, ast.FunctionCall)
+    }
+
+
+def _prepare_aggregate(
+    node: AggregateNode, labels: Sequence[object]
+) -> tuple[list[object], TailRun]:
+    layout = _layout_of(labels)
+    group_positions = [layout[attr] for attr in node.group_by]
+    evaluators = [_compile_aggregate(call, layout) for call in node.calls]
+    out_labels: list[object] = list(node.group_by) + list(node.calls)
+    having = None
+    if node.having is not None:
+        out_layout = _layout_of(out_labels)
+        having = compile_predicate(
+            node.having, out_layout, {call: out_layout[call] for call in node.calls}
+        )
+
+    def run(rows: list[Row], metrics: ExecutionMetrics) -> list[Row]:
+        start = time.perf_counter()
+        groups: dict[tuple, list[Row]] = {}
+        if group_positions:
+            for key, row in zip(_tuples(rows, group_positions), rows):
+                groups.setdefault(key, []).append(row)
+        else:
+            groups[()] = list(rows)  # scalar aggregate: one (maybe empty) group
+        out = [
+            key + tuple(evaluate(members) for evaluate in evaluators)
+            for key, members in groups.items()
+        ]
+        if having is not None:
+            out = [row for row in out if having(row)]
+        metrics.record("aggregate", len(rows), len(out), time.perf_counter() - start)
+        return out
+
+    return out_labels, run
+
+
+def _compile_aggregate(call: ast.FunctionCall, layout: dict[object, int]):
+    """Return ``rows -> aggregate value`` for one call."""
+    if call.name == "COUNT" and isinstance(call.args[0], ast.Star):
+        if call.distinct:
+            return lambda rows: len({tuple(r) for r in rows})
+        return lambda rows: len(rows)
+
+    argument = compile_expression(call.args[0], layout)
+
+    def non_null(rows: list[Row]):
+        for row in rows:
+            value = argument(row)
+            if value is not None:
+                yield value
+
+    name = call.name
+    distinct = call.distinct
+    if name == "COUNT":
+        if distinct:
+            return lambda rows: len(set(non_null(rows)))
+        return lambda rows: sum(1 for _ in non_null(rows))
+    if name == "SUM":
+        def agg_sum(rows: list[Row]):
+            values = set(non_null(rows)) if distinct else list(non_null(rows))
+            return sum(values) if values else None
+        return agg_sum
+    if name == "AVG":
+        def agg_avg(rows: list[Row]):
+            values = (
+                list(set(non_null(rows))) if distinct else list(non_null(rows))
+            )
+            return sum(values) / len(values) if values else None
+        return agg_avg
+    if name == "MIN":
+        def agg_min(rows: list[Row]):
+            values = list(non_null(rows))
+            return min(values) if values else None
+        return agg_min
+    if name == "MAX":
+        def agg_max(rows: list[Row]):
+            values = list(non_null(rows))
+            return max(values) if values else None
+        return agg_max
+    raise ExecutionError(f"unsupported aggregate {name}")  # pragma: no cover
+
+
+def _prepare_sort(
+    node: SortNode, labels: Sequence[object]
+) -> tuple[list[object], TailRun]:
+    layout = _layout_of(labels)
+    aggregate_values = _aggregate_positions(layout)
+    # stable sorts applied last-key-first
+    passes = [
+        (
+            compile_expression(order.expression, layout, aggregate_values),
+            not order.ascending,
+        )
+        for order in reversed(node.order_by)
+    ]
+
+    def run(rows: list[Row], metrics: ExecutionMetrics) -> list[Row]:
+        start = time.perf_counter()
+        out = list(rows)
+        for evaluator, descending in passes:
+            out.sort(key=lambda row: _sort_key(evaluator(row)), reverse=descending)
+        metrics.record("sort", len(rows), len(out), time.perf_counter() - start)
+        return out
+
+    return list(labels), run
+
+
+def _prepare_project(
+    node: ProjectNode, labels: Sequence[object]
+) -> tuple[list[object], TailRun]:
+    layout = _layout_of(labels)
+    # an all-plain projection (the common case) moves columns without a
+    # call per cell; ``_tuples`` keeps the cell objects, as ``row[i]`` does
+    positions = [_column_position(item.expression, layout) for item in node.items]
+    evaluators = None
+    if None in positions:
+        aggregate_values = _aggregate_positions(layout)
+        evaluators = [
+            compile_expression(item.expression, layout, aggregate_values)
+            for item in node.items
+        ]
+
+    def run(rows: list[Row], metrics: ExecutionMetrics) -> list[Row]:
+        start = time.perf_counter()
+        if evaluators is None:
+            out = list(_tuples(rows, positions))
+        else:
+            out = [tuple(e(row) for e in evaluators) for row in rows]
+        metrics.record("project", len(rows), len(out), time.perf_counter() - start)
+        return out
+
+    return [item.name for item in node.items], run
+
+
+def _prepare_distinct(
+    node: DistinctNode, labels: Sequence[object]
+) -> tuple[list[object], TailRun]:
+    def run(rows: list[Row], metrics: ExecutionMetrics) -> list[Row]:
+        start = time.perf_counter()
+        out = _dedupe(rows)
+        metrics.record("distinct", len(rows), len(out), time.perf_counter() - start)
+        return out
+
+    return list(labels), run
+
+
+def _prepare_limit(
+    node: LimitNode, labels: Sequence[object]
+) -> tuple[list[object], TailRun]:
+    offset = node.offset or 0
+    end = offset + node.limit if node.limit is not None else None
+
+    def run(rows: list[Row], metrics: ExecutionMetrics) -> list[Row]:
+        out = rows[offset:end]
+        metrics.record("limit", len(rows), len(out), 0.0)
+        return out
+
+    return list(labels), run
+
+
+#: node type -> ``(node, input labels) -> (output labels, TailRun)``
+_TAIL_OPERATORS: dict[type, Callable[[Any, Sequence[object]], tuple[list[object], TailRun]]] = {
+    AggregateNode: _prepare_aggregate,
+    SortNode: _prepare_sort,
+    ProjectNode: _prepare_project,
+    DistinctNode: _prepare_distinct,
+    LimitNode: _prepare_limit,
+}
+
+
+class PreparedTail:
+    """The tail operators ``attach_tail`` put above ``leaf``, prepared in
+    execution order against ``leaf``'s labels: what a bounded plan's
+    skeleton keeps, so that a request pays for running its tail only."""
+
+    def __init__(self, root: PlanNode, leaf: MaterializedNode):
+        nodes = []
+        while root is not leaf:
+            nodes.append(root)
+            root = root.child
+        labels: list[object] = list(leaf.labels)
+        self._runs: list[TailRun] = []
+        for node in reversed(nodes):
+            labels, run = _TAIL_OPERATORS[type(node)](node, labels)
+            self._runs.append(run)
+        self.labels = labels
+
+    def run(self, rows: list[Row], metrics: ExecutionMetrics) -> Intermediate:
+        for run in self._runs:
+            rows = run(rows, metrics)
+        return Intermediate(self.labels, rows)
+
+
 @dataclass
 class _TailChain:
     """The canonical tail shape ``attach_tail`` produces, root to leaf:
@@ -548,8 +622,37 @@ class _TailChain:
     child: PlanNode
 
 
-class ColumnarTailExecutor:
-    """Batch-aware tail operators over a :class:`ColumnarIntermediate`.
+def match_tail(node: PlanNode) -> Optional[_TailChain]:
+    """Recognise the canonical tail chain; None -> run row-wise."""
+    limit = distinct = sort = aggregate = None
+    if isinstance(node, LimitNode):
+        limit = node
+        node = node.child
+    if isinstance(node, DistinctNode):
+        distinct = node
+        node = node.child
+    if not isinstance(node, ProjectNode):
+        return None
+    project = node
+    node = node.child
+    if isinstance(node, SortNode):
+        sort = node
+        node = node.child
+    if isinstance(node, AggregateNode):
+        aggregate = node
+        node = node.child
+    return _TailChain(limit, distinct, project, sort, aggregate, node)
+
+
+def _row_tuples(columns: list[list], indices: Sequence[int]) -> list[Row]:
+    return [tuple(column[i] for column in columns) for i in indices]
+
+
+class ColumnarTail:
+    """Batch-aware tail operators over a :class:`ColumnarIntermediate`,
+    prepared once against the labels of the intermediate they will read
+    (the columnar counterpart of :class:`PreparedTail`; a run keeps its
+    state in locals, so one instance serves concurrent requests).
 
     The tail is consumed in batches of ``rows_per_batch`` live rows:
     aggregation folds batch streams into per-group accumulators, DISTINCT
@@ -559,64 +662,94 @@ class ColumnarTailExecutor:
     compare across modes; only ``ExecutionMetrics.batches`` is new.
     """
 
-    def __init__(self, metrics: ExecutionMetrics, rows_per_batch: int):
-        self._metrics = metrics
-        self.rows_per_batch = rows_per_batch
-        metrics.rows_per_batch = rows_per_batch
-
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def match(node: PlanNode) -> Optional[_TailChain]:
-        """Recognise the canonical tail chain; None -> run row-wise."""
-        limit = distinct = sort = aggregate = None
-        if isinstance(node, LimitNode):
-            limit = node
-            node = node.child
-        if isinstance(node, DistinctNode):
-            distinct = node
-            node = node.child
-        if not isinstance(node, ProjectNode):
-            return None
-        project = node
-        node = node.child
-        if isinstance(node, SortNode):
-            sort = node
-            node = node.child
-        if isinstance(node, AggregateNode):
-            aggregate = node
-            node = node.child
-        return _TailChain(limit, distinct, project, sort, aggregate, node)
-
-    # ------------------------------------------------------------------ #
-    def run(self, chain: _TailChain, source: ColumnarIntermediate) -> Intermediate:
+    def __init__(self, chain: _TailChain, labels: Sequence[object]):
+        labels = list(labels)
+        self._aggregate: Optional[tuple] = None
         if chain.aggregate is not None:
-            source = self._aggregate(chain.aggregate, source)
-        if chain.sort is not None:
-            source = self._sort(chain.sort, source)
-        labels: list[object] = [item.name for item in chain.project.items]
-        rows = self._stream(chain, source)
-        return Intermediate(labels, rows)
+            node = chain.aggregate
+            layout = _layout_of(labels)
+            accumulators = [_columnar_accumulator(call) for call in node.calls]
+            labels = list(node.group_by) + list(node.calls)
+            having = None
+            if node.having is not None:
+                out_layout = _layout_of(labels)
+                having = compile_predicate(
+                    node.having,
+                    out_layout,
+                    {call: out_layout[call] for call in node.calls},
+                )
+            self._aggregate = (
+                [layout[attr] for attr in node.group_by],
+                [(make, update, finalize) for make, update, finalize, _ in accumulators],
+                # per accumulator, what it is fed per batch: nothing
+                # (COUNT(*)), whole rows (COUNT(DISTINCT *)), or its argument
+                [
+                    None
+                    if mode == "count_star"
+                    else _row_tuples
+                    if mode == "row"
+                    else compile_columnar_values(mode, layout)
+                    for _, _, _, mode in accumulators
+                ],
+                labels,
+                having,
+            )
+        layout = _layout_of(labels)
+        aggregate_values = _aggregate_positions(layout)
+        # stable sorts applied last-key-first, exactly like the row operator
+        self._sort_passes = [
+            (
+                compile_columnar_values(order.expression, layout, aggregate_values),
+                not order.ascending,
+            )
+            for order in reversed(chain.sort.order_by if chain.sort is not None else ())
+        ]
+        self._sorted = chain.sort is not None
+        # per output column: the position it copies, or its compiled expression
+        self._outputs: list = []
+        for item in chain.project.items:
+            position = _column_position(item.expression, layout)
+            self._outputs.append(
+                position
+                if position is not None
+                else compile_columnar_values(item.expression, layout, aggregate_values)
+            )
+        self._distinct = chain.distinct is not None
+        self._limited = chain.limit is not None
+        self._offset = (chain.limit.offset or 0) if chain.limit is not None else 0
+        self._end: Optional[int] = None
+        if chain.limit is not None and chain.limit.limit is not None:
+            self._end = self._offset + chain.limit.limit
+        self.labels: list[object] = [item.name for item in chain.project.items]
 
     # ------------------------------------------------------------------ #
-    def _aggregate(
-        self, node: AggregateNode, inter: ColumnarIntermediate
+    def run(
+        self,
+        source: ColumnarIntermediate,
+        metrics: ExecutionMetrics,
+        rows_per_batch: int,
+    ) -> Intermediate:
+        metrics.rows_per_batch = rows_per_batch
+        if self._aggregate is not None:
+            source = self._run_aggregate(source, metrics, rows_per_batch)
+        if self._sorted:
+            source = self._run_sort(source, metrics)
+        return Intermediate(self.labels, self._stream(source, metrics, rows_per_batch))
+
+    # ------------------------------------------------------------------ #
+    def _run_aggregate(
+        self, inter: ColumnarIntermediate, metrics: ExecutionMetrics, rows_per_batch: int
     ) -> ColumnarIntermediate:
         start = time.perf_counter()
-        layout = inter.layout
-        group_positions = [layout[attr] for attr in node.group_by]
-        factories = [
-            _columnar_accumulator(call, layout) for call in node.calls
-        ]
+        group_positions, accumulators, feeds, labels, having = self._aggregate
         groups: dict[tuple, list] = {}
         rows_in = 0
 
         # fast path: grouped COUNT(*) folds to a pure counting pass
-        counting_only = bool(group_positions) and all(
-            mode == "count_star" for _, _, _, mode in factories
-        )
+        counting_only = bool(group_positions) and all(feed is None for feed in feeds)
 
-        for batch in inter.iter_batches(self.rows_per_batch):
-            self._metrics.batches += 1
+        for batch in inter.iter_batches(rows_per_batch):
+            metrics.batches += 1
             rows_in += len(batch)
             if group_positions:
                 group_columns = [
@@ -629,29 +762,18 @@ class ColumnarTailExecutor:
                 for key in keys:
                     states = groups.get(key)
                     if states is None:
-                        groups[key] = [[1] for _ in factories]
+                        groups[key] = [[1] for _ in accumulators]
                     else:
                         for state in states:
                             state[0] += 1
                 continue
-            value_lists = []
-            for _, _, _, mode in factories:
-                if mode == "count_star":
-                    value_lists.append(None)
-                elif mode == "row":
-                    value_lists.append(
-                        [
-                            tuple(column[i] for column in inter.columns)
-                            for i in batch
-                        ]
-                    )
-                else:
-                    value_lists.append(
-                        columnar_values(mode, layout, inter.columns, batch)
-                    )
-            if len(factories) == 1:
+            value_lists = [
+                feed(inter.columns, batch) if feed is not None else None
+                for feed in feeds
+            ]
+            if len(accumulators) == 1:
                 # hoisted single-aggregate loop (no per-row zip dispatch)
-                make, update = factories[0][0], factories[0][1]
+                make, update, _ = accumulators[0]
                 values = value_lists[0]
                 for j, key in enumerate(keys):
                     states = groups.get(key)
@@ -663,122 +785,71 @@ class ColumnarTailExecutor:
             for j, key in enumerate(keys):
                 states = groups.get(key)
                 if states is None:
-                    states = [make() for make, _, _, _ in factories]
+                    states = [make() for make, _, _ in accumulators]
                     groups[key] = states
-                for state, (_, update, _, _), values in zip(
-                    states, factories, value_lists
+                for state, (_, update, _), values in zip(
+                    states, accumulators, value_lists
                 ):
                     update(state, values[j] if values is not None else None)
 
         if not group_positions and not groups:
             # scalar aggregate over no rows still yields one group
-            groups[()] = [make() for make, _, _, _ in factories]
+            groups[()] = [make() for make, _, _ in accumulators]
 
-        labels: list[object] = list(node.group_by) + list(node.calls)
         rows = [
             key
             + tuple(
                 finalize(state)
-                for state, (_, _, finalize, _) in zip(states, factories)
+                for state, (_, _, finalize) in zip(states, accumulators)
             )
             for key, states in groups.items()
         ]
-        result = ColumnarIntermediate.from_rows(labels, rows)
-        if node.having is not None:
-            aggregate_values = {
-                call: result.layout[call] for call in node.calls
-            }
-            predicate = compile_predicate(
-                node.having, result.layout, aggregate_values
-            )
-            rows = [row for row in rows if predicate(row)]
-            result = ColumnarIntermediate.from_rows(labels, rows)
-        self._metrics.record(
-            "aggregate", rows_in, len(rows), time.perf_counter() - start
-        )
-        return result
+        if having is not None:
+            rows = [row for row in rows if having(row)]
+        metrics.record("aggregate", rows_in, len(rows), time.perf_counter() - start)
+        return ColumnarIntermediate.from_rows(labels, rows)
 
     # ------------------------------------------------------------------ #
-    def _sort(
-        self, node: SortNode, inter: ColumnarIntermediate
+    def _run_sort(
+        self, inter: ColumnarIntermediate, metrics: ExecutionMetrics
     ) -> ColumnarIntermediate:
         start = time.perf_counter()
-        layout = inter.layout
-        aggregate_values = {
-            label: index
-            for label, index in layout.items()
-            if isinstance(label, ast.FunctionCall)
-        }
         indices = list(inter.live)
-        # stable sorts applied last-key-first, exactly like the row operator
-        for order in reversed(node.order_by):
-            values = columnar_values(
-                order.expression, layout, inter.columns, indices, aggregate_values
-            )
+        for values_of, descending in self._sort_passes:
+            values = values_of(inter.columns, indices)
             ranks = sorted(
                 range(len(indices)),
                 key=lambda k: _sort_key(values[k]),
-                reverse=not order.ascending,
+                reverse=descending,
             )
             indices = [indices[k] for k in ranks]
-        self._metrics.record(
-            "sort", len(indices), len(indices), time.perf_counter() - start
-        )
+        metrics.record("sort", len(indices), len(indices), time.perf_counter() - start)
         return ColumnarIntermediate(
             inter.labels, inter.columns, inter.count, sel=indices
         )
 
     # ------------------------------------------------------------------ #
-    def _stream(self, chain: _TailChain, inter: ColumnarIntermediate) -> list[Row]:
+    def _stream(
+        self, inter: ColumnarIntermediate, metrics: ExecutionMetrics, rows_per_batch: int
+    ) -> list[Row]:
         """Project -> distinct -> limit over the batch stream, with an
         early stop once LIMIT is satisfied mid-batch."""
-        start = time.perf_counter()
-        layout = inter.layout
-        aggregate_values = {
-            label: index
-            for label, index in layout.items()
-            if isinstance(label, ast.FunctionCall)
-        }
-        items = chain.project.items
-        plain_positions: list[Optional[int]] = []
-        for item in items:
-            expr = item.expression
-            if isinstance(expr, ast.ColumnRef):
-                label = (
-                    Attribute(expr.table, expr.name) if expr.table else expr.name
-                )
-                plain_positions.append(layout.get(label))
-            else:
-                plain_positions.append(None)
-
-        offset = chain.limit.offset or 0 if chain.limit is not None else 0
-        end: Optional[int] = None
-        if chain.limit is not None and chain.limit.limit is not None:
-            end = offset + chain.limit.limit
-
-        seen: Optional[set] = set() if chain.distinct is not None else None
+        offset, end = self._offset, self._end
+        seen: Optional[set] = set() if self._distinct else None
         out_rows: list[Row] = []
         project_in = project_out = distinct_out = position = 0
         project_seconds = distinct_seconds = 0.0
         stop = False
 
-        for batch in inter.iter_batches(self.rows_per_batch):
-            self._metrics.batches += 1
+        for batch in inter.iter_batches(rows_per_batch):
+            metrics.batches += 1
             project_in += len(batch)
             stage_start = time.perf_counter()
-            columns = [
-                inter.columns[position_fast]
-                if position_fast is not None
-                else None
-                for position_fast in plain_positions
-            ]
             gathered = [
-                [column[i] for i in batch]
-                if column is not None
-                else columnar_values(
-                    item.expression, layout, inter.columns, batch, aggregate_values
-                )
-                for column, item in zip(columns, items)
+                [inter.columns[output][i] for i in batch]
+                if isinstance(output, int)
+                else output(inter.columns, batch)
+                for output in self._outputs
             ]
             rows: list[Row] = list(zip(*gathered)) if gathered else [()] * len(batch)
             project_out += len(rows)
@@ -795,7 +866,7 @@ class ColumnarTailExecutor:
                 distinct_out += len(rows)
                 distinct_seconds += time.perf_counter() - stage_start
 
-            if chain.limit is not None:
+            if self._limited:
                 for row in rows:
                     if end is not None and position >= end:
                         stop = True
@@ -808,18 +879,16 @@ class ColumnarTailExecutor:
             else:
                 out_rows.extend(rows)
 
-        self._metrics.record("project", project_in, project_out, project_seconds)
-        if chain.distinct is not None:
-            self._metrics.record(
-                "distinct", project_out, distinct_out, distinct_seconds
-            )
-        if chain.limit is not None:
-            limit_in = distinct_out if chain.distinct is not None else project_out
-            self._metrics.record("limit", limit_in, len(out_rows), 0.0)
+        metrics.record("project", project_in, project_out, project_seconds)
+        if self._distinct:
+            metrics.record("distinct", project_out, distinct_out, distinct_seconds)
+        if self._limited:
+            limit_in = distinct_out if self._distinct else project_out
+            metrics.record("limit", limit_in, len(out_rows), 0.0)
         return out_rows
 
 
-def _columnar_accumulator(call: ast.FunctionCall, layout: dict[object, int]):
+def _columnar_accumulator(call: ast.FunctionCall):
     """Streaming accumulator for one aggregate call.
 
     Returns ``(make, update, finalize, mode)`` where ``mode`` selects the
@@ -827,7 +896,7 @@ def _columnar_accumulator(call: ast.FunctionCall, layout: dict[object, int]):
     counting fast path), ``"row"`` (full row tuples, for
     ``COUNT(DISTINCT *)``), or the argument expression itself. Finalised
     values match
-    :meth:`PhysicalExecutor._compile_aggregate` exactly — same NULL
+    :func:`_compile_aggregate` exactly — same NULL
     handling and the same accumulation order for float sums.
     """
     if call.name == "COUNT" and isinstance(call.args[0], ast.Star):

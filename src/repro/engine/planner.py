@@ -213,10 +213,12 @@ def attach_tail(
 ) -> PlanNode:
     """Append the aggregation / sort / project / distinct / limit tail.
 
-    Shared between the conventional planner and the BE Plan Executor
-    (which feeds a :class:`MaterializedNode` of fetched rows into the same
-    tail). ``force_distinct`` makes the output set-semantic even when the
-    query lacks DISTINCT (bounded plans that are not bag-exact).
+    Shared between the conventional planner and a bounded plan's
+    skeleton (``bounded.skeleton``: the same tail over a
+    :class:`MaterializedNode` leaf that stands for the fetched rows,
+    attached and prepared once per plan shape). ``force_distinct`` makes
+    the output set-semantic even when the query lacks DISTINCT (bounded
+    plans that are not bag-exact).
     """
     if cq.has_aggregates or cq.group_by:
         node = AggregateNode(node, list(cq.group_by), aggregate_calls_of(cq), cq.having)

@@ -111,7 +111,7 @@ class FetchChunkSpec:
 
     A slot indexes the column list the kernel is handed — the full
     intermediate's columns in-process, or the compact wire columns on a
-    worker. Built by ``bounded.executor._KeyPlan``; the enumeration
+    worker. Built by ``bounded.skeleton._KeyPlan``; the enumeration
     semantics (constant groups, NULL-key skipping, Y-consistency) are
     identical in both placements because this is the single
     implementation.

@@ -130,6 +130,8 @@ def canonical_values(value: Any) -> tuple:
             raise ServingError(
                 "NULL is not a valid parameter value (x = NULL never holds)"
             )
+    if len(values) == 1:
+        return values
     return tuple(sorted(set(values), key=lambda v: (str(type(v)), repr(v))))
 
 
@@ -224,7 +226,9 @@ def substitute(
 
 
 def binding_signature(overrides: Mapping[str, tuple]) -> tuple:
-    """A hashable, order-independent key for one set of resolved overrides."""
+    """A hashable, order-independent key for one set of resolved overrides:
+    its items, sorted by slot name. The binding's fingerprint and its
+    :func:`rebind_signature` are both derived from this one sort."""
     return tuple(sorted(overrides.items()))
 
 
@@ -241,9 +245,14 @@ def rebind_signature(overrides: Mapping[str, tuple]) -> tuple:
     overrides outright (``x = NULL`` never holds), so a NULL-bearing
     binding cannot reach the rebind path at all.
     """
+    return signature_shape(binding_signature(overrides))
+
+
+def signature_shape(signature: tuple) -> tuple:
+    """:func:`rebind_signature` of an already sorted :func:`binding_signature`."""
     return tuple(
         (name, len(values), tuple(type(v).__name__ for v in values))
-        for name, values in sorted(overrides.items())
+        for name, values in signature
     )
 
 

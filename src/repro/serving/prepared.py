@@ -24,8 +24,8 @@ from repro.serving.params import (
     ParameterSlot,
     binding_signature,
     extract_slots,
-    rebind_signature,
     resolve_overrides,
+    signature_shape,
     substitute,
 )
 
@@ -38,20 +38,19 @@ if TYPE_CHECKING:  # pragma: no cover
 _BINDING_CACHE_LIMIT = 64
 
 
-def binding_fingerprint(template_fingerprint: str, resolved: Mapping) -> str:
+def binding_fingerprint(template_fingerprint: str, signature: tuple) -> str:
     """A stable fingerprint for (template, canonical overrides).
 
-    Derived from the template's canonical fingerprint plus the resolved
-    overrides (already deduped/sorted by ``canonical_values``), so it is
+    Derived from the template's canonical fingerprint plus the binding's
+    :func:`~repro.serving.params.binding_signature` (resolved overrides,
+    deduped/sorted by ``canonical_values``, in slot-name order), so it is
     computed in microseconds — without substituting and canonically
     re-printing the bound AST. The same bound query arriving as raw SQL
     text hashes under its own statement fingerprint instead; per
     ``sql.fingerprint``'s doctrine, a missed equivalence costs a cache
     miss, never a wrong answer.
     """
-    preimage = (
-        template_fingerprint + "|" + repr(tuple(sorted(resolved.items())))
-    )
+    preimage = template_fingerprint + "|" + repr(signature)
     return hashlib.sha256(preimage.encode("utf-8")).hexdigest()
 
 
@@ -164,23 +163,23 @@ class PreparedQuery:
             return self._template_binding
         schema = self._server.database.schema
         resolved = resolve_overrides(params, self.slots, self.statement, schema)
-        memo_key = binding_signature(resolved)
+        # sorted once: memo key, fingerprint and arity signature all
+        # derive from it
+        signature = binding_signature(resolved)
         with self._bindings_lock:
-            cached = self._bindings.get(memo_key)
-            if cached is not None:
-                self._bindings.move_to_end(memo_key)
-                return cached
-        bound = PreparedBinding(
-            statement=None,  # substituted lazily, on first .statement use
-            fingerprint=binding_fingerprint(self.fingerprint, resolved),
-            overrides=MappingProxyType(dict(resolved)),
-            signature=rebind_signature(resolved),
-            template_statement=self.statement,
-            schema=schema,
-        )
-        with self._bindings_lock:
-            self._bindings[memo_key] = bound
-            while len(self._bindings) > _BINDING_CACHE_LIMIT:
+            bound = self._bindings.get(signature)
+            if bound is not None:
+                self._bindings.move_to_end(signature)
+                return bound
+            bound = self._bindings[signature] = PreparedBinding(
+                statement=None,  # substituted lazily, on first .statement use
+                fingerprint=binding_fingerprint(self.fingerprint, signature),
+                overrides=MappingProxyType(resolved),
+                signature=signature_shape(signature),
+                template_statement=self.statement,
+                schema=schema,
+            )
+            if len(self._bindings) > _BINDING_CACHE_LIMIT:
                 self._bindings.popitem(last=False)
         return bound
 

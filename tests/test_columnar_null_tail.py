@@ -1,6 +1,6 @@
 """NULLs flowing through the columnar tail operators across batches.
 
-The batch-aware tail (``ColumnarTailExecutor``) keeps cross-batch state
+The batch-aware tail (``ColumnarTail``) keeps cross-batch state
 for aggregates, DISTINCT, and ORDER BY; NULLs are where that state is
 easiest to get wrong (SQL aggregates skip NULL inputs, COUNT(*) does
 not, AVG divides by the non-NULL count, DISTINCT treats NULL as one
