@@ -2,11 +2,9 @@
 
 No static engine shape wins a mixed workload: tuple-at-a-time execution
 is fastest for micro point lookups (no per-query batch machinery),
-vectorised columnar wins selective filters, batch fan-out pays on a
-join whose chunks carry real per-chunk work but *loses* on one whose
-chunks are trivial (the IPC outweighs the compute), and whole-plan
-dispatch pays per-query IPC that only multi-client throughput can
-amortise. The learned router (``repro.engine.router``) observes each
+vectorised columnar wins selective filters and wide joins, and
+whole-plan dispatch to a pool worker pays per-query IPC that only
+multi-client throughput can amortise. The learned router (``repro.engine.router``) observes each
 (template, route) pair's measured latency and converges to the
 per-template winner, so one serving configuration tracks the best
 static mode everywhere.
@@ -16,13 +14,13 @@ This bench drives four prepared templates through the serving layer
 
 * ``micro``  — point lookup fetching ~3 rows (row-friendly),
 * ``med``    — join with a trivial-work multi-chunk second fetch
-  (serial-friendly: fan-out ships more than it saves),
+  (serial-friendly),
 * ``filter`` — selective predicate over a ~600-row fetch (columnar),
 * ``heavy``  — GROUP-BY aggregate join whose second fetch fans ~8 rows
-  per input row (pooled-batch-friendly on real cores),
+  per input row (batch-friendly),
 
-against four static servers (``routing="static"`` on engines pinned to
-row, columnar, pooled/plan, pooled/batch) and one learned server
+against three static servers (``routing="static"`` on engines pinned to
+row, columnar, pool) and one learned server
 (``routing="learned"``, trained on untimed passes, then timed greedy).
 
 The acceptance bars asserted here: the learned server is >= 1.0x every
@@ -62,7 +60,7 @@ from repro.bench.reporting import format_table
 
 from benchmarks.conftest import once, write_report
 
-ROWS_PER_BATCH = 64  # chunk granularity: med fans out ~10 trivial chunks
+ROWS_PER_BATCH = 64  # chunk granularity: med runs ~10 trivial chunks
 
 MICRO_KEYS = 64
 MICRO_FAN = 3
@@ -72,7 +70,7 @@ FILTER_KEYS = 8
 FILTER_ROWS = 600
 DATES = [f"2016-01-{d:02d}" for d in range(1, 9)]
 HEAVY_IN = 1200  # rids per date
-HEAVY_FAN = 8  # f-rows per rid: real per-chunk compute for fan-out
+HEAVY_FAN = 8  # f-rows per rid: real per-chunk compute
 REGIONS = 6
 
 MICRO_PER_ROUND = 18
@@ -91,12 +89,7 @@ WORST_SPEEDUP = 1.3  # learned vs the worst static mode
 STATIC_SHAPES = {
     "row": dict(executor="row", parallelism=1),
     "columnar": dict(executor="columnar", parallelism=1),
-    "pooled-plan": dict(
-        executor="columnar", parallelism=2, parallel_dispatch="plan"
-    ),
-    "pooled-batch": dict(
-        executor="columnar", parallelism=2, parallel_dispatch="batch"
-    ),
+    "pool": dict(executor="columnar", parallelism=2),
 }
 
 
@@ -297,7 +290,7 @@ def measure(scale_divisor: int, rounds: int, repeats: int):
         ), f"learned accounting diverged: {name}"
 
     # warm every config (plans, snapshots), then train the router: the
-    # untimed passes with the default epsilon cover all four routes per
+    # untimed passes with the default epsilon cover every route per
     # template before the timed phase runs greedily
     for name, server in servers.items():
         drive(server, templates[name], 2, "static")

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Learned adaptive executor routing through the Session lifecycle.
 
-The engine ships four observationally-identical execution modes for a
-covered bounded plan (row, columnar, pooled/plan, pooled/batch); which
-one is fastest depends on the query template. With
+The engine ships observationally-identical routes for a covered bounded
+plan (in-process row or columnar, a pool worker); which one is fastest
+depends on the query template. With
 ``ExecutionOptions(routing="learned")`` (or ``BEAS_ROUTING=learned``)
 the serving layer learns a per-template cost model online — features
 from the deduced bound, binding constants and catalog statistics — and

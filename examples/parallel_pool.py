@@ -3,9 +3,8 @@
 
 ``BEAS(parallelism=N)`` (or ``BEAS_PARALLELISM=N``) attaches a
 multiprocessing engine pool to the bounded pipeline: whole covered
-plans — and, for single large queries, individual ``rows_per_batch``
-column batches — execute on worker processes instead of the GIL-bound
-serving thread. Workers hold a *warm catalog snapshot* (the access
+plans execute on worker processes instead of the GIL-bound serving
+thread. Workers hold a *warm catalog snapshot* (the access
 indices, keyed by the table version vector), so after the first query
 only the plan and the answer cross the process boundary; maintenance
 bumps the version vector and the next pooled query re-ships a fresh

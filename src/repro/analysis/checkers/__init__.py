@@ -7,6 +7,7 @@ from repro.analysis.checkers import (  # noqa: F401  (registration imports)
     lock_discipline,
     metrics_accounting,
     null_guard,
+    remote_dispatch,
     storage_codec,
     table_mutation,
 )

@@ -30,11 +30,11 @@ module is that lifecycle, and the only way to run a query::
   (executor/pool/lock counters) + the decision that produced them.
 * :class:`ExecutionOptions` — every execution knob in one validated
   dataclass, resolved through a single precedence chain:
-  **call > Query > Session > EngineProfile > environment** (the
-  ``BEAS_*`` variables, read by :mod:`repro.config`).
+  **call > Query > Session > environment** (the ``BEAS_*`` variables,
+  read by :mod:`repro.config`).
 
-The engine-level knobs (``rows_per_batch``, ``parallelism``,
-``parallel_dispatch``) are pinned when the Session builds its engine;
+The engine-level knobs (``rows_per_batch``, ``parallelism``, ``storage``,
+``replicas``, ...) are pinned when the Session builds its engine;
 supplying a *different* value at Query or call level raises
 :class:`~repro.errors.BEASError` rather than being silently ignored.
 ``executor`` may be overridden per Query or per call (answers are
@@ -70,7 +70,6 @@ if TYPE_CHECKING:  # pragma: no cover
 _ENGINE_PINNED = (
     "rows_per_batch",
     "parallelism",
-    "parallel_dispatch",
     "storage",
     "storage_dir",
     "replicas",
@@ -86,14 +85,13 @@ class ExecutionOptions:
     """Every execution knob, validated at construction.
 
     ``None`` means "inherit from the next layer down" in the precedence
-    chain (call > Query > Session > EngineProfile > environment). See
+    chain (call > Query > Session > environment). See
     the module docstring for which fields are engine-pinned.
     """
 
     executor: Optional[str] = None  # "row" | "columnar"
     rows_per_batch: Optional[int] = None
     parallelism: Optional[int] = None
-    parallel_dispatch: Optional[str] = None  # "auto" | "plan" | "batch"
     budget: Optional[int] = None  # tuple budget (None = unbounded)
     allow_partial: Optional[bool] = None
     approximate_over_budget: Optional[bool] = None
@@ -120,8 +118,6 @@ class ExecutionOptions:
             config.validate_rows_per_batch(self.rows_per_batch)
         if self.parallelism is not None:
             config.validate_parallelism(self.parallelism)
-        if self.parallel_dispatch is not None:
-            config.validate_dispatch(self.parallel_dispatch)
         if self.replicas is not None:
             config.validate_replicas(self.replicas)
         if self.fleet_port_base is not None:
@@ -174,7 +170,7 @@ class ExecutionOptions:
                         f"{name}={wanted!r} cannot be overridden per query "
                         f"or per call (the Session's engine is pinned to "
                         f"{name}={getattr(resolved, name)!r}); set it on the "
-                        "Session, the EngineProfile, or the environment"
+                        "Session or the environment"
                     )
             pinned = layer.executor is not None and layer.routing is None
             resolved = layer.over(resolved)
@@ -196,7 +192,6 @@ class ExecutionOptions:
                 executor=beas.executor,
                 rows_per_batch=beas._rows_per_batch,
                 parallelism=beas.parallelism,
-                parallel_dispatch=beas._parallel_dispatch,
                 storage=beas.storage,
                 storage_dir=beas.storage_dir,
                 replicas=beas.replicas,
@@ -204,23 +199,6 @@ class ExecutionOptions:
             )
             .over(ExecutionOptions.from_environment())
             .over(ExecutionOptions.defaults())
-        )
-
-    @staticmethod
-    def from_profile(profile: EngineProfile) -> "ExecutionOptions":
-        """The EngineProfile layer of the chain. Profile fields at their
-        dataclass defaults count as unset (``parallelism=0`` means "no
-        opinion", not "in-process forever"), mirroring how profiles have
-        always behaved as defaults-of-last-resort."""
-        return ExecutionOptions(
-            executor=profile.executor if profile.executor != "row" else None,
-            rows_per_batch=profile.rows_per_batch or None,
-            parallelism=profile.parallelism or None,
-            parallel_dispatch=(
-                profile.parallel_dispatch
-                if profile.parallel_dispatch != "auto"
-                else None
-            ),
         )
 
     @staticmethod
@@ -245,7 +223,6 @@ class ExecutionOptions:
             executor="row",
             rows_per_batch=config.DEFAULT_ROWS_PER_BATCH,
             parallelism=1,
-            parallel_dispatch="auto",
             budget=None,
             allow_partial=True,
             approximate_over_budget=False,
@@ -638,7 +615,12 @@ class Session:
                 options.over(base) if options is not None else base
             )
         else:
-            resolved = self._chain(options, profile)
+            # Session > environment > built-in defaults
+            resolved = ExecutionOptions.from_environment().over(
+                ExecutionOptions.defaults()
+            )
+            if options is not None:
+                resolved = options.over(resolved)
             self._resolved_options = resolved
             self._beas = BEAS(
                 database,
@@ -649,7 +631,6 @@ class Session:
                 executor=resolved.executor,
                 rows_per_batch=resolved.rows_per_batch,
                 parallelism=resolved.parallelism,
-                parallel_dispatch=resolved.parallel_dispatch,
                 storage=resolved.storage,
                 # an ambient BEAS_STORAGE_DIR without mmap mode is inert,
                 # not an error — only mmap engines take a directory
@@ -664,16 +645,6 @@ class Session:
             self._owns_engine = True
         self._server_ref: Optional["BEASServer"] = None
         self._closed = False
-
-    @staticmethod
-    def _chain(
-        options: Optional[ExecutionOptions], profile: EngineProfile
-    ) -> ExecutionOptions:
-        """Session > EngineProfile > environment > built-in defaults."""
-        resolved = ExecutionOptions.from_profile(profile).over(
-            ExecutionOptions.from_environment()
-        ).over(ExecutionOptions.defaults())
-        return options.over(resolved) if options is not None else resolved
 
     @staticmethod
     def _check_engine_consistency(

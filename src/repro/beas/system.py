@@ -23,11 +23,12 @@ are served through a :class:`~repro.beas.session.Session` over it::
 
 from __future__ import annotations
 
+import functools
 import shutil
 import tempfile
 import threading
 import weakref
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.beas.session import ExecutionOptions, Session
@@ -47,20 +48,69 @@ from repro.storage.mmapstore import MmapStore, StorageStats
 from repro.engine.columnar import resolve_executor_mode, resolve_rows_per_batch
 from repro.engine.executor import ConventionalEngine
 from repro.engine.logical import explain as explain_logical
-from repro.engine.pool import (
-    EnginePool,
-    PoolStats,
-    resolve_dispatch,
-    resolve_parallelism,
-)
+from repro.engine.pool import EnginePool, PoolStats, resolve_parallelism
 from repro.engine.profiles import EngineProfile, POSTGRESQL
 from repro.bounded.analyzer import PerformanceAnalysis, PerformanceAnalyzer
 from repro.bounded.approximation import BoundedApproximator
 from repro.bounded.coverage import BoundedEvaluabilityChecker, CoverageDecision
-from repro.bounded.executor import BoundedPlanExecutor
 from repro.bounded.optimizer import BEPlanOptimizer
 from repro.bounded.plan import BoundedPlan, explain_plan
+from repro.engine.router import PlanRunner, allowed_routes
 from repro.beas.result import ExecutionMode
+
+
+class _LazyPeers:
+    """A set of peer processes (the engine pool, the serving fleet),
+    spawned by the first request routed to it.
+
+    Lazy so that the (many) BEAS instances that never take a remote
+    route start no processes. A failed spawn (fork refused, pipe limits,
+    ports in use, ...) is remembered and not retried per request: the
+    route falls back in-process — answers are never wrong, only slower —
+    until :meth:`close` clears the error.
+    """
+
+    def __init__(self, spawn: Callable[[], Any]):
+        self._spawn = spawn
+        self._lock = threading.Lock()
+        self._live: Any = None
+        self._spawn_error: Optional[BaseException] = None
+
+    def get(self) -> Any:
+        """The live peers, spawning them if need be; ``None`` after a
+        failed spawn."""
+        live = self._live
+        if live is None or live.closed:
+            with self._lock:
+                if self._spawn_error is not None:
+                    return None
+                live = self._live
+                if live is None or live.closed:
+                    try:
+                        live = self._spawn()
+                    except Exception as error:  # beaslint: ok(except-discipline) - any spawn failure (fork limits, pickling, ports in use, OS) degrades to in-process execution
+                        self._spawn_error = error
+                        self._live = None
+                        return None
+                    self._live = live
+        return live
+
+    def peek(self) -> Any:
+        """The live peers if some were spawned, else ``None`` — never
+        spawns (inspection, stats, maintenance notifications)."""
+        live = self._live
+        return live if live is not None and not live.closed else None
+
+    def close(self) -> None:
+        with self._lock:
+            live, self._live = self._live, None
+            self._spawn_error = None  # a later restart may retry
+        if live is not None:
+            try:
+                live.close()
+            # beaslint: ok(except-discipline) - half-spawned peers: close() is best effort on shutdown
+            except Exception:  # pragma: no cover - half-spawned peers
+                pass
 
 
 class BEAS:
@@ -77,7 +127,6 @@ class BEAS:
         executor: Optional[str] = None,
         rows_per_batch: Optional[int] = None,
         parallelism: Optional[int] = None,
-        parallel_dispatch: Optional[str] = None,
         storage: Optional[str] = None,
         storage_dir: Optional[str] = None,
         replicas: Optional[int] = None,
@@ -92,14 +141,12 @@ class BEAS:
 
         ``parallelism`` sets the bounded pipeline's worker-process count
         (:class:`~repro.engine.pool.EnginePool`): ``1`` is in-process,
-        ``>= 2`` executes bounded plans and column batches on worker
-        processes; ``None`` defers to ``BEAS_PARALLELISM``, then to the
-        host profile's ``parallelism``. ``parallel_dispatch`` picks the
-        fan-out unit (``"plan"``, ``"batch"``, or the default
-        ``"auto"``). Pooled answers are identical to in-process ones —
-        the pool only escapes the GIL; any pool failure falls back to
-        in-process execution. All engine options are validated here and
-        raise :class:`~repro.errors.BEASError` when invalid.
+        ``>= 2`` executes bounded plans on worker processes; ``None``
+        defers to ``BEAS_PARALLELISM``. Pooled answers are identical to
+        in-process ones — the pool only escapes the GIL; any pool failure
+        falls back to in-process execution. All engine options are
+        validated here and raise :class:`~repro.errors.BEASError` when
+        invalid.
 
         ``storage`` selects the storage engine: ``"memory"`` (the
         default, process-local) or ``"mmap"``
@@ -108,8 +155,8 @@ class BEAS:
         persistence, and shared-memory pool snapshots); ``None`` defers
         to ``BEAS_STORAGE``. ``storage_dir`` names the store directory
         (``BEAS_STORAGE_DIR``); without one, an ``mmap`` instance owns a
-        temporary directory removed when it is collected — useful for
-        the shm snapshot wire, but obviously not a warm restart.
+        temporary directory that :meth:`close` removes — useful for the
+        shm snapshot wire, but obviously not a warm restart.
 
         ``replicas`` sets the distributed serving tier's replica count
         (:class:`~repro.distributed.fleet.ReplicaFleet`): ``1`` (the
@@ -129,6 +176,7 @@ class BEAS:
         )
         self._store: Optional[MmapStore] = None
         self.storage_dir: Optional[str] = None
+        self._owns_storage_dir = False
         if self.storage == "mmap":
             directory = (
                 config.validate_storage_dir(storage_dir)
@@ -137,6 +185,9 @@ class BEAS:
             )
             if directory is None:
                 directory = tempfile.mkdtemp(prefix="beas-store-")
+                # close() removes it; the finalizer covers an engine that
+                # is collected unclosed, or written to after its close()
+                self._owns_storage_dir = True
                 weakref.finalize(
                     self, shutil.rmtree, directory, ignore_errors=True
                 )
@@ -170,13 +221,8 @@ class BEAS:
         # later shares one pinned batch size even if the environment
         # default changes afterwards
         self._rows_per_batch = resolve_rows_per_batch(rows_per_batch)
-        self.parallelism = resolve_parallelism(
-            parallelism, default=host_profile.parallelism
-        )
-        self._parallel_dispatch = resolve_dispatch(parallel_dispatch)
-        self._pool: Optional[EnginePool] = None
-        self._pool_lock = threading.Lock()
-        self._pool_spawn_error: Optional[BaseException] = None
+        self.parallelism = resolve_parallelism(parallelism)
+        self._pool = _LazyPeers(self._spawn_pool)
         self.replicas = (
             config.validate_replicas(replicas)
             if replicas is not None
@@ -190,9 +236,16 @@ class BEAS:
                 or config.DEFAULT_FLEET_PORT_BASE
             )
         )
-        self._fleet: Optional["ReplicaFleet"] = None
-        self._fleet_lock = threading.Lock()
-        self._fleet_spawn_error: Optional[BaseException] = None
+        self._fleet = _LazyPeers(self._spawn_fleet)
+        #: the BE Plan Executor: every bounded plan, covered or prefix,
+        #: runs through ``runner.run_route`` (see repro.engine.router)
+        self.runner = PlanRunner(
+            self.catalog,
+            dedup_keys=self._dedup_keys,
+            rows_per_batch=self._rows_per_batch,
+            pool=self._pool.get if self.parallelism >= 2 else None,
+            fleet=self._fleet.get if self.replicas >= 2 else None,
+        )
         self._checker_runs_base = 0
         self._host = ConventionalEngine(database, host_profile)
         self._host_engines: dict[str, ConventionalEngine] = {
@@ -213,137 +266,55 @@ class BEAS:
             self.catalog.schema,
             require_exact_multiplicities=self._require_exact,
         )
-        self._executors = {
-            self.executor: BoundedPlanExecutor(
-                self.catalog,
-                dedup_keys=self._dedup_keys,
-                executor=self.executor,
-                rows_per_batch=self._rows_per_batch,
-                pool=self._pool_provider,
-                dispatch=self._parallel_dispatch,
-                fleet=self._fleet_provider,
-            )
-        }
-        self._executor = self._executors[self.executor]
-        self._optimizer = BEPlanOptimizer(
-            self.catalog,
-            self.host_profile,
-            dedup_keys=self._dedup_keys,
-            executor=self.executor,
-            rows_per_batch=self._rows_per_batch,
-            pool=self._pool_provider,
-            dispatch=self._parallel_dispatch,
-        )
+        self._optimizer = BEPlanOptimizer(self.catalog, self.host_profile)
         self._approximator = BoundedApproximator(self.catalog)
 
     # ------------------------------------------------------------------ #
-    # the engine pool (parallel bounded execution)
+    # the peers of the remote routes: engine pool and serving fleet
     # ------------------------------------------------------------------ #
-    def _pool_provider(self) -> Optional[EnginePool]:
-        """The shared worker pool, created on first pooled execution.
-
-        Lazy so that the (many) BEAS instances that never execute a
-        bounded plan in parallel don't fork worker processes; ``None``
-        when ``parallelism`` keeps execution in-process.
-        """
-        if self.parallelism < 2:
-            return None
-        pool = self._pool
-        if pool is None or pool.closed:
-            with self._pool_lock:
-                if self._pool_spawn_error is not None:
-                    # a previous spawn failed (fork refused, pipe limits,
-                    # …): stay in-process instead of re-forking on every
-                    # execution — answers are never wrong, only slower
-                    return None
-                pool = self._pool
-                if pool is None or pool.closed:
-                    try:
-                        exporter = (
-                            self._store.snapshot_exporter(self.catalog)
-                            if self._store is not None
-                            else None
-                        )
-                        pool = EnginePool(
-                            self.parallelism, snapshot_exporter=exporter
-                        )
-                    except Exception as error:  # beaslint: ok(except-discipline) - any spawn failure (fork limits, pickling, OS) degrades to in-process execution
-                        self._pool_spawn_error = error
-                        self._pool = None
-                        return None
-                    self._pool = pool
-                    # workers are daemonic, but close deterministically
-                    # when this BEAS is collected (test suites build many)
-                    weakref.finalize(self, EnginePool.close, pool)
+    def _spawn_pool(self) -> EnginePool:
+        exporter = (
+            self._store.snapshot_exporter(self.catalog)
+            if self._store is not None
+            else None
+        )
+        pool = EnginePool(self.parallelism, snapshot_exporter=exporter)
+        # workers are daemonic, but close deterministically when this
+        # BEAS is collected (test suites build many)
+        weakref.finalize(self, EnginePool.close, pool)
         return pool
+
+    def _spawn_fleet(self) -> "ReplicaFleet":
+        from repro.distributed.fleet import ReplicaFleet
+
+        fleet = ReplicaFleet(
+            self.catalog,
+            replicas=self.replicas,
+            port_base=self.fleet_port_base,
+        )
+        weakref.finalize(self, ReplicaFleet.close, fleet)
+        return fleet
 
     @property
     def pool(self) -> Optional[EnginePool]:
         """The engine pool, if one has been started (inspection only —
-        executions start it on demand)."""
-        return self._pool
+        the ``pool`` route starts it on demand)."""
+        return self._pool.peek()
 
     def pool_stats(self) -> Optional[PoolStats]:
-        pool = self._pool
-        return pool.stats() if pool is not None and not pool.closed else None
-
-    # ------------------------------------------------------------------ #
-    # the serving fleet (distributed read replicas)
-    # ------------------------------------------------------------------ #
-    def _fleet_provider(self) -> Optional["ReplicaFleet"]:
-        """The serving fleet, spawned on first covered bounded execute.
-
-        Lazy for the same reason as :meth:`_pool_provider`; ``None``
-        when ``replicas`` keeps serving in-process, or after a spawn
-        failure (the coordinator keeps answering locally — answers are
-        never wrong, only local).
-        """
-        if self.replicas < 2:
-            return None
-        fleet = self._fleet
-        if fleet is None or fleet.closed:
-            with self._fleet_lock:
-                if self._fleet_spawn_error is not None:
-                    return None
-                fleet = self._fleet
-                if fleet is None or fleet.closed:
-                    from repro.distributed.fleet import ReplicaFleet
-
-                    try:
-                        fleet = ReplicaFleet(
-                            self.catalog,
-                            replicas=self.replicas,
-                            port_base=self.fleet_port_base,
-                        )
-                    except Exception as error:  # beaslint: ok(except-discipline) - any spawn failure (fork limits, ports in use, OS) degrades to coordinator-local serving
-                        self._fleet_spawn_error = error
-                        self._fleet = None
-                        return None
-                    self._fleet = fleet
-                    # replicas are daemonic, but close deterministically
-                    # when this BEAS is collected (test suites build many)
-                    weakref.finalize(self, ReplicaFleet.close, fleet)
-        return fleet
+        pool = self._pool.peek()
+        return pool.stats() if pool is not None else None
 
     @property
     def fleet(self) -> Optional["ReplicaFleet"]:
         """The serving fleet, if one has been spawned (inspection only —
-        executions spawn it on demand)."""
-        return self._fleet
+        the ``fleet`` route spawns it on demand; maintenance only
+        *notifies* a live fleet's delta tail, it never spawns one)."""
+        return self._fleet.peek()
 
     def fleet_stats(self) -> Optional["FleetStats"]:
-        fleet = self._fleet
-        return (
-            fleet.stats() if fleet is not None and not fleet.closed else None
-        )
-
-    def _fleet_for_maintenance(self) -> Optional["ReplicaFleet"]:
-        """The live fleet, or ``None`` — maintenance only *notifies* an
-        already-spawned fleet (its delta tail); it never spawns one."""
-        fleet = self._fleet
-        if fleet is None or fleet.closed:
-            return None
-        return fleet
+        fleet = self._fleet.peek()
+        return fleet.stats() if fleet is not None else None
 
     @property
     def store(self) -> Optional[MmapStore]:
@@ -362,35 +333,21 @@ class BEAS:
         return self._checker_runs_base + self._checker.check_count
 
     def close(self) -> None:
-        """Shut down the engine pool's worker processes (idempotent).
+        """Shut down the engine pool's workers and the fleet's replicas,
+        close the store and remove a store directory this engine made
+        for itself (idempotent; a caller-supplied ``storage_dir`` is
+        never removed).
 
-        Safe to call any number of times, including when the lazy pool
-        spawn previously failed (``_pool_provider`` recorded the error
-        and fell back in-process) — ``with BEAS(...)`` blocks must exit
-        cleanly even after an environment-level fork failure.
+        Safe to call any number of times, including when a lazy spawn
+        previously failed — ``with BEAS(...)`` blocks must exit cleanly
+        even after an environment-level fork failure.
 
-        Subsequent pooled executions transparently restart the pool; the
-        workers are daemonic either way, so an unclosed BEAS cannot
-        outlive the interpreter.
+        A later remote route transparently restarts its peers; they are
+        daemonic either way, so an unclosed BEAS cannot outlive the
+        interpreter.
         """
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-            self._pool_spawn_error = None  # a later restart may retry
-        if pool is not None:
-            try:
-                pool.close()
-            # beaslint: ok(except-discipline) - half-spawned pool: close() is best effort on shutdown
-            except Exception:  # pragma: no cover - half-spawned pool
-                pass
-        with self._fleet_lock:
-            fleet, self._fleet = self._fleet, None
-            self._fleet_spawn_error = None  # a later restart may retry
-        if fleet is not None:
-            try:
-                fleet.close()
-            # beaslint: ok(except-discipline) - half-spawned fleet: close() is best effort on shutdown
-            except Exception:  # pragma: no cover - half-spawned fleet
-                pass
+        self._pool.close()
+        self._fleet.close()
         if self._store is not None:
             server = self._server
             if server is not None:
@@ -400,72 +357,14 @@ class BEAS:
                 except Exception:  # pragma: no cover - defensive
                     pass
             self._store.close()
+        if self._owns_storage_dir:
+            shutil.rmtree(self.storage_dir, ignore_errors=True)
 
     def __enter__(self) -> "BEAS":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def bounded_executor(self, executor: Optional[str] = None) -> BoundedPlanExecutor:
-        """The BE Plan Executor for one mode (instances are memoised).
-
-        With ``executor=None`` the instance default applies. The serving
-        layer uses this to honour a per-query mode override.
-        """
-        mode = self.executor if executor is None else resolve_executor_mode(executor)
-        engine = self._executors.get(mode)
-        if engine is None:
-            engine = BoundedPlanExecutor(
-                self.catalog,
-                dedup_keys=self._dedup_keys,
-                executor=mode,
-                rows_per_batch=self._rows_per_batch,
-                pool=self._pool_provider,
-                dispatch=self._parallel_dispatch,
-                fleet=self._fleet_provider,
-            )
-            self._executors[mode] = engine
-        return engine
-
-    #: How each learned route maps onto an executor build:
-    #: (executor mode, pooled?, pinned dispatch).
-    _ROUTE_SPECS = {
-        "row": ("row", False, "auto"),
-        "columnar": ("columnar", False, "auto"),
-        "pooled-plan": ("columnar", True, "plan"),
-        "pooled-batch": ("columnar", True, "batch"),
-    }
-
-    def routed_executor(self, route: str) -> BoundedPlanExecutor:
-        """The BE Plan Executor for one learned *route* (memoised).
-
-        Unlike :meth:`bounded_executor`, a route pins the whole engine
-        shape — the pooled routes force their dispatch strategy and the
-        serial routes never touch the pool — so the adaptive router can
-        choose pooled-vs-local per query without disturbing the
-        engine-pinned ``parallelism``/``parallel_dispatch`` options.
-        """
-        spec = self._ROUTE_SPECS.get(route)
-        if spec is None:
-            raise BEASError(
-                f"unknown route {route!r} (expected one of "
-                f"{', '.join(self._ROUTE_SPECS)})"
-            )
-        key = f"route:{route}"
-        engine = self._executors.get(key)
-        if engine is None:
-            mode, pooled, dispatch = spec
-            engine = BoundedPlanExecutor(
-                self.catalog,
-                dedup_keys=self._dedup_keys,
-                executor=mode,
-                rows_per_batch=self._rows_per_batch,
-                pool=self._pool_provider if pooled else None,
-                dispatch=dispatch,
-            )
-            self._executors[key] = engine
-        return engine
 
     # ------------------------------------------------------------------ #
     # access schema management
@@ -557,12 +456,16 @@ class BEAS:
         bound: over budget raises
         :class:`~repro.errors.BudgetExceededError` or, with
         ``approximate_over_budget``, takes the resource-bounded
-        approximation route. ``options.executor`` picks the bounded
-        execution mode; ``route`` (learned routing) pins the full engine
-        shape for the covered branch instead — see
-        :meth:`routed_executor`. Answers are mode-independent.
+        approximation route. ``route`` is the way the bounded plan (or a
+        partially bounded plan's prefix) runs — the serving layer's
+        ``route`` stage chose it; without one, the first of
+        :func:`~repro.engine.router.allowed_routes`. Answers are
+        route-independent.
         """
         budget = options.budget
+        plan = decision.plan if decision.covered else decision.partial
+        if route is None and plan is not None:
+            route = allowed_routes(options, self, plan)[0]
         if decision.covered:
             within_budget = decision.within_budget
             if within_budget is None and budget is not None:
@@ -575,16 +478,14 @@ class BEAS:
                         decision.plan, budget
                     )
                 raise BudgetExceededError(decision.access_bound, budget)
-            engine = (
-                self.routed_executor(route)
-                if route is not None
-                else self.bounded_executor(options.executor)
+            return ExecutionMode.BOUNDED, self.runner.run_route(
+                route, decision.plan
             )
-            return ExecutionMode.BOUNDED, engine.execute(decision.plan)
 
         if options.allow_partial and decision.partial is not None:
             return ExecutionMode.PARTIAL, self._optimizer.execute(
-                decision.partial, executor=options.executor
+                decision.partial,
+                functools.partial(self.runner.run_route, route),
             )
         if callable(query):
             query = query()
@@ -648,7 +549,7 @@ class BEAS:
         # for the fleet's delta tail: the table version *before* this
         # batch commits, so a replica at exactly that version can catch
         # up with the delta instead of a full snapshot re-ship
-        fleet = self._fleet_for_maintenance()
+        fleet = self.fleet
         prev_version = (
             self.database.table(table_name).version
             if fleet is not None and table_name in self.database
@@ -682,7 +583,7 @@ class BEAS:
         # the batch is read again after the apply (fleet delta, WAL
         # record): an iterator would reach them exhausted
         rows = list(rows)
-        fleet = self._fleet_for_maintenance()
+        fleet = self.fleet
         prev_version = (
             self.database.table(table_name).version
             if fleet is not None and table_name in self.database
@@ -709,9 +610,7 @@ class BEAS:
         """The Fig.-3 analysis panel for a covered query."""
         analyzer = PerformanceAnalyzer(
             self.catalog,
-            dedup_keys=self._dedup_keys,
-            executor=self.executor,
-            rows_per_batch=self._rows_per_batch,
+            functools.partial(self.runner.run_route, self.executor),
         )
         if profiles is None:
             return analyzer.analyze(query)

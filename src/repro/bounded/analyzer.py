@@ -12,16 +12,17 @@ plan once and the conventional engine once per comparator profile.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from repro.access.catalog import ASCatalog
 from repro.errors import NotCoveredError
 from repro.sql import ast
-from repro.engine.executor import ConventionalEngine
+from repro.engine.executor import ConventionalEngine, QueryResult
 from repro.engine.metrics import OperationCost
 from repro.engine.profiles import MARIADB, MYSQL, POSTGRESQL, EngineProfile
 from repro.bounded.coverage import BoundedEvaluabilityChecker
 from repro.bounded.executor import BoundedPlanExecutor
+from repro.bounded.plan import AnyBoundedPlan
 
 
 @dataclass
@@ -85,25 +86,15 @@ class PerformanceAnalyzer:
     def __init__(
         self,
         catalog: ASCatalog,
-        *,
-        dedup_keys: bool = False,
-        executor: Optional[str] = None,
-        rows_per_batch: Optional[int] = None,
+        run: Optional[Callable[[AnyBoundedPlan], QueryResult]] = None,
     ):
-        """``executor``/``rows_per_batch`` follow the unified engine-knob
-        model (:class:`~repro.beas.session.ExecutionOptions`): explicit
-        argument, else the ``BEAS_*`` environment defaults read by
-        :mod:`repro.config`."""
+        """``run`` runs the covered query's bounded plan (BEAS passes its
+        runner); the default interprets it in-process."""
         self._catalog = catalog
         self._checker = BoundedEvaluabilityChecker(
             catalog.database.schema, catalog.schema
         )
-        self._executor = BoundedPlanExecutor(
-            catalog,
-            dedup_keys=dedup_keys,
-            executor=executor,
-            rows_per_batch=rows_per_batch,
-        )
+        self._run = run or BoundedPlanExecutor(catalog).execute
 
     def analyze(
         self,
@@ -117,7 +108,7 @@ class PerformanceAnalyzer:
             raise NotCoveredError(
                 "performance analysis requires a covered query", decision.reasons
             )
-        result = self._executor.execute(decision.plan)
+        result = self._run(decision.plan)
         beas_rows = set(result.rows)
         if expected_rows is not None and beas_rows != expected_rows:
             raise AssertionError("BEAS answers differ from the expected rows")

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from repro.access.catalog import ASCatalog
 from repro.catalog.schema import Column, TableSchema
@@ -154,24 +154,9 @@ class PartialPlan:
 class BEPlanOptimizer:
     """Builds and executes partially bounded plans."""
 
-    def __init__(
-        self,
-        catalog: ASCatalog,
-        profile: EngineProfile = POSTGRESQL,
-        *,
-        dedup_keys: bool = False,
-        executor: Optional[str] = None,
-        rows_per_batch: Optional[int] = None,
-        pool=None,
-        dispatch: Optional[str] = None,
-    ):
+    def __init__(self, catalog: ASCatalog, profile: EngineProfile = POSTGRESQL):
         self._catalog = catalog
         self._profile = profile
-        self._dedup_keys = dedup_keys
-        self._executor_mode = executor
-        self._rows_per_batch = rows_per_batch
-        self._pool = pool
-        self._dispatch = dispatch
         self._generator = BoundedPlanGenerator(
             catalog.database.schema, catalog.schema
         )
@@ -224,24 +209,20 @@ class BEPlanOptimizer:
 
     # ------------------------------------------------------------------ #
     def execute(
-        self, partial: PartialPlan, *, executor: Optional[str] = None
+        self,
+        partial: PartialPlan,
+        run_prefix: Optional[Callable[[BoundedPlan], QueryResult]] = None,
     ) -> QueryResult:
         """Run the bounded prefix, materialise it, and finish conventionally.
 
-        ``executor`` overrides the bounded prefix's execution mode
-        ("row"/"columnar") for this call; the default is the mode the
-        optimizer was constructed with.
+        ``run_prefix`` runs the prefix's bounded plan (BEAS passes its
+        runner, pinned to the request's route); the default interprets
+        it in-process.
         """
         start = time.perf_counter()
-        executor = BoundedPlanExecutor(
-            self._catalog,
-            dedup_keys=self._dedup_keys,
-            executor=executor or self._executor_mode,
-            rows_per_batch=self._rows_per_batch,
-            pool=self._pool,
-            dispatch=self._dispatch,
-        )
-        prefix_result = executor.execute(partial.sub_plan)
+        if run_prefix is None:
+            run_prefix = BoundedPlanExecutor(self._catalog).execute
+        prefix_result = run_prefix(partial.sub_plan)
 
         temp_table = Table.from_trusted_rows(
             partial.temp_schema, map(tuple, prefix_result.rows)

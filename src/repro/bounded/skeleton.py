@@ -31,12 +31,11 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 from repro.bounded.plan import BoundedPlan, FetchOp, SelectOp
 from repro.bounded.planner import equality_classes
-from repro.engine.columnar import compile_columnar_predicate
+from repro.engine.columnar import FetchChunkSpec, compile_columnar_predicate
 from repro.engine.expressions import compile_predicate
 from repro.engine.logical import MaterializedNode
 from repro.engine.physical import ColumnarTail, PreparedTail, match_tail
 from repro.engine.planner import attach_tail
-from repro.engine.pool import FetchChunkSpec
 from repro.errors import ExecutionError
 from repro.sql.normalize import Attribute
 
@@ -155,47 +154,19 @@ class _KeyPlan:
             keys.append(tuple(key))
         return keys
 
-    def chunk_spec(
-        self, op: FetchOp, track_gather: bool, column_slots=None, y_existing=None
-    ) -> FetchChunkSpec:
-        """The fetch-chunk kernel spec. By default slots are real
-        intermediate positions (the in-process columnar path hands the
-        kernel the full column list); :meth:`wire_spec` re-slots it."""
+    def chunk_spec(self, op: FetchOp, track_gather: bool) -> FetchChunkSpec:
+        """The columnar fetch kernel's spec: slots are the intermediate's
+        own column positions."""
         return FetchChunkSpec(
             parts_len=self.parts_len,
-            column_slots=(
-                tuple(self.column_positions) if column_slots is None else column_slots
-            ),
+            column_slots=tuple(self.column_positions),
             group_value_lists=tuple(self.group_values(op)),
             group_positions=tuple(tuple(p) for p in self.group_positions),
             x_new=tuple(self.x_new),
             y_new=tuple(self.y_new),
-            y_existing=tuple(self.y_existing) if y_existing is None else y_existing,
+            y_existing=tuple(self.y_existing),
             track_gather=track_gather,
         )
-
-    def wire_spec(
-        self, op: FetchOp, track_gather: bool
-    ) -> tuple[FetchChunkSpec, list[int]]:
-        """The same spec in compact *wire* terms: slots index the list of
-        needed columns only, so a dispatched chunk pickles just the
-        columns the key plan actually reads (key sources + existing-Y
-        consistency checks), not the whole intermediate."""
-        needed: list[int] = []
-        slot_of: dict[int, int] = {}
-
-        def slot(position: int) -> int:
-            if position not in slot_of:
-                slot_of[position] = len(needed)
-                needed.append(position)
-            return slot_of[position]
-
-        column_slots = tuple(
-            slot(position) if position is not None else None
-            for position in self.column_positions
-        )
-        y_existing = tuple((i, slot(position)) for i, position in self.y_existing)
-        return self.chunk_spec(op, track_gather, column_slots, y_existing), needed
 
 
 class _SelectPlan:

@@ -10,8 +10,7 @@ value — a typo in CI or a deployment manifest fails with a clear
 message, never as a downstream execution error.
 
 The variables, and where they sit in the option-precedence chain
-(call > Query > Session > :class:`~repro.engine.profiles.EngineProfile`
-> environment — see ``docs/api.md``):
+(call > Query > Session > environment — see ``docs/api.md``):
 
 ===========================  ==============================================
 ``BEAS_EXECUTOR``            bounded execution mode: ``row`` | ``columnar``
@@ -53,9 +52,6 @@ ENV_FUZZ_SEEDS = "BEAS_FUZZ_SEEDS"
 
 #: Bounded-pipeline execution modes.
 EXECUTOR_MODES = ("row", "columnar")
-
-#: Engine-pool dispatch strategies.
-DISPATCH_MODES = ("auto", "plan", "batch")
 
 #: Result-cache matching modes: ``exact`` serves only
 #: presentation-equal fingerprints; ``subsume`` additionally answers a
@@ -137,15 +133,6 @@ def validate_fleet_port_base(
             f"got {port}"
         )
     return port
-
-
-def validate_dispatch(mode: str, *, source: str = "parallel_dispatch") -> str:
-    if mode not in DISPATCH_MODES:
-        raise BEASError(
-            f"unknown {source} {mode!r} (expected one of "
-            f"{', '.join(DISPATCH_MODES)})"
-        )
-    return mode
 
 
 def validate_result_reuse(mode: str, *, source: str = "result_reuse") -> str:

@@ -47,13 +47,11 @@ MSG_SNAPSHOT = "snapshot"
 MSG_SNAPSHOT_SHM = "snapshot_shm"
 MSG_DELTA = "delta"
 MSG_PLAN = "plan"
-MSG_FETCH = "fetch"
 
 REPLY_OK = "ok"
 REPLY_PONG = "pong"
 REPLY_STALE = "stale"
 REPLY_RESULT = "result"
-REPLY_CHUNKS = "chunks"
 REPLY_RAISE = "raise"
 REPLY_UNSUPPORTED = "unsupported"
 REPLY_SHM_FAILED = "shm-failed"
@@ -92,6 +90,31 @@ class SnapshotCatalog:
                 f"worker snapshot has no index for {constraint.name!r}"
             )
         return index
+
+
+def run_plan_task(indexes: dict, task: tuple) -> tuple:  # pragma: no cover - subprocess
+    """A peer's answer to one ``MSG_PLAN`` task: the bounded plan run in
+    batches over the installed indices. Both peer loops (pool worker,
+    fleet replica) call this."""
+    _, _, plan, dedup, rows_per_batch = task
+    try:
+        # imported lazily: the executor pulls in the full engine stack,
+        # which a peer only needs once it actually serves
+        from repro.bounded.executor import BoundedPlanExecutor
+
+        result = BoundedPlanExecutor(
+            SnapshotCatalog(indexes),
+            dedup_keys=dedup,
+            executor="columnar",
+            rows_per_batch=rows_per_batch,
+        ).execute(plan)
+        return (REPLY_RESULT, result.columns, result.rows, result.metrics)
+    except ReproError as error:
+        # semantic failure (bound exceeded, type error): identical to the
+        # in-process outcome, so it must propagate, not fall back
+        return (REPLY_RAISE, error)
+    except Exception as error:  # noqa: BLE001 - infra failure -> the coordinator re-runs the plan in-process
+        return (REPLY_UNSUPPORTED, describe_error(error))
 
 
 class StalePeer(Exception):

@@ -47,14 +47,12 @@ from repro.distributed.protocol import (
     MSG_SNAPSHOT,
     REPLY_OK,
     REPLY_PONG,
-    REPLY_RAISE,
-    REPLY_RESULT,
     REPLY_STALE,
     REPLY_UNSUPPORTED,
-    SnapshotCatalog,
     WireError,
     describe_error,
     recv_message,
+    run_plan_task,
     send_frame,
 )
 
@@ -109,29 +107,6 @@ def apply_delta_records(indexes: dict, records: list[dict]) -> None:
 # --------------------------------------------------------------------------- #
 # the serve loop
 # --------------------------------------------------------------------------- #
-def _run_plan(indexes: dict, task: tuple) -> tuple:  # pragma: no cover - subprocess
-    _, _, plan, dedup, rows_per_batch = task
-    try:
-        # imported lazily: the executor pulls in the full engine stack,
-        # which the replica only needs once it actually serves
-        from repro.bounded.executor import BoundedPlanExecutor
-
-        executor = BoundedPlanExecutor(
-            SnapshotCatalog(indexes),
-            dedup_keys=dedup,
-            executor="columnar",
-            rows_per_batch=rows_per_batch,
-        )
-        result = executor.execute(plan)
-        return (REPLY_RESULT, result.columns, result.rows, result.metrics)
-    except ReproError as error:
-        # semantic failure (bound exceeded, type error): identical to the
-        # in-process outcome, so it must propagate, not fall back
-        return (REPLY_RAISE, error)
-    except Exception as error:  # noqa: BLE001 - infra failure -> coordinator-local fallback
-        return (REPLY_UNSUPPORTED, describe_error(error))
-
-
 def _send_reply(
     sock: socket.socket, message: tuple, corrupt: Optional[str]
 ) -> None:  # pragma: no cover - subprocess
@@ -229,7 +204,7 @@ def _serve(sock: socket.socket, replica_id: int) -> None:  # pragma: no cover - 
             if expected_key != installed_key:
                 reply = (REPLY_STALE, installed_key)
             elif kind == MSG_PLAN:
-                reply = _run_plan(indexes, task)
+                reply = run_plan_task(indexes, task)
             else:
                 reply = (REPLY_UNSUPPORTED, f"unknown task kind {kind!r}")
         try:

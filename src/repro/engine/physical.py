@@ -29,7 +29,6 @@ from repro.engine.columnar import (
     ColumnarIntermediate,
     _column_position,
     compile_columnar_values,
-    resolve_rows_per_batch,
 )
 from repro.engine.expressions import compile_expression, compile_predicate
 from repro.engine.logical import (
@@ -122,16 +121,6 @@ class PhysicalExecutor:
 
     # ------------------------------------------------------------------ #
     def run(self, node: PlanNode) -> Intermediate:
-        if self._profile.executor == "columnar":
-            chain = match_tail(node)
-            if chain is not None:
-                child = self.run(chain.child)  # scans/joins stay row-wise
-                source = ColumnarIntermediate.from_rows(child.labels, child.rows)
-                return ColumnarTail(chain, child.labels).run(
-                    source,
-                    self._metrics,
-                    resolve_rows_per_batch(self._profile.rows_per_batch or None),
-                )
         prepare = _TAIL_OPERATORS.get(type(node))
         if prepare is not None:
             # the conventional engine plans per query, so its tail operators

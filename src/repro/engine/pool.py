@@ -11,11 +11,6 @@ executing bounded work on **worker processes**:
   full columnar pipeline (fetch/select + batch tail) and returns rows +
   metrics. This is the serving layer's fan-out unit: N client threads
   drive N workers concurrently, each outside the parent's GIL.
-* **Batch dispatch** — a single large query splits each fetch's input
-  into ``rows_per_batch`` column chunks and fans the chunks out across
-  idle workers. The wire format is the pickled per-attribute columns of
-  :class:`~repro.engine.columnar.ColumnarIntermediate` — only the
-  columns the fetch's key plan actually reads are shipped.
 * **Warm catalog snapshots** — each worker holds the access indices
   (``ASCatalog.index_map()``) keyed by a *snapshot key*: the access
   schema generation plus the per-table data version vector. A task
@@ -30,28 +25,23 @@ executing bounded work on **worker processes**:
   execution. Answers are never wrong, only slower; the chaos suite
   (``tests/test_pool_chaos.py``) locks this in.
 
-Accounting is merged deterministically: every chunk reports its fetched
-count (plain mode) or its distinct key -> bucket-size map (``dedup_keys``
-mode); the master sums counts, or unions the key maps and sums bucket
-sizes, which equals the serial single-cache accounting exactly. The §3
-bound arithmetic is enforced by the master on the merged totals.
+The §3 bound arithmetic is enforced by the worker that runs the plan,
+exactly as in-process; a bound violation is relayed and re-raised.
 """
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 import os
 import pickle
 import queue
 import threading
 import time
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Optional
 
 from repro import config
-from repro.config import DISPATCH_MODES
-from repro.errors import BEASError, ReproError
+from repro.errors import BEASError
 
 # the snapshot-protocol vocabulary is shared with the serving fleet
 # (repro.distributed): one set of task kinds, reply tags, and one
@@ -59,12 +49,10 @@ from repro.errors import BEASError, ReproError
 from repro.distributed.protocol import (
     MSG_DEBUG,
     MSG_EXIT,
-    MSG_FETCH,
     MSG_PING,
     MSG_PLAN,
     MSG_SNAPSHOT,
     MSG_SNAPSHOT_SHM,
-    REPLY_CHUNKS,
     REPLY_OK,
     REPLY_PONG,
     REPLY_RAISE,
@@ -72,18 +60,15 @@ from repro.distributed.protocol import (
     REPLY_SHM_FAILED,
     REPLY_STALE,
     REPLY_UNSUPPORTED,
-    SnapshotCatalog,
     StalePeer,
     compute_with_stale_retry,
+    run_plan_task,
 )
 
 
-def resolve_parallelism(
-    parallelism: Optional[int], default: int = 0
-) -> int:
+def resolve_parallelism(parallelism: Optional[int]) -> int:
     """Resolve the worker-process count: explicit argument, else the
-    ``BEAS_PARALLELISM`` environment variable, else ``default`` (usually
-    the engine profile's ``parallelism``), else 1 (in-process).
+    ``BEAS_PARALLELISM`` environment variable, else 1 (in-process).
 
     Explicit values must be positive integers (1 = in-process, >= 2
     enables the pool); anything else raises
@@ -91,180 +76,15 @@ def resolve_parallelism(
     environment is validated by :mod:`repro.config`).
     """
     if parallelism is None:
-        env = config.env_parallelism()
-        if env is None:
-            return max(default, 1)
-        return env
+        return config.env_parallelism() or 1
     return config.validate_parallelism(parallelism)
-
-
-def resolve_dispatch(dispatch: Optional[str]) -> str:
-    return config.validate_dispatch(dispatch or "auto")
-
-
-# --------------------------------------------------------------------------- #
-# the fetch-chunk kernel (shared by the serial executor and the workers)
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class FetchChunkSpec:
-    """Resolved fetch-key layout in *slot* terms.
-
-    A slot indexes the column list the kernel is handed — the full
-    intermediate's columns in-process, or the compact wire columns on a
-    worker. Built by ``bounded.skeleton._KeyPlan``; the enumeration
-    semantics (constant groups, NULL-key skipping, Y-consistency) are
-    identical in both placements because this is the single
-    implementation.
-    """
-
-    parts_len: int
-    column_slots: tuple  # per key part: slot or None (constant part)
-    group_value_lists: tuple  # enumerated constants per group
-    group_positions: tuple  # key positions each group fills
-    x_new: tuple  # key positions appended as new X columns
-    y_new: tuple  # Y positions appended as new Y columns
-    y_existing: tuple  # (y position, slot) pairs that must match
-    track_gather: bool  # replicate existing columns via a gather list
-
-    def keys_at(self, columns: Sequence[list], index: int):
-        """Yield the fully resolved key tuples for one input row; yields
-        nothing when any key part — column-sourced or constant — is NULL
-        (SQL three-valued logic: an equality against NULL is UNKNOWN)."""
-        for combo in self._const_combos():
-            key = [None] * self.parts_len
-            for group_index, positions in enumerate(self.group_positions):
-                for position in positions:
-                    key[position] = combo[group_index]
-            valid = True
-            for i, slot in enumerate(self.column_slots):
-                if slot is not None:
-                    value = columns[slot][index]
-                    if value is None:
-                        valid = False  # SQL: NULL never joins
-                        break
-                    key[i] = value
-            if valid:
-                yield tuple(key)
-
-    def _const_combos(self):
-        if not self.group_value_lists:
-            return ((),)
-        return (
-            combo
-            for combo in itertools.product(*self.group_value_lists)
-            if None not in combo
-        )
-
-
-@dataclass
-class FetchChunkResult:
-    """One chunk's fetch output, position-relative to the kernel input."""
-
-    gather: list  # input index per output row (when track_gather)
-    x_columns: list  # new X columns (chunk-local)
-    y_columns: list  # new Y columns (chunk-local)
-    out_count: int
-    fetched: int  # tuples fetched by this chunk (see key_counts for dedup)
-    key_counts: Optional[dict] = None  # dedup: distinct key -> bucket size
-
-
-def run_fetch_chunk(
-    fetch: Callable[[tuple], list],
-    spec: FetchChunkSpec,
-    columns: Sequence[list],
-    indices: Sequence[int],
-    dedup: bool,
-    cache: Optional[dict] = None,
-) -> FetchChunkResult:
-    """Run one fetch chunk: resolve each input row's keys, gather the
-    index postings, filter against existing Y columns, and emit the new
-    columns chunk-locally.
-
-    ``cache`` (dedup mode) carries the shared key cache of a serial
-    execution; ``fetched`` then counts only keys *new to the cache*,
-    matching the single-threaded accounting. Without a shared cache the
-    chunk dedups locally and reports ``key_counts`` so the master can
-    merge across chunks deterministically (union keys, sum bucket
-    sizes — equal to the serial count because bucket sizes are a pure
-    function of the key).
-    """
-    local_counts: Optional[dict] = None
-    if dedup and cache is None:
-        cache = {}
-        local_counts = {}
-    fetched = 0
-    gather: list = []
-    x_columns: list[list] = [[] for _ in spec.x_new]
-    y_columns: list[list] = [[] for _ in spec.y_new]
-    out_count = 0
-    y_existing = spec.y_existing
-    track_gather = spec.track_gather
-
-    for i in indices:
-        for key in spec.keys_at(columns, i):
-            if dedup:
-                bucket = cache.get(key)
-                if bucket is None:
-                    bucket = fetch(key)
-                    cache[key] = bucket
-                    fetched += len(bucket)
-                    if local_counts is not None:
-                        local_counts[key] = len(bucket)
-            else:
-                bucket = fetch(key)
-                fetched += len(bucket)
-            if not bucket:
-                continue
-            if y_existing:
-                bucket = [
-                    y_value
-                    for y_value in bucket
-                    if all(y_value[j] == columns[slot][i] for j, slot in y_existing)
-                ]
-                if not bucket:
-                    continue
-            matches = len(bucket)
-            out_count += matches
-            if track_gather:
-                gather.extend([i] * matches)
-            for column, j in zip(x_columns, spec.x_new):
-                column.extend([key[j]] * matches)
-            for column, j in zip(y_columns, spec.y_new):
-                column.extend([y_value[j] for y_value in bucket])
-
-    return FetchChunkResult(
-        gather=gather,
-        x_columns=x_columns,
-        y_columns=y_columns,
-        out_count=out_count,
-        fetched=fetched,
-        key_counts=local_counts,
-    )
-
-
-def merge_dedup_counts(results: Sequence[FetchChunkResult]) -> int:
-    """Merged ``tuples_fetched`` under ``dedup_keys``: each globally
-    distinct key contributes its bucket size once, exactly as one shared
-    cache would count it."""
-    merged: dict = {}
-    for result in results:
-        if result.key_counts:
-            for key, count in result.key_counts.items():
-                merged.setdefault(key, count)
-    return sum(merged.values())
 
 
 # --------------------------------------------------------------------------- #
 # worker process
 # --------------------------------------------------------------------------- #
-# the worker-side indices-only catalog now lives with the rest of the
-# snapshot protocol; the private alias keeps this module's worker code
-# (and its history) readable in pool terms
-_SnapshotCatalog = SnapshotCatalog
-
-
 def _worker_main(conn) -> None:  # pragma: no cover - runs in a subprocess
-    """Worker loop: install snapshots, execute plan / fetch tasks.
+    """Worker loop: install snapshots, execute plan tasks.
 
     Every compute task carries the snapshot key it was planned under; a
     mismatch with the installed snapshot answers ``("stale", installed)``
@@ -349,9 +169,7 @@ def _worker_main(conn) -> None:  # pragma: no cover - runs in a subprocess
             conn.send((REPLY_STALE, installed_key))
             continue
         if kind == MSG_PLAN:
-            conn.send(_run_plan_task(indexes, task))
-        elif kind == MSG_FETCH:
-            conn.send(_run_fetch_task(indexes, task))
+            conn.send(run_plan_task(indexes, task))
         else:
             conn.send((REPLY_UNSUPPORTED, f"unknown task kind {kind!r}"))
 
@@ -406,45 +224,6 @@ def _attach_shm_snapshot(name: str, *, unregister: bool):  # pragma: no cover - 
     return indexes, handle
 
 
-def _run_plan_task(indexes: dict, task: tuple):  # pragma: no cover - subprocess
-    _, _, plan, dedup, rows_per_batch = task
-    try:
-        # imported lazily: bounded.executor imports this module at top level
-        from repro.bounded.executor import BoundedPlanExecutor
-
-        executor = BoundedPlanExecutor(
-            _SnapshotCatalog(indexes),
-            dedup_keys=dedup,
-            executor="columnar",
-            rows_per_batch=rows_per_batch,
-        )
-        result = executor.execute(plan)
-        return (REPLY_RESULT, result.columns, result.rows, result.metrics)
-    except ReproError as error:
-        # semantic failure (bound exceeded, type error): identical to the
-        # in-process outcome, so it must propagate, not fall back
-        return (REPLY_RAISE, error)
-    except Exception as error:  # noqa: BLE001 - infra failure -> fallback
-        return (REPLY_UNSUPPORTED, repr(error))
-
-
-def _run_fetch_task(indexes: dict, task: tuple):  # pragma: no cover - subprocess
-    _, _, constraint_name, spec, dedup, payloads = task
-    index = indexes.get(constraint_name)
-    if index is None:
-        return (REPLY_UNSUPPORTED, f"no index for {constraint_name!r}")
-    try:
-        results = [
-            run_fetch_chunk(index.fetch, spec, columns, range(count), dedup)
-            for columns, count in payloads
-        ]
-        return (REPLY_CHUNKS, results)
-    except ReproError as error:
-        return (REPLY_RAISE, error)
-    except Exception as error:  # noqa: BLE001 - worker boundary: any failure reports "unsupported" and the parent re-runs in-process
-        return (REPLY_UNSUPPORTED, repr(error))
-
-
 # --------------------------------------------------------------------------- #
 # the pool
 # --------------------------------------------------------------------------- #
@@ -455,7 +234,6 @@ class PoolStats:
     workers: int = 0
     alive: int = 0
     plans_dispatched: int = 0
-    chunks_dispatched: int = 0
     snapshots_sent: int = 0
     snapshot_bytes_shipped: int = 0  # wire bytes per install (shm: name only)
     shm_attaches: int = 0
@@ -470,8 +248,8 @@ class PoolStats:
     def describe(self) -> str:
         return (
             f"engine pool: {self.alive}/{self.workers} workers alive, "
-            f"{self.plans_dispatched} plans + {self.chunks_dispatched} "
-            f"batches dispatched, {self.snapshots_sent} snapshots sent "
+            f"{self.plans_dispatched} plans dispatched, "
+            f"{self.snapshots_sent} snapshots sent "
             f"({self.snapshot_bytes_shipped} B shipped, {self.shm_attaches} "
             f"shm attaches, {self.shm_fallbacks} shm fallbacks), "
             f"{self.stale_retries} stale retries, {self.worker_deaths} "
@@ -645,12 +423,7 @@ class EnginePool:
     # ------------------------------------------------------------------ #
     # worker acquisition
     # ------------------------------------------------------------------ #
-    def acquire(
-        self,
-        timeout: Optional[float] = None,
-        *,
-        _count_exhaustion: bool = True,
-    ) -> Optional[_Worker]:
+    def acquire(self, timeout: Optional[float] = None) -> Optional[_Worker]:
         """An idle worker, or ``None`` when the pool is exhausted/closed.
 
         The wait is counted into the pool's ``wait_seconds``. Dead
@@ -669,8 +442,7 @@ class EnginePool:
         except queue.Empty:
             with self._lock:
                 self._stats.wait_seconds += time.perf_counter() - start
-                if _count_exhaustion:
-                    self._stats.exhaustion_fallbacks += 1
+                self._stats.exhaustion_fallbacks += 1
             return None
         with self._lock:
             self._stats.wait_seconds += time.perf_counter() - start
@@ -854,152 +626,8 @@ class EnginePool:
         return None
 
     # ------------------------------------------------------------------ #
-    # fetch-batch dispatch
-    # ------------------------------------------------------------------ #
-    def run_fetch_chunks(
-        self,
-        snapshot_key: tuple,
-        payload_fn,
-        constraint_name: str,
-        spec: FetchChunkSpec,
-        payloads: list,
-        *,
-        dedup: bool,
-        local_fn: Callable[[tuple], FetchChunkResult],
-    ) -> tuple[list[FetchChunkResult], int, float]:
-        """Fan ``payloads`` (``(wire_columns, count)`` chunks) out across
-        idle workers; any chunk the pool cannot serve runs via
-        ``local_fn``. Returns ``(results_in_order, chunks_on_workers,
-        wait_seconds)``.
-        """
-        n = len(payloads)
-        results: list[Optional[FetchChunkResult]] = [None] * n
-        acquired: list[_Worker] = []
-        # first worker may wait briefly; extras are grabbed only if idle
-        start = time.perf_counter()
-        first = self.acquire()
-        wait = time.perf_counter() - start
-        if first is not None:
-            acquired.append(first)
-            while len(acquired) < min(self.workers, n):
-                # opportunistic extras: failing to grab one is not pool
-                # exhaustion — the fan-out just narrows
-                extra = self.acquire(timeout=0, _count_exhaustion=False)
-                if extra is None:
-                    break
-                acquired.append(extra)
-
-        shares: list[list[int]] = [[] for _ in acquired]
-        for i in range(n):
-            if acquired:
-                shares[i % len(acquired)].append(i)
-        remote = 0
-        pending_local: list[int] = [] if acquired else list(range(n))
-
-        # one roundtrip per worker: send every worker its share, then
-        # collect. A dead worker's share is recomputed locally.
-        inflight: list[tuple[_Worker, list[int]]] = []
-        for worker, share in zip(acquired, shares):
-            if not share:
-                self.release(worker)
-                continue
-            try:
-                self._ensure_snapshot(worker, snapshot_key, payload_fn)
-                worker.conn.send(
-                    (
-                        MSG_FETCH,
-                        snapshot_key,
-                        constraint_name,
-                        spec,
-                        dedup,
-                        [payloads[i] for i in share],
-                    )
-                )
-                inflight.append((worker, share))
-            except (_WorkerDied, OSError, BrokenPipeError):
-                worker.alive = False
-                self.release(worker)
-                pending_local.extend(share)
-                with self._lock:
-                    self._stats.fallbacks += len(share)
-
-        semantic_error: Optional[BaseException] = None
-        for worker, share in inflight:
-            try:
-                reply = self._recv(worker)
-            except (_WorkerDied, EOFError, OSError):
-                worker.alive = False
-                self.release(worker)
-                pending_local.extend(share)
-                with self._lock:
-                    self._stats.fallbacks += len(share)
-                continue
-            if reply[0] == REPLY_STALE:
-                # retry this worker's whole share once with a fresh snapshot
-                with self._lock:
-                    self._stats.stale_retries += 1
-                worker.snapshot_key = None
-                try:
-                    reply = self._compute(
-                        worker,
-                        snapshot_key,
-                        payload_fn,
-                        (
-                            MSG_FETCH,
-                            snapshot_key,
-                            constraint_name,
-                            spec,
-                            dedup,
-                            [payloads[i] for i in share],
-                        ),
-                    )
-                except _WorkerDied:
-                    self.release(worker)
-                    pending_local.extend(share)
-                    with self._lock:
-                        self._stats.fallbacks += len(share)
-                    continue
-            if reply[0] == REPLY_CHUNKS:
-                for i, chunk_result in zip(share, reply[1]):
-                    results[i] = chunk_result
-                remote += len(share)
-                self.release(worker)
-            elif reply[0] == REPLY_RAISE:
-                # semantic error: remember it, but keep draining the other
-                # in-flight workers so their replies don't poison later tasks
-                self.release(worker)
-                if semantic_error is None:
-                    semantic_error = reply[1]
-            else:  # unsupported
-                self.release(worker)
-                pending_local.extend(share)
-                with self._lock:
-                    self._stats.fallbacks += len(share)
-
-        with self._lock:
-            self._stats.chunks_dispatched += remote
-        if semantic_error is not None:
-            raise semantic_error
-        for i in pending_local:
-            results[i] = local_fn(payloads[i])
-        return (
-            [result for result in results if result is not None],
-            remote,
-            wait,
-        )
-
-    # ------------------------------------------------------------------ #
     # introspection / chaos hooks
     # ------------------------------------------------------------------ #
-    def idle_count(self) -> int:
-        """Approximate number of idle workers (racy by nature: a worker
-        may be taken between the check and a subsequent acquire). Used as
-        a cheap pre-flight so callers skip expensive wire-format
-        preparation when the pool is obviously busy."""
-        if self._closed:
-            return 0
-        return self._idle.qsize()
-
     def stats(self) -> PoolStats:
         with self._lock:
             snapshot = replace(self._stats)

@@ -29,41 +29,12 @@ class EngineProfile:
     join_algorithm: str = "hash"  # 'hash' | 'sort_merge' | 'block_nested'
     row_overhead: int = 0  # synthetic per-scanned-row work units
     block_size: int = 1024  # for block-nested-loop joins
-    # 'row' interprets every operator tuple-at-a-time; 'columnar' runs the
-    # tail operators (aggregate/sort/project/distinct/limit) over
-    # per-attribute column batches (engine.columnar). Scans and joins stay
-    # row-oriented in either mode.
-    executor: str = "row"  # 'row' | 'columnar'
-    rows_per_batch: int = 0  # columnar batch size; 0 = engine default
-    # Bounded-pipeline worker processes (engine.pool). 0/1 = in-process;
-    # >= 2 enables the multiprocessing engine pool for BEAS instances
-    # built on this profile. The conventional scan engine itself stays
-    # in-process in every configuration.
-    parallelism: int = 0
-    # Engine-pool fan-out unit ('auto' | 'plan' | 'batch'); participates
-    # in the Session option-precedence chain (call > Query > Session >
-    # profile > environment) like the other engine knobs.
-    parallel_dispatch: str = "auto"
 
     def __post_init__(self) -> None:
         if self.join_algorithm not in ("hash", "sort_merge", "block_nested"):
             raise ValueError(f"unknown join algorithm {self.join_algorithm!r}")
         if self.row_overhead < 0:
             raise ValueError("row_overhead must be >= 0")
-        if self.executor not in ("row", "columnar"):
-            raise ValueError(f"unknown executor mode {self.executor!r}")
-        if self.rows_per_batch < 0:
-            raise ValueError("rows_per_batch must be >= 0")
-        if not isinstance(self.parallelism, int) or isinstance(
-            self.parallelism, bool
-        ):
-            raise ValueError("parallelism must be an int")
-        if self.parallelism < 0:
-            raise ValueError("parallelism must be >= 0")
-        if self.parallel_dispatch not in ("auto", "plan", "batch"):
-            raise ValueError(
-                f"unknown parallel_dispatch {self.parallel_dispatch!r}"
-            )
 
 
 # Overheads are calibrated so the profiles reproduce the paper's consistent

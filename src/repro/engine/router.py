@@ -1,17 +1,25 @@
-"""Learned adaptive executor routing.
+"""The route decision: which way a covered plan runs, and the one place
+that runs it.
 
-The engine has four observationally-identical execution modes for a
-covered bounded plan — ``row``, ``columnar``, ``pooled-plan`` and
-``pooled-batch`` — that differ only in latency. This module picks the
-mode per query: one lightweight cost model per (template fingerprint,
-route), trained online from observed ``ExecutionMetrics.seconds``,
-routes each covered execution to the predicted-fastest mode with
-epsilon-greedy exploration (maliva's one-model-per-plan shape, fitted
-incrementally instead of offline).
+A bounded plan can run down four routes — in-process ``row`` or
+``columnar``, a ``pool`` worker process, a ``fleet`` replica — that
+return the same rows in the same order with the same ``tuples_fetched``
+(the differential suites lock this), so the choice is latency-only.
+This module owns it:
 
-Soundness is free: every route returns the same rows in the same order
-with the same ``tuples_fetched`` (the 4-way differential suites lock
-this), so a wrong prediction costs latency, never correctness.
+* :func:`allowed_routes` is the whole policy, as data: which routes a
+  request may take given its options, the engine's shape and the kind of
+  plan. Static routing takes the first; learned routing picks among them.
+* :class:`PlanRunner` is the one dispatcher: ``run_route(route, plan)``
+  holds the only ``pool.execute_plan`` / ``fleet.execute_plan`` call
+  sites, the single remote -> local-columnar fallback edge, and the
+  stamping of the pool and fleet metrics. ``docs/invariants.md`` ("Route
+  decision") states the rule the ``remote-dispatch`` lint enforces.
+* :class:`ExecutorRouter` is the learned pick: one lightweight cost
+  model per (template fingerprint, route), trained online from observed
+  ``ExecutionMetrics.seconds``, with epsilon-greedy exploration
+  (maliva's one-model-per-plan shape, fitted incrementally instead of
+  offline). A wrong prediction costs latency, never correctness.
 
 Features come from the paper's §3 deduced bounds (the access bound is
 known *before* execution), the binding's constant arity, estimated
@@ -32,21 +40,178 @@ from __future__ import annotations
 import math
 import random
 import threading
+import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro import config
+from repro.bounded.executor import BoundedPlanExecutor
+from repro.bounded.optimizer import PartialPlan
+from repro.bounded.plan import AnyBoundedPlan, BoundedPlan
+from repro.engine.columnar import resolve_rows_per_batch
+from repro.engine.executor import QueryResult
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.bounded.plan import BoundedPlan
+    from repro.access.catalog import ASCatalog
+    from repro.beas.session import ExecutionOptions
+    from repro.beas.system import BEAS
     from repro.catalog.statistics import TableStatistics
+    from repro.distributed.fleet import ReplicaFleet
     from repro.engine.metrics import ExecutionMetrics
+    from repro.engine.pool import EnginePool
 
-#: Every executable route, in exploration order. The serial pair is
-#: always available; the pooled pair needs ``parallelism >= 2``.
-ROUTES = ("row", "columnar", "pooled-plan", "pooled-batch")
-SERIAL_ROUTES = ("row", "columnar")
-POOLED_ROUTES = ("pooled-plan", "pooled-batch")
+#: Every route, in the order learned routing explores them. ``row`` and
+#: ``columnar`` run in-process; ``pool`` and ``fleet`` ship the plan to a
+#: peer process that runs it in columnar mode.
+ROUTES = ("row", "columnar", "pool", "fleet")
+LOCAL_ROUTES = ("row", "columnar")
+
+
+def allowed_routes(
+    options: "ExecutionOptions",
+    engine: "BEAS",
+    plan: "AnyBoundedPlan | PartialPlan",
+) -> tuple[str, ...]:
+    """The routes this request may take, preferred first.
+
+    ``options`` gives the request's ``executor`` and ``routing``,
+    ``engine`` says which peers exist (``parallelism >= 2``: a pool,
+    ``replicas >= 2``: a fleet), and ``plan`` is what is about to run: a
+    covered :class:`BoundedPlan`, a covered set operation, or the
+    :class:`PartialPlan` whose bounded prefix is.
+    """
+    pooled = engine.parallelism >= 2
+    if isinstance(plan, PartialPlan):
+        # a PARTIAL prefix never goes to the fleet: its rows come back to
+        # join the residual scan here
+        return ("pool",) if pooled else (options.executor,)
+    if not isinstance(plan, BoundedPlan):
+        # a set operation's branches are combined in-process; an engine
+        # with a pool runs them in batches, as its workers would
+        return ("columnar",) if pooled else (options.executor,)
+    if engine.replicas >= 2:
+        return ("fleet",)
+    if options.routing == "learned":
+        return ("row", "columnar", "pool") if pooled else LOCAL_ROUTES
+    return ("pool",) if pooled else (options.executor,)
+
+
+def _pool_snapshot(catalog: "ASCatalog") -> tuple[tuple, Callable[[], dict]]:
+    """The warm-snapshot key for the catalog's current state plus the
+    payload builder the pool pickles on a miss.
+
+    The key is the access-schema generation and the data version of
+    every table an access constraint covers — exactly the state a
+    worker's indices reflect — so any maintenance on a covered table
+    forces a fresh snapshot before the next dispatched task. The index
+    map is captured at the same instant as the version vector (not when
+    the pool later pickles it), keeping key and payload consistent; the
+    serving layer's shard read locks additionally pin the indices'
+    contents for the duration of an execute.
+    """
+    database = catalog.database
+    tables = {constraint.relation for constraint in catalog.schema}
+    payload = catalog.index_map()
+    versions = tuple(
+        sorted(
+            (name, database.table(name).version)
+            for name in tables
+            if name in database
+        )
+    )
+    return (catalog.schema_generation, versions), lambda: payload
+
+
+class PlanRunner:
+    """Runs a bounded plan down one route: the BE Plan Executor of the
+    paper's Fig. 1, wherever the plan physically runs."""
+
+    def __init__(
+        self,
+        catalog: "ASCatalog",
+        *,
+        dedup_keys: bool = False,
+        rows_per_batch: Optional[int] = None,
+        pool: Optional[Callable[[], Optional["EnginePool"]]] = None,
+        fleet: Optional[Callable[[], Optional["ReplicaFleet"]]] = None,
+    ):
+        """``pool`` and ``fleet`` are zero-argument providers of the live
+        peers (or ``None``): BEAS passes its lazy spawners, so processes
+        start only when a remote route actually runs."""
+        self._catalog = catalog
+        self._dedup_keys = dedup_keys
+        self.rows_per_batch = resolve_rows_per_batch(rows_per_batch)
+        self._providers = {"pool": pool, "fleet": fleet}
+        self._local = {
+            mode: BoundedPlanExecutor(
+                catalog,
+                dedup_keys=dedup_keys,
+                executor=mode,
+                rows_per_batch=self.rows_per_batch,
+            )
+            for mode in LOCAL_ROUTES
+        }
+
+    def run_route(self, route: str, plan: AnyBoundedPlan) -> QueryResult:
+        """Run ``plan`` down ``route`` (one of :data:`ROUTES`)."""
+        local = self._local.get(route)
+        if local is not None:
+            return local.execute(plan)
+        start = time.perf_counter()
+        provider = self._providers[route]
+        peers = provider() if provider is not None else None
+        attempted = peers is not None and not peers.closed
+        remote = self._run_fleet if route == "fleet" else self._run_pool
+        result = remote(peers, plan) if attempted else None
+        if result is None:
+            # the one fallback edge: whatever a remote route could not
+            # serve (no live peer, none idle, a dead one, a corrupt wire,
+            # no co-locating replica) runs here, in batches as the peer
+            # would have run it — never wrong, only slower
+            result = self._local["columnar"].execute(plan)
+            if attempted and route == "pool":
+                # the outcome is a serial run and must not train the
+                # pool's cost model
+                result.metrics.pool_fallbacks += 1
+                result.metrics.pool_workers = peers.workers
+        result.metrics.seconds = time.perf_counter() - start
+        return result
+
+    def _run_pool(
+        self, pool: "EnginePool", plan: AnyBoundedPlan
+    ) -> Optional[QueryResult]:
+        """Ship the whole plan to one worker; ``None`` means fall back."""
+        snapshot_key, payload_fn = _pool_snapshot(self._catalog)
+        outcome = pool.execute_plan(
+            snapshot_key,
+            payload_fn,
+            plan,
+            dedup=self._dedup_keys,
+            rows_per_batch=self.rows_per_batch,
+        )
+        if outcome is None:
+            return None
+        columns, rows, metrics, wait = outcome
+        metrics.pool_workers = pool.workers
+        metrics.pool_batches = metrics.batches
+        metrics.pool_wait_seconds = wait
+        return QueryResult(columns=columns, rows=rows, metrics=metrics)
+
+    def _run_fleet(
+        self, fleet: "ReplicaFleet", plan: AnyBoundedPlan
+    ) -> Optional[QueryResult]:
+        """Serve the plan from its co-located replica; ``None`` means
+        fall back."""
+        outcome = fleet.execute_plan(
+            plan, dedup=self._dedup_keys, rows_per_batch=self.rows_per_batch
+        )
+        if outcome is None:
+            return None
+        columns, rows, metrics, wire, replica_id = outcome
+        metrics.replica_id = replica_id
+        metrics.wire_seconds = wire
+        return QueryResult(columns=columns, rows=rows, metrics=metrics)
+
 
 #: Feature vector layout (kept in one place so tests can assert on it).
 FEATURE_NAMES = (
@@ -244,13 +409,8 @@ class ExecutorRouter:
     """
 
     def __init__(
-        self,
-        *,
-        parallelism: int = 1,
-        epsilon: Optional[float] = None,
-        seed: int = 0,
+        self, *, epsilon: Optional[float] = None, seed: int = 0
     ) -> None:
-        self.routes = ROUTES if parallelism >= 2 else SERIAL_ROUTES
         if epsilon is None:
             epsilon = config.DEFAULT_ROUTING_EPSILON
         self._epsilon = config.validate_routing_epsilon(epsilon)
@@ -275,28 +435,33 @@ class ExecutorRouter:
     def epsilon(self, value: float) -> None:
         self._epsilon = config.validate_routing_epsilon(value)
 
-    def route(self, template: str, features: Sequence[float]) -> RouteChoice:
-        """Pick the route for one covered execution of ``template``."""
+    def route(
+        self, template: str, features: Sequence[float], routes: Sequence[str]
+    ) -> RouteChoice:
+        """Pick one of ``routes`` (:func:`allowed_routes`) for one covered
+        execution of ``template``."""
         with self._lock:
             self._templates.add(template)
             self._decisions += 1
-            choice = self._pick(template, features)
+            choice = self._pick(template, features, routes)
             self._routed[choice.route] = self._routed.get(choice.route, 0) + 1
             if choice.explored:
                 self._explorations += 1
             return choice
 
-    def _pick(self, template: str, features: Sequence[float]) -> RouteChoice:
+    def _pick(
+        self, template: str, features: Sequence[float], routes: Sequence[str]
+    ) -> RouteChoice:
         # every route gets tried once per template before the model votes
-        for route in self.routes:
+        for route in routes:
             model = self._models.get((template, route))
             if model is None or model.count == 0:
                 return RouteChoice(route, explored=True)
         if self._epsilon > 0.0 and self._rng.random() < self._epsilon:
-            return RouteChoice(self._rng.choice(self.routes), explored=True)
-        best_route = self.routes[0]
+            return RouteChoice(self._rng.choice(routes), explored=True)
+        best_route = routes[0]
         best_cost: Optional[float] = None
-        for route in self.routes:
+        for route in routes:
             predicted = self._models[(template, route)].predict(features)
             if predicted is None:
                 continue
@@ -314,12 +479,12 @@ class ExecutorRouter:
     ) -> None:
         """Train the (template, route) model on one observed execution.
 
-        Pooled outcomes that (even partially) fell back in-process are
-        skipped: their latency describes a serial run, and training a
-        pooled model on it would poison every later prediction.
+        A pool outcome that fell back in-process is skipped: its latency
+        describes a serial run, and training the pool's model on it would
+        poison every later prediction.
         """
         with self._lock:
-            if route in POOLED_ROUTES and metrics.pool_fallbacks > 0:
+            if route == "pool" and metrics.pool_fallbacks > 0:
                 self._fallback_skips += 1
                 return
             key = (template, route)

@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Union, cast
 
 from repro.beas.result import ExecutionMode
 from repro.beas.session import Decision, Result
-from repro.bounded.plan import BoundedPlan
 from repro.bounded.rebind import RebindTemplate, build_rebind_template
 from repro.bounded.subsume import (
     Candidate,
@@ -36,7 +35,7 @@ from repro.bounded.subsume import (
     summarize_statement,
 )
 from repro.engine.metrics import ExecutionMetrics
-from repro.engine.router import routing_features
+from repro.engine.router import allowed_routes, routing_features
 from repro.errors import ServingError
 from repro.serving.cache import approx_size
 from repro.serving.prepared import PreparedBinding, PreparedQuery
@@ -146,6 +145,8 @@ class Request:
     # decide / route / execute
     coverage: "CoverageDecision" = field(init=False)
     provenance: str = field(init=False)
+    #: the way the plan runs; ``choice`` is set when the router picked it
+    route: Optional[str] = field(default=None, init=False)
     choice: Optional["RouteChoice"] = field(default=None, init=False)
     features: tuple[float, ...] = field(init=False)
     mode: ExecutionMode = field(init=False)
@@ -321,19 +322,21 @@ def decide(server: "BEASServer", request: Request) -> None:
 
 
 def route(server: "BEASServer", request: Request) -> None:
-    """Learned routing: pick the engine shape for a covered, in-budget
-    bounded plan from the per-template cost model. Answers are
+    """Choose the way the decision's bounded plan (or bounded prefix)
+    runs: the first of :func:`~repro.engine.router.allowed_routes`, or,
+    when ``routing="learned"`` leaves several open, the one the
+    per-template cost model predicts fastest. Answers are
     route-independent, so a wrong prediction costs latency only."""
     options, coverage = request.options, request.coverage
-    if (
-        options.routing == "learned"
-        and coverage.covered
-        and isinstance(coverage.plan, BoundedPlan)
-        and (options.budget is None or coverage.within_budget)
-    ):
-        beas = server.beas
+    plan = coverage.plan if coverage.covered else coverage.partial
+    if plan is None:
+        return  # conventional evaluation: nothing to route
+    beas = server.beas
+    routes = allowed_routes(options, beas, plan)
+    request.route = routes[0]
+    if len(routes) > 1 and (options.budget is None or coverage.within_budget):
         request.features = routing_features(
-            coverage.plan,
+            plan,
             # scoped to the locked dependency tables: never scans (or
             # races with) tables this request did not lock
             beas._host.statistics(tables=request.tables),
@@ -341,20 +344,21 @@ def route(server: "BEASServer", request: Request) -> None:
             parallelism=beas.parallelism,
         )
         request.choice = server.router.route(
-            request.template_fingerprint, request.features
+            request.template_fingerprint, request.features, routes
         )
+        request.route = request.choice.route
 
 
 def execute(server: "BEASServer", request: Request) -> None:
     """Run the decision on the engine and train the router on it."""
-    choice = request.choice
     mode, answer = server.beas.evaluate(
         request.statement,
         request.coverage,
         request.options,
-        route=choice.route if choice is not None else None,
+        route=request.route,
     )
     request.mode, request.answer = mode, answer
+    choice = request.choice
     if choice is not None and mode is ExecutionMode.BOUNDED:
         answer.metrics.routed_mode = choice.route
         answer.metrics.routing_explored = choice.explored

@@ -258,9 +258,7 @@ class BEASServer:
         #: subsumption_rejects, subsumption_invalidations
         self._counts: Counter[str] = Counter()
         self._schema_generation = beas.catalog.schema_generation
-        self._router = ExecutorRouter(
-            parallelism=beas.parallelism, epsilon=env_routing_epsilon()
-        )
+        self._router = ExecutorRouter(epsilon=env_routing_epsilon())
         if beas.store is not None:
             self._prewarm_result_cache()
 

@@ -141,6 +141,16 @@ def ex1_beas(ex1_db, ex1_access) -> BEAS:
     return BEAS(ex1_db, ex1_access)
 
 
+def nan_keyed(rows) -> list[tuple]:
+    """``rows`` with every NaN cell replaced by ``"nan"``, order kept. A
+    NaN never ``==`` itself, so rows holding one compare equal only while
+    both sides share the one object — which a pool pipe or a fleet socket
+    does not preserve."""
+    return [
+        tuple("nan" if value != value else value for value in row) for row in rows
+    ]
+
+
 def engine_run(beas: BEAS, sql, **fields):
     """One uncached, statically routed run on ``beas``'s own executor:
     what the differential suites compare engines by, whichever ``BEAS_*``

@@ -33,6 +33,7 @@ def test_registry_has_all_house_rules():
         "except-discipline",
         "storage-codec",
         "table-mutation",
+        "remote-dispatch",
     }
 
 
@@ -641,6 +642,60 @@ class TestTableMutation:
             "bounded/optimizer.py",
         )
         assert not _hits(report, "table-mutation")
+
+
+# --------------------------------------------------------------------------- #
+# remote-dispatch — PR 17: one dispatcher ships plans to pool and fleet
+# --------------------------------------------------------------------------- #
+class TestRemoteDispatch:
+    def test_flags_the_parent_commits_executor_ladder(self):
+        # BoundedPlanExecutor.execute at PR 16: the executor itself tried
+        # the fleet, then the pool, each with its own fallback
+        report = _lint(
+            """            def execute(self, plan):
+                outcome = self._fleet.execute_plan(
+                    plan, dedup=False, rows_per_batch=4
+                )
+                if outcome is None:
+                    outcome = pool.execute_plan(key, payload_fn, plan)
+                return outcome
+            """,
+            "bounded/executor.py",
+        )
+        hits = _hits(report, "remote-dispatch")
+        assert [hit.line for hit in hits] == [2, 6]
+
+    def test_flags_a_dispatch_from_the_serving_layer(self):
+        report = _lint(
+            "def execute(server, request):\n"
+            "    return server.beas.fleet.execute_plan(request.plan)\n",
+            "serving/request.py",
+        )
+        assert len(_hits(report, "remote-dispatch")) == 1
+
+    def test_router_module_is_exempt(self):
+        report = _lint(
+            """            def _run_fleet(self, fleet, plan):
+                return fleet.execute_plan(plan, dedup=False, rows_per_batch=4)
+            """,
+            "engine/router.py",
+        )
+        assert not _hits(report, "remote-dispatch")
+
+    def test_definitions_and_the_runner_are_silent(self):
+        # the peers define the method; everyone else calls the runner
+        report = _lint(
+            """            class EnginePool:
+                def execute_plan(self, key, payload_fn, plan):
+                    return None
+
+            def evaluate(beas, route, plan):
+                run = beas.runner.run_route
+                return run(route, plan), beas.runner.execute_plan
+            """,
+            "engine/pool.py",
+        )
+        assert not _hits(report, "remote-dispatch")
 
 
 # --------------------------------------------------------------------------- #

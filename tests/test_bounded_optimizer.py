@@ -236,7 +236,8 @@ class TestPartialAnswerMetrics:
         with session:
             result = session.run(sql)
             partial = result.decision.coverage.partial
-            prefix = session.beas.bounded_executor().execute(partial.sub_plan)
+            beas = session.beas
+            prefix = beas.runner.run_route(beas.executor, partial.sub_plan)
         assert result.mode is ExecutionMode.PARTIAL
         assert len(partial.sub_plan.fetch_ops) == 2
         assert prefix.metrics.intermediate_rows > 0

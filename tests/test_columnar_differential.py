@@ -265,34 +265,9 @@ class TestBatchBoundaries:
 
 
 # --------------------------------------------------------------------------- #
-# mode wiring: EngineProfile, BEAS per-call override, serving layer
+# mode wiring: BEAS per-call override, serving layer
 # --------------------------------------------------------------------------- #
 class TestModeWiring:
-    def test_engine_profile_columnar_tail(self):
-        """A conventional engine under a columnar profile runs the tail
-        operators batch-wise (scans/joins stay row-wise) and agrees with
-        the row profile exactly."""
-        from repro import ConventionalEngine, EngineProfile
-
-        db = _batch_db(3 * BATCH + 2)
-        sql = "SELECT g, COUNT(*) AS c FROM t WHERE k = 'k' GROUP BY g ORDER BY g"
-        row_engine = ConventionalEngine(db)
-        columnar_engine = ConventionalEngine(
-            db,
-            EngineProfile(name="pg-columnar", executor="columnar", rows_per_batch=BATCH),
-        )
-        row_result = row_engine.execute(sql)
-        col_result = columnar_engine.execute(sql)
-        assert row_result.rows == col_result.rows
-        assert col_result.metrics.batches > 0
-        assert row_result.metrics.batches == 0
-
-    def test_engine_profile_rejects_unknown_executor(self):
-        from repro import EngineProfile
-
-        with pytest.raises(ValueError):
-            EngineProfile(name="bad", executor="vectorised")
-
     def test_beas_per_call_override(self):
         db = _batch_db(2 * BATCH)
         beas = _batch_beas(db, "row")

@@ -36,12 +36,6 @@ class TestValidators:
             with pytest.raises(BEASError):
                 config.validate_parallelism(bad)
 
-    def test_dispatch(self):
-        for mode in ("auto", "plan", "batch"):
-            assert config.validate_dispatch(mode) == mode
-        with pytest.raises(BEASError, match="parallel_dispatch"):
-            config.validate_dispatch("scatter")
-
     def test_result_reuse(self):
         for mode in ("exact", "subsume"):
             assert config.validate_result_reuse(mode) == mode

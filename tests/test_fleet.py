@@ -132,10 +132,11 @@ class TestSharedProtocol:
     def test_pool_and_fleet_share_the_protocol_vocabulary(self):
         # the engine pool's pipe protocol and the fleet's socket protocol
         # must be the same state machine, not two drifting copies
-        from repro.distributed import protocol
+        from repro.distributed import protocol, replica
         from repro.engine import pool
 
-        assert pool._SnapshotCatalog is protocol.SnapshotCatalog
+        assert pool.run_plan_task is protocol.run_plan_task
+        assert replica.run_plan_task is protocol.run_plan_task
         assert pool.REPLY_STALE is protocol.REPLY_STALE
         assert pool.compute_with_stale_retry is protocol.compute_with_stale_retry
 

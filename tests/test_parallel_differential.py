@@ -3,21 +3,19 @@
 The engine pool (``repro.engine.pool``) must be observationally
 identical to the in-process executors: same answer rows in the same
 order, same ``tuples_fetched`` accounting (including ``dedup_keys``
-semantics, whose per-worker key maps are merged deterministically), and
-the same per-fetch operation breakdown. This suite replays the seeded
-random SPJA workload of ``test_fuzz_differential`` through **four**
+semantics) and the same per-operation breakdown. This suite replays the seeded
+random SPJA workload of ``test_fuzz_differential`` through **three**
 executions side by side —
 
 * ``row`` (in-process, tuple-at-a-time),
 * ``columnar`` (in-process batches),
-* ``pooled/plan`` (whole plans shipped to worker processes),
-* ``pooled/batch`` (fetch input batches fanned out across workers) —
+* ``pool`` (whole plans shipped to worker processes) —
 
 including NULL-enriched instances, and asserts exact equality per
-scenario. Construction-time validation of the new engine options
+scenario. Construction-time validation of the engine options
 (``BEASError`` for bad ``rows_per_batch``/``parallelism``) and the
-mode-wiring surface (env var, profile default, serving overrides,
-async front end) are covered at the bottom.
+mode-wiring surface (env var, serving overrides, async front end) are
+covered at the bottom.
 """
 
 from __future__ import annotations
@@ -26,8 +24,9 @@ import random
 
 import pytest
 
-from repro import BEAS, EngineProfile
+from repro import BEAS
 from repro.beas.result import ExecutionMode
+from repro.bounded.plan import BoundedPlan
 from repro.errors import BEASError
 
 from tests.conftest import engine_run, example1_access_schema
@@ -42,7 +41,7 @@ RANDOM_QUERIES_PER_SEED = 4
 COVERED_QUERIES_PER_SEED = 3  # templates guaranteed to take the bounded path
 QUERIES_PER_SEED = RANDOM_QUERIES_PER_SEED + COVERED_QUERIES_PER_SEED
 DEDUP_MODES = (False, True)
-_SCENARIOS = 0  # four-way comparisons performed
+_SCENARIOS = 0  # three-way comparisons performed
 
 
 def _covered_queries(rng: random.Random) -> list[str]:
@@ -72,15 +71,12 @@ def _fetch_ops(metrics):
     ]
 
 
-def _compare_four(
-    row_beas, col_beas, plan_beas, batch_beas, sql: str
-) -> ExecutionMode:
+def _compare_three(row_beas, col_beas, pool_beas, sql: str) -> ExecutionMode:
     global _SCENARIOS
     row = engine_run(row_beas, sql)
     col = engine_run(col_beas, sql)
-    pooled_plan = engine_run(plan_beas, sql)
-    pooled_batch = engine_run(batch_beas, sql)
-    runs = (row, col, pooled_plan, pooled_batch)
+    pooled = engine_run(pool_beas, sql)
+    runs = (row, col, pooled)
 
     # answers: mode, columns, and even the row order must agree exactly
     assert all(r.mode == row.mode for r in runs), sql
@@ -98,17 +94,20 @@ def _compare_four(
         # same fetch ops with the same input/output counts as columnar
         col_fetches = _fetch_ops(col.metrics)
         assert _fetch_ops(row.metrics) == col_fetches, sql
-        assert _fetch_ops(pooled_plan.metrics) == col_fetches, sql
-        assert _fetch_ops(pooled_batch.metrics) == col_fetches, sql
+        assert _fetch_ops(pooled.metrics) == col_fetches, sql
         assert (
-            pooled_plan.metrics.intermediate_rows
-            == pooled_batch.metrics.intermediate_rows
+            pooled.metrics.intermediate_rows
+            == col.metrics.intermediate_rows
             == row.metrics.intermediate_rows
         ), sql
-        # pooled runs carry the pool surface in their metrics
-        assert pooled_plan.metrics.pool_workers == 2, sql
-        assert pooled_batch.metrics.pool_workers == 2, sql
-        assert pooled_plan.metrics.rows_per_batch > 0, sql
+        # every OperationCost label, tail operators included
+        labels = [op.label for op in col.metrics.operations]
+        assert [op.label for op in pooled.metrics.operations] == labels, sql
+        # a plan a worker ran carries the pool surface in its metrics (a
+        # set operation under a pool runs in-process, in batches)
+        if isinstance(pool_beas.check(sql).plan, BoundedPlan):
+            assert pooled.metrics.pool_workers == 2, sql
+        assert pooled.metrics.rows_per_batch > 0, sql
     _SCENARIOS += 1
     return row.mode
 
@@ -140,41 +139,27 @@ def test_row_vs_columnar_vs_pooled_differential(seed: int):
             rows_per_batch=rows_per_batch,
             parallelism=1,
         )
-        plan_beas = BEAS(
+        pool_beas = BEAS(
             db,
             example1_access_schema(),
             dedup_keys=dedup,
             executor="columnar",
             rows_per_batch=rows_per_batch,
             parallelism=2,
-            parallel_dispatch="plan",
-        )
-        batch_beas = BEAS(
-            db,
-            example1_access_schema(),
-            dedup_keys=dedup,
-            executor="columnar",
-            rows_per_batch=rows_per_batch,
-            parallelism=2,
-            parallel_dispatch="batch",
         )
         try:
             modes = [
-                _compare_four(row_beas, col_beas, plan_beas, batch_beas, sql)
+                _compare_three(row_beas, col_beas, pool_beas, sql)
                 for sql in queries
             ]
             # the covered templates guarantee bounded work every seed, and
-            # the plan route must really have run on workers (batch
-            # fan-out only triggers on multi-chunk fetches, so no floor
-            # is asserted for it here — test_batch_dispatch_fans_out
-            # pins that down)
+            # the pool route must really have run on workers
             assert ExecutionMode.BOUNDED in modes
-            plan_stats = plan_beas.pool_stats()
-            assert plan_stats is not None
-            assert plan_stats.plans_dispatched > 0
+            pool_stats = pool_beas.pool_stats()
+            assert pool_stats is not None
+            assert pool_stats.plans_dispatched > 0
         finally:
-            plan_beas.close()
-            batch_beas.close()
+            pool_beas.close()
     assert _SCENARIOS - before == QUERIES_PER_SEED * len(DEDUP_MODES)
 
 
@@ -186,11 +171,10 @@ def test_differential_scenario_floor():
 
 
 # --------------------------------------------------------------------------- #
-# batch fan-out specifics
+# a join workload for the wiring tests
 # --------------------------------------------------------------------------- #
 def _join_workload():
-    """A two-fetch plan whose second fetch sees a multi-chunk input, so
-    ``dispatch="batch"`` genuinely fans chunks out across workers."""
+    """A two-fetch plan whose second fetch sees a multi-chunk input."""
     from repro import (
         AccessConstraint,
         AccessSchema,
@@ -235,36 +219,6 @@ def _join_workload():
         "WHERE t.k = 'k' AND t.g = s.g ORDER BY t.u, s.v"
     )
     return db, access, sql
-
-
-@pytest.mark.parametrize("dedup", DEDUP_MODES)
-def test_batch_dispatch_fans_out(dedup: bool):
-    from repro import AccessConstraint  # noqa: F401 - imported via helper
-
-    db, access, sql = _join_workload()
-    baseline = engine_run(
-        BEAS(
-            db, access, executor="columnar", rows_per_batch=4,
-            dedup_keys=dedup, parallelism=1,
-        ),
-        sql,
-    )
-    pooled = BEAS(
-        db, access, executor="columnar", rows_per_batch=4,
-        dedup_keys=dedup, parallelism=2, parallel_dispatch="batch",
-    )
-    try:
-        result = engine_run(pooled, sql)
-        assert result.rows == baseline.rows
-        assert result.metrics.tuples_fetched == baseline.metrics.tuples_fetched
-        # the second fetch's 48-row input splits into 12 chunks; at least
-        # part of them must have run on worker processes
-        assert result.metrics.pool_batches > 0
-        stats = pooled.pool_stats()
-        assert stats is not None and stats.chunks_dispatched > 0
-        assert stats.plans_dispatched == 0  # batch dispatch never ships plans
-    finally:
-        pooled.close()
 
 
 def test_row_default_with_pool_matches_row():
@@ -313,10 +267,6 @@ class TestConstructionValidation:
         with pytest.raises(BEASError, match="parallelism"):
             BEAS(self._db(), parallelism=bad)
 
-    def test_dispatch_must_be_known(self):
-        with pytest.raises(BEASError, match="dispatch"):
-            BEAS(self._db(), parallel_dispatch="sideways")
-
     def test_bad_env_parallelism(self, monkeypatch):
         monkeypatch.setenv("BEAS_PARALLELISM", "many")
         with pytest.raises(BEASError, match="BEAS_PARALLELISM"):
@@ -340,13 +290,9 @@ class TestConstructionValidation:
         with pytest.raises(BEASError):
             EnginePool("four")
 
-    def test_profile_validates_parallelism(self):
-        with pytest.raises(ValueError):
-            EngineProfile(name="bad", parallelism=-1)
-
 
 # --------------------------------------------------------------------------- #
-# mode wiring: env var, profile default, serving layer, async front end
+# mode wiring: env var, serving layer, async front end
 # --------------------------------------------------------------------------- #
 class TestPoolWiring:
     def test_env_default_resolution(self, monkeypatch):
@@ -354,20 +300,9 @@ class TestPoolWiring:
 
         monkeypatch.delenv("BEAS_PARALLELISM", raising=False)
         assert resolve_parallelism(None) == 1
-        assert resolve_parallelism(None, default=3) == 3
         monkeypatch.setenv("BEAS_PARALLELISM", "4")
         assert resolve_parallelism(None) == 4
         assert resolve_parallelism(2) == 2  # explicit wins over env
-
-    def test_profile_parallelism_is_the_fallback_default(self, monkeypatch):
-        monkeypatch.delenv("BEAS_PARALLELISM", raising=False)
-        db, access, _ = _join_workload()
-        profile = EngineProfile(name="pg-par", parallelism=2)
-        beas = BEAS(db, access, host_profile=profile)
-        try:
-            assert beas.parallelism == 2
-        finally:
-            beas.close()
 
     def test_pool_is_lazy_and_close_is_idempotent(self):
         db, access, sql = _join_workload()

@@ -15,13 +15,14 @@ exactly as the in-process executor would.
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro import (
     AccessConstraint,
     AccessSchema,
     BEAS,
-    BoundedPlanExecutor,
     Database,
     DatabaseSchema,
     DataType,
@@ -29,6 +30,7 @@ from repro import (
     TableSchema,
 )
 from repro.beas.result import ExecutionMode
+from repro.engine.router import PlanRunner
 from repro.errors import ExecutionError
 
 from tests.conftest import engine_run
@@ -79,43 +81,37 @@ def workload():
     return make_workload()
 
 
-def pooled_executor(beas: BEAS, pool: EnginePool, dispatch: str):
-    """A BoundedPlanExecutor over an explicit (usually 1-worker) pool, so
-    chaos hooks deterministically hit the worker that will serve the
-    next task."""
-    return BoundedPlanExecutor(
-        beas.catalog,
-        executor="columnar",
-        rows_per_batch=4,
-        pool=pool,
-        dispatch=dispatch,
-    )
+def pooled_run(beas: BEAS, pool: EnginePool):
+    """``plan -> result`` down the ``pool`` route over an explicit
+    (usually 1-worker) pool, so chaos hooks deterministically hit the
+    worker that will serve the next task."""
+    runner = PlanRunner(beas.catalog, rows_per_batch=4, pool=lambda: pool)
+    return functools.partial(runner.run_route, "pool")
 
 
 def expected_result(beas: BEAS, sql: str):
-    return beas.bounded_executor("columnar").execute(beas.check(sql).plan)
+    return beas.runner.run_route("columnar", beas.check(sql).plan)
 
 
 # --------------------------------------------------------------------------- #
 # worker death mid-batch
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("dispatch", ["plan", "batch"])
-def test_worker_death_mid_task_falls_back_and_respawns(workload, dispatch):
+def test_worker_death_mid_task_falls_back_and_respawns(workload):
     db, access, sql = workload
     beas = BEAS(db, access, parallelism=1)
     oracle = expected_result(beas, sql)
     plan = beas.check(sql).plan
     with EnginePool(1) as pool:
-        executor = pooled_executor(beas, pool, dispatch)
+        run = pooled_run(beas, pool)
         # arm the only worker: it exits the process mid-way through the
         # NEXT compute task — after the master committed to dispatching
         pool.debug("die_on_next_task")
-        result = executor.execute(plan)
+        result = run(plan)
         assert result.rows == oracle.rows
         assert result.metrics.tuples_fetched == oracle.metrics.tuples_fetched
-        # the outcome is attributed as a (partly) serial run: the router
-        # must never learn pooled-mode costs from it
-        assert result.metrics.pool_fallbacks >= 1
+        # the outcome is attributed as a serial run: the router must
+        # never learn the pool's costs from it
+        assert result.metrics.pool_fallbacks == 1
         stats = pool.stats()
         assert stats.worker_deaths == 1
         assert stats.respawns == 1
@@ -123,10 +119,10 @@ def test_worker_death_mid_task_falls_back_and_respawns(workload, dispatch):
 
         # the respawned worker serves the same plan remotely again
         # (fresh snapshot: the replacement starts empty)
-        again = executor.execute(plan)
+        again = run(plan)
         assert again.rows == oracle.rows
         after = pool.stats()
-        assert after.plans_dispatched + after.chunks_dispatched > 0
+        assert after.plans_dispatched > 0
         assert after.snapshots_sent >= 2
 
 
@@ -136,11 +132,11 @@ def test_repeated_worker_deaths_never_corrupt_answers(workload):
     oracle = expected_result(beas, sql)
     plan = beas.check(sql).plan
     with EnginePool(2) as pool:
-        executor = pooled_executor(beas, pool, "plan")
+        run = pooled_run(beas, pool)
         for round_number in range(4):
             if round_number % 2 == 0:
                 pool.debug("die_on_next_task")
-            result = executor.execute(plan)
+            result = run(plan)
             assert result.rows == oracle.rows, f"round {round_number}"
         stats = pool.stats()
         assert stats.worker_deaths >= 2
@@ -156,13 +152,13 @@ def test_silently_stale_worker_snapshot_is_detected_and_retried(workload):
     oracle = expected_result(beas, sql)
     plan = beas.check(sql).plan
     with EnginePool(1) as pool:
-        executor = pooled_executor(beas, pool, "plan")
-        assert executor.execute(plan).rows == oracle.rows  # snapshot warm
+        run = pooled_run(beas, pool)
+        assert run(plan).rows == oracle.rows  # snapshot warm
         # corrupt the WORKER's installed snapshot key without the master
         # noticing: the master's bookkeeping now claims the worker is
         # fresh while it is not — the per-task key check must catch it
         pool.debug("set_snapshot_key", ("bogus", "generation"))
-        result = executor.execute(plan)
+        result = run(plan)
         assert result.rows == oracle.rows
         # the stale snapshot was re-shipped and the task retried on the
         # worker — a genuinely pooled run, not a fallback
@@ -201,11 +197,11 @@ def test_pool_exhaustion_falls_back_in_process(workload):
     oracle = expected_result(beas, sql)
     plan = beas.check(sql).plan
     with EnginePool(1, acquire_timeout=0.01) as pool:
-        executor = pooled_executor(beas, pool, "auto")
+        run = pooled_run(beas, pool)
         busy = pool.acquire()  # hold the only worker hostage
         assert busy is not None
         try:
-            result = executor.execute(plan)
+            result = run(plan)
             assert result.rows == oracle.rows
             assert result.metrics.pool_batches == 0  # everything ran local
             assert result.metrics.pool_fallbacks >= 1  # attributed as serial
@@ -216,7 +212,7 @@ def test_pool_exhaustion_falls_back_in_process(workload):
             pool.release(busy)
         # once the worker is back, dispatch resumes — and the clean
         # pooled run carries no fallback attribution
-        resumed = executor.execute(plan)
+        resumed = run(plan)
         assert resumed.rows == oracle.rows
         assert resumed.metrics.pool_fallbacks == 0
         assert pool.stats().plans_dispatched == 1
@@ -228,9 +224,9 @@ def test_closed_pool_falls_back(workload):
     oracle = expected_result(beas, sql)
     plan = beas.check(sql).plan
     pool = EnginePool(1)
-    executor = pooled_executor(beas, pool, "auto")
+    run = pooled_run(beas, pool)
     pool.close()
-    result = executor.execute(plan)
+    result = run(plan)
     assert result.rows == oracle.rows
     assert result.metrics.pool_batches == 0
     # a closed pool means no pooled dispatch was ever *attempted*, so
@@ -241,8 +237,7 @@ def test_closed_pool_falls_back(workload):
 # --------------------------------------------------------------------------- #
 # semantic errors must propagate, not fall back
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("dispatch", ["plan", "batch"])
-def test_bound_exceeded_propagates_from_workers(dispatch):
+def test_bound_exceeded_propagates_from_workers():
     """Non-conforming data (index built with validate=False) blows the
     deduced fetch bound; the pooled run must raise the same
     ExecutionError the in-process run does — never silently fall back
@@ -268,11 +263,11 @@ def test_bound_exceeded_propagates_from_workers(dispatch):
     sql = "SELECT DISTINCT u FROM t WHERE k = 'k'"
     plan = beas.check(sql).plan
     with pytest.raises(ExecutionError, match="exceeding its deduced bound"):
-        beas.bounded_executor("columnar").execute(plan)
+        beas.runner.run_route("columnar", plan)
     with EnginePool(1) as pool:
-        executor = pooled_executor(beas, pool, dispatch)
+        run = pooled_run(beas, pool)
         with pytest.raises(ExecutionError, match="exceeding its deduced bound"):
-            executor.execute(plan)
+            run(plan)
 
 
 # --------------------------------------------------------------------------- #
@@ -387,16 +382,15 @@ def test_router_never_trains_pooled_models_on_fallbacks(workload):
     features = routing_features(
         plan, {}, rows_per_batch=4, parallelism=2
     )
-    router = ExecutorRouter(parallelism=2)
+    router = ExecutorRouter()
     fallback = ExecutionMetrics(seconds=0.5, pool_fallbacks=1)
     clean = ExecutionMetrics(seconds=0.5)
-    router.observe("fp", "pooled-plan", features, fallback)
-    router.observe("fp", "pooled-batch", features, fallback)
+    router.observe("fp", "pool", features, fallback)
     assert router.stats().observations == 0
-    assert router.stats().fallback_skips == 2
+    assert router.stats().fallback_skips == 1
     # serial routes train regardless (a serial run IS a serial cost),
     # and clean pooled runs train normally
     router.observe("fp", "row", features, fallback)
-    router.observe("fp", "pooled-plan", features, clean)
+    router.observe("fp", "pool", features, clean)
     assert router.stats().observations == 2
-    assert router.stats().fallback_skips == 2
+    assert router.stats().fallback_skips == 1

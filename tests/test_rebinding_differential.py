@@ -156,7 +156,7 @@ def test_rebound_equals_fresh_decision(rig, template_key, seed):
         )
         fresh_decision = oracle.check(statement)  # a full checker run
         assert fresh_decision.covered, template_key
-        fresh = oracle.bounded_executor().execute(fresh_decision.plan)
+        fresh = oracle.runner.run_route(oracle.executor, fresh_decision.plan)
 
         # exact row order, not just set equality
         assert served.rows == fresh.rows, (template_key, seed, binding)

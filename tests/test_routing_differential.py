@@ -1,21 +1,19 @@
 """Router-vs-static differential suite: routing is a latency decision.
 
-The learned executor router (``repro.engine.router``) picks one of four
-observationally-identical execution modes per covered query. Whatever it
+The learned executor router (``repro.engine.router``) picks one of the
+observationally-identical routes per covered query. Whatever it
 picks — and however wrong its cost model is — the answer must be
 bit-identical to every static configuration: same rows in the same
 order, same ``tuples_fetched`` accounting, same per-fetch breakdown.
 This suite replays the seeded random SPJA workload of
 ``test_fuzz_differential`` through a ``routing="learned"`` server and
-compares every scenario against **four** static oracles (row, columnar,
-pooled/plan, pooled/batch), with exploration forced fully on
-(``epsilon=1.0``) and fully off (``epsilon=0.0``), plus a
-model-poisoning pass where the cost model is pre-trained on absurd
-latencies.
+compares every scenario against **three** static oracles (row, columnar,
+pool), with exploration forced fully on (``epsilon=1.0``) and fully off
+(``epsilon=0.0``), plus a model-poisoning pass where the cost model is
+pre-trained on absurd latencies.
 
-The wiring surface (env var, Session/Query/call precedence, unknown
-route rejection, cost-aware cache admission, serve-stats counters) is
-covered at the bottom.
+The wiring surface (env var, Session/Query/call precedence, cost-aware
+cache admission, serve-stats counters) is covered at the bottom.
 """
 
 from __future__ import annotations
@@ -42,11 +40,11 @@ RANDOM_QUERIES_PER_SEED = 3
 COVERED_QUERIES_PER_SEED = 3  # templates guaranteed to take the bounded path
 QUERIES_PER_SEED = RANDOM_QUERIES_PER_SEED + COVERED_QUERIES_PER_SEED
 EPSILONS = (1.0, 0.0)  # explore on every decision, then pure greedy
-_SCENARIOS = 0  # learned-vs-four-static comparisons performed
+_SCENARIOS = 0  # learned-vs-three-static comparisons performed
 
 
 def _static_oracles(db, dedup: bool, rows_per_batch: int):
-    """The four static configurations the router chooses between."""
+    """The three static configurations the router chooses between."""
     common = dict(dedup_keys=dedup, rows_per_batch=rows_per_batch)
     return {
         "row": BEAS(
@@ -57,13 +55,9 @@ def _static_oracles(db, dedup: bool, rows_per_batch: int):
             db, example1_access_schema(), executor="columnar", parallelism=1,
             **common,
         ),
-        "pooled-plan": BEAS(
+        "pool": BEAS(
             db, example1_access_schema(), executor="columnar", parallelism=2,
-            parallel_dispatch="plan", **common,
-        ),
-        "pooled-batch": BEAS(
-            db, example1_access_schema(), executor="columnar", parallelism=2,
-            parallel_dispatch="batch", **common,
+            **common,
         ),
     }
 
@@ -86,9 +80,7 @@ def _compare_learned(server, oracles, sql: str) -> ExecutionMode:
 
     if learned.mode is ExecutionMode.BOUNDED:
         # the route actually taken is stamped and is one the router owns
-        assert learned.metrics.routed_mode in (
-            "row", "columnar", "pooled-plan", "pooled-batch",
-        ), sql
+        assert learned.metrics.routed_mode in ("row", "columnar", "pool"), sql
         # the §3 per-fetch breakdown matches the matching static config
         twin = statics[learned.metrics.routed_mode]
         assert _fetch_ops(learned.metrics) == _fetch_ops(twin.metrics), sql
@@ -157,7 +149,7 @@ def test_routing_differential_scenario_floor():
 # model poisoning: a wrong cost model can only cost latency, never answers
 # --------------------------------------------------------------------------- #
 def test_poisoned_cost_model_never_changes_answers():
-    from repro.engine.router import ROUTES, routing_features
+    from repro.engine.router import routing_features
 
     rng = random.Random(771_999)
     db = random_example1_db(rng)
@@ -182,7 +174,9 @@ def test_poisoned_cost_model_never_changes_answers():
                 plan, {}, rows_per_batch=3, parallelism=2
             )
             fingerprint = f"poison:{sql[:32]}"
-            for route, seconds in zip(ROUTES, (900.0, 1e-9, 450.0, 1e-9)):
+            for route, seconds in zip(
+                ("row", "columnar", "pool"), (900.0, 1e-9, 450.0)
+            ):
                 for _ in range(8):
                     server.router.observe(
                         fingerprint, route, features,
@@ -279,12 +273,6 @@ class TestRoutingWiring:
             monkeypatch.delenv("BEAS_ROUTING_EPSILON")
             session.close()
 
-    def test_routed_executor_rejects_unknown_route(self):
-        rng = random.Random(771_002)
-        beas = BEAS(random_example1_db(rng), example1_access_schema())
-        with pytest.raises(BEASError, match="route"):
-            beas.routed_executor("teleport")
-
     def test_serial_engine_routes_serial_only(self):
         """parallelism=1: the router must never pick a pooled route."""
         rng = random.Random(771_003)
@@ -337,7 +325,7 @@ class TestCostAwareAdmission:
     def test_router_unit_admission_rule(self):
         from repro.engine.router import ExecutorRouter
 
-        router = ExecutorRouter(parallelism=1)
+        router = ExecutorRouter()
         assert router.should_admit(0.001)  # no estimate yet: admit
         router.note_lookup(0.5)
         assert not router.should_admit(0.001)  # re-run beats a lookup

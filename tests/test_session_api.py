@@ -2,8 +2,7 @@
 
 Covers the redesigned public API: construction, the query lifecycle,
 the single options-precedence chain (call > Query > Session >
-EngineProfile > environment), engine-pinned option guards, result
-shapes, the one request path every entry point shares, and the
+environment), engine-pinned option guards, result shapes, the one request path every entry point shares, and the
 construction-time validation satellites (executor strings, failed pool
 spawns).
 """
@@ -23,7 +22,6 @@ from repro import (
     Session,
 )
 from repro.beas import system as beas_system
-from repro.engine.profiles import EngineProfile
 from repro.errors import BEASError, BudgetExceededError
 from repro.serving import request as request_path
 from repro.workloads.tlc import tlc_access_schema, tlc_queries
@@ -228,8 +226,6 @@ class TestOptionsChain:
         with pytest.raises(BEASError):
             ExecutionOptions(parallelism=-1)
         with pytest.raises(BEASError):
-            ExecutionOptions(parallel_dispatch="scatter")
-        with pytest.raises(BEASError):
             ExecutionOptions(budget=-5)
         with pytest.raises(BEASError):
             ExecutionOptions(allow_partial="yes")
@@ -245,21 +241,11 @@ class TestOptionsChain:
         env = ExecutionOptions.from_environment()
         assert env.executor == "columnar" and env.rows_per_batch == 512
 
-    def test_profile_beats_environment(self, monkeypatch):
+    def test_session_beats_environment(self, monkeypatch):
         monkeypatch.setenv("BEAS_ROWS_PER_BATCH", "512")
-        profile = EngineProfile(name="custom", rows_per_batch=256)
-        with Session(
-            example1_database(), example1_access_schema(), profile=profile
-        ) as s:
-            assert s.options.rows_per_batch == 256
-
-    def test_session_beats_profile(self, monkeypatch):
-        monkeypatch.setenv("BEAS_ROWS_PER_BATCH", "512")
-        profile = EngineProfile(name="custom", rows_per_batch=256)
         with Session(
             example1_database(),
             example1_access_schema(),
-            profile=profile,
             options=ExecutionOptions(rows_per_batch=128),
         ) as s:
             assert s.options.rows_per_batch == 128

@@ -47,6 +47,7 @@ from repro.engine.profiles import MARIADB, MYSQL, POSTGRESQL
 from repro.sql.normalize import Attribute
 from repro.storage.table import Table
 from repro.workloads.tlc import generate_tlc, tlc_access_schema, tlc_queries
+from tests.conftest import nan_keyed
 from tests.reference_evaluator import reference_execute
 
 
@@ -137,9 +138,7 @@ def run_both(db: Database, sql: str, profile=POSTGRESQL):
 
 def bag(rows) -> Counter:
     """Row multiset; NaN cells (never ``==`` themselves) compare by repr."""
-    return Counter(
-        tuple("nan" if value != value else value for value in row) for row in rows
-    )
+    return Counter(nan_keyed(rows))
 
 
 def assert_counts_equal(live: ExecutionMetrics, reference: ExecutionMetrics) -> None:

@@ -39,7 +39,7 @@ from repro.storage.database import Database
 from repro.storage.mmapstore import MmapStore
 from repro.storage.wal import WriteAheadLog, frame_record
 
-from tests.conftest import engine_run
+from tests.conftest import engine_run, nan_keyed
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 ROOT = SRC.parent
@@ -230,7 +230,7 @@ class TestWarmRestart:
         assert stats.wal_records_replayed >= 6
         assert second.database.table("event").version == version
         recovered = engine_run(second, QUERY)
-        assert recovered.rows == expected.rows
+        assert nan_keyed(recovered.rows) == nan_keyed(expected.rows)
         second.close()
 
     def test_generator_batches_reach_the_wal(self, tmp_path):
@@ -286,7 +286,9 @@ class TestWarmRestart:
         oracle_db = build_base()
         oracle_db.insert("event", ("k000", "2016-06-01", "extra", 1.0))
         oracle = BEAS(oracle_db, ACCESS)
-        assert engine_run(beas, QUERY).rows == engine_run(oracle, QUERY).rows
+        assert nan_keyed(engine_run(beas, QUERY).rows) == nan_keyed(
+            engine_run(oracle, QUERY).rows
+        )
         beas.close()
         oracle.close()
 
@@ -344,7 +346,7 @@ class TestWarmRestart:
         assert by_recnum["rnan0"] is CANONICAL_NAN
         assert by_recnum["rinf0"] == float("inf")
         assert by_recnum["rnull"] is None
-        assert engine_run(second, QUERY).rows == expected.rows
+        assert nan_keyed(engine_run(second, QUERY).rows) == nan_keyed(expected.rows)
         second.close()
 
 
@@ -363,7 +365,9 @@ class TestCorruptStore:
         stats = beas.storage_stats()
         assert stats is not None and not stats.warm_start
         oracle = BEAS(build_base(), ACCESS)
-        assert engine_run(beas, QUERY).rows == engine_run(oracle, QUERY).rows
+        assert nan_keyed(engine_run(beas, QUERY).rows) == nan_keyed(
+            engine_run(oracle, QUERY).rows
+        )
         beas.close()
         oracle.close()
         # the rebuild re-checkpointed: a third start is warm again
@@ -407,7 +411,7 @@ class TestCorruptStore:
         stats = second.storage_stats()
         assert stats is not None and stats.warm_start
         assert stats.wal_dropped_bytes == 3
-        assert engine_run(second, QUERY).rows == expected.rows
+        assert nan_keyed(engine_run(second, QUERY).rows) == nan_keyed(expected.rows)
         second.close()
 
 
@@ -475,7 +479,7 @@ def test_kill9_recovers_exactly_the_logged_prefix(tmp_path):
     oracle = BEAS(oracle_db, ACCESS)
     recovered_answer = engine_run(recovered, QUERY)
     oracle_answer = engine_run(oracle, QUERY)
-    assert recovered_answer.rows == oracle_answer.rows
+    assert nan_keyed(recovered_answer.rows) == nan_keyed(oracle_answer.rows)
     assert (
         recovered_answer.metrics.tuples_fetched
         == oracle_answer.metrics.tuples_fetched
