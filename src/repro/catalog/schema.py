@@ -57,6 +57,8 @@ class TableSchema:
 
         self.name = name
         self.columns: tuple[Column, ...] = tuple(normalized)
+        #: positional column types (what the row codec is handed per batch)
+        self.dtypes: tuple[DataType, ...] = tuple(col.dtype for col in normalized)
         self._positions = {col.name: i for i, col in enumerate(self.columns)}
         self.keys: tuple[frozenset[str], ...] = tuple(
             frozenset(key) for key in keys

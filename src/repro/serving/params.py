@@ -46,8 +46,9 @@ class ParameterSlot:
 
 def _slot_conjunct(
     conjunct: ast.Expression, resolver: _Resolver
-) -> Optional[tuple[str, str, tuple]]:
-    """Recognise ``attr = const`` / ``attr IN (consts)``; None otherwise."""
+) -> Optional[tuple[str, str, tuple[ast.Literal, ...]]]:
+    """Recognise ``attr = const`` / ``attr IN (consts)`` as (slot name,
+    kind, the constants' nodes); None otherwise."""
     if isinstance(conjunct, ast.BinaryOp) and conjunct.op == "=":
         sides = (conjunct.left, conjunct.right)
         for ref, lit in (sides, sides[::-1]):
@@ -57,7 +58,7 @@ def _slot_conjunct(
                 and lit.value is not None
             ):
                 resolved = resolver.resolve_ref(ref)
-                return (str(resolved), "eq", (lit.value,))
+                return (str(resolved), "eq", (lit,))
         return None
     if (
         isinstance(conjunct, ast.InList)
@@ -69,8 +70,11 @@ def _slot_conjunct(
         )
     ):
         resolved = resolver.resolve_ref(conjunct.operand)
-        values = tuple(item.value for item in conjunct.items)
-        return (str(resolved), "in", values)
+        return (
+            str(resolved),
+            "in",
+            tuple(i for i in conjunct.items if isinstance(i, ast.Literal)),
+        )
     return None
 
 
@@ -87,17 +91,19 @@ def _template_parts(
     return resolver, _and_conjuncts(statement.where)
 
 
-def extract_slots(
+def slot_literals(
     statement: ast.Statement, db_schema: DatabaseSchema
-) -> dict[str, ParameterSlot]:
-    """The parameterisable slots of a template (empty for set operations)."""
+) -> dict[str, tuple[str, tuple[ast.Literal, ...]]]:
+    """Slot name -> (kind, the nodes of its constants): the one rule for
+    what is a parameter slot (empty for set operations). Every other
+    literal of the statement stays fixed in the template."""
     if not isinstance(statement, ast.SelectStatement):
         return {}
     parts = _template_parts(statement, db_schema)
     if parts is None:
         return {}
     resolver, conjuncts = parts
-    slots: dict[str, ParameterSlot] = {}
+    slots: dict[str, tuple[str, tuple[ast.Literal, ...]]] = {}
     ambiguous: set[str] = set()
     for conjunct in conjuncts:
         try:
@@ -106,15 +112,25 @@ def extract_slots(
             recognised = None
         if recognised is None:
             continue
-        name, kind, values = recognised
+        name, kind, literals = recognised
         if name in slots:
             # the same attribute constrained twice: not parameterisable
             ambiguous.add(name)
             continue
-        slots[name] = ParameterSlot(name, kind, values)
+        slots[name] = (kind, literals)
     for name in ambiguous:
         slots.pop(name, None)
     return slots
+
+
+def extract_slots(
+    statement: ast.Statement, db_schema: DatabaseSchema
+) -> dict[str, ParameterSlot]:
+    """The parameterisable slots of a template (empty for set operations)."""
+    return {
+        name: ParameterSlot(name, kind, tuple(lit.value for lit in literals))
+        for name, (kind, literals) in slot_literals(statement, db_schema).items()
+    }
 
 
 def canonical_values(value: Any) -> tuple:

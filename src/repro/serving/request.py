@@ -88,29 +88,6 @@ def _entry_fresh(
     )
 
 
-@dataclass(frozen=True)
-class RebindRequest:
-    """Plan-reuse context for one prepared binding.
-
-    The decision cache holds, next to the per-binding exact entries, one
-    *pinned template* per (template fingerprint, arity signature,
-    schema generation): the first binding of each signature pays a full
-    BE Checker run and pins its decision plus a
-    :class:`~repro.bounded.rebind.RebindTemplate`; every later
-    equal-signature binding patches the pinned plan's constant key parts
-    directly — zero checker runs. A binding that changes a slot's
-    IN-list arity, NULL-ness, or type class lands on a different
-    signature (or trips the rebinder's merged-arity guard) and re-checks.
-    """
-
-    template_fingerprint: str
-    signature: tuple[Any, ...]
-    overrides: Mapping[str, tuple[Any, ...]]
-
-    def cache_key(self, generation: int) -> tuple[Any, ...]:
-        return ("rebind", self.template_fingerprint, self.signature, generation)
-
-
 @dataclass(slots=True, eq=False, repr=False)
 class Request:
     """One served read: what was asked, then what each stage observed.
@@ -128,9 +105,9 @@ class Request:
     # front_end
     fingerprint: str = field(init=False)
     tables: frozenset[str] = field(init=False)
-    rebind: Optional[RebindRequest] = field(default=None, init=False)
-    _binding: Optional[PreparedBinding] = field(default=None, init=False)
-    _statement: Optional[ast.Statement] = field(default=None, init=False)
+    #: the template binding this request is; with overrides, its pinned
+    #: plan is reused across bindings (``PreparedBinding.rebind_key``)
+    binding: PreparedBinding = field(init=False)
     hits: int = field(default=0, init=False)
     misses: int = field(default=0, init=False)
     # observe
@@ -153,22 +130,17 @@ class Request:
     answer: Union["QueryResult", "ApproximateResult"] = field(init=False)
 
     def statement(self) -> ast.Statement:
-        """The bound AST. A prepared binding substitutes it on first
-        use only: a decision served from the cache or by rebinding, then
-        executed as its pinned bounded (or partially bounded) plan,
-        never needs it."""
-        statement = self._statement
-        if statement is None:
-            bound = cast(PreparedBinding, self._binding)
-            statement = self._statement = bound.statement
-        return statement
+        """The bound AST, substituted on first use only: a decision
+        served from the cache or by rebinding, then executed as its
+        pinned bounded (or partially bounded) plan, never needs it."""
+        return self.binding.statement
 
     @property
     def template_fingerprint(self) -> str:
         """What the router keys its models by: every binding of one
-        prepared template shares a model."""
-        rebind = self.rebind
-        return rebind.template_fingerprint if rebind else self.fingerprint
+        template (prepared, or the shape of an ad-hoc text) shares a
+        model."""
+        return self.binding.template.fingerprint
 
 
 Stage = Callable[["BEASServer", Request], Optional[Result]]
@@ -178,21 +150,18 @@ Stage = Callable[["BEASServer", Request], Optional[Result]]
 # the stages, in request order
 # --------------------------------------------------------------------------- #
 def front_end(server: "BEASServer", request: Request) -> None:
-    """Parse + fingerprint + dependency set (through the parse cache),
-    or the memoised binding of a prepared template."""
+    """Resolve the source to one binding of one template: the memoised
+    binding of a prepared template, or, for SQL text, the text's own
+    literals bound to the template of its shape (through the parse
+    cache; ``BEASServer.frontend``)."""
     source = request.source
     if isinstance(source, PreparedQuery):
-        bound = request._binding = source.binding(request.params)
-        request.fingerprint = bound.fingerprint
-        request.tables = source.tables
-        if bound.overrides:  # the template's own constants: exact key suffices
-            request.rebind = RebindRequest(
-                source.fingerprint, bound.signature, bound.overrides
-            )
-        request.hits = 1  # the template parse is amortised
-        return
-    statement, request.fingerprint, request.tables, hit = server.frontend(source)
-    request._statement = statement
+        bound, hit = source.binding(request.params), True  # parse amortised
+    else:
+        bound, hit = server.frontend(source)
+    request.binding = bound
+    request.fingerprint = bound.fingerprint
+    request.tables = bound.template.tables
     if hit:
         request.hits = 1
     else:
@@ -560,15 +529,17 @@ def _decision(
     a binding never enter that key, only its shape.
     """
     cache, generation = server.decision_cache, request.generation
-    rebind = request.rebind
+    bound = request.binding
+    # the template's own constants: the exact key suffices
+    rebind_key = bound.rebind_key(generation) if bound.overrides else None
     key = (request.fingerprint, generation)
     cached: Optional["CoverageDecision"] = cache.get(key)
     if cached is not None:
         return cached, "cached"
-    if rebind is not None:
-        pinned = cache.get(rebind.cache_key(generation))
+    if rebind_key is not None:
+        pinned = cache.get(rebind_key)
         if isinstance(pinned, RebindTemplate):
-            rebound = pinned.rebind(rebind.overrides)
+            rebound = pinned.rebind(bound.overrides)
             if rebound is not None:
                 cache.put(key, rebound)  # repeats of this binding hit directly
                 server.count("rebinds")
@@ -578,16 +549,16 @@ def _decision(
             # guard): any subsumption candidate derived from it carries
             # stale plan provenance — stop offering them
             dropped = server.subsume_index.drop_template(
-                rebind.template_fingerprint
+                bound.template.fingerprint
             )
             if dropped:
                 server.count("subsumption_invalidations", dropped)
     coverage: "CoverageDecision" = server.beas.check(request.statement())
     cache.put(key, coverage)
-    if rebind is not None:
-        template = build_rebind_template(coverage, rebind.overrides)
+    if rebind_key is not None:
+        template = build_rebind_template(coverage, bound.overrides)
         if template is not None:
-            cache.put(rebind.cache_key(generation), template)
+            cache.put(rebind_key, template)
     return coverage, "fresh"
 
 
@@ -602,7 +573,8 @@ def _admit(server: "BEASServer", request: Request) -> None:
         summary = _summary(server, request)
         if not summary.reusable:
             summary = None
-    template = request.rebind.template_fingerprint if request.rebind else None
+    bound = request.binding
+    template = bound.template.fingerprint if bound.overrides else None
     entry = CachedResult(
         columns=list(answer.columns),
         rows=list(answer.rows),

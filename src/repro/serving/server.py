@@ -3,7 +3,8 @@
 Wraps one :class:`~repro.beas.system.BEAS` instance with the machinery a
 high-traffic deployment needs to amortise per-query frontend cost:
 
-* a **parse cache** (SQL text -> AST + fingerprint + table set),
+* a **parse cache** (SQL text -> the binding of its shape's template;
+  a new text of a known shape is never parsed),
 * a **coverage-decision cache** keyed by (query fingerprint,
   access-schema generation) — the pinned BE Checker outcome and bounded
   plan for each distinct query/binding,
@@ -60,11 +61,10 @@ from repro.distributed.fleet import FleetStats
 from repro.engine.router import ExecutorRouter, RouterStats
 from repro.errors import ServingError, UnknownTableError
 from repro.sql import ast
-from repro.sql.fingerprint import statement_fingerprint, statement_tables
-from repro.sql.parser import parse
+from repro.sql.fingerprint import statement_fingerprint
 from repro.serving import request as stages
 from repro.serving.cache import CacheStats
-from repro.serving.prepared import PreparedQuery
+from repro.serving.prepared import AdhocTemplates, PreparedBinding, PreparedQuery
 from repro.serving.request import CachedResult, Request, result_size
 from repro.storage.mmapstore import StorageStats
 from repro.serving.shard import (
@@ -96,6 +96,10 @@ class ServingStats:
     parse: CacheStats
     decision: CacheStats
     result: CacheStats
+    # ad-hoc templates: text-cache misses resolved by shape (hits) or by
+    # a parse (misses), and the templates held
+    adhoc: CacheStats = field(default_factory=lambda: CacheStats("template"))
+    adhoc_templates: int = 0
     result_entries: int = 0
     result_bytes: int = 0
     prepared_queries: int = 0
@@ -155,6 +159,7 @@ class ServingStats:
         lines = [
             "serving stats:",
             f"  {self.parse.describe()}",
+            f"  {self.adhoc.describe()}, {self.adhoc_templates} ad-hoc templates",
             f"  {self.decision.describe()}",
             f"  {self.result.describe()}",
             f"  result cache: {self.result_entries} entries, "
@@ -254,6 +259,8 @@ class BEASServer:
                 shard.version = beas.database.table(shard.table).version
 
         self._prepared: dict[str, PreparedQuery] = {}
+        self._prepared_by_fingerprint: dict[str, PreparedQuery] = {}
+        self.adhoc = AdhocTemplates(self)
         #: executions, rebinds, rebind_fallbacks, subsumed_hits,
         #: subsumption_rejects, subsumption_invalidations
         self._counts: Counter[str] = Counter()
@@ -339,16 +346,20 @@ class BEASServer:
         Preparing the same text again returns the existing handle (under
         its existing name when ``name`` is not given).
         """
-        statement, fingerprint, tables, _ = self.frontend(sql)
+        bound, _ = self.frontend(sql)
+        statement = bound.statement
+        fingerprint = statement_fingerprint(statement)
         with self._admin_lock:
-            for existing in self._prepared.values():
-                if existing.fingerprint == fingerprint and (
-                    name is None or existing.name == name
-                ):
-                    return existing
+            existing = (
+                self._prepared_by_fingerprint.get(fingerprint)
+                if name is None
+                else self._prepared.get(name)
+            )
+            if existing is not None and existing.fingerprint == fingerprint:
+                return existing
             prepared = PreparedQuery(
                 self, statement, sql, name,
-                fingerprint=fingerprint, tables=tables,
+                fingerprint=fingerprint, tables=bound.template.tables,
             )
             if prepared.name in self._prepared:
                 raise ServingError(
@@ -356,6 +367,9 @@ class BEASServer:
                     f"{prepared.name!r}"
                 )
             self._prepared[prepared.name] = prepared
+            # the handle a nameless prepare of this query returns: the
+            # first one registered
+            self._prepared_by_fingerprint.setdefault(fingerprint, prepared)
             return prepared
 
     def prepared(self, name: str) -> PreparedQuery:
@@ -637,6 +651,8 @@ class BEASServer:
             subsumption_invalidations=counts["subsumption_invalidations"],
             checker_runs=self._beas.checker_runs,
             parse=self.parse_cache.stats(),
+            adhoc=self.adhoc.stats(),
+            adhoc_templates=len(self.adhoc),
             decision=self.decision_cache.stats(),
             result=result,
             result_entries=entries,
@@ -703,6 +719,7 @@ class BEASServer:
     def reset_caches(self) -> None:
         """Drop all cached state (keeps prepared handles)."""
         self.parse_cache.invalidate_all()
+        self.adhoc.clear()
         self.decision_cache.invalidate_all()
         self.summary_cache.invalidate_all()
         self.subsume_index.clear()
@@ -720,23 +737,19 @@ class BEASServer:
     # ------------------------------------------------------------------ #
     def frontend(
         self, query: Union[str, ast.Statement]
-    ) -> tuple[ast.Statement, str, frozenset[str], bool]:
-        """Parse + fingerprint + dependency set, through the parse cache."""
+    ) -> tuple[PreparedBinding, bool]:
+        """The binding a text (or a parsed statement) stands for, and
+        whether the exact text was in the parse cache. A new text of a
+        known shape binds that shape's template to its own literals; only
+        a new shape is parsed (:class:`~repro.serving.prepared.AdhocTemplates`)."""
         if not isinstance(query, str):
-            return (
-                query,
-                statement_fingerprint(query),
-                statement_tables(query),
-                False,
-            )
-        cached = self.parse_cache.get(query)
-        if cached is not None:
-            return (*cached, True)
-        statement = parse(query)
-        fingerprint = statement_fingerprint(statement)
-        tables = statement_tables(statement)
-        self.parse_cache.put(query, (statement, fingerprint, tables))
-        return statement, fingerprint, tables, False
+            return PreparedQuery(self, query, "").binding(), False
+        bound: Optional[PreparedBinding] = self.parse_cache.get(query)
+        if bound is not None:
+            return bound, True
+        bound = self.adhoc.binding(query)
+        self.parse_cache.put(query, bound)
+        return bound, False
 
     def observe_schema_generation(self) -> int:
         """Notice access-schema changes made around ``register``/

@@ -1,168 +1,135 @@
-"""Hand-written SQL lexer.
+"""SQL lexer: one compiled pattern, one ``finditer`` pass.
 
 Produces a list of :class:`~repro.sql.tokens.Token` ending with an EOF
 token. Handles line comments (``--``), block comments (``/* ... */``),
 single-quoted strings with ``''`` escaping, double-quoted identifiers,
 numbers (integer/float with exponent), keywords, operators, punctuation.
+
+The string and number alternatives (:data:`STRING_PATTERN`,
+:data:`NUMBER_PATTERN`) are the one definition of "what is a literal":
+:mod:`repro.sql.shape` splits ad-hoc text on the same two patterns.
 """
 
 from __future__ import annotations
 
+import re
+from typing import Any
+
 from repro.errors import LexerError
 from repro.sql.tokens import KEYWORDS, OPERATORS, PUNCTUATION, Token, TokenKind
 
+#: A closed string literal; ``''`` is an escaped quote, so the closing
+#: quote is the first one not followed by another.
+STRING_PATTERN = r"'(?:[^']|'')*'(?!')"
+#: ASCII digits only (``str.isdigit`` accepts '²', which ``int()``
+#: rejects). ``1..2`` is ``1`` ``.`` ``.2``; ``1e`` is ``1`` then ``e``.
+NUMBER_PATTERN = (
+    r"[0-9]+(?:\.(?!\.)[0-9]*)?(?:[eE][+-]?[0-9]+)?"
+    r"|\.[0-9]+(?:[eE][+-]?[0-9]+)?"
+)
 
-def _is_digit(ch: str) -> bool:
-    """ASCII digits only — ``str.isdigit`` accepts Unicode digits like '²'
-    that ``int()`` rejects."""
-    return "0" <= ch <= "9"
+_WHITESPACE = r"[ \t\r\n]"
+#: Every match is whitespace and comments, then exactly one token (or
+#: the end of the text, or the start of something malformed), so matches
+#: tile the text and ``lastgroup`` names the token's kind. Order matters
+#: where alternatives share a first character: a literal before a word
+#: (digits are ``\w``) and before punctuation (``.5``), ``/*`` that the
+#: skip did not consume before the ``/`` operator.
+_MASTER = re.compile(
+    rf"(?:{_WHITESPACE}+|--[^\n]*|/\*[\s\S]*?\*/)*"
+    rf"(?:(?P<literal>{STRING_PATTERN}|{NUMBER_PATTERN})"
+    r"|(?P<word>\w+)"
+    r'|(?P<quoted>"[^"]*")'
+    r"|(?P<open_comment>/\*)"
+    rf"|(?P<operator>{'|'.join(re.escape(op) for op in OPERATORS)})"
+    rf"|(?P<punctuation>[{re.escape(''.join(PUNCTUATION))}])"
+    r"|(?P<eof>\Z)"
+    r"|(?P<other>[\s\S]))"
+)
+
+_KEYWORD = TokenKind.KEYWORD
+_IDENTIFIER = TokenKind.IDENTIFIER
+_INTEGER = TokenKind.INTEGER
+_FLOAT = TokenKind.FLOAT
+_STRING = TokenKind.STRING
+_OPERATOR = TokenKind.OPERATOR
+_PUNCTUATION = TokenKind.PUNCTUATION
+
+
+def literal_value(raw: str) -> tuple[TokenKind, Any]:
+    """The token kind and value of one :data:`STRING_PATTERN` /
+    :data:`NUMBER_PATTERN` match."""
+    if raw[0] == "'":
+        return _STRING, raw[1:-1].replace("''", "'")
+    if raw.isdigit():
+        return _INTEGER, int(raw)
+    return _FLOAT, float(raw)
 
 
 def tokenize(text: str) -> list[Token]:
     """Tokenize ``text`` into SQL tokens (EOF-terminated)."""
     tokens: list[Token] = []
-    i = 0
+    append = tokens.append
+    # Token.__new__ without its Python-level frame: a third of the pass
+    new = tuple.__new__
+    keywords = KEYWORDS
+    ascii_only = text.isascii()
+    multiline = "\n" in text
     line = 1
     line_start = 0
-    n = len(text)
+    counted = 0  # newlines before this offset are already in ``line``
 
-    def location() -> tuple[int, int, int]:
-        return i, line, i - line_start + 1
+    for match in _MASTER.finditer(text):
+        kind = match.lastgroup
+        pos = match.start(kind)
+        if multiline:
+            newlines = text.count("\n", counted, pos)
+            if newlines:
+                line += newlines
+                line_start = text.rfind("\n", counted, pos) + 1
+            # a quoted identifier's own newlines are not counted
+            counted = match.end() if kind == "quoted" else pos
+        column = pos - line_start + 1
+        raw = match.group(kind)
 
-    def error(message: str) -> LexerError:
-        pos, ln, col = location()
-        return LexerError(message, pos, ln, col)
-
-    while i < n:
-        ch = text[i]
-
-        # -- whitespace -------------------------------------------------
-        if ch in " \t\r":
-            i += 1
-            continue
-        if ch == "\n":
-            i += 1
-            line += 1
-            line_start = i
-            continue
-
-        # -- comments ---------------------------------------------------
-        if ch == "-" and text.startswith("--", i):
-            end = text.find("\n", i)
-            i = n if end == -1 else end
-            continue
-        if ch == "/" and text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            if end == -1:
-                raise error("unterminated block comment")
-            line += text.count("\n", i, end)
-            if "\n" in text[i:end]:
-                line_start = i + text[i:end].rfind("\n") + 1
-            i = end + 2
-            continue
-
-        pos, ln, col = location()
-
-        # -- string literal ----------------------------------------------
-        if ch == "'":
-            j = i + 1
-            parts: list[str] = []
-            while True:
-                if j >= n:
-                    raise error("unterminated string literal")
-                if text[j] == "'":
-                    if j + 1 < n and text[j + 1] == "'":  # escaped quote
-                        parts.append("'")
-                        j += 2
-                        continue
-                    break
-                if text[j] == "\n":
-                    line += 1
-                    line_start = j + 1
-                parts.append(text[j])
-                j += 1
-            value = "".join(parts)
-            tokens.append(Token(TokenKind.STRING, text[i : j + 1], value, pos, ln, col))
-            i = j + 1
-            continue
-
-        # -- quoted identifier --------------------------------------------
-        if ch == '"':
-            j = text.find('"', i + 1)
-            if j == -1:
-                raise error("unterminated quoted identifier")
-            name = text[i + 1 : j]
+        if kind == "word":
+            if not (ascii_only or raw[0].isalpha() or raw[0] == "_"):
+                # ``\w`` admits numerics such as '²' that cannot start a name
+                raise LexerError(
+                    f"unexpected character {raw[0]!r}", pos, line, column
+                )
+            upper = raw.upper()
+            if upper in keywords:
+                append(new(Token, (_KEYWORD, upper, upper, pos, line, column)))
+            else:
+                append(new(Token, (_IDENTIFIER, raw, raw, pos, line, column)))
+        elif kind == "punctuation":
+            append(new(Token, (_PUNCTUATION, raw, raw, pos, line, column)))
+        elif kind == "operator":
+            append(new(Token, (_OPERATOR, raw, raw, pos, line, column)))
+        elif kind == "literal":
+            literal_kind, value = literal_value(raw)
+            append(new(Token, (literal_kind, raw, value, pos, line, column)))
+        elif kind == "quoted":
+            name = raw[1:-1]
             if not name:
-                raise error("empty quoted identifier")
-            tokens.append(Token(TokenKind.IDENTIFIER, name, name, pos, ln, col))
-            i = j + 1
-            continue
-
-        # -- number --------------------------------------------------------
-        if _is_digit(ch) or (ch == "." and i + 1 < n and _is_digit(text[i + 1])):
-            j = i
-            is_float = False
-            while j < n and _is_digit(text[j]):
-                j += 1
-            if j < n and text[j] == "." and (j + 1 >= n or text[j + 1] != "."):
-                is_float = True
-                j += 1
-                while j < n and _is_digit(text[j]):
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and _is_digit(text[k]):
-                    is_float = True
-                    j = k
-                    while j < n and _is_digit(text[j]):
-                        j += 1
-            literal = text[i:j]
-            if is_float:
-                tokens.append(
-                    Token(TokenKind.FLOAT, literal, float(literal), pos, ln, col)
-                )
-            else:
-                tokens.append(
-                    Token(TokenKind.INTEGER, literal, int(literal), pos, ln, col)
-                )
-            i = j
-            continue
-
-        # -- identifier / keyword -------------------------------------------
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            upper = word.upper()
-            if upper in KEYWORDS:
-                tokens.append(Token(TokenKind.KEYWORD, upper, upper, pos, ln, col))
-            else:
-                tokens.append(Token(TokenKind.IDENTIFIER, word, word, pos, ln, col))
-            i = j
-            continue
-
-        # -- operators (longest match) ----------------------------------------
-        matched = False
-        for op in OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(Token(TokenKind.OPERATOR, op, op, pos, ln, col))
-                i += len(op)
-                matched = True
-                break
-        if matched:
-            continue
-
-        # -- punctuation -------------------------------------------------------
-        if ch in PUNCTUATION:
-            tokens.append(Token(TokenKind.PUNCTUATION, ch, ch, pos, ln, col))
-            i += 1
-            continue
-
-        raise error(f"unexpected character {ch!r}")
-
-    pos, ln, col = location()
-    tokens.append(Token(TokenKind.EOF, "", None, pos, ln, col))
+                raise LexerError("empty quoted identifier", pos, line, column)
+            append(new(Token, (_IDENTIFIER, name, name, pos, line, column)))
+        elif kind == "eof":
+            append(new(Token, (TokenKind.EOF, "", None, pos, line, column)))
+            break  # trailing whitespace makes this match non-empty: no second one
+        elif kind == "open_comment":
+            raise LexerError("unterminated block comment", pos, line, column)
+        elif raw == '"':
+            raise LexerError("unterminated quoted identifier", pos, line, column)
+        elif raw == "'":
+            # reported where the scan for the closing quote gave up: the
+            # string's start, on the text's last line
+            tail = text.count("\n", pos)
+            if tail:
+                line += tail
+                column = pos - text.rfind("\n")
+            raise LexerError("unterminated string literal", pos, line, column)
+        else:
+            raise LexerError(f"unexpected character {raw!r}", pos, line, column)
     return tokens

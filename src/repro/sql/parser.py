@@ -16,7 +16,7 @@ Grammar (simplified):
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
 from repro.errors import ParseError
 from repro.sql import ast
@@ -24,10 +24,16 @@ from repro.sql.lexer import tokenize
 from repro.sql.tokens import Token, TokenKind
 
 
+_LITERAL_KINDS = (TokenKind.INTEGER, TokenKind.FLOAT, TokenKind.STRING)
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
         self._index = 0
+        #: token index -> the node a string/number token became as is
+        #: (see :func:`parse_with_literals`)
+        self._literal_nodes: dict[int, ast.Literal] = {}
 
     # ----------------------------------------------------------------- #
     # token plumbing
@@ -48,11 +54,13 @@ class _Parser:
         return ParseError(f"{message}{at}", token.line, token.column)
 
     def _check_keyword(self, *words: str) -> bool:
-        return self._current.is_keyword(*words)
+        token = self._tokens[self._index]
+        return token.kind is TokenKind.KEYWORD and token.text in words
 
     def _accept_keyword(self, *words: str) -> bool:
-        if self._check_keyword(*words):
-            self._advance()
+        token = self._tokens[self._index]
+        if token.kind is TokenKind.KEYWORD and token.text in words:
+            self._index += 1
             return True
         return False
 
@@ -62,9 +70,9 @@ class _Parser:
         return self._advance()
 
     def _accept_punct(self, text: str) -> bool:
-        token = self._current
+        token = self._tokens[self._index]
         if token.kind is TokenKind.PUNCTUATION and token.text == text:
-            self._advance()
+            self._index += 1
             return True
         return False
 
@@ -75,9 +83,9 @@ class _Parser:
         raise self._error(f"expected {text!r}")
 
     def _accept_operator(self, *ops: str) -> Optional[str]:
-        token = self._current
+        token = self._tokens[self._index]
         if token.kind is TokenKind.OPERATOR and token.text in ops:
-            self._advance()
+            self._index += 1
             return token.text
         return None
 
@@ -415,9 +423,10 @@ class _Parser:
     def _parse_primary(self) -> ast.Expression:
         token = self._current
 
-        if token.kind in (TokenKind.INTEGER, TokenKind.FLOAT, TokenKind.STRING):
-            self._advance()
-            return ast.Literal(token.value)
+        if token.kind in _LITERAL_KINDS:
+            node = self._literal_nodes[self._index] = ast.Literal(token.value)
+            self._index += 1
+            return node
         if token.is_keyword("NULL"):
             self._advance()
             return ast.Literal(None)
@@ -463,14 +472,37 @@ class _Parser:
         raise self._error("expected an expression")
 
 
-def parse(sql: str) -> ast.Statement:
-    """Parse one SQL statement (a trailing ``;`` is allowed)."""
+def _parse_one(sql: str) -> tuple[ast.Statement, _Parser]:
     parser = _Parser(tokenize(sql))
     statement = parser.parse_statement()
     parser._accept_punct(";")
     if parser._current.kind is not TokenKind.EOF:
         raise parser._error("unexpected trailing input")
-    return statement
+    return statement, parser
+
+
+def parse(sql: str) -> ast.Statement:
+    """Parse one SQL statement (a trailing ``;`` is allowed)."""
+    return _parse_one(sql)[0]
+
+
+def parse_with_literals(
+    sql: str,
+) -> tuple[ast.Statement, list[tuple[Any, Optional[ast.Literal]]]]:
+    """:func:`parse`, plus what became of each string / number token, in
+    text order: ``(token value, node)``. ``node`` is the
+    :class:`~repro.sql.ast.Literal` the parser built from the token, or
+    ``None`` when the grammar consumed it some other way (``LIMIT 5``).
+    Match nodes by identity: a number folded under unary minus is
+    replaced in the statement by a new node, so its token's node is not
+    part of the statement."""
+    statement, parser = _parse_one(sql)
+    nodes = parser._literal_nodes
+    return statement, [
+        (token.value, nodes.get(index))
+        for index, token in enumerate(parser._tokens)
+        if token.kind in _LITERAL_KINDS
+    ]
 
 
 def parse_script(sql: str) -> list[ast.ScriptStatement]:

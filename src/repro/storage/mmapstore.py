@@ -510,7 +510,7 @@ def table_fingerprint(table: Table) -> dict:
     taken over: schema + first/last row + row count.  Not cryptographic
     — it guards against *accidentally* warm-loading over a different
     dataset, the same way the CSV header guards column order."""
-    dtypes = [column.dtype for column in table.schema.columns]
+    dtypes = table.schema.dtypes
     schema_text = ",".join(
         f"{column.name}:{column.dtype.value}" for column in table.schema.columns
     )
@@ -761,7 +761,7 @@ class MmapStore:
     def log_insert(self, table: Table, rows: Iterable[Sequence[Any]]) -> None:
         """Append one committed insert batch (call under the same write
         section that applied it, before any reader sees the version)."""
-        dtypes = [column.dtype for column in table.schema.columns]
+        dtypes = table.schema.dtypes
         self._wal.append(
             {
                 "op": "insert",
@@ -772,14 +772,14 @@ class MmapStore:
         )
 
     def log_delete(self, table: Table, rows: Iterable[Sequence[Any]]) -> None:
-        dtypes = [column.dtype for column in table.schema.columns]
+        dtypes = table.schema.dtypes
         self._wal.append(
             {
                 "op": "delete",
                 "table": table.schema.name,
-                "rows": [
-                    encode_row(canonical_key(row), dtypes) for row in rows
-                ],
+                # encode_value already writes every NaN as "nan": the
+                # logged bytes are canonical without a canonical_key pass
+                "rows": [encode_row(row, dtypes) for row in rows],
                 "version": table.version,
             }
         )
@@ -824,7 +824,7 @@ class MmapStore:
         if op not in ("insert", "delete"):
             raise StorageError(f"unknown WAL op {op!r}")
         table = catalog.database.table(record["table"])
-        dtypes = [column.dtype for column in table.schema.columns]
+        dtypes = table.schema.dtypes
         rows = [decode_row(cells, dtypes) for cells in record["rows"]]
         constraints = catalog.constraints_for(record["table"])
         if op == "insert":

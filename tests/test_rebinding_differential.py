@@ -25,6 +25,7 @@ import pytest
 from repro import BEAS, Session
 from repro.errors import ServingError
 from repro.serving.params import extract_slots, resolve_overrides, substitute
+from repro.sql.printer import to_sql
 
 from tests.conftest import example1_access_schema, example1_database
 
@@ -130,11 +131,14 @@ def _execution_profile(metrics):
     )
 
 
+@pytest.mark.parametrize("form", ["bind", "text"])
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("template_key", sorted(TEMPLATES))
-def test_rebound_equals_fresh_decision(rig, template_key, seed):
+def test_rebound_equals_fresh_decision(rig, template_key, seed, form):
     """>= 100 scenarios: serving (rebound or cached decisions) must match
-    a fresh BE Checker decision + execution for every binding, exactly."""
+    a fresh BE Checker decision + execution for every binding, exactly,
+    whether the binding arrives as overrides of a prepared handle or as
+    ad-hoc SQL text with the constants inline."""
     oracle, session = rig
     sql = TEMPLATES[template_key]
     query = session.query(sql, name=f"{template_key}")
@@ -145,8 +149,6 @@ def test_rebound_equals_fresh_decision(rig, template_key, seed):
         query._prepared.statement, oracle.database.schema
     )
     for binding in _binding_stream(template_key, slots, seed):
-        served = query.bind(binding).run(use_result_cache=False)
-
         resolved = resolve_overrides(
             binding, oracle_slots, query._prepared.statement,
             oracle.database.schema,
@@ -154,6 +156,10 @@ def test_rebound_equals_fresh_decision(rig, template_key, seed):
         statement = substitute(
             query._prepared.statement, resolved, oracle.database.schema
         )
+        if form == "bind":
+            served = query.bind(binding).run(use_result_cache=False)
+        else:
+            served = session.run(to_sql(statement), use_result_cache=False)
         fresh_decision = oracle.check(statement)  # a full checker run
         assert fresh_decision.covered, template_key
         fresh = oracle.runner.run_route(oracle.executor, fresh_decision.plan)

@@ -16,6 +16,7 @@ never serve from a half-applied store:
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import subprocess
@@ -252,6 +253,55 @@ class TestWarmRestart:
         try:
             assert second.stats().storage.warm_start
             # NaN cells come back as the one canonical object: list-equal
+            assert second.database.table("event").rows == survivors
+        finally:
+            second.close()
+
+    def test_wal_rows_are_canonical_bytes(self, tmp_path):
+        """The logged cells of NaN, NULL, ``""`` and ``'"x"'`` (the
+        payloads the WAL has always written: ``encode_value`` alone
+        canonicalises, ``log_delete`` needs no ``canonical_key`` pass),
+        and a reopen replays them."""
+        options = ExecutionOptions(storage="mmap", storage_dir=str(tmp_path))
+        rows = [
+            ("k000", "2016-06-01", "wnan", float("nan")),
+            ("k000", "2016-06-01", "wnull", None),
+            ("", "2016-06-01", "wempty", 1.0),
+            ('"x"', "2016-06-01", "wquote", float("-inf")),
+        ]
+        first = Session(build_base(), ACCESS, options=options)
+        first.insert("event", rows)
+        # a NaN that is not the canonical object, and the base data's own
+        first.delete(
+            "event",
+            [rows[0], rows[2], ("k000", "2016-06-01", "rnan0", float("nan"))],
+        )
+        first.delete("event", [rows[1], rows[3]])
+        survivors = list(first.database.table("event").rows)
+        first.close()
+
+        payloads = [
+            json.dumps(record, separators=(",", ":"), sort_keys=True)
+            for record in WriteAheadLog(tmp_path / "wal.log").replay().records
+        ]
+        assert payloads == [
+            '{"op":"insert","rows":[["k000","2016-06-01","wnan","nan"],'
+            '["k000","2016-06-01","wnull",""],'
+            '["\\"\\"","2016-06-01","wempty","1.0"],'
+            '["\\"\\"x\\"\\"","2016-06-01","wquote","-inf"]],'
+            '"table":"event","version":127}',
+            '{"op":"delete","rows":[["k000","2016-06-01","wnan","nan"],'
+            '["\\"\\"","2016-06-01","wempty","1.0"],'
+            '["k000","2016-06-01","rnan0","nan"]],'
+            '"table":"event","version":128}',
+            '{"op":"delete","rows":[["k000","2016-06-01","wnull",""],'
+            '["\\"\\"x\\"\\"","2016-06-01","wquote","-inf"]],'
+            '"table":"event","version":129}',
+        ]
+
+        second = Session(build_base(), ACCESS, options=options)
+        try:
+            assert second.stats().storage.wal_records_replayed == 3
             assert second.database.table("event").rows == survivors
         finally:
             second.close()
