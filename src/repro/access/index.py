@@ -13,15 +13,32 @@ its last supporting row is deleted (paper §3, Maintenance module).
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Sequence
+import sys
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.access.constraint import AccessConstraint
+from repro.catalog.types import DataType
 from repro.errors import AccessSchemaError, ConformanceError
-from repro.storage.codec import canonical_key, is_nan
+from repro.storage.codec import canonical_key, is_nan, nan_free
 from repro.storage.table import Table
 
 Key = tuple
 YValue = tuple
+Row = Sequence[Any]
+
+
+def _picker(positions: Sequence[int]) -> Callable[[Sequence[Row]], Iterable[tuple]]:
+    """``rows -> tuple(row[i] for i in positions)`` per row, as one
+    C-level pass over the batch; a single position still yields
+    1-tuples (``itemgetter(i)`` alone would yield the bare cell)."""
+    if not positions:
+        return lambda rows: [()] * len(rows)
+    if len(positions) == 1:
+        cell = itemgetter(positions[0])
+        return lambda rows: zip(map(cell, rows))
+    cells = itemgetter(*positions)
+    return lambda rows: map(cells, rows)
 
 
 class AccessIndex:
@@ -30,11 +47,25 @@ class AccessIndex:
     def __init__(self, constraint: AccessConstraint, table: Table | None = None):
         self.constraint = constraint
         self._buckets: dict[Key, dict[YValue, int]] = {}
-        self._x_positions: tuple[int, ...] = ()
-        self._y_positions: tuple[int, ...] = ()
         self._built_from: str | None = None
+        self._lay_out((), (), ())
         if table is not None:
             self.build(table)
+
+    def _lay_out(
+        self,
+        x_positions: Sequence[int],
+        y_positions: Sequence[int],
+        floats: Sequence[int],
+    ) -> None:
+        """Where a base row holds X and Y, and which of those cells are
+        FLOAT columns. This is all that crosses a process boundary; the
+        pickers compiled from it are rebuilt on first use."""
+        self._x_positions = tuple(x_positions)
+        self._y_positions = tuple(y_positions)
+        self._floats = tuple(floats)
+        self._x_float = not set(self._floats).isdisjoint(self._x_positions)
+        self._pickers: Optional[tuple[Callable, Callable]] = None
 
     # ------------------------------------------------------------------ #
     # construction and maintenance
@@ -47,60 +78,115 @@ class AccessIndex:
         the dataset does not conform to the constraint.
         """
         self.constraint.validate_against(table.schema)
-        self._x_positions = table.schema.positions(self.constraint.x)
-        self._y_positions = table.schema.positions(self.constraint.y)
+        x_positions = table.schema.positions(self.constraint.x)
+        y_positions = table.schema.positions(self.constraint.y)
+        dtypes = table.schema.dtypes
+        self._lay_out(
+            x_positions,
+            y_positions,
+            [i for i in x_positions + y_positions if dtypes[i] is DataType.FLOAT],
+        )
         self._buckets = {}
         self._built_from = table.schema.name
-        for row in table.rows:
-            self._add(row, validate=validate)
+        self.insert_rows(table.rows, validate=validate)
         return self
 
-    def _key_of(self, row: Sequence[Any]) -> Key:
-        # NaN components are canonicalised to one shared object so that
-        # bucket membership and support counts stay deterministic (dict
-        # identity short-circuit); see repro.storage.codec for the 3VL
-        # decision. Equality *lookups* still never match NaN (fetch).
-        return canonical_key(row[i] for i in self._x_positions)
-
-    def _y_of(self, row: Sequence[Any]) -> YValue:
-        return canonical_key(row[i] for i in self._y_positions)
-
-    def _add(self, row: Sequence[Any], *, validate: bool) -> None:
-        key = self._key_of(row)
-        bucket = self._buckets.setdefault(key, {})
-        y_value = self._y_of(row)
-        if y_value in bucket:
-            bucket[y_value] += 1
-            return
-        if validate and len(bucket) >= self.constraint.n:
-            raise ConformanceError(
-                f"constraint {self.constraint.name} violated: X-value {key!r} "
-                f"has more than N={self.constraint.n} distinct Y-values"
+    def _project(self, rows: Sequence[Row]) -> tuple[list[Key], list[YValue]]:
+        """The batch's X- and Y-values, NaN components canonicalised to
+        one shared object so that bucket membership and support counts
+        stay deterministic (dict identity short-circuit); see
+        repro.storage.codec for the 3VL decision. Equality *lookups*
+        still never match NaN (fetch)."""
+        if self._built_from is None:
+            raise AccessSchemaError("index has not been built yet")
+        pickers = self._pickers
+        if pickers is None:
+            pickers = self._pickers = (
+                _picker(self._x_positions),
+                _picker(self._y_positions),
             )
-        bucket[y_value] = 1
+        keys, y_values = list(pickers[0](rows)), list(pickers[1](rows))
+        if not nan_free(rows, self._floats):
+            keys = list(map(canonical_key, keys))
+            y_values = list(map(canonical_key, y_values))
+        return keys, y_values
 
-    def insert_row(self, row: Sequence[Any], *, validate: bool = True) -> None:
+    def _open(self, keys: list[Key]) -> None:
+        """Called with a batch's keys before their buckets are edited
+        (a subclass whose buckets live elsewhere pulls them in)."""
+
+    def add_rows(self, rows: Sequence[Row], *, validate: bool = True) -> Optional[int]:
+        """Account for a batch of inserted base rows.
+
+        Returns ``None``, or — with ``validate`` — the position of the
+        first row that would take a bucket past ``N``; the index is then
+        as it was before the batch.
+        """
+        keys, y_values = self._project(rows)
+        self._open(keys)
+        buckets = self._buckets
+        bound = self.constraint.n if validate else sys.maxsize
+        for position, key in enumerate(keys):
+            y_value = y_values[position]
+            bucket = buckets.get(key)
+            if bucket is None:
+                if bound:
+                    buckets[key] = {y_value: 1}
+                    continue
+            elif y_value in bucket:
+                bucket[y_value] += 1
+                continue
+            elif len(bucket) < bound:
+                bucket[y_value] = 1
+                continue
+            self._remove(keys[:position], y_values[:position])
+            return position
+        return None
+
+    def remove_rows(self, rows: Sequence[Row]) -> None:
+        """Account for a batch of deleted base rows."""
+        keys, y_values = self._project(rows)
+        self._open(keys)
+        self._remove(keys, y_values)
+
+    def _remove(self, keys: list[Key], y_values: list[YValue]) -> None:
+        buckets = self._buckets
+        for key, y_value in zip(keys, y_values):
+            try:
+                bucket = buckets[key]
+                count = bucket[y_value] - 1
+            except KeyError:
+                raise AccessSchemaError(
+                    f"cannot delete: row not present in index {self.constraint.name}"
+                ) from None
+            if count:
+                bucket[y_value] = count
+            else:
+                del bucket[y_value]
+                if not bucket:
+                    del buckets[key]
+
+    def violation(self, row: Row) -> ConformanceError:
+        """What :meth:`add_rows` refusing ``row`` means."""
+        ((key,), _) = self._project((row,))
+        return ConformanceError(
+            f"constraint {self.constraint.name} violated: X-value {key!r} "
+            f"has more than N={self.constraint.n} distinct Y-values"
+        )
+
+    def insert_rows(self, rows: Sequence[Row], *, validate: bool = True) -> None:
+        """:meth:`add_rows`, raising the violation it reports."""
+        refused = self.add_rows(rows, validate=validate)
+        if refused is not None:
+            raise self.violation(rows[refused])
+
+    def insert_row(self, row: Row, *, validate: bool = True) -> None:
         """Incrementally account for one inserted base row."""
-        if self._built_from is None:
-            raise AccessSchemaError("index has not been built yet")
-        self._add(row, validate=validate)
+        self.insert_rows((row,), validate=validate)
 
-    def delete_row(self, row: Sequence[Any]) -> None:
+    def delete_row(self, row: Row) -> None:
         """Incrementally account for one deleted base row."""
-        if self._built_from is None:
-            raise AccessSchemaError("index has not been built yet")
-        key = self._key_of(row)
-        bucket = self._buckets.get(key)
-        y_value = self._y_of(row)
-        if bucket is None or y_value not in bucket:
-            raise AccessSchemaError(
-                f"cannot delete: row not present in index {self.constraint.name}"
-            )
-        bucket[y_value] -= 1
-        if bucket[y_value] == 0:
-            del bucket[y_value]
-        if not bucket:
-            del self._buckets[key]
+        self.remove_rows((row,))
 
     # ------------------------------------------------------------------ #
     # lookups (the fetch primitive)
@@ -117,8 +203,10 @@ class AccessIndex:
         never TRUE, so a NaN-bearing key matches nothing even though
         NaN rows keep canonicalised buckets for accounting.
         """
-        key = tuple(key)
-        if any(part is None or is_nan(part) for part in key):
+        if key.__class__ is not tuple:
+            key = tuple(key)
+        # only a FLOAT part of X can be a NaN
+        if None in key or (self._x_float and any(map(is_nan, key))):
             return []
         bucket = self._buckets.get(key)
         if bucket is None:
@@ -139,6 +227,10 @@ class AccessIndex:
     def __contains__(self, key: Key) -> bool:
         """Storage introspection (canonicalised), *not* equality lookup."""
         return canonical_key(key) in self._buckets
+
+    def __getstate__(self) -> dict:
+        # positions ship, the pickers compiled from them do not
+        return {**self.__dict__, "_pickers": None}
 
     def __setstate__(self, state: dict) -> None:
         # NaN canonicalisation does not survive the pickle wire — every

@@ -2,14 +2,14 @@
 
 The invariant (PR 14): ``Table`` keeps a row locator — row → ids of its
 live occurrences, plus an id column parallel to ``rows`` — so that
-``delete_rows``, insert rollback and WAL replay cost O(batch), not
+``delete_rows`` and WAL replay cost O(batch), not
 O(table). The locator is exact only while every edit of the list goes
 through a ``Table`` method; an ``x.rows.append(...)`` behind its back
 leaves the id column one short, and the next delete removes the *wrong*
 row. Before the locator existed four modules edited ``rows`` directly
 (the CSV loader, the partial-plan temp table, and the maintenance
 rollback and restore loops); they now call ``Table.from_trusted_rows``
-/ ``undo_inserts`` / ``delete_rows``, and this rule keeps it that way.
+/ ``insert_rows`` / ``delete_rows``, and this rule keeps it that way.
 
 Without type information the rule reads ``<expr>.rows`` as a table's
 rows, which is what the attribute means on every non-``self`` receiver
@@ -76,7 +76,7 @@ class TableMutationChecker(Checker):
                     self.rule,
                     node,
                     f"{what} outside storage/table.py — use a Table method "
-                    f"(insert, delete_rows, undo_inserts, clear, "
+                    f"(insert_rows, delete_rows, clear, "
                     f"from_trusted_rows) so the row locator and version "
                     f"stay exact",
                 )

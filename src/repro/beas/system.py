@@ -42,6 +42,7 @@ from repro.access.catalog import ASCatalog
 from repro.access.constraint import AccessConstraint
 from repro.access.schema import AccessSchema
 from repro.errors import BEASError, BudgetExceededError
+from repro.maintenance.incremental import MaintenanceManager, ViolationPolicy
 from repro.sql import ast
 from repro.storage.database import Database
 from repro.storage.mmapstore import MmapStore, StorageStats
@@ -213,6 +214,11 @@ class BEAS:
                     "(storage='mmap' or BEAS_STORAGE=mmap)"
                 )
             self.catalog = ASCatalog(database, access_schema)
+        #: the Maintenance module, one per violation policy
+        self._maintenance = {
+            policy: MaintenanceManager(self.catalog, policy=policy)
+            for policy in ViolationPolicy
+        }
         self._require_exact = require_exact_multiplicities
         self._dedup_keys = dedup_keys
         self.executor = resolve_executor_mode(executor)
@@ -540,66 +546,60 @@ class BEAS:
         cardinality bound is rejected atomically; with ``True`` the
         violated constraint's N is widened instead (paper §3, Maintenance).
         """
-        from repro.maintenance.incremental import MaintenanceManager, ViolationPolicy
-
-        rows = list(rows)  # any iterable is accepted; it is read once here
         policy = (
             ViolationPolicy.ADJUST if adjust_bounds else ViolationPolicy.REJECT
         )
-        # for the fleet's delta tail: the table version *before* this
-        # batch commits, so a replica at exactly that version can catch
-        # up with the delta instead of a full snapshot re-ship
-        fleet = self.fleet
-        prev_version = (
-            self.database.table(table_name).version
-            if fleet is not None and table_name in self.database
-            else None
+        # read before the apply, for the fleet's delta tail
+        prev_version = self._version_of(table_name)
+        batch, stored = self._maintenance[policy].insert_returning(
+            table_name, rows
         )
-        manager = MaintenanceManager(self.catalog, policy=policy)
-        batch = manager.insert(table_name, rows)
-        if fleet is not None and batch.inserted:
-            table = self.database.table(table_name)
-            fleet.note_insert(
-                table, table.rows[-batch.inserted:], prev_version
-            )
+        self._record_batch("insert", table_name, stored, prev_version)
         if self._store is not None and batch.inserted:
-            # persistence discipline: the WAL record is appended only
-            # after the in-memory apply committed (a REJECT rollback
-            # logs nothing), under the same serving write section that
-            # serialises the maintenance itself
-            table = self.database.table(table_name)
-            self._store.log_insert(table, table.rows[-batch.inserted:])
             for name in batch.adjusted_constraints:
                 self._store.log_adjust(name, self.catalog.schema.get(name).n)
-        # snapshot: host_engine() may add comparators concurrently
-        for engine in list(self._host_engines.values()):
-            engine.invalidate_statistics()
         return batch
 
     def delete(self, table_name: str, rows):
         """Delete rows (bag semantics), keeping access indices exact."""
-        from repro.maintenance.incremental import MaintenanceManager
+        prev_version = self._version_of(table_name)
+        batch, removed = self._maintenance[
+            ViolationPolicy.REJECT
+        ].delete_returning(table_name, rows)
+        self._record_batch("delete", table_name, removed, prev_version)
+        return batch
 
-        # the batch is read again after the apply (fleet delta, WAL
-        # record): an iterator would reach them exhausted
-        rows = list(rows)
+    def _version_of(self, table_name: str) -> Optional[int]:
+        """The table's version before a batch commits: a replica at
+        exactly that version can catch up with the batch's delta instead
+        of a full snapshot re-ship."""
+        if self.fleet is None or table_name not in self.database:
+            return None
+        return self.database.table(table_name).version
+
+    def _record_batch(
+        self, op: str, table_name: str, rows: list, prev_version: Optional[int]
+    ) -> None:
+        """What follows a committed batch. ``rows`` are the stored rows —
+        never the caller's spelling of them, which need not decode — and
+        are encoded once, for the fleet's delta tail and the WAL alike.
+
+        Persistence discipline: the WAL record is appended only after
+        the in-memory apply committed (a refused batch raised before
+        this and logs nothing), under the same serving write section
+        that serialises the maintenance itself.
+        """
         fleet = self.fleet
-        prev_version = (
-            self.database.table(table_name).version
-            if fleet is not None and table_name in self.database
-            else None
-        )
-        manager = MaintenanceManager(self.catalog)
-        batch = manager.delete(table_name, rows)
-        if fleet is not None and batch.deleted:
-            fleet.note_delete(
-                self.database.table(table_name), rows, prev_version
-            )
-        if self._store is not None and batch.deleted:
-            self._store.log_delete(self.database.table(table_name), rows)
+        if rows and (fleet is not None or self._store is not None):
+            table = self.database.table(table_name)
+            encoded = table.plan.encode(rows)
+            if fleet is not None:
+                fleet.note_maintenance(op, table, encoded, prev_version)
+            if self._store is not None:
+                self._store.log_batch(op, table, encoded)
+        # snapshot: host_engine() may add comparators concurrently
         for engine in list(self._host_engines.values()):
             engine.invalidate_statistics()
-        return batch
 
     # ------------------------------------------------------------------ #
     def analyze_performance(

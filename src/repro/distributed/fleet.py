@@ -15,7 +15,7 @@ owner. Placement is recomputed whenever the catalog's schema generation
 moves.
 
 **Writes stay on the coordinator.** Maintenance commits locally (WAL,
-version bump), then :meth:`note_insert` / :meth:`note_delete` append
+version bump), then :meth:`note_maintenance` appends
 the batch — rows codec-encoded, exactly the WAL's record shape — to a
 bounded per-table delta tail. A replica that answers ``stale`` is
 caught up with the cheapest re-ship that is provably sufficient: the
@@ -44,7 +44,6 @@ from typing import Any, Optional
 
 from repro import config
 from repro.errors import BEASError
-from repro.storage.codec import canonical_key, encode_row
 from repro.distributed.protocol import (
     MSG_DEBUG,
     MSG_DELTA,
@@ -393,41 +392,20 @@ class ReplicaFleet:
     # ------------------------------------------------------------------ #
     # the delta tail (fed by the coordinator's maintenance path)
     # ------------------------------------------------------------------ #
-    def note_insert(self, table, rows, prev_version: Optional[int]) -> None:
-        """Record one committed insert batch for delta re-ship."""
-        dtypes = [column.dtype for column in table.schema.columns]
-        self._note_maintenance(
-            "insert",
-            table,
-            [encode_row(row, dtypes) for row in rows],
-            dtypes,
-            prev_version,
-        )
-
-    def note_delete(self, table, rows, prev_version: Optional[int]) -> None:
-        """Record one committed delete batch for delta re-ship."""
-        dtypes = [column.dtype for column in table.schema.columns]
-        self._note_maintenance(
-            "delete",
-            table,
-            [encode_row(canonical_key(row), dtypes) for row in rows],
-            dtypes,
-            prev_version,
-        )
-
-    def _note_maintenance(
+    def note_maintenance(
         self,
         op: str,
         table,
         encoded_rows: list,
-        dtypes: list,
         prev_version: Optional[int],
     ) -> None:
+        """Record one committed ``insert`` / ``delete`` batch for delta
+        re-ship; its rows arrive codec-encoded (the WAL's own cells)."""
         record = {
             "op": op,
             "table": table.schema.name,
             "rows": encoded_rows,
-            "dtypes": dtypes,
+            "dtypes": table.schema.dtypes,
             "prev": prev_version,
             "version": table.version,
         }

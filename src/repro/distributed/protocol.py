@@ -91,6 +91,15 @@ class SnapshotCatalog:
             )
         return index
 
+    def constraints_for(self, relation: str) -> list:
+        """The held constraints over ``relation`` (what a delta record
+        on that table has to be applied to)."""
+        return [
+            index.constraint
+            for index in self._indexes.values()
+            if index.constraint.relation == relation
+        ]
+
 
 def run_plan_task(indexes: dict, task: tuple) -> tuple:  # pragma: no cover - subprocess
     """A peer's answer to one ``MSG_PLAN`` task: the bounded plan run in

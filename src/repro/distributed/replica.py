@@ -36,6 +36,7 @@ import socket
 from typing import Optional
 
 from repro.errors import ReproError
+from repro.maintenance.incremental import apply_delete, apply_insert
 from repro.storage.codec import decode_row
 from repro.storage.wal import MAX_FRAME_BYTES, frame_record
 from repro.distributed.protocol import (
@@ -49,6 +50,7 @@ from repro.distributed.protocol import (
     REPLY_PONG,
     REPLY_STALE,
     REPLY_UNSUPPORTED,
+    SnapshotCatalog,
     WireError,
     describe_error,
     recv_message,
@@ -75,31 +77,23 @@ ACCEPT_TIMEOUT_SECONDS = 30.0
 def apply_delta_records(indexes: dict, records: list[dict]) -> None:
     """Replay maintenance records onto the installed index subset.
 
-    Rows arrive codec-encoded (the WAL's record shape); each decoded row
-    is applied to every held index on the record's table. Raises on
-    anything it cannot apply — the serve loop reports ``unsupported``
-    and the coordinator falls back to a full snapshot ship.
+    Rows arrive codec-encoded (the WAL's record shape); each decoded
+    batch goes through the coordinator's own appliers, over a catalog
+    that holds indices only. Raises on anything it cannot apply — the
+    serve loop reports ``unsupported`` and the coordinator falls back to
+    a full snapshot ship.
     """
+    catalog = SnapshotCatalog(indexes)
     for record in records:
         op = record["op"]
-        table = record["table"]
         dtypes = record["dtypes"]
         rows = [decode_row(cells, dtypes) for cells in record["rows"]]
-        targets = [
-            index
-            for index in indexes.values()
-            if index.constraint.relation == table
-        ]
         if op == "insert":
-            for index in targets:
-                for row in rows:
-                    # validate=False: the coordinator already type-checked
-                    # the batch when it committed it
-                    index.insert_row(row, validate=False)
+            # validate=False: the coordinator already checked the batch
+            # against the bounds when it committed it
+            apply_insert(catalog, record["table"], rows, validate=False)
         elif op == "delete":
-            for index in targets:
-                for row in rows:
-                    index.delete_row(row)
+            apply_delete(catalog, record["table"], rows)
         else:
             raise ReproError(f"unknown delta op {op!r}")
 

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from repro.access.catalog import ASCatalog
 from repro.access.constraint import AccessConstraint
-from repro.errors import ConformanceError, MaintenanceError, StorageError
+from repro.access.index import AccessIndex
+from repro.errors import MaintenanceError, StorageError
 
 
 class ViolationPolicy(enum.Enum):
@@ -63,57 +64,32 @@ class MaintenanceManager:
         self.policy = policy
 
     # ------------------------------------------------------------------ #
-    def insert(self, table_name: str, rows: Sequence[Sequence[Any]]) -> UpdateBatch:
+    def insert(self, table_name: str, rows: Iterable[Sequence[Any]]) -> UpdateBatch:
         """Insert ``rows`` into the table and all affected indices.
 
-        Under ``REJECT``, a bound violation rolls the whole batch back
+        Under ``REJECT``, a bound violation refuses the whole batch
         (table and indices are left exactly as before).
         """
-        table = self._catalog.database.table(table_name)
-        constraints = self._catalog.constraints_for(table_name)
-        batch = UpdateBatch(table=table_name)
+        return self.insert_returning(table_name, rows)[0]
 
-        applied: list[tuple] = []
-        applied_index_rows: dict[str, int] = {c.name: 0 for c in constraints}
-        try:
-            for row in rows:
-                stored = table.insert(row)
-                applied.append(stored)
-                for constraint in constraints:
-                    index = self._catalog.index_for(constraint)
-                    validate = self.policy is ViolationPolicy.REJECT
-                    try:
-                        index.insert_row(stored, validate=validate)
-                    except ConformanceError:
-                        # roll back this row from the table before re-raising
-                        raise
-                    applied_index_rows[constraint.name] += 1
-                batch.inserted += 1
-        except ConformanceError as error:
-            self._rollback_inserts(table, constraints, applied, applied_index_rows)
-            raise MaintenanceError(
-                f"insert batch rejected: {error}"
-            ) from error
-
+    def insert_returning(
+        self, table_name: str, rows: Iterable[Sequence[Any]]
+    ) -> tuple[UpdateBatch, list[tuple]]:
+        """:meth:`insert`, and the rows as the table now stores them —
+        what the WAL and a replica's delta must carry."""
+        stored = apply_insert(
+            self._catalog,
+            table_name,
+            rows,
+            validate=self.policy is ViolationPolicy.REJECT,
+        )
+        batch = UpdateBatch(table=table_name, inserted=len(stored))
         if self.policy is ViolationPolicy.ADJUST:
-            batch.adjusted_constraints = self._adjust_bounds(constraints)
-        batch.table_version = table.version
-        return batch
-
-    def _rollback_inserts(
-        self,
-        table,
-        constraints: list[AccessConstraint],
-        applied: list[tuple],
-        applied_index_rows: dict[str, int],
-    ) -> None:
-        # the batch's rows are the table's tail: this writer appended them
-        table.undo_inserts(len(applied))
-        # undo the index insertions that did succeed
-        for constraint in constraints:
-            index = self._catalog.index_for(constraint)
-            for row in applied[: applied_index_rows[constraint.name]]:
-                index.delete_row(row)
+            batch.adjusted_constraints = self._adjust_bounds(
+                self._catalog.constraints_for(table_name)
+            )
+        batch.table_version = self._catalog.database.table(table_name).version
+        return batch, stored
 
     def _adjust_bounds(self, constraints: list[AccessConstraint]) -> list[str]:
         """Widen any constraint whose index now exceeds its declared N."""
@@ -141,32 +117,98 @@ class MaintenanceManager:
         return adjusted
 
     # ------------------------------------------------------------------ #
-    def delete(self, table_name: str, rows: Sequence[Sequence[Any]]) -> UpdateBatch:
+    def delete(self, table_name: str, rows: Iterable[Sequence[Any]]) -> UpdateBatch:
         """Delete one occurrence of each row (bag semantics) everywhere.
 
         A batch naming a row that is not present is refused before
         anything is touched: a missing row means caller state is stale.
         """
+        return self.delete_returning(table_name, rows)[0]
+
+    def delete_returning(
+        self, table_name: str, rows: Iterable[Sequence[Any]]
+    ) -> tuple[UpdateBatch, list[tuple]]:
+        """:meth:`delete`, and the removed rows as the table stored them
+        (a caller may spell a stored ``1`` as ``1.0`` or ``True``; the
+        WAL and a replica's delta must not)."""
         removed = apply_delete(self._catalog, table_name, rows)
         table = self._catalog.database.table(table_name)
-        return UpdateBatch(
+        batch = UpdateBatch(
             table=table_name, deleted=len(removed), table_version=table.version
         )
+        return batch, removed
+
+
+def _indexes_on(catalog: Any, table_name: str) -> list[AccessIndex]:
+    return [
+        catalog.index_for(constraint)
+        for constraint in catalog.constraints_for(table_name)
+    ]
+
+
+def apply_insert(
+    catalog: Any,
+    table_name: str,
+    rows: Iterable[Sequence[Any]],
+    *,
+    validate: bool,
+) -> list[tuple]:
+    """Admit ``rows``, then add them to every index on the table and to
+    the table, one batch call each. The one insert path: live
+    maintenance, WAL replay and a replica's delta replay all end here
+    (a replica's catalog has indices and no ``database``: its rows were
+    admitted by the coordinator). Returns the stored rows.
+
+    Every row is type-checked before anything is touched. With
+    ``validate``, a row that would take a bucket past its bound refuses
+    the batch with a :class:`MaintenanceError` naming the first such row
+    and, on it, the first such constraint; table and indices are then as
+    before, except that ``version`` has moved past the rows up to that
+    one — caches keyed on it are dropped conservatively.
+    """
+    table = None
+    if catalog.database is not None:
+        table = catalog.database.table(table_name)
+    stored = list(rows) if table is None else table.admit(rows)
+    pending = stored
+    taken: list[tuple[AccessIndex, list[tuple]]] = []
+    refused: Optional[tuple[int, AccessIndex]] = None
+    for index in _indexes_on(catalog, table_name):
+        position = index.add_rows(pending, validate=validate)
+        if position is None:
+            taken.append((index, pending))
+        else:
+            # a later index can only come first on an earlier row
+            refused, pending = (position, index), pending[:position]
+    if refused is not None:
+        for index, added in taken:
+            index.remove_rows(added)
+        position, index = refused
+        if table is not None:
+            table.version += position + 1
+        error = index.violation(stored[position])
+        raise MaintenanceError(f"insert batch rejected: {error}") from error
+    if table is not None:
+        table.extend(stored)
+    return stored
 
 
 def apply_delete(
-    catalog: ASCatalog, table_name: str, rows: Sequence[Sequence[Any]]
+    catalog: Any, table_name: str, rows: Iterable[Sequence[Any]]
 ) -> list[tuple]:
     """Validate, then remove ``rows`` from the table and every index on
     it, at cost proportional to the batch. The one delete path: live
-    maintenance and WAL replay both end here. Returns the removed rows."""
-    table = catalog.database.table(table_name)
-    try:
-        removed = table.delete_rows(rows, strict=True)
-    except StorageError as error:
-        raise MaintenanceError(f"delete batch rejected: {error}") from error
-    for constraint in catalog.constraints_for(table_name):
-        index = catalog.index_for(constraint)
-        for row in removed:
-            index.delete_row(row)
+    maintenance, WAL replay and a replica's delta replay all end here.
+    Returns the removed rows in the batch's order, each as the table
+    stored it (``1.0 == 1 == True``: a caller may spell a stored row in
+    a way its column's type would not decode)."""
+    if catalog.database is None:
+        removed = list(rows)
+    else:
+        try:
+            removed = catalog.database.table(table_name).take_rows(rows)
+        except StorageError as error:
+            raise MaintenanceError(f"delete batch rejected: {error}") from error
+    for index in _indexes_on(catalog, table_name):
+        index.remove_rows(removed)
     return removed

@@ -44,7 +44,9 @@ and :func:`canonical_value` maps any NaN seen on an ingest path to it.
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, Sequence
+from itertools import chain, repeat
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.catalog.types import DataType, coerce_value
 from repro.errors import StorageError
@@ -74,6 +76,25 @@ def canonical_key(values: Iterable[Any]) -> tuple:
         CANONICAL_NAN if (isinstance(v, float) and math.isnan(v)) else v
         for v in values
     )
+
+
+def nan_free(rows: Sequence[Sequence[Any]], positions: Sequence[int]) -> bool:
+    """True when no cell of ``rows`` at ``positions`` is a NaN, decided by
+    C-level passes over those columns alone.
+
+    False when one is — and also when a pass cannot tell (a cell that is
+    no number, a row too short to have the cell): the caller then takes
+    the per-value :func:`canonical_key`, which is right for any row.
+    """
+    try:
+        for position in positions:
+            column = map(itemgetter(position), rows)
+            # filter(None, ...) drops NULL (and zeros): none of them is NaN
+            if any(map(math.isnan, filter(None, column))):
+                return False
+    except (TypeError, IndexError, OverflowError):
+        return False
+    return True
 
 
 def encode_value(value: Any) -> str:
@@ -137,3 +158,83 @@ def decode_row(cells: Sequence[str], dtypes: Sequence[DataType]) -> tuple:
             f"cannot decode row of arity {len(cells)} with {len(dtypes)} dtypes"
         )
     return tuple(decode_value(cell, dtype) for cell, dtype in zip(cells, dtypes))
+
+
+# --------------------------------------------------------------------------- #
+# batches: column-wise type checks, one encoder per column
+# --------------------------------------------------------------------------- #
+_NULL = type(None)
+
+#: per dtype, the classes whose instances :func:`is_compatible` accepts
+#: at a glance (an instance of a subclass passes it too, but not these)
+EXACT_TYPES: dict[DataType, frozenset[type]] = {
+    DataType.INT: frozenset({int, _NULL}),
+    DataType.FLOAT: frozenset({float, int, _NULL}),
+    DataType.STRING: frozenset({str, _NULL}),
+    DataType.BOOL: frozenset({bool, _NULL}),
+    DataType.DATE: frozenset({str, _NULL}),
+}
+
+
+def exactly_typed(
+    columns: Sequence[tuple], exact: Sequence[frozenset[type]]
+) -> bool:
+    """True when every value of each column has one of that column's
+    ``exact`` classes — one C-level pass per column."""
+    kinds = map(map, repeat(type), columns)
+    return all(map(frozenset.issuperset, exact, kinds))
+
+
+#: per dtype, :func:`encode_value` for a non-NULL value of exactly that
+#: type; a string is its own cell, unless the text format escapes it
+_CELL_ENCODERS: dict[DataType, Callable[[Any], str]] = {
+    DataType.INT: str,
+    # repr spells the IEEE specials nan / inf / -inf, and an int as str does
+    DataType.FLOAT: repr,
+    DataType.BOOL: {True: "true", False: "false"}.__getitem__,
+}
+
+
+def batch_encoder(
+    dtypes: Sequence[DataType],
+) -> Callable[[Sequence[Sequence[Any]]], list[list[str]]]:
+    """Compile ``rows -> [encode_row(row, dtypes) for row in rows]``.
+
+    A batch with no NULL, whose numbers and booleans have exactly their
+    column's declared type and whose strings need no escaping (neither
+    ``""`` nor ``"..."``-shaped) is checked column-wise; each row is then
+    copied and its non-string cells converted by their column's encoder.
+    Any other batch goes through :func:`encode_value` cell by cell.
+    """
+    dtypes = tuple(dtypes)
+    arity = {len(dtypes)}
+    converted = [i for i, dtype in enumerate(dtypes) if dtype in _CELL_ENCODERS]
+    texts = [i for i, dtype in enumerate(dtypes) if dtype not in _CELL_ENCODERS]
+    exact = [EXACT_TYPES[dtypes[i]] - {_NULL} for i in converted]
+    encoders = [(i, _CELL_ENCODERS[dtypes[i]]) for i in converted]
+
+    def plain(rows: Sequence[Sequence[Any]]) -> bool:
+        if set(map(len, rows)) != arity:
+            return False
+        columns = tuple(zip(*rows))
+        if not exactly_typed([columns[i] for i in converted], exact):
+            return False
+        strings = tuple(chain.from_iterable([columns[i] for i in texts]))
+        try:
+            # join() takes nothing but strings, so this is their type check
+            return '"' not in "".join(strings) and "" not in strings
+        except TypeError:
+            return False
+
+    def encode_plain(row: Sequence[Any]) -> list[str]:
+        cells = list(row)
+        for position, encoder in encoders:
+            cells[position] = encoder(cells[position])
+        return cells
+
+    def encode(rows: Sequence[Sequence[Any]]) -> list[list[str]]:
+        if rows and plain(rows):
+            return list(map(encode_plain, rows))
+        return [encode_row(row, dtypes) for row in rows]
+
+    return encode

@@ -56,7 +56,7 @@ from repro.access.io import schema_from_dict, schema_to_dict
 from repro.catalog.schema import TableSchema
 from repro.catalog.types import DataType
 from repro.errors import AccessSchemaError, MaintenanceError, StorageError
-from repro.maintenance.incremental import apply_delete
+from repro.maintenance.incremental import apply_delete, apply_insert
 from repro.storage.codec import canonical_key, decode_row, encode_row, is_nan
 from repro.storage.database import Database
 from repro.storage.table import Table
@@ -85,10 +85,12 @@ class MappedAccessIndex(AccessIndex):
 
     The key directory is decoded eagerly; bucket payloads decode on
     first touch and are cached.  Mutation (WAL replay, live
-    maintenance) copies the affected bucket into the overlay first, so
-    the mapped bytes stay read-only and a *different* process mapping
-    the same segment is unaffected.  ``snapshot()``/``entry_count``
-    after mutation materialise everything and behave exactly like the
+    maintenance) first moves the batch's buckets out of the directory
+    into the overlay (``_open``) — from then on ``_buckets`` is all that
+    is known of those keys, an emptied one included — so the mapped
+    bytes stay read-only and a *different* process mapping the same
+    segment is unaffected.  ``snapshot()``/``entry_count`` after
+    mutation materialise everything and behave exactly like the
     in-memory index.
     """
 
@@ -98,6 +100,7 @@ class MappedAccessIndex(AccessIndex):
         *,
         x_positions: Sequence[int],
         y_positions: Sequence[int],
+        floats: Sequence[int],
         built_from: Optional[str],
         y_dtypes: Sequence[DataType],
         buffer: Any,
@@ -109,14 +112,13 @@ class MappedAccessIndex(AccessIndex):
         max_bucket_size: int,
     ):
         super().__init__(constraint)
-        self._x_positions = tuple(x_positions)
-        self._y_positions = tuple(y_positions)
+        self._lay_out(x_positions, y_positions, floats)
         self._built_from = built_from
         self._y_dtypes = tuple(y_dtypes)
         self._buffer = buffer
         self._blob_base = blob_base
+        # keys whose bucket still sits in the buffer, unedited
         self._lazy: dict[Key, tuple[int, int]] = directory
-        self._dead: set[Key] = set()
         self._segment_span = segment_span
         self._mutated = False
         self._hint_key_count = key_count
@@ -148,7 +150,7 @@ class MappedAccessIndex(AccessIndex):
         bucket = self._buckets.get(key)
         if bucket is not None:
             return bucket
-        if key in self._dead or key not in self._lazy:
+        if key not in self._lazy:
             return None
         bucket = self._decode_bucket(key)
         self._buckets[key] = bucket
@@ -156,69 +158,51 @@ class MappedAccessIndex(AccessIndex):
 
     def _materialize_all(self) -> None:
         for key in list(self._lazy):
-            if key not in self._dead and key not in self._buckets:
+            if key not in self._buckets:
                 self._buckets[key] = self._decode_bucket(key)
         self._lazy = {}
-        self._dead = set()
         self._buffer = None
 
     # -- AccessIndex surface, overlay-aware ------------------------------ #
     def build(self, table: Table, *, validate: bool = True) -> "AccessIndex":
         self._lazy = {}
-        self._dead = set()
         self._buffer = None
-        self._mutated = True
         return super().build(table, validate=validate)
 
-    def _add(self, row: Sequence[Any], *, validate: bool) -> None:
-        key = self._key_of(row)
-        if key not in self._buckets:
-            existing = None
-            if key not in self._dead and key in self._lazy:
-                existing = self._decode_bucket(key)
-            self._buckets[key] = existing if existing is not None else {}
-        self._dead.discard(key)
+    def _open(self, keys: list[Key]) -> None:
         self._mutated = True
-        super()._add(row, validate=validate)
-
-    def delete_row(self, row: Sequence[Any]) -> None:
-        key = self._key_of(row)
-        if key not in self._buckets and key not in self._dead and key in self._lazy:
-            self._buckets[key] = self._decode_bucket(key)
-        self._mutated = True
-        super().delete_row(row)
-        if key not in self._buckets and key in self._lazy:
-            self._dead.add(key)
+        lazy, buckets = self._lazy, self._buckets
+        if lazy:
+            for key in keys:
+                if key in lazy:
+                    if key not in buckets:
+                        buckets[key] = self._decode_bucket(key)
+                    del lazy[key]
 
     def fetch(self, key: Key) -> list:
-        key = tuple(key)
-        if any(part is None or is_nan(part) for part in key):
+        if key.__class__ is not tuple:
+            key = tuple(key)
+        if None in key or (self._x_float and any(map(is_nan, key))):
             return []
         bucket = self._bucket_cached(key)
         return [] if bucket is None else list(bucket)
 
     def __contains__(self, key: Key) -> bool:
         key = canonical_key(key)
-        if key in self._buckets:
-            return True
-        return key in self._lazy and key not in self._dead
+        return key in self._buckets or key in self._lazy
 
     def keys(self):
         for key in self._buckets:
             yield key
         for key in self._lazy:
-            if key not in self._buckets and key not in self._dead:
+            if key not in self._buckets:
                 yield key
 
     @property
     def key_count(self) -> int:
         if not self._mutated and self._lazy:
             return self._hint_key_count
-        extra = sum(
-            1
-            for key in self._lazy
-            if key not in self._buckets and key not in self._dead
-        )
+        extra = sum(1 for key in self._lazy if key not in self._buckets)
         return len(self._buckets) + extra
 
     @property
@@ -259,6 +243,7 @@ class MappedAccessIndex(AccessIndex):
                 self.constraint,
                 self._x_positions,
                 self._y_positions,
+                self._floats,
                 self._built_from,
                 self.snapshot(),
             ),
@@ -275,12 +260,12 @@ def _plain_index_from_state(
     constraint: AccessConstraint,
     x_positions: Sequence[int],
     y_positions: Sequence[int],
+    floats: Sequence[int],
     built_from: Optional[str],
     buckets: dict,
 ) -> AccessIndex:
     index = AccessIndex(constraint)
-    index._x_positions = tuple(x_positions)
-    index._y_positions = tuple(y_positions)
+    index._lay_out(x_positions, y_positions, floats)
     index._built_from = built_from
     # re-canonicalise: NaN identity does not survive the pickle wire
     index._buckets = {
@@ -424,10 +409,19 @@ def decode_index_segment(
             header["keys"], header["offsets"]
         ):
             directory[decode_row(cells, x_dtypes)] = (bucket_offset, bucket_len)
+        # which X / Y cells are FLOAT columns, as row positions
+        floats = [
+            position
+            for position, dtype in zip(
+                header["x_positions"] + header["y_positions"], x_dtypes + y_dtypes
+            )
+            if dtype is DataType.FLOAT
+        ]
         index = MappedAccessIndex(
             constraint,
             x_positions=header["x_positions"],
             y_positions=header["y_positions"],
+            floats=floats,
             built_from=header["built_from"],
             y_dtypes=y_dtypes,
             buffer=buffer,
@@ -761,25 +755,21 @@ class MmapStore:
     def log_insert(self, table: Table, rows: Iterable[Sequence[Any]]) -> None:
         """Append one committed insert batch (call under the same write
         section that applied it, before any reader sees the version)."""
-        dtypes = table.schema.dtypes
-        self._wal.append(
-            {
-                "op": "insert",
-                "table": table.schema.name,
-                "rows": [encode_row(row, dtypes) for row in rows],
-                "version": table.version,
-            }
-        )
+        self.log_batch("insert", table, table.plan.encode(list(rows)))
 
     def log_delete(self, table: Table, rows: Iterable[Sequence[Any]]) -> None:
-        dtypes = table.schema.dtypes
+        # the codec writes every NaN as "nan": the logged bytes are
+        # canonical without a canonical_key pass
+        self.log_batch("delete", table, table.plan.encode(list(rows)))
+
+    def log_batch(self, op: str, table: Table, encoded: list[list[str]]) -> None:
+        """Append a committed batch whose rows — the *stored* rows, as
+        the table held them — are already codec-encoded."""
         self._wal.append(
             {
-                "op": "delete",
+                "op": op,
                 "table": table.schema.name,
-                # encode_value already writes every NaN as "nan": the
-                # logged bytes are canonical without a canonical_key pass
-                "rows": [encode_row(row, dtypes) for row in rows],
+                "rows": encoded,
                 "version": table.version,
             }
         )
@@ -826,14 +816,8 @@ class MmapStore:
         table = catalog.database.table(record["table"])
         dtypes = table.schema.dtypes
         rows = [decode_row(cells, dtypes) for cells in record["rows"]]
-        constraints = catalog.constraints_for(record["table"])
         if op == "insert":
-            for row in rows:
-                stored = table.insert(row)
-                for constraint in constraints:
-                    catalog.index_for(constraint).insert_row(
-                        stored, validate=False
-                    )
+            apply_insert(catalog, record["table"], rows, validate=False)
         else:
             try:
                 apply_delete(catalog, record["table"], rows)

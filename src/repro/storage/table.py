@@ -9,17 +9,130 @@ place (beaslint ``table-mutation`` holds that for ``src/repro``).
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from collections import Counter
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.catalog.schema import TableSchema
 from repro.catalog.statistics import TableStatistics, collect_statistics
-from repro.catalog.types import coerce_value, is_compatible
+from repro.catalog.types import DataType, coerce_value, is_compatible
 from repro.errors import StorageError, TypeMismatchError
-from repro.storage.codec import canonical_key
+from repro.storage.codec import (
+    EXACT_TYPES,
+    batch_encoder,
+    canonical_key,
+    exactly_typed,
+    nan_free,
+)
 
 Row = tuple
+
+#: a normalised ISO date — a subset of what ``is_compatible`` takes for a
+#: DATE (it also takes ``2016-6-1``, which goes through the walk)
+_ISO_DATE = re.compile(r"[0-9]{4}-(?:0[1-9]|1[0-2])-(?:0[1-9]|[12][0-9]|3[01])")
+
+#: how many distinct valid DATE strings a plan remembers before it
+#: forgets them all and starts over
+DATE_MEMO_ENTRIES = 4096
+
+
+class WritePlan:
+    """What a table's schema fixes about a write batch, compiled once.
+
+    Per column the admissible exact types, the FLOAT positions (the only
+    cells that can hold a NaN), the DATE positions, and the codec's
+    column encoders. A batch is then checked and encoded column-wise,
+    in C-level passes, and a batch that does not pass at a glance gets
+    the per-value walk: what is accepted, and what a refusal says, is
+    ``is_compatible``'s word either way.
+    """
+
+    def __init__(self, schema: TableSchema):
+        self._schema = schema
+        dtypes = schema.dtypes
+        self._arity = {schema.arity}
+        self._exact = tuple(EXACT_TYPES[dtype] for dtype in dtypes)
+        self._floats = tuple(
+            i for i, dtype in enumerate(dtypes) if dtype is DataType.FLOAT
+        )
+        self._dates = tuple(
+            i for i, dtype in enumerate(dtypes) if dtype is DataType.DATE
+        )
+        self._valid_dates: set[Optional[str]] = {None}
+        #: ``rows -> [encode_row(row, dtypes) for row in rows]``
+        self.encode = batch_encoder(dtypes)
+
+    def admit(self, rows: Iterable[Sequence[Any]], *, coerce: bool = False) -> list[Row]:
+        """The batch as the tuples the table would store, or the error
+        its first inadmissible row earns; nothing is touched."""
+        rows = list(rows)
+        if coerce:
+            return [self._coerced(row) for row in rows]
+        if rows and not self._exactly_typed(rows):
+            self._walk(rows)
+        return self.canonical(rows)
+
+    def canonical(self, rows: Sequence[Sequence[Any]]) -> list[Row]:
+        """``canonical_key`` of each row: every NaN becomes the one
+        shared object, so bag-semantic deletes and DISTINCT stay exact
+        (see :mod:`repro.storage.codec`). A batch with no NaN in a FLOAT
+        column is ``tuple(row)``, which for a tuple is the row itself."""
+        if nan_free(rows, self._floats):
+            return list(map(tuple, rows))
+        return [canonical_key(row) for row in rows]
+
+    def _exactly_typed(self, rows: list) -> bool:
+        try:
+            if set(map(len, rows)) != self._arity:
+                return False
+        except TypeError:  # a row without a length: the walk reports it
+            return False
+        columns = tuple(zip(*rows))
+        if not exactly_typed(columns, self._exact):
+            return False
+        valid = self._valid_dates
+        for position in self._dates:
+            if not valid.issuperset(columns[position]):
+                if not self._learn_dates(columns[position]):
+                    return False
+        return True
+
+    def _learn_dates(self, column: tuple) -> bool:
+        valid = self._valid_dates
+        if len(valid) >= DATE_MEMO_ENTRIES:
+            valid.clear()
+            valid.add(None)
+        for value in column:
+            if value not in valid:
+                if _ISO_DATE.fullmatch(value) is None:
+                    return False
+                valid.add(value)
+        return True
+
+    def _walk(self, rows: list) -> None:
+        schema = self._schema
+        for row in rows:
+            self._check_arity(row)
+            for value, column in zip(row, schema.columns):
+                if not is_compatible(value, column.dtype):
+                    raise TypeMismatchError(
+                        f"value {value!r} is not a {column.dtype.name} "
+                        f"(column {schema.name}.{column.name})"
+                    )
+
+    def _coerced(self, row: Sequence[Any]) -> Row:
+        self._check_arity(row)
+        return canonical_key(map(coerce_value, row, self._schema.dtypes))
+
+    def _check_arity(self, row: Sequence[Any]) -> None:
+        schema = self._schema
+        if len(row) != schema.arity:
+            raise StorageError(
+                f"row arity {len(row)} does not match table "
+                f"{schema.name!r} arity {schema.arity}"
+            )
 
 
 class _RowLocator:
@@ -37,38 +150,51 @@ class _RowLocator:
     __slots__ = ("ids", "where")
 
     def __init__(self, rows: list[Row]):
-        self.ids: list[int] = list(range(len(rows)))
+        self.ids: list[int] = []
         self.where: dict[Row, list[int]] = {}
-        for ident, row in zip(self.ids, rows):
-            self.where.setdefault(row, []).append(ident)
+        self.extend(rows)
 
-    def append(self, row: Row) -> None:
-        ident = self.ids[-1] + 1 if self.ids else 0
-        self.ids.append(ident)
-        self.where.setdefault(row, []).append(ident)
+    def extend(self, rows: list[Row]) -> None:
+        first = self.ids[-1] + 1 if self.ids else 0
+        fresh = range(first, first + len(rows))
+        self.ids.extend(fresh)
+        where = self.where
+        for ident, row in zip(fresh, rows):
+            where.setdefault(row, []).append(ident)
 
-    def count(self, row: Row) -> int:
-        return len(self.where.get(row, ()))
-
-    def take(self, row: Row, count: int) -> list[int]:
-        """Forget the ``count`` oldest occurrences of ``row`` (fewer if
-        fewer are live); returns their ids."""
-        held = self.where.get(row)
-        if held is None:
-            return []
-        taken = held[:count]
-        del held[:count]
-        if not held:
-            del self.where[row]
+    def take(self, rows: list[Row], *, strict: bool) -> Optional[list[int]]:
+        """Forget the oldest occurrence of each of ``rows`` (a row named
+        ``n`` times loses its ``n`` oldest, or all it has); returns their
+        ids, grouped by row in the order the rows are first named. With
+        ``strict``, a row with fewer live occurrences than it is named
+        makes this return ``None`` with nothing forgotten."""
+        where = self.where
+        # one hash per row: its ids leave the map here, and what the row
+        # keeps goes back in
+        held = [where.pop(row, None) for row in rows]
+        if None not in held:  # every row is there, and is named once
+            for row, ids in zip(rows, held):
+                if len(ids) > 1:
+                    where[row] = ids[1:]
+            return [ids[0] for ids in held]
+        # a row is missing, or is named again after its ids left: back
+        # they all go, and the rows are counted
+        where.update((row, ids) for row, ids in zip(rows, held) if ids is not None)
+        wanted = Counter(rows)
+        held = [where.get(row) for row in wanted]
+        if strict and not all(
+            ids is not None and len(ids) >= count
+            for ids, count in zip(held, wanted.values())
+        ):
+            return None
+        taken: list[int] = []
+        for row, count, ids in zip(wanted, wanted.values(), held):
+            if ids is not None:
+                taken += ids[:count]
+                del ids[:count]
+                if not ids:
+                    del where[row]
         return taken
-
-    def pop(self, row: Row) -> None:
-        """Forget the table's last row, ``row``."""
-        self.ids.pop()
-        held = self.where[row]
-        held.pop()  # the tail row is its newest occurrence
-        if not held:
-            del self.where[row]
 
 
 class Table:
@@ -87,11 +213,13 @@ class Table:
     def __init__(self, schema: TableSchema, rows: Iterable[Sequence[Any]] = ()):
         self.schema = schema
         self._rows: list[Row] = []
-        # built by the first delete_rows, kept in step by insert
+        # built by the first delete_rows, kept in step by extend
         self._locator: Optional[_RowLocator] = None
+        self._plan: Optional[WritePlan] = None  # built by the first write
         self.version: int = 0
-        for row in rows:
-            self.insert(row)
+        rows = list(rows)
+        if rows:
+            self.insert_rows(rows)
 
     @classmethod
     def from_trusted_rows(
@@ -116,53 +244,48 @@ class Table:
     # ------------------------------------------------------------------ #
     # mutation
     # ------------------------------------------------------------------ #
-    def insert(self, row: Sequence[Any], *, coerce: bool = False) -> Row:
-        """Append one row. With ``coerce=True`` raw values (e.g. CSV strings)
-        are converted to the declared column types; otherwise they must
-        already match."""
-        if len(row) != self.schema.arity:
-            raise StorageError(
-                f"row arity {len(row)} does not match table "
-                f"{self.schema.name!r} arity {self.schema.arity}"
-            )
-        if coerce:
-            values = canonical_key(
-                coerce_value(value, column.dtype)
-                for value, column in zip(row, self.schema.columns)
-            )
-        else:
-            for value, column in zip(row, self.schema.columns):
-                if not is_compatible(value, column.dtype):
-                    raise TypeMismatchError(
-                        f"value {value!r} is not a {column.dtype.name} "
-                        f"(column {self.schema.name}.{column.name})"
-                    )
-            # canonicalise NaN so bag-semantics deletes and DISTINCT
-            # dedup stay exact (see repro.storage.codec)
-            values = canonical_key(row)
-        self._rows.append(values)
+    @property
+    def plan(self) -> WritePlan:
+        """The schema's compiled write plan (admission, NaN
+        canonicalisation, row encoding)."""
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = WritePlan(self.schema)
+        return plan
+
+    def admit(
+        self, rows: Iterable[Sequence[Any]], *, coerce: bool = False
+    ) -> list[Row]:
+        """Type-check a whole batch without touching the table: the
+        tuples :meth:`extend` would append, or the first inadmissible
+        row's ``StorageError`` (arity) / ``TypeMismatchError``. With
+        ``coerce=True`` raw values (e.g. CSV strings) are converted to
+        the declared column types; otherwise they must already match."""
+        return self.plan.admit(rows, coerce=coerce)
+
+    def extend(self, rows: list[Row]) -> None:
+        """Append rows :meth:`admit` returned; ``version`` advances by
+        one per row."""
+        self._rows.extend(rows)
         if self._locator is not None:
-            self._locator.append(values)
-        self.version += 1
-        return values
+            self._locator.extend(rows)
+        self.version += len(rows)
+
+    def insert_rows(
+        self, rows: Iterable[Sequence[Any]], *, coerce: bool = False
+    ) -> list[Row]:
+        """Append a batch, all of it or — when some row is inadmissible —
+        none of it; returns the stored rows."""
+        stored = self.admit(rows, coerce=coerce)
+        self.extend(stored)
+        return stored
+
+    def insert(self, row: Sequence[Any], *, coerce: bool = False) -> Row:
+        """Append one row; returns it as stored."""
+        return self.insert_rows((row,), coerce=coerce)[0]
 
     def insert_many(self, rows: Iterable[Sequence[Any]], *, coerce: bool = False) -> int:
-        count = 0
-        for row in rows:
-            self.insert(row, coerce=coerce)
-            count += 1
-        return count
-
-    def undo_inserts(self, count: int) -> None:
-        """Remove the last ``count`` rows: the undo of that many
-        :meth:`insert` calls, for the writer that made them. ``version``
-        is not rewound — a rolled-back batch still moves it, so caches
-        keyed on it are dropped conservatively."""
-        locator = self._in_step()
-        for _ in range(count):
-            row = self._rows.pop()
-            if locator is not None:
-                locator.pop(row)
+        return len(self.insert_rows(rows, coerce=coerce))
 
     def delete(self, predicate: Callable[[Row], bool]) -> list[Row]:
         """Remove rows matching ``predicate``; returns the removed rows.
@@ -185,26 +308,43 @@ class Table:
         or, with ``strict``, refuses the whole batch with a
         :class:`StorageError` before anything is touched.
         O(batch · log rows) once the locator exists."""
+        found = self._take(self.plan.canonical(list(rows)), strict)
+        return [row for _, row in sorted(found, key=itemgetter(0))]
+
+    def take_rows(self, rows: Iterable[Sequence[Any]]) -> list[Row]:
+        """A strict :meth:`delete_rows` that returns the batch, in its
+        own order, with each row as the table stored it (``1.0 == 1 ==
+        True``: a caller may spell a stored row in a way its column's
+        type would not decode, and what is logged has to decode)."""
+        named = self.plan.canonical(list(rows))
+        stored = [row for _, row in self._take(named, strict=True)]
+        if stored != named:
+            # a row named twice: occurrences come back grouped by row,
+            # and equal rows stand in for each other
+            spelling = dict(zip(stored, stored))
+            stored = [spelling[row] for row in named]
+        return stored
+
+    def _take(self, rows: list[Row], strict: bool) -> list[tuple[int, Row]]:
+        """Remove the oldest occurrence of each of ``rows`` (canonical
+        tuples); returns the position each had and the stored row,
+        grouped by row in the order the rows are first named."""
         locator = self._located()
-        wanted = Counter(canonical_key(r) for r in rows)
-        if strict and any(locator.count(row) < n for row, n in wanted.items()):
+        taken = locator.take(rows, strict=strict)
+        if taken is None:
             raise StorageError(
                 f"some rows are not present in {self.schema.name!r}"
             )
-        taken: list[int] = []
-        for row, count in wanted.items():
-            taken.extend(locator.take(row, count))
         if not taken:
             return []
-        taken.sort()
         live, ids = self._rows, locator.ids
         positions = [bisect_left(ids, ident) for ident in taken]
-        removed = [live[position] for position in positions]
-        for position in reversed(positions):
+        found = [(position, live[position]) for position in positions]
+        for position in sorted(positions, reverse=True):
             del live[position]
             del ids[position]
         self.version += 1
-        return removed
+        return found
 
     def _in_step(self) -> Optional[_RowLocator]:
         """The locator, if there is one and it still describes ``rows``.

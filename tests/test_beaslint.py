@@ -633,7 +633,7 @@ class TestTableMutation:
 
             def load(schema, decoded, table, batch):
                 fresh = Table.from_trusted_rows(schema, decoded)
-                table.undo_inserts(len(batch))
+                table.insert_rows(batch)
                 tail = table.rows[-len(batch):]
                 rows = list(table.rows)
                 rows.append(tail)

@@ -199,9 +199,10 @@ def test_maintenance_on_one_table_does_not_block_reads_of_another():
 
     # a deliberately heavy batch: many distinct (pnum, date) groups so the
     # REJECT validation walks every row without violating psi1's bound
+    # (about a microsecond a row, and it has to outlast several reads)
     big_batch = [
         (100_000 + i, f"6{i % 977:03d}", f"b{i}", "2016-06-01", "delta")
-        for i in range(4_000)
+        for i in range(200_000)
     ]
     started = threading.Event()
     duration: list[float] = []

@@ -51,12 +51,6 @@ class ReferenceTable:
         self.rows.append(canonical_key(row))
         self.version += 1
 
-    def undo_inserts(self, count):
-        # the parent's MaintenanceManager._rollback_inserts, applied to
-        # the batch it had just appended
-        for _ in range(count):
-            self.rows.pop()
-
     def delete(self, predicate):
         kept, removed = [], []
         for row in self.rows:
@@ -105,7 +99,6 @@ batches = st.lists(rows_, max_size=6)
 
 steps = st.one_of(
     st.tuples(st.just("insert"), batches),
-    st.tuples(st.just("undo_inserts"), batches),
     # rows named outright (often absent, often more than are present) ...
     st.tuples(st.just("delete_rows"), batches),
     # ... and rows picked out of the table by position
@@ -125,10 +118,6 @@ def _apply(table, kind, argument):
     if kind == "insert":
         for row in argument:
             table.insert(row)
-    elif kind == "undo_inserts":
-        for row in argument:
-            table.insert(row)
-        table.undo_inserts(len(argument))
     elif kind == "delete_rows":
         return table.delete_rows(argument)
     elif kind == "delete_held":
@@ -184,9 +173,9 @@ def test_in_place_edit_behind_the_locator_is_noticed():
     assert table.delete_rows([("a", 7, None)]) == [("a", 7, None)]
     assert table.rows == [("a", 1, None), ("a", 2, None), ("a", 3, None), ("b", 9, None)]
     table.rows.append(("b", 10, None))
-    table.undo_inserts(1)
-    assert table.delete_rows([("b", 9, None)]) == [("b", 9, None)]
-    assert table.rows == [("a", 1, None), ("a", 2, None), ("a", 3, None)]
+    table.insert_rows([("c", 1, None), ("c", 2, None)])  # a batch on top of it
+    assert table.delete_rows([("c", 2, None), ("b", 9, None)]) == [("b", 9, None), ("c", 2, None)]
+    assert table.rows == [("a", 1, None), ("a", 2, None), ("a", 3, None), ("b", 10, None), ("c", 1, None)]
 
 
 def test_locator_is_lazy():
