@@ -12,9 +12,9 @@ setting:
    later runs are result-cache hits;
 3. rebind the template's parameter slots (``call.date``,
    ``business.type``) — one template, many bindings;
-4. run a maintenance batch and observe per-table invalidation: the
-   ``call`` results are recomputed, the ``package``-only results are
-   retained;
+4. run a maintenance batch and observe exact invalidation: the answer
+   that fetched the ``call`` bucket the batch changed is recomputed, the
+   ``package``-only results are retained;
 5. print the per-cache hit/miss/eviction counters.
 
 Run:  python examples/prepared_serving.py

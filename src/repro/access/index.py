@@ -115,41 +115,67 @@ class AccessIndex:
         """Called with a batch's keys before their buckets are edited
         (a subclass whose buckets live elsewhere pulls them in)."""
 
-    def add_rows(self, rows: Sequence[Row], *, validate: bool = True) -> Optional[int]:
+    def add_rows(
+        self,
+        rows: Sequence[Row],
+        *,
+        validate: bool = True,
+        changed: Optional[list[Key]] = None,
+    ) -> Optional[int]:
         """Account for a batch of inserted base rows.
 
         Returns ``None``, or — with ``validate`` — the position of the
         first row that would take a bucket past ``N``; the index is then
         as it was before the batch.
+
+        ``changed`` gains the key of every bucket that gained a distinct
+        Y-value: the only keys whose :meth:`fetch` result the batch
+        changed (a support count going 1 -> 2 changes none). A refused
+        batch adds nothing to it.
         """
         keys, y_values = self._project(rows)
         self._open(keys)
         buckets = self._buckets
         bound = self.constraint.n if validate else sys.maxsize
+        gained: list[Key] = []
+        gain = gained.append
         for position, key in enumerate(keys):
             y_value = y_values[position]
             bucket = buckets.get(key)
             if bucket is None:
                 if bound:
                     buckets[key] = {y_value: 1}
+                    gain(key)
                     continue
             elif y_value in bucket:
                 bucket[y_value] += 1
                 continue
             elif len(bucket) < bound:
                 bucket[y_value] = 1
+                gain(key)
                 continue
             self._remove(keys[:position], y_values[:position])
             return position
+        if changed is not None:
+            changed.extend(gained)
         return None
 
-    def remove_rows(self, rows: Sequence[Row]) -> None:
-        """Account for a batch of deleted base rows."""
+    def remove_rows(
+        self, rows: Sequence[Row], *, changed: Optional[list[Key]] = None
+    ) -> None:
+        """Account for a batch of deleted base rows; ``changed`` gains
+        the key of every bucket that lost a distinct Y-value (its last
+        supporting row went)."""
         keys, y_values = self._project(rows)
         self._open(keys)
-        self._remove(keys, y_values)
+        self._remove(keys, y_values, changed)
 
-    def _remove(self, keys: list[Key], y_values: list[YValue]) -> None:
+    def _remove(
+        self,
+        keys: list[Key],
+        y_values: list[YValue],
+        changed: Optional[list[Key]] = None,
+    ) -> None:
         buckets = self._buckets
         for key, y_value in zip(keys, y_values):
             try:
@@ -165,6 +191,8 @@ class AccessIndex:
                 del bucket[y_value]
                 if not bucket:
                     del buckets[key]
+                if changed is not None:
+                    changed.append(key)
 
     def violation(self, row: Row) -> ConformanceError:
         """What :meth:`add_rows` refusing ``row`` means."""

@@ -44,6 +44,13 @@ This class is the in-process interpreter only. Which route a plan takes
 — in-process row or columnar, a pool worker, a fleet replica — is decided
 and dispatched in :mod:`repro.engine.router`; the remote routes run this
 same interpreter, in columnar mode, on the peer.
+
+Because the indices are the only way in, an answer's *read set* is small
+and enumerable: the keys each fetch presented. Both modes record them
+per access constraint — one list append per presented key, empty
+buckets included, nothing per fetched tuple — and hand them back on
+``QueryResult.read_set``; the serving layer's result cache keeps an
+answer until a write changes one of those buckets.
 """
 
 from __future__ import annotations
@@ -59,7 +66,7 @@ from repro.engine.columnar import (
     resolve_rows_per_batch,
     run_fetch_chunk,
 )
-from repro.engine.executor import QueryResult
+from repro.engine.executor import QueryResult, ReadSet
 from repro.engine.logical import MaterializedNode, SetOpNode
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.physical import Intermediate, PhysicalExecutor
@@ -92,19 +99,29 @@ class BoundedPlanExecutor:
         if self.executor == "columnar":
             metrics.rows_per_batch = self.rows_per_batch
         start = time.perf_counter()
-        intermediate = self._run(plan, metrics)
+        read_set: ReadSet = {}
+        intermediate = self._run(plan, metrics, read_set)
         metrics.seconds = time.perf_counter() - start
         metrics.rows_output = len(intermediate.rows)
         columns = [
             label if isinstance(label, str) else str(label)
             for label in intermediate.labels
         ]
-        return QueryResult(columns=columns, rows=intermediate.rows, metrics=metrics)
+        return QueryResult(
+            columns=columns,
+            rows=intermediate.rows,
+            metrics=metrics,
+            read_set=read_set,
+        )
 
-    def _run(self, plan: AnyBoundedPlan, metrics: ExecutionMetrics) -> Intermediate:
+    def _run(
+        self, plan: AnyBoundedPlan, metrics: ExecutionMetrics, read_set: ReadSet
+    ) -> Intermediate:
+        """``read_set`` gains every key the plan presents (a set
+        operation's is the union of its branches')."""
         if isinstance(plan, SetOpPlan):
-            left = self._run(plan.left, metrics)
-            right = self._run(plan.right, metrics)
+            left = self._run(plan.left, metrics, read_set)
+            right = self._run(plan.right, metrics, read_set)
             node = SetOpNode(
                 plan.op,
                 MaterializedNode(left.labels, left.rows),
@@ -116,18 +133,21 @@ class BoundedPlanExecutor:
             )
             return executor.run(node)
         if self.executor == "columnar":
-            return self._run_select_columnar(plan, metrics)
-        return self._run_select(plan, metrics)
+            return self._run_select_columnar(plan, metrics, read_set)
+        return self._run_select(plan, metrics, read_set)
 
     # ------------------------------------------------------------------ #
     # row mode
     # ------------------------------------------------------------------ #
-    def _run_select(self, plan: BoundedPlan, metrics: ExecutionMetrics) -> Intermediate:
+    def _run_select(
+        self, plan: BoundedPlan, metrics: ExecutionMetrics, read_set: ReadSet
+    ) -> Intermediate:
         skeleton = skeleton_of(plan)
         rows: list[tuple] = [()]
         for step, op in zip(skeleton.steps, plan.ops):
             if isinstance(step, _KeyPlan):
-                rows = self._fetch(step, op, rows, metrics)
+                presented = read_set.setdefault(op.constraint.name, [])
+                rows = self._fetch(step, op, rows, metrics, presented)
             else:
                 start = time.perf_counter()
                 kept = step.keep(op, rows)
@@ -145,9 +165,11 @@ class BoundedPlanExecutor:
         op: FetchOp,
         rows: list[tuple],
         metrics: ExecutionMetrics,
+        presented: list[tuple],
     ) -> list[tuple]:
         start = time.perf_counter()
         fetch = self._catalog.index_for(op.constraint).fetch
+        present = presented.append
         const_keys = key_plan.const_keys(op)
         keys_for, pick_x, pick_y = key_plan.keys_for, key_plan.pick_x, key_plan.pick_y
         y_existing = key_plan.y_existing
@@ -158,11 +180,13 @@ class BoundedPlanExecutor:
         for row in rows:
             for key_tuple in keys_for(row, const_keys):
                 if cache is None:
+                    present(key_tuple)
                     bucket = fetch(key_tuple)
                     fetched += len(bucket)
                 elif key_tuple in cache:
                     bucket = cache[key_tuple]
                 else:
+                    present(key_tuple)
                     bucket = cache[key_tuple] = fetch(key_tuple)
                     fetched += len(bucket)
                 if not bucket:
@@ -188,13 +212,16 @@ class BoundedPlanExecutor:
     # columnar mode
     # ------------------------------------------------------------------ #
     def _run_select_columnar(
-        self, plan: BoundedPlan, metrics: ExecutionMetrics
+        self, plan: BoundedPlan, metrics: ExecutionMetrics, read_set: ReadSet
     ) -> Intermediate:
         skeleton = skeleton_of(plan)
         intermediate = ColumnarIntermediate.seed()
         for step, op in zip(skeleton.steps, plan.ops):
             if isinstance(step, _KeyPlan):
-                intermediate = self._fetch_columnar(step, op, intermediate, metrics)
+                presented = read_set.setdefault(op.constraint.name, [])
+                intermediate = self._fetch_columnar(
+                    step, op, intermediate, metrics, presented
+                )
             else:
                 intermediate = self._select_columnar(step, op, intermediate, metrics)
         # the same conventional tail, interpreted batch-wise
@@ -209,6 +236,7 @@ class BoundedPlanExecutor:
         op: FetchOp,
         intermediate: ColumnarIntermediate,
         metrics: ExecutionMetrics,
+        presented: list[tuple],
     ) -> ColumnarIntermediate:
         """Batch fetch: resolve the key batch, gather all postings, then
         materialise the output column by column (no per-row tuples)."""
@@ -221,7 +249,7 @@ class BoundedPlanExecutor:
         spec = key_plan.chunk_spec(op, track_gather=bool(columns))
         cache: Optional[dict] = {} if self._dedup_keys else None
         results = [
-            run_fetch_chunk(index.fetch, spec, columns, chunk, cache)
+            run_fetch_chunk(index.fetch, spec, columns, chunk, cache, presented)
             for chunk in intermediate.iter_batches(self.rows_per_batch)
         ]
         metrics.batches += len(results)

@@ -232,7 +232,8 @@ class BEPlanOptimizer:
         database = self._catalog.database
         overlay = Database(name="overlay")
         overlay.add_table(temp_table)
-        for name in set(partial.residual_cq.occurrences.values()) - {_TEMP}:
+        scanned = frozenset(partial.residual_cq.occurrences.values()) - {_TEMP}
+        for name in scanned:
             overlay.add_table(database.table(name))
 
         plan = self.residual_plan(partial, len(temp_table))
@@ -246,7 +247,15 @@ class BEPlanOptimizer:
             label if isinstance(label, str) else str(label)
             for label in result.labels
         ]
-        return QueryResult(columns=columns, rows=result.rows, metrics=metrics)
+        # what the answer read: the prefix's buckets (unknown when the
+        # prefix ran on a peer) and every row of the residual's relations
+        return QueryResult(
+            columns=columns,
+            rows=result.rows,
+            metrics=metrics,
+            read_set=prefix_result.read_set,
+            scanned_tables=scanned,
+        )
 
     def residual_plan(
         self, partial: PartialPlan, temp_rows: Optional[int] = None

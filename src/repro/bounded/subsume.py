@@ -732,7 +732,6 @@ class Candidate:
 
     shape_key: str
     result_key: Hashable
-    home: str  # home shard's table name
     generation: int  # access-schema generation the entry was cached under
     summary: QuerySummary
     template_fingerprint: Optional[str] = None  # set for rebound templates

@@ -93,7 +93,7 @@ def coerce_value(value: Any, dtype: DataType) -> Any:
             return _coerce_bool(value)
         if dtype is DataType.DATE:
             return _coerce_date(value)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise TypeMismatchError(f"cannot interpret {value!r} as {dtype.name}") from exc
     raise TypeMismatchError(f"unsupported data type {dtype!r}")  # pragma: no cover
 
@@ -105,9 +105,17 @@ def is_compatible(value: Any, dtype: DataType) -> bool:
     if dtype is DataType.INT:
         return isinstance(value, int) and not isinstance(value, bool)
     if dtype is DataType.FLOAT:
-        return isinstance(value, float) or (
-            isinstance(value, int) and not isinstance(value, bool)
-        )
+        if isinstance(value, float):
+            return True
+        if not isinstance(value, int) or isinstance(value, bool):
+            return False
+        try:
+            # an int past the float range is no FLOAT: its text would
+            # decode as ``inf``, a different row after a restart
+            float(value)
+        except OverflowError:
+            return False
+        return True
     if dtype is DataType.STRING:
         return isinstance(value, str)
     if dtype is DataType.BOOL:

@@ -198,7 +198,8 @@ def run_fetch_chunk(
     spec: FetchChunkSpec,
     columns: Sequence[list],
     indices: Sequence[int],
-    cache: Optional[dict] = None,
+    cache: Optional[dict],
+    presented: list,
 ) -> FetchChunkResult:
     """Run one fetch chunk: resolve each input row's keys, gather the
     index postings, filter against existing Y columns, and emit the new
@@ -206,7 +207,8 @@ def run_fetch_chunk(
 
     ``cache`` (``dedup_keys`` mode) is the execution's shared key cache:
     ``fetched`` then counts only keys *new to the cache*, matching the
-    row executor's accounting.
+    row executor's accounting. ``presented`` gains every key handed to
+    ``fetch`` — the execution's read set, the row executor's exactly.
     """
     fetched = 0
     gather: list = []
@@ -215,15 +217,18 @@ def run_fetch_chunk(
     out_count = 0
     y_existing = spec.y_existing
     track_gather = spec.track_gather
+    present = presented.append
 
     for i in indices:
         for key in spec.keys_at(columns, i):
             if cache is not None:
                 bucket = cache.get(key)
                 if bucket is None:
+                    present(key)
                     bucket = cache[key] = fetch(key)
                     fetched += len(bucket)
             else:
+                present(key)
                 bucket = fetch(key)
                 fetched += len(bucket)
             if not bucket:

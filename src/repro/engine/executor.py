@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Optional, Union
 
 from repro.catalog.statistics import TableStatistics
 from repro.sql import ast
@@ -25,13 +25,28 @@ from repro.engine.planner import plan_conjunctive_query
 from repro.engine.profiles import POSTGRESQL, EngineProfile
 
 
+#: access-constraint name -> the X-keys presented to its index
+ReadSet = dict[str, list[tuple]]
+
+
 @dataclass
 class QueryResult:
-    """Result of one query: named columns, row tuples, and metrics."""
+    """Result of one query: named columns, row tuples, and metrics.
+
+    ``read_set`` is what the answer read of D when it is known exactly:
+    per access constraint (by name), every X-key a bounded plan presented
+    to that constraint's index, empty buckets included. The answer is a
+    function of those buckets and of the rows of ``scanned_tables`` (the
+    relations a partially bounded plan's residual scans) alone. ``None``
+    means unknown: conventional evaluation, an answer computed on a pool
+    worker or a fleet replica, an approximate answer.
+    """
 
     columns: list[str]
     rows: list[tuple]
     metrics: ExecutionMetrics = field(default_factory=ExecutionMetrics)
+    read_set: Optional[ReadSet] = None
+    scanned_tables: frozenset[str] = frozenset()
 
     def to_set(self) -> set[tuple]:
         return set(self.rows)

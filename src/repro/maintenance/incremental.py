@@ -28,6 +28,10 @@ from repro.access.index import AccessIndex
 from repro.errors import MaintenanceError, StorageError
 
 
+#: access-constraint name -> the X-keys whose bucket a batch changed
+ChangeSet = dict[str, list[tuple]]
+
+
 class ViolationPolicy(enum.Enum):
     REJECT = "reject"
     ADJUST = "adjust"
@@ -42,6 +46,11 @@ class UpdateBatch:
     result computed over this batch carries. Concurrent clients (and the
     differential fuzz harness) use it to pin which snapshot an answer
     reflects.
+
+    ``changed_keys`` is the batch's change set: per access constraint
+    (by name), the X-keys whose bucket gained or lost a distinct Y-value
+    — the only ``fetch`` results the batch changed. The serving layer
+    drops the cached answers that fetched one of them, and no other.
     """
 
     table: str
@@ -49,6 +58,7 @@ class UpdateBatch:
     deleted: int = 0
     adjusted_constraints: list[str] = field(default_factory=list)
     table_version: int = 0
+    changed_keys: ChangeSet = field(default_factory=dict, repr=False, compare=False)
 
 
 class MaintenanceManager:
@@ -77,13 +87,15 @@ class MaintenanceManager:
     ) -> tuple[UpdateBatch, list[tuple]]:
         """:meth:`insert`, and the rows as the table now stores them —
         what the WAL and a replica's delta must carry."""
+        batch = UpdateBatch(table=table_name)
         stored = apply_insert(
             self._catalog,
             table_name,
             rows,
             validate=self.policy is ViolationPolicy.REJECT,
+            changed=batch.changed_keys,
         )
-        batch = UpdateBatch(table=table_name, inserted=len(stored))
+        batch.inserted = len(stored)
         if self.policy is ViolationPolicy.ADJUST:
             batch.adjusted_constraints = self._adjust_bounds(
                 self._catalog.constraints_for(table_name)
@@ -131,11 +143,12 @@ class MaintenanceManager:
         """:meth:`delete`, and the removed rows as the table stored them
         (a caller may spell a stored ``1`` as ``1.0`` or ``True``; the
         WAL and a replica's delta must not)."""
-        removed = apply_delete(self._catalog, table_name, rows)
-        table = self._catalog.database.table(table_name)
-        batch = UpdateBatch(
-            table=table_name, deleted=len(removed), table_version=table.version
+        batch = UpdateBatch(table=table_name)
+        removed = apply_delete(
+            self._catalog, table_name, rows, changed=batch.changed_keys
         )
+        batch.deleted = len(removed)
+        batch.table_version = self._catalog.database.table(table_name).version
         return batch, removed
 
 
@@ -152,6 +165,7 @@ def apply_insert(
     rows: Iterable[Sequence[Any]],
     *,
     validate: bool,
+    changed: Optional[ChangeSet] = None,
 ) -> list[tuple]:
     """Admit ``rows``, then add them to every index on the table and to
     the table, one batch call each. The one insert path: live
@@ -165,6 +179,10 @@ def apply_insert(
     and, on it, the first such constraint; table and indices are then as
     before, except that ``version`` has moved past the rows up to that
     one — caches keyed on it are dropped conservatively.
+
+    ``changed`` gains, per constraint name, the keys whose bucket gained
+    a distinct Y-value (see :meth:`AccessIndex.add_rows`); a refused
+    batch leaves it alone.
     """
     table = None
     if catalog.database is not None:
@@ -173,10 +191,14 @@ def apply_insert(
     pending = stored
     taken: list[tuple[AccessIndex, list[tuple]]] = []
     refused: Optional[tuple[int, AccessIndex]] = None
+    gained: ChangeSet = {}
     for index in _indexes_on(catalog, table_name):
-        position = index.add_rows(pending, validate=validate)
+        keys: list[tuple] = []
+        position = index.add_rows(pending, validate=validate, changed=keys)
         if position is None:
             taken.append((index, pending))
+            if keys:
+                gained[index.constraint.name] = keys
         else:
             # a later index can only come first on an earlier row
             refused, pending = (position, index), pending[:position]
@@ -190,18 +212,25 @@ def apply_insert(
         raise MaintenanceError(f"insert batch rejected: {error}") from error
     if table is not None:
         table.extend(stored)
+    if changed is not None:
+        changed.update(gained)
     return stored
 
 
 def apply_delete(
-    catalog: Any, table_name: str, rows: Iterable[Sequence[Any]]
+    catalog: Any,
+    table_name: str,
+    rows: Iterable[Sequence[Any]],
+    *,
+    changed: Optional[ChangeSet] = None,
 ) -> list[tuple]:
     """Validate, then remove ``rows`` from the table and every index on
     it, at cost proportional to the batch. The one delete path: live
     maintenance, WAL replay and a replica's delta replay all end here.
     Returns the removed rows in the batch's order, each as the table
     stored it (``1.0 == 1 == True``: a caller may spell a stored row in
-    a way its column's type would not decode)."""
+    a way its column's type would not decode). ``changed`` gains, per
+    constraint name, the keys whose bucket lost a distinct Y-value."""
     if catalog.database is None:
         removed = list(rows)
     else:
@@ -210,5 +239,8 @@ def apply_delete(
         except StorageError as error:
             raise MaintenanceError(f"delete batch rejected: {error}") from error
     for index in _indexes_on(catalog, table_name):
-        index.remove_rows(removed)
+        keys: list[tuple] = []
+        index.remove_rows(removed, changed=keys)
+        if keys and changed is not None:
+            changed[index.constraint.name] = keys
     return removed

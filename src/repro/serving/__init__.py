@@ -9,20 +9,21 @@ hierarchy, partitioned by table so concurrent traffic scales:
 * :class:`~repro.serving.prepared.PreparedQuery` — parse/fingerprint
   once, parameterised constant slots, per-binding memoisation;
 * :class:`~repro.serving.server.BEASServer` — the **sharded** serving
-  core: per-table reader/writer locks over table data + access indices
-  + result-cache slices, a striped coverage-decision cache, ordered
-  multi-shard read locking for joins, and admit-on-second-hit result
-  admission — all with maintenance-aware invalidation (access-schema
-  generation + per-table data versions);
+  core: per-table reader/writer locks over table data + access
+  indices, a striped coverage-decision cache, ordered multi-shard read
+  locking for joins, and one result cache with admit-on-second-hit
+  admission that a write invalidates exactly (it drops the answers
+  whose fetched buckets it changed);
 * :mod:`~repro.serving.request` — the request path: the per-request
   context and the ordered stages every read runs through;
 * :class:`~repro.serving.async_server.AsyncBEASServer` — the asyncio
   front end: bounded worker pool, admission control, per-shard
   maintenance queues with batched draining;
-* :class:`~repro.serving.shard.TableShard` / ``ShardLock`` /
+* :class:`~repro.serving.shard.Shard` / ``ShardLock`` /
   ``StripedCache`` — the sharding primitives;
 * :class:`~repro.serving.cache.LRUCache` / ``CacheStats`` — the shared
-  budgeted-LRU primitive and its counters.
+  budgeted-LRU primitive and its counters; ``ResultCache`` — the
+  served-answer cache and its read-set filing.
 
 The layer is an internal of :class:`~repro.beas.session.Session`::
 
@@ -38,7 +39,7 @@ The layer is an internal of :class:`~repro.beas.session.Session`::
 """
 
 from repro.serving.async_server import AsyncBEASServer, AsyncServingStats
-from repro.serving.cache import CacheStats, LRUCache, approx_size
+from repro.serving.cache import CacheStats, LRUCache, ResultCache, approx_size
 from repro.serving.params import (
     ParameterSlot,
     extract_slots,
@@ -49,6 +50,7 @@ from repro.serving.prepared import PreparedBinding, PreparedQuery
 from repro.serving.server import BEASServer, ServingStats
 from repro.serving.shard import (
     LockStats,
+    Shard,
     ShardLock,
     ShardStats,
     StripedCache,
@@ -65,8 +67,10 @@ __all__ = [
     "ParameterSlot",
     "PreparedBinding",
     "PreparedQuery",
+    "ResultCache",
     "ServingStats",
     "rebind_signature",
+    "Shard",
     "ShardLock",
     "ShardStats",
     "StripedCache",

@@ -7,16 +7,23 @@ budget; the cheaper caches pass ``sizeof=None`` and pay only the entry
 budget. Every cache keeps a :class:`CacheStats` counter block that the
 server surfaces through ``BEASServer.stats()`` and the CLI.
 
-The cache itself is not thread-safe; :class:`~repro.serving.server.
-BEASServer` serialises access behind one lock (the underlying engines
-are single-threaded anyway).
+:class:`LRUCache` itself is not thread-safe: its owner serialises access
+(a stripe's mutex, a shard's, :class:`ResultCache`'s own).
+
+:class:`ResultCache` is the served-answer cache (``docs/invariants.md``,
+"Result-cache validity").
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterable, Optional
+import logging
+import threading
+from collections import Counter, OrderedDict
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Hashable, Iterable, Mapping, Optional
+
+logger = logging.getLogger(__name__)
+_SWEPT = "result cache: swept %s (%s), %d entries dropped"
 
 
 @dataclass
@@ -94,13 +101,17 @@ class LRUCache:
         max_entries: int = 256,
         max_bytes: Optional[int] = None,
         sizeof: Optional[Callable[[Any], int]] = None,
+        on_remove: Optional[Callable[[Hashable, Any], None]] = None,
     ):
+        """``on_remove(key, value)`` is told of every entry that leaves:
+        replaced, evicted or invalidated."""
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.stats = CacheStats(name)
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         self._sizeof = sizeof or (lambda value: 0)
+        self._on_remove = on_remove
         self._entries: OrderedDict[Hashable, _Entry] = OrderedDict()
         self._bytes = 0
 
@@ -146,16 +157,20 @@ class LRUCache:
             return False
         old = self._entries.pop(key, None)
         if old is not None:
-            self._bytes -= old.size
+            self._removed(key, old)
         self._entries[key] = _Entry(value, size)
         self._bytes += size
         while len(self._entries) > self.max_entries or (
             self.max_bytes is not None and self._bytes > self.max_bytes
         ):
-            _, evicted = self._entries.popitem(last=False)
-            self._bytes -= evicted.size
+            self._removed(*self._entries.popitem(last=False))
             self.stats.evictions += 1
         return True
+
+    def _removed(self, key: Hashable, entry: _Entry) -> None:
+        self._bytes -= entry.size
+        if self._on_remove is not None:
+            self._on_remove(key, entry.value)
 
     # ------------------------------------------------------------------ #
     def invalidate(self, key: Hashable) -> bool:
@@ -163,7 +178,7 @@ class LRUCache:
         entry = self._entries.pop(key, None)
         if entry is None:
             return False
-        self._bytes -= entry.size
+        self._removed(key, entry)
         self.stats.invalidations += 1
         return True
 
@@ -175,15 +190,14 @@ class LRUCache:
             if predicate(key, entry.value)
         ]
         for key in stale:
-            entry = self._entries.pop(key)
-            self._bytes -= entry.size
+            self._removed(key, self._entries.pop(key))
         self.stats.invalidations += len(stale)
         return len(stale)
 
     def invalidate_all(self) -> int:
         count = len(self._entries)
-        self._entries.clear()
-        self._bytes = 0
+        while self._entries:
+            self._removed(*self._entries.popitem())
         self.stats.invalidations += count
         return count
 
@@ -195,3 +209,229 @@ class LRUCache:
             f"LRUCache({self.stats.name}, entries={len(self)}, "
             f"bytes={self._bytes})"
         )
+
+
+class Doorkeeper:
+    """Admit-on-second-hit: the last ``capacity`` keys seen, so that a
+    one-off query never churns the LRU."""
+
+    def __init__(self, capacity: int):
+        self._capacity = capacity
+        self._seen: OrderedDict[Hashable, bool] = OrderedDict()
+
+    def knows(self, key: Hashable) -> bool:
+        """Whether ``key`` was seen before; it is remembered either way."""
+        seen = self._seen
+        if key in seen:
+            seen.move_to_end(key)
+            return True
+        seen[key] = True
+        while len(seen) > self._capacity:
+            seen.popitem(last=False)
+        return False
+
+    def clear(self) -> None:
+        self._seen.clear()
+
+
+class ResultCache:
+    """Every served answer, under one budget, kept until a write changes
+    what it read: one LRU, the doorkeeper and the filing of each entry
+    under its ``tables``, ``coarse_tables`` and ``read_keys``, through
+    which it is unfiled whenever it leaves the LRU.
+
+    What is dropped when, the sweep epochs, and the locking callers owe
+    (reads under read holds on the tables concerned, writes under the
+    table's write hold; the mutex here is a leaf) are
+    ``docs/invariants.md``, "Result-cache validity".
+    """
+
+    #: doorkeeper capacity, as a multiple of the entry budget
+    _DOORKEEPER_FACTOR = 4
+
+    def __init__(
+        self,
+        *,
+        max_entries: int,
+        max_bytes: Optional[int],
+        sizeof: Optional[Callable[[Any], int]] = None,
+        admit_on_second_hit: bool = True,
+    ):
+        self._mutex = threading.Lock()
+        self._lru = LRUCache(
+            "result",
+            max_entries=max_entries,
+            max_bytes=max_bytes,
+            sizeof=sizeof,
+            on_remove=self._unfile,
+        )
+        self._doorkeeper = (
+            Doorkeeper(self._DOORKEEPER_FACTOR * max_entries)
+            if admit_on_second_hit
+            else None
+        )
+        self._by_key: dict[tuple[str, tuple], set[Hashable]] = {}
+        self._coarse: dict[str, set[Hashable]] = {}
+        self._by_table: dict[str, set[Hashable]] = {}
+        #: table -> the ``Table.version`` its entries are valid at
+        self._versions: dict[str, int] = {}
+        #: table -> how many times it was swept
+        self._epochs: dict[str, int] = {}
+        self._filed = 0  # the live entries' read-set sizes, summed
+        self._admission_declines = 0
+        self._dropped: Counter[str] = Counter()
+
+    # ------------------------------------------------------------------ #
+    def observe(self, versions: Mapping[str, int]) -> tuple[int, ...]:
+        """Sweep each table whose live version is not the one the cache
+        knew (it moved around the serving layer); returns the tables'
+        epochs, in ``versions``' order."""
+        swept: list[tuple[str, int]] = []
+        with self._mutex:
+            known = self._versions
+            for table, version in versions.items():
+                if known.setdefault(table, version) != version:
+                    known[table] = version
+                    swept.append((table, self._sweep(table)))
+            epochs = tuple([self._epochs.get(table, 0) for table in versions])
+        for table, dropped in swept:
+            logger.debug(_SWEPT, table, "out-of-band change", dropped)
+        return epochs
+
+    def lookup(self, key: Hashable) -> Any:
+        with self._mutex:
+            return self._lru.get(key)
+
+    def peek(self, key: Hashable) -> Any:
+        """No recency promotion, no hit/miss counts."""
+        with self._mutex:
+            return self._lru.peek(key)
+
+    def admits(self, key: Hashable) -> bool:
+        """The admission policy's word, asked before the entry is built."""
+        with self._mutex:
+            door = self._doorkeeper
+            if door is None or door.knows(key):
+                return True
+            self._admission_declines += 1
+            return False
+
+    def install(self, key: Hashable, entry: Any) -> bool:
+        """File ``entry``, no admission question asked; False when it is
+        larger than the byte budget. The doorkeeper learns the key, so a
+        re-admission after an invalidation takes one sighting."""
+        with self._mutex:
+            if self._doorkeeper is not None:
+                self._doorkeeper.knows(key)
+            if not self._lru.put(key, entry):
+                return False
+            for filing, names in self._filings(entry):
+                for name in names:
+                    filing.setdefault(name, set()).add(key)
+            self._filed += len(entry.read_keys)
+            return True
+
+    def _filings(self, entry: Any) -> tuple[tuple[dict, Iterable], ...]:
+        return (
+            (self._by_table, entry.tables),
+            (self._coarse, entry.coarse_tables),
+            (self._by_key, entry.read_keys),
+        )
+
+    def _unfile(self, key: Hashable, entry: Any) -> None:
+        self._filed -= len(entry.read_keys)
+        for filing, names in self._filings(entry):
+            for name in names:
+                filed = filing[name]
+                filed.discard(key)
+                if not filed:
+                    del filing[name]
+
+    # ------------------------------------------------------------------ #
+    def apply_write(
+        self,
+        table: str,
+        before: int,
+        version: int,
+        changed: Mapping[str, Iterable[tuple]],
+    ) -> None:
+        """A batch applied cleanly to ``table`` (at ``before``, now at
+        ``version``) changed the buckets ``changed`` names per
+        constraint: drop what read them, and what is filed coarse. A
+        table the cache knew at another version than ``before`` is swept."""
+        with self._mutex:
+            moved = self._versions.get(table, before) != before
+            self._versions[table] = version
+            if moved:
+                dropped = self._sweep(table)
+            else:
+                dropped = self._drop(self._coarse.get(table), "coarse")
+                by_key = self._by_key
+                if by_key:
+                    for name, keys in changed.items():
+                        for key in keys:
+                            self._drop(by_key.get((name, key)), "exact")
+        if moved:
+            logger.debug(_SWEPT, table, "out-of-band change", dropped)
+        elif dropped:
+            logger.debug(
+                "result cache: write to %s dropped %d entries filed coarse",
+                table, dropped,
+            )  # fmt: skip
+
+    def sweep(self, table: str, version: int, reason: str) -> None:
+        """Drop every entry that depends on ``table`` (now at ``version``)."""
+        with self._mutex:
+            self._versions[table] = version
+            dropped = self._sweep(table)
+        logger.debug(_SWEPT, table, reason, dropped)
+
+    def _sweep(self, table: str) -> int:
+        self._epochs[table] = self._epochs.get(table, 0) + 1
+        return self._drop(self._by_table.get(table), "sweep")
+
+    def _drop(self, keys: Optional[set[Hashable]], cause: str) -> int:
+        if not keys:
+            return 0
+        dropped = 0
+        for key in tuple(keys):  # invalidate() unfiles as it goes
+            dropped += self._lru.invalidate(key)
+        self._dropped[cause] += dropped
+        return dropped
+
+    def invalidate(self, key: Hashable) -> bool:
+        """Drop one entry a hit found outdated despite the sweeps."""
+        with self._mutex:
+            return bool(self._drop({key}, "sweep"))
+
+    def flush(self, reason: str) -> None:
+        """Drop everything, the doorkeeper's memory included."""
+        with self._mutex:
+            if self._doorkeeper is not None:
+                self._doorkeeper.clear()
+            dropped = self._lru.invalidate_all()
+            self._dropped["sweep"] += dropped
+        logger.debug(_SWEPT, "every table", reason, dropped)
+
+    # ------------------------------------------------------------------ #
+    def entries(self) -> list[tuple[Hashable, Any]]:
+        with self._mutex:
+            return self._lru.items()
+
+    def __len__(self) -> int:
+        return len(self._lru)
+
+    def snapshot(self) -> tuple[CacheStats, dict[str, int]]:
+        """The LRU's counters and, read with them, the cache's own, by
+        the name of the ``ServingStats`` field each one fills."""
+        with self._mutex:
+            dropped = self._dropped
+            return replace(self._lru.stats), {
+                "result_entries": len(self._lru),
+                "result_bytes": self._lru.current_bytes,
+                "result_read_keys": self._filed,
+                "admission_declines": self._admission_declines,
+                "invalidated_exact": dropped["exact"],
+                "invalidated_coarse": dropped["coarse"],
+                "invalidated_sweep": dropped["sweep"],
+            }

@@ -152,6 +152,8 @@ class PreparedQuery:
         self.statement = statement
         self.fingerprint = fingerprint or statement_fingerprint(statement)
         self.tables = tables if tables is not None else statement_tables(statement)
+        #: ``tables`` in the canonical (sorted) order per-table vectors use
+        self.table_order = tuple(sorted(self.tables))
         self.schema = server.database.schema
         self.slots: dict[str, ParameterSlot] = extract_slots(
             statement, self.schema

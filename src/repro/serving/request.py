@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from itertools import chain, compress, repeat
+from operator import is_
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Union, cast
 
 from repro.beas.result import ExecutionMode
@@ -48,12 +50,25 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.executor import QueryResult
     from repro.engine.router import RouteChoice
     from repro.serving.server import BEASServer
-    from repro.serving.shard import TableShard
+    from repro.serving.shard import Shard
+
+#: an answer that presented more keys than this is filed coarse on all
+#: its tables: filing it key by key would cost more than a re-run
+READ_SET_CAP = 1024
+
+# result_size's charges, approx_size's for the same shapes
+_ROWS = 56  # the list of rows
+_ROW = 8 + 56  # a list slot and a tuple
+_CELL = 8 + 28  # a tuple slot and a number
+_STRING = 49 - 28  # what a string costs beyond a number, before its length
 
 
 @dataclass
 class CachedResult:
-    """One result-cache entry plus the generations it depends on.
+    """One result-cache entry plus what it depends on: what the
+    :class:`~repro.serving.cache.ResultCache` files it under, the
+    tables' sweep ``epochs`` its request observed (sorted table order)
+    and ``table_versions``, stamped only when the entry is persisted.
 
     ``summary`` is the entry's predicate-lattice summary, present only
     when the request ran with ``result_reuse="subsume"`` and the entry
@@ -67,24 +82,38 @@ class CachedResult:
     rows: list[tuple[Any, ...]]
     mode: ExecutionMode
     decision: "CoverageDecision"
-    table_versions: dict[str, int]
     schema_generation: int
+    tables: frozenset[str]
+    read_keys: tuple[tuple[str, tuple[Any, ...]], ...]
+    coarse_tables: frozenset[str]
+    epochs: tuple[int, ...]
+    table_versions: Optional[dict[str, int]] = None
     summary: Optional[QuerySummary] = None
     template_fingerprint: Optional[str] = None
 
 
 def result_size(entry: CachedResult) -> int:
-    return approx_size(entry.columns) + approx_size(entry.rows)
-
-
-def _entry_fresh(
-    entry: CachedResult, versions: dict[str, int], generation: int
-) -> bool:
-    """A hit is served only when the entry's recorded generations all
-    equal the live ones observed under the current read locks."""
+    """The byte-budget measure of an entry, in one flat pass:
+    ``approx_size`` of the same rows, but for charging a NULL or a BOOL
+    as any other cell."""
+    rows = entry.rows
+    cells = list(chain.from_iterable(rows))
+    strings = list(map(is_, map(type, cells), repeat(str)))
     return (
-        entry.schema_generation == generation
-        and entry.table_versions == versions
+        approx_size(entry.columns)
+        + _ROWS + _ROW * len(rows) + _CELL * len(cells)
+        + _STRING * sum(strings)
+        + sum(map(len, compress(cells, strings)))
+    )  # fmt: skip
+
+
+def _entry_fresh(entry: CachedResult, request: "Request") -> bool:
+    """A hit is served only when the entry was computed under the live
+    access-schema generation and none of its tables was swept since —
+    both observed under the request's read locks."""
+    return (
+        entry.schema_generation == request.generation
+        and entry.epochs == request.epochs
     )
 
 
@@ -113,11 +142,12 @@ class Request:
     # observe
     started: float = field(init=False)
     #: the read holds :func:`serve` releases
-    shards: Optional[list["TableShard"]] = field(default=None, init=False)
+    shards: Optional[list["Shard"]] = field(default=None, init=False)
     lock_wait: float = field(init=False)
     generation: int = field(init=False)
     versions: dict[str, int] = field(init=False)
-    home: "TableShard" = field(init=False)
+    #: the result cache's sweep epochs of ``versions``' tables
+    epochs: tuple[int, ...] = field(init=False)
     result_key: tuple[Any, ...] = field(init=False)
     # decide / route / execute
     coverage: "CoverageDecision" = field(init=False)
@@ -189,21 +219,11 @@ def observe(server: "BEASServer", request: Request) -> None:
     database = server.database
     versions = request.versions = {
         name: database.table(name).version
-        for name in request.tables
+        for name in request.binding.template.table_order
         if name in database
     }
-    for shard in shards:
-        if shard.table in versions and shard.observe_version(
-            versions[shard.table]
-        ):
-            # the table moved around the serving layer: sweep entries
-            # homed here that depend on it (cross-homed dependents are
-            # rejected by the per-hit freshness check)
-            moved = shard.table
-            shard.invalidate_where(
-                lambda _key, entry: moved in entry.table_versions
-            )
-    request.home = server.home_shard(request.tables)
+    # a table that moved around the serving layer is swept here
+    request.epochs = server.results.observe(versions)
     options = request.options
     request.result_key = (
         request.fingerprint,
@@ -214,18 +234,18 @@ def observe(server: "BEASServer", request: Request) -> None:
 
 
 def probe_exact(server: "BEASServer", request: Request) -> Optional[Result]:
-    """Serve a presentation-equal answer from the home shard's slice of
-    the result cache, if it is still fresh."""
+    """Serve a presentation-equal answer from the result cache, if it
+    is still fresh."""
     if not request.options.use_result_cache:
         return None
-    entry = request.home.lookup(request.result_key)
+    entry = server.results.lookup(request.result_key)
     if entry is not None:
-        if _entry_fresh(entry, request.versions, request.generation):
+        if _entry_fresh(entry, request):
             return _serve_cached(
                 server, request, entry, list(entry.rows), "result-cache"
             )
-        # stale despite sweeps: drop defensively
-        request.home.invalidate(request.result_key)
+        # outdated despite sweeps: drop defensively
+        server.results.invalidate(request.result_key)
     request.misses += 1
     return None
 
@@ -501,12 +521,15 @@ def _live_source(
         return None  # the exact lookup missed on it / not comparable
     entry: Optional[CachedResult] = None
     if candidate.generation == request.generation:
-        entry = server.shard(candidate.home).peek(key)
+        entry = server.results.peek(key)
     if entry is None:  # stale generation, or evicted/invalidated
         server.subsume_index.discard(candidate.shape_key, key)
         return None
-    if entry.mode is ExecutionMode.BOUNDED and _entry_fresh(
-        entry, request.versions, request.generation
+    if (
+        entry.mode is ExecutionMode.BOUNDED
+        # the tables this request holds and observed, no others
+        and entry.tables == request.tables
+        and _entry_fresh(entry, request)
     ):
         return entry
     return None
@@ -562,8 +585,27 @@ def _decision(
     return coverage, "fresh"
 
 
+def _filing(
+    server: "BEASServer", request: Request
+) -> tuple[tuple[tuple[str, tuple[Any, ...]], ...], frozenset[str]]:
+    """The executed answer's ``read_keys`` and ``coarse_tables``: the
+    distinct (constraint, X-key) pairs of its read set, and the tables
+    it scanned or fetched nothing of — or all of them, when the read set
+    is unknown or longer than the cap."""
+    answer = cast("QueryResult", request.answer)
+    read_set = answer.read_set
+    if read_set is None or sum(map(len, read_set.values())) > READ_SET_CAP:
+        return (), request.tables
+    keys = {
+        (name, key) for name, presented in read_set.items() for key in presented
+    }
+    constraints = server.beas.catalog.schema
+    fetched = {constraints.get(name).relation for name in read_set}
+    return tuple(keys), answer.scanned_tables | (request.tables - fetched)
+
+
 def _admit(server: "BEASServer", request: Request) -> None:
-    options, answer, home = request.options, request.answer, request.home
+    options, answer = request.options, request.answer
     bounded = request.mode is ExecutionMode.BOUNDED
     summary: Optional[QuerySummary] = None
     if bounded and options.result_reuse == "subsume":
@@ -575,28 +617,32 @@ def _admit(server: "BEASServer", request: Request) -> None:
             summary = None
     bound = request.binding
     template = bound.template.fingerprint if bound.overrides else None
+    if not server.results.admits(request.result_key):
+        return  # a first sighting: nothing is built for it
+    read_keys, coarse_tables = _filing(server, request)
     entry = CachedResult(
         columns=list(answer.columns),
         rows=list(answer.rows),
         mode=request.mode,
         decision=request.coverage,
-        table_versions=dict(request.versions),
         schema_generation=request.generation,
+        tables=request.tables,
+        read_keys=read_keys,
+        coarse_tables=coarse_tables,
+        epochs=request.epochs,
         summary=summary,
         template_fingerprint=template,
     )
-    if not home.admit(request.result_key, entry):
+    # filed while still holding every dependency's read lock: a writer
+    # changing one of these tables cannot run until we release, so its
+    # invalidation will find this entry
+    if not server.results.install(request.result_key, entry):
         return
-    # registered while still holding every dependency's read lock: a
-    # writer invalidating one of these tables cannot run until we
-    # release, so it will see this entry
-    server.register_dependents(request.result_key, request.tables, home.table)
     if summary is not None:
         server.subsume_index.add(
             Candidate(
                 shape_key=summary.shape_key,
                 result_key=request.result_key,
-                home=home.table,
                 generation=request.generation,
                 summary=summary,
                 template_fingerprint=template,

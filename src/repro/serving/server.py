@@ -8,19 +8,20 @@ high-traffic deployment needs to amortise per-query frontend cost:
 * a **coverage-decision cache** keyed by (query fingerprint,
   access-schema generation) — the pinned BE Checker outcome and bounded
   plan for each distinct query/binding,
-* an **LRU result cache** with entry and byte budgets, invalidated at
-  per-table granularity by a monotonic data-generation counter
-  (:attr:`~repro.storage.table.Table.version`) so an insert into
-  ``call`` never evicts results computed over ``package`` only.
+* one **LRU result cache** with entry and byte budgets
+  (:class:`~repro.serving.cache.ResultCache`): a maintenance batch drops
+  the answers that fetched a bucket it changed, and those whose read set
+  is not known key by key (``docs/invariants.md``, "Result-cache
+  validity").
 
 Concurrency model (the sharded architecture):
 
-* Server state is **partitioned by table**: each table gets a
-  :class:`~repro.serving.shard.TableShard` holding a reader/writer lock
-  over the table's rows + access indices and this table's slice of the
-  result cache. Single-table queries and maintenance batches on
-  disjoint tables proceed fully in parallel; a multi-table join takes
-  read locks on every dependency shard in **canonical table order**
+* Locking is **partitioned by table**: each table gets a
+  :class:`~repro.serving.shard.Shard` holding a reader/writer lock
+  over the table's rows + access indices. Single-table queries and
+  maintenance batches on disjoint tables proceed fully in parallel; a
+  multi-table join takes read locks on every dependency shard in
+  **canonical table order**
   (deadlock-free), so its answer is computed against one consistent
   table-version vector — no torn reads across shards.
 * The parse and decision caches are **lock-striped**
@@ -30,15 +31,15 @@ Concurrency model (the sharded architecture):
 * A coarse **schema lock** is held for read by every request and for
   write only by ``register``/``unregister`` — access-schema changes are
   rare and flush the decision + result caches wholesale.
-* Cached results additionally record the access-schema generation and
-  the exact table-version vector they were computed under; a hit is
-  served only when both still match the live values, so a stale row can
-  never be served even when a mutation bypassed the serving layer.
+* An answer is computed, admitted and filed under read holds on every
+  table it depends on, and a batch files its invalidations under its
+  table's write hold, so no answer can slip past a write that outdates
+  it.
 
 Result-cache admission is **admit-on-second-hit** by default (pass
 ``result_admission="always"`` to restore eager admission): the first
-sighting of a (fingerprint, options) key only registers it in a
-per-shard doorkeeper, so one-off ad-hoc or fuzz queries stop churning
+sighting of a (fingerprint, options) key only registers it in the
+cache's doorkeeper, so one-off ad-hoc or fuzz queries stop churning
 the LRU; a key seen twice is cached for real.
 
 ``sharded=False`` collapses every table onto a single shard and every
@@ -51,7 +52,7 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Hashable, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Any, Mapping, Optional, Union
 
 from repro.beas.session import Decision, ExecutionOptions, Result, options_layer
 from repro.bounded.subsume import SubsumptionIndex
@@ -59,20 +60,20 @@ from repro.config import env_routing_epsilon
 from repro.engine.pool import PoolStats
 from repro.distributed.fleet import FleetStats
 from repro.engine.router import ExecutorRouter, RouterStats
-from repro.errors import ServingError, UnknownTableError
+from repro.errors import ServingError
 from repro.sql import ast
 from repro.sql.fingerprint import statement_fingerprint
 from repro.serving import request as stages
-from repro.serving.cache import CacheStats
+from repro.serving.cache import CacheStats, ResultCache
 from repro.serving.prepared import AdhocTemplates, PreparedBinding, PreparedQuery
 from repro.serving.request import CachedResult, Request, result_size
 from repro.storage.mmapstore import StorageStats
 from repro.serving.shard import (
     LockStats,
+    Shard,
     ShardLock,
     ShardStats,
     StripedCache,
-    TableShard,
     acquire_read_ordered,
     order_shards,
     release_read_ordered,
@@ -100,8 +101,14 @@ class ServingStats:
     # a parse (misses), and the templates held
     adhoc: CacheStats = field(default_factory=lambda: CacheStats("template"))
     adhoc_templates: int = 0
+    # what the result cache holds (read keys: the live entries' read-set
+    # sizes, summed), and ``result.invalidations`` by cause
     result_entries: int = 0
     result_bytes: int = 0
+    result_read_keys: int = 0
+    invalidated_exact: int = 0
+    invalidated_coarse: int = 0
+    invalidated_sweep: int = 0
     prepared_queries: int = 0
     executions: int = 0
     schema_generation: int = 0
@@ -164,7 +171,10 @@ class ServingStats:
             f"  {self.result.describe()}",
             f"  result cache: {self.result_entries} entries, "
             f"{self.result_bytes} bytes, "
-            f"{self.admission_declines} admissions declined",
+            f"{self.result_read_keys} read-set keys filed, "
+            f"{self.admission_declines} admissions declined; invalidated "
+            f"{self.invalidated_exact} exact / {self.invalidated_coarse} "
+            f"coarse / {self.invalidated_sweep} by sweep",
             f"  prepared queries: {self.prepared_queries}",
             f"  executions served: {self.executions}",
             f"  plan rebinds: {self.rebinds} served without the BE Checker "
@@ -218,15 +228,10 @@ class BEASServer:
         #: Session that built this server (else the engine's own)
         self._options = options or ExecutionOptions.of_engine(beas)
         self._sharded = sharded
-        self._admission = result_admission
         self._schema_lock = ShardLock("schema")
         #: leaf mutex guarding prepared registry, request counters, and
         #: the observed schema generation
         self._admin_lock = threading.Lock()
-        #: leaf mutex guarding the table -> {result key -> home shard}
-        #: dependency index used for cross-shard invalidation
-        self._dep_lock = threading.Lock()
-        self._dep_index: dict[str, dict[Hashable, str]] = {}
 
         stripes = decision_stripes if sharded else 1
         self.parse_cache = StripedCache(
@@ -242,21 +247,16 @@ class BEASServer:
         )
         self.subsume_index = SubsumptionIndex()
 
-        self._result_entries_budget = result_cache_entries
-        self._result_bytes_budget = result_cache_bytes
+        self.results = ResultCache(
+            max_entries=result_cache_entries,
+            max_bytes=result_cache_bytes,
+            sizeof=result_size,
+            admit_on_second_hit=result_admission == "second-hit",
+        )
         table_names = [table.schema.name for table in beas.database]
-        shard_names = table_names if sharded else [GLOBAL_SHARD]
-        self._shards: dict[str, TableShard] = {}
-        for name in shard_names:
-            self._shards[name] = self._new_shard(name, len(shard_names))
-        if sharded:
-            # home for queries with an empty dependency set
-            self._shards.setdefault(
-                GLOBAL_SHARD, self._new_shard(GLOBAL_SHARD, len(shard_names))
-            )
-        for shard in self._shards.values():
-            if shard.table in beas.database:
-                shard.version = beas.database.table(shard.table).version
+        # the global shard stands in for names that are no table
+        shard_names = table_names + [GLOBAL_SHARD] if sharded else [GLOBAL_SHARD]
+        self._shards = {name: Shard(name) for name in shard_names}
 
         self._prepared: dict[str, PreparedQuery] = {}
         self._prepared_by_fingerprint: dict[str, PreparedQuery] = {}
@@ -268,19 +268,6 @@ class BEASServer:
         self._router = ExecutorRouter(epsilon=env_routing_epsilon())
         if beas.store is not None:
             self._prewarm_result_cache()
-
-    def _new_shard(self, name: str, shard_count: int) -> TableShard:
-        entries = max(8, self._result_entries_budget // max(shard_count, 1))
-        byte_budget = self._result_bytes_budget
-        if byte_budget is not None:
-            byte_budget = max(1 << 16, byte_budget // max(shard_count, 1))
-        return TableShard(
-            name,
-            result_entries=entries,
-            result_bytes=byte_budget,
-            sizeof=result_size,
-            admit_on_second_hit=self._admission == "second-hit",
-        )
 
     # ------------------------------------------------------------------ #
     @property
@@ -307,7 +294,7 @@ class BEASServer:
     def sharded(self) -> bool:
         return self._sharded
 
-    def shard(self, table_name: str) -> TableShard:
+    def shard(self, table_name: str) -> Shard:
         """The shard a table maps to (the global shard when unsharded).
 
         Names that do not exist in the database map to the global shard
@@ -323,19 +310,13 @@ class BEASServer:
             with self._admin_lock:
                 shard = self._shards.get(table_name)
                 if shard is None:  # table added after server construction
-                    shard = self._new_shard(table_name, len(self._shards))
-                    self._shards[table_name] = shard
+                    shard = self._shards[table_name] = Shard(table_name)
         return shard
 
-    def shards(self) -> dict[str, TableShard]:
+    def shards(self) -> dict[str, Shard]:
         """A snapshot of the shard map (inspection / tests)."""
         with self._admin_lock:
             return dict(self._shards)
-
-    def home_shard(self, tables: frozenset[str]) -> TableShard:
-        if not tables:
-            return self._shards[GLOBAL_SHARD]
-        return self.shard(min(tables))
 
     # ------------------------------------------------------------------ #
     # prepare
@@ -475,7 +456,7 @@ class BEASServer:
 
     def acquire_reads(
         self, tables: frozenset[str]
-    ) -> tuple[list[TableShard], float]:
+    ) -> tuple[list[Shard], float]:
         """Read-hold the schema lock, then every dependency shard in
         canonical order; returns the held shards and the seconds waited."""
         waited = self._schema_lock.acquire_read()
@@ -488,7 +469,7 @@ class BEASServer:
             raise
         return shards, waited
 
-    def release_reads(self, shards: list[TableShard]) -> None:
+    def release_reads(self, shards: list[Shard]) -> None:
         release_read_ordered(shards)
         self._schema_lock.release_read()
 
@@ -519,17 +500,29 @@ class BEASServer:
         self._schema_lock.acquire_read()
         try:
             # raises UnknownTableError before any shard state is touched
-            self._beas.database.table(table_name)
+            table = self._beas.database.table(table_name)
             shard = self.shard(table_name)
             # beaslint: ok(lock-discipline) - single-shard maintenance write under the schema read lock; one shard is canonical by construction
             shard.lock.acquire_write()
             try:
+                # under the write hold no answer on this table can be
+                # admitted: whatever the batch outdates is filed by now
+                results, before = self.results, table.version
                 try:
                     batch = apply()
+                # beaslint: ok(except-discipline) - sweeps, then re-raises whatever it was
+                except BaseException:
+                    # a refused (rolled-back) batch still moves
+                    # Table.version, and a failed one may have applied:
+                    # every answer on the table goes
+                    results.sweep(table_name, table.version, "refused or failed batch")
+                    raise
+                else:
+                    results.apply_write(
+                        table_name, before, table.version, batch.changed_keys
+                    )
                 finally:
-                    # even a rejected (rolled-back) batch bumps
-                    # Table.version, so dependent entries must still go
-                    self._after_table_write(table_name, shard)
+                    shard.note_maintenance()
             finally:
                 shard.lock.release_write()
         finally:
@@ -537,48 +530,6 @@ class BEASServer:
         # an ADJUST batch may have widened a bound (schema generation)
         self.observe_schema_generation()
         return batch
-
-    def _after_table_write(self, table_name: str, shard: TableShard) -> None:
-        try:
-            version = self._beas.database.table(table_name).version
-        except UnknownTableError:  # pragma: no cover - table dropped mid-batch
-            version = shard.version + 1
-        shard.note_maintenance(version)
-        self._invalidate_dependents(table_name)
-
-    def _invalidate_dependents(self, table_name: str) -> None:
-        """Drop every cached result depending on ``table_name``, wherever
-        its home shard is. Runs under the table's write lock, so no new
-        dependent entry can appear concurrently (any query depending on
-        the table would need its read lock)."""
-        with self._dep_lock:
-            dependents = self._dep_index.pop(table_name, None)
-        if not dependents:
-            return
-        by_home: dict[str, list[Hashable]] = {}
-        for key, home in dependents.items():
-            by_home.setdefault(home, []).append(key)
-        for home, keys in by_home.items():
-            home_shard = self._shards.get(home)
-            if home_shard is not None:
-                home_shard.invalidate_keys(keys)
-
-    def register_dependents(
-        self, key: Hashable, tables: frozenset[str], home: str
-    ) -> None:
-        with self._dep_lock:
-            for table in tables:
-                index = self._dep_index.setdefault(table, {})
-                index[key] = home
-                # prune dangling refs left by capacity evictions
-                if len(index) > 4 * max(self._result_entries_budget, 1):
-                    live = {
-                        k: h
-                        for k, h in index.items()
-                        if (shard := self._shards.get(h)) is not None
-                        and shard.contains(k)
-                    }
-                    self._dep_index[table] = live
 
     def register(
         self, constraint: "AccessConstraint", *, validate: bool = True
@@ -611,34 +562,24 @@ class BEASServer:
         # Two-phase counter read, ordered against a request's own bump
         # order so concurrent traffic can never tear the snapshot's
         # invariants. Within one request the order is: executions (admin)
-        # -> result-cache hit/miss (shard) -> rebind/subsumption counters
+        # -> result-cache hit/miss (cache) -> rebind/subsumption counters
         # (admin). Monotonic counters stay consistent when each family is
-        # read in the *reverse* of that order: the post-shard counters
-        # first (anything they count already has its shard event), the
-        # shard sweep second, and the pre-shard counters last (anything
-        # the sweep counted already has its execution). A single
+        # read in the *reverse* of that order: the post-cache counters
+        # first (anything they count already has its cache event), the
+        # cache snapshot second, and the pre-cache counters last (anything
+        # the snapshot counted already has its execution). A single
         # admin-lock block in either position reports torn totals — e.g.
-        # subsumed_hits > result misses with the old sweep-first order.
+        # subsumed_hits > result misses.
         with self._admin_lock:
             counts = Counter(self._counts)
-        snapshots: dict[str, ShardStats] = {}
-        result = CacheStats("result")
-        entries = 0
-        size = 0
-        declines = 0
+        result, held = self.results.snapshot()
         live_versions: dict[str, int] = {
             table.schema.name: table.version for table in self._beas.database
         }
-        for name, shard in shards.items():
-            snap = shard.snapshot(live_versions.get(name, shard.version))
-            snapshots[name] = snap
-            result.hits += snap.cache.hits
-            result.misses += snap.cache.misses
-            result.evictions += snap.cache.evictions
-            result.invalidations += snap.cache.invalidations
-            entries += snap.entries
-            size += snap.bytes
-            declines += snap.admission_declines
+        snapshots = {
+            name: shard.snapshot(live_versions.get(name, 0))
+            for name, shard in shards.items()
+        }
         with self._admin_lock:
             executions = self._counts["executions"]
             prepared_count = len(self._prepared)
@@ -655,15 +596,13 @@ class BEASServer:
             adhoc_templates=len(self.adhoc),
             decision=self.decision_cache.stats(),
             result=result,
-            result_entries=entries,
-            result_bytes=size,
+            **held,
             prepared_queries=prepared_count,
             executions=executions,
             schema_generation=generation,
             table_versions=live_versions,
             shards=snapshots,
             schema_lock=replace(self._schema_lock.stats),
-            admission_declines=declines,
             pool=self._beas.pool_stats(),
             fleet=self._beas.fleet_stats(),
             routing=self._router.stats(),
@@ -677,44 +616,51 @@ class BEASServer:
         """Spill every live result-cache entry to the BEAS instance's
         persistent store; no-op returning 0 on the in-memory engine.
 
-        Safe to persist entries that will be stale by the next start:
-        reloads pass through the same freshness gate as normal hits
-        (``_entry_fresh`` checks the schema generation and the exact
-        table-version vector), so a stale entry can never be served.
+        Each entry is stamped with the live version of every table it
+        depends on: the next process reinstalls it only if they reopen at
+        exactly those versions (:meth:`_prewarm_result_cache`).
         """
         store = self._beas.store
         if store is None:
             return 0
-        triples: list[tuple[str, Hashable, Any]] = []
-        for name, shard in self.shards().items():
-            for key, entry in shard.entries():
-                if isinstance(entry, CachedResult):
-                    triples.append((name, key, entry))
-        return store.save_results(triples)
+        live = {table.schema.name: table.version for table in self._beas.database}
+        # entries on a table that moved around the serving layer since
+        # the cache last looked are swept, not stamped
+        self.results.observe(live)
+        return store.save_results(
+            [
+                (key, replace(entry, table_versions={t: live[t] for t in entry.tables}))
+                for key, entry in self.results.entries()
+                if entry.tables <= live.keys()
+            ]
+        )
 
     def _prewarm_result_cache(self) -> None:
         """Reinstall result-cache entries persisted by a prior process.
 
         Bypasses the admit-on-second-hit doorkeeper — these keys earned
-        admission in the previous run — but not the freshness gate: a
-        reloaded entry whose version vector or schema generation moved
-        on sits in the LRU until evicted and is never served.
+        admission in the previous run. An entry is reinstalled only when
+        the store warm-started (the access schema its read set names is
+        the live one), it was computed under the live schema generation,
+        and every table it depends on reopened at the version stamped.
         """
         store = self._beas.store
-        if store is None:  # pragma: no cover - guarded by the caller
+        if store is None or not store.warm_start:
             return
-        for home, key, entry in store.load_results():
-            if not isinstance(entry, CachedResult):
+        database = self._beas.database
+        for key, entry in store.load_results():
+            if (
+                not isinstance(entry, CachedResult)
+                or entry.schema_generation != self._schema_generation
+                or not all(name in database for name in entry.tables)
+            ):
                 continue
-            shard = self._shards.get(home)
-            if shard is None:
-                # shard topology changed (sharded flag flipped, table
-                # dropped) — the entry has no home here, skip it
-                continue
-            shard.install(key, entry)
-            self.register_dependents(
-                key, frozenset(entry.table_versions), shard.table
-            )
+            versions = {
+                name: database.table(name).version for name in sorted(entry.tables)
+            }
+            if entry.table_versions == versions:  # dict equality: any order
+                entry.epochs = self.results.observe(versions)
+                self.results.install(key, entry)
 
     def reset_caches(self) -> None:
         """Drop all cached state (keeps prepared handles)."""
@@ -723,10 +669,7 @@ class BEASServer:
         self.decision_cache.invalidate_all()
         self.summary_cache.invalidate_all()
         self.subsume_index.clear()
-        for shard in self.shards().values():
-            shard.flush()
-        with self._dep_lock:
-            self._dep_index.clear()
+        self.results.flush("reset_caches")
         with self._admin_lock:
             prepared = list(self._prepared.values())
         for handle in prepared:
@@ -762,7 +705,6 @@ class BEASServer:
             if generation == self._schema_generation:
                 return generation
             self._schema_generation = generation
-            shards = dict(self._shards)
         # the decision cache is keyed by (fingerprint, generation) and the
         # result entries record their generation, so flushing here is a
         # memory measure, not a correctness one
@@ -771,10 +713,7 @@ class BEASServer:
         # anyway); clearing here keeps the index from holding references
         # to flushed entries across a bump
         self.subsume_index.clear()
-        for shard in shards.values():
-            shard.flush()
-        with self._dep_lock:
-            self._dep_index.clear()
+        self.results.flush("access-schema change")
         return generation
 
     def __repr__(self) -> str:

@@ -4,30 +4,30 @@ The serving layer partitions its state by table so that maintenance on
 one relation never blocks reads of another:
 
 * :class:`ShardLock` — an instrumented reader/writer lock (writer
-  preference, lock-wait accounting) guarding one shard's table data,
-  its access indices, and its slice of the result cache;
-* :class:`TableShard` — one table's lock + result-cache slice + the
-  admit-on-second-hit doorkeeper and per-shard counters;
+  preference, lock-wait accounting) guarding one shard's table data and
+  its access indices;
+* :class:`Shard` — one table's lock and maintenance counter
+  (:class:`TableShard`: plus a private result-cache slice, for
+  ``perf/trace.py``);
 * :class:`StripedCache` — a lock-striped LRU used for the parse and
   coverage-decision caches, so hot single-table traffic on different
   fingerprints does not serialise on one mutex.
 
 Deadlock freedom: shard locks are only ever taken in **canonical table
 order** (sorted by table name; see :func:`order_shards`), maintenance
-takes exactly one shard write lock, and the per-shard cache mutexes are
-leaves — held only for dictionary operations, never while acquiring a
-shard or schema lock.
+takes exactly one shard write lock, and the cache mutexes (a stripe's,
+the result cache's) are leaves — held only for dictionary operations,
+never while acquiring a shard or schema lock.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Hashable, Iterable, Optional, Sequence
 
-from repro.serving.cache import CacheStats, LRUCache
+from repro.serving.cache import CacheStats, Doorkeeper, LRUCache
 
 
 # --------------------------------------------------------------------------- #
@@ -163,20 +163,12 @@ class ShardStats:
 
     table: str
     version: int
-    entries: int
-    bytes: int
-    cache: CacheStats
     lock: LockStats
     maintenance_batches: int
-    admission_declines: int
 
     def describe(self) -> str:
         return (
-            f"shard {self.table}: v{self.version}, {self.entries} entries "
-            f"({self.bytes} bytes), {self.cache.hits} hits / "
-            f"{self.cache.misses} misses, {self.cache.evictions} evictions, "
-            f"{self.cache.invalidations} invalidations, "
-            f"{self.admission_declines} declined, "
+            f"shard {self.table}: v{self.version}, "
             f"{self.maintenance_batches} maintenance batches; "
             f"reads {self.lock.read_acquisitions} / writes "
             f"{self.lock.write_acquisitions}, "
@@ -185,18 +177,40 @@ class ShardStats:
         )
 
 
-class TableShard:
-    """One table's concurrency unit inside :class:`BEASServer`.
+class Shard:
+    """One table's concurrency unit inside :class:`BEASServer`: the
+    reader/writer lock serialising access to the table's rows and access
+    indices, and its maintenance counter. (Cached answers live in the
+    server's one :class:`~repro.serving.cache.ResultCache`.)"""
 
-    Owns the reader/writer lock serialising access to the table's rows
-    and access indices, plus this table's slice of the result cache. The
-    slice is guarded by a leaf mutex of its own so that maintenance on a
-    *different* table can surgically invalidate dependent entries homed
-    here without taking this shard's full write lock.
-    """
+    def __init__(self, table: str):
+        self.table = table
+        self.lock = ShardLock(table)
+        self._mutex = threading.Lock()  # leaf: guards everything below
+        self.maintenance_batches = 0
 
-    #: doorkeeper capacity, as a multiple of the slice's entry budget
-    _DOORKEEPER_FACTOR = 4
+    def note_maintenance(self) -> None:
+        with self._mutex:
+            self.maintenance_batches += 1
+
+    def snapshot(self, version: int) -> ShardStats:
+        """The counters, beside the table's live ``version``."""
+        with self._mutex:
+            return ShardStats(
+                table=self.table,
+                version=version,
+                lock=replace(self.lock.stats),
+                maintenance_batches=self.maintenance_batches,
+            )
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"{type(self).__name__}({self.table})"
+
+
+class TableShard(Shard):
+    """A shard with a result-cache slice of its own, second-hit
+    doorkeeper included: what the benchmark's shadow of the serving path
+    (``perf/trace.py``) is built from. Nothing in ``src/`` uses it."""
 
     def __init__(
         self,
@@ -205,86 +219,24 @@ class TableShard:
         result_entries: int,
         result_bytes: Optional[int],
         sizeof: Optional[Callable[[Any], int]] = None,
-        admit_on_second_hit: bool = True,
     ):
-        self.table = table
-        self.lock = ShardLock(table)
-        self._mutex = threading.Lock()  # leaf: guards everything below
+        super().__init__(table)
         self.results = LRUCache(
             f"result[{table}]",
             max_entries=result_entries,
             max_bytes=result_bytes,
             sizeof=sizeof,
         )
-        self._admit_on_second_hit = admit_on_second_hit
-        self._seen: OrderedDict[Hashable, bool] = OrderedDict()
-        self.version: int = 0  # mirror of Table.version, for stats/sweeps
-        self.maintenance_batches = 0
-        self.admission_declines = 0
+        self._doorkeeper = Doorkeeper(4 * result_entries)
 
-    # ------------------------------------------------------------------ #
-    # the result-cache slice (call while holding this shard's read lock)
-    # ------------------------------------------------------------------ #
     def lookup(self, key: Hashable) -> Any:
         with self._mutex:
             return self.results.get(key)
 
-    def peek(self, key: Hashable) -> Any:
-        """Speculative read: no recency promotion, no hit/miss counts.
-
-        Used by the subsumption prober, whose candidate inspections must
-        not distort the exact-lookup statistics or the LRU order.
-        """
-        with self._mutex:
-            return self.results.peek(key)
-
     def admit(self, key: Hashable, entry: Any) -> bool:
-        """Insert ``entry`` subject to the admission policy.
-
-        With admit-on-second-hit, the first sighting of a key only
-        registers it in the doorkeeper — a one-off query never churns
-        the LRU. The second sighting (and any sighting of a key already
-        admitted before) caches for real.
-        """
+        """Insert ``entry`` subject to admit-on-second-hit."""
         with self._mutex:
-            if not self._admit_on_second_hit:
-                return self.results.put(key, entry)  # no doorkeeper needed
-            limit = self._DOORKEEPER_FACTOR * self.results.max_entries
-            if key not in self._seen:
-                self._seen[key] = True
-                while len(self._seen) > limit:
-                    self._seen.popitem(last=False)
-                self.admission_declines += 1
-                return False
-            self._seen.move_to_end(key)
-            return self.results.put(key, entry)
-
-    def install(self, key: Hashable, entry: Any) -> bool:
-        """Insert bypassing the admission doorkeeper.
-
-        Used by the result-cache prewarm from persistent storage: a
-        reloaded key already earned admission in a previous process, so
-        first-sighting suppression does not apply. The key is seeded
-        into the doorkeeper too, keeping a later re-admission of the
-        same key a single-sighting affair.
-        """
-        with self._mutex:
-            if self._admit_on_second_hit:
-                self._seen[key] = True
-                self._seen.move_to_end(key)
-            return self.results.put(key, entry)
-
-    def invalidate(self, key: Hashable) -> bool:
-        with self._mutex:
-            return self.results.invalidate(key)
-
-    def invalidate_keys(self, keys: Iterable[Hashable]) -> int:
-        dropped = 0
-        with self._mutex:
-            for key in keys:
-                if self.results.invalidate(key):
-                    dropped += 1
-        return dropped
+            return self._doorkeeper.knows(key) and self.results.put(key, entry)
 
     def invalidate_where(
         self, predicate: Callable[[Hashable, Any], bool]
@@ -292,68 +244,17 @@ class TableShard:
         with self._mutex:
             return self.results.invalidate_where(predicate)
 
-    def flush(self) -> int:
-        """Drop the whole slice and the doorkeeper (schema changes)."""
-        with self._mutex:
-            self._seen.clear()
-            return self.results.invalidate_all()
 
-    def entries(self) -> list[tuple[Hashable, Any]]:
-        with self._mutex:
-            return self.results.items()
-
-    def contains(self, key: Hashable) -> bool:
-        with self._mutex:
-            return key in self.results
-
-    # ------------------------------------------------------------------ #
-    def note_maintenance(self, version: int) -> None:
-        with self._mutex:
-            self.version = version
-            self.maintenance_batches += 1
-
-    def observe_version(self, version: int) -> bool:
-        """Reconcile the mirror with the live ``Table.version``.
-
-        Returns True when the table moved out-of-band (mutated around
-        the serving layer) since the last observation — the caller then
-        sweeps entries depending on this table.
-        """
-        with self._mutex:
-            if self.version == version:
-                return False
-            self.version = version
-            return True
-
-    def snapshot(self, live_version: int) -> ShardStats:
-        from dataclasses import replace
-
-        with self._mutex:
-            return ShardStats(
-                table=self.table,
-                version=live_version,
-                entries=len(self.results),
-                bytes=self.results.current_bytes,
-                cache=replace(self.results.stats),
-                lock=replace(self.lock.stats),
-                maintenance_batches=self.maintenance_batches,
-                admission_declines=self.admission_declines,
-            )
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"TableShard({self.table}, entries={len(self.results)})"
-
-
-def order_shards(shards: Iterable[TableShard]) -> list[TableShard]:
+def order_shards(shards: Iterable[Shard]) -> list[Shard]:
     """Deduplicate + sort shards into the canonical (deadlock-free)
     acquisition order: ascending table name."""
-    unique: dict[str, TableShard] = {}
+    unique: dict[str, Shard] = {}
     for shard in shards:
         unique[shard.table] = shard
     return [unique[name] for name in sorted(unique)]
 
 
-def acquire_read_ordered(shards: Sequence[TableShard]) -> float:
+def acquire_read_ordered(shards: Sequence[Shard]) -> float:
     """Take read holds on ``shards`` (already canonically ordered);
     returns the total seconds spent waiting."""
     waited = 0.0
@@ -362,7 +263,7 @@ def acquire_read_ordered(shards: Sequence[TableShard]) -> float:
     return waited
 
 
-def release_read_ordered(shards: Sequence[TableShard]) -> None:
+def release_read_ordered(shards: Sequence[Shard]) -> None:
     for shard in reversed(shards):
         shard.lock.release_read()
 

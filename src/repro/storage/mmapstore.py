@@ -837,39 +837,39 @@ class MmapStore:
         return self._wal.bytes_appended
 
     # -- result-cache persistence ----------------------------------------- #
-    def save_results(self, entries: list[tuple[str, Any, Any]]) -> int:
+    def save_results(self, entries: list[tuple[Any, Any]]) -> int:
         """Persist result-cache entries as framed pickled records.
 
-        Entries are ``(home_table, key, value)`` triples.  Pickle is the
+        Entries are ``(key, value)`` pairs.  Pickle is the
         right wire here — values carry plan/decision objects that
         already cross the pool boundary pickled; the CRC framing (same
         as the WAL) detects torn writes, and freshness is re-validated
-        against versions/generation at serve time, never assumed.
+        against versions/generation by whoever reinstalls them, never
+        assumed.
         """
         frames = bytearray()
-        for home, key, value in entries:
-            frames += frame_record(
-                pickle.dumps((home, key, value), pickle.HIGHEST_PROTOCOL)
-            )
+        for entry in entries:
+            frames += frame_record(pickle.dumps(entry, pickle.HIGHEST_PROTOCOL))
         _atomic_write(self.results_path, bytes(frames))
         self.result_entries_saved = len(entries)
         return len(entries)
 
-    def load_results(self) -> list[tuple[str, Any, Any]]:
-        """Read back every intact persisted result entry (torn tail and
-        unpicklable entries are dropped, never served)."""
+    def load_results(self) -> list[tuple[Any, Any]]:
+        """Read back every intact persisted result entry (torn tail,
+        unpicklable entries and an older layout's triples are dropped,
+        never served)."""
         try:
             data = self.results_path.read_bytes()
         except OSError:
             return []
         scan = scan_frames(data)
-        entries: list[tuple[str, Any, Any]] = []
+        entries: list[tuple[Any, Any]] = []
         for payload in scan.payloads:
             try:
-                home, key, value = pickle.loads(payload)
+                key, value = pickle.loads(payload)
             except Exception:  # noqa: BLE001 - arbitrary pickle failure just drops the entry
                 continue
-            entries.append((home, key, value))
+            entries.append((key, value))
         self.result_entries_loaded = len(entries)
         return entries
 

@@ -30,7 +30,8 @@ from repro.storage.codec import (
 Row = tuple
 
 #: a normalised ISO date — a subset of what ``is_compatible`` takes for a
-#: DATE (it also takes ``2016-6-1``, which goes through the walk)
+#: DATE (it also takes ``2016-6-1``, which goes through the walk and is
+#: stored as ``2016-06-01``, the one spelling the codec decodes to)
 _ISO_DATE = re.compile(r"[0-9]{4}-(?:0[1-9]|1[0-2])-(?:0[1-9]|[12][0-9]|3[01])")
 
 #: how many distinct valid DATE strings a plan remembers before it
@@ -70,18 +71,45 @@ class WritePlan:
         rows = list(rows)
         if coerce:
             return [self._coerced(row) for row in rows]
-        if rows and not self._exactly_typed(rows):
-            self._walk(rows)
-        return self.canonical(rows)
+        if not rows or (self._exactly_typed(rows) and nan_free(rows, self._floats)):
+            return list(map(tuple, rows))
+        # a subclass, ``2016-6-1``, a NaN, an int no float can hold, a
+        # wrong type or arity: value by value
+        return [canonical_key(row) for row in self._walk(rows)]
 
-    def canonical(self, rows: Sequence[Sequence[Any]]) -> list[Row]:
-        """``canonical_key`` of each row: every NaN becomes the one
-        shared object, so bag-semantic deletes and DISTINCT stay exact
-        (see :mod:`repro.storage.codec`). A batch with no NaN in a FLOAT
-        column is ``tuple(row)``, which for a tuple is the row itself."""
+    def canonical(self, rows: list) -> list[Row]:
+        """The rows a delete names, spelled as :meth:`admit` stores
+        them: DATE cells normalised, every NaN the one shared object
+        (see :mod:`repro.storage.codec`). A cell that is no value of its
+        column stays as it is, and names no stored row."""
+        rows = self._dated(rows)
         if nan_free(rows, self._floats):
             return list(map(tuple, rows))
         return [canonical_key(row) for row in rows]
+
+    def _dated(self, rows: list) -> list:
+        """``rows`` with each DATE cell as the codec decodes it
+        (``2016-6-1`` -> ``2016-06-01``), so that the live table, its
+        index keys, the WAL and a replica's delta hold one spelling."""
+        dates = self._dates
+        valid = self._valid_dates
+        try:
+            columns = [tuple(map(itemgetter(i), rows)) for i in dates]
+            if all(valid.issuperset(c) or self._learn_dates(c) for c in columns):
+                return rows
+        except (TypeError, IndexError):  # a cell no DATE can be, a short row
+            pass
+        dated = []
+        for row in rows:
+            cells = list(row)
+            for i in dates:
+                if i < len(cells) and isinstance(cells[i], str):
+                    try:
+                        cells[i] = coerce_value(cells[i], DataType.DATE)
+                    except TypeMismatchError:
+                        pass
+            dated.append(tuple(cells))
+        return dated
 
     def _exactly_typed(self, rows: list) -> bool:
         try:
@@ -111,7 +139,8 @@ class WritePlan:
                 valid.add(value)
         return True
 
-    def _walk(self, rows: list) -> None:
+    def _walk(self, rows: list) -> list:
+        """The per-value check; returns the batch as :meth:`_dated`."""
         schema = self._schema
         for row in rows:
             self._check_arity(row)
@@ -121,6 +150,7 @@ class WritePlan:
                         f"value {value!r} is not a {column.dtype.name} "
                         f"(column {schema.name}.{column.name})"
                     )
+        return self._dated(rows)
 
     def _coerced(self, row: Sequence[Any]) -> Row:
         self._check_arity(row)

@@ -246,6 +246,11 @@ class TestServeStats:
         assert "served_from_cache=False" in out
         assert "1 admissions declined" in out
         assert "0 evictions" in out
+        # the one result-cache block: what is held, and why entries left
+        assert (
+            "result cache: 0 entries, 0 bytes, 0 read-set keys filed, "
+            "1 admissions declined; invalidated 0 exact / 0 coarse / 0 by sweep"
+        ) in out
 
     def test_concurrent_threads_report_shard_counters(self, workspace, capsys):
         data, schema = workspace
