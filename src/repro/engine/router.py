@@ -26,13 +26,9 @@ known *before* execution), the binding's constant arity, estimated
 equality selectivity from :mod:`repro.catalog.statistics`, and the
 engine shape (``rows_per_batch``, ``parallelism``). Costs are wall
 seconds; models are incremental ridge regressions over the feature
-vector (normal equations, exact solve — the dimension is tiny).
-
-The same feedback loop drives cost-aware result-cache admission: a
-result is worth caching only when re-executing it is predicted to cost
-more than serving it from the cache (an EWMA of measured cache-hit
-serve latencies — real numbers, now that the serve paths time
-themselves).
+vector (normal equations, exact solve — the dimension is tiny). What
+the result cache keeps is not decided here: it retains by each answer's
+measured cost (``serving.cache.ResultCache``) under every routing mode.
 """
 
 from __future__ import annotations
@@ -227,7 +223,6 @@ FEATURE_NAMES = (
 )
 
 _RIDGE_LAMBDA = 1e-3
-_EWMA_ALPHA = 0.2
 
 
 def routing_features(
@@ -380,9 +375,6 @@ class RouterStats:
     templates: int = 0  # distinct template fingerprints seen
     models: int = 0  # (template, route) models with >= 1 sample
     routed: dict[str, int] = field(default_factory=dict)  # decisions per route
-    admission_checks: int = 0  # cost-aware admission consultations
-    admission_declines: int = 0  # results kept out of the cache
-    lookup_cost_seconds: float = 0.0  # EWMA of measured cache-hit serves
 
     def describe(self) -> str:
         per_route = ", ".join(
@@ -394,10 +386,7 @@ class RouterStats:
             f"observations={self.observations} "
             f"fallback_skips={self.fallback_skips} "
             f"templates={self.templates} models={self.models}\n"
-            f"routing: per-route [{per_route or '-'}]\n"
-            f"routing: admission checks={self.admission_checks} "
-            f"declines={self.admission_declines} "
-            f"lookup-cost={self.lookup_cost_seconds * 1e6:.1f}us"
+            f"routing: per-route [{per_route or '-'}]"
         )
 
 
@@ -423,9 +412,6 @@ class ExecutorRouter:
         self._observations = 0
         self._fallback_skips = 0
         self._routed: dict[str, int] = {}
-        self._admission_checks = 0
-        self._admission_declines = 0
-        self._lookup_ewma: Optional[float] = None
 
     @property
     def epsilon(self) -> float:
@@ -494,35 +480,6 @@ class ExecutorRouter:
             model.update(features, metrics.seconds)
             self._observations += 1
 
-    # ------------------------------------------------------------------ #
-    # cost-aware result-cache admission
-    # ------------------------------------------------------------------ #
-    def note_lookup(self, seconds: float) -> None:
-        """Record one measured cache-hit serve latency (EWMA)."""
-        if seconds <= 0.0:
-            return
-        with self._lock:
-            if self._lookup_ewma is None:
-                self._lookup_ewma = seconds
-            else:
-                self._lookup_ewma += _EWMA_ALPHA * (seconds - self._lookup_ewma)
-
-    def should_admit(self, execution_seconds: float) -> bool:
-        """Admit only when re-execution is predicted dearer than lookup.
-
-        Until a cache-hit latency has been measured there is nothing to
-        compare against, so admission stays open (matching the static
-        policy) rather than starving the cache of its first entries.
-        """
-        with self._lock:
-            self._admission_checks += 1
-            if self._lookup_ewma is None:
-                return True
-            if execution_seconds > self._lookup_ewma:
-                return True
-            self._admission_declines += 1
-            return False
-
     def stats(self) -> RouterStats:
         with self._lock:
             return RouterStats(
@@ -533,7 +490,4 @@ class ExecutorRouter:
                 templates=len(self._templates),
                 models=sum(1 for m in self._models.values() if m.count),
                 routed=dict(self._routed),
-                admission_checks=self._admission_checks,
-                admission_declines=self._admission_declines,
-                lookup_cost_seconds=self._lookup_ewma or 0.0,
             )

@@ -23,7 +23,7 @@ hierarchy, partitioned by table so concurrent traffic scales:
   ``StripedCache`` — the sharding primitives;
 * :class:`~repro.serving.cache.LRUCache` / ``CacheStats`` — the shared
   budgeted-LRU primitive and its counters; ``ResultCache`` — the
-  served-answer cache and its read-set filing.
+  served-answer cache, its cost-aware retention and its read-set filing.
 
 The layer is an internal of :class:`~repro.beas.session.Session`::
 

@@ -1,25 +1,29 @@
 """Cache primitives for the serving layer.
 
-One :class:`LRUCache` implementation backs all three serving caches
-(parse, coverage-decision, result). Entries carry an approximate byte
-size so the result cache can enforce a byte budget on top of the entry
-budget; the cheaper caches pass ``sizeof=None`` and pay only the entry
-budget. Every cache keeps a :class:`CacheStats` counter block that the
-server surfaces through ``BEASServer.stats()`` and the CLI.
+:class:`LRUCache` backs the parse and coverage-decision caches (and
+``TableShard``'s slice). Entries carry an approximate byte size so a
+cache can enforce a byte budget on top of the entry budget; the cheaper
+caches pass ``sizeof=None`` and pay only the entry budget. Every cache
+keeps a :class:`CacheStats` counter block that the server surfaces
+through ``BEASServer.stats()`` and the CLI.
 
 :class:`LRUCache` itself is not thread-safe: its owner serialises access
-(a stripe's mutex, a shard's, :class:`ResultCache`'s own).
+(a stripe's mutex, a shard's).
 
 :class:`ResultCache` is the served-answer cache (``docs/invariants.md``,
-"Result-cache validity").
+"Result-cache validity"), under the same two budgets but retained by
+cost (GreedyDual, Cao & Irani 1997): what goes first is the answer
+cheapest to recompute.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import logging
 import threading
 from collections import Counter, OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Hashable, Iterable, Mapping, Optional
 
 logger = logging.getLogger(__name__)
@@ -33,7 +37,7 @@ class CacheStats:
     name: str
     hits: int = 0
     misses: int = 0
-    evictions: int = 0  # capacity-driven removals (LRU order / byte budget)
+    evictions: int = 0  # capacity-driven removals (entry / byte budget)
     invalidations: int = 0  # staleness-driven removals (generation bumps)
 
     @property
@@ -101,17 +105,13 @@ class LRUCache:
         max_entries: int = 256,
         max_bytes: Optional[int] = None,
         sizeof: Optional[Callable[[Any], int]] = None,
-        on_remove: Optional[Callable[[Hashable, Any], None]] = None,
     ):
-        """``on_remove(key, value)`` is told of every entry that leaves:
-        replaced, evicted or invalidated."""
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.stats = CacheStats(name)
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         self._sizeof = sizeof or (lambda value: 0)
-        self._on_remove = on_remove
         self._entries: OrderedDict[Hashable, _Entry] = OrderedDict()
         self._bytes = 0
 
@@ -140,13 +140,7 @@ class LRUCache:
         return entry.value
 
     def peek(self, key: Hashable, default: Any = None) -> Any:
-        """Read a value without touching recency order or counters.
-
-        The subsumption prober uses this to inspect candidate entries:
-        a probe is speculative, so it must neither promote a candidate
-        in LRU order nor distort the hit/miss accounting the exact
-        lookup path reports.
-        """
+        """Read a value without touching recency order or counters."""
         entry = self._entries.get(key)
         return default if entry is None else entry.value
 
@@ -157,20 +151,15 @@ class LRUCache:
             return False
         old = self._entries.pop(key, None)
         if old is not None:
-            self._removed(key, old)
+            self._bytes -= old.size
         self._entries[key] = _Entry(value, size)
         self._bytes += size
         while len(self._entries) > self.max_entries or (
             self.max_bytes is not None and self._bytes > self.max_bytes
         ):
-            self._removed(*self._entries.popitem(last=False))
+            self._bytes -= self._entries.popitem(last=False)[1].size
             self.stats.evictions += 1
         return True
-
-    def _removed(self, key: Hashable, entry: _Entry) -> None:
-        self._bytes -= entry.size
-        if self._on_remove is not None:
-            self._on_remove(key, entry.value)
 
     # ------------------------------------------------------------------ #
     def invalidate(self, key: Hashable) -> bool:
@@ -178,7 +167,7 @@ class LRUCache:
         entry = self._entries.pop(key, None)
         if entry is None:
             return False
-        self._removed(key, entry)
+        self._bytes -= entry.size
         self.stats.invalidations += 1
         return True
 
@@ -190,14 +179,14 @@ class LRUCache:
             if predicate(key, entry.value)
         ]
         for key in stale:
-            self._removed(key, self._entries.pop(key))
+            self._bytes -= self._entries.pop(key).size
         self.stats.invalidations += len(stale)
         return len(stale)
 
     def invalidate_all(self) -> int:
         count = len(self._entries)
-        while self._entries:
-            self._removed(*self._entries.popitem())
+        self._entries.clear()
+        self._bytes = 0
         self.stats.invalidations += count
         return count
 
@@ -213,7 +202,7 @@ class LRUCache:
 
 class Doorkeeper:
     """Admit-on-second-hit: the last ``capacity`` keys seen, so that a
-    one-off query never churns the LRU."""
+    one-off query never churns the cache."""
 
     def __init__(self, capacity: int):
         self._capacity = capacity
@@ -234,20 +223,38 @@ class Doorkeeper:
         self._seen.clear()
 
 
+class _Slot:
+    """A live result entry and its retention state: ``priority`` is
+    ``clock + cost`` as of its last touch (``tick``); ``filed`` is the
+    tick of its one live heap record."""
+
+    __slots__ = ("entry", "size", "cost", "priority", "tick", "filed")
+
+    def __init__(self, entry: Any, size: int, cost: float, priority: float, tick: int):
+        self.entry, self.size, self.cost = entry, size, cost
+        self.priority, self.tick, self.filed = priority, tick, tick
+
+
 class ResultCache:
     """Every served answer, under one budget, kept until a write changes
-    what it read: one LRU, the doorkeeper and the filing of each entry
-    under its ``tables``, ``coarse_tables`` and ``read_keys``, through
-    which it is unfiled whenever it leaves the LRU.
+    what it read or retention evicts it: the doorkeeper, the GreedyDual
+    order, and the filing of each entry under its ``tables``,
+    ``coarse_tables`` and ``read_keys``, through which it is unfiled
+    whenever it leaves.
 
-    What is dropped when, the sweep epochs, and the locking callers owe
-    (reads under read holds on the tables concerned, writes under the
-    table's write hold; the mutex here is a leaf) are
-    ``docs/invariants.md``, "Result-cache validity".
+    An entry's ``cost`` is what re-running it would take; a hit
+    re-prices it at ``clock + cost``. The heap is
+    re-keyed lazily, when a stale record reaches its top, so a hit
+    stays O(1). Retention, what is dropped when, the sweep epochs, and
+    the locking callers owe (reads under read holds on the tables
+    concerned, writes under the table's write hold; the mutex here is a
+    leaf) are ``docs/invariants.md``, "Result-cache validity".
     """
 
     #: doorkeeper capacity, as a multiple of the entry budget
     _DOORKEEPER_FACTOR = 4
+    #: dead heap records allowed beyond one per live entry before a rebuild
+    _HEAP_SLACK = 64
 
     def __init__(
         self,
@@ -257,14 +264,21 @@ class ResultCache:
         sizeof: Optional[Callable[[Any], int]] = None,
         admit_on_second_hit: bool = True,
     ):
+        if max_entries < 1:
+            raise ValueError("max_entries must be >= 1")
         self._mutex = threading.Lock()
-        self._lru = LRUCache(
-            "result",
-            max_entries=max_entries,
-            max_bytes=max_bytes,
-            sizeof=sizeof,
-            on_remove=self._unfile,
-        )
+        self.stats = CacheStats("result")
+        self.max_entries = max_entries
+        self.max_bytes = max_bytes
+        self._sizeof = sizeof or (lambda value: 0)
+        self._slots: dict[Hashable, _Slot] = {}
+        #: (priority, tick, key): one live record per slot (the one whose
+        #: tick is its ``filed``), and the dead ones left behind
+        self._heap: list[tuple[float, int, Hashable]] = []
+        self._ticks = itertools.count()
+        self._clock = 0.0
+        self._bytes = 0
+        self._saved = 0.0  # the costs of the entries hits were served from
         self._doorkeeper = (
             Doorkeeper(self._DOORKEEPER_FACTOR * max_entries)
             if admit_on_second_hit
@@ -300,12 +314,21 @@ class ResultCache:
 
     def lookup(self, key: Hashable) -> Any:
         with self._mutex:
-            return self._lru.get(key)
+            slot = self._slots.get(key)
+            if slot is None:
+                self.stats.misses += 1
+                return None
+            self.stats.hits += 1
+            self._saved += slot.cost
+            slot.priority = self._clock + slot.cost
+            slot.tick = next(self._ticks)
+            return slot.entry
 
     def peek(self, key: Hashable) -> Any:
-        """No recency promotion, no hit/miss counts."""
+        """No re-pricing, no hit/miss counts."""
         with self._mutex:
-            return self._lru.peek(key)
+            slot = self._slots.get(key)
+            return None if slot is None else slot.entry
 
     def admits(self, key: Hashable) -> bool:
         """The admission policy's word, asked before the entry is built."""
@@ -317,28 +340,68 @@ class ResultCache:
             return False
 
     def install(self, key: Hashable, entry: Any) -> bool:
-        """File ``entry``, no admission question asked; False when it is
-        larger than the byte budget. The doorkeeper learns the key, so a
-        re-admission after an invalidation takes one sighting."""
+        """File ``entry``, no admission question asked, evicting the
+        lowest priorities to make room; False when it is larger than the
+        byte budget, or when its own priority would be the lowest (a
+        decline: the clock still moves to it). The doorkeeper learns the
+        key, so a re-admission after an invalidation takes one sighting."""
         with self._mutex:
             if self._doorkeeper is not None:
                 self._doorkeeper.knows(key)
-            if not self._lru.put(key, entry):
+            max_bytes = self.max_bytes
+            size = self._sizeof(entry) if max_bytes is not None else 0
+            if max_bytes is not None and size > max_bytes:
                 return False
+            old = self._slots.pop(key, None)
+            if old is not None:
+                self._remove(key, old)
+            cost = entry.cost
+            priority = self._clock + cost
+            slots, heap = self._slots, self._heap
+            while len(slots) >= self.max_entries or (
+                max_bytes is not None and self._bytes + size > max_bytes
+            ):
+                victim = self._lowest()
+                lowest = slots[victim].priority
+                if priority < lowest:  # on a tie, the older entry goes
+                    self._clock = priority
+                    self._admission_declines += 1
+                    return False
+                heapq.heappop(heap)
+                self._clock = lowest
+                self._remove(victim, slots.pop(victim))
+                self.stats.evictions += 1
+            tick = next(self._ticks)
+            slots[key] = _Slot(entry, size, cost, priority, tick)
+            heapq.heappush(heap, (priority, tick, key))
+            self._bytes += size
             for filing, names in self._filings(entry):
                 for name in names:
                     filing.setdefault(name, set()).add(key)
             self._filed += len(entry.read_keys)
             return True
 
-    def _filings(self, entry: Any) -> tuple[tuple[dict, Iterable], ...]:
-        return (
-            (self._by_table, entry.tables),
-            (self._coarse, entry.coarse_tables),
-            (self._by_key, entry.read_keys),
-        )
+    def _lowest(self) -> Hashable:
+        """The key of the live entry with the lowest (priority, tick),
+        its record left on top of the heap: dead records on the way are
+        popped, records a hit outdated are re-pushed at the hit's price."""
+        heap, slots = self._heap, self._slots
+        while True:
+            _, tick, key = heap[0]
+            slot = slots.get(key)
+            if slot is None or slot.filed != tick:
+                heapq.heappop(heap)
+            elif slot.tick != tick:
+                slot.filed = slot.tick
+                heapq.heapreplace(heap, (slot.priority, slot.tick, key))
+            else:
+                return key
 
-    def _unfile(self, key: Hashable, entry: Any) -> None:
+    def _remove(self, key: Hashable, slot: _Slot) -> None:
+        """Unfile an entry that left ``_slots`` (its heap record dies in
+        place; the heap is rebuilt when dead records pile up)."""
+        entry = slot.entry
+        self._bytes -= slot.size
         self._filed -= len(entry.read_keys)
         for filing, names in self._filings(entry):
             for name in names:
@@ -346,6 +409,19 @@ class ResultCache:
                 filed.discard(key)
                 if not filed:
                     del filing[name]
+        slots, heap = self._slots, self._heap
+        if len(heap) > 2 * len(slots) + self._HEAP_SLACK:
+            heap[:] = [(s.priority, s.tick, k) for k, s in slots.items()]
+            heapq.heapify(heap)
+            for s in slots.values():
+                s.filed = s.tick
+
+    def _filings(self, entry: Any) -> tuple[tuple[dict, Iterable], ...]:
+        return (
+            (self._by_table, entry.tables),
+            (self._coarse, entry.coarse_tables),
+            (self._by_key, entry.read_keys),
+        )
 
     # ------------------------------------------------------------------ #
     def apply_write(
@@ -394,8 +470,13 @@ class ResultCache:
         if not keys:
             return 0
         dropped = 0
-        for key in tuple(keys):  # invalidate() unfiles as it goes
-            dropped += self._lru.invalidate(key)
+        slots = self._slots
+        for key in tuple(keys):  # _remove() unfiles as it goes
+            slot = slots.pop(key, None)
+            if slot is not None:
+                self._remove(key, slot)
+                dropped += 1
+        self.stats.invalidations += dropped
         self._dropped[cause] += dropped
         return dropped
 
@@ -409,27 +490,35 @@ class ResultCache:
         with self._mutex:
             if self._doorkeeper is not None:
                 self._doorkeeper.clear()
-            dropped = self._lru.invalidate_all()
+            dropped = len(self._slots)
+            self._slots.clear()
+            self._heap.clear()
+            for filing in (self._by_key, self._coarse, self._by_table):
+                filing.clear()
+            self._bytes = self._filed = 0
+            self.stats.invalidations += dropped
             self._dropped["sweep"] += dropped
         logger.debug(_SWEPT, "every table", reason, dropped)
 
     # ------------------------------------------------------------------ #
     def entries(self) -> list[tuple[Hashable, Any]]:
         with self._mutex:
-            return self._lru.items()
+            return [(key, slot.entry) for key, slot in self._slots.items()]
 
     def __len__(self) -> int:
-        return len(self._lru)
+        return len(self._slots)
 
-    def snapshot(self) -> tuple[CacheStats, dict[str, int]]:
-        """The LRU's counters and, read with them, the cache's own, by
-        the name of the ``ServingStats`` field each one fills."""
+    def snapshot(self) -> tuple[CacheStats, dict[str, Any]]:
+        """The hit/miss/eviction counters and, read with them, the
+        cache's own, by the name of the ``ServingStats`` field each one
+        fills."""
         with self._mutex:
             dropped = self._dropped
-            return replace(self._lru.stats), {
-                "result_entries": len(self._lru),
-                "result_bytes": self._lru.current_bytes,
+            return replace(self.stats), {
+                "result_entries": len(self._slots),
+                "result_bytes": self._bytes,
                 "result_read_keys": self._filed,
+                "result_saved_s": self._saved,
                 "admission_declines": self._admission_declines,
                 "invalidated_exact": dropped["exact"],
                 "invalidated_coarse": dropped["coarse"],

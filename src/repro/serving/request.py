@@ -75,7 +75,9 @@ class CachedResult:
     is an eligible subsumption source (BOUNDED mode, reusable shape);
     ``template_fingerprint`` records the pinned rebind template the
     answer derived from, so a merged-arity fallback can drop candidates
-    with stale plan provenance.
+    with stale plan provenance. ``cost`` is the wall seconds the miss
+    that produced it took from ``observe`` to ``admit`` (what a re-run
+    would pay): the cache's retention priority.
     """
 
     columns: list[str]
@@ -90,6 +92,7 @@ class CachedResult:
     table_versions: Optional[dict[str, int]] = None
     summary: Optional[QuerySummary] = None
     template_fingerprint: Optional[str] = None
+    cost: float = 0.0
 
 
 def result_size(entry: CachedResult) -> int:
@@ -201,9 +204,8 @@ def front_end(server: "BEASServer", request: Request) -> None:
 def observe(server: "BEASServer", request: Request) -> None:
     """Take the schema + dependency read locks and observe, under them,
     the access-schema generation and the table-version vector."""
-    # wall-clock anchor for the serve paths that never execute (result
-    # cache, subsumption): their latency is what cost-aware admission
-    # weighs re-execution against, so it must be real, not 0.0
+    # wall-clock anchor of a cached serve's latency (real, never 0.0) and
+    # of a miss's cost, by which the result cache retains its answer
     request.started = time.perf_counter()
     server.count("executions")
     shards, request.lock_wait = server.acquire_reads(request.tables)
@@ -241,9 +243,7 @@ def probe_exact(server: "BEASServer", request: Request) -> Optional[Result]:
     entry = server.results.lookup(request.result_key)
     if entry is not None:
         if _entry_fresh(entry, request):
-            return _serve_cached(
-                server, request, entry, list(entry.rows), "result-cache"
-            )
+            return _serve_cached(request, entry, list(entry.rows), "result-cache")
         # outdated despite sweeps: drop defensively
         server.results.invalidate(request.result_key)
     request.misses += 1
@@ -286,7 +286,7 @@ def probe_subsumed(server: "BEASServer", request: Request) -> Optional[Result]:
         # sources from the per-shape LRU. Only the source's recency is
         # refreshed.
         server.subsume_index.touch(candidate.shape_key, candidate.result_key)
-        return _serve_cached(server, request, entry, rows, "subsumed")
+        return _serve_cached(request, entry, rows, "subsumed")
     if examined:
         # live same-shape candidates existed but none subsumed this
         # binding's region (or post-filtering was refused)
@@ -363,18 +363,7 @@ def admit(server: "BEASServer", request: Request) -> Result:
     """Offer the executed answer to the result cache, then answer."""
     options, mode, answer = request.options, request.mode, request.answer
     approximate = mode is ExecutionMode.APPROXIMATE
-    if (
-        options.use_result_cache
-        and not approximate
-        # cost-aware admission: when re-executing this answer is already
-        # as cheap as a cache lookup, keep it from displacing entries
-        # whose re-execution is expensive
-        and not (
-            options.routing == "learned"
-            and mode is ExecutionMode.BOUNDED
-            and not server.router.should_admit(answer.metrics.seconds)
-        )
-    ):
+    if options.use_result_cache and not approximate:
         _admit(server, request)
     return _result(
         request,
@@ -475,16 +464,12 @@ def _result(
 
 
 def _serve_cached(
-    server: "BEASServer",
     request: Request,
     entry: CachedResult,
     rows: list[tuple[Any, ...]],
     provenance: str,
 ) -> Result:
     seconds = time.perf_counter() - request.started
-    # a cached serve is lookup (+ refilter): exactly the cost cost-aware
-    # admission weighs re-execution against
-    server.router.note_lookup(seconds)
     request.hits += 1
     metrics = ExecutionMetrics(
         rows_output=len(rows), seconds=seconds, served_from_cache=True
@@ -632,6 +617,7 @@ def _admit(server: "BEASServer", request: Request) -> None:
         epochs=request.epochs,
         summary=summary,
         template_fingerprint=template,
+        cost=time.perf_counter() - request.started,
     )
     # filed while still holding every dependency's read lock: a writer
     # changing one of these tables cannot run until we release, so its

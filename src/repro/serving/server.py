@@ -8,11 +8,11 @@ high-traffic deployment needs to amortise per-query frontend cost:
 * a **coverage-decision cache** keyed by (query fingerprint,
   access-schema generation) — the pinned BE Checker outcome and bounded
   plan for each distinct query/binding,
-* one **LRU result cache** with entry and byte budgets
-  (:class:`~repro.serving.cache.ResultCache`): a maintenance batch drops
-  the answers that fetched a bucket it changed, and those whose read set
-  is not known key by key (``docs/invariants.md``, "Result-cache
-  validity").
+* one **result cache** with entry and byte budgets
+  (:class:`~repro.serving.cache.ResultCache`) that, when full, evicts the
+  answer cheapest to recompute: a maintenance batch drops the answers
+  that fetched a bucket it changed, and those whose read set is not known
+  key by key (``docs/invariants.md``, "Result-cache validity").
 
 Concurrency model (the sharded architecture):
 
@@ -40,7 +40,7 @@ Result-cache admission is **admit-on-second-hit** by default (pass
 ``result_admission="always"`` to restore eager admission): the first
 sighting of a (fingerprint, options) key only registers it in the
 cache's doorkeeper, so one-off ad-hoc or fuzz queries stop churning
-the LRU; a key seen twice is cached for real.
+the cache; a key seen twice is cached for real.
 
 ``sharded=False`` collapses every table onto a single shard and every
 stripe onto one — the global-lock baseline the concurrency benchmark
@@ -102,10 +102,13 @@ class ServingStats:
     adhoc: CacheStats = field(default_factory=lambda: CacheStats("template"))
     adhoc_templates: int = 0
     # what the result cache holds (read keys: the live entries' read-set
-    # sizes, summed), and ``result.invalidations`` by cause
+    # sizes, summed), the re-execution seconds its hits saved (the
+    # measured cost of each entry a hit served), and
+    # ``result.invalidations`` by cause
     result_entries: int = 0
     result_bytes: int = 0
     result_read_keys: int = 0
+    result_saved_s: float = 0.0
     invalidated_exact: int = 0
     invalidated_coarse: int = 0
     invalidated_sweep: int = 0
@@ -139,8 +142,7 @@ class ServingStats:
     # replicas >= 2
     fleet: Optional[FleetStats] = None
     # learned-routing counters (routing="learned" requests): per-route
-    # decisions, exploration rate, training observations, cost-aware
-    # admission declines
+    # decisions, exploration rate, training observations
     routing: Optional[RouterStats] = None
     # persistent-storage counters (None while the BEAS instance runs the
     # in-memory engine): warm-start provenance, WAL traffic, checkpoint
@@ -174,7 +176,8 @@ class ServingStats:
             f"{self.result_read_keys} read-set keys filed, "
             f"{self.admission_declines} admissions declined; invalidated "
             f"{self.invalidated_exact} exact / {self.invalidated_coarse} "
-            f"coarse / {self.invalidated_sweep} by sweep",
+            f"coarse / {self.invalidated_sweep} by sweep; hits saved "
+            f"{self.result_saved_s * 1000:.2f} ms of re-execution",
             f"  prepared queries: {self.prepared_queries}",
             f"  executions served: {self.executions}",
             f"  plan rebinds: {self.rebinds} served without the BE Checker "

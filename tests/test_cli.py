@@ -1,6 +1,7 @@
 """CLI tests (invoking repro.cli.main directly, capturing output)."""
 
 import json
+import re
 
 import pytest
 
@@ -173,6 +174,9 @@ class TestServeStats:
         assert "result:" in out and "hits" in out
         assert "served_from_cache=True" in out
         assert "latency: cold" in out
+        # two hits, each saving the measured cost of the miss it replaced
+        saved = re.search(r"; hits saved ([0-9.]+) ms of re-execution", out)
+        assert saved is not None and float(saved.group(1)) > 0
 
     def test_result_reuse_subsume_reports_counters(self, workspace, capsys):
         """The subsumption counters must surface in serve-stats output;
@@ -249,7 +253,8 @@ class TestServeStats:
         # the one result-cache block: what is held, and why entries left
         assert (
             "result cache: 0 entries, 0 bytes, 0 read-set keys filed, "
-            "1 admissions declined; invalidated 0 exact / 0 coarse / 0 by sweep"
+            "1 admissions declined; invalidated 0 exact / 0 coarse / 0 by sweep; "
+            "hits saved 0.00 ms of re-execution"
         ) in out
 
     def test_concurrent_threads_report_shard_counters(self, workspace, capsys):

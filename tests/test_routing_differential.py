@@ -12,13 +12,15 @@ pool), with exploration forced fully on (``epsilon=1.0``) and fully off
 (``epsilon=0.0``), plus a model-poisoning pass where the cost model is
 pre-trained on absurd latencies.
 
-The wiring surface (env var, Session/Query/call precedence, cost-aware
-cache admission, serve-stats counters) is covered at the bottom.
+The wiring surface (env var, Session/Query/call precedence, serve-stats
+counters) is covered at the bottom, with the result cache's cost-aware
+decline, which holds under learned routing as under static.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass, replace
 
 import pytest
 
@@ -26,6 +28,7 @@ from repro import BEAS, Session
 from repro.beas.result import ExecutionMode
 from repro.beas.session import ExecutionOptions
 from repro.errors import BEASError
+from repro.serving.cache import ResultCache
 
 from tests.conftest import engine_run, example1_access_schema
 from tests.test_columnar_differential import _inject_nulls
@@ -289,28 +292,41 @@ class TestRoutingWiring:
 
 
 # --------------------------------------------------------------------------- #
-# cost-aware result-cache admission
+# cost-aware result-cache admission: the retention decline, the same under
+# every routing mode (the router keeps no admission gate of its own)
 # --------------------------------------------------------------------------- #
+_OTHER_SQL = _COVERED_SQL.replace("2016-01-02", "2016-01-03")
+
+
 class TestCostAwareAdmission:
     def test_admission_declined_when_rerun_is_cheaper(self):
-        """With the measured lookup cost pinned absurdly high, no bounded
-        result is worth caching — repeats must re-execute."""
+        """A one-entry cache holding an answer dear to recompute: a
+        cheap answer would be the lowest priority, so it is declined and
+        its repeats re-execute; the dear one stays."""
         with _small_session(
-            options=ExecutionOptions(routing="learned")
+            options=ExecutionOptions(routing="learned"),
+            server_options={"result_cache_entries": 1},
         ) as session:
-            session.server.router.note_lookup(10.0)  # lookups "cost" 10s
+            results = session.server.results
+            session.run(_OTHER_SQL)
+            session.run(_OTHER_SQL)  # admitted on the second sighting
+            ((key, entry),) = results.entries()
+            assert results.install(key, replace(entry, cost=10.0))
             first = session.run(_COVERED_SQL)
             assert first.mode is ExecutionMode.BOUNDED
-            # repeats keep re-executing: the cost-aware check runs before
-            # the doorkeeper, so the answer is never even offered to it
             for _ in range(3):
                 repeat = session.run(_COVERED_SQL)
                 assert repeat.metrics.decision_provenance != "result-cache"
-            stats = session.server.stats().routing
-            assert stats.admission_declines >= 4
+            assert [k for k, _ in results.entries()] == [key]
+            assert session.run(_OTHER_SQL).metrics.served_from_cache
+            stats = session.server.stats()
+            # two first sightings (the doorkeeper), then three repeats
+            assert stats.admission_declines == 2 + 3
+            assert stats.result.evictions == 0
 
     def test_admission_allows_caching_by_default(self):
-        """No lookup-cost estimate yet -> admit (the static behaviour)."""
+        """Room in the cache -> admit on the second sighting (the static
+        behaviour, under learned routing too)."""
         with _small_session(
             options=ExecutionOptions(routing="learned")
         ) as session:
@@ -321,16 +337,29 @@ class TestCostAwareAdmission:
             assert third.metrics.decision_provenance == "result-cache"
             assert third.rows == first.rows
             assert third.metrics.seconds > 0  # real measured latency
+            ((_, entry),) = session.server.results.entries()
+            assert 0 < entry.cost < second.metrics.seconds + 1.0
 
-    def test_router_unit_admission_rule(self):
-        from repro.engine.router import ExecutorRouter
+    def test_retention_decline_rule(self):
+        from repro.engine.router import ExecutorRouter, RouterStats
 
-        router = ExecutorRouter()
-        assert router.should_admit(0.001)  # no estimate yet: admit
-        router.note_lookup(0.5)
-        assert not router.should_admit(0.001)  # re-run beats a lookup
-        assert router.should_admit(2.0)  # expensive result: cache it
-        stats = router.stats()
-        assert stats.admission_checks == 3
-        assert stats.admission_declines == 1
-        assert stats.lookup_cost_seconds == pytest.approx(0.5)
+        results = ResultCache(max_entries=1, max_bytes=None, admit_on_second_hit=False)
+        assert results.install("cheap", _Priced(cost=0.001))  # room: admit
+        assert results.install("dear", _Priced(cost=2.0))  # evicts the cheaper
+        assert not results.install("cheap", _Priced(cost=0.001))  # would go first
+        assert [key for key, _ in results.entries()] == ["dear"]
+        stats, own = results.snapshot()
+        assert (stats.evictions, own["admission_declines"]) == (1, 1)
+        assert results.lookup("dear").cost == 2.0
+        assert results.snapshot()[1]["result_saved_s"] == 2.0
+        # the router has no say in what is cached
+        assert not hasattr(ExecutorRouter, "should_admit")
+        assert "admission" not in RouterStats().describe()
+
+
+@dataclass
+class _Priced:
+    cost: float
+    tables: frozenset = frozenset({"call"})
+    coarse_tables: frozenset = frozenset({"call"})
+    read_keys: tuple = ()

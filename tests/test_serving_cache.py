@@ -100,8 +100,7 @@ class TestResultCacheInvalidation:
         assert warm.metrics.served_from_cache
         assert warm.rows == cold.rows and warm.columns == cold.columns
         assert warm.mode is cold.mode
-        # the cache-hit path must report its real serve latency (the
-        # router's cost-aware admission trains on it), never 0.0
+        # the cache-hit path must report its real serve latency, never 0.0
         assert warm.metrics.seconds > 0
 
     def test_insert_evicts_only_the_touched_table(self, server):
