@@ -582,7 +582,8 @@ class BEAS:
     ) -> None:
         """What follows a committed batch. ``rows`` are the stored rows —
         never the caller's spelling of them, which need not decode — and
-        are encoded once, for the fleet's delta tail and the WAL alike.
+        go as they are to the fleet's delta tail and to the WAL, which
+        encodes only a batch JSON cannot hold as it is.
 
         Persistence discipline: the WAL record is appended only after
         the in-memory apply committed (a refused batch raised before
@@ -592,11 +593,10 @@ class BEAS:
         fleet = self.fleet
         if rows and (fleet is not None or self._store is not None):
             table = self.database.table(table_name)
-            encoded = table.plan.encode(rows)
             if fleet is not None:
-                fleet.note_maintenance(op, table, encoded, prev_version)
+                fleet.note_maintenance(op, table, rows, prev_version)
             if self._store is not None:
-                self._store.log_batch(op, table, encoded)
+                self._store.log_batch(op, table, rows)
         # snapshot: host_engine() may add comparators concurrently
         for engine in list(self._host_engines.values()):
             engine.invalidate_statistics()

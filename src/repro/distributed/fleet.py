@@ -16,8 +16,8 @@ moves.
 
 **Writes stay on the coordinator.** Maintenance commits locally (WAL,
 version bump), then :meth:`note_maintenance` appends
-the batch — rows codec-encoded, exactly the WAL's record shape — to a
-bounded per-table delta tail. A replica that answers ``stale`` is
+the batch — its rows as the table stored them — to a bounded per-table
+delta tail. A replica that answers ``stale`` is
 caught up with the cheapest re-ship that is provably sufficient: the
 delta tail when it covers the replica's installed version vector
 contiguously, the full pickled index subset otherwise (schema change,
@@ -396,16 +396,16 @@ class ReplicaFleet:
         self,
         op: str,
         table,
-        encoded_rows: list,
+        rows: list,
         prev_version: Optional[int],
     ) -> None:
         """Record one committed ``insert`` / ``delete`` batch for delta
-        re-ship; its rows arrive codec-encoded (the WAL's own cells)."""
+        re-ship; its rows are kept as the table stored them, and the
+        pickle wire carries them so."""
         record = {
             "op": op,
             "table": table.schema.name,
-            "rows": encoded_rows,
-            "dtypes": table.schema.dtypes,
+            "rows": rows,
             "prev": prev_version,
             "version": table.version,
         }

@@ -13,10 +13,11 @@ here so the two transports cannot drift apart.
 
 Wire framing reuses the WAL's ``u32 len | u32 crc32 | payload`` frame
 (:func:`repro.storage.wal.frame_record`): one format for disk, shared
-memory, and sockets. Frame payloads are pickled task/reply tuples whose
-row values are already codec-encoded strings
-(:mod:`repro.storage.codec`) — the socket never invents its own value
-coding. Any framing violation (EOF mid-frame, an implausible length, a
+memory, and sockets. Frame payloads are pickled task/reply tuples:
+indices, delta rows and answers travel as the Python values they are,
+so the socket invents no value coding of its own (an index that
+receives a NaN re-canonicalises it, :mod:`repro.storage.codec`). Any
+framing violation (EOF mid-frame, an implausible length, a
 CRC mismatch, an unpicklable payload) raises :class:`WireError`; a
 corrupt stream is never resynchronised, the connection is torn down and
 the dispatch fails over to coordinator-local execution.

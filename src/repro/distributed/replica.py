@@ -10,7 +10,7 @@ coordinator — and then runs the snapshot protocol
 * ``snapshot`` installs a pickled subset of the coordinator's access
   indices under a *(schema generation, version vector)* key.
 * ``delta`` advances an installed snapshot in place by replaying
-  maintenance records (rows codec-encoded exactly like WAL frames);
+  maintenance records (the stored rows of each committed batch);
   any record the replica cannot apply answers ``unsupported`` and the
   coordinator re-ships the full snapshot instead — delta replay
   degrades to slower, never to wrong.
@@ -37,7 +37,6 @@ from typing import Optional
 
 from repro.errors import ReproError
 from repro.maintenance.incremental import apply_delete, apply_insert
-from repro.storage.codec import decode_row
 from repro.storage.wal import MAX_FRAME_BYTES, frame_record
 from repro.distributed.protocol import (
     MSG_DEBUG,
@@ -77,17 +76,18 @@ ACCEPT_TIMEOUT_SECONDS = 30.0
 def apply_delta_records(indexes: dict, records: list[dict]) -> None:
     """Replay maintenance records onto the installed index subset.
 
-    Rows arrive codec-encoded (the WAL's record shape); each decoded
-    batch goes through the coordinator's own appliers, over a catalog
-    that holds indices only. Raises on anything it cannot apply — the
-    serve loop reports ``unsupported`` and the coordinator falls back to
-    a full snapshot ship.
+    Rows arrive as the coordinator's table stored them (the wire is
+    pickle); each batch goes through the coordinator's own appliers,
+    over a catalog that holds indices only, whose ``add_rows`` /
+    ``remove_rows`` re-canonicalise any NaN the pickle minted afresh.
+    Raises on anything it cannot apply — the serve loop reports
+    ``unsupported`` and the coordinator falls back to a full snapshot
+    ship.
     """
     catalog = SnapshotCatalog(indexes)
     for record in records:
         op = record["op"]
-        dtypes = record["dtypes"]
-        rows = [decode_row(cells, dtypes) for cells in record["rows"]]
+        rows = record["rows"]
         if op == "insert":
             # validate=False: the coordinator already checked the batch
             # against the bounds when it committed it

@@ -1,8 +1,11 @@
 """The canonical value codec shared by every storage boundary.
 
 Exactly one module encodes values to text and back — CSV import/export,
-WAL records, mmap segment files, and the shared-memory snapshot wire all
-call :func:`encode_value` / :func:`decode_value`.  The beaslint
+mmap segment files, the shared-memory snapshot wire and the WAL's text
+records all call :func:`encode_value` / :func:`decode_value`.  Which
+rows a WAL record may carry as the JSON values they are, and how they
+are read back, is decided here too (:func:`json_gate` /
+:func:`decode_json_rows`).  The beaslint
 ``storage-codec`` rule enforces this: ad-hoc ``float(...)`` / ``repr(...)``
 value coding outside this module is flagged, so the formats cannot
 drift apart (the PR 4 CSV round-trip and the pickled snapshot wire each
@@ -49,7 +52,7 @@ from operator import itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.catalog.types import DataType, coerce_value
-from repro.errors import StorageError
+from repro.errors import StorageError, TypeMismatchError
 
 #: the single NaN object used for storage accounting (see module docstring)
 CANONICAL_NAN: float = float("nan")
@@ -161,7 +164,7 @@ def decode_row(cells: Sequence[str], dtypes: Sequence[DataType]) -> tuple:
 
 
 # --------------------------------------------------------------------------- #
-# batches: column-wise type checks, one encoder per column
+# batches: column-wise type checks, and the rows JSON holds as they are
 # --------------------------------------------------------------------------- #
 _NULL = type(None)
 
@@ -185,56 +188,75 @@ def exactly_typed(
     return all(map(frozenset.issuperset, exact, kinds))
 
 
-#: per dtype, :func:`encode_value` for a non-NULL value of exactly that
-#: type; a string is its own cell, unless the text format escapes it
-_CELL_ENCODERS: dict[DataType, Callable[[Any], str]] = {
-    DataType.INT: str,
-    # repr spells the IEEE specials nan / inf / -inf, and an int as str does
-    DataType.FLOAT: repr,
-    DataType.BOOL: {True: "true", False: "false"}.__getitem__,
+class ExactRows(list):
+    """A batch :class:`~repro.storage.table.WritePlan` admitted at a
+    glance: every cell ``None`` or one of its column's
+    :data:`EXACT_TYPES`, and no NaN. The verdict travels with the rows,
+    so a :func:`json_gate` does not check again what admission proved."""
+
+    __slots__ = ()
+
+
+#: per dtype, the classes JSON reads back as an equal value of the same
+#: class (an ``int`` in a FLOAT column would come back an ``int``; its
+#: text cell decodes as a ``float``)
+JSON_TYPES: dict[DataType, frozenset[type]] = {
+    **EXACT_TYPES,
+    DataType.FLOAT: frozenset({float, _NULL}),
 }
 
 
-def batch_encoder(
-    dtypes: Sequence[DataType],
-) -> Callable[[Sequence[Sequence[Any]]], list[list[str]]]:
-    """Compile ``rows -> [encode_row(row, dtypes) for row in rows]``.
+def _finite(cells: Iterable[Any]) -> bool:
+    # filter(None, ...) drops NULL and the zeros, all of them finite
+    return all(map(math.isfinite, filter(None, cells)))
 
-    A batch with no NULL, whose numbers and booleans have exactly their
-    column's declared type and whose strings need no escaping (neither
-    ``""`` nor ``"..."``-shaped) is checked column-wise; each row is then
-    copied and its non-string cells converted by their column's encoder.
-    Any other batch goes through :func:`encode_value` cell by cell.
-    """
-    dtypes = tuple(dtypes)
+
+def json_gate(dtypes: Sequence[DataType]) -> Callable[[Sequence[tuple]], bool]:
+    """Compile the test for a batch of rows a JSON record may hold as
+    they are: every cell ``None`` or exactly one of its column's
+    :data:`JSON_TYPES`, every FLOAT cell finite. Such a row reads back
+    equal, each cell of the class ``decode_row(encode_row(row))`` gives,
+    and ``json.dumps(allow_nan=False)`` cannot refuse it. An ``int`` in a
+    FLOAT column, a NaN, ±inf or a ``str`` subclass needs the text
+    cells. Of an :class:`ExactRows` batch only the FLOAT cells are
+    checked."""
     arity = {len(dtypes)}
-    converted = [i for i, dtype in enumerate(dtypes) if dtype in _CELL_ENCODERS]
-    texts = [i for i, dtype in enumerate(dtypes) if dtype not in _CELL_ENCODERS]
-    exact = [EXACT_TYPES[dtypes[i]] - {_NULL} for i in converted]
-    encoders = [(i, _CELL_ENCODERS[dtypes[i]]) for i in converted]
+    native = [JSON_TYPES[dtype] for dtype in dtypes]
+    floats = [i for i, dtype in enumerate(dtypes) if dtype is DataType.FLOAT]
+    float_types = JSON_TYPES[DataType.FLOAT]
 
-    def plain(rows: Sequence[Sequence[Any]]) -> bool:
+    def gate(rows: Sequence[tuple]) -> bool:
+        if type(rows) is ExactRows:
+            cells = tuple(chain.from_iterable(map(itemgetter(i), rows) for i in floats))
+            return float_types.issuperset(map(type, cells)) and _finite(cells)
         if set(map(len, rows)) != arity:
             return False
         columns = tuple(zip(*rows))
-        if not exactly_typed([columns[i] for i in converted], exact):
-            return False
-        strings = tuple(chain.from_iterable([columns[i] for i in texts]))
-        try:
-            # join() takes nothing but strings, so this is their type check
-            return '"' not in "".join(strings) and "" not in strings
-        except TypeError:
-            return False
+        return exactly_typed(columns, native) and _finite(
+            chain.from_iterable([columns[i] for i in floats])
+        )
 
-    def encode_plain(row: Sequence[Any]) -> list[str]:
-        cells = list(row)
-        for position, encoder in encoders:
-            cells[position] = encoder(cells[position])
-        return cells
+    return gate
 
-    def encode(rows: Sequence[Sequence[Any]]) -> list[list[str]]:
-        if rows and plain(rows):
-            return list(map(encode_plain, rows))
-        return [encode_row(row, dtypes) for row in rows]
 
-    return encode
+def decode_json_rows(
+    values: Sequence[Sequence[Any]], dtypes: Sequence[DataType]
+) -> list[tuple]:
+    """The rows of a JSON record that holds them as they are, as tuples.
+    A row :func:`json_gate` would not have let through — the wrong arity,
+    a cell not of its column's class, a FLOAT cell that is not finite —
+    is refused as :func:`decode_row` refuses an undecodable text cell."""
+    rows = list(map(tuple, values))
+    if json_gate(dtypes)(rows):
+        return rows
+    for row in rows:
+        if len(row) != len(dtypes):
+            raise StorageError(
+                f"cannot decode row of arity {len(row)} with {len(dtypes)} dtypes"
+            )
+        for value, dtype in zip(row, dtypes):
+            if type(value) not in JSON_TYPES[dtype] or (
+                dtype is DataType.FLOAT and not _finite((value,))
+            ):
+                raise TypeMismatchError(f"cannot read {value!r} as {dtype.name}")
+    return rows

@@ -20,7 +20,10 @@ back to the pickle wire on any failure.
 
 Every value crossing these boundaries goes through the canonical codec
 (:mod:`repro.storage.codec`) — the beaslint ``storage-codec`` rule
-keeps ad-hoc value coding out of this module's formats.
+keeps ad-hoc value coding out of this module's formats. Segments hold
+text cells; a WAL record holds a batch's stored rows as JSON values
+(``"values"``) when the codec's ``json_gate`` passes them, and as text
+cells (``"rows"``, ``StorageStats.wal_text_batches``) otherwise.
 
 Segment layout (all integers little-endian u32)::
 
@@ -58,6 +61,7 @@ from repro.catalog.types import DataType
 from repro.errors import AccessSchemaError, MaintenanceError, StorageError
 from repro.maintenance.incremental import apply_delete, apply_insert
 from repro.storage.codec import canonical_key, decode_row, encode_row, is_nan
+from repro.storage.codec import decode_json_rows
 from repro.storage.database import Database
 from repro.storage.table import Table
 from repro.storage.wal import ReplayReport, WriteAheadLog, frame_record, scan_frames
@@ -545,6 +549,7 @@ class StorageStats:
     wal_dropped_bytes: int
     wal_records_appended: int
     wal_bytes_appended: int
+    wal_text_batches: int
     checkpoints: int
     shm_exports: int
     shm_export_bytes: int
@@ -559,6 +564,7 @@ class StorageStats:
             f"WAL {self.wal_records_replayed} replayed "
             f"(+{self.wal_records_appended} appended, "
             f"{self.wal_bytes_appended} B, "
+            f"{self.wal_text_batches} in text cells, "
             f"{self.wal_dropped_bytes} B torn-tail dropped), "
             f"{self.checkpoints} checkpoints, "
             f"{self.shm_exports} shm exports ({self.shm_export_bytes} B), "
@@ -591,6 +597,7 @@ class MmapStore:
         self.segments_loaded = 0
         self.wal_records_replayed = 0
         self.wal_dropped_bytes = 0
+        self.wal_text_batches = 0
         self.checkpoints = 0
         self.shm_exports = 0
         self.shm_export_bytes = 0
@@ -755,24 +762,24 @@ class MmapStore:
     def log_insert(self, table: Table, rows: Iterable[Sequence[Any]]) -> None:
         """Append one committed insert batch (call under the same write
         section that applied it, before any reader sees the version)."""
-        self.log_batch("insert", table, table.plan.encode(list(rows)))
+        self.log_batch("insert", table, list(rows))
 
     def log_delete(self, table: Table, rows: Iterable[Sequence[Any]]) -> None:
-        # the codec writes every NaN as "nan": the logged bytes are
-        # canonical without a canonical_key pass
-        self.log_batch("delete", table, table.plan.encode(list(rows)))
+        self.log_batch("delete", table, list(rows))
 
-    def log_batch(self, op: str, table: Table, encoded: list[list[str]]) -> None:
-        """Append a committed batch whose rows — the *stored* rows, as
-        the table held them — are already codec-encoded."""
-        self._wal.append(
-            {
-                "op": op,
-                "table": table.schema.name,
-                "rows": encoded,
-                "version": table.version,
-            }
-        )
+    def log_batch(self, op: str, table: Table, rows: list) -> None:
+        """Append a committed batch of the *stored* rows, as the table
+        held them. A batch the table's JSON gate passes is logged as it
+        is (``"values"``); any other in codec text cells (``"rows"``),
+        which spell every NaN ``nan`` and so need no canonical_key pass."""
+        record = {"op": op, "table": table.schema.name, "version": table.version}
+        if table.plan.json_native(rows):
+            record["values"] = rows
+        else:
+            dtypes = table.schema.dtypes
+            record["rows"] = [encode_row(row, dtypes) for row in rows]
+            self.wal_text_batches += 1
+        self._wal.append(record)
 
     def log_adjust(self, constraint_name: str, n: int) -> None:
         self._wal.append(
@@ -815,7 +822,10 @@ class MmapStore:
             raise StorageError(f"unknown WAL op {op!r}")
         table = catalog.database.table(record["table"])
         dtypes = table.schema.dtypes
-        rows = [decode_row(cells, dtypes) for cells in record["rows"]]
+        if "values" in record:
+            rows = decode_json_rows(record["values"], dtypes)
+        else:
+            rows = [decode_row(cells, dtypes) for cells in record["rows"]]
         if op == "insert":
             apply_insert(catalog, record["table"], rows, validate=False)
         else:
@@ -932,6 +942,7 @@ class MmapStore:
             wal_dropped_bytes=self.wal_dropped_bytes,
             wal_records_appended=self.wal_records_appended,
             wal_bytes_appended=self.wal_bytes_appended,
+            wal_text_batches=self.wal_text_batches,
             checkpoints=self.checkpoints,
             shm_exports=self.shm_exports,
             shm_export_bytes=self.shm_export_bytes,

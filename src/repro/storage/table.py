@@ -21,9 +21,10 @@ from repro.catalog.types import DataType, coerce_value, is_compatible
 from repro.errors import StorageError, TypeMismatchError
 from repro.storage.codec import (
     EXACT_TYPES,
-    batch_encoder,
+    ExactRows,
     canonical_key,
     exactly_typed,
+    json_gate,
     nan_free,
 )
 
@@ -43,11 +44,11 @@ class WritePlan:
     """What a table's schema fixes about a write batch, compiled once.
 
     Per column the admissible exact types, the FLOAT positions (the only
-    cells that can hold a NaN), the DATE positions, and the codec's
-    column encoders. A batch is then checked and encoded column-wise,
-    in C-level passes, and a batch that does not pass at a glance gets
-    the per-value walk: what is accepted, and what a refusal says, is
-    ``is_compatible``'s word either way.
+    cells that can hold a NaN) and the DATE positions; and the codec's
+    gate for the batches the WAL logs as they are. A batch is checked
+    column-wise, in C-level passes, and a batch that does not pass at a
+    glance gets the per-value walk: what is accepted, and what a refusal
+    says, is ``is_compatible``'s word either way.
     """
 
     def __init__(self, schema: TableSchema):
@@ -62,17 +63,19 @@ class WritePlan:
             i for i, dtype in enumerate(dtypes) if dtype is DataType.DATE
         )
         self._valid_dates: set[Optional[str]] = {None}
-        #: ``rows -> [encode_row(row, dtypes) for row in rows]``
-        self.encode = batch_encoder(dtypes)
+        #: ``rows -> bool``: whether the WAL may log them as they are
+        self.json_native = json_gate(dtypes)
 
     def admit(self, rows: Iterable[Sequence[Any]], *, coerce: bool = False) -> list[Row]:
         """The batch as the tuples the table would store, or the error
-        its first inadmissible row earns; nothing is touched."""
+        its first inadmissible row earns; nothing is touched. A batch
+        admitted at a glance comes back as :class:`~repro.storage.codec.
+        ExactRows`."""
         rows = list(rows)
         if coerce:
             return [self._coerced(row) for row in rows]
         if not rows or (self._exactly_typed(rows) and nan_free(rows, self._floats)):
-            return list(map(tuple, rows))
+            return ExactRows(map(tuple, rows))
         # a subclass, ``2016-6-1``, a NaN, an int no float can hold, a
         # wrong type or arity: value by value
         return [canonical_key(row) for row in self._walk(rows)]
@@ -277,7 +280,7 @@ class Table:
     @property
     def plan(self) -> WritePlan:
         """The schema's compiled write plan (admission, NaN
-        canonicalisation, row encoding)."""
+        canonicalisation, the WAL's JSON gate)."""
         plan = self._plan
         if plan is None:
             plan = self._plan = WritePlan(self.schema)

@@ -22,12 +22,13 @@ same way; everything after the first bad frame is discarded — the WAL
 is an ordered history, so a later record must never be applied over a
 missing earlier one.
 
-Record payloads are JSON with all row values encoded through the
-canonical codec (:mod:`repro.storage.codec`), so the WAL can never
-disagree with the CSV or segment formats about what a value means.
-``allow_nan=False`` is deliberate: a raw float special in a record is a
-bug (values must be codec-encoded strings), and failing the append is
-better than writing a payload ``json.loads`` cannot read back.
+Record payloads are JSON, never pickle: reading a damaged log cannot
+run code. Which rows a record holds as JSON values and which as text
+cells is the canonical codec's call (:mod:`repro.storage.codec`), so
+the WAL can never disagree with the CSV or segment formats about what a
+value means. ``allow_nan=False`` is deliberate: the codec sends every
+NaN and ±inf to the text cells, so a raw float special in a record is a
+bug, and failing the append beats writing a payload that is not JSON.
 """
 
 from __future__ import annotations

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import tempfile
+from pathlib import Path
+
 import pytest
 
 from repro import (
@@ -121,6 +125,24 @@ where business.type = 'bank' and business.region = 'east'
 """
 
 
+def _store_dirs() -> set[Path]:
+    return set(Path(tempfile.gettempdir()).glob("beas-store-*"))
+
+
+@pytest.fixture(autouse=True)
+def no_stray_store_dirs():
+    """Fail a test that leaves a new ``beas-store-*`` directory behind:
+    the temporary store of an mmap engine that was never closed (a later
+    run's hygiene check trips over it). An engine nothing refers to any
+    more removes its own on collection, so one is forced first."""
+    before = _store_dirs()
+    yield
+    if _store_dirs() - before:
+        gc.collect()
+        leaked = _store_dirs() - before
+        assert not leaked, f"test left store directories behind: {sorted(leaked)}"
+
+
 @pytest.fixture
 def ex1_schema() -> DatabaseSchema:
     return example1_schema()
@@ -137,8 +159,9 @@ def ex1_access() -> AccessSchema:
 
 
 @pytest.fixture
-def ex1_beas(ex1_db, ex1_access) -> BEAS:
-    return BEAS(ex1_db, ex1_access)
+def ex1_beas(ex1_db, ex1_access):
+    with BEAS(ex1_db, ex1_access) as beas:
+        yield beas
 
 
 def nan_keyed(rows) -> list[tuple]:

@@ -331,6 +331,20 @@ class TestServeStats:
         assert code == 2
         assert "parallelism must be >= 1" in capsys.readouterr().err
 
+    def test_mmap_storage_line_counts_text_batches(self, workspace, tmp_path, capsys):
+        data, schema = workspace
+        code = main(
+            [
+                "serve-stats", "--data", str(data), "--schema", str(schema),
+                "--sql", QUERY, "--repeat", "2",
+                "--storage", "mmap", "--storage-dir", str(tmp_path / "store"),
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "storage mmap at" in out
+        assert "0 in text cells" in out
+
     def test_baseline_serves_through_the_global_shard(self, workspace, capsys):
         data, schema = workspace
         code = main(

@@ -501,11 +501,20 @@ class InvalidationMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.store_dir is not None)
     @rule()
     def reopen(self):
-        cached = {
-            key: entry.tables for key, entry in self.session.server.results.entries()
-        }
         closed_at = {
             name: self.session.database.table(name).version for name in self.model
+        }
+        results = self.session.server.results
+        # closing persists the cache after sweeping every table that
+        # moved around the serving layer since the cache last looked: a
+        # write it was never told of may have staled any answer there
+        cached = {
+            key: entry.tables
+            for key, entry in results.entries()
+            if all(
+                results._versions.get(name, closed_at[name]) == closed_at[name]
+                for name in entry.tables
+            )
         }
         generation = self.session.stats().schema_generation
         self.session.close()

@@ -40,11 +40,12 @@ def server(ex1_beas) -> BEASServer:
 
 
 @pytest.fixture
-def local_server(ex1_db, ex1_access) -> BEASServer:
+def local_server(ex1_db, ex1_access):
     """Plans run in-process whatever the CI leg: an answer computed on a
     pool worker or a replica comes back without a read set and goes with
     any write to its tables."""
-    return BEAS(ex1_db, ex1_access, parallelism=1, replicas=1).session().server
+    with BEAS(ex1_db, ex1_access, parallelism=1, replicas=1) as beas:
+        yield beas.session().server
 
 
 # --------------------------------------------------------------------------- #

@@ -47,8 +47,9 @@ BUSINESS_SQL = (
 
 
 @pytest.fixture
-def server() -> BEASServer:
-    return BEAS(example1_database(), example1_access_schema()).session().server
+def server():
+    with BEAS(example1_database(), example1_access_schema()) as beas:
+        yield beas.session().server
 
 
 # --------------------------------------------------------------------------- #

@@ -4,7 +4,7 @@
 ``Table.insert``'s per-value ``is_compatible`` walk and ``canonical_key``
 generator, ``AccessIndex._add`` / ``delete_row`` one row at a time, the
 ``MaintenanceManager`` row-by-constraint loop with its per-row rollback,
-``delete_rows`` as a scan, and ``encode_row`` per logged row. It survives
+and ``delete_rows`` as a scan; it logs the rows it stored. It survives
 only here, as the oracle (the pattern of ``ReferenceTable``,
 ``ReferenceExecutor`` and ``ReferenceInterpreter``). One thing differs
 from the parent, on purpose: the reference type-checks the whole batch
@@ -22,7 +22,6 @@ word. The second half holds what the change is for: counts.
 
 from __future__ import annotations
 
-import json
 import pickle
 import threading
 from collections import Counter
@@ -34,6 +33,7 @@ from hypothesis import strategies as st
 import repro.access.index as index_module
 import repro.catalog.types as types_module
 import repro.storage.codec as codec_module
+import repro.storage.mmapstore as mmapstore_module
 import repro.storage.table as table_module
 from repro import (
     AccessConstraint,
@@ -57,10 +57,10 @@ from repro.errors import (
     TypeMismatchError,
 )
 from repro.maintenance import MaintenanceManager, UpdateBatch, ViolationPolicy
-from repro.storage.codec import canonical_key, encode_row
+from repro.storage.codec import canonical_key, decode_row, encode_row
 from repro.storage.mmapstore import MappedAccessIndex
 from repro.storage.table import Table
-from repro.storage.wal import WriteAheadLog, frame_record
+from repro.storage.wal import WriteAheadLog
 from repro.workloads.tlc import generate_tlc, tlc_access_schema
 
 SCHEMA = TableSchema(
@@ -131,7 +131,7 @@ class ReferenceIndex:
 
 
 class ReferenceMaintenance:
-    """One table, its indices and its WAL payloads, maintained per row."""
+    """One table, its indices and its committed batches, maintained per row."""
 
     def __init__(self, schema: TableSchema, constraints, policy=ViolationPolicy.REJECT):
         self.schema = schema
@@ -139,7 +139,8 @@ class ReferenceMaintenance:
         self.rows: list[tuple] = []
         self.version = 0
         self.indexes = [ReferenceIndex(c, schema) for c in constraints]
-        self.logged: list[dict] = []  # the WAL records a store would hold
+        #: per committed batch, the record the fleet's delta tail keeps
+        self.logged: list[dict] = []
 
     def _admitted(self, row) -> tuple:
         schema = self.schema
@@ -241,12 +242,7 @@ class ReferenceMaintenance:
 
     def _log(self, op: str, rows: list[tuple]) -> None:
         self.logged.append(
-            {
-                "op": op,
-                "table": self.schema.name,
-                "rows": [encode_row(row, self.schema.dtypes) for row in rows],
-                "version": self.version,
-            }
+            {"op": op, "table": self.schema.name, "rows": rows, "version": self.version}
         )
 
 
@@ -529,9 +525,7 @@ class StoredPair(Pair):
         committed = super().step(kind, argument)
         assert committed == (len(self.reference.logged) == logged + 1)
         if committed:
-            # the record fleet.note_maintenance keeps for this batch
-            record = dict(self.reference.logged[-1], dtypes=SCHEMA.dtypes)
-            apply_delta_records(self.replica, [record])
+            apply_delta_records(self.replica, [self.reference.logged[-1]])
         for oracle in self.reference.indexes:
             assert self.replica[oracle.constraint.name].snapshot() == oracle.buckets
         return committed
@@ -556,18 +550,15 @@ def test_warm_restart_overlay_wal_replay_and_delta_replay(tmp_path_factory, firs
         pair = StoredPair(session)
         for kind, argument in first:
             pair.step(kind, argument)
-        appended = session.stats().storage.wal_bytes_appended
     finally:
         session.close()
 
-    # the WAL holds the oracle's records, byte for byte
+    # one record per committed batch, at the version the batch left
     reference = pair.reference
     records = WriteAheadLog(directory / "wal.log").replay(repair=False).records
-    assert records == [json.loads(json.dumps(r)) for r in reference.logged]
-    assert appended == sum(
-        len(frame_record(json.dumps(r, separators=(",", ":"), sort_keys=True).encode()))
-        for r in reference.logged
-    )
+    assert [(r["op"], r["version"]) for r in records] == [
+        (r["op"], r["version"]) for r in reference.logged
+    ]
 
     # replay: the overlay is rebuilt from the log; then more batches on
     # top of it (emptied and refilled buckets of mapped keys included)
@@ -609,11 +600,14 @@ def test_a_respelled_delete_logs_the_stored_row_and_the_store_reopens(tmp_path):
         return database
 
     first = Session(base(), schema, options=options)
-    assert first.delete("u", [(1.0, "a")]).deleted == 1
-    assert first.delete("u", [(True + 1, "a"), (3.0, "b")]).deleted == 2
-    first.close()
-    records = WriteAheadLog(tmp_path / "wal.log").replay(repair=False).records
-    assert [record["rows"] for record in records] == [[["1", "a"]], [["2", "a"], ["3", "b"]]]
+    try:
+        assert first.delete("u", [(1.0, "a")]).deleted == 1
+        assert first.delete("u", [(True + 1, "a"), (3.0, "b")]).deleted == 2
+        # the stored ints JSON holds as they are; the caller's floats it
+        # would not have, in an INT column
+        assert first.stats().storage.wal_text_batches == 0
+    finally:
+        first.close()
 
     second = Session(base(), schema, options=options)
     try:
@@ -630,6 +624,10 @@ def test_a_respelled_delete_logs_the_stored_row_and_the_store_reopens(tmp_path):
 
 
 def test_wal_payloads_of_awkward_cells_match_the_per_row_encoder(tmp_path):
+    """A batch JSON cannot hold as it is (a NaN, ±inf, an int in a FLOAT
+    column) is logged in text cells, any other as its values; either way
+    a reopen replays every row equal to the live one, each cell of the
+    class the per-row encoder's text decodes to."""
     options = ExecutionOptions(storage="mmap", storage_dir=str(tmp_path))
     session = Session(_base(), AccessSchema(CONSTRAINTS), options=options)
     pair = StoredPair(session)
@@ -639,28 +637,34 @@ def test_wal_payloads_of_awkward_cells_match_the_per_row_encoder(tmp_path):
         (None, 6, 3, "2016-06-02", False),  # an int in the FLOAT column
         ('a"b', 7, -0.0, "2016-06-01", True),
     ]
-    plain = [("p", 8, 2.5, "2016-06-03", True), ("q", 9, 1e300, "2016-06-03", False)]
+    plain = [
+        ("p", 8, 2.5, "2016-06-03", True),
+        ("q", 9, 1e300, "2016-06-03", False),
+        ("", None, -0.0, None, None),
+        ('"x"', 2**70, 0.1, "2016-06-01", None),
+    ]
     try:
         assert pair.step("insert", awkward)
         assert pair.step("insert", plain)
         assert pair.step("delete", [awkward[2], plain[1], awkward[0]])
-        rows = sum(len(record["rows"]) for record in pair.reference.logged)
-        appended = session.stats().storage.wal_bytes_appended
+        assert pair.step("delete", [plain[0], plain[2]])
+        storage = session.stats().storage
+        assert (storage.wal_records_appended, storage.wal_text_batches) == (4, 2)
+        live = list(pair.table.rows)
     finally:
         session.close()
-    payloads = [
-        json.dumps(record, separators=(",", ":"), sort_keys=True)
-        for record in WriteAheadLog(tmp_path / "wal.log").replay(repair=False).records
-    ]
-    expected = [
-        json.dumps(record, separators=(",", ":"), sort_keys=True)
-        for record in pair.reference.logged
-    ]
-    assert payloads == expected
-    assert '["\\"\\"","5","nan","2016-06-01",""]' in payloads[0]
-    assert '["\\"\\"x\\"\\"","","-inf","","true"]' in payloads[0]
-    # wal_bytes_per_row, as perf/ computes it
-    assert appended / rows == sum(len(frame_record(p.encode())) for p in expected) / rows
+
+    reopened = Session(_base(), AccessSchema(CONSTRAINTS), options=options)
+    try:
+        assert reopened.stats().storage.wal_records_replayed == 4
+        rows = reopened.database.table("t").rows
+        assert rows == live
+        dtypes = SCHEMA.dtypes
+        assert [list(map(type, row)) for row in rows] == [
+            list(map(type, decode_row(encode_row(row, dtypes), dtypes))) for row in live
+        ]
+    finally:
+        reopened.close()
 
 
 # --------------------------------------------------------------------------- #
@@ -686,7 +690,9 @@ def test_conforming_batches_make_no_per_value_call(tmp_path, monkeypatch):
     """200 eight-row inserts and 100 sixteen-row deletes on TLC's 30-column
     ``call`` (the ``maint_mix`` shape): every value has exactly its
     column's type, so nothing is interpreted per value — ~800 calls a
-    batch at the parent — and each batch is encoded exactly once."""
+    batch on the per-row path — and nothing is encoded: the WAL logs the stored
+    values as they are, with no ``encode_value`` and no per-cell encoder
+    call."""
     dataset = generate_tlc(1, 42)
     database = Database(dataset.database.schema, name=dataset.database.name)
     for table in dataset.database:
@@ -705,10 +711,9 @@ def test_conforming_batches_make_no_per_value_call(tmp_path, monkeypatch):
         counter.wrap(table_module, "is_compatible", "is_compatible")
         counter.wrap(types_module, "_coerce_date", "_coerce_date")
         counter.wrap(codec_module, "encode_value", "encode_value")
+        counter.wrap(mmapstore_module, "encode_row", "encode_row")
         for module in (table_module, index_module, codec_module):
             counter.wrap(module, "canonical_key", "canonical_key")
-        plan = database.table("call").plan
-        counter.wrap(plan, "encode", "batches encoded")
         for batch in batches:
             assert session.insert("call", batch).inserted == 8
         for n in range(100):
@@ -718,10 +723,11 @@ def test_conforming_batches_make_no_per_value_call(tmp_path, monkeypatch):
             "is_compatible": 0,
             "_coerce_date": 0,
             "encode_value": 0,
+            "encode_row": 0,
             "canonical_key": 0,
-            "batches encoded": 300,
         }
-        assert session.stats().storage.wal_records_appended == 302
+        storage = session.stats().storage
+        assert (storage.wal_records_appended, storage.wal_text_batches) == (302, 0)
         assert database.table("call").rows == source
     finally:
         session.close()
