@@ -13,7 +13,9 @@ tables (8 identical relations, one covered point query each):
   tables. Under the single lock every reader queues behind every
   multi-millisecond maintenance batch; sharded, they never meet. This
   is the acceptance scenario: aggregate read throughput must be
-  **>= 3x** the baseline;
+  **>= 3x** the baseline. ``--quick`` asserts the property behind the
+  ratio instead, exactly: on the sharded server the readers' shards and
+  the schema lock record no contended acquisition and no wait;
 * **maintenance stall** — one big batch lands in one table while a
   reader times reads of another: the worst observed read latency must
   not track the batch duration (no cross-table stall).
@@ -21,7 +23,9 @@ tables (8 identical relations, one covered point query each):
 Runs under pytest (``PYTHONPATH=src python -m pytest
 benchmarks/bench_concurrent_serving.py``) or standalone
 (``PYTHONPATH=src python benchmarks/bench_concurrent_serving.py
-[--quick]``) — the latter is the CI smoke.
+[--quick]``) — the latter is the CI smoke. The ratio swings widely on
+a small host under the interpreter lock (0.5x–5.5x on 2 vCPUs), so
+only the full run gates on it.
 """
 
 from __future__ import annotations
@@ -222,6 +226,26 @@ def measure_reads_under_maintenance(
     return sum(counts) / duration
 
 
+def reader_lock_contention(before, after) -> dict[str, tuple[int, float]]:
+    """Per lock, the contended acquisitions and seconds waited between
+    two ``stats()`` snapshots, on the schema lock and scenario 2's
+    reader tables: nothing write-locks them, so both are exactly 0."""
+
+    def locks(stats):
+        held = {f"t{i}": stats.shards[f"t{i}"].lock for i in range(CLIENTS - 2)}
+        held["schema"] = stats.schema_lock
+        return held
+
+    old, new = locks(before), locks(after)
+    return {
+        name: (
+            lock.contended_acquisitions - old[name].contended_acquisitions,
+            lock.wait_seconds - old[name].wait_seconds,
+        )
+        for name, lock in new.items()
+    }
+
+
 # --------------------------------------------------------------------------- #
 # scenario 3: one big batch must not stall reads of another table
 # --------------------------------------------------------------------------- #
@@ -256,14 +280,21 @@ def measure_maintenance_stall(
 
 
 # --------------------------------------------------------------------------- #
-def run(duration: float = 2.0, stall_rows: int = 20_000) -> tuple[float, bool]:
+def run(
+    duration: float = 2.0, stall_rows: int = 20_000
+) -> tuple[float, bool, dict[str, tuple[int, float]]]:
     """Measure, print, persist; returns (scenario-2 read speedup,
-    sharded stall bounded?)."""
+    sharded stall bounded?, scenario 2's reader-lock contention on the
+    sharded server)."""
     measured: dict[str, dict[str, float]] = {}
+    contention: dict[str, tuple[int, float]] = {}
     for label, sharded in (("single-lock", False), ("sharded", True)):
         server = make_server(sharded)
         pure = measure_pure_reads(server, duration)
+        before = server.stats()
         mixed = measure_reads_under_maintenance(server, duration)
+        if sharded:
+            contention = reader_lock_contention(before, server.stats())
         batch_s, worst_read_s = measure_maintenance_stall(server, stall_rows)
         measured[label] = {
             "pure": pure,
@@ -309,16 +340,24 @@ def run(duration: float = 2.0, stall_rows: int = 20_000) -> tuple[float, bool]:
     print(text)
     write_report("bench_concurrent_serving.txt", text)
     stall_ok = _stall_is_bounded(shard["batch_s"], shard["worst_read_s"])
-    return mixed_speedup, stall_ok
+    return mixed_speedup, stall_ok, contention
 
 
 def _stall_is_bounded(measured_batch: float, worst_read: float) -> bool:
     return worst_read < max(0.05, measured_batch / 4)
 
 
-def check(duration: float, stall_rows: int) -> int:
-    mixed_speedup, stall_ok = run(duration, stall_rows)
-    if mixed_speedup < TARGET_READ_SPEEDUP:
+def check(duration: float, stall_rows: int, quick: bool) -> int:
+    mixed_speedup, stall_ok, contention = run(duration, stall_rows)
+    contended = {name: got for name, got in contention.items() if got != (0, 0.0)}
+    if quick and contended:
+        print(
+            f"FAIL: reads of tables no one writes waited on a lock under "
+            f"disjoint maintenance (contended, seconds): {contended}",
+            file=sys.stderr,
+        )
+        return 1
+    if not quick and mixed_speedup < TARGET_READ_SPEEDUP:
         print(
             f"FAIL: read throughput under disjoint maintenance only "
             f"{mixed_speedup:.1f}x vs single lock "
@@ -333,10 +372,14 @@ def check(duration: float, stall_rows: int) -> int:
             file=sys.stderr,
         )
         return 1
+    gate = (
+        "readers' shards and the schema lock never contended"
+        if quick
+        else f"target {TARGET_READ_SPEEDUP}x"
+    )
     print(
         f"OK: {mixed_speedup:.1f}x aggregate read throughput vs the "
-        f"single-lock baseline (target {TARGET_READ_SPEEDUP}x); "
-        f"cross-table stall bounded"
+        f"single-lock baseline ({gate}); cross-table stall bounded"
     )
     return 0
 
@@ -344,7 +387,7 @@ def check(duration: float, stall_rows: int) -> int:
 def test_concurrent_read_speedup(benchmark):
     from benchmarks.conftest import once
 
-    speedup, _ = once(benchmark, lambda: run(duration=1.5))
+    speedup, _, _ = once(benchmark, lambda: run(duration=1.5))
     assert speedup >= TARGET_READ_SPEEDUP, (
         f"sharded read throughput under disjoint maintenance is only "
         f"{speedup:.1f}x the single-lock baseline "
@@ -368,12 +411,13 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="shorter scenarios, smaller stall batch (the CI smoke)",
+        help="shorter scenarios, smaller stall batch, and the lock-stats "
+        "gate in place of the throughput ratio (the CI smoke)",
     )
     args = parser.parse_args(argv)
     duration = 0.8 if args.quick else 2.0
     stall_rows = 8_000 if args.quick else 20_000
-    return check(duration, stall_rows)
+    return check(duration, stall_rows, args.quick)
 
 
 if __name__ == "__main__":

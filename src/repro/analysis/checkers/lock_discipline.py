@@ -1,16 +1,19 @@
-"""lock-discipline: shard locks only via the canonical-order helpers.
+"""lock-discipline: shard and schema holds only via ``serving/shard.py``.
 
-The bug class (PR 2): multi-shard operations deadlock unless every
-path acquires shard locks in the canonical ``order_shards`` order, and
-holding a leaf mutex while dispatching work (pool, engine execution)
-inverts the lock hierarchy. ``serving/shard.py`` owns the canonical
-helpers (``acquire_read_ordered``, ``ShardLock.read/write``); everyone
-else must go through them.
+The bug class: a request that takes its shard holds one by one can
+deadlock against another unless every path agrees on an order, and one
+interrupted half-way leaks the holds it already has; holding a leaf
+mutex while dispatching work (pool, engine execution) inverts the lock
+hierarchy. ``serving/shard.py``'s ``grant`` / ``release`` take and give
+back every hold a request or a batch needs at once, holding nothing
+while they wait (``ShardLock.read/write`` are the one-lock grant);
+everyone else must go through them.
 
 Three rules:
 
-1. ``.acquire_read()`` / ``.acquire_write()`` outside ``serving/shard.py``
-   is flagged unless the receiver is the level-0 ``_schema_lock``.
+1. A raw ``.acquire_read()`` / ``.acquire_write()`` /
+   ``.release_read()`` / ``.release_write()`` outside
+   ``serving/shard.py`` is flagged, whatever the lock.
 2. Inside a ``with`` on a leaf mutex (``_mutex``, ``_lock``, ...), no
    further lock acquisition and no dispatch/execute call may appear.
 3. A serving-path function that takes a write lock must not also
@@ -40,6 +43,7 @@ DISPATCH_CALLS = frozenset(
 )
 
 _ACQUIRE_ATTRS = frozenset({"acquire_read", "acquire_write"})
+_RAW_ATTRS = _ACQUIRE_ATTRS | {"release_read", "release_write"}
 
 
 def _is_leaf_lock_context(expr: ast.AST) -> bool:
@@ -55,7 +59,7 @@ def _is_leaf_lock_context(expr: ast.AST) -> bool:
 
 def _is_lock_acquisition(node: ast.Call) -> bool:
     name = terminal_name(node.func)
-    if name in _ACQUIRE_ATTRS:
+    if name in _ACQUIRE_ATTRS or name == "grant":
         return True
     if name in {"read", "write"} and isinstance(node.func, ast.Attribute):
         receiver = (terminal_name(node.func.value) or "").lower()
@@ -67,8 +71,9 @@ def _is_lock_acquisition(node: ast.Call) -> bool:
 class LockDisciplineChecker(Checker):
     rule = "lock-discipline"
     description = (
-        "shard locks must go through serving/shard.py's canonical-order "
-        "helpers; no acquisition or dispatch while a leaf mutex is held"
+        "shard and schema holds only through serving/shard.py's "
+        "grant/release; no acquisition or dispatch while a leaf mutex "
+        "is held"
     )
 
     def check(self, module: ModuleContext) -> list[Finding]:
@@ -92,18 +97,16 @@ class LockDisciplineChecker(Checker):
                 continue
             if not isinstance(node.func, ast.Attribute):
                 continue
-            if node.func.attr not in _ACQUIRE_ATTRS:
+            if node.func.attr not in _RAW_ATTRS:
                 continue
             receiver = terminal_name(node.func.value) or ""
-            if receiver == "_schema_lock":
-                continue  # level-0 schema lock: always first, always safe
             findings.append(
                 module.finding(
                     self.rule,
                     node,
                     f"raw `{node.func.attr}` on `{receiver or '<expr>'}` "
-                    f"outside serving/shard.py — use the canonical-order "
-                    f"helpers (acquire_read_ordered / ShardLock.read/write)",
+                    f"outside serving/shard.py — take holds through its "
+                    f"grant / release (or ShardLock.read/write)",
                 )
             )
         return findings
@@ -154,7 +157,9 @@ class LockDisciplineChecker(Checker):
                 if not isinstance(node, ast.Call):
                     continue
                 name = terminal_name(node.func) or ""
-                if name == "acquire_write":
+                if name == "acquire_write" or (
+                    name == "grant" and len(node.args) + len(node.keywords) > 1
+                ):
                     write_taken = True
                 elif name == "write" and isinstance(node.func, ast.Attribute):
                     receiver = (terminal_name(node.func.value) or "").lower()

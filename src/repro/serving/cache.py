@@ -296,10 +296,12 @@ class ResultCache:
         self._dropped: Counter[str] = Counter()
 
     # ------------------------------------------------------------------ #
-    def observe(self, versions: Mapping[str, int]) -> tuple[int, ...]:
+    def observe(self, versions: Mapping[str, int], probe: Any = None) -> Any:
         """Sweep each table whose live version is not the one the cache
         knew (it moved around the serving layer); returns the tables'
-        epochs, in ``versions``' order."""
+        epochs, in ``versions``' order. Given a ``probe`` key, also makes
+        its :meth:`lookup` in the same section, and returns ``(epochs,
+        entry or None)``."""
         swept: list[tuple[str, int]] = []
         with self._mutex:
             known = self._versions
@@ -308,21 +310,27 @@ class ResultCache:
                     known[table] = version
                     swept.append((table, self._sweep(table)))
             epochs = tuple([self._epochs.get(table, 0) for table in versions])
+            if probe is not None:
+                entry = self._lookup(probe)
         for table, dropped in swept:
             logger.debug(_SWEPT, table, "out-of-band change", dropped)
-        return epochs
+        return epochs if probe is None else (epochs, entry)
 
     def lookup(self, key: Hashable) -> Any:
         with self._mutex:
-            slot = self._slots.get(key)
-            if slot is None:
-                self.stats.misses += 1
-                return None
-            self.stats.hits += 1
-            self._saved += slot.cost
-            slot.priority = self._clock + slot.cost
-            slot.tick = next(self._ticks)
-            return slot.entry
+            return self._lookup(key)
+
+    def _lookup(self, key: Hashable) -> Any:
+        """The entry under ``key``, if any: a hit re-prices it."""
+        slot = self._slots.get(key)
+        if slot is None:
+            self.stats.misses += 1
+            return None
+        self.stats.hits += 1
+        self._saved += slot.cost
+        slot.priority = self._clock + slot.cost
+        slot.tick = next(self._ticks)
+        return slot.entry
 
     def peek(self, key: Hashable) -> Any:
         """No re-pricing, no hit/miss counts."""

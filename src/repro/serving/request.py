@@ -7,7 +7,8 @@ forwards) — builds one :class:`Request` holding the fully resolved
 :class:`~repro.beas.session.ExecutionOptions` and hands it to
 :func:`serve`, which runs :data:`STAGES` in order. The first stage that
 returns a :class:`~repro.beas.session.Result` ends the request; the
-read locks the ``observe`` stage took are released on every way out.
+read holds the ``observe`` stage was granted are released on every way
+out.
 
 The answer is the paper's (§2, Fig. 1): BE Checker -> BE Plan Generator
 -> bounded / partially bounded / conventional / approximate execution.
@@ -41,6 +42,7 @@ from repro.engine.router import allowed_routes, routing_features
 from repro.errors import ServingError
 from repro.serving.cache import approx_size
 from repro.serving.prepared import PreparedBinding, PreparedQuery
+from repro.serving.shard import grant, release
 from repro.sql import ast
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -50,7 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.executor import QueryResult
     from repro.engine.router import RouteChoice
     from repro.serving.server import BEASServer
-    from repro.serving.shard import Shard
+    from repro.serving.shard import ShardLock
 
 #: an answer that presented more keys than this is filed coarse on all
 #: its tables: filing it key by key would cost more than a re-run
@@ -145,13 +147,15 @@ class Request:
     # observe
     started: float = field(init=False)
     #: the read holds :func:`serve` releases
-    shards: Optional[list["Shard"]] = field(default=None, init=False)
+    locks: Optional[tuple["ShardLock", ...]] = field(default=None, init=False)
     lock_wait: float = field(init=False)
     generation: int = field(init=False)
     versions: dict[str, int] = field(init=False)
     #: the result cache's sweep epochs of ``versions``' tables
     epochs: tuple[int, ...] = field(init=False)
     result_key: tuple[Any, ...] = field(init=False)
+    #: what the result cache held under ``result_key`` when observed
+    entry: Optional[CachedResult] = field(default=None, init=False)
     # decide / route / execute
     coverage: "CoverageDecision" = field(init=False)
     provenance: str = field(init=False)
@@ -202,14 +206,16 @@ def front_end(server: "BEASServer", request: Request) -> None:
 
 
 def observe(server: "BEASServer", request: Request) -> None:
-    """Take the schema + dependency read locks and observe, under them,
-    the access-schema generation and the table-version vector."""
+    """Be granted the schema + dependency read holds and observe, under
+    them, the access-schema generation, the table-version vector and,
+    in the result cache's same section, what it holds for this key."""
     # wall-clock anchor of a cached serve's latency (real, never 0.0) and
     # of a miss's cost, by which the result cache retains its answer
     request.started = time.perf_counter()
     server.count("executions")
-    shards, request.lock_wait = server.acquire_reads(request.tables)
-    request.shards = shards
+    locks = server.read_locks(request.tables)
+    request.lock_wait = grant(locks)
+    request.locks = locks
     # observed while holding the schema + shard read locks: a completed
     # register/unregister (schema write section) and a completed
     # adjust_bounds batch on any dependency table (its shard write
@@ -224,23 +230,26 @@ def observe(server: "BEASServer", request: Request) -> None:
         for name in request.binding.template.table_order
         if name in database
     }
-    # a table that moved around the serving layer is swept here
-    request.epochs = server.results.observe(versions)
     options = request.options
-    request.result_key = (
+    key = request.result_key = (
         request.fingerprint,
         options.budget,
         options.allow_partial,
         options.approximate_over_budget,
     )
+    # a table that moved around the serving layer is swept here
+    if options.use_result_cache:
+        request.epochs, request.entry = server.results.observe(versions, probe=key)
+    else:
+        request.epochs = server.results.observe(versions)
 
 
 def probe_exact(server: "BEASServer", request: Request) -> Optional[Result]:
-    """Serve a presentation-equal answer from the result cache, if it
-    is still fresh."""
+    """Serve the presentation-equal answer ``observe`` found in the
+    result cache, if it is still fresh."""
     if not request.options.use_result_cache:
         return None
-    entry = server.results.lookup(request.result_key)
+    entry = request.entry
     if entry is not None:
         if _entry_fresh(entry, request):
             return _serve_cached(request, entry, list(entry.rows), "result-cache")
@@ -377,8 +386,8 @@ def admit(server: "BEASServer", request: Request) -> Result:
     )
 
 
-#: The request path. ``observe`` takes the read locks every later stage
-#: runs under; :func:`serve` releases them.
+#: The request path. ``observe`` is granted the read holds every later
+#: stage runs under; :func:`serve` releases them.
 STAGES: tuple[Stage, ...] = (
     front_end,
     observe,
@@ -400,8 +409,8 @@ def serve(server: "BEASServer", request: Request) -> Result:
             if result is not None:
                 return result
     finally:
-        if request.shards is not None:
-            server.release_reads(request.shards)
+        if request.locks is not None:
+            release(request.locks)
     raise ServingError("no stage answered the request")
 
 

@@ -20,10 +20,16 @@ Concurrency model (the sharded architecture):
   :class:`~repro.serving.shard.Shard` holding a reader/writer lock
   over the table's rows + access indices. Single-table queries and
   maintenance batches on disjoint tables proceed fully in parallel; a
-  multi-table join takes read locks on every dependency shard in
-  **canonical table order**
-  (deadlock-free), so its answer is computed against one consistent
-  table-version vector — no torn reads across shards.
+  multi-table join holds read locks on every dependency shard at once,
+  so its answer is computed against one consistent table-version
+  vector — no torn reads across shards.
+* **One grant per request**: every lock of a server shares one
+  condition, and a read's schema and dependency holds (a batch's
+  schema read and table write hold) are granted together in one
+  critical section (:func:`~repro.serving.shard.grant`), or not at all.
+  A grant that must wait holds nothing while it waits, so there is no
+  lock order, and an uncontended read is one critical section to take
+  and one to give back.
 * The parse and decision caches are **lock-striped**
   (:class:`~repro.serving.shard.StripedCache`), keyed by text /
   fingerprint, so hot traffic on distinct queries does not serialise on
@@ -74,9 +80,8 @@ from repro.serving.shard import (
     ShardLock,
     ShardStats,
     StripedCache,
-    acquire_read_ordered,
-    order_shards,
-    release_read_ordered,
+    grant,
+    release,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -86,7 +91,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.maintenance.incremental import UpdateBatch
 
 #: Shard name used when ``sharded=False`` (every table maps here) and for
-#: queries with an empty dependency set.
+#: names that are no table. (A query with an empty dependency set takes
+#: the schema hold alone.)
 GLOBAL_SHARD = "__global__"
 
 
@@ -231,7 +237,9 @@ class BEASServer:
         #: Session that built this server (else the engine's own)
         self._options = options or ExecutionOptions.of_engine(beas)
         self._sharded = sharded
-        self._schema_lock = ShardLock("schema")
+        #: the one condition every lock of this server shares
+        self._cond = threading.Condition(threading.Lock())
+        self._schema_lock = ShardLock("schema", self._cond)
         #: leaf mutex guarding prepared registry, request counters, and
         #: the observed schema generation
         self._admin_lock = threading.Lock()
@@ -259,7 +267,9 @@ class BEASServer:
         table_names = [table.schema.name for table in beas.database]
         # the global shard stands in for names that are no table
         shard_names = table_names + [GLOBAL_SHARD] if sharded else [GLOBAL_SHARD]
-        self._shards = {name: Shard(name) for name in shard_names}
+        self._shards = {name: Shard(name, self._cond) for name in shard_names}
+        #: dependency set -> the locks a read of it is granted
+        self._read_locks: dict[frozenset[str], tuple[ShardLock, ...]] = {}
 
         self._prepared: dict[str, PreparedQuery] = {}
         self._prepared_by_fingerprint: dict[str, PreparedQuery] = {}
@@ -313,7 +323,7 @@ class BEASServer:
             with self._admin_lock:
                 shard = self._shards.get(table_name)
                 if shard is None:  # table added after server construction
-                    shard = self._shards[table_name] = Shard(table_name)
+                    shard = self._shards[table_name] = Shard(table_name, self._cond)
         return shard
 
     def shards(self) -> dict[str, Shard]:
@@ -457,24 +467,18 @@ class BEASServer:
         with self._admin_lock:
             self._counts[name] += by
 
-    def acquire_reads(
-        self, tables: frozenset[str]
-    ) -> tuple[list[Shard], float]:
-        """Read-hold the schema lock, then every dependency shard in
-        canonical order; returns the held shards and the seconds waited."""
-        waited = self._schema_lock.acquire_read()
-        try:
-            shards = order_shards(self.shard(name) for name in tables)
-            waited += acquire_read_ordered(shards)
-        # beaslint: ok(except-discipline) - drops the schema hold, then re-raises whatever it was
-        except BaseException:
-            self._schema_lock.release_read()
-            raise
-        return shards, waited
-
-    def release_reads(self, shards: list[Shard]) -> None:
-        release_read_ordered(shards)
-        self._schema_lock.release_read()
+    def read_locks(self, tables: frozenset[str]) -> tuple[ShardLock, ...]:
+        """The schema lock and every dependency shard's: what one
+        :func:`~repro.serving.shard.grant` takes for a read of
+        ``tables``. Kept per dependency set once each name has its own
+        shard (a name that is no table yet may be one later)."""
+        locks = self._read_locks.get(tables)
+        if locks is None:
+            shards = {self.shard(name) for name in tables}
+            locks = (self._schema_lock, *(shard.lock for shard in shards))
+            if not self._sharded or tables <= self._shards.keys():
+                self._read_locks[tables] = locks
+        return locks
 
     def schema_read(self):
         """A read hold on the schema lock alone (decision-only calls)."""
@@ -500,36 +504,32 @@ class BEASServer:
 
     def _maintain(self, table_name: str, apply) -> "UpdateBatch":
         self.observe_schema_generation()
-        self._schema_lock.acquire_read()
+        # raises UnknownTableError before any shard state is touched
+        table = self._beas.database.table(table_name)
+        shard = self.shard(table_name)
+        reads = (self._schema_lock,)
+        grant(reads, shard.lock)
         try:
-            # raises UnknownTableError before any shard state is touched
-            table = self._beas.database.table(table_name)
-            shard = self.shard(table_name)
-            # beaslint: ok(lock-discipline) - single-shard maintenance write under the schema read lock; one shard is canonical by construction
-            shard.lock.acquire_write()
+            # under the write hold no answer on this table can be
+            # admitted: whatever the batch outdates is filed by now
+            results, before = self.results, table.version
             try:
-                # under the write hold no answer on this table can be
-                # admitted: whatever the batch outdates is filed by now
-                results, before = self.results, table.version
-                try:
-                    batch = apply()
-                # beaslint: ok(except-discipline) - sweeps, then re-raises whatever it was
-                except BaseException:
-                    # a refused (rolled-back) batch still moves
-                    # Table.version, and a failed one may have applied:
-                    # every answer on the table goes
-                    results.sweep(table_name, table.version, "refused or failed batch")
-                    raise
-                else:
-                    results.apply_write(
-                        table_name, before, table.version, batch.changed_keys
-                    )
-                finally:
-                    shard.note_maintenance()
+                batch = apply()
+            # beaslint: ok(except-discipline) - sweeps, then re-raises whatever it was
+            except BaseException:
+                # a refused (rolled-back) batch still moves
+                # Table.version, and a failed one may have applied:
+                # every answer on the table goes
+                results.sweep(table_name, table.version, "refused or failed batch")
+                raise
+            else:
+                results.apply_write(
+                    table_name, before, table.version, batch.changed_keys
+                )
             finally:
-                shard.lock.release_write()
+                shard.note_maintenance()
         finally:
-            self._schema_lock.release_read()
+            release(reads, shard.lock)
         # an ADJUST batch may have widened a bound (schema generation)
         self.observe_schema_generation()
         return batch

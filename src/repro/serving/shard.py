@@ -5,7 +5,8 @@ one relation never blocks reads of another:
 
 * :class:`ShardLock` — an instrumented reader/writer lock (writer
   preference, lock-wait accounting) guarding one shard's table data and
-  its access indices;
+  its access indices, and :func:`grant` / :func:`release`, which take
+  and give back holds on several such locks at once;
 * :class:`Shard` — one table's lock and maintenance counter
   (:class:`TableShard`: plus a private result-cache slice, for
   ``perf/trace.py``);
@@ -13,19 +14,21 @@ one relation never blocks reads of another:
   coverage-decision caches, so hot single-table traffic on different
   fingerprints does not serialise on one mutex.
 
-Deadlock freedom: shard locks are only ever taken in **canonical table
-order** (sorted by table name; see :func:`order_shards`), maintenance
-takes exactly one shard write lock, and the cache mutexes (a stripe's,
-the result cache's) are leaves — held only for dictionary operations,
-never while acquiring a shard or schema lock.
+Deadlock freedom: every hold a request or a batch needs (the schema
+lock's and its tables') is taken in one :func:`grant`, all at once or
+not at all, and a grant that must wait holds nothing while it waits —
+so no lock order exists to get wrong. The cache mutexes (a stripe's,
+the result cache's) are leaves: held only for dictionary operations,
+never while taking a grant.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Hashable, Iterable, Optional, Sequence
+from typing import Any, Callable, Hashable, Iterator, Optional, Sequence
 
 from repro.serving.cache import CacheStats, Doorkeeper, LRUCache
 
@@ -62,14 +65,15 @@ class ShardLock:
 
     Multiple readers may hold the lock concurrently; writers are
     exclusive. Waiting writers block new readers (writer preference) so
-    a steady read stream cannot starve maintenance. Not reentrant: a
-    thread must not re-acquire a lock it already holds, which the
-    serving layer guarantees by acquiring each shard at most once per
-    request, in canonical order.
+    a steady read stream cannot starve maintenance. Not reentrant.
+
+    Every lock of one server shares one condition, ``cond``, so that
+    :func:`grant` can take holds on several of them in one critical
+    section; a lock made without one builds its own.
     """
 
-    def __init__(self, name: str):
-        self._cond = threading.Condition()
+    def __init__(self, name: str, cond: Optional[threading.Condition] = None):
+        self._cond = cond or threading.Condition(threading.Lock())
         self._readers = 0
         self._writer: Optional[int] = None
         self._waiting_writers = 0
@@ -78,77 +82,33 @@ class ShardLock:
     # ------------------------------------------------------------------ #
     def acquire_read(self) -> float:
         """Block until a read hold is granted; returns seconds waited."""
-        waited = 0.0
-        with self._cond:
-            if self._writer is not None or self._waiting_writers:
-                self.stats.contended_acquisitions += 1
-                start = time.perf_counter()
-                while self._writer is not None or self._waiting_writers:
-                    self._cond.wait()
-                waited = time.perf_counter() - start
-                self.stats.read_wait_seconds += waited
-            self._readers += 1
-            self.stats.read_acquisitions += 1
-        return waited
+        return grant((self,))
 
     def release_read(self) -> None:
-        with self._cond:
-            self._readers -= 1
-            if self._readers == 0:
-                self._cond.notify_all()
+        release((self,))
 
     def acquire_write(self) -> float:
         """Block until the exclusive hold is granted; returns seconds waited."""
-        waited = 0.0
-        with self._cond:
-            self._waiting_writers += 1
-            if self._readers or self._writer is not None:
-                self.stats.contended_acquisitions += 1
-                start = time.perf_counter()
-                while self._readers or self._writer is not None:
-                    self._cond.wait()
-                waited = time.perf_counter() - start
-                self.stats.write_wait_seconds += waited
-            self._waiting_writers -= 1
-            self._writer = threading.get_ident()
-            self.stats.write_acquisitions += 1
-        return waited
+        return grant((), self)
 
     def release_write(self) -> None:
-        with self._cond:
-            self._writer = None
-            self._cond.notify_all()
+        release((), self)
 
-    # ------------------------------------------------------------------ #
-    class _ReadHold:
-        def __init__(self, lock: "ShardLock"):
-            self._lock = lock
+    @contextmanager
+    def read(self) -> Iterator["ShardLock"]:
+        grant((self,))
+        try:
+            yield self
+        finally:
+            release((self,))
 
-        def __enter__(self):
-            self._lock.acquire_read()
-            return self._lock
-
-        def __exit__(self, *exc):
-            self._lock.release_read()
-            return False
-
-    class _WriteHold:
-        def __init__(self, lock: "ShardLock"):
-            self._lock = lock
-
-        def __enter__(self):
-            self._lock.acquire_write()
-            return self._lock
-
-        def __exit__(self, *exc):
-            self._lock.release_write()
-            return False
-
-    def read(self) -> "ShardLock._ReadHold":
-        return ShardLock._ReadHold(self)
-
-    def write(self) -> "ShardLock._WriteHold":
-        return ShardLock._WriteHold(self)
+    @contextmanager
+    def write(self) -> Iterator["ShardLock"]:
+        grant((), self)
+        try:
+            yield self
+        finally:
+            release((), self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ShardLock({self.stats.name}, readers={self._readers})"
@@ -183,9 +143,9 @@ class Shard:
     indices, and its maintenance counter. (Cached answers live in the
     server's one :class:`~repro.serving.cache.ResultCache`.)"""
 
-    def __init__(self, table: str):
+    def __init__(self, table: str, cond: Optional[threading.Condition] = None):
         self.table = table
-        self.lock = ShardLock(table)
+        self.lock = ShardLock(table, cond)
         self._mutex = threading.Lock()  # leaf: guards everything below
         self.maintenance_batches = 0
 
@@ -245,27 +205,80 @@ class TableShard(Shard):
             return self.results.invalidate_where(predicate)
 
 
-def order_shards(shards: Iterable[Shard]) -> list[Shard]:
-    """Deduplicate + sort shards into the canonical (deadlock-free)
-    acquisition order: ascending table name."""
-    unique: dict[str, Shard] = {}
-    for shard in shards:
-        unique[shard.table] = shard
-    return [unique[name] for name in sorted(unique)]
-
-
-def acquire_read_ordered(shards: Sequence[Shard]) -> float:
-    """Take read holds on ``shards`` (already canonically ordered);
-    returns the total seconds spent waiting."""
-    waited = 0.0
-    for shard in shards:
-        waited += shard.lock.acquire_read()
+def grant(reads: Sequence[ShardLock], write: Optional[ShardLock] = None) -> float:
+    """Read holds on every lock in ``reads`` and, given ``write``, the
+    exclusive hold on it (the locks share one condition): all granted in
+    one critical section, or none. While any is unavailable the caller
+    waits holding nothing and re-checks the whole set on each wake, so
+    no acquisition order is needed; each interval waited is charged to
+    a lock that blocked it. Returns the seconds waited."""
+    cond = (write or reads[0])._cond
+    with cond:
+        waited = 0.0
+        if _blocker(reads, write) is not None:
+            waited = _wait(cond, reads, write)
+        for lock in reads:
+            lock._readers += 1
+            lock.stats.read_acquisitions += 1
+        if write is not None:
+            write._writer = threading.get_ident()
+            write.stats.write_acquisitions += 1
     return waited
 
 
-def release_read_ordered(shards: Sequence[Shard]) -> None:
-    for shard in reversed(shards):
-        shard.lock.release_read()
+def release(reads: Sequence[ShardLock], write: Optional[ShardLock] = None) -> None:
+    """Give back what :func:`grant` granted, in one critical section;
+    waiters are woken only when a writer may now proceed."""
+    cond = (write or reads[0])._cond
+    with cond:
+        wake = write is not None
+        if write is not None:
+            write._writer = None
+        for lock in reads:
+            lock._readers -= 1
+            if not lock._readers and lock._waiting_writers:
+                wake = True
+        if wake:
+            cond.notify_all()
+
+
+def _blocker(reads: Sequence[ShardLock], write: Optional[ShardLock]) -> Optional[ShardLock]:
+    """A lock of the set that cannot be granted now, if any."""
+    if write is not None and (write._readers or write._writer is not None):
+        return write
+    for lock in reads:
+        if lock._writer is not None or lock._waiting_writers:
+            return lock
+    return None
+
+
+def _wait(
+    cond: threading.Condition, reads: Sequence[ShardLock], write: Optional[ShardLock]
+) -> float:
+    if write is not None:
+        write._waiting_writers += 1  # writer preference: its new readers park
+    charged: set[ShardLock] = set()
+    waited = 0.0
+    try:
+        while (blocker := _blocker(reads, write)) is not None:
+            if blocker not in charged:
+                charged.add(blocker)
+                blocker.stats.contended_acquisitions += 1
+            start = time.perf_counter()
+            cond.wait()
+            seconds = time.perf_counter() - start
+            waited += seconds
+            if blocker is write:
+                blocker.stats.write_wait_seconds += seconds
+            else:
+                blocker.stats.read_wait_seconds += seconds
+    finally:
+        # on every way out, or the readers parked behind the
+        # registration would wait for a writer that never comes
+        if write is not None:
+            write._waiting_writers -= 1
+            cond.notify_all()
+    return waited
 
 
 # --------------------------------------------------------------------------- #

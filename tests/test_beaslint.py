@@ -126,7 +126,7 @@ class TestNullGuard:
 
 
 # --------------------------------------------------------------------------- #
-# lock-discipline — PR 2's canonical-order invariant
+# lock-discipline — holds only through serving/shard.py's grant/release
 # --------------------------------------------------------------------------- #
 class TestLockDiscipline:
     def test_flags_raw_acquire_outside_shard_module(self):
@@ -142,11 +142,26 @@ class TestLockDiscipline:
         assert len(hits) == 1
         assert hits[0].line == 3
 
-    def test_schema_lock_is_exempt(self):
+    def test_schema_lock_is_not_exempt(self):
         report = _lint(
             """\
             def grab(self):
                 self._schema_lock.acquire_read()
+                self._schema_lock.release_read()
+            """,
+            "serving/server.py",
+        )
+        assert [hit.line for hit in _hits(report, "lock-discipline")] == [2, 3]
+
+    def test_grant_and_release_pass(self):
+        report = _lint(
+            """\
+            def read(self, tables):
+                locks = self.read_locks(tables)
+                grant(locks)
+                release(locks)
+                with self._schema_lock.write():
+                    pass
             """,
             "serving/server.py",
         )
@@ -155,13 +170,26 @@ class TestLockDiscipline:
     def test_shard_module_itself_is_exempt(self):
         report = _lint(
             """\
-            def acquire_read_ordered(shards):
-                for shard in shards:
-                    shard.lock.acquire_read()
+            def acquire_read(self):
+                return grant((self,))
+
+            def release_read(self):
+                self.lock.release_read()
             """,
             "serving/shard.py",
         )
         assert not _hits(report, "lock-discipline")
+
+    def test_write_grant_then_dispatch_is_flagged(self):
+        report = _lint(
+            """\
+            def maintain(self, lock, plan):
+                grant((self._schema_lock,), lock)
+                return self._engine.execute(plan)
+            """,
+            "serving/server.py",
+        )
+        assert [hit.line for hit in _hits(report, "lock-discipline")] == [3]
 
     def test_flags_dispatch_under_leaf_mutex(self):
         report = _lint(
@@ -706,7 +734,7 @@ class TestSuppressions:
         report = _lint(
             """\
             def grab(self, shard):
-                shard.lock.acquire_write()  # beaslint: ok(lock-discipline) - single shard, canonical by construction
+                shard.lock.acquire_write()  # beaslint: ok(lock-discipline) - the only hold this thread takes, released in its finally
             """,
             "serving/server.py",
         )
@@ -718,7 +746,7 @@ class TestSuppressions:
         report = _lint(
             """\
             def grab(self, shard):
-                # beaslint: ok(lock-discipline) - single shard, canonical by construction
+                # beaslint: ok(lock-discipline) - the only hold this thread takes, released in its finally
                 shard.lock.acquire_write()
             """,
             "serving/server.py",

@@ -12,22 +12,24 @@ random mutation sequence through the serving layer,
 contract — which answers on the *written* table survive.)
 
 Plus focused coverage of the pieces: the reader/writer lock, the
-striped cache, canonical shard ordering, the admission policy, and the
-global-lock (``sharded=False``) degradation mode.
+striped cache, the one-critical-section grant of a request's holds, the
+admission policy, and the global-lock (``sharded=False``) degradation
+mode.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 import threading
 import time
 
 import pytest
 
-from repro import BEAS
+from repro import BEAS, AccessConstraint
 from repro.errors import MaintenanceError, ServingError
-from repro.serving import BEASServer, ShardLock, StripedCache, TableShard
-from repro.serving.shard import order_shards
+from repro.serving import BEASServer, ShardLock, StripedCache
+from repro.serving.shard import grant, release
 
 from tests.conftest import (
     EXAMPLE2_SQL,
@@ -50,6 +52,33 @@ BUSINESS_SQL = (
 def server():
     with BEAS(example1_database(), example1_access_schema()) as beas:
         yield beas.session().server
+
+
+class Interrupted(BaseException):
+    """What a ``KeyboardInterrupt`` out of a lock wait stands for."""
+
+
+def _interrupt_next_wait(cond: threading.Condition) -> None:
+    """Make the next ``cond.wait()`` raise :class:`Interrupted`."""
+
+    def interrupted(*args, **kwargs):
+        del cond.wait  # later waits are the real ones again
+        raise Interrupted
+
+    cond.wait = interrupted
+
+
+def _wait_until(predicate, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.001)
+
+
+def _in_thread(target) -> threading.Thread:
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    return thread
 
 
 # --------------------------------------------------------------------------- #
@@ -116,6 +145,21 @@ class TestShardLock:
         reader.join(timeout=10)
         assert got_write.is_set() and got_second_read.is_set()
 
+    def test_interrupted_writer_wait_does_not_wedge_the_lock(self):
+        """A writer whose wait raises takes back its registration, so
+        writer preference does not park every later reader for good."""
+        lock = ShardLock("t")
+        lock.acquire_read()  # the writer has to wait
+        _interrupt_next_wait(lock._cond)
+        with pytest.raises(Interrupted):
+            lock.acquire_write()
+        lock.release_read()
+        got_read = threading.Event()
+        reader = _in_thread(lambda: (lock.acquire_read(), got_read.set()))
+        reader.join(timeout=10)
+        assert got_read.is_set()
+        assert lock._waiting_writers == 0
+
 
 class TestStripedCache:
     def test_round_trip_and_aggregated_stats(self):
@@ -143,25 +187,198 @@ class TestStripedCache:
             StripedCache("d", max_entries=8, stripes=0)
 
 
-class TestShardOrdering:
-    def test_canonical_order_and_dedup(self):
-        shards = [
-            TableShard(name, result_entries=4, result_bytes=None)
-            for name in ("call", "business", "call", "package")
-        ]
-        ordered = order_shards(shards)
-        assert [s.table for s in ordered] == ["business", "call", "package"]
+# --------------------------------------------------------------------------- #
+# the grant: a request's holds, taken together in one critical section
+# --------------------------------------------------------------------------- #
+class TestGrant:
+    def test_parked_reader_holds_nothing_on_its_other_tables(self, server):
+        """A join parked behind a writer on one of its tables holds no
+        read on the others: a writer on those completes meanwhile."""
+        package = server.shard("package").lock
+        package.acquire_write()
+        served = []
+        try:
+            reader = _in_thread(lambda: served.append(server.execute(EXAMPLE2_SQL)))
+            _wait_until(lambda: package.stats.contended_acquisitions == 1)
+            writer = _in_thread(lambda: server.insert("call", MUTATIONS["call"](0)))
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+            assert reader.is_alive() and not served
+        finally:
+            package.release_write()
+        reader.join(timeout=10)
+        assert served
+        versions = served[0].metrics.table_versions
+        assert versions["call"] == server.database.table("call").version
 
-    def test_server_rejects_unknown_admission(self):
-        beas = BEAS(example1_database(), example1_access_schema())
-        with pytest.raises(ServingError):
-            BEASServer(beas, result_admission="sometimes")
+    def test_interrupted_join_leaks_no_hold(self, server):
+        """A join interrupted while parked behind a writer on one table
+        leaves no read hold on the schema or its other tables."""
+        package = server.shard("package").lock
+        package.acquire_write()
+        _interrupt_next_wait(package._cond)
+        try:
+            with pytest.raises(Interrupted):
+                server.execute(EXAMPLE2_SQL)
+        finally:
+            package.release_write()
+        for name in ("call", "business"):
+            assert server.shard(name).lock._readers == 0
+        assert server._schema_lock._readers == 0
+        writer = _in_thread(lambda: server.insert("call", MUTATIONS["call"](0)))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+    def test_writer_preference_is_per_lock(self):
+        """Through the shared condition, a waiting writer on ``a`` parks
+        new readers of ``a`` only; a reader of ``b`` alone never waits."""
+        cond = threading.Condition(threading.Lock())
+        a, b = ShardLock("a", cond), ShardLock("b", cond)
+        grant((a,))
+        wrote, read = threading.Event(), threading.Event()
+        writer = _in_thread(
+            lambda: (grant((), a), wrote.set(), release((), a))
+        )
+        _wait_until(lambda: a._waiting_writers == 1)
+        reader = _in_thread(
+            lambda: (grant((a, b)), read.set(), release((a, b)))
+        )
+        _wait_until(lambda: a.stats.contended_acquisitions == 2)
+        assert grant((b,)) == 0.0
+        release((b,))
+        assert not wrote.is_set() and not read.is_set()
+        release((a,))
+        writer.join(timeout=10)
+        reader.join(timeout=10)
+        assert wrote.is_set() and read.is_set()
+        assert b.stats.contended_acquisitions == 0
+        assert a.stats.write_wait_seconds > 0 and a.stats.read_wait_seconds > 0
+        assert (a._readers, a._writer, b._readers) == (0, None, 0)
+
+    def test_register_waits_for_reads_in_flight_and_blocks_new_ones(self, server):
+        in_flight = server.read_locks(frozenset({"call"}))
+        grant(in_flight)
+        schema = server._schema_lock
+        constraint = AccessConstraint("business", ["pnum"], ["type"], 4, name="psi4")
+        registered = threading.Event()
+        served = []
+        try:
+            register = _in_thread(
+                lambda: (server.register(constraint), registered.set())
+            )
+            _wait_until(lambda: schema._waiting_writers == 1)
+            reader = _in_thread(lambda: served.append(server.execute(CALL_SQL)))
+            _wait_until(lambda: schema.stats.contended_acquisitions == 2)
+            assert not registered.is_set() and not served
+        finally:
+            release(in_flight)
+        register.join(timeout=10)
+        reader.join(timeout=10)
+        assert registered.is_set() and served
+        # the read parked behind the register observed its generation
+        assert served[0].decision.generation == server.beas.catalog.schema_generation
+
+
+def test_grant_stress_answers_match_their_versions():
+    """Readers over random table subsets, writers on two tables and one
+    register: no thread deadlocks (every join is bounded), and every
+    answer equals a fresh evaluation at the table versions it reports."""
+    readers, reads, pairs = 4, 50, 12
+    answers: list[tuple[str, dict[str, int], list]] = []
+    start = threading.Barrier(readers + 3, timeout=10)
+    finished: list[str] = []
+    # table -> version -> the written rows present at it
+    states: dict[str, dict[int, tuple]] = {}
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with BEAS(example1_database(), example1_access_schema()) as beas:
+            server = beas.session().server
+            for table in ("call", "package"):
+                states[table] = {server.database.table(table).version: ()}
+
+            def read(seed: int) -> None:
+                rng = random.Random(seed)
+                start.wait()
+                done = 0
+                # at least ``reads``, and on until both writers finish
+                while done < reads or writers_left():
+                    sql, _ = rng.choice(QUERY_POOL)
+                    result = server.execute(sql)
+                    answers.append((sql, result.metrics.table_versions, result.rows))
+                    done += 1
+
+            def writers_left() -> bool:
+                return len(finished) < len(states)
+
+            def write(table: str) -> None:
+                # the one writer of its table: the version after each
+                # batch is the batch's own
+                start.wait()
+                try:
+                    for i in range(pairs):
+                        rows = MUTATIONS[table](i)
+                        for apply, present in ((server.insert, tuple(rows)), (server.delete, ())):
+                            apply(table, rows)
+                            states[table][server.database.table(table).version] = present
+                            time.sleep(0.001)  # let reads in between
+                finally:
+                    finished.append(table)
+
+            def register() -> None:
+                start.wait()
+                time.sleep(0.005)
+                server.register(constraint)
+
+            constraint = AccessConstraint("business", ["pnum"], ["type"], 4, name="psi4")
+            generation = beas.catalog.schema_generation
+            threads = [_in_thread(lambda s=s: read(s)) for s in range(readers)]
+            threads += [_in_thread(lambda t=t: write(t)) for t in states]
+            threads.append(_in_thread(register))
+            deadline = time.monotonic() + 10
+            for thread in threads:
+                thread.join(timeout=max(0.0, deadline - time.monotonic()))
+            assert not any(t.is_alive() for t in threads), "deadlock canary"
+            assert beas.catalog.schema_generation > generation
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(answers) >= readers * reads
+
+    # the reference: one engine moved to each observed state in turn
+    with BEAS(example1_database(), example1_access_schema()) as beas:
+        reference = beas.session()
+        present: dict[str, tuple] = {table: () for table in states}
+        expected: dict[tuple, list] = {}
+        for sql, versions, rows in answers:
+            # a version no batch left behind (a torn read) is a KeyError
+            want = tuple(
+                (table, states[table][versions[table]])
+                for table in sorted(versions)
+                if table in states
+            )
+            if (sql, want) not in expected:
+                for table, rows_at in want:
+                    if present[table] != rows_at:
+                        if present[table]:
+                            reference.delete(table, list(present[table]))
+                        if rows_at:
+                            reference.insert(table, list(rows_at))
+                        present[table] = rows_at
+                expected[sql, want] = sorted(
+                    reference.run(sql, use_result_cache=False).rows
+                )
+            assert sorted(rows) == expected[sql, want], (sql, versions)
 
 
 # --------------------------------------------------------------------------- #
 # admission policy: admit-on-second-hit
 # --------------------------------------------------------------------------- #
 class TestAdmissionPolicy:
+    def test_server_rejects_unknown_admission(self):
+        beas = BEAS(example1_database(), example1_access_schema())
+        with pytest.raises(ServingError):
+            BEASServer(beas, result_admission="sometimes")
+
     def test_once_seen_is_not_cached_twice_seen_is(self, server):
         server.execute(CALL_SQL)
         stats = server.stats()
