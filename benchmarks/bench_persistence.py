@@ -145,7 +145,7 @@ def measure_traffic(keys: int, rows_per_bucket: int) -> dict:
             stats = beas.pool_stats()
             assert stats is not None, "parallelism >= 2 must start the pool"
             assert stats.snapshots_sent >= MAINTENANCE_ROUNDS
-            shipped[label] = stats.snapshot_bytes_shipped
+            shipped[label] = stats.bytes_shipped
             answers[label] = sorted(rows)
             if "mmap" in str(options.get("storage")):
                 assert stats.shm_attaches >= MAINTENANCE_ROUNDS, (

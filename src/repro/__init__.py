@@ -49,7 +49,8 @@ from repro.access.schema import AccessSchema
 from repro.access.index import AccessIndex
 from repro.access.catalog import ASCatalog
 from repro.engine.executor import ConventionalEngine, QueryResult
-from repro.engine.pool import EnginePool, PoolStats
+from repro.engine.pool import EnginePool
+from repro.distributed.peerset import PeerStats
 from repro.engine.profiles import EngineProfile, MARIADB, MYSQL, POSTGRESQL, PROFILES
 from repro.bounded.coverage import BoundedEvaluabilityChecker, CoverageDecision
 from repro.bounded.planner import BoundedPlanGenerator
@@ -81,7 +82,7 @@ __all__ = [
     "QueryResult",
     "EngineProfile",
     "EnginePool",
-    "PoolStats",
+    "PeerStats",
     "POSTGRESQL",
     "MYSQL",
     "MARIADB",

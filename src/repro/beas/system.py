@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, Union
 if TYPE_CHECKING:  # pragma: no cover
     from repro.beas.session import ExecutionOptions, Session
     from repro.bounded.approximation import ApproximateResult
-    from repro.distributed.fleet import FleetStats, ReplicaFleet
+    from repro.distributed.fleet import ReplicaFleet
     from repro.engine.executor import QueryResult
     from repro.serving.server import BEASServer
 
@@ -49,7 +49,8 @@ from repro.storage.mmapstore import MmapStore, StorageStats
 from repro.engine.columnar import resolve_executor_mode, resolve_rows_per_batch
 from repro.engine.executor import ConventionalEngine
 from repro.engine.logical import explain as explain_logical
-from repro.engine.pool import EnginePool, PoolStats, resolve_parallelism
+from repro.distributed.peerset import PeerStats
+from repro.engine.pool import EnginePool, resolve_parallelism
 from repro.engine.profiles import EngineProfile, POSTGRESQL
 from repro.bounded.analyzer import PerformanceAnalysis, PerformanceAnalyzer
 from repro.bounded.approximation import BoundedApproximator
@@ -93,6 +94,9 @@ class _LazyPeers:
                         self._spawn_error = error
                         self._live = None
                         return None
+                    # peers are daemonic, but close deterministically when
+                    # their engine is collected (test suites build many)
+                    weakref.finalize(self, live.close)
                     self._live = live
         return live
 
@@ -284,22 +288,14 @@ class BEAS:
             if self._store is not None
             else None
         )
-        pool = EnginePool(self.parallelism, snapshot_exporter=exporter)
-        # workers are daemonic, but close deterministically when this
-        # BEAS is collected (test suites build many)
-        weakref.finalize(self, EnginePool.close, pool)
-        return pool
+        return EnginePool(self.parallelism, snapshot_exporter=exporter)
 
     def _spawn_fleet(self) -> "ReplicaFleet":
         from repro.distributed.fleet import ReplicaFleet
 
-        fleet = ReplicaFleet(
-            self.catalog,
-            replicas=self.replicas,
-            port_base=self.fleet_port_base,
+        return ReplicaFleet(
+            self.catalog, replicas=self.replicas, port_base=self.fleet_port_base
         )
-        weakref.finalize(self, ReplicaFleet.close, fleet)
-        return fleet
 
     @property
     def pool(self) -> Optional[EnginePool]:
@@ -307,7 +303,7 @@ class BEAS:
         the ``pool`` route starts it on demand)."""
         return self._pool.peek()
 
-    def pool_stats(self) -> Optional[PoolStats]:
+    def pool_stats(self) -> Optional[PeerStats]:
         pool = self._pool.peek()
         return pool.stats() if pool is not None else None
 
@@ -318,7 +314,7 @@ class BEAS:
         *notifies* a live fleet's delta tail, it never spawns one)."""
         return self._fleet.peek()
 
-    def fleet_stats(self) -> Optional["FleetStats"]:
+    def fleet_stats(self) -> Optional[PeerStats]:
         fleet = self._fleet.peek()
         return fleet.stats() if fleet is not None else None
 

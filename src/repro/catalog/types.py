@@ -10,6 +10,8 @@ comparisons lexicographic and hashing cheap.
 from __future__ import annotations
 
 import enum
+import math
+import sys
 from typing import Any
 
 from repro.errors import TypeMismatchError
@@ -57,6 +59,25 @@ def _coerce_date(value: Any) -> str:
     raise TypeMismatchError(f"cannot interpret {value!r} as DATE (want 'YYYY-MM-DD')")
 
 
+def int_text_bits() -> float:
+    """The bit length up to which every int has a decimal text: one of
+    at most ``sys.get_int_max_str_digits()`` digits, the only kind the
+    WAL, a CSV or a JSON record can write (unlimited when that is 0)."""
+    limit = sys.get_int_max_str_digits()
+    return limit * math.log2(10) if limit else math.inf
+
+
+def _has_text(value: int) -> bool:
+    return value.bit_length() <= int_text_bits() or abs(value) < 10 ** sys.get_int_max_str_digits()
+
+
+def shown(value: Any) -> str:
+    """``repr(value)`` for a message; an int with no text by its size."""
+    if isinstance(value, int) and not _has_text(value):
+        return f"an int of {value.bit_length()} bits"
+    return repr(value)
+
+
 def coerce_value(value: Any, dtype: DataType) -> Any:
     """Convert ``value`` to the Python representation of ``dtype``.
 
@@ -70,13 +91,13 @@ def coerce_value(value: Any, dtype: DataType) -> Any:
         if dtype is DataType.INT:
             if isinstance(value, bool):
                 return int(value)
-            if isinstance(value, int):
+            if isinstance(value, int) and _has_text(value):
                 return value
             if isinstance(value, float) and value.is_integer():
                 return int(value)
             if isinstance(value, str) and value.strip().lstrip("+-").isdigit():
                 return int(value.strip())
-            raise TypeMismatchError(f"cannot interpret {value!r} as INT")
+            raise TypeMismatchError(f"cannot interpret {shown(value)} as INT")
         if dtype is DataType.FLOAT:
             if isinstance(value, bool):
                 return float(value)
@@ -94,7 +115,7 @@ def coerce_value(value: Any, dtype: DataType) -> Any:
         if dtype is DataType.DATE:
             return _coerce_date(value)
     except (ValueError, TypeError, OverflowError) as exc:
-        raise TypeMismatchError(f"cannot interpret {value!r} as {dtype.name}") from exc
+        raise TypeMismatchError(f"cannot interpret {shown(value)} as {dtype.name}") from exc
     raise TypeMismatchError(f"unsupported data type {dtype!r}")  # pragma: no cover
 
 
@@ -103,7 +124,8 @@ def is_compatible(value: Any, dtype: DataType) -> bool:
     if value is None:
         return True
     if dtype is DataType.INT:
-        return isinstance(value, int) and not isinstance(value, bool)
+        # an int with no decimal text could not be logged, so is no INT
+        return isinstance(value, int) and not isinstance(value, bool) and _has_text(value)
     if dtype is DataType.FLOAT:
         if isinstance(value, float):
             return True

@@ -1,25 +1,31 @@
-"""Distributed serving tier: coordinator + socket-connected read replicas.
+"""Peer processes: the engine pool's workers and the fleet's replicas.
 
-The package generalises the engine pool's snapshot protocol (PR 4) from
-worker processes on pipes to serving replicas on TCP sockets:
+One protocol, one serve loop and one coordinator side, two transports:
 
 * :mod:`repro.distributed.protocol` — the shared vocabulary (task
   kinds, reply tags, the stale-retry state machine, the indices-only
-  peer catalog) plus the CRC-framed socket wire. The engine pool
-  imports its protocol pieces from here, so pipe and socket cannot
-  drift apart.
-* :mod:`repro.distributed.replica` — the replica process: binds a
-  loopback port, accepts its coordinator, installs snapshot subsets and
-  deltas, and serves covered bounded plans over its indices.
-* :mod:`repro.distributed.fleet` — the coordinator's client:
-  constraint-group placement, template routing, delta-tail catch-up,
-  death/failover handling, and :class:`~repro.distributed.fleet.FleetStats`.
+  peer catalog) and the wire: ``u32 len | u32 crc32 | pickle`` frames
+  over a pipe (:class:`~repro.distributed.protocol.PipeChannel`) or a
+  socket (:class:`~repro.distributed.protocol.SocketChannel`).
+* :mod:`repro.distributed.peer` — the peer process's one serve loop:
+  snapshot, shared-memory and delta installs, plan tasks under the
+  per-task key check, chaos hooks.
+* :mod:`repro.distributed.peerset` — the coordinator's peer handle and
+  peer set: spawn and budgeted respawn, the task deadline, the stale
+  retry, the catch-up ladder (delta tail, shm export, pickled snapshot),
+  dispatch, close, and :class:`~repro.distributed.peerset.PeerStats`.
+* :mod:`repro.distributed.replica` / :mod:`repro.distributed.fleet` —
+  the serving fleet: a replica process on a loopback port, and the
+  coordinator's constraint-group placement, template routing and delta
+  tail. The engine pool (:mod:`repro.engine.pool`) is the other
+  configuration of the same peer set.
 
-Enable it with ``replicas >= 2`` (``BEAS_REPLICAS``); see
-``docs/api.md``, *Distributed serving*.
+Enable the fleet with ``replicas >= 2`` (``BEAS_REPLICAS``) and the pool
+with ``parallelism >= 2`` (``BEAS_PARALLELISM``); see ``docs/api.md``.
 """
 
-from repro.distributed.fleet import FleetStats, ReplicaFleet
+from repro.distributed.fleet import ReplicaFleet
+from repro.distributed.peerset import PeerStats
 from repro.distributed.protocol import (
     REPLY_STALE,
     SnapshotCatalog,
@@ -29,7 +35,7 @@ from repro.distributed.protocol import (
 )
 
 __all__ = [
-    "FleetStats",
+    "PeerStats",
     "ReplicaFleet",
     "REPLY_STALE",
     "SnapshotCatalog",

@@ -1,32 +1,34 @@
-"""The snapshot protocol, extracted from the engine pool and put on a wire.
+"""The snapshot protocol and the two transports that carry it.
 
-``engine/pool.py`` (PR 4) invented the conversation this module now
-owns: a master ships a catalog snapshot keyed by *(schema generation,
+A coordinator ships a catalog snapshot keyed by *(schema generation,
 per-table version vector)*; a peer answers compute tasks only when the
 task's key matches its installed snapshot, replying ``stale`` with what
-it has installed otherwise; the master re-ships and retries exactly
-once. The pool spoke that protocol over ``multiprocessing`` pipes; the
-serving fleet (:mod:`repro.distributed.fleet`) speaks it over TCP
-sockets to replica processes. The vocabulary — task kinds, reply tags,
-the stale-retry state machine, the indices-only peer catalog — lives
-here so the two transports cannot drift apart.
+it has installed otherwise; the coordinator re-ships and retries exactly
+once. The engine pool speaks it to worker processes over
+``multiprocessing`` pipes, the serving fleet to replica processes over
+TCP sockets. The vocabulary — task kinds, reply tags, the stale-retry
+state machine, the indices-only peer catalog — and the wire live here,
+so the two transports cannot drift apart.
 
-Wire framing reuses the WAL's ``u32 len | u32 crc32 | payload`` frame
-(:func:`repro.storage.wal.frame_record`): one format for disk, shared
-memory, and sockets. Frame payloads are pickled task/reply tuples:
-indices, delta rows and answers travel as the Python values they are,
-so the socket invents no value coding of its own (an index that
-receives a NaN re-canonicalises it, :mod:`repro.storage.codec`). Any
-framing violation (EOF mid-frame, an implausible length, a
-CRC mismatch, an unpicklable payload) raises :class:`WireError`; a
-corrupt stream is never resynchronised, the connection is torn down and
-the dispatch fails over to coordinator-local execution.
+Both transports carry the WAL's ``u32 len | u32 crc32 | payload`` frame
+(:func:`repro.storage.wal.frame_record`) around a pickled task or reply
+tuple: a :class:`PipeChannel` sends one frame per pipe message, a
+:class:`SocketChannel` streams them. Indices, delta rows and answers
+travel as the Python values they are, so the wire invents no value
+coding of its own (an index that receives a NaN re-canonicalises it,
+:mod:`repro.storage.codec`). Any framing violation (EOF mid-frame, an
+implausible length, a CRC mismatch, an unpicklable payload) raises
+:class:`WireError`; a corrupt stream is never resynchronised, the peer
+is torn down and the dispatch falls back to coordinator-local
+execution.
 """
 
 from __future__ import annotations
 
 import pickle
 import socket
+import time
+from contextlib import suppress
 from typing import Any, Callable, Optional
 
 from repro.errors import ReproError, StorageError
@@ -38,8 +40,7 @@ from repro.storage.wal import (
 )
 
 # --------------------------------------------------------------------------- #
-# the shared vocabulary (tags predate this module: the pool's pipe wire
-# already speaks them, so they are string constants, not an enum)
+# the shared vocabulary
 # --------------------------------------------------------------------------- #
 MSG_EXIT = "exit"
 MSG_PING = "ping"
@@ -62,12 +63,8 @@ _RECV_CHUNK = 1 << 20
 
 
 def describe_error(error: BaseException) -> str:
-    """The unsupported-reply rendering of an exception (class + message).
-
-    The pool's pipe wire used ``repr``; the codec rule bans ad-hoc
-    ``repr`` coding in wire modules, and the class name plus message is
-    the part a fallback log actually needs.
-    """
+    """The unsupported-reply rendering of an exception (class + message;
+    the codec rule bans ad-hoc ``repr`` coding in wire modules)."""
     return f"{type(error).__name__}: {error}"
 
 
@@ -170,20 +167,71 @@ def snapshot_key(
 
 
 # --------------------------------------------------------------------------- #
-# the socket wire
+# the wire: one frame, two channels
 # --------------------------------------------------------------------------- #
 class WireError(Exception):
     """The connection's framed stream is unusable (EOF, torn frame, CRC
-    mismatch, undecodable payload, socket failure). Deliberately not a
-    :class:`~repro.errors.ReproError`: a wire failure is infrastructure,
-    the dispatcher fails over to local execution and must never surface
-    it as a semantic query error."""
+    mismatch, undecodable payload, a pipe or socket failure, a missed
+    task deadline). Deliberately not a :class:`~repro.errors.ReproError`:
+    a wire failure is infrastructure, the dispatcher falls back to local
+    execution and must never surface it as a semantic query error."""
+
+
+def _frame(payload: bytes) -> bytes:
+    try:
+        return frame_record(payload)
+    except StorageError as error:
+        raise WireError(str(error)) from error
+
+
+def _sendall(sock: socket.socket, data: bytes) -> None:
+    try:
+        sock.sendall(data)
+    except OSError as error:
+        raise WireError(f"socket send failed: {error}") from error
+
+
+def encode_message(message: tuple) -> bytes:
+    """One protocol tuple as the frame both transports carry."""
+    try:
+        payload = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+    except Exception as error:  # noqa: BLE001 - a message that cannot serialize (mid-mutation index, exotic value) must fall back, not crash the serving thread
+        raise WireError(f"message failed to serialize: {error}") from error
+    return _frame(payload)
+
+
+def decode_message(payload: bytes) -> tuple:
+    """The protocol tuple in one verified frame payload."""
+    try:
+        message = pickle.loads(payload)
+    except Exception as error:  # noqa: BLE001 - a CRC-valid but undecodable payload is still a dead stream, same fallback as corruption
+        raise WireError(f"frame payload failed to unpickle: {error}") from error
+    if not isinstance(message, tuple) or not message:
+        raise WireError(
+            f"frame payload is not a protocol tuple: {type(message).__name__}"
+        )
+    return message
+
+
+# A frame is checked as :func:`repro.storage.wal.scan_frames` checks a
+# logged one: a partial header, an implausible length, a short payload
+# and a checksum mismatch are all WireError — on a wire there is no
+# valid-prefix recovery, the stream is dead.
+def _split_header(header) -> tuple[int, int]:
+    try:
+        return split_frame_header(header)
+    except StorageError as error:
+        raise WireError(str(error)) from error
+
+
+def _checked(payload, checksum: int):
+    if not frame_payload_matches(payload, checksum):
+        raise WireError("frame checksum mismatch")
+    return payload
 
 
 def recv_exact(sock: socket.socket, count: int) -> bytes:
     """Read exactly ``count`` bytes or raise :class:`WireError`."""
-    if count == 0:
-        return b""
     chunks: list[bytes] = []
     remaining = count
     while remaining > 0:
@@ -203,34 +251,15 @@ def recv_exact(sock: socket.socket, count: int) -> bytes:
 
 def send_frame(sock: socket.socket, payload: bytes) -> int:
     """Send one framed payload; returns the bytes put on the wire."""
-    try:
-        frame = frame_record(payload)
-    except StorageError as error:
-        raise WireError(str(error)) from error
-    try:
-        sock.sendall(frame)
-    except OSError as error:
-        raise WireError(f"socket send failed: {error}") from error
+    frame = _frame(payload)
+    _sendall(sock, frame)
     return len(frame)
 
 
 def recv_frame(sock: socket.socket) -> bytes:
-    """Receive one framed payload, verifying length and CRC.
-
-    The failure reasons mirror :func:`repro.storage.wal.scan_frames`:
-    a partial header, an implausible length, a short payload, and a
-    checksum mismatch are all :class:`WireError` — on a socket there is
-    no valid-prefix recovery, the stream is dead.
-    """
-    header = recv_exact(sock, FRAME_HEADER_BYTES)
-    try:
-        length, checksum = split_frame_header(header)
-    except StorageError as error:
-        raise WireError(str(error)) from error
-    payload = recv_exact(sock, length)
-    if not frame_payload_matches(payload, checksum):
-        raise WireError("frame checksum mismatch")
-    return payload
+    """Receive one framed payload, verifying length and CRC."""
+    length, checksum = _split_header(recv_exact(sock, FRAME_HEADER_BYTES))
+    return _checked(recv_exact(sock, length), checksum)
 
 
 def send_message(sock: socket.socket, message: tuple) -> int:
@@ -240,16 +269,87 @@ def send_message(sock: socket.socket, message: tuple) -> int:
 
 def recv_message(sock: socket.socket) -> tuple:
     """Receive one protocol tuple from a verified frame."""
-    payload = recv_frame(sock)
-    try:
-        message = pickle.loads(payload)
-    except Exception as error:  # noqa: BLE001 - a CRC-valid but undecodable payload is still a dead stream, same failover as corruption
-        raise WireError(f"frame payload failed to unpickle: {error}") from error
-    if not isinstance(message, tuple) or not message:
-        raise WireError(
-            f"frame payload is not a protocol tuple: {type(message).__name__}"
-        )
-    return message
+    return decode_message(recv_frame(sock))
+
+
+class Channel:
+    """One end of a peer conversation: protocol tuples in frames.
+
+    A subclass is the only code that knows its transport: its
+    ``send_frame(frame)`` puts one frame's bytes on it (a chaos hook may
+    hand it a torn one), ``recv_payload()`` takes one verified payload
+    off it, waiting at most ``timeout`` seconds (``None``: for ever),
+    and ``close()`` ends it. Every failure is a :class:`WireError`.
+    """
+
+    def send(self, message: tuple) -> int:
+        """Send one protocol tuple; returns the bytes put on the wire."""
+        frame = encode_message(message)
+        self.send_frame(frame)
+        return len(frame)
+
+    def recv(self) -> tuple:
+        return decode_message(self.recv_payload())
+
+    def shutdown(self) -> None:
+        """End the outgoing stream after a torn frame."""
+
+
+class PipeChannel(Channel):
+    """A duplex ``multiprocessing`` pipe: one frame per pipe message
+    (``send_bytes`` / ``recv_bytes``)."""
+
+    def __init__(self, conn, timeout: Optional[float] = None):
+        self.conn = conn
+        self.timeout = timeout
+
+    def send_frame(self, frame: bytes) -> None:
+        try:
+            self.conn.send_bytes(frame)
+        except (OSError, ValueError) as error:
+            raise WireError(f"pipe send failed: {error}") from error
+
+    def recv_payload(self) -> bytes:
+        try:
+            if self.timeout is not None and not self.conn.poll(self.timeout):
+                raise WireError(f"no reply within the {self.timeout}s deadline")
+            data = memoryview(self.conn.recv_bytes())
+        except (EOFError, OSError) as error:
+            raise WireError(f"pipe receive failed: {error}") from error
+        length, checksum = _split_header(data[:FRAME_HEADER_BYTES].tobytes())
+        payload = data[FRAME_HEADER_BYTES:]
+        if len(payload) != length:
+            raise WireError(f"a {length}-byte frame arrived with {len(payload)}")
+        return _checked(payload, checksum)
+
+    def close(self) -> None:
+        with suppress(OSError):
+            self.conn.close()
+
+
+class SocketChannel(Channel):
+    """A TCP stream of frames (:func:`send_frame` / :func:`recv_frame`)."""
+
+    def __init__(self, sock: socket.socket, timeout: Optional[float] = None):
+        # small request/reply frames: Nagle plus delayed-ACK would stall
+        # every round-trip
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.settimeout(timeout)
+        self.sock = sock
+
+    def send_frame(self, frame: bytes) -> None:
+        _sendall(self.sock, frame)
+
+    def recv_payload(self) -> bytes:
+        return recv_frame(self.sock)
+
+    def shutdown(self) -> None:
+        with suppress(OSError):
+            self.sock.shutdown(socket.SHUT_WR)
+
+    def close(self) -> None:
+        with suppress(OSError):
+            self.sock.close()
 
 
 def connect_with_retry(
@@ -265,8 +365,6 @@ def connect_with_retry(
     the caller marks the replica dead and serves locally (graceful
     degradation, never an error on the query path).
     """
-    import time
-
     deadline = time.perf_counter() + deadline_seconds
     while True:
         try:

@@ -63,8 +63,7 @@ from typing import TYPE_CHECKING, Any, Mapping, Optional, Union
 from repro.beas.session import Decision, ExecutionOptions, Result, options_layer
 from repro.bounded.subsume import SubsumptionIndex
 from repro.config import env_routing_epsilon
-from repro.engine.pool import PoolStats
-from repro.distributed.fleet import FleetStats
+from repro.distributed.peerset import PeerStats
 from repro.engine.router import ExecutorRouter, RouterStats
 from repro.errors import ServingError
 from repro.sql import ast
@@ -141,12 +140,12 @@ class ServingStats:
     # engine-pool counters (None while no pool has started): requests on
     # this server dispatch bounded work to the BEAS instance's worker
     # processes when it was built with parallelism >= 2
-    pool: Optional[PoolStats] = None
+    pool: Optional[PeerStats] = None
     # serving-fleet counters (None while no replica fleet has spawned):
     # covered bounded requests on this server are answered by the BEAS
     # instance's socket-connected read replicas when it was built with
     # replicas >= 2
-    fleet: Optional[FleetStats] = None
+    fleet: Optional[PeerStats] = None
     # learned-routing counters (routing="learned" requests): per-route
     # decisions, exploration rate, training observations
     routing: Optional[RouterStats] = None

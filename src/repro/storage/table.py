@@ -12,12 +12,13 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from collections import Counter
+from itertools import chain
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.catalog.schema import TableSchema
 from repro.catalog.statistics import TableStatistics, collect_statistics
-from repro.catalog.types import DataType, coerce_value, is_compatible
+from repro.catalog.types import DataType, coerce_value, int_text_bits, is_compatible, shown
 from repro.errors import StorageError, TypeMismatchError
 from repro.storage.codec import (
     EXACT_TYPES,
@@ -59,6 +60,7 @@ class WritePlan:
         self._floats = tuple(
             i for i, dtype in enumerate(dtypes) if dtype is DataType.FLOAT
         )
+        self._ints = tuple(i for i, dtype in enumerate(dtypes) if dtype is DataType.INT)
         self._dates = tuple(
             i for i, dtype in enumerate(dtypes) if dtype is DataType.DATE
         )
@@ -76,8 +78,8 @@ class WritePlan:
             return [self._coerced(row) for row in rows]
         if not rows or (self._exactly_typed(rows) and nan_free(rows, self._floats)):
             return ExactRows(map(tuple, rows))
-        # a subclass, ``2016-6-1``, a NaN, an int no float can hold, a
-        # wrong type or arity: value by value
+        # a subclass, ``2016-6-1``, a NaN, an int no float can hold or
+        # too long to write, a wrong type or arity: value by value
         return [canonical_key(row) for row in self._walk(rows)]
 
     def canonical(self, rows: list) -> list[Row]:
@@ -123,6 +125,10 @@ class WritePlan:
         columns = tuple(zip(*rows))
         if not exactly_typed(columns, self._exact):
             return False
+        # one C-level pass over the INT cells: a long int gets the exact check
+        ints = chain.from_iterable(map(columns.__getitem__, self._ints))
+        if max(map(int.bit_length, filter(None, ints)), default=0) > int_text_bits():
+            return False
         valid = self._valid_dates
         for position in self._dates:
             if not valid.issuperset(columns[position]):
@@ -150,7 +156,7 @@ class WritePlan:
             for value, column in zip(row, schema.columns):
                 if not is_compatible(value, column.dtype):
                     raise TypeMismatchError(
-                        f"value {value!r} is not a {column.dtype.name} "
+                        f"value {shown(value)} is not a {column.dtype.name} "
                         f"(column {schema.name}.{column.name})"
                     )
         return self._dated(rows)

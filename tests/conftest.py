@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import multiprocessing
 import tempfile
 from pathlib import Path
 
@@ -143,6 +144,24 @@ def no_stray_store_dirs():
         assert not leaked, f"test left store directories behind: {sorted(leaked)}"
 
 
+def _peer_processes() -> set:
+    return {p for p in multiprocessing.active_children() if p.name.startswith("beas-")}
+
+
+@pytest.fixture(scope="module", autouse=True)
+def no_stray_peer_processes():
+    """Fail a module that leaves a live pool worker or fleet replica
+    (``beas-*``) behind: a pooled or fleet engine a fixture held and
+    never closed. A peer set nothing refers to any more closes itself on
+    collection, so one is forced first."""
+    before = _peer_processes()
+    yield
+    if _peer_processes() - before:
+        gc.collect()
+        leaked = _peer_processes() - before
+        assert not leaked, f"module left peer processes behind: {sorted(p.name for p in leaked)}"
+
+
 @pytest.fixture
 def ex1_schema() -> DatabaseSchema:
     return example1_schema()
@@ -188,6 +207,7 @@ def tlc_small():
     return generate_tlc(scale=1, seed=42)
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture(scope="module")
 def tlc_beas(tlc_small):
-    return BEAS(tlc_small.database, tlc_access_schema())
+    with BEAS(tlc_small.database, tlc_access_schema()) as beas:
+        yield beas

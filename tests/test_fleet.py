@@ -3,7 +3,7 @@
 Covers the fleet's contract end to end: option validation and engine
 pinning, constraint-group placement and template routing, version-vector
 consistent serves (delta re-ship after maintenance), death/failover with
-in-coordinator fallback and budgeted respawn, the ``FleetStats`` /
+in-coordinator fallback and budgeted respawn, the ``PeerStats`` /
 ``ServingStats.fleet`` surfaces, and the ``serve-stats --replicas`` CLI.
 
 Every test uses its own port range (``_ports``) so replica listeners
@@ -131,14 +131,16 @@ class TestConfig:
 class TestSharedProtocol:
     def test_pool_and_fleet_share_the_protocol_vocabulary(self):
         # the engine pool's pipe protocol and the fleet's socket protocol
-        # must be the same state machine, not two drifting copies
-        from repro.distributed import protocol, replica
+        # must be the same state machine, not two drifting copies: one
+        # serve loop on the peer side, one peer set on the coordinator's
+        from repro.distributed import fleet, peer, peerset, protocol, replica
         from repro.engine import pool
 
-        assert pool.run_plan_task is protocol.run_plan_task
-        assert replica.run_plan_task is protocol.run_plan_task
-        assert pool.REPLY_STALE is protocol.REPLY_STALE
-        assert pool.compute_with_stale_retry is protocol.compute_with_stale_retry
+        assert pool.serve is replica.serve is peer.serve
+        assert peer.run_plan_task is protocol.run_plan_task
+        assert issubclass(pool.EnginePool, peerset.PeerSet)
+        assert issubclass(fleet.ReplicaFleet, peerset.PeerSet)
+        assert peerset.compute_with_stale_retry is protocol.compute_with_stale_retry
 
     def test_stale_retry_state_machine(self):
         from repro.distributed.protocol import (
@@ -349,7 +351,7 @@ class TestFailover:
         session = fleet_beas.session()
         session.query(CALL_SQL).run(use_result_cache=False)
         fleet = fleet_beas.fleet
-        processes = [r.process for r in fleet._replicas]
+        processes = [r.process for r in fleet._peers]
         fleet_beas.close()
         fleet_beas.close()
         assert fleet.closed

@@ -1,15 +1,16 @@
-"""Wire-frame corruption on the replica socket degrades, never lies.
+"""Wire-frame corruption on a peer's channel degrades, never lies.
 
-The socket twin of ``tests/test_storage_persistence.py``'s WAL-tail
+The wire twin of ``tests/test_storage_persistence.py``'s WAL-tail
 cases: the same ``u32 len | u32 crc32 | payload`` frame, the same
 corruption classes (torn frame, short payload, CRC flip, implausible
 length), and the same contract — a corrupt stream is detected, never
 resynchronised, and never produces a wrong answer. At the protocol
 layer every class raises :class:`~repro.distributed.protocol.WireError`
 deterministically (driven over a ``socketpair``); end to end, a fault
-injected into a replica's reply makes the coordinator tear the
-connection down and answer locally, with the failover visible in
-``FleetStats`` — and the respawned replica serves the next read.
+injected into a replica's socket reply or a pool worker's pipe reply
+makes the coordinator tear the peer down and answer locally, with the
+failover visible in ``PeerStats`` — and the respawned peer serves the
+next read.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import threading
 
 import pytest
 
-from repro import BEAS
+from repro import BEAS, EnginePool
+from repro.engine.router import PlanRunner
 from repro.distributed.protocol import (
     WireError,
     recv_frame,
@@ -175,6 +177,30 @@ class TestCorruptReplyFailover:
         finally:
             beas.close()
             oracle.close()
+
+    @pytest.mark.parametrize("mode", ["truncate", "crc", "length"])
+    def test_corrupt_pipe_reply_degrades_to_local_and_recovers(self, mode):
+        # the pool's pipe carries the same frames, so the same three
+        # faults must end the same way: WireError, fallback, respawn
+        beas = BEAS(example1_database(), example1_access_schema())
+        plan = beas.check(CALL_SQL).plan
+        expected = beas.runner.run_route("columnar", plan)
+        with EnginePool(1) as pool:
+            runner = PlanRunner(beas.catalog, pool=lambda: pool)
+            assert runner.run_route("pool", plan).metrics.pool_fallbacks == 0
+            pool.debug("corrupt_next_reply", mode)
+            corrupted = runner.run_route("pool", plan)
+            assert corrupted.rows == expected.rows
+            assert corrupted.metrics.tuples_fetched == expected.metrics.tuples_fetched
+            assert corrupted.metrics.pool_fallbacks == 1
+            stats = pool.stats()
+            assert (stats.failovers, stats.fallbacks, stats.respawns) == (1, 1, 1)
+            assert stats.alive == 1
+
+            recovered = runner.run_route("pool", plan)
+            assert recovered.rows == expected.rows
+            assert recovered.metrics.pool_fallbacks == 0
+        beas.close()
 
     def test_unapplicable_delta_reships_full_snapshot(self):
         # not byte corruption, but the same degrade-don't-lie contract

@@ -327,7 +327,7 @@ class TestPoolWiring:
             assert result.metrics.pool_workers == 2
             stats = server.stats()
             assert stats.pool is not None
-            assert stats.pool.workers == 2
+            assert stats.pool.peers == 2
             assert "engine pool" in stats.describe()
         finally:
             beas.close()

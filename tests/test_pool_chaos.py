@@ -15,7 +15,10 @@ exactly as the in-process executor would.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import itertools
+import types
 
 import pytest
 
@@ -30,10 +33,14 @@ from repro import (
     TableSchema,
 )
 from repro.beas.result import ExecutionMode
+from repro.distributed.fleet import ReplicaFleet
+from repro.distributed.peerset import RESPAWN_BUDGET
 from repro.engine.router import PlanRunner
-from repro.errors import ExecutionError
+from repro.errors import BEASError, ExecutionError
 
 from tests.conftest import engine_run
+
+_PORTS = itertools.count(9000, 16)
 
 
 # --------------------------------------------------------------------------- #
@@ -89,6 +96,30 @@ def pooled_run(beas: BEAS, pool: EnginePool):
     return functools.partial(runner.run_route, "pool")
 
 
+@contextlib.contextmanager
+def remote_route(beas: BEAS, transport: str):
+    """``(run, peers)`` over either transport: a one-worker pool on a
+    pipe, or a two-replica fleet on sockets whose every replica takes a
+    chaos hook sent through ``peers.debug``."""
+    if transport == "pool":
+        with EnginePool(1) as pool:
+            yield pooled_run(beas, pool), pool
+        return
+    with ReplicaFleet(beas.catalog, replicas=2, port_base=next(_PORTS)) as fleet:
+        runner = PlanRunner(beas.catalog, rows_per_batch=4, fleet=lambda: fleet)
+        every_replica = types.SimpleNamespace(
+            debug=lambda *hook: [fleet.debug(*hook, replica_id=i) for i in range(2)],
+            stats=fleet.stats,
+        )
+        yield functools.partial(runner.run_route, "fleet"), every_replica
+
+
+def served_remotely(transport: str, result) -> bool:
+    if transport == "pool":
+        return result.metrics.pool_fallbacks == 0
+    return result.metrics.replica_id >= 0
+
+
 def expected_result(beas: BEAS, sql: str):
     return beas.runner.run_route("columnar", beas.check(sql).plan)
 
@@ -113,7 +144,7 @@ def test_worker_death_mid_task_falls_back_and_respawns(workload):
         # never learn the pool's costs from it
         assert result.metrics.pool_fallbacks == 1
         stats = pool.stats()
-        assert stats.worker_deaths == 1
+        assert stats.failovers == 1
         assert stats.respawns == 1
         assert stats.alive == 1  # a fresh worker replaced the casualty
 
@@ -139,32 +170,57 @@ def test_repeated_worker_deaths_never_corrupt_answers(workload):
             result = run(plan)
             assert result.rows == oracle.rows, f"round {round_number}"
         stats = pool.stats()
-        assert stats.worker_deaths >= 2
+        assert stats.failovers >= 2
         assert stats.alive == 2
 
 
-# --------------------------------------------------------------------------- #
-# stale snapshots
-# --------------------------------------------------------------------------- #
-def test_silently_stale_worker_snapshot_is_detected_and_retried(workload):
+def test_crash_looping_worker_stops_respawning_at_its_budget(workload):
+    """A worker slot that keeps dying is restarted RESPAWN_BUDGET times,
+    as a fleet replica is, then serves nothing: its plans run
+    in-process and the pool forks no more."""
     db, access, sql = workload
     beas = BEAS(db, access, parallelism=1)
     oracle = expected_result(beas, sql)
     plan = beas.check(sql).plan
     with EnginePool(1) as pool:
         run = pooled_run(beas, pool)
+        for _ in range(RESPAWN_BUDGET + 1):
+            # the process is gone before it can reply: that is success
+            assert pool.debug("die") == ("ok",)
+        stats = pool.stats()
+        assert (stats.respawns, stats.alive) == (RESPAWN_BUDGET, 0)
+        result = run(plan)
+        assert result.rows == oracle.rows
+        assert result.metrics.pool_fallbacks == 1
+        assert pool.stats().respawns == RESPAWN_BUDGET
+        with pytest.raises(BEASError, match="no live idle pool peer"):
+            pool.debug("ping")
+
+
+# --------------------------------------------------------------------------- #
+# stale snapshots
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("transport", ["pool", "fleet"])
+def test_silently_stale_worker_snapshot_is_detected_and_retried(workload, transport):
+    db, access, _ = workload
+    # one constraint: no fleet replica co-locates the join's two
+    sql = "SELECT u, g FROM t WHERE k = 'k' ORDER BY u"
+    beas = BEAS(db, access, parallelism=1)
+    oracle = expected_result(beas, sql)
+    plan = beas.check(sql).plan
+    with remote_route(beas, transport) as (run, peers):
         assert run(plan).rows == oracle.rows  # snapshot warm
-        # corrupt the WORKER's installed snapshot key without the master
-        # noticing: the master's bookkeeping now claims the worker is
+        # corrupt the PEER's installed snapshot key without the master
+        # noticing: the master's bookkeeping now claims the peer is
         # fresh while it is not — the per-task key check must catch it
-        pool.debug("set_snapshot_key", ("bogus", "generation"))
+        peers.debug("set_snapshot_key", ("bogus", "generation"))
         result = run(plan)
         assert result.rows == oracle.rows
         # the stale snapshot was re-shipped and the task retried on the
-        # worker — a genuinely pooled run, not a fallback
-        assert result.metrics.pool_fallbacks == 0
-        stats = pool.stats()
-        assert stats.stale_retries >= 1
+        # peer — a genuinely remote run, not a fallback
+        assert served_remotely(transport, result)
+        stats = peers.stats()
+        assert stats.stale_reships >= 1
         assert stats.snapshots_sent >= 2  # the snapshot was re-sent
 
 
@@ -237,11 +293,12 @@ def test_closed_pool_falls_back(workload):
 # --------------------------------------------------------------------------- #
 # semantic errors must propagate, not fall back
 # --------------------------------------------------------------------------- #
-def test_bound_exceeded_propagates_from_workers():
+@pytest.mark.parametrize("transport", ["pool", "fleet"])
+def test_bound_exceeded_propagates_from_workers(transport):
     """Non-conforming data (index built with validate=False) blows the
-    deduced fetch bound; the pooled run must raise the same
-    ExecutionError the in-process run does — never silently fall back
-    into a 'successful' answer."""
+    deduced fetch bound; the remote run, on a pool worker or a fleet
+    replica, must raise the same ExecutionError the in-process run does
+    — never silently fall back into a 'successful' answer."""
     schema = DatabaseSchema(
         [
             TableSchema(
@@ -264,10 +321,12 @@ def test_bound_exceeded_propagates_from_workers():
     plan = beas.check(sql).plan
     with pytest.raises(ExecutionError, match="exceeding its deduced bound"):
         beas.runner.run_route("columnar", plan)
-    with EnginePool(1) as pool:
-        run = pooled_run(beas, pool)
+    with remote_route(beas, transport) as (run, peers):
         with pytest.raises(ExecutionError, match="exceeding its deduced bound"):
             run(plan)
+        # relayed, not fallen back: the peer ran the plan and is still up
+        stats = peers.stats()
+        assert stats.fallbacks == 0 and stats.failovers == 0
 
 
 # --------------------------------------------------------------------------- #
@@ -334,7 +393,7 @@ def test_empty_bucket_index_installs_under_full_snapshot_key(tmp_path):
         stats = beas.pool_stats()
         assert stats is not None
         assert stats.shm_attaches >= 1
-        assert stats.stale_retries == 0
+        assert stats.stale_reships == 0
     finally:
         beas.close()
 
@@ -364,7 +423,7 @@ def test_shm_exporter_decline_falls_back_to_pickle_wire(tmp_path, workload):
         stats = beas.pool_stats()
         assert stats is not None
         assert stats.shm_fallbacks >= 1
-        assert stats.snapshot_bytes_shipped > 0
+        assert stats.bytes_shipped > 0
     finally:
         beas.close()
 

@@ -97,9 +97,8 @@ def rig():
     (the oracle's checker runs must not pollute the session's counter)."""
     db = example1_database()
     schema = example1_access_schema()
-    oracle = BEAS(db, schema)
-    session = Session(beas=BEAS(db, schema))
-    return oracle, session
+    with BEAS(db, schema) as oracle, BEAS(db, schema) as engine:
+        yield oracle, Session(beas=engine)
 
 
 def _binding_stream(template_key: str, slots, seed: int) -> list[dict]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import shutil
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +37,7 @@ from repro import (
     Session,
     TableSchema,
 )
+from repro.catalog.types import coerce_value, is_compatible
 from repro.errors import MaintenanceError, StorageError, TypeMismatchError
 from repro.storage.codec import (
     ExactRows,
@@ -66,6 +68,7 @@ CONSTRAINTS = AccessSchema(
     ]
 )
 TOO_BIG = 10**400  # an int no float can hold: no FLOAT, refused
+HUGE = 10**5000  # more digits than an int's text may have: no INT, refused
 
 
 class Text(str):
@@ -80,7 +83,7 @@ strings = st.one_of(
     st.sampled_from([None, "", '"x"', '""', 'a"b', "a", Text("a")]),
     st.text(max_size=3),
 )
-ints = st.one_of(st.sampled_from([None, 0, -1, 2**70, Count(3)]), st.integers())
+ints = st.one_of(st.sampled_from([None, 0, -1, 2**70, Count(3), HUGE]), st.integers())
 floats = st.one_of(
     st.sampled_from([None, 0.0, -0.0, 1.5, 1e300, 5e-324, 2, TOO_BIG]),
     st.floats(),  # NaN and ±inf included
@@ -113,13 +116,13 @@ def _session(directory) -> Session:
 
 
 def _apply(session: Session, kind: str, argument) -> None:
-    """One step; a refused batch (``10**400``, a row named twice) logs
-    nothing and is no failure."""
+    """One step; a refused batch (``10**400``, ``10**5000``, a row named
+    twice) logs nothing and is no failure."""
     if kind == "insert":
         try:
             session.insert("t", argument)
         except TypeMismatchError:
-            assert any(row[2] is TOO_BIG for row in argument)
+            assert any(row[1] is HUGE or row[2] is TOO_BIG for row in argument)
         return
     held = session.database.table("t").rows
     try:
@@ -218,6 +221,44 @@ def test_a_reopen_replays_every_admitted_batch_alike(tmp_path_factory, sequence)
     finally:
         session.close()
     replayed = _session(directory)
+    try:
+        _assert_replays(live, replayed)
+    finally:
+        replayed.close()
+
+
+def test_an_int_with_no_decimal_text_is_refused_whole(tmp_path):
+    """An INT cell with more digits than ``sys.get_int_max_str_digits()``
+    has no text for the WAL to log: the batch is refused at admission,
+    on every engine, and the table, its version and the log stay put."""
+    limit = sys.get_int_max_str_digits()
+    for value in (10**limit - 1, -(10**limit - 1)):  # exactly the limit
+        assert is_compatible(value, DataType.INT)
+        assert coerce_value(value, DataType.INT) == value
+        assert WritePlan(SCHEMA).admit([("z", value, 0.5, None, None)])[0][1] == value
+    for value in (10**limit, -(10**limit), HUGE):  # a digit or more past it
+        assert not is_compatible(value, DataType.INT)
+        with pytest.raises(TypeMismatchError):
+            coerce_value(value, DataType.INT)
+        with pytest.raises(TypeMismatchError):
+            WritePlan(SCHEMA).admit([("z", value, 0.5, None, None)])
+    batch = [("z", 5, 0.5, None, None), ("z", HUGE, 0.5, None, None)]
+    with Session(_base(), CONSTRAINTS) as memory:
+        with pytest.raises(TypeMismatchError):
+            memory.insert("t", batch)
+        assert memory.database.table("t").rows == _base().table("t").rows
+    session = _session(tmp_path)
+    try:
+        table = session.database.table("t")
+        before = (list(table.rows), table.version, _state(session))
+        with pytest.raises(TypeMismatchError):
+            session.insert("t", batch)
+        assert (list(table.rows), table.version, _state(session)) == before
+        assert session.stats().storage.wal_records_appended == 0
+        live = list(table.rows)
+    finally:
+        session.close()
+    replayed = _session(tmp_path)
     try:
         _assert_replays(live, replayed)
     finally:

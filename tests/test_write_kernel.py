@@ -48,7 +48,7 @@ from repro import (
     TableSchema,
 )
 from repro.catalog.types import coerce_value, is_compatible
-from repro.distributed.replica import apply_delta_records
+from repro.distributed.peer import apply_delta_records
 from repro.errors import (
     AccessSchemaError,
     ConformanceError,
