@@ -67,13 +67,26 @@ class ASCatalog:
             raise AccessSchemaError(
                 f"constraint {constraint.name!r} already registered"
             )
-        table = self.database.table(constraint.relation)
-        start = time.perf_counter()
-        index = AccessIndex(constraint)
-        index.build(table, validate=validate)
-        elapsed = time.perf_counter() - start
+        index = self._build(constraint, validate=validate)
         if constraint.name not in self.schema:
             self.schema.add(constraint)
+        self.note_schema_change()
+        return index
+
+    def build_all(self, *, validate: bool = True) -> None:
+        """Build indices for every constraint of the schema not yet built."""
+        for constraint in self.schema:
+            if constraint.name not in self._indexes:
+                self._build(constraint, validate=validate)
+
+    def _build(self, constraint: AccessConstraint, *, validate: bool) -> AccessIndex:
+        """Build one constraint's index from its table and record its
+        statistics row; nothing is recorded when the build fails."""
+        start = time.perf_counter()
+        index = AccessIndex(constraint).build(
+            self.database.table(constraint.relation), validate=validate
+        )
+        elapsed = time.perf_counter() - start
         self._indexes[constraint.name] = index
         self._statistics[constraint.name] = IndexStatistics(
             constraint_name=constraint.name,
@@ -83,60 +96,6 @@ class ASCatalog:
             max_bucket_size=index.max_bucket_size,
             storage_cells=index.storage_cells(),
             build_seconds=elapsed,
-        )
-        self.note_schema_change()
-        return index
-
-    def build_all(self, *, validate: bool = True) -> None:
-        """Build indices for every constraint of the schema not yet built."""
-        for constraint in self.schema:
-            if constraint.name not in self._indexes:
-                # temporary removal dance: register() re-adds to the schema
-                index = AccessIndex(constraint)
-                start = time.perf_counter()
-                index.build(self.database.table(constraint.relation), validate=validate)
-                elapsed = time.perf_counter() - start
-                self._indexes[constraint.name] = index
-                self._statistics[constraint.name] = IndexStatistics(
-                    constraint_name=constraint.name,
-                    relation=constraint.relation,
-                    key_count=index.key_count,
-                    entry_count=index.entry_count,
-                    max_bucket_size=index.max_bucket_size,
-                    storage_cells=index.storage_cells(),
-                    build_seconds=elapsed,
-                )
-
-    def install_index(
-        self,
-        constraint: AccessConstraint,
-        index: AccessIndex,
-        *,
-        build_seconds: float = 0.0,
-    ) -> AccessIndex:
-        """Install a pre-built index (a persisted segment the storage
-        engine mapped) without rebuilding from the base table.
-
-        Unlike :meth:`register` this does **not** bump the schema
-        generation — the caller (``MmapStore.try_load``) restores the
-        recorded generation afterwards, so snapshot keys and cached
-        decisions line up across a warm restart.
-        """
-        if constraint.name in self._indexes:
-            raise AccessSchemaError(
-                f"constraint {constraint.name!r} already registered"
-            )
-        if constraint.name not in self.schema:
-            self.schema.add(constraint)
-        self._indexes[constraint.name] = index
-        self._statistics[constraint.name] = IndexStatistics(
-            constraint_name=constraint.name,
-            relation=constraint.relation,
-            key_count=index.key_count,
-            entry_count=index.entry_count,
-            max_bucket_size=index.max_bucket_size,
-            storage_cells=index.storage_cells(),
-            build_seconds=build_seconds,
         )
         return index
 

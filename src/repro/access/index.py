@@ -111,10 +111,6 @@ class AccessIndex:
             y_values = list(map(canonical_key, y_values))
         return keys, y_values
 
-    def _open(self, keys: list[Key]) -> None:
-        """Called with a batch's keys before their buckets are edited
-        (a subclass whose buckets live elsewhere pulls them in)."""
-
     def add_rows(
         self,
         rows: Sequence[Row],
@@ -134,7 +130,6 @@ class AccessIndex:
         batch adds nothing to it.
         """
         keys, y_values = self._project(rows)
-        self._open(keys)
         buckets = self._buckets
         bound = self.constraint.n if validate else sys.maxsize
         gained: list[Key] = []
@@ -166,9 +161,7 @@ class AccessIndex:
         """Account for a batch of deleted base rows; ``changed`` gains
         the key of every bucket that lost a distinct Y-value (its last
         supporting row went)."""
-        keys, y_values = self._project(rows)
-        self._open(keys)
-        self._remove(keys, y_values, changed)
+        self._remove(*self._project(rows), changed)
 
     def _remove(
         self,

@@ -24,6 +24,7 @@ are served through a :class:`~repro.beas.session.Session` over it::
 from __future__ import annotations
 
 import functools
+import gc
 import shutil
 import tempfile
 import threading
@@ -59,6 +60,14 @@ from repro.bounded.optimizer import BEPlanOptimizer
 from repro.bounded.plan import BoundedPlan, explain_plan
 from repro.engine.router import PlanRunner, allowed_routes
 from repro.beas.result import ExecutionMode
+
+#: an engine over at least this many rows runs a full garbage collection
+#: before it builds its indices. An engine that was closed and dropped is
+#: cyclic garbage (it and its serving layer refer to each other), and its
+#: indices (tens of MB at this size) would otherwise still be held while
+#: the new ones are built. Below it, the collection would cost about as
+#: much as the build.
+COLLECT_BEFORE_ROWS = 100_000
 
 
 class _LazyPeers:
@@ -154,14 +163,15 @@ class BEAS:
         invalid.
 
         ``storage`` selects the storage engine: ``"memory"`` (the
-        default, process-local) or ``"mmap"``
-        (:class:`~repro.storage.mmapstore.MmapStore`: persisted index
-        segments, a write-ahead maintenance log, result-cache
-        persistence, and shared-memory pool snapshots); ``None`` defers
-        to ``BEAS_STORAGE``. ``storage_dir`` names the store directory
-        (``BEAS_STORAGE_DIR``); without one, an ``mmap`` instance owns a
-        temporary directory that :meth:`close` removes — useful for the
-        shm snapshot wire, but obviously not a warm restart.
+        default, process-local) or ``"mmap"``, a historical name for the
+        persistent store (:class:`~repro.storage.mmapstore.MmapStore`: a
+        manifest, a write-ahead maintenance log and result-cache
+        persistence); ``None`` defers to ``BEAS_STORAGE``. A reopen must
+        be handed the base rows of the store's last checkpoint: it then
+        builds the indices from them and replays the log (a warm start);
+        any other rows cold-start. ``storage_dir`` names the store
+        directory (``BEAS_STORAGE_DIR``); without one, an ``mmap``
+        instance owns a temporary directory that :meth:`close` removes.
 
         ``replicas`` sets the distributed serving tier's replica count
         (:class:`~repro.distributed.fleet.ReplicaFleet`): ``1`` (the
@@ -180,6 +190,8 @@ class BEAS:
             else (config.env_storage() or "memory")
         )
         self._store: Optional[MmapStore] = None
+        if sum(len(table.rows) for table in database) >= COLLECT_BEFORE_ROWS:
+            gc.collect()
         self.storage_dir: Optional[str] = None
         self._owns_storage_dir = False
         if self.storage == "mmap":
@@ -200,9 +212,9 @@ class BEAS:
             store = MmapStore(directory)
             weakref.finalize(self, MmapStore.close, store)
             self._store = store
-            # warm path: install persisted segments into a fresh catalog
-            # and replay the WAL tail; any mismatch (different dataset,
-            # different schema, corruption) cold-rebuilds and checkpoints
+            # warm path: build a fresh catalog under the stored schema and
+            # replay the WAL; any mismatch (different dataset, different
+            # schema, unreadable manifest) cold-builds and checkpoints
             catalog = ASCatalog(database)
             if access_schema is not None:
                 catalog.schema = AccessSchema(name=access_schema.name)
@@ -232,7 +244,7 @@ class BEAS:
         # default changes afterwards
         self._rows_per_batch = resolve_rows_per_batch(rows_per_batch)
         self.parallelism = resolve_parallelism(parallelism)
-        self._pool = _LazyPeers(self._spawn_pool)
+        self._pool = _LazyPeers(functools.partial(EnginePool, self.parallelism))
         self.replicas = (
             config.validate_replicas(replicas)
             if replicas is not None
@@ -282,14 +294,6 @@ class BEAS:
     # ------------------------------------------------------------------ #
     # the peers of the remote routes: engine pool and serving fleet
     # ------------------------------------------------------------------ #
-    def _spawn_pool(self) -> EnginePool:
-        exporter = (
-            self._store.snapshot_exporter(self.catalog)
-            if self._store is not None
-            else None
-        )
-        return EnginePool(self.parallelism, snapshot_exporter=exporter)
-
     def _spawn_fleet(self) -> "ReplicaFleet":
         from repro.distributed.fleet import ReplicaFleet
 
@@ -391,11 +395,11 @@ class BEAS:
         self._checkpoint_store()
 
     def _checkpoint_store(self) -> None:
-        """Persist a full checkpoint after a schema-level change.
+        """Checkpoint after a schema-level change.
 
-        Register/unregister rebuild or drop whole segments — effects the
-        WAL cannot replay — so the store rewrites its segments and
-        manifest and resets the log."""
+        Register/unregister build or drop whole indices — effects the
+        WAL cannot replay — so the store records the new access schema
+        in its manifest and starts an empty log."""
         if self._store is not None:
             self._store.checkpoint(self.catalog)
 

@@ -467,9 +467,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve_stats.add_argument(
         "--storage",
         choices=["memory", "mmap"],
-        help="storage engine: memory (rebuild indices on start) or mmap "
-        "(persistent memory-mapped segments + WAL; reports the storage "
-        "counters in the stats block; default: BEAS_STORAGE or memory)",
+        help="storage engine: memory (process-local) or mmap (a historical "
+        "name for the persistent store: manifest + WAL, replayed over the "
+        "rebuilt indices on reopen; reports the storage counters in the "
+        "stats block; default: BEAS_STORAGE or memory)",
     )
     serve_stats.add_argument(
         "--storage-dir",

@@ -66,10 +66,10 @@ RESULT_REUSE_MODES = ("exact", "subsume")
 ROUTING_MODES = ("static", "learned")
 
 #: Storage engines: ``memory`` keeps indices and caches process-local
-#: (the historical behaviour); ``mmap`` persists access-index buckets,
-#: the WAL, and the result cache to a disk-backed store
-#: (:mod:`repro.storage.mmapstore`) and ships pool snapshots through
-#: shared memory.
+#: (the historical behaviour); ``mmap`` (a historical name: nothing is
+#: mapped) persists a manifest, the WAL and the result cache to a
+#: disk-backed store (:mod:`repro.storage.mmapstore`), from which a
+#: reopen rebuilds the indices and replays the log.
 STORAGE_MODES = ("memory", "mmap")
 
 #: Default number of rows per processing batch in columnar mode.

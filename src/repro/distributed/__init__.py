@@ -8,11 +8,11 @@ One protocol, one serve loop and one coordinator side, two transports:
   over a pipe (:class:`~repro.distributed.protocol.PipeChannel`) or a
   socket (:class:`~repro.distributed.protocol.SocketChannel`).
 * :mod:`repro.distributed.peer` — the peer process's one serve loop:
-  snapshot, shared-memory and delta installs, plan tasks under the
-  per-task key check, chaos hooks.
+  snapshot and delta installs, plan tasks under the per-task key check,
+  chaos hooks.
 * :mod:`repro.distributed.peerset` — the coordinator's peer handle and
   peer set: spawn and budgeted respawn, the task deadline, the stale
-  retry, the catch-up ladder (delta tail, shm export, pickled snapshot),
+  retry, the catch-up ladder (delta tail, else pickled snapshot),
   dispatch, close, and :class:`~repro.distributed.peerset.PeerStats`.
 * :mod:`repro.distributed.replica` / :mod:`repro.distributed.fleet` —
   the serving fleet: a replica process on a loopback port, and the

@@ -10,9 +10,7 @@ replica (:func:`repro.distributed.replica.replica_main`) a socket, and
 nothing below the channel knows which:
 
 * ``snapshot`` installs a pickled index map under a *(schema generation,
-  version vector)* key; ``snapshot_shm`` attaches one the coordinator
-  exported to shared memory (a failed attach answers ``shm-failed`` and
-  the coordinator ships the pickle instead).
+  version vector)* key.
 * ``delta`` advances the installed snapshot in place by replaying
   maintenance records (the stored rows of each committed batch); a
   record the peer cannot apply answers ``unsupported`` and the
@@ -32,7 +30,6 @@ from __future__ import annotations
 
 import os
 import time
-from contextlib import suppress
 from typing import Optional
 
 from repro.distributed.protocol import (
@@ -42,10 +39,8 @@ from repro.distributed.protocol import (
     MSG_PING,
     MSG_PLAN,
     MSG_SNAPSHOT,
-    MSG_SNAPSHOT_SHM,
     REPLY_OK,
     REPLY_PONG,
-    REPLY_SHM_FAILED,
     REPLY_STALE,
     REPLY_UNSUPPORTED,
     Channel,
@@ -91,13 +86,9 @@ def serve(channel: Channel, peer_id: int) -> None:  # pragma: no cover - subproc
     ``exit`` task arrives. The one place a peer dispatches on task kind."""
     installed_key: Optional[tuple] = None
     indexes: dict = {}
-    shm_handle = None  # the attached SharedMemory backing mapped indices
     die_next = False
     corrupt_next: Optional[str] = None
     arm_corrupt: Optional[str] = None
-    # decided once, before any shm attach: whether this peer runs its own
-    # resource tracker (spawn) or shares the coordinator's (fork)
-    private_tracker = not _tracker_is_inherited()
     while True:
         try:
             task = channel.recv()
@@ -131,20 +122,7 @@ def serve(channel: Channel, peer_id: int) -> None:  # pragma: no cover - subproc
                 reply = (REPLY_UNSUPPORTED, f"unknown debug action {action!r}")
         elif kind == MSG_SNAPSHOT:
             installed_key, indexes = task[1], task[2]
-            _detach(shm_handle)
-            shm_handle = None
             reply = (REPLY_OK,)
-        elif kind == MSG_SNAPSHOT_SHM:
-            try:
-                attached, handle = _attach_shm_snapshot(task[2], unregister=private_tracker)
-            except Exception as error:  # noqa: BLE001 - any attach failure reports back and the coordinator ships the pickle instead
-                reply = (REPLY_SHM_FAILED, describe_error(error))
-            else:
-                # the old mapping closes only once its indices are dropped
-                installed_key, indexes = task[1], attached
-                _detach(shm_handle)
-                shm_handle = handle
-                reply = (REPLY_OK,)
         elif kind == MSG_DELTA:
             try:
                 apply_delta_records(indexes, task[2])
@@ -195,57 +173,3 @@ def _send_reply(
         channel.send_frame((MAX_FRAME_BYTES + 1).to_bytes(4, "little") + frame[4:])
     else:
         channel.send_frame(frame)
-
-
-def _detach(handle) -> None:  # pragma: no cover - subprocess
-    """Close a shared-memory attachment (unlinking is the exporter's job)."""
-    if handle is not None:
-        with suppress(BufferError, OSError):
-            handle.close()
-
-
-def _tracker_is_inherited() -> bool:  # pragma: no cover - subprocess
-    """True when this peer shares the coordinator's resource tracker.
-
-    Under ``fork``/``forkserver`` the tracker process (and its pipe fd)
-    is inherited, so register/unregister messages land in the SAME
-    bookkeeping set the coordinator uses; under ``spawn`` the module
-    state is fresh and the first registration starts a private tracker.
-    """
-    from multiprocessing import resource_tracker
-
-    return getattr(resource_tracker._resource_tracker, "_fd", None) is not None
-
-
-def _attach_shm_snapshot(name: str, *, unregister: bool):  # pragma: no cover - subprocess
-    """Attach one exported snapshot block and open its mapped indices.
-
-    The handle must outlive the indices (their buckets decode lazily
-    from ``handle.buf``), so it is returned to the serve loop, which
-    closes the *previous* attachment only after replacing the index
-    dict. Never unlinks: the block's lifetime belongs to the
-    coordinator's exporter.
-    """
-    from multiprocessing import resource_tracker, shared_memory
-
-    from repro.storage.mmapstore import decode_snapshot
-
-    handle = shared_memory.SharedMemory(name=name)
-    if unregister:
-        # attaching registers the block with this peer's PRIVATE
-        # resource tracker as if the peer owned it (bpo-38119);
-        # unregister, or the tracker unlinks a block the coordinator
-        # still serves and warns about it at shutdown. With an INHERITED
-        # (shared) tracker the registration is the coordinator's own and
-        # must stay — removing it here makes the eventual unlink a
-        # double-remove the tracker reports as a KeyError.
-        try:
-            resource_tracker.unregister(handle._name, "shared_memory")
-        except Exception:  # noqa: BLE001 - tracker bookkeeping only; never fail the attach over it
-            pass
-    try:
-        indexes = decode_snapshot(handle.buf)
-    except Exception:  # noqa: BLE001 - close the mapping on ANY decode failure, then re-raise for the fallback reply
-        _detach(handle)
-        raise
-    return indexes, handle

@@ -12,9 +12,8 @@ peer, or round-robin) and pick (any idle peer, or the one peer holding
 all the plan's constraints).
 
 **Catch-up ladder.** A peer whose snapshot key is not the task's is
-caught up with the cheapest install whose source exists: the delta tail
-(the fleet's, when it covers the gap contiguously), a shared-memory
-export (the mmap store's, when the pool has one), the pickled snapshot.
+caught up with the delta tail (the fleet's, when it covers the gap
+contiguously), else with the pickled snapshot.
 
 **Failure is never an answer.** A dead peer, a torn frame, a CRC
 mismatch, a reply missing its deadline, or a second ``stale`` after a
@@ -41,7 +40,6 @@ from repro.distributed.protocol import (
     MSG_PING,
     MSG_PLAN,
     MSG_SNAPSHOT,
-    MSG_SNAPSHOT_SHM,
     REPLY_OK,
     REPLY_RAISE,
     REPLY_RESULT,
@@ -71,12 +69,10 @@ class PeerStats:
     alive: int = 0
     plans_dispatched: int = 0
     serves: dict[int, int] = field(default_factory=dict)  # peer id -> plans
-    snapshots_sent: int = 0  # whole-snapshot installs, pickled or shm
-    shm_attaches: int = 0
-    shm_fallbacks: int = 0  # shm offered but the pickle wire was used
+    snapshots_sent: int = 0  # whole-snapshot installs
     delta_reships: int = 0
     delta_records_shipped: int = 0
-    bytes_shipped: int = 0  # wire bytes of every install (shm: the block's name)
+    bytes_shipped: int = 0  # wire bytes of every install
     stale_reships: int = 0  # stale replies that triggered a re-ship
     failovers: int = 0  # dispatches whose peer died or whose wire broke
     respawns: int = 0
@@ -94,9 +90,8 @@ class PeerStats:
             f"{self.plans_dispatched} plans dispatched"
             f"{f' ({serves})' if serves else ''}, {self.snapshots_sent} "
             f"snapshots + {self.delta_reships} delta reships shipped "
-            f"({self.bytes_shipped} B, {self.delta_records_shipped} records, "
-            f"{self.shm_attaches} shm attaches, {self.shm_fallbacks} shm "
-            f"fallbacks), {self.stale_reships} stale reships, "
+            f"({self.bytes_shipped} B, {self.delta_records_shipped} records), "
+            f"{self.stale_reships} stale reships, "
             f"{self.failovers} failovers ({self.respawns} respawns), "
             f"{self.routing_misses} routing misses, {self.fallbacks} fallbacks "
             f"({self.exhaustion_fallbacks} on exhaustion), waited "
@@ -145,7 +140,6 @@ class PeerSet:
         start_method: Optional[str],
         acquire_timeout: float,
         task_timeout: float,
-        snapshot_exporter: Optional[Callable[[tuple, Callable[[], dict]], Optional[str]]] = None,
     ):
         # 'fork' where available: a peer starts in milliseconds and runs
         # nothing but already-imported repro code over its channel (no
@@ -160,7 +154,6 @@ class PeerSet:
         )
         self.acquire_timeout = acquire_timeout
         self.task_timeout = task_timeout
-        self._snapshot_exporter = snapshot_exporter
         self._stats = PeerStats(kind=self.kind, peers=count)
         self._lock = threading.Lock()  # guards _stats
         self._free = threading.Condition()  # guards busy flags and _closed
@@ -329,8 +322,8 @@ class PeerSet:
                 setattr(self._stats, name, getattr(self._stats, name) + value)
 
     def _install(self, peer: Peer, key: tuple, payload_fn: Callable[[], dict]) -> None:
-        """Catch ``peer`` up to ``key``: the delta tail, else a shm
-        export, else the pickled snapshot, each only when it exists."""
+        """Catch ``peer`` up to ``key``: the delta tail when one covers
+        the gap, else the pickled snapshot."""
         if peer.snapshot_key == key:
             return
         delta = self._delta_for(peer.snapshot_key, key)
@@ -344,17 +337,6 @@ class PeerSet:
                 return
             # the peer could not apply it: its installed state is unknown
             peer.snapshot_key = None
-        if self._snapshot_exporter is not None:
-            name = self._snapshot_exporter(key, payload_fn)
-            if name is not None:
-                sent, reply = self._call(peer, (MSG_SNAPSHOT_SHM, key, name))
-                if reply[0] == REPLY_OK:
-                    peer.snapshot_key = key
-                    self._count(snapshots_sent=1, shm_attaches=1, bytes_shipped=sent)
-                    return
-            # the exporter declined or the peer could not attach (the
-            # block was replaced under a racing key): the pickle, now
-            self._count(shm_fallbacks=1)
         sent, reply = self._call(peer, (MSG_SNAPSHOT, key, payload_fn()))
         if reply[0] != REPLY_OK:  # pragma: no cover - defensive
             raise WireError(f"snapshot install failed: {reply[0]!r}")

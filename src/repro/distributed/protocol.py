@@ -46,7 +46,6 @@ MSG_EXIT = "exit"
 MSG_PING = "ping"
 MSG_DEBUG = "debug"
 MSG_SNAPSHOT = "snapshot"
-MSG_SNAPSHOT_SHM = "snapshot_shm"
 MSG_DELTA = "delta"
 MSG_PLAN = "plan"
 
@@ -56,7 +55,6 @@ REPLY_STALE = "stale"
 REPLY_RESULT = "result"
 REPLY_RAISE = "raise"
 REPLY_UNSUPPORTED = "unsupported"
-REPLY_SHM_FAILED = "shm-failed"
 
 #: one receive buffer's worth of socket payload
 _RECV_CHUNK = 1 << 20

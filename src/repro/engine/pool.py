@@ -17,8 +17,8 @@ it holds **only** indices keyed by *(schema generation, table version
 vector)* and answers ``stale`` to a plan planned under another key, so
 it can never compute over data the coordinator has since mutated, and
 like the paper's bounded plans it physically cannot scan. A worker is
-caught up with a shared-memory export when the mmap store offers one,
-else with the pickled index map; the pool keeps no delta tail.
+caught up with the pickled index map, under either storage engine; the
+pool keeps no delta tail.
 
 No pool, no idle worker, a dead worker (respawned under the same budget
 as a replica), a broken frame, or a plan outside the parallelisable
@@ -31,7 +31,7 @@ re-raised.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro import config
 from repro.distributed.peer import serve
@@ -74,30 +74,18 @@ class EnginePool(PeerSet):
         start_method: Optional[str] = None,
         acquire_timeout: float = 0.05,
         task_timeout: float = 120.0,
-        snapshot_exporter: Optional[
-            Callable[[tuple, Callable[[], dict]], Optional[str]]
-        ] = None,
     ):
         """``acquire_timeout`` bounds the wait for an idle worker before
         falling back in-process; ``task_timeout`` bounds one reply — a
         worker that is alive but wedged past it is terminated and treated
         as dead (fallback + respawn), so a hung worker can never hang a
-        client thread.
-
-        ``snapshot_exporter`` (the mmap storage engine's
-        :meth:`~repro.storage.mmapstore.MmapStore.snapshot_exporter`)
-        turns a snapshot key into a named ``multiprocessing.shared_memory``
-        block holding the encoded index segments; workers then attach it
-        zero-copy instead of receiving the pickled index map. ``None``
-        from the exporter, or a failed attach on the worker, falls back
-        to the pickle within the same install."""
+        client thread."""
         self.workers = config.validate_parallelism(workers, source="pool workers")
         super().__init__(
             workers,
             start_method=start_method,
             acquire_timeout=acquire_timeout,
             task_timeout=task_timeout,
-            snapshot_exporter=snapshot_exporter,
         )
 
     def _launch(self, peer: Peer) -> PipeChannel:

@@ -150,8 +150,8 @@ class ServingStats:
     # decisions, exploration rate, training observations
     routing: Optional[RouterStats] = None
     # persistent-storage counters (None while the BEAS instance runs the
-    # in-memory engine): warm-start provenance, WAL traffic, checkpoint
-    # and shared-memory snapshot activity
+    # in-memory engine): warm-start provenance, WAL traffic, checkpoints
+    # and result-cache persistence
     storage: Optional[StorageStats] = None
 
     @property

@@ -1,10 +1,11 @@
 """Relational storage (S2): in-memory tables plus the persistent engine.
 
-``Table``/``Database`` hold rows in memory; the optional mmap engine
-(:class:`~repro.storage.mmapstore.MmapStore`) persists access-index
-buckets and the result cache to memory-mapped segment files with a
-write-ahead maintenance log, all through the one canonical value codec
-in :mod:`repro.storage.codec`.
+``Table``/``Database`` hold rows in memory; the optional persistent
+store (:class:`~repro.storage.mmapstore.MmapStore`, ``mmap`` by its
+historical name) keeps a manifest, a write-ahead maintenance log and the
+result cache, all through the one canonical value codec in
+:mod:`repro.storage.codec`. A warm restart rebuilds the access indices
+from the checkpoint's base rows and replays the log.
 """
 
 from repro.storage.table import Table
@@ -18,7 +19,7 @@ from repro.storage.codec import (
     encode_value,
     is_nan,
 )
-from repro.storage.mmapstore import MappedAccessIndex, MmapStore, StorageStats
+from repro.storage.mmapstore import MmapStore, StorageStats
 from repro.storage.wal import WriteAheadLog
 
 __all__ = [
@@ -32,7 +33,6 @@ __all__ = [
     "decode_value",
     "encode_value",
     "is_nan",
-    "MappedAccessIndex",
     "MmapStore",
     "StorageStats",
     "WriteAheadLog",

@@ -1,8 +1,8 @@
 """The canonical value codec shared by every storage boundary.
 
 Exactly one module encodes values to text and back — CSV import/export,
-mmap segment files, the shared-memory snapshot wire and the WAL's text
-records all call :func:`encode_value` / :func:`decode_value`.  Which
+the WAL's text records and the store manifest's table fingerprints all
+call :func:`encode_value` / :func:`decode_value`.  Which
 rows a WAL record may carry as the JSON values they are, and how they
 are read back, is decided here too (:func:`json_gate` /
 :func:`decode_json_rows`).  The beaslint

@@ -2,8 +2,8 @@
 
 The exported format writes a header with ``name:type`` per column so a table
 round-trips without a separate schema file. Cell encoding is delegated to
-the canonical value codec (:mod:`repro.storage.codec`) shared with the WAL
-and the mmap segment format: NULL is the empty string, empty strings are
+the canonical value codec (:mod:`repro.storage.codec`) shared with the
+WAL: NULL is the empty string, empty strings are
 ``""``, quote-shaped literals get one extra quote pair, and float specials
 round-trip as ``nan`` / ``inf`` / ``-inf`` (NaN decoding to the canonical
 NaN object — see the codec module for the 3VL treatment).

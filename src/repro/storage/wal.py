@@ -1,11 +1,12 @@
-"""Write-ahead maintenance log for the mmap storage engine.
+"""Write-ahead maintenance log for the persistent store.
 
 Every maintenance batch the host applies (insert / delete / bound
-adjustment) appends one framed record *before* the store's durable
-state advances past it — a warm restart replays the tail on top of the
-last checkpoint instead of rebuilding access indices from the base data
-(O(log replay), not O(index rebuild); see ``docs/invariants.md``,
-*persistence discipline*).
+adjustment) appends one framed record once the batch has committed in
+memory. The store's durable state is its manifest plus this log: a warm
+restart builds the access indices from the checkpoint's base rows and
+replays the log on top (see ``docs/invariants.md``, *persistence
+discipline*). Each checkpoint starts a new, empty log, and the manifest
+names the one that belongs to it.
 
 Framing (shared with the result-cache log via :func:`frame_record` /
 :func:`scan_frames`)::
@@ -25,8 +26,8 @@ missing earlier one.
 Record payloads are JSON, never pickle: reading a damaged log cannot
 run code. Which rows a record holds as JSON values and which as text
 cells is the canonical codec's call (:mod:`repro.storage.codec`), so
-the WAL can never disagree with the CSV or segment formats about what a
-value means. ``allow_nan=False`` is deliberate: the codec sends every
+the WAL can never disagree with the CSV format about what a value
+means. ``allow_nan=False`` is deliberate: the codec sends every
 NaN and ±inf to the text cells, so a raw float special in a record is a
 bug, and failing the append beats writing a payload that is not JSON.
 """
@@ -39,7 +40,7 @@ import struct
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, BinaryIO, Optional
+from typing import BinaryIO, Optional
 from zlib import crc32
 
 from repro.errors import StorageError
@@ -230,18 +231,12 @@ class WriteAheadLog:
             reason=scan.reason,
         )
 
-    def reset(self) -> None:
-        """Drop all records (called right after a checkpoint rewrites
-        the segments — the log's history is now baked into them)."""
-        self.close()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "wb"):
-            pass
-
-    def size_bytes(self) -> int:
-        if self._handle is not None and not self._handle.closed:
-            self._handle.flush()
-        return self.path.stat().st_size if self.path.exists() else 0
+    def move_to(self, path: str | Path) -> None:
+        """Append to the log at ``path`` from now on (a checkpoint
+        started it); the counters keep counting across the move."""
+        with self._lock:
+            self.close()
+            self.path = Path(path)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"WriteAheadLog({self.path}, appended={self.records_appended})"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import json
 import multiprocessing
 import tempfile
 from pathlib import Path
@@ -191,6 +192,13 @@ def nan_keyed(rows) -> list[tuple]:
     return [
         tuple("nan" if value != value else value for value in row) for row in rows
     ]
+
+
+def store_log(directory) -> Path:
+    """The write-ahead log a store's manifest names: the one a reopen
+    replays."""
+    manifest = json.loads((Path(directory) / "MANIFEST.json").read_text())
+    return Path(directory) / manifest["wal"]
 
 
 def engine_run(beas: BEAS, sql, **fields):

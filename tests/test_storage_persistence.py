@@ -1,4 +1,4 @@
-"""Crash-recovery suite for the persistent mmap storage engine.
+"""Crash-recovery suite for the persistent store (``storage="mmap"``).
 
 Every failure mode a crash can leave on disk must recover to a state
 the brute-force oracle agrees with, or fall back to a cold rebuild —
@@ -6,8 +6,10 @@ never serve from a half-applied store:
 
 * a torn WAL tail (partial header, short payload, CRC flip) is
   truncated to the longest consistent prefix and replay continues,
-* a half-written or bit-flipped segment fails ``try_load`` and the
+* a garbage, truncated or foreign manifest fails ``try_load`` and the
   engine cold-rebuilds from base data (then re-checkpoints),
+* a crash on either side of a checkpoint's manifest replace recovers
+  one manifest and the log it names, never an older lineage's log,
 * kill -9 mid-maintenance recovers *exactly* the last fully-logged
   batch: the differential test compares the recovered index buckets
   and query answers against an oracle rebuilt from scratch at the
@@ -16,6 +18,7 @@ never serve from a half-applied store:
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import signal
@@ -23,10 +26,13 @@ import subprocess
 import sys
 import textwrap
 import threading
+import weakref
 from pathlib import Path
 
 import pytest
 
+import repro.beas.system as system_module
+import repro.storage.mmapstore as mmapstore_module
 from repro import BEAS, ExecutionOptions, Session
 from repro.access.catalog import ASCatalog
 from repro.access.constraint import AccessConstraint
@@ -40,7 +46,7 @@ from repro.storage.database import Database
 from repro.storage.mmapstore import MmapStore
 from repro.storage.wal import WriteAheadLog, frame_record
 
-from tests.conftest import engine_run, nan_keyed
+from tests.conftest import engine_run, nan_keyed, store_log
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 ROOT = SRC.parent
@@ -82,7 +88,7 @@ def build_base() -> Database:
                 float(i),
             ),
         )
-    # float specials ride through the segment + WAL codecs
+    # float specials ride through the fingerprint + WAL codecs
     db.insert("event", ("k000", "2016-06-01", "rnan0", float("nan")))
     db.insert("event", ("k000", "2016-06-01", "rinf0", float("inf")))
     db.insert("event", ("k000", "2016-06-01", "rnull", None))
@@ -282,7 +288,7 @@ class TestWarmRestart:
 
         payloads = [
             json.dumps(record, separators=(",", ":"), sort_keys=True)
-            for record in WriteAheadLog(tmp_path / "wal.log").replay().records
+            for record in WriteAheadLog(store_log(tmp_path)).replay().records
         ]
         assert payloads == [
             '{"op":"insert","rows":[["k000","2016-06-01","wnan","nan"],'
@@ -374,6 +380,30 @@ class TestWarmRestart:
         assert fresh.schema.get("by_key").n == 750_000
         reopened.close()
 
+    def test_a_reopen_never_holds_the_closed_engines_indices(self, tmp_path, monkeypatch):
+        """A closed engine is cyclic garbage (it and its serving layer
+        refer to each other), and a reopen builds every index again: the
+        reopen collects the closed engine first, so the process never
+        holds both sets of indices."""
+        monkeypatch.setattr(system_module, "COLLECT_BEFORE_ROWS", 1)
+        options = ExecutionOptions(storage="mmap", storage_dir=str(tmp_path))
+        first = Session(build_base(), ACCESS, options=options)
+        first.run(QUERY)
+        catalog = weakref.ref(first.beas.catalog)
+        first.close()
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            del first
+            assert catalog() is not None
+            second = Session(build_base(), ACCESS, options=options)
+            assert catalog() is None
+        finally:
+            if collecting:
+                gc.enable()
+        assert second.stats().storage.warm_start
+        second.close()
+
     def test_float_specials_round_trip_the_store(self, tmp_path):
         first = BEAS(
             build_base(), ACCESS, storage="mmap", storage_dir=tmp_path
@@ -405,10 +435,17 @@ class TestWarmRestart:
 # --------------------------------------------------------------------------- #
 class TestCorruptStore:
     def _seed_store(self, tmp_path) -> Path:
-        BEAS(build_base(), ACCESS, storage="mmap", storage_dir=tmp_path).close()
-        segments = sorted((tmp_path / "segments").glob("*.seg"))
-        assert segments, "cold build must checkpoint at least one segment"
-        return segments[0]
+        """A checkpointed store with one logged batch; its manifest."""
+        beas = BEAS(build_base(), ACCESS, storage="mmap", storage_dir=tmp_path)
+        beas.insert("event", [gen_insert(0)])
+        beas.close()
+        return tmp_path / "MANIFEST.json"
+
+    def _edit_manifest(self, tmp_path, edit) -> None:
+        manifest = self._seed_store(tmp_path)
+        data = json.loads(manifest.read_text())
+        edit(data)
+        manifest.write_text(json.dumps(data))
 
     def _assert_cold_but_correct(self, tmp_path):
         beas = BEAS(build_base(), ACCESS, storage="mmap", storage_dir=tmp_path)
@@ -425,27 +462,48 @@ class TestCorruptStore:
         assert third.storage_stats().warm_start
         third.close()
 
-    def test_bit_flipped_segment_falls_back_cold(self, tmp_path):
-        segment = self._seed_store(tmp_path)
-        data = bytearray(segment.read_bytes())
-        data[len(data) // 2] ^= 0xFF
-        segment.write_bytes(bytes(data))
-        self._assert_cold_but_correct(tmp_path)
-
-    def test_half_written_segment_falls_back_cold(self, tmp_path):
-        segment = self._seed_store(tmp_path)
-        data = segment.read_bytes()
-        segment.write_bytes(data[: len(data) // 2])
-        self._assert_cold_but_correct(tmp_path)
-
-    def test_missing_segment_falls_back_cold(self, tmp_path):
-        self._seed_store(tmp_path).unlink()
-        self._assert_cold_but_correct(tmp_path)
-
     def test_garbage_manifest_falls_back_cold(self, tmp_path):
-        self._seed_store(tmp_path)
-        (tmp_path / "MANIFEST.json").write_text("{not json")
+        self._seed_store(tmp_path).write_text("{not json")
         self._assert_cold_but_correct(tmp_path)
+
+    def test_truncated_manifest_falls_back_cold(self, tmp_path):
+        manifest = self._seed_store(tmp_path)
+        text = manifest.read_text()
+        manifest.write_text(text[: len(text) // 2])
+        self._assert_cold_but_correct(tmp_path)
+
+    def test_manifest_of_another_format_falls_back_cold(self, tmp_path):
+        # 1: the format that kept index segments beside the manifest
+        self._edit_manifest(tmp_path, lambda data: data.update(format=1))
+        self._assert_cold_but_correct(tmp_path)
+
+    def test_manifest_naming_a_missing_table_falls_back_cold(self, tmp_path):
+        self._edit_manifest(
+            tmp_path,
+            lambda data: data["tables"].update(
+                ghost={"rows": 0, "crc": 0, "version": 0}
+            ),
+        )
+        self._assert_cold_but_correct(tmp_path)
+
+    def test_a_cold_start_leaves_the_manifest_and_an_empty_log(self, tmp_path):
+        """No file grows with the data: the store holds the manifest and
+        the log it names, and the result cache once a session closes."""
+        options = ExecutionOptions(storage="mmap", storage_dir=str(tmp_path))
+        session = Session(build_base(), ACCESS, options=options)
+        try:
+            assert not session.stats().storage.warm_start
+            log = store_log(tmp_path)
+            assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+                ["MANIFEST.json", log.name]
+            )
+            assert log.stat().st_size == 0
+            session.run(QUERY)
+        finally:
+            session.close()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["MANIFEST.json", log.name, "results.log"]
+        )
 
     def test_torn_wal_tail_still_warm_starts(self, tmp_path):
         first = BEAS(build_base(), ACCESS, storage="mmap", storage_dir=tmp_path)
@@ -453,7 +511,7 @@ class TestCorruptStore:
             first.insert("event", [gen_insert(i)])
         expected = engine_run(first, QUERY)
         first.close()
-        with open(tmp_path / "wal.log", "ab") as handle:
+        with open(store_log(tmp_path), "ab") as handle:
             handle.write(b"\x99\x00\x00")  # crash mid-append
         second = BEAS(
             build_base(), ACCESS, storage="mmap", storage_dir=tmp_path
@@ -463,6 +521,91 @@ class TestCorruptStore:
         assert stats.wal_dropped_bytes == 3
         assert nan_keyed(engine_run(second, QUERY).rows) == nan_keyed(expected.rows)
         second.close()
+
+
+# --------------------------------------------------------------------------- #
+# a crash right after a checkpoint's manifest replace
+# --------------------------------------------------------------------------- #
+BY_RECNUM = AccessConstraint("event", ["recnum"], ["amount"], 1, name="by_recnum")
+
+
+class CrashAfterManifest(Exception):
+    """The process died the moment the new manifest was in place."""
+
+
+def _crash_after_manifest(monkeypatch) -> None:
+    """Every store write is the real one; the manifest's then 'crashes'."""
+    write = mmapstore_module._atomic_write
+
+    def crashing(path, data):
+        write(path, data)
+        if path.name == "MANIFEST.json":
+            raise CrashAfterManifest
+
+    monkeypatch.setattr(mmapstore_module, "_atomic_write", crashing)
+
+
+def _assert_holds_exactly(beas: BEAS, database: Database) -> None:
+    """``beas`` warm-started onto ``database``'s rows, every index equal
+    to a from-scratch build over them."""
+    assert beas.storage_stats().warm_start
+    assert beas.database.table("event").rows == database.table("event").rows
+    for constraint in beas.catalog.schema:
+        assert beas.catalog.index_for(constraint).snapshot() == AccessIndex(
+            constraint, database.table("event")
+        ).snapshot()
+
+
+class TestCheckpointCommitPoint:
+    def test_register_replays_no_batch_its_checkpoint_holds(self, tmp_path, monkeypatch):
+        """The checkpoint ``register`` takes holds the batch logged before
+        it. The old store replaced the manifest and only then emptied the
+        log: a crash between the two replayed the batch a second time."""
+        # a copy: register adds to the schema the catalog was built with
+        access = AccessSchema(ACCESS, name=ACCESS.name)
+        beas = BEAS(build_base(), access, storage="mmap", storage_dir=tmp_path)
+        batch = [gen_insert(i) for i in range(3)]
+        beas.insert("event", batch)
+        _crash_after_manifest(monkeypatch)
+        with pytest.raises(CrashAfterManifest):
+            beas.register(BY_RECNUM)
+        beas.close()
+        monkeypatch.undo()
+
+        checkpointed = build_base()
+        checkpointed.table("event").insert_rows(batch)
+        widened = AccessSchema([*ACCESS, BY_RECNUM], name=ACCESS.name)
+        reopened = BEAS(checkpointed, widened, storage="mmap", storage_dir=tmp_path)
+        try:
+            assert reopened.storage_stats().wal_records_replayed == 0
+            assert len(reopened.database.table("event").rows) == 126
+            _assert_holds_exactly(reopened, checkpointed)
+        finally:
+            reopened.close()
+
+    def test_a_cold_start_never_replays_the_old_lineage(self, tmp_path, monkeypatch):
+        """A cold start over a store written for other rows checkpoints
+        its own; the old store's log must not replay onto them."""
+        first = BEAS(build_base(), ACCESS, storage="mmap", storage_dir=tmp_path)
+        first.insert("event", [gen_insert(i) for i in range(3)])
+        first.close()
+
+        def drifted() -> Database:
+            database = build_base()
+            database.insert("event", ("k001", "2016-06-02", "extra", 1.0))
+            return database
+
+        _crash_after_manifest(monkeypatch)
+        with pytest.raises(CrashAfterManifest):
+            BEAS(drifted(), ACCESS, storage="mmap", storage_dir=tmp_path)
+        monkeypatch.undo()
+
+        reopened = BEAS(drifted(), ACCESS, storage="mmap", storage_dir=tmp_path)
+        try:
+            assert reopened.storage_stats().wal_records_replayed == 0
+            _assert_holds_exactly(reopened, drifted())
+        finally:
+            reopened.close()
 
 
 # --------------------------------------------------------------------------- #

@@ -49,6 +49,8 @@ from repro.storage.codec import (
 from repro.storage.table import WritePlan
 from repro.storage.wal import WriteAheadLog, frame_record
 
+from tests.conftest import store_log
+
 SCHEMA = TableSchema(
     "t",
     [
@@ -278,8 +280,8 @@ MIXED = [
 def _rewrite(path, convert) -> None:
     """Rewrite the WAL at ``path`` record by record."""
     records = WriteAheadLog(path).replay(repair=False).records
+    path.write_bytes(b"")
     wal = WriteAheadLog(path)
-    wal.reset()
     for position, record in enumerate(records):
         wal.append(convert(position, record))
     wal.close()
@@ -307,15 +309,15 @@ def test_a_text_only_wal_and_a_mixed_one_warm_start_alike(tmp_path):
         session.close()
     shutil.copytree(tmp_path / "typed", tmp_path / "text")
     shutil.copytree(tmp_path / "typed", tmp_path / "mixed")
-    _rewrite(tmp_path / "text" / "wal.log", lambda _, record: _as_text(record))
+    _rewrite(store_log(tmp_path / "text"), lambda _, record: _as_text(record))
     _rewrite(
-        tmp_path / "mixed" / "wal.log",
+        store_log(tmp_path / "mixed"),
         lambda position, record: _as_text(record) if position % 2 else record,
     )
     kinds = {
         name: [
             "values" in record
-            for record in WriteAheadLog(tmp_path / name / "wal.log").replay().records
+            for record in WriteAheadLog(store_log(tmp_path / name)).replay().records
         ]
         for name in ("typed", "text", "mixed")
     }
@@ -346,7 +348,7 @@ def test_a_torn_typed_tail_is_truncated(tmp_path):
         assert session.stats().storage.wal_text_batches == 0
     finally:
         session.close()
-    wal = tmp_path / "wal.log"
+    wal = store_log(tmp_path)
     whole = wal.read_bytes()
     first = WriteAheadLog(wal).replay(repair=False).records[0]
     assert "values" in first
@@ -384,7 +386,7 @@ def test_a_cell_that_is_not_its_columns_type_is_refused(tmp_path, payload, error
     refused at replay, as an undecodable text cell is."""
     _session(tmp_path).close()
     record = '{"op":"insert","table":"t",%s,"version":3}' % payload
-    with open(tmp_path / "wal.log", "ab") as handle:
+    with open(store_log(tmp_path), "ab") as handle:
         handle.write(frame_record(record.encode()))
     with pytest.raises(error):
         _session(tmp_path)

@@ -58,10 +58,11 @@ from repro.errors import (
 )
 from repro.maintenance import MaintenanceManager, UpdateBatch, ViolationPolicy
 from repro.storage.codec import canonical_key, decode_row, encode_row
-from repro.storage.mmapstore import MappedAccessIndex
 from repro.storage.table import Table
 from repro.storage.wal import WriteAheadLog
 from repro.workloads.tlc import generate_tlc, tlc_access_schema
+
+from tests.conftest import store_log
 
 SCHEMA = TableSchema(
     "t",
@@ -347,7 +348,7 @@ class Pair:
 
     #: compare spellings too (``-0.0`` / ``0.0``, ``2`` / ``2.0`` in a
     #: FLOAT column, dict order). Not across a codec round trip: a FLOAT
-    #: cell decodes as a float, a mapped directory has its own order.
+    #: cell decodes as a float, a rebuilt index has its own order.
     spelled = True
 
     def same(self, live, expected) -> None:
@@ -539,14 +540,10 @@ def test_warm_restart_overlay_wal_replay_and_delta_replay(tmp_path_factory, firs
     schema = AccessSchema(CONSTRAINTS)
     Session(_base(), schema, options=options).close()  # cold build + checkpoint
 
-    # a warm start: mapped indices, every bucket still lazy
+    # a warm start: indices built from the checkpoint's rows
     session = Session(_base(), schema, options=options)
     try:
         assert session.stats().storage.warm_start
-        assert all(
-            isinstance(index, MappedAccessIndex)
-            for index in session.beas.catalog.index_map().values()
-        )
         pair = StoredPair(session)
         for kind, argument in first:
             pair.step(kind, argument)
@@ -555,13 +552,13 @@ def test_warm_restart_overlay_wal_replay_and_delta_replay(tmp_path_factory, firs
 
     # one record per committed batch, at the version the batch left
     reference = pair.reference
-    records = WriteAheadLog(directory / "wal.log").replay(repair=False).records
+    records = WriteAheadLog(store_log(directory)).replay(repair=False).records
     assert [(r["op"], r["version"]) for r in records] == [
         (r["op"], r["version"]) for r in reference.logged
     ]
 
-    # replay: the overlay is rebuilt from the log; then more batches on
-    # top of it (emptied and refilled buckets of mapped keys included)
+    # replay: the indices are rebuilt and the log applied on top; then
+    # more batches (emptied and refilled buckets included)
     session = Session(_base(), schema, options=options)
     try:
         storage = session.stats().storage
@@ -839,12 +836,14 @@ def test_pickers_never_cross_a_pickle(tmp_path):
     Session(_base(), AccessSchema(CONSTRAINTS), options=options).close()
     session = Session(_base(), AccessSchema(CONSTRAINTS), options=options)
     try:
+        assert session.stats().storage.warm_start
         session.insert("t", [("z", 3, 4.5, "2016-06-05", True)])
-        mapped = session.beas.catalog.index_for(session.beas.catalog.schema.get("w_bk"))
-        assert isinstance(mapped, MappedAccessIndex) and mapped._pickers is not None
-        _, arguments = mapped.__reduce__()
-        assert _holds_no_callable(arguments[1:])
-        for index in (plain, mapped):
+        warm = session.beas.catalog.index_for(session.beas.catalog.schema.get("w_bk"))
+        assert type(warm) is AccessIndex and warm._pickers is not None
+        assert _holds_no_callable(
+            {k: v for k, v in warm.__getstate__().items() if k != "constraint"}
+        )
+        for index in (plain, warm):
             shipped = pickle.loads(pickle.dumps(index))
             assert type(shipped) is AccessIndex and shipped._pickers is None
             assert shipped._floats == index._floats and shipped._x_float
