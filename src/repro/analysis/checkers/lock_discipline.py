@@ -80,11 +80,8 @@ class LockDisciplineChecker(Checker):
         findings: list[Finding] = []
         if module.relpath != "serving/shard.py":
             findings.extend(self._raw_acquires(module))
-        if (
-            module.relpath.startswith("serving/")
-            and module.relpath != "serving/shard.py"
-        ) or module.relpath == "bounded/subsume.py":
-            findings.extend(self._leaf_regions(module))
+            if module.relpath.startswith("serving/"):
+                findings.extend(self._leaf_regions(module))
         if module.relpath.startswith("serving/"):
             findings.extend(self._write_then_dispatch(module))
         return findings

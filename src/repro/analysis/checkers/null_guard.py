@@ -28,7 +28,6 @@ from repro.analysis.core import Checker, Finding, ModuleContext, register
 #: the modules whose comparisons operate on row/constant values
 SCOPED_MODULES = frozenset(
     {
-        "bounded/subsume.py",
         "engine/expressions.py",
         "engine/columnar.py",
         "catalog/statistics.py",

@@ -96,7 +96,6 @@ class ExecutionOptions:
     allow_partial: Optional[bool] = None
     approximate_over_budget: Optional[bool] = None
     use_result_cache: Optional[bool] = None
-    result_reuse: Optional[str] = None  # "exact" | "subsume"
     routing: Optional[str] = None  # "static" | "learned"
     storage: Optional[str] = None  # "memory" | "mmap"
     storage_dir: Optional[str] = None  # store directory (mmap only)
@@ -110,8 +109,6 @@ class ExecutionOptions:
             config.validate_storage(self.storage)
         if self.storage_dir is not None:
             config.validate_storage_dir(self.storage_dir)
-        if self.result_reuse is not None:
-            config.validate_result_reuse(self.result_reuse)
         if self.routing is not None:
             config.validate_routing(self.routing)
         if self.rows_per_batch is not None:
@@ -186,7 +183,7 @@ class ExecutionOptions:
     def of_engine(beas: BEAS) -> "ExecutionOptions":
         """The resolved options of a built engine: its pinned knobs,
         then the environment for the engine-independent fields (e.g.
-        ``BEAS_RESULT_REUSE``), then the built-in defaults."""
+        ``BEAS_ROUTING``), then the built-in defaults."""
         return (
             ExecutionOptions(
                 executor=beas.executor,
@@ -208,7 +205,6 @@ class ExecutionOptions:
             executor=config.env_executor(),
             rows_per_batch=config.env_rows_per_batch(),
             parallelism=config.env_parallelism(),
-            result_reuse=config.env_result_reuse(),
             routing=config.env_routing(),
             storage=config.env_storage(),
             storage_dir=config.env_storage_dir(),
@@ -227,7 +223,6 @@ class ExecutionOptions:
             allow_partial=True,
             approximate_over_budget=False,
             use_result_cache=True,
-            result_reuse="exact",
             routing="static",
             storage="memory",
             storage_dir=None,  # mmap without a dir owns a temp directory
@@ -323,9 +318,7 @@ class Decision:
     pinned plan patched for this binding's constants without any
     checker run (constraint-preserving rebinding,
     :mod:`repro.bounded.rebind`); ``"result-cache"`` — the rows came
-    straight from the result cache; ``"subsumed"`` — the rows were
-    re-filtered from a cached bounded superset
-    (:mod:`repro.bounded.subsume`, ``result_reuse="subsume"``).
+    straight from the result cache.
     """
 
     coverage: CoverageDecision

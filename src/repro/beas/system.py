@@ -165,11 +165,10 @@ class BEAS:
         ``storage`` selects the storage engine: ``"memory"`` (the
         default, process-local) or ``"mmap"``, a historical name for the
         persistent store (:class:`~repro.storage.mmapstore.MmapStore`: a
-        manifest, a write-ahead maintenance log and result-cache
-        persistence); ``None`` defers to ``BEAS_STORAGE``. A reopen must
-        be handed the base rows of the store's last checkpoint: it then
-        builds the indices from them and replays the log (a warm start);
-        any other rows cold-start. ``storage_dir`` names the store
+        manifest and a write-ahead maintenance log); ``None`` defers to
+        ``BEAS_STORAGE``. A reopen must be handed the base rows of the
+        store's last checkpoint: it then builds the indices from them and
+        replays the log (a warm start); any other rows cold-start. ``storage_dir`` names the store
         directory (``BEAS_STORAGE_DIR``); without one, an ``mmap``
         instance owns a temporary directory that :meth:`close` removes.
 
@@ -355,13 +354,6 @@ class BEAS:
         self._pool.close()
         self._fleet.close()
         if self._store is not None:
-            server = self._server
-            if server is not None:
-                try:
-                    server.persist_result_cache()
-                # beaslint: ok(except-discipline) - cache persistence is best effort on shutdown; the store stays valid without it
-                except Exception:  # pragma: no cover - defensive
-                    pass
             self._store.close()
         if self._owns_storage_dir:
             shutil.rmtree(self.storage_dir, ignore_errors=True)

@@ -79,7 +79,6 @@ def _build_session(
         executor=getattr(args, "executor", None),
         rows_per_batch=getattr(args, "rows_per_batch", None),
         parallelism=getattr(args, "parallelism", None),
-        result_reuse=getattr(args, "result_reuse", None),
         routing=routing,
         storage=getattr(args, "storage", None),
         storage_dir=getattr(args, "storage_dir", None),
@@ -448,14 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help="bounded-pipeline worker processes (>= 2 enables the engine "
         "pool; default: BEAS_PARALLELISM or in-process)",
-    )
-    serve_stats.add_argument(
-        "--result-reuse",
-        choices=["exact", "subsume"],
-        dest="result_reuse",
-        help="result-cache matching: exact fingerprints only, or also "
-        "answer from a cached bounded superset "
-        "(default: BEAS_RESULT_REUSE or exact)",
     )
     serve_stats.add_argument(
         "--routing",

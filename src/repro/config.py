@@ -17,7 +17,6 @@ The variables, and where they sit in the option-precedence chain
 ``BEAS_ROWS_PER_BATCH``      columnar batch size (positive int)
 ``BEAS_PARALLELISM``         engine-pool worker processes (positive int)
 ``BEAS_POOL_START_METHOD``   multiprocessing start method for the pool
-``BEAS_RESULT_REUSE``        result-cache matching: ``exact`` | ``subsume``
 ``BEAS_ROUTING``             executor routing: ``static`` | ``learned``
 ``BEAS_ROUTING_EPSILON``     learned-routing exploration rate (float in [0, 1])
 ``BEAS_STORAGE``             storage engine: ``memory`` | ``mmap``
@@ -41,7 +40,6 @@ ENV_EXECUTOR = "BEAS_EXECUTOR"
 ENV_ROWS_PER_BATCH = "BEAS_ROWS_PER_BATCH"
 ENV_PARALLELISM = "BEAS_PARALLELISM"
 ENV_POOL_START_METHOD = "BEAS_POOL_START_METHOD"
-ENV_RESULT_REUSE = "BEAS_RESULT_REUSE"
 ENV_ROUTING = "BEAS_ROUTING"
 ENV_ROUTING_EPSILON = "BEAS_ROUTING_EPSILON"
 ENV_STORAGE = "BEAS_STORAGE"
@@ -53,23 +51,17 @@ ENV_FUZZ_SEEDS = "BEAS_FUZZ_SEEDS"
 #: Bounded-pipeline execution modes.
 EXECUTOR_MODES = ("row", "columnar")
 
-#: Result-cache matching modes: ``exact`` serves only
-#: presentation-equal fingerprints; ``subsume`` additionally answers a
-#: query from a cached bounded superset by re-filtering its rows
-#: (:mod:`repro.bounded.subsume`).
-RESULT_REUSE_MODES = ("exact", "subsume")
-
 #: Executor-routing modes: ``static`` runs every covered query on the
 #: resolved ``executor``; ``learned`` routes each covered query to the
 #: mode an online per-template cost model predicts fastest
 #: (:mod:`repro.engine.router`).
 ROUTING_MODES = ("static", "learned")
 
-#: Storage engines: ``memory`` keeps indices and caches process-local
-#: (the historical behaviour); ``mmap`` (a historical name: nothing is
-#: mapped) persists a manifest, the WAL and the result cache to a
-#: disk-backed store (:mod:`repro.storage.mmapstore`), from which a
-#: reopen rebuilds the indices and replays the log.
+#: Storage engines: ``memory`` keeps indices process-local (the
+#: historical behaviour); ``mmap`` (a historical name: nothing is
+#: mapped) persists a manifest and the WAL to a disk-backed store
+#: (:mod:`repro.storage.mmapstore`), from which a reopen rebuilds the
+#: indices and replays the log. Caches are process-local either way.
 STORAGE_MODES = ("memory", "mmap")
 
 #: Default number of rows per processing batch in columnar mode.
@@ -133,15 +125,6 @@ def validate_fleet_port_base(
             f"got {port}"
         )
     return port
-
-
-def validate_result_reuse(mode: str, *, source: str = "result_reuse") -> str:
-    if mode not in RESULT_REUSE_MODES:
-        raise BEASError(
-            f"unknown {source} {mode!r} (expected "
-            f"{' or '.join(repr(m) for m in RESULT_REUSE_MODES)})"
-        )
-    return mode
 
 
 def validate_routing(mode: str, *, source: str = "routing") -> str:
@@ -232,13 +215,6 @@ def env_pool_start_method() -> Optional[str]:
     return raw
 
 
-def env_result_reuse() -> Optional[str]:
-    raw = os.environ.get(ENV_RESULT_REUSE)
-    if not raw:
-        return None
-    return validate_result_reuse(raw, source=ENV_RESULT_REUSE)
-
-
 def env_routing() -> Optional[str]:
     raw = os.environ.get(ENV_ROUTING)
     if not raw:
@@ -311,7 +287,6 @@ class EnvConfig:
     rows_per_batch: Optional[int] = None
     parallelism: Optional[int] = None
     pool_start_method: Optional[str] = None
-    result_reuse: Optional[str] = None
     routing: Optional[str] = None
     routing_epsilon: Optional[float] = None
     storage: Optional[str] = None
@@ -326,7 +301,6 @@ class EnvConfig:
             (ENV_ROWS_PER_BATCH, self.rows_per_batch),
             (ENV_PARALLELISM, self.parallelism),
             (ENV_POOL_START_METHOD, self.pool_start_method),
-            (ENV_RESULT_REUSE, self.result_reuse),
             (ENV_ROUTING, self.routing),
             (ENV_ROUTING_EPSILON, self.routing_epsilon),
             (ENV_STORAGE, self.storage),
@@ -348,7 +322,6 @@ def load_env_config(*, fuzz_default: int = 8) -> EnvConfig:
         rows_per_batch=env_rows_per_batch(),
         parallelism=env_parallelism(),
         pool_start_method=env_pool_start_method(),
-        result_reuse=env_result_reuse(),
         routing=env_routing(),
         routing_epsilon=env_routing_epsilon(),
         storage=env_storage(),

@@ -262,7 +262,6 @@ class ResultCache:
         max_entries: int,
         max_bytes: Optional[int],
         sizeof: Optional[Callable[[Any], int]] = None,
-        admit_on_second_hit: bool = True,
     ):
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
@@ -279,11 +278,7 @@ class ResultCache:
         self._clock = 0.0
         self._bytes = 0
         self._saved = 0.0  # the costs of the entries hits were served from
-        self._doorkeeper = (
-            Doorkeeper(self._DOORKEEPER_FACTOR * max_entries)
-            if admit_on_second_hit
-            else None
-        )
+        self._doorkeeper = Doorkeeper(self._DOORKEEPER_FACTOR * max_entries)
         self._by_key: dict[tuple[str, tuple], set[Hashable]] = {}
         self._coarse: dict[str, set[Hashable]] = {}
         self._by_table: dict[str, set[Hashable]] = {}
@@ -332,17 +327,10 @@ class ResultCache:
         slot.tick = next(self._ticks)
         return slot.entry
 
-    def peek(self, key: Hashable) -> Any:
-        """No re-pricing, no hit/miss counts."""
-        with self._mutex:
-            slot = self._slots.get(key)
-            return None if slot is None else slot.entry
-
     def admits(self, key: Hashable) -> bool:
-        """The admission policy's word, asked before the entry is built."""
+        """The doorkeeper's word, asked before the entry is built."""
         with self._mutex:
-            door = self._doorkeeper
-            if door is None or door.knows(key):
+            if self._doorkeeper.knows(key):
                 return True
             self._admission_declines += 1
             return False
@@ -354,8 +342,7 @@ class ResultCache:
         decline: the clock still moves to it). The doorkeeper learns the
         key, so a re-admission after an invalidation takes one sighting."""
         with self._mutex:
-            if self._doorkeeper is not None:
-                self._doorkeeper.knows(key)
+            self._doorkeeper.knows(key)
             max_bytes = self.max_bytes
             size = self._sizeof(entry) if max_bytes is not None else 0
             if max_bytes is not None and size > max_bytes:
@@ -496,8 +483,7 @@ class ResultCache:
     def flush(self, reason: str) -> None:
         """Drop everything, the doorkeeper's memory included."""
         with self._mutex:
-            if self._doorkeeper is not None:
-                self._doorkeeper.clear()
+            self._doorkeeper.clear()
             dropped = len(self._slots)
             self._slots.clear()
             self._heap.clear()

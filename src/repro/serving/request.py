@@ -30,13 +30,6 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Union, cast
 from repro.beas.result import ExecutionMode
 from repro.beas.session import Decision, Result
 from repro.bounded.rebind import RebindTemplate, build_rebind_template
-from repro.bounded.subsume import (
-    Candidate,
-    QuerySummary,
-    apply_refilter,
-    subsumes,
-    summarize_statement,
-)
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.router import allowed_routes, routing_features
 from repro.errors import ServingError
@@ -68,18 +61,11 @@ _STRING = 49 - 28  # what a string costs beyond a number, before its length
 @dataclass
 class CachedResult:
     """One result-cache entry plus what it depends on: what the
-    :class:`~repro.serving.cache.ResultCache` files it under, the
-    tables' sweep ``epochs`` its request observed (sorted table order)
-    and ``table_versions``, stamped only when the entry is persisted.
-
-    ``summary`` is the entry's predicate-lattice summary, present only
-    when the request ran with ``result_reuse="subsume"`` and the entry
-    is an eligible subsumption source (BOUNDED mode, reusable shape);
-    ``template_fingerprint`` records the pinned rebind template the
-    answer derived from, so a merged-arity fallback can drop candidates
-    with stale plan provenance. ``cost`` is the wall seconds the miss
-    that produced it took from ``observe`` to ``admit`` (what a re-run
-    would pay): the cache's retention priority.
+    :class:`~repro.serving.cache.ResultCache` files it under and the
+    tables' sweep ``epochs`` its request observed (sorted table order).
+    ``cost`` is the wall seconds the miss that produced it took from
+    ``observe`` to ``admit`` (what a re-run would pay): the cache's
+    retention priority.
     """
 
     columns: list[str]
@@ -91,10 +77,7 @@ class CachedResult:
     read_keys: tuple[tuple[str, tuple[Any, ...]], ...]
     coarse_tables: frozenset[str]
     epochs: tuple[int, ...]
-    table_versions: Optional[dict[str, int]] = None
-    summary: Optional[QuerySummary] = None
-    template_fingerprint: Optional[str] = None
-    cost: float = 0.0
+    cost: float
 
 
 def result_size(entry: CachedResult) -> int:
@@ -252,54 +235,10 @@ def probe_exact(server: "BEASServer", request: Request) -> Optional[Result]:
     entry = request.entry
     if entry is not None:
         if _entry_fresh(entry, request):
-            return _serve_cached(request, entry, list(entry.rows), "result-cache")
+            return _serve_cached(request, entry)
         # outdated despite sweeps: drop defensively
         server.results.invalidate(request.result_key)
     request.misses += 1
-    return None
-
-
-def probe_subsumed(server: "BEASServer", request: Request) -> Optional[Result]:
-    """Answer from a cached bounded superset after an exact miss
-    (``result_reuse="subsume"``), or fall through.
-
-    Runs under the request's read locks, so the freshness check applied
-    to a candidate is made against the same consistent snapshot the
-    fresh path would execute under.
-    """
-    options = request.options
-    if not options.use_result_cache or options.result_reuse != "subsume":
-        return None
-    summary = _summary(server, request)
-    if not summary.reusable:
-        server.count("subsumption_rejects")
-        return None
-    examined = 0
-    for candidate in server.subsume_index.candidates(summary.shape_key):
-        entry = _live_source(server, request, candidate)
-        if entry is None or entry.summary is None:
-            continue
-        examined += 1
-        plan = subsumes(entry.summary, summary)
-        if plan is None:
-            continue
-        rows = apply_refilter(plan, entry.columns, entry.rows)
-        if rows is None:
-            continue
-        server.count("subsumed_hits")
-        # The re-filtered answer is NOT re-admitted under its own key,
-        # nor indexed as a candidate: it is strictly narrower than its
-        # source, so the source answers every repeat and every further
-        # refinement at probe cost, while a private copy would
-        # double-cache the same rows and (if indexed) evict broader
-        # sources from the per-shape LRU. Only the source's recency is
-        # refreshed.
-        server.subsume_index.touch(candidate.shape_key, candidate.result_key)
-        return _serve_cached(request, entry, rows, "subsumed")
-    if examined:
-        # live same-shape candidates existed but none subsumed this
-        # binding's region (or post-filtering was refused)
-        server.count("subsumption_rejects")
     return None
 
 
@@ -392,7 +331,6 @@ STAGES: tuple[Stage, ...] = (
     front_end,
     observe,
     probe_exact,
-    probe_subsumed,
     decide,
     route,
     execute,
@@ -472,61 +410,17 @@ def _result(
     )
 
 
-def _serve_cached(
-    request: Request,
-    entry: CachedResult,
-    rows: list[tuple[Any, ...]],
-    provenance: str,
-) -> Result:
+def _serve_cached(request: Request, entry: CachedResult) -> Result:
     seconds = time.perf_counter() - request.started
     request.hits += 1
+    rows = list(entry.rows)
     metrics = ExecutionMetrics(
         rows_output=len(rows), seconds=seconds, served_from_cache=True
     )
     return _result(
         request, entry.columns, rows, entry.mode, entry.decision, metrics,
-        provenance,
+        "result-cache",
     )  # fmt: skip
-
-
-def _summary(server: "BEASServer", request: Request) -> QuerySummary:
-    """The statement's predicate-lattice summary, through the summary
-    cache (a pure function of the statement, keyed by fingerprint —
-    never flushed for freshness)."""
-    summary: Optional[QuerySummary] = server.summary_cache.get(
-        request.fingerprint
-    )
-    if summary is None:
-        summary = summarize_statement(request.statement())
-        server.summary_cache.put(request.fingerprint, summary)
-    return summary
-
-
-def _live_source(
-    server: "BEASServer", request: Request, candidate: Candidate
-) -> Optional[CachedResult]:
-    """The candidate's cache entry when it may soundly answer this
-    request: cached under the same (budget, allow_partial,
-    approximate_over_budget) triple — a subsumed answer must never
-    out-run a budget refusal the fresh path would have issued — still
-    cached, bounded, and fresh."""
-    key = cast("tuple[Any, ...]", candidate.result_key)
-    if key == request.result_key or key[1:] != request.result_key[1:]:
-        return None  # the exact lookup missed on it / not comparable
-    entry: Optional[CachedResult] = None
-    if candidate.generation == request.generation:
-        entry = server.results.peek(key)
-    if entry is None:  # stale generation, or evicted/invalidated
-        server.subsume_index.discard(candidate.shape_key, key)
-        return None
-    if (
-        entry.mode is ExecutionMode.BOUNDED
-        # the tables this request holds and observed, no others
-        and entry.tables == request.tables
-        and _entry_fresh(entry, request)
-    ):
-        return entry
-    return None
 
 
 def _decision(
@@ -562,14 +456,6 @@ def _decision(
                 server.count("rebinds")
                 return rebound, "rebound"
             server.count("rebind_fallbacks")
-            # the pinned plan is being abandoned (merged-arity or other
-            # guard): any subsumption candidate derived from it carries
-            # stale plan provenance — stop offering them
-            dropped = server.subsume_index.drop_template(
-                bound.template.fingerprint
-            )
-            if dropped:
-                server.count("subsumption_invalidations", dropped)
     coverage: "CoverageDecision" = server.beas.check(request.statement())
     cache.put(key, coverage)
     if rebind_key is not None:
@@ -599,20 +485,9 @@ def _filing(
 
 
 def _admit(server: "BEASServer", request: Request) -> None:
-    options, answer = request.options, request.answer
-    bounded = request.mode is ExecutionMode.BOUNDED
-    summary: Optional[QuerySummary] = None
-    if bounded and options.result_reuse == "subsume":
-        # only a complete bounded answer is a sound subsumption source
-        # (a PARTIAL answer's missing rows could be exactly the tighter
-        # query's)
-        summary = _summary(server, request)
-        if not summary.reusable:
-            summary = None
-    bound = request.binding
-    template = bound.template.fingerprint if bound.overrides else None
     if not server.results.admits(request.result_key):
         return  # a first sighting: nothing is built for it
+    answer = request.answer
     read_keys, coarse_tables = _filing(server, request)
     entry = CachedResult(
         columns=list(answer.columns),
@@ -624,22 +499,9 @@ def _admit(server: "BEASServer", request: Request) -> None:
         read_keys=read_keys,
         coarse_tables=coarse_tables,
         epochs=request.epochs,
-        summary=summary,
-        template_fingerprint=template,
         cost=time.perf_counter() - request.started,
     )
     # filed while still holding every dependency's read lock: a writer
     # changing one of these tables cannot run until we release, so its
     # invalidation will find this entry
-    if not server.results.install(request.result_key, entry):
-        return
-    if summary is not None:
-        server.subsume_index.add(
-            Candidate(
-                shape_key=summary.shape_key,
-                result_key=request.result_key,
-                generation=request.generation,
-                summary=summary,
-                template_fingerprint=template,
-            )
-        )
+    server.results.install(request.result_key, entry)

@@ -42,11 +42,12 @@ Concurrency model (the sharded architecture):
   table's write hold, so no answer can slip past a write that outdates
   it.
 
-Result-cache admission is **admit-on-second-hit** by default (pass
-``result_admission="always"`` to restore eager admission): the first
-sighting of a (fingerprint, options) key only registers it in the
-cache's doorkeeper, so one-off ad-hoc or fuzz queries stop churning
-the cache; a key seen twice is cached for real.
+Result-cache admission is **admit-on-second-hit**: the first sighting
+of a (fingerprint, options) key only registers it in the cache's
+doorkeeper, so one-off ad-hoc or fuzz queries do not churn the cache;
+a key seen twice is cached for real. A cached answer is always an exact
+entry of this process: the cache starts empty, and a request that finds
+nothing fresh under its own key is executed.
 
 ``sharded=False`` collapses every table onto a single shard and every
 stripe onto one — the global-lock baseline the concurrency benchmark
@@ -61,7 +62,6 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Mapping, Optional, Union
 
 from repro.beas.session import Decision, ExecutionOptions, Result, options_layer
-from repro.bounded.subsume import SubsumptionIndex
 from repro.config import env_routing_epsilon
 from repro.distributed.peerset import PeerStats
 from repro.engine.router import ExecutorRouter, RouterStats
@@ -71,7 +71,7 @@ from repro.sql.fingerprint import statement_fingerprint
 from repro.serving import request as stages
 from repro.serving.cache import CacheStats, ResultCache
 from repro.serving.prepared import AdhocTemplates, PreparedBinding, PreparedQuery
-from repro.serving.request import CachedResult, Request, result_size
+from repro.serving.request import Request, result_size
 from repro.storage.mmapstore import StorageStats
 from repro.serving.shard import (
     LockStats,
@@ -130,13 +130,6 @@ class ServingStats:
     rebinds: int = 0
     rebind_fallbacks: int = 0
     checker_runs: int = 0
-    # subsumption counters (result_reuse="subsume"): queries answered by
-    # re-filtering a cached bounded superset, probes that found no sound
-    # source, and candidates dropped for stale plan provenance (rebind
-    # fallbacks abandoning the pinned plan they derived from)
-    subsumed_hits: int = 0
-    subsumption_rejects: int = 0
-    subsumption_invalidations: int = 0
     # engine-pool counters (None while no pool has started): requests on
     # this server dispatch bounded work to the BEAS instance's worker
     # processes when it was built with parallelism >= 2
@@ -151,7 +144,6 @@ class ServingStats:
     routing: Optional[RouterStats] = None
     # persistent-storage counters (None while the BEAS instance runs the
     # in-memory engine): warm-start provenance, WAL traffic, checkpoints
-    # and result-cache persistence
     storage: Optional[StorageStats] = None
 
     @property
@@ -188,9 +180,6 @@ class ServingStats:
             f"  plan rebinds: {self.rebinds} served without the BE Checker "
             f"({self.rebind_fallbacks} guard fallbacks, "
             f"{self.checker_runs} checker runs total)",
-            f"  subsumption: {self.subsumed_hits} subsumed hits, "
-            f"{self.subsumption_rejects} rejects, "
-            f"{self.subsumption_invalidations} candidates invalidated",
             f"  access-schema generation: {self.schema_generation}",
             f"  lock contention: {self.contended_acquisitions} contended "
             f"acquisitions, waited {self.lock_wait_seconds * 1000:.2f} ms",
@@ -224,13 +213,7 @@ class BEASServer:
         result_cache_bytes: Optional[int] = 8 << 20,
         sharded: bool = True,
         decision_stripes: int = 8,
-        result_admission: str = "second-hit",
     ):
-        if result_admission not in ("second-hit", "always"):
-            raise ServingError(
-                f"unknown result_admission {result_admission!r} "
-                "(expected 'second-hit' or 'always')"
-            )
         self._beas = beas
         #: the resolved base layer of every request: the options of the
         #: Session that built this server (else the engine's own)
@@ -250,18 +233,10 @@ class BEASServer:
         self.decision_cache = StripedCache(
             "decision", max_entries=decision_cache_entries, stripes=stripes
         )
-        # predicate-lattice summaries, keyed by fingerprint — pure
-        # functions of the statement, so never flushed for freshness
-        self.summary_cache = StripedCache(
-            "summary", max_entries=parse_cache_entries, stripes=min(4, stripes)
-        )
-        self.subsume_index = SubsumptionIndex()
-
         self.results = ResultCache(
             max_entries=result_cache_entries,
             max_bytes=result_cache_bytes,
             sizeof=result_size,
-            admit_on_second_hit=result_admission == "second-hit",
         )
         table_names = [table.schema.name for table in beas.database]
         # the global shard stands in for names that are no table
@@ -273,13 +248,10 @@ class BEASServer:
         self._prepared: dict[str, PreparedQuery] = {}
         self._prepared_by_fingerprint: dict[str, PreparedQuery] = {}
         self.adhoc = AdhocTemplates(self)
-        #: executions, rebinds, rebind_fallbacks, subsumed_hits,
-        #: subsumption_rejects, subsumption_invalidations
+        #: executions, rebinds, rebind_fallbacks
         self._counts: Counter[str] = Counter()
         self._schema_generation = beas.catalog.schema_generation
         self._router = ExecutorRouter(epsilon=env_routing_epsilon())
-        if beas.store is not None:
-            self._prewarm_result_cache()
 
     # ------------------------------------------------------------------ #
     @property
@@ -411,9 +383,6 @@ class BEASServer:
         A binding whose arity signature matches an earlier one reuses
         that binding's pinned plan via constraint-preserving rebinding —
         the BE Checker runs once per signature, not once per binding.
-        With ``result_reuse="subsume"``, a binding whose predicate
-        region is contained in an earlier cached binding's is answered
-        by re-filtering that binding's rows — no execution at all.
         """
         if isinstance(prepared, str):
             prepared = self.prepared(prepared)
@@ -462,9 +431,9 @@ class BEASServer:
     # ------------------------------------------------------------------ #
     # what the stages use of the server
     # ------------------------------------------------------------------ #
-    def count(self, name: str, by: int = 1) -> None:
+    def count(self, name: str) -> None:
         with self._admin_lock:
-            self._counts[name] += by
+            self._counts[name] += 1
 
     def read_locks(self, tables: frozenset[str]) -> tuple[ShardLock, ...]:
         """The schema lock and every dependency shard's: what one
@@ -564,14 +533,14 @@ class BEASServer:
         # Two-phase counter read, ordered against a request's own bump
         # order so concurrent traffic can never tear the snapshot's
         # invariants. Within one request the order is: executions (admin)
-        # -> result-cache hit/miss (cache) -> rebind/subsumption counters
-        # (admin). Monotonic counters stay consistent when each family is
-        # read in the *reverse* of that order: the post-cache counters
-        # first (anything they count already has its cache event), the
-        # cache snapshot second, and the pre-cache counters last (anything
-        # the snapshot counted already has its execution). A single
+        # -> result-cache hit/miss (cache) -> rebind counters (admin).
+        # Monotonic counters stay consistent when each family is read in
+        # the *reverse* of that order: the post-cache counters first
+        # (anything they count already has its cache event), the cache
+        # snapshot second, and the pre-cache counters last (anything the
+        # snapshot counted already has its execution). A single
         # admin-lock block in either position reports torn totals — e.g.
-        # subsumed_hits > result misses.
+        # rebinds > result misses.
         with self._admin_lock:
             counts = Counter(self._counts)
         result, held = self.results.snapshot()
@@ -589,9 +558,6 @@ class BEASServer:
         return ServingStats(
             rebinds=counts["rebinds"],
             rebind_fallbacks=counts["rebind_fallbacks"],
-            subsumed_hits=counts["subsumed_hits"],
-            subsumption_rejects=counts["subsumption_rejects"],
-            subsumption_invalidations=counts["subsumption_invalidations"],
             checker_runs=self._beas.checker_runs,
             parse=self.parse_cache.stats(),
             adhoc=self.adhoc.stats(),
@@ -611,66 +577,11 @@ class BEASServer:
             storage=self._beas.storage_stats(),
         )
 
-    # ------------------------------------------------------------------ #
-    # result-cache persistence (mmap storage engine only)
-    # ------------------------------------------------------------------ #
-    def persist_result_cache(self) -> int:
-        """Spill every live result-cache entry to the BEAS instance's
-        persistent store; no-op returning 0 on the in-memory engine.
-
-        Each entry is stamped with the live version of every table it
-        depends on: the next process reinstalls it only if they reopen at
-        exactly those versions (:meth:`_prewarm_result_cache`).
-        """
-        store = self._beas.store
-        if store is None:
-            return 0
-        live = {table.schema.name: table.version for table in self._beas.database}
-        # entries on a table that moved around the serving layer since
-        # the cache last looked are swept, not stamped
-        self.results.observe(live)
-        return store.save_results(
-            [
-                (key, replace(entry, table_versions={t: live[t] for t in entry.tables}))
-                for key, entry in self.results.entries()
-                if entry.tables <= live.keys()
-            ]
-        )
-
-    def _prewarm_result_cache(self) -> None:
-        """Reinstall result-cache entries persisted by a prior process.
-
-        Bypasses the admit-on-second-hit doorkeeper — these keys earned
-        admission in the previous run. An entry is reinstalled only when
-        the store warm-started (the access schema its read set names is
-        the live one), it was computed under the live schema generation,
-        and every table it depends on reopened at the version stamped.
-        """
-        store = self._beas.store
-        if store is None or not store.warm_start:
-            return
-        database = self._beas.database
-        for key, entry in store.load_results():
-            if (
-                not isinstance(entry, CachedResult)
-                or entry.schema_generation != self._schema_generation
-                or not all(name in database for name in entry.tables)
-            ):
-                continue
-            versions = {
-                name: database.table(name).version for name in sorted(entry.tables)
-            }
-            if entry.table_versions == versions:  # dict equality: any order
-                entry.epochs = self.results.observe(versions)
-                self.results.install(key, entry)
-
     def reset_caches(self) -> None:
         """Drop all cached state (keeps prepared handles)."""
         self.parse_cache.invalidate_all()
         self.adhoc.clear()
         self.decision_cache.invalidate_all()
-        self.summary_cache.invalidate_all()
-        self.subsume_index.clear()
         self.results.flush("reset_caches")
         with self._admin_lock:
             prepared = list(self._prepared.values())
@@ -711,10 +622,6 @@ class BEASServer:
         # result entries record their generation, so flushing here is a
         # memory measure, not a correctness one
         self.decision_cache.invalidate_all()
-        # candidates are generation-stamped (the prober would skip them
-        # anyway); clearing here keeps the index from holding references
-        # to flushed entries across a bump
-        self.subsume_index.clear()
         self.results.flush("access-schema change")
         return generation
 

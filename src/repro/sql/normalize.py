@@ -244,7 +244,7 @@ def _expand_range_conjunct(resolved: ast.Expression) -> list[ast.Expression]:
     """Rewrite a BETWEEN conjunct with non-NULL literal bounds into its
     comparison form, mirroring ``sql.fingerprint`` canonicalisation so
     both spellings of a range produce identical filters (and therefore
-    identical rebind templates and subsumption summaries). The literal
+    identical rebind templates). The literal
     guard matches the fingerprint's: with a NULL or non-literal bound
     the decomposition is not truth-value equivalent under three-valued
     logic, so such conjuncts are kept verbatim."""

@@ -4,12 +4,11 @@ Access indices are derived state — the AS Catalog builds each one from
 the base data and the Maintenance module keeps it current under updates
 (paper §3) — so what a restart needs besides the base rows is the access
 schema and the updates since the last checkpoint. ``MmapStore`` keeps
-exactly that, plus the serving result cache, under one directory::
+exactly that under one directory::
 
     <dir>/MANIFEST.json   # format, database, access schema, generation,
                           # each table's version + fingerprint, the log
     <dir>/wal-<n>.log     # framed maintenance records since checkpoint
-    <dir>/results.log     # framed result-cache entries, written on close
 
 The name is historical: the store once kept memory-mapped index
 segments. It maps nothing now, and no file it writes at a checkpoint
@@ -38,7 +37,6 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Optional, Sequence
@@ -50,10 +48,9 @@ from repro.errors import AccessSchemaError, MaintenanceError, StorageError
 from repro.maintenance.incremental import apply_delete, apply_insert
 from repro.storage.codec import decode_json_rows, decode_row, encode_row
 from repro.storage.table import Table
-from repro.storage.wal import ReplayReport, WriteAheadLog, frame_record, scan_frames
+from repro.storage.wal import ReplayReport, WriteAheadLog
 
 MANIFEST_NAME = "MANIFEST.json"
-RESULTS_NAME = "results.log"
 #: a checkpoint starts its log under the name the current manifest does
 #: not use, so the log a manifest names is never touched before the
 #: manifest that replaces it is in place
@@ -111,8 +108,6 @@ class StorageStats:
     wal_bytes_appended: int
     wal_text_batches: int
     checkpoints: int
-    result_entries_saved: int
-    result_entries_loaded: int
 
     def describe(self) -> str:
         start = "warm" if self.warm_start else "cold"
@@ -123,9 +118,7 @@ class StorageStats:
             f"{self.wal_bytes_appended} B, "
             f"{self.wal_text_batches} in text cells, "
             f"{self.wal_dropped_bytes} B torn-tail dropped), "
-            f"{self.checkpoints} checkpoints, "
-            f"results {self.result_entries_saved} saved / "
-            f"{self.result_entries_loaded} loaded"
+            f"{self.checkpoints} checkpoints"
         )
 
 
@@ -141,7 +134,6 @@ class MmapStore:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.manifest_path = self.directory / MANIFEST_NAME
-        self.results_path = self.directory / RESULTS_NAME
         # appends go to the log the manifest names (the first name when
         # there is no readable manifest) until a checkpoint starts another
         named = (_read_manifest(self.manifest_path) or {}).get("wal")
@@ -152,8 +144,6 @@ class MmapStore:
         self.wal_dropped_bytes = 0
         self.wal_text_batches = 0
         self.checkpoints = 0
-        self.result_entries_saved = 0
-        self.result_entries_loaded = 0
 
     # -- checkpoint ------------------------------------------------------- #
     def checkpoint(self, catalog: Any) -> None:
@@ -321,43 +311,6 @@ class MmapStore:
     def wal_bytes_appended(self) -> int:
         return self._wal.bytes_appended
 
-    # -- result-cache persistence ----------------------------------------- #
-    def save_results(self, entries: list[tuple[Any, Any]]) -> int:
-        """Persist result-cache entries as framed pickled records.
-
-        Entries are ``(key, value)`` pairs.  Pickle is the
-        right wire here — values carry plan/decision objects that
-        already cross the pool boundary pickled; the CRC framing (same
-        as the WAL) detects torn writes, and freshness is re-validated
-        against versions/generation by whoever reinstalls them, never
-        assumed.
-        """
-        frames = bytearray()
-        for entry in entries:
-            frames += frame_record(pickle.dumps(entry, pickle.HIGHEST_PROTOCOL))
-        _atomic_write(self.results_path, bytes(frames))
-        self.result_entries_saved = len(entries)
-        return len(entries)
-
-    def load_results(self) -> list[tuple[Any, Any]]:
-        """Read back every intact persisted result entry (torn tail,
-        unpicklable entries and an older layout's triples are dropped,
-        never served)."""
-        try:
-            data = self.results_path.read_bytes()
-        except OSError:
-            return []
-        scan = scan_frames(data)
-        entries: list[tuple[Any, Any]] = []
-        for payload in scan.payloads:
-            try:
-                key, value = pickle.loads(payload)
-            except Exception:  # noqa: BLE001 - arbitrary pickle failure just drops the entry
-                continue
-            entries.append((key, value))
-        self.result_entries_loaded = len(entries)
-        return entries
-
     # -- stats / lifecycle ------------------------------------------------- #
     def stats(self) -> StorageStats:
         return StorageStats(
@@ -370,8 +323,6 @@ class MmapStore:
             wal_bytes_appended=self.wal_bytes_appended,
             wal_text_batches=self.wal_text_batches,
             checkpoints=self.checkpoints,
-            result_entries_saved=self.result_entries_saved,
-            result_entries_loaded=self.result_entries_loaded,
         )
 
     def close(self) -> None:

@@ -8,7 +8,7 @@ replays the log on top (see ``docs/invariants.md``, *persistence
 discipline*). Each checkpoint starts a new, empty log, and the manifest
 names the one that belongs to it.
 
-Framing (shared with the result-cache log via :func:`frame_record` /
+Framing (shared with the remote routes' wire via :func:`frame_record` /
 :func:`scan_frames`)::
 
     u32 payload_len | u32 crc32(payload) | payload

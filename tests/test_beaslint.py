@@ -49,7 +49,7 @@ class TestNullGuard:
             def _compile_interval_check(index, low):
                 return lambda row: row[index] >= low
             """,
-            "bounded/subsume.py",
+            "engine/expressions.py",
         )
         hits = _hits(report, "null-guard")
         assert len(hits) == 1
@@ -62,7 +62,7 @@ class TestNullGuard:
             def _compile_interval_check(index, low):
                 return lambda row: (v := row[index]) is not None and v >= low
             """,
-            "bounded/subsume.py",
+            "engine/expressions.py",
         )
         assert not _hits(report, "null-guard")
 
@@ -120,7 +120,7 @@ class TestNullGuard:
                     return 1
                 return min(n, max_per_shape)
             """,
-            "bounded/subsume.py",
+            "engine/expressions.py",
         )
         assert not _hits(report, "null-guard")
 
@@ -388,7 +388,7 @@ class TestCacheGuard:
             def probe(self, key):
                 return self._candidates.lookup(key)
             """,
-            "bounded/subsume.py",
+            "engine/expressions.py",
         )
         assert not _hits(report, "cache-guard")
 
@@ -406,7 +406,7 @@ class TestExceptDiscipline:
                 except Exception:
                     return None
             """,
-            "bounded/subsume.py",
+            "engine/expressions.py",
         )
         hits = _hits(report, "except-discipline")
         assert len(hits) == 1
@@ -434,7 +434,7 @@ class TestExceptDiscipline:
                 except ValueError:
                     return None
             """,
-            "bounded/subsume.py",
+            "engine/expressions.py",
         )
         assert not _hits(report, "except-discipline")
 

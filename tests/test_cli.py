@@ -178,39 +178,6 @@ class TestServeStats:
         saved = re.search(r"; hits saved ([0-9.]+) ms of re-execution", out)
         assert saved is not None and float(saved.group(1)) > 0
 
-    def test_result_reuse_subsume_reports_counters(self, workspace, capsys):
-        """The subsumption counters must surface in serve-stats output;
-        the DISTINCT template is a refused shape, so the probe registers
-        rejects rather than unsound subsumed hits."""
-        data, schema = workspace
-        code = main(
-            [
-                "serve-stats", "--data", str(data), "--schema", str(schema),
-                "--sql", QUERY, "--repeat", "3",
-                "--result-reuse", "subsume",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "subsumption:" in out
-        assert "0 subsumed hits" in out  # DISTINCT is never subsumed
-        assert "rejects" in out
-
-    def test_result_reuse_counters_default_to_zero(self, workspace, capsys):
-        data, schema = workspace
-        code = main(
-            [
-                "serve-stats", "--data", str(data), "--schema", str(schema),
-                "--sql", QUERY, "--repeat", "2",
-                # pinned: the CI matrix leg forces BEAS_RESULT_REUSE=subsume,
-                # under which the DISTINCT template registers probe rejects
-                "--result-reuse", "exact",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "subsumption: 0 subsumed hits, 0 rejects" in out
-
     def test_param_binding(self, workspace, capsys):
         data, schema = workspace
         code = main(

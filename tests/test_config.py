@@ -36,12 +36,6 @@ class TestValidators:
             with pytest.raises(BEASError):
                 config.validate_parallelism(bad)
 
-    def test_result_reuse(self):
-        for mode in ("exact", "subsume"):
-            assert config.validate_result_reuse(mode) == mode
-        with pytest.raises(BEASError, match="result_reuse"):
-            config.validate_result_reuse("fuzzy")
-
     def test_routing(self):
         for mode in ("static", "learned"):
             assert config.validate_routing(mode) == mode
@@ -78,7 +72,6 @@ class TestEnvironmentReaders:
             "BEAS_ROWS_PER_BATCH",
             "BEAS_PARALLELISM",
             "BEAS_POOL_START_METHOD",
-            "BEAS_RESULT_REUSE",
             "BEAS_ROUTING",
             "BEAS_ROUTING_EPSILON",
             "BEAS_STORAGE",
@@ -89,7 +82,6 @@ class TestEnvironmentReaders:
         assert config.env_rows_per_batch() is None
         assert config.env_parallelism() is None
         assert config.env_pool_start_method() is None
-        assert config.env_result_reuse() is None
         assert config.env_routing() is None
         assert config.env_routing_epsilon() is None
         assert config.env_storage() is None
@@ -112,7 +104,6 @@ class TestEnvironmentReaders:
             ("BEAS_PARALLELISM", "two", "integer"),
             ("BEAS_PARALLELISM", "-1", ">= 1"),
             ("BEAS_POOL_START_METHOD", "teleport", "BEAS_POOL_START_METHOD"),
-            ("BEAS_RESULT_REUSE", "fuzzy", "BEAS_RESULT_REUSE"),
             ("BEAS_ROUTING", "oracle", "BEAS_ROUTING"),
             ("BEAS_ROUTING_EPSILON", "greedy", "float"),
             ("BEAS_ROUTING_EPSILON", "1.5", r"\[0, 1\]"),
@@ -139,12 +130,6 @@ class TestEnvironmentReaders:
         method = multiprocessing.get_all_start_methods()[0]
         monkeypatch.setenv("BEAS_POOL_START_METHOD", method)
         assert config.env_pool_start_method() == method
-
-    def test_result_reuse_round_trip(self, monkeypatch):
-        monkeypatch.setenv("BEAS_RESULT_REUSE", "subsume")
-        assert config.env_result_reuse() == "subsume"
-        monkeypatch.setenv("BEAS_RESULT_REUSE", "exact")
-        assert config.env_result_reuse() == "exact"
 
     def test_storage_round_trip(self, monkeypatch):
         monkeypatch.setenv("BEAS_STORAGE", "mmap")
@@ -173,7 +158,6 @@ class TestEnvConfig:
         monkeypatch.setenv("BEAS_PARALLELISM", "2")
         monkeypatch.delenv("BEAS_ROWS_PER_BATCH", raising=False)
         monkeypatch.delenv("BEAS_POOL_START_METHOD", raising=False)
-        monkeypatch.delenv("BEAS_RESULT_REUSE", raising=False)
         monkeypatch.delenv("BEAS_FUZZ_SEEDS", raising=False)
         monkeypatch.setenv("BEAS_ROUTING", "learned")
         monkeypatch.delenv("BEAS_ROUTING_EPSILON", raising=False)

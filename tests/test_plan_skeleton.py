@@ -327,8 +327,8 @@ def test_tlc_rebound_plans_match_reference_and_fresh_plans(tlc, index):
             pinned = plan
         else:
             assert decision.provenance == "rebound"
-            # the patched plan the decision, explain and the subsumption
-            # index read is the plan a fresh BE Checker run produces ...
+            # the patched plan the decision and explain read is the plan
+            # a fresh BE Checker run produces ...
             fresh = BEAS(dataset.database, tlc_access_schema()).check(statement)
             assert plan == fresh.plan and repr(plan) == repr(fresh.plan)
             # ... and it carries the skeleton compiled for the pinned plan

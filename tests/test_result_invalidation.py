@@ -6,8 +6,8 @@ keeps it until a write changes the distinct-Y set of one of them
 (``docs/invariants.md``, "Result-cache validity"). Five families:
 
 1. **Model-based** — a hypothesis state machine over ``Session`` at
-   default options, ``executor="columnar"``, ``result_reuse="subsume"``
-   and ``storage="mmap"`` (with a close -> reopen step that prewarms):
+   default options, ``executor="columnar"`` and ``storage="mmap"`` (with
+   a close -> reopen step, after which the result cache starts empty):
    reads, prepared binds, inserts, deletes, refused and bound-widening
    inserts, writes around the serving layer, register / unregister.
    After every read the rows (as a bag), the ``tuples_fetched`` of a miss
@@ -275,8 +275,6 @@ class InvalidationMachine(RuleBasedStateMachine):
     """One ``Session`` and a model of its tables, stepped together."""
 
     options: dict = {}
-    #: subsumed hits are answered from another key's entry
-    subsume = False
 
     def __init__(self):
         super().__init__()
@@ -347,9 +345,8 @@ class InvalidationMachine(RuleBasedStateMachine):
         if result.metrics.served_from_cache:
             assert use_cache
             assert result.metrics.tuples_fetched == 0
-            if result.decision.provenance != "subsumed":
-                # admit-on-second-hit: two earlier sightings at least
-                assert self.sightings[key] >= 2, key
+            # admit-on-second-hit: two earlier sightings at least
+            assert self.sightings[key] >= 2, key
         elif result.mode in (ExecutionMode.BOUNDED, ExecutionMode.PARTIAL):
             assert result.metrics.tuples_fetched == self._scratch_fetched(
                 template, values
@@ -501,21 +498,6 @@ class InvalidationMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.store_dir is not None)
     @rule()
     def reopen(self):
-        closed_at = {
-            name: self.session.database.table(name).version for name in self.model
-        }
-        results = self.session.server.results
-        # closing persists the cache after sweeping every table that
-        # moved around the serving layer since the cache last looked: a
-        # write it was never told of may have staled any answer there
-        cached = {
-            key: entry.tables
-            for key, entry in results.entries()
-            if all(
-                results._versions.get(name, closed_at[name]) == closed_at[name]
-                for name in entry.tables
-            )
-        }
         generation = self.session.stats().schema_generation
         self.session.close()
         rows, versions, checkpointed = self.base
@@ -527,16 +509,10 @@ class InvalidationMachine(RuleBasedStateMachine):
         stats = self.session.stats()
         assert stats.storage.warm_start
         assert stats.schema_generation == generation
-        # what the closed session held is prewarmed (and filed as it
-        # was), but for answers on a table that reopens at another
-        # version: a refused batch moved it and logged nothing
-        same = {
-            name for name, version in closed_at.items()
-            if self.session.database.table(name).version == version
-        }  # fmt: skip
-        assert {key for key, _ in self.session.server.results.entries()} == {
-            key for key, tables in cached.items() if tables <= same
-        }
+        # a cached answer is an entry of this process: nothing survives
+        # the restart, and every key needs two sightings again
+        assert not self.session.server.results.entries()
+        self.sightings.clear()
         self.handles = {
             name: self.session.query(render(name, {})) for name in TEMPLATES
         }
@@ -590,7 +566,6 @@ def machine(name: str, **options):
 
 TestDefaultOptions = machine("DefaultOptions")
 TestColumnar = machine("Columnar", executor="columnar")
-TestSubsume = machine("Subsume", result_reuse="subsume")
 TestMmap = machine("Mmap", storage="mmap")
 
 

@@ -2,7 +2,7 @@
 
 ``ResultCache`` evicts the entry with the lowest ``clock + cost`` (cost:
 the measured seconds of the miss that produced it; a hit re-prices the
-entry at the current clock) and moves the clock to it. Six families:
+entry at the current clock) and moves the clock to it. Five families:
 
 1. **Equal costs are LRU** — a seeded 10 000-op run of installs, hits
    and invalidations against a reference ``OrderedDict`` LRU.
@@ -14,36 +14,22 @@ entry at the current clock) and moves the clock to it. Six families:
    stays cached in 16 entries across 200 distinct covered reads.
 5. **Mutation** — with the cost flattened to a constant, (3) and (4)
    fail.
-6. **Restart** — the cost is persisted with the entry.
 """
 
 from __future__ import annotations
 
-import pickle
 import random
-import shutil
-import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import pytest
 
-from repro import AccessSchema, Database, ExecutionOptions, Session
+from repro import Database, ExecutionOptions, Session
 from repro.beas.result import ExecutionMode
 from repro.serving.cache import ResultCache
-from repro.serving.request import CachedResult
 from repro.workloads.tlc import generate_tlc, query_by_name, tlc_access_schema
 
-from tests.test_result_invalidation import (
-    DATES,
-    INITIAL,
-    PNUMS,
-    YEARS,
-    assert_filing_is_tight,
-    build_database,
-    constraints,
-    render,
-)
+from tests.test_result_invalidation import assert_filing_is_tight
 
 TABLES = ["a", "b", "c"]
 
@@ -75,7 +61,6 @@ def _cache(entries: int, max_bytes=None) -> ResultCache:
         max_entries=entries,
         max_bytes=max_bytes,
         sizeof=lambda entry: 40 * entry.rows,
-        admit_on_second_hit=False,
     )
 
 
@@ -242,59 +227,3 @@ def test_flat_costs_fail_the_retention_checks(tlc16, monkeypatch):
         _self_declines_keep_the_filing_tight(random.Random(21))
     with pytest.raises(AssertionError, match="Q11 evicted by read 20"):
         _q11_outlives_covered_reads(*tlc16)
-
-
-# --------------------------------------------------------------------------- #
-# (6) the cost is persisted with the entry
-# --------------------------------------------------------------------------- #
-def test_an_entry_pickled_without_a_cost_loads_at_the_lowest_priority():
-    entry = CachedResult(
-        columns=["x"], rows=[(1,)], mode=ExecutionMode.BOUNDED, decision=None,
-        schema_generation=0, tables=frozenset({"a"}), read_keys=(),
-        coarse_tables=frozenset(), epochs=(0,), cost=0.5,
-    )  # fmt: skip
-    del entry.cost  # what an older results file holds
-    assert pickle.loads(pickle.dumps(entry)).cost == 0.0
-
-
-def test_the_cost_survives_a_restart():
-    store_dir = tempfile.mkdtemp(prefix="beas-retention-")
-    options = ExecutionOptions(
-        storage="mmap", storage_dir=store_dir, parallelism=1, replicas=1,
-        routing="static",
-    )  # fmt: skip
-
-    def open_session() -> Session:
-        return Session(
-            build_database(INITIAL),
-            AccessSchema(constraints()),
-            options=options,
-            server_options={"result_cache_entries": 4},
-        )
-
-    dear = render("who", {"p": "100", "d": "2016-06-01"})
-    cheap = [render("ids", {"p": p, "d": d}) for p in PNUMS for d in DATES] + [
-        render("packages", {"p": p, "y": y}) for p in PNUMS for y in YEARS
-    ]
-    try:
-        session = open_session()
-        session.run(dear)
-        session.run(dear)
-        results = session.server.results
-        ((key, entry),) = results.entries()
-        assert results.install(key, replace(entry, cost=1.0))  # dear to recompute
-        session.close()
-
-        session = open_session()
-        assert session.stats().storage.warm_start
-        assert [(k, e.cost) for k, e in session.server.results.entries()] == [(key, 1.0)]
-        for sql in cheap:
-            session.run(sql)
-            session.run(sql)
-        stats = session.stats()
-        assert stats.result.evictions > 0
-        assert session.run(dear).metrics.served_from_cache
-        session.close()
-    finally:
-        shutil.rmtree(store_dir, ignore_errors=True)
-

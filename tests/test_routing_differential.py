@@ -343,7 +343,7 @@ class TestCostAwareAdmission:
     def test_retention_decline_rule(self):
         from repro.engine.router import ExecutorRouter, RouterStats
 
-        results = ResultCache(max_entries=1, max_bytes=None, admit_on_second_hit=False)
+        results = ResultCache(max_entries=1, max_bytes=None)
         assert results.install("cheap", _Priced(cost=0.001))  # room: admit
         assert results.install("dear", _Priced(cost=2.0))  # evicts the cheaper
         assert not results.install("cheap", _Priced(cost=0.001))  # would go first

@@ -27,7 +27,7 @@ import time
 import pytest
 
 from repro import BEAS, AccessConstraint
-from repro.errors import MaintenanceError, ServingError
+from repro.errors import MaintenanceError
 from repro.serving import BEASServer, ShardLock, StripedCache
 from repro.serving.shard import grant, release
 
@@ -374,11 +374,6 @@ def test_grant_stress_answers_match_their_versions():
 # admission policy: admit-on-second-hit
 # --------------------------------------------------------------------------- #
 class TestAdmissionPolicy:
-    def test_server_rejects_unknown_admission(self):
-        beas = BEAS(example1_database(), example1_access_schema())
-        with pytest.raises(ServingError):
-            BEASServer(beas, result_admission="sometimes")
-
     def test_once_seen_is_not_cached_twice_seen_is(self, server):
         server.execute(CALL_SQL)
         stats = server.stats()
@@ -405,17 +400,6 @@ class TestAdmissionPolicy:
         assert stats.result.evictions == 0
         assert stats.admission_declines >= 26
         assert server.execute(CALL_SQL).metrics.served_from_cache
-
-    def test_always_policy_restores_eager_admission(self):
-        beas = BEAS(example1_database(), example1_access_schema())
-        server = beas.session(result_admission="always").server
-        server.execute(CALL_SQL)
-        assert server.execute(CALL_SQL).metrics.served_from_cache
-        assert server.stats().admission_declines == 0
-        # the doorkeeper is bypassed entirely: no unbounded key log
-        for day in range(2, 10):
-            server.execute(CALL_SQL.replace("2016-06-01", f"2016-06-{day:02d}"))
-        assert server.results._doorkeeper is None
 
     def test_readmission_after_invalidation_is_immediate(self, server):
         """A recurring query's entry dies with its table version; the

@@ -23,11 +23,11 @@ Three families of checks over :class:`BEASServer` (sharded):
   within a hard timeout (ordered acquisition means no lock cycles).
 
 * **Stats-snapshot atomicity** — ``BEASServer.stats()`` polled during a
-  subsumption-heavy workload must never report torn totals. Within one
-  request the bump order is executions (admin lock), then the shard's
-  result-cache hit/miss, then the subsumption/rebind counters (admin
-  lock again); a snapshot that reads all admin counters in a single
-  block can therefore observe ``subsumed_hits > result.misses`` or
+  rebind-heavy workload must never report torn totals. Within one
+  request the bump order is executions (admin lock), then the result
+  cache's hit/miss, then the rebind counters (admin lock again); a
+  snapshot that reads all admin counters in a single block can
+  therefore observe ``rebinds > result.misses`` or
   ``hits + misses > executions``. ``stats()`` reads the counter
   families in reverse bump order, and this suite holds it to that.
 """
@@ -41,7 +41,6 @@ from collections import Counter
 from repro import BEAS, AccessConstraint
 
 from tests.conftest import example1_access_schema, example1_database
-from tests.test_subsumption_differential import build_events_database, events_access
 
 WRITERS = {"call": 0, "package": 1, "business": 2}
 READERS = 4
@@ -294,44 +293,40 @@ def test_mixed_workload_deadlock_canary():
     assert all(not thread.is_alive() for thread in threads), "deadlock"
 
 
-def test_stats_snapshot_is_never_torn_under_subsume_load():
+def test_stats_snapshot_is_never_torn_under_rebind_load():
     """``stats()`` must hold the counter invariants while requests land.
 
-    Workload shape: one wide query is cached eagerly, then reader
-    threads hammer a strictly narrower binding with
-    ``result_reuse="subsume"``. Subsumed answers are not re-admitted,
-    so *every* narrow request is one execution + one exact result-cache
-    miss + one subsumed hit — the densest possible traffic across the
-    three counter families, each bumped at a different point of the
-    request. A concurrent poller asserts the cross-family invariants on
-    every snapshot; a stats() that reads the admin counters in one block
-    (the pre-fix behaviour) fails here with ``subsumed_hits >
-    result.misses`` within a few hundred polls. The interpreter switch
-    interval is cranked down for the duration so a context switch lands
-    inside the handful of bytecodes between the shard sweep and the
-    admin read often enough to *judge* the read order, not just
-    exercise it.
+    Workload shape: one prepared template, pinned by a first binding,
+    then reader threads execute it for bindings no request used before.
+    So *every* request is one execution + one result-cache miss + one
+    rebind — the densest possible traffic across the three counter
+    families, each bumped at a different point of the request. A
+    concurrent poller asserts the cross-family invariants on every
+    snapshot; a stats() that reads the cache before the admin counters
+    fails here with ``rebinds > result.misses`` within a few hundred
+    polls. The interpreter switch interval is cranked down for the
+    duration so a context switch lands inside the handful of bytecodes
+    between the cache snapshot and the admin read often enough to
+    *judge* the read order, not just exercise it.
     """
     import sys
 
-    server = BEAS(build_events_database(), events_access()).session(
-        result_admission="always"
-    ).server
-    select = "SELECT event_id, day, region, score FROM events WHERE "
-    wide = f"{select}pnum = 'p1' AND day >= 10 AND day <= 80 ORDER BY day"
-    narrow = f"{select}pnum = 'p1' AND day >= 20 AND day <= 60 ORDER BY day"
-    server.execute(wide, result_reuse="subsume")  # cached source
-    probe = server.execute(narrow, result_reuse="subsume")
-    assert probe.metrics.tuples_fetched == 0, "workload is not subsuming"
+    server = BEAS(example1_database(), example1_access_schema()).session().server
+    query = server.prepare(QUERIES["call"])
+    pinned = query.execute({"call.date": "2016-07-01"})
+    assert pinned.decision.provenance == "fresh"
 
     errors: list = []
     stop = threading.Event()
     polls = [0]
 
-    def reader() -> None:
+    def reader(index: int) -> None:
         try:
+            op = 0
             while not stop.is_set():
-                server.execute(narrow, result_reuse="subsume")
+                result = query.execute({"call.date": f"r{index}-{op}"})
+                assert result.decision.provenance == "rebound"
+                op += 1
         except Exception as error:  # pragma: no cover - assertion target
             errors.append(error)
 
@@ -340,10 +335,10 @@ def test_stats_snapshot_is_never_torn_under_subsume_load():
             while not stop.is_set():
                 stats = server.stats()
                 polls[0] += 1
-                assert stats.subsumed_hits <= stats.result.misses, (
-                    "torn snapshot: subsumed hits ahead of the misses "
-                    "that produced them",
-                    stats.subsumed_hits, stats.result.misses,
+                assert stats.rebinds <= stats.result.misses, (
+                    "torn snapshot: rebinds ahead of the misses that "
+                    "preceded them",
+                    stats.rebinds, stats.result.misses,
                 )
                 assert (
                     stats.result.hits + stats.result.misses
@@ -355,9 +350,9 @@ def test_stats_snapshot_is_never_torn_under_subsume_load():
         except Exception as error:  # pragma: no cover - assertion target
             errors.append(error)
 
-    threads = [threading.Thread(target=reader) for _ in range(4)] + [
-        threading.Thread(target=poller)
-    ]
+    threads = [
+        threading.Thread(target=reader, args=(i,)) for i in range(READERS)
+    ] + [threading.Thread(target=poller)]
     switch_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -374,6 +369,6 @@ def test_stats_snapshot_is_never_torn_under_subsume_load():
     assert polls[0] >= 100, f"only {polls[0]} stats polls - nothing judged"
 
     final = server.stats()
-    assert final.subsumed_hits > 0
-    assert final.subsumed_hits <= final.result.misses
+    assert final.rebinds > 0
+    assert final.rebinds <= final.result.misses
     assert final.result.hits + final.result.misses <= final.executions

@@ -31,11 +31,6 @@ from tests.conftest import (
     example1_access_schema,
     example1_database,
 )
-from tests.test_subsumption_differential import (
-    SELECT as EVENTS_SELECT,
-    build_events_database,
-    events_access,
-)
 
 CALL_SQL = (
     "SELECT recnum, region FROM call "
@@ -361,36 +356,27 @@ class TestOneRequestPath:
 
     def test_async_front_end_honours_session_options(self):
         """serve_async() with no keywords behaves exactly like
-        Session.run: the session's options are every request's base."""
-        wide = EVENTS_SELECT + "pnum = 'p4' AND day >= 0 AND day <= 90"
-        narrow = EVENTS_SELECT + "pnum = 'p4' AND day >= 10 AND day <= 50"
+        Session.run: the session's options are every request's base, and
+        a per-call keyword still overrides the session's layer."""
 
-        async def thrice(session, *queries):
+        async def thrice(session, **fields):
             async with session.serve_async(max_workers=2) as aserver:
-                return [await aserver.execute(sql) for sql in queries]
+                return [
+                    await aserver.execute(CALL_SQL, **fields) for _ in range(3)
+                ]
 
         with Session(
-            build_events_database(),
-            events_access(),
+            example1_database(),
+            example1_access_schema(),
             options=ExecutionOptions(use_result_cache=False),
         ) as uncached:
-            results = asyncio.run(thrice(uncached, wide, wide, wide))
+            results = asyncio.run(thrice(uncached))
             assert not any(r.served_from_cache for r in results)
             assert all(r.options == uncached.options for r in results)
-        with Session(
-            build_events_database(),
-            events_access(),
-            options=ExecutionOptions(result_reuse="subsume"),
-            server_options={"result_admission": "always"},
-        ) as subsuming:
-            _, tighter = asyncio.run(thrice(subsuming, wide, narrow))
-            assert tighter.decision.provenance == "subsumed"
-            # per-call keywords still override the session's layer
-            async def exact():
-                async with subsuming.serve_async() as aserver:
-                    return await aserver.execute(narrow, result_reuse="exact")
-
-            assert asyncio.run(exact()).decision.provenance != "subsumed"
+            # the second sighting admits, so the third is a hit
+            results = asyncio.run(thrice(uncached, use_result_cache=True))
+            assert [r.served_from_cache for r in results] == [False, False, True]
+            assert all(r.options.use_result_cache for r in results)
 
     def test_result_cache_hit_stops_at_the_probe(self, session, monkeypatch):
         """A result-cache hit ends the request at the exact probe: no

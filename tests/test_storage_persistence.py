@@ -488,7 +488,7 @@ class TestCorruptStore:
 
     def test_a_cold_start_leaves_the_manifest_and_an_empty_log(self, tmp_path):
         """No file grows with the data: the store holds the manifest and
-        the log it names, and the result cache once a session closes."""
+        the log it names, and nothing more once a session closes."""
         options = ExecutionOptions(storage="mmap", storage_dir=str(tmp_path))
         session = Session(build_base(), ACCESS, options=options)
         try:
@@ -502,7 +502,7 @@ class TestCorruptStore:
         finally:
             session.close()
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-            ["MANIFEST.json", log.name, "results.log"]
+            ["MANIFEST.json", log.name]
         )
 
     def test_torn_wal_tail_still_warm_starts(self, tmp_path):
