@@ -61,7 +61,6 @@ from repro.bounded.analyzer import PerformanceAnalyzer
 from repro.beas.system import BEAS
 from repro.beas.result import ExecutionMode
 from repro.beas.session import Decision, ExecutionOptions, Query, Result, Session
-from repro.config import EnvConfig, load_env_config
 from repro.errors import BEASError
 from repro.serving import BEASServer, PreparedQuery, ServingStats
 
@@ -105,7 +104,5 @@ __all__ = [
     "Decision",
     "Result",
     "ExecutionOptions",
-    "EnvConfig",
-    "load_env_config",
     "__version__",
 ]

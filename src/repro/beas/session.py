@@ -28,14 +28,15 @@ module is that lifecycle, and the only way to run a query::
   provenance** (``fresh`` | ``cached`` | ``rebound``).
 * :class:`Result` — rows + schema + :class:`ExecutionMetrics`
   (executor/pool/lock counters) + the decision that produced them.
-* :class:`ExecutionOptions` — every execution knob in one validated
-  dataclass, resolved through a single precedence chain:
-  **call > Query > Session > environment** (the ``BEAS_*`` variables,
-  read by :mod:`repro.config`).
+* :class:`ExecutionOptions` (:mod:`repro.config`) — every execution
+  knob in one validated dataclass, resolved through a single precedence
+  chain: **call > Query > Session > environment > defaults**.
 
-The engine-level knobs (``rows_per_batch``, ``parallelism``, ``storage``,
-``replicas``, ...) are pinned when the Session builds its engine;
-supplying a *different* value at Query or call level raises
+A Session's options refine its engine's (``engine.options``) like every
+other layer: the engine-level knobs (``rows_per_batch``,
+``parallelism``, ``storage``, ``replicas``, ...) are pinned when the
+engine is built, and supplying a *different* value at Session (over an
+adopted engine), Query or call level raises
 :class:`~repro.errors.BEASError` rather than being silently ignored.
 ``executor`` may be overridden per Query or per call (answers are
 mode-independent).
@@ -43,17 +44,16 @@ mode-independent).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence, Union
 
-from repro import config
 from repro.access.constraint import AccessConstraint
 from repro.access.schema import AccessSchema
 from repro.beas.result import ExecutionMode
 from repro.beas.system import BEAS
 from repro.bounded.coverage import CoverageDecision
 from repro.bounded.plan import AnyBoundedPlan, explain_plan
+from repro.config import ExecutionOptions, options_layer
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.profiles import EngineProfile, POSTGRESQL
 from repro.errors import BEASError
@@ -65,190 +65,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.serving.params import ParameterSlot
     from repro.serving.prepared import PreparedQuery
     from repro.serving.server import BEASServer, ServingStats
-
-#: Engine-level fields fixed when the Session builds its BEAS engine.
-_ENGINE_PINNED = (
-    "rows_per_batch",
-    "parallelism",
-    "storage",
-    "storage_dir",
-    "replicas",
-    "fleet_port_base",
-)
-
-
-# --------------------------------------------------------------------------- #
-# options
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class ExecutionOptions:
-    """Every execution knob, validated at construction.
-
-    ``None`` means "inherit from the next layer down" in the precedence
-    chain (call > Query > Session > environment). See
-    the module docstring for which fields are engine-pinned.
-    """
-
-    executor: Optional[str] = None  # "row" | "columnar"
-    rows_per_batch: Optional[int] = None
-    parallelism: Optional[int] = None
-    budget: Optional[int] = None  # tuple budget (None = unbounded)
-    allow_partial: Optional[bool] = None
-    approximate_over_budget: Optional[bool] = None
-    use_result_cache: Optional[bool] = None
-    routing: Optional[str] = None  # "static" | "learned"
-    storage: Optional[str] = None  # "memory" | "mmap"
-    storage_dir: Optional[str] = None  # store directory (mmap only)
-    replicas: Optional[int] = None  # serving replicas (>= 2 = fleet)
-    fleet_port_base: Optional[int] = None  # first replica TCP port
-
-    def __post_init__(self) -> None:
-        if self.executor is not None:
-            config.validate_executor(self.executor)
-        if self.storage is not None:
-            config.validate_storage(self.storage)
-        if self.storage_dir is not None:
-            config.validate_storage_dir(self.storage_dir)
-        if self.routing is not None:
-            config.validate_routing(self.routing)
-        if self.rows_per_batch is not None:
-            config.validate_rows_per_batch(self.rows_per_batch)
-        if self.parallelism is not None:
-            config.validate_parallelism(self.parallelism)
-        if self.replicas is not None:
-            config.validate_replicas(self.replicas)
-        if self.fleet_port_base is not None:
-            config.validate_fleet_port_base(self.fleet_port_base)
-        if self.budget is not None:
-            if not isinstance(self.budget, int) or isinstance(self.budget, bool):
-                raise BEASError(
-                    f"budget must be an int, got {type(self.budget).__name__}"
-                )
-            if self.budget < 0:
-                raise BEASError(f"budget must be >= 0, got {self.budget}")
-        for name in ("allow_partial", "approximate_over_budget", "use_result_cache"):
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, bool):
-                raise BEASError(f"{name} must be a bool, got {value!r}")
-
-    # ------------------------------------------------------------------ #
-    def over(self, base: Optional["ExecutionOptions"]) -> "ExecutionOptions":
-        """This layer merged over ``base``: set fields win, ``None``
-        fields inherit."""
-        if base is None:
-            return self
-        merged = {
-            field.name: (
-                getattr(self, field.name)
-                if getattr(self, field.name) is not None
-                else getattr(base, field.name)
-            )
-            for field in dataclasses.fields(self)
-        }
-        return ExecutionOptions(**merged)
-
-    def replace(self, **fields) -> "ExecutionOptions":
-        return dataclasses.replace(self, **fields)
-
-    def refine(
-        self, *layers: Optional["ExecutionOptions"]
-    ) -> "ExecutionOptions":
-        """This fully resolved base with ``layers`` applied lowest first
-        (Query, then call) — the engine-pinned fields guarded against
-        silent divergence."""
-        resolved = self
-        for layer in layers:
-            if layer is None:
-                continue
-            for name in _ENGINE_PINNED:
-                wanted = getattr(layer, name)
-                if wanted is not None and wanted != getattr(resolved, name):
-                    raise BEASError(
-                        f"{name}={wanted!r} cannot be overridden per query "
-                        f"or per call (the Session's engine is pinned to "
-                        f"{name}={getattr(resolved, name)!r}); set it on the "
-                        "Session or the environment"
-                    )
-            pinned = layer.executor is not None and layer.routing is None
-            resolved = layer.over(resolved)
-            if pinned and resolved.routing == "learned":
-                # an explicit executor at this layer pins the mode:
-                # routing inherited from a lower layer (e.g. ambient
-                # BEAS_ROUTING=learned) must not reroute it — setting
-                # routing alongside the executor re-enables the router
-                resolved = resolved.replace(routing="static")
-        return resolved
-
-    @staticmethod
-    def of_engine(beas: BEAS) -> "ExecutionOptions":
-        """The resolved options of a built engine: its pinned knobs,
-        then the environment for the engine-independent fields (e.g.
-        ``BEAS_ROUTING``), then the built-in defaults."""
-        return (
-            ExecutionOptions(
-                executor=beas.executor,
-                rows_per_batch=beas._rows_per_batch,
-                parallelism=beas.parallelism,
-                storage=beas.storage,
-                storage_dir=beas.storage_dir,
-                replicas=beas.replicas,
-                fleet_port_base=beas.fleet_port_base,
-            )
-            .over(ExecutionOptions.from_environment())
-            .over(ExecutionOptions.defaults())
-        )
-
-    @staticmethod
-    def from_environment() -> "ExecutionOptions":
-        """The environment layer (``BEAS_*``, via :mod:`repro.config`)."""
-        return ExecutionOptions(
-            executor=config.env_executor(),
-            rows_per_batch=config.env_rows_per_batch(),
-            parallelism=config.env_parallelism(),
-            routing=config.env_routing(),
-            storage=config.env_storage(),
-            storage_dir=config.env_storage_dir(),
-            replicas=config.env_replicas(),
-            fleet_port_base=config.env_fleet_port_base(),
-        )
-
-    @staticmethod
-    def defaults() -> "ExecutionOptions":
-        """The bottom of the chain: every field concrete."""
-        return ExecutionOptions(
-            executor="row",
-            rows_per_batch=config.DEFAULT_ROWS_PER_BATCH,
-            parallelism=1,
-            budget=None,
-            allow_partial=True,
-            approximate_over_budget=False,
-            use_result_cache=True,
-            routing="static",
-            storage="memory",
-            storage_dir=None,  # mmap without a dir owns a temp directory
-            replicas=1,
-            fleet_port_base=config.DEFAULT_FLEET_PORT_BASE,
-        )
-
-    def describe(self) -> str:
-        pairs = ", ".join(
-            f"{field.name}={getattr(self, field.name)!r}"
-            for field in dataclasses.fields(self)
-            if getattr(self, field.name) is not None
-        )
-        return f"ExecutionOptions({pairs or 'inherit all'})"
-
-
-def options_layer(
-    options: Optional[ExecutionOptions], fields: Mapping[str, Any]
-) -> Optional[ExecutionOptions]:
-    """Combine an options object and/or loose keyword fields into one
-    layer (keywords win over the object's fields)."""
-    if fields:
-        layer = ExecutionOptions(**fields)
-        return layer.over(options) if options is not None else layer
-    return options
-
 
 # --------------------------------------------------------------------------- #
 # results
@@ -591,7 +407,6 @@ class Session:
                 "Session needs exactly one of `database` (it builds the "
                 "engine) or `beas` (it adopts an existing engine)"
             )
-        self._session_options = options
         self._server_options = dict(server_options or {})
         if beas is not None:
             if access_schema is not None:
@@ -599,60 +414,29 @@ class Session:
                     "pass access_schema only when the Session builds the "
                     "engine; an adopted BEAS already has its catalog"
                 )
-            self._beas = beas
             self._owns_engine = False
-            # the engine's pinned knobs are the session layer's floor
-            base = ExecutionOptions.of_engine(beas)
-            self._check_engine_consistency(options, base)
-            self._resolved_options = (
-                options.over(base) if options is not None else base
-            )
         else:
-            # Session > environment > built-in defaults
-            resolved = ExecutionOptions.from_environment().over(
-                ExecutionOptions.defaults()
-            )
-            if options is not None:
-                resolved = options.over(resolved)
-            self._resolved_options = resolved
-            self._beas = BEAS(
+            # the Session's layer becomes the engine's keywords
+            layer = options or ExecutionOptions()
+            beas = BEAS(
                 database,
                 access_schema,
                 host_profile=profile,
                 dedup_keys=dedup_keys,
                 require_exact_multiplicities=require_exact_multiplicities,
-                executor=resolved.executor,
-                rows_per_batch=resolved.rows_per_batch,
-                parallelism=resolved.parallelism,
-                storage=resolved.storage,
-                # an ambient BEAS_STORAGE_DIR without mmap mode is inert,
-                # not an error — only mmap engines take a directory
-                storage_dir=(
-                    resolved.storage_dir
-                    if resolved.storage == "mmap"
-                    else None
-                ),
-                replicas=resolved.replicas,
-                fleet_port_base=resolved.fleet_port_base,
+                executor=layer.executor,
+                rows_per_batch=layer.rows_per_batch,
+                parallelism=layer.parallelism,
+                storage=layer.storage,
+                storage_dir=layer.storage_dir,
+                replicas=layer.replicas,
+                fleet_port_base=layer.fleet_port_base,
             )
             self._owns_engine = True
+        self._beas = beas
+        self._resolved_options = beas.options.refine(options)
         self._server_ref: Optional["BEASServer"] = None
         self._closed = False
-
-    @staticmethod
-    def _check_engine_consistency(
-        options: Optional[ExecutionOptions], engine: ExecutionOptions
-    ) -> None:
-        if options is None:
-            return
-        for name in _ENGINE_PINNED:
-            wanted = getattr(options, name)
-            if wanted is not None and wanted != getattr(engine, name):
-                raise BEASError(
-                    f"{name}={wanted!r} conflicts with the adopted engine's "
-                    f"{name}={getattr(engine, name)!r}; engine-level options "
-                    "are fixed when the BEAS engine is built"
-                )
 
     # ------------------------------------------------------------------ #
     @property

@@ -32,26 +32,25 @@ import weakref
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.beas.session import ExecutionOptions, Session
+    from repro.beas.session import Session
     from repro.bounded.approximation import ApproximateResult
     from repro.distributed.fleet import ReplicaFleet
     from repro.engine.executor import QueryResult
     from repro.serving.server import BEASServer
 
-from repro import config
 from repro.access.catalog import ASCatalog
 from repro.access.constraint import AccessConstraint
 from repro.access.schema import AccessSchema
+from repro.config import ExecutionOptions
 from repro.errors import BEASError, BudgetExceededError
 from repro.maintenance.incremental import MaintenanceManager, ViolationPolicy
 from repro.sql import ast
 from repro.storage.database import Database
 from repro.storage.mmapstore import MmapStore, StorageStats
-from repro.engine.columnar import resolve_executor_mode, resolve_rows_per_batch
 from repro.engine.executor import ConventionalEngine
 from repro.engine.logical import explain as explain_logical
 from repro.distributed.peerset import PeerStats
-from repro.engine.pool import EnginePool, resolve_parallelism
+from repro.engine.pool import EnginePool
 from repro.engine.profiles import EngineProfile, POSTGRESQL
 from repro.bounded.analyzer import PerformanceAnalysis, PerformanceAnalyzer
 from repro.bounded.approximation import BoundedApproximator
@@ -146,30 +145,35 @@ class BEAS:
         replicas: Optional[int] = None,
         fleet_port_base: Optional[int] = None,
     ):
-        """``executor`` selects the bounded pipeline's execution mode:
+        """The keyword knobs are this engine's layer of the option
+        chain (:class:`~repro.config.ExecutionOptions`): each one given
+        wins over its ``BEAS_*`` variable, which wins over the default.
+        They resolve once, into :attr:`options`, and are validated here:
+        an invalid value raises :class:`~repro.errors.BEASError` before
+        anything is built or spawned.
+
+        ``executor`` is the bounded pipeline's default execution mode:
         ``"row"`` (tuple-at-a-time, the default) or ``"columnar"``
-        (vectorised batches, see :mod:`repro.engine.columnar`); ``None``
-        defers to the ``BEAS_EXECUTOR`` environment variable. Both modes
-        return identical answers — the choice only trades execution
-        strategy. ``rows_per_batch`` sizes columnar batches.
+        (vectorised batches of ``rows_per_batch`` rows, see
+        :mod:`repro.engine.columnar`). Both return identical answers.
+        Setting ``executor``, ``rows_per_batch`` or ``parallelism`` here
+        pins ``routing="static"`` over an ambient ``BEAS_ROUTING``; a
+        Session, Query or call may still set ``routing``.
 
         ``parallelism`` sets the bounded pipeline's worker-process count
         (:class:`~repro.engine.pool.EnginePool`): ``1`` is in-process,
-        ``>= 2`` executes bounded plans on worker processes; ``None``
-        defers to ``BEAS_PARALLELISM``. Pooled answers are identical to
-        in-process ones — the pool only escapes the GIL; any pool failure
-        falls back to in-process execution. All engine options are
-        validated here and raise :class:`~repro.errors.BEASError` when
-        invalid.
+        ``>= 2`` executes bounded plans on worker processes. Pooled
+        answers are identical to in-process ones — the pool only escapes
+        the GIL; any pool failure falls back to in-process execution.
 
         ``storage`` selects the storage engine: ``"memory"`` (the
         default, process-local) or ``"mmap"``, a historical name for the
         persistent store (:class:`~repro.storage.mmapstore.MmapStore`: a
-        manifest and a write-ahead maintenance log); ``None`` defers to
-        ``BEAS_STORAGE``. A reopen must be handed the base rows of the
-        store's last checkpoint: it then builds the indices from them and
-        replays the log (a warm start); any other rows cold-start. ``storage_dir`` names the store
-        directory (``BEAS_STORAGE_DIR``); without one, an ``mmap``
+        manifest and a write-ahead maintenance log). A reopen must be
+        handed the base rows of the store's last checkpoint: it then
+        builds the indices from them and replays the log (a warm start);
+        any other rows cold-start. ``storage_dir`` names the store
+        directory and requires ``"mmap"``; without one, an ``mmap``
         instance owns a temporary directory that :meth:`close` removes.
 
         ``replicas`` sets the distributed serving tier's replica count
@@ -177,37 +181,39 @@ class BEAS:
         default) serves in-process, ``>= 2`` spawns socket-connected
         read replicas that each hold a shard of the access indices and
         answer covered bounded queries locally under version-vector
-        consistency; ``None`` defers to ``BEAS_REPLICAS``.
-        ``fleet_port_base`` is the first replica's loopback TCP port
-        (``BEAS_FLEET_PORT_BASE``). Fleet answers are identical to
+        consistency. Replica ``i`` listens on loopback port
+        ``fleet_port_base + i``. Fleet answers are identical to
         in-process ones; any fleet failure falls back in-process."""
+        #: this engine's resolved options: keywords > environment > defaults
+        self.options = options = ExecutionOptions.resolve(
+            ExecutionOptions(
+                executor=executor,
+                rows_per_batch=rows_per_batch,
+                parallelism=parallelism,
+                storage=storage,
+                storage_dir=storage_dir,
+                replicas=replicas,
+                fleet_port_base=fleet_port_base,
+            )
+        )
         self.database = database
         self.host_profile = host_profile
-        self.storage = (
-            config.validate_storage(storage)
-            if storage is not None
-            else (config.env_storage() or "memory")
-        )
         self._store: Optional[MmapStore] = None
         if sum(len(table.rows) for table in database) >= COLLECT_BEFORE_ROWS:
             gc.collect()
-        self.storage_dir: Optional[str] = None
-        self._owns_storage_dir = False
-        if self.storage == "mmap":
-            directory = (
-                config.validate_storage_dir(storage_dir)
-                if storage_dir is not None
-                else config.env_storage_dir()
-            )
+        #: the temporary store directory this engine made for itself
+        self._temp_dir: Optional[str] = None
+        if options.storage == "mmap":
+            directory = options.storage_dir
             if directory is None:
-                directory = tempfile.mkdtemp(prefix="beas-store-")
+                directory = self._temp_dir = tempfile.mkdtemp(
+                    prefix="beas-store-"
+                )
                 # close() removes it; the finalizer covers an engine that
                 # is collected unclosed, or written to after its close()
-                self._owns_storage_dir = True
                 weakref.finalize(
                     self, shutil.rmtree, directory, ignore_errors=True
                 )
-            self.storage_dir = directory
             store = MmapStore(directory)
             weakref.finalize(self, MmapStore.close, store)
             self._store = store
@@ -223,11 +229,6 @@ class BEAS:
                 self.catalog = ASCatalog(database, access_schema)
                 store.checkpoint(self.catalog)
         else:
-            if storage_dir is not None:
-                raise BEASError(
-                    "storage_dir requires the mmap storage engine "
-                    "(storage='mmap' or BEAS_STORAGE=mmap)"
-                )
             self.catalog = ASCatalog(database, access_schema)
         #: the Maintenance module, one per violation policy
         self._maintenance = {
@@ -236,36 +237,16 @@ class BEAS:
         }
         self._require_exact = require_exact_multiplicities
         self._dedup_keys = dedup_keys
-        self.executor = resolve_executor_mode(executor)
-        # resolved (and validated) eagerly: a bad size fails construction
-        # with a clear BEASError, and every executor this instance builds
-        # later shares one pinned batch size even if the environment
-        # default changes afterwards
-        self._rows_per_batch = resolve_rows_per_batch(rows_per_batch)
-        self.parallelism = resolve_parallelism(parallelism)
-        self._pool = _LazyPeers(functools.partial(EnginePool, self.parallelism))
-        self.replicas = (
-            config.validate_replicas(replicas)
-            if replicas is not None
-            else (config.env_replicas() or 1)
-        )
-        self.fleet_port_base = (
-            config.validate_fleet_port_base(fleet_port_base)
-            if fleet_port_base is not None
-            else (
-                config.env_fleet_port_base()
-                or config.DEFAULT_FLEET_PORT_BASE
-            )
-        )
+        self._pool = _LazyPeers(functools.partial(EnginePool, options.parallelism))
         self._fleet = _LazyPeers(self._spawn_fleet)
         #: the BE Plan Executor: every bounded plan, covered or prefix,
         #: runs through ``runner.run_route`` (see repro.engine.router)
         self.runner = PlanRunner(
             self.catalog,
             dedup_keys=self._dedup_keys,
-            rows_per_batch=self._rows_per_batch,
-            pool=self._pool.get if self.parallelism >= 2 else None,
-            fleet=self._fleet.get if self.replicas >= 2 else None,
+            rows_per_batch=options.rows_per_batch,
+            pool=self._pool.get if options.parallelism >= 2 else None,
+            fleet=self._fleet.get if options.replicas >= 2 else None,
         )
         self._checker_runs_base = 0
         self._host = ConventionalEngine(database, host_profile)
@@ -297,7 +278,9 @@ class BEAS:
         from repro.distributed.fleet import ReplicaFleet
 
         return ReplicaFleet(
-            self.catalog, replicas=self.replicas, port_base=self.fleet_port_base
+            self.catalog,
+            replicas=self.options.replicas,
+            port_base=self.options.fleet_port_base,
         )
 
     @property
@@ -355,8 +338,8 @@ class BEAS:
         self._fleet.close()
         if self._store is not None:
             self._store.close()
-        if self._owns_storage_dir:
-            shutil.rmtree(self.storage_dir, ignore_errors=True)
+        if self._temp_dir is not None:
+            shutil.rmtree(self._temp_dir, ignore_errors=True)
 
     def __enter__(self) -> "BEAS":
         return self
@@ -463,7 +446,7 @@ class BEAS:
         budget = options.budget
         plan = decision.plan if decision.covered else decision.partial
         if route is None and plan is not None:
-            route = allowed_routes(options, self, plan)[0]
+            route = allowed_routes(options, plan)[0]
         if decision.covered:
             within_budget = decision.within_budget
             if within_budget is None and budget is not None:
@@ -602,7 +585,7 @@ class BEAS:
         """The Fig.-3 analysis panel for a covered query."""
         analyzer = PerformanceAnalyzer(
             self.catalog,
-            functools.partial(self.runner.run_route, self.executor),
+            functools.partial(self.runner.run_route, self.options.executor),
         )
         if profiles is None:
             return analyzer.analyze(query)

@@ -59,13 +59,13 @@ import time
 from typing import Optional
 
 from repro.access.catalog import ASCatalog
-from repro.errors import ExecutionError
-from repro.engine.columnar import (
-    ColumnarIntermediate,
-    resolve_executor_mode,
-    resolve_rows_per_batch,
-    run_fetch_chunk,
+from repro.config import (
+    DEFAULT_ROWS_PER_BATCH,
+    validate_executor,
+    validate_rows_per_batch,
 )
+from repro.errors import ExecutionError
+from repro.engine.columnar import ColumnarIntermediate, run_fetch_chunk
 from repro.engine.executor import QueryResult, ReadSet
 from repro.engine.logical import MaterializedNode, SetOpNode
 from repro.engine.metrics import ExecutionMetrics
@@ -85,13 +85,13 @@ class BoundedPlanExecutor:
         catalog: ASCatalog,
         *,
         dedup_keys: bool = False,
-        executor: Optional[str] = None,
-        rows_per_batch: Optional[int] = None,
+        executor: str = "row",
+        rows_per_batch: int = DEFAULT_ROWS_PER_BATCH,
     ):
         self._catalog = catalog
         self._dedup_keys = dedup_keys
-        self.executor = resolve_executor_mode(executor)
-        self.rows_per_batch = resolve_rows_per_batch(rows_per_batch)
+        self.executor = validate_executor(executor)
+        self.rows_per_batch = validate_rows_per_batch(rows_per_batch)
 
     # ------------------------------------------------------------------ #
     def execute(self, plan: AnyBoundedPlan) -> QueryResult:

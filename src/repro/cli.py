@@ -64,22 +64,14 @@ def _build_session(
     """One Session per CLI invocation (the unified lifecycle)."""
     database = _load_database(Path(args.data))
     schema = load_schema(Path(args.schema)) if args.schema else None
-    routing = getattr(args, "routing", None)
-    shape_pinned = any(
-        getattr(args, flag, None) is not None
-        for flag in ("executor", "rows_per_batch", "parallelism")
-    )
-    if routing is None and shape_pinned:
-        # an explicit shape flag (--executor / --rows-per-batch /
-        # --parallelism) pins the execution shape for this invocation:
-        # ambient BEAS_ROUTING=learned must not reroute it (pass
-        # --routing learned to re-enable the router on top)
-        routing = "static"
+    # the flags are the Session layer: an explicit --executor /
+    # --rows-per-batch / --parallelism pins static routing unless
+    # --routing is given too (ExecutionOptions' pin rule)
     options = ExecutionOptions(
         executor=getattr(args, "executor", None),
         rows_per_batch=getattr(args, "rows_per_batch", None),
         parallelism=getattr(args, "parallelism", None),
-        routing=routing,
+        routing=getattr(args, "routing", None),
         storage=getattr(args, "storage", None),
         storage_dir=getattr(args, "storage_dir", None),
         replicas=getattr(args, "replicas", None),
@@ -266,20 +258,20 @@ def _serve_stats(args: argparse.Namespace, session: Session) -> int:
     # execution work): which pipeline answered, how batched, and how
     # much of it ran on engine-pool workers
     metrics = cold_result.metrics
-    beas = session.beas
-    executor_mode = "columnar" if metrics.rows_per_batch else beas.executor
+    options = session.options
+    executor_mode = "columnar" if metrics.rows_per_batch else options.executor
     line = (
         f"executor: mode={executor_mode} "
         f"rows_per_batch={metrics.rows_per_batch} "
         f"batches={metrics.batches} fetched={metrics.tuples_fetched}"
     )
-    if beas.parallelism > 1:
+    if options.parallelism > 1:
         line += (
             f"; pool: workers={metrics.pool_workers} "
             f"dispatched={metrics.pool_batches} "
             f"wait={metrics.pool_wait_seconds * 1000:.2f} ms"
         )
-    if beas.replicas > 1:
+    if options.replicas > 1:
         line += (
             f"; fleet: replica={metrics.replica_id} "
             f"wire={metrics.wire_seconds * 1000:.2f} ms"
@@ -440,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--rows-per-batch",
         type=int,
         dest="rows_per_batch",
-        help="columnar batch size (default: BEAS_ROWS_PER_BATCH or 4096)",
+        help="columnar batch size (default: 4096)",
     )
     serve_stats.add_argument(
         "--parallelism",
@@ -474,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help="serving replicas (>= 2 spawns the socket-connected read "
         "fleet and reports its counters in the stats block; default: "
-        "BEAS_REPLICAS or in-process)",
+        "1, in-process)",
     )
     serve_stats.add_argument(
         "--fleet-port-base",

@@ -20,8 +20,8 @@ One protocol, one serve loop and one coordinator side, two transports:
   tail. The engine pool (:mod:`repro.engine.pool`) is the other
   configuration of the same peer set.
 
-Enable the fleet with ``replicas >= 2`` (``BEAS_REPLICAS``) and the pool
-with ``parallelism >= 2`` (``BEAS_PARALLELISM``); see ``docs/api.md``.
+Enable the fleet with ``replicas >= 2`` and the pool with
+``parallelism >= 2`` (also ``BEAS_PARALLELISM``); see ``docs/api.md``.
 """
 
 from repro.distributed.fleet import ReplicaFleet

@@ -48,17 +48,10 @@ class ReplicaFleet(PeerSet):
 
     kind = "fleet"
 
-    def __init__(
-        self,
-        catalog,
-        *,
-        replicas: int,
-        port_base: int,
-        start_method: Optional[str] = None,
-        acquire_timeout: float = 0.05,
-        task_timeout: float = 120.0,
-        connect_timeout: float = 10.0,
-    ):
+    #: how long a spawned replica has to accept the coordinator's connection
+    connect_timeout = 10.0
+
+    def __init__(self, catalog, *, replicas: int, port_base: int):
         if replicas < 2:
             raise BEASError(
                 f"a fleet needs >= 2 replicas, got {replicas} "
@@ -67,7 +60,6 @@ class ReplicaFleet(PeerSet):
         self._catalog = catalog
         self.replicas = replicas
         self.port_base = port_base
-        self.connect_timeout = connect_timeout
         # placement: constraint name -> replica id, rebuilt per schema
         # generation and swapped in whole, so readers take no lock
         self._placement: dict[str, int] = {}
@@ -77,12 +69,7 @@ class ReplicaFleet(PeerSet):
         # version any replica may still hold (bounded; see _delta_for)
         self._tail: dict[str, deque] = {}
         self._tail_lock = threading.Lock()
-        super().__init__(
-            replicas,
-            start_method=start_method,
-            acquire_timeout=acquire_timeout,
-            task_timeout=task_timeout,
-        )
+        super().__init__(replicas)
 
     def _launch(self, peer: Peer) -> Optional[SocketChannel]:
         port = self.port_base + peer.id

@@ -31,7 +31,6 @@ from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
-from repro import config
 from repro.errors import BEASError
 from repro.distributed.protocol import (
     MSG_DEBUG,
@@ -133,27 +132,23 @@ class PeerSet:
 
     kind = "pool"
 
-    def __init__(
-        self,
-        count: int,
-        *,
-        start_method: Optional[str],
-        acquire_timeout: float,
-        task_timeout: float,
-    ):
-        # 'fork' where available: a peer starts in milliseconds and runs
-        # nothing but already-imported repro code over its channel (no
-        # exec, no logging, no new imports), which sidesteps the classic
-        # fork-with-threads hazards. 'forkserver' measured ~0.5 s per set
-        # (each peer re-imports the package); BEAS_POOL_START_METHOD
-        # trades startup time for full isolation.
-        self._context = multiprocessing.get_context(
-            start_method
-            or config.env_pool_start_method()
-            or ("fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn")
-        )
-        self.acquire_timeout = acquire_timeout
-        self.task_timeout = task_timeout
+    #: 'fork' where available: a peer starts in milliseconds and runs
+    #: nothing but already-imported repro code over its channel (no exec,
+    #: no logging, no new imports), which sidesteps the classic
+    #: fork-with-threads hazards. 'forkserver' measured ~0.5 s per set
+    #: (each peer re-imports the package).
+    start_method = (
+        "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+    )
+    #: the wait for an idle peer before a dispatch falls back in-process
+    acquire_timeout = 0.05
+    #: the bound on one reply: a peer alive but wedged past it is
+    #: terminated and treated as dead (fallback + respawn), so a hung
+    #: peer can never hang a client thread
+    task_timeout = 120.0
+
+    def __init__(self, count: int):
+        self._context = multiprocessing.get_context(self.start_method)
         self._stats = PeerStats(kind=self.kind, peers=count)
         self._lock = threading.Lock()  # guards _stats
         self._free = threading.Condition()  # guards busy flags and _closed

@@ -9,7 +9,7 @@ the substitution rationale.
 """
 
 from repro.engine.executor import ConventionalEngine, QueryResult
-from repro.engine.pool import EnginePool, resolve_parallelism
+from repro.engine.pool import EnginePool
 from repro.engine.profiles import EngineProfile, POSTGRESQL, MYSQL, MARIADB, PROFILES
 from repro.engine.metrics import ExecutionMetrics
 
@@ -19,7 +19,6 @@ __all__ = [
     "EngineProfile",
     "EnginePool",
     "ExecutionMetrics",
-    "resolve_parallelism",
     "POSTGRESQL",
     "MYSQL",
     "MARIADB",

@@ -27,8 +27,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from repro import config
-from repro.config import DEFAULT_ROWS_PER_BATCH, EXECUTOR_MODES
 from repro.errors import ExecutionError
 from repro.sql import ast
 from repro.sql.normalize import Attribute
@@ -37,29 +35,6 @@ from repro.engine.expressions import (
     compile_expression,
     compile_predicate,
 )
-
-def resolve_executor_mode(executor: Optional[str]) -> str:
-    """Resolve an executor mode: explicit argument, else the
-    ``BEAS_EXECUTOR`` environment variable (the CI columnar matrix leg),
-    else row mode. Unknown modes raise
-    :class:`~repro.errors.BEASError` at construction time (like the
-    other engine options) instead of failing deep in the executor."""
-    mode = executor if executor is not None else config.env_executor()
-    return config.validate_executor(mode or "row")
-
-
-def resolve_rows_per_batch(rows_per_batch: Optional[int]) -> int:
-    """Resolve the batch size: explicit argument, else the
-    ``BEAS_ROWS_PER_BATCH`` environment variable, else the default.
-
-    Rejects non-integer or non-positive sizes with
-    :class:`~repro.errors.BEASError` at construction time, before any
-    query runs into them.
-    """
-    if rows_per_batch is None:
-        env = config.env_rows_per_batch()
-        return DEFAULT_ROWS_PER_BATCH if env is None else env
-    return config.validate_rows_per_batch(rows_per_batch)
 
 
 # --------------------------------------------------------------------------- #

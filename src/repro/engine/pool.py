@@ -31,26 +31,10 @@ re-raised.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro import config
 from repro.distributed.peer import serve
 from repro.distributed.peerset import Peer, PeerSet
 from repro.distributed.protocol import PipeChannel
-
-
-def resolve_parallelism(parallelism: Optional[int]) -> int:
-    """Resolve the worker-process count: explicit argument, else the
-    ``BEAS_PARALLELISM`` environment variable, else 1 (in-process).
-
-    Explicit values must be positive integers (1 = in-process, >= 2
-    enables the pool); anything else raises
-    :class:`~repro.errors.BEASError` at construction time (the
-    environment is validated by :mod:`repro.config`).
-    """
-    if parallelism is None:
-        return config.env_parallelism() or 1
-    return config.validate_parallelism(parallelism)
 
 
 def _worker_main(conn, worker_id: int) -> None:  # pragma: no cover - subprocess
@@ -67,26 +51,9 @@ class EnginePool(PeerSet):
 
     kind = "pool"
 
-    def __init__(
-        self,
-        workers: int,
-        *,
-        start_method: Optional[str] = None,
-        acquire_timeout: float = 0.05,
-        task_timeout: float = 120.0,
-    ):
-        """``acquire_timeout`` bounds the wait for an idle worker before
-        falling back in-process; ``task_timeout`` bounds one reply — a
-        worker that is alive but wedged past it is terminated and treated
-        as dead (fallback + respawn), so a hung worker can never hang a
-        client thread."""
+    def __init__(self, workers: int):
         self.workers = config.validate_parallelism(workers, source="pool workers")
-        super().__init__(
-            workers,
-            start_method=start_method,
-            acquire_timeout=acquire_timeout,
-            task_timeout=task_timeout,
-        )
+        super().__init__(workers)
 
     def _launch(self, peer: Peer) -> PipeChannel:
         parent, child = self._context.Pipe(duplex=True)

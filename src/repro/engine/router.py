@@ -40,18 +40,16 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from repro import config
 from repro.bounded.executor import BoundedPlanExecutor
 from repro.bounded.optimizer import PartialPlan
 from repro.bounded.plan import AnyBoundedPlan, BoundedPlan
-from repro.engine.columnar import resolve_rows_per_batch
+from repro.config import DEFAULT_ROWS_PER_BATCH, validate_routing_epsilon
 from repro.engine.executor import QueryResult
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.access.catalog import ASCatalog
-    from repro.beas.session import ExecutionOptions
-    from repro.beas.system import BEAS
     from repro.catalog.statistics import TableStatistics
+    from repro.config import ExecutionOptions
     from repro.distributed.fleet import ReplicaFleet
     from repro.engine.metrics import ExecutionMetrics
     from repro.engine.pool import EnginePool
@@ -64,19 +62,18 @@ LOCAL_ROUTES = ("row", "columnar")
 
 
 def allowed_routes(
-    options: "ExecutionOptions",
-    engine: "BEAS",
-    plan: "AnyBoundedPlan | PartialPlan",
+    options: "ExecutionOptions", plan: "AnyBoundedPlan | PartialPlan"
 ) -> tuple[str, ...]:
     """The routes this request may take, preferred first.
 
-    ``options`` gives the request's ``executor`` and ``routing``,
-    ``engine`` says which peers exist (``parallelism >= 2``: a pool,
-    ``replicas >= 2``: a fleet), and ``plan`` is what is about to run: a
-    covered :class:`BoundedPlan`, a covered set operation, or the
-    :class:`PartialPlan` whose bounded prefix is.
+    ``options`` are the request's resolved options: its ``executor`` and
+    ``routing``, and the engine's pinned shape, which says which peers
+    exist (``parallelism >= 2``: a pool, ``replicas >= 2``: a fleet).
+    ``plan`` is what is about to run: a covered :class:`BoundedPlan`, a
+    covered set operation, or the :class:`PartialPlan` whose bounded
+    prefix is.
     """
-    pooled = engine.parallelism >= 2
+    pooled = options.parallelism >= 2
     if isinstance(plan, PartialPlan):
         # a PARTIAL prefix never goes to the fleet: its rows come back to
         # join the residual scan here
@@ -85,7 +82,7 @@ def allowed_routes(
         # a set operation's branches are combined in-process; an engine
         # with a pool runs them in batches, as its workers would
         return ("columnar",) if pooled else (options.executor,)
-    if engine.replicas >= 2:
+    if options.replicas >= 2:
         return ("fleet",)
     if options.routing == "learned":
         return ("row", "columnar", "pool") if pooled else LOCAL_ROUTES
@@ -127,7 +124,7 @@ class PlanRunner:
         catalog: "ASCatalog",
         *,
         dedup_keys: bool = False,
-        rows_per_batch: Optional[int] = None,
+        rows_per_batch: int = DEFAULT_ROWS_PER_BATCH,
         pool: Optional[Callable[[], Optional["EnginePool"]]] = None,
         fleet: Optional[Callable[[], Optional["ReplicaFleet"]]] = None,
     ):
@@ -136,7 +133,7 @@ class PlanRunner:
         start only when a remote route actually runs."""
         self._catalog = catalog
         self._dedup_keys = dedup_keys
-        self.rows_per_batch = resolve_rows_per_batch(rows_per_batch)
+        self.rows_per_batch = rows_per_batch
         self._providers = {"pool": pool, "fleet": fleet}
         self._local = {
             mode: BoundedPlanExecutor(
@@ -228,15 +225,15 @@ _RIDGE_LAMBDA = 1e-3
 def routing_features(
     plan: "BoundedPlan",
     statistics: dict[str, "TableStatistics"],
-    *,
-    rows_per_batch: int,
-    parallelism: int,
+    options: "ExecutionOptions",
 ) -> tuple[float, ...]:
     """The router's feature vector for one covered bounded plan.
 
     Pure over its inputs: the deduced bounds and key arities come from
     the (possibly rebound) plan, the selectivity estimate from the
-    catalog statistics observed under the current read locks.
+    catalog statistics observed under the current read locks, and the
+    engine shape (``rows_per_batch``, ``parallelism``) from the
+    request's resolved options.
     """
     fetch_ops = plan.fetch_ops
     select_ops = len(plan.ops) - len(fetch_ops)
@@ -272,8 +269,8 @@ def routing_features(
         float(select_ops),
         math.log1p(const_arity),
         math.log1p(max(0.0, estimated_rows)),
-        math.log1p(max(0, rows_per_batch)),
-        math.log1p(max(0, parallelism)),
+        math.log1p(max(0, options.rows_per_batch)),
+        math.log1p(max(0, options.parallelism)),
     )
 
 
@@ -397,13 +394,13 @@ class ExecutorRouter:
     The RNG is seeded so fuzz suites replay exploration deterministically.
     """
 
-    def __init__(
-        self, *, epsilon: Optional[float] = None, seed: int = 0
-    ) -> None:
-        if epsilon is None:
-            epsilon = config.DEFAULT_ROUTING_EPSILON
-        self._epsilon = config.validate_routing_epsilon(epsilon)
-        self._rng = random.Random(seed)
+    #: the epsilon-greedy exploration rate (settable per router through
+    #: :attr:`epsilon`)
+    EPSILON = 0.1
+
+    def __init__(self) -> None:
+        self._epsilon = self.EPSILON
+        self._rng = random.Random(0)
         self._lock = threading.Lock()
         self._models: dict[tuple[str, str], _Regressor] = {}
         self._templates: set[str] = set()
@@ -419,7 +416,7 @@ class ExecutorRouter:
 
     @epsilon.setter
     def epsilon(self, value: float) -> None:
-        self._epsilon = config.validate_routing_epsilon(value)
+        self._epsilon = validate_routing_epsilon(value)
 
     def route(
         self, template: str, features: Sequence[float], routes: Sequence[str]

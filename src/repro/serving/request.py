@@ -39,7 +39,8 @@ from repro.serving.shard import grant, release
 from repro.sql import ast
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.beas.session import ExecutionOptions, Query
+    from repro.beas.session import Query
+    from repro.config import ExecutionOptions
     from repro.bounded.approximation import ApproximateResult
     from repro.bounded.coverage import CoverageDecision
     from repro.engine.executor import QueryResult
@@ -268,17 +269,15 @@ def route(server: "BEASServer", request: Request) -> None:
     plan = coverage.plan if coverage.covered else coverage.partial
     if plan is None:
         return  # conventional evaluation: nothing to route
-    beas = server.beas
-    routes = allowed_routes(options, beas, plan)
+    routes = allowed_routes(options, plan)
     request.route = routes[0]
     if len(routes) > 1 and (options.budget is None or coverage.within_budget):
         request.features = routing_features(
             plan,
             # scoped to the locked dependency tables: never scans (or
             # races with) tables this request did not lock
-            beas._host.statistics(tables=request.tables),
-            rows_per_batch=beas._rows_per_batch,
-            parallelism=beas.parallelism,
+            server.beas._host.statistics(tables=request.tables),
+            options,
         )
         request.choice = server.router.route(
             request.template_fingerprint, request.features, routes

@@ -61,8 +61,8 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Mapping, Optional, Union
 
-from repro.beas.session import Decision, ExecutionOptions, Result, options_layer
-from repro.config import env_routing_epsilon
+from repro.beas.session import Decision, Result
+from repro.config import ExecutionOptions, options_layer
 from repro.distributed.peerset import PeerStats
 from repro.engine.router import ExecutorRouter, RouterStats
 from repro.errors import ServingError
@@ -93,6 +93,15 @@ if TYPE_CHECKING:  # pragma: no cover
 #: names that are no table. (A query with an empty dependency set takes
 #: the schema hold alone.)
 GLOBAL_SHARD = "__global__"
+
+#: The cache geometry: parse-cache and decision-cache entries, the
+#: decision cache's lock stripes (the parse cache takes at most 4), and
+#: the result cache's byte budget (its entry budget is the
+#: ``result_cache_entries`` keyword).
+PARSE_CACHE_ENTRIES = 512
+DECISION_CACHE_ENTRIES = 1024
+DECISION_STRIPES = 8
+RESULT_CACHE_BYTES = 8 << 20
 
 
 @dataclass
@@ -207,17 +216,13 @@ class BEASServer:
         beas: "BEAS",
         options: Optional[ExecutionOptions] = None,
         *,
-        parse_cache_entries: int = 512,
-        decision_cache_entries: int = 1024,
         result_cache_entries: int = 512,
-        result_cache_bytes: Optional[int] = 8 << 20,
         sharded: bool = True,
-        decision_stripes: int = 8,
     ):
         self._beas = beas
         #: the resolved base layer of every request: the options of the
         #: Session that built this server (else the engine's own)
-        self._options = options or ExecutionOptions.of_engine(beas)
+        self._options = options or beas.options
         self._sharded = sharded
         #: the one condition every lock of this server shares
         self._cond = threading.Condition(threading.Lock())
@@ -226,16 +231,16 @@ class BEASServer:
         #: the observed schema generation
         self._admin_lock = threading.Lock()
 
-        stripes = decision_stripes if sharded else 1
+        stripes = DECISION_STRIPES if sharded else 1
         self.parse_cache = StripedCache(
-            "parse", max_entries=parse_cache_entries, stripes=min(4, stripes)
+            "parse", max_entries=PARSE_CACHE_ENTRIES, stripes=min(4, stripes)
         )
         self.decision_cache = StripedCache(
-            "decision", max_entries=decision_cache_entries, stripes=stripes
+            "decision", max_entries=DECISION_CACHE_ENTRIES, stripes=stripes
         )
         self.results = ResultCache(
             max_entries=result_cache_entries,
-            max_bytes=result_cache_bytes,
+            max_bytes=RESULT_CACHE_BYTES,
             sizeof=result_size,
         )
         table_names = [table.schema.name for table in beas.database]
@@ -251,7 +256,7 @@ class BEASServer:
         #: executions, rebinds, rebind_fallbacks
         self._counts: Counter[str] = Counter()
         self._schema_generation = beas.catalog.schema_generation
-        self._router = ExecutorRouter(epsilon=env_routing_epsilon())
+        self._router = ExecutorRouter()
 
     # ------------------------------------------------------------------ #
     @property

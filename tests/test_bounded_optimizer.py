@@ -237,7 +237,7 @@ class TestPartialAnswerMetrics:
             result = session.run(sql)
             partial = result.decision.coverage.partial
             beas = session.beas
-            prefix = beas.runner.run_route(beas.executor, partial.sub_plan)
+            prefix = beas.runner.run_route(beas.options.executor, partial.sub_plan)
         assert result.mode is ExecutionMode.PARTIAL
         assert len(partial.sub_plan.fetch_ops) == 2
         assert prefix.metrics.intermediate_rows > 0

@@ -274,7 +274,15 @@ class TestServeStats:
         assert "executor: mode=columnar rows_per_batch=8" in out
         assert "batches=" in out and "batches=0" not in out
 
-    def test_parallelism_reports_pool_counters(self, workspace, capsys):
+    @pytest.mark.parametrize("routing", ["unset", "learned"])
+    def test_parallelism_reports_pool_counters(
+        self, workspace, capsys, monkeypatch, routing
+    ):
+        # --parallelism pins the pool route over an ambient learned router
+        if routing == "unset":
+            monkeypatch.delenv("BEAS_ROUTING", raising=False)
+        else:
+            monkeypatch.setenv("BEAS_ROUTING", routing)
         data, schema = workspace
         code = main(
             [

@@ -24,6 +24,7 @@ from repro import (
     AccessConstraint,
     AccessSchema,
     BEAS,
+    BoundedPlanExecutor,
     Database,
     DatabaseSchema,
     DataType,
@@ -338,16 +339,21 @@ class TestModeWiring:
         assert col_run.metrics.batches > 0  # the prefix ran columnar
 
     def test_env_default_resolution(self, monkeypatch):
-        from repro.engine.columnar import resolve_executor_mode
-
-        monkeypatch.delenv("BEAS_EXECUTOR", raising=False)
-        assert resolve_executor_mode(None) == "row"
-        monkeypatch.setenv("BEAS_EXECUTOR", "columnar")
-        assert resolve_executor_mode(None) == "columnar"
-        assert resolve_executor_mode("row") == "row"  # explicit wins
         from repro.errors import BEASError
 
+        db = _batch_db(BATCH)
+        monkeypatch.delenv("BEAS_EXECUTOR", raising=False)
+        assert BEAS(db).options.executor == "row"
+        monkeypatch.setenv("BEAS_EXECUTOR", "columnar")
+        engine = BEAS(db)
+        assert engine.options.executor == "columnar"
+        assert BEAS(db, executor="row").options.executor == "row"  # explicit wins
+        # BEAS_EXECUTOR is the options chain's environment layer: an
+        # executor built directly does not follow it
+        assert BoundedPlanExecutor(engine.catalog).executor == "row"
         # construction-time configuration error, like the other engine
         # options (previously an ExecutionError deep in the executor)
         with pytest.raises(BEASError):
-            resolve_executor_mode("simd")
+            BEAS(db, executor="simd")
+        with pytest.raises(BEASError):
+            BoundedPlanExecutor(engine.catalog, executor="simd")

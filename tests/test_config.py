@@ -1,20 +1,42 @@
-"""repro.config: the one place every BEAS_* environment variable is read.
+"""repro.config: the one place a setting's variable, validator and default live.
 
-Replaces the three ad-hoc ``os.environ`` parses (executor mode, batch
-size, pool parallelism) plus the fuzz-seed and pool-start-method reads;
-every malformed value must fail construction with a clear
-:class:`~repro.errors.BEASError`.
+``ExecutionOptions.from_environment`` reads the six option variables and
+``env_fuzz_seeds`` the test harness's; every malformed value must fail
+``BEAS(...)`` and ``Session(...)`` construction with a
+:class:`~repro.errors.BEASError` naming the variable, and no component
+reads the environment on its own.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-
 import pytest
 
-from repro import EnvConfig, load_env_config
+from repro import BEAS, BoundedPlanExecutor, ExecutionOptions, Session
 from repro import config
+from repro.distributed.peerset import PeerSet
+from repro.engine.router import ExecutorRouter
 from repro.errors import BEASError
+
+from tests.conftest import example1_database
+
+OPTION_VARIABLES = (
+    "BEAS_EXECUTOR",
+    "BEAS_PARALLELISM",
+    "BEAS_ROUTING",
+    "BEAS_STORAGE",
+    "BEAS_STORAGE_DIR",
+    "BEAS_FLEET_PORT_BASE",
+)
+
+#: the variables that became constants, by their suffix after ``BEAS_``
+DROPPED = ("ROWS_PER_BATCH", "POOL_START_METHOD", "ROUTING_EPSILON", "REPLICAS")
+
+
+@pytest.fixture
+def clean_environment(monkeypatch):
+    for name in OPTION_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    return monkeypatch
 
 
 class TestValidators:
@@ -66,59 +88,45 @@ class TestValidators:
 
 
 class TestEnvironmentReaders:
-    def test_unset_is_none(self, monkeypatch):
-        for name in (
-            "BEAS_EXECUTOR",
-            "BEAS_ROWS_PER_BATCH",
-            "BEAS_PARALLELISM",
-            "BEAS_POOL_START_METHOD",
-            "BEAS_ROUTING",
-            "BEAS_ROUTING_EPSILON",
-            "BEAS_STORAGE",
-            "BEAS_STORAGE_DIR",
-        ):
-            monkeypatch.delenv(name, raising=False)
-        assert config.env_executor() is None
-        assert config.env_rows_per_batch() is None
-        assert config.env_parallelism() is None
-        assert config.env_pool_start_method() is None
-        assert config.env_routing() is None
-        assert config.env_routing_epsilon() is None
-        assert config.env_storage() is None
-        assert config.env_storage_dir() is None
+    def test_unset_is_none(self, clean_environment):
+        assert ExecutionOptions.from_environment() == ExecutionOptions()
 
-    def test_values_round_trip(self, monkeypatch):
-        monkeypatch.setenv("BEAS_EXECUTOR", "columnar")
-        monkeypatch.setenv("BEAS_ROWS_PER_BATCH", "512")
-        monkeypatch.setenv("BEAS_PARALLELISM", "3")
-        assert config.env_executor() == "columnar"
-        assert config.env_rows_per_batch() == 512
-        assert config.env_parallelism() == 3
+    def test_values_round_trip(self, clean_environment):
+        clean_environment.setenv("BEAS_EXECUTOR", "columnar")
+        clean_environment.setenv("BEAS_PARALLELISM", "3")
+        clean_environment.setenv("BEAS_FLEET_PORT_BASE", "9100")
+        assert ExecutionOptions.from_environment() == ExecutionOptions(
+            executor="columnar", parallelism=3, fleet_port_base=9100
+        )
 
     @pytest.mark.parametrize(
-        "name, value, match",
+        "name, value, detail",
         [
-            ("BEAS_EXECUTOR", "simd", "BEAS_EXECUTOR"),
-            ("BEAS_ROWS_PER_BATCH", "lots", "integer"),
-            ("BEAS_ROWS_PER_BATCH", "0", ">= 1"),
+            ("BEAS_EXECUTOR", "simd", "mode 'simd'"),
             ("BEAS_PARALLELISM", "two", "integer"),
             ("BEAS_PARALLELISM", "-1", ">= 1"),
-            ("BEAS_POOL_START_METHOD", "teleport", "BEAS_POOL_START_METHOD"),
-            ("BEAS_ROUTING", "oracle", "BEAS_ROUTING"),
-            ("BEAS_ROUTING_EPSILON", "greedy", "float"),
-            ("BEAS_ROUTING_EPSILON", "1.5", r"\[0, 1\]"),
-            ("BEAS_ROUTING_EPSILON", "-0.1", r"\[0, 1\]"),
+            ("BEAS_ROUTING", "oracle", "'oracle'"),
             ("BEAS_FUZZ_SEEDS", "many", "integer"),
             ("BEAS_FUZZ_SEEDS", "0", ">= 1"),
-            ("BEAS_STORAGE", "disk", "BEAS_STORAGE"),
+            ("BEAS_STORAGE", "disk", "mode 'disk'"),
+            ("BEAS_FLEET_PORT_BASE", "high", "integer"),
+            ("BEAS_FLEET_PORT_BASE", "80", r"\[1024, 65000\]"),
         ],
     )
     def test_malformed_values_raise_at_construction(
-        self, monkeypatch, name, value, match
+        self, clean_environment, name, value, detail
     ):
-        monkeypatch.setenv(name, value)
-        with pytest.raises(BEASError, match=match):
-            load_env_config()
+        clean_environment.setenv(name, value)
+        if name == config.ENV_FUZZ_SEEDS:
+            builds = [config.env_fuzz_seeds]
+        else:
+            builds = [
+                lambda: BEAS(example1_database()),
+                lambda: Session(example1_database()),
+            ]
+        for build in builds:
+            with pytest.raises(BEASError, match=f"{name}.*{detail}"):
+                build()
 
     def test_fuzz_seeds_default(self, monkeypatch):
         monkeypatch.delenv("BEAS_FUZZ_SEEDS", raising=False)
@@ -126,76 +134,74 @@ class TestEnvironmentReaders:
         monkeypatch.setenv("BEAS_FUZZ_SEEDS", "30")
         assert config.env_fuzz_seeds(8) == 30
 
-    def test_pool_start_method_accepts_available(self, monkeypatch):
-        method = multiprocessing.get_all_start_methods()[0]
-        monkeypatch.setenv("BEAS_POOL_START_METHOD", method)
-        assert config.env_pool_start_method() == method
+    def test_storage_round_trip(self, clean_environment):
+        clean_environment.setenv("BEAS_STORAGE", "mmap")
+        clean_environment.setenv("BEAS_STORAGE_DIR", "/var/beas")
+        env = ExecutionOptions.from_environment()
+        assert env.storage == "mmap" and env.storage_dir == "/var/beas"
+        clean_environment.delenv("BEAS_STORAGE")
+        clean_environment.delenv("BEAS_STORAGE_DIR")
+        env = ExecutionOptions.from_environment()
+        assert env.storage is None and env.storage_dir is None
 
-    def test_storage_round_trip(self, monkeypatch):
-        monkeypatch.setenv("BEAS_STORAGE", "mmap")
-        monkeypatch.setenv("BEAS_STORAGE_DIR", "/var/beas")
-        assert config.env_storage() == "mmap"
-        assert config.env_storage_dir() == "/var/beas"
-        monkeypatch.delenv("BEAS_STORAGE")
-        monkeypatch.delenv("BEAS_STORAGE_DIR")
-        assert config.env_storage() is None
-        assert config.env_storage_dir() is None
-
-    def test_routing_round_trip(self, monkeypatch):
-        monkeypatch.setenv("BEAS_ROUTING", "learned")
-        assert config.env_routing() == "learned"
-        monkeypatch.setenv("BEAS_ROUTING", "static")
-        assert config.env_routing() == "static"
-        monkeypatch.setenv("BEAS_ROUTING_EPSILON", "0.35")
-        assert config.env_routing_epsilon() == 0.35
-        monkeypatch.setenv("BEAS_ROUTING_EPSILON", "0")
-        assert config.env_routing_epsilon() == 0.0
+    def test_routing_round_trip(self, clean_environment):
+        clean_environment.setenv("BEAS_ROUTING", "learned")
+        assert ExecutionOptions.from_environment().routing == "learned"
+        clean_environment.setenv("BEAS_ROUTING", "static")
+        assert ExecutionOptions.from_environment().routing == "static"
 
 
-class TestEnvConfig:
-    def test_load_snapshot(self, monkeypatch):
-        monkeypatch.setenv("BEAS_EXECUTOR", "columnar")
-        monkeypatch.setenv("BEAS_PARALLELISM", "2")
-        monkeypatch.delenv("BEAS_ROWS_PER_BATCH", raising=False)
-        monkeypatch.delenv("BEAS_POOL_START_METHOD", raising=False)
-        monkeypatch.delenv("BEAS_FUZZ_SEEDS", raising=False)
-        monkeypatch.setenv("BEAS_ROUTING", "learned")
-        monkeypatch.delenv("BEAS_ROUTING_EPSILON", raising=False)
-        monkeypatch.delenv("BEAS_STORAGE", raising=False)
-        monkeypatch.delenv("BEAS_STORAGE_DIR", raising=False)
-        snapshot = load_env_config()
-        assert snapshot == EnvConfig(
-            executor="columnar", parallelism=2, routing="learned", fuzz_seeds=8
+class TestResolution:
+    def test_load_snapshot(self, clean_environment):
+        clean_environment.setenv("BEAS_EXECUTOR", "columnar")
+        clean_environment.setenv("BEAS_PARALLELISM", "2")
+        clean_environment.setenv("BEAS_ROUTING", "learned")
+        snapshot = ExecutionOptions.from_environment()
+        assert snapshot == ExecutionOptions(
+            executor="columnar", parallelism=2, routing="learned"
         )
         text = snapshot.describe()
-        assert "BEAS_EXECUTOR=columnar" in text
-        assert "BEAS_ROWS_PER_BATCH=(unset)" in text
-        assert "BEAS_ROUTING=learned" in text
-        assert "BEAS_ROUTING_EPSILON=(unset)" in text
+        assert "executor='columnar'" in text
+        assert "routing='learned'" in text
+        assert "rows_per_batch" not in text  # unset: inherits the default
 
-    def test_engine_resolvers_delegate(self, monkeypatch):
-        """The historical resolver entry points must honour the central
-        validation (BEASError, not ad-hoc messages)."""
-        from repro.engine.columnar import (
-            resolve_executor_mode,
-            resolve_rows_per_batch,
-        )
-        from repro.engine.pool import resolve_parallelism
-
-        monkeypatch.setenv("BEAS_EXECUTOR", "warp")
-        with pytest.raises(BEASError):
-            resolve_executor_mode(None)
-        monkeypatch.setenv("BEAS_ROWS_PER_BATCH", "nan")
-        with pytest.raises(BEASError):
-            resolve_rows_per_batch(None)
-        monkeypatch.setenv("BEAS_PARALLELISM", "-2")
-        with pytest.raises(BEASError):
-            resolve_parallelism(None)
-
-    def test_beas_construction_reads_the_environment(self, monkeypatch):
-        from repro import BEAS
-        from tests.conftest import example1_database
-
-        monkeypatch.setenv("BEAS_ROWS_PER_BATCH", "nope")
-        with pytest.raises(BEASError, match="BEAS_ROWS_PER_BATCH"):
+    def test_beas_construction_reads_the_environment(self, clean_environment):
+        clean_environment.setenv("BEAS_EXECUTOR", "columnar")
+        assert BEAS(example1_database()).options.executor == "columnar"
+        # keywords win over the environment
+        assert BEAS(example1_database(), executor="row").options.executor == "row"
+        clean_environment.setenv("BEAS_PARALLELISM", "nope")
+        with pytest.raises(BEASError, match="BEAS_PARALLELISM"):
             BEAS(example1_database())
+
+    def test_components_read_no_environment(self, clean_environment):
+        """Only the options chain reads the environment: a component
+        built directly takes its own defaults."""
+        clean_environment.setenv("BEAS_EXECUTOR", "columnar")
+        engine = BEAS(example1_database())
+        assert engine.options.executor == "columnar"
+        executor = BoundedPlanExecutor(engine.catalog)
+        assert executor.executor == "row"
+        assert executor.rows_per_batch == config.DEFAULT_ROWS_PER_BATCH
+        assert ExecutorRouter().epsilon == ExecutorRouter.EPSILON
+        assert PeerSet.start_method in ("fork", "spawn")
+
+    @pytest.mark.parametrize("suffix", DROPPED)
+    def test_dropped_variables_are_ignored(self, monkeypatch, suffix):
+        monkeypatch.setenv(f"BEAS_{suffix}", "nope")
+        engine = BEAS(example1_database())
+        assert engine.options == BEAS(example1_database()).options
+        with Session(example1_database()) as session:
+            assert session.options == engine.options
+
+    def test_an_explicit_storage_dir_needs_mmap(self, clean_environment, tmp_path):
+        with pytest.raises(BEASError, match="storage_dir requires"):
+            BEAS(example1_database(), storage_dir=tmp_path)
+        with pytest.raises(BEASError, match="storage_dir requires"):
+            Session(
+                example1_database(),
+                options=ExecutionOptions(storage_dir=str(tmp_path)),
+            )
+        # an ambient BEAS_STORAGE_DIR without mmap is inert
+        clean_environment.setenv("BEAS_STORAGE_DIR", str(tmp_path))
+        assert BEAS(example1_database()).options.storage_dir is None

@@ -88,15 +88,18 @@ class TestConfig:
             config.validate_fleet_port_base(70_000)  # off the port space
 
     def test_env_readers(self, monkeypatch):
-        monkeypatch.setenv(config.ENV_REPLICAS, "4")
         monkeypatch.setenv(config.ENV_FLEET_PORT_BASE, "9100")
-        assert config.env_replicas() == 4
-        assert config.env_fleet_port_base() == 9100
-        env = config.load_env_config()
-        assert env.replicas == 4 and env.fleet_port_base == 9100
-        monkeypatch.setenv(config.ENV_REPLICAS, "0")
-        with pytest.raises(BEASError):
-            config.env_replicas()
+        assert ExecutionOptions.from_environment().fleet_port_base == 9100
+        monkeypatch.setenv(config.ENV_FLEET_PORT_BASE, "80")
+        with pytest.raises(BEASError, match=config.ENV_FLEET_PORT_BASE):
+            ExecutionOptions.from_environment()
+
+    def test_the_last_replica_port_must_exist(self):
+        # peers are lazy: construction alone spawns nothing
+        with pytest.raises(BEASError, match="65535"):
+            BEAS(example1_database(), replicas=600, fleet_port_base=65000)
+        with BEAS(example1_database(), replicas=536, fleet_port_base=65000) as beas:
+            assert beas.options.replicas == 536 and beas.fleet is None
 
     def test_options_validate_at_construction(self):
         with pytest.raises(BEASError):
@@ -111,7 +114,7 @@ class TestConfig:
             query.run(options=ExecutionOptions(replicas=3))
 
     def test_default_is_in_process(self, oracle_beas):
-        assert oracle_beas.replicas == 1
+        assert oracle_beas.options.replicas == 1
         assert oracle_beas.fleet is None
         assert oracle_beas.fleet_stats() is None
         result = oracle_beas.session().query(CALL_SQL).run()

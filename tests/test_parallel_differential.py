@@ -272,11 +272,6 @@ class TestConstructionValidation:
         with pytest.raises(BEASError, match="BEAS_PARALLELISM"):
             BEAS(self._db())
 
-    def test_bad_env_rows_per_batch(self, monkeypatch):
-        monkeypatch.setenv("BEAS_ROWS_PER_BATCH", "lots")
-        with pytest.raises(BEASError, match="BEAS_ROWS_PER_BATCH"):
-            BEAS(self._db())
-
     def test_validation_happens_at_construction_not_execution(self):
         # the error surfaces from BEAS(...) itself, before any query
         with pytest.raises(BEASError):
@@ -296,13 +291,13 @@ class TestConstructionValidation:
 # --------------------------------------------------------------------------- #
 class TestPoolWiring:
     def test_env_default_resolution(self, monkeypatch):
-        from repro.engine.pool import resolve_parallelism
-
+        db, access, _ = _join_workload()
         monkeypatch.delenv("BEAS_PARALLELISM", raising=False)
-        assert resolve_parallelism(None) == 1
+        assert BEAS(db, access).options.parallelism == 1
         monkeypatch.setenv("BEAS_PARALLELISM", "4")
-        assert resolve_parallelism(None) == 4
-        assert resolve_parallelism(2) == 2  # explicit wins over env
+        # the pool is lazy: resolving the count spawns nothing
+        assert BEAS(db, access).options.parallelism == 4
+        assert BEAS(db, access, parallelism=2).options.parallelism == 2
 
     def test_pool_is_lazy_and_close_is_idempotent(self):
         db, access, sql = _join_workload()

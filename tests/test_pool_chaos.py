@@ -30,6 +30,7 @@ from repro import (
     DatabaseSchema,
     DataType,
     EnginePool,
+    ExecutionOptions,
     TableSchema,
 )
 from repro.beas.result import ExecutionMode
@@ -252,7 +253,8 @@ def test_pool_exhaustion_falls_back_in_process(workload):
     beas = BEAS(db, access, parallelism=1)
     oracle = expected_result(beas, sql)
     plan = beas.check(sql).plan
-    with EnginePool(1, acquire_timeout=0.01) as pool:
+    with EnginePool(1) as pool:
+        pool.acquire_timeout = 0.01
         run = pooled_run(beas, pool)
         busy = pool.acquire()  # hold the only worker hostage
         assert busy is not None
@@ -409,7 +411,7 @@ def test_router_never_trains_pooled_models_on_fallbacks(workload):
     beas = BEAS(db, access, parallelism=1)
     plan = beas.check(sql).plan
     features = routing_features(
-        plan, {}, rows_per_batch=4, parallelism=2
+        plan, {}, ExecutionOptions(rows_per_batch=4, parallelism=2)
     )
     router = ExecutorRouter()
     fallback = ExecutionMetrics(seconds=0.5, pool_fallbacks=1)

@@ -161,7 +161,7 @@ def test_rebound_equals_fresh_decision(rig, template_key, seed, form):
             served = session.run(to_sql(statement), use_result_cache=False)
         fresh_decision = oracle.check(statement)  # a full checker run
         assert fresh_decision.covered, template_key
-        fresh = oracle.runner.run_route(oracle.executor, fresh_decision.plan)
+        fresh = oracle.runner.run_route(oracle.options.executor, fresh_decision.plan)
 
         # exact row order, not just set equality
         assert served.rows == fresh.rows, (template_key, seed, binding)

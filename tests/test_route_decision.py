@@ -9,7 +9,6 @@ to in-process columnar, whichever peer failed.
 from __future__ import annotations
 
 import itertools
-from types import SimpleNamespace
 
 import pytest
 
@@ -85,10 +84,14 @@ def test_the_table_covers_every_combination():
     "kind, executor, parallelism, replicas, routing, routes", CASES
 )
 def test_allowed_routes(plans, kind, executor, parallelism, replicas, routing, routes):
-    options = ExecutionOptions(executor=executor, routing=routing)
-    engine = SimpleNamespace(parallelism=parallelism, replicas=replicas)
+    options = ExecutionOptions(
+        executor=executor,
+        routing=routing,
+        parallelism=parallelism,
+        replicas=replicas,
+    )
     expected = tuple(executor if route is E else route for route in routes)
-    assert allowed_routes(options, engine, plans[kind]) == expected
+    assert allowed_routes(options, plans[kind]) == expected
 
 
 # --------------------------------------------------------------------------- #

@@ -174,7 +174,7 @@ def test_poisoned_cost_model_never_changes_answers():
         for sql in queries:
             plan = beas.check(sql).plan
             features = routing_features(
-                plan, {}, rows_per_batch=3, parallelism=2
+                plan, {}, ExecutionOptions(rows_per_batch=3, parallelism=2)
             )
             fingerprint = f"poison:{sql[:32]}"
             for route, seconds in zip(
@@ -265,16 +265,6 @@ class TestRoutingWiring:
         monkeypatch.setenv("BEAS_ROUTING", "magic")
         with pytest.raises(BEASError, match="BEAS_ROUTING"):
             _small_session()
-
-    def test_bad_env_epsilon_fails_at_serve_construction(self, monkeypatch):
-        monkeypatch.setenv("BEAS_ROUTING_EPSILON", "fast")
-        session = _small_session()
-        try:
-            with pytest.raises(BEASError, match="BEAS_ROUTING_EPSILON"):
-                session.server  # the server builds the router
-        finally:
-            monkeypatch.delenv("BEAS_ROUTING_EPSILON")
-            session.close()
 
     def test_serial_engine_routes_serial_only(self):
         """parallelism=1: the router must never pick a pooled route."""

@@ -232,19 +232,57 @@ class TestOptionsChain:
 
     def test_env_layer(self, monkeypatch):
         monkeypatch.setenv("BEAS_EXECUTOR", "columnar")
-        monkeypatch.setenv("BEAS_ROWS_PER_BATCH", "512")
+        monkeypatch.setenv("BEAS_PARALLELISM", "3")
         env = ExecutionOptions.from_environment()
-        assert env.executor == "columnar" and env.rows_per_batch == 512
+        assert env.executor == "columnar" and env.parallelism == 3
 
     def test_session_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("BEAS_ROWS_PER_BATCH", "512")
+        monkeypatch.setenv("BEAS_PARALLELISM", "3")
         with Session(
             example1_database(),
             example1_access_schema(),
-            options=ExecutionOptions(rows_per_batch=128),
+            options=ExecutionOptions(parallelism=1),
         ) as s:
-            assert s.options.rows_per_batch == 128
-            assert s.beas._rows_per_batch == 128
+            assert s.options.parallelism == 1
+            assert s.beas.options.parallelism == 1
+
+    def test_session_layer_pins_static_routing(self, monkeypatch):
+        # an explicit shape at the Session layer pins the route, exactly
+        # as at the Query and call layers
+        monkeypatch.setenv("BEAS_ROUTING", "learned")
+        with Session(
+            example1_database(),
+            example1_access_schema(),
+            options=ExecutionOptions(executor="row"),
+        ) as s:
+            assert s.options.routing == "static"
+            assert s.run(CALL_SQL).options.routing == "static"
+        # routing set beside the shape keeps the router
+        with Session(
+            example1_database(),
+            example1_access_schema(),
+            options=ExecutionOptions(executor="row", routing="learned"),
+        ) as s:
+            assert s.options.routing == "learned"
+
+    def test_pathlike_storage_dir_is_stored_as_a_string(self, tmp_path):
+        built = tmp_path / "built"
+        with Session(
+            example1_database(),
+            example1_access_schema(),
+            options=ExecutionOptions(storage="mmap", storage_dir=built),
+        ) as s:
+            assert s.options.storage_dir == str(built)
+            assert len(s.run(CALL_SQL, storage_dir=str(built))) == 2
+        adopted = tmp_path / "adopted"
+        with BEAS(
+            example1_database(),
+            example1_access_schema(),
+            storage="mmap",
+            storage_dir=adopted,
+        ) as engine:
+            s = Session(beas=engine, options=ExecutionOptions(storage_dir=adopted))
+            assert s.options.storage_dir == engine.options.storage_dir == str(adopted)
 
     def test_environment_is_the_last_layer(self, monkeypatch):
         monkeypatch.setenv("BEAS_EXECUTOR", "columnar")
@@ -279,7 +317,7 @@ class TestOptionsChain:
 
     def test_adopted_engine_conflict_raises(self):
         engine = BEAS(example1_database(), rows_per_batch=64)
-        with pytest.raises(BEASError, match="conflicts with the adopted"):
+        with pytest.raises(BEASError, match="cannot be overridden"):
             Session(beas=engine, options=ExecutionOptions(rows_per_batch=128))
 
     def test_options_merge_and_describe(self):
