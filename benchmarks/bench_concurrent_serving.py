@@ -1,21 +1,17 @@
-"""E9 — sharded serving under concurrent clients vs the single lock.
+"""E9 — sharded serving under concurrent clients.
 
-The sharded ``BEASServer`` partitions locks, result-cache slices, and
-maintenance by table. Measured here over a synthetic star of disjoint
-tables (8 identical relations, one covered point query each):
+The ``BEASServer`` partitions locks and maintenance by table. Measured
+here over a synthetic star of disjoint tables (8 identical relations,
+one covered point query each), through one Session:
 
 * **pure reads** — 8 client threads, each hammering its own table's
-  cached query: sharding removes the global-lock handoff from the
-  steady-state read path (the GIL still serialises the compute, so this
-  is an overhead comparison, not a parallelism one);
+  cached query (the GIL serialises the compute, so this is an overhead
+  figure, not a parallelism one);
 * **reads + disjoint maintenance** — 6 reader threads on 6 tables while
   2 writer threads continuously batch-insert/delete on 2 *other*
-  tables. Under the single lock every reader queues behind every
-  multi-millisecond maintenance batch; sharded, they never meet. This
-  is the acceptance scenario: aggregate read throughput must be
-  **>= 3x** the baseline. ``--quick`` asserts the property behind the
-  ratio instead, exactly: on the sharded server the readers' shards and
-  the schema lock record no contended acquisition and no wait;
+  tables. The gate is the property that makes sharding pay, exactly:
+  the readers' shards and the schema lock record no contended
+  acquisition and no wait;
 * **maintenance stall** — one big batch lands in one table while a
   reader times reads of another: the worst observed read latency must
   not track the batch duration (no cross-table stall).
@@ -23,9 +19,8 @@ tables (8 identical relations, one covered point query each):
 Runs under pytest (``PYTHONPATH=src python -m pytest
 benchmarks/bench_concurrent_serving.py``) or standalone
 (``PYTHONPATH=src python benchmarks/bench_concurrent_serving.py
-[--quick]``) — the latter is the CI smoke. The ratio swings widely on
-a small host under the interpreter lock (0.5x–5.5x on 2 vCPUs), so
-only the full run gates on it.
+[--quick]``) — the latter is the CI smoke. Throughput is reported, not
+gated: it swings widely on a small host under the interpreter lock.
 """
 
 from __future__ import annotations
@@ -40,16 +35,15 @@ if str(REPO_ROOT) not in sys.path:  # standalone invocation
     sys.path.insert(0, str(REPO_ROOT))
 
 from repro import (
-    BEAS,
     AccessConstraint,
     AccessSchema,
     Database,
     DatabaseSchema,
     DataType,
+    Session,
     TableSchema,
 )
 from repro.bench.reporting import format_table
-from repro.serving import BEASServer
 
 from benchmarks.conftest import write_report
 
@@ -57,7 +51,6 @@ TABLES = 8
 ROWS_PER_TABLE = 1_000
 KEYS = 50  # distinct k values per table -> bucket size 20 (bound 64)
 CLIENTS = 8
-TARGET_READ_SPEEDUP = 3.0
 
 _WRITER_BATCH = 400
 
@@ -105,15 +98,15 @@ def query_for(table_index: int) -> str:
     return f"SELECT v, grp FROM t{table_index} WHERE k = 'k007'"
 
 
-def make_server(sharded: bool) -> BEASServer:
+def make_session() -> Session:
     db, schema = synthetic_db()
-    return BEAS(db, schema).session(sharded=sharded).server
+    return Session(db, schema)
 
 
-def _warm(server: BEASServer) -> None:
+def _warm(session: Session) -> None:
     for i in range(TABLES):
-        server.execute(query_for(i))
-        server.execute(query_for(i))  # second sighting admits
+        session.run(query_for(i))
+        session.run(query_for(i))  # second sighting admits
 
 
 def _run_clients(workers) -> float:
@@ -134,9 +127,9 @@ def _run_clients(workers) -> float:
 # --------------------------------------------------------------------------- #
 # scenario 1: pure disjoint reads
 # --------------------------------------------------------------------------- #
-def measure_pure_reads(server: BEASServer, duration: float) -> float:
+def measure_pure_reads(session: Session, duration: float) -> float:
     """Aggregate cached-read ops/s: one client per table."""
-    _warm(server)
+    _warm(session)
     counts = [0] * CLIENTS
     deadline = [0.0]
 
@@ -145,7 +138,7 @@ def measure_pure_reads(server: BEASServer, duration: float) -> float:
             query = query_for(index % TABLES)
             barrier.wait()
             while time.perf_counter() < deadline[0]:
-                server.execute(query)
+                session.run(query)
                 counts[index] += 1
 
         return run
@@ -169,10 +162,10 @@ def measure_pure_reads(server: BEASServer, duration: float) -> float:
 # scenario 2: disjoint reads + disjoint maintenance (the acceptance bar)
 # --------------------------------------------------------------------------- #
 def measure_reads_under_maintenance(
-    server: BEASServer, duration: float
+    session: Session, duration: float
 ) -> float:
     """Aggregate read ops/s: 6 readers on t0..t5, 2 writers on t6/t7."""
-    _warm(server)
+    _warm(session)
     reader_count = CLIENTS - 2
     counts = [0] * reader_count
     deadline = [0.0]
@@ -182,7 +175,7 @@ def measure_reads_under_maintenance(
             query = query_for(index)  # tables t0..t5: never written
             barrier.wait()
             while time.perf_counter() < deadline[0]:
-                server.execute(query)
+                session.run(query)
                 counts[index] += 1
 
         return run
@@ -202,8 +195,8 @@ def measure_reads_under_maintenance(
                     )
                     for i in range(_WRITER_BATCH)
                 ]
-                server.insert(table, rows)
-                server.delete(table, rows)
+                session.insert(table, rows)
+                session.delete(table, rows)
                 batch_id += 1
 
         return run
@@ -250,10 +243,10 @@ def reader_lock_contention(before, after) -> dict[str, tuple[int, float]]:
 # scenario 3: one big batch must not stall reads of another table
 # --------------------------------------------------------------------------- #
 def measure_maintenance_stall(
-    server: BEASServer, batch_rows: int
+    session: Session, batch_rows: int
 ) -> tuple[float, float]:
     """(batch seconds, worst concurrent read seconds of another table)."""
-    _warm(server)
+    _warm(session)
     rows = [
         (2_000_000 + i, f"s-{i}", "vs", "gs") for i in range(batch_rows)
     ]
@@ -263,7 +256,7 @@ def measure_maintenance_stall(
     def maintain() -> None:
         started.set()
         start = time.perf_counter()
-        server.insert(f"t{TABLES - 1}", rows)
+        session.insert(f"t{TABLES - 1}", rows)
         batch_seconds[0] = time.perf_counter() - start
 
     writer = threading.Thread(target=maintain)
@@ -272,132 +265,81 @@ def measure_maintenance_stall(
     started.wait()
     while writer.is_alive():
         start = time.perf_counter()
-        server.execute(query_for(0))
+        session.run(query_for(0))
         latencies.append(time.perf_counter() - start)
     writer.join()
-    server.delete(f"t{TABLES - 1}", rows)
+    session.delete(f"t{TABLES - 1}", rows)
     return batch_seconds[0], max(latencies) if latencies else 0.0
 
 
 # --------------------------------------------------------------------------- #
 def run(
     duration: float = 2.0, stall_rows: int = 20_000
-) -> tuple[float, bool, dict[str, tuple[int, float]]]:
-    """Measure, print, persist; returns (scenario-2 read speedup,
-    sharded stall bounded?, scenario 2's reader-lock contention on the
-    sharded server)."""
-    measured: dict[str, dict[str, float]] = {}
-    contention: dict[str, tuple[int, float]] = {}
-    for label, sharded in (("single-lock", False), ("sharded", True)):
-        server = make_server(sharded)
-        pure = measure_pure_reads(server, duration)
-        before = server.stats()
-        mixed = measure_reads_under_maintenance(server, duration)
-        if sharded:
-            contention = reader_lock_contention(before, server.stats())
-        batch_s, worst_read_s = measure_maintenance_stall(server, stall_rows)
-        measured[label] = {
-            "pure": pure,
-            "mixed": mixed,
-            "batch_s": batch_s,
-            "worst_read_s": worst_read_s,
-        }
-
-    base, shard = measured["single-lock"], measured["sharded"]
-    pure_speedup = shard["pure"] / max(base["pure"], 1e-9)
-    mixed_speedup = shard["mixed"] / max(base["mixed"], 1e-9)
+) -> tuple[bool, dict[str, tuple[int, float]]]:
+    """Measure, print, persist; returns (stall bounded?, scenario 2's
+    reader-lock contention)."""
+    with make_session() as session:
+        pure = measure_pure_reads(session, duration)
+        before = session.stats()
+        mixed = measure_reads_under_maintenance(session, duration)
+        contention = reader_lock_contention(before, session.stats())
+        batch_s, worst_read_s = measure_maintenance_stall(session, stall_rows)
     rows = [
-        (
-            "pure disjoint reads (8 threads)",
-            f"{base['pure']:,.0f}",
-            f"{shard['pure']:,.0f}",
-            f"{pure_speedup:.1f}x",
-        ),
-        (
-            "reads + disjoint maintenance (6r+2w)",
-            f"{base['mixed']:,.0f}",
-            f"{shard['mixed']:,.0f}",
-            f"{mixed_speedup:.1f}x",
-        ),
+        ("pure disjoint reads (8 threads)", f"{pure:,.0f} ops/s"),
+        ("reads + disjoint maintenance (6r+2w)", f"{mixed:,.0f} ops/s"),
         (
             "worst cross-table read stall",
-            f"{base['worst_read_s'] * 1000:.1f} ms "
-            f"(batch {base['batch_s'] * 1000:.0f} ms)",
-            f"{shard['worst_read_s'] * 1000:.1f} ms "
-            f"(batch {shard['batch_s'] * 1000:.0f} ms)",
-            "-",
+            f"{worst_read_s * 1000:.1f} ms (batch {batch_s * 1000:.0f} ms)",
         ),
     ]
     text = (
         f"E9 concurrent serving — {TABLES} disjoint tables x "
         f"{ROWS_PER_TABLE} rows, {CLIENTS} client threads, "
         f"{duration:.1f}s per scenario\n\n"
-        + format_table(
-            ["scenario", "single-lock ops/s", "sharded ops/s", "speedup"],
-            rows,
-        )
+        + format_table(["scenario", "measured"], rows)
     )
     print(text)
     write_report("bench_concurrent_serving.txt", text)
-    stall_ok = _stall_is_bounded(shard["batch_s"], shard["worst_read_s"])
-    return mixed_speedup, stall_ok, contention
+    return _stall_is_bounded(batch_s, worst_read_s), contention
 
 
 def _stall_is_bounded(measured_batch: float, worst_read: float) -> bool:
     return worst_read < max(0.05, measured_batch / 4)
 
 
-def check(duration: float, stall_rows: int, quick: bool) -> int:
-    mixed_speedup, stall_ok, contention = run(duration, stall_rows)
+def check(duration: float, stall_rows: int) -> int:
+    stall_ok, contention = run(duration, stall_rows)
     contended = {name: got for name, got in contention.items() if got != (0, 0.0)}
-    if quick and contended:
+    if contended:
         print(
             f"FAIL: reads of tables no one writes waited on a lock under "
             f"disjoint maintenance (contended, seconds): {contended}",
             file=sys.stderr,
         )
         return 1
-    if not quick and mixed_speedup < TARGET_READ_SPEEDUP:
-        print(
-            f"FAIL: read throughput under disjoint maintenance only "
-            f"{mixed_speedup:.1f}x vs single lock "
-            f"(target {TARGET_READ_SPEEDUP}x)",
-            file=sys.stderr,
-        )
-        return 1
     if not stall_ok:
         print(
-            "FAIL: sharded reads still stall behind maintenance on "
-            "another table",
+            "FAIL: reads still stall behind maintenance on another table",
             file=sys.stderr,
         )
         return 1
-    gate = (
-        "readers' shards and the schema lock never contended"
-        if quick
-        else f"target {TARGET_READ_SPEEDUP}x"
-    )
     print(
-        f"OK: {mixed_speedup:.1f}x aggregate read throughput vs the "
-        f"single-lock baseline ({gate}); cross-table stall bounded"
+        "OK: readers' shards and the schema lock never contended; "
+        "cross-table stall bounded"
     )
     return 0
 
 
-def test_concurrent_read_speedup(benchmark):
+def test_disjoint_reads_never_contend(benchmark):
     from benchmarks.conftest import once
 
-    speedup, _, _ = once(benchmark, lambda: run(duration=1.5))
-    assert speedup >= TARGET_READ_SPEEDUP, (
-        f"sharded read throughput under disjoint maintenance is only "
-        f"{speedup:.1f}x the single-lock baseline "
-        f"(target {TARGET_READ_SPEEDUP}x)"
-    )
+    _, contention = once(benchmark, lambda: run(duration=1.5))
+    assert all(got == (0, 0.0) for got in contention.values()), contention
 
 
 def test_maintenance_does_not_stall_sharded_reads():
-    server = make_server(sharded=True)
-    batch_s, worst_read_s = measure_maintenance_stall(server, 20_000)
+    with make_session() as session:
+        batch_s, worst_read_s = measure_maintenance_stall(session, 20_000)
     assert _stall_is_bounded(batch_s, worst_read_s), (
         f"a read of t0 stalled {worst_read_s * 1000:.1f} ms behind a "
         f"{batch_s * 1000:.0f} ms batch on t{TABLES - 1}"
@@ -411,13 +353,12 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="shorter scenarios, smaller stall batch, and the lock-stats "
-        "gate in place of the throughput ratio (the CI smoke)",
+        help="shorter scenarios and a smaller stall batch (the CI smoke)",
     )
     args = parser.parse_args(argv)
     duration = 0.8 if args.quick else 2.0
     stall_rows = 8_000 if args.quick else 20_000
-    return check(duration, stall_rows, args.quick)
+    return check(duration, stall_rows)
 
 
 if __name__ == "__main__":

@@ -193,19 +193,19 @@ def build_db(scale_divisor: int = 1) -> tuple[Database, AccessSchema]:
     return db, access
 
 
-def make_templates(server):
+def make_templates(session):
     """The four prepared templates; the router learns one cost model
     per template fingerprint, shared by every binding."""
     return {
-        "micro": server.prepare("SELECT u FROM t WHERE k = 'k000'"),
-        "med": server.prepare(
+        "micro": session.query("SELECT u FROM t WHERE k = 'k000'"),
+        "med": session.query(
             "SELECT m.u, ms.w FROM m, ms "
             "WHERE m.k = 'k0' AND ms.u = m.u ORDER BY m.u"
         ),
-        "filter": server.prepare(
+        "filter": session.query(
             "SELECT u FROM t2 WHERE k = 'k0' AND v = 17"
         ),
-        "heavy": server.prepare(
+        "heavy": session.query(
             "SELECT f.region, COUNT(*) AS c, SUM(f.amount) AS s FROM e, f "
             f"WHERE e.d = '{DATES[0]}' AND f.rid = e.rid GROUP BY f.region"
         ),
@@ -238,16 +238,13 @@ def round_bindings(round_number: int):
     return mix
 
 
-def drive(server, templates, rounds: int, routing: str) -> float:
+def drive(templates, rounds: int, routing: str) -> float:
     """Execute ``rounds`` of the mix; returns wall-clock seconds."""
     start = time.perf_counter()
     for round_number in range(rounds):
         for name, params in round_bindings(round_number):
-            server.execute_prepared(
-                templates[name],
-                params,
-                use_result_cache=False,
-                routing=routing,
+            templates[name].bind(params).run(
+                use_result_cache=False, routing=routing
             )
     return time.perf_counter() - start
 
@@ -265,24 +262,19 @@ def measure(scale_divisor: int, rounds: int, repeats: int):
         rows_per_batch=ROWS_PER_BATCH,
         parallelism=2,
     )
-    servers = {name: beas.session().server for name, beas in engines.items()}
-    learned_server = learned_beas.session().server
+    sessions = {name: beas.session() for name, beas in engines.items()}
+    learned_session = learned_beas.session()
     templates = {
-        name: make_templates(server) for name, server in servers.items()
+        name: make_templates(session) for name, session in sessions.items()
     }
-    learned_templates = make_templates(learned_server)
+    learned_templates = make_templates(learned_session)
 
     # correctness first: the learned server answers every template
     # identically to the row oracle, whatever route it picks
     for name, params in round_bindings(0):
-        expected = servers["row"].execute_prepared(
-            templates["row"][name], params, use_result_cache=False
-        )
-        got = learned_server.execute_prepared(
-            learned_templates[name],
-            params,
-            use_result_cache=False,
-            routing="learned",
+        expected = templates["row"][name].bind(params).run(use_result_cache=False)
+        got = learned_templates[name].bind(params).run(
+            use_result_cache=False, routing="learned"
         )
         assert got.rows == expected.rows, f"learned answer diverged: {name}"
         assert (
@@ -292,23 +284,20 @@ def measure(scale_divisor: int, rounds: int, repeats: int):
     # warm every config (plans, snapshots), then train the router: the
     # untimed passes with the default epsilon cover every route per
     # template before the timed phase runs greedily
-    for name, server in servers.items():
-        drive(server, templates[name], 2, "static")
-    drive(learned_server, learned_templates, 4, "learned")
-    learned_server.router.epsilon = 0.0  # timed phase: pure exploitation
+    for name in sessions:
+        drive(templates[name], 2, "static")
+    drive(learned_templates, 4, "learned")
+    router = learned_session.server.router
+    router.epsilon = 0.0  # timed phase: pure exploitation
 
-    static_seconds = {name: [] for name in servers}
+    static_seconds = {name: [] for name in sessions}
     learned_seconds = []
     for _ in range(repeats):
-        for name, server in servers.items():
-            static_seconds[name].append(
-                drive(server, templates[name], rounds, "static")
-            )
-        learned_seconds.append(
-            drive(learned_server, learned_templates, rounds, "learned")
-        )
+        for name in sessions:
+            static_seconds[name].append(drive(templates[name], rounds, "static"))
+        learned_seconds.append(drive(learned_templates, rounds, "learned"))
 
-    stats = learned_server.router.stats()
+    stats = router.stats()
     for beas in engines.values():
         beas.close()
     learned_beas.close()

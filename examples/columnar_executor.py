@@ -18,8 +18,8 @@ This walkthrough:
    shows the metrics delta — same rows, same ``tuples_fetched``, but
    the columnar run reports ``rows_per_batch``/``batches`` and a lower
    wall-clock;
-3. flips the mode per query through the serving layer
-   (``server.execute(sql, executor="columnar")``) without rebuilding
+3. flips the mode per query through the session
+   (``session.run(sql, executor="columnar")``) without rebuilding
    anything.
 
 Run:  python examples/columnar_executor.py

@@ -62,7 +62,6 @@ from repro.beas.system import BEAS
 from repro.beas.result import ExecutionMode
 from repro.beas.session import Decision, ExecutionOptions, Query, Result, Session
 from repro.errors import BEASError
-from repro.serving import BEASServer, PreparedQuery, ServingStats
 
 __version__ = "2.0.0"
 
@@ -96,9 +95,6 @@ __all__ = [
     "BEAS",
     "BEASError",
     "ExecutionMode",
-    "BEASServer",
-    "PreparedQuery",
-    "ServingStats",
     "Session",
     "Query",
     "Decision",

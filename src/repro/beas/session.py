@@ -325,8 +325,6 @@ class Query:
         run; later equal-signature bindings patch the pinned plan's
         constants directly (``provenance == "rebound"``) — no checker
         run. ``budget`` defaults to the resolved options' budget."""
-        from repro.serving.request import Request, decide_only
-
         resolved = self._session.options.refine(self._options)
         if budget is not None:
             resolved = resolved.replace(budget=budget)
@@ -354,13 +352,12 @@ class Query:
 
         ``options``/keyword fields form the call layer of the precedence
         chain (e.g. ``run(budget=5000, executor="columnar")``)."""
-        from repro.serving.request import Request
-
-        resolved = self._session.options.refine(
-            self._options, options_layer(options, fields)
-        )
-        return self._session.server.serve(
-            Request(resolved, self._prepared, self._params or None, self)
+        return self._session._serve(
+            self._prepared,
+            self._params or None,
+            self,
+            self._options,
+            options_layer(options, fields),
         )
 
     __call__ = run
@@ -400,14 +397,12 @@ class Session:
         options: Optional[ExecutionOptions] = None,
         dedup_keys: bool = False,
         require_exact_multiplicities: bool = False,
-        server_options: Optional[Mapping[str, Any]] = None,
     ):
         if (database is None) == (beas is None):
             raise BEASError(
                 "Session needs exactly one of `database` (it builds the "
                 "engine) or `beas` (it adopts an existing engine)"
             )
-        self._server_options = dict(server_options or {})
         if beas is not None:
             if access_schema is not None:
                 raise BEASError(
@@ -450,16 +445,12 @@ class Session:
 
     @property
     def server(self) -> "BEASServer":
-        """The engine's one sharded serving backend (built on first
-        use; this session's resolved options become the base layer of
-        every request it serves, and its ``server_options`` apply to
-        that first build)."""
+        """The engine's one sharded serving backend, shared by every live
+        Session over the engine (built on first use). It has no read
+        API: this session's requests carry its own resolved options."""
         server = self._server_ref
         if server is None:
-            server = self._beas._serve(
-                self._resolved_options, **self._server_options
-            )
-            self._server_ref = server
+            server = self._server_ref = self._beas._serve()
         return server
 
     @property
@@ -482,8 +473,24 @@ class Session:
         **fields,
     ) -> Result:
         """One-shot convenience: ``session.query(sql).run(...)`` without
-        keeping the handle (still served through every cache)."""
-        return self.server.execute(sql, options=options, **fields)
+        keeping the handle (still served through every cache).
+        ``options`` / keyword fields form the call layer."""
+        return self._serve(sql, None, None, options_layer(options, fields))
+
+    def _serve(
+        self,
+        source: Any,
+        params: Optional[Mapping[str, Any]],
+        query: Optional[Query],
+        *layers: Optional[ExecutionOptions],
+    ) -> Result:
+        """The one way in: every read is one Request, under this
+        session's resolved options refined by ``layers`` (Query, call),
+        run through the serving stages."""
+        return serve(
+            self.server,
+            Request(self._resolved_options.refine(*layers), source, params, query),
+        )
 
     def explain(self, sql: str) -> str:
         return self.query(sql).explain()
@@ -520,11 +527,11 @@ class Session:
         max_workers: Optional[int] = None,
         admission_limit: Optional[int] = None,
     ) -> "AsyncBEASServer":
-        """An asyncio front end over this session's serving backend."""
+        """An asyncio front end whose reads are this session's requests."""
         from repro.serving.async_server import AsyncBEASServer
 
         return AsyncBEASServer(
-            self.server,
+            self,
             max_workers=max_workers,
             admission_limit=admission_limit,
         )
@@ -556,3 +563,9 @@ class Session:
             f"Session({self._beas.database.name}: {state}, "
             f"{self._resolved_options.describe()})"
         )
+
+
+# The request path imports Decision and Result from this module, so it is
+# imported once they exist (and not per read: an import statement costs
+# about as much as a cached read's whole front end).
+from repro.serving.request import Request, decide_only, serve  # noqa: E402

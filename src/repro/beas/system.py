@@ -24,7 +24,6 @@ are served through a :class:`~repro.beas.session.Session` over it::
 from __future__ import annotations
 
 import functools
-import gc
 import shutil
 import tempfile
 import threading
@@ -42,7 +41,7 @@ from repro.access.catalog import ASCatalog
 from repro.access.constraint import AccessConstraint
 from repro.access.schema import AccessSchema
 from repro.config import ExecutionOptions
-from repro.errors import BEASError, BudgetExceededError
+from repro.errors import BudgetExceededError
 from repro.maintenance.incremental import MaintenanceManager, ViolationPolicy
 from repro.sql import ast
 from repro.storage.database import Database
@@ -60,13 +59,13 @@ from repro.bounded.plan import BoundedPlan, explain_plan
 from repro.engine.router import PlanRunner, allowed_routes
 from repro.beas.result import ExecutionMode
 
-#: an engine over at least this many rows runs a full garbage collection
-#: before it builds its indices. An engine that was closed and dropped is
-#: cyclic garbage (it and its serving layer refer to each other), and its
-#: indices (tens of MB at this size) would otherwise still be held while
-#: the new ones are built. Below it, the collection would cost about as
-#: much as the build.
-COLLECT_BEFORE_ROWS = 100_000
+
+def _spawn_fleet(catalog: ASCatalog, options: ExecutionOptions) -> "ReplicaFleet":
+    from repro.distributed.fleet import ReplicaFleet
+
+    return ReplicaFleet(
+        catalog, replicas=options.replicas, port_base=options.fleet_port_base
+    )
 
 
 class _LazyPeers:
@@ -77,14 +76,17 @@ class _LazyPeers:
     route start no processes. A failed spawn (fork refused, pipe limits,
     ports in use, ...) is remembered and not retried per request: the
     route falls back in-process — answers are never wrong, only slower —
-    until :meth:`close` clears the error.
+    until :meth:`close` clears the failure.
+
+    ``spawn`` must not hold the engine: the engine holds this, and is
+    freed by reference counting alone.
     """
 
     def __init__(self, spawn: Callable[[], Any]):
         self._spawn = spawn
         self._lock = threading.Lock()
         self._live: Any = None
-        self._spawn_error: Optional[BaseException] = None
+        self._spawn_failed = False
 
     def get(self) -> Any:
         """The live peers, spawning them if need be; ``None`` after a
@@ -92,14 +94,14 @@ class _LazyPeers:
         live = self._live
         if live is None or live.closed:
             with self._lock:
-                if self._spawn_error is not None:
+                if self._spawn_failed:
                     return None
                 live = self._live
                 if live is None or live.closed:
                     try:
                         live = self._spawn()
-                    except Exception as error:  # beaslint: ok(except-discipline) - any spawn failure (fork limits, pickling, ports in use, OS) degrades to in-process execution
-                        self._spawn_error = error
+                    except Exception:  # beaslint: ok(except-discipline) - any spawn failure (fork limits, pickling, ports in use, OS) degrades to in-process execution
+                        self._spawn_failed = True
                         self._live = None
                         return None
                     # peers are daemonic, but close deterministically when
@@ -117,7 +119,7 @@ class _LazyPeers:
     def close(self) -> None:
         with self._lock:
             live, self._live = self._live, None
-            self._spawn_error = None  # a later restart may retry
+            self._spawn_failed = False  # a later restart may retry
         if live is not None:
             try:
                 live.close()
@@ -199,8 +201,6 @@ class BEAS:
         self.database = database
         self.host_profile = host_profile
         self._store: Optional[MmapStore] = None
-        if sum(len(table.rows) for table in database) >= COLLECT_BEFORE_ROWS:
-            gc.collect()
         #: the temporary store directory this engine made for itself
         self._temp_dir: Optional[str] = None
         if options.storage == "mmap":
@@ -238,7 +238,9 @@ class BEAS:
         self._require_exact = require_exact_multiplicities
         self._dedup_keys = dedup_keys
         self._pool = _LazyPeers(functools.partial(EnginePool, options.parallelism))
-        self._fleet = _LazyPeers(self._spawn_fleet)
+        self._fleet = _LazyPeers(
+            functools.partial(_spawn_fleet, self.catalog, options)
+        )
         #: the BE Plan Executor: every bounded plan, covered or prefix,
         #: runs through ``runner.run_route`` (see repro.engine.router)
         self.runner = PlanRunner(
@@ -253,7 +255,9 @@ class BEAS:
         self._host_engines: dict[str, ConventionalEngine] = {
             host_profile.name: self._host
         }
-        self._server: Optional["BEASServer"] = None
+        #: the serving layer, held weakly: the sessions that use it hold
+        #: it (and through it this engine), so neither refers back
+        self._server: Callable[[], Optional["BEASServer"]] = lambda: None
         self._serve_lock = threading.Lock()
         self._refresh_components()
 
@@ -274,15 +278,6 @@ class BEAS:
     # ------------------------------------------------------------------ #
     # the peers of the remote routes: engine pool and serving fleet
     # ------------------------------------------------------------------ #
-    def _spawn_fleet(self) -> "ReplicaFleet":
-        from repro.distributed.fleet import ReplicaFleet
-
-        return ReplicaFleet(
-            self.catalog,
-            replicas=self.options.replicas,
-            port_base=self.options.fleet_port_base,
-        )
-
     @property
     def pool(self) -> Optional[EnginePool]:
         """The engine pool, if one has been started (inspection only —
@@ -475,41 +470,26 @@ class BEAS:
     # ------------------------------------------------------------------ #
     # the serving layer (prepared queries + maintenance-aware caches)
     # ------------------------------------------------------------------ #
-    def session(self, **server_options) -> "Session":
+    def session(self) -> "Session":
         """The Session/Query/Decision/Result lifecycle over this
-        instance (see :mod:`repro.beas.session`): how queries are run.
-
-        ``server_options`` are forwarded to the shared serving backend
-        (:class:`~repro.serving.server.BEASServer`) when it is first
-        built."""
+        instance (see :mod:`repro.beas.session`): how queries are run."""
         from repro.beas.session import Session
 
-        return Session(beas=self, server_options=server_options or None)
+        return Session(beas=self)
 
-    def _serve(
-        self, options: Optional["ExecutionOptions"] = None, **cache_options
-    ) -> "BEASServer":
-        """The memoised serving backend: every Session over this engine
-        shares one (one set of shard locks and caches per engine), built
-        by the first with its resolved ``options`` as the base layer."""
+    def _serve(self) -> "BEASServer":
+        """The serving backend every live Session over this engine
+        shares (one set of shard locks and caches per engine). It lives
+        as long as something holds it: once no Session does, the next
+        one builds it afresh, with empty caches."""
         with self._serve_lock:
-            if self._server is None:
+            server = self._server()
+            if server is None:
                 from repro.serving.server import BEASServer
 
-                self._server = BEASServer(self, options, **cache_options)
-            elif cache_options:
-                raise ValueError(
-                    "the serving layer is already built; pass server "
-                    "options to the first Session over this engine"
-                )
-            elif options is not None and options != self._server.options:
-                raise BEASError(
-                    "this engine's serving layer was built by a Session "
-                    f"with {self._server.options.describe()}; a second "
-                    f"Session cannot rebase it to {options.describe()} — "
-                    "set the difference per Query or per call"
-                )
-            return self._server
+                server = BEASServer(self)
+                self._server = weakref.ref(server)
+            return server
 
     # ------------------------------------------------------------------ #
     # data updates (routed through incremental maintenance)

@@ -51,31 +51,31 @@ class BoundSummary:
         return "\n".join(lines)
 
 
+def _collect_fetches(node: AnyBoundedPlan, fetches: list[FetchBound]) -> None:
+    if isinstance(node, SetOpPlan):
+        _collect_fetches(node.left, fetches)
+        _collect_fetches(node.right, fetches)
+        return
+    assert isinstance(node, BoundedPlan)
+    for op in node.ops:
+        if isinstance(op, FetchOp):
+            fetches.append(
+                FetchBound(
+                    constraint_name=op.constraint.name,
+                    relation=op.constraint.relation,
+                    binding=op.binding,
+                    n=op.constraint.n,
+                    key_bound=op.key_bound,
+                    access_bound=op.access_bound,
+                    tight_access_bound=op.tight_access_bound,
+                )
+            )
+
+
 def deduce_bounds(plan: AnyBoundedPlan) -> BoundSummary:
     """Collect the bound annotations of ``plan`` into one summary."""
     fetches: list[FetchBound] = []
-
-    def visit(node: AnyBoundedPlan) -> None:
-        if isinstance(node, SetOpPlan):
-            visit(node.left)
-            visit(node.right)
-            return
-        assert isinstance(node, BoundedPlan)
-        for op in node.ops:
-            if isinstance(op, FetchOp):
-                fetches.append(
-                    FetchBound(
-                        constraint_name=op.constraint.name,
-                        relation=op.constraint.relation,
-                        binding=op.binding,
-                        n=op.constraint.n,
-                        key_bound=op.key_bound,
-                        access_bound=op.access_bound,
-                        tight_access_bound=op.tight_access_bound,
-                    )
-                )
-
-    visit(plan)
+    _collect_fetches(plan, fetches)
     output_bound = (
         plan.output_bound if isinstance(plan, BoundedPlan) else sum(
             f.access_bound for f in fetches

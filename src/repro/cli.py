@@ -17,8 +17,7 @@ offers the same interactions:
   serving layer (``repro.serving``) and report per-cache hit/miss/eviction
   counters plus the cold-vs-warm latency split; with ``--threads N`` the
   query is also hammered from N concurrent clients and the per-shard
-  lock-wait/contention counters are reported (``--baseline`` compares
-  against the single-lock server)
+  lock-wait/contention counters are reported
 
 Databases load from a directory of ``*.csv`` files (the format written by
 ``repro.storage.dump_csv``: ``name:type`` headers) and/or ``*.sql``
@@ -58,9 +57,7 @@ def _load_database(data_dir: Path) -> Database:
     return database
 
 
-def _build_session(
-    args: argparse.Namespace, **server_options
-) -> Session:
+def _build_session(args: argparse.Namespace) -> Session:
     """One Session per CLI invocation (the unified lifecycle)."""
     database = _load_database(Path(args.data))
     schema = load_schema(Path(args.schema)) if args.schema else None
@@ -77,12 +74,7 @@ def _build_session(
         replicas=getattr(args, "replicas", None),
         fleet_port_base=getattr(args, "fleet_port_base", None),
     )
-    return Session(
-        database,
-        schema,
-        options=options,
-        server_options=server_options or None,
-    )
+    return Session(database, schema, options=options)
 
 
 def _read_query(args: argparse.Namespace) -> str:
@@ -224,7 +216,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 def _cmd_serve_stats(args: argparse.Namespace) -> int:
     # shuts pool workers down even when the run errors (Session.close)
-    with _build_session(args, sharded=not args.baseline) as session:
+    with _build_session(args) as session:
         return _serve_stats(args, session)
 
 
@@ -417,11 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="also hammer the query from N concurrent client threads and "
         "report aggregate throughput + per-shard lock-wait counters",
-    )
-    serve_stats.add_argument(
-        "--baseline",
-        action="store_true",
-        help="serve through the single-lock (unsharded) baseline server",
     )
     serve_stats.add_argument(
         "--executor",

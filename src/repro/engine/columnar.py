@@ -453,6 +453,14 @@ def _compile_conjunct(
     return None
 
 
+def _flatten_and(node: ast.Expression, conjuncts: list[ast.Expression]) -> None:
+    if isinstance(node, ast.BinaryOp) and node.op == "AND":
+        _flatten_and(node.left, conjuncts)
+        _flatten_and(node.right, conjuncts)
+    else:
+        conjuncts.append(node)
+
+
 def compile_columnar_predicate(
     expr: ast.Expression, layout: Mapping[object, int]
 ) -> ColumnarFilter:
@@ -465,15 +473,7 @@ def compile_columnar_predicate(
     cost only for those rows still live when the conjunct runs.
     """
     conjuncts: list[ast.Expression] = []
-
-    def flatten(node: ast.Expression) -> None:
-        if isinstance(node, ast.BinaryOp) and node.op == "AND":
-            flatten(node.left)
-            flatten(node.right)
-        else:
-            conjuncts.append(node)
-
-    flatten(expr)
+    _flatten_and(expr, conjuncts)
 
     filters: list[ColumnarFilter] = []
     for conjunct in conjuncts:

@@ -1,7 +1,9 @@
-"""``AsyncBEASServer``: the asyncio front end over the sharded server.
+"""``AsyncBEASServer``: the asyncio front end over one Session.
 
 Many concurrent asyncio clients multiplex onto a bounded pool of worker
-threads driving one sharded :class:`~repro.serving.server.BEASServer`:
+threads driving one :class:`~repro.beas.session.Session` (its reads are
+that session's requests; its writes go through the session's sharded
+:class:`~repro.serving.server.BEASServer`):
 
 * **Bounded worker pool** — queries run in a
   ``ThreadPoolExecutor`` sized to the host, so a burst of clients
@@ -44,13 +46,13 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Any, Mapping, Optional, Union
 
+from repro.beas.session import Query
 from repro.errors import ServingError
 from repro.serving.prepared import PreparedQuery
-from repro.serving.server import BEASServer, ServingStats
+from repro.serving.server import ServingStats
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.beas.session import Decision, Result
-    from repro.bounded.coverage import CoverageDecision
+    from repro.beas.session import Result, Session
     from repro.maintenance.incremental import UpdateBatch
 
 
@@ -100,16 +102,17 @@ class AsyncServingStats:
 
 
 class AsyncBEASServer:
-    """Asyncio facade over one (sharded) :class:`BEASServer`."""
+    """Asyncio facade over one :class:`~repro.beas.session.Session`."""
 
     def __init__(
         self,
-        server: BEASServer,
+        session: "Session",
         *,
         max_workers: Optional[int] = None,
         admission_limit: Optional[int] = None,
     ):
-        self._server = server
+        self._session = session
+        self._server = session.server
         self._workers = max_workers or _default_workers()
         self._pool = ThreadPoolExecutor(
             max_workers=self._workers, thread_name_prefix="beas-serve"
@@ -129,8 +132,8 @@ class AsyncBEASServer:
 
     # ------------------------------------------------------------------ #
     @property
-    def server(self) -> BEASServer:
-        return self._server
+    def session(self) -> "Session":
+        return self._session
 
     async def __aenter__(self) -> "AsyncBEASServer":
         return self
@@ -178,11 +181,10 @@ class AsyncBEASServer:
                 self._in_flight -= 1
 
     async def execute(self, query, **options) -> "Result":
-        """``options`` (an ``options=`` layer and/or keyword fields) are
-        the call layer over the server's base options, forwarded to
-        :meth:`BEASServer.execute` verbatim: with none given this is
-        exactly ``Session.run(query)``."""
-        return await self._run(partial(self._server.execute, query, **options))
+        """``Session.run(query, **options)`` on a worker thread:
+        ``options`` (an ``options=`` layer and/or keyword fields) are the
+        call layer."""
+        return await self._run(partial(self._session.run, query, **options))
 
     async def execute_prepared(
         self,
@@ -190,32 +192,12 @@ class AsyncBEASServer:
         params: Optional[Mapping[str, Any]] = None,
         **options,
     ) -> "Result":
-        return await self._run(
-            partial(self._server.execute_prepared, prepared, params, **options)
-        )
-
-    async def prepare(
-        self, sql: str, name: Optional[str] = None
-    ) -> PreparedQuery:
-        return await self._run(partial(self._server.prepare, sql, name))
-
-    async def check(self, query, budget=None) -> "CoverageDecision":
-        return await self._run(partial(self._server.check, query, budget))
-
-    async def decide_prepared(
-        self,
-        prepared: Union[str, PreparedQuery],
-        params: Optional[Mapping[str, Any]] = None,
-        *,
-        budget: Optional[int] = None,
-    ) -> "Decision":
-        """The (possibly rebound) decision for one binding, with its
-        cache provenance — see :meth:`BEASServer.decide_prepared`."""
-        return await self._run(
-            partial(
-                self._server.decide_prepared, prepared, params, budget=budget
-            )
-        )
+        """``Query.run(**options)`` for one binding of a template the
+        session's server prepared (by handle or name)."""
+        if isinstance(prepared, str):
+            prepared = self._server.prepared(prepared)
+        query = Query(self._session, prepared, params)
+        return await self._run(partial(query.run, **options))
 
     # ------------------------------------------------------------------ #
     # maintenance: one FIFO queue + drainer per table

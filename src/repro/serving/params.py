@@ -3,8 +3,8 @@
 A prepared template's *slots* are the constants of its WHERE clause that
 bounded evaluation treats as enumerable bindings: top-level conjuncts of
 the form ``attr = constant`` and ``attr IN (constants)``. One template
-then serves many bindings — ``PreparedQuery.execute({"call.date":
-"2016-06-02"})`` substitutes fresh constants into a copy of the AST
+then serves many bindings — ``Query.bind({"call.date":
+"2016-06-02"}).run()`` substitutes fresh constants into a copy of the AST
 without re-parsing the text.
 
 Slots are named by their resolved attribute (``binding.column``); an

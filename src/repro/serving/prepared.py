@@ -2,7 +2,7 @@
 
 A :class:`PreparedQuery` does the frontend work a single time — parse,
 stable fingerprint, dependency (table) set, parameter-slot extraction —
-and then serves every execution through the owning
+and every execution of it (a Session request) is served through the
 :class:`~repro.serving.server.BEASServer`'s caches. The coverage
 decision and bounded plan for each distinct binding are pinned in the
 server's decision cache, keyed by (fingerprint, access-schema
@@ -39,9 +39,7 @@ from repro.serving.params import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.beas.session import ExecutionOptions, Result
-    from repro.bounded.coverage import CoverageDecision
-    from repro.serving.server import BEASServer
+    from repro.storage.database import Database
 
 #: Distinct bindings whose substituted AST + fingerprint stay memoised.
 _BINDING_CACHE_LIMIT = 64
@@ -73,13 +71,21 @@ class PreparedBinding:
     :func:`~repro.serving.params.rebind_signature` (rebind-template key
     — only the shape matters for plan reuse).
 
+    It copies what it needs of its template (fingerprint, tables,
+    statement, schema) rather than pointing back at it: the template
+    memoises its bindings, and a back reference would make every
+    template and binding cyclic garbage.
+
     The substituted ``statement`` is built **lazily**: a binding whose
     decision is served by rebinding (or from the exact decision cache)
     and whose plan covers the query never needs its own AST at decision
     time, so the common serving path skips the substitution entirely.
     """
 
-    __slots__ = ("template", "fingerprint", "overrides", "signature", "_statement")
+    __slots__ = (
+        "fingerprint", "overrides", "signature", "template_fingerprint",
+        "tables", "table_order", "_template_statement", "_schema", "_statement",
+    )  # fmt: skip
 
     def __init__(
         self,
@@ -88,12 +94,17 @@ class PreparedBinding:
         overrides: Optional[Mapping[str, tuple]] = None,
         signature: tuple = (),
     ):
-        self.template = template
         self.fingerprint = fingerprint
         self.overrides: Mapping[str, tuple] = (
             overrides if overrides is not None else {}
         )
         self.signature = signature
+        #: what the router keys its models by and the rebind key names
+        self.template_fingerprint = template.fingerprint
+        self.tables = template.tables
+        self.table_order = template.table_order
+        self._template_statement = template.statement
+        self._schema = template.schema
         self._statement: Optional[ast.Statement] = None
 
     @property
@@ -101,9 +112,8 @@ class PreparedBinding:
         statement = self._statement
         if statement is None:
             # pure + idempotent: a concurrent duplicate build is benign
-            template = self.template
             statement = self._statement = substitute(
-                template.statement, self.overrides, template.schema
+                self._template_statement, self.overrides, self._schema
             )
         return statement
 
@@ -120,12 +130,7 @@ class PreparedBinding:
         type class lands on a different signature (or trips the
         rebinder's merged-arity guard) and re-checks. The values of a
         binding never enter the key, only its shape."""
-        return ("rebind", self.template.fingerprint, self.signature, generation)
-
-    @property
-    def is_template(self) -> bool:
-        """True when this binding is the template's own constants."""
-        return not self.overrides
+        return ("rebind", self.template_fingerprint, self.signature, generation)
 
     def __repr__(self) -> str:
         return (
@@ -135,11 +140,17 @@ class PreparedBinding:
 
 
 class PreparedQuery:
-    """One parsed template plus its parameterisable constant slots."""
+    """One parsed template plus its parameterisable constant slots.
+
+    ``owner`` is what it is prepared on (a server): only its
+    ``database``'s schema is read, and the handle keeps no reference to
+    the owner, so a template cached by a server does not keep that
+    server alive. Reads of a prepared template go through a Session
+    (``Session.query``)."""
 
     def __init__(
         self,
-        server: "BEASServer",
+        owner: Any,
         statement: ast.Statement,
         sql: str,
         name: Optional[str] = None,
@@ -147,14 +158,13 @@ class PreparedQuery:
         fingerprint: Optional[str] = None,
         tables: Optional[frozenset[str]] = None,
     ):
-        self._server = server
         self.sql = sql
         self.statement = statement
         self.fingerprint = fingerprint or statement_fingerprint(statement)
         self.tables = tables if tables is not None else statement_tables(statement)
         #: ``tables`` in the canonical (sorted) order per-table vectors use
         self.table_order = tuple(sorted(self.tables))
-        self.schema = server.database.schema
+        self.schema = owner.database.schema
         self.slots: dict[str, ParameterSlot] = extract_slots(
             statement, self.schema
         )
@@ -197,44 +207,6 @@ class PreparedQuery:
             if len(self._bindings) > _BINDING_CACHE_LIMIT:
                 self._bindings.popitem(last=False)
         return bound
-
-    def bind(
-        self, params: Optional[Mapping[str, Any]] = None
-    ) -> tuple[ast.Statement, str]:
-        """The concrete (statement, fingerprint) for one set of overrides
-        (the narrow view of :meth:`binding`, kept for callers that only
-        need the substituted AST)."""
-        bound = self.binding(params)
-        return bound.statement, bound.fingerprint
-
-    def clear_bindings(self) -> None:
-        """Drop the per-binding memo (``BEASServer.reset_caches``)."""
-        with self._bindings_lock:
-            self._bindings.clear()
-
-    # ------------------------------------------------------------------ #
-    def execute(
-        self,
-        params: Optional[Mapping[str, Any]] = None,
-        *,
-        options: Optional["ExecutionOptions"] = None,
-        **fields: Any,
-    ) -> "Result":
-        """Execute one binding through the serving caches; ``options`` /
-        keyword fields are the call layer, as in ``Query.run``."""
-        return self._server.execute_prepared(
-            self, params, options=options, **fields
-        )
-
-    __call__ = execute
-
-    def check(
-        self,
-        params: Optional[Mapping[str, Any]] = None,
-        budget: Optional[int] = None,
-    ) -> "CoverageDecision":
-        """The (cached) coverage decision for one binding."""
-        return self._server.check_prepared(self, params, budget=budget)
 
     # ------------------------------------------------------------------ #
     def describe(self) -> str:
@@ -311,8 +283,9 @@ class AdhocTemplates:
     parser. Templates live here, never in the server's named registry.
     """
 
-    def __init__(self, server: "BEASServer"):
-        self._server = server
+    def __init__(self, database: "Database"):
+        #: what templates are prepared on: only its schema is read
+        self.database = database
         self._lock = threading.Lock()
         self._shapes: dict[str, _Shape] = {}
         #: (shape, pinned values) -> template, in LRU order
@@ -342,14 +315,13 @@ class AdhocTemplates:
         self, text: str, split: Optional[tuple[str, list]]
     ) -> PreparedBinding:
         """The shape-miss path: the one place serving calls the parser."""
-        server = self._server
         statement, tokens = parse_with_literals(text)
         if split is None or [repr(value) for value in split[1]] != [
             repr(value) for value, _ in tokens
         ]:
             # the split declined (or, never seen, disagrees with the
             # lexer): a template of this exact text
-            return PreparedQuery(server, statement, text).binding()
+            return PreparedQuery(self, statement, text).binding()
         shape, literals = split
         position = {
             id(node): index
@@ -359,7 +331,7 @@ class AdhocTemplates:
         slots = tuple(
             (name, tuple(position[id(node)] for node in nodes))
             for name, (_, nodes) in slot_literals(
-                statement, server.database.schema
+                statement, self.database.schema
             ).items()
             # a constant folded under unary minus is not its token's node
             if all(id(node) in position for node in nodes)
@@ -367,10 +339,10 @@ class AdhocTemplates:
         lifted = {index for _, positions in slots for index in positions}
         pinned = tuple(i for i in range(len(tokens)) if i not in lifted)
         masked = substitute(
-            statement, {name: _MASKED for name, _ in slots}, server.database.schema
+            statement, {name: _MASKED for name, _ in slots}, self.database.schema
         )
         template = PreparedQuery(
-            server, statement, text, fingerprint=statement_fingerprint(masked)
+            self, statement, text, fingerprint=statement_fingerprint(masked)
         )
         with self._lock:
             known = self._shapes.setdefault(shape, _Shape(slots, pinned))

@@ -1,10 +1,9 @@
 """The served-read request path: one context, one ordered list of stages.
 
-Every read entry point — ``Session.run``, ``Query.run`` (and through it
-``Decision.run``), ``BEASServer.execute`` / ``execute_prepared`` (and
-through them ``PreparedQuery.execute`` and both ``AsyncBEASServer``
-forwards) — builds one :class:`Request` holding the fully resolved
-:class:`~repro.beas.session.ExecutionOptions` and hands it to
+Every read is a Session request: ``Session.run`` and ``Query.run`` (and
+through them ``Decision.run`` and both ``AsyncBEASServer`` reads) build
+one :class:`Request` holding the session's fully resolved
+:class:`~repro.beas.session.ExecutionOptions` and hand it to
 :func:`serve`, which runs :data:`STAGES` in order. The first stage that
 returns a :class:`~repro.beas.session.Result` ends the request; the
 read holds the ``observe`` stage was granted are released on every way
@@ -161,7 +160,7 @@ class Request:
         """What the router keys its models by: every binding of one
         template (prepared, or the shape of an ad-hoc text) shares a
         model."""
-        return self.binding.template.fingerprint
+        return self.binding.template_fingerprint
 
 
 Stage = Callable[["BEASServer", Request], Optional[Result]]
@@ -182,7 +181,7 @@ def front_end(server: "BEASServer", request: Request) -> None:
         bound, hit = server.frontend(source)
     request.binding = bound
     request.fingerprint = bound.fingerprint
-    request.tables = bound.template.tables
+    request.tables = bound.tables
     if hit:
         request.hits = 1
     else:
@@ -211,7 +210,7 @@ def observe(server: "BEASServer", request: Request) -> None:
     database = server.database
     versions = request.versions = {
         name: database.table(name).version
-        for name in request.binding.template.table_order
+        for name in request.binding.table_order
         if name in database
     }
     options = request.options
@@ -352,9 +351,9 @@ def serve(server: "BEASServer", request: Request) -> Result:
 
 
 def decide_only(server: "BEASServer", request: Request) -> Decision:
-    """The decision-only path (``check`` / ``decide_prepared`` /
-    ``Query.decide``): front end, then decide-or-rebind under the schema
-    read lock alone — no result probe, no execution."""
+    """The decision-only path (``Query.decide``): front end, then
+    decide-or-rebind under the schema read lock alone — no result probe,
+    no execution."""
     front_end(server, request)
     with server.schema_read():
         # observed under the read lock: a completed register/unregister

@@ -1,7 +1,11 @@
 """The prepared-query serving layer: the sharded ``BEASServer``.
 
 Wraps one :class:`~repro.beas.system.BEAS` instance with the machinery a
-high-traffic deployment needs to amortise per-query frontend cost:
+high-traffic deployment needs to amortise per-query frontend cost. It
+has no read API of its own: every read is a
+:class:`~repro.beas.session.Session` request (``Session.run``,
+``Query.run``), which runs the stages of :mod:`repro.serving.request`
+over this server's locks and caches with the session's options.
 
 * a **parse cache** (SQL text -> the binding of its shape's template;
   a new text of a known shape is never parsed),
@@ -48,10 +52,6 @@ doorkeeper, so one-off ad-hoc or fuzz queries do not churn the cache;
 a key seen twice is cached for real. A cached answer is always an exact
 entry of this process: the cache starts empty, and a request that finds
 nothing fresh under its own key is executed.
-
-``sharded=False`` collapses every table onto a single shard and every
-stripe onto one — the global-lock baseline the concurrency benchmark
-compares against.
 """
 
 from __future__ import annotations
@@ -59,19 +59,16 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
-from repro.beas.session import Decision, Result
-from repro.config import ExecutionOptions, options_layer
 from repro.distributed.peerset import PeerStats
 from repro.engine.router import ExecutorRouter, RouterStats
 from repro.errors import ServingError
 from repro.sql import ast
 from repro.sql.fingerprint import statement_fingerprint
-from repro.serving import request as stages
 from repro.serving.cache import CacheStats, ResultCache
 from repro.serving.prepared import AdhocTemplates, PreparedBinding, PreparedQuery
-from repro.serving.request import Request, result_size
+from repro.serving.request import result_size
 from repro.storage.mmapstore import StorageStats
 from repro.serving.shard import (
     LockStats,
@@ -86,21 +83,19 @@ from repro.serving.shard import (
 if TYPE_CHECKING:  # pragma: no cover
     from repro.access.constraint import AccessConstraint
     from repro.beas.system import BEAS
-    from repro.bounded.coverage import CoverageDecision
     from repro.maintenance.incremental import UpdateBatch
 
-#: Shard name used when ``sharded=False`` (every table maps here) and for
-#: names that are no table. (A query with an empty dependency set takes
-#: the schema hold alone.)
+#: Shard name for names that are no table. (A query with an empty
+#: dependency set takes the schema hold alone.)
 GLOBAL_SHARD = "__global__"
 
-#: The cache geometry: parse-cache and decision-cache entries, the
-#: decision cache's lock stripes (the parse cache takes at most 4), and
-#: the result cache's byte budget (its entry budget is the
-#: ``result_cache_entries`` keyword).
+#: The cache geometry: parse-cache and decision-cache entries and lock
+#: stripes, and the result cache's entry and byte budgets.
 PARSE_CACHE_ENTRIES = 512
+PARSE_STRIPES = 4
 DECISION_CACHE_ENTRIES = 1024
 DECISION_STRIPES = 8
+RESULT_CACHE_ENTRIES = 512
 RESULT_CACHE_BYTES = 8 << 20
 
 
@@ -209,21 +204,11 @@ class ServingStats:
 
 
 class BEASServer:
-    """Prepare/execute front end over one BEAS instance (see module doc)."""
+    """The serving layer over one BEAS instance: prepared templates,
+    locks, caches and maintenance (see module doc)."""
 
-    def __init__(
-        self,
-        beas: "BEAS",
-        options: Optional[ExecutionOptions] = None,
-        *,
-        result_cache_entries: int = 512,
-        sharded: bool = True,
-    ):
+    def __init__(self, beas: "BEAS"):
         self._beas = beas
-        #: the resolved base layer of every request: the options of the
-        #: Session that built this server (else the engine's own)
-        self._options = options or beas.options
-        self._sharded = sharded
         #: the one condition every lock of this server shares
         self._cond = threading.Condition(threading.Lock())
         self._schema_lock = ShardLock("schema", self._cond)
@@ -231,28 +216,26 @@ class BEASServer:
         #: the observed schema generation
         self._admin_lock = threading.Lock()
 
-        stripes = DECISION_STRIPES if sharded else 1
         self.parse_cache = StripedCache(
-            "parse", max_entries=PARSE_CACHE_ENTRIES, stripes=min(4, stripes)
+            "parse", max_entries=PARSE_CACHE_ENTRIES, stripes=PARSE_STRIPES
         )
         self.decision_cache = StripedCache(
-            "decision", max_entries=DECISION_CACHE_ENTRIES, stripes=stripes
+            "decision", max_entries=DECISION_CACHE_ENTRIES, stripes=DECISION_STRIPES
         )
         self.results = ResultCache(
-            max_entries=result_cache_entries,
+            max_entries=RESULT_CACHE_ENTRIES,
             max_bytes=RESULT_CACHE_BYTES,
             sizeof=result_size,
         )
-        table_names = [table.schema.name for table in beas.database]
         # the global shard stands in for names that are no table
-        shard_names = table_names + [GLOBAL_SHARD] if sharded else [GLOBAL_SHARD]
+        shard_names = [table.schema.name for table in beas.database] + [GLOBAL_SHARD]
         self._shards = {name: Shard(name, self._cond) for name in shard_names}
         #: dependency set -> the locks a read of it is granted
         self._read_locks: dict[frozenset[str], tuple[ShardLock, ...]] = {}
 
         self._prepared: dict[str, PreparedQuery] = {}
         self._prepared_by_fingerprint: dict[str, PreparedQuery] = {}
-        self.adhoc = AdhocTemplates(self)
+        self.adhoc = AdhocTemplates(beas.database)
         #: executions, rebinds, rebind_fallbacks
         self._counts: Counter[str] = Counter()
         self._schema_generation = beas.catalog.schema_generation
@@ -262,11 +245,6 @@ class BEASServer:
     @property
     def beas(self) -> "BEAS":
         return self._beas
-
-    @property
-    def options(self) -> ExecutionOptions:
-        """The resolved base layer every request's options refine."""
-        return self._options
 
     @property
     def router(self) -> ExecutorRouter:
@@ -279,19 +257,13 @@ class BEASServer:
     def database(self):
         return self._beas.database
 
-    @property
-    def sharded(self) -> bool:
-        return self._sharded
-
     def shard(self, table_name: str) -> Shard:
-        """The shard a table maps to (the global shard when unsharded).
+        """The shard a table maps to.
 
         Names that do not exist in the database map to the global shard
         instead of minting a permanent phantom shard — the request will
         fail with ``UnknownTableError`` downstream anyway.
         """
-        if not self._sharded:
-            return self._shards[GLOBAL_SHARD]
         shard = self._shards.get(table_name)
         if shard is None:
             if table_name not in self._beas.database:
@@ -329,7 +301,7 @@ class BEASServer:
                 return existing
             prepared = PreparedQuery(
                 self, statement, sql, name,
-                fingerprint=fingerprint, tables=bound.template.tables,
+                fingerprint=fingerprint, tables=bound.tables,
             )
             if prepared.name in self._prepared:
                 raise ServingError(
@@ -354,86 +326,6 @@ class BEASServer:
             return sorted(self._prepared)
 
     # ------------------------------------------------------------------ #
-    # reads: every entry point builds one Request and runs the stages
-    # ------------------------------------------------------------------ #
-    def serve(self, request: Request) -> Result:
-        """Run one request through :data:`repro.serving.request.STAGES`."""
-        return stages.serve(self, request)
-
-    def execute(
-        self,
-        query: Union[str, ast.Statement],
-        *,
-        options: Optional[ExecutionOptions] = None,
-        **fields: Any,
-    ) -> Result:
-        """One-shot execution through the serving caches (no prepare).
-
-        ``options`` / keyword fields form the call layer over this
-        server's base options — exactly ``Session.run``.
-        """
-        layer = options_layer(options, fields)
-        return self.serve(Request(self._options.refine(layer), query))
-
-    def execute_prepared(
-        self,
-        prepared: Union[str, PreparedQuery],
-        params: Optional[Mapping[str, Any]] = None,
-        *,
-        options: Optional[ExecutionOptions] = None,
-        **fields: Any,
-    ) -> Result:
-        """Execute a prepared query (by handle or name) for one binding.
-
-        A binding whose arity signature matches an earlier one reuses
-        that binding's pinned plan via constraint-preserving rebinding —
-        the BE Checker runs once per signature, not once per binding.
-        """
-        if isinstance(prepared, str):
-            prepared = self.prepared(prepared)
-        layer = options_layer(options, fields)
-        return self.serve(
-            Request(self._options.refine(layer), prepared, params)
-        )
-
-    def check(
-        self, query: Union[str, ast.Statement], budget: Optional[int] = None
-    ) -> "CoverageDecision":
-        """The (cached) BE Checker outcome for a query."""
-        request = Request(self._budgeted(budget), query)
-        return stages.decide_only(self, request).coverage
-
-    def check_prepared(
-        self,
-        prepared: Union[str, PreparedQuery],
-        params: Optional[Mapping[str, Any]] = None,
-        *,
-        budget: Optional[int] = None,
-    ) -> "CoverageDecision":
-        return self.decide_prepared(prepared, params, budget=budget).coverage
-
-    def decide_prepared(
-        self,
-        prepared: Union[str, PreparedQuery],
-        params: Optional[Mapping[str, Any]] = None,
-        *,
-        budget: Optional[int] = None,
-    ) -> Decision:
-        """The (possibly rebound) decision for one binding: the BE
-        Checker outcome, how it was obtained (``"fresh"`` | ``"cached"``
-        | ``"rebound"``) and under which access-schema generation."""
-        if isinstance(prepared, str):
-            prepared = self.prepared(prepared)
-        return stages.decide_only(
-            self, Request(self._budgeted(budget), prepared, params)
-        )
-
-    def _budgeted(self, budget: Optional[int]) -> ExecutionOptions:
-        if budget is None:
-            return self._options
-        return self._options.replace(budget=budget)
-
-    # ------------------------------------------------------------------ #
     # what the stages use of the server
     # ------------------------------------------------------------------ #
     def count(self, name: str) -> None:
@@ -449,7 +341,7 @@ class BEASServer:
         if locks is None:
             shards = {self.shard(name) for name in tables}
             locks = (self._schema_lock, *(shard.lock for shard in shards))
-            if not self._sharded or tables <= self._shards.keys():
+            if tables <= self._shards.keys():
                 self._read_locks[tables] = locks
         return locks
 
@@ -582,17 +474,6 @@ class BEASServer:
             storage=self._beas.storage_stats(),
         )
 
-    def reset_caches(self) -> None:
-        """Drop all cached state (keeps prepared handles)."""
-        self.parse_cache.invalidate_all()
-        self.adhoc.clear()
-        self.decision_cache.invalidate_all()
-        self.results.flush("reset_caches")
-        with self._admin_lock:
-            prepared = list(self._prepared.values())
-        for handle in prepared:
-            handle.clear_bindings()
-
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
@@ -631,9 +512,8 @@ class BEASServer:
         return generation
 
     def __repr__(self) -> str:
-        mode = "sharded" if self._sharded else "global-lock"
         return (
-            f"BEASServer({self._beas.database.name}: {mode}, "
+            f"BEASServer({self._beas.database.name}: "
             f"{len(self._prepared)} prepared, "
             f"{self._counts['executions']} served)"
         )

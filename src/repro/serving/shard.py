@@ -290,7 +290,7 @@ class StripedCache:
     Keys are distributed by hash, so concurrent lookups of different
     fingerprints proceed in parallel; a stripe's mutex is only held for
     the dictionary operation itself. ``stripes=1`` degrades to a single
-    mutexed LRU (the unsharded baseline).
+    mutexed LRU.
     """
 
     def __init__(self, name: str, *, max_entries: int, stripes: int = 8):

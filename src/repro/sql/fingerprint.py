@@ -191,21 +191,22 @@ def statement_fingerprint(query: Union[str, ast.Statement]) -> str:
 def statement_tables(statement: ast.Statement) -> frozenset[str]:
     """Base tables a statement reads (dependency set for result caching)."""
     tables: set[str] = set()
-
-    def visit_from(item: ast.FromItem) -> None:
-        if isinstance(item, ast.TableRef):
-            tables.add(item.name)
-        else:
-            visit_from(item.left)
-            visit_from(item.right)
-
-    def visit(stmt: ast.Statement) -> None:
-        if isinstance(stmt, ast.SetOperation):
-            visit(stmt.left)
-            visit(stmt.right)
-            return
-        for item in stmt.from_items:
-            visit_from(item)
-
-    visit(statement)
+    _add_tables(statement, tables)
     return frozenset(tables)
+
+
+def _add_tables(stmt: ast.Statement, tables: set[str]) -> None:
+    if isinstance(stmt, ast.SetOperation):
+        _add_tables(stmt.left, tables)
+        _add_tables(stmt.right, tables)
+        return
+    for item in stmt.from_items:
+        _add_from_tables(item, tables)
+
+
+def _add_from_tables(item: ast.FromItem, tables: set[str]) -> None:
+    if isinstance(item, ast.TableRef):
+        tables.add(item.name)
+    else:
+        _add_from_tables(item.left, tables)
+        _add_from_tables(item.right, tables)

@@ -202,28 +202,32 @@ def _collect_occurrences(
     """Flatten the FROM clause into occurrences + ON-conditions."""
     occurrences: dict[str, str] = {}
     conditions: list[ast.Expression] = []
-
-    def visit(item: ast.FromItem) -> None:
-        if isinstance(item, ast.TableRef):
-            binding = item.binding
-            if binding in occurrences:
-                raise NormalizationError(
-                    f"duplicate table binding {binding!r}; use distinct aliases"
-                )
-            occurrences[binding] = item.name
-            return
-        if item.kind == "LEFT":
-            raise NormalizationError(
-                "outer joins are outside the SPJA fragment BEAS operates on"
-            )
-        visit(item.left)
-        visit(item.right)
-        if item.condition is not None:
-            conditions.append(item.condition)
-
     for item in from_items:
-        visit(item)
+        _collect_from_item(item, occurrences, conditions)
     return occurrences, conditions
+
+
+def _collect_from_item(
+    item: ast.FromItem,
+    occurrences: dict[str, str],
+    conditions: list[ast.Expression],
+) -> None:
+    if isinstance(item, ast.TableRef):
+        binding = item.binding
+        if binding in occurrences:
+            raise NormalizationError(
+                f"duplicate table binding {binding!r}; use distinct aliases"
+            )
+        occurrences[binding] = item.name
+        return
+    if item.kind == "LEFT":
+        raise NormalizationError(
+            "outer joins are outside the SPJA fragment BEAS operates on"
+        )
+    _collect_from_item(item.left, occurrences, conditions)
+    _collect_from_item(item.right, occurrences, conditions)
+    if item.condition is not None:
+        conditions.append(item.condition)
 
 
 def _as_attribute(ref: ast.ColumnRef) -> Attribute:

@@ -74,8 +74,8 @@ def run_script(
 
     SELECT statements need an engine; by default a fresh
     :class:`~repro.engine.executor.ConventionalEngine` over ``database``
-    is used (pass a Session's ``server`` or any object with ``execute``
-    to route them elsewhere).
+    is used (pass a Session, whose ``run`` serves them, or any object
+    with ``execute`` to route them elsewhere).
     """
     from repro.engine.executor import ConventionalEngine
 
@@ -90,5 +90,6 @@ def run_script(
         else:
             if executor is None:
                 executor = ConventionalEngine(database)
-            result.select_results.append(executor.execute(statement))
+            answer = getattr(executor, "run", None) or executor.execute
+            result.select_results.append(answer(statement))
     return result

@@ -63,23 +63,22 @@ def test_gathered_clients_share_the_caches():
 def test_prepare_and_execute_prepared():
     async def scenario():
         async with make_beas().session().serve_async() as aserver:
-            prepared = await aserver.prepare(CALL_SQL, name="q")
+            prepared = aserver.session.server.prepare(CALL_SQL, name="q")
             first = await aserver.execute_prepared("q")
             rebound = await aserver.execute_prepared(
                 prepared, {"call.date": "2016-06-02"}
             )
-            decision = await aserver.check(CALL_SQL)
-            return first, rebound, decision
+            return first, rebound
 
-    first, rebound, decision = run(scenario())
-    assert first.rows and decision.covered
+    first, rebound = run(scenario())
+    assert first.rows and first.decision.covered
     assert set(rebound.rows) != set(first.rows)
 
 
 def test_maintenance_queue_preserves_per_table_fifo_order():
     async def scenario():
         beas = make_beas()
-        async with AsyncBEASServer(beas.session().server, max_workers=2) as aserver:
+        async with AsyncBEASServer(beas.session(), max_workers=2) as aserver:
             row = (7_000, "100", "fifo", "2016-06-01", "bay")
             batches = await asyncio.gather(
                 aserver.insert("call", [row]),

@@ -320,19 +320,6 @@ class TestServeStats:
         assert "storage mmap at" in out
         assert "0 in text cells" in out
 
-    def test_baseline_serves_through_the_global_shard(self, workspace, capsys):
-        data, schema = workspace
-        code = main(
-            [
-                "serve-stats", "--data", str(data), "--schema", str(schema),
-                "--sql", QUERY, "--repeat", "3", "--baseline",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "shard __global__:" in out
-        assert "shard call:" not in out
-
 
 class TestSqlScriptLoading:
     def test_database_from_sql_script(self, tmp_path, capsys):

@@ -282,18 +282,18 @@ class TestModeWiring:
 
     def test_serving_layer_selects_mode_per_query(self):
         db = _batch_db(2 * BATCH)
-        server = _batch_beas(db, "row").session().server
+        session = _batch_beas(db, "row").session()
         sql = "SELECT DISTINCT u FROM t WHERE k = 'k'"
-        row_run = server.execute(sql, use_result_cache=False)
-        col_run = server.execute(
+        row_run = session.run(sql, use_result_cache=False)
+        col_run = session.run(
             sql, use_result_cache=False, executor="columnar"
         )
         assert row_run.rows == col_run.rows
         assert row_run.metrics.batches == 0
         assert col_run.metrics.batches > 0
         # prepared handles take the same per-call override
-        prepared = server.prepare(sql)
-        prepared_col = prepared.execute(
+        prepared = session.query(sql)
+        prepared_col = prepared.run(
             use_result_cache=False, executor="columnar"
         )
         assert prepared_col.rows == row_run.rows

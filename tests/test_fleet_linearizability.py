@@ -136,11 +136,9 @@ def test_fleet_history_is_linearizable_with_replica_kill():
     )
     # static routing whatever BEAS_ROUTING says: the fleet serves the
     # engine's own executor, which is what this history must exercise
-    server = Session(
-        beas=beas, options=ExecutionOptions(routing="static")
-    ).server
+    session = Session(beas=beas, options=ExecutionOptions(routing="static"))
     logs = {
-        table: _WriterLog(server.database.table(table).version)
+        table: _WriterLog(session.database.table(table).version)
         for table in WRITERS
     }
     errors: list = []
@@ -152,10 +150,10 @@ def test_fleet_history_is_linearizable_with_replica_kill():
     # warm in the main thread before any worker starts: the fleet forks
     # its replica processes here, not under a running thread herd, and
     # every template has a routed home + installed snapshot
-    prepared = {name: server.prepare(sql) for name, sql in QUERIES.items()}
+    prepared = {name: session.query(sql) for name, sql in QUERIES.items()}
     victim = None
     for name in QUERIES:
-        warm = prepared[name].execute(use_result_cache=False)
+        warm = prepared[name].run(use_result_cache=False)
         if victim is None and warm.metrics.replica_id >= 0:
             victim = warm.metrics.replica_id
     assert victim is not None, "no template was served by a replica"
@@ -166,7 +164,7 @@ def test_fleet_history_is_linearizable_with_replica_kill():
             for op in range(WRITES_PER_THREAD):
                 rows = _write_rows(table, index, op)
                 start = time.perf_counter()
-                batch = server.insert(table, rows)
+                batch = session.insert(table, rows)
                 end = time.perf_counter()
                 logs[table].batches[batch.table_version] = (rows, start, end)
         except Exception as error:  # pragma: no cover - assertion target
@@ -179,7 +177,7 @@ def test_fleet_history_is_linearizable_with_replica_kill():
             for op in range(READS_PER_THREAD):
                 name = names[(index + op) % len(names)]
                 start = time.perf_counter()
-                result = prepared[name].execute(use_result_cache=False)
+                result = prepared[name].run(use_result_cache=False)
                 end = time.perf_counter()
                 observations[index].append(
                     (
@@ -264,16 +262,16 @@ def test_fleet_history_is_linearizable_with_replica_kill():
     assert stats.plans_dispatched > 0
 
     # final state == serial replay of the same per-thread operations
-    replay = BEAS(example1_database(), example1_access_schema()).session().server
+    replay = BEAS(example1_database(), example1_access_schema()).session()
     for table, index in WRITERS.items():
         for op in range(WRITES_PER_THREAD):
             replay.insert(table, _write_rows(table, index, op))
     for table in WRITERS:
-        live = Counter(server.database.table(table).rows)
+        live = Counter(session.database.table(table).rows)
         replayed = Counter(replay.database.table(table).rows)
         assert live == replayed, table
     for sql in QUERIES.values():
-        concurrent_answer = server.execute(sql, use_result_cache=False)
-        serial_answer = replay.execute(sql, use_result_cache=False)
+        concurrent_answer = session.run(sql, use_result_cache=False)
+        serial_answer = replay.run(sql, use_result_cache=False)
         assert Counter(concurrent_answer.rows) == Counter(serial_answer.rows)
     beas.close()

@@ -212,9 +212,9 @@ def assert_matches_oracle(db: Database, result, sql: str, limit: int | None) -> 
     _SCENARIOS += 1
 
 
-def _maintenance_round(rng: random.Random, server, next_id: int) -> int:
-    """One random interleaved insert/delete round through the server."""
-    beas = server.beas
+def _maintenance_round(rng: random.Random, session, next_id: int) -> int:
+    """One random interleaved insert/delete round through the session."""
+    beas = session.beas
     for _ in range(rng.randint(1, 2)):
         action = rng.random()
         try:
@@ -230,10 +230,10 @@ def _maintenance_round(rng: random.Random, server, next_id: int) -> int:
                     for i in range(rng.randint(1, 3))
                 ]
                 next_id += len(rows)
-                server.insert("call", rows)
+                session.insert("call", rows)
             elif action < 0.75:
                 year = rng.choice([2015, 2016])
-                server.insert(
+                session.insert(
                     "package",
                     [
                         (
@@ -253,7 +253,7 @@ def _maintenance_round(rng: random.Random, server, next_id: int) -> int:
                     victims = rng.sample(
                         table.rows, min(len(table.rows), rng.randint(1, 2))
                     )
-                    server.delete(table.schema.name, victims)
+                    session.delete(table.schema.name, victims)
         except MaintenanceError:
             pass  # REJECT policy refused a violating batch: state unchanged
     return next_id
@@ -272,23 +272,23 @@ def test_example1_differential(seed: int):
     rng = random.Random(987_001 + seed)
     db = random_example1_db(rng)
     beas = BEAS(db, example1_access_schema())
-    server = beas.session().server
+    session = beas.session()
     queries = [random_example1_query(rng) for _ in range(4)]
-    prepared = [server.prepare(sql) for sql, _ in queries]
+    prepared = [session.query(sql) for sql, _ in queries]
 
     # cold + warm (cache-served) runs against the oracle
     for (sql, limit), handle in zip(queries, prepared):
-        assert_matches_oracle(db, server.execute(sql), sql, limit)
-        warm = handle.execute()
+        assert_matches_oracle(db, session.run(sql), sql, limit)
+        warm = handle.run()
         assert_matches_oracle(db, warm, sql, limit)
 
     # interleaved maintenance, then the same prepared queries again:
     # every answer must reflect the *new* data
     next_id = 10_000
     for round_index in range(2):
-        next_id = _maintenance_round(rng, server, next_id)
+        next_id = _maintenance_round(rng, session, next_id)
         for (sql, limit), handle in zip(queries, prepared):
-            assert_matches_oracle(db, handle.execute(), sql, limit)
+            assert_matches_oracle(db, handle.run(), sql, limit)
         # exercise the conventional path on one query per round too
         sql, limit = queries[round_index % len(queries)]
         conventional = engine_run(beas, sql, allow_partial=False)
@@ -348,17 +348,17 @@ def test_tlc_differential(seed: int, tlc_small):
     rng = random.Random(123_400 + seed)
     db = truncated_tlc_db(tlc_small.database, rng)
     beas = BEAS(db, tlc_access_schema())
-    server = beas.session().server
+    session = beas.session()
     queries = [random_tlc_query(rng, db) for _ in range(3)]
     for sql, limit in queries:
-        assert_matches_oracle(db, server.execute(sql), sql, limit)
-        assert_matches_oracle(db, server.execute(sql), sql, limit)  # cached
+        assert_matches_oracle(db, session.run(sql), sql, limit)
+        assert_matches_oracle(db, session.run(sql), sql, limit)  # cached
 
     # delete a few call rows through the serving layer, re-compare
     victims = rng.sample(db.table("call").rows, 3)
-    server.delete("call", victims)
+    session.delete("call", victims)
     for sql, limit in queries:
-        assert_matches_oracle(db, server.execute(sql), sql, limit)
+        assert_matches_oracle(db, session.run(sql), sql, limit)
     assert _SCENARIOS - before == TLC_SCENARIOS_PER_SEED
 
 
@@ -422,7 +422,7 @@ def _concurrent_write_batch(
 
 
 def _concurrent_writer(
-    server,
+    session,
     table: str,
     thread: int,
     rng: random.Random,
@@ -434,7 +434,7 @@ def _concurrent_writer(
     snapshotted, so any version a reader observes can be replayed."""
     from repro.errors import MaintenanceError
 
-    live = server.database.table(table)
+    live = session.database.table(table)
     try:
         barrier.wait(timeout=30)
         for op in range(CONCURRENT_WRITE_ROUNDS):
@@ -443,9 +443,9 @@ def _concurrent_writer(
                     victims = rng.sample(
                         live.rows, min(len(live.rows), rng.randint(1, 2))
                     )
-                    server.delete(table, victims)
+                    session.delete(table, victims)
                 else:
-                    server.insert(
+                    session.insert(
                         table, _concurrent_write_batch(table, rng, thread, op)
                     )
             except MaintenanceError:
@@ -458,21 +458,21 @@ def _concurrent_writer(
 
 
 def _concurrent_reader(
-    server,
+    session,
     queries: list[tuple[str, int | None]],
     observations: list,
     errors: list,
     barrier: threading.Barrier,
 ) -> None:
     try:
-        prepared = [server.prepare(sql) for sql, _ in queries]
+        prepared = [session.query(sql) for sql, _ in queries]
         barrier.wait(timeout=30)
         for op in range(CONCURRENT_READS):
             sql, limit = queries[op % len(queries)]
             if op % 2:
-                result = prepared[op % len(queries)].execute()
+                result = prepared[op % len(queries)].run()
             else:
-                result = server.execute(sql)
+                result = session.run(sql)
             observations.append(
                 (sql, limit, result, dict(result.metrics.table_versions))
             )
@@ -502,12 +502,12 @@ def _db_at_versions(
 def test_concurrent_differential(seed: int):
     """Interleaved maintenance + prepared executes from multiple threads:
     every answer must equal the brute-force oracle evaluated at the
-    consistent table-version vector the server says it observed."""
+    consistent table-version vector the session says it observed."""
     global _CONCURRENT_SCENARIOS
     rng = random.Random(555_000 + seed)
     db = random_example1_db(rng)
     beas = BEAS(db, example1_access_schema())
-    server = beas.session().server
+    session = beas.session()
 
     snapshots: dict[str, dict[int, list[tuple]]] = {}
     for table in db:
@@ -531,7 +531,7 @@ def test_concurrent_differential(seed: int):
         threading.Thread(
             target=_concurrent_writer,
             args=(
-                server, table, index, writer_rngs[table], snapshots, errors,
+                session, table, index, writer_rngs[table], snapshots, errors,
                 barrier,
             ),
         )
@@ -540,7 +540,7 @@ def test_concurrent_differential(seed: int):
         threading.Thread(
             target=_concurrent_reader,
             args=(
-                server, reader_queries[i], observations[i], errors, barrier,
+                session, reader_queries[i], observations[i], errors, barrier,
             ),
         )
         for i in range(CONCURRENT_READERS)

@@ -317,10 +317,10 @@ class TestPoolWiring:
         db, access, sql = _join_workload()
         beas = BEAS(db, access, parallelism=2)
         try:
-            server = beas.session().server
-            result = server.execute(sql, routing="static")
+            session = beas.session()
+            result = session.run(sql, routing="static")
             assert result.metrics.pool_workers == 2
-            stats = server.stats()
+            stats = session.stats()
             assert stats.pool is not None
             assert stats.pool.peers == 2
             assert "engine pool" in stats.describe()

@@ -348,14 +348,14 @@ def test_serving_layer_survives_worker_chaos(workload):
     beas = BEAS(db, access, parallelism=2)
     oracle = engine_run(BEAS(db, access, parallelism=1), sql)
     try:
-        server = beas.session().server
-        first = server.execute(sql, use_result_cache=False, routing="static")
+        session = beas.session()
+        first = session.run(sql, use_result_cache=False, routing="static")
         assert first.rows == oracle.rows
         pool = beas.pool
         assert pool is not None
         pool.debug("die_on_next_task")
         for _ in range(3):
-            result = server.execute(sql, use_result_cache=False, routing="static")
+            result = session.run(sql, use_result_cache=False, routing="static")
             assert result.rows == oracle.rows
         stats = beas.pool_stats()
         assert stats is not None and stats.alive == 2

@@ -26,6 +26,7 @@ import pytest
 
 from repro import Database, ExecutionOptions, Session
 from repro.beas.result import ExecutionMode
+from repro.serving import server as serving_server
 from repro.serving.cache import ResultCache
 from repro.workloads.tlc import generate_tlc, query_by_name, tlc_access_schema
 
@@ -178,16 +179,14 @@ def test_self_declines_keep_the_filing_tight():
 # (4) TLC: the PARTIAL answer outlives the cheap covered ones
 # --------------------------------------------------------------------------- #
 @pytest.fixture
-def tlc16():
+def tlc16(monkeypatch):
+    monkeypatch.setattr(serving_server, "RESULT_CACHE_ENTRIES", 16)
     dataset = generate_tlc(1, 42)
     database = Database(dataset.database.schema, name=dataset.database.name)
     for table in dataset.database:
         database.table(table.schema.name).rows = list(table.rows)
     options = ExecutionOptions(parallelism=1, replicas=1, routing="static")
-    with Session(
-        database, tlc_access_schema(), options=options,
-        server_options={"result_cache_entries": 16},
-    ) as session:  # fmt: skip
+    with Session(database, tlc_access_schema(), options=options) as session:
         yield session, dataset.params
 
 

@@ -28,6 +28,7 @@ from repro import BEAS, Session
 from repro.beas.result import ExecutionMode
 from repro.beas.session import ExecutionOptions
 from repro.errors import BEASError
+from repro.serving import server as serving_server
 from repro.serving.cache import ResultCache
 
 from tests.conftest import engine_run, example1_access_schema
@@ -65,9 +66,9 @@ def _static_oracles(db, dedup: bool, rows_per_batch: int):
     }
 
 
-def _compare_learned(server, oracles, sql: str) -> ExecutionMode:
+def _compare_learned(session, oracles, sql: str) -> ExecutionMode:
     global _SCENARIOS
-    learned = server.execute(sql, routing="learned", use_result_cache=False)
+    learned = session.run(sql, routing="learned", use_result_cache=False)
     statics = {name: engine_run(beas, sql) for name, beas in oracles.items()}
 
     for name, static in statics.items():
@@ -117,12 +118,13 @@ def test_learned_routing_vs_static_differential(seed: int):
         parallelism=2,
     )
     try:
-        server = learned_beas.session().server
+        session = learned_beas.session()
+        server = session.server
         modes = []
         for epsilon in EPSILONS:
             server.router.epsilon = epsilon
             modes += [
-                _compare_learned(server, oracles, sql) for sql in queries
+                _compare_learned(session, oracles, sql) for sql in queries
             ]
         assert ExecutionMode.BOUNDED in modes
         stats = server.stats().routing
@@ -165,7 +167,8 @@ def test_poisoned_cost_model_never_changes_answers():
         rows_per_batch=3, parallelism=2,
     )
     try:
-        server = beas.session().server
+        session = beas.session()
+        server = session.server
         server.router.epsilon = 0.0  # force pure exploitation of the poison
         # pre-train every model with absurd, inverted latencies so the
         # greedy pick is maximally wrong for every template
@@ -188,7 +191,7 @@ def test_poisoned_cost_model_never_changes_answers():
         for sql in queries:
             expected = engine_run(oracle, sql)
             for _ in range(3):  # greedy picks stay pinned to the poison
-                got = server.execute(
+                got = session.run(
                     sql, routing="learned", use_result_cache=False
                 )
                 assert got.rows == expected.rows, sql
@@ -272,10 +275,11 @@ class TestRoutingWiring:
         beas = BEAS(
             random_example1_db(rng), example1_access_schema(), parallelism=1
         )
-        server = beas.session().server
+        session = beas.session()
+        server = session.server
         server.router.epsilon = 1.0  # exploration can only reach its routes
         for _ in range(8):
-            result = server.execute(
+            result = session.run(
                 _COVERED_SQL, routing="learned", use_result_cache=False
             )
             assert result.metrics.routed_mode in ("row", "columnar")
@@ -289,13 +293,13 @@ _OTHER_SQL = _COVERED_SQL.replace("2016-01-02", "2016-01-03")
 
 
 class TestCostAwareAdmission:
-    def test_admission_declined_when_rerun_is_cheaper(self):
+    def test_admission_declined_when_rerun_is_cheaper(self, monkeypatch):
         """A one-entry cache holding an answer dear to recompute: a
         cheap answer would be the lowest priority, so it is declined and
         its repeats re-execute; the dear one stays."""
+        monkeypatch.setattr(serving_server, "RESULT_CACHE_ENTRIES", 1)
         with _small_session(
-            options=ExecutionOptions(routing="learned"),
-            server_options={"result_cache_entries": 1},
+            options=ExecutionOptions(routing="learned")
         ) as session:
             results = session.server.results
             session.run(_OTHER_SQL)

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro import BEAS, AccessConstraint
+from repro import BEAS, AccessConstraint, Session
 from repro.beas.result import ExecutionMode
 from repro.errors import (
     BudgetExceededError,
     ServingError,
     UnknownParameterError,
 )
-from repro.serving import BEASServer, LRUCache
+from repro.serving import LRUCache
 from repro.sql.fingerprint import statement_fingerprint
 
 from tests.conftest import EXAMPLE2_SQL
@@ -35,17 +35,17 @@ NEW_CALL = (900, "100", "990", "2016-06-01", "lagoon")
 
 
 @pytest.fixture
-def server(ex1_beas) -> BEASServer:
-    return ex1_beas.session().server
+def session(ex1_beas) -> Session:
+    return ex1_beas.session()
 
 
 @pytest.fixture
-def local_server(ex1_db, ex1_access):
+def local_session(ex1_db, ex1_access):
     """Plans run in-process whatever the CI leg: an answer computed on a
     pool worker or a replica comes back without a read set and goes with
     any write to its tables."""
     with BEAS(ex1_db, ex1_access, parallelism=1, replicas=1) as beas:
-        yield beas.session().server
+        yield beas.session()
 
 
 # --------------------------------------------------------------------------- #
@@ -90,12 +90,12 @@ class TestLRUCache:
 # result cache: a write drops what read the buckets it changed
 # --------------------------------------------------------------------------- #
 class TestResultCacheInvalidation:
-    def test_repeat_is_served_from_cache(self, server):
+    def test_repeat_is_served_from_cache(self, session):
         """Admission is admit-on-second-hit: the first sighting only
         registers the key, the second caches, the third is a hit."""
-        cold = server.execute(CALL_SQL)
-        admitted = server.execute(CALL_SQL)
-        warm = server.execute(CALL_SQL)
+        cold = session.run(CALL_SQL)
+        admitted = session.run(CALL_SQL)
+        warm = session.run(CALL_SQL)
         assert not cold.metrics.served_from_cache
         assert not admitted.metrics.served_from_cache
         assert warm.metrics.served_from_cache
@@ -104,205 +104,206 @@ class TestResultCacheInvalidation:
         # the cache-hit path must report its real serve latency, never 0.0
         assert warm.metrics.seconds > 0
 
-    def test_insert_evicts_only_the_touched_table(self, server):
+    def test_insert_evicts_only_the_touched_table(self, session):
         for _ in range(2):  # second sighting admits each entry
-            server.execute(CALL_SQL)
-            server.execute(PACKAGE_SQL)
-        server.insert("call", [NEW_CALL])
-        after_call = server.execute(CALL_SQL)
-        after_package = server.execute(PACKAGE_SQL)
+            session.run(CALL_SQL)
+            session.run(PACKAGE_SQL)
+        session.insert("call", [NEW_CALL])
+        after_call = session.run(CALL_SQL)
+        after_package = session.run(PACKAGE_SQL)
         assert not after_call.metrics.served_from_cache
         assert ("990", "lagoon") in after_call.rows
         assert after_package.metrics.served_from_cache
-        assert server.stats().result.invalidations == 1
+        assert session.stats().result.invalidations == 1
 
     def test_delete_drops_an_answer_when_a_fetched_bucket_loses_a_value(
-        self, local_server
+        self, local_session
     ):
-        server = local_server
-        before = server.execute(CALL_SQL)
-        server.execute(CALL_SQL)
-        server.execute(PACKAGE_SQL)
-        server.execute(PACKAGE_SQL)
+        session = local_session
+        before = session.run(CALL_SQL)
+        session.run(CALL_SQL)
+        session.run(PACKAGE_SQL)
+        session.run(PACKAGE_SQL)
         # calls 1 and 7 both project to ('555', 'north'): deleting one
         # leaves the bucket's distinct Y-values, and the answer, alone
-        server.delete("call", [(1, "100", "555", "2016-06-01", "north")])
-        kept = server.execute(CALL_SQL)
+        session.delete("call", [(1, "100", "555", "2016-06-01", "north")])
+        kept = session.run(CALL_SQL)
         assert kept.metrics.served_from_cache
-        assert kept.rows == server.execute(CALL_SQL, use_result_cache=False).rows
+        assert kept.rows == session.run(CALL_SQL, use_result_cache=False).rows
         # the last supporting row takes the Y-value with it
-        server.delete("call", [(7, "100", "555", "2016-06-01", "north")])
-        after = server.execute(CALL_SQL)
+        session.delete("call", [(7, "100", "555", "2016-06-01", "north")])
+        after = session.run(CALL_SQL)
         assert not after.metrics.served_from_cache
         assert set(after.rows) < set(before.rows)
-        assert server.execute(PACKAGE_SQL).metrics.served_from_cache
+        assert session.run(PACKAGE_SQL).metrics.served_from_cache
 
-    def test_join_result_depends_on_every_bucket_it_fetched(self, local_server):
-        server = local_server
-        server.execute(EXAMPLE2_SQL)
-        server.execute(EXAMPLE2_SQL)
-        assert server.execute(EXAMPLE2_SQL).metrics.served_from_cache
+    def test_join_result_depends_on_every_bucket_it_fetched(self, local_session):
+        session = local_session
+        session.run(EXAMPLE2_SQL)
+        session.run(EXAMPLE2_SQL)
+        assert session.run(EXAMPLE2_SQL).metrics.served_from_cache
         # pnum 104 is no bank in the east: the join never fetched its bucket
-        server.insert("package", [(90, "104", "c9", "2016-01-01", "2016-12-31", 2016)])
-        kept = server.execute(EXAMPLE2_SQL)
+        session.insert("package", [(90, "104", "c9", "2016-01-01", "2016-12-31", 2016)])
+        kept = session.run(EXAMPLE2_SQL)
         assert kept.metrics.served_from_cache
-        assert kept.rows == server.execute(EXAMPLE2_SQL, use_result_cache=False).rows
+        assert kept.rows == session.run(EXAMPLE2_SQL, use_result_cache=False).rows
         # pnum 101 is one: a new package of its 2016 bucket changes what
         # the join's package fetch returned
-        server.insert("package", [(91, "101", "c9", "2016-01-01", "2016-12-31", 2016)])
-        assert not server.execute(EXAMPLE2_SQL).metrics.served_from_cache
+        session.insert("package", [(91, "101", "c9", "2016-01-01", "2016-12-31", 2016)])
+        assert not session.run(EXAMPLE2_SQL).metrics.served_from_cache
 
-    def test_mutation_outside_the_server_is_still_seen(self, server):
-        """Table.version bumps on any mutation path, not just server.insert."""
-        server.execute(CALL_SQL)
-        server.execute(CALL_SQL)  # admitted
-        server.beas.insert("call", [NEW_CALL])  # around the serving layer
-        result = server.execute(CALL_SQL)
+    def test_mutation_outside_the_server_is_still_seen(self, session):
+        """Table.version bumps on any mutation path, not just session.insert."""
+        session.run(CALL_SQL)
+        session.run(CALL_SQL)  # admitted
+        session.beas.insert("call", [NEW_CALL])  # around the serving layer
+        result = session.run(CALL_SQL)
         assert not result.metrics.served_from_cache
         assert ("990", "lagoon") in result.rows
 
-    def test_cached_rows_are_isolated_from_caller_mutation(self, server):
-        server.execute(CALL_SQL)
-        admitted = server.execute(CALL_SQL)
+    def test_cached_rows_are_isolated_from_caller_mutation(self, session):
+        session.run(CALL_SQL)
+        admitted = session.run(CALL_SQL)
         admitted.rows.append(("corrupted", "row"))
-        cached = server.execute(CALL_SQL)
+        cached = session.run(CALL_SQL)
         assert cached.metrics.served_from_cache
         assert ("corrupted", "row") not in cached.rows
         cached.rows.append(("corrupted", "row"))
-        assert ("corrupted", "row") not in server.execute(CALL_SQL).rows
+        assert ("corrupted", "row") not in session.run(CALL_SQL).rows
 
 
 # --------------------------------------------------------------------------- #
 # decision cache: access-schema generation
 # --------------------------------------------------------------------------- #
 class TestDecisionInvalidation:
-    def test_unregister_forces_recheck(self, server):
-        prepared = server.prepare(CALL_SQL)
-        assert prepared.check().covered
-        server.unregister("psi1")
-        decision = prepared.check()
+    def test_unregister_forces_recheck(self, session):
+        prepared = session.query(CALL_SQL)
+        assert prepared.decide().covered
+        session.unregister("psi1")
+        decision = prepared.decide()
         assert not decision.covered
-        result = prepared.execute()
+        result = prepared.run()
         assert result.mode is not ExecutionMode.BOUNDED
 
     def test_register_forces_recheck(self, ex1_db):
         beas = BEAS(ex1_db)  # empty access schema
-        server = beas.session().server
-        prepared = server.prepare(CALL_SQL)
-        assert not prepared.check().covered
-        server.register(
+        session = beas.session()
+        prepared = session.query(CALL_SQL)
+        assert not prepared.decide().covered
+        session.register(
             AccessConstraint("call", ["pnum", "date"], ["recnum", "region"], 500,
                              name="psi1")
         )
-        decision = prepared.check()
+        decision = prepared.decide()
         assert decision.covered
-        assert prepared.execute().mode is ExecutionMode.BOUNDED
+        assert prepared.run().mode is ExecutionMode.BOUNDED
 
-    def test_schema_change_flushes_results_too(self, server):
-        server.execute(CALL_SQL)
-        server.unregister("psi2")  # unrelated constraint, same generation clock
-        assert not server.execute(CALL_SQL).metrics.served_from_cache
+    def test_schema_change_flushes_results_too(self, session):
+        session.run(CALL_SQL)
+        session.unregister("psi2")  # unrelated constraint, same generation clock
+        assert not session.run(CALL_SQL).metrics.served_from_cache
 
-    def test_decision_cache_hit_skips_checker(self, server):
-        server.execute(CALL_SQL)
-        server.execute(CALL_SQL, use_result_cache=False)
-        stats = server.stats()
+    def test_decision_cache_hit_skips_checker(self, session):
+        session.run(CALL_SQL)
+        session.run(CALL_SQL, use_result_cache=False)
+        stats = session.stats()
         assert stats.decision.hits >= 1
 
-    def test_drift_monitor_apply_bumps_generation(self, server):
+    def test_drift_monitor_apply_bumps_generation(self, session):
         """The monitor's bound adjustments must invalidate pinned
         decisions just like MaintenanceManager's ADJUST path does."""
         from repro.maintenance.monitor import DriftMonitor
 
-        stale = server.check(CALL_SQL)  # pins access_bound = 500 (psi1's N)
-        changed = DriftMonitor(server.beas.catalog).apply()
+        stale = session.query(CALL_SQL).decide()  # pins access_bound = 500 (psi1's N)
+        changed = DriftMonitor(session.beas.catalog).apply()
         assert "psi1" in changed  # declared 500 vs tiny observed max
-        fresh = server.check(CALL_SQL)
+        fresh = session.query(CALL_SQL).decide()
         assert fresh.covered
         assert fresh.access_bound < stale.access_bound
 
-    def test_adjusted_bound_bumps_generation(self, server):
-        generation = server.stats().schema_generation
+    def test_adjusted_bound_bumps_generation(self, session):
+        generation = session.stats().schema_generation
         rows = [
             (800 + i, "100", f"r{i}", "2016-07-01", "east") for i in range(3)
         ]
-        server.insert("call", rows, adjust_bounds=True)
+        session.insert("call", rows, adjust_bounds=True)
         # REJECT would have accepted this batch too, so no adjustment is
         # guaranteed; widen psi2 instead (12 packages for one (pnum, year))
         pkgs = [
             (200 + i, "105", f"c{i}", "2016-01-01", "2016-12-31", 2016)
             for i in range(13)
         ]
-        server.insert("package", pkgs, adjust_bounds=True)
-        assert server.stats().schema_generation > generation
+        session.insert("package", pkgs, adjust_bounds=True)
+        assert session.stats().schema_generation > generation
 
 
 # --------------------------------------------------------------------------- #
 # prepared queries and parameter slots
 # --------------------------------------------------------------------------- #
 class TestPreparedQueries:
-    def test_slots_extracted(self, server):
-        prepared = server.prepare(EXAMPLE2_SQL)
+    def test_slots_extracted(self, session):
+        prepared = session.query(EXAMPLE2_SQL)
         assert "call.date" in prepared.slots
         assert "business.type" in prepared.slots
         # range predicates are not slots
         assert all("start" not in name for name in prepared.slots)
 
-    def test_binding_changes_the_answer(self, server, ex1_beas):
-        prepared = server.prepare(CALL_SQL)
-        default = prepared.execute()
-        rebound = prepared.execute({"call.date": "2016-06-02"})
+    def test_binding_changes_the_answer(self, session, ex1_beas):
+        prepared = session.query(CALL_SQL)
+        default = prepared.run()
+        rebound = prepared.bind({"call.date": "2016-06-02"}).run()
         fresh = ex1_beas.session().run(
             CALL_SQL.replace("2016-06-01", "2016-06-02")
         )
         assert set(rebound.rows) == set(fresh.rows)
         assert set(rebound.rows) != set(default.rows)
 
-    def test_unqualified_and_in_list_bindings(self, server):
-        prepared = server.prepare(CALL_SQL)
-        rebound = prepared.execute({"pnum": ["100", "101"]})
-        expected = server.execute(
+    def test_unqualified_and_in_list_bindings(self, session):
+        prepared = session.query(CALL_SQL)
+        rebound = prepared.bind({"pnum": ["100", "101"]}).run()
+        expected = session.run(
             "SELECT DISTINCT recnum, region FROM call "
             "WHERE pnum IN ('100', '101') AND date = '2016-06-01'"
         )
         assert set(rebound.rows) == set(expected.rows)
 
-    def test_rebound_execution_is_cached_per_binding(self, server):
-        prepared = server.prepare(CALL_SQL)
-        prepared.execute({"call.date": "2016-06-02"})
-        prepared.execute({"call.date": "2016-06-02"})  # admitted
-        again = prepared.execute({"call.date": "2016-06-02"})
+    def test_rebound_execution_is_cached_per_binding(self, session):
+        prepared = session.query(CALL_SQL)
+        prepared.bind({"call.date": "2016-06-02"}).run()
+        prepared.bind({"call.date": "2016-06-02"}).run()  # admitted
+        again = prepared.bind({"call.date": "2016-06-02"}).run()
         assert again.metrics.served_from_cache
 
-    def test_unknown_parameter_rejected(self, server):
-        prepared = server.prepare(CALL_SQL)
+    def test_unknown_parameter_rejected(self, session):
+        prepared = session.query(CALL_SQL)
         with pytest.raises(UnknownParameterError):
-            prepared.execute({"call.nosuch": "x"})
+            prepared.bind({"call.nosuch": "x"}).run()
 
-    def test_null_parameter_rejected(self, server):
-        prepared = server.prepare(CALL_SQL)
+    def test_null_parameter_rejected(self, session):
+        prepared = session.query(CALL_SQL)
         with pytest.raises(ServingError):
-            prepared.execute({"call.date": None})
+            prepared.bind({"call.date": None}).run()
 
-    def test_prepare_same_text_returns_same_handle(self, server):
+    def test_prepare_same_text_returns_same_handle(self, session):
+        server = session.server
         first = server.prepare(CALL_SQL, name="q")
         second = server.prepare(CALL_SQL)
         assert first is second
         assert server.prepared("q") is first
 
-    def test_prepare_name_conflict_rejected(self, server):
-        server.prepare(CALL_SQL, name="q")
+    def test_prepare_name_conflict_rejected(self, session):
+        session.query(CALL_SQL, name="q")
         with pytest.raises(ServingError):
-            server.prepare(PACKAGE_SQL, name="q")
+            session.query(PACKAGE_SQL, name="q")
 
-    def test_fingerprint_ignores_presentation_order(self, server):
+    def test_fingerprint_ignores_presentation_order(self, session):
         reordered = (
             "select distinct recnum, region from call "
             "where date = '2016-06-01' and pnum = '100'"
         )
-        server.execute(CALL_SQL)
-        server.execute(CALL_SQL)  # admitted
-        assert server.execute(reordered).metrics.served_from_cache
+        session.run(CALL_SQL)
+        session.run(CALL_SQL)  # admitted
+        assert session.run(reordered).metrics.served_from_cache
         assert statement_fingerprint(CALL_SQL) == statement_fingerprint(reordered)
 
 
@@ -310,16 +311,16 @@ class TestPreparedQueries:
 # budgets and modes through the serving layer
 # --------------------------------------------------------------------------- #
 class TestServingBudgets:
-    def test_budget_exceeded_raises_and_is_not_cached(self, server):
+    def test_budget_exceeded_raises_and_is_not_cached(self, session):
         with pytest.raises(BudgetExceededError):
-            server.execute(CALL_SQL, budget=1)
-        ok = server.execute(CALL_SQL, budget=10_000)
+            session.run(CALL_SQL, budget=1)
+        ok = session.run(CALL_SQL, budget=10_000)
         assert ok.mode is ExecutionMode.BOUNDED
         assert ok.decision.within_budget
 
-    def test_approximate_results_are_not_cached(self, server):
-        first = server.execute(CALL_SQL, budget=1, approximate_over_budget=True)
-        second = server.execute(CALL_SQL, budget=1, approximate_over_budget=True)
+    def test_approximate_results_are_not_cached(self, session):
+        first = session.run(CALL_SQL, budget=1, approximate_over_budget=True)
+        second = session.run(CALL_SQL, budget=1, approximate_over_budget=True)
         assert first.mode is ExecutionMode.APPROXIMATE
         assert second.mode is ExecutionMode.APPROXIMATE
         assert not second.metrics.served_from_cache
@@ -338,20 +339,20 @@ class TestServingBudgets:
         with pytest.raises(BudgetExceededError):
             ex1_beas.evaluate(CALL_SQL, decision, options.replace(budget=1))
 
-    def test_metrics_expose_cache_counters(self, server):
-        server.execute(CALL_SQL)
-        server.execute(CALL_SQL)  # admitted on the second sighting
-        warm = server.execute(CALL_SQL)
+    def test_metrics_expose_cache_counters(self, session):
+        session.run(CALL_SQL)
+        session.run(CALL_SQL)  # admitted on the second sighting
+        warm = session.run(CALL_SQL)
         assert warm.metrics.cache_hits >= 2  # parse + result
         assert warm.metrics.cache_misses == 0
         assert warm.metrics.table_versions  # the observed snapshot vector
-        stats = server.stats()
+        stats = session.stats()
         assert stats.executions == 3
         assert stats.result.hits == 1
         assert stats.admission_declines == 1
 
-    def test_stats_describe_mentions_every_cache(self, server):
-        server.execute(CALL_SQL)
-        text = server.stats().describe()
+    def test_stats_describe_mentions_every_cache(self, session):
+        session.run(CALL_SQL)
+        text = session.stats().describe()
         for label in ("parse:", "decision:", "result:", "prepared queries"):
             assert label in text

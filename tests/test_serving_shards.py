@@ -12,9 +12,8 @@ random mutation sequence through the serving layer,
 contract — which answers on the *written* table survive.)
 
 Plus focused coverage of the pieces: the reader/writer lock, the
-striped cache, the one-critical-section grant of a request's holds, the
-admission policy, and the global-lock (``sharded=False``) degradation
-mode.
+striped cache, the one-critical-section grant of a request's holds and
+the admission policy.
 """
 
 from __future__ import annotations
@@ -26,9 +25,10 @@ import time
 
 import pytest
 
-from repro import BEAS, AccessConstraint
+from repro import BEAS, AccessConstraint, Session
 from repro.errors import MaintenanceError
-from repro.serving import BEASServer, ShardLock, StripedCache
+from repro.serving import ShardLock, StripedCache
+from repro.serving import server as serving_server
 from repro.serving.shard import grant, release
 
 from tests.conftest import (
@@ -49,9 +49,9 @@ BUSINESS_SQL = (
 
 
 @pytest.fixture
-def server():
+def session():
     with BEAS(example1_database(), example1_access_schema()) as beas:
-        yield beas.session().server
+        yield beas.session()
 
 
 class Interrupted(BaseException):
@@ -191,16 +191,16 @@ class TestStripedCache:
 # the grant: a request's holds, taken together in one critical section
 # --------------------------------------------------------------------------- #
 class TestGrant:
-    def test_parked_reader_holds_nothing_on_its_other_tables(self, server):
+    def test_parked_reader_holds_nothing_on_its_other_tables(self, session):
         """A join parked behind a writer on one of its tables holds no
         read on the others: a writer on those completes meanwhile."""
-        package = server.shard("package").lock
+        package = session.server.shard("package").lock
         package.acquire_write()
         served = []
         try:
-            reader = _in_thread(lambda: served.append(server.execute(EXAMPLE2_SQL)))
+            reader = _in_thread(lambda: served.append(session.run(EXAMPLE2_SQL)))
             _wait_until(lambda: package.stats.contended_acquisitions == 1)
-            writer = _in_thread(lambda: server.insert("call", MUTATIONS["call"](0)))
+            writer = _in_thread(lambda: session.insert("call", MUTATIONS["call"](0)))
             writer.join(timeout=10)
             assert not writer.is_alive()
             assert reader.is_alive() and not served
@@ -209,23 +209,23 @@ class TestGrant:
         reader.join(timeout=10)
         assert served
         versions = served[0].metrics.table_versions
-        assert versions["call"] == server.database.table("call").version
+        assert versions["call"] == session.database.table("call").version
 
-    def test_interrupted_join_leaks_no_hold(self, server):
+    def test_interrupted_join_leaks_no_hold(self, session):
         """A join interrupted while parked behind a writer on one table
         leaves no read hold on the schema or its other tables."""
-        package = server.shard("package").lock
+        package = session.server.shard("package").lock
         package.acquire_write()
         _interrupt_next_wait(package._cond)
         try:
             with pytest.raises(Interrupted):
-                server.execute(EXAMPLE2_SQL)
+                session.run(EXAMPLE2_SQL)
         finally:
             package.release_write()
         for name in ("call", "business"):
-            assert server.shard(name).lock._readers == 0
-        assert server._schema_lock._readers == 0
-        writer = _in_thread(lambda: server.insert("call", MUTATIONS["call"](0)))
+            assert session.server.shard(name).lock._readers == 0
+        assert session.server._schema_lock._readers == 0
+        writer = _in_thread(lambda: session.insert("call", MUTATIONS["call"](0)))
         writer.join(timeout=10)
         assert not writer.is_alive()
 
@@ -255,19 +255,19 @@ class TestGrant:
         assert a.stats.write_wait_seconds > 0 and a.stats.read_wait_seconds > 0
         assert (a._readers, a._writer, b._readers) == (0, None, 0)
 
-    def test_register_waits_for_reads_in_flight_and_blocks_new_ones(self, server):
-        in_flight = server.read_locks(frozenset({"call"}))
+    def test_register_waits_for_reads_in_flight_and_blocks_new_ones(self, session):
+        in_flight = session.server.read_locks(frozenset({"call"}))
         grant(in_flight)
-        schema = server._schema_lock
+        schema = session.server._schema_lock
         constraint = AccessConstraint("business", ["pnum"], ["type"], 4, name="psi4")
         registered = threading.Event()
         served = []
         try:
             register = _in_thread(
-                lambda: (server.register(constraint), registered.set())
+                lambda: (session.register(constraint), registered.set())
             )
             _wait_until(lambda: schema._waiting_writers == 1)
-            reader = _in_thread(lambda: served.append(server.execute(CALL_SQL)))
+            reader = _in_thread(lambda: served.append(session.run(CALL_SQL)))
             _wait_until(lambda: schema.stats.contended_acquisitions == 2)
             assert not registered.is_set() and not served
         finally:
@@ -276,7 +276,7 @@ class TestGrant:
         reader.join(timeout=10)
         assert registered.is_set() and served
         # the read parked behind the register observed its generation
-        assert served[0].decision.generation == server.beas.catalog.schema_generation
+        assert served[0].decision.generation == session.beas.catalog.schema_generation
 
 
 def test_grant_stress_answers_match_their_versions():
@@ -293,9 +293,9 @@ def test_grant_stress_answers_match_their_versions():
     sys.setswitchinterval(1e-5)
     try:
         with BEAS(example1_database(), example1_access_schema()) as beas:
-            server = beas.session().server
+            session = beas.session()
             for table in ("call", "package"):
-                states[table] = {server.database.table(table).version: ()}
+                states[table] = {session.database.table(table).version: ()}
 
             def read(seed: int) -> None:
                 rng = random.Random(seed)
@@ -304,7 +304,7 @@ def test_grant_stress_answers_match_their_versions():
                 # at least ``reads``, and on until both writers finish
                 while done < reads or writers_left():
                     sql, _ = rng.choice(QUERY_POOL)
-                    result = server.execute(sql)
+                    result = session.run(sql)
                     answers.append((sql, result.metrics.table_versions, result.rows))
                     done += 1
 
@@ -318,9 +318,9 @@ def test_grant_stress_answers_match_their_versions():
                 try:
                     for i in range(pairs):
                         rows = MUTATIONS[table](i)
-                        for apply, present in ((server.insert, tuple(rows)), (server.delete, ())):
+                        for apply, present in ((session.insert, tuple(rows)), (session.delete, ())):
                             apply(table, rows)
-                            states[table][server.database.table(table).version] = present
+                            states[table][session.database.table(table).version] = present
                             time.sleep(0.001)  # let reads in between
                 finally:
                     finished.append(table)
@@ -328,7 +328,7 @@ def test_grant_stress_answers_match_their_versions():
             def register() -> None:
                 start.wait()
                 time.sleep(0.005)
-                server.register(constraint)
+                session.register(constraint)
 
             constraint = AccessConstraint("business", ["pnum"], ["type"], 4, name="psi4")
             generation = beas.catalog.schema_generation
@@ -374,59 +374,59 @@ def test_grant_stress_answers_match_their_versions():
 # admission policy: admit-on-second-hit
 # --------------------------------------------------------------------------- #
 class TestAdmissionPolicy:
-    def test_once_seen_is_not_cached_twice_seen_is(self, server):
-        server.execute(CALL_SQL)
-        stats = server.stats()
+    def test_once_seen_is_not_cached_twice_seen_is(self, session):
+        session.run(CALL_SQL)
+        stats = session.stats()
         assert stats.result_entries == 0  # one-off: doorkeeper only
         assert stats.admission_declines == 1
 
-        server.execute(CALL_SQL)
-        stats = server.stats()
+        session.run(CALL_SQL)
+        stats = session.stats()
         assert stats.result_entries == 1  # second sighting admits
-        assert server.execute(CALL_SQL).metrics.served_from_cache
+        assert session.run(CALL_SQL).metrics.served_from_cache
 
-    def test_one_off_queries_do_not_churn_the_lru(self):
+    def test_one_off_queries_do_not_churn_the_lru(self, monkeypatch):
         """A scan of distinct one-off queries must not evict the hot
         entry — the ROADMAP's cache-churn complaint."""
-        beas = BEAS(example1_database(), example1_access_schema())
-        server = beas.session(result_cache_entries=8, sharded=True).server
-        server.execute(CALL_SQL)
-        server.execute(CALL_SQL)  # admitted
-        assert server.execute(CALL_SQL).metrics.served_from_cache
+        monkeypatch.setattr(serving_server, "RESULT_CACHE_ENTRIES", 8)
+        session = BEAS(example1_database(), example1_access_schema()).session()
+        session.run(CALL_SQL)
+        session.run(CALL_SQL)  # admitted
+        assert session.run(CALL_SQL).metrics.served_from_cache
 
         for day in range(2, 28):  # 26 distinct one-offs through one shard
-            server.execute(CALL_SQL.replace("2016-06-01", f"2016-06-{day:02d}"))
-        stats = server.stats()
+            session.run(CALL_SQL.replace("2016-06-01", f"2016-06-{day:02d}"))
+        stats = session.stats()
         assert stats.result.evictions == 0
         assert stats.admission_declines >= 26
-        assert server.execute(CALL_SQL).metrics.served_from_cache
+        assert session.run(CALL_SQL).metrics.served_from_cache
 
-    def test_readmission_after_invalidation_is_immediate(self, server):
+    def test_readmission_after_invalidation_is_immediate(self, session):
         """A recurring query's entry dies with its table version; the
         recompute is admitted at once (the key is already known)."""
-        server.execute(CALL_SQL)
-        server.execute(CALL_SQL)  # admitted
-        server.insert("call", [(901, "100", "991", "2016-06-01", "mesa")])
-        recomputed = server.execute(CALL_SQL)
+        session.run(CALL_SQL)
+        session.run(CALL_SQL)  # admitted
+        session.insert("call", [(901, "100", "991", "2016-06-01", "mesa")])
+        recomputed = session.run(CALL_SQL)
         assert not recomputed.metrics.served_from_cache
-        assert server.execute(CALL_SQL).metrics.served_from_cache
+        assert session.run(CALL_SQL).metrics.served_from_cache
 
 
 # --------------------------------------------------------------------------- #
 # the shard-invalidation property
 # --------------------------------------------------------------------------- #
-def _assert_invariant(server: BEASServer) -> int:
+def _assert_invariant(session: Session) -> int:
     """No surviving entry is stale: each was cached under the live
     schema generation, and whatever the cache serves for a pool query
     equals a fresh execution; returns the number of live entries."""
-    generation = server.beas.catalog.schema_generation
-    entries = server.results.entries()
+    generation = session.beas.catalog.schema_generation
+    entries = session.server.results.entries()
     for key, entry in entries:
         assert entry.schema_generation == generation, key
     for sql, _ in QUERY_POOL:
-        served = server.execute(sql)
+        served = session.run(sql)
         if served.metrics.served_from_cache:
-            fresh = server.execute(sql, use_result_cache=False)
+            fresh = session.run(sql, use_result_cache=False)
             assert sorted(served.rows) == sorted(fresh.rows), (
                 f"stale entry survived: {sql[:60]}"
             )
@@ -454,14 +454,14 @@ QUERY_POOL = [
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_shard_invalidation_property(seed: int, server):
+def test_shard_invalidation_property(seed: int, session):
     """After any mutation sequence: no stale entry survives, and no
     entry on untouched tables is evicted."""
     rng = random.Random(313_000 + seed)
     for sql, _ in QUERY_POOL:  # two sightings: everything admitted
-        server.execute(sql)
-        server.execute(sql)
-    assert _assert_invariant(server) == len(QUERY_POOL)
+        session.run(sql)
+        session.run(sql)
+    assert _assert_invariant(session) == len(QUERY_POOL)
 
     for step in range(30):
         roll = rng.random()
@@ -470,92 +470,74 @@ def test_shard_invalidation_property(seed: int, server):
             # re-prime: one sighting readmits anything invalidated earlier
             # (the doorkeeper already knows every pool key)
             for sql, _ in QUERY_POOL:
-                server.execute(sql)
+                session.run(sql)
             survivors_expected = {
                 sql for sql, deps in QUERY_POOL if table not in deps
             }
             try:
                 if rng.random() < 0.3:
-                    live = server.database.table(table)
+                    live = session.database.table(table)
                     if live.rows:
-                        server.delete(table, [rng.choice(live.rows)])
+                        session.delete(table, [rng.choice(live.rows)])
                 else:
-                    server.insert(table, MUTATIONS[table](step + seed * 100))
+                    session.insert(table, MUTATIONS[table](step + seed * 100))
             except MaintenanceError:
                 pass
             # no needless eviction: untouched-table entries still hit
             for sql in survivors_expected:
-                cached = server.execute(sql)
+                cached = session.run(sql)
                 assert cached.metrics.served_from_cache, (
                     f"entry for untouched tables was evicted after "
                     f"mutating {table}: {sql[:60]}"
                 )
         else:
             sql, _ = rng.choice(QUERY_POOL)
-            server.execute(sql)
-        _assert_invariant(server)
+            session.run(sql)
+        _assert_invariant(session)
 
     # repopulate and do a final sweep over every entry
     for sql, _ in QUERY_POOL:
-        server.execute(sql)
-        server.execute(sql)
-    assert _assert_invariant(server) == len(QUERY_POOL)
-    assert server.stats().result.evictions == 0  # capacity never the cause
+        session.run(sql)
+        session.run(sql)
+    assert _assert_invariant(session) == len(QUERY_POOL)
+    assert session.stats().result.evictions == 0  # capacity never the cause
 
 
-def test_rejected_batch_still_invalidates_dependents(server):
+def test_rejected_batch_still_invalidates_dependents(session):
     """A REJECTed (rolled-back) insert bumps Table.version, so cached
     entries over that table must still be dropped — conservatively."""
-    server.execute(PACKAGE_SQL)
-    server.execute(PACKAGE_SQL)  # admitted
+    session.run(PACKAGE_SQL)
+    session.run(PACKAGE_SQL)  # admitted
     violating = [
         (300 + i, "100", f"c{i}", "2016-01-01", "2016-12-31", 2016)
         for i in range(13)  # psi2 allows 12 per (pnum, year)
     ]
     with pytest.raises(MaintenanceError):
-        server.insert("package", violating)
-    after = server.execute(PACKAGE_SQL)
+        session.insert("package", violating)
+    after = session.run(PACKAGE_SQL)
     assert not after.metrics.served_from_cache
-    _assert_invariant(server)
+    _assert_invariant(session)
 
 
-def test_global_lock_mode_still_correct(server):
-    """sharded=False maps every table onto one shard: same contract,
-    one lock — the benchmark baseline."""
-    beas = BEAS(example1_database(), example1_access_schema())
-    baseline = BEASServer(beas, sharded=False)
-    assert not baseline.sharded
-    assert baseline.shard("call") is baseline.shard("package")
-    baseline.execute(CALL_SQL)
-    baseline.execute(CALL_SQL)
-    baseline.execute(PACKAGE_SQL)
-    baseline.execute(PACKAGE_SQL)
-    assert baseline.execute(CALL_SQL).metrics.served_from_cache
-    baseline.insert("call", [(902, "100", "992", "2016-06-01", "dune")])
-    assert not baseline.execute(CALL_SQL).metrics.served_from_cache
-    assert baseline.execute(PACKAGE_SQL).metrics.served_from_cache
-    _assert_invariant(baseline)
-
-
-def test_unknown_table_requests_leave_no_phantom_shard(server):
+def test_unknown_table_requests_leave_no_phantom_shard(session):
     from repro.errors import UnknownTableError
 
-    before = set(server.shards())
+    before = set(session.server.shards())
     with pytest.raises(UnknownTableError):
-        server.insert("nosuch", [(1, "x")])
+        session.insert("nosuch", [(1, "x")])
     with pytest.raises(UnknownTableError):
-        server.execute("SELECT x FROM nosuch2")
-    after = server.stats()
-    assert set(server.shards()) == before
+        session.run("SELECT x FROM nosuch2")
+    after = session.stats()
+    assert set(session.server.shards()) == before
     assert "nosuch" not in after.shards and "nosuch2" not in after.shards
     assert all(s.maintenance_batches == 0 for s in after.shards.values())
 
 
-def test_multi_shard_read_is_consistent_vector(server):
+def test_multi_shard_read_is_consistent_vector(session):
     """A join's metrics carry one version per dependency table, read
     under simultaneously-held read locks."""
-    result = server.execute(EXAMPLE2_SQL)
+    result = session.run(EXAMPLE2_SQL)
     versions = result.metrics.table_versions
     assert set(versions) == {"call", "package", "business"}
     for table, version in versions.items():
-        assert version == server.database.table(table).version
+        assert version == session.database.table(table).version

@@ -4,7 +4,7 @@ Three families of checks over :class:`BEASServer` (sharded):
 
 * **Linearizability by serial replay** — N writer threads (one per
   table, so per-table version numbers identify write prefixes) and M
-  reader threads hammer one server. Every observed answer carries the
+  reader threads hammer one session. Every observed answer carries the
   table-version vector it was computed under
   (``metrics.table_versions``); the history is accepted iff (a) each
   observed version is one an actual write produced, (b) versions
@@ -100,9 +100,9 @@ class _WriterLog:
 
 
 def test_linearizable_history_and_serial_replay():
-    server = BEAS(example1_database(), example1_access_schema()).session().server
+    session = BEAS(example1_database(), example1_access_schema()).session()
     logs = {
-        table: _WriterLog(server.database.table(table).version)
+        table: _WriterLog(session.database.table(table).version)
         for table in WRITERS
     }
     errors: list = []
@@ -114,7 +114,7 @@ def test_linearizable_history_and_serial_replay():
             barrier.wait(timeout=30)
             for op in range(WRITES_PER_THREAD):
                 start = time.perf_counter()
-                batch = server.insert(table, _write_rows(table, index, op))
+                batch = session.insert(table, _write_rows(table, index, op))
                 end = time.perf_counter()
                 logs[table].batches.append((batch.table_version, start, end))
         except Exception as error:  # pragma: no cover - assertion target
@@ -123,14 +123,14 @@ def test_linearizable_history_and_serial_replay():
     def reader(index: int) -> None:
         try:
             prepared = {
-                name: server.prepare(sql) for name, sql in QUERIES.items()
+                name: session.query(sql) for name, sql in QUERIES.items()
             }
             barrier.wait(timeout=30)
             names = list(QUERIES)
             for op in range(READS_PER_THREAD):
                 name = names[(index + op) % len(names)]
                 start = time.perf_counter()
-                result = prepared[name].execute()
+                result = prepared[name].run()
                 end = time.perf_counter()
                 observations[index].append(
                     (dict(result.metrics.table_versions), start, end)
@@ -169,21 +169,21 @@ def test_linearizable_history_and_serial_replay():
                 last_seen[table] = version
 
     # final state == serial replay of the same per-thread operations
-    replay = BEAS(example1_database(), example1_access_schema()).session().server
+    replay = BEAS(example1_database(), example1_access_schema()).session()
     for table, index in WRITERS.items():
         for op in range(WRITES_PER_THREAD):
             replay.insert(table, _write_rows(table, index, op))
     for table in WRITERS:
-        live = Counter(server.database.table(table).rows)
+        live = Counter(session.database.table(table).rows)
         replayed = Counter(replay.database.table(table).rows)
         assert live == replayed, table
     for sql in QUERIES.values():
-        concurrent_answer = server.execute(sql, use_result_cache=False)
-        serial_answer = replay.execute(sql, use_result_cache=False)
+        concurrent_answer = session.run(sql, use_result_cache=False)
+        serial_answer = replay.run(sql, use_result_cache=False)
         assert Counter(concurrent_answer.rows) == Counter(serial_answer.rows)
 
     # the shards were genuinely exercised in parallel
-    stats = server.stats()
+    stats = session.stats()
     assert stats.executions >= READERS * READS_PER_THREAD
     assert stats.shards["call"].maintenance_batches == WRITES_PER_THREAD
     assert stats.shards["package"].maintenance_batches == WRITES_PER_THREAD
@@ -191,10 +191,10 @@ def test_linearizable_history_and_serial_replay():
 
 def test_maintenance_on_one_table_does_not_block_reads_of_another():
     """Reads of ``package`` proceed while a big batch lands in ``call``."""
-    server = BEAS(example1_database(), example1_access_schema()).session().server
-    package_query = server.prepare(QUERIES["package"])
-    package_query.execute()
-    package_query.execute()  # admitted: steady-state read path
+    session = BEAS(example1_database(), example1_access_schema()).session()
+    package_query = session.query(QUERIES["package"])
+    package_query.run()
+    package_query.run()  # admitted: steady-state read path
 
     # a deliberately heavy batch: many distinct (pnum, date) groups so the
     # REJECT validation walks every row without violating psi1's bound
@@ -209,7 +209,7 @@ def test_maintenance_on_one_table_does_not_block_reads_of_another():
     def maintain() -> None:
         started.set()
         start = time.perf_counter()
-        server.insert("call", big_batch)
+        session.insert("call", big_batch)
         duration.append(time.perf_counter() - start)
 
     writer = threading.Thread(target=maintain)
@@ -219,7 +219,7 @@ def test_maintenance_on_one_table_does_not_block_reads_of_another():
     started.wait(timeout=10)
     while writer.is_alive():
         start = time.perf_counter()
-        result = package_query.execute()
+        result = package_query.run()
         read_latencies.append(time.perf_counter() - start)
         if writer.is_alive():
             overlapped += 1
@@ -241,7 +241,7 @@ def test_maintenance_on_one_table_does_not_block_reads_of_another():
 def test_mixed_workload_deadlock_canary():
     """Joins (multi-shard read locks), maintenance (write locks), and
     schema changes (schema write lock) interleave without deadlock."""
-    server = BEAS(example1_database(), example1_access_schema()).session().server
+    session = BEAS(example1_database(), example1_access_schema()).session()
     errors: list = []
     stop = threading.Event()
 
@@ -250,7 +250,7 @@ def test_mixed_workload_deadlock_canary():
             names = list(QUERIES)
             op = 0
             while not stop.is_set():
-                server.execute(QUERIES[names[(index + op) % len(names)]])
+                session.run(QUERIES[names[(index + op) % len(names)]])
                 op += 1
         except Exception as error:  # pragma: no cover
             errors.append(error)
@@ -260,8 +260,8 @@ def test_mixed_workload_deadlock_canary():
             op = 0
             while not stop.is_set():
                 rows = _write_rows("call", 9, op)
-                server.insert("call", rows)
-                server.delete("call", rows)
+                session.insert("call", rows)
+                session.delete("call", rows)
                 op += 1
         except Exception as error:  # pragma: no cover
             errors.append(error)
@@ -272,8 +272,8 @@ def test_mixed_workload_deadlock_canary():
                 "call", ["region"], ["recnum"], 5_000, name="canary"
             )
             while not stop.is_set():
-                server.register(toggle, validate=False)
-                server.unregister("canary")
+                session.register(toggle, validate=False)
+                session.unregister("canary")
                 time.sleep(0.002)
         except Exception as error:  # pragma: no cover
             errors.append(error)
@@ -311,9 +311,9 @@ def test_stats_snapshot_is_never_torn_under_rebind_load():
     """
     import sys
 
-    server = BEAS(example1_database(), example1_access_schema()).session().server
-    query = server.prepare(QUERIES["call"])
-    pinned = query.execute({"call.date": "2016-07-01"})
+    session = BEAS(example1_database(), example1_access_schema()).session()
+    query = session.query(QUERIES["call"])
+    pinned = query.bind({"call.date": "2016-07-01"}).run()
     assert pinned.decision.provenance == "fresh"
 
     errors: list = []
@@ -324,7 +324,7 @@ def test_stats_snapshot_is_never_torn_under_rebind_load():
         try:
             op = 0
             while not stop.is_set():
-                result = query.execute({"call.date": f"r{index}-{op}"})
+                result = query.bind({"call.date": f"r{index}-{op}"}).run()
                 assert result.decision.provenance == "rebound"
                 op += 1
         except Exception as error:  # pragma: no cover - assertion target
@@ -333,7 +333,7 @@ def test_stats_snapshot_is_never_torn_under_rebind_load():
     def poller() -> None:
         try:
             while not stop.is_set():
-                stats = server.stats()
+                stats = session.stats()
                 polls[0] += 1
                 assert stats.rebinds <= stats.result.misses, (
                     "torn snapshot: rebinds ahead of the misses that "
@@ -368,7 +368,7 @@ def test_stats_snapshot_is_never_torn_under_rebind_load():
     assert all(not thread.is_alive() for thread in threads)
     assert polls[0] >= 100, f"only {polls[0]} stats polls - nothing judged"
 
-    final = server.stats()
+    final = session.stats()
     assert final.rebinds > 0
     assert final.rebinds <= final.result.misses
     assert final.result.hits + final.result.misses <= final.executions

@@ -10,6 +10,8 @@ spawns).
 from __future__ import annotations
 
 import asyncio
+import gc
+import weakref
 from collections import Counter
 
 import pytest
@@ -74,14 +76,22 @@ class TestConstruction:
         with pytest.raises(BEASError, match="access_schema"):
             Session(beas=engine, access_schema=example1_access_schema())
 
-    def test_server_options_forwarded_once(self):
-        with Session(
-            example1_database(),
-            example1_access_schema(),
-            server_options={"sharded": False},
-        ) as s:
-            assert s.server.sharded is False
-            assert s.server is s.server  # memoised
+    def test_sessions_over_one_engine_share_the_server_not_the_options(self):
+        """Every live Session over an engine serves through one server
+        (one set of locks and caches); each request still carries its
+        own Session's options."""
+        engine = BEAS(example1_database(), example1_access_schema())
+        cached = engine.session()
+        uncached = Session(
+            beas=engine, options=ExecutionOptions(use_result_cache=False)
+        )
+        assert cached.server is uncached.server is cached.server
+        for _ in range(3):
+            assert not uncached.run(CALL_SQL).served_from_cache
+        cached.run(CALL_SQL)
+        cached.run(CALL_SQL)  # admitted on the second sighting
+        assert cached.run(CALL_SQL).served_from_cache
+        assert not uncached.run(CALL_SQL).served_from_cache
 
 
 # --------------------------------------------------------------------------- #
@@ -198,15 +208,96 @@ class TestLifecycle:
         async def go():
             async with session.serve_async(max_workers=2) as aserver:
                 result = await aserver.execute(CALL_SQL)
-                decision = await aserver.decide_prepared(
-                    session.query(CALL_SQL)._prepared, {"date": "2016-06-02"}
+                bound = await aserver.execute_prepared(
+                    session.server.prepare(CALL_SQL), {"date": "2016-06-02"}
                 )
-                return result, decision
+                return result, bound.decision
 
         result, decision = asyncio.run(go())
         assert len(result.rows) == 2
         assert decision.covered
         assert decision.provenance in ("fresh", "cached", "rebound")
+
+
+# --------------------------------------------------------------------------- #
+# lifetime: no reference cycles
+# --------------------------------------------------------------------------- #
+def _served_session(options: ExecutionOptions) -> Session:
+    """A Session that has used every part of the serving layer: prepared
+    and ad-hoc reads, rebinds, cached answers, a decision, a write, the
+    asyncio front end and the stats."""
+    session = Session(example1_database(), example1_access_schema(), options=options)
+    query = session.query(CALL_SQL)
+    for date in ("2016-06-01", "2016-06-02", "2016-06-01"):
+        query.bind(date=date).run()
+    for sql in (CALL_SQL, CALL_SQL, CALL_SQL, EXAMPLE2_SQL):
+        session.run(sql)
+    query.decide()
+    session.insert("call", [(901, "100", "991", "2016-06-01", "mesa")])
+
+    async def through_async():
+        async with session.serve_async(max_workers=1) as aserver:
+            await aserver.execute(CALL_SQL)
+
+    asyncio.run(through_async())
+    session.stats()
+    return session
+
+
+class TestNoReferenceCycles:
+    """A dropped engine is freed by reference counting alone: neither
+    its serving layer nor its prepared templates refer back to it."""
+
+    @pytest.mark.parametrize("storage", ["memory", "mmap"])
+    def test_a_dropped_session_frees_its_engine(self, storage):
+        session = _served_session(ExecutionOptions(storage=storage))
+        engine = weakref.ref(session.beas)
+        server = weakref.ref(session.server)
+        session.close()
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            del session
+            assert server() is None
+            assert engine() is None
+        finally:
+            if collecting:
+                gc.enable()
+
+    def test_a_served_session_leaves_no_cyclic_garbage(self):
+        """Nothing a read, a write or the asyncio front end builds forms
+        a cycle: once dropped, the collector finds nothing to free. (In
+        process; the store's indented JSON manifest is the stdlib
+        encoder's own garbage.)"""
+        gc.collect()
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            options = ExecutionOptions(storage="memory", parallelism=1, replicas=1)
+            _served_session(options).close()
+            assert gc.collect() == 0
+        finally:
+            if collecting:
+                gc.enable()
+
+    def test_sessions_over_one_engine_keep_one_server_alive(self):
+        """The engine holds its server weakly: every live Session shares
+        it, and once none is left the next one starts with empty caches."""
+        engine = BEAS(example1_database(), example1_access_schema())
+        first = engine.session()
+        first.run(CALL_SQL)
+        first.run(CALL_SQL)  # admitted on the second sighting
+        assert engine.session().run(CALL_SQL).served_from_cache
+        server = weakref.ref(first.server)
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            del first
+            assert server() is None
+        finally:
+            if collecting:
+                gc.enable()
+        assert not engine.session().run(CALL_SQL).served_from_cache
 
 
 # --------------------------------------------------------------------------- #
@@ -492,9 +583,9 @@ class TestValidationSatellites:
         q = session.query(CALL_SQL)
         with pytest.raises(BEASError, match="executor"):
             q.run(executor="simd")
-        # the serving layer rejects it before any lock/execution too
+        # a one-shot read rejects it before any lock/execution too
         with pytest.raises(BEASError, match="executor"):
-            session.server.execute(CALL_SQL, executor="simd")
+            session.run(CALL_SQL, executor="simd")
         executions = session.server.stats().executions
         assert executions == 0  # nothing was admitted past validation
 

@@ -142,7 +142,7 @@ class TestRunScript:
             )
 
     def test_select_through_custom_engine(self):
-        """A Session's serving backend can serve the SELECTs of a script."""
+        """A Session can serve the SELECTs of a script."""
         from repro import AccessConstraint, Session
 
         db = Database()
@@ -154,7 +154,7 @@ class TestRunScript:
         session = Session(db)
         session.register(AccessConstraint("t", ["k"], ["v"], 10, name="c"))
         result = run_script(
-            db, "SELECT DISTINCT v FROM t WHERE k = 'a'", engine=session.server
+            db, "SELECT DISTINCT v FROM t WHERE k = 'a'", engine=session
         )
         assert sorted(result.select_results[0].rows) == [("x",), ("y",)]
         assert result.select_results[0].metrics.tuples_scanned == 0
