@@ -1,23 +1,23 @@
 """E10 — binding-aware plan rebinding: the decision-path speedup.
 
 A prepared template is *decided once* per arity signature; every later
-equal-arity binding patches the pinned plan's constant key parts
-directly (``repro.bounded.rebind``) instead of re-running the BE
-Checker (normalize + bounded-plan search). Reported, for the paper's
+equal-arity binding rebinds the pinned decision by value — one merged
+constant tuple per equality class, no copy of the plan
+(``repro.bounded.rebind``) — instead of re-running the BE Checker
+(normalize + bounded-plan search). Reported, for the paper's
 Example 2 join template across ``BINDINGS`` distinct date bindings:
 
 * per-binding re-check — the pre-rebinding serving behaviour: a full
   ``BoundedEvaluabilityChecker.check`` per distinct binding;
 * rebinding — one full check for the first binding of the signature,
-  then a constant patch per binding (zero checker runs, asserted).
+  then a rebind per binding (zero checker runs, asserted).
 
 The acceptance bar asserted by the full run: the rebinding decision path
 is at least 5x faster across the binding stream than per-binding
 re-checks. ``--quick`` is the CI smoke and checks for crashes and the
-zero-checker-run counts only: on a 2-CPU runner the ratio reads 4.5–5.7x
-around the bar, and what the bar stood for — a rebind re-derives
-nothing but constants — is held exactly, as counts, by
-``tests/test_plan_skeleton.py``.
+zero-checker-run counts only; what the bar stands for — a rebind
+re-derives nothing but constants and copies no plan — is held exactly,
+as counts, by ``tests/test_plan_skeleton.py``.
 
 Runs under pytest (``PYTHONPATH=src python -m pytest
 benchmarks/bench_rebind.py``) or standalone (``PYTHONPATH=src python
@@ -78,7 +78,7 @@ def measure_rebinding(count: int) -> dict[str, float]:
     recheck_seconds = time.perf_counter() - start
     assert oracle.checker_runs >= count
 
-    # --- rebinding: decide once per signature, patch per binding ------
+    # --- rebinding: decide once per signature, rebind per binding -----
     session = Session(beas=BEAS(database, schema))
     query = session.query(EXAMPLE2_SQL, name="bench-rebind")
     start = time.perf_counter()

@@ -12,8 +12,9 @@ module is that lifecycle, and the only way to run a query::
         result = decision.run()
         print(result.rows, result.metrics.tuples_fetched)
 
-        # one template, many bindings: the plan pinned above is REBOUND
-        # for every later equal-arity binding — zero BE Checker runs
+        # one template, many bindings: the decision pinned above is
+        # REBOUND by value for every later equal-arity binding — zero BE
+        # Checker runs, and no copy of the plan
         for day in days:
             r = q.bind(date=day).run()
 
@@ -53,6 +54,7 @@ from repro.beas.result import ExecutionMode
 from repro.beas.system import BEAS
 from repro.bounded.coverage import CoverageDecision
 from repro.bounded.plan import AnyBoundedPlan, explain_plan
+from repro.bounded.rebind import AnyDecision, ReboundDecision
 from repro.config import ExecutionOptions, options_layer
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.profiles import EngineProfile, POSTGRESQL
@@ -130,14 +132,22 @@ class Decision:
     Carries the boundedness verdict, the pinned plan and deduced
     bounds, budget feasibility, and how the decision was obtained
     (``provenance``): ``"fresh"`` — a full checker run; ``"cached"`` —
-    an exact decision-cache hit for this binding; ``"rebound"`` — a
-    pinned plan patched for this binding's constants without any
-    checker run (constraint-preserving rebinding,
+    an exact decision-cache hit for this binding (a shape that does not
+    rebind: partially bounded, a set operation, a guard fallback, or
+    the template's own constants); ``"rebound"`` — the signature's
+    pinned decision rebound to this binding's constants by value,
+    without any checker run (constraint-preserving rebinding,
     :mod:`repro.bounded.rebind`); ``"result-cache"`` — the rows came
     straight from the result cache.
+
+    A rebound decision holds the pinned template and a constant vector
+    (``outcome`` is a :class:`~repro.bounded.rebind.ReboundDecision`):
+    the verdict and every bound are read from the pinned decision, and
+    the patched plan is built only when :attr:`plan`, :attr:`coverage`
+    or :meth:`explain` asks for it.
     """
 
-    coverage: CoverageDecision
+    outcome: AnyDecision
     provenance: str
     generation: int  # access-schema generation the decision was made under
     query: Optional["Query"] = None
@@ -148,14 +158,23 @@ class Decision:
 
     # ------------------------------------------------------------------ #
     @property
+    def coverage(self) -> CoverageDecision:
+        """The checker outcome as a :class:`CoverageDecision`; a rebound
+        one is patched for this binding on first read."""
+        outcome = self.outcome
+        if isinstance(outcome, ReboundDecision):
+            return outcome.coverage
+        return outcome
+
+    @property
     def covered(self) -> bool:
-        return self.coverage.covered
+        return self.outcome.covered
 
     @property
     def verdict(self) -> str:
         """``"bounded"`` when a bounded plan exists, else
         ``"not-covered"`` (execution falls back per §2)."""
-        return "bounded" if self.coverage.covered else "not-covered"
+        return "bounded" if self.outcome.covered else "not-covered"
 
     @property
     def plan(self) -> Optional[AnyBoundedPlan]:
@@ -163,27 +182,27 @@ class Decision:
 
     @property
     def access_bound(self) -> Optional[int]:
-        return self.coverage.access_bound
+        return self.outcome.access_bound
 
     @property
     def tight_access_bound(self) -> Optional[int]:
-        return self.coverage.tight_access_bound
+        return self.outcome.tight_access_bound
 
     @property
     def bag_exact(self) -> bool:
-        return self.coverage.bag_exact
+        return self.outcome.bag_exact
 
     @property
     def within_budget(self) -> Optional[bool]:
-        return self.coverage.within_budget
+        return self.outcome.within_budget
 
     @property
     def reasons(self) -> list[str]:
-        return self.coverage.reasons
+        return self.outcome.reasons
 
     @property
     def constraints_used(self) -> list[AccessConstraint]:
-        return self.coverage.constraints_used
+        return self.outcome.constraints_used
 
     # ------------------------------------------------------------------ #
     def run(
@@ -217,9 +236,10 @@ class Decision:
 
     def explain(self) -> str:
         """The bounded plan listing (or the not-covered reasons)."""
-        if self.coverage.covered and self.coverage.plan is not None:
-            return explain_plan(self.coverage.plan)
-        return self.coverage.describe()
+        coverage = self.coverage
+        if coverage.covered and coverage.plan is not None:
+            return explain_plan(coverage.plan)
+        return coverage.describe()
 
     def describe(self) -> str:
         lines = [
@@ -322,8 +342,8 @@ class Query:
         """Pin (or rebind) the coverage decision for this binding.
 
         The first binding of each arity signature pays a full BE Checker
-        run; later equal-signature bindings patch the pinned plan's
-        constants directly (``provenance == "rebound"``) — no checker
+        run; later equal-signature bindings rebind the pinned decision
+        to their constants (``provenance == "rebound"``) — no checker
         run. ``budget`` defaults to the resolved options' budget."""
         resolved = self._session.options.refine(self._options)
         if budget is not None:

@@ -56,7 +56,8 @@ from repro.bounded.approximation import BoundedApproximator
 from repro.bounded.coverage import BoundedEvaluabilityChecker, CoverageDecision
 from repro.bounded.optimizer import BEPlanOptimizer
 from repro.bounded.plan import BoundedPlan, explain_plan
-from repro.engine.router import PlanRunner, allowed_routes
+from repro.bounded.rebind import AnyDecision, runnable
+from repro.engine.router import LOCAL_ROUTES, PlanRunner, allowed_routes
 from repro.beas.result import ExecutionMode
 
 
@@ -413,7 +414,7 @@ class BEAS:
     def evaluate(
         self,
         query: Union[str, ast.Statement, Callable[[], ast.Statement]],
-        decision: CoverageDecision,
+        decision: AnyDecision,
         options: "ExecutionOptions",
         *,
         route: Optional[str] = None,
@@ -425,7 +426,10 @@ class BEAS:
         ``query`` may be a zero-argument provider of the statement: only
         the conventional fallback needs the AST (a covered decision runs
         its pinned plan, a not-covered one its pinned ``partial``), so a
-        prepared binding is substituted only then.
+        prepared binding is substituted only then. A
+        :class:`~repro.bounded.rebind.ReboundDecision` runs the pinned
+        plan with its constant vector; only a remote route, which ships
+        the plan to a peer, builds its patched copy.
 
         A decision made without a budget carries ``within_budget=None``;
         under ``options.budget`` feasibility is derived from its access
@@ -439,7 +443,7 @@ class BEAS:
         route-independent.
         """
         budget = options.budget
-        plan = decision.plan if decision.covered else decision.partial
+        plan, constants = runnable(decision)
         if route is None and plan is not None:
             route = allowed_routes(options, plan)[0]
         if decision.covered:
@@ -448,14 +452,16 @@ class BEAS:
                 within_budget = decision.access_bound <= budget
             if budget is not None and not within_budget:
                 if options.approximate_over_budget and isinstance(
-                    decision.plan, BoundedPlan
+                    plan, BoundedPlan
                 ):
                     return ExecutionMode.APPROXIMATE, self._approximator.execute(
-                        decision.plan, budget
+                        plan, budget, constants
                     )
                 raise BudgetExceededError(decision.access_bound, budget)
+            if constants is not None and route not in LOCAL_ROUTES:
+                plan, constants = decision.plan, None
             return ExecutionMode.BOUNDED, self.runner.run_route(
-                route, decision.plan
+                route, plan, constants
             )
 
         if options.allow_partial and decision.partial is not None:

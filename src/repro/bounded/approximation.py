@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Optional
 
 
 from repro.access.catalog import ASCatalog
 from repro.errors import PlanningError
 from repro.engine.metrics import ExecutionMetrics
 from repro.bounded.plan import BoundedPlan, FetchOp
-from repro.bounded.skeleton import _KeyPlan, skeleton_of
+from repro.bounded.skeleton import Constants, _KeyPlan, skeleton_of
 
 
 @dataclass
@@ -56,7 +57,11 @@ class BoundedApproximator:
         self._catalog = catalog
 
     # ------------------------------------------------------------------ #
-    def execute(self, plan: BoundedPlan, budget: int) -> ApproximateResult:
+    def execute(
+        self, plan: BoundedPlan, budget: int, constants: Optional[Constants] = None
+    ) -> ApproximateResult:
+        """Run ``plan`` within ``budget`` tuples; ``constants`` is the
+        constant vector to run it with, or None for the plan's own."""
         if not isinstance(plan, BoundedPlan):
             raise PlanningError(
                 "resource-bounded approximation supports single SELECT blocks"
@@ -74,6 +79,8 @@ class BoundedApproximator:
         start = time.perf_counter()
         remaining = budget
         skeleton = skeleton_of(plan)
+        if constants is None:
+            constants = skeleton.constants(plan)
         rows: list[tuple] = [()]
         truncated = False
         # dropped input rows per fetch index, for the missed-answer bound
@@ -85,7 +92,7 @@ class BoundedApproximator:
             if isinstance(step, _KeyPlan):
                 fetch_index += 1
                 rows, used, rows_dropped = self._fetch_within(
-                    step, op, rows, remaining
+                    step, op, constants, rows, remaining
                 )
                 remaining -= used
                 metrics.tuples_fetched += used
@@ -93,7 +100,7 @@ class BoundedApproximator:
                 if rows_dropped:
                     truncated = True
             else:
-                rows = step.keep(op, rows)
+                rows = step.keep(constants, rows)
 
         # approximate answers are a set
         final = skeleton.tail(plan, as_set=True).run(rows, metrics)
@@ -120,7 +127,12 @@ class BoundedApproximator:
 
     # ------------------------------------------------------------------ #
     def _fetch_within(
-        self, key_plan: _KeyPlan, op: FetchOp, rows: list[tuple], remaining: int
+        self,
+        key_plan: _KeyPlan,
+        op: FetchOp,
+        constants: Constants,
+        rows: list[tuple],
+        remaining: int,
     ) -> tuple[list[tuple], int, int]:
         """Run one fetch, stopping before the budget is exceeded.
 
@@ -130,7 +142,7 @@ class BoundedApproximator:
         yields at most N output rows at this fetch).
         """
         fetch = self._catalog.index_for(op.constraint).fetch
-        const_keys = key_plan.const_keys(op)
+        const_keys = key_plan.const_keys(constants)
         pick_x, pick_y, y_existing = key_plan.pick_x, key_plan.pick_y, key_plan.y_existing
 
         used = 0

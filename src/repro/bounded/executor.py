@@ -36,9 +36,11 @@ presented at all.
 Neither mode interprets the plan per request: what depends on the plan's
 shape alone — key layouts, label lists, select positions and predicates,
 the compiled tail — comes from the plan's skeleton
-(:mod:`repro.bounded.skeleton`), compiled by the first execution and
-shared by every rebinding; a run pairs each step with the request's own
-operator for the constants and the bound.
+(:mod:`repro.bounded.skeleton`), compiled once per plan; a run pairs
+each step with the plan's operator for the bound and reads every fetch
+key, selection value and selection label from the request's constant
+vector. A rebound request runs the pinned plan with its own vector, so
+no per-binding copy of the plan exists on that path.
 
 This class is the in-process interpreter only. Which route a plan takes
 — in-process row or columnar, a pool worker, a fleet replica — is decided
@@ -71,8 +73,14 @@ from repro.engine.logical import MaterializedNode, SetOpNode
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.physical import Intermediate, PhysicalExecutor
 from repro.engine.profiles import EngineProfile
-from repro.bounded.plan import AnyBoundedPlan, BoundedPlan, FetchOp, SelectOp, SetOpPlan
-from repro.bounded.skeleton import _KeyPlan, _SelectPlan, skeleton_of
+from repro.bounded.plan import AnyBoundedPlan, BoundedPlan, FetchOp, SetOpPlan
+from repro.bounded.skeleton import (
+    Constants,
+    PlanSkeleton,
+    _KeyPlan,
+    _SelectPlan,
+    skeleton_of,
+)
 
 _NEUTRAL_PROFILE = EngineProfile(name="beas-tail", join_algorithm="hash", row_overhead=0)
 
@@ -94,13 +102,17 @@ class BoundedPlanExecutor:
         self.rows_per_batch = validate_rows_per_batch(rows_per_batch)
 
     # ------------------------------------------------------------------ #
-    def execute(self, plan: AnyBoundedPlan) -> QueryResult:
+    def execute(
+        self, plan: AnyBoundedPlan, constants: Optional[Constants] = None
+    ) -> QueryResult:
+        """Run ``plan``; ``constants`` is the constant vector to run it
+        with (a rebound request's), or None for the plan's own."""
         metrics = ExecutionMetrics()
         if self.executor == "columnar":
             metrics.rows_per_batch = self.rows_per_batch
         start = time.perf_counter()
         read_set: ReadSet = {}
-        intermediate = self._run(plan, metrics, read_set)
+        intermediate = self._run(plan, constants, metrics, read_set)
         metrics.seconds = time.perf_counter() - start
         metrics.rows_output = len(intermediate.rows)
         columns = [
@@ -115,13 +127,17 @@ class BoundedPlanExecutor:
         )
 
     def _run(
-        self, plan: AnyBoundedPlan, metrics: ExecutionMetrics, read_set: ReadSet
+        self,
+        plan: AnyBoundedPlan,
+        constants: Optional[Constants],
+        metrics: ExecutionMetrics,
+        read_set: ReadSet,
     ) -> Intermediate:
         """``read_set`` gains every key the plan presents (a set
         operation's is the union of its branches')."""
         if isinstance(plan, SetOpPlan):
-            left = self._run(plan.left, metrics, read_set)
-            right = self._run(plan.right, metrics, read_set)
+            left = self._run(plan.left, None, metrics, read_set)
+            right = self._run(plan.right, None, metrics, read_set)
             node = SetOpNode(
                 plan.op,
                 MaterializedNode(left.labels, left.rows),
@@ -132,27 +148,39 @@ class BoundedPlanExecutor:
                 self._catalog.database, _NEUTRAL_PROFILE, metrics
             )
             return executor.run(node)
+        skeleton = skeleton_of(plan)
+        if constants is None:
+            constants = skeleton.constants(plan)
         if self.executor == "columnar":
-            return self._run_select_columnar(plan, metrics, read_set)
-        return self._run_select(plan, metrics, read_set)
+            return self._run_select_columnar(
+                plan, skeleton, constants, metrics, read_set
+            )
+        return self._run_select(plan, skeleton, constants, metrics, read_set)
 
     # ------------------------------------------------------------------ #
     # row mode
     # ------------------------------------------------------------------ #
     def _run_select(
-        self, plan: BoundedPlan, metrics: ExecutionMetrics, read_set: ReadSet
+        self,
+        plan: BoundedPlan,
+        skeleton: PlanSkeleton,
+        constants: Constants,
+        metrics: ExecutionMetrics,
+        read_set: ReadSet,
     ) -> Intermediate:
-        skeleton = skeleton_of(plan)
         rows: list[tuple] = [()]
         for step, op in zip(skeleton.steps, plan.ops):
             if isinstance(step, _KeyPlan):
                 presented = read_set.setdefault(op.constraint.name, [])
-                rows = self._fetch(step, op, rows, metrics, presented)
+                rows = self._fetch(step, op, constants, rows, metrics, presented)
             else:
                 start = time.perf_counter()
-                kept = step.keep(op, rows)
+                kept = step.keep(constants, rows)
                 metrics.record(
-                    step.label(op), len(rows), len(kept), time.perf_counter() - start
+                    step.label(constants),
+                    len(rows),
+                    len(kept),
+                    time.perf_counter() - start,
                 )
                 rows = kept
         # hand the final intermediate to the conventional tail operators
@@ -163,6 +191,7 @@ class BoundedPlanExecutor:
         self,
         key_plan: _KeyPlan,
         op: FetchOp,
+        constants: Constants,
         rows: list[tuple],
         metrics: ExecutionMetrics,
         presented: list[tuple],
@@ -170,7 +199,7 @@ class BoundedPlanExecutor:
         start = time.perf_counter()
         fetch = self._catalog.index_for(op.constraint).fetch
         present = presented.append
-        const_keys = key_plan.const_keys(op)
+        const_keys = key_plan.const_keys(constants)
         keys_for, pick_x, pick_y = key_plan.keys_for, key_plan.pick_x, key_plan.pick_y
         y_existing = key_plan.y_existing
 
@@ -212,18 +241,24 @@ class BoundedPlanExecutor:
     # columnar mode
     # ------------------------------------------------------------------ #
     def _run_select_columnar(
-        self, plan: BoundedPlan, metrics: ExecutionMetrics, read_set: ReadSet
+        self,
+        plan: BoundedPlan,
+        skeleton: PlanSkeleton,
+        constants: Constants,
+        metrics: ExecutionMetrics,
+        read_set: ReadSet,
     ) -> Intermediate:
-        skeleton = skeleton_of(plan)
         intermediate = ColumnarIntermediate.seed()
         for step, op in zip(skeleton.steps, plan.ops):
             if isinstance(step, _KeyPlan):
                 presented = read_set.setdefault(op.constraint.name, [])
                 intermediate = self._fetch_columnar(
-                    step, op, intermediate, metrics, presented
+                    step, op, constants, intermediate, metrics, presented
                 )
             else:
-                intermediate = self._select_columnar(step, op, intermediate, metrics)
+                intermediate = self._select_columnar(
+                    step, constants, intermediate, metrics
+                )
         # the same conventional tail, interpreted batch-wise
         return skeleton.tail(plan, columnar=True).run(
             intermediate, metrics, self.rows_per_batch
@@ -234,6 +269,7 @@ class BoundedPlanExecutor:
         self,
         key_plan: _KeyPlan,
         op: FetchOp,
+        constants: Constants,
         intermediate: ColumnarIntermediate,
         metrics: ExecutionMetrics,
         presented: list[tuple],
@@ -246,7 +282,7 @@ class BoundedPlanExecutor:
         rows_in = intermediate.live_count
         # one gather position per output row (skipped entirely when there
         # are no input columns to replicate), plus the new columns' values
-        spec = key_plan.chunk_spec(op, track_gather=bool(columns))
+        spec = key_plan.chunk_spec(constants, track_gather=bool(columns))
         cache: Optional[dict] = {} if self._dedup_keys else None
         results = [
             run_fetch_chunk(index.fetch, spec, columns, chunk, cache, presented)
@@ -279,14 +315,16 @@ class BoundedPlanExecutor:
     def _select_columnar(
         self,
         step: _SelectPlan,
-        op: SelectOp,
+        constants: Constants,
         intermediate: ColumnarIntermediate,
         metrics: ExecutionMetrics,
     ) -> ColumnarIntermediate:
         start = time.perf_counter()
         rows_in = intermediate.live_count
-        sel = step.keep_columnar(op, intermediate.columns, intermediate.live)
-        metrics.record(step.label(op), rows_in, len(sel), time.perf_counter() - start)
+        sel = step.keep_columnar(constants, intermediate.columns, intermediate.live)
+        metrics.record(
+            step.label(constants), rows_in, len(sel), time.perf_counter() - start
+        )
         return ColumnarIntermediate(
             intermediate.labels, intermediate.columns, intermediate.count, sel=sel
         )

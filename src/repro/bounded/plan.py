@@ -28,11 +28,11 @@ _T = TypeVar("_T")
 
 
 def patched(instance: _T, **changes: Any) -> _T:
-    """``dataclasses.replace`` for the request path: a shallow copy of a
+    """``dataclasses.replace`` without ``__init__``: a shallow copy of a
     plain (unfrozen, slot-less) dataclass instance with some fields
-    swapped. It skips ``__init__`` and the field introspection, a fifth
-    of the cost, and carries every other attribute over as it is —
-    which is how a rebound plan keeps its template's skeleton slot."""
+    swapped, every other attribute carried over as it is — which is how
+    a rebound decision's patched plan keeps its template's skeleton slot
+    (:meth:`repro.bounded.rebind.RebindTemplate.coverage`)."""
     copy = object.__new__(type(instance))
     copy.__dict__.update(instance.__dict__)
     copy.__dict__.update(changes)
@@ -117,7 +117,7 @@ PlanOp = FetchOp | SelectOp
 
 class SkeletonSlot:
     """Where a plan keeps its compiled shape: one slot, shared by the plan
-    and every rebinding of it, filled by the first of them to execute
+    and every patched copy of it, filled on first use
     (:func:`repro.bounded.skeleton.skeleton_of`)."""
 
     __slots__ = ("skeleton",)
@@ -156,21 +156,6 @@ class BoundedPlan:
     @property
     def fetch_ops(self) -> list[FetchOp]:
         return [op for op in self.ops if isinstance(op, FetchOp)]
-
-    def rebound(
-        self, ops: list[PlanOp], cq: ConjunctiveQuery
-    ) -> "BoundedPlan":
-        """A copy of this plan with patched ops/cq, *identical* bounds and
-        the same skeleton slot.
-
-        Used by constraint-preserving plan rebinding
-        (:mod:`repro.bounded.rebind`): when a new binding keeps every
-        equality class's constant arity, the §3 bound arithmetic —
-        ``access_bound``, ``tight_access_bound``, ``output_bound`` — and
-        the plan's shape are unchanged by construction, so only the
-        operator pipeline and the canonical query carry new constants.
-        """
-        return patched(self, ops=ops, cq=cq)
 
     def describe(self) -> str:
         lines = [op.describe() for op in self.ops]

@@ -89,24 +89,17 @@ def equality_classes(cq: ConjunctiveQuery) -> _UnionFind:
 
 
 def class_constant_map(
-    cq: ConjunctiveQuery,
-    uf: _UnionFind,
-    selections: Optional[dict[Attribute, tuple]] = None,
+    cq: ConjunctiveQuery, uf: _UnionFind
 ) -> dict[Attribute, tuple]:
     """Constants per equality class: intersect the selection values of
-    the class members, in ``selections`` iteration order.
-
-    ``selections`` defaults to ``cq.selections``; rebinding passes a
-    patched copy with fresh constants to recompute the per-class tuples
-    for a new binding without re-running the planner. A class's tuple may
-    be the very object a selection holds (and so may be shared between
-    classes): the executor's key planner groups constant key parts by
-    class root, never by tuple identity.
+    the class members, in ``cq.selections`` iteration order (what a
+    rebind re-derives per class, ``rebind._ClassSlot.merged``). A
+    class's tuple may be the very object a selection holds (and so may
+    be shared between classes): the plan's skeleton numbers constant
+    classes by class root, never by tuple identity.
     """
-    if selections is None:
-        selections = cq.selections
     constants: dict[Attribute, tuple] = {}
-    for attr, values in selections.items():
+    for attr, values in cq.selections.items():
         root = uf.find(attr)
         if root in constants:
             existing = set(constants[root])

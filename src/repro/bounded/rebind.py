@@ -11,33 +11,36 @@ substitution that keeps the per-class constant arity (the same
 equivalence-under-dependencies reasoning as query equivalence under
 dependencies à la Chirkova & Genesereth). So a
 :class:`~repro.bounded.coverage.CoverageDecision` pinned for one binding
-of a prepared template can be **rebound** for another binding of equal
-arity by patching the plan's constant key parts directly:
+of a prepared template is **rebound** for another binding of equal
+arity by value: a :class:`ReboundDecision` is the pinned template plus
+one merged constant tuple per equality class (the tuple the arity guard
+derives anyway), in the order the plan's skeleton numbers the classes
+(:mod:`repro.bounded.skeleton`). The executors run the pinned plan's
+operators and read every fetch key, selection value and selection label
+from that vector, so a rebound request copies no operator, query or
+plan. Its bounds — ``access_bound``, ``within_budget``, … — are the
+pinned decision's.
 
-* every ``fetch`` op's ``KeyPart(source="const")`` tuples,
-* every ``selection`` op's value tuple,
-* the canonical query's per-attribute selections (what makes the
-  rebound plan ``==`` to a freshly decided one),
+The patched plan (every ``fetch`` op's ``KeyPart(source="const")``
+tuples, every ``selection`` op's values and the canonical query's
+per-attribute selections rewritten for the binding, ``==`` to what a
+fresh BE Checker run decides) is built only when something reads it —
+``Decision.plan`` / ``.coverage`` / ``explain()``, or a remote route
+that pickles the plan for a peer — by :meth:`RebindTemplate.coverage`,
+and it shares the pinned plan's skeleton slot. The executor presents
+the same *number* of keys per fetch in the same canonical order either
+way, so ``tuples_fetched`` accounting and bound enforcement are
+identical to a freshly decided plan; the rebinding differential suite
+(``tests/test_rebinding_differential.py``) locks rebound-vs-fresh
+equality down to exact row order and per-fetch-op metrics, in the
+spirit of bag-semantics equivalence checking (Zhou et al., PAPERS.md).
 
-leaving the deduced bounds — and therefore budget feasibility — exactly
-as pinned. The executor then presents the same *number* of keys per
-fetch in the same canonical order, so ``tuples_fetched`` accounting and
-bound enforcement are identical to a freshly decided plan; the
-rebinding differential suite (``tests/test_rebinding_differential.py``)
-locks rebound-vs-fresh equality down to exact row order and per-fetch-op
-metrics, in the spirit of bag-semantics equivalence checking (Zhou et
-al., PAPERS.md).
-
-The rebind itself is built to be an order of magnitude cheaper than a
-checker run (``benchmarks/bench_rebind.py`` measures it across a
-binding stream): :func:`build_rebind_template` precomputes, once per
-(template, arity signature), which plan operators draw constants from
-which equality class and which class each slot feeds, so a rebind only
-touches the classes the new binding actually changes — it re-derives
-their merged tuples, checks the arity guard and writes the tuples into
-shallow copies of the operators that read them. The rebound plan shares
-the pinned plan's compiled skeleton (:mod:`repro.bounded.skeleton`), so
-executing it re-derives nothing either.
+:func:`build_rebind_template` precomputes, once per (template, arity
+signature), which slots contribute to which equality class and where
+that class sits in the constant vector, so a rebind only re-derives the
+merged tuples of the classes the binding touches and checks the arity
+guard (``benchmarks/bench_rebind.py`` measures it across a binding
+stream).
 
 Guards — a rebind is refused (``None``; the caller falls back to a full
 BE Checker run) whenever the new binding could change the decision:
@@ -56,12 +59,17 @@ BE Checker run) whenever the new binding could change the decision:
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional, Union
 
+from repro.access.constraint import AccessConstraint
 from repro.bounded.coverage import CoverageDecision
-from repro.bounded.plan import BoundedPlan, FetchOp, KeyPart, patched
-from repro.bounded.planner import class_constant_map, equality_classes
+from repro.bounded.plan import AnyBoundedPlan, BoundedPlan, KeyPart, patched
+from repro.bounded.planner import class_constant_map
+from repro.bounded.skeleton import Constants, skeleton_of
 from repro.sql.normalize import Attribute, ConjunctiveQuery
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.bounded.optimizer import PartialPlan
 
 
 def _canonical_selection(values) -> tuple:
@@ -76,129 +84,227 @@ def _canonical_selection(values) -> tuple:
 
 class _ClassSlot:
     """One equality class that carries constants: who contributes to its
-    merged constant tuple, the arity the decision was pinned at, and every
-    site of the pinned plan that reads the tuple."""
+    merged constant tuple, the arity the decision was pinned at, and its
+    position in the constant vector (None: no operator reads it)."""
 
-    __slots__ = ("contributors", "arity", "fetch_sites", "select_sites")
+    __slots__ = ("contributors", "arity", "position")
 
-    def __init__(self, arity: int) -> None:
-        #: (slot name, selection attribute, the template's own values),
-        #: in ``cq.selections`` order — the order the merge intersects in
-        self.contributors: list[tuple[str, Attribute, tuple]] = []
+    def __init__(self, arity: int, position: Optional[int]) -> None:
+        #: (slot name, the template's own values), in ``cq.selections``
+        #: order — the order the merge intersects in
+        self.contributors: list[tuple[str, tuple]] = []
         self.arity = arity
-        self.fetch_sites: list[tuple[int, int]] = []  # (op index, key part index)
-        self.select_sites: list[int] = []  # op index
+        self.position = position
+
+    def merged(self, overrides: Mapping[str, tuple]) -> tuple:
+        """The class's constants under ``overrides``: its members'
+        values intersected, exactly as ``class_constant_map`` does."""
+        merged: Optional[tuple] = None
+        for name, template_values in self.contributors:
+            fresh = overrides.get(name)
+            values = (
+                _canonical_selection(fresh) if fresh is not None else template_values
+            )
+            if merged is None:
+                merged = values
+            else:
+                existing = set(merged)
+                merged = tuple(v for v in values if v in existing)
+        assert merged is not None
+        return merged
 
 
 class RebindTemplate:
-    """One pinned decision plus a precomputed constant-patch plan.
+    """One pinned decision plus what rebinding it needs.
 
     Built once per (template fingerprint, arity signature) by
     :func:`build_rebind_template`; every equal-signature binding then
-    pays only the patch in :meth:`rebind` — no parse, no normalize, no
-    plan search, and no work on equality classes the binding leaves
-    untouched. What the pinned plan's first execution compiled (its
-    skeleton, :mod:`repro.bounded.skeleton`) travels with every rebound
-    plan, so an equal-signature binding re-derives nothing but constants.
+    pays only :meth:`rebind` — no parse, no normalize, no plan search,
+    no copy, and no work on equality classes the binding leaves
+    untouched. The pinned plan's skeleton is compiled here, so the
+    template's first execution and every rebound one run off it.
     """
 
-    __slots__ = ("decision", "plan", "_class_of_slot")
+    __slots__ = (
+        "decision", "plan", "skeleton", "constants", "_class_of_slot", "_attributes",
+    )  # fmt: skip
 
     def __init__(self, decision: CoverageDecision):
         self.decision = decision
         plan = decision.plan
         assert isinstance(plan, BoundedPlan)
         self.plan: BoundedPlan = plan
+        skeleton = self.skeleton = skeleton_of(plan)
+        #: the pinned binding's own constant vector
+        self.constants: Constants = skeleton.constants(plan)
         cq = plan.cq
-        uf = equality_classes(cq)
-        pinned = class_constant_map(cq, uf)
+        classes = skeleton.classes
+        pinned = class_constant_map(cq, classes)
 
         by_root: dict[Attribute, _ClassSlot] = {}
         self._class_of_slot: dict[str, _ClassSlot] = {}
+        #: slot name -> the canonical query's selection attribute
+        self._attributes: dict[str, Attribute] = {}
         for attr, values in cq.selections.items():
-            root = uf.find(attr)
+            root = classes.find(attr)
             slot = by_root.get(root)
             if slot is None:
-                slot = by_root[root] = _ClassSlot(len(pinned[root]))
+                slot = by_root[root] = _ClassSlot(
+                    len(pinned[root]), skeleton.positions.get(root)
+                )
             name = str(attr)
-            slot.contributors.append((name, attr, values))
+            slot.contributors.append((name, values))
             self._class_of_slot[name] = slot
-
-        # the patch plan: which ops draw constants from which class
-        for index, op in enumerate(plan.ops):
-            if isinstance(op, FetchOp):
-                for i, part in enumerate(op.key_parts):
-                    if part.source == "const":
-                        root = uf.find(Attribute(op.binding, part.attribute))
-                        by_root[root].fetch_sites.append((index, i))
-            elif op.kind == "selection":
-                by_root[uf.find(op.column)].select_sites.append(index)
+            self._attributes[name] = attr
 
     # ------------------------------------------------------------------ #
-    def rebind(
-        self, overrides: Mapping[str, tuple]
-    ) -> Optional[CoverageDecision]:
-        """The pinned decision patched for ``overrides``, or ``None``
-        when a guard demands a full re-check.
+    def rebind(self, overrides: Mapping[str, tuple]) -> Optional["ReboundDecision"]:
+        """The pinned decision rebound to ``overrides``, or ``None`` when
+        a guard demands a full re-check.
 
         ``overrides`` maps resolved slot names to canonical value tuples
         (``repro.serving.params.resolve_overrides`` output). Slots not
         overridden keep the template's own constants.
         """
-        # which equality classes does this binding actually touch?
-        touched: list[_ClassSlot] = []
+        constants = list(self.constants)
+        done: list[_ClassSlot] = []
         for name in overrides:
             slot = self._class_of_slot.get(name)
             if slot is None:
                 return None  # unknown slot: shape mismatch, re-check
-            if slot not in touched:
-                touched.append(slot)
-        if not touched:
-            return self.decision  # the template's own constants
-
-        # Patch copies (untouched ops are shared). The copies keep every
-        # deduced bound, and the plan copy keeps the pinned plan's
-        # skeleton slot: what was compiled for one binding of this shape
-        # runs them all.
-        plan = self.plan
-        pinned_ops = plan.ops
-        new_ops = list(pinned_ops)
-        new_selections = dict(plan.cq.selections)
-        for slot in touched:
-            # re-derive the class's merged constants; a merged-arity
-            # change would change the deduced bounds, so it forces a full
-            # re-check (the guard)
-            merged: Optional[tuple] = None
-            for name, attr, template_values in slot.contributors:
-                fresh = overrides.get(name)
-                values = (
-                    _canonical_selection(fresh)
-                    if fresh is not None
-                    else template_values
-                )
-                new_selections[attr] = values  # the canonical query's copy
-                if merged is None:
-                    merged = values
-                else:
-                    existing = set(merged)
-                    merged = tuple(v for v in values if v in existing)
-            assert merged is not None
+            if slot in done:
+                continue
+            done.append(slot)
+            merged = slot.merged(overrides)
             if len(merged) != slot.arity:
                 return None  # merged arity changed: bounds would move
+            if slot.position is not None:
+                constants[slot.position] = merged
+        return ReboundDecision(self, tuple(constants), overrides)
 
-            # fill the class's sites with the merged tuple
-            for index, part_index in slot.fetch_sites:
-                op = new_ops[index]
+    def coverage(
+        self,
+        overrides: Mapping[str, tuple],
+        constants: Constants,
+        within_budget: Optional[bool],
+    ) -> CoverageDecision:
+        """The pinned decision with one binding's constants written into
+        a copy of its plan: what a fresh BE Checker run of the bound
+        query decides (``==``, ``repr``-equal). Untouched operators are
+        shared, every deduced bound is kept, and the copy keeps the
+        pinned plan's skeleton slot. Only a reader of the plan pays for
+        it (:attr:`ReboundDecision.coverage`)."""
+        plan = self.plan
+        pinned_ops = plan.ops
+        ops = list(pinned_ops)
+        for position, sites in enumerate(self.skeleton.sites):
+            merged = constants[position]
+            if merged is self.constants[position]:
+                continue
+            for index, part in sites:
+                op = ops[index]
+                if part is None:
+                    ops[index] = patched(op, values=merged)
+                    continue
                 if op is pinned_ops[index]:
-                    op = new_ops[index] = patched(op, key_parts=list(op.key_parts))
-                op.key_parts[part_index] = KeyPart(
-                    op.key_parts[part_index].attribute, "const", None, merged
+                    op = ops[index] = patched(op, key_parts=list(op.key_parts))
+                op.key_parts[part] = KeyPart(
+                    op.key_parts[part].attribute, "const", None, merged
                 )
-            for index in slot.select_sites:
-                new_ops[index] = patched(pinned_ops[index], values=merged)
+        selections = dict(plan.cq.selections)
+        for name, values in overrides.items():
+            selections[self._attributes[name]] = _canonical_selection(values)
+        cq = patched(plan.cq, selections=selections)
+        return patched(
+            self.decision,
+            plan=patched(plan, ops=ops, cq=cq),
+            within_budget=within_budget,
+        )
 
-        new_cq = patched(plan.cq, selections=new_selections)
-        return patched(self.decision, plan=plan.rebound(new_ops, new_cq))
+
+class ReboundDecision:
+    """A covered decision by value: the pinned :class:`RebindTemplate`
+    plus this binding's constant vector (one merged tuple per constant
+    class, in skeleton order).
+
+    It reads like a :class:`CoverageDecision`: the verdict and every
+    deduced bound are the pinned decision's, with this request's
+    ``within_budget``. Only :attr:`coverage` / :attr:`plan` build the
+    patched copy, once; executing runs the pinned plan with
+    ``constants``. One is made per request, so the request may set its
+    ``within_budget`` in place.
+    """
+
+    __slots__ = ("template", "constants", "overrides", "within_budget", "_coverage")
+
+    covered = True
+    #: a covered decision has no partially bounded plan
+    partial = None
+
+    def __init__(
+        self,
+        template: RebindTemplate,
+        constants: Constants,
+        overrides: Mapping[str, tuple],
+    ) -> None:
+        self.template = template
+        self.constants = constants
+        #: the binding's resolved overrides (what the patched query selects)
+        self.overrides = overrides
+        self.within_budget: Optional[bool] = None
+        self._coverage: Optional[CoverageDecision] = None
+
+    @property
+    def coverage(self) -> CoverageDecision:
+        """The patched decision, built on first read (a concurrent
+        duplicate build is benign: both are the same value)."""
+        coverage = self._coverage
+        if coverage is None:
+            coverage = self._coverage = self.template.coverage(
+                self.overrides, self.constants, self.within_budget
+            )
+        return coverage
+
+    @property
+    def plan(self) -> BoundedPlan:
+        return self.coverage.plan  # type: ignore[return-value]
+
+    @property
+    def access_bound(self) -> Optional[int]:
+        return self.template.decision.access_bound
+
+    @property
+    def tight_access_bound(self) -> Optional[int]:
+        return self.template.decision.tight_access_bound
+
+    @property
+    def bag_exact(self) -> bool:
+        return self.template.decision.bag_exact
+
+    @property
+    def reasons(self) -> list[str]:
+        return self.template.decision.reasons
+
+    @property
+    def constraints_used(self) -> list[AccessConstraint]:
+        return self.template.decision.constraints_used
+
+
+#: What the serving layer decides a request to: a checker outcome, or a
+#: pinned one rebound by value.
+AnyDecision = Union[CoverageDecision, ReboundDecision]
+
+
+def runnable(
+    decision: AnyDecision,
+) -> tuple[Union[AnyBoundedPlan, "PartialPlan", None], Optional[Constants]]:
+    """What evaluating ``decision`` runs, without building a patched
+    plan: a rebound decision's pinned plan with its constant vector;
+    otherwise the covered plan, or the partially bounded plan (or None),
+    which run off their own constants (``None``)."""
+    if isinstance(decision, ReboundDecision):
+        return decision.template.plan, decision.constants
+    return (decision.plan if decision.covered else decision.partial), None
 
 
 def build_rebind_template(

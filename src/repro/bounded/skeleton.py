@@ -8,19 +8,24 @@ class, what the label list looks like after each operator, which
 positions a selection compares, how the tail's expressions compile
 against the final layout — and the shape is exactly what plan rebinding
 preserves (:mod:`repro.bounded.rebind`). A :class:`PlanSkeleton` is that
-shape, resolved and compiled by the first execution of a plan or of any
-of its rebindings and kept in the slot they share
+shape, resolved and compiled once per plan and kept in the plan's slot
 (:attr:`BoundedPlan._shape <repro.bounded.plan.BoundedPlan>`). It lives
 and dies with the decision-cache entry that pins the plan, i.e. with one
 (template fingerprint, arity signature, schema generation).
 
-The skeleton holds no binding constant. A run pairs each step with the
-request's own operator (``zip(skeleton.steps, plan.ops)``) and reads the
-constants — a fetch's enumerated key values, a selection's value tuple —
-and the deduced bound from the operator; the step supplies the rest. All
-three executors run off it: :class:`~repro.bounded.executor.BoundedPlanExecutor`
-in row and columnar mode and
-:class:`~repro.bounded.approximation.BoundedApproximator`.
+The skeleton holds no binding constant. It numbers the plan's
+constant-carrying equality classes, and a run reads each class's merged
+constant tuple from a **constant vector** — one tuple per class, in that
+order: the fetch keys a group of constant key parts enumerates, the
+values a selection keeps, and the selection's ``OperationCost`` label.
+A rebound request brings its own vector
+(:class:`~repro.bounded.rebind.ReboundDecision`) and runs the pinned
+plan's operators with it; any other plan runs off its own vector,
+:meth:`PlanSkeleton.constants`, read from its operators. The deduced
+bound and the access constraint still come from the operator
+(``zip(skeleton.steps, plan.ops)``). All three executors run off it:
+:class:`~repro.bounded.executor.BoundedPlanExecutor` in row and columnar
+mode and :class:`~repro.bounded.approximation.BoundedApproximator`.
 """
 
 from __future__ import annotations
@@ -40,6 +45,12 @@ from repro.errors import ExecutionError
 from repro.sql.normalize import Attribute
 
 Row = tuple
+#: One merged constant tuple per constant-carrying equality class, in
+#: the order a :class:`PlanSkeleton` numbers the classes.
+Constants = tuple[tuple, ...]
+#: Where a plan reads a class's constants: (op index, key part index) of
+#: a constant key part, or (op index, None) for a selection's values.
+Site = tuple[int, Optional[int]]
 
 
 def _picker(positions: Sequence[int]) -> Callable[[tuple], tuple]:
@@ -60,7 +71,13 @@ class _KeyPlan:
     """
 
     def __init__(
-        self, op: FetchOp, labels: list[object], layout: dict[object, int], classes
+        self,
+        op: FetchOp,
+        labels: list[object],
+        layout: dict[object, int],
+        place: Callable[[Attribute, list[Site]], int],
+        index: int,
+        classes,
     ) -> None:
         parts = op.key_parts
         self.parts_len = len(parts)
@@ -86,6 +103,11 @@ class _KeyPlan:
                 root = classes.find(Attribute(op.binding, part.attribute))
                 groups.setdefault(root, []).append(i)
         self.group_positions = list(groups.values())
+        #: the constant vector position each group enumerates
+        self.group_slots = [
+            place(root, [(index, i) for i in positions])
+            for root, positions in groups.items()
+        ]
 
         new_set = set(op.new_columns)
         self.x_new = [
@@ -116,18 +138,17 @@ class _KeyPlan:
             f"fetch[{op.constraint.name}]({op.constraint.relation} as {op.binding})"
         )
 
-    def group_values(self, op: FetchOp) -> list[tuple]:
+    def group_values(self, constants: Constants) -> list[tuple]:
         """The request's constants: one enumerated value list per group."""
-        parts = op.key_parts
-        return [parts[positions[0]].values or () for positions in self.group_positions]
+        return [constants[slot] for slot in self.group_slots]
 
-    def const_keys(self, op: FetchOp) -> list[tuple]:
+    def const_keys(self, constants: Constants) -> list[tuple]:
         """The keys this fetch enumerates from its constants alone, one
         per combination, column-sourced parts still ``None``. NULL-bearing
         combinations are skipped: a key part equal to NULL can never
         match (three-valued logic)."""
         keys = []
-        for combo in itertools.product(*self.group_values(op)):
+        for combo in itertools.product(*self.group_values(constants)):
             if None in combo:
                 continue
             key = [None] * self.parts_len
@@ -154,13 +175,13 @@ class _KeyPlan:
             keys.append(tuple(key))
         return keys
 
-    def chunk_spec(self, op: FetchOp, track_gather: bool) -> FetchChunkSpec:
+    def chunk_spec(self, constants: Constants, track_gather: bool) -> FetchChunkSpec:
         """The columnar fetch kernel's spec: slots are the intermediate's
         own column positions."""
         return FetchChunkSpec(
             parts_len=self.parts_len,
             column_slots=tuple(self.column_positions),
-            group_value_lists=tuple(self.group_values(op)),
+            group_value_lists=tuple(self.group_values(constants)),
             group_positions=tuple(tuple(p) for p in self.group_positions),
             x_new=tuple(self.x_new),
             y_new=tuple(self.y_new),
@@ -172,12 +193,21 @@ class _KeyPlan:
 class _SelectPlan:
     """One select's resolved positions, compiled predicate and label."""
 
-    def __init__(self, op: SelectOp, layout: dict[object, int]) -> None:
+    def __init__(
+        self,
+        op: SelectOp,
+        layout: dict[object, int],
+        place: Callable[[Attribute, list[Site]], int],
+        index: int,
+        classes,
+    ) -> None:
         self.kind = op.kind
-        self.a = self.b = -1
+        self.a = self.b = self.slot = -1
         self.predicate = self.columnar_predicate = None
         if op.kind == "selection":
             self.a = layout[op.column]
+            #: the constant vector position of the values it keeps
+            self.slot = place(classes.find(op.column), [(index, None)])
             # the values are the request's: only the label's head is shape
             self._label = f"select {op.column} in ("
         elif op.kind == "equality":
@@ -189,17 +219,17 @@ class _SelectPlan:
             self.columnar_predicate = compile_columnar_predicate(op.predicate, layout)
             self._label = op.describe()
 
-    def label(self, op: SelectOp) -> str:
+    def label(self, constants: Constants) -> str:
         """``op.describe()``, with everything but the constants prepared."""
         if self.kind == "selection":
-            return f"{self._label}{', '.join(map(repr, op.values or ()))})"
+            return f"{self._label}{', '.join(map(repr, constants[self.slot]))})"
         return self._label
 
-    def keep(self, op: SelectOp, rows: list[Row]) -> list[Row]:
+    def keep(self, constants: Constants, rows: list[Row]) -> list[Row]:
         """The rows passing the select (row mode and approximation)."""
         if self.kind == "selection":
             position = self.a
-            allowed = set(op.values or ())
+            allowed = set(constants[self.slot])
             return [
                 row
                 for row in rows
@@ -214,13 +244,13 @@ class _SelectPlan:
         return [row for row in rows if predicate(row)]
 
     def keep_columnar(
-        self, op: SelectOp, columns: list[list], live: Sequence[int]
+        self, constants: Constants, columns: list[list], live: Sequence[int]
     ) -> list[int]:
         """The live positions passing the select (columnar mode): only
         the selection vector shrinks."""
         if self.kind == "selection":
             column = columns[self.a]
-            allowed = set(op.values or ())
+            allowed = set(constants[self.slot])
             return [
                 i for i in live if (value := column[i]) is not None and value in allowed
             ]
@@ -235,23 +265,29 @@ Step = Union[_KeyPlan, _SelectPlan]
 
 class PlanSkeleton:
     """The compiled, constant-free shape of one :class:`BoundedPlan`:
-    one step per operator, and the tail prepared per execution mode on
-    first use. Immutable once built apart from the tail memo, whose
-    entries are pure functions of the shape (a concurrent duplicate build
-    is benign), so any number of requests may run off one skeleton."""
+    one step per operator, the numbering of its constant classes, and
+    the tail prepared per execution mode on first use. Immutable once
+    built apart from the tail memo, whose entries are pure functions of
+    the shape (a concurrent duplicate build is benign), so any number of
+    requests may run off one skeleton."""
 
     def __init__(self, plan: BoundedPlan) -> None:
-        classes = equality_classes(plan.cq)
+        #: the query's equality classes (shape, never constants)
+        self.classes = classes = equality_classes(plan.cq)
+        #: class root -> its position in a constant vector
+        self.positions: dict[Attribute, int] = {}
+        #: per position, every site of the plan that reads those constants
+        self.sites: list[list[Site]] = []
         labels: list[object] = []
         layout: dict[object, int] = {}  # of the intermediate before each op
         steps: list[Step] = []
-        for op in plan.ops:
+        for index, op in enumerate(plan.ops):
             if isinstance(op, FetchOp):
-                step: Step = _KeyPlan(op, labels, layout, classes)
+                step: Step = _KeyPlan(op, labels, layout, self._place, index, classes)
                 labels = step.labels
                 layout = {label: i for i, label in enumerate(labels)}
             elif isinstance(op, SelectOp):
-                step = _SelectPlan(op, layout)
+                step = _SelectPlan(op, layout, self._place, index, classes)
             else:  # pragma: no cover - defensive
                 raise ExecutionError(f"unknown bounded plan op {op!r}")
             steps.append(step)
@@ -260,15 +296,40 @@ class PlanSkeleton:
         self.labels = labels
         self._tails: dict[tuple[bool, bool], Union[PreparedTail, ColumnarTail]] = {}
 
+    def _place(self, root: Attribute, sites: list[Site]) -> int:
+        """The vector position of ``root``'s class, numbered on first
+        sight, with ``sites`` filed under it."""
+        position = self.positions.get(root)
+        if position is None:
+            position = self.positions[root] = len(self.sites)
+            self.sites.append([])
+        self.sites[position].extend(sites)
+        return position
+
+    def constants(self, plan: BoundedPlan) -> Constants:
+        """``plan``'s own constant vector, read from its operators (the
+        first site of each class: every site of a class holds its one
+        merged tuple). ``plan`` is this skeleton's plan or a copy of it
+        with other constants written in."""
+        ops = plan.ops
+        vector = []
+        for sites in self.sites:
+            index, part = sites[0]
+            op = ops[index]
+            values = op.values if part is None else op.key_parts[part].values
+            vector.append(values or ())
+        return tuple(vector)
+
     def tail(
         self, plan: BoundedPlan, *, columnar: bool = False, as_set: bool = False
     ) -> Union[PreparedTail, ColumnarTail]:
         """The conventional tail operators (aggregate, sort, project,
         distinct, limit) prepared against the final layout for one
-        execution mode. ``plan`` is whichever rebinding is running: the
-        tail reads the canonical query's shape, never its selection
-        constants. ``as_set`` forces DISTINCT (approximate answers are a
-        set; so are those of a plan that is not bag-exact)."""
+        execution mode. ``plan`` is the plan running (the pinned one, or
+        a patched copy of it): the tail reads the canonical query's
+        shape, never its selection constants. ``as_set`` forces
+        DISTINCT (approximate answers are a set; so are those of a plan
+        that is not bag-exact)."""
         distinct = as_set or not plan.bag_exact
         tail = self._tails.get((columnar, distinct))
         if tail is None:
@@ -287,8 +348,8 @@ class PlanSkeleton:
 
 def skeleton_of(plan: BoundedPlan) -> PlanSkeleton:
     """The plan's skeleton, compiled on first use and left in the slot the
-    plan shares with its rebindings (two threads racing here both build
-    the same pure value; one of them stays)."""
+    plan shares with its patched copies (two threads racing here both
+    build the same pure value; one of them stays)."""
     slot = plan._shape
     skeleton = slot.skeleton
     if skeleton is None:

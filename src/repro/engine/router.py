@@ -48,6 +48,7 @@ from repro.engine.executor import QueryResult
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.access.catalog import ASCatalog
+    from repro.bounded.skeleton import Constants
     from repro.catalog.statistics import TableStatistics
     from repro.config import ExecutionOptions
     from repro.distributed.fleet import ReplicaFleet
@@ -145,11 +146,20 @@ class PlanRunner:
             for mode in LOCAL_ROUTES
         }
 
-    def run_route(self, route: str, plan: AnyBoundedPlan) -> QueryResult:
-        """Run ``plan`` down ``route`` (one of :data:`ROUTES`)."""
+    def run_route(
+        self,
+        route: str,
+        plan: AnyBoundedPlan,
+        constants: Optional["Constants"] = None,
+    ) -> QueryResult:
+        """Run ``plan`` down ``route`` (one of :data:`ROUTES`) with
+        ``constants``, a rebound request's constant vector (None: the
+        plan's own). A remote route is handed a plan with its constants
+        written in: a peer compiles its own skeleton from what it is
+        shipped."""
         local = self._local.get(route)
         if local is not None:
-            return local.execute(plan)
+            return local.execute(plan, constants)
         start = time.perf_counter()
         provider = self._providers[route]
         peers = provider() if provider is not None else None
@@ -161,7 +171,7 @@ class PlanRunner:
             # serve (no live peer, none idle, a dead one, a corrupt wire,
             # no co-locating replica) runs here, in batches as the peer
             # would have run it — never wrong, only slower
-            result = self._local["columnar"].execute(plan)
+            result = self._local["columnar"].execute(plan, constants)
             if attempted and route == "pool":
                 # the outcome is a serial run and must not train the
                 # pool's cost model
@@ -230,10 +240,11 @@ def routing_features(
     """The router's feature vector for one covered bounded plan.
 
     Pure over its inputs: the deduced bounds and key arities come from
-    the (possibly rebound) plan, the selectivity estimate from the
-    catalog statistics observed under the current read locks, and the
-    engine shape (``rows_per_batch``, ``parallelism``) from the
-    request's resolved options.
+    the plan, the selectivity estimate from the catalog statistics
+    observed under the current read locks, and the engine shape
+    (``rows_per_batch``, ``parallelism``) from the request's resolved
+    options. None of it reads a constant's value, so every binding a
+    pinned plan is rebound to has the pinned plan's features.
     """
     fetch_ops = plan.fetch_ops
     select_ops = len(plan.ops) - len(fetch_ops)

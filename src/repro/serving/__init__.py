@@ -7,7 +7,7 @@ amortises that cost behind prepared statements and a multi-level cache
 hierarchy, partitioned by table so concurrent traffic scales:
 
 * :class:`~repro.serving.prepared.PreparedQuery` — parse/fingerprint
-  once, parameterised constant slots, per-binding memoisation;
+  once, parameterised constant slots, one cache key per binding;
 * :class:`~repro.serving.server.BEASServer` — the **sharded** serving
   core: per-table reader/writer locks over table data + access
   indices, a striped coverage-decision cache, ordered multi-shard read

@@ -27,7 +27,6 @@ from repro.errors import (
     UnknownParameterError,
 )
 from repro.sql import ast
-from repro.sql.fingerprint import _and_conjuncts, _rebuild_and
 from repro.sql.normalize import _Resolver, _collect_occurrences
 
 
@@ -88,7 +87,7 @@ def _template_parts(
         resolver = _Resolver(db_schema, occurrences)
     except (NormalizationError, ReproError):
         return None  # outside the resolvable fragment: no slots
-    return resolver, _and_conjuncts(statement.where)
+    return resolver, ast.conjuncts(statement.where)
 
 
 def slot_literals(
@@ -231,7 +230,7 @@ def substitute(
     return ast.SelectStatement(
         items=statement.items,
         from_items=statement.from_items,
-        where=_rebuild_and(rebuilt),
+        where=ast.conjoin(rebuilt),
         group_by=statement.group_by,
         having=statement.having,
         order_by=statement.order_by,

@@ -4,10 +4,10 @@ A :class:`PreparedQuery` does the frontend work a single time — parse,
 stable fingerprint, dependency (table) set, parameter-slot extraction —
 and every execution of it (a Session request) is served through the
 :class:`~repro.serving.server.BEASServer`'s caches. The coverage
-decision and bounded plan for each distinct binding are pinned in the
-server's decision cache, keyed by (fingerprint, access-schema
-generation), so a repeated execute touches neither the parser, the
-normalizer, nor the BE Checker.
+decision and bounded plan are pinned in the server's decision cache
+once per binding shape (:meth:`PreparedBinding.rebind_key`) and rebound
+for every binding of that shape, so a repeated execute touches neither
+the parser, the normalizer, nor the BE Checker.
 
 Ad-hoc SQL text takes the same path: :class:`AdhocTemplates` resolves a
 text to a template of its shape plus the text's own literals as that
@@ -16,12 +16,11 @@ template's parameters (``docs/invariants.md``, "Literal lifting").
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import replace
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Any, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Hashable, Mapping, Optional
 
 from repro.sql import ast
 from repro.sql.fingerprint import statement_fingerprint, statement_tables
@@ -41,40 +40,28 @@ from repro.serving.params import (
 if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.database import Database
 
-#: Distinct bindings whose substituted AST + fingerprint stay memoised.
-_BINDING_CACHE_LIMIT = 64
-
-
-def binding_fingerprint(template_fingerprint: str, signature: tuple) -> str:
-    """A stable fingerprint for (template, canonical overrides).
-
-    Derived from the template's canonical fingerprint plus the binding's
-    :func:`~repro.serving.params.binding_signature` (resolved overrides,
-    deduped/sorted by ``canonical_values``, in slot-name order), so it is
-    computed in microseconds — without substituting and canonically
-    re-printing the bound AST. The same bound query arriving as raw SQL
-    text hashes under its own statement fingerprint instead; per
-    ``sql.fingerprint``'s doctrine, a missed equivalence costs a cache
-    miss, never a wrong answer.
-    """
-    preimage = template_fingerprint + "|" + repr(signature)
-    return hashlib.sha256(preimage.encode("utf-8")).hexdigest()
-
-
 class PreparedBinding:
     """One concrete binding of a prepared template.
 
     Carries everything the serving layer needs to execute the binding
-    *and* to reuse a pinned plan across bindings: its fingerprint
-    (result-cache key — the values matter for answers), the resolved
-    slot overrides, and the binding's arity/type-class
-    :func:`~repro.serving.params.rebind_signature` (rebind-template key
-    — only the shape matters for plan reuse).
+    *and* to reuse a pinned plan across bindings: its ``fingerprint``
+    (the result- and decision-cache key — the values matter for
+    answers), the resolved slot overrides, and the binding's
+    arity/type-class :func:`~repro.serving.params.rebind_signature`
+    (rebind-template key — only the shape matters for plan reuse).
+
+    A bound binding's key is the tuple (template fingerprint, sorted
+    overrides, type-class signature): no hash is computed for it. The
+    type classes keep apart what Python equality merges (``7`` /
+    ``7.0`` / ``True`` against ``1``). The template's own binding is
+    keyed by the template's fingerprint. The same bound query arriving
+    as raw SQL text binds to its ad-hoc template instead; per
+    ``sql.fingerprint``'s doctrine, a missed equivalence costs a cache
+    miss, never a wrong answer.
 
     It copies what it needs of its template (fingerprint, tables,
-    statement, schema) rather than pointing back at it: the template
-    memoises its bindings, and a back reference would make every
-    template and binding cyclic garbage.
+    statement, schema) rather than pointing back at it, so it keeps no
+    template alive.
 
     The substituted ``statement`` is built **lazily**: a binding whose
     decision is served by rebinding (or from the exact decision cache)
@@ -90,7 +77,7 @@ class PreparedBinding:
     def __init__(
         self,
         template: "PreparedQuery",
-        fingerprint: str,
+        fingerprint: Hashable,
         overrides: Optional[Mapping[str, tuple]] = None,
         signature: tuple = (),
     ):
@@ -119,22 +106,21 @@ class PreparedBinding:
 
     def rebind_key(self, generation: int) -> tuple:
         """Where the decision cache pins the plan every binding of this
-        template with this signature reuses. The decision cache holds,
-        next to the per-binding exact entries, one pinned template per
-        (template fingerprint, arity signature, schema generation): the
+        template with this signature reuses: one pinned template per
+        (template fingerprint, arity signature, schema generation). The
         first binding of each signature pays a full BE Checker run and
-        pins its decision plus a
+        pins its decision as a
         :class:`~repro.bounded.rebind.RebindTemplate`; every later
-        equal-signature binding patches the pinned plan's constant key
-        parts directly. A binding that changes a slot's IN-list arity or
-        type class lands on a different signature (or trips the
-        rebinder's merged-arity guard) and re-checks. The values of a
-        binding never enter the key, only its shape."""
+        equal-signature binding (a repeat included) rebinds it by value.
+        A binding that changes a slot's IN-list arity or type class
+        lands on a different signature (or trips the rebinder's
+        merged-arity guard) and re-checks. The values of a binding never
+        enter the key, only its shape."""
         return ("rebind", self.template_fingerprint, self.signature, generation)
 
     def __repr__(self) -> str:
         return (
-            f"PreparedBinding({self.fingerprint[:12]}…, "
+            f"PreparedBinding({self.template_fingerprint[:12]}…, "
             f"overrides={sorted(self.overrides)})"
         )
 
@@ -170,10 +156,6 @@ class PreparedQuery:
         )
         self.name = name or f"pq-{self.fingerprint[:12]}"
         self._template_binding = PreparedBinding(self, self.fingerprint)
-        self._bindings: OrderedDict[tuple, PreparedBinding] = OrderedDict()
-        # one handle is shared by every thread executing the template;
-        # the memo's OrderedDict reordering is not safe bare
-        self._bindings_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     def binding(
@@ -181,32 +163,24 @@ class PreparedQuery:
     ) -> PreparedBinding:
         """The concrete :class:`PreparedBinding` for one set of overrides.
 
-        With no overrides the template's own constants are used. Distinct
-        bindings are memoised (LRU) so repeated executes skip the
-        substitution, the canonical re-print, and the signature build.
-        """
+        With no overrides the template's own constants are used. The
+        overrides are sorted once: the binding's key and its arity
+        signature both derive from that sort. Nothing is memoised: a
+        binding is a few tuples, and a stream of distinct bindings
+        would only churn a memo."""
         if not params:
             return self._template_binding
         resolved = resolve_overrides(
             params, self.slots, self.statement, self.schema
         )
-        # sorted once: memo key, fingerprint and arity signature all
-        # derive from it
         signature = binding_signature(resolved)
-        with self._bindings_lock:
-            bound = self._bindings.get(signature)
-            if bound is not None:
-                self._bindings.move_to_end(signature)
-                return bound
-            bound = self._bindings[signature] = PreparedBinding(
-                self,
-                binding_fingerprint(self.fingerprint, signature),
-                MappingProxyType(resolved),
-                signature_shape(signature),
-            )
-            if len(self._bindings) > _BINDING_CACHE_LIMIT:
-                self._bindings.popitem(last=False)
-        return bound
+        shape = signature_shape(signature)
+        return PreparedBinding(
+            self,
+            (self.fingerprint, signature, shape),
+            MappingProxyType(resolved),
+            shape,
+        )
 
     # ------------------------------------------------------------------ #
     def describe(self) -> str:
@@ -220,15 +194,11 @@ class PreparedQuery:
                 )
                 or "(none)"
             ),
-            f"  bindings memoised: {len(self._bindings)}",
         ]
         return "\n".join(lines)
 
     def __repr__(self) -> str:
-        return (
-            f"PreparedQuery({self.name}, slots={sorted(self.slots)}, "
-            f"bindings={len(self._bindings)})"
-        )
+        return f"PreparedQuery({self.name}, slots={sorted(self.slots)})"
 
 
 #: Ad-hoc templates kept, least recently bound first out. A shape has

@@ -24,11 +24,26 @@ import time
 from dataclasses import dataclass, field, replace
 from itertools import chain, compress, repeat
 from operator import is_
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Union, cast
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Hashable,
+    Mapping,
+    Optional,
+    Union,
+    cast,
+)
 
 from repro.beas.result import ExecutionMode
 from repro.beas.session import Decision, Result
-from repro.bounded.rebind import RebindTemplate, build_rebind_template
+from repro.bounded.rebind import (
+    AnyDecision,
+    ReboundDecision,
+    RebindTemplate,
+    build_rebind_template,
+    runnable,
+)
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.router import allowed_routes, routing_features
 from repro.errors import ServingError
@@ -42,6 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.config import ExecutionOptions
     from repro.bounded.approximation import ApproximateResult
     from repro.bounded.coverage import CoverageDecision
+    from repro.bounded.plan import BoundedPlan
     from repro.engine.executor import QueryResult
     from repro.engine.router import RouteChoice
     from repro.serving.server import BEASServer
@@ -71,7 +87,7 @@ class CachedResult:
     columns: list[str]
     rows: list[tuple[Any, ...]]
     mode: ExecutionMode
-    decision: "CoverageDecision"
+    decision: AnyDecision
     schema_generation: int
     tables: frozenset[str]
     read_keys: tuple[tuple[str, tuple[Any, ...]], ...]
@@ -120,7 +136,8 @@ class Request:
     params: Optional[Mapping[str, Any]] = None
     query: Optional["Query"] = None
     # front_end
-    fingerprint: str = field(init=False)
+    #: the binding's cache key (``PreparedBinding.fingerprint``)
+    fingerprint: Hashable = field(init=False)
     tables: frozenset[str] = field(init=False)
     #: the template binding this request is; with overrides, its pinned
     #: plan is reused across bindings (``PreparedBinding.rebind_key``)
@@ -140,7 +157,8 @@ class Request:
     #: what the result cache held under ``result_key`` when observed
     entry: Optional[CachedResult] = field(default=None, init=False)
     # decide / route / execute
-    coverage: "CoverageDecision" = field(init=False)
+    #: the decision this request runs; a rebound one by value
+    outcome: AnyDecision = field(init=False)
     provenance: str = field(init=False)
     #: the way the plan runs; ``choice`` is set when the router picked it
     route: Optional[str] = field(default=None, init=False)
@@ -170,10 +188,10 @@ Stage = Callable[["BEASServer", Request], Optional[Result]]
 # the stages, in request order
 # --------------------------------------------------------------------------- #
 def front_end(server: "BEASServer", request: Request) -> None:
-    """Resolve the source to one binding of one template: the memoised
-    binding of a prepared template, or, for SQL text, the text's own
-    literals bound to the template of its shape (through the parse
-    cache; ``BEASServer.frontend``)."""
+    """Resolve the source to one binding of one template: the request's
+    parameters bound to a prepared template, or, for SQL text, the
+    text's own literals bound to the template of its shape (through the
+    parse cache; ``BEASServer.frontend``)."""
     source = request.source
     if isinstance(source, PreparedQuery):
         bound, hit = source.binding(request.params), True  # parse amortised
@@ -243,19 +261,21 @@ def probe_exact(server: "BEASServer", request: Request) -> Optional[Result]:
 
 
 def decide(server: "BEASServer", request: Request) -> None:
-    """Decide or rebind: the coverage decision for this request, from
-    the decision cache, a pinned template, or a full BE Checker run."""
-    coverage, request.provenance = _decision(server, request)
+    """Decide or rebind: the decision for this request, from a pinned
+    template, the decision cache, or a full BE Checker run."""
+    outcome, request.provenance = _decision(server, request)
     if request.provenance == "fresh":
         request.misses += 1
     else:
         request.hits += 1
     budget = request.options.budget
-    if budget is not None and coverage.access_bound is not None:
-        coverage = replace(
-            coverage, within_budget=coverage.access_bound <= budget
-        )
-    request.coverage = coverage
+    if budget is not None and outcome.access_bound is not None:
+        within_budget = outcome.access_bound <= budget
+        if isinstance(outcome, ReboundDecision):
+            outcome.within_budget = within_budget  # this request's own
+        else:
+            outcome = replace(outcome, within_budget=within_budget)
+    request.outcome = outcome
 
 
 def route(server: "BEASServer", request: Request) -> None:
@@ -264,15 +284,15 @@ def route(server: "BEASServer", request: Request) -> None:
     when ``routing="learned"`` leaves several open, the one the
     per-template cost model predicts fastest. Answers are
     route-independent, so a wrong prediction costs latency only."""
-    options, coverage = request.options, request.coverage
-    plan = coverage.plan if coverage.covered else coverage.partial
+    options, outcome = request.options, request.outcome
+    plan, _ = runnable(outcome)  # a rebound request's: the pinned plan
     if plan is None:
         return  # conventional evaluation: nothing to route
     routes = allowed_routes(options, plan)
     request.route = routes[0]
-    if len(routes) > 1 and (options.budget is None or coverage.within_budget):
+    if len(routes) > 1 and (options.budget is None or outcome.within_budget):
         request.features = routing_features(
-            plan,
+            cast("BoundedPlan", plan),
             # scoped to the locked dependency tables: never scans (or
             # races with) tables this request did not lock
             server.beas._host.statistics(tables=request.tables),
@@ -288,7 +308,7 @@ def execute(server: "BEASServer", request: Request) -> None:
     """Run the decision on the engine and train the router on it."""
     mode, answer = server.beas.evaluate(
         request.statement,
-        request.coverage,
+        request.outcome,
         request.options,
         route=request.route,
     )
@@ -316,7 +336,7 @@ def admit(server: "BEASServer", request: Request) -> Result:
         answer.columns,
         answer.rows,
         mode,
-        request.coverage,
+        request.outcome,
         answer.metrics,
         request.provenance,
         cast("ApproximateResult", answer) if approximate else None,
@@ -360,19 +380,17 @@ def decide_only(server: "BEASServer", request: Request) -> Decision:
         # (write section) is guaranteed visible here
         request.generation = server.observe_schema_generation()
         decide(server, request)
-    return _stamp(request, request.coverage, request.provenance)
+    return _stamp(request, request.outcome, request.provenance)
 
 
 # --------------------------------------------------------------------------- #
 # stage helpers
 # --------------------------------------------------------------------------- #
-def _stamp(
-    request: Request, coverage: "CoverageDecision", provenance: str
-) -> Decision:
+def _stamp(request: Request, outcome: AnyDecision, provenance: str) -> Decision:
     """The ``Decision`` for this request, stamped with the generation
     observed under the read locks — not the catalog's at return time."""
     return Decision(
-        coverage=coverage,
+        outcome=outcome,
         provenance=provenance,
         generation=request.generation,
         query=request.query,
@@ -385,7 +403,7 @@ def _result(
     columns: list[str],
     rows: list[tuple[Any, ...]],
     mode: ExecutionMode,
-    coverage: "CoverageDecision",
+    outcome: AnyDecision,
     metrics: ExecutionMetrics,
     provenance: str,
     approximation: Optional["ApproximateResult"] = None,
@@ -402,7 +420,7 @@ def _result(
         rows=rows,
         mode=mode,
         metrics=metrics,
-        decision=_stamp(request, coverage, provenance),
+        decision=_stamp(request, outcome, provenance),
         options=request.options,
         approximation=approximation,
     )
@@ -421,45 +439,49 @@ def _serve_cached(request: Request, entry: CachedResult) -> Result:
     )  # fmt: skip
 
 
-def _decision(
-    server: "BEASServer", request: Request
-) -> tuple["CoverageDecision", str]:
-    """The budget-free coverage decision and its provenance:
-    ``"cached"`` (exact per-binding hit), ``"rebound"`` (pinned plan
-    patched for this binding — no BE Checker run), or ``"fresh"`` (a
-    full BE Checker run and, when that says not covered, the BE Plan
-    Optimizer's analysis: the decision is cached with its ``partial``
-    plan, so neither runs again for this key).
+def _decision(server: "BEASServer", request: Request) -> tuple[AnyDecision, str]:
+    """The budget-free decision and its provenance: ``"rebound"`` (the
+    signature's pinned decision rebound to this binding by value — no
+    BE Checker run, no copy), ``"cached"`` (an exact per-binding hit),
+    or ``"fresh"`` (a full BE Checker run and, when that says not
+    covered, the BE Plan Optimizer's analysis: the decision is cached
+    with its ``partial`` plan, so neither runs again for this key).
 
-    Exact entries are keyed by (binding fingerprint, access-schema
-    generation): a decision pinned under an old schema can never be
-    served after a change. Pinned rebind templates are keyed by
-    (template fingerprint, arity signature, generation) — the values of
-    a binding never enter that key, only its shape.
+    A binding with overrides asks its signature's pinned template first,
+    keyed by (template fingerprint, arity signature, generation) — the
+    values of a binding never enter that key, only its shape. What
+    rebinds is never filed per binding: exact entries, keyed by
+    (binding key, generation), hold the decisions that do not — a
+    partially bounded or set-operation decision, a guard fallback, the
+    template's own constants. Both keys carry the access-schema
+    generation, so a decision made under an old schema is never served
+    after a change. A template is pinned only when none was: a guard
+    fallback's odd binding does not displace it.
     """
     cache, generation = server.decision_cache, request.generation
     bound = request.binding
-    # the template's own constants: the exact key suffices
-    rebind_key = bound.rebind_key(generation) if bound.overrides else None
+    rebind_key: Optional[tuple[Any, ...]] = None
+    pinned: Optional[RebindTemplate] = None
+    if bound.overrides:
+        rebind_key = bound.rebind_key(generation)
+        pinned = cache.get(rebind_key)
+        if pinned is not None:
+            rebound = pinned.rebind(bound.overrides)
+            if rebound is not None:
+                server.count("rebinds")
+                return rebound, "rebound"
+            server.count("rebind_fallbacks")
     key = (request.fingerprint, generation)
     cached: Optional["CoverageDecision"] = cache.get(key)
     if cached is not None:
         return cached, "cached"
-    if rebind_key is not None:
-        pinned = cache.get(rebind_key)
-        if isinstance(pinned, RebindTemplate):
-            rebound = pinned.rebind(bound.overrides)
-            if rebound is not None:
-                cache.put(key, rebound)  # repeats of this binding hit directly
-                server.count("rebinds")
-                return rebound, "rebound"
-            server.count("rebind_fallbacks")
     coverage: "CoverageDecision" = server.beas.check(request.statement())
-    cache.put(key, coverage)
-    if rebind_key is not None:
+    if rebind_key is not None and pinned is None:
         template = build_rebind_template(coverage, bound.overrides)
         if template is not None:
             cache.put(rebind_key, template)
+            return coverage, "fresh"
+    cache.put(key, coverage)
     return coverage, "fresh"
 
 
@@ -491,7 +513,7 @@ def _admit(server: "BEASServer", request: Request) -> None:
         columns=list(answer.columns),
         rows=list(answer.rows),
         mode=request.mode,
-        decision=request.coverage,
+        decision=request.outcome,
         schema_generation=request.generation,
         tables=request.tables,
         read_keys=read_keys,

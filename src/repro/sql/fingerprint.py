@@ -43,20 +43,6 @@ from repro.sql.parser import parse
 from repro.sql.printer import expression_to_sql, to_sql
 
 
-def _and_conjuncts(expr: ast.Expression) -> list[ast.Expression]:
-    """Flatten a (possibly nested) AND chain into its conjuncts."""
-    if isinstance(expr, ast.BinaryOp) and expr.op == "AND":
-        return _and_conjuncts(expr.left) + _and_conjuncts(expr.right)
-    return [expr]
-
-
-def _rebuild_and(conjuncts: list[ast.Expression]) -> ast.Expression:
-    node = conjuncts[0]
-    for conjunct in conjuncts[1:]:
-        node = ast.BinaryOp("AND", node, conjunct)
-    return node
-
-
 def _rewritable_bounds(low: ast.Expression, high: ast.Expression) -> bool:
     """BETWEEN bounds safe for the conjunct rewrite (see module doc)."""
     return (
@@ -74,10 +60,11 @@ def canonical_expression(expr: ast.Expression) -> ast.Expression:
             # canonicalising a conjunct can itself introduce an AND (the
             # BETWEEN rewrite below), so re-flatten before sorting
             flattened: list[ast.Expression] = []
-            for conjunct in _and_conjuncts(expr):
-                flattened.extend(_and_conjuncts(canonical_expression(conjunct)))
-            conjuncts = sorted(flattened, key=expression_to_sql)
-            return _rebuild_and(conjuncts)
+            for conjunct in ast.conjuncts(expr):
+                flattened.extend(ast.conjuncts(canonical_expression(conjunct)))
+            rebuilt = ast.conjoin(sorted(flattened, key=expression_to_sql))
+            assert rebuilt is not None  # an AND has two sides
+            return rebuilt
         return ast.BinaryOp(
             expr.op,
             canonical_expression(expr.left),

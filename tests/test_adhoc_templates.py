@@ -423,7 +423,10 @@ def test_spellings_share_one_decision_and_one_cached_result():
             assert all(r.rows == answers[0].rows for r in answers)
         stats = session.stats()
         assert stats.result_entries == len(keys)
-        assert stats.checker_runs == 1 and stats.rebinds == 2
+        # every decided sighting after the first rebinds the one pinned
+        # decision, a repeat too (a rebindable decision is not filed per
+        # binding); the other nine were served from the result cache
+        assert stats.checker_runs == 1 and stats.rebinds == 5
         assert stats.adhoc_templates == len(SPELLINGS)
         # ad-hoc templates never enter the named registry
         assert session.server.prepared_names() == []

@@ -22,7 +22,6 @@ pickle boundary; and eight threads may run off one.
 from __future__ import annotations
 
 import gc
-import hashlib
 import itertools
 import pickle
 import sys
@@ -47,7 +46,10 @@ from repro import (
     Session,
     TableSchema,
 )
+from repro.bounded import plan as plan_module
+from repro.bounded import rebind as rebind_module
 from repro.bounded import skeleton as skeleton_module
+from repro.bounded.coverage import CoverageDecision
 from repro.bounded.approximation import BoundedApproximator
 from repro.bounded.plan import BoundedPlan, FetchOp, KeyPart, SelectOp
 from repro.bounded.rebind import build_rebind_template
@@ -61,7 +63,7 @@ from repro.engine.planner import attach_tail
 from repro.engine.profiles import EngineProfile
 from repro.errors import ExecutionError
 from repro.serving.params import rebind_signature, resolve_overrides
-from repro.sql.normalize import Attribute, normalize
+from repro.sql.normalize import Attribute, ConjunctiveQuery, normalize
 from repro.workloads.tlc import generate_tlc, tlc_access_schema, tlc_queries
 from tests.conftest import example1_access_schema, example1_database
 from tests.reference_evaluator import reference_execute
@@ -457,6 +459,16 @@ class TestAgainstTheReplacedInterpreter:
         assert rebound.plan == fresh.plan
         assert rebound.plan._shape is decision.plan._shape
         rows = assert_modes_match_reference(beas.catalog, rebound.plan, dedup_keys=dedup_keys)
+        # what serving runs: the pinned plan with the rebound constant vector
+        for mode in ("row", "columnar"):
+            executor = BoundedPlanExecutor(
+                beas.catalog, executor=mode, rows_per_batch=3, dedup_keys=dedup_keys
+            )
+            by_value = executor.execute(template.plan, rebound.constants)
+            assert by_value.rows == rows, mode
+            assert profile_of(by_value.metrics) == profile_of(
+                executor.execute(rebound.plan).metrics
+            ), mode
         if "LIMIT" not in bound_sql and fresh.bag_exact:
             assert sorted(rows, key=repr) == sorted(reference_execute(db, bound_sql), key=repr)
 
@@ -596,17 +608,31 @@ def _count_set_up(monkeypatch) -> _Counter:
     return counter
 
 
+def _count_copies(counter: _Counter) -> None:
+    """Count every plan-, query- and decision-sized object a request could
+    build: constructions, and the ``patched`` shallow copies that skip
+    ``__init__`` (wrapped in each module that imported the name)."""
+    for cls in (FetchOp, SelectOp, KeyPart, BoundedPlan, ConjunctiveQuery, CoverageDecision):
+        counter.wrap(cls, "__init__", cls.__name__)
+    counter.wrap(plan_module, "patched", "plan.patched")
+    counter.wrap(rebind_module, "patched", "rebind.patched")
+
+
 @pytest.mark.parametrize("executor", ["row", "columnar"])
 def test_cold_bindings_set_nothing_up_after_the_first_request(tlc, monkeypatch, executor):
     """After a template's first request, 200 further cold bindings
     construct no key plan, attach no tail, compile no expression or
-    predicate and run no BE Checker: a request pays for its constants,
-    its fetches and running its tail."""
+    predicate, run no BE Checker and copy no operator, query, plan or
+    decision: a request pays for its constants, its fetches and running
+    its tail. Reading a bound builds nothing; reading the plan builds
+    the patched copy, equal to a fresh BE Checker run's."""
     dataset, _ = tlc
     # in this process: a pool worker's set-up could not be counted here
     beas = BEAS(dataset.database, tlc_access_schema(), parallelism=1)
+    oracle = BEAS(dataset.database, tlc_access_schema())
     session = Session(beas=beas)
     counter = _count_set_up(monkeypatch)
+    _count_copies(counter)
     for query in tlc_queries(dataset.params)[:10]:
         prepared = session.query(query.sql)
         bindings = _bindings(_slot_pools(dataset.database, prepared), 201, 11)
@@ -621,56 +647,72 @@ def test_cold_bindings_set_nothing_up_after_the_first_request(tlc, monkeypatch, 
             result = prepared.bind(binding).run(
                 executor=executor, routing="static", use_result_cache=False
             )
-            assert result.decision.provenance in ("rebound", "cached"), query.name
+            assert result.decision.provenance == "rebound", query.name
+            assert result.decision.access_bound == first.decision.access_bound
         assert beas.checker_runs == checks, query.name
         assert counter.counts == dict.fromkeys(counter.counts, 0), query.name
+        # the plan is built when read, and is the plan a fresh run decides
+        plan = result.decision.plan
+        assert counter.counts["plan.patched"] + counter.counts["rebind.patched"] > 0
+        fresh = oracle.check(prepared._prepared.binding(bindings[-1]).statement)
+        assert plan == fresh.plan and repr(plan) == repr(fresh.plan), query.name
+        assert result.decision.coverage == fresh
+        counter.reset()
 
 
 # --------------------------------------------------------------------------- #
-# the front end's share: one sort, one locked section, the same keys
+# the front end's share: one binding, one key
 # --------------------------------------------------------------------------- #
-class _CountingLock:
-    def __init__(self):
-        self.entered = 0
-        self._lock = threading.Lock()
-
-    def __enter__(self):
-        self.entered += 1
-        return self._lock.__enter__()
-
-    def __exit__(self, *exc):
-        return self._lock.__exit__(*exc)
+_KEYED_SQL = "SELECT recnum FROM call WHERE pnum IN ('100', '101') AND date = '2016-06-01'"
 
 
 @pytest.mark.parametrize(
-    "params",
+    "spellings",
     [
-        {"call.pnum": "101"},
-        {"date": "2016-06-02", "pnum": "100"},
-        {"call.pnum": ["103", "101", "103"], "call.date": ("2016-06-03",)},
-        {"call.pnum": [7, "7", 7.0], "call.date": {"2016-06-01", "2016-06-02"}},
+        [{"call.pnum": "101"}, {"pnum": "101"}, {"pnum": ["101"]}],
+        [{"date": "2016-06-02", "pnum": "100"}, {"call.pnum": "100", "call.date": "2016-06-02"}],
+        [
+            {"call.pnum": ["103", "101", "103"], "call.date": ("2016-06-03",)},
+            {"pnum": ("101", "103"), "date": "2016-06-03"},
+            {"date": ["2016-06-03"], "pnum": {"103", "101"}},
+        ],
     ],
 )
-def test_binding_keys_are_byte_identical_to_the_three_sort_form(params):
-    """Result- and decision-cache keys must not move: the fingerprint and
-    the arity signature equal what the parent derived with a sort each."""
+def test_spellings_of_one_binding_share_one_key(spellings):
+    """Slot names qualified or not, parameters in any order, an IN list
+    in any order or with repeats: one binding, one result- and
+    decision-cache key and one arity signature."""
     with _example_session() as session:
-        prepared = session.query(
-            "SELECT recnum FROM call WHERE pnum IN ('100', '101') AND date = '2016-06-01'"
-        )._prepared
-        prepared._bindings_lock = lock = _CountingLock()
-        bound = prepared.binding(params)
-        assert lock.entered == 1  # one locked section per cold binding
-        resolved = resolve_overrides(params, prepared.slots, None, None)
-        assert dict(bound.overrides) == resolved
-        preimage = prepared.fingerprint + "|" + repr(tuple(sorted(resolved.items())))
-        assert bound.fingerprint == hashlib.sha256(preimage.encode("utf-8")).hexdigest()
-        assert bound.signature == tuple(
-            (name, len(values), tuple(type(v).__name__ for v in values))
-            for name, values in sorted(resolved.items())
-        )
-        assert bound.signature == rebind_signature(resolved)
-        assert prepared.binding(params) is bound and lock.entered == 2
+        prepared = session.query(_KEYED_SQL)._prepared
+        bound = [prepared.binding(params) for params in spellings]
+        assert len({b.fingerprint for b in bound}) == 1
+        assert len({b.signature for b in bound}) == 1
+        resolved = resolve_overrides(spellings[0], prepared.slots, None, None)
+        assert dict(bound[0].overrides) == resolved
+        assert bound[0].signature == rebind_signature(resolved)
+        assert bound[0].fingerprint != prepared.binding().fingerprint
+
+
+def test_bindings_differing_in_a_value_or_a_type_class_have_their_own_keys():
+    """``7``, ``"7"``, ``7.0`` (and ``True`` / ``1``) are different
+    bindings even where Python equality merges them, as are two values
+    of one type; so are two IN lists that differ in one member."""
+    with _example_session() as session:
+        prepared = session.query(_KEYED_SQL)._prepared
+        variants = [
+            {"call.pnum": 7},
+            {"call.pnum": "7"},
+            {"call.pnum": 7.0},
+            {"call.pnum": True},
+            {"call.pnum": 1},
+            {"call.pnum": "8"},
+            {"call.pnum": ["7", "8"]},
+            {"call.pnum": ["7", 8]},
+            {"call.pnum": "7", "call.date": "2016-06-02"},
+        ]
+        keys = [prepared.binding(params).fingerprint for params in variants]
+        assert len(set(keys)) == len(variants)
+        assert prepared.binding().fingerprint not in keys
 
 
 # --------------------------------------------------------------------------- #

@@ -244,12 +244,16 @@ class TestCheckerSkips:
         with pytest.raises(ServingError, match="NULL"):
             query.bind(date=None).run()
 
-    def test_exact_repeat_is_cached_not_rebound(self):
+    def test_exact_repeat_is_rebound_without_a_check(self):
+        """A rebindable decision is not filed per binding: a repeat of a
+        binding rebinds the pinned template again, with no checker run."""
         session = self._fresh_session()
         query = session.query(TEMPLATES["single"])
-        query.bind(date="2016-06-02").run(use_result_cache=False)
+        first = query.bind(date="2016-06-02").run(use_result_cache=False)
+        assert first.decision.provenance == "fresh"
         r = query.bind(date="2016-06-02").run(use_result_cache=False)
-        assert r.decision.provenance == "cached"
+        assert r.decision.provenance == "rebound"
+        assert r.rows == first.rows
         assert session.beas.checker_runs == 1
 
     def test_merged_arity_guard_falls_back(self):
@@ -276,6 +280,19 @@ class TestCheckerSkips:
         assert r.rows == []
         assert session.beas.checker_runs == base + 1
         assert session.stats().rebind_fallbacks >= 1
+        # the fallback left the pinned template in place: the next
+        # ordinary binding rebinds it, with no second checker run
+        r = query.bind({"c.pnum": "102", "b.pnum": "102"}).run(
+            use_result_cache=False
+        )
+        assert r.decision.provenance == "rebound"
+        assert session.beas.checker_runs == base + 1
+        # the odd binding again: its own exact entry, no checker run
+        r = query.bind({"c.pnum": "100", "b.pnum": "101"}).run(
+            use_result_cache=False
+        )
+        assert r.decision.provenance == "cached" and r.rows == []
+        assert session.beas.checker_runs == base + 1
 
     def test_schema_change_invalidates_pinned_templates(self):
         """register/unregister bumps the schema generation: pinned
