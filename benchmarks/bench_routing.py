@@ -4,9 +4,9 @@ No static engine shape wins a mixed workload: tuple-at-a-time execution
 is fastest for micro point lookups (no per-query batch machinery),
 vectorised columnar wins selective filters and wide joins, and
 whole-plan dispatch to a pool worker pays per-query IPC that only
-multi-client throughput can amortise. The learned router (``repro.engine.router``) observes each
-(template, route) pair's measured latency and converges to the
-per-template winner, so one serving configuration tracks the best
+multi-client throughput can amortise. The learned router (``repro.engine.router``) keeps the mean
+measured latency of each (template, binding signature, route) and
+converges to the per-template winner, so one serving configuration tracks the best
 static mode everywhere.
 
 This bench drives four prepared templates through the serving layer
@@ -194,8 +194,9 @@ def build_db(scale_divisor: int = 1) -> tuple[Database, AccessSchema]:
 
 
 def make_templates(session):
-    """The four prepared templates; the router learns one cost model
-    per template fingerprint, shared by every binding."""
+    """The four prepared templates; the router keeps one latency mean
+    per (template fingerprint, binding signature, route), shared by
+    every binding of one signature."""
     return {
         "micro": session.query("SELECT u FROM t WHERE k = 'k000'"),
         "med": session.query(

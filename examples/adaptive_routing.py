@@ -5,11 +5,12 @@ The engine ships observationally-identical routes for a covered bounded
 plan (in-process row or columnar, a pool worker); which one is fastest
 depends on the query template. With
 ``ExecutionOptions(routing="learned")`` (or ``BEAS_ROUTING=learned``)
-the serving layer learns a per-template cost model online — features
-from the deduced bound, binding constants and catalog statistics — and
-routes each covered execution through the predicted-fastest mode,
-falling back to epsilon-greedy exploration so a changed workload is
-re-learned. Routing never changes answers: every route runs the same
+the serving layer keeps the running mean of each route's measured
+latency per (template, binding signature) — the signature is each
+slot's IN-list arity and value types, never the values — and routes
+each covered execution through the route with the lowest mean, after
+trying each once and with epsilon-greedy exploration so a changed
+workload is re-learned. It reads no table and no statistics. Routing never changes answers: every route runs the same
 bounded plan, so a wrong prediction costs latency only.
 
 Run:  python examples/adaptive_routing.py
@@ -39,8 +40,9 @@ with Session(
 ) as session:
     query = session.query(SQL, name="by_caller_and_day")
 
-    # one template, many bindings: every binding shares the template's
-    # cost model, so observations from one binding route the next
+    # one template, many bindings of one signature: they share the
+    # template's latency means, so observations from one binding route
+    # the next
     for pass_number in range(3):
         for day in DAYS:
             result = query.bind(date=day).run(use_result_cache=False)

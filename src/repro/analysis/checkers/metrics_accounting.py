@@ -105,7 +105,7 @@ class MetricsAccountingChecker(Checker):
                         node,
                         "hardcoded `seconds=0` — measure the serve latency "
                         "(perf_counter delta); zero latencies poison the "
-                        "router's cost model",
+                        "learned router's latency means",
                     )
                 )
         return findings

@@ -67,7 +67,7 @@ from repro.config import (
     validate_rows_per_batch,
 )
 from repro.errors import ExecutionError
-from repro.engine.columnar import ColumnarIntermediate, run_fetch_chunk
+from repro.engine.columnar import ColumnarIntermediate
 from repro.engine.executor import QueryResult, ReadSet
 from repro.engine.logical import MaterializedNode, SetOpNode
 from repro.engine.metrics import ExecutionMetrics
@@ -274,41 +274,72 @@ class BoundedPlanExecutor:
         metrics: ExecutionMetrics,
         presented: list[tuple],
     ) -> ColumnarIntermediate:
-        """Batch fetch: resolve the key batch, gather all postings, then
-        materialise the output column by column (no per-row tuples)."""
+        """Batch fetch: resolve every live row's keys, gather the index
+        postings, then materialise the output column by column (no
+        per-row tuples). The keys, the ``dedup_keys`` accounting and the
+        read set are the row fetch's exactly."""
         start = time.perf_counter()
-        index = self._catalog.index_for(op.constraint)
+        fetch = self._catalog.index_for(op.constraint).fetch
+        present = presented.append
         columns = intermediate.columns
-        rows_in = intermediate.live_count
+        live = intermediate.live
+        const_keys = key_plan.const_keys(constants)
+        keys_at, x_new, y_new = key_plan.keys_at, key_plan.x_new, key_plan.y_new
+        y_existing = key_plan.y_existing
+
+        cache: Optional[dict[tuple, list[tuple]]] = {} if self._dedup_keys else None
+        fetched = 0
         # one gather position per output row (skipped entirely when there
         # are no input columns to replicate), plus the new columns' values
-        spec = key_plan.chunk_spec(constants, track_gather=bool(columns))
-        cache: Optional[dict] = {} if self._dedup_keys else None
-        results = [
-            run_fetch_chunk(index.fetch, spec, columns, chunk, cache, presented)
-            for chunk in intermediate.iter_batches(self.rows_per_batch)
-        ]
-        metrics.batches += len(results)
-        fetched = sum(result.fetched for result in results)
-        gather = [g for result in results for g in result.gather]
-
-        out_count = sum(result.out_count for result in results)
-        new_x_columns = [
-            [value for result in results for value in result.x_columns[k]]
-            for k in range(len(key_plan.x_new))
-        ]
-        new_y_columns = [
-            [value for result in results for value in result.y_columns[k]]
-            for k in range(len(key_plan.y_new))
-        ]
+        track_gather = bool(columns)
+        gather: list[int] = []
+        x_columns: list[list] = [[] for _ in x_new]
+        y_columns: list[list] = [[] for _ in y_new]
+        out_count = 0
+        for i in live:
+            for key in keys_at(columns, i, const_keys):
+                if cache is None:
+                    present(key)
+                    bucket = fetch(key)
+                    fetched += len(bucket)
+                elif key in cache:
+                    bucket = cache[key]
+                else:
+                    present(key)
+                    bucket = cache[key] = fetch(key)
+                    fetched += len(bucket)
+                if not bucket:
+                    continue
+                if y_existing:
+                    bucket = [
+                        y_value
+                        for y_value in bucket
+                        # beaslint: ok(null-guard) - the same attribute of the same tuple occurrence, fetched a second time: an identity check, not an SQL predicate, so NULL matches NULL exactly as in the row executor
+                        if all(y_value[j] == columns[slot][i] for j, slot in y_existing)
+                    ]
+                    if not bucket:
+                        continue
+                matches = len(bucket)
+                out_count += matches
+                if track_gather:
+                    gather.extend([i] * matches)
+                for column, j in zip(x_columns, x_new):
+                    column.extend([key[j]] * matches)
+                for column, j in zip(y_columns, y_new):
+                    column.extend([y_value[j] for y_value in bucket])
+        # batches: the input counted in rows_per_batch-row batches, as
+        # the columnar tail counts its own
+        metrics.batches += -(-len(live) // self.rows_per_batch)
 
         self._enforce_bound(op, fetched)
-        out_columns = [
-            [column[g] for g in gather] for column in columns
-        ] + new_x_columns + new_y_columns
+        out_columns = (
+            [[column[g] for g in gather] for column in columns] + x_columns + y_columns
+        )
         metrics.tuples_fetched += fetched
         metrics.intermediate_rows += out_count
-        metrics.record(key_plan.label, rows_in, out_count, time.perf_counter() - start)
+        metrics.record(
+            key_plan.label, len(live), out_count, time.perf_counter() - start
+        )
         return ColumnarIntermediate(key_plan.labels, out_columns, out_count)
 
     # ------------------------------------------------------------------ #

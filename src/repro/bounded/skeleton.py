@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 from repro.bounded.plan import BoundedPlan, FetchOp, SelectOp
 from repro.bounded.planner import equality_classes
-from repro.engine.columnar import FetchChunkSpec, compile_columnar_predicate
+from repro.engine.columnar import compile_columnar_predicate
 from repro.engine.expressions import compile_predicate
 from repro.engine.logical import MaterializedNode
 from repro.engine.physical import ColumnarTail, PreparedTail, match_tail
@@ -81,15 +81,11 @@ class _KeyPlan:
     ) -> None:
         parts = op.key_parts
         self.parts_len = len(parts)
-        self.column_positions: list[Optional[int]] = [
-            layout[part.column] if part.source == "column" else None
-            for part in parts
-        ]
         #: (key position, row position) of each column-sourced part
         self.column_parts = [
-            (i, position)
-            for i, position in enumerate(self.column_positions)
-            if position is not None
+            (i, layout[part.column])
+            for i, part in enumerate(parts)
+            if part.source == "column"
         ]
 
         # constant parts of one equality class must take the same
@@ -138,17 +134,15 @@ class _KeyPlan:
             f"fetch[{op.constraint.name}]({op.constraint.relation} as {op.binding})"
         )
 
-    def group_values(self, constants: Constants) -> list[tuple]:
-        """The request's constants: one enumerated value list per group."""
-        return [constants[slot] for slot in self.group_slots]
-
     def const_keys(self, constants: Constants) -> list[tuple]:
         """The keys this fetch enumerates from its constants alone, one
         per combination, column-sourced parts still ``None``. NULL-bearing
         combinations are skipped: a key part equal to NULL can never
         match (three-valued logic)."""
         keys = []
-        for combo in itertools.product(*self.group_values(constants)):
+        for combo in itertools.product(
+            *(constants[slot] for slot in self.group_slots)
+        ):
             if None in combo:
                 continue
             key = [None] * self.parts_len
@@ -164,9 +158,27 @@ class _KeyPlan:
         is NULL (SQL: NULL never joins)."""
         if not self.column_parts:
             return const_keys
-        values = [row[position] for _, position in self.column_parts]
-        if any(value is None for value in values):
+        return self._resolve(
+            [row[position] for _, position in self.column_parts], const_keys
+        )
+
+    def keys_at(
+        self, columns: Sequence[list], index: int, const_keys: list[tuple]
+    ) -> Iterable[tuple]:
+        """:meth:`keys_for` of physical row ``index`` of a columnar
+        intermediate."""
+        if not self.column_parts:
+            return const_keys
+        return self._resolve(
+            [columns[position][index] for _, position in self.column_parts],
+            const_keys,
+        )
+
+    def _resolve(self, values: list, const_keys: list[tuple]) -> Sequence[tuple]:
+        if None in values:
             return ()
+        if not self.group_slots:  # every part is column-sourced
+            return (tuple(values),)
         keys = []
         for const_key in const_keys:
             key = list(const_key)
@@ -174,20 +186,6 @@ class _KeyPlan:
                 key[i] = value
             keys.append(tuple(key))
         return keys
-
-    def chunk_spec(self, constants: Constants, track_gather: bool) -> FetchChunkSpec:
-        """The columnar fetch kernel's spec: slots are the intermediate's
-        own column positions."""
-        return FetchChunkSpec(
-            parts_len=self.parts_len,
-            column_slots=tuple(self.column_positions),
-            group_value_lists=tuple(self.group_values(constants)),
-            group_positions=tuple(tuple(p) for p in self.group_positions),
-            x_new=tuple(self.x_new),
-            y_new=tuple(self.y_new),
-            y_existing=tuple(self.y_existing),
-            track_gather=track_gather,
-        )
 
 
 class _SelectPlan:

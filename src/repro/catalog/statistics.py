@@ -26,20 +26,6 @@ class ColumnStatistics:
     min_value: Any = None
     max_value: Any = None
 
-    def selectivity_of_equality(self, row_count: int) -> float:
-        """Estimated fraction of rows matching ``col = const``.
-
-        NULL rows never match an equality predicate (three-valued
-        logic), so only the non-NULL fraction is spread across the
-        distinct values: ``(1 - null_fraction) / distinct_count``.
-        """
-        if row_count == 0 or self.distinct_count == 0:
-            return 0.0
-        non_null_fraction = 1.0 - (self.null_count / row_count)
-        if non_null_fraction <= 0.0:
-            return 0.0
-        return non_null_fraction / self.distinct_count
-
 
 @dataclass
 class TableStatistics:

@@ -431,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--routing",
         choices=["static", "learned"],
         help="executor routing: static (the resolved executor) or learned "
-        "(online per-template cost model picks the mode; "
+        "(the lowest measured mean per template picks the mode; "
         "default: BEAS_ROUTING or static)",
     )
     serve_stats.add_argument(

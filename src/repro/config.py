@@ -52,7 +52,7 @@ EXECUTOR_MODES = ("row", "columnar")
 
 #: Executor-routing modes: ``static`` runs every covered query on the
 #: resolved ``executor``; ``learned`` routes each covered query to the
-#: mode an online per-template cost model predicts fastest
+#: mode with the lowest measured mean latency for its template
 #: (:mod:`repro.engine.router`).
 ROUTING_MODES = ("static", "learned")
 

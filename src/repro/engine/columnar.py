@@ -23,7 +23,6 @@ equivalent. The row-vs-columnar differential suite
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -108,131 +107,6 @@ class ColumnarIntermediate:
 
 def gather(column: list, indices: Iterable[int]) -> list:
     return [column[i] for i in indices]
-
-
-# --------------------------------------------------------------------------- #
-# the fetch-chunk kernel (the columnar fetch, one input batch at a time)
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class FetchChunkSpec:
-    """Resolved fetch-key layout: each slot is a position in the
-    intermediate's column list. Built by ``bounded.skeleton._KeyPlan``."""
-
-    parts_len: int
-    column_slots: tuple  # per key part: slot or None (constant part)
-    group_value_lists: tuple  # enumerated constants per group
-    group_positions: tuple  # key positions each group fills
-    x_new: tuple  # key positions appended as new X columns
-    y_new: tuple  # Y positions appended as new Y columns
-    y_existing: tuple  # (y position, slot) pairs that must match
-    track_gather: bool  # replicate existing columns via a gather list
-
-    def keys_at(self, columns: Sequence[list], index: int):
-        """Yield the fully resolved key tuples for one input row; yields
-        nothing when any key part — column-sourced or constant — is NULL
-        (SQL three-valued logic: an equality against NULL is UNKNOWN)."""
-        for combo in self._const_combos():
-            key = [None] * self.parts_len
-            for group_index, positions in enumerate(self.group_positions):
-                for position in positions:
-                    key[position] = combo[group_index]
-            valid = True
-            for i, slot in enumerate(self.column_slots):
-                if slot is not None:
-                    value = columns[slot][index]
-                    if value is None:
-                        valid = False  # SQL: NULL never joins
-                        break
-                    key[i] = value
-            if valid:
-                yield tuple(key)
-
-    def _const_combos(self):
-        if not self.group_value_lists:
-            return ((),)
-        return (
-            combo
-            for combo in itertools.product(*self.group_value_lists)
-            if None not in combo
-        )
-
-
-@dataclass
-class FetchChunkResult:
-    """One chunk's fetch output, position-relative to the kernel input."""
-
-    gather: list  # input index per output row (when track_gather)
-    x_columns: list  # new X columns (chunk-local)
-    y_columns: list  # new Y columns (chunk-local)
-    out_count: int
-    fetched: int  # tuples fetched by this chunk (keys new to the cache)
-
-
-def run_fetch_chunk(
-    fetch: Callable[[tuple], list],
-    spec: FetchChunkSpec,
-    columns: Sequence[list],
-    indices: Sequence[int],
-    cache: Optional[dict],
-    presented: list,
-) -> FetchChunkResult:
-    """Run one fetch chunk: resolve each input row's keys, gather the
-    index postings, filter against existing Y columns, and emit the new
-    columns chunk-locally.
-
-    ``cache`` (``dedup_keys`` mode) is the execution's shared key cache:
-    ``fetched`` then counts only keys *new to the cache*, matching the
-    row executor's accounting. ``presented`` gains every key handed to
-    ``fetch`` — the execution's read set, the row executor's exactly.
-    """
-    fetched = 0
-    gather: list = []
-    x_columns: list[list] = [[] for _ in spec.x_new]
-    y_columns: list[list] = [[] for _ in spec.y_new]
-    out_count = 0
-    y_existing = spec.y_existing
-    track_gather = spec.track_gather
-    present = presented.append
-
-    for i in indices:
-        for key in spec.keys_at(columns, i):
-            if cache is not None:
-                bucket = cache.get(key)
-                if bucket is None:
-                    present(key)
-                    bucket = cache[key] = fetch(key)
-                    fetched += len(bucket)
-            else:
-                present(key)
-                bucket = fetch(key)
-                fetched += len(bucket)
-            if not bucket:
-                continue
-            if y_existing:
-                bucket = [
-                    y_value
-                    for y_value in bucket
-                    # beaslint: ok(null-guard) - the same attribute of the same tuple occurrence, fetched a second time: an identity check, not an SQL predicate, so NULL matches NULL exactly as in the row executor
-                    if all(y_value[j] == columns[slot][i] for j, slot in y_existing)
-                ]
-                if not bucket:
-                    continue
-            matches = len(bucket)
-            out_count += matches
-            if track_gather:
-                gather.extend([i] * matches)
-            for column, j in zip(x_columns, spec.x_new):
-                column.extend([key[j]] * matches)
-            for column, j in zip(y_columns, spec.y_new):
-                column.extend([y_value[j] for y_value in bucket])
-
-    return FetchChunkResult(
-        gather=gather,
-        x_columns=x_columns,
-        y_columns=y_columns,
-        out_count=out_count,
-        fetched=fetched,
-    )
 
 
 # --------------------------------------------------------------------------- #

@@ -51,7 +51,7 @@ class ExecutionMetrics:
     pool_wait_seconds: float = 0.0  # time blocked acquiring pool workers
     # pooled dispatches that fell back in-process (exhaustion, worker
     # death, unsupported shape); a pooled execution with fallbacks is a
-    # (partially) serial run and must not train pooled cost models
+    # (partially) serial run and must not count toward the pool's mean
     pool_fallbacks: int = 0
     # --- distributed-serving counters (repro.distributed) ---
     replica_id: int = -1  # serving replica that answered (-1 = not a fleet run)

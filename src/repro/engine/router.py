@@ -15,25 +15,21 @@ This module owns it:
   sites, the single remote -> local-columnar fallback edge, and the
   stamping of the pool and fleet metrics. ``docs/invariants.md`` ("Route
   decision") states the rule the ``remote-dispatch`` lint enforces.
-* :class:`ExecutorRouter` is the learned pick: one lightweight cost
-  model per (template fingerprint, route), trained online from observed
-  ``ExecutionMetrics.seconds``, with epsilon-greedy exploration
-  (maliva's one-model-per-plan shape, fitted incrementally instead of
-  offline). A wrong prediction costs latency, never correctness.
+* :class:`ExecutorRouter` is the learned pick: the running mean of
+  measured ``ExecutionMetrics.seconds`` per (template fingerprint,
+  binding signature, route), lowest mean wins, with epsilon-greedy
+  exploration. The binding signature (per-slot IN-list arity and type
+  class) is everything that can differ between executions of one
+  template's plan, so a mean is all a model of one key could fit. A
+  wrong pick costs latency, never correctness.
 
-Features come from the paper's §3 deduced bounds (the access bound is
-known *before* execution), the binding's constant arity, estimated
-equality selectivity from :mod:`repro.catalog.statistics`, and the
-engine shape (``rows_per_batch``, ``parallelism``). Costs are wall
-seconds; models are incremental ridge regressions over the feature
-vector (normal equations, exact solve — the dimension is tiny). What
-the result cache keeps is not decided here: it retains by each answer's
-measured cost (``serving.cache.ResultCache``) under every routing mode.
+What the result cache keeps is not decided here: it retains by each
+answer's measured cost (``serving.cache.ResultCache``) under every
+routing mode.
 """
 
 from __future__ import annotations
 
-import math
 import random
 import threading
 import time
@@ -49,7 +45,6 @@ from repro.engine.executor import QueryResult
 if TYPE_CHECKING:  # pragma: no cover
     from repro.access.catalog import ASCatalog
     from repro.bounded.skeleton import Constants
-    from repro.catalog.statistics import TableStatistics
     from repro.config import ExecutionOptions
     from repro.distributed.fleet import ReplicaFleet
     from repro.engine.metrics import ExecutionMetrics
@@ -173,8 +168,8 @@ class PlanRunner:
             # would have run it — never wrong, only slower
             result = self._local["columnar"].execute(plan, constants)
             if attempted and route == "pool":
-                # the outcome is a serial run and must not train the
-                # pool's cost model
+                # the outcome is a serial run and must not count
+                # toward the pool's mean latency
                 result.metrics.pool_fallbacks += 1
                 result.metrics.pool_workers = peers.workers
         result.metrics.seconds = time.perf_counter() - start
@@ -216,154 +211,6 @@ class PlanRunner:
         return QueryResult(columns=columns, rows=rows, metrics=metrics)
 
 
-#: Feature vector layout (kept in one place so tests can assert on it).
-FEATURE_NAMES = (
-    "bias",
-    "log1p_access_bound",
-    "log1p_tight_access_bound",
-    "fetch_ops",
-    "select_ops",
-    "log1p_const_key_arity",
-    "log1p_estimated_rows",
-    "log1p_rows_per_batch",
-    "log1p_parallelism",
-)
-
-_RIDGE_LAMBDA = 1e-3
-
-
-def routing_features(
-    plan: "BoundedPlan",
-    statistics: dict[str, "TableStatistics"],
-    options: "ExecutionOptions",
-) -> tuple[float, ...]:
-    """The router's feature vector for one covered bounded plan.
-
-    Pure over its inputs: the deduced bounds and key arities come from
-    the plan, the selectivity estimate from the catalog statistics
-    observed under the current read locks, and the engine shape
-    (``rows_per_batch``, ``parallelism``) from the request's resolved
-    options. None of it reads a constant's value, so every binding a
-    pinned plan is rebound to has the pinned plan's features.
-    """
-    fetch_ops = plan.fetch_ops
-    select_ops = len(plan.ops) - len(fetch_ops)
-    const_arity = 0
-    estimated_rows = 0.0
-    for op in fetch_ops:
-        stats = statistics.get(op.constraint.relation)
-        op_selectivity = 1.0
-        keyed_on_const = False
-        for part in op.key_parts:
-            if part.source != "const":
-                continue
-            arity = len(part.values or ())
-            const_arity += arity
-            if stats is not None and stats.row_count:
-                per_value = stats.column(part.attribute).selectivity_of_equality(
-                    stats.row_count
-                )
-                op_selectivity *= min(1.0, per_value * max(1, arity))
-                keyed_on_const = True
-        if keyed_on_const and stats is not None:
-            estimate = stats.row_count * op_selectivity
-            if op.access_bound:
-                estimate = min(estimate, float(op.access_bound))
-            estimated_rows += estimate
-        else:
-            estimated_rows += float(op.access_bound)
-    return (
-        1.0,
-        math.log1p(max(0, plan.access_bound)),
-        math.log1p(max(0, plan.tight_access_bound)),
-        float(len(fetch_ops)),
-        float(select_ops),
-        math.log1p(const_arity),
-        math.log1p(max(0.0, estimated_rows)),
-        math.log1p(max(0, options.rows_per_batch)),
-        math.log1p(max(0, options.parallelism)),
-    )
-
-
-class _Regressor:
-    """Incremental ridge regression via normal equations.
-
-    Accumulates ``A = X'X + lambda*I`` and ``b = X'y``; solving the
-    d x d system (d = 9) by Gaussian elimination per prediction is
-    cheap and exact, and never needs the sample history.
-    """
-
-    __slots__ = ("dim", "count", "_a", "_b", "_theta", "_stale")
-
-    #: Refit cadence once a model has matured: the d x d solve is the
-    #: expensive step on the serving hot path, and after the first few
-    #: observations each additional sample barely moves theta.
-    _REFIT_EVERY = 8
-    _ALWAYS_REFIT_BELOW = 16
-
-    def __init__(self, dim: int) -> None:
-        self.dim = dim
-        self.count = 0
-        self._a = [
-            [_RIDGE_LAMBDA if i == j else 0.0 for j in range(dim)]
-            for i in range(dim)
-        ]
-        self._b = [0.0] * dim
-        self._theta: Optional[list[float]] = None
-        self._stale = 0
-
-    def update(self, features: Sequence[float], target: float) -> None:
-        for i, fi in enumerate(features):
-            row = self._a[i]
-            for j, fj in enumerate(features):
-                row[j] += fi * fj
-            self._b[i] += fi * target
-        self.count += 1
-        self._stale += 1
-        if (
-            self.count <= self._ALWAYS_REFIT_BELOW
-            or self._stale >= self._REFIT_EVERY
-        ):
-            self._theta = None
-            self._stale = 0
-
-    def predict(self, features: Sequence[float]) -> Optional[float]:
-        if self.count == 0:
-            return None
-        theta = self._solve()
-        if theta is None:
-            return None
-        return sum(t * f for t, f in zip(theta, features))
-
-    def _solve(self) -> Optional[list[float]]:
-        if self._theta is not None:
-            return self._theta
-        n = self.dim
-        a = [row[:] for row in self._a]
-        b = self._b[:]
-        for col in range(n):
-            pivot = max(range(col, n), key=lambda r: abs(a[r][col]))
-            if abs(a[pivot][col]) < 1e-12:
-                return None
-            if pivot != col:
-                a[col], a[pivot] = a[pivot], a[col]
-                b[col], b[pivot] = b[pivot], b[col]
-            inv = 1.0 / a[col][col]
-            for r in range(col + 1, n):
-                factor = a[r][col] * inv
-                if factor == 0.0:
-                    continue
-                for c in range(col, n):
-                    a[r][c] -= factor * a[col][c]
-                b[r] -= factor * b[col]
-        theta = [0.0] * n
-        for r in range(n - 1, -1, -1):
-            acc = b[r] - sum(a[r][c] * theta[c] for c in range(r + 1, n))
-            theta[r] = acc / a[r][r]
-        self._theta = theta
-        return theta
-
-
 @dataclass(frozen=True)
 class RouteChoice:
     """One routing decision: the route and whether it explored."""
@@ -372,16 +219,32 @@ class RouteChoice:
     explored: bool
 
 
+class _Mean:
+    """The running mean of one (template, signature, route)'s measured
+    seconds. It exists from the first time the route is chosen for its
+    key; ``count`` stays 0 while no outcome has been observed."""
+
+    __slots__ = ("count", "value")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.value = 0.0
+
+    def add(self, seconds: float) -> None:
+        self.count += 1
+        self.value += (seconds - self.value) / self.count
+
+
 @dataclass
 class RouterStats:
     """Counters for one :class:`ExecutorRouter` (a snapshot copy)."""
 
     decisions: int = 0  # route() calls
-    explorations: int = 0  # decisions that explored (unseen or epsilon)
-    observations: int = 0  # outcomes trained into a model
+    explorations: int = 0  # decisions that explored (untried or epsilon)
+    observations: int = 0  # outcomes folded into a mean
     fallback_skips: int = 0  # pooled outcomes ignored (pool fell back)
     templates: int = 0  # distinct template fingerprints seen
-    models: int = 0  # (template, route) models with >= 1 sample
+    models: int = 0  # (template, signature, route) means with >= 1 sample
     routed: dict[str, int] = field(default_factory=dict)  # decisions per route
 
     def describe(self) -> str:
@@ -399,7 +262,13 @@ class RouterStats:
 
 
 class ExecutorRouter:
-    """Online per-(template, route) cost model with epsilon-greedy routing.
+    """Lowest measured mean per (template, signature), epsilon-greedy.
+
+    Each route is tried once per key, then the route with the lowest
+    mean wins, except for an ``epsilon`` share of decisions that re-sample
+    a random route so a changed workload is re-learned. A route that has
+    been tried but never yielded a sample (every pool run fell back) is
+    left out of the argmin rather than tried again.
 
     Thread-safe: the serving layer calls it from many request threads.
     The RNG is seeded so fuzz suites replay exploration deterministically.
@@ -413,7 +282,8 @@ class ExecutorRouter:
         self._epsilon = self.EPSILON
         self._rng = random.Random(0)
         self._lock = threading.Lock()
-        self._models: dict[tuple[str, str], _Regressor] = {}
+        #: (template, signature) -> route -> its mean, once tried
+        self._means: dict[tuple[str, tuple], dict[str, _Mean]] = {}
         self._templates: set[str] = set()
         self._decisions = 0
         self._explorations = 0
@@ -430,62 +300,55 @@ class ExecutorRouter:
         self._epsilon = validate_routing_epsilon(value)
 
     def route(
-        self, template: str, features: Sequence[float], routes: Sequence[str]
+        self, template: str, signature: tuple, routes: Sequence[str]
     ) -> RouteChoice:
         """Pick one of ``routes`` (:func:`allowed_routes`) for one covered
-        execution of ``template``."""
+        execution of a binding of ``template`` with ``signature``
+        (``PreparedBinding.signature``)."""
         with self._lock:
             self._templates.add(template)
             self._decisions += 1
-            choice = self._pick(template, features, routes)
+            means = self._means.setdefault((template, signature), {})
+            choice = self._pick(means, routes)
+            means.setdefault(choice.route, _Mean())  # tried from now on
             self._routed[choice.route] = self._routed.get(choice.route, 0) + 1
             if choice.explored:
                 self._explorations += 1
             return choice
 
-    def _pick(
-        self, template: str, features: Sequence[float], routes: Sequence[str]
-    ) -> RouteChoice:
-        # every route gets tried once per template before the model votes
+    def _pick(self, means: dict[str, _Mean], routes: Sequence[str]) -> RouteChoice:
+        # every route gets tried once per key before the means vote
         for route in routes:
-            model = self._models.get((template, route))
-            if model is None or model.count == 0:
+            if route not in means:
                 return RouteChoice(route, explored=True)
         if self._epsilon > 0.0 and self._rng.random() < self._epsilon:
             return RouteChoice(self._rng.choice(routes), explored=True)
-        best_route = routes[0]
-        best_cost: Optional[float] = None
-        for route in routes:
-            predicted = self._models[(template, route)].predict(features)
-            if predicted is None:
-                continue
-            if best_cost is None or predicted < best_cost:
-                best_cost = predicted
-                best_route = route
-        return RouteChoice(best_route, explored=False)
+        sampled = [route for route in routes if means[route].count]
+        if not sampled:
+            return RouteChoice(routes[0], explored=False)
+        return RouteChoice(
+            min(sampled, key=lambda route: means[route].value), explored=False
+        )
 
     def observe(
         self,
         template: str,
+        signature: tuple,
         route: str,
-        features: Sequence[float],
         metrics: "ExecutionMetrics",
     ) -> None:
-        """Train the (template, route) model on one observed execution.
+        """Fold one observed execution's seconds into its route's mean.
 
         A pool outcome that fell back in-process is skipped: its latency
-        describes a serial run, and training the pool's model on it would
-        poison every later prediction.
+        describes a serial run, and counting it toward the pool's mean
+        would poison every later pick.
         """
         with self._lock:
             if route == "pool" and metrics.pool_fallbacks > 0:
                 self._fallback_skips += 1
                 return
-            key = (template, route)
-            model = self._models.get(key)
-            if model is None:
-                model = self._models[key] = _Regressor(len(FEATURE_NAMES))
-            model.update(features, metrics.seconds)
+            means = self._means.setdefault((template, signature), {})
+            means.setdefault(route, _Mean()).add(metrics.seconds)
             self._observations += 1
 
     def stats(self) -> RouterStats:
@@ -496,6 +359,11 @@ class ExecutorRouter:
                 observations=self._observations,
                 fallback_skips=self._fallback_skips,
                 templates=len(self._templates),
-                models=sum(1 for m in self._models.values() if m.count),
+                models=sum(
+                    1
+                    for means in self._means.values()
+                    for mean in means.values()
+                    if mean.count
+                ),
                 routed=dict(self._routed),
             )

@@ -86,7 +86,7 @@ class PreparedBinding:
             overrides if overrides is not None else {}
         )
         self.signature = signature
-        #: what the router keys its models by and the rebind key names
+        #: what the router (with ``signature``) and the rebind key name
         self.template_fingerprint = template.fingerprint
         self.tables = template.tables
         self.table_order = template.table_order

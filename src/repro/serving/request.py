@@ -45,7 +45,7 @@ from repro.bounded.rebind import (
     runnable,
 )
 from repro.engine.metrics import ExecutionMetrics
-from repro.engine.router import allowed_routes, routing_features
+from repro.engine.router import allowed_routes
 from repro.errors import ServingError
 from repro.serving.cache import approx_size
 from repro.serving.prepared import PreparedBinding, PreparedQuery
@@ -57,7 +57,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.config import ExecutionOptions
     from repro.bounded.approximation import ApproximateResult
     from repro.bounded.coverage import CoverageDecision
-    from repro.bounded.plan import BoundedPlan
     from repro.engine.executor import QueryResult
     from repro.engine.router import RouteChoice
     from repro.serving.server import BEASServer
@@ -163,7 +162,6 @@ class Request:
     #: the way the plan runs; ``choice`` is set when the router picked it
     route: Optional[str] = field(default=None, init=False)
     choice: Optional["RouteChoice"] = field(default=None, init=False)
-    features: tuple[float, ...] = field(init=False)
     mode: ExecutionMode = field(init=False)
     answer: Union["QueryResult", "ApproximateResult"] = field(init=False)
 
@@ -172,13 +170,6 @@ class Request:
         served from the cache or by rebinding, then executed as its
         pinned bounded (or partially bounded) plan, never needs it."""
         return self.binding.statement
-
-    @property
-    def template_fingerprint(self) -> str:
-        """What the router keys its models by: every binding of one
-        template (prepared, or the shape of an ad-hoc text) shares a
-        model."""
-        return self.binding.template_fingerprint
 
 
 Stage = Callable[["BEASServer", Request], Optional[Result]]
@@ -281,9 +272,10 @@ def decide(server: "BEASServer", request: Request) -> None:
 def route(server: "BEASServer", request: Request) -> None:
     """Choose the way the decision's bounded plan (or bounded prefix)
     runs: the first of :func:`~repro.engine.router.allowed_routes`, or,
-    when ``routing="learned"`` leaves several open, the one the
-    per-template cost model predicts fastest. Answers are
-    route-independent, so a wrong prediction costs latency only."""
+    when ``routing="learned"`` leaves several open, the one with the
+    lowest mean measured latency for this template and binding
+    signature. Answers are route-independent, so a wrong pick costs
+    latency only."""
     options, outcome = request.options, request.outcome
     plan, _ = runnable(outcome)  # a rebound request's: the pinned plan
     if plan is None:
@@ -291,15 +283,9 @@ def route(server: "BEASServer", request: Request) -> None:
     routes = allowed_routes(options, plan)
     request.route = routes[0]
     if len(routes) > 1 and (options.budget is None or outcome.within_budget):
-        request.features = routing_features(
-            cast("BoundedPlan", plan),
-            # scoped to the locked dependency tables: never scans (or
-            # races with) tables this request did not lock
-            server.beas._host.statistics(tables=request.tables),
-            options,
-        )
+        binding = request.binding
         request.choice = server.router.route(
-            request.template_fingerprint, request.features, routes
+            binding.template_fingerprint, binding.signature, routes
         )
         request.route = request.choice.route
 
@@ -317,10 +303,11 @@ def execute(server: "BEASServer", request: Request) -> None:
     if choice is not None and mode is ExecutionMode.BOUNDED:
         answer.metrics.routed_mode = choice.route
         answer.metrics.routing_explored = choice.explored
+        binding = request.binding
         server.router.observe(
-            request.template_fingerprint,
+            binding.template_fingerprint,
+            binding.signature,
             choice.route,
-            request.features,
             answer.metrics,
         )
 

@@ -1,7 +1,5 @@
 """Unit tests for repro.catalog.statistics."""
 
-import pytest
-
 from repro.catalog.schema import TableSchema
 from repro.catalog.statistics import collect_statistics, group_cardinality
 from repro.catalog.types import DataType
@@ -47,39 +45,6 @@ class TestCollectStatistics:
         assert stats.row_count == 0
         assert stats.distinct("a") == 0
         assert stats.column("a").min_value is None
-
-    def test_selectivity_of_equality(self):
-        stats = collect_statistics(make_table())
-        assert stats.column("a").selectivity_of_equality(5) == 1 / 3
-
-    def test_selectivity_discounts_nulls(self):
-        # b: 5 rows, 1 NULL, 2 distinct — NULL rows never match b = const
-        # (3VL), so the estimate is (1 - 1/5) / 2, not 1/2
-        stats = collect_statistics(make_table())
-        assert stats.column("b").selectivity_of_equality(5) == (1 - 1 / 5) / 2
-
-    def test_selectivity_null_heavy_column(self):
-        # 8 of 10 rows NULL, 2 distinct values: without the NULL discount
-        # the estimate (1/2) would overshoot the true max (1/10) by 5x
-        schema = TableSchema("n", [("c", DataType.STRING)])
-        rows = [(None,)] * 8 + [("p",), ("q",)]
-        stats = collect_statistics(Table(schema, rows))
-        estimate = stats.column("c").selectivity_of_equality(10)
-        assert estimate == (1 - 8 / 10) / 2
-        # matches the true per-value fraction (up to float rounding)
-        assert estimate == pytest.approx(0.1)
-
-    def test_selectivity_all_null_column(self):
-        schema = TableSchema("n", [("c", DataType.STRING)])
-        stats = collect_statistics(Table(schema, [(None,)] * 4))
-        # distinct_count == 0 short-circuits; the non-null fraction guard
-        # also covers a default ColumnStatistics with stale null_count
-        assert stats.column("c").selectivity_of_equality(4) == 0.0
-
-    def test_selectivity_empty(self):
-        schema = TableSchema("e", [("a", DataType.INT)])
-        stats = collect_statistics(Table(schema))
-        assert stats.column("a").selectivity_of_equality(0) == 0.0
 
     def test_unknown_column_defaults(self):
         stats = collect_statistics(make_table())

@@ -30,7 +30,6 @@ from repro import (
     DatabaseSchema,
     DataType,
     EnginePool,
-    ExecutionOptions,
     TableSchema,
 )
 from repro.beas.result import ExecutionMode
@@ -400,28 +399,45 @@ def test_empty_bucket_index_installs_under_full_snapshot_key(tmp_path):
         beas.close()
 
 
-def test_router_never_trains_pooled_models_on_fallbacks(workload):
+def test_router_never_trains_pooled_models_on_fallbacks():
     """A pooled execution that fell back in-process (ExecutionMetrics
     .pool_fallbacks > 0) is skipped by ExecutorRouter.observe — the
-    pooled cost model must not learn from serial latencies."""
+    pool's mean must not learn from serial latencies — and a route that
+    was tried but never yielded a sample is not explored again."""
     from repro.engine.metrics import ExecutionMetrics
-    from repro.engine.router import ExecutorRouter, routing_features
+    from repro.engine.router import ExecutorRouter
 
-    db, access, sql = workload
-    beas = BEAS(db, access, parallelism=1)
-    plan = beas.check(sql).plan
-    features = routing_features(
-        plan, {}, ExecutionOptions(rows_per_batch=4, parallelism=2)
-    )
     router = ExecutorRouter()
     fallback = ExecutionMetrics(seconds=0.5, pool_fallbacks=1)
     clean = ExecutionMetrics(seconds=0.5)
-    router.observe("fp", "pool", features, fallback)
+    router.observe("fp", (), "pool", fallback)
     assert router.stats().observations == 0
     assert router.stats().fallback_skips == 1
     # serial routes train regardless (a serial run IS a serial cost),
     # and clean pooled runs train normally
-    router.observe("fp", "row", features, fallback)
-    router.observe("fp", "pool", features, clean)
+    router.observe("fp", (), "row", fallback)
+    router.observe("fp", (), "pool", clean)
     assert router.stats().observations == 2
     assert router.stats().fallback_skips == 1
+
+    # a template whose pool runs always fall back: each route is tried
+    # once, then the pool, which never yields a sample, is never picked
+    router = ExecutorRouter()
+    router.epsilon = 0.0
+    routes = ("row", "columnar", "pool")
+    for _ in routes:
+        choice = router.route("fp", (), routes)
+        assert choice.explored
+        seconds = {"row": 0.002, "columnar": 0.001, "pool": 0.0001}
+        metrics = ExecutionMetrics(
+            seconds=seconds[choice.route],
+            pool_fallbacks=int(choice.route == "pool"),
+        )
+        router.observe("fp", (), choice.route, metrics)
+    picks = [router.route("fp", (), routes) for _ in range(20)]
+    assert {choice.route for choice in picks} == {"columnar"}
+    assert not any(choice.explored for choice in picks)
+    stats = router.stats()
+    assert stats.explorations == 3
+    assert stats.fallback_skips == 1
+    assert stats.routed == {"row": 1, "columnar": 21, "pool": 1}

@@ -154,7 +154,7 @@ def test_routing_differential_scenario_floor():
 # model poisoning: a wrong cost model can only cost latency, never answers
 # --------------------------------------------------------------------------- #
 def test_poisoned_cost_model_never_changes_answers():
-    from repro.engine.router import routing_features
+    from repro.engine.metrics import ExecutionMetrics
 
     rng = random.Random(771_999)
     db = random_example1_db(rng)
@@ -170,23 +170,18 @@ def test_poisoned_cost_model_never_changes_answers():
         session = beas.session()
         server = session.server
         server.router.epsilon = 0.0  # force pure exploitation of the poison
-        # pre-train every model with absurd, inverted latencies so the
+        # pre-train every route's mean, under the key each query's own
+        # binding routes by, with absurd, inverted latencies so the
         # greedy pick is maximally wrong for every template
-        from repro.engine.metrics import ExecutionMetrics
-
         for sql in queries:
-            plan = beas.check(sql).plan
-            features = routing_features(
-                plan, {}, ExecutionOptions(rows_per_batch=3, parallelism=2)
-            )
-            fingerprint = f"poison:{sql[:32]}"
+            binding, _ = server.frontend(sql)
             for route, seconds in zip(
                 ("row", "columnar", "pool"), (900.0, 1e-9, 450.0)
             ):
                 for _ in range(8):
                     server.router.observe(
-                        fingerprint, route, features,
-                        ExecutionMetrics(seconds=seconds),
+                        binding.template_fingerprint, binding.signature,
+                        route, ExecutionMetrics(seconds=seconds),
                     )
         for sql in queries:
             expected = engine_run(oracle, sql)
@@ -194,6 +189,8 @@ def test_poisoned_cost_model_never_changes_answers():
                 got = session.run(
                     sql, routing="learned", use_result_cache=False
                 )
+                assert got.metrics.routed_mode == "columnar", sql
+                assert got.metrics.routing_explored is False, sql
                 assert got.rows == expected.rows, sql
                 assert (
                     got.metrics.tuples_fetched
@@ -283,6 +280,72 @@ class TestRoutingWiring:
                 _COVERED_SQL, routing="learned", use_result_cache=False
             )
             assert result.metrics.routed_mode in ("row", "columnar")
+
+
+# --------------------------------------------------------------------------- #
+# the router reads no table: what it keys by is the binding's shape, so a
+# learned read after a write costs what a static one does, not a re-profile
+# of the table it wrote
+# --------------------------------------------------------------------------- #
+_KEYED_SQL = (
+    "SELECT DISTINCT recnum, region FROM call "
+    "WHERE pnum = '100' AND date = '2016-06-01'"
+)
+
+
+class TestNoStatisticsRead:
+    @pytest.fixture
+    def statistics_calls(self, monkeypatch):
+        from repro.storage.table import Table
+
+        calls = []
+        original = Table.statistics
+
+        def counted(table):
+            calls.append(table.schema.name)
+            return original(table)
+
+        monkeypatch.setattr(Table, "statistics", counted)
+        return calls
+
+    def test_learned_read_after_a_write_profiles_nothing(self, statistics_calls):
+        with _small_session(
+            options=ExecutionOptions(routing="learned", parallelism=1)
+        ) as session:
+            session.run(_KEYED_SQL, use_result_cache=False)
+            session.insert("call", [(900, "100", "991", "2016-06-01", "mesa")])
+            statistics_calls.clear()
+            learned = session.run(_KEYED_SQL, use_result_cache=False)
+            assert statistics_calls == []
+            assert learned.mode is ExecutionMode.BOUNDED
+            assert learned.metrics.routed_mode in ("row", "columnar")
+            static = session.run(
+                _KEYED_SQL, routing="static", use_result_cache=False
+            )
+            assert ("991", "mesa") in learned.rows
+            assert learned.rows == static.rows
+            assert learned.metrics.tuples_fetched == static.metrics.tuples_fetched
+
+    def test_rebound_learned_reads_profile_nothing(self, statistics_calls):
+        from tests.test_fuzz_differential import DATES, PNUMS
+
+        with _small_session(
+            options=ExecutionOptions(routing="learned", parallelism=1)
+        ) as session:
+            query = session.query(_KEYED_SQL)
+            bindings = [
+                {"call.pnum": PNUMS[i % len(PNUMS)], "call.date": DATES[i % 3]}
+                for i in range(50)
+            ]
+            statistics_calls.clear()
+            results = [
+                query.bind(binding).run(use_result_cache=False)
+                for binding in bindings
+            ]
+            assert statistics_calls == []
+            assert all(r.metrics.routed_mode for r in results)
+            assert results[-1].decision.provenance == "rebound"
+            assert session.stats().routing.decisions == 50
 
 
 # --------------------------------------------------------------------------- #
