@@ -1,6 +1,6 @@
 """E9 — sharded serving under concurrent clients.
 
-The ``BEASServer`` partitions locks and maintenance by table. Measured
+The ``BEAS`` engine partitions locks and maintenance by table. Measured
 here over a synthetic star of disjoint tables (8 identical relations,
 one covered point query each), through one Session:
 

@@ -288,7 +288,7 @@ def measure(scale_divisor: int, rounds: int, repeats: int):
     for name in sessions:
         drive(templates[name], 2, "static")
     drive(learned_templates, 4, "learned")
-    router = learned_session.server.router
+    router = learned_session.beas.router
     router.epsilon = 0.0  # timed phase: pure exploitation
 
     static_seconds = {name: [] for name in sessions}

@@ -40,7 +40,7 @@ session = Session(example1_database(), example1_access_schema())
 
 prepared = session.query(EXAMPLE2_SQL, name="example2")
 print("== prepared template ==")
-print(session.server.prepared("example2").describe())
+print(session.beas.prepared("example2").describe())
 
 # ---- 2. prepare once, execute many ---------------------------------------
 start = time.perf_counter()

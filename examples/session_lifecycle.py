@@ -3,8 +3,8 @@
 
 The one way to run a query:
 
-1. ``Session`` — context-managed facade over the engine + the sharded
-   serving backend;
+1. ``Session`` — context-managed facade over the engine and its
+   sharded serving state;
 2. ``session.query(sql)`` — parse/fingerprint/slot-extract once;
 3. ``query.decide()`` — the BE Checker verdict, pinned: boundedness,
    plan, deduced bound, cache provenance;

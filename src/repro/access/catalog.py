@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from repro.access.conformance import ConformanceReport, check_database
 from repro.access.constraint import AccessConstraint
@@ -98,6 +98,26 @@ class ASCatalog:
             build_seconds=elapsed,
         )
         return index
+
+    def set_bounds(self, bounds: Mapping[str, int]) -> list[str]:
+        """Give constraints new cardinality bounds N (constraint name ->
+        N), keeping each one's built index: one access-schema change for
+        the lot (bound adjustment, paper §3, Maintenance). Returns the
+        names changed."""
+        for name, n in bounds.items():
+            current = self.schema.get(name)
+            adjusted = AccessConstraint(
+                current.relation, current.x, current.y, n, name=name
+            )
+            index = self.index_for(current)
+            self.schema.remove(name)
+            self.schema.add(adjusted)
+            index.constraint = adjusted
+        if bounds:
+            # new bounds change deduced plan bounds: cached coverage
+            # decisions must be re-checked
+            self.note_schema_change()
+        return list(bounds)
 
     def unregister(self, name: str) -> None:
         """Drop a constraint and its index (user removal, paper §3(d)(ii))."""

@@ -9,6 +9,12 @@ from typing import Iterator, Optional
 SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
+def on_serving_path(relpath: str) -> bool:
+    """``serving/`` and the engine module, which holds the serving locks
+    and caches."""
+    return relpath.startswith("serving/") or relpath == "beas/system.py"
+
+
 def terminal_name(node: ast.AST) -> Optional[str]:
     """The last identifier of a receiver chain: ``self.a.b`` -> ``"b"``."""
     if isinstance(node, ast.Name):

@@ -8,15 +8,17 @@ function that pulls rows out of a cache (``.lookup(...)`` /
 ``.peek(...)``) must, in the same function, reference the freshness
 machinery (``_entry_fresh``, ``schema_generation``, version vectors).
 
-``serving/shard.py`` and ``serving/cache.py`` are out of scope: they
-*implement* the guarded containers this rule forces callers through.
+The rule covers ``serving/`` and ``beas/system.py`` (the engine holds
+the serving caches). ``serving/shard.py`` and ``serving/cache.py`` are
+out of scope: they *implement* the guarded containers this rule forces
+callers through.
 """
 
 from __future__ import annotations
 
 import ast
 
-from repro.analysis.checkers._util import terminal_name, walk_scope
+from repro.analysis.checkers._util import on_serving_path, terminal_name, walk_scope
 from repro.analysis.core import Checker, Finding, ModuleContext, register
 
 #: names whose presence marks a freshness check
@@ -47,7 +49,7 @@ class CacheGuardChecker(Checker):
     )
 
     def applies_to(self, relpath: str) -> bool:
-        return relpath.startswith("serving/") and relpath not in _EXEMPT
+        return on_serving_path(relpath) and relpath not in _EXEMPT
 
     def check(self, module: ModuleContext) -> list[Finding]:
         findings: list[Finding] = []

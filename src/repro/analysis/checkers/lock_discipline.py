@@ -18,13 +18,21 @@ Three rules:
    further lock acquisition and no dispatch/execute call may appear.
 3. A serving-path function that takes a write lock must not also
    dispatch engine execution while structuring that critical section.
+
+Rules 2 and 3 cover the serving path: ``serving/`` and
+``beas/system.py``, the engine that holds the serving locks.
 """
 
 from __future__ import annotations
 
 import ast
 
-from repro.analysis.checkers._util import SCOPE_NODES, terminal_name, walk_scope
+from repro.analysis.checkers._util import (
+    SCOPE_NODES,
+    on_serving_path,
+    terminal_name,
+    walk_scope,
+)
 from repro.analysis.core import Checker, Finding, ModuleContext, register
 
 #: leaf (level-max) mutex names — nothing may be acquired under these
@@ -78,11 +86,12 @@ class LockDisciplineChecker(Checker):
 
     def check(self, module: ModuleContext) -> list[Finding]:
         findings: list[Finding] = []
+        serving = on_serving_path(module.relpath)
         if module.relpath != "serving/shard.py":
             findings.extend(self._raw_acquires(module))
-            if module.relpath.startswith("serving/"):
+            if serving:
                 findings.extend(self._leaf_regions(module))
-        if module.relpath.startswith("serving/"):
+        if serving:
             findings.extend(self._write_then_dispatch(module))
         return findings
 

@@ -19,8 +19,9 @@ module is that lifecycle, and the only way to run a query::
             r = q.bind(date=day).run()
 
 * :class:`Session` — context-managed facade over one
-  :class:`~repro.beas.system.BEAS` engine plus the sharded serving
-  backend (parse/decision/result caches, per-table locks, maintenance).
+  :class:`~repro.beas.system.BEAS` engine, whose serving state
+  (parse/decision/result caches, per-table locks) every Session over it
+  shares; its writes are the engine's.
 * :class:`Query` — an immutable handle for one prepared template;
   ``bind`` produces a new handle for a concrete binding, ``decide``
   pins (or rebinds) the coverage decision, ``run`` executes.
@@ -66,7 +67,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.serving.async_server import AsyncBEASServer
     from repro.serving.params import ParameterSlot
     from repro.serving.prepared import PreparedQuery
-    from repro.serving.server import BEASServer, ServingStats
+    from repro.serving.server import ServingStats
 
 # --------------------------------------------------------------------------- #
 # results
@@ -345,22 +346,19 @@ class Query:
         run; later equal-signature bindings rebind the pinned decision
         to their constants (``provenance == "rebound"``) — no checker
         run. ``budget`` defaults to the resolved options' budget."""
-        resolved = self._session.options.refine(self._options)
-        if budget is not None:
-            resolved = resolved.replace(budget=budget)
-        return decide_only(
-            self._session.server,
-            Request(resolved, self._prepared, self._params or None, self),
-        )
+        return decide_only(self._session.beas, self._request(budget))
 
     def explain(self) -> str:
         """The bounded plan for this binding, or the fallback reasons."""
-        decision = self.decide()
-        if decision.covered:
-            return decision.explain()
-        return self._session.beas.explain(
-            self._prepared.binding(self._params or None).statement
-        )
+        return explain(self._session.beas, self._request())
+
+    def _request(self, budget: Optional[int] = None) -> "Request":
+        """A decision-only request for this binding, under the session's
+        options refined by this handle's (and ``budget``, given one)."""
+        resolved = self._session.options.refine(self._options)
+        if budget is not None:
+            resolved = resolved.replace(budget=budget)
+        return Request(resolved, self._prepared, self._params or None, self)
 
     def run(
         self,
@@ -391,7 +389,7 @@ class Query:
 # sessions
 # --------------------------------------------------------------------------- #
 class Session:
-    """Context-managed facade over one BEAS engine + serving backend.
+    """Context-managed facade over one BEAS engine.
 
     Build it over a database (the Session owns and closes the engine)::
 
@@ -401,10 +399,11 @@ class Session:
     or adopt an existing engine (``Session(beas=engine)`` or
     ``engine.session()``) — the engine's lifetime stays the caller's.
 
-    One Session per process is the intended shape: its serving backend
-    is sharded by table and thread-safe, so any number of client
-    threads can ``query``/``run`` concurrently while maintenance
-    (:meth:`insert`/:meth:`delete`) proceeds per table.
+    The engine's serving state is sharded by table and thread-safe, so
+    any number of client threads can ``query``/``run`` concurrently
+    while maintenance (:meth:`insert`/:meth:`delete`) proceeds per
+    table. The engine's caches live as long as the engine: every
+    Session over it, at once or later, is served from them.
     """
 
     def __init__(
@@ -450,7 +449,6 @@ class Session:
             self._owns_engine = True
         self._beas = beas
         self._resolved_options = beas.options.refine(options)
-        self._server_ref: Optional["BEASServer"] = None
         self._closed = False
 
     # ------------------------------------------------------------------ #
@@ -463,15 +461,7 @@ class Session:
     def database(self) -> Database:
         return self._beas.database
 
-    @property
-    def server(self) -> "BEASServer":
-        """The engine's one sharded serving backend, shared by every live
-        Session over the engine (built on first use). It has no read
-        API: this session's requests carry its own resolved options."""
-        server = self._server_ref
-        if server is None:
-            server = self._server_ref = self._beas._serve()
-        return server
+    server = beas  # the name perf/ reads the engine by
 
     @property
     def options(self) -> ExecutionOptions:
@@ -483,7 +473,7 @@ class Session:
     # ------------------------------------------------------------------ #
     def query(self, sql: str, name: Optional[str] = None) -> Query:
         """Prepare ``sql`` once and return its :class:`Query` handle."""
-        return Query(self, self.server.prepare(sql, name))
+        return Query(self, self._beas.prepare(sql, name))
 
     def run(
         self,
@@ -508,12 +498,14 @@ class Session:
         session's resolved options refined by ``layers`` (Query, call),
         run through the serving stages."""
         return serve(
-            self.server,
+            self._beas,
             Request(self._resolved_options.refine(*layers), source, params, query),
         )
 
     def explain(self, sql: str) -> str:
-        return self.query(sql).explain()
+        """What :meth:`Query.explain` says of ``sql``, resolved as
+        :meth:`run` resolves it: no template is filed under a name."""
+        return explain(self._beas, Request(self._resolved_options, sql))
 
     def analyze(self, sql: str, profiles=None):
         """The Fig.-3 performance panel for a covered query (engine
@@ -521,24 +513,24 @@ class Session:
         return self._beas.analyze_performance(sql, profiles)
 
     # ------------------------------------------------------------------ #
-    # access schema + maintenance (through the serving locks)
+    # access schema + maintenance: the engine's
     # ------------------------------------------------------------------ #
     def register(self, constraint: AccessConstraint, *, validate: bool = True) -> None:
-        self.server.register(constraint, validate=validate)
+        self._beas.register(constraint, validate=validate)
 
     def register_all(
         self, constraints: Sequence[AccessConstraint], *, validate: bool = True
     ) -> None:
-        self.server.register_all(constraints, validate=validate)
+        self._beas.register_all(constraints, validate=validate)
 
     def unregister(self, constraint_name: str) -> None:
-        self.server.unregister(constraint_name)
+        self._beas.unregister(constraint_name)
 
     def insert(self, table_name: str, rows, *, adjust_bounds: bool = False):
-        return self.server.insert(table_name, rows, adjust_bounds=adjust_bounds)
+        return self._beas.insert(table_name, rows, adjust_bounds=adjust_bounds)
 
     def delete(self, table_name: str, rows):
-        return self.server.delete(table_name, rows)
+        return self._beas.delete(table_name, rows)
 
     # ------------------------------------------------------------------ #
     def serve_async(
@@ -559,7 +551,7 @@ class Session:
     def stats(self) -> "ServingStats":
         """Serving counters, including plan-rebind and checker-run
         totals."""
-        return self.server.stats()
+        return self._beas.stats()
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:
@@ -588,4 +580,4 @@ class Session:
 # The request path imports Decision and Result from this module, so it is
 # imported once they exist (and not per read: an import statement costs
 # about as much as a cached read's whole front end).
-from repro.serving.request import Request, decide_only, serve  # noqa: E402
+from repro.serving.request import Request, decide_only, explain, serve  # noqa: E402

@@ -1,6 +1,6 @@
-"""The BEAS system facade.
+"""The BEAS system: one engine object over one database.
 
-Ties the architecture of Fig. 1 together over one database:
+Ties the architecture of Fig. 1 together:
 
 1. given an SQL query Q, the **BE Checker** decides whether Q is covered
    by the registered access schema; if so
@@ -11,14 +11,34 @@ Ties the architecture of Fig. 1 together over one database:
    helps. With an explicit tuple budget, covered-but-over-budget queries
    can instead take the resource-bounded approximation route.
 
-``BEAS`` is the engine core — check, plan, evaluate, maintain. Queries
-are served through a :class:`~repro.beas.session.Session` over it::
+``BEAS`` is the engine — check, plan, evaluate, maintain — and holds the
+serving state every read shares for the engine's whole life: the parse
+cache (SQL text -> the binding of its shape's template), the decision
+cache (the pinned BE Checker outcome per binding, or per binding shape
+for a rebindable one, keyed with the access-schema generation), one
+result cache (:class:`~repro.serving.cache.ResultCache`), the prepared
+registry, the learned router, and the locks. Queries are served through
+a :class:`~repro.beas.session.Session` over it, whose reads run the
+stages of :mod:`repro.serving.request`::
 
     with Session(database) as session:
         session.register(AccessConstraint("call", ["pnum", "date"],
                                           ["recnum", "region"], 500))
         result = session.run("SELECT ...")
         print(result.mode, result.rows)
+
+Concurrency: locking is partitioned by table. Each table has a
+:class:`~repro.serving.shard.Shard` whose reader/writer lock guards its
+rows and access indices, and a schema lock is held for read by every
+request and batch and for write by ``register`` / ``unregister``. Every
+lock shares one condition, and the holds a read (or a batch) needs are
+granted together in one :func:`~repro.serving.shard.grant`, or not at
+all, so there is no lock order. :meth:`BEAS.insert` / :meth:`BEAS.delete`
+and the schema changes are the only writes above the catalog: each
+takes its holds and files its invalidations under them, so no answer
+can slip past a write that outdates it (``docs/invariants.md``,
+"Result-cache validity"). Result-cache admission is admit-on-second-hit,
+and a cached answer is always an exact entry of this process.
 """
 
 from __future__ import annotations
@@ -28,6 +48,8 @@ import shutil
 import tempfile
 import threading
 import weakref
+from collections import Counter
+from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -35,15 +57,25 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.bounded.approximation import ApproximateResult
     from repro.distributed.fleet import ReplicaFleet
     from repro.engine.executor import QueryResult
-    from repro.serving.server import BEASServer
 
 from repro.access.catalog import ASCatalog
 from repro.access.constraint import AccessConstraint
 from repro.access.schema import AccessSchema
 from repro.config import ExecutionOptions
 from repro.errors import BudgetExceededError
-from repro.maintenance.incremental import MaintenanceManager, ViolationPolicy
+from repro.errors import ServingError
+from repro.maintenance.incremental import (
+    MaintenanceManager,
+    UpdateBatch,
+    ViolationPolicy,
+)
+from repro.serving import server as geometry
+from repro.serving.cache import ResultCache, result_size
+from repro.serving.prepared import AdhocTemplates, PreparedBinding, PreparedQuery
+from repro.serving.server import GLOBAL_SHARD, ServingStats
+from repro.serving.shard import Shard, ShardLock, StripedCache, grant, release
 from repro.sql import ast
+from repro.sql.fingerprint import statement_fingerprint
 from repro.storage.database import Database
 from repro.storage.mmapstore import MmapStore, StorageStats
 from repro.engine.executor import ConventionalEngine
@@ -57,7 +89,12 @@ from repro.bounded.coverage import BoundedEvaluabilityChecker, CoverageDecision
 from repro.bounded.optimizer import BEPlanOptimizer
 from repro.bounded.plan import BoundedPlan, explain_plan
 from repro.bounded.rebind import AnyDecision, runnable
-from repro.engine.router import LOCAL_ROUTES, PlanRunner, allowed_routes
+from repro.engine.router import (
+    LOCAL_ROUTES,
+    ExecutorRouter,
+    PlanRunner,
+    allowed_routes,
+)
 from repro.beas.result import ExecutionMode
 
 
@@ -111,7 +148,7 @@ class _LazyPeers:
                     self._live = live
         return live
 
-    def peek(self) -> Any:
+    def started(self) -> Any:
         """The live peers if some were spawned, else ``None`` — never
         spawns (inspection, stats, maintenance notifications)."""
         live = self._live
@@ -130,7 +167,8 @@ class _LazyPeers:
 
 
 class BEAS:
-    """Bounded EvAluation of SQL — the full prototype."""
+    """Bounded EvAluation of SQL — the full prototype: the engine and
+    the serving state its Sessions share (see module doc)."""
 
     def __init__(
         self,
@@ -256,11 +294,46 @@ class BEAS:
         self._host_engines: dict[str, ConventionalEngine] = {
             host_profile.name: self._host
         }
-        #: the serving layer, held weakly: the sessions that use it hold
-        #: it (and through it this engine), so neither refers back
-        self._server: Callable[[], Optional["BEASServer"]] = lambda: None
-        self._serve_lock = threading.Lock()
         self._refresh_components()
+
+        #: the one condition every lock of this engine shares
+        self._cond = threading.Condition(threading.Lock())
+        self._schema_lock = ShardLock("schema", self._cond)
+        #: leaf mutex guarding the prepared registry, the request
+        #: counters, and the observed schema generation
+        self._admin_lock = threading.Lock()
+        self.parse_cache = StripedCache(
+            "parse",
+            max_entries=geometry.PARSE_CACHE_ENTRIES,
+            stripes=geometry.PARSE_STRIPES,
+        )
+        self.decision_cache = StripedCache(
+            "decision",
+            max_entries=geometry.DECISION_CACHE_ENTRIES,
+            stripes=geometry.DECISION_STRIPES,
+        )
+        self.results = ResultCache(
+            max_entries=geometry.RESULT_CACHE_ENTRIES,
+            max_bytes=geometry.RESULT_CACHE_BYTES,
+            sizeof=result_size,
+        )
+        # the global shard stands in for names that are no table
+        self._shards = {
+            name: Shard(name, self._cond)
+            for name in [table.schema.name for table in database] + [GLOBAL_SHARD]
+        }
+        #: dependency set -> the locks a read of it is granted
+        self._read_locks: dict[frozenset[str], tuple[ShardLock, ...]] = {}
+        self._prepared: dict[str, PreparedQuery] = {}
+        self._prepared_by_fingerprint: dict[str, PreparedQuery] = {}
+        self.adhoc = AdhocTemplates(database)
+        #: executions, rebinds, rebind_fallbacks
+        self._counts: Counter[str] = Counter()
+        self._schema_generation = self.catalog.schema_generation
+        #: the learned executor router (consulted only by
+        #: ``routing="learned"`` requests; always built so its state
+        #: accumulates across routing-mode changes)
+        self.router = ExecutorRouter()
 
     def _refresh_components(self) -> None:
         """Rebuild planner-side objects after the access schema changes."""
@@ -283,10 +356,10 @@ class BEAS:
     def pool(self) -> Optional[EnginePool]:
         """The engine pool, if one has been started (inspection only —
         the ``pool`` route starts it on demand)."""
-        return self._pool.peek()
+        return self._pool.started()
 
     def pool_stats(self) -> Optional[PeerStats]:
-        pool = self._pool.peek()
+        pool = self._pool.started()
         return pool.stats() if pool is not None else None
 
     @property
@@ -294,10 +367,10 @@ class BEAS:
         """The serving fleet, if one has been spawned (inspection only —
         the ``fleet`` route spawns it on demand; maintenance only
         *notifies* a live fleet's delta tail, it never spawns one)."""
-        return self._fleet.peek()
+        return self._fleet.started()
 
     def fleet_stats(self) -> Optional[PeerStats]:
-        fleet = self._fleet.peek()
+        fleet = self._fleet.started()
         return fleet.stats() if fleet is not None else None
 
     @property
@@ -344,33 +417,37 @@ class BEAS:
         self.close()
 
     # ------------------------------------------------------------------ #
-    # access schema management
+    # access schema management (under the schema write hold)
     # ------------------------------------------------------------------ #
     def register(self, constraint: AccessConstraint, *, validate: bool = True) -> None:
         """Register one access constraint and build its index."""
-        self.catalog.register(constraint, validate=validate)
-        self._refresh_components()
-        self._checkpoint_store()
+        self.register_all([constraint], validate=validate)
 
     def register_all(
         self, constraints: Sequence[AccessConstraint], *, validate: bool = True
     ) -> None:
-        for constraint in constraints:
-            self.catalog.register(constraint, validate=validate)
-        self._refresh_components()
-        self._checkpoint_store()
+        """Register a batch under ONE schema write hold: the checker and
+        planner are rebuilt once, and the caches flush once instead of
+        per constraint."""
+        with self._schema_lock.write():
+            for constraint in constraints:
+                self.catalog.register(constraint, validate=validate)
+            self._schema_changed()
+        self.observe_schema_generation()
 
     def unregister(self, constraint_name: str) -> None:
-        self.catalog.unregister(constraint_name)
-        self._refresh_components()
-        self._checkpoint_store()
+        with self._schema_lock.write():
+            self.catalog.unregister(constraint_name)
+            self._schema_changed()
+        self.observe_schema_generation()
 
-    def _checkpoint_store(self) -> None:
-        """Checkpoint after a schema-level change.
+    def _schema_changed(self) -> None:
+        """Rebuild the planner side and checkpoint the store.
 
         Register/unregister build or drop whole indices — effects the
         WAL cannot replay — so the store records the new access schema
         in its manifest and starts an empty log."""
+        self._refresh_components()
         if self._store is not None:
             self._store.checkpoint(self.catalog)
 
@@ -391,11 +468,18 @@ class BEAS:
             decision.partial = self._optimizer.analyze(query)
         return decision
 
-    def explain(self, query: Union[str, ast.Statement]) -> str:
+    def explain(
+        self,
+        query: Union[str, ast.Statement],
+        decision: Optional[CoverageDecision] = None,
+    ) -> str:
         """Bounded plan listing when covered; otherwise the reasons, the
         partially bounded plan with its residual's logical plan (if a
-        bounded prefix exists), and the host plan of the whole query."""
-        decision = self.check(query)
+        bounded prefix exists), and the host plan of the whole query.
+        ``decision`` is the query's own, already made: given one, nothing
+        is checked again."""
+        if decision is None:
+            decision = self.check(query)
         if decision.covered:
             return explain_plan(decision.plan)
         partial = decision.partial
@@ -474,7 +558,7 @@ class BEAS:
         return ExecutionMode.CONVENTIONAL, self._host.execute(query)
 
     # ------------------------------------------------------------------ #
-    # the serving layer (prepared queries + maintenance-aware caches)
+    # the serving state: prepared templates, caches, locks, counters
     # ------------------------------------------------------------------ #
     def session(self) -> "Session":
         """The Session/Query/Decision/Result lifecycle over this
@@ -483,24 +567,184 @@ class BEAS:
 
         return Session(beas=self)
 
-    def _serve(self) -> "BEASServer":
-        """The serving backend every live Session over this engine
-        shares (one set of shard locks and caches per engine). It lives
-        as long as something holds it: once no Session does, the next
-        one builds it afresh, with empty caches."""
-        with self._serve_lock:
-            server = self._server()
-            if server is None:
-                from repro.serving.server import BEASServer
+    def shard(self, table_name: str) -> Shard:
+        """The shard a table maps to.
 
-                server = BEASServer(self)
-                self._server = weakref.ref(server)
-            return server
+        Names that do not exist in the database map to the global shard
+        instead of minting a permanent phantom shard — the request will
+        fail with ``UnknownTableError`` downstream anyway.
+        """
+        shard = self._shards.get(table_name)
+        if shard is None:
+            if table_name not in self.database:
+                return self._shards[GLOBAL_SHARD]
+            with self._admin_lock:
+                shard = self._shards.get(table_name)
+                if shard is None:  # table added after the engine was built
+                    shard = self._shards[table_name] = Shard(table_name, self._cond)
+        return shard
+
+    def shards(self) -> dict[str, Shard]:
+        """A snapshot of the shard map (inspection / tests)."""
+        with self._admin_lock:
+            return dict(self._shards)
+
+    def prepare(self, sql: str, name: Optional[str] = None) -> PreparedQuery:
+        """Parse/fingerprint once; returns the reusable prepared handle.
+
+        Preparing the same text again returns the existing handle (under
+        its existing name when ``name`` is not given).
+        """
+        bound, _ = self.frontend(sql)
+        statement = bound.statement
+        fingerprint = statement_fingerprint(statement)
+        with self._admin_lock:
+            existing = (
+                self._prepared_by_fingerprint.get(fingerprint)
+                if name is None
+                else self._prepared.get(name)
+            )
+            if existing is not None and existing.fingerprint == fingerprint:
+                return existing
+            prepared = PreparedQuery(
+                self, statement, sql, name,
+                fingerprint=fingerprint, tables=bound.tables,
+            )  # fmt: skip
+            if prepared.name in self._prepared:
+                raise ServingError(
+                    f"a different query is already prepared as "
+                    f"{prepared.name!r}"
+                )
+            self._prepared[prepared.name] = prepared
+            # the handle a nameless prepare of this query returns: the
+            # first one registered
+            self._prepared_by_fingerprint.setdefault(fingerprint, prepared)
+            return prepared
+
+    def prepared(self, name: str) -> PreparedQuery:
+        with self._admin_lock:
+            try:
+                return self._prepared[name]
+            except KeyError:
+                raise ServingError(f"no prepared query named {name!r}") from None
+
+    def prepared_names(self) -> list[str]:
+        with self._admin_lock:
+            return sorted(self._prepared)
+
+    def frontend(
+        self, query: Union[str, ast.Statement]
+    ) -> tuple[PreparedBinding, bool]:
+        """The binding a text (or a parsed statement) stands for, and
+        whether the exact text was in the parse cache. A new text of a
+        known shape binds that shape's template to its own literals; only
+        a new shape is parsed (:class:`~repro.serving.prepared.AdhocTemplates`)."""
+        if not isinstance(query, str):
+            return PreparedQuery(self, query, "").binding(), False
+        bound: Optional[PreparedBinding] = self.parse_cache.get(query)
+        if bound is not None:
+            return bound, True
+        bound = self.adhoc.binding(query)
+        self.parse_cache.put(query, bound)
+        return bound, False
+
+    def count(self, name: str) -> None:
+        with self._admin_lock:
+            self._counts[name] += 1
+
+    def read_locks(self, tables: frozenset[str]) -> tuple[ShardLock, ...]:
+        """The schema lock and every dependency shard's: what one
+        :func:`~repro.serving.shard.grant` takes for a read of
+        ``tables``. Kept per dependency set once each name has its own
+        shard (a name that is no table yet may be one later)."""
+        locks = self._read_locks.get(tables)
+        if locks is None:
+            shards = {self.shard(name) for name in tables}
+            locks = (self._schema_lock, *(shard.lock for shard in shards))
+            if tables <= self._shards.keys():
+                self._read_locks[tables] = locks
+        return locks
+
+    def schema_read(self):
+        """A read hold on the schema lock alone (decision-only calls)."""
+        return self._schema_lock.read()
+
+    def observe_schema_generation(self) -> int:
+        """Notice access-schema changes (a schema write, a bound
+        adjustment, a direct catalog call) and flush whatever they stale.
+        Returns the current generation."""
+        generation = self.catalog.schema_generation
+        if generation == self._schema_generation:
+            return generation
+        with self._admin_lock:
+            if generation == self._schema_generation:
+                return generation
+            self._schema_generation = generation
+        # the decision cache is keyed by (fingerprint, generation) and the
+        # result entries record their generation, so flushing here is a
+        # memory measure, not a correctness one
+        self.decision_cache.invalidate_all()
+        self.results.flush("access-schema change")
+        return generation
+
+    def stats(self) -> ServingStats:
+        """Serving counters, including plan-rebind and checker-run
+        totals."""
+        self.observe_schema_generation()
+        shards = self.shards()
+        # Two-phase counter read, ordered against a request's own bump
+        # order so concurrent traffic can never tear the snapshot's
+        # invariants. Within one request the order is: executions (admin)
+        # -> result-cache hit/miss (cache) -> rebind counters (admin).
+        # Monotonic counters stay consistent when each family is read in
+        # the *reverse* of that order: the post-cache counters first
+        # (anything they count already has its cache event), the cache
+        # snapshot second, and the pre-cache counters last (anything the
+        # snapshot counted already has its execution). A single
+        # admin-lock block in either position reports torn totals — e.g.
+        # rebinds > result misses.
+        with self._admin_lock:
+            counts = Counter(self._counts)
+        result, held = self.results.snapshot()
+        live_versions: dict[str, int] = {
+            table.schema.name: table.version for table in self.database
+        }
+        snapshots = {
+            name: shard.snapshot(live_versions.get(name, 0))
+            for name, shard in shards.items()
+        }
+        with self._admin_lock:
+            executions = self._counts["executions"]
+            prepared_count = len(self._prepared)
+            generation = self._schema_generation
+        return ServingStats(
+            rebinds=counts["rebinds"],
+            rebind_fallbacks=counts["rebind_fallbacks"],
+            checker_runs=self.checker_runs,
+            parse=self.parse_cache.stats(),
+            adhoc=self.adhoc.stats(),
+            adhoc_templates=len(self.adhoc),
+            decision=self.decision_cache.stats(),
+            result=result,
+            **held,
+            prepared_queries=prepared_count,
+            executions=executions,
+            schema_generation=generation,
+            table_versions=live_versions,
+            shards=snapshots,
+            schema_lock=replace(self._schema_lock.stats),
+            pool=self.pool_stats(),
+            fleet=self.fleet_stats(),
+            routing=self.router.stats(),
+            storage=self.storage_stats(),
+        )
 
     # ------------------------------------------------------------------ #
-    # data updates (routed through incremental maintenance)
+    # data updates (incremental maintenance under the table's write hold)
     # ------------------------------------------------------------------ #
-    def insert(self, table_name: str, rows, *, adjust_bounds: bool = False):
+    def insert(
+        self, table_name: str, rows, *, adjust_bounds: bool = False
+    ) -> UpdateBatch:
         """Insert rows, updating every affected access index incrementally.
 
         With ``adjust_bounds=False`` (default) a batch that would violate a
@@ -510,24 +754,82 @@ class BEAS:
         policy = (
             ViolationPolicy.ADJUST if adjust_bounds else ViolationPolicy.REJECT
         )
+        return self._maintain("insert", table_name, rows, policy)
+
+    def delete(self, table_name: str, rows) -> UpdateBatch:
+        """Delete rows (bag semantics), keeping access indices exact."""
+        return self._maintain("delete", table_name, rows, ViolationPolicy.REJECT)
+
+    def _maintain(
+        self, op: str, table_name: str, rows, policy: ViolationPolicy
+    ) -> UpdateBatch:
+        """Apply one batch under a schema read hold and its table's write
+        hold (disjoint tables run in parallel), and drop the cached
+        answers it outdates before any read can see the table again."""
+        self.observe_schema_generation()
+        # raises UnknownTableError before any shard state is touched
+        table = self.database.table(table_name)
+        shard = self.shard(table_name)
+        reads = (self._schema_lock,)
+        grant(reads, shard.lock)
+        try:
+            # under the write hold no answer on this table can be
+            # admitted: whatever the batch outdates is filed by now
+            results, before = self.results, table.version
+            try:
+                batch = self._apply(op, table_name, rows, policy)
+            # beaslint: ok(except-discipline) - sweeps, then re-raises whatever it was
+            except BaseException:
+                # a refused (rolled-back) batch still moves
+                # Table.version, and a failed one may have applied:
+                # every answer on the table goes
+                results.sweep(table_name, table.version, "refused or failed batch")
+                raise
+            else:
+                results.apply_write(
+                    table_name, before, table.version, batch.changed_keys
+                )
+            finally:
+                shard.note_maintenance()
+        finally:
+            release(reads, shard.lock)
+        # an ADJUST batch may have widened a bound (schema generation)
+        self.observe_schema_generation()
+        return batch
+
+    def _apply(
+        self, op: str, table_name: str, rows, policy: ViolationPolicy
+    ) -> UpdateBatch:
+        """The batch itself, then what follows a committed one. The
+        stored rows — never the caller's spelling of them, which need
+        not decode — go as they are to the fleet's delta tail and to the
+        WAL, which encodes only a batch JSON cannot hold as it is.
+
+        Persistence discipline: the WAL record is appended only after
+        the in-memory apply committed (a refused batch raised before
+        this and logs nothing), under the write hold that serialises the
+        maintenance itself.
+        """
         # read before the apply, for the fleet's delta tail
         prev_version = self._version_of(table_name)
-        batch, stored = self._maintenance[policy].insert_returning(
-            table_name, rows
-        )
-        self._record_batch("insert", table_name, stored, prev_version)
+        manager = self._maintenance[policy]
+        if op == "insert":
+            batch, stored = manager.insert_returning(table_name, rows)
+        else:
+            batch, stored = manager.delete_returning(table_name, rows)
+        fleet = self.fleet
+        if stored and (fleet is not None or self._store is not None):
+            table = self.database.table(table_name)
+            if fleet is not None:
+                fleet.note_maintenance(op, table, stored, prev_version)
+            if self._store is not None:
+                self._store.log_batch(op, table, stored)
         if self._store is not None and batch.inserted:
             for name in batch.adjusted_constraints:
                 self._store.log_adjust(name, self.catalog.schema.get(name).n)
-        return batch
-
-    def delete(self, table_name: str, rows):
-        """Delete rows (bag semantics), keeping access indices exact."""
-        prev_version = self._version_of(table_name)
-        batch, removed = self._maintenance[
-            ViolationPolicy.REJECT
-        ].delete_returning(table_name, rows)
-        self._record_batch("delete", table_name, removed, prev_version)
+        # snapshot: host_engine() may add comparators concurrently
+        for engine in list(self._host_engines.values()):
+            engine.invalidate_statistics()
         return batch
 
     def _version_of(self, table_name: str) -> Optional[int]:
@@ -537,30 +839,6 @@ class BEAS:
         if self.fleet is None or table_name not in self.database:
             return None
         return self.database.table(table_name).version
-
-    def _record_batch(
-        self, op: str, table_name: str, rows: list, prev_version: Optional[int]
-    ) -> None:
-        """What follows a committed batch. ``rows`` are the stored rows —
-        never the caller's spelling of them, which need not decode — and
-        go as they are to the fleet's delta tail and to the WAL, which
-        encodes only a batch JSON cannot hold as it is.
-
-        Persistence discipline: the WAL record is appended only after
-        the in-memory apply committed (a refused batch raised before
-        this and logs nothing), under the same serving write section
-        that serialises the maintenance itself.
-        """
-        fleet = self.fleet
-        if rows and (fleet is not None or self._store is not None):
-            table = self.database.table(table_name)
-            if fleet is not None:
-                fleet.note_maintenance(op, table, rows, prev_version)
-            if self._store is not None:
-                self._store.log_batch(op, table, rows)
-        # snapshot: host_engine() may add comparators concurrently
-        for engine in list(self._host_engines.values()):
-            engine.invalidate_statistics()
 
     # ------------------------------------------------------------------ #
     def analyze_performance(

@@ -5,7 +5,7 @@ environment variable, validator and default. One table (``_SETTINGS``)
 holds the three for each field, and ``__post_init__``,
 :meth:`ExecutionOptions.from_environment` and
 :meth:`ExecutionOptions.defaults` all read it; every component (engine,
-executor, pool, server) takes resolved values and reads no environment.
+executor, pool) takes resolved values and reads no environment.
 A malformed value raises :class:`~repro.errors.BEASError` naming its
 variable when the engine or Session is built — a typo in CI or a
 deployment manifest fails with a clear message, never as a downstream

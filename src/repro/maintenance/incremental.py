@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence
 
 from repro.access.catalog import ASCatalog
-from repro.access.constraint import AccessConstraint
 from repro.access.index import AccessIndex
 from repro.errors import MaintenanceError, StorageError
 
@@ -97,36 +96,18 @@ class MaintenanceManager:
         )
         batch.inserted = len(stored)
         if self.policy is ViolationPolicy.ADJUST:
-            batch.adjusted_constraints = self._adjust_bounds(
-                self._catalog.constraints_for(table_name)
+            # widen any constraint whose index now exceeds its declared N
+            index_for = self._catalog.index_for
+            batch.adjusted_constraints = self._catalog.set_bounds(
+                {
+                    constraint.name: actual
+                    for constraint in self._catalog.constraints_for(table_name)
+                    if (actual := index_for(constraint).max_bucket_size)
+                    > constraint.n
+                }
             )
         batch.table_version = self._catalog.database.table(table_name).version
         return batch, stored
-
-    def _adjust_bounds(self, constraints: list[AccessConstraint]) -> list[str]:
-        """Widen any constraint whose index now exceeds its declared N."""
-        adjusted: list[str] = []
-        for constraint in list(constraints):
-            index = self._catalog.index_for(constraint)
-            actual = index.max_bucket_size
-            if actual > constraint.n:
-                widened = AccessConstraint(
-                    constraint.relation,
-                    constraint.x,
-                    constraint.y,
-                    actual,
-                    name=constraint.name,
-                )
-                # swap the constraint object, keeping the built index
-                self._catalog.schema.remove(constraint.name)
-                self._catalog.schema.add(widened)
-                index.constraint = widened
-                adjusted.append(constraint.name)
-        if adjusted:
-            # widened bounds change deduced plan bounds: cached coverage
-            # decisions must be re-checked
-            self._catalog.note_schema_change()
-        return adjusted
 
     # ------------------------------------------------------------------ #
     def delete(self, table_name: str, rows: Iterable[Sequence[Any]]) -> UpdateBatch:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.access.catalog import ASCatalog
-from repro.access.constraint import AccessConstraint
 
 
 @dataclass(frozen=True)
@@ -97,23 +96,6 @@ class DriftMonitor:
         """Apply the report's non-'keep' suggestions; returns changed names."""
         if report is None:
             report = self.report()
-        changed: list[str] = []
-        for suggestion in report.drifting:
-            constraint = self._catalog.schema.get(suggestion.constraint_name)
-            adjusted = AccessConstraint(
-                constraint.relation,
-                constraint.x,
-                constraint.y,
-                suggestion.suggested_n,
-                name=constraint.name,
-            )
-            index = self._catalog.index_for(constraint)
-            self._catalog.schema.remove(constraint.name)
-            self._catalog.schema.add(adjusted)
-            index.constraint = adjusted
-            changed.append(constraint.name)
-        if changed:
-            # adjusted bounds change deduced plan bounds: cached coverage
-            # decisions (repro.serving) must be re-checked
-            self._catalog.note_schema_change()
-        return changed
+        return self._catalog.set_bounds(
+            {s.constraint_name: s.suggested_n for s in report.drifting}
+        )

@@ -1,21 +1,23 @@
-"""Prepared-query serving layer (online amortisation of BEAS frontends).
+"""Prepared-query serving (online amortisation of BEAS frontends).
 
 BEAS's promise — answers under a fixed access bound regardless of
 ``|D|`` — fits repeated analytic workloads, but a bare engine pays
-parse + normalize + BE Checker cost on every query. This package
-amortises that cost behind prepared statements and a multi-level cache
-hierarchy, partitioned by table so concurrent traffic scales:
+parse + normalize + BE Checker cost on every query. This package holds
+the parts with which :class:`~repro.beas.system.BEAS` amortises that
+cost behind prepared statements and a multi-level cache hierarchy,
+partitioned by table so concurrent traffic scales (the engine holds
+the state itself: its caches, shards and prepared registry):
 
 * :class:`~repro.serving.prepared.PreparedQuery` — parse/fingerprint
   once, parameterised constant slots, one cache key per binding;
-* :class:`~repro.serving.server.BEASServer` — the **sharded** serving
-  core: per-table reader/writer locks over table data + access
-  indices, a striped coverage-decision cache, ordered multi-shard read
-  locking for joins, and one result cache with admit-on-second-hit
-  admission that a write invalidates exactly (it drops the answers
-  whose fetched buckets it changed);
 * :mod:`~repro.serving.request` — the request path: the per-request
-  context and the ordered stages every read runs through;
+  context and the ordered stages every read runs through over the
+  engine's per-table locks, its striped decision cache and its one
+  result cache, with admit-on-second-hit admission, which a write
+  invalidates exactly (it drops the answers whose fetched buckets it
+  changed);
+* :mod:`~repro.serving.server` — :class:`ServingStats`, what the
+  engine's serving state reports, and the cache geometry;
 * :class:`~repro.serving.async_server.AsyncBEASServer` — the asyncio
   front end: bounded worker pool, admission control, per-shard
   maintenance queues with batched draining;
@@ -25,7 +27,7 @@ hierarchy, partitioned by table so concurrent traffic scales:
   budgeted-LRU primitive and its counters; ``ResultCache`` — the
   served-answer cache, its cost-aware retention and its read-set filing.
 
-The layer is an internal of :class:`~repro.beas.session.Session`::
+It is reached through a :class:`~repro.beas.session.Session`::
 
     session = Session(database, access_schema)  # sharded, thread-safe
     q = session.query("SELECT ... WHERE call.date = '2016-06-01' ...")
@@ -47,7 +49,7 @@ from repro.serving.params import (
     substitute,
 )
 from repro.serving.prepared import PreparedBinding, PreparedQuery
-from repro.serving.server import BEASServer, ServingStats
+from repro.serving.server import ServingStats
 from repro.serving.shard import (
     LockStats,
     Shard,
@@ -60,7 +62,6 @@ from repro.serving.shard import (
 __all__ = [
     "AsyncBEASServer",
     "AsyncServingStats",
-    "BEASServer",
     "CacheStats",
     "LockStats",
     "LRUCache",

@@ -2,8 +2,8 @@
 
 Many concurrent asyncio clients multiplex onto a bounded pool of worker
 threads driving one :class:`~repro.beas.session.Session` (its reads are
-that session's requests; its writes go through the session's sharded
-:class:`~repro.serving.server.BEASServer`):
+that session's requests; its writes are the session's engine's,
+:meth:`~repro.beas.system.BEAS.insert` / ``delete``):
 
 * **Bounded worker pool** — queries run in a
   ``ThreadPoolExecutor`` sized to the host, so a burst of clients
@@ -46,7 +46,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Any, Mapping, Optional, Union
 
-from repro.beas.session import Query
 from repro.errors import ServingError
 from repro.serving.prepared import PreparedQuery
 from repro.serving.server import ServingStats
@@ -112,7 +111,7 @@ class AsyncBEASServer:
         admission_limit: Optional[int] = None,
     ):
         self._session = session
-        self._server = session.server
+        self._beas = session.beas
         self._workers = max_workers or _default_workers()
         self._pool = ThreadPoolExecutor(
             max_workers=self._workers, thread_name_prefix="beas-serve"
@@ -193,9 +192,13 @@ class AsyncBEASServer:
         **options,
     ) -> "Result":
         """``Query.run(**options)`` for one binding of a template the
-        session's server prepared (by handle or name)."""
+        session's engine prepared (by handle or name)."""
+        # imported here: the engine imports this package, and the
+        # session module imports the engine
+        from repro.beas.session import Query
+
         if isinstance(prepared, str):
-            prepared = self._server.prepared(prepared)
+            prepared = self._beas.prepared(prepared)
         query = Query(self._session, prepared, params)
         return await self._run(partial(query.run, **options))
 
@@ -264,9 +267,9 @@ class AsyncBEASServer:
         for job in jobs:
             try:
                 if job.kind == "insert":
-                    batch = self._server.insert(job.table, job.rows, **job.options)
+                    batch = self._beas.insert(job.table, job.rows, **job.options)
                 else:
-                    batch = self._server.delete(job.table, job.rows)
+                    batch = self._beas.delete(job.table, job.rows)
             except BaseException as error:  # noqa: BLE001 - relayed to caller
                 loop.call_soon_threadsafe(_settle, job.future, None, error)
             else:
@@ -274,7 +277,7 @@ class AsyncBEASServer:
 
     # ------------------------------------------------------------------ #
     async def stats(self) -> AsyncServingStats:
-        serving = await self._run(self._server.stats)
+        serving = await self._run(self._beas.stats)
         with self._counter_lock:
             drained_batches = self._drained_batches
             drained_jobs = self._drained_jobs

@@ -4,8 +4,8 @@
 ``TableShard``'s slice). Entries carry an approximate byte size so a
 cache can enforce a byte budget on top of the entry budget; the cheaper
 caches pass ``sizeof=None`` and pay only the entry budget. Every cache
-keeps a :class:`CacheStats` counter block that the server surfaces
-through ``BEASServer.stats()`` and the CLI.
+keeps a :class:`CacheStats` counter block that the engine surfaces
+through ``BEAS.stats()`` and the CLI.
 
 :class:`LRUCache` itself is not thread-safe: its owner serialises access
 (a stripe's mutex, a shard's).
@@ -24,7 +24,12 @@ import logging
 import threading
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Hashable, Iterable, Mapping, Optional
+from itertools import chain, compress, repeat
+from operator import is_
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Mapping, Optional
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.serving.request import CachedResult
 
 logger = logging.getLogger(__name__)
 _SWEPT = "result cache: swept %s (%s), %d entries dropped"
@@ -88,6 +93,28 @@ def approx_size(value: Any, _depth: int = 0) -> int:
             for k, v in value.items()
         )
     return 128  # opaque object: flat charge
+
+
+# result_size's charges, approx_size's for the same shapes
+_ROWS = 56  # the list of rows
+_ROW = 8 + 56  # a list slot and a tuple
+_CELL = 8 + 28  # a tuple slot and a number
+_STRING = 49 - 28  # what a string costs beyond a number, before its length
+
+
+def result_size(entry: "CachedResult") -> int:
+    """The byte-budget measure of a result-cache entry, in one flat
+    pass: ``approx_size`` of the same rows, but for charging a NULL or a
+    BOOL as any other cell."""
+    rows = entry.rows
+    cells = list(chain.from_iterable(rows))
+    strings = list(map(is_, map(type, cells), repeat(str)))
+    return (
+        approx_size(entry.columns)
+        + _ROWS + _ROW * len(rows) + _CELL * len(cells)
+        + _STRING * sum(strings)
+        + sum(map(len, compress(cells, strings)))
+    )  # fmt: skip
 
 
 class LRUCache:
@@ -293,7 +320,7 @@ class ResultCache:
     # ------------------------------------------------------------------ #
     def observe(self, versions: Mapping[str, int], probe: Any = None) -> Any:
         """Sweep each table whose live version is not the one the cache
-        knew (it moved around the serving layer); returns the tables'
+        knew (it moved below the engine); returns the tables'
         epochs, in ``versions``' order. Given a ``probe`` key, also makes
         its :meth:`lookup` in the same section, and returns ``(epochs,
         entry or None)``."""

@@ -3,8 +3,8 @@
 A :class:`PreparedQuery` does the frontend work a single time — parse,
 stable fingerprint, dependency (table) set, parameter-slot extraction —
 and every execution of it (a Session request) is served through the
-:class:`~repro.serving.server.BEASServer`'s caches. The coverage
-decision and bounded plan are pinned in the server's decision cache
+:class:`~repro.beas.system.BEAS` engine's caches. The coverage
+decision and bounded plan are pinned in the engine's decision cache
 once per binding shape (:meth:`PreparedBinding.rebind_key`) and rebound
 for every binding of that shape, so a repeated execute touches neither
 the parser, the normalizer, nor the BE Checker.
@@ -128,10 +128,10 @@ class PreparedBinding:
 class PreparedQuery:
     """One parsed template plus its parameterisable constant slots.
 
-    ``owner`` is what it is prepared on (a server): only its
+    ``owner`` is what it is prepared on (an engine): only its
     ``database``'s schema is read, and the handle keeps no reference to
-    the owner, so a template cached by a server does not keep that
-    server alive. Reads of a prepared template go through a Session
+    the owner, so a template an engine caches does not refer back to
+    it. Reads of a prepared template go through a Session
     (``Session.query``)."""
 
     def __init__(
@@ -250,7 +250,7 @@ class AdhocTemplates:
     was first seen with.
 
     Only a text whose (shape, pinned literals) is new reaches the
-    parser. Templates live here, never in the server's named registry.
+    parser. Templates live here, never in the engine's named registry.
     """
 
     def __init__(self, database: "Database"):

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from itertools import chain, compress, repeat
-from operator import is_
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -47,30 +45,23 @@ from repro.bounded.rebind import (
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.router import allowed_routes
 from repro.errors import ServingError
-from repro.serving.cache import approx_size
 from repro.serving.prepared import PreparedBinding, PreparedQuery
 from repro.serving.shard import grant, release
 from repro.sql import ast
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.beas.session import Query
+    from repro.beas.system import BEAS
     from repro.config import ExecutionOptions
     from repro.bounded.approximation import ApproximateResult
     from repro.bounded.coverage import CoverageDecision
     from repro.engine.executor import QueryResult
     from repro.engine.router import RouteChoice
-    from repro.serving.server import BEASServer
     from repro.serving.shard import ShardLock
 
 #: an answer that presented more keys than this is filed coarse on all
 #: its tables: filing it key by key would cost more than a re-run
 READ_SET_CAP = 1024
-
-# result_size's charges, approx_size's for the same shapes
-_ROWS = 56  # the list of rows
-_ROW = 8 + 56  # a list slot and a tuple
-_CELL = 8 + 28  # a tuple slot and a number
-_STRING = 49 - 28  # what a string costs beyond a number, before its length
 
 
 @dataclass
@@ -93,21 +84,6 @@ class CachedResult:
     coarse_tables: frozenset[str]
     epochs: tuple[int, ...]
     cost: float
-
-
-def result_size(entry: CachedResult) -> int:
-    """The byte-budget measure of an entry, in one flat pass:
-    ``approx_size`` of the same rows, but for charging a NULL or a BOOL
-    as any other cell."""
-    rows = entry.rows
-    cells = list(chain.from_iterable(rows))
-    strings = list(map(is_, map(type, cells), repeat(str)))
-    return (
-        approx_size(entry.columns)
-        + _ROWS + _ROW * len(rows) + _CELL * len(cells)
-        + _STRING * sum(strings)
-        + sum(map(len, compress(cells, strings)))
-    )  # fmt: skip
 
 
 def _entry_fresh(entry: CachedResult, request: "Request") -> bool:
@@ -172,22 +148,22 @@ class Request:
         return self.binding.statement
 
 
-Stage = Callable[["BEASServer", Request], Optional[Result]]
+Stage = Callable[["BEAS", Request], Optional[Result]]
 
 
 # --------------------------------------------------------------------------- #
 # the stages, in request order
 # --------------------------------------------------------------------------- #
-def front_end(server: "BEASServer", request: Request) -> None:
+def front_end(beas: "BEAS", request: Request) -> None:
     """Resolve the source to one binding of one template: the request's
     parameters bound to a prepared template, or, for SQL text, the
     text's own literals bound to the template of its shape (through the
-    parse cache; ``BEASServer.frontend``)."""
+    parse cache; ``BEAS.frontend``)."""
     source = request.source
     if isinstance(source, PreparedQuery):
         bound, hit = source.binding(request.params), True  # parse amortised
     else:
-        bound, hit = server.frontend(source)
+        bound, hit = beas.frontend(source)
     request.binding = bound
     request.fingerprint = bound.fingerprint
     request.tables = bound.tables
@@ -197,15 +173,15 @@ def front_end(server: "BEASServer", request: Request) -> None:
         request.misses = 1
 
 
-def observe(server: "BEASServer", request: Request) -> None:
+def observe(beas: "BEAS", request: Request) -> None:
     """Be granted the schema + dependency read holds and observe, under
     them, the access-schema generation, the table-version vector and,
     in the result cache's same section, what it holds for this key."""
     # wall-clock anchor of a cached serve's latency (real, never 0.0) and
     # of a miss's cost, by which the result cache retains its answer
     request.started = time.perf_counter()
-    server.count("executions")
-    locks = server.read_locks(request.tables)
+    beas.count("executions")
+    locks = beas.read_locks(request.tables)
     request.lock_wait = grant(locks)
     request.locks = locks
     # observed while holding the schema + shard read locks: a completed
@@ -213,10 +189,10 @@ def observe(server: "BEASServer", request: Request) -> None:
     # adjust_bounds batch on any dependency table (its shard write
     # section) are both visible here, so a decision or result pinned
     # under the old schema can never be consumed by this request
-    request.generation = server.observe_schema_generation()
+    request.generation = beas.observe_schema_generation()
     # the consistent table-version vector this request observes: read
     # under the shard read locks, so no dependency can move under us
-    database = server.database
+    database = beas.database
     versions = request.versions = {
         name: database.table(name).version
         for name in request.binding.table_order
@@ -229,14 +205,14 @@ def observe(server: "BEASServer", request: Request) -> None:
         options.allow_partial,
         options.approximate_over_budget,
     )
-    # a table that moved around the serving layer is swept here
+    # a table that moved below the engine is swept here
     if options.use_result_cache:
-        request.epochs, request.entry = server.results.observe(versions, probe=key)
+        request.epochs, request.entry = beas.results.observe(versions, probe=key)
     else:
-        request.epochs = server.results.observe(versions)
+        request.epochs = beas.results.observe(versions)
 
 
-def probe_exact(server: "BEASServer", request: Request) -> Optional[Result]:
+def probe_exact(beas: "BEAS", request: Request) -> Optional[Result]:
     """Serve the presentation-equal answer ``observe`` found in the
     result cache, if it is still fresh."""
     if not request.options.use_result_cache:
@@ -246,15 +222,15 @@ def probe_exact(server: "BEASServer", request: Request) -> Optional[Result]:
         if _entry_fresh(entry, request):
             return _serve_cached(request, entry)
         # outdated despite sweeps: drop defensively
-        server.results.invalidate(request.result_key)
+        beas.results.invalidate(request.result_key)
     request.misses += 1
     return None
 
 
-def decide(server: "BEASServer", request: Request) -> None:
+def decide(beas: "BEAS", request: Request) -> None:
     """Decide or rebind: the decision for this request, from a pinned
     template, the decision cache, or a full BE Checker run."""
-    outcome, request.provenance = _decision(server, request)
+    outcome, request.provenance = _decision(beas, request)
     if request.provenance == "fresh":
         request.misses += 1
     else:
@@ -269,7 +245,7 @@ def decide(server: "BEASServer", request: Request) -> None:
     request.outcome = outcome
 
 
-def route(server: "BEASServer", request: Request) -> None:
+def route(beas: "BEAS", request: Request) -> None:
     """Choose the way the decision's bounded plan (or bounded prefix)
     runs: the first of :func:`~repro.engine.router.allowed_routes`, or,
     when ``routing="learned"`` leaves several open, the one with the
@@ -284,15 +260,15 @@ def route(server: "BEASServer", request: Request) -> None:
     request.route = routes[0]
     if len(routes) > 1 and (options.budget is None or outcome.within_budget):
         binding = request.binding
-        request.choice = server.router.route(
+        request.choice = beas.router.route(
             binding.template_fingerprint, binding.signature, routes
         )
         request.route = request.choice.route
 
 
-def execute(server: "BEASServer", request: Request) -> None:
+def execute(beas: "BEAS", request: Request) -> None:
     """Run the decision on the engine and train the router on it."""
-    mode, answer = server.beas.evaluate(
+    mode, answer = beas.evaluate(
         request.statement,
         request.outcome,
         request.options,
@@ -304,7 +280,7 @@ def execute(server: "BEASServer", request: Request) -> None:
         answer.metrics.routed_mode = choice.route
         answer.metrics.routing_explored = choice.explored
         binding = request.binding
-        server.router.observe(
+        beas.router.observe(
             binding.template_fingerprint,
             binding.signature,
             choice.route,
@@ -312,12 +288,12 @@ def execute(server: "BEASServer", request: Request) -> None:
         )
 
 
-def admit(server: "BEASServer", request: Request) -> Result:
+def admit(beas: "BEAS", request: Request) -> Result:
     """Offer the executed answer to the result cache, then answer."""
     options, mode, answer = request.options, request.mode, request.answer
     approximate = mode is ExecutionMode.APPROXIMATE
     if options.use_result_cache and not approximate:
-        _admit(server, request)
+        _admit(beas, request)
     return _result(
         request,
         answer.columns,
@@ -343,12 +319,12 @@ STAGES: tuple[Stage, ...] = (
 )
 
 
-def serve(server: "BEASServer", request: Request) -> Result:
+def serve(beas: "BEAS", request: Request) -> Result:
     """Run ``request`` through :data:`STAGES`; the first stage that
     returns a result ends it."""
     try:
         for stage in STAGES:
-            result = stage(server, request)
+            result = stage(beas, request)
             if result is not None:
                 return result
     finally:
@@ -357,17 +333,28 @@ def serve(server: "BEASServer", request: Request) -> Result:
     raise ServingError("no stage answered the request")
 
 
-def decide_only(server: "BEASServer", request: Request) -> Decision:
+def decide_only(beas: "BEAS", request: Request) -> Decision:
     """The decision-only path (``Query.decide``): front end, then
     decide-or-rebind under the schema read lock alone — no result probe,
     no execution."""
-    front_end(server, request)
-    with server.schema_read():
+    front_end(beas, request)
+    with beas.schema_read():
         # observed under the read lock: a completed register/unregister
         # (write section) is guaranteed visible here
-        request.generation = server.observe_schema_generation()
-        decide(server, request)
+        request.generation = beas.observe_schema_generation()
+        decide(beas, request)
     return _stamp(request, request.outcome, request.provenance)
+
+
+def explain(beas: "BEAS", request: Request) -> str:
+    """The explain path (``Query.explain``, ``Session.explain``): the
+    decision-only path, then the bounded plan listing, or, not covered,
+    the decision's own reasons and partially bounded plan and the host
+    plan — nothing is checked again."""
+    decision = decide_only(beas, request)
+    if decision.covered:
+        return decision.explain()
+    return beas.explain(request.statement(), decision.coverage)
 
 
 # --------------------------------------------------------------------------- #
@@ -426,7 +413,7 @@ def _serve_cached(request: Request, entry: CachedResult) -> Result:
     )  # fmt: skip
 
 
-def _decision(server: "BEASServer", request: Request) -> tuple[AnyDecision, str]:
+def _decision(beas: "BEAS", request: Request) -> tuple[AnyDecision, str]:
     """The budget-free decision and its provenance: ``"rebound"`` (the
     signature's pinned decision rebound to this binding by value — no
     BE Checker run, no copy), ``"cached"`` (an exact per-binding hit),
@@ -445,7 +432,7 @@ def _decision(server: "BEASServer", request: Request) -> tuple[AnyDecision, str]
     after a change. A template is pinned only when none was: a guard
     fallback's odd binding does not displace it.
     """
-    cache, generation = server.decision_cache, request.generation
+    cache, generation = beas.decision_cache, request.generation
     bound = request.binding
     rebind_key: Optional[tuple[Any, ...]] = None
     pinned: Optional[RebindTemplate] = None
@@ -455,14 +442,14 @@ def _decision(server: "BEASServer", request: Request) -> tuple[AnyDecision, str]
         if pinned is not None:
             rebound = pinned.rebind(bound.overrides)
             if rebound is not None:
-                server.count("rebinds")
+                beas.count("rebinds")
                 return rebound, "rebound"
-            server.count("rebind_fallbacks")
+            beas.count("rebind_fallbacks")
     key = (request.fingerprint, generation)
     cached: Optional["CoverageDecision"] = cache.get(key)
     if cached is not None:
         return cached, "cached"
-    coverage: "CoverageDecision" = server.beas.check(request.statement())
+    coverage: "CoverageDecision" = beas.check(request.statement())
     if rebind_key is not None and pinned is None:
         template = build_rebind_template(coverage, bound.overrides)
         if template is not None:
@@ -473,7 +460,7 @@ def _decision(server: "BEASServer", request: Request) -> tuple[AnyDecision, str]
 
 
 def _filing(
-    server: "BEASServer", request: Request
+    beas: "BEAS", request: Request
 ) -> tuple[tuple[tuple[str, tuple[Any, ...]], ...], frozenset[str]]:
     """The executed answer's ``read_keys`` and ``coarse_tables``: the
     distinct (constraint, X-key) pairs of its read set, and the tables
@@ -486,16 +473,16 @@ def _filing(
     keys = {
         (name, key) for name, presented in read_set.items() for key in presented
     }
-    constraints = server.beas.catalog.schema
+    constraints = beas.catalog.schema
     fetched = {constraints.get(name).relation for name in read_set}
     return tuple(keys), answer.scanned_tables | (request.tables - fetched)
 
 
-def _admit(server: "BEASServer", request: Request) -> None:
-    if not server.results.admits(request.result_key):
+def _admit(beas: "BEAS", request: Request) -> None:
+    if not beas.results.admits(request.result_key):
         return  # a first sighting: nothing is built for it
     answer = request.answer
-    read_keys, coarse_tables = _filing(server, request)
+    read_keys, coarse_tables = _filing(beas, request)
     entry = CachedResult(
         columns=list(answer.columns),
         rows=list(answer.rows),
@@ -511,4 +498,4 @@ def _admit(server: "BEASServer", request: Request) -> None:
     # filed while still holding every dependency's read lock: a writer
     # changing one of these tables cannot run until we release, so its
     # invalidation will find this entry
-    server.results.install(request.result_key, entry)
+    beas.results.install(request.result_key, entry)

@@ -67,7 +67,7 @@ class ShardLock:
     exclusive. Waiting writers block new readers (writer preference) so
     a steady read stream cannot starve maintenance. Not reentrant.
 
-    Every lock of one server shares one condition, ``cond``, so that
+    Every lock of one engine shares one condition, ``cond``, so that
     :func:`grant` can take holds on several of them in one critical
     section; a lock made without one builds its own.
     """
@@ -138,10 +138,11 @@ class ShardStats:
 
 
 class Shard:
-    """One table's concurrency unit inside :class:`BEASServer`: the
-    reader/writer lock serialising access to the table's rows and access
-    indices, and its maintenance counter. (Cached answers live in the
-    server's one :class:`~repro.serving.cache.ResultCache`.)"""
+    """One table's concurrency unit inside a
+    :class:`~repro.beas.system.BEAS` engine: the reader/writer lock
+    serialising access to the table's rows and access indices, and its
+    maintenance counter. (Cached answers live in the engine's one
+    :class:`~repro.serving.cache.ResultCache`.)"""
 
     def __init__(self, table: str, cond: Optional[threading.Condition] = None):
         self.table = table

@@ -42,7 +42,6 @@ from pathlib import Path
 from typing import Any, Iterable, Optional, Sequence
 from zlib import crc32
 
-from repro.access.constraint import AccessConstraint
 from repro.access.io import schema_from_dict, schema_to_dict
 from repro.errors import AccessSchemaError, MaintenanceError, StorageError
 from repro.maintenance.incremental import apply_delete, apply_insert
@@ -268,20 +267,7 @@ class MmapStore:
     def _apply_record(self, catalog: Any, record: dict) -> None:
         op = record.get("op")
         if op == "adjust":
-            name = record["constraint"]
-            current = catalog.schema.get(name)
-            widened = AccessConstraint(
-                current.relation,
-                list(current.x),
-                list(current.y),
-                record["n"],
-                name=name,
-            )
-            index = catalog.index_for(current)
-            catalog.schema.remove(name)
-            catalog.schema.add(widened)
-            index.constraint = widened
-            catalog.note_schema_change()
+            catalog.set_bounds({record["constraint"]: record["n"]})
             return
         if op not in ("insert", "delete"):
             raise StorageError(f"unknown WAL op {op!r}")

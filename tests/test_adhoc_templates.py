@@ -1,7 +1,7 @@
 """Ad-hoc SQL takes the prepared path.
 
 A raw SQL text is a prepared template whose constants arrived inline:
-``BEASServer.frontend`` lifts the literals off a new text in one regex
+``BEAS.frontend`` lifts the literals off a new text in one regex
 pass (``repro.sql.shape``) and binds them to the template of the text's
 shape, so the parser, the normaliser and the BE Checker run once per
 shape, not once per text (``docs/invariants.md``, "Literal lifting").
@@ -429,10 +429,10 @@ def test_spellings_share_one_decision_and_one_cached_result():
         assert stats.checker_runs == 1 and stats.rebinds == 5
         assert stats.adhoc_templates == len(SPELLINGS)
         # ad-hoc templates never enter the named registry
-        assert session.server.prepared_names() == []
+        assert session.beas.prepared_names() == []
         handle = session.query(SPELLINGS[0].format(p="'100'", d="'2016-06-02'"))
         assert handle.run().rows == answers[0].rows
-        assert session.server.prepared_names() == [handle.name]
+        assert session.beas.prepared_names() == [handle.name]
 
 
 def test_templates_are_bounded_and_an_evicted_shape_comes_back(monkeypatch):
@@ -449,7 +449,7 @@ def test_templates_are_bounded_and_an_evicted_shape_comes_back(monkeypatch):
         assert [len(rows) for rows in first[2:]] == [1, 2]
         stats = session.stats()
         assert (stats.adhoc_templates, stats.adhoc.evictions) == (2, 2)
-        session.server.parse_cache.invalidate_all()  # the texts, not the templates
+        session.beas.parse_cache.invalidate_all()  # the texts, not the templates
         again = [
             session.run(text, use_result_cache=False).rows for text in reversed(texts)
         ]

@@ -63,7 +63,7 @@ def test_gathered_clients_share_the_caches():
 def test_prepare_and_execute_prepared():
     async def scenario():
         async with make_beas().session().serve_async() as aserver:
-            prepared = aserver.session.server.prepare(CALL_SQL, name="q")
+            prepared = aserver.session.beas.prepare(CALL_SQL, name="q")
             first = await aserver.execute_prepared("q")
             rebound = await aserver.execute_prepared(
                 prepared, {"call.date": "2016-06-02"}

@@ -216,6 +216,30 @@ class TestLockDiscipline:
         )
         assert not _hits(report, "lock-discipline")
 
+    def test_engine_module_write_grant_then_dispatch_is_flagged(self):
+        # the engine holds the serving locks: rule 3 covers it too
+        report = _lint(
+            """\
+            def _maintain(self, op, table_name, rows, policy):
+                grant((self._schema_lock,), self.shard(table_name).lock)
+                return self.evaluate(rows, policy)
+            """,
+            "beas/system.py",
+        )
+        assert [hit.line for hit in _hits(report, "lock-discipline")] == [3]
+
+    def test_engine_module_dispatch_under_leaf_mutex_is_flagged(self):
+        # ... and rule 2
+        report = _lint(
+            """\
+            def prepare(self, plan):
+                with self._admin_lock:
+                    return self.runner.execute(plan)
+            """,
+            "beas/system.py",
+        )
+        assert [hit.line for hit in _hits(report, "lock-discipline")] == [3]
+
 
 # --------------------------------------------------------------------------- #
 # env-access — PR 5's centralised BEAS_* validation
@@ -381,6 +405,18 @@ class TestCacheGuard:
             """
         for relpath in ("serving/shard.py", "serving/cache.py"):
             assert not _hits(_lint(source, relpath), "cache-guard")
+
+    def test_engine_module_guard_free_cache_serve_is_flagged(self):
+        # the engine holds the serving caches: the rule covers it
+        report = _lint(
+            """\
+            def serve(self, key):
+                entry = self.results.lookup(key)
+                return entry.rows if entry is not None else None
+            """,
+            "beas/system.py",
+        )
+        assert [hit.line for hit in _hits(report, "cache-guard")] == [2]
 
     def test_non_serving_module_is_exempt(self):
         report = _lint(

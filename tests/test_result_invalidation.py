@@ -57,8 +57,8 @@ from repro import (
 )
 from repro.beas.result import ExecutionMode
 from repro.errors import MaintenanceError
-from repro.serving.cache import ResultCache
-from repro.serving.request import result_size
+from repro.maintenance.incremental import MaintenanceManager
+from repro.serving.cache import ResultCache, result_size
 from repro.workloads.tlc import generate_tlc, query_by_name, tlc_access_schema
 
 from tests.reference_evaluator import reference_execute
@@ -466,14 +466,18 @@ class InvalidationMachine(RuleBasedStateMachine):
         assert self.session.stats().schema_generation > generation
 
     @rule(data=st.data())
-    def write_around_the_serving_layer(self, data):
-        """Engine-level maintenance: indices and ``Table.version`` move,
-        the serving layer is not told."""
+    def write_below_the_engine(self, data):
+        """Maintenance on the catalog itself: indices and
+        ``Table.version`` move, the engine is not told. (The store is,
+        so that a reopen replays the batch.)"""
         rows = data.draw(call_rows(self._ids))
+        beas = self.session.beas
         try:
-            self.session.beas.insert("call", rows)
+            _, stored = MaintenanceManager(beas.catalog).insert_returning("call", rows)
         except MaintenanceError:
             return
+        if beas.store is not None:
+            beas.store.log_batch("insert", beas.database.table("call"), stored)
         self.model["call"].extend(self._stored("call", rows))
         self._reread()
 
@@ -511,7 +515,7 @@ class InvalidationMachine(RuleBasedStateMachine):
         assert stats.schema_generation == generation
         # a cached answer is an entry of this process: nothing survives
         # the restart, and every key needs two sightings again
-        assert not self.session.server.results.entries()
+        assert not self.session.beas.results.entries()
         self.sightings.clear()
         self.handles = {
             name: self.session.query(render(name, {})) for name in TEMPLATES
@@ -530,7 +534,7 @@ class InvalidationMachine(RuleBasedStateMachine):
     @invariant()
     def filing_never_dangles(self):
         if self.session is not None:
-            assert_filing_is_tight(self.session.server.results)
+            assert_filing_is_tight(self.session.beas.results)
 
 
 def assert_filing_is_tight(results: ResultCache) -> None:
@@ -658,7 +662,9 @@ def test_a_sweep_says_why_in_the_log(tlc_session, caplog):
     usage = session.database.table("data_usage")
     with caplog.at_level("DEBUG", logger="repro.serving.cache"):
         session.insert("data_usage", [(10**8,) + usage.rows[0][1:]])
-        session.beas.insert("call", [(10**8,) + session.database.table("call").rows[0][1:]])
+        MaintenanceManager(session.beas.catalog).insert(
+            "call", [(10**8,) + session.database.table("call").rows[0][1:]]
+        )
         assert not _cached(session, q2)
     messages = [record.getMessage() for record in caplog.records]
     assert any("write to data_usage dropped 1 entries filed coarse" in m for m in messages)
@@ -841,7 +847,7 @@ def test_an_answer_over_the_read_set_cap_is_filed_coarse(monkeypatch):
     monkeypatch.setattr(request_module, "READ_SET_CAP", 2)
     with _session() as session:
         _warm(session, join)
-        ((_, entry),) = session.server.results.entries()
+        ((_, entry),) = session.beas.results.entries()
         assert entry.read_keys == () and entry.coarse_tables == {"call", "business"}
         session.insert("call", [(90, "102", "557", "2016-06-02", "south")])
         assert not _cached(session, join)
@@ -953,7 +959,7 @@ def test_concurrent_writers_never_leave_a_stale_answer():
         assert not any(thread.is_alive() for thread in writers + readers)
         assert not errors, errors
         stats = session.stats()
-        assert_filing_is_tight(session.server.results)
+        assert_filing_is_tight(session.beas.results)
     finally:
         sys.setswitchinterval(interval)
         session.close()

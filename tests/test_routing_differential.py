@@ -6,7 +6,7 @@ picks — and however wrong its cost model is — the answer must be
 bit-identical to every static configuration: same rows in the same
 order, same ``tuples_fetched`` accounting, same per-fetch breakdown.
 This suite replays the seeded random SPJA workload of
-``test_fuzz_differential`` through a ``routing="learned"`` server and
+``test_fuzz_differential`` through a ``routing="learned"`` session and
 compares every scenario against **three** static oracles (row, columnar,
 pool), with exploration forced fully on (``epsilon=1.0``) and fully off
 (``epsilon=0.0``), plus a model-poisoning pass where the cost model is
@@ -119,15 +119,15 @@ def test_learned_routing_vs_static_differential(seed: int):
     )
     try:
         session = learned_beas.session()
-        server = session.server
+        engine = session.beas
         modes = []
         for epsilon in EPSILONS:
-            server.router.epsilon = epsilon
+            engine.router.epsilon = epsilon
             modes += [
                 _compare_learned(session, oracles, sql) for sql in queries
             ]
         assert ExecutionMode.BOUNDED in modes
-        stats = server.stats().routing
+        stats = engine.stats().routing
         assert stats is not None
         assert stats.decisions == modes.count(ExecutionMode.BOUNDED)
         # every decision was observed back into the model (clean runs) or
@@ -168,18 +168,18 @@ def test_poisoned_cost_model_never_changes_answers():
     )
     try:
         session = beas.session()
-        server = session.server
-        server.router.epsilon = 0.0  # force pure exploitation of the poison
+        engine = session.beas
+        engine.router.epsilon = 0.0  # force pure exploitation of the poison
         # pre-train every route's mean, under the key each query's own
         # binding routes by, with absurd, inverted latencies so the
         # greedy pick is maximally wrong for every template
         for sql in queries:
-            binding, _ = server.frontend(sql)
+            binding, _ = engine.frontend(sql)
             for route, seconds in zip(
                 ("row", "columnar", "pool"), (900.0, 1e-9, 450.0)
             ):
                 for _ in range(8):
-                    server.router.observe(
+                    engine.router.observe(
                         binding.template_fingerprint, binding.signature,
                         route, ExecutionMetrics(seconds=seconds),
                     )
@@ -254,7 +254,7 @@ class TestRoutingWiring:
         with _small_session() as session:
             result = session.run(_COVERED_SQL, use_result_cache=False)
             assert result.metrics.routed_mode == ""
-            assert session.server.stats().routing.decisions == 0
+            assert session.beas.stats().routing.decisions == 0
 
     def test_unknown_routing_rejected_at_call(self):
         with _small_session() as session:
@@ -273,8 +273,8 @@ class TestRoutingWiring:
             random_example1_db(rng), example1_access_schema(), parallelism=1
         )
         session = beas.session()
-        server = session.server
-        server.router.epsilon = 1.0  # exploration can only reach its routes
+        engine = session.beas
+        engine.router.epsilon = 1.0  # exploration can only reach its routes
         for _ in range(8):
             result = session.run(
                 _COVERED_SQL, routing="learned", use_result_cache=False
@@ -364,7 +364,7 @@ class TestCostAwareAdmission:
         with _small_session(
             options=ExecutionOptions(routing="learned")
         ) as session:
-            results = session.server.results
+            results = session.beas.results
             session.run(_OTHER_SQL)
             session.run(_OTHER_SQL)  # admitted on the second sighting
             ((key, entry),) = results.entries()
@@ -376,7 +376,7 @@ class TestCostAwareAdmission:
                 assert repeat.metrics.decision_provenance != "result-cache"
             assert [k for k, _ in results.entries()] == [key]
             assert session.run(_OTHER_SQL).metrics.served_from_cache
-            stats = session.server.stats()
+            stats = session.beas.stats()
             # two first sightings (the doorkeeper), then three repeats
             assert stats.admission_declines == 2 + 3
             assert stats.result.evictions == 0
@@ -394,7 +394,7 @@ class TestCostAwareAdmission:
             assert third.metrics.decision_provenance == "result-cache"
             assert third.rows == first.rows
             assert third.metrics.seconds > 0  # real measured latency
-            ((_, entry),) = session.server.results.entries()
+            ((_, entry),) = session.beas.results.entries()
             assert 0 < entry.cost < second.metrics.seconds + 1.0
 
     def test_retention_decline_rule(self):

@@ -11,6 +11,8 @@ byte budgets in recency order.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro import BEAS, AccessConstraint, Session
@@ -20,7 +22,9 @@ from repro.errors import (
     ServingError,
     UnknownParameterError,
 )
+from repro.maintenance.incremental import MaintenanceManager
 from repro.serving import LRUCache
+from repro.serving.shard import grant, release
 from repro.sql.fingerprint import statement_fingerprint
 
 from tests.conftest import EXAMPLE2_SQL
@@ -156,7 +160,7 @@ class TestResultCacheInvalidation:
         """Table.version bumps on any mutation path, not just session.insert."""
         session.run(CALL_SQL)
         session.run(CALL_SQL)  # admitted
-        session.beas.insert("call", [NEW_CALL])  # around the serving layer
+        MaintenanceManager(session.beas.catalog).insert("call", [NEW_CALL])
         result = session.run(CALL_SQL)
         assert not result.metrics.served_from_cache
         assert ("990", "lagoon") in result.rows
@@ -170,6 +174,45 @@ class TestResultCacheInvalidation:
         assert ("corrupted", "row") not in cached.rows
         cached.rows.append(("corrupted", "row"))
         assert ("corrupted", "row") not in session.run(CALL_SQL).rows
+
+
+class TestOneWritePath:
+    """``BEAS.insert`` / ``delete`` are the only writes above the catalog:
+    a write made through the engine takes its holds and invalidates
+    exactly, as one made through a Session does."""
+
+    def test_a_bucket_preserving_engine_insert_keeps_the_answers(self, local_session):
+        session = local_session
+        other_day = CALL_SQL.replace("2016-06-01", "2016-06-02")
+        for sql in (CALL_SQL, other_day) * 2:
+            session.run(sql)  # each admitted on its second sighting
+        # a copy of a stored row under a fresh id: no psi1 bucket changes
+        session.beas.insert("call", [(901, "100", "555", "2016-06-01", "north")])
+        assert session.run(CALL_SQL).metrics.served_from_cache
+        assert session.run(other_day).metrics.served_from_cache
+        stats = session.stats()
+        assert stats.invalidated_sweep == 0
+        assert stats.result.invalidations == 0
+
+    def test_an_engine_insert_waits_for_a_read_grant(self, session):
+        engine = session.beas
+        version = engine.database.table("call").version
+        held = engine.read_locks(frozenset({"call"}))
+        grant(held)
+        writer = threading.Thread(target=engine.insert, args=("call", [NEW_CALL]))
+        try:
+            writer.start()
+            writer.join(0.2)
+            assert writer.is_alive()
+            assert engine.database.table("call").version == version
+        finally:
+            release(held)
+        writer.join(10)
+        assert not writer.is_alive()
+        assert engine.database.table("call").version > version
+        call = engine.stats().shards["call"]
+        assert call.lock.contended_acquisitions == 1
+        assert call.lock.write_acquisitions == 1
 
 
 # --------------------------------------------------------------------------- #
@@ -285,11 +328,11 @@ class TestPreparedQueries:
             prepared.bind({"call.date": None}).run()
 
     def test_prepare_same_text_returns_same_handle(self, session):
-        server = session.server
-        first = server.prepare(CALL_SQL, name="q")
-        second = server.prepare(CALL_SQL)
+        engine = session.beas
+        first = engine.prepare(CALL_SQL, name="q")
+        second = engine.prepare(CALL_SQL)
         assert first is second
-        assert server.prepared("q") is first
+        assert engine.prepared("q") is first
 
     def test_prepare_name_conflict_rejected(self, session):
         session.query(CALL_SQL, name="q")

@@ -194,7 +194,7 @@ class TestGrant:
     def test_parked_reader_holds_nothing_on_its_other_tables(self, session):
         """A join parked behind a writer on one of its tables holds no
         read on the others: a writer on those completes meanwhile."""
-        package = session.server.shard("package").lock
+        package = session.beas.shard("package").lock
         package.acquire_write()
         served = []
         try:
@@ -214,7 +214,7 @@ class TestGrant:
     def test_interrupted_join_leaks_no_hold(self, session):
         """A join interrupted while parked behind a writer on one table
         leaves no read hold on the schema or its other tables."""
-        package = session.server.shard("package").lock
+        package = session.beas.shard("package").lock
         package.acquire_write()
         _interrupt_next_wait(package._cond)
         try:
@@ -223,8 +223,8 @@ class TestGrant:
         finally:
             package.release_write()
         for name in ("call", "business"):
-            assert session.server.shard(name).lock._readers == 0
-        assert session.server._schema_lock._readers == 0
+            assert session.beas.shard(name).lock._readers == 0
+        assert session.beas._schema_lock._readers == 0
         writer = _in_thread(lambda: session.insert("call", MUTATIONS["call"](0)))
         writer.join(timeout=10)
         assert not writer.is_alive()
@@ -256,9 +256,9 @@ class TestGrant:
         assert (a._readers, a._writer, b._readers) == (0, None, 0)
 
     def test_register_waits_for_reads_in_flight_and_blocks_new_ones(self, session):
-        in_flight = session.server.read_locks(frozenset({"call"}))
+        in_flight = session.beas.read_locks(frozenset({"call"}))
         grant(in_flight)
-        schema = session.server._schema_lock
+        schema = session.beas._schema_lock
         constraint = AccessConstraint("business", ["pnum"], ["type"], 4, name="psi4")
         registered = threading.Event()
         served = []
@@ -420,7 +420,7 @@ def _assert_invariant(session: Session) -> int:
     schema generation, and whatever the cache serves for a pool query
     equals a fresh execution; returns the number of live entries."""
     generation = session.beas.catalog.schema_generation
-    entries = session.server.results.entries()
+    entries = session.beas.results.entries()
     for key, entry in entries:
         assert entry.schema_generation == generation, key
     for sql, _ in QUERY_POOL:
@@ -522,13 +522,13 @@ def test_rejected_batch_still_invalidates_dependents(session):
 def test_unknown_table_requests_leave_no_phantom_shard(session):
     from repro.errors import UnknownTableError
 
-    before = set(session.server.shards())
+    before = set(session.beas.shards())
     with pytest.raises(UnknownTableError):
         session.insert("nosuch", [(1, "x")])
     with pytest.raises(UnknownTableError):
         session.run("SELECT x FROM nosuch2")
     after = session.stats()
-    assert set(session.server.shards()) == before
+    assert set(session.beas.shards()) == before
     assert "nosuch" not in after.shards and "nosuch2" not in after.shards
     assert all(s.maintenance_batches == 0 for s in after.shards.values())
 

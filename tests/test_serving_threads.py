@@ -1,6 +1,6 @@
 """Concurrency contract of the sharded serving layer.
 
-Three families of checks over :class:`BEASServer` (sharded):
+Three families of checks over the sharded serving state of a :class:`BEAS`:
 
 * **Linearizability by serial replay** — N writer threads (one per
   table, so per-table version numbers identify write prefixes) and M
@@ -22,7 +22,7 @@ Three families of checks over :class:`BEASServer` (sharded):
   single-table reads, maintenance, and access-schema changes finishes
   within a hard timeout (ordered acquisition means no lock cycles).
 
-* **Stats-snapshot atomicity** — ``BEASServer.stats()`` polled during a
+* **Stats-snapshot atomicity** — ``BEAS.stats()`` polled during a
   rebind-heavy workload must never report torn totals. Within one
   request the bump order is executions (admin lock), then the result
   cache's hit/miss, then the rebind counters (admin lock again); a

@@ -77,15 +77,15 @@ class TestConstruction:
             Session(beas=engine, access_schema=example1_access_schema())
 
     def test_sessions_over_one_engine_share_the_server_not_the_options(self):
-        """Every live Session over an engine serves through one server
-        (one set of locks and caches); each request still carries its
-        own Session's options."""
+        """Every Session over an engine serves through the engine's one
+        set of locks and caches; each request still carries its own
+        Session's options."""
         engine = BEAS(example1_database(), example1_access_schema())
         cached = engine.session()
         uncached = Session(
             beas=engine, options=ExecutionOptions(use_result_cache=False)
         )
-        assert cached.server is uncached.server is cached.server
+        assert cached.beas is uncached.beas is engine
         for _ in range(3):
             assert not uncached.run(CALL_SQL).served_from_cache
         cached.run(CALL_SQL)
@@ -209,7 +209,7 @@ class TestLifecycle:
             async with session.serve_async(max_workers=2) as aserver:
                 result = await aserver.execute(CALL_SQL)
                 bound = await aserver.execute_prepared(
-                    session.server.prepare(CALL_SQL), {"date": "2016-06-02"}
+                    session.beas.prepare(CALL_SQL), {"date": "2016-06-02"}
                 )
                 return result, bound.decision
 
@@ -246,20 +246,22 @@ def _served_session(options: ExecutionOptions) -> Session:
 
 class TestNoReferenceCycles:
     """A dropped engine is freed by reference counting alone: neither
-    its serving layer nor its prepared templates refer back to it."""
+    its caches nor its prepared templates refer back to it."""
 
     @pytest.mark.parametrize("storage", ["memory", "mmap"])
     def test_a_dropped_session_frees_its_engine(self, storage):
         session = _served_session(ExecutionOptions(storage=storage))
         engine = weakref.ref(session.beas)
-        server = weakref.ref(session.server)
+        results = weakref.ref(session.beas.results)
+        decisions = weakref.ref(session.beas.decision_cache)
         session.close()
         collecting = gc.isenabled()
         gc.disable()
         try:
             del session
-            assert server() is None
             assert engine() is None
+            assert results() is None
+            assert decisions() is None
         finally:
             if collecting:
                 gc.enable()
@@ -280,24 +282,23 @@ class TestNoReferenceCycles:
             if collecting:
                 gc.enable()
 
-    def test_sessions_over_one_engine_keep_one_server_alive(self):
-        """The engine holds its server weakly: every live Session shares
-        it, and once none is left the next one starts with empty caches."""
+    def test_a_later_session_is_served_from_the_engines_caches(self):
+        """The caches live as long as the engine: a Session over it,
+        made after every earlier one is gone, is served from them."""
         engine = BEAS(example1_database(), example1_access_schema())
         first = engine.session()
         first.run(CALL_SQL)
         first.run(CALL_SQL)  # admitted on the second sighting
         assert engine.session().run(CALL_SQL).served_from_cache
-        server = weakref.ref(first.server)
         collecting = gc.isenabled()
         gc.disable()
         try:
             del first
-            assert server() is None
         finally:
             if collecting:
                 gc.enable()
-        assert not engine.session().run(CALL_SQL).served_from_cache
+        assert engine.session().run(CALL_SQL).served_from_cache
+        assert engine.stats().result.hits == 2
 
 
 # --------------------------------------------------------------------------- #
@@ -457,7 +458,7 @@ class TestOneRequestPath:
         session = tlc_session
         sql = next(q.sql for q in tlc_queries(tlc_small.params) if q.name == name)
         query = session.query(sql)
-        prepared = session.server.prepare(sql)
+        prepared = session.beas.prepare(sql)
         params = _alternative_binding(session.database, query) if bound else None
         statement = prepared.binding(params).statement
 
@@ -516,9 +517,9 @@ class TestOneRequestPath:
         evaluations: list[int] = []
 
         def recording(stage):
-            def run(server, request):
+            def run(engine, request):
                 ran.append(stage.__name__)
-                return stage(server, request)
+                return stage(engine, request)
 
             return run
 
@@ -549,10 +550,10 @@ class TestOneRequestPath:
         generation the answer was decided and executed under."""
         observed = session.beas.catalog.schema_generation
 
-        def bump(server, request):
+        def bump(engine, request):
             # a direct catalog call: it bypasses the schema write lock,
             # so it can land while this request still holds its read locks
-            server.beas.catalog.register(
+            engine.catalog.register(
                 AccessConstraint("call", ["region"], ["pnum"], 100, name="late")
             )
 
@@ -563,6 +564,37 @@ class TestOneRequestPath:
         assert session.beas.catalog.schema_generation == observed + 1
         assert result.decision.generation == observed
         assert len(result.rows) == 2
+
+# --------------------------------------------------------------------------- #
+# explain reads: no template filed, no decision made twice
+# --------------------------------------------------------------------------- #
+UNCOVERED_SQL = "SELECT DISTINCT region FROM call WHERE pnum = '100'"
+
+
+class TestExplainIsAPureReader:
+    def test_session_explain_files_no_template_and_checks_a_shape_once(self):
+        engine = BEAS(example1_database(), example1_access_schema())
+        oracle = BEAS(example1_database(), example1_access_schema())
+        session = engine.session()
+        runs = engine.checker_runs
+        for i in range(39):
+            text = CALL_SQL.replace("'100'", f"'{100 + i}'")
+            assert session.explain(text) == oracle.explain(text)
+        assert engine.prepared_names() == []
+        assert engine.checker_runs == runs + 1  # as session.run's would
+        assert session.explain(UNCOVERED_SQL) == oracle.explain(UNCOVERED_SQL)
+        assert engine.prepared_names() == []
+
+    def test_query_explain_reuses_the_decision_it_explains(self):
+        engine = BEAS(example1_database(), example1_access_schema())
+        oracle = BEAS(example1_database(), example1_access_schema())
+        query = engine.session().query(UNCOVERED_SQL)
+        assert not query.decide().covered
+        runs = engine.checker_runs
+        texts = {query.explain() for _ in range(5)}
+        assert engine.checker_runs == runs
+        assert texts == {oracle.explain(UNCOVERED_SQL)}
+
 
 # --------------------------------------------------------------------------- #
 # construction-time validation satellites
@@ -586,7 +618,7 @@ class TestValidationSatellites:
         # a one-shot read rejects it before any lock/execution too
         with pytest.raises(BEASError, match="executor"):
             session.run(CALL_SQL, executor="simd")
-        executions = session.server.stats().executions
+        executions = session.beas.stats().executions
         assert executions == 0  # nothing was admitted past validation
 
     def test_close_idempotent_after_failed_pool_spawn(self, monkeypatch):
