@@ -1,10 +1,11 @@
 """E9 — row vs columnar bounded execution on a selective fetch workload.
 
-The columnar executor (``executor="columnar"``) replaces row-tuple
-intermediates with per-attribute column batches: fetches gather index
-postings for a whole key batch and materialise output column by column,
-selections only shrink a selection vector, and the tail aggregates
-stream batches with cross-batch accumulators. This bench measures both
+The columnar executor (``executor="columnar"``) replaces the fetch
+pipeline's row-tuple intermediates with per-attribute columns: fetches
+gather index postings for a whole key batch and materialise output
+column by column, and selections only shrink a selection vector; the
+live rows then go through the row executor's own tail operators (the
+``batches`` column counts fetch-input batches). This bench measures both
 modes on the same bounded plans over a >= 100k-row synthetic event
 table — a selective fetch (IN-list key batch) + selection + GROUP BY
 aggregate, in three aggregate shapes — and reports the per-query medians.

@@ -1,23 +1,26 @@
 #!/usr/bin/env python3
-"""Columnar execution: the same bounded plans, batch-at-a-time.
+"""Columnar execution: the same bounded plans, with a batch fetch.
 
 The BE Plan Executor has two modes sharing identical plans, bounds, and
-answers:
+answers, and differing only in the fetch:
 
 * ``executor="row"`` (default) — tuple-at-a-time intermediates;
-* ``executor="columnar"`` — per-attribute column batches with a
-  selection vector: fetches gather index postings for a whole key batch,
-  selections only shrink the selection vector, and the tail operators
-  stream batches of ``rows_per_batch`` rows (``engine.columnar``).
+* ``executor="columnar"`` — per-attribute columns with a selection
+  vector: a fetch gathers index postings for a whole key batch and a
+  selection only shrinks the selection vector (``engine.columnar``).
+  The filter predicate and the tail operators (aggregate, sort,
+  project, distinct, limit) are the row mode's own, run on the live
+  rows.
 
 This walkthrough:
 
 1. builds a synthetic event table (50k rows) under one access
    constraint;
 2. runs a selective fetch/select/aggregate query in both modes and
-   shows the metrics delta — same rows, same ``tuples_fetched``, but
-   the columnar run reports ``rows_per_batch``/``batches`` and a lower
-   wall-clock;
+   shows the metrics side by side — same rows, same ``tuples_fetched``
+   and the same per-operation counts; the columnar run also reports
+   ``rows_per_batch`` and how many batches its fetch inputs made, and
+   the wall-clock ratio (neither mode wins by much);
 3. flips the mode per query through the session
    (``session.run(sql, executor="columnar")``) without rebuilding
    anything.
@@ -101,7 +104,7 @@ for mode in ("row", "columnar"):
         f"{mode:>8}: {len(result.rows)} groups in {metrics.seconds * 1000:6.1f} ms"
         f" — fetched {metrics.tuples_fetched} partial tuples"
         + (
-            f", {metrics.batches} batches of <= {metrics.rows_per_batch} rows"
+            f", {metrics.batches} fetch-input batches of <= {metrics.rows_per_batch} rows"
             if mode == "columnar"
             else ""
         )
@@ -112,12 +115,21 @@ assert (
     results["row"].metrics.tuples_fetched
     == results["columnar"].metrics.tuples_fetched
 )
-print("answers and tuple-access accounting are identical across modes")
+assert [
+    (op.label, op.tuples_in, op.tuples_out) for op in results["row"].metrics.operations
+] == [
+    (op.label, op.tuples_in, op.tuples_out)
+    for op in results["columnar"].metrics.operations
+]
+print(
+    "answers and tuple-access accounting are identical across modes, "
+    "per-operation counts included"
+)
 
-speedup = results["row"].metrics.seconds / max(
+ratio = results["row"].metrics.seconds / max(
     results["columnar"].metrics.seconds, 1e-9
 )
-print(f"columnar speedup on this run: {speedup:.2f}x")
+print(f"row / columnar wall-clock on this run: {ratio:.2f}x")
 
 # ---- 3. per-query mode selection through the serving layer ---------------
 print("\n== per-query selection through the serving layer ==")
@@ -128,10 +140,10 @@ columnar_run = query.run(use_result_cache=False, executor="columnar")
 assert row_run.rows == columnar_run.rows
 print(
     "query.run()                          ->",
-    f"row pipeline, {row_run.metrics.batches} batches",
+    f"row fetches, {row_run.metrics.batches} batches",
 )
 print(
     'query.run(executor="columnar")      ->',
-    f"columnar pipeline, {columnar_run.metrics.batches} batches",
+    f"columnar fetches, {columnar_run.metrics.batches} batches",
 )
 print("\nmode switching is per query; caches and plans are shared")

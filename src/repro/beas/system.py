@@ -195,8 +195,9 @@ class BEAS:
 
         ``executor`` is the bounded pipeline's default execution mode:
         ``"row"`` (tuple-at-a-time, the default) or ``"columnar"``
-        (vectorised batches of ``rows_per_batch`` rows, see
-        :mod:`repro.engine.columnar`). Both return identical answers.
+        (batch fetches into per-attribute columns, counted in batches of
+        ``rows_per_batch`` rows, see :mod:`repro.engine.columnar`). Both
+        return identical answers.
         Setting ``executor``, ``rows_per_batch`` or ``parallelism`` here
         pins ``routing="static"`` over an ambient ``BEAS_ROUTING``; a
         Session, Query or call may still set ``routing``.

@@ -6,7 +6,8 @@ modified hash indices of the access schema — base tables are never
 scanned. After the fetch/select pipeline produces the final intermediate,
 the conventional engine's tail operators (aggregate, sort, project,
 distinct, limit) finish the job, which is exactly how the paper describes
-BEAS sitting on top of a DBMS's physical plan implementation.
+BEAS sitting on top of a DBMS's physical plan implementation: ``fetch``
+is the one operator BEAS adds, and the host's own operators do the rest.
 
 ``dedup_keys=False`` (default) mirrors the paper's accounting, where the
 plan of Example 2 "still accesses over 12 million tuples": every
@@ -14,24 +15,30 @@ intermediate row presents its key to the index. ``dedup_keys=True``
 fetches each distinct key once — an optimisation the paper's bound
 arithmetic does not assume (ablation bench A1).
 
-Two execution modes share the same plans, bounds, and accounting:
+Two execution modes share the same plans, bounds, and accounting, and
+differ only in how a fetch lays out its output:
 
 * ``executor="row"`` (default) materialises row-tuple intermediates;
-* ``executor="columnar"`` runs the pipeline over per-attribute column
-  batches (``engine.columnar``): fetches gather index postings for a
-  whole key batch and build the output column by column, selections only
-  shrink a selection vector, and the tail operators stream batches of
-  ``rows_per_batch`` rows (``engine.physical.ColumnarTail``).
+* ``executor="columnar"`` runs the fetch/select pipeline over
+  per-attribute columns (``engine.columnar``): a fetch gathers index
+  postings for a whole key batch and builds its output column by column,
+  and a selection only shrinks a selection vector. ``rows_per_batch``
+  sizes the batches ``ExecutionMetrics.batches`` counts (fetch inputs).
 
-Both modes present exactly the same keys to the indices in the same
-order, so ``tuples_fetched``, the per-fetch bound enforcement, and the
-``dedup_keys`` semantics are identical by construction — the paper's §3
-bound arithmetic holds unchanged. NULL semantics (both modes): a fetch
-key with a NULL part never matches any index entry (SQL three-valued
-logic — an equality against NULL is UNKNOWN), whether the part comes
-from a materialised column or an enumerated constant, and key dedup
-never conflates distinct NULL-bearing keys because such keys are never
-presented at all.
+Everything past the fetch is one implementation: a filter select runs
+the skeleton's one compiled predicate over each live row's tuple, and
+the final intermediate, materialised as rows, goes into the same
+prepared tail the row mode runs. So the two modes agree on rows, row
+order, per-operation counts (under LIMIT too) and errors by
+construction. Both modes present exactly the same keys to the indices
+in the same order, so ``tuples_fetched``, the per-fetch bound
+enforcement, and the ``dedup_keys`` semantics are identical as well —
+the paper's §3 bound arithmetic holds unchanged. NULL semantics (both
+modes): a fetch key with a NULL part never matches any index entry (SQL
+three-valued logic — an equality against NULL is UNKNOWN), whether the
+part comes from a materialised column or an enumerated constant, and
+key dedup never conflates distinct NULL-bearing keys because such keys
+are never presented at all.
 
 Neither mode interprets the plan per request: what depends on the plan's
 shape alone — key layouts, label lists, select positions and predicates,
@@ -259,10 +266,8 @@ class BoundedPlanExecutor:
                 intermediate = self._select_columnar(
                     step, constants, intermediate, metrics
                 )
-        # the same conventional tail, interpreted batch-wise
-        return skeleton.tail(plan, columnar=True).run(
-            intermediate, metrics, self.rows_per_batch
-        )
+        # the row mode's conventional tail, over the live rows
+        return skeleton.tail(plan).run(intermediate.to_rows(), metrics)
 
     # ------------------------------------------------------------------ #
     def _fetch_columnar(
@@ -327,8 +332,7 @@ class BoundedPlanExecutor:
                     column.extend([key[j]] * matches)
                 for column, j in zip(y_columns, y_new):
                     column.extend([y_value[j] for y_value in bucket])
-        # batches: the input counted in rows_per_batch-row batches, as
-        # the columnar tail counts its own
+        # batches: the input counted in rows_per_batch-row batches
         metrics.batches += -(-len(live) // self.rows_per_batch)
 
         self._enforce_bound(op, fetched)
@@ -352,7 +356,7 @@ class BoundedPlanExecutor:
     ) -> ColumnarIntermediate:
         start = time.perf_counter()
         rows_in = intermediate.live_count
-        sel = step.keep_columnar(constants, intermediate.columns, intermediate.live)
+        sel = step.keep_columnar(constants, intermediate)
         metrics.record(
             step.label(constants), rows_in, len(sel), time.perf_counter() - start
         )

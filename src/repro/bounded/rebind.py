@@ -66,20 +66,10 @@ from repro.bounded.coverage import CoverageDecision
 from repro.bounded.plan import AnyBoundedPlan, BoundedPlan, KeyPart, patched
 from repro.bounded.planner import class_constant_map
 from repro.bounded.skeleton import Constants, skeleton_of
-from repro.sql.normalize import Attribute, ConjunctiveQuery
+from repro.sql.normalize import Attribute, ConjunctiveQuery, canonical_selection
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.bounded.optimizer import PartialPlan
-
-
-def _canonical_selection(values) -> tuple:
-    """Canonicalise one selection's values exactly as the normalizer does
-    (``sql.normalize._intersect_selection``): dedupe, then sort by
-    (type name, value) so the rebound plan enumerates keys in the same
-    order a fresh normalize would."""
-    if len(values) == 1:
-        return tuple(values)
-    return tuple(sorted(set(values), key=lambda v: (str(type(v)), v)))
 
 
 class _ClassSlot:
@@ -103,7 +93,7 @@ class _ClassSlot:
         for name, template_values in self.contributors:
             fresh = overrides.get(name)
             values = (
-                _canonical_selection(fresh) if fresh is not None else template_values
+                canonical_selection(fresh) if fresh is not None else template_values
             )
             if merged is None:
                 merged = values
@@ -213,7 +203,7 @@ class RebindTemplate:
                 )
         selections = dict(plan.cq.selections)
         for name, values in overrides.items():
-            selections[self._attributes[name]] = _canonical_selection(values)
+            selections[self._attributes[name]] = canonical_selection(values)
         cq = patched(plan.cq, selections=selections)
         return patched(
             self.decision,

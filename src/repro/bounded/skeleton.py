@@ -36,10 +36,10 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 from repro.bounded.plan import BoundedPlan, FetchOp, SelectOp
 from repro.bounded.planner import equality_classes
-from repro.engine.columnar import compile_columnar_predicate
+from repro.engine.columnar import ColumnarIntermediate
 from repro.engine.expressions import compile_predicate
 from repro.engine.logical import MaterializedNode
-from repro.engine.physical import ColumnarTail, PreparedTail, match_tail
+from repro.engine.physical import PreparedTail
 from repro.engine.planner import attach_tail
 from repro.errors import ExecutionError
 from repro.sql.normalize import Attribute
@@ -201,7 +201,7 @@ class _SelectPlan:
     ) -> None:
         self.kind = op.kind
         self.a = self.b = self.slot = -1
-        self.predicate = self.columnar_predicate = None
+        self.predicate = None
         if op.kind == "selection":
             self.a = layout[op.column]
             #: the constant vector position of the values it keeps
@@ -214,7 +214,6 @@ class _SelectPlan:
             self._label = op.describe()
         else:
             self.predicate = compile_predicate(op.predicate, layout)
-            self.columnar_predicate = compile_columnar_predicate(op.predicate, layout)
             self._label = op.describe()
 
     def label(self, constants: Constants) -> str:
@@ -242,10 +241,13 @@ class _SelectPlan:
         return [row for row in rows if predicate(row)]
 
     def keep_columnar(
-        self, constants: Constants, columns: list[list], live: Sequence[int]
+        self, constants: Constants, intermediate: ColumnarIntermediate
     ) -> list[int]:
         """The live positions passing the select (columnar mode): only
-        the selection vector shrinks."""
+        the selection vector shrinks. A filter tests each live row's
+        tuple with the one compiled :attr:`predicate`, as :meth:`keep`
+        does."""
+        columns, live = intermediate.columns, intermediate.live
         if self.kind == "selection":
             column = columns[self.a]
             allowed = set(constants[self.slot])
@@ -255,7 +257,7 @@ class _SelectPlan:
         if self.kind == "equality":
             a, b = columns[self.a], columns[self.b]
             return [i for i in live if (value := a[i]) is not None and value == b[i]]
-        return self.columnar_predicate(columns, live)
+        return list(itertools.compress(live, map(self.predicate, intermediate.to_rows())))
 
 
 Step = Union[_KeyPlan, _SelectPlan]
@@ -264,10 +266,10 @@ Step = Union[_KeyPlan, _SelectPlan]
 class PlanSkeleton:
     """The compiled, constant-free shape of one :class:`BoundedPlan`:
     one step per operator, the numbering of its constant classes, and
-    the tail prepared per execution mode on first use. Immutable once
-    built apart from the tail memo, whose entries are pure functions of
-    the shape (a concurrent duplicate build is benign), so any number of
-    requests may run off one skeleton."""
+    the tail prepared on first use. Immutable once built apart from the
+    tail memo, whose entries are pure functions of the shape (a
+    concurrent duplicate build is benign), so any number of requests may
+    run off one skeleton."""
 
     def __init__(self, plan: BoundedPlan) -> None:
         #: the query's equality classes (shape, never constants)
@@ -292,7 +294,7 @@ class PlanSkeleton:
         self.steps = tuple(steps)
         #: labels of the final intermediate, the tail's input
         self.labels = labels
-        self._tails: dict[tuple[bool, bool], Union[PreparedTail, ColumnarTail]] = {}
+        self._tails: dict[bool, PreparedTail] = {}
 
     def _place(self, root: Attribute, sites: list[Site]) -> int:
         """The vector position of ``root``'s class, numbered on first
@@ -318,29 +320,20 @@ class PlanSkeleton:
             vector.append(values or ())
         return tuple(vector)
 
-    def tail(
-        self, plan: BoundedPlan, *, columnar: bool = False, as_set: bool = False
-    ) -> Union[PreparedTail, ColumnarTail]:
+    def tail(self, plan: BoundedPlan, *, as_set: bool = False) -> PreparedTail:
         """The conventional tail operators (aggregate, sort, project,
-        distinct, limit) prepared against the final layout for one
-        execution mode. ``plan`` is the plan running (the pinned one, or
-        a patched copy of it): the tail reads the canonical query's
-        shape, never its selection constants. ``as_set`` forces
+        distinct, limit) prepared against the final layout: the one tail
+        of every execution mode. ``plan`` is the plan running (the pinned
+        one, or a patched copy of it): the tail reads the canonical
+        query's shape, never its selection constants. ``as_set`` forces
         DISTINCT (approximate answers are a set; so are those of a plan
         that is not bag-exact)."""
         distinct = as_set or not plan.bag_exact
-        tail = self._tails.get((columnar, distinct))
+        tail = self._tails.get(distinct)
         if tail is None:
             leaf = MaterializedNode(self.labels, [])
             root = attach_tail(leaf, plan.cq, force_distinct=distinct)
-            if columnar:
-                chain = match_tail(root)
-                if chain is None or chain.child is not leaf:  # pragma: no cover
-                    raise ExecutionError("unexpected tail shape for a bounded plan")
-                tail = ColumnarTail(chain, self.labels)
-            else:
-                tail = PreparedTail(root, leaf)
-            self._tails[(columnar, distinct)] = tail
+            tail = self._tails[distinct] = PreparedTail(root, leaf)
         return tail
 
 

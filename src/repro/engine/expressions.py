@@ -50,6 +50,16 @@ def _label_of(ref: ast.ColumnRef) -> object:
     return Attribute(ref.table, ref.name) if ref.table else ref.name
 
 
+def _column_position(
+    expr: ast.Expression, layout: Mapping[object, int]
+) -> Optional[int]:
+    """The position a plain column reference reads under ``layout``, or
+    None for any other expression."""
+    if not isinstance(expr, ast.ColumnRef):
+        return None
+    return layout.get(_label_of(expr))
+
+
 def compile_expression(
     expr: ast.Expression,
     layout: Mapping[object, int],

@@ -44,7 +44,7 @@ class ExecutionMetrics:
     decision_provenance: str = ""
     # --- columnar-executor counters (engine.columnar) ---
     rows_per_batch: int = 0  # configured batch size (0 = row executor)
-    batches: int = 0  # column batches processed (fetch inputs + tail)
+    batches: int = 0  # fetch-input batches of rows_per_batch rows (columnar)
     # --- engine-pool counters (engine.pool): parallel bounded execution ---
     pool_workers: int = 0  # worker processes available to this execution
     pool_batches: int = 0  # column batches / whole plans run on workers

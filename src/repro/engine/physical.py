@@ -9,8 +9,10 @@ The tail operators (aggregate, sort, project, distinct, limit) come in one
 prepare-then-run form: preparing binds everything that depends on the plan
 and the input's labels (positions, compiled expressions), running reads
 rows. The conventional engine prepares and runs each back to back; a
-bounded plan's skeleton keeps the prepared tail (:class:`PreparedTail`,
-:class:`ColumnarTail`) and runs it once per request.
+bounded plan's skeleton keeps the prepared tail (:class:`PreparedTail`)
+and runs it once per request, whichever mode ran the plan's fetches: the
+BE Plan Executor's row and columnar modes and the approximator all end in
+it, so each tail operator has one implementation.
 """
 
 from __future__ import annotations
@@ -25,12 +27,11 @@ from repro.errors import ExecutionError
 from repro.sql import ast
 from repro.sql.normalize import Attribute
 from repro.storage.database import Database
-from repro.engine.columnar import (
-    ColumnarIntermediate,
+from repro.engine.expressions import (
     _column_position,
-    compile_columnar_values,
+    compile_expression,
+    compile_predicate,
 )
-from repro.engine.expressions import compile_expression, compile_predicate
 from repro.engine.logical import (
     AggregateNode,
     DistinctNode,
@@ -462,18 +463,20 @@ def _compile_aggregate(call: ast.FunctionCall, layout: dict[object, int]):
         if distinct:
             return lambda rows: len(set(non_null(rows)))
         return lambda rows: sum(1 for _ in non_null(rows))
-    if name == "SUM":
+    if name in ("SUM", "AVG"):
         def agg_sum(rows: list[Row]):
             values = set(non_null(rows)) if distinct else list(non_null(rows))
-            return sum(values) if values else None
+            if not values:
+                return None
+            try:
+                total = sum(values)
+            except TypeError:
+                raise ExecutionError(
+                    f"{name} needs numeric values, got "
+                    f"{', '.join(sorted({type(v).__name__ for v in values}))}"
+                ) from None
+            return total if name == "SUM" else total / len(values)
         return agg_sum
-    if name == "AVG":
-        def agg_avg(rows: list[Row]):
-            values = (
-                list(set(non_null(rows))) if distinct else list(non_null(rows))
-            )
-            return sum(values) / len(values) if values else None
-        return agg_avg
     if name == "MIN":
         def agg_min(rows: list[Row]):
             values = list(non_null(rows))
@@ -596,401 +599,6 @@ class PreparedTail:
         for run in self._runs:
             rows = run(rows, metrics)
         return Intermediate(self.labels, rows)
-
-
-@dataclass
-class _TailChain:
-    """The canonical tail shape ``attach_tail`` produces, root to leaf:
-    Limit? -> Distinct? -> Project -> Sort? -> Aggregate? -> child."""
-
-    limit: Optional[LimitNode]
-    distinct: Optional[DistinctNode]
-    project: ProjectNode
-    sort: Optional[SortNode]
-    aggregate: Optional[AggregateNode]
-    child: PlanNode
-
-
-def match_tail(node: PlanNode) -> Optional[_TailChain]:
-    """Recognise the canonical tail chain; None -> run row-wise."""
-    limit = distinct = sort = aggregate = None
-    if isinstance(node, LimitNode):
-        limit = node
-        node = node.child
-    if isinstance(node, DistinctNode):
-        distinct = node
-        node = node.child
-    if not isinstance(node, ProjectNode):
-        return None
-    project = node
-    node = node.child
-    if isinstance(node, SortNode):
-        sort = node
-        node = node.child
-    if isinstance(node, AggregateNode):
-        aggregate = node
-        node = node.child
-    return _TailChain(limit, distinct, project, sort, aggregate, node)
-
-
-def _row_tuples(columns: list[list], indices: Sequence[int]) -> list[Row]:
-    return [tuple(column[i] for column in columns) for i in indices]
-
-
-class ColumnarTail:
-    """Batch-aware tail operators over a :class:`ColumnarIntermediate`,
-    prepared once against the labels of the intermediate they will read
-    (the columnar counterpart of :class:`PreparedTail`; a run keeps its
-    state in locals, so one instance serves concurrent requests).
-
-    The tail is consumed in batches of ``rows_per_batch`` live rows:
-    aggregation folds batch streams into per-group accumulators, DISTINCT
-    keeps one seen-set across batches, and LIMIT stops pulling batches as
-    soon as the cutoff is reached (slicing mid-batch). Operation labels
-    and tuple counts match the row operators, so Fig.-3-style breakdowns
-    compare across modes; only ``ExecutionMetrics.batches`` is new.
-    """
-
-    def __init__(self, chain: _TailChain, labels: Sequence[object]):
-        labels = list(labels)
-        self._aggregate: Optional[tuple] = None
-        if chain.aggregate is not None:
-            node = chain.aggregate
-            layout = _layout_of(labels)
-            accumulators = [_columnar_accumulator(call) for call in node.calls]
-            labels = list(node.group_by) + list(node.calls)
-            having = None
-            if node.having is not None:
-                out_layout = _layout_of(labels)
-                having = compile_predicate(
-                    node.having,
-                    out_layout,
-                    {call: out_layout[call] for call in node.calls},
-                )
-            self._aggregate = (
-                [layout[attr] for attr in node.group_by],
-                [(make, update, finalize) for make, update, finalize, _ in accumulators],
-                # per accumulator, what it is fed per batch: nothing
-                # (COUNT(*)), whole rows (COUNT(DISTINCT *)), or its argument
-                [
-                    None
-                    if mode == "count_star"
-                    else _row_tuples
-                    if mode == "row"
-                    else compile_columnar_values(mode, layout)
-                    for _, _, _, mode in accumulators
-                ],
-                labels,
-                having,
-            )
-        layout = _layout_of(labels)
-        aggregate_values = _aggregate_positions(layout)
-        # stable sorts applied last-key-first, exactly like the row operator
-        self._sort_passes = [
-            (
-                compile_columnar_values(order.expression, layout, aggregate_values),
-                not order.ascending,
-            )
-            for order in reversed(chain.sort.order_by if chain.sort is not None else ())
-        ]
-        self._sorted = chain.sort is not None
-        # per output column: the position it copies, or its compiled expression
-        self._outputs: list = []
-        for item in chain.project.items:
-            position = _column_position(item.expression, layout)
-            self._outputs.append(
-                position
-                if position is not None
-                else compile_columnar_values(item.expression, layout, aggregate_values)
-            )
-        self._distinct = chain.distinct is not None
-        self._limited = chain.limit is not None
-        self._offset = (chain.limit.offset or 0) if chain.limit is not None else 0
-        self._end: Optional[int] = None
-        if chain.limit is not None and chain.limit.limit is not None:
-            self._end = self._offset + chain.limit.limit
-        self.labels: list[object] = [item.name for item in chain.project.items]
-
-    # ------------------------------------------------------------------ #
-    def run(
-        self,
-        source: ColumnarIntermediate,
-        metrics: ExecutionMetrics,
-        rows_per_batch: int,
-    ) -> Intermediate:
-        metrics.rows_per_batch = rows_per_batch
-        if self._aggregate is not None:
-            source = self._run_aggregate(source, metrics, rows_per_batch)
-        if self._sorted:
-            source = self._run_sort(source, metrics)
-        return Intermediate(self.labels, self._stream(source, metrics, rows_per_batch))
-
-    # ------------------------------------------------------------------ #
-    def _run_aggregate(
-        self, inter: ColumnarIntermediate, metrics: ExecutionMetrics, rows_per_batch: int
-    ) -> ColumnarIntermediate:
-        start = time.perf_counter()
-        group_positions, accumulators, feeds, labels, having = self._aggregate
-        groups: dict[tuple, list] = {}
-        rows_in = 0
-
-        # fast path: grouped COUNT(*) folds to a pure counting pass
-        counting_only = bool(group_positions) and all(feed is None for feed in feeds)
-
-        for batch in inter.iter_batches(rows_per_batch):
-            metrics.batches += 1
-            rows_in += len(batch)
-            if group_positions:
-                group_columns = [
-                    [inter.columns[p][i] for i in batch] for p in group_positions
-                ]
-                keys: Sequence[tuple] = list(zip(*group_columns))
-            else:
-                keys = [()] * len(batch)
-            if counting_only:
-                for key in keys:
-                    states = groups.get(key)
-                    if states is None:
-                        groups[key] = [[1] for _ in accumulators]
-                    else:
-                        for state in states:
-                            state[0] += 1
-                continue
-            value_lists = [
-                feed(inter.columns, batch) if feed is not None else None
-                for feed in feeds
-            ]
-            if len(accumulators) == 1:
-                # hoisted single-aggregate loop (no per-row zip dispatch)
-                make, update, _ = accumulators[0]
-                values = value_lists[0]
-                for j, key in enumerate(keys):
-                    states = groups.get(key)
-                    if states is None:
-                        states = [make()]
-                        groups[key] = states
-                    update(states[0], values[j] if values is not None else None)
-                continue
-            for j, key in enumerate(keys):
-                states = groups.get(key)
-                if states is None:
-                    states = [make() for make, _, _ in accumulators]
-                    groups[key] = states
-                for state, (_, update, _), values in zip(
-                    states, accumulators, value_lists
-                ):
-                    update(state, values[j] if values is not None else None)
-
-        if not group_positions and not groups:
-            # scalar aggregate over no rows still yields one group
-            groups[()] = [make() for make, _, _ in accumulators]
-
-        rows = [
-            key
-            + tuple(
-                finalize(state)
-                for state, (_, _, finalize) in zip(states, accumulators)
-            )
-            for key, states in groups.items()
-        ]
-        if having is not None:
-            rows = [row for row in rows if having(row)]
-        metrics.record("aggregate", rows_in, len(rows), time.perf_counter() - start)
-        return ColumnarIntermediate.from_rows(labels, rows)
-
-    # ------------------------------------------------------------------ #
-    def _run_sort(
-        self, inter: ColumnarIntermediate, metrics: ExecutionMetrics
-    ) -> ColumnarIntermediate:
-        start = time.perf_counter()
-        indices = list(inter.live)
-        for values_of, descending in self._sort_passes:
-            values = values_of(inter.columns, indices)
-            ranks = sorted(
-                range(len(indices)),
-                key=lambda k: _sort_key(values[k]),
-                reverse=descending,
-            )
-            indices = [indices[k] for k in ranks]
-        metrics.record("sort", len(indices), len(indices), time.perf_counter() - start)
-        return ColumnarIntermediate(
-            inter.labels, inter.columns, inter.count, sel=indices
-        )
-
-    # ------------------------------------------------------------------ #
-    def _stream(
-        self, inter: ColumnarIntermediate, metrics: ExecutionMetrics, rows_per_batch: int
-    ) -> list[Row]:
-        """Project -> distinct -> limit over the batch stream, with an
-        early stop once LIMIT is satisfied mid-batch."""
-        offset, end = self._offset, self._end
-        seen: Optional[set] = set() if self._distinct else None
-        out_rows: list[Row] = []
-        project_in = project_out = distinct_out = position = 0
-        project_seconds = distinct_seconds = 0.0
-        stop = False
-
-        for batch in inter.iter_batches(rows_per_batch):
-            metrics.batches += 1
-            project_in += len(batch)
-            stage_start = time.perf_counter()
-            gathered = [
-                [inter.columns[output][i] for i in batch]
-                if isinstance(output, int)
-                else output(inter.columns, batch)
-                for output in self._outputs
-            ]
-            rows: list[Row] = list(zip(*gathered)) if gathered else [()] * len(batch)
-            project_out += len(rows)
-            project_seconds += time.perf_counter() - stage_start
-
-            if seen is not None:
-                stage_start = time.perf_counter()
-                fresh: list[Row] = []
-                for row in rows:
-                    if row not in seen:
-                        seen.add(row)
-                        fresh.append(row)
-                rows = fresh
-                distinct_out += len(rows)
-                distinct_seconds += time.perf_counter() - stage_start
-
-            if self._limited:
-                for row in rows:
-                    if end is not None and position >= end:
-                        stop = True
-                        break
-                    if position >= offset:
-                        out_rows.append(row)
-                    position += 1
-                if stop:
-                    break
-            else:
-                out_rows.extend(rows)
-
-        metrics.record("project", project_in, project_out, project_seconds)
-        if self._distinct:
-            metrics.record("distinct", project_out, distinct_out, distinct_seconds)
-        if self._limited:
-            limit_in = distinct_out if self._distinct else project_out
-            metrics.record("limit", limit_in, len(out_rows), 0.0)
-        return out_rows
-
-
-def _columnar_accumulator(call: ast.FunctionCall):
-    """Streaming accumulator for one aggregate call.
-
-    Returns ``(make, update, finalize, mode)`` where ``mode`` selects the
-    per-batch input: ``"count_star"`` (no argument; eligible for the
-    counting fast path), ``"row"`` (full row tuples, for
-    ``COUNT(DISTINCT *)``), or the argument expression itself. Finalised
-    values match
-    :func:`_compile_aggregate` exactly — same NULL
-    handling and the same accumulation order for float sums.
-    """
-    if call.name == "COUNT" and isinstance(call.args[0], ast.Star):
-        if call.distinct:
-            return (set, lambda s, v: s.add(v), len, "row")
-        return (
-            lambda: [0],
-            lambda s, v: s.__setitem__(0, s[0] + 1),
-            lambda s: s[0],
-            "count_star",
-        )
-
-    argument = call.args[0]
-    name = call.name
-    if name == "COUNT":
-        if call.distinct:
-
-            def update_count_distinct(s: set, v) -> None:
-                if v is not None:
-                    s.add(v)
-
-            return (set, update_count_distinct, len, argument)
-
-        def update_count(s: list, v) -> None:
-            if v is not None:
-                s[0] += 1
-
-        return (lambda: [0], update_count, lambda s: s[0], argument)
-    if name == "SUM":
-        if call.distinct:
-
-            def update_sum_distinct(s: set, v) -> None:
-                if v is not None:
-                    s.add(v)
-
-            return (
-                set,
-                update_sum_distinct,
-                lambda s: sum(s) if s else None,
-                argument,
-            )
-
-        def update_sum(s: list, v) -> None:
-            if v is not None:
-                s[0] += v
-                s[1] = True
-
-        return (
-            lambda: [0, False],
-            update_sum,
-            lambda s: s[0] if s[1] else None,
-            argument,
-        )
-    if name == "AVG":
-        if call.distinct:
-
-            def update_avg_distinct(s: set, v) -> None:
-                if v is not None:
-                    s.add(v)
-
-            return (
-                set,
-                update_avg_distinct,
-                lambda s: sum(s) / len(s) if s else None,
-                argument,
-            )
-
-        def update_avg(s: list, v) -> None:
-            if v is not None:
-                s[0] += v
-                s[1] += 1
-
-        return (
-            lambda: [0, 0],
-            update_avg,
-            lambda s: s[0] / s[1] if s[1] else None,
-            argument,
-        )
-    if name == "MIN":
-
-        def update_min(s: list, v) -> None:
-            if v is not None and (not s[1] or v < s[0]):
-                s[0] = v
-                s[1] = True
-
-        return (
-            lambda: [None, False],
-            update_min,
-            lambda s: s[0] if s[1] else None,
-            argument,
-        )
-    if name == "MAX":
-
-        def update_max(s: list, v) -> None:
-            if v is not None and (not s[1] or v > s[0]):
-                s[0] = v
-                s[1] = True
-
-        return (
-            lambda: [None, False],
-            update_max,
-            lambda s: s[0] if s[1] else None,
-            argument,
-        )
-    raise ExecutionError(f"unsupported aggregate {name}")  # pragma: no cover
 
 
 def _dedupe(rows: list[Row]) -> list[Row]:

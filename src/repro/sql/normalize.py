@@ -18,7 +18,7 @@ BY / LIMIT decoration are carried along unchanged but resolved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.catalog.schema import DatabaseSchema
 from repro.errors import (
@@ -276,14 +276,24 @@ def _expand_range_conjunct(resolved: ast.Expression) -> list[ast.Expression]:
     ]
 
 
+def canonical_selection(values: Sequence) -> tuple:
+    """One selection's values in canonical order: deduplicated, then
+    sorted by (type name, value). Plan rebinding orders a binding's
+    values with this too, so a rebound plan enumerates keys in the order
+    a fresh normalize would."""
+    if len(values) == 1:
+        return tuple(values)
+    return tuple(sorted(set(values), key=lambda v: (str(type(v)), v)))
+
+
 def _intersect_selection(
     selections: dict[Attribute, tuple], attr: Attribute, values: list
 ) -> None:
-    unique = sorted(set(values), key=lambda v: (str(type(v)), v))
+    unique = canonical_selection(values)
     if attr in selections:
         existing = set(selections[attr])
-        unique = [v for v in unique if v in existing]
-    selections[attr] = tuple(unique)
+        unique = tuple(v for v in unique if v in existing)
+    selections[attr] = unique
 
 
 def normalize(

@@ -1,16 +1,19 @@
 """Row-vs-columnar differential suite (permanent regression guard).
 
-The columnar executor must be observationally identical to the row
+The two modes differ only in the fetch: columnar gathers index postings
+for a whole key batch into per-attribute columns and filters through a
+selection vector, then hands its live rows to the row mode's own tail.
+So the columnar executor must be observationally identical to the row
 executor: same answer rows (in the same order — both modes iterate
-fetch inputs, buckets, and tail operators identically), same
-``tuples_fetched`` accounting, same per-fetch operation breakdown, and
-the same ``dedup_keys`` semantics. This suite replays the seeded random
-SPJA workload of ``test_fuzz_differential`` through both executors side
-by side — including NULL-enriched instances — and separately pins down
-the batch-boundary edge cases: empty inputs, result sets of exactly
-``rows_per_batch`` and ``rows_per_batch ± 1`` rows, LIMIT cutting a
-batch mid-way (with early stop), and DISTINCT / aggregates that must
-carry state across batch boundaries.
+fetch inputs and buckets identically), same ``tuples_fetched``
+accounting, the same per-operation breakdown (under LIMIT too), the
+same ``dedup_keys`` semantics, and the same errors, type and message.
+This suite replays the seeded random SPJA workload of
+``test_fuzz_differential`` through both executors side by side —
+including NULL-enriched instances — and separately pins down edge
+cases around ``rows_per_batch``: empty inputs, fetch inputs of exactly
+``rows_per_batch`` and ``rows_per_batch ± 1`` rows, LIMIT, DISTINCT and
+aggregates over several batches' worth of rows, and ill-typed filters.
 """
 
 from __future__ import annotations
@@ -25,14 +28,16 @@ from repro import (
     AccessSchema,
     BEAS,
     BoundedPlanExecutor,
+    ConventionalEngine,
     Database,
     DatabaseSchema,
     DataType,
     TableSchema,
 )
 from repro.beas.result import ExecutionMode
+from repro.errors import ExecutionError
 
-from tests.conftest import engine_run, example1_access_schema
+from tests.conftest import engine_run, example1_access_schema, example1_database
 from tests.test_fuzz_differential import (
     DATES,
     PNUMS,
@@ -68,6 +73,10 @@ def _inject_nulls(db: Database, rng: random.Random) -> None:
         business.rows[0] = tuple(row)
 
 
+def _profile(metrics) -> list[tuple[str, int, int]]:
+    return [(op.label, op.tuples_in, op.tuples_out) for op in metrics.operations]
+
+
 def _compare_modes(row_beas: BEAS, col_beas: BEAS, sql: str) -> None:
     global _SCENARIOS
     row_result = engine_run(row_beas, sql)
@@ -82,19 +91,9 @@ def _compare_modes(row_beas: BEAS, col_beas: BEAS, sql: str) -> None:
     assert row_metrics.rows_output == col_metrics.rows_output, sql
     if row_result.mode is ExecutionMode.BOUNDED:
         assert row_metrics.intermediate_rows == col_metrics.intermediate_rows, sql
-        row_fetches = [
-            (op.label, op.tuples_in, op.tuples_out)
-            for op in row_metrics.operations
-            if op.label.startswith("fetch[")
-        ]
-        col_fetches = [
-            (op.label, op.tuples_in, op.tuples_out)
-            for op in col_metrics.operations
-            if op.label.startswith("fetch[")
-        ]
-        assert row_fetches == col_fetches, sql
+        assert _profile(row_metrics) == _profile(col_metrics), sql
         assert col_metrics.rows_per_batch > 0
-        assert col_metrics.batches >= len(col_fetches)
+        assert col_metrics.batches > 0
         assert row_metrics.batches == 0  # the row executor never batches
     _SCENARIOS += 1
 
@@ -141,7 +140,7 @@ def test_differential_scenario_floor():
 
 
 # --------------------------------------------------------------------------- #
-# batch-boundary edge cases (tiny rows_per_batch to make boundaries bite)
+# edge cases around rows_per_batch (tiny, so a fetch input spans batches)
 # --------------------------------------------------------------------------- #
 BATCH = 8
 
@@ -186,6 +185,7 @@ def _both(db: Database, sql: str):
     assert row.mode is ExecutionMode.BOUNDED
     assert col.mode is ExecutionMode.BOUNDED
     assert row.rows == col.rows, sql
+    assert _profile(row.metrics) == _profile(col.metrics), sql
     return row, col
 
 
@@ -198,25 +198,31 @@ class TestBatchBoundaries:
 
     @pytest.mark.parametrize("n_rows", [BATCH - 1, BATCH, BATCH + 1])
     def test_exact_batch_sizes(self, n_rows: int):
-        """Result sets of exactly rows_per_batch and ± 1 rows."""
+        """Fetch inputs of exactly rows_per_batch and ± 1 rows. Only
+        fetch inputs count as batches: one for the first fetch's seed
+        row, ceil(n/BATCH) for a second fetch over its n rows."""
         db = _batch_db(n_rows)
         row, col = _both(db, "SELECT DISTINCT u FROM t WHERE k = 'k'")
         assert len(col.rows) == n_rows
-        # one batch for the fetch's seed input + ceil(n/BATCH) tail batches
-        expected_tail = (n_rows + BATCH - 1) // BATCH
-        assert col.metrics.batches == 1 + expected_tail
+        assert col.metrics.batches == 1
         assert col.metrics.rows_per_batch == BATCH
+        row, col = _both(
+            db, "SELECT DISTINCT t2.u FROM t t1, t t2 WHERE t1.k = 'k' AND t2.k = t1.k"
+        )
+        assert len(col.rows) == n_rows
+        assert col.metrics.batches == 1 + (n_rows + BATCH - 1) // BATCH
 
-    def test_limit_cuts_mid_batch_with_early_stop(self):
-        """LIMIT inside the second of three batches: the third batch is
-        never pulled, and the answer matches the row executor exactly."""
+    def test_limit_cuts_mid_batch(self):
+        """LIMIT inside the second of three batches' worth of rows: the
+        answer and every operation's counts match the row executor
+        exactly."""
         db = _batch_db(3 * BATCH)
         limit = BATCH + 3  # cuts mid-way through batch 2
         row, col = _both(
             db, f"SELECT DISTINCT u FROM t WHERE k = 'k' LIMIT {limit}"
         )
         assert len(col.rows) == limit
-        assert col.metrics.batches == 1 + 2  # fetch seed + 2 of 3 tail batches
+        assert col.metrics.batches == 1  # the fetch's seed row
         limit_ops = [
             op for op in col.metrics.operations if op.label == "limit"
         ]
@@ -247,7 +253,7 @@ class TestBatchBoundaries:
         )
         row, col = _both(db, sql)
         assert Counter(col.rows) == Counter(row.rows)
-        # groups accumulate across all three-and-a-bit batches
+        # groups accumulate over all three-and-a-bit batches' worth of rows
         assert sum(r[1] for r in col.rows) == 3 * BATCH + 1
 
     def test_scalar_aggregate_empty_input_single_row(self):
@@ -263,6 +269,62 @@ class TestBatchBoundaries:
         )
         assert col.rows[0] == (f"u{2 * BATCH + 4:05d}",)
         assert col.rows == sorted(row.rows, reverse=True)
+
+
+# --------------------------------------------------------------------------- #
+# errors: one filter compiler and one tail, so one message in every mode
+# --------------------------------------------------------------------------- #
+_CALLS_OF_100 = (
+    "SELECT call.recnum FROM call "
+    "WHERE call.pnum = '100' AND call.date = '2016-06-01'"
+)
+
+
+def _bounded_error(executor: str, sql: str) -> ExecutionError:
+    beas = BEAS(
+        example1_database(),
+        example1_access_schema(),
+        executor=executor,
+        parallelism=1,
+    )
+    with pytest.raises(ExecutionError) as raised:
+        engine_run(beas, sql)
+    return raised.value
+
+
+class TestErrorParity:
+    @pytest.mark.parametrize(
+        "condition", ["call.recnum < 5", "call.region BETWEEN 1 AND 9"]
+    )
+    def test_ill_typed_filter_raises_one_message(self, condition: str):
+        """recnum and region are strings: comparing them with a number is
+        an ExecutionError, worded the same in both modes."""
+        sql = f"{_CALLS_OF_100} AND {condition}"
+        row = _bounded_error("row", sql)
+        col = _bounded_error("columnar", sql)
+        assert type(row) is type(col)
+        assert str(row) == str(col)
+        assert str(row).startswith("cannot compare ")
+
+    @pytest.mark.parametrize("aggregate", ["SUM", "AVG"])
+    @pytest.mark.parametrize("path", ["conventional", "row", "columnar"])
+    def test_sum_avg_over_strings_raise_execution_error(self, aggregate, path):
+        """The library raises only ReproError subclasses: SUM / AVG over
+        non-numeric values is an ExecutionError naming the aggregate on
+        the conventional engine and on both bounded modes."""
+        if path == "conventional":
+            with pytest.raises(ExecutionError) as raised:
+                ConventionalEngine(example1_database()).execute(
+                    f"SELECT {aggregate}(business.type) FROM business"
+                )
+            error = raised.value
+        else:
+            error = _bounded_error(
+                path,
+                f"SELECT {aggregate}(call.region) FROM call "
+                "WHERE call.pnum = '100' AND call.date = '2016-06-01'",
+            )
+        assert str(error) == f"{aggregate} needs numeric values, got str"
 
 
 # --------------------------------------------------------------------------- #

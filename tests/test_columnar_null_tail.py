@@ -1,13 +1,15 @@
-"""NULLs flowing through the columnar tail operators across batches.
+"""NULLs flowing from the columnar batch fetch into the shared tail.
 
-The batch-aware tail (``ColumnarTail``) keeps cross-batch state
-for aggregates, DISTINCT, and ORDER BY; NULLs are where that state is
+Columnar mode gathers NULL cells column by column in its batch fetch,
+filters them through its selection vector, and hands the live rows to
+the row mode's own tail operators. NULLs are where that hand-over is
 easiest to get wrong (SQL aggregates skip NULL inputs, COUNT(*) does
 not, AVG divides by the non-NULL count, DISTINCT treats NULL as one
-value, ascending sorts put NULLs first). Every case here runs with a
-tiny ``rows_per_batch`` so NULLs cross batch boundaries, and each
-result is differential against the row executor — plus a pooled pass
-at the end, since pickled NULL columns must round-trip identically.
+value, ascending sorts put NULLs first), so every case here is a
+row-vs-columnar differential over a NULL-heavy instance with a tiny
+``rows_per_batch`` — answer, ``tuples_fetched`` and per-operation
+profile — plus a pooled pass at the end, since pickled NULL columns
+must round-trip identically.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from repro import (
 from repro.beas.result import ExecutionMode
 
 from tests.conftest import engine_run
+from tests.test_columnar_differential import _profile
 
 BATCH = 4
 
@@ -73,7 +76,9 @@ def both(sql: str):
     assert col.mode is ExecutionMode.BOUNDED, sql
     assert row.rows == col.rows, sql
     assert row.metrics.tuples_fetched == col.metrics.tuples_fetched, sql
-    assert col.metrics.batches > len(row.rows) // BATCH  # really batched
+    assert _profile(row.metrics) == _profile(col.metrics), sql
+    # really columnar: the one fetch counts its seed input as one batch
+    assert (col.metrics.rows_per_batch, col.metrics.batches) == (BATCH, 1)
     return row, col
 
 
@@ -171,7 +176,8 @@ class TestNullDistinctAndOrderAcrossBatches:
         assert col.rows[0][1] is None
 
     def test_null_selection_vector_interaction(self):
-        """A filter that drops NULLs (3VL) before the batched tail."""
+        """A filter that drops NULLs (3VL) from the selection vector
+        before the tail."""
         row, col = both(
             "SELECT g, COUNT(*) AS c FROM t WHERE k = 'k' AND n >= 0 "
             "GROUP BY g ORDER BY g"

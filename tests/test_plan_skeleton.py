@@ -54,7 +54,7 @@ from repro.bounded.approximation import BoundedApproximator
 from repro.bounded.plan import BoundedPlan, FetchOp, KeyPart, SelectOp
 from repro.bounded.rebind import build_rebind_template
 from repro.bounded.skeleton import skeleton_of
-from repro.engine import columnar, expressions, physical
+from repro.engine import expressions, physical
 from repro.engine.expressions import compile_predicate
 from repro.engine.logical import MaterializedNode
 from repro.engine.metrics import ExecutionMetrics
@@ -237,10 +237,8 @@ class ReferenceInterpreter:
         return Intermediate(intermediate.labels, rows)
 
 
-def profile_of(metrics: ExecutionMetrics, *, before: Optional[str] = None):
+def profile_of(metrics: ExecutionMetrics):
     operations = [(op.label, op.tuples_in, op.tuples_out) for op in metrics.operations]
-    if before is not None:
-        operations = operations[: [label for label, _, _ in operations].index(before)]
     return (metrics.tuples_fetched, metrics.intermediate_rows, operations)
 
 
@@ -257,13 +255,7 @@ def assert_modes_match_reference(catalog, plan: BoundedPlan, *, dedup_keys=False
         ).execute(plan)
         assert live.rows == rows, mode
         assert live.columns == columns, mode
-        # the batch tail stops pulling batches once LIMIT is met (at the
-        # parent too), so under a LIMIT its project / distinct / limit rows
-        # may count fewer tuples in than the row operators'
-        streamed = "project" if mode == "columnar" and cq.limit is not None else None
-        assert profile_of(live.metrics, before=streamed) == profile_of(
-            metrics, before=streamed
-        ), mode
+        assert profile_of(live.metrics) == profile_of(metrics), mode
     if cq.has_aggregates or cq.group_by or cq.having is not None or dedup_keys:
         return rows
     for budget in (max(metrics.tuples_fetched // 2, 0), plan.access_bound):
@@ -600,9 +592,8 @@ def _count_set_up(monkeypatch) -> _Counter:
     counter.wrap(skeleton_module, "_KeyPlan")
     counter.wrap(skeleton_module, "_SelectPlan")
     counter.wrap(skeleton_module, "attach_tail")
-    for module in (skeleton_module, physical, columnar, expressions):
-        for name in ("compile_expression", "compile_predicate", "compile_columnar_predicate",
-                     "compile_columnar_values"):
+    for module in (skeleton_module, physical, expressions):
+        for name in ("compile_expression", "compile_predicate"):
             if hasattr(module, name):
                 counter.wrap(module, name, f"{module.__name__.rsplit('.', 1)[1]}.{name}")
     return counter
