@@ -68,42 +68,7 @@ def _substitute(expr: ast.Expression, mapping: dict[Attribute, Attribute]) -> as
             if replacement is not None:
                 return ast.ColumnRef(replacement.column, table=replacement.binding)
         return expr
-    if isinstance(expr, (ast.Literal, ast.Star)):
-        return expr
-    if isinstance(expr, ast.BinaryOp):
-        return ast.BinaryOp(
-            expr.op, _substitute(expr.left, mapping), _substitute(expr.right, mapping)
-        )
-    if isinstance(expr, ast.UnaryOp):
-        return ast.UnaryOp(expr.op, _substitute(expr.operand, mapping))
-    if isinstance(expr, ast.InList):
-        return ast.InList(
-            _substitute(expr.operand, mapping),
-            tuple(_substitute(i, mapping) for i in expr.items),
-            expr.negated,
-        )
-    if isinstance(expr, ast.Between):
-        return ast.Between(
-            _substitute(expr.operand, mapping),
-            _substitute(expr.low, mapping),
-            _substitute(expr.high, mapping),
-            expr.negated,
-        )
-    if isinstance(expr, ast.Like):
-        return ast.Like(
-            _substitute(expr.operand, mapping),
-            _substitute(expr.pattern, mapping),
-            expr.negated,
-        )
-    if isinstance(expr, ast.IsNull):
-        return ast.IsNull(_substitute(expr.operand, mapping), expr.negated)
-    if isinstance(expr, ast.FunctionCall):
-        return ast.FunctionCall(
-            expr.name,
-            tuple(_substitute(a, mapping) for a in expr.args),
-            expr.distinct,
-        )
-    return expr  # pragma: no cover
+    return ast.rebuild(expr, lambda child: _substitute(child, mapping))
 
 
 @dataclass

@@ -66,7 +66,7 @@ from repro.bounded.coverage import CoverageDecision
 from repro.bounded.plan import AnyBoundedPlan, BoundedPlan, KeyPart, patched
 from repro.bounded.planner import class_constant_map
 from repro.bounded.skeleton import Constants, skeleton_of
-from repro.sql.normalize import Attribute, ConjunctiveQuery, canonical_selection
+from repro.sql.normalize import Attribute, ConjunctiveQuery
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.bounded.optimizer import PartialPlan
@@ -91,10 +91,7 @@ class _ClassSlot:
         values intersected, exactly as ``class_constant_map`` does."""
         merged: Optional[tuple] = None
         for name, template_values in self.contributors:
-            fresh = overrides.get(name)
-            values = (
-                canonical_selection(fresh) if fresh is not None else template_values
-            )
+            values = overrides.get(name, template_values)
             if merged is None:
                 merged = values
             else:
@@ -203,7 +200,7 @@ class RebindTemplate:
                 )
         selections = dict(plan.cq.selections)
         for name, values in overrides.items():
-            selections[self._attributes[name]] = canonical_selection(values)
+            selections[self._attributes[name]] = values
         cq = patched(plan.cq, selections=selections)
         return patched(
             self.decision,

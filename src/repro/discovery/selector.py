@@ -55,9 +55,6 @@ class DiscoveryResult:
     candidates_considered: int = 0
     rejected_over_budget: int = 0
 
-    def coverage_ratio(self, workload_size: int) -> float:
-        return len(self.covered_queries) / workload_size if workload_size else 0.0
-
     def describe(self) -> str:
         lines = [
             f"discovered {len(self.selected)} constraints "

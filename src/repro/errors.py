@@ -146,10 +146,6 @@ class BudgetExceededError(PlanningError):
         self.budget = budget
 
 
-class DiscoveryError(ReproError):
-    """Base class for access-schema discovery errors."""
-
-
 class MaintenanceError(ReproError):
     """Base class for incremental-maintenance errors."""
 

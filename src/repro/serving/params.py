@@ -1,8 +1,10 @@
 """Parameterised constant slots for prepared queries.
 
 A prepared template's *slots* are the constants of its WHERE clause that
-bounded evaluation treats as enumerable bindings: top-level conjuncts of
-the form ``attr = constant`` and ``attr IN (constants)``. One template
+bounded evaluation treats as enumerable bindings: its top-level
+conjuncts that the normaliser files under ``selections``
+(:func:`repro.sql.normalize.selection_literals`: ``attr = constant``
+and ``attr IN (constants)``), on an attribute constrained once. One template
 then serves many bindings — ``Query.bind({"call.date":
 "2016-06-02"}).run()`` substitutes fresh constants into a copy of the AST
 without re-parsing the text.
@@ -11,13 +13,16 @@ Slots are named by their resolved attribute (``binding.column``); an
 unqualified column name is accepted in overrides when it is unambiguous
 across the template's FROM items, mirroring the normalizer's resolution
 rules. Constants appearing anywhere else (range predicates, LIKE
-patterns, HAVING, …) stay fixed in the template.
+patterns, HAVING, …) stay fixed in the template. An override's values
+are put in the order the normaliser gives a selection's
+(:func:`repro.sql.normalize.canonical_selection`), so a rebound plan
+takes them as they are.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Any, Mapping, Optional
 
 from repro.catalog.schema import DatabaseSchema
 from repro.errors import (
@@ -27,7 +32,12 @@ from repro.errors import (
     UnknownParameterError,
 )
 from repro.sql import ast
-from repro.sql.normalize import _Resolver, _collect_occurrences
+from repro.sql.normalize import (
+    _collect_occurrences,
+    _Resolver,
+    canonical_selection,
+    selection_literals,
+)
 
 
 @dataclass(frozen=True)
@@ -45,36 +55,15 @@ class ParameterSlot:
 
 def _slot_conjunct(
     conjunct: ast.Expression, resolver: _Resolver
-) -> Optional[tuple[str, str, tuple[ast.Literal, ...]]]:
-    """Recognise ``attr = const`` / ``attr IN (consts)`` as (slot name,
-    kind, the constants' nodes); None otherwise."""
-    if isinstance(conjunct, ast.BinaryOp) and conjunct.op == "=":
-        sides = (conjunct.left, conjunct.right)
-        for ref, lit in (sides, sides[::-1]):
-            if (
-                isinstance(ref, ast.ColumnRef)
-                and isinstance(lit, ast.Literal)
-                and lit.value is not None
-            ):
-                resolved = resolver.resolve_ref(ref)
-                return (str(resolved), "eq", (lit,))
+) -> Optional[tuple[str, str, ast.ColumnRef, tuple[ast.Literal, ...]]]:
+    """A selection conjunct as (slot name, kind, its column as written,
+    the constants' nodes); None for any other conjunct."""
+    selection = selection_literals(conjunct)
+    if selection is None:
         return None
-    if (
-        isinstance(conjunct, ast.InList)
-        and not conjunct.negated
-        and isinstance(conjunct.operand, ast.ColumnRef)
-        and all(
-            isinstance(item, ast.Literal) and item.value is not None
-            for item in conjunct.items
-        )
-    ):
-        resolved = resolver.resolve_ref(conjunct.operand)
-        return (
-            str(resolved),
-            "in",
-            tuple(i for i in conjunct.items if isinstance(i, ast.Literal)),
-        )
-    return None
+    column, literals = selection
+    kind = "in" if isinstance(conjunct, ast.InList) else "eq"
+    return str(resolver.resolve_ref(column)), kind, column, literals
 
 
 def _template_parts(
@@ -111,7 +100,7 @@ def slot_literals(
             recognised = None
         if recognised is None:
             continue
-        name, kind, literals = recognised
+        name, kind, _, literals = recognised
         if name in slots:
             # the same attribute constrained twice: not parameterisable
             ambiguous.add(name)
@@ -145,9 +134,7 @@ def canonical_values(value: Any) -> tuple:
             raise ServingError(
                 "NULL is not a valid parameter value (x = NULL never holds)"
             )
-    if len(values) == 1:
-        return values
-    return tuple(sorted(set(values), key=lambda v: (str(type(v)), repr(v))))
+    return canonical_selection(values)
 
 
 def resolve_slot_name(key: str, slots: Mapping[str, ParameterSlot]) -> str:
@@ -171,10 +158,7 @@ def resolve_slot_name(key: str, slots: Mapping[str, ParameterSlot]) -> str:
 
 
 def resolve_overrides(
-    overrides: Mapping[str, Any],
-    slots: Mapping[str, ParameterSlot],
-    statement: ast.Statement,
-    db_schema: DatabaseSchema,
+    overrides: Mapping[str, Any], slots: Mapping[str, ParameterSlot]
 ) -> dict[str, tuple]:
     """Map override keys to slot names, canonicalising the values."""
     return {
@@ -207,14 +191,8 @@ def substitute(
         if recognised is None or recognised[0] not in overrides:
             rebuilt.append(conjunct)
             continue
-        name = recognised[0]
+        name, _, operand, _ = recognised
         values = overrides[name]
-        operand: ast.Expression
-        if isinstance(conjunct, ast.InList):
-            operand = conjunct.operand
-        else:
-            left, right = conjunct.left, conjunct.right
-            operand = left if isinstance(left, ast.ColumnRef) else right
         if len(values) == 1:
             rebuilt.append(ast.BinaryOp("=", operand, ast.Literal(values[0])))
         else:
@@ -227,17 +205,7 @@ def substitute(
         raise ServingError(
             f"slots not found in template: {', '.join(sorted(missing))}"
         )
-    return ast.SelectStatement(
-        items=statement.items,
-        from_items=statement.from_items,
-        where=ast.conjoin(rebuilt),
-        group_by=statement.group_by,
-        having=statement.having,
-        order_by=statement.order_by,
-        limit=statement.limit,
-        offset=statement.offset,
-        distinct=statement.distinct,
-    )
+    return replace(statement, where=ast.conjoin(rebuilt))
 
 
 def binding_signature(overrides: Mapping[str, tuple]) -> tuple:
@@ -269,6 +237,3 @@ def signature_shape(signature: tuple) -> tuple:
         (name, len(values), tuple(type(v).__name__ for v in values))
         for name, values in signature
     )
-
-
-Override = Union[Any, Sequence[Any]]

@@ -170,9 +170,7 @@ class PreparedQuery:
         would only churn a memo."""
         if not params:
             return self._template_binding
-        resolved = resolve_overrides(
-            params, self.slots, self.statement, self.schema
-        )
+        resolved = resolve_overrides(params, self.slots)
         signature = binding_signature(resolved)
         shape = signature_shape(signature)
         return PreparedBinding(

@@ -3,12 +3,20 @@
 All nodes are frozen dataclasses: hashable, comparable by value, safe to
 share between plans. Expression nodes and statement nodes live in one
 module because the grammar is small.
+
+The traversal lives here too. :data:`CHILD_FIELDS` is the one list of
+which fields of each expression node hold sub-expressions; every walk
+or rewrite of an expression goes through :func:`children` /
+:func:`rebuild` and keeps only its own special case (the normaliser's
+column resolution, the fingerprint's reordering, the optimizer's column
+renaming). So is the one rewrite more than one layer needs:
+:func:`between_comparison`, BETWEEN as two comparisons.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional, Union
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Optional, TypeGuard, Union
 
 # --------------------------------------------------------------------------- #
 # expressions
@@ -235,30 +243,53 @@ ScriptStatement = Union[Statement, CreateTable, InsertValues]
 # --------------------------------------------------------------------------- #
 
 
+#: Node type -> the fields that hold its sub-expressions (a tuple-valued
+#: field holds a sequence of them). A leaf lists none; a type missing
+#: from the table is not an expression node the traversal knows.
+CHILD_FIELDS: dict[type, tuple[str, ...]] = {
+    Literal: (),
+    ColumnRef: (),
+    Star: (),
+    BinaryOp: ("left", "right"),
+    UnaryOp: ("operand",),
+    InList: ("operand", "items"),
+    Between: ("operand", "low", "high"),
+    Like: ("operand", "pattern"),
+    IsNull: ("operand",),
+    FunctionCall: ("args",),
+}
+
+
+def children(expr: Expression) -> list[Expression]:
+    """The direct sub-expressions of ``expr``, in syntactic order."""
+    result: list[Expression] = []
+    for name in CHILD_FIELDS.get(type(expr), ()):
+        value = getattr(expr, name)
+        if isinstance(value, tuple):
+            result.extend(value)
+        else:
+            result.append(value)
+    return result
+
+
+def rebuild(expr: Expression, fn: Callable[[Expression], Expression]) -> Expression:
+    """A copy of ``expr`` with ``fn`` applied to each direct
+    sub-expression; a leaf comes back as it is."""
+    fields = CHILD_FIELDS.get(type(expr))
+    if not fields:
+        return expr
+    changes: dict[str, Any] = {}
+    for name in fields:
+        value = getattr(expr, name)
+        changes[name] = tuple(map(fn, value)) if isinstance(value, tuple) else fn(value)
+    return replace(expr, **changes)
+
+
 def walk_expression(expr: Expression):
     """Yield ``expr`` and every sub-expression, pre-order."""
     yield expr
-    if isinstance(expr, BinaryOp):
-        yield from walk_expression(expr.left)
-        yield from walk_expression(expr.right)
-    elif isinstance(expr, UnaryOp):
-        yield from walk_expression(expr.operand)
-    elif isinstance(expr, InList):
-        yield from walk_expression(expr.operand)
-        for item in expr.items:
-            yield from walk_expression(item)
-    elif isinstance(expr, Between):
-        yield from walk_expression(expr.operand)
-        yield from walk_expression(expr.low)
-        yield from walk_expression(expr.high)
-    elif isinstance(expr, Like):
-        yield from walk_expression(expr.operand)
-        yield from walk_expression(expr.pattern)
-    elif isinstance(expr, IsNull):
-        yield from walk_expression(expr.operand)
-    elif isinstance(expr, FunctionCall):
-        for arg in expr.args:
-            yield from walk_expression(arg)
+    for child in children(expr):
+        yield from walk_expression(child)
 
 
 def column_refs(expr: Expression) -> list[ColumnRef]:
@@ -288,3 +319,34 @@ def conjoin(parts: list[Expression]) -> Optional[Expression]:
     for part in parts:
         result = part if result is None else BinaryOp("AND", result, part)
     return result
+
+
+def is_constant(expr: Expression) -> TypeGuard[Literal]:
+    """Whether ``expr`` is a non-NULL literal."""
+    return isinstance(expr, Literal) and expr.value is not None
+
+
+def between_comparison(expr: Expression) -> Expression:
+    """``x BETWEEN lo AND hi`` as ``x >= lo AND x <= hi`` and ``x NOT
+    BETWEEN lo AND hi`` as ``x < lo OR x > hi``, when both bounds are
+    non-NULL literals; ``expr`` itself otherwise.
+
+    The fingerprint and the normaliser both rewrite through this, so the
+    two spellings of a range share a cache line and a rebind template.
+    The guard is load-bearing for three-valued logic: BETWEEN is UNKNOWN
+    whenever *any* operand is NULL, while the comparison form can
+    collapse to FALSE (``UNKNOWN AND FALSE``) or TRUE (``UNKNOWN OR
+    TRUE``) when only a bound is NULL. With a NULL (or non-literal, hence
+    possibly NULL-valued) bound the spellings differ in nested positions;
+    with non-NULL literal bounds the rewrite is exact in every position:
+    a NULL operand makes both forms UNKNOWN, and non-NULL operands are
+    classical.
+    """
+    if not (
+        isinstance(expr, Between) and is_constant(expr.low) and is_constant(expr.high)
+    ):
+        return expr
+    operand, low, high = expr.operand, expr.low, expr.high
+    if expr.negated:
+        return BinaryOp("OR", BinaryOp("<", operand, low), BinaryOp(">", operand, high))
+    return BinaryOp("AND", BinaryOp(">=", operand, low), BinaryOp("<=", operand, high))

@@ -11,6 +11,13 @@ classifies the WHERE conjuncts into:
 * ``equalities`` — ``attr = attr`` equi-join atoms,
 * ``filters`` — everything else (ranges, LIKE, OR-trees, arithmetic, ...).
 
+What a selection is (:func:`selection_literals`) and the order of its
+values (:func:`canonical_selection`) are decided here once: a prepared
+template's parameter slots are its selections (``serving.params``), and
+an override's values are put in this order too. A BETWEEN conjunct with
+literal bounds is filed as its two comparisons, the rewrite the
+fingerprint makes (:func:`repro.sql.ast.between_comparison`).
+
 Aggregation (GROUP BY / aggregate select items / HAVING) and the ORDER
 BY / LIMIT decoration are carried along unchanged but resolved.
 """
@@ -154,36 +161,9 @@ class _Resolver:
         """Rebuild ``expr`` with every ColumnRef fully qualified."""
         if isinstance(expr, ast.ColumnRef):
             return self.resolve_ref(expr)
-        if isinstance(expr, (ast.Literal, ast.Star)):
-            return expr
-        if isinstance(expr, ast.BinaryOp):
-            return ast.BinaryOp(expr.op, self.resolve(expr.left), self.resolve(expr.right))
-        if isinstance(expr, ast.UnaryOp):
-            return ast.UnaryOp(expr.op, self.resolve(expr.operand))
-        if isinstance(expr, ast.InList):
-            return ast.InList(
-                self.resolve(expr.operand),
-                tuple(self.resolve(i) for i in expr.items),
-                expr.negated,
-            )
-        if isinstance(expr, ast.Between):
-            return ast.Between(
-                self.resolve(expr.operand),
-                self.resolve(expr.low),
-                self.resolve(expr.high),
-                expr.negated,
-            )
-        if isinstance(expr, ast.Like):
-            return ast.Like(
-                self.resolve(expr.operand), self.resolve(expr.pattern), expr.negated
-            )
-        if isinstance(expr, ast.IsNull):
-            return ast.IsNull(self.resolve(expr.operand), expr.negated)
-        if isinstance(expr, ast.FunctionCall):
-            return ast.FunctionCall(
-                expr.name, tuple(self.resolve(a) for a in expr.args), expr.distinct
-            )
-        raise NormalizationError(f"cannot resolve expression {expr!r}")
+        if type(expr) not in ast.CHILD_FIELDS:
+            raise NormalizationError(f"cannot resolve expression {expr!r}")
+        return ast.rebuild(expr, self.resolve)
 
     def expand_star(self, star: ast.Star) -> list[ast.ColumnRef]:
         bindings = [star.table] if star.table else list(self._occurrences)
@@ -235,45 +215,32 @@ def _as_attribute(ref: ast.ColumnRef) -> Attribute:
     return Attribute(ref.table, ref.name)
 
 
-def _literal_values(exprs: tuple[ast.Expression, ...]) -> Optional[list]:
-    values = []
-    for expr in exprs:
-        if not isinstance(expr, ast.Literal) or expr.value is None:
-            return None
-        values.append(expr.value)
-    return values
+def selection_literals(
+    conjunct: ast.Expression,
+) -> Optional[tuple[ast.ColumnRef, tuple[ast.Literal, ...]]]:
+    """The column and the constants of a selection conjunct, or None.
 
-
-def _expand_range_conjunct(resolved: ast.Expression) -> list[ast.Expression]:
-    """Rewrite a BETWEEN conjunct with non-NULL literal bounds into its
-    comparison form, mirroring ``sql.fingerprint`` canonicalisation so
-    both spellings of a range produce identical filters (and therefore
-    identical rebind templates). The literal
-    guard matches the fingerprint's: with a NULL or non-literal bound
-    the decomposition is not truth-value equivalent under three-valued
-    logic, so such conjuncts are kept verbatim."""
-    if not isinstance(resolved, ast.Between):
-        return [resolved]
-    low, high = resolved.low, resolved.high
-    if not (
-        isinstance(low, ast.Literal)
-        and low.value is not None
-        and isinstance(high, ast.Literal)
-        and high.value is not None
+    A selection is ``col = const``, ``const = col`` or ``col IN
+    (consts)``, every constant a non-NULL literal and the IN not negated.
+    This is the one rule: the normaliser files these under
+    ``selections``, and a prepared template's parameter slots are the
+    ones on an attribute constrained once (``serving.params``).
+    """
+    if isinstance(conjunct, ast.BinaryOp) and conjunct.op == "=":
+        left, right = conjunct.left, conjunct.right
+        for column, constant in ((left, right), (right, left)):
+            if isinstance(column, ast.ColumnRef) and ast.is_constant(constant):
+                return column, (constant,)
+        return None
+    if (
+        isinstance(conjunct, ast.InList)
+        and not conjunct.negated
+        and isinstance(conjunct.operand, ast.ColumnRef)
     ):
-        return [resolved]
-    if resolved.negated:
-        return [
-            ast.BinaryOp(
-                "OR",
-                ast.BinaryOp("<", resolved.operand, low),
-                ast.BinaryOp(">", resolved.operand, high),
-            )
-        ]
-    return [
-        ast.BinaryOp(">=", resolved.operand, low),
-        ast.BinaryOp("<=", resolved.operand, high),
-    ]
+        literals = [i for i in conjunct.items if ast.is_constant(i)]
+        if len(literals) == len(conjunct.items):
+            return conjunct.operand, tuple(literals)
+    return None
 
 
 def canonical_selection(values: Sequence) -> tuple:
@@ -372,30 +339,21 @@ def normalize(
     resolved_conjuncts = [
         part
         for conjunct in all_conjuncts
-        for part in _expand_range_conjunct(resolver.resolve(conjunct))
+        for part in ast.conjuncts(ast.between_comparison(resolver.resolve(conjunct)))
     ]
     for resolved in resolved_conjuncts:
+        selection = selection_literals(resolved)
+        if selection is not None:
+            column, literals = selection
+            _intersect_selection(
+                selections, _as_attribute(column), [lit.value for lit in literals]
+            )
+            continue
         if isinstance(resolved, ast.BinaryOp) and resolved.op == "=":
             left, right = resolved.left, resolved.right
             if isinstance(left, ast.ColumnRef) and isinstance(right, ast.ColumnRef):
                 equalities.append((_as_attribute(left), _as_attribute(right)))
                 continue
-            if isinstance(left, ast.ColumnRef) and isinstance(right, ast.Literal):
-                if right.value is not None:
-                    _intersect_selection(selections, _as_attribute(left), [right.value])
-                    continue
-            if isinstance(right, ast.ColumnRef) and isinstance(left, ast.Literal):
-                if left.value is not None:
-                    _intersect_selection(selections, _as_attribute(right), [left.value])
-                    continue
-        if isinstance(resolved, ast.InList) and not resolved.negated:
-            if isinstance(resolved.operand, ast.ColumnRef):
-                values = _literal_values(resolved.items)
-                if values is not None:
-                    _intersect_selection(
-                        selections, _as_attribute(resolved.operand), values
-                    )
-                    continue
         attrs = frozenset(_as_attribute(r) for r in ast.column_refs(resolved))
         filters.append(ResolvedPredicate(resolved, attrs))
 

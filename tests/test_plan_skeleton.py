@@ -438,10 +438,10 @@ class TestAgainstTheReplacedInterpreter:
         if not overrides:
             return
         template = build_rebind_template(
-            decision, resolve_overrides(overrides, slots, None, db.schema)
+            decision, resolve_overrides(overrides, slots)
         )
         assert template is not None
-        rebound = template.rebind(resolve_overrides(overrides, slots, None, db.schema))
+        rebound = template.rebind(resolve_overrides(overrides, slots))
         assert rebound is not None
         bound_sql = shape.format(
             where=f"{_in_list('r.a', overrides.get('r.a', a_values))} AND "
@@ -678,7 +678,7 @@ def test_spellings_of_one_binding_share_one_key(spellings):
         bound = [prepared.binding(params) for params in spellings]
         assert len({b.fingerprint for b in bound}) == 1
         assert len({b.signature for b in bound}) == 1
-        resolved = resolve_overrides(spellings[0], prepared.slots, None, None)
+        resolved = resolve_overrides(spellings[0], prepared.slots)
         assert dict(bound[0].overrides) == resolved
         assert bound[0].signature == rebind_signature(resolved)
         assert bound[0].fingerprint != prepared.binding().fingerprint

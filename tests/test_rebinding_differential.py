@@ -148,10 +148,7 @@ def test_rebound_equals_fresh_decision(rig, template_key, seed, form):
         query._prepared.statement, oracle.database.schema
     )
     for binding in _binding_stream(template_key, slots, seed):
-        resolved = resolve_overrides(
-            binding, oracle_slots, query._prepared.statement,
-            oracle.database.schema,
-        )
+        resolved = resolve_overrides(binding, oracle_slots)
         statement = substitute(
             query._prepared.statement, resolved, oracle.database.schema
         )

@@ -1,5 +1,7 @@
 """Unit tests for the SPJA normaliser."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import (
@@ -122,6 +124,12 @@ class TestConjunctClassification:
         # x = NULL is never a selection (it is UNKNOWN in SQL)
         cq = norm("SELECT region FROM call WHERE pnum = NULL")
         assert not cq.selections and len(cq.filters) == 1
+
+    def test_a_node_the_traversal_does_not_know_is_rejected(self):
+        statement = parse("SELECT region FROM call WHERE pnum = '1'")
+        where = ast.BinaryOp("=", ast.ColumnRef("pnum"), ast.OrderItem(ast.Literal(1)))
+        with pytest.raises(NormalizationError, match="cannot resolve"):
+            normalize(replace(statement, where=where), example1_schema())
 
 
 class TestAggregation:

@@ -1,4 +1,7 @@
-"""Printer tests: fixed cases plus a hypothesis parse/print round-trip."""
+"""Printer tests: fixed cases plus a hypothesis parse/print round-trip,
+and the AST's traversal table checked on the same generated trees."""
+
+import dataclasses
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -148,6 +151,28 @@ _select_statements = st.builds(
 )
 
 
+_aggregates = st.builds(
+    ast.FunctionCall,
+    name=st.sampled_from(ast.AGGREGATES),
+    args=st.one_of(
+        st.builds(ast.Star, table=st.one_of(st.none(), _tables)).map(lambda s: (s,)),
+        st.lists(_expressions(2), min_size=1, max_size=2).map(tuple),
+    ),
+    distinct=st.booleans(),
+)
+
+
+def _pre_order(node):
+    """Pre-order over every dataclass field holding an expression: an
+    oracle that does not read ``ast.CHILD_FIELDS``."""
+    yield node
+    for field in dataclasses.fields(node):
+        value = getattr(node, field.name)
+        for child in value if isinstance(value, tuple) else (value,):
+            if isinstance(child, ast.Expression):
+                yield from _pre_order(child)
+
+
 class TestRoundTripProperty:
     @settings(max_examples=300, deadline=None)
     @given(expr=_expressions(3))
@@ -161,3 +186,32 @@ class TestRoundTripProperty:
     def test_statement_round_trip(self, stmt):
         printed = to_sql(stmt)
         assert parse(printed) == stmt
+
+    @settings(max_examples=200, deadline=None)
+    @given(expr=_expressions(3) | _aggregates)
+    def test_rebuild_with_identity_is_equal(self, expr):
+        assert ast.rebuild(expr, lambda child: child) == expr
+
+    @settings(max_examples=200, deadline=None)
+    @given(expr=_expressions(3) | _aggregates)
+    def test_walk_visits_every_node_once_in_pre_order(self, expr):
+        walked = [id(node) for node in ast.walk_expression(expr)]
+        assert walked == [id(node) for node in _pre_order(expr)]
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_expression_type_lists_its_sub_expression_fields():
+    """A new node type cannot land without its row in the field table:
+    every Expression subclass is listed, leaves with no fields, and the
+    fields listed are exactly those typed as expressions."""
+    for cls in _subclasses(ast.Expression):
+        assert cls in ast.CHILD_FIELDS, cls
+        typed = tuple(
+            f.name for f in dataclasses.fields(cls) if "Expression" in str(f.type)
+        )
+        assert ast.CHILD_FIELDS[cls] == typed, cls
