@@ -300,8 +300,8 @@ class BEAS:
         #: the one condition every lock of this engine shares
         self._cond = threading.Condition(threading.Lock())
         self._schema_lock = ShardLock("schema", self._cond)
-        #: leaf mutex guarding the prepared registry, the request
-        #: counters, and the observed schema generation
+        #: leaf mutex guarding the prepared registry, the shard map and
+        #: the observed schema generation; no read takes it
         self._admin_lock = threading.Lock()
         self.parse_cache = StripedCache(
             "parse",
@@ -328,8 +328,10 @@ class BEAS:
         self._prepared: dict[str, PreparedQuery] = {}
         self._prepared_by_fingerprint: dict[str, PreparedQuery] = {}
         self.adhoc = AdhocTemplates(database)
-        #: executions, rebinds, rebind_fallbacks
+        #: rebinds, rebind_fallbacks, under their own leaf mutex (a read
+        #: is counted by ``results.observe``, with its hit or miss)
         self._counts: Counter[str] = Counter()
+        self._counts_mutex = threading.Lock()
         self._schema_generation = self.catalog.schema_generation
         #: the learned executor router (consulted only by
         #: ``routing="learned"`` requests; always built so its state
@@ -650,7 +652,8 @@ class BEAS:
         return bound, False
 
     def count(self, name: str) -> None:
-        with self._admin_lock:
+        """Bump a rebind counter (``rebinds`` / ``rebind_fallbacks``)."""
+        with self._counts_mutex:
             self._counts[name] += 1
 
     def read_locks(self, tables: frozenset[str]) -> tuple[ShardLock, ...]:
@@ -693,18 +696,18 @@ class BEAS:
         totals."""
         self.observe_schema_generation()
         shards = self.shards()
-        # Two-phase counter read, ordered against a request's own bump
-        # order so concurrent traffic can never tear the snapshot's
-        # invariants. Within one request the order is: executions (admin)
-        # -> result-cache hit/miss (cache) -> rebind counters (admin).
-        # Monotonic counters stay consistent when each family is read in
-        # the *reverse* of that order: the post-cache counters first
-        # (anything they count already has its cache event), the cache
-        # snapshot second, and the pre-cache counters last (anything the
-        # snapshot counted already has its execution). A single
-        # admin-lock block in either position reports torn totals — e.g.
-        # rebinds > result misses.
-        with self._admin_lock:
+        # Counter read, ordered against a request's own bump order so
+        # concurrent traffic can never tear the snapshot's invariants.
+        # A read bumps ``executions`` and its result-cache hit or miss in
+        # one section (``ResultCache.observe``), and only later, on a
+        # rebound miss, a rebind counter. Monotonic counters stay
+        # consistent when read in the reverse of that order: the rebind
+        # counters first (any rebind they count already has its miss),
+        # then the cache snapshot, which holds executions, hits and misses
+        # together (hits + misses <= executions by construction). Reading
+        # the rebind counters after the snapshot reports torn totals —
+        # e.g. rebinds > result misses.
+        with self._counts_mutex:
             counts = Counter(self._counts)
         result, held = self.results.snapshot()
         live_versions: dict[str, int] = {
@@ -715,7 +718,6 @@ class BEAS:
             for name, shard in shards.items()
         }
         with self._admin_lock:
-            executions = self._counts["executions"]
             prepared_count = len(self._prepared)
             generation = self._schema_generation
         return ServingStats(
@@ -729,7 +731,6 @@ class BEAS:
             result=result,
             **held,
             prepared_queries=prepared_count,
-            executions=executions,
             schema_generation=generation,
             table_versions=live_versions,
             shards=snapshots,

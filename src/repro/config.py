@@ -303,7 +303,10 @@ class ExecutionOptions:
     ) -> "ExecutionOptions":
         """These fully resolved options with ``layers`` applied lowest
         first (Session, Query, call) — each under the pin rule, with the
-        engine-pinned fields guarded against silent divergence."""
+        engine-pinned fields guarded against silent divergence. With no
+        layer set (a plain read) they are ``self``."""
+        if not any(layers):
+            return self
         resolved = self
         for layer in layers:
             if layer is None:

@@ -316,16 +316,20 @@ class ResultCache:
         self._filed = 0  # the live entries' read-set sizes, summed
         self._admission_declines = 0
         self._dropped: Counter[str] = Counter()
+        self._executions = 0  # served reads: one per observe()
 
     # ------------------------------------------------------------------ #
     def observe(self, versions: Mapping[str, int], probe: Any = None) -> Any:
-        """Sweep each table whose live version is not the one the cache
-        knew (it moved below the engine); returns the tables'
-        epochs, in ``versions``' order. Given a ``probe`` key, also makes
-        its :meth:`lookup` in the same section, and returns ``(epochs,
-        entry or None)``."""
+        """One served read's section: count the read (``executions``),
+        sweep each table whose live version is not the one the cache
+        knew (it moved below the engine), and return the tables' epochs,
+        in ``versions``' order. Given a ``probe`` key, also makes its
+        :meth:`lookup` in the same section, and returns ``(epochs, entry
+        or None)``: a read's execution and its hit or miss are counted
+        together."""
         swept: list[tuple[str, int]] = []
         with self._mutex:
+            self._executions += 1
             known = self._versions
             for table, version in versions.items():
                 if known.setdefault(table, version) != version:
@@ -541,6 +545,7 @@ class ResultCache:
                 "result_read_keys": self._filed,
                 "result_saved_s": self._saved,
                 "admission_declines": self._admission_declines,
+                "executions": self._executions,
                 "invalidated_exact": dropped["exact"],
                 "invalidated_coarse": dropped["coarse"],
                 "invalidated_sweep": dropped["sweep"],

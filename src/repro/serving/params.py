@@ -21,6 +21,7 @@ takes them as they are.
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Iterable
 from dataclasses import dataclass, replace
 from typing import Any, Mapping, Optional
 
@@ -121,20 +122,44 @@ def extract_slots(
     }
 
 
-def canonical_values(value: Any) -> tuple:
-    """Coerce one override (scalar or sequence) to a canonical value tuple."""
-    if isinstance(value, (list, tuple, set, frozenset)):
-        values = tuple(value)
-    else:
-        values = (value,)
+#: override types that bind as one constant with no further check
+_CONSTANTS = frozenset({str, int, float, bool})
+#: the containers an override binds several constants (an IN list) from
+_SEQUENCES = (list, tuple, set, frozenset)
+
+
+def canonical_values(value: Any, slot: str) -> tuple:
+    """Coerce one override of ``slot`` to a canonical value tuple: a
+    scalar binds as one constant, a list / tuple / set / frozenset as an
+    IN list. Anything else — another iterable (a ``range``, a generator),
+    an unhashable value (a ``dict``), NULL — raises
+    :class:`~repro.errors.ServingError` naming the slot."""
+    if type(value) in _CONSTANTS:
+        return (value,)  # canonical_selection of one value
+    values = tuple(value) if isinstance(value, _SEQUENCES) else (value,)
     if not values:
-        raise ServingError("a parameter override needs at least one value")
+        raise ServingError(
+            f"parameter {slot!r}: an override needs at least one value"
+        )
     for v in values:
-        if v is None:
-            raise ServingError(
-                "NULL is not a valid parameter value (x = NULL never holds)"
-            )
+        _check_constant(v, slot)
     return canonical_selection(values)
+
+
+def _check_constant(value: Any, slot: str) -> None:
+    if value is None:
+        raise ServingError(
+            f"parameter {slot!r}: NULL is not a valid parameter value "
+            "(x = NULL never holds)"
+        )
+    if isinstance(value, (str, bytes)):
+        return
+    if isinstance(value, Iterable) or not isinstance(value, Hashable):
+        raise ServingError(
+            f"parameter {slot!r}: a {type(value).__name__} is not a "
+            "constant (bind a hashable scalar, or a list / tuple / set / "
+            "frozenset of them)"
+        )
 
 
 def resolve_slot_name(key: str, slots: Mapping[str, ParameterSlot]) -> str:
@@ -161,10 +186,11 @@ def resolve_overrides(
     overrides: Mapping[str, Any], slots: Mapping[str, ParameterSlot]
 ) -> dict[str, tuple]:
     """Map override keys to slot names, canonicalising the values."""
-    return {
-        resolve_slot_name(key, slots): canonical_values(value)
-        for key, value in overrides.items()
-    }
+    resolved = {}
+    for key, value in overrides.items():
+        name = key if key in slots else resolve_slot_name(key, slots)
+        resolved[name] = canonical_values(value, name)
+    return resolved
 
 
 def substitute(
@@ -234,6 +260,15 @@ def rebind_signature(overrides: Mapping[str, tuple]) -> tuple:
 def signature_shape(signature: tuple) -> tuple:
     """:func:`rebind_signature` of an already sorted :func:`binding_signature`."""
     return tuple(
-        (name, len(values), tuple(type(v).__name__ for v in values))
-        for name, values in signature
+        [
+            (
+                name,
+                len(values),
+                # one value, the common case, without an inner loop
+                (type(values[0]).__name__,)
+                if len(values) == 1
+                else tuple([type(v).__name__ for v in values]),
+            )
+            for name, values in signature
+        ]
     )

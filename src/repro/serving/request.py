@@ -71,7 +71,8 @@ class CachedResult:
     tables' sweep ``epochs`` its request observed (sorted table order).
     ``cost`` is the wall seconds the miss that produced it took from
     ``observe`` to ``admit`` (what a re-run would pay): the cache's
-    retention priority.
+    retention priority. ``stamped`` is the ``Decision`` an earlier hit
+    was stamped with, served again while it fits (:func:`_hit_decision`).
     """
 
     columns: list[str]
@@ -84,6 +85,7 @@ class CachedResult:
     coarse_tables: frozenset[str]
     epochs: tuple[int, ...]
     cost: float
+    stamped: Optional[Decision] = field(default=None, repr=False, compare=False)
 
 
 def _entry_fresh(entry: CachedResult, request: "Request") -> bool:
@@ -180,7 +182,6 @@ def observe(beas: "BEAS", request: Request) -> None:
     # wall-clock anchor of a cached serve's latency (real, never 0.0) and
     # of a miss's cost, by which the result cache retains its answer
     request.started = time.perf_counter()
-    beas.count("executions")
     locks = beas.read_locks(request.tables)
     request.lock_wait = grant(locks)
     request.locks = locks
@@ -299,9 +300,8 @@ def admit(beas: "BEAS", request: Request) -> Result:
         answer.columns,
         answer.rows,
         mode,
-        request.outcome,
         answer.metrics,
-        request.provenance,
+        _stamp(request, request.outcome, request.provenance),
         cast("ApproximateResult", answer) if approximate else None,
     )
 
@@ -377,9 +377,8 @@ def _result(
     columns: list[str],
     rows: list[tuple[Any, ...]],
     mode: ExecutionMode,
-    outcome: AnyDecision,
     metrics: ExecutionMetrics,
-    provenance: str,
+    decision: Decision,
     approximation: Optional["ApproximateResult"] = None,
 ) -> Result:
     """Build the one ``Result``: the only writer of the serving-side
@@ -388,13 +387,13 @@ def _result(
     metrics.cache_misses = request.misses
     metrics.lock_wait_seconds = request.lock_wait
     metrics.table_versions = request.versions
-    metrics.decision_provenance = provenance
+    metrics.decision_provenance = decision.provenance
     return Result(
         columns=list(columns),
         rows=rows,
         mode=mode,
         metrics=metrics,
-        decision=_stamp(request, outcome, provenance),
+        decision=decision,
         options=request.options,
         approximation=approximation,
     )
@@ -408,9 +407,30 @@ def _serve_cached(request: Request, entry: CachedResult) -> Result:
         rows_output=len(rows), seconds=seconds, served_from_cache=True
     )
     return _result(
-        request, entry.columns, rows, entry.mode, entry.decision, metrics,
-        "result-cache",
+        request, entry.columns, rows, entry.mode, metrics,
+        _hit_decision(request, entry),
     )  # fmt: skip
+
+
+def _hit_decision(request: Request, entry: CachedResult) -> Decision:
+    """The ``Decision`` a hit on ``entry`` is stamped with. A ``Decision``
+    is an immutable value, so the one an earlier hit on the entry was
+    stamped with serves again while its generation, query handle and
+    budget are this request's. Only a handle-free one (SQL text) is kept:
+    a ``Query`` holds its Session, which holds the engine, and the cache
+    must not refer back to the engine."""
+    decision = entry.stamped
+    if (
+        decision is not None
+        and decision.generation == request.generation
+        and decision.query is request.query
+        and decision.budget == request.options.budget
+    ):
+        return decision
+    decision = _stamp(request, entry.decision, "result-cache")
+    if request.query is None:
+        entry.stamped = decision  # a racing hit's store is as good
+    return decision
 
 
 def _decision(beas: "BEAS", request: Request) -> tuple[AnyDecision, str]:

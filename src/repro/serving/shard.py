@@ -212,9 +212,15 @@ def grant(reads: Sequence[ShardLock], write: Optional[ShardLock] = None) -> floa
     one critical section, or none. While any is unavailable the caller
     waits holding nothing and re-checks the whole set on each wake, so
     no acquisition order is needed; each interval waited is charged to
-    a lock that blocked it. Returns the seconds waited."""
+    a lock that blocked it. Returns the seconds waited.
+
+    The section is entered through ``cond.acquire`` / ``cond.release``,
+    which are the shared lock's own methods: an uncontended grant pays
+    for the lock, not for ``Condition.__enter__``; only a wait goes
+    through the condition."""
     cond = (write or reads[0])._cond
-    with cond:
+    cond.acquire()
+    try:
         waited = 0.0
         if _blocker(reads, write) is not None:
             waited = _wait(cond, reads, write)
@@ -224,14 +230,18 @@ def grant(reads: Sequence[ShardLock], write: Optional[ShardLock] = None) -> floa
         if write is not None:
             write._writer = threading.get_ident()
             write.stats.write_acquisitions += 1
+    finally:
+        cond.release()
     return waited
 
 
 def release(reads: Sequence[ShardLock], write: Optional[ShardLock] = None) -> None:
-    """Give back what :func:`grant` granted, in one critical section;
-    waiters are woken only when a writer may now proceed."""
+    """Give back what :func:`grant` granted, in one critical section
+    (entered as :func:`grant` enters it); waiters are woken only when a
+    writer may now proceed."""
     cond = (write or reads[0])._cond
-    with cond:
+    cond.acquire()
+    try:
         wake = write is not None
         if write is not None:
             write._writer = None
@@ -241,6 +251,8 @@ def release(reads: Sequence[ShardLock], write: Optional[ShardLock] = None) -> No
                 wake = True
         if wake:
             cond.notify_all()
+    finally:
+        cond.release()
 
 
 def _blocker(reads: Sequence[ShardLock], write: Optional[ShardLock]) -> Optional[ShardLock]:

@@ -24,12 +24,12 @@ Three families of checks over the sharded serving state of a :class:`BEAS`:
 
 * **Stats-snapshot atomicity** — ``BEAS.stats()`` polled during a
   rebind-heavy workload must never report torn totals. Within one
-  request the bump order is executions (admin lock), then the result
-  cache's hit/miss, then the rebind counters (admin lock again); a
-  snapshot that reads all admin counters in a single block can
-  therefore observe ``rebinds > result.misses`` or
-  ``hits + misses > executions``. ``stats()`` reads the counter
-  families in reverse bump order, and this suite holds it to that.
+  request the bump order is executions together with the result
+  cache's hit/miss (one ``ResultCache.observe`` section), then the
+  rebind counters (their own mutex); a snapshot that reads the rebind
+  counters after the cache can therefore observe
+  ``rebinds > result.misses``. ``stats()`` reads the counter families
+  in reverse bump order, and this suite holds it to that.
 """
 
 from __future__ import annotations
