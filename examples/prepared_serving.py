@@ -8,7 +8,8 @@ setting:
    constant slots extracted exactly once;
 2. execute it repeatedly: the first run pins the coverage decision and
    bounded plan, the second sighting admits the result to the cache
-   (admit-on-second-hit keeps one-off queries from churning the cache),
+   (admit-on-second-hit keeps one-off bounded queries from churning
+   the cache; an answer whose recompute scans is admitted at once),
    later runs are result-cache hits;
 3. rebind the template's parameter slots (``call.date``,
    ``business.type``) — one template, many bindings;

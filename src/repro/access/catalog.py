@@ -103,14 +103,28 @@ class ASCatalog:
         """Give constraints new cardinality bounds N (constraint name ->
         N), keeping each one's built index: one access-schema change for
         the lot (bound adjustment, paper §3, Maintenance). Returns the
-        names changed."""
+        names changed.
+
+        A tightening below what the data already holds is refused with a
+        :class:`ConformanceError` naming the constraint, the N and its
+        index's largest bucket, and then nothing changes: the whole
+        mapping applies or none of it. Only the indices of constraints
+        whose N goes down are scanned."""
+        changes: list[tuple[AccessIndex, AccessConstraint]] = []
         for name, n in bounds.items():
             current = self.schema.get(name)
+            index = self.index_for(current)
+            if n < current.n and n < (largest := index.max_bucket_size):
+                raise ConformanceError(
+                    f"cannot tighten {name} to N={n}: its largest bucket "
+                    f"holds {largest} distinct Y-values"
+                )
             adjusted = AccessConstraint(
                 current.relation, current.x, current.y, n, name=name
             )
-            index = self.index_for(current)
-            self.schema.remove(name)
+            changes.append((index, adjusted))
+        for index, adjusted in changes:
+            self.schema.remove(adjusted.name)
             self.schema.add(adjusted)
             index.constraint = adjusted
         if bounds:

@@ -290,6 +290,12 @@ class AccessIndex:
             return 0
         return max(len(bucket) for bucket in self._buckets.values())
 
+    def largest_bucket(self, keys: Iterable[Key]) -> int:
+        """The most distinct Y-values any bucket among ``keys`` (canonical
+        keys, as :meth:`add_rows` reports them) holds; 0 for none."""
+        buckets = self._buckets
+        return max((len(buckets.get(key, ())) for key in keys), default=0)
+
     def storage_cells(self) -> int:
         """Storage estimate in value cells (keys + entries), used by the
         discovery module's storage budget."""

@@ -134,10 +134,11 @@ class Decision:
     bounds, budget feasibility, and how the decision was obtained
     (``provenance``): ``"fresh"`` — a full checker run; ``"cached"`` —
     an exact decision-cache hit for this binding (a shape that does not
-    rebind: partially bounded, a set operation, a guard fallback, or
-    the template's own constants); ``"rebound"`` — the signature's
-    pinned decision rebound to this binding's constants by value,
-    without any checker run (constraint-preserving rebinding,
+    rebind: a set operation, not covered without a bounded prefix, a
+    guard fallback, or the template's own constants); ``"rebound"`` —
+    the signature's pinned decision (covered or partially bounded)
+    rebound to this binding's constants by value, without any checker
+    run (constraint-preserving rebinding,
     :mod:`repro.bounded.rebind`); ``"result-cache"`` — the rows came
     straight from the result cache.
 

@@ -37,8 +37,10 @@ all, so there is no lock order. :meth:`BEAS.insert` / :meth:`BEAS.delete`
 and the schema changes are the only writes above the catalog: each
 takes its holds and files its invalidations under them, so no answer
 can slip past a write that outdates it (``docs/invariants.md``,
-"Result-cache validity"). Result-cache admission is admit-on-second-hit,
-and a cached answer is always an exact entry of this process.
+"Result-cache validity"). Result-cache admission is admit-on-second-hit
+for a BOUNDED answer and on first sight for one whose recompute scans
+(PARTIAL, CONVENTIONAL), and a cached answer is always an exact entry
+of this process.
 """
 
 from __future__ import annotations
@@ -515,8 +517,10 @@ class BEAS:
         its pinned plan, a not-covered one its pinned ``partial``), so a
         prepared binding is substituted only then. A
         :class:`~repro.bounded.rebind.ReboundDecision` runs the pinned
-        plan with its constant vector; only a remote route, which ships
-        the plan to a peer, builds its patched copy.
+        plan (or partially bounded plan's prefix) with its constant
+        vector, and a partially bounded one its residual with the
+        binding's selections; only a remote route, which ships the plan
+        to a peer, builds its patched copy.
 
         A decision made without a budget carries ``within_budget=None``;
         under ``options.budget`` feasibility is derived from its access
@@ -551,10 +555,14 @@ class BEAS:
                 route, plan, constants
             )
 
-        if options.allow_partial and decision.partial is not None:
+        if options.allow_partial and plan is not None:
+            # ``plan`` is the partially bounded plan; a rebound one's
+            # prefix runs off ``constants``
+            if constants is not None and route not in LOCAL_ROUTES:
+                plan, constants = decision.partial, None
             return ExecutionMode.PARTIAL, self._optimizer.execute(
-                decision.partial,
-                functools.partial(self.runner.run_route, route),
+                plan,
+                functools.partial(self.runner.run_route, route, constants=constants),
             )
         if callable(query):
             query = query()

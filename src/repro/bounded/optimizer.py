@@ -73,7 +73,9 @@ def _substitute(expr: ast.Expression, mapping: dict[Attribute, Attribute]) -> as
 
 @dataclass
 class PartialPlan:
-    """A bounded prefix + a residual conventional query."""
+    """A bounded prefix + a residual conventional query. ``cq`` is the
+    query the plan answers: a binding's slots are its selections, which
+    is how a pinned plan is rebound by value (:mod:`repro.bounded.rebind`)."""
 
     covered_bindings: list[str]
     uncovered_bindings: list[str]
@@ -82,6 +84,7 @@ class PartialPlan:
     residual_cq: ConjunctiveQuery
     temp_schema: TableSchema
     mapping: dict[Attribute, Attribute]
+    cq: ConjunctiveQuery
 
     @property
     def access_bound(self) -> int:
@@ -170,6 +173,7 @@ class BEPlanOptimizer:
             residual_cq=residual_cq,
             temp_schema=temp_schema,
             mapping=mapping,
+            cq=cq,
         )
 
     # ------------------------------------------------------------------ #

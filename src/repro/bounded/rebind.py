@@ -12,14 +12,21 @@ equivalence-under-dependencies reasoning as query equivalence under
 dependencies à la Chirkova & Genesereth). So a
 :class:`~repro.bounded.coverage.CoverageDecision` pinned for one binding
 of a prepared template is **rebound** for another binding of equal
-arity by value: a :class:`ReboundDecision` is the pinned template plus
+arity by value — a covered one, and a not-covered one with a partially
+bounded plan (:class:`~repro.bounded.optimizer.PartialPlan`), whose
+bounded prefix and residual are decided by the same shape: a
+:class:`ReboundDecision` is the pinned template plus
 one merged constant tuple per equality class (the tuple the arity guard
 derives anyway), in the order the plan's skeleton numbers the classes
 (:mod:`repro.bounded.skeleton`). The executors run the pinned plan's
 operators and read every fetch key, selection value and selection label
 from that vector, so a rebound request copies no operator, query or
 plan. Its bounds — ``access_bound``, ``within_budget``, … — are the
-pinned decision's.
+pinned decision's. A partially bounded decision runs its pinned prefix
+off the vector the same way, and its residual query with the binding's
+selections written in by value; the residual is still planned per
+request on the conventional engine. A slot whose equality class spans
+prefix and residual patches both.
 
 The patched plan (every ``fetch`` op's ``KeyPart(source="const")``
 tuples, every ``selection`` op's values and the canonical query's
@@ -53,8 +60,13 @@ BE Checker run) whenever the new binding could change the decision:
   (class members intersect their values) and refuses when any class's
   *merged* arity differs from the pinned plan's — two slots joined into
   one class can intersect differently even at equal per-slot arity;
-* only covered single-block decisions (a :class:`BoundedPlan`) rebind;
-  set operations and not-covered verdicts always re-check.
+* only single-block decisions with a bounded plan rebind: a covered
+  :class:`BoundedPlan`, or a partially bounded plan's prefix and
+  residual; set operations and not-covered verdicts without a bounded
+  prefix are filed per binding and always re-check;
+* every override slot must surface as a selection of the decided query
+  (and so of the covered plan, of the prefix's CQ or of the residual
+  CQ), or the template is not built.
 """
 
 from __future__ import annotations
@@ -64,27 +76,31 @@ from typing import TYPE_CHECKING, Mapping, Optional, Union
 from repro.access.constraint import AccessConstraint
 from repro.bounded.coverage import CoverageDecision
 from repro.bounded.plan import AnyBoundedPlan, BoundedPlan, KeyPart, patched
-from repro.bounded.planner import class_constant_map
+from repro.bounded.planner import class_constant_map, equality_classes
 from repro.bounded.skeleton import Constants, skeleton_of
-from repro.sql.normalize import Attribute, ConjunctiveQuery
+from repro.sql.normalize import Attribute
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.bounded.optimizer import PartialPlan
 
 
 class _ClassSlot:
-    """One equality class that carries constants: who contributes to its
-    merged constant tuple, the arity the decision was pinned at, and its
-    position in the constant vector (None: no operator reads it)."""
+    """One equality class of the decided query that carries constants:
+    who contributes to its merged constant tuple, the arity the decision
+    was pinned at, where the bounded plan reads it in the constant
+    vector (no position: no operator reads it), and, for a partially
+    bounded plan, the prefix selections it fills."""
 
-    __slots__ = ("contributors", "arity", "position")
+    __slots__ = ("contributors", "arity", "positions", "prefix")
 
-    def __init__(self, arity: int, position: Optional[int]) -> None:
+    def __init__(self, arity: int) -> None:
         #: (slot name, the template's own values), in ``cq.selections``
         #: order — the order the merge intersects in
         self.contributors: list[tuple[str, tuple]] = []
         self.arity = arity
-        self.position = position
+        self.positions: list[int] = []
+        #: the prefix CQ's selections holding the class's merged tuple
+        self.prefix: list[Attribute] = []
 
     def merged(self, overrides: Mapping[str, tuple]) -> tuple:
         """The class's constants under ``overrides``: its members'
@@ -108,41 +124,55 @@ class RebindTemplate:
     :func:`build_rebind_template`; every equal-signature binding then
     pays only :meth:`rebind` — no parse, no normalize, no plan search,
     no copy, and no work on equality classes the binding leaves
-    untouched. The pinned plan's skeleton is compiled here, so the
-    template's first execution and every rebound one run off it.
+    untouched. ``plan`` is the bounded plan that runs off the constant
+    vector: the covered plan, or a partially bounded plan's prefix
+    (``partial`` is then the pinned :class:`PartialPlan`). Its skeleton
+    is compiled here, so the template's first execution and every
+    rebound one run off it.
     """
 
     __slots__ = (
-        "decision", "plan", "skeleton", "constants", "_class_of_slot", "_attributes",
+        "decision", "partial", "plan", "skeleton", "constants",
+        "_class_of_slot", "_attributes",
     )  # fmt: skip
 
     def __init__(self, decision: CoverageDecision):
         self.decision = decision
-        plan = decision.plan
+        partial = self.partial = decision.partial
+        plan = decision.plan if partial is None else partial.sub_plan
         assert isinstance(plan, BoundedPlan)
         self.plan: BoundedPlan = plan
         skeleton = self.skeleton = skeleton_of(plan)
         #: the pinned binding's own constant vector
         self.constants: Constants = skeleton.constants(plan)
-        cq = plan.cq
-        classes = skeleton.classes
+        # the decided query, over whose classes the slots merge
+        cq = plan.cq if partial is None else partial.cq
+        classes = equality_classes(cq)
         pinned = class_constant_map(cq, classes)
 
         by_root: dict[Attribute, _ClassSlot] = {}
         self._class_of_slot: dict[str, _ClassSlot] = {}
-        #: slot name -> the canonical query's selection attribute
+        #: slot name -> the decided query's selection attribute
         self._attributes: dict[str, Attribute] = {}
         for attr, values in cq.selections.items():
             root = classes.find(attr)
             slot = by_root.get(root)
             if slot is None:
-                slot = by_root[root] = _ClassSlot(
-                    len(pinned[root]), skeleton.positions.get(root)
-                )
+                slot = by_root[root] = _ClassSlot(len(pinned[root]))
             name = str(attr)
             slot.contributors.append((name, values))
             self._class_of_slot[name] = slot
             self._attributes[name] = attr
+        # the plan's selections are members of the decided query's
+        # constant classes (a prefix's: its covered members, each holding
+        # its class's merged tuple); where it reads each class follows
+        for attr in plan.cq.selections:
+            slot = by_root[classes.find(attr)]
+            position = skeleton.positions.get(skeleton.classes.find(attr))
+            if position is not None and position not in slot.positions:
+                slot.positions.append(position)
+            if partial is not None:
+                slot.prefix.append(attr)
 
     # ------------------------------------------------------------------ #
     def rebind(self, overrides: Mapping[str, tuple]) -> Optional["ReboundDecision"]:
@@ -165,22 +195,33 @@ class RebindTemplate:
             merged = slot.merged(overrides)
             if len(merged) != slot.arity:
                 return None  # merged arity changed: bounds would move
-            if slot.position is not None:
-                constants[slot.position] = merged
-        return ReboundDecision(self, tuple(constants), overrides)
+            for position in slot.positions:
+                constants[position] = merged
+        partial = self.partial
+        if partial is None:
+            runs: Union[BoundedPlan, "PartialPlan"] = self.plan
+        else:
+            # the pinned prefix runs off the vector; the residual selects
+            # the binding's values
+            residual = partial.residual_cq
+            selections = dict(residual.selections)
+            for name, values in overrides.items():
+                attr = self._attributes[name]
+                if attr in selections:
+                    selections[attr] = values
+            residual = patched(residual, selections=selections)
+            runs = patched(partial, residual_cq=residual)
+        return ReboundDecision(self, tuple(constants), overrides, runs)
 
-    def coverage(
-        self,
-        overrides: Mapping[str, tuple],
-        constants: Constants,
-        within_budget: Optional[bool],
-    ) -> CoverageDecision:
+    def coverage(self, rebound: "ReboundDecision") -> CoverageDecision:
         """The pinned decision with one binding's constants written into
-        a copy of its plan: what a fresh BE Checker run of the bound
-        query decides (``==``, ``repr``-equal). Untouched operators are
-        shared, every deduced bound is kept, and the copy keeps the
-        pinned plan's skeleton slot. Only a reader of the plan pays for
-        it (:attr:`ReboundDecision.coverage`)."""
+        a copy of its plan: what a fresh BE Checker (and, not covered, BE
+        Plan Optimizer) run of the bound query decides (``==``,
+        ``repr``-equal). Untouched operators are shared, every deduced
+        bound is kept, and the copy keeps the pinned plan's skeleton
+        slot. Only a reader of the plan pays for it
+        (:attr:`ReboundDecision.coverage`)."""
+        overrides, constants = rebound.overrides, rebound.constants
         plan = self.plan
         pinned_ops = plan.ops
         ops = list(pinned_ops)
@@ -198,46 +239,65 @@ class RebindTemplate:
                 op.key_parts[part] = KeyPart(
                     op.key_parts[part].attribute, "const", None, merged
                 )
-        selections = dict(plan.cq.selections)
+        partial = self.partial
+        decided = plan.cq if partial is None else partial.cq
+        selections = dict(decided.selections)
         for name, values in overrides.items():
             selections[self._attributes[name]] = values
-        cq = patched(plan.cq, selections=selections)
+        cq = patched(decided, selections=selections)
+        if partial is None:
+            return patched(
+                self.decision,
+                plan=patched(plan, ops=ops, cq=cq),
+                within_budget=rebound.within_budget,
+            )
+        prefix_selections = dict(plan.cq.selections)
+        for name in overrides:
+            slot = self._class_of_slot[name]
+            merged = slot.merged(overrides)
+            for attr in slot.prefix:
+                prefix_selections[attr] = merged
+        prefix = patched(
+            plan, ops=ops, cq=patched(plan.cq, selections=prefix_selections)
+        )
         return patched(
             self.decision,
-            plan=patched(plan, ops=ops, cq=cq),
-            within_budget=within_budget,
+            partial=patched(rebound.runs, sub_plan=prefix, cq=cq),
+            within_budget=rebound.within_budget,
         )
 
 
 class ReboundDecision:
-    """A covered decision by value: the pinned :class:`RebindTemplate`
-    plus this binding's constant vector (one merged tuple per constant
-    class, in skeleton order).
+    """A pinned decision by value: the :class:`RebindTemplate` plus this
+    binding's constant vector (one merged tuple per constant class, in
+    skeleton order).
 
     It reads like a :class:`CoverageDecision`: the verdict and every
     deduced bound are the pinned decision's, with this request's
-    ``within_budget``. Only :attr:`coverage` / :attr:`plan` build the
-    patched copy, once; executing runs the pinned plan with
-    ``constants``. One is made per request, so the request may set its
-    ``within_budget`` in place.
+    ``within_budget``. ``runs`` is what executing it runs with
+    ``constants``: the pinned bounded plan, or the pinned partially
+    bounded plan whose residual selects this binding's values. Only
+    :attr:`coverage` / :attr:`plan` / :attr:`partial` build the fully
+    patched copy, once. One is made per request, so the request may set
+    its ``within_budget`` in place.
     """
 
-    __slots__ = ("template", "constants", "overrides", "within_budget", "_coverage")
-
-    covered = True
-    #: a covered decision has no partially bounded plan
-    partial = None
+    __slots__ = (
+        "template", "constants", "overrides", "runs", "within_budget", "_coverage",
+    )  # fmt: skip
 
     def __init__(
         self,
         template: RebindTemplate,
         constants: Constants,
         overrides: Mapping[str, tuple],
+        runs: Union[BoundedPlan, "PartialPlan"],
     ) -> None:
         self.template = template
         self.constants = constants
         #: the binding's resolved overrides (what the patched query selects)
         self.overrides = overrides
+        self.runs = runs
         self.within_budget: Optional[bool] = None
         self._coverage: Optional[CoverageDecision] = None
 
@@ -247,14 +307,22 @@ class ReboundDecision:
         duplicate build is benign: both are the same value)."""
         coverage = self._coverage
         if coverage is None:
-            coverage = self._coverage = self.template.coverage(
-                self.overrides, self.constants, self.within_budget
-            )
+            coverage = self._coverage = self.template.coverage(self)
         return coverage
 
     @property
-    def plan(self) -> BoundedPlan:
-        return self.coverage.plan  # type: ignore[return-value]
+    def covered(self) -> bool:
+        return self.template.decision.covered
+
+    @property
+    def plan(self) -> Optional[AnyBoundedPlan]:
+        return self.coverage.plan
+
+    @property
+    def partial(self) -> Optional["PartialPlan"]:
+        if self.template.partial is None:
+            return None  # covered: no patched copy to build
+        return self.coverage.partial
 
     @property
     def access_bound(self) -> Optional[int]:
@@ -286,11 +354,11 @@ def runnable(
     decision: AnyDecision,
 ) -> tuple[Union[AnyBoundedPlan, "PartialPlan", None], Optional[Constants]]:
     """What evaluating ``decision`` runs, without building a patched
-    plan: a rebound decision's pinned plan with its constant vector;
+    plan: a rebound decision's ``runs`` with its constant vector;
     otherwise the covered plan, or the partially bounded plan (or None),
     which run off their own constants (``None``)."""
     if isinstance(decision, ReboundDecision):
-        return decision.template.plan, decision.constants
+        return decision.runs, decision.constants
     return (decision.plan if decision.covered else decision.partial), None
 
 
@@ -298,15 +366,20 @@ def build_rebind_template(
     decision: CoverageDecision, overrides: Mapping[str, tuple]
 ) -> Optional[RebindTemplate]:
     """A :class:`RebindTemplate` for a freshly pinned decision, or
-    ``None`` when the decision cannot soundly rebind (not covered, a set
-    operation, or an override that does not surface as a selection).
+    ``None`` when the decision cannot soundly rebind (a set operation,
+    not covered without a partially bounded plan, or an override that
+    does not surface as a selection of the decided query).
 
     ``overrides`` is the binding the decision was pinned under; its keys
     delimit which selections future equal-signature bindings may patch.
     """
-    if not decision.covered or not isinstance(decision.plan, BoundedPlan):
+    partial = decision.partial
+    if partial is not None:
+        cq = partial.cq
+    elif decision.covered and isinstance(decision.plan, BoundedPlan):
+        cq = decision.plan.cq
+    else:
         return None
-    cq: ConjunctiveQuery = decision.plan.cq
     selection_names = {str(attr) for attr in cq.selections}
     for name in overrides:
         if name not in selection_names:

@@ -13,7 +13,10 @@ Inserts can violate a cardinality bound (an X-value gaining an
   must keep conforming so deduced bounds stay trustworthy);
 * ``ADJUST`` — accept and *widen* the constraint's N to the new maximum,
   re-registering the adjusted constraint (the paper's "periodically
-  adjusts constraints in A").
+  adjusts constraints in A"). The new maximum is read off the buckets
+  the batch grew, at cost proportional to the batch: an index keeps to
+  its N between batches (``ASCatalog.set_bounds`` refuses an N below
+  its largest bucket).
 """
 
 from __future__ import annotations
@@ -96,16 +99,18 @@ class MaintenanceManager:
         )
         batch.inserted = len(stored)
         if self.policy is ViolationPolicy.ADJUST:
-            # widen any constraint whose index now exceeds its declared N
-            index_for = self._catalog.index_for
-            batch.adjusted_constraints = self._catalog.set_bounds(
-                {
-                    constraint.name: actual
-                    for constraint in self._catalog.constraints_for(table_name)
-                    if (actual := index_for(constraint).max_bucket_size)
-                    > constraint.n
-                }
-            )
+            # widen any constraint a bucket the batch grew now exceeds:
+            # the index kept to N before the batch, so the largest grown
+            # bucket is the index's largest
+            catalog, grown = self._catalog, batch.changed_keys
+            widened: dict[str, int] = {}
+            for constraint in catalog.constraints_for(table_name):
+                keys = grown.get(constraint.name)
+                if keys:
+                    largest = catalog.index_for(constraint).largest_bucket(keys)
+                    if largest > constraint.n:
+                        widened[constraint.name] = largest
+            batch.adjusted_constraints = catalog.set_bounds(widened)
         batch.table_version = self._catalog.database.table(table_name).version
         return batch, stored
 

@@ -13,7 +13,8 @@ the state itself: its caches, shards and prepared registry):
 * :mod:`~repro.serving.request` — the request path: the per-request
   context and the ordered stages every read runs through over the
   engine's per-table locks, its striped decision cache and its one
-  result cache, with admit-on-second-hit admission, which a write
+  result cache (a BOUNDED answer admitted on its second sighting, a
+  PARTIAL or CONVENTIONAL one on its first), which a write
   invalidates exactly (it drops the answers whose fetched buckets it
   changed);
 * :mod:`~repro.serving.server` — :class:`ServingStats`, what the

@@ -229,7 +229,9 @@ class LRUCache:
 
 class Doorkeeper:
     """Admit-on-second-hit: the last ``capacity`` keys seen, so that a
-    one-off query never churns the cache."""
+    one-off bounded query never churns the cache. The request path asks
+    it about BOUNDED answers only: a PARTIAL or CONVENTIONAL one, whose
+    recompute scans a relation, is installed on first sight."""
 
     def __init__(self, capacity: int):
         self._capacity = capacity
@@ -264,8 +266,10 @@ class _Slot:
 
 class ResultCache:
     """Every served answer, under one budget, kept until a write changes
-    what it read or retention evicts it: the doorkeeper, the GreedyDual
-    order, and the filing of each entry under its ``tables``,
+    what it read or retention evicts it: the doorkeeper (:meth:`admits`,
+    asked for bounded answers only; :meth:`install` files without
+    asking), the GreedyDual order, and the filing of each entry under
+    its ``tables``,
     ``coarse_tables`` and ``read_keys``, through which it is unfiled
     whenever it leaves.
 

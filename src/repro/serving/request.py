@@ -444,10 +444,11 @@ def _decision(beas: "BEAS", request: Request) -> tuple[AnyDecision, str]:
     A binding with overrides asks its signature's pinned template first,
     keyed by (template fingerprint, arity signature, generation) — the
     values of a binding never enter that key, only its shape. What
-    rebinds is never filed per binding: exact entries, keyed by
-    (binding key, generation), hold the decisions that do not — a
-    partially bounded or set-operation decision, a guard fallback, the
-    template's own constants. Both keys carry the access-schema
+    rebinds — a covered decision, or a partially bounded one — is never
+    filed per binding: exact entries, keyed by (binding key,
+    generation), hold the decisions that do not — a set operation, a
+    not-covered decision without a bounded prefix, a guard fallback,
+    the template's own constants. Both keys carry the access-schema
     generation, so a decision made under an old schema is never served
     after a change. A template is pinned only when none was: a guard
     fallback's odd binding does not displace it.
@@ -499,7 +500,12 @@ def _filing(
 
 
 def _admit(beas: "BEAS", request: Request) -> None:
-    if not beas.results.admits(request.result_key):
+    # a PARTIAL or CONVENTIONAL answer is installed on first sight: its
+    # recompute scans a relation, so it grows with |D|; a BOUNDED one
+    # waits for the doorkeeper's second sighting
+    if request.mode is ExecutionMode.BOUNDED and not beas.results.admits(
+        request.result_key
+    ):
         return  # a first sighting: nothing is built for it
     answer = request.answer
     read_keys, coarse_tables = _filing(beas, request)

@@ -19,6 +19,7 @@ from repro import (
     DataType,
     TableSchema,
 )
+from repro.bounded.optimizer import BEPlanOptimizer
 from repro.workloads.tlc import generate_tlc, tlc_access_schema
 
 
@@ -182,6 +183,21 @@ def ex1_access() -> AccessSchema:
 def ex1_beas(ex1_db, ex1_access):
     with BEAS(ex1_db, ex1_access) as beas:
         yield beas
+
+
+@pytest.fixture
+def analyze_calls(monkeypatch):
+    """How many times the BE Plan Optimizer analysed a query, in any
+    engine, while the test ran (``calls[0]``)."""
+    calls = [0]
+    analyze = BEPlanOptimizer.analyze
+
+    def counting(self, query):
+        calls[0] += 1
+        return analyze(self, query)
+
+    monkeypatch.setattr(BEPlanOptimizer, "analyze", counting)
+    return calls
 
 
 def nan_keyed(rows) -> list[tuple]:

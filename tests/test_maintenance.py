@@ -2,13 +2,15 @@
 
 import pytest
 
-from repro import AccessConstraint, AccessIndex, ASCatalog
-from repro.errors import MaintenanceError
+from repro import BEAS, AccessConstraint, AccessIndex, ASCatalog
+from repro.errors import ConformanceError, MaintenanceError
 from repro.maintenance import (
     DriftMonitor,
     MaintenanceManager,
     ViolationPolicy,
 )
+
+from repro.workloads.tlc import tlc_access_schema, tlc_queries
 
 from tests.conftest import example1_access_schema, example1_database
 
@@ -80,6 +82,31 @@ class TestInsert:
         batch = manager.insert("call", [(200, "100", "123", "2016-06-05", "east")])
         assert batch.adjusted_constraints == []
 
+    def test_adjust_widens_to_the_true_maximum_from_the_grown_buckets(
+        self, catalog, monkeypatch
+    ):
+        """The widened N is the index's largest bucket, read off the
+        buckets the batch grew: no pass over every bucket."""
+        scans = []
+        full_scan = AccessIndex.max_bucket_size
+        monkeypatch.setattr(
+            AccessIndex,
+            "max_bucket_size",
+            property(lambda index: scans.append(index) or full_scan.fget(index)),
+        )
+        manager = MaintenanceManager(catalog, policy=ViolationPolicy.ADJUST)
+        growing = [
+            (50 + i, pnum, f"p{i}", "2016-01-01", "2016-12-31", 2016)
+            for pnum, count in (("200", 13), ("201", 15), ("202", 1))
+            for i in range(count)
+        ]
+        batch = manager.insert("package", growing)
+        assert batch.adjusted_constraints == ["psi2"]
+        assert scans == []
+        index = catalog.index_for(catalog.schema.get("psi2"))
+        true_maximum = max(len(bucket) for bucket in index.snapshot().values())
+        assert catalog.schema.get("psi2").n == true_maximum == 15
+
 
 class TestDelete:
     def test_delete_updates_table_and_indices(self, catalog, manager):
@@ -128,6 +155,67 @@ class TestDelete:
         constraint = catalog.schema.get("psi1")
         rebuilt = AccessIndex(constraint, catalog.database.table("call"))
         assert catalog.index_for(constraint).snapshot() == rebuilt.snapshot()
+
+
+class TestSetBounds:
+    def _largest(self, catalog, name):
+        return catalog.index_for(catalog.schema.get(name)).max_bucket_size
+
+    def test_a_tightening_below_the_data_is_refused(self, catalog):
+        largest = self._largest(catalog, "psi2")
+        generation = catalog.schema_generation
+        with pytest.raises(ConformanceError) as refused:
+            catalog.set_bounds({"psi2": largest - 1})
+        message = str(refused.value)
+        assert "psi2" in message and f"N={largest - 1}" in message
+        assert f"{largest} distinct" in message
+        assert catalog.schema.get("psi2").n == 12
+        assert catalog.schema_generation == generation
+        # down to the largest bucket is a tightening the data allows
+        assert catalog.set_bounds({"psi2": largest}) == ["psi2"]
+        assert catalog.schema.get("psi2").n == largest
+
+    def test_the_whole_mapping_applies_or_none_of_it(self, catalog):
+        largest = self._largest(catalog, "psi2")
+        with pytest.raises(ConformanceError):
+            catalog.set_bounds({"psi3": 5000, "psi2": largest - 1})
+        assert catalog.schema.get("psi3").n == 2000
+        assert catalog.index_for(catalog.schema.get("psi3")).constraint.n == 2000
+        assert catalog.schema.get("psi2").n == 12
+
+    def test_only_a_tightened_constraint_is_scanned(self, catalog, monkeypatch):
+        scans = []
+        full_scan = AccessIndex.max_bucket_size
+        monkeypatch.setattr(
+            AccessIndex,
+            "max_bucket_size",
+            property(
+                lambda index: scans.append(index.constraint.name)
+                or full_scan.fget(index)
+            ),
+        )
+        catalog.set_bounds({"psi3": 5000, "psi2": 12})
+        assert scans == []
+        catalog.set_bounds({"psi3": 4000})
+        assert scans == ["psi3"]
+
+    def test_tlc_psi1_cannot_be_tightened_under_its_planted_bucket(self, tlc_small):
+        """Accepting N=1 for psi1 used to make Q2 fail its own deduced
+        bound at execution time."""
+        q2 = tlc_queries(tlc_small.params)[1]
+        with BEAS(tlc_small.database, tlc_access_schema()) as beas:
+            largest = self._largest(beas.catalog, "psi1")
+            assert largest > 1
+            with pytest.raises(ConformanceError, match=f"psi1 to N=1: .* {largest} "):
+                beas.catalog.set_bounds({"psi1": 1})
+            result = beas.session().run(q2.sql, use_result_cache=False)
+        assert result.rows and result.metrics.tuples_fetched <= largest
+
+    def test_the_drift_monitor_never_goes_below_the_data(self, catalog):
+        changed = DriftMonitor(catalog, slack=1.0, tighten_threshold=1.0).apply()
+        assert changed
+        for name in changed:
+            assert catalog.schema.get(name).n >= self._largest(catalog, name)
 
 
 class TestDriftMonitor:

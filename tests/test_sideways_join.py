@@ -29,7 +29,6 @@ from hypothesis import strategies as st
 from repro import (
     AccessConstraint,
     AccessSchema,
-    BEPlanOptimizer,
     ConventionalEngine,
     Database,
     DatabaseSchema,
@@ -357,19 +356,6 @@ def predicate_calls(monkeypatch):
     return calls
 
 
-@pytest.fixture
-def analyze_calls(monkeypatch):
-    calls = [0]
-    analyze = BEPlanOptimizer.analyze
-
-    def counting(self, query):
-        calls[0] += 1
-        return analyze(self, query)
-
-    monkeypatch.setattr(BEPlanOptimizer, "analyze", counting)
-    return calls
-
-
 class TestProportionality:
     @pytest.mark.parametrize("big_rows", [2_000, 200_000])
     def test_interpreted_work_follows_the_joining_rows(self, big_rows, predicate_calls):
@@ -408,8 +394,12 @@ class TestPinnedToTheDecision:
             again = session.run(SQL, use_result_cache=False)
             assert analyze_calls[0] == 1
         assert first.mode is again.mode is ExecutionMode.PARTIAL
-        assert again.metrics.decision_provenance == "cached"
-        assert again.decision.coverage.partial is first.decision.coverage.partial
+        # the text's own literals bind its template: the pinned partially
+        # bounded decision is rebound by value, the pinned plan reused
+        assert again.metrics.decision_provenance == "rebound"
+        pinned = again.decision.outcome.template.partial
+        assert pinned is first.decision.coverage.partial
+        assert again.decision.coverage.partial == first.decision.coverage.partial
         assert sorted(first.rows) == sorted(again.rows)
 
     def test_no_useful_prefix_is_pinned_too(self, analyze_calls):
