@@ -88,13 +88,14 @@ class ASCatalog:
         )
         elapsed = time.perf_counter() - start
         self._indexes[constraint.name] = index
+        entries = index.entry_count
         self._statistics[constraint.name] = IndexStatistics(
             constraint_name=constraint.name,
             relation=constraint.relation,
             key_count=index.key_count,
-            entry_count=index.entry_count,
+            entry_count=entries,
             max_bucket_size=index.max_bucket_size,
-            storage_cells=index.storage_cells(),
+            storage_cells=index.storage_cells(entries),
             build_seconds=elapsed,
         )
         return index

@@ -282,13 +282,11 @@ class AccessIndex:
     @property
     def entry_count(self) -> int:
         """Total distinct (X, Y) pairs stored — the index's logical size."""
-        return sum(len(bucket) for bucket in self._buckets.values())
+        return sum(map(len, self._buckets.values()))
 
     @property
     def max_bucket_size(self) -> int:
-        if not self._buckets:
-            return 0
-        return max(len(bucket) for bucket in self._buckets.values())
+        return max(map(len, self._buckets.values()), default=0)
 
     def largest_bucket(self, keys: Iterable[Key]) -> int:
         """The most distinct Y-values any bucket among ``keys`` (canonical
@@ -296,12 +294,15 @@ class AccessIndex:
         buckets = self._buckets
         return max((len(buckets.get(key, ())) for key in keys), default=0)
 
-    def storage_cells(self) -> int:
+    def storage_cells(self, entry_count: Optional[int] = None) -> int:
         """Storage estimate in value cells (keys + entries), used by the
-        discovery module's storage budget."""
+        discovery module's storage budget; ``entry_count`` spares the
+        pass over the buckets when the caller has counted them."""
+        if entry_count is None:
+            entry_count = self.entry_count
         key_width = len(self.constraint.x)
         y_width = len(self.constraint.y)
-        return self.key_count * key_width + self.entry_count * y_width
+        return self.key_count * key_width + entry_count * y_width
 
     def snapshot(self) -> dict[Key, dict[YValue, int]]:
         """Deep copy of the buckets (tests compare incremental vs rebuild)."""

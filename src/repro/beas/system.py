@@ -813,7 +813,7 @@ class BEAS:
         """The batch itself, then what follows a committed one. The
         stored rows — never the caller's spelling of them, which need
         not decode — go as they are to the fleet's delta tail and to the
-        WAL, which encodes only a batch JSON cannot hold as it is.
+        WAL, which encodes only a batch marshal cannot hold as it is.
 
         Persistence discipline: the WAL record is appended only after
         the in-memory apply committed (a refused batch raised before

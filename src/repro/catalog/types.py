@@ -62,7 +62,7 @@ def _coerce_date(value: Any) -> str:
 def int_text_bits() -> float:
     """The bit length up to which every int has a decimal text: one of
     at most ``sys.get_int_max_str_digits()`` digits, the only kind the
-    WAL, a CSV or a JSON record can write (unlimited when that is 0)."""
+    WAL's text cells or a CSV can write (unlimited when that is 0)."""
     limit = sys.get_int_max_str_digits()
     return limit * math.log2(10) if limit else math.inf
 

@@ -2,10 +2,9 @@
 
 Exactly one module encodes values to text and back — CSV import/export,
 the WAL's text records and the store manifest's table fingerprints all
-call :func:`encode_value` / :func:`decode_value`.  Which
-rows a WAL record may carry as the JSON values they are, and how they
-are read back, is decided here too (:func:`json_gate` /
-:func:`decode_json_rows`).  The beaslint
+call :func:`encode_value` / :func:`decode_value`. A WAL record holds a
+batch's stored tuples as they are (marshal, never pickle); text cells
+are used only for a batch marshal refuses.  The beaslint
 ``storage-codec`` rule enforces this: ad-hoc ``float(...)`` / ``repr(...)``
 value coding outside this module is flagged, so the formats cannot
 drift apart (the PR 4 CSV round-trip and the pickled snapshot wire each
@@ -47,12 +46,12 @@ and :func:`canonical_value` maps any NaN seen on an ingest path to it.
 from __future__ import annotations
 
 import math
-from itertools import chain, repeat
+from itertools import repeat
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.catalog.types import DataType, coerce_value
-from repro.errors import StorageError, TypeMismatchError
+from repro.errors import StorageError
 
 #: the single NaN object used for storage accounting (see module docstring)
 CANONICAL_NAN: float = float("nan")
@@ -113,6 +112,7 @@ def encode_value(value: Any) -> str:
             return "inf" if value > 0 else "-inf"
         return repr(value)
     if isinstance(value, str):
+        value = str.__str__(value)  # a subclass instance: its characters
         if value == "":
             return QUOTED_EMPTY
         if len(value) >= 2 and value[0] == '"' and value[-1] == '"':
@@ -164,7 +164,7 @@ def decode_row(cells: Sequence[str], dtypes: Sequence[DataType]) -> tuple:
 
 
 # --------------------------------------------------------------------------- #
-# batches: column-wise type checks, and the rows JSON holds as they are
+# batches: column-wise type checks
 # --------------------------------------------------------------------------- #
 _NULL = type(None)
 
@@ -186,77 +186,3 @@ def exactly_typed(
     ``exact`` classes — one C-level pass per column."""
     kinds = map(map, repeat(type), columns)
     return all(map(frozenset.issuperset, exact, kinds))
-
-
-class ExactRows(list):
-    """A batch :class:`~repro.storage.table.WritePlan` admitted at a
-    glance: every cell ``None`` or one of its column's
-    :data:`EXACT_TYPES`, and no NaN. The verdict travels with the rows,
-    so a :func:`json_gate` does not check again what admission proved."""
-
-    __slots__ = ()
-
-
-#: per dtype, the classes JSON reads back as an equal value of the same
-#: class (an ``int`` in a FLOAT column would come back an ``int``; its
-#: text cell decodes as a ``float``)
-JSON_TYPES: dict[DataType, frozenset[type]] = {
-    **EXACT_TYPES,
-    DataType.FLOAT: frozenset({float, _NULL}),
-}
-
-
-def _finite(cells: Iterable[Any]) -> bool:
-    # filter(None, ...) drops NULL and the zeros, all of them finite
-    return all(map(math.isfinite, filter(None, cells)))
-
-
-def json_gate(dtypes: Sequence[DataType]) -> Callable[[Sequence[tuple]], bool]:
-    """Compile the test for a batch of rows a JSON record may hold as
-    they are: every cell ``None`` or exactly one of its column's
-    :data:`JSON_TYPES`, every FLOAT cell finite. Such a row reads back
-    equal, each cell of the class ``decode_row(encode_row(row))`` gives,
-    and ``json.dumps(allow_nan=False)`` cannot refuse it. An ``int`` in a
-    FLOAT column, a NaN, ±inf or a ``str`` subclass needs the text
-    cells. Of an :class:`ExactRows` batch only the FLOAT cells are
-    checked."""
-    arity = {len(dtypes)}
-    native = [JSON_TYPES[dtype] for dtype in dtypes]
-    floats = [i for i, dtype in enumerate(dtypes) if dtype is DataType.FLOAT]
-    float_types = JSON_TYPES[DataType.FLOAT]
-
-    def gate(rows: Sequence[tuple]) -> bool:
-        if type(rows) is ExactRows:
-            cells = tuple(chain.from_iterable(map(itemgetter(i), rows) for i in floats))
-            return float_types.issuperset(map(type, cells)) and _finite(cells)
-        if set(map(len, rows)) != arity:
-            return False
-        columns = tuple(zip(*rows))
-        return exactly_typed(columns, native) and _finite(
-            chain.from_iterable([columns[i] for i in floats])
-        )
-
-    return gate
-
-
-def decode_json_rows(
-    values: Sequence[Sequence[Any]], dtypes: Sequence[DataType]
-) -> list[tuple]:
-    """The rows of a JSON record that holds them as they are, as tuples.
-    A row :func:`json_gate` would not have let through — the wrong arity,
-    a cell not of its column's class, a FLOAT cell that is not finite —
-    is refused as :func:`decode_row` refuses an undecodable text cell."""
-    rows = list(map(tuple, values))
-    if json_gate(dtypes)(rows):
-        return rows
-    for row in rows:
-        if len(row) != len(dtypes):
-            raise StorageError(
-                f"cannot decode row of arity {len(row)} with {len(dtypes)} dtypes"
-            )
-        for value, dtype in zip(row, dtypes):
-            if type(value) not in JSON_TYPES[dtype] or (
-                dtype is DataType.FLOAT and not _finite((value,))
-            ):
-                raise TypeMismatchError(f"cannot read {value!r} as {dtype.name}")
-    return rows

@@ -26,11 +26,12 @@ building anything, builds every index from those rows, restores the
 schema generation and replays the named log (``docs/invariants.md``,
 *persistence discipline*).
 
-A WAL record holds a batch's stored rows as JSON values (``"values"``)
-when the canonical codec's ``json_gate`` passes them, and as codec text
-cells (``"rows"``, ``StorageStats.wal_text_batches``) otherwise; the
-beaslint ``storage-codec`` rule keeps ad-hoc value coding out of this
-module.
+A WAL record holds a batch's stored tuples as they are (``"values"``,
+marshal, never pickle) and replay admits them as a live insert is
+admitted. Only a batch marshal refuses (a ``str`` or ``int`` subclass
+cell) is logged in codec text cells (``"rows"``,
+``StorageStats.wal_text_batches``); the beaslint ``storage-codec`` rule
+keeps ad-hoc value coding out of this module.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from zlib import crc32
 from repro.access.io import schema_from_dict, schema_to_dict
 from repro.errors import AccessSchemaError, MaintenanceError, StorageError
 from repro.maintenance.incremental import apply_delete, apply_insert
-from repro.storage.codec import decode_json_rows, decode_row, encode_row
+from repro.storage.codec import decode_row, encode_row
 from repro.storage.table import Table
 from repro.storage.wal import ReplayReport, WriteAheadLog
 
@@ -56,7 +57,7 @@ MANIFEST_NAME = "MANIFEST.json"
 LOG_NAMES = ("wal-1.log", "wal-2.log")
 
 #: store format version — bumped on any incompatible layout change
-STORE_FORMAT = 2
+STORE_FORMAT = 3
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
@@ -233,17 +234,17 @@ class MmapStore:
 
     def log_batch(self, op: str, table: Table, rows: list) -> None:
         """Append a committed batch of the *stored* rows, as the table
-        held them. A batch the table's JSON gate passes is logged as it
-        is (``"values"``); any other in codec text cells (``"rows"``),
-        which spell every NaN ``nan`` and so need no canonical_key pass."""
+        held them (``"values"``). A batch marshal refuses is logged in
+        codec text cells (``"rows"``), which spell every NaN ``nan`` and
+        so need no canonical_key pass."""
         record = {"op": op, "table": table.schema.name, "version": table.version}
-        if table.plan.json_native(rows):
-            record["values"] = rows
-        else:
+        try:
+            self._wal.append({**record, "values": rows})
+        except ValueError:  # a ``str`` or ``int`` subclass cell
             dtypes = table.schema.dtypes
             record["rows"] = [encode_row(row, dtypes) for row in rows]
             self.wal_text_batches += 1
-        self._wal.append(record)
+            self._wal.append(record)
 
     def log_adjust(self, constraint_name: str, n: int) -> None:
         self._wal.append(
@@ -259,7 +260,10 @@ class MmapStore:
         """
         report = self._wal.replay(repair=True)
         for record in report.records:
-            self._apply_record(catalog, record)
+            try:
+                self._apply_record(catalog, record)
+            except (KeyError, TypeError, ValueError) as error:
+                raise StorageError(f"malformed WAL record: {error!r}") from error
         self.wal_records_replayed += len(report.records)
         self.wal_dropped_bytes += report.dropped_bytes
         return report
@@ -271,11 +275,16 @@ class MmapStore:
             return
         if op not in ("insert", "delete"):
             raise StorageError(f"unknown WAL op {op!r}")
+        version = int(record["version"])
         table = catalog.database.table(record["table"])
-        dtypes = table.schema.dtypes
         if "values" in record:
-            rows = decode_json_rows(record["values"], dtypes)
+            # type-checked, every NaN the one shared object, as a live
+            # batch is (apply_insert admits an insert itself)
+            rows = record["values"]
+            if op == "delete":
+                rows = table.admit(rows)
         else:
+            dtypes = table.schema.dtypes
             rows = [decode_row(cells, dtypes) for cells in record["rows"]]
         if op == "insert":
             apply_insert(catalog, record["table"], rows, validate=False)
@@ -287,7 +296,7 @@ class MmapStore:
                     f"WAL delete for {record['table']!r} references rows "
                     "missing from the base data — store and dataset diverged"
                 ) from None
-        table.version = int(record["version"])
+        table.version = version
 
     @property
     def wal_records_appended(self) -> int:

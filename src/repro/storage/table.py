@@ -20,14 +20,7 @@ from repro.catalog.schema import TableSchema
 from repro.catalog.statistics import TableStatistics, collect_statistics
 from repro.catalog.types import DataType, coerce_value, int_text_bits, is_compatible, shown
 from repro.errors import StorageError, TypeMismatchError
-from repro.storage.codec import (
-    EXACT_TYPES,
-    ExactRows,
-    canonical_key,
-    exactly_typed,
-    json_gate,
-    nan_free,
-)
+from repro.storage.codec import EXACT_TYPES, canonical_key, exactly_typed, nan_free
 
 Row = tuple
 
@@ -45,8 +38,7 @@ class WritePlan:
     """What a table's schema fixes about a write batch, compiled once.
 
     Per column the admissible exact types, the FLOAT positions (the only
-    cells that can hold a NaN) and the DATE positions; and the codec's
-    gate for the batches the WAL logs as they are. A batch is checked
+    cells that can hold a NaN) and the DATE positions. A batch is checked
     column-wise, in C-level passes, and a batch that does not pass at a
     glance gets the per-value walk: what is accepted, and what a refusal
     says, is ``is_compatible``'s word either way.
@@ -65,19 +57,15 @@ class WritePlan:
             i for i, dtype in enumerate(dtypes) if dtype is DataType.DATE
         )
         self._valid_dates: set[Optional[str]] = {None}
-        #: ``rows -> bool``: whether the WAL may log them as they are
-        self.json_native = json_gate(dtypes)
 
     def admit(self, rows: Iterable[Sequence[Any]], *, coerce: bool = False) -> list[Row]:
         """The batch as the tuples the table would store, or the error
-        its first inadmissible row earns; nothing is touched. A batch
-        admitted at a glance comes back as :class:`~repro.storage.codec.
-        ExactRows`."""
+        its first inadmissible row earns; nothing is touched."""
         rows = list(rows)
         if coerce:
             return [self._coerced(row) for row in rows]
         if not rows or (self._exactly_typed(rows) and nan_free(rows, self._floats)):
-            return ExactRows(map(tuple, rows))
+            return list(map(tuple, rows))
         # a subclass, ``2016-6-1``, a NaN, an int no float can hold or
         # too long to write, a wrong type or arity: value by value
         return [canonical_key(row) for row in self._walk(rows)]
@@ -286,7 +274,7 @@ class Table:
     @property
     def plan(self) -> WritePlan:
         """The schema's compiled write plan (admission, NaN
-        canonicalisation, the WAL's JSON gate)."""
+        canonicalisation)."""
         plan = self._plan
         if plan is None:
             plan = self._plan = WritePlan(self.schema)

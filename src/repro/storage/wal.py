@@ -23,18 +23,18 @@ same way; everything after the first bad frame is discarded — the WAL
 is an ordered history, so a later record must never be applied over a
 missing earlier one.
 
-Record payloads are JSON, never pickle: reading a damaged log cannot
-run code. Which rows a record holds as JSON values and which as text
-cells is the canonical codec's call (:mod:`repro.storage.codec`), so
-the WAL can never disagree with the CSV format about what a value
-means. ``allow_nan=False`` is deliberate: the codec sends every
-NaN and ±inf to the text cells, so a raw float special in a record is a
-bug, and failing the append beats writing a payload that is not JSON.
+Record payloads are ``marshal``, never pickle: ``marshal`` builds
+values only and never imports or calls anything, so reading a damaged
+log cannot run code. A record is a dict of plain values — for a write
+batch, the tuples the table stored (:mod:`repro.storage.mmapstore`
+decides what it holds). A CRC-valid payload that does not load, or
+loads as anything but a dict, is a bad frame like a torn one: the log
+is truncated before it.
 """
 
 from __future__ import annotations
 
-import json
+import marshal
 import os
 import struct
 import threading
@@ -144,7 +144,7 @@ class ReplayReport:
 
 
 class WriteAheadLog:
-    """An append-only framed JSON record log.
+    """An append-only framed record log.
 
     ``sync=True`` fsyncs every append (the durability the crash tests
     exercise); the default leaves flushing to the OS, which is the
@@ -169,11 +169,11 @@ class WriteAheadLog:
         return self._handle
 
     def append(self, record: dict) -> int:
-        """Append one record; returns the frame's size in bytes."""
-        payload = json.dumps(
-            record, separators=(",", ":"), sort_keys=True, allow_nan=False
-        ).encode("utf-8")
-        frame = frame_record(payload)
+        """Append one record; returns the frame's size in bytes. A
+        record ``marshal`` cannot write (an instance of a subclass of
+        ``str`` or ``int``, say) raises ``ValueError``, and nothing is
+        written."""
+        frame = frame_record(marshal.dumps(record, 4))
         with self._lock:
             handle = self._file()
             handle.write(frame)
@@ -209,14 +209,12 @@ class WriteAheadLog:
         for payload in scan.payloads:
             offset += _FRAME_HEADER.size + len(payload)
             try:
-                record = json.loads(payload.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
+                record = marshal.loads(payload)
+            except (ValueError, EOFError, TypeError):
+                record = None
+            if type(record) is not dict:
                 scan.truncated = True
-                scan.reason = "frame payload is not valid JSON"
-                break
-            if not isinstance(record, dict):
-                scan.truncated = True
-                scan.reason = "frame payload is not a JSON object"
+                scan.reason = "frame payload is not a record"
                 break
             records.append(record)
             valid_bytes = offset

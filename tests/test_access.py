@@ -289,6 +289,24 @@ class TestASCatalog:
             s.storage_cells for s in catalog.statistics()
         )
 
+    def test_statistics_rows_read_what_the_index_reports(self):
+        """The one pass over the buckets reports what each of the
+        index's own counters does."""
+        catalog = ASCatalog(example1_database(), example1_access_schema())
+        for stats in catalog.statistics():
+            index = catalog.index_for(catalog.schema.get(stats.constraint_name))
+            assert (
+                stats.key_count,
+                stats.entry_count,
+                stats.max_bucket_size,
+                stats.storage_cells,
+            ) == (
+                index.key_count,
+                index.entry_count,
+                index.max_bucket_size,
+                index.storage_cells(),
+            )
+
     def test_verify_conformance(self):
         catalog = ASCatalog(example1_database(), example1_access_schema())
         assert catalog.verify_conformance().conforms

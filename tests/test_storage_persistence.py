@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import gc
 import json
+import marshal
 import os
 import signal
 import subprocess
@@ -173,7 +174,8 @@ class TestWalRepair:
         wal.append({"op": "insert", "seq": 0})
         wal.close()
         with open(wal.path, "ab") as handle:
-            handle.write(frame_record(b"[1, 2, 3]"))  # valid CRC, wrong shape
+            # valid CRC, wrong shape
+            handle.write(frame_record(marshal.dumps([1, 2, 3], 4)))
         report = wal.replay(repair=True)
         assert [r["seq"] for r in report.records] == [0]
         assert report.truncated
@@ -263,10 +265,10 @@ class TestWarmRestart:
             second.close()
 
     def test_wal_rows_are_canonical_bytes(self, tmp_path):
-        """The logged cells of NaN, NULL, ``""`` and ``'"x"'`` (the
-        payloads the WAL has always written: ``encode_value`` alone
-        canonicalises, ``log_delete`` needs no ``canonical_key`` pass),
-        and a reopen replays them."""
+        """The log holds the stored tuples of NaN, NULL, ``""``, ``'"x"'``
+        and ``-inf`` cells as they are; a delete logs the rows the table
+        stored, so ``log_delete`` needs no ``canonical_key`` pass, and a
+        reopen replays them with every NaN the one canonical object."""
         options = ExecutionOptions(storage="mmap", storage_dir=str(tmp_path))
         rows = [
             ("k000", "2016-06-01", "wnan", float("nan")),
@@ -283,31 +285,27 @@ class TestWarmRestart:
         )
         first.delete("event", [rows[1], rows[3]])
         survivors = list(first.database.table("event").rows)
+        assert first.stats().storage.wal_text_batches == 0
         first.close()
 
-        payloads = [
-            json.dumps(record, separators=(",", ":"), sort_keys=True)
-            for record in WriteAheadLog(store_log(tmp_path)).replay().records
+        records = WriteAheadLog(store_log(tmp_path)).replay().records
+        assert [
+            (record.pop("op"), record.pop("table"), record.pop("version"))
+            for record in records
+        ] == [("insert", "event", 127), ("delete", "event", 128), ("delete", "event", 129)]
+        assert [nan_keyed(record.pop("values")) for record in records] == [
+            nan_keyed(rows),
+            nan_keyed([rows[0], rows[2], ("k000", "2016-06-01", "rnan0", float("nan"))]),
+            nan_keyed([rows[1], rows[3]]),
         ]
-        assert payloads == [
-            '{"op":"insert","rows":[["k000","2016-06-01","wnan","nan"],'
-            '["k000","2016-06-01","wnull",""],'
-            '["\\"\\"","2016-06-01","wempty","1.0"],'
-            '["\\"\\"x\\"\\"","2016-06-01","wquote","-inf"]],'
-            '"table":"event","version":127}',
-            '{"op":"delete","rows":[["k000","2016-06-01","wnan","nan"],'
-            '["\\"\\"","2016-06-01","wempty","1.0"],'
-            '["k000","2016-06-01","rnan0","nan"]],'
-            '"table":"event","version":128}',
-            '{"op":"delete","rows":[["k000","2016-06-01","wnull",""],'
-            '["\\"\\"x\\"\\"","2016-06-01","wquote","-inf"]],'
-            '"table":"event","version":129}',
-        ]
+        assert records == [{}, {}, {}]
 
         second = Session(build_base(), ACCESS, options=options)
         try:
             assert second.stats().storage.wal_records_replayed == 3
-            assert second.database.table("event").rows == survivors
+            replayed = second.database.table("event").rows
+            assert replayed == survivors
+            assert all(cell is CANONICAL_NAN for row in replayed for cell in row if cell != cell)
         finally:
             second.close()
 
@@ -470,8 +468,29 @@ class TestCorruptStore:
 
     def test_manifest_of_another_format_falls_back_cold(self, tmp_path):
         # 1: the format that kept index segments beside the manifest
-        self._edit_manifest(tmp_path, lambda data: data.update(format=1))
-        self._assert_cold_but_correct(tmp_path)
+        self._edit_manifest(tmp_path / "1", lambda data: data.update(format=1))
+        self._assert_cold_but_correct(tmp_path / "1")
+        # 2: the format whose log held JSON records, as it wrote them
+        store = tmp_path / "2"
+        self._edit_manifest(store, lambda data: data.update(format=2))
+        log = store_log(store)
+        records = WriteAheadLog(log).replay(repair=False).records
+        assert [record["op"] for record in records] == ["insert"]
+        log.write_bytes(
+            b"".join(
+                frame_record(
+                    json.dumps(
+                        {**record, "values": list(map(list, record["values"]))},
+                        separators=(",", ":"),
+                        sort_keys=True,
+                        allow_nan=False,
+                    ).encode("utf-8")
+                )
+                for record in records
+            )
+        )
+        self._assert_cold_but_correct(store)
+        assert not log.exists()  # the cold start's checkpoint replaced it
 
     def test_manifest_naming_a_missing_table_falls_back_cold(self, tmp_path):
         self._edit_manifest(

@@ -1,24 +1,25 @@
-"""The WAL logs the rows a batch stored, as JSON values where JSON can.
+"""The WAL logs the rows a batch stored, as the tuples they are.
 
-A committed batch whose every cell is ``None`` or exactly its column's
-Python type, with every FLOAT cell a finite ``float``, is logged as the
-stored tuples (``"values"``); any other batch in the codec's text cells
-(``"rows"``, the only record form a store written before held). Whatever
-the form, a reopen must rebuild the table the live session had: every
-row equal, and every cell of the class ``decode_row(encode_row(row))``
-gives — the text path's word on what a restart may change (an ``int``
-in a FLOAT column comes back a ``float``, a ``str`` subclass a ``str``).
+A committed batch is logged as its stored tuples (``"values"``, in
+marshal frames); only a batch marshal refuses — one with a ``str`` or
+``int`` subclass cell — is logged in the codec's text cells (``"rows"``).
+A reopen must rebuild the table the live session had, row for row and
+class for class: an ``int`` in a FLOAT column comes back an ``int``, a
+NaN the one canonical NaN. The one exception is a row a text-cell batch
+inserted, whose cells come back of the classes
+``decode_row(encode_row(row))`` gives (an ``int`` in a FLOAT column a
+``float``, a ``str`` subclass a ``str``).
 
-The gate is what makes the typed form safe: the append runs after the
-in-memory apply, so a record ``json.dumps(allow_nan=False)`` refused
-would be an applied write with no log. Letting an ``int`` through in a
-FLOAT column breaks the class property below; letting ``inf`` through
-breaks the append.
+Replay admits a logged batch as a live write is admitted, so a
+CRC-valid record whose cell is not of its column's type is refused at
+open, and a payload that does not load as a record dict is a bad frame:
+the log is truncated before it. Nothing in a damaged log is ever run.
 """
 
 from __future__ import annotations
 
 import json
+import marshal
 import shutil
 import sys
 
@@ -39,15 +40,9 @@ from repro import (
 )
 from repro.catalog.types import coerce_value, is_compatible
 from repro.errors import MaintenanceError, StorageError, TypeMismatchError
-from repro.storage.codec import (
-    ExactRows,
-    decode_json_rows,
-    decode_row,
-    encode_row,
-    json_gate,
-)
+from repro.storage.codec import CANONICAL_NAN, decode_row, encode_row
 from repro.storage.table import WritePlan
-from repro.storage.wal import WriteAheadLog, frame_record
+from repro.storage.wal import WriteAheadLog, frame_record, split_frame_header
 
 from tests.conftest import store_log
 
@@ -117,20 +112,43 @@ def _session(directory) -> Session:
     return Session(_base(), CONSTRAINTS, options=options)
 
 
-def _apply(session: Session, kind: str, argument) -> None:
-    """One step; a refused batch (``10**400``, ``10**5000``, a row named
-    twice) logs nothing and is no failure."""
-    if kind == "insert":
+class Live:
+    """A session on the store, and per live row the position in the log
+    of the record of the insert that stored it (``-1``: a base row)."""
+
+    def __init__(self, directory):
+        self.session = _session(directory)
+        self.table = self.session.database.table("t")
+        self.origins = [-1] * len(self.table.rows)
+
+    def apply(self, kind: str, argument) -> None:
+        """One step; a refused batch (``10**400``, ``10**5000``, a row
+        named twice) logs nothing and is no failure."""
+        session, table = self.session, self.table
+        if kind == "insert":
+            position = session.stats().storage.wal_records_appended
+            try:
+                session.insert("t", argument)
+            except TypeMismatchError:
+                assert any(row[1] is HUGE or row[2] is TOO_BIG for row in argument)
+                return
+            self.origins += [position] * (len(table.rows) - len(self.origins))
+            return
+        held = list(table.rows)
+        named = [held[i % len(held)] for i in argument] if held else []
         try:
-            session.insert("t", argument)
-        except TypeMismatchError:
-            assert any(row[1] is HUGE or row[2] is TOO_BIG for row in argument)
-        return
-    held = session.database.table("t").rows
-    try:
-        session.delete("t", [held[i % len(held)] for i in argument] if held else [])
-    except MaintenanceError:
-        pass
+            session.delete("t", named)
+        except MaintenanceError:
+            return
+        for row in named:  # each takes its oldest occurrence with it
+            position = held.index(row)
+            del held[position], self.origins[position]
+        assert held == table.rows
+
+    def close(self) -> tuple[list, list[int]]:
+        """Close the session; the live rows and their origins."""
+        self.session.close()
+        return list(self.table.rows), self.origins
 
 
 def _state(session: Session) -> tuple:
@@ -141,71 +159,31 @@ def _state(session: Session) -> tuple:
     )
 
 
-def _classes_after_text(rows: list) -> list:
-    """Per cell, the class ``decode_row(encode_row(row))`` gives once the
-    cells have been through a file (a ``str`` subclass is a ``str``)."""
-    return [
-        list(map(type, decode_row(json.loads(json.dumps(encode_row(row, DTYPES))), DTYPES)))
-        for row in rows
-    ]
+def _text_classes(row: tuple) -> list:
+    """Per cell, the class ``decode_row(encode_row(row))`` gives."""
+    return list(map(type, decode_row(encode_row(row, DTYPES), DTYPES)))
 
 
-def _assert_replays(live: list, replayed: Session) -> None:
-    """Rows equal to the live ones, each cell of the class its text
-    cell decodes to, and every index equal to a from-scratch build."""
+def _assert_replays(live: list, origins: list[int], directory, replayed: Session) -> None:
+    """Rows equal to the live ones, each cell of its live class — of
+    its text cell's class when a text-cell record inserted the row —
+    and every index equal to a from-scratch build."""
+    records = WriteAheadLog(store_log(directory)).replay(repair=False).records
+    text = {position for position, record in enumerate(records) if "rows" in record}
     table = replayed.database.table("t")
     assert replayed.stats().storage.warm_start
     assert table.rows == live
-    assert [list(map(type, row)) for row in table.rows] == _classes_after_text(live)
+    assert [list(map(type, row)) for row in table.rows] == [
+        _text_classes(row) if origin in text else list(map(type, row))
+        for row, origin in zip(live, origins)
+    ]
+    for row in table.rows:
+        assert all(cell is CANONICAL_NAN for cell in row if cell != cell)
     catalog = replayed.beas.catalog
     for constraint in catalog.schema:
         assert catalog.index_for(constraint).snapshot() == (
             AccessIndex(constraint, table).snapshot()
         )
-
-
-# --------------------------------------------------------------------------- #
-# the gate, on its own
-# --------------------------------------------------------------------------- #
-@settings(max_examples=200, deadline=None)
-@given(batches)
-def test_the_gate_passes_only_rows_json_reads_back_alike(batch):
-    gate = json_gate(DTYPES)
-    plan = WritePlan(SCHEMA)
-    try:
-        admitted = plan.admit(batch)
-    except TypeMismatchError:
-        return
-    for candidate in (admitted, list(admitted)):
-        if not gate(candidate):
-            continue
-        text = json.dumps(candidate, allow_nan=False)  # never refused
-        back = decode_json_rows(json.loads(text), DTYPES)
-        assert back == list(candidate)
-        assert [list(map(type, row)) for row in back] == _classes_after_text(candidate)
-
-
-def test_what_the_gate_sends_to_the_text_cells():
-    gate = json_gate(DTYPES)
-    plain = ("a", 1, 0.5, "2016-06-01", True)
-    assert gate([plain, ("", None, -0.0, None, None), ('"x"', 2**70, 1e300, None, False)])
-    for row in (
-        ("a", 1, 2, None, None),  # an int in the FLOAT column
-        ("a", 1, float("nan"), None, None),
-        ("a", 1, float("inf"), None, None),
-        ("a", 1, float("-inf"), None, None),
-        (Text("a"), 1, 0.5, None, None),
-        ("a", Count(1), 0.5, None, None),
-        ("a", True, 0.5, None, None),  # a bool in the INT column
-        ("a", 1, 0.5, None),  # a short row
-    ):
-        assert not gate([plain, row]), row
-    # admission's verdict spares the other columns, not the FLOAT ones
-    assert gate(ExactRows([plain]))
-    assert not gate(ExactRows([("a", 1, 2, None, None)]))
-    assert not gate(ExactRows([("a", 1, float("inf"), None, None)]))
-    assert type(WritePlan(SCHEMA).admit([plain])) is ExactRows
-    assert type(WritePlan(SCHEMA).admit([(Text("a"), 1, 0.5, None, None)])) is list
 
 
 # --------------------------------------------------------------------------- #
@@ -215,24 +193,24 @@ def test_what_the_gate_sends_to_the_text_cells():
 @given(steps)
 def test_a_reopen_replays_every_admitted_batch_alike(tmp_path_factory, sequence):
     directory = tmp_path_factory.mktemp("wal-values")
-    session = _session(directory)
+    live = Live(directory)
     try:
         for kind, argument in sequence:
-            _apply(session, kind, argument)
-        live = list(session.database.table("t").rows)
+            live.apply(kind, argument)
     finally:
-        session.close()
+        rows, origins = live.close()
     replayed = _session(directory)
     try:
-        _assert_replays(live, replayed)
+        _assert_replays(rows, origins, directory, replayed)
     finally:
         replayed.close()
 
 
 def test_an_int_with_no_decimal_text_is_refused_whole(tmp_path):
     """An INT cell with more digits than ``sys.get_int_max_str_digits()``
-    has no text for the WAL to log: the batch is refused at admission,
-    on every engine, and the table, its version and the log stay put."""
+    has no text for a CSV or the WAL's text cells: the batch is refused
+    at admission, on every engine, and the table, its version and the
+    log stay put."""
     limit = sys.get_int_max_str_digits()
     for value in (10**limit - 1, -(10**limit - 1)):  # exactly the limit
         assert is_compatible(value, DataType.INT)
@@ -262,15 +240,15 @@ def test_an_int_with_no_decimal_text_is_refused_whole(tmp_path):
         session.close()
     replayed = _session(tmp_path)
     try:
-        _assert_replays(live, replayed)
+        _assert_replays(live, [-1] * len(live), tmp_path, replayed)
     finally:
         replayed.close()
 
 
 MIXED = [
     ("insert", [("p", 8, 2.5, "2016-06-03", True), ("", None, -0.0, None, None)]),
-    ("insert", [('"x"', 9, float("nan"), "2016-6-1", False)]),  # text cells
-    ("insert", [("q", 2**70, 1e300, None, None), ("r", 3, 2, None, True)]),  # text
+    ("insert", [(Text('"x"'), 9, float("nan"), "2016-6-1", False)]),  # text cells
+    ("insert", [("q", 2**70, 1e300, None, None), ("r", Count(3), 2, None, True)]),  # text
     ("delete", [2, 3]),
     ("insert", [("s", 4, 0.25, "2016-06-04", None)] * 2),
     ("delete", [5, 0]),
@@ -288,25 +266,23 @@ def _rewrite(path, convert) -> None:
 
 
 def _as_text(record: dict) -> dict:
-    """A typed record as a store without the typed form wrote it."""
+    """A record of stored tuples, in text cells."""
     if "values" not in record:
         return record
     record = dict(record)
-    rows = decode_json_rows(record.pop("values"), DTYPES)
-    record["rows"] = [encode_row(row, DTYPES) for row in rows]
+    record["rows"] = [encode_row(row, DTYPES) for row in record.pop("values")]
     return record
 
 
 def test_a_text_only_wal_and_a_mixed_one_warm_start_alike(tmp_path):
-    session = _session(tmp_path / "typed")
+    live = Live(tmp_path / "typed")
     try:
         for kind, argument in MIXED:
-            _apply(session, kind, argument)
-        live = list(session.database.table("t").rows)
-        storage = session.stats().storage
+            live.apply(kind, argument)
+        storage = live.session.stats().storage
         assert (storage.wal_records_appended, storage.wal_text_batches) == (6, 2)
     finally:
-        session.close()
+        rows, origins = live.close()
     shutil.copytree(tmp_path / "typed", tmp_path / "text")
     shutil.copytree(tmp_path / "typed", tmp_path / "mixed")
     _rewrite(store_log(tmp_path / "text"), lambda _, record: _as_text(record))
@@ -331,7 +307,7 @@ def test_a_text_only_wal_and_a_mixed_one_warm_start_alike(tmp_path):
         replayed = _session(tmp_path / name)
         try:
             assert replayed.stats().storage.wal_records_replayed == 6
-            _assert_replays(live, replayed)
+            _assert_replays(rows, origins, tmp_path / name, replayed)
             states.append(_state(replayed))
         finally:
             replayed.close()
@@ -351,21 +327,37 @@ def test_a_torn_typed_tail_is_truncated(tmp_path):
     wal = store_log(tmp_path)
     whole = wal.read_bytes()
     first = WriteAheadLog(wal).replay(repair=False).records[0]
-    assert "values" in first
+    assert first["values"] == [("p", 8, 2.5, "2016-06-03", True)]
+    first_frame = 8 + split_frame_header(whole[:8])[0]
     wal.write_bytes(whole[:-7])  # the second frame loses its last bytes
 
     replayed = _session(tmp_path)
     try:
         storage = replayed.stats().storage
         assert storage.wal_records_replayed == 1
-        assert storage.wal_dropped_bytes == len(whole) - 7 - len(
-            frame_record(json.dumps(first, separators=(",", ":"), sort_keys=True).encode())
-        )
+        assert storage.wal_dropped_bytes == len(whole) - 7 - first_frame
         assert replayed.database.table("t").version == version
-        _assert_replays(kept, replayed)
+        _assert_replays(kept, [-1, -1, 0], tmp_path, replayed)
     finally:
         replayed.close()
-    assert len(wal.read_bytes()) == len(whole) - 7 - storage.wal_dropped_bytes
+    assert len(wal.read_bytes()) == first_frame
+
+
+def _append_frame(directory, payload: bytes) -> None:
+    with open(store_log(directory), "ab") as handle:
+        handle.write(frame_record(payload))
+
+
+def _refused_whole(directory, error, rows=None) -> None:
+    """Opening the store raises ``error`` at the last record, and the
+    table it was replaying into holds ``rows`` (by default the base
+    rows): every record before the last, and not one row of it."""
+    database = _base()
+    options = ExecutionOptions(storage="mmap", storage_dir=str(directory))
+    with pytest.raises(error):
+        Session(database, CONSTRAINTS, options=options)
+    expected = _base().table("t").rows if rows is None else rows
+    assert database.table("t").rows == expected
 
 
 @pytest.mark.parametrize(
@@ -373,20 +365,92 @@ def test_a_torn_typed_tail_is_truncated(tmp_path):
     [
         ('"values":[["c",1.5,0.5,null,null]]', TypeMismatchError),  # float in INT
         ('"values":[["c",true,0.5,null,null]]', TypeMismatchError),  # bool in INT
-        ('"values":[["c",1,2,null,null]]', TypeMismatchError),  # int in FLOAT
-        ('"values":[["c",1,NaN,null,null]]', TypeMismatchError),  # never written
+        ('"values":[["c",1,"0.5",null,null]]', TypeMismatchError),  # text in FLOAT
+        ('"values":[["c",1,0.5,"2016-13-01",null]]', TypeMismatchError),  # no DATE
         ('"values":[["c",1,0.5,null]]', StorageError),  # a short row
-        # the text cells of the first and the last: refused alike
+        # the text cells of the first and the short row: refused alike
         ('"rows":[["c","1.5","0.5","",""]]', TypeMismatchError),
         ('"rows":[["c","1","0.5",""]]', StorageError),
     ],
 )
 def test_a_cell_that_is_not_its_columns_type_is_refused(tmp_path, payload, error):
-    """A CRC-valid record whose cell could not have passed the gate is
-    refused at replay, as an undecodable text cell is."""
+    """A CRC-valid record whose cell is no value of its column is
+    refused at open, as a live write of it is. The record is spelled
+    here in JSON, for reading; it is logged as marshal writes it."""
     _session(tmp_path).close()
-    record = '{"op":"insert","table":"t",%s,"version":3}' % payload
-    with open(store_log(tmp_path), "ab") as handle:
-        handle.write(frame_record(record.encode()))
-    with pytest.raises(error):
-        _session(tmp_path)
+    record = json.loads('{"op":"insert","table":"t",%s,"version":3}' % payload)
+    _append_frame(tmp_path, marshal.dumps(record, 4))
+    _refused_whole(tmp_path, error)
+
+
+INSERT = {"op": "insert", "table": "t", "version": 3}
+
+#: a CRC-valid frame payload, then ``None`` for a bad frame (the log is
+#: truncated before it) or the error a reopen raises
+BAD_PAYLOADS = {
+    "wrong-arity": ({**INSERT, "values": [("c", 1, 0.5, None)]}, StorageError),
+    "wrong-class": ({**INSERT, "values": [("c", "1", 0.5, None, None)]}, TypeMismatchError),
+    "wrong-class-delete": (
+        {**INSERT, "op": "delete", "values": [("a", 1.0, 0.5, "2016-06-01", True)]},
+        TypeMismatchError,
+    ),
+    "unknown-op": ({**INSERT, "op": "upsert", "values": [("c", 1, 0.5, None, None)]}, StorageError),
+    "no-table": ({"op": "insert", "version": 3, "values": []}, StorageError),
+    "text-cell-not-text": ({**INSERT, "rows": [[1, 2, 3, 4, 5]]}, StorageError),
+    "list": ([{**INSERT, "values": []}], None),
+    "int": (3, None),
+    "code": (compile("1", "", "eval"), None),
+}
+
+
+@pytest.mark.parametrize("name", [*BAD_PAYLOADS, "not-marshal"])
+def test_a_crc_valid_payload_that_is_no_record_is_refused(tmp_path, name):
+    """A frame whose CRC checks out but whose payload is no record the
+    store writes is never applied: the open is refused, or the frame
+    is cut off the log as a torn one would be."""
+    if name == "not-marshal":
+        data, error = b"\xff", None  # no marshal type code
+    else:
+        value, error = BAD_PAYLOADS[name]
+        data = marshal.dumps(value, 4)
+    live = Live(tmp_path)
+    try:
+        live.apply("insert", [("p", 8, 2.5, "2016-06-03", True)])
+    finally:
+        rows, origins = live.close()
+    good = store_log(tmp_path).stat().st_size
+    _append_frame(tmp_path, data)
+    if error is not None:
+        _refused_whole(tmp_path, error, rows)
+        return
+    replayed = _session(tmp_path)
+    try:
+        storage = replayed.stats().storage
+        assert storage.wal_records_replayed == 1
+        assert storage.wal_dropped_bytes == 8 + len(data)
+        _assert_replays(rows, origins, tmp_path, replayed)
+    finally:
+        replayed.close()
+    assert store_log(tmp_path).stat().st_size == good
+
+
+def test_a_marshalled_code_object_is_never_called(tmp_path):
+    """Reading a log builds values and runs nothing: a code object in
+    the log, as the payload or as a cell, is read and refused, never
+    called — though it leaves its mark when it is."""
+    marker = tmp_path / "ran"
+    code = compile(f"open({str(marker)!r}, 'w').close()", "<wal>", "exec")
+    store = tmp_path / "store"
+    _session(store).close()
+    _append_frame(store, marshal.dumps(code, 4))
+    reopened = _session(store)
+    try:
+        assert reopened.stats().storage.wal_dropped_bytes > 0
+    finally:
+        reopened.close()
+    cell = {**INSERT, "values": [("c", code, 0.5, None, None)]}
+    _append_frame(store, marshal.dumps(cell, 4))
+    _refused_whole(store, TypeMismatchError)
+    assert not marker.exists()
+    exec(code)
+    assert marker.exists()

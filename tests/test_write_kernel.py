@@ -621,10 +621,12 @@ def test_a_respelled_delete_logs_the_stored_row_and_the_store_reopens(tmp_path):
 
 
 def test_wal_payloads_of_awkward_cells_match_the_per_row_encoder(tmp_path):
-    """A batch JSON cannot hold as it is (a NaN, ±inf, an int in a FLOAT
-    column) is logged in text cells, any other as its values; either way
-    a reopen replays every row equal to the live one, each cell of the
-    class the per-row encoder's text decodes to."""
+    """A batch of awkward cells (a NaN, ±inf, an int in a FLOAT column)
+    is logged as the tuples it stored; only a batch marshal refuses (a
+    ``str`` subclass cell) is logged in the per-row encoder's text
+    cells. A reopen replays every row equal to the live one and each
+    cell of the live class, but for the text batch's rows: theirs are
+    of the class the per-row encoder's text decodes to."""
     options = ExecutionOptions(storage="mmap", storage_dir=str(tmp_path))
     session = Session(_base(), AccessSchema(CONSTRAINTS), options=options)
     pair = StoredPair(session)
@@ -640,26 +642,39 @@ def test_wal_payloads_of_awkward_cells_match_the_per_row_encoder(tmp_path):
         ("", None, -0.0, None, None),
         ('"x"', 2**70, 0.1, "2016-06-01", None),
     ]
+    subclassed = [(Text("s"), 10, 4, None, None)]  # and an int in FLOAT
+    dtypes = SCHEMA.dtypes
     try:
         assert pair.step("insert", awkward)
         assert pair.step("insert", plain)
-        assert pair.step("delete", [awkward[2], plain[1], awkward[0]])
+        assert pair.step("insert", subclassed)
+        assert pair.step("delete", [awkward[1], plain[1], awkward[0]])
         assert pair.step("delete", [plain[0], plain[2]])
         storage = session.stats().storage
-        assert (storage.wal_records_appended, storage.wal_text_batches) == (4, 2)
+        assert (storage.wal_records_appended, storage.wal_text_batches) == (5, 1)
         live = list(pair.table.rows)
     finally:
         session.close()
+    records = WriteAheadLog(store_log(tmp_path)).replay(repair=False).records
+    assert [record.get("rows") for record in records] == [
+        None, None, [encode_row(row, dtypes) for row in subclassed], None, None
+    ]
+    assert [type(cell) for cell in records[2]["rows"][0]] == [str] * 5
 
     reopened = Session(_base(), AccessSchema(CONSTRAINTS), options=options)
     try:
-        assert reopened.stats().storage.wal_records_replayed == 4
+        assert reopened.stats().storage.wal_records_replayed == 5
         rows = reopened.database.table("t").rows
         assert rows == live
-        dtypes = SCHEMA.dtypes
+        texts = len(subclassed)
         assert [list(map(type, row)) for row in rows] == [
-            list(map(type, decode_row(encode_row(row, dtypes), dtypes))) for row in live
+            list(map(type, row)) for row in live[:-texts]
+        ] + [
+            list(map(type, decode_row(encode_row(row, dtypes), dtypes)))
+            for row in live[-texts:]
         ]
+        # the int in a FLOAT column: as stored, but from the text cells
+        assert [type(row[2]) for row in rows if row[1] in (6, 10)] == [int, float]
     finally:
         reopened.close()
 
