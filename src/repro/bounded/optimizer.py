@@ -14,10 +14,15 @@ relations are thereby replaced with index fetches, which is exactly the
 speed-up the paper describes.
 
 The residual plan is a hash join of the temporary relation with the
-uncovered scans, and the conventional engine passes a hash join's build
-keys sideways into a scan on its probe side (:mod:`repro.engine.physical`):
-an uncovered relation is read once, and only its tuples that join the
-prefix are interpreted.
+uncovered relations, and a hash join passes its build keys sideways to
+its probe side (:mod:`repro.engine.physical`). Where the conventional
+engine would scan the uncovered relation and test each tuple's key, the
+residual probes the relation's key index on the joined columns
+(:meth:`~repro.storage.table.Table.key_index`) once per prefix key: the
+first request that needs an index builds it (and counts every row of
+the relation in ``tuples_scanned``, as the scan would), and a later one
+reads and counts the rows of the buckets it probed, the rows that join
+the prefix. The index lives on the ``Table`` and every write keeps it.
 
 Soundness of the splice requires the temporary relation to carry correct
 multiplicities into the residual join: we therefore only splice when the
@@ -93,8 +98,9 @@ class PartialPlan:
     @property
     def sideways_scans(self) -> dict[str, list[str]]:
         """Uncovered binding -> its columns equated with the prefix: the
-        residual scans whose join with the temporary relation hands them
-        the prefix's keys."""
+        residual relations whose join with the temporary relation hands
+        them the prefix's keys, and the columns of the key index each is
+        probed by."""
         scans: dict[str, list[str]] = {}
         for left, right in self.residual_cq.equalities:
             if right.binding == _TEMP:
@@ -112,9 +118,10 @@ class PartialPlan:
             f"over {{{', '.join(self.uncovered_bindings) or 'none'}}}"
         )
         for binding, columns in self.sideways_scans.items():
+            table = self.residual_cq.occurrences[binding]
             text += (
-                f"; the prefix's keys go sideways into the scan of "
-                f"{binding} (on {', '.join(columns)})"
+                f"; the residual probes {table} as {binding} by its key "
+                f"index on ({', '.join(columns)}) with the prefix's keys"
             )
         return text
 
@@ -182,7 +189,9 @@ class BEPlanOptimizer:
         partial: PartialPlan,
         run_prefix: Optional[Callable[[BoundedPlan], QueryResult]] = None,
     ) -> QueryResult:
-        """Run the bounded prefix, materialise it, and finish conventionally.
+        """Run the bounded prefix, materialise it, and finish on the
+        conventional engine's operators, the residual's base tables
+        probed by key index where the prefix's keys reach them.
 
         ``run_prefix`` runs the prefix's bounded plan (BEAS passes its
         runner, pinned to the request's route); the default interprets
@@ -209,15 +218,18 @@ class BEPlanOptimizer:
         # one metrics object for the whole answer: the residual's counters
         # add to whatever the prefix (pooled, fleet-run, ...) recorded
         metrics = prefix_result.metrics
-        result = PhysicalExecutor(overlay, self._profile, metrics).run(plan)
+        result = PhysicalExecutor(
+            overlay, self._profile, metrics, indexed=scanned
+        ).run(plan)
         metrics.seconds = time.perf_counter() - start
         metrics.rows_output = len(result.rows)
         columns = [
             label if isinstance(label, str) else str(label)
             for label in result.labels
         ]
-        # what the answer read: the prefix's buckets (unknown when the
-        # prefix ran on a peer) and every row of the residual's relations
+        # what the answer depends on: the prefix's buckets (unknown when
+        # the prefix ran on a peer) and every row of the residual's
+        # relations (a probe reads some buckets, but any row may join)
         return QueryResult(
             columns=columns,
             rows=result.rows,

@@ -13,13 +13,20 @@ bounded plan's skeleton keeps the prepared tail (:class:`PreparedTail`)
 and runs it once per request, whichever mode ran the plan's fetches: the
 BE Plan Executor's row and columnar modes and the approximator all end in
 it, so each tail operator has one implementation.
+
+A hash join hands its build keys sideways to a scan on its probe side.
+The conventional engine scans and tests each tuple's key; an executor
+built with ``indexed`` tables (the BE Plan Optimizer's residual) probes
+those tables' key indexes instead (:func:`_probe`), and counts in
+``tuples_scanned`` the rows of the buckets it read — or, on the request
+that builds the index, every row of the table.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
@@ -27,6 +34,7 @@ from repro.errors import ExecutionError
 from repro.sql import ast
 from repro.sql.normalize import Attribute
 from repro.storage.database import Database
+from repro.storage.table import KeyIndex, Table, group_by_key, key_tuples
 from repro.engine.expressions import (
     _column_position,
     compile_expression,
@@ -72,53 +80,49 @@ def _busy_work(row: Row, units: int) -> None:
         list(row)
 
 
-def _tuples(rows: Iterable[Row], positions: Sequence[int]) -> Iterator[tuple]:
-    """``tuple(row[i] for i in positions)`` for each row, with no generator
-    per row: early projections and join keys go through this one helper.
-
-    One column still yields 1-tuples (``itemgetter(i)`` alone would yield
-    the bare cell), so join keys are tuples at every arity: ``None in key``
-    and the dict's identity-then-equality lookup see NULL and NaN cells the
-    same way whatever the key width."""
-    if not positions:
-        return (() for _ in rows)
-    if len(positions) == 1:
-        return zip(map(itemgetter(positions[0]), rows))
-    return map(itemgetter(*positions), rows)
-
-
-def _build(rows: list[Row], keys: Sequence[int]) -> dict[tuple, list[Row]]:
-    """The hash join's build table. NULL never joins: a key containing
-    ``None`` is not entered, so no probe key containing one can hit."""
-    table: dict[tuple, list[Row]] = {}
-    for key, row in zip(_tuples(rows, keys), rows):
-        if None not in key:
-            table.setdefault(key, []).append(row)
-    return table
-
-
 @dataclass
 class _KeyFilter:
     """Join keys passed sideways into a scan: only rows whose ``positions``
     (in the table's own row layout) form a key of ``build`` can join."""
 
     positions: list[int]
-    build: dict[tuple, list[Row]]
+    build: KeyIndex
     label: str  # where the keys come from, e.g. ``__bounded__[pnum]``
 
 
+def _probe(table: Table, sideways: _KeyFilter) -> tuple[list[Row], bool]:
+    """The rows of ``table`` whose key on the sideways positions is one of
+    ``sideways.build``'s, bucket by bucket in the build's key order, each
+    bucket in table order; and whether the key index had to be built
+    first (then every row of the table was read)."""
+    positions = tuple(sideways.positions)
+    index = table.key_index(positions)
+    built = index is None
+    if index is None:
+        index = table.build_key_index(positions)
+    buckets = index.get
+    return list(chain.from_iterable(buckets(key, ()) for key in sideways.build)), built
+
+
 class PhysicalExecutor:
-    """Interprets logical plans against a database under a profile."""
+    """Interprets logical plans against a database under a profile.
+
+    ``indexed`` names the tables whose sideways-filtered scans probe a
+    key index instead (:meth:`_scan`): the BE Plan Optimizer's residual
+    passes its uncovered base tables; the conventional engine passes
+    none and scans."""
 
     def __init__(
         self,
         database: Database,
         profile: EngineProfile,
         metrics: ExecutionMetrics,
+        indexed: frozenset[str] = frozenset(),
     ):
         self._db = database
         self._profile = profile
         self._metrics = metrics
+        self._indexed = indexed
 
     # ------------------------------------------------------------------ #
     def run(self, node: PlanNode) -> Intermediate:
@@ -150,32 +154,46 @@ class PhysicalExecutor:
         ``tuples_scanned``), keep those passing the pushed-down predicate,
         and project early. With ``sideways`` keys, key membership is tested
         first — one C-level pass — so the interpreted predicate and the
-        projection run on the rows that can join, and only on them."""
+        projection run on the rows that can join, and only on them.
+
+        A table in ``indexed`` that gets ``sideways`` keys is probed
+        instead: its key index on the sideways columns is looked up once
+        per key, and only the rows of the buckets read are counted — or
+        every row, on the request that builds the index."""
         start = time.perf_counter()
         table = self._db.table(node.table_name)
         labels: list[object] = [Attribute(node.binding, c) for c in node.columns]
         label = f"scan({node.table_name} as {node.binding})"
 
+        read: list[Row] = table.rows
+        counted = len(table)
+        kept: Iterable[Row] = read
+        if sideways is not None:
+            if node.table_name in self._indexed:
+                read, built = _probe(table, sideways)
+                kept = read
+                if built:
+                    label = f"probe({node.table_name} as {node.binding}; index built)"
+                else:
+                    label = f"probe({node.table_name} as {node.binding})"
+                    counted = len(read)
+            else:
+                keys = key_tuples(read, sideways.positions)
+                kept = compress(read, map(sideways.build.__contains__, keys))
+            label += f" ⋉ {sideways.label}"
         overhead = self._profile.row_overhead
         if overhead:
-            for row in table.rows:
+            for row in read:
                 _busy_work(row, overhead)
-        kept: Iterable[Row] = table.rows
-        if sideways is not None:
-            label += f" ⋉ {sideways.label}"
-            keys = _tuples(table.rows, sideways.positions)
-            kept = compress(kept, map(sideways.build.__contains__, keys))
         if node.predicate is not None:
             base_layout = {
                 Attribute(node.binding, column): i
                 for i, column in enumerate(table.schema.column_names)
             }
             kept = filter(compile_predicate(node.predicate, base_layout), kept)
-        rows = list(_tuples(kept, table.schema.positions(node.columns)))
-        self._metrics.tuples_scanned += len(table)
-        self._metrics.record(
-            label, len(table), len(rows), time.perf_counter() - start
-        )
+        rows = list(key_tuples(kept, table.schema.positions(node.columns)))
+        self._metrics.tuples_scanned += counted
+        self._metrics.record(label, counted, len(rows), time.perf_counter() - start)
         return Intermediate(labels, rows)
 
     def _filter(self, node: FilterNode) -> Intermediate:
@@ -234,7 +252,7 @@ class PhysicalExecutor:
 
         built = self.run(children[build])
         start = time.perf_counter()
-        table = _build(built.rows, [built.layout[a] for a in build_attrs])
+        table = group_by_key(built.rows, [built.layout[a] for a in build_attrs])
         seconds = time.perf_counter() - start
         probe_node = children[probe]
         if isinstance(probe_node, ScanNode):
@@ -253,7 +271,7 @@ class PhysicalExecutor:
             probed = self.run(probe_node)
 
         start = time.perf_counter()
-        keys = _tuples(probed.rows, [probed.layout[a] for a in probe_attrs])
+        keys = key_tuples(probed.rows, [probed.layout[a] for a in probe_attrs])
         matches = table.get
         # columns are found by label, so build-then-probe order serves
         # whichever child built
@@ -281,7 +299,7 @@ class PhysicalExecutor:
         def keyed(rows: list[Row], keys: list[int]) -> list[tuple[tuple, Row]]:
             out = [
                 (key, row)
-                for key, row in zip(_tuples(rows, keys), rows)
+                for key, row in zip(key_tuples(rows, keys), rows)
                 if None not in key
             ]
             out.sort(key=itemgetter(0))
@@ -426,7 +444,7 @@ def _prepare_aggregate(
         start = time.perf_counter()
         groups: dict[tuple, list[Row]] = {}
         if group_positions:
-            for key, row in zip(_tuples(rows, group_positions), rows):
+            for key, row in zip(key_tuples(rows, group_positions), rows):
                 groups.setdefault(key, []).append(row)
         else:
             groups[()] = list(rows)  # scalar aggregate: one (maybe empty) group
@@ -520,7 +538,7 @@ def _prepare_project(
 ) -> tuple[list[object], TailRun]:
     layout = _layout_of(labels)
     # an all-plain projection (the common case) moves columns without a
-    # call per cell; ``_tuples`` keeps the cell objects, as ``row[i]`` does
+    # call per cell; ``key_tuples`` keeps the cell objects, as ``row[i]`` does
     positions = [_column_position(item.expression, layout) for item in node.items]
     evaluators = None
     if None in positions:
@@ -533,7 +551,7 @@ def _prepare_project(
     def run(rows: list[Row], metrics: ExecutionMetrics) -> list[Row]:
         start = time.perf_counter()
         if evaluators is None:
-            out = list(_tuples(rows, positions))
+            out = list(key_tuples(rows, positions))
         else:
             out = [tuple(e(row) for e in evaluators) for row in rows]
         metrics.record("project", len(rows), len(out), time.perf_counter() - start)

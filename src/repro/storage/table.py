@@ -3,7 +3,8 @@
 Rows are plain tuples ordered by the schema's columns — compact, hashable,
 and cheap to project. Mutation goes through :class:`Table`'s methods — the
 maintenance module observes deltas there, and the row locator behind
-:meth:`Table.delete_rows` is only exact if nothing edits ``rows`` in
+:meth:`Table.delete_rows` and the key indexes behind
+:meth:`Table.key_index` are only exact if nothing edits ``rows`` in
 place (beaslint ``table-mutation`` holds that for ``src/repro``).
 """
 
@@ -23,6 +24,9 @@ from repro.errors import StorageError, TypeMismatchError
 from repro.storage.codec import EXACT_TYPES, canonical_key, exactly_typed, nan_free
 
 Row = tuple
+
+#: one key index: key tuple -> the rows holding it, in table order
+KeyIndex = dict[tuple, list[Row]]
 
 #: a normalised ISO date — a subset of what ``is_compatible`` takes for a
 #: DATE (it also takes ``2016-6-1``, which goes through the walk and is
@@ -162,6 +166,42 @@ class WritePlan:
             )
 
 
+def key_tuples(rows: Iterable[Row], positions: Sequence[int]) -> Iterator[tuple]:
+    """``tuple(row[i] for i in positions)`` for each row, with no generator
+    per row: early projections, join keys and key-index keys all go
+    through this one helper.
+
+    One column still yields 1-tuples (``itemgetter(i)`` alone would yield
+    the bare cell), so keys are tuples at every arity: ``None in key``
+    and a dict's identity-then-equality lookup see NULL and NaN cells the
+    same way whatever the key width."""
+    if not positions:
+        return (() for _ in rows)
+    if len(positions) == 1:
+        return zip(map(itemgetter(positions[0]), rows))
+    return map(itemgetter(*positions), rows)
+
+
+def group_by_key(rows: list[Row], positions: Sequence[int]) -> KeyIndex:
+    """``rows`` grouped by their key on ``positions``, each group in the
+    order of ``rows``: a hash join's build table, and a key index. NULL
+    never joins: a key containing ``None`` is not entered, so no probe
+    key containing one can hit."""
+    groups: KeyIndex = {}
+    _enter(groups, rows, positions)
+    return groups
+
+
+def _enter(groups: KeyIndex, rows: list[Row], positions: Sequence[int]) -> None:
+    get = groups.get
+    for key, row in zip(key_tuples(rows, positions), rows):
+        bucket = get(key)
+        if bucket is not None:
+            bucket.append(row)
+        elif None not in key:  # only a new key can hold a NULL
+            groups[key] = [row]
+
+
 class _RowLocator:
     """Where each live row occurrence sits, without scanning the table.
 
@@ -233,8 +273,17 @@ class Table:
     that leave the cardinality unchanged.
 
     ``rows`` may be read freely and reassigned wholesale
-    (``table.rows = [...]`` drops the locator); editing the list in place
-    from outside this class is not supported.
+    (``table.rows = [...]`` drops the locator and the key indexes);
+    editing the list in place from outside this class is not supported.
+
+    Key indexes (:meth:`key_index`) are built lazily, by the first reader
+    that asks for one, and kept exact by every write method after that:
+    :meth:`extend` enters each new row (one dict lookup per row per
+    index), :meth:`_take` removes each taken row from its bucket, and a
+    wholesale replacement (``rows =``, :meth:`clear`,
+    :meth:`delete`) drops them all, as it drops the locator. Live writes
+    and WAL replay both go through these methods. Indexes are never
+    persisted.
     """
 
     def __init__(self, schema: TableSchema, rows: Iterable[Sequence[Any]] = ()):
@@ -242,6 +291,9 @@ class Table:
         self._rows: list[Row] = []
         # built by the first delete_rows, kept in step by extend
         self._locator: Optional[_RowLocator] = None
+        # column positions -> key index; built by readers
+        # (build_key_index), kept in step by the writers
+        self._key_indexes: dict[tuple[int, ...], KeyIndex] = {}
         self._plan: Optional[WritePlan] = None  # built by the first write
         self.version: int = 0
         rows = list(rows)
@@ -267,6 +319,7 @@ class Table:
     def rows(self, rows: list[Row]) -> None:
         self._rows = rows
         self._locator = None
+        self._key_indexes = {}
 
     # ------------------------------------------------------------------ #
     # mutation
@@ -296,6 +349,8 @@ class Table:
         self._rows.extend(rows)
         if self._locator is not None:
             self._locator.extend(rows)
+        for positions, index in self._key_indexes.items():
+            _enter(index, rows, positions)
         self.version += len(rows)
 
     def insert_rows(
@@ -370,6 +425,17 @@ class Table:
         for position in sorted(positions, reverse=True):
             del live[position]
             del ids[position]
+        if self._key_indexes:
+            removed = [row for _, row in found]
+            for key_positions, index in self._key_indexes.items():
+                for key, row in zip(key_tuples(removed, key_positions), removed):
+                    if None not in key:
+                        # the bucket is in table order, so its first row
+                        # equal to ``row`` is the occurrence the locator took
+                        bucket = index[key]
+                        bucket.remove(row)
+                        if not bucket:
+                            del index[key]
         self.version += 1
         return found
 
@@ -392,7 +458,27 @@ class Table:
     def clear(self) -> None:
         self._rows.clear()
         self._locator = None
+        self._key_indexes = {}
         self.version += 1
+
+    # ------------------------------------------------------------------ #
+    # key indexes
+    # ------------------------------------------------------------------ #
+    def key_index(self, positions: tuple[int, ...]) -> Optional[KeyIndex]:
+        """The built index on the columns at ``positions`` — key tuple
+        (see :func:`key_tuples`) to the rows holding it, in table order,
+        keys containing NULL left out — or ``None`` if no reader has
+        built it since the last wholesale replacement. Read only."""
+        return self._key_indexes.get(positions)
+
+    def build_key_index(self, positions: tuple[int, ...]) -> KeyIndex:
+        """Group every row by its key on ``positions`` and publish the
+        index, for :meth:`key_index` and the writers to keep. Callable
+        under a read lock: readers that race build equal indexes, and
+        each publishes its own with one store."""
+        index = group_by_key(self._rows, positions)
+        self._key_indexes[positions] = index
+        return index
 
     # ------------------------------------------------------------------ #
     # access

@@ -85,9 +85,9 @@ class TestAnalyze:
         partial = BEPlanOptimizer(ASCatalog(db, access)).analyze(SQL)
         text = partial.describe()
         assert "bounded prefix" in text and "d" in text
-        # which residual scan receives the prefix's keys, and on what
+        # which residual relation the prefix's keys probe, and on what
         assert partial.sideways_scans == {"b": ["k"]}
-        assert "keys go sideways into the scan of b (on k)" in text
+        assert "the residual probes big as b by its key index on (k)" in text
 
     def test_session_explain_prints_the_residual_plan(self):
         db, access = build()

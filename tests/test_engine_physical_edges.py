@@ -6,8 +6,9 @@ import pytest
 from repro import ConventionalEngine, Database, DatabaseSchema, DataType, TableSchema
 from repro.engine.logical import MaterializedNode, SetOpNode
 from repro.engine.metrics import ExecutionMetrics
-from repro.engine.physical import Intermediate, PhysicalExecutor, _build, _tuples
+from repro.engine.physical import Intermediate, PhysicalExecutor
 from repro.engine.profiles import EngineProfile, POSTGRESQL
+from repro.storage.table import group_by_key, key_tuples
 
 
 def two_table_db(left_rows, right_rows) -> Database:
@@ -74,26 +75,26 @@ class TestTupleHelper:
     ROWS = [(1, "a", None), (2, "b", 2.5)]
 
     def test_no_columns(self):
-        assert list(_tuples(self.ROWS, [])) == [(), ()]
-        assert list(_tuples(iter(self.ROWS), [])) == [(), ()]  # any iterable
+        assert list(key_tuples(self.ROWS, [])) == [(), ()]
+        assert list(key_tuples(iter(self.ROWS), [])) == [(), ()]  # any iterable
 
     def test_one_column_stays_a_one_tuple(self):
-        assert list(_tuples(self.ROWS, [1])) == [("a",), ("b",)]
-        assert list(_tuples(self.ROWS, [2])) == [(None,), (2.5,)]
+        assert list(key_tuples(self.ROWS, [1])) == [("a",), ("b",)]
+        assert list(key_tuples(self.ROWS, [2])) == [(None,), (2.5,)]
 
     def test_two_columns_in_the_order_asked(self):
-        assert list(_tuples(self.ROWS, [2, 0])) == [(None, 1), (2.5, 2)]
+        assert list(key_tuples(self.ROWS, [2, 0])) == [(None, 1), (2.5, 2)]
 
     def test_null_keys_never_build_and_nan_is_found_by_identity(self):
         nan = float("nan")
         rows = [(None, 1), (nan, 2), (nan, 3), (float("nan"), 4), (1.0, None)]
-        assert _build(rows, [0]) == {
+        assert group_by_key(rows, [0]) == {
             (nan,): [(nan, 2), (nan, 3)],
             (rows[3][0],): [rows[3]],  # another NaN object is another key
             (1.0,): [(1.0, None)],
         }
-        assert _build(rows, [0, 1]).keys() == {(nan, 2), (nan, 3), (rows[3][0], 4)}
-        assert _build(rows, []) == {(): rows}
+        assert group_by_key(rows, [0, 1]).keys() == {(nan, 2), (nan, 3), (rows[3][0], 4)}
+        assert group_by_key(rows, []) == {(): rows}
 
     def test_count_star_scan_projects_no_columns(self):
         db = two_table_db([(1, "a"), (2, "b")], [])

@@ -12,7 +12,12 @@ region) of the data, and holds each answer to:
 * the reference evaluator's rows, compared as bags;
 * a freshly decided evaluation's rows, ``tuples_fetched`` and
   ``tuples_scanned``, and its decision (``==``), with the prefix's
-  ``tuples_fetched`` equal to the reference plan interpreter's;
+  ``tuples_fetched`` equal to the reference plan interpreter's. The
+  residual probes ``data_usage``'s key index on ``pnum``, and counts
+  every row on the request that builds it, the probed buckets after
+  that; the index lives on the ``Table``, which ``tlc_small`` shares
+  across engines, so every count is taken with it built
+  (:func:`with_key_index`);
 * after the template's first binding: provenance ``"rebound"``, zero
   BE Checker runs and zero BE Plan Optimizer analyses.
 
@@ -23,13 +28,14 @@ on first sight).
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import pytest
 
 from repro import BEAS
 from repro.beas.result import ExecutionMode
-from repro.workloads.tlc import tlc_access_schema, tlc_queries
+from repro.workloads.tlc import generate_tlc, tlc_access_schema, tlc_queries
 
 from tests.reference_evaluator import reference_execute
 from tests.test_plan_skeleton import ReferenceInterpreter
@@ -53,6 +59,16 @@ def render(params, binding: dict) -> str:
         .replace(f"b.region = '{params.r0}'", f"b.region = '{region}'")
         .replace(f"d.month = {params.m0}", f"d.month = {month}")
     )
+
+
+def with_key_index(database) -> None:
+    """Build ``data_usage``'s key index on ``pnum`` — the residual's
+    sideways column — unless a request already has: a count compared
+    across engines is then one of probed buckets on both sides."""
+    table = database.table("data_usage")
+    positions = (table.schema.position("pnum"),)
+    if table.key_index(positions) is None:
+        table.build_key_index(positions)
 
 
 def bindings_of(database) -> list[dict]:
@@ -82,6 +98,7 @@ def oracle(tlc_small):
         "from data_usage d, business b where d.pnum = b.pnum",
     )
     bindings = bindings_of(database)
+    with_key_index(database)
     with BEAS(database, tlc_access_schema()) as fresh:
         prepared = fresh.session().query(q11_text(params))
         interpreter = ReferenceInterpreter(fresh.catalog)
@@ -201,6 +218,7 @@ def test_explain_of_a_rebound_partial_decision_keeps_its_residual(tlc_small):
         bound = text.replace(f"d.month = {params.m0}", "d.month = 5")
         assert listing == fresh.explain(bound)
         assert "residual plan" in listing and "d.month = 5" in listing
+        assert "probes data_usage as d by its key index on (pnum)" in listing
         assert query.bind({"d.month": 5}).decide().provenance == "rebound"
         assert beas.checker_runs == 1  # neither explain nor decide checked
 
@@ -219,6 +237,7 @@ def test_a_class_spanning_prefix_and_residual_patches_both(tlc_small):
     params = tlc_small.params
     database = tlc_small.database
     pnums = sorted({row[0] for row in database.table("business").project(["pnum"])})[:6]
+    with_key_index(database)
     template = SPANNING.format(t=params.t0, r=params.r0, p=pnums[0], m=params.m0)
     with BEAS(database, tlc_access_schema()) as beas, BEAS(
         database, tlc_access_schema()
@@ -262,3 +281,77 @@ def test_the_merged_arity_guard_falls_back_across_the_join(tlc_small):
         assert beas.checker_runs == 2
         assert apart.rows == []
         assert session.stats().rebind_fallbacks == 1
+
+
+def test_q11_across_writes_probes_exact_buckets():
+    """Inserts and deletes on both of Q11's relations between reads, the
+    result cache off. The residual's key index on ``data_usage(pnum)``
+    is built by the first read and kept by every write after it: each
+    binding's rows equal the reference evaluator's, and
+    ``tuples_scanned`` is the prefix's rows plus the probed buckets
+    (plus every ``data_usage`` row, on the read that built the index)."""
+    dataset = generate_tlc(1, 42)  # private: this test writes to it
+    database, params = dataset.database, dataset.params
+    usage, business = database.table("data_usage"), database.table("business")
+    u_pnum = usage.schema.position("pnum")
+    b_pnum, b_type, b_region = business.schema.positions(["pnum", "type", "region"])
+    rng = random.Random(38)
+    built = False
+    with BEAS(database, tlc_access_schema()) as beas:
+        query = beas.session().query(q11_text(params))
+        for round_ in range(4):
+            if round_:
+                _write_round(beas, rng, round_)
+            everything = reference_execute(
+                database,
+                "select distinct b.type, b.region, d.month, d.app_category "
+                "from data_usage d, business b where d.pnum = b.pnum",
+            )
+            for binding in bindings_of(database):
+                kind, region, month = binding.values()
+                result = query.bind(binding).run(use_result_cache=False)
+                assert result.mode is ExecutionMode.PARTIAL
+                expected = Counter(
+                    (category,)
+                    for k, r, m, category in everything
+                    if (k, r, m) == (kind, region, month)
+                )
+                assert Counter(result.rows) == expected, binding
+                prefix = {
+                    row[b_pnum]
+                    for row in business.rows
+                    if (row[b_type], row[b_region]) == (kind, region)
+                }
+                buckets = sum(1 for row in usage.rows if row[u_pnum] in prefix)
+                scanned = len(prefix) + (len(usage) if not built else buckets)
+                assert result.metrics.tuples_scanned == scanned, binding
+                built = True
+        assert usage.key_index((u_pnum,)) is not None
+
+
+def _write_round(beas, rng: random.Random, round_: int) -> None:
+    """One round of writes to Q11's relations: new and copied usage rows
+    on business numbers, deleted usage rows; a business moved to a
+    number with usage, one business deleted."""
+    database = beas.database
+    usage, business = database.table("data_usage"), database.table("business")
+    u_pnum = usage.schema.position("pnum")
+    u_id = usage.schema.position("usage_id")
+    b_pnum = business.schema.position("pnum")
+    pnums = sorted({row[b_pnum] for row in business.rows})
+    copies = []
+    for i, row in enumerate(rng.sample(usage.rows, 12)):
+        cells = list(row)
+        cells[u_id] = 10_000_000 * round_ + i
+        cells[u_pnum] = rng.choice(pnums)
+        copies.append(tuple(cells))
+    beas.insert("data_usage", copies)
+    beas.delete("data_usage", rng.sample(usage.rows, 9))
+    # a business takes a number that has usage rows and no business yet
+    bare = sorted({row[u_pnum] for row in usage.rows} - set(pnums))
+    moved = list(rng.choice(business.rows))
+    beas.delete("business", [tuple(moved)])
+    if bare:
+        moved[b_pnum] = rng.choice(bare)
+        beas.insert("business", [tuple(moved)])
+    beas.delete("business", [rng.choice(business.rows)])
