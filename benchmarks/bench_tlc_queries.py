@@ -8,7 +8,7 @@ queries."
 
 Reproduced: 10 of the 11 TLC queries (90.9%) are covered and answered by
 bounded plans that touch no base tuples; per-query speedups over the
-PostgreSQL profile are reported, as is the fraction of the database each
+conventional engine are reported, as is the fraction of the database each
 engine touches.
 """
 
@@ -28,7 +28,7 @@ _covered = 0
 
 
 def test_tlc_all_queries(benchmark):
-    """Run all 11 queries on BEAS and on the PostgreSQL profile."""
+    """Run all 11 queries on BEAS and on the conventional engine."""
     global _covered
     beas = beas_for(SCALE)
     session = beas.session()
@@ -83,15 +83,16 @@ def test_tlc_report(benchmark):
     report = "\n".join(
         [
             f"E3 — the 11 built-in TLC queries at scale {SCALE}, BEAS vs "
-            "PostgreSQL profile",
+            "the conventional engine",
             f"covered: {_covered}/{len(queries)} = {coverage:.1%} "
             "(paper: 'more than 90% of their queries')",
             f"database size: {ds.database.total_rows()} tuples",
             "",
             format_table(
                 (
-                    "query", "mode", "BEAS", "PostgreSQL", "speedup",
-                    "tuples accessed (BEAS)", "tuples scanned (PG)", "DB touched",
+                    "query", "mode", "BEAS", "conventional", "speedup",
+                    "tuples accessed (BEAS)", "tuples scanned (conv.)",
+                    "DB touched",
                 ),
                 _rows,
             ),

@@ -14,7 +14,7 @@ The one way to run a query:
    pinned plan's constants directly: zero BE Checker re-runs, asserted
    here with the engine's own counter;
 6. one validated ``ExecutionOptions`` chain (call > Query > Session >
-   EngineProfile > environment) instead of per-call knob plumbing.
+   environment > defaults) instead of per-call knob plumbing.
 
 Run:  python examples/session_lifecycle.py
 """

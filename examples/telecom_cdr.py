@@ -4,7 +4,8 @@
 Generates a TLC instance ("2 GB"), registers the access schema A0, runs
 all 11 built-in analytical queries through BEAS, and prints the Fig.-3
 style performance panel for Q1 (the paper's Example 2 query) against the
-PostgreSQL / MySQL / MariaDB comparator profiles.
+in-process conventional engine, the one measured stand-in for the
+paper's PostgreSQL / MySQL / MariaDB.
 
 Run:  python examples/telecom_cdr.py [scale]
 """

@@ -51,7 +51,6 @@ from repro.access.catalog import ASCatalog
 from repro.engine.executor import ConventionalEngine, QueryResult
 from repro.engine.pool import EnginePool
 from repro.distributed.peerset import PeerStats
-from repro.engine.profiles import EngineProfile, MARIADB, MYSQL, POSTGRESQL, PROFILES
 from repro.bounded.coverage import BoundedEvaluabilityChecker, CoverageDecision
 from repro.bounded.planner import BoundedPlanGenerator
 from repro.bounded.executor import BoundedPlanExecutor
@@ -78,13 +77,8 @@ __all__ = [
     "ASCatalog",
     "ConventionalEngine",
     "QueryResult",
-    "EngineProfile",
     "EnginePool",
     "PeerStats",
-    "POSTGRESQL",
-    "MYSQL",
-    "MARIADB",
-    "PROFILES",
     "BoundedEvaluabilityChecker",
     "CoverageDecision",
     "BoundedPlanGenerator",

@@ -58,7 +58,6 @@ from repro.bounded.plan import AnyBoundedPlan, explain_plan
 from repro.bounded.rebind import AnyDecision, ReboundDecision
 from repro.config import ExecutionOptions, options_layer
 from repro.engine.metrics import ExecutionMetrics
-from repro.engine.profiles import EngineProfile, POSTGRESQL
 from repro.errors import BEASError
 from repro.storage.database import Database
 
@@ -413,7 +412,6 @@ class Session:
         access_schema: Optional[AccessSchema] = None,
         *,
         beas: Optional[BEAS] = None,
-        profile: EngineProfile = POSTGRESQL,
         options: Optional[ExecutionOptions] = None,
         dedup_keys: bool = False,
         require_exact_multiplicities: bool = False,
@@ -436,7 +434,6 @@ class Session:
             beas = BEAS(
                 database,
                 access_schema,
-                host_profile=profile,
                 dedup_keys=dedup_keys,
                 require_exact_multiplicities=require_exact_multiplicities,
                 executor=layer.executor,
@@ -508,10 +505,10 @@ class Session:
         :meth:`run` resolves it: no template is filed under a name."""
         return explain(self._beas, Request(self._resolved_options, sql))
 
-    def analyze(self, sql: str, profiles=None):
+    def analyze(self, sql: str):
         """The Fig.-3 performance panel for a covered query (engine
         knobs follow this session's resolved options)."""
-        return self._beas.analyze_performance(sql, profiles)
+        return self._beas.analyze_performance(sql)
 
     # ------------------------------------------------------------------ #
     # access schema + maintenance: the engine's

@@ -45,6 +45,7 @@ of this process.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import shutil
 import tempfile
@@ -84,7 +85,6 @@ from repro.engine.executor import ConventionalEngine
 from repro.engine.logical import explain as explain_logical
 from repro.distributed.peerset import PeerStats
 from repro.engine.pool import EnginePool
-from repro.engine.profiles import EngineProfile, POSTGRESQL
 from repro.bounded.analyzer import PerformanceAnalysis, PerformanceAnalyzer
 from repro.bounded.approximation import BoundedApproximator
 from repro.bounded.coverage import BoundedEvaluabilityChecker, CoverageDecision
@@ -168,6 +168,28 @@ class _LazyPeers:
                 pass
 
 
+@functools.lru_cache(maxsize=None)
+def _malloc_trim() -> Optional[Callable[[int], int]]:
+    """glibc's ``malloc_trim``, or ``None`` where the C library has none."""
+    try:
+        return ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError):
+        return None
+
+
+def _release_free_heap() -> None:
+    """Return the C heap's free pages to the OS.
+
+    glibc keeps the pages ``free()`` takes back mapped for the process
+    to reuse: what an engine dropped earlier, a reopened store or evicted
+    cache entries held stays in the footprint until the process allocates
+    as much again. ``malloc_trim(0)`` releases them; where the C library
+    has no such call this does nothing."""
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
+
+
 class BEAS:
     """Bounded EvAluation of SQL — the full prototype: the engine and
     the serving state its Sessions share (see module doc)."""
@@ -177,7 +199,6 @@ class BEAS:
         database: Database,
         access_schema: Optional[AccessSchema] = None,
         *,
-        host_profile: EngineProfile = POSTGRESQL,
         require_exact_multiplicities: bool = False,
         dedup_keys: bool = False,
         executor: Optional[str] = None,
@@ -241,7 +262,6 @@ class BEAS:
             )
         )
         self.database = database
-        self.host_profile = host_profile
         self._store: Optional[MmapStore] = None
         #: the temporary store directory this engine made for itself
         self._temp_dir: Optional[str] = None
@@ -293,10 +313,7 @@ class BEAS:
             fleet=self._fleet.get if options.replicas >= 2 else None,
         )
         self._checker_runs_base = 0
-        self._host = ConventionalEngine(database, host_profile)
-        self._host_engines: dict[str, ConventionalEngine] = {
-            host_profile.name: self._host
-        }
+        self._host = ConventionalEngine(database)
         self._refresh_components()
 
         #: the one condition every lock of this engine shares
@@ -351,7 +368,7 @@ class BEAS:
             self.catalog.schema,
             require_exact_multiplicities=self._require_exact,
         )
-        self._optimizer = BEPlanOptimizer(self.catalog, self.host_profile)
+        self._optimizer = BEPlanOptimizer(self.catalog)
         self._approximator = BoundedApproximator(self.catalog)
 
     # ------------------------------------------------------------------ #
@@ -398,7 +415,7 @@ class BEAS:
         """Shut down the engine pool's workers and the fleet's replicas,
         close the store and remove a store directory this engine made
         for itself (idempotent; a caller-supplied ``storage_dir`` is
-        never removed).
+        never removed), then hand the C heap's free pages back to the OS.
 
         Safe to call any number of times, including when a lazy spawn
         previously failed — ``with BEAS(...)`` blocks must exit cleanly
@@ -414,6 +431,7 @@ class BEAS:
             self._store.close()
         if self._temp_dir is not None:
             shutil.rmtree(self._temp_dir, ignore_errors=True)
+        _release_free_heap()
 
     def __enter__(self) -> "BEAS":
         return self
@@ -495,7 +513,12 @@ class BEAS:
                 f"residual plan ({partial.temp_schema.name} sized at the "
                 "prefix's deduced bound):"
             )
-            lines.append(explain_logical(self._optimizer.residual_plan(partial)))
+            lines.append(
+                explain_logical(
+                    self._optimizer.residual_plan(partial),
+                    indexed=partial.residual_tables,
+                )
+            )
         lines.append("host plan:")
         lines.append(self._host.explain(query))
         return "\n".join(lines)
@@ -837,9 +860,6 @@ class BEAS:
         if self._store is not None and batch.inserted:
             for name in batch.adjusted_constraints:
                 self._store.log_adjust(name, self.catalog.schema.get(name).n)
-        # snapshot: host_engine() may add comparators concurrently
-        for engine in list(self._host_engines.values()):
-            engine.invalidate_statistics()
         return batch
 
     def _version_of(self, table_name: str) -> Optional[int]:
@@ -852,30 +872,19 @@ class BEAS:
 
     # ------------------------------------------------------------------ #
     def analyze_performance(
-        self,
-        query: Union[str, ast.Statement],
-        profiles: Optional[Sequence[EngineProfile]] = None,
+        self, query: Union[str, ast.Statement]
     ) -> PerformanceAnalysis:
         """The Fig.-3 analysis panel for a covered query."""
         analyzer = PerformanceAnalyzer(
             self.catalog,
             functools.partial(self.runner.run_route, self.options.executor),
         )
-        if profiles is None:
-            return analyzer.analyze(query)
-        return analyzer.analyze(query, profiles)
+        return analyzer.analyze(query)
 
-    def host_engine(self, profile: Optional[EngineProfile] = None) -> ConventionalEngine:
-        """A conventional engine over the same data (comparator access).
-
-        Engines are cached per profile so table statistics — the
-        equivalent of an offline ANALYZE — are collected once, not on
-        every comparison run.
-        """
-        if profile is None:
-            return self._host
-        engine = self._host_engines.get(profile.name)
-        if engine is None or engine.profile is not profile:
-            engine = ConventionalEngine(self.database, profile)
-            self._host_engines[profile.name] = engine
-        return engine
+    def host_engine(self) -> ConventionalEngine:
+        """The conventional engine over the same data: the fallback for
+        not-covered queries, and the baseline BEAS is compared against.
+        Its table statistics — the equivalent of an offline ANALYZE —
+        are kept per table version, so they are collected once per
+        write, not on every comparison run."""
+        return self._host

@@ -5,21 +5,22 @@ execution time, acceleration ratio compared to commercial DBMS, the total
 number of tuples fetched and the number of access constraints employed;
 and (b) a breakdown of the cost to each individual operation in the query
 plan, compared to its counterpart in plans generated by commercial DBMS".
-:class:`PerformanceAnalyzer` produces exactly that, running the bounded
-plan once and the conventional engine once per comparator profile.
+:class:`PerformanceAnalyzer` produces that panel with one comparator, the
+in-process conventional engine, measured: it runs the bounded plan once
+and the conventional engine once. The paper's PostgreSQL / MySQL /
+MariaDB ratios are not reproduced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 from repro.access.catalog import ASCatalog
 from repro.errors import NotCoveredError
 from repro.sql import ast
 from repro.engine.executor import ConventionalEngine, QueryResult
 from repro.engine.metrics import OperationCost
-from repro.engine.profiles import MARIADB, MYSQL, POSTGRESQL, EngineProfile
 from repro.bounded.coverage import BoundedEvaluabilityChecker
 from repro.bounded.executor import BoundedPlanExecutor
 from repro.bounded.plan import AnyBoundedPlan
@@ -27,11 +28,10 @@ from repro.bounded.plan import AnyBoundedPlan
 
 @dataclass
 class EngineComparison:
-    """One comparator row of the analysis panel."""
+    """The conventional engine's row of the analysis panel."""
 
-    profile: str
     seconds: float
-    speedup: float  # comparator seconds / BEAS seconds
+    speedup: float  # conventional seconds / BEAS seconds
     tuples_scanned: int
     rows_output: int
     operations: list[OperationCost] = field(default_factory=list)
@@ -47,16 +47,11 @@ class PerformanceAnalysis:
     access_bound: int
     constraints_used: list[str]
     rows_output: int
+    conventional: EngineComparison
     beas_operations: list[OperationCost] = field(default_factory=list)
-    comparisons: list[EngineComparison] = field(default_factory=list)
-
-    def speedup_over(self, profile: str) -> float:
-        for comparison in self.comparisons:
-            if comparison.profile == profile:
-                return comparison.speedup
-        raise KeyError(profile)
 
     def describe(self) -> str:
+        conventional = self.conventional
         lines = [
             f"BEAS: {self.beas_seconds * 1000:.2f} ms, "
             f"{self.tuples_fetched} tuples fetched "
@@ -64,14 +59,11 @@ class PerformanceAnalysis:
             f"{len(self.constraints_used)} access constraints "
             f"({', '.join(self.constraints_used)}), "
             f"{self.rows_output} answers",
+            f"conventional: {conventional.seconds:.3f} s "
+            f"({conventional.speedup:.0f}x slower), scanned "
+            f"{conventional.tuples_scanned} tuples",
+            "-- BEAS per-operation breakdown --",
         ]
-        for comparison in self.comparisons:
-            lines.append(
-                f"{comparison.profile}: {comparison.seconds:.3f} s "
-                f"({comparison.speedup:.0f}x slower), scanned "
-                f"{comparison.tuples_scanned} tuples"
-            )
-        lines.append("-- BEAS per-operation breakdown --")
         for op in self.beas_operations:
             lines.append(
                 f"  {op.label}: {op.tuples_in} -> {op.tuples_out} rows, "
@@ -81,7 +73,7 @@ class PerformanceAnalysis:
 
 
 class PerformanceAnalyzer:
-    """Runs a covered query on BEAS and on each comparator profile."""
+    """Runs a covered query on BEAS and on the conventional engine."""
 
     def __init__(
         self,
@@ -96,48 +88,34 @@ class PerformanceAnalyzer:
         )
         self._run = run or BoundedPlanExecutor(catalog).execute
 
-    def analyze(
-        self,
-        query: Union[str, ast.Statement],
-        profiles: Sequence[EngineProfile] = (POSTGRESQL, MYSQL, MARIADB),
-        *,
-        expected_rows: Optional[set] = None,
-    ) -> PerformanceAnalysis:
+    def analyze(self, query: Union[str, ast.Statement]) -> PerformanceAnalysis:
         decision = self._checker.check(query)
         if not decision.covered:
             raise NotCoveredError(
                 "performance analysis requires a covered query", decision.reasons
             )
         result = self._run(decision.plan)
-        beas_rows = set(result.rows)
-        if expected_rows is not None and beas_rows != expected_rows:
-            raise AssertionError("BEAS answers differ from the expected rows")
-
-        analysis = PerformanceAnalysis(
+        engine = ConventionalEngine(self._catalog.database)
+        engine.statistics()  # offline ANALYZE, as a DBMS has it: not query time
+        conventional = engine.execute(query)
+        speedup = (
+            conventional.metrics.seconds / result.metrics.seconds
+            if result.metrics.seconds > 0
+            else float("inf")
+        )
+        return PerformanceAnalysis(
             query=query if isinstance(query, str) else str(query),
             beas_seconds=result.metrics.seconds,
             tuples_fetched=result.metrics.tuples_fetched,
             access_bound=decision.access_bound or 0,
             constraints_used=[c.name for c in decision.constraints_used],
             rows_output=len(result.rows),
+            conventional=EngineComparison(
+                seconds=conventional.metrics.seconds,
+                speedup=speedup,
+                tuples_scanned=conventional.metrics.tuples_scanned,
+                rows_output=len(conventional.rows),
+                operations=list(conventional.metrics.operations),
+            ),
             beas_operations=list(result.metrics.operations),
         )
-        for profile in profiles:
-            engine = ConventionalEngine(self._catalog.database, profile)
-            conventional = engine.execute(query)
-            speedup = (
-                conventional.metrics.seconds / result.metrics.seconds
-                if result.metrics.seconds > 0
-                else float("inf")
-            )
-            analysis.comparisons.append(
-                EngineComparison(
-                    profile=profile.name,
-                    seconds=conventional.metrics.seconds,
-                    speedup=speedup,
-                    tuples_scanned=conventional.metrics.tuples_scanned,
-                    rows_output=len(conventional.rows),
-                    operations=list(conventional.metrics.operations),
-                )
-            )
-        return analysis

@@ -79,7 +79,6 @@ from repro.engine.executor import QueryResult, ReadSet
 from repro.engine.logical import MaterializedNode, SetOpNode
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.physical import Intermediate, PhysicalExecutor
-from repro.engine.profiles import EngineProfile
 from repro.bounded.plan import AnyBoundedPlan, BoundedPlan, FetchOp, SetOpPlan
 from repro.bounded.skeleton import (
     Constants,
@@ -88,9 +87,6 @@ from repro.bounded.skeleton import (
     _SelectPlan,
     skeleton_of,
 )
-
-_NEUTRAL_PROFILE = EngineProfile(name="beas-tail", join_algorithm="hash", row_overhead=0)
-
 
 class BoundedPlanExecutor:
     """Executes bounded plans; the only data access is via access indices."""
@@ -151,10 +147,7 @@ class BoundedPlanExecutor:
                 MaterializedNode(right.labels, right.rows),
                 plan.all,
             )
-            executor = PhysicalExecutor(
-                self._catalog.database, _NEUTRAL_PROFILE, metrics
-            )
-            return executor.run(node)
+            return PhysicalExecutor(self._catalog.database, metrics).run(node)
         skeleton = skeleton_of(plan)
         if constants is None:
             constants = skeleton.constants(plan)

@@ -56,7 +56,6 @@ from repro.engine.executor import QueryResult
 from repro.engine.logical import PlanNode
 from repro.engine.physical import PhysicalExecutor
 from repro.engine.planner import plan_conjunctive_query
-from repro.engine.profiles import EngineProfile, POSTGRESQL
 from repro.bounded.coverage import duplicate_sensitive_calls
 from repro.bounded.executor import BoundedPlanExecutor
 from repro.bounded.plan import BoundedPlan
@@ -96,6 +95,12 @@ class PartialPlan:
         return self.sub_plan.access_bound
 
     @property
+    def residual_tables(self) -> frozenset[str]:
+        """The base tables the residual reads, each probed by key index
+        where the prefix's keys reach it."""
+        return frozenset(self.residual_cq.occurrences.values()) - {_TEMP}
+
+    @property
     def sideways_scans(self) -> dict[str, list[str]]:
         """Uncovered binding -> its columns equated with the prefix: the
         residual relations whose join with the temporary relation hands
@@ -129,9 +134,8 @@ class PartialPlan:
 class BEPlanOptimizer:
     """Builds and executes partially bounded plans."""
 
-    def __init__(self, catalog: ASCatalog, profile: EngineProfile = POSTGRESQL):
+    def __init__(self, catalog: ASCatalog):
         self._catalog = catalog
-        self._profile = profile
         self._generator = BoundedPlanGenerator(
             catalog.database.schema, catalog.schema
         )
@@ -210,7 +214,7 @@ class BEPlanOptimizer:
         database = self._catalog.database
         overlay = Database(name="overlay")
         overlay.add_table(temp_table)
-        scanned = frozenset(partial.residual_cq.occurrences.values()) - {_TEMP}
+        scanned = partial.residual_tables
         for name in scanned:
             overlay.add_table(database.table(name))
 
@@ -218,9 +222,7 @@ class BEPlanOptimizer:
         # one metrics object for the whole answer: the residual's counters
         # add to whatever the prefix (pooled, fleet-run, ...) recorded
         metrics = prefix_result.metrics
-        result = PhysicalExecutor(
-            overlay, self._profile, metrics, indexed=scanned
-        ).run(plan)
+        result = PhysicalExecutor(overlay, metrics, indexed=scanned).run(plan)
         metrics.seconds = time.perf_counter() - start
         metrics.rows_output = len(result.rows)
         columns = [

@@ -8,8 +8,8 @@ offers the same interactions:
 * ``explain``  — the bounded plan with per-fetch bound annotations, or the
   reasons plus the host plan when not covered (Fig. 2(B))
 * ``run``      — execute a query and report mode/metrics (Fig. 2(C))
-* ``analyze``  — the Fig.-3 performance panel against the comparator
-  profiles
+* ``analyze``  — the Fig.-3 performance panel against the conventional
+  engine
 * ``discover`` — the offline discovery service: mine an access schema from
   a workload file under a storage budget (Fig. 2(D)), writing JSON
 * ``conform``  — verify that the data conforms to an access schema

@@ -1,10 +1,12 @@
 """The conventional engine facade: SQL text in, rows out.
 
 ``ConventionalEngine`` is the stand-in for the host DBMS (PostgreSQL in
-the paper's deployment) and, parameterised by profile, for the commercial
-comparators. It answers any query in the supported fragment by scanning
-base tables, so its cost grows linearly with ``|D|`` — the behaviour
-Fig. 4 contrasts with BEAS's flat line.
+the paper's deployment) and the one baseline BEAS is measured against.
+It answers any query in the supported fragment by scanning base tables
+and hash-joining them, so its cost grows linearly with ``|D|`` — the
+behaviour Fig. 4 contrasts with BEAS's flat line. It is one measured
+engine: the paper's PostgreSQL / MySQL / MariaDB ratios are not
+modelled.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from repro.engine.logical import PlanNode, SetOpNode, explain
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.physical import PhysicalExecutor
 from repro.engine.planner import plan_conjunctive_query
-from repro.engine.profiles import POSTGRESQL, EngineProfile
 
 
 #: access-constraint name -> the X-keys presented to its index
@@ -64,9 +65,8 @@ class QueryResult:
 class ConventionalEngine:
     """Scan-based SQL engine over an in-memory :class:`Database`."""
 
-    def __init__(self, database: Database, profile: EngineProfile = POSTGRESQL):
+    def __init__(self, database: Database):
         self.database = database
-        self.profile = profile
         self._stats_cache: dict[str, tuple[int, TableStatistics]] = {}
 
     # ------------------------------------------------------------------ #
@@ -100,9 +100,6 @@ class ConventionalEngine:
                 stats[name] = computed
         return stats
 
-    def invalidate_statistics(self) -> None:
-        self._stats_cache.clear()
-
     # ------------------------------------------------------------------ #
     def plan(self, query: Union[str, ast.Statement]) -> PlanNode:
         """Build a logical plan without executing it."""
@@ -130,7 +127,7 @@ class ConventionalEngine:
         metrics = ExecutionMetrics()
         start = time.perf_counter()
         plan = self._plan_statement(statement)
-        executor = PhysicalExecutor(self.database, self.profile, metrics)
+        executor = PhysicalExecutor(self.database, metrics)
         result = executor.run(plan)
         metrics.seconds = time.perf_counter() - start
         metrics.rows_output = len(result.rows)

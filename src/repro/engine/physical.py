@@ -27,7 +27,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import chain, compress
-from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.errors import ExecutionError
@@ -52,9 +51,9 @@ from repro.engine.logical import (
     ScanNode,
     SetOpNode,
     SortNode,
+    join_sides,
 )
 from repro.engine.metrics import ExecutionMetrics
-from repro.engine.profiles import EngineProfile
 
 Row = tuple
 
@@ -72,12 +71,6 @@ class Intermediate:
         if self._layout is None:
             self._layout = {label: i for i, label in enumerate(self.labels)}
         return self._layout
-
-
-def _busy_work(row: Row, units: int) -> None:
-    """Honest per-row overhead work for comparator profiles (see profiles.py)."""
-    for _ in range(units):
-        list(row)
 
 
 @dataclass
@@ -105,22 +98,21 @@ def _probe(table: Table, sideways: _KeyFilter) -> tuple[list[Row], bool]:
 
 
 class PhysicalExecutor:
-    """Interprets logical plans against a database under a profile.
+    """Interprets logical plans against a database.
 
     ``indexed`` names the tables whose sideways-filtered scans probe a
-    key index instead (:meth:`_scan`): the BE Plan Optimizer's residual
-    passes its uncovered base tables; the conventional engine passes
-    none and scans."""
+    key index instead (:meth:`_scan`), and which a hash join therefore
+    probes with (:func:`~repro.engine.logical.join_sides`): the BE Plan
+    Optimizer's residual passes its uncovered base tables; the
+    conventional engine passes none and scans."""
 
     def __init__(
         self,
         database: Database,
-        profile: EngineProfile,
         metrics: ExecutionMetrics,
         indexed: frozenset[str] = frozenset(),
     ):
         self._db = database
-        self._profile = profile
         self._metrics = metrics
         self._indexed = indexed
 
@@ -165,26 +157,21 @@ class PhysicalExecutor:
         labels: list[object] = [Attribute(node.binding, c) for c in node.columns]
         label = f"scan({node.table_name} as {node.binding})"
 
-        read: list[Row] = table.rows
         counted = len(table)
-        kept: Iterable[Row] = read
+        kept: Iterable[Row] = table.rows
         if sideways is not None:
             if node.table_name in self._indexed:
-                read, built = _probe(table, sideways)
-                kept = read
+                probed, built = _probe(table, sideways)
+                kept = probed
                 if built:
                     label = f"probe({node.table_name} as {node.binding}; index built)"
                 else:
                     label = f"probe({node.table_name} as {node.binding})"
-                    counted = len(read)
+                    counted = len(probed)
             else:
-                keys = key_tuples(read, sideways.positions)
-                kept = compress(read, map(sideways.build.__contains__, keys))
+                keys = key_tuples(table.rows, sideways.positions)
+                kept = compress(table.rows, map(sideways.build.__contains__, keys))
             label += f" ⋉ {sideways.label}"
-        overhead = self._profile.row_overhead
-        if overhead:
-            for row in read:
-                _busy_work(row, overhead)
         if node.predicate is not None:
             base_layout = {
                 Attribute(node.binding, column): i
@@ -208,28 +195,15 @@ class PhysicalExecutor:
 
     # ------------------------------------------------------------------ #
     def _join(self, node: JoinNode) -> Intermediate:
-        algorithm = self._profile.join_algorithm if node.pairs else "cross"
-        if algorithm == "hash":
+        if node.pairs:
             return self._hash_join(node)
         left = self.run(node.left)
         right = self.run(node.right)
         start = time.perf_counter()
-        if algorithm == "cross":
-            rows = [l + r for l in left.rows for r in right.rows]
-        else:
-            left_keys = [left.layout[a] for a, _ in node.pairs]
-            right_keys = [right.layout[b] for _, b in node.pairs]
-            if algorithm == "sort_merge":
-                rows = self._sort_merge_join(
-                    left.rows, right.rows, left_keys, right_keys
-                )
-            else:
-                rows = self._block_nested_join(
-                    left.rows, right.rows, left_keys, right_keys
-                )
+        rows = [l + r for l in left.rows for r in right.rows]
         self._metrics.intermediate_rows += len(rows)
         self._metrics.record(
-            f"join[{algorithm}]",
+            "join[cross]",
             len(left.rows) + len(right.rows),
             len(rows),
             time.perf_counter() - start,
@@ -237,16 +211,15 @@ class PhysicalExecutor:
         return Intermediate(left.labels + right.labels, rows)
 
     def _hash_join(self, node: JoinNode) -> Intermediate:
-        """Build on the child the planner expects to be smaller, probe
-        with the other. A probe child that is a table scan is handed the
+        """Build on the child :func:`join_sides` names (the smaller one
+        by estimate, unless one child is probed by key index), probe with
+        the other. A probe child that is a table scan is handed the
         build table (sideways information passing): ``d JOIN T`` equals
         ``(d SEMIJOIN T) JOIN T``, multiplicities included, so the scan may
         drop every tuple whose key is not in ``T`` before interpreting
         anything on it."""
         children = (node.left, node.right)
-        build, probe = (
-            (0, 1) if node.left.estimated_rows <= node.right.estimated_rows else (1, 0)
-        )
+        build, probe = join_sides(node, self._indexed)
         build_attrs = [pair[build] for pair in node.pairs]
         probe_attrs = [pair[probe] for pair in node.pairs]
 
@@ -288,67 +261,6 @@ class PhysicalExecutor:
             seconds + time.perf_counter() - start,
         )
         return Intermediate(built.labels + probed.labels, rows)
-
-    @staticmethod
-    def _sort_merge_join(
-        left_rows: list[Row],
-        right_rows: list[Row],
-        left_keys: list[int],
-        right_keys: list[int],
-    ) -> list[Row]:
-        def keyed(rows: list[Row], keys: list[int]) -> list[tuple[tuple, Row]]:
-            out = [
-                (key, row)
-                for key, row in zip(key_tuples(rows, keys), rows)
-                if None not in key
-            ]
-            out.sort(key=itemgetter(0))
-            return out
-
-        left_sorted = keyed(left_rows, left_keys)
-        right_sorted = keyed(right_rows, right_keys)
-        out: list[Row] = []
-        i = j = 0
-        while i < len(left_sorted) and j < len(right_sorted):
-            lk = left_sorted[i][0]
-            rk = right_sorted[j][0]
-            if lk < rk:
-                i += 1
-            elif lk > rk:
-                j += 1
-            else:
-                # gather the equal-key runs and emit their product
-                i_end = i
-                while i_end < len(left_sorted) and left_sorted[i_end][0] == lk:
-                    i_end += 1
-                j_end = j
-                while j_end < len(right_sorted) and right_sorted[j_end][0] == rk:
-                    j_end += 1
-                for _, lrow in left_sorted[i:i_end]:
-                    for _, rrow in right_sorted[j:j_end]:
-                        out.append(lrow + rrow)
-                i, j = i_end, j_end
-        return out
-
-    def _block_nested_join(
-        self,
-        left_rows: list[Row],
-        right_rows: list[Row],
-        left_keys: list[int],
-        right_keys: list[int],
-    ) -> list[Row]:
-        block = self._profile.block_size
-        out: list[Row] = []
-        for offset in range(0, len(left_rows), block):
-            chunk = left_rows[offset : offset + block]
-            for rrow in right_rows:
-                rkey = tuple(rrow[i] for i in right_keys)
-                if None in rkey:
-                    continue
-                for lrow in chunk:
-                    if tuple(lrow[i] for i in left_keys) == rkey:
-                        out.append(lrow + rrow)
-        return out
 
     # ------------------------------------------------------------------ #
     def _set_op(self, node: SetOpNode) -> Intermediate:

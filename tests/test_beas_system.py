@@ -5,6 +5,7 @@ import pytest
 from repro import (
     AccessConstraint,
     BEAS,
+    ConventionalEngine,
     ExecutionMode,
 )
 from repro.errors import BudgetExceededError
@@ -121,14 +122,12 @@ class TestSchemaManagement:
 class TestAnalyzerIntegration:
     def test_performance_analysis(self, ex1_beas):
         analysis = ex1_beas.analyze_performance(EXAMPLE2_SQL)
-        assert {c.profile for c in analysis.comparisons} == {
-            "postgresql", "mysql", "mariadb",
-        }
+        assert analysis.constraints_used == ["psi3", "psi2", "psi1"]
+        assert analysis.conventional.tuples_scanned > 0
 
     def test_host_engine_profiles(self, ex1_beas):
-        from repro import MARIADB
-
-        default = ex1_beas.host_engine()
-        assert default.profile.name == "postgresql"
-        other = ex1_beas.host_engine(MARIADB)
-        assert other.profile.name == "mariadb"
+        """``host_engine()`` is the one conventional engine, no profile."""
+        engine = ex1_beas.host_engine()
+        assert isinstance(engine, ConventionalEngine)
+        assert engine is ex1_beas.host_engine()
+        assert engine.database is ex1_beas.database

@@ -96,10 +96,11 @@ class TestAnalyze:
         residual, host = text.split("host plan:")
         assert "NOT covered" in residual and "partially bounded plan" in residual
         # what runs under allow_partial: the temporary relation joined
-        # with the uncovered scan, dim nowhere in it ...
+        # with the uncovered relation's key-index probe, dim nowhere in it ...
         assert "residual plan" in residual
         assert "Scan __bounded__ AS __bounded__" in residual
-        assert "Scan big AS b" in residual and "Scan dim" not in residual
+        assert "Probe big AS b on (k)" in residual and "Scan big" not in residual
+        assert "Scan dim" not in residual
         # ... next to the host plan of the whole query
         assert "Scan dim AS d" in host and "Scan big AS b" in host
 

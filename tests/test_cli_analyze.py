@@ -20,7 +20,7 @@ class TestAnalyzeCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "BEAS:" in out
-        assert "postgresql:" in out
+        assert "conventional:" in out
         assert "per-operation breakdown" in out
 
     def test_analyze_uncovered_errors_cleanly(self, workspace, capsys):

@@ -1,4 +1,4 @@
-"""Conventional engine tests: operators, profiles, end-to-end SQL."""
+"""Conventional engine tests: operators, plans, end-to-end SQL."""
 
 import pytest
 
@@ -7,12 +7,8 @@ from repro import (
     Database,
     DatabaseSchema,
     DataType,
-    MARIADB,
-    MYSQL,
-    POSTGRESQL,
     TableSchema,
 )
-from repro.engine.profiles import EngineProfile
 from repro.errors import ExecutionError
 
 
@@ -90,23 +86,6 @@ class TestScanFilterProject:
 
 
 class TestJoins:
-    JOIN_SQL = (
-        "SELECT e.name, d.region FROM emp e JOIN dept d ON e.dept = d.name "
-        "ORDER BY e.name"
-    )
-    EXPECTED = [
-        ("ann", "east"),
-        ("bob", "east"),
-        ("cat", "west"),
-        ("eve", "west"),
-    ]
-
-    @pytest.mark.parametrize("algorithm", ["hash", "sort_merge", "block_nested"])
-    def test_join_algorithms_agree(self, db, algorithm):
-        profile = EngineProfile(name=f"test-{algorithm}", join_algorithm=algorithm)
-        engine = ConventionalEngine(db, profile)
-        assert engine.execute(self.JOIN_SQL).rows == self.EXPECTED
-
     def test_null_keys_never_join(self, engine):
         # fay has dept NULL: she must not appear even with a NULL dept row
         result = engine.execute(
@@ -244,24 +223,8 @@ class TestSetOperations:
 
 
 class TestProfiles:
-    def test_all_profiles_same_answers(self, db):
-        sql = (
-            "SELECT d.region, COUNT(*) AS c FROM emp e JOIN dept d "
-            "ON e.dept = d.name GROUP BY d.region ORDER BY d.region"
-        )
-        results = [
-            ConventionalEngine(db, profile).execute(sql).rows
-            for profile in (POSTGRESQL, MYSQL, MARIADB)
-        ]
-        assert results[0] == results[1] == results[2]
-
-    def test_invalid_join_algorithm_rejected(self):
-        with pytest.raises(ValueError):
-            EngineProfile(name="bad", join_algorithm="nested_hash_loop")
-
-    def test_negative_overhead_rejected(self):
-        with pytest.raises(ValueError):
-            EngineProfile(name="bad", row_overhead=-1)
+    """The plan listing, and the per-table statistics profile (the
+    offline ANALYZE) the planner reads."""
 
     def test_explain_contains_scan(self, engine):
         assert "Scan emp" in engine.explain("SELECT name FROM emp")

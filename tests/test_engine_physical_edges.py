@@ -1,5 +1,5 @@
-"""Physical-operator edge cases: join block boundaries, duplicate key runs,
-overhead busy-work, Intermediate layout caching, materialized nodes."""
+"""Physical-operator edge cases: hash-join build sides and empty inputs,
+the key helpers, Intermediate layout caching, materialized nodes."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro import ConventionalEngine, Database, DatabaseSchema, DataType, TableS
 from repro.engine.logical import MaterializedNode, SetOpNode
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.physical import Intermediate, PhysicalExecutor
-from repro.engine.profiles import EngineProfile, POSTGRESQL
 from repro.storage.table import group_by_key, key_tuples
 
 
@@ -30,27 +29,6 @@ JOIN_SQL = "SELECT l.a, r.b FROM l JOIN r ON l.k = r.k ORDER BY l.a, r.b"
 
 
 class TestJoinAlgorithmEdges:
-    def test_block_nested_across_block_boundary(self):
-        """More left rows than the block size: all blocks must be visited."""
-        left = [(i % 7, f"a{i}") for i in range(25)]
-        right = [(k, f"b{k}") for k in range(7)]
-        db = two_table_db(left, right)
-        small_blocks = EngineProfile(
-            name="bnl", join_algorithm="block_nested", block_size=4
-        )
-        got = ConventionalEngine(db, small_blocks).execute(JOIN_SQL).rows
-        want = ConventionalEngine(db, POSTGRESQL).execute(JOIN_SQL).rows
-        assert got == want and len(got) == 25
-
-    def test_sort_merge_duplicate_runs(self):
-        """Equal-key runs on both sides must produce the full product."""
-        left = [(1, "a1"), (1, "a2"), (2, "a3")]
-        right = [(1, "b1"), (1, "b2"), (1, "b3"), (2, "b4")]
-        db = two_table_db(left, right)
-        merge = EngineProfile(name="sm", join_algorithm="sort_merge")
-        got = ConventionalEngine(db, merge).execute(JOIN_SQL).rows
-        assert len(got) == 2 * 3 + 1
-
     def test_hash_join_build_side_choice_is_invisible(self):
         """Build side depends on sizes; answers must not."""
         big = [(i % 3, f"a{i}") for i in range(50)]
@@ -101,18 +79,6 @@ class TestTupleHelper:
         assert ConventionalEngine(db).execute("SELECT COUNT(*) FROM l").rows == [(2,)]
 
 
-class TestOverheadProfiles:
-    def test_overhead_does_not_change_answers_or_counts(self):
-        db = two_table_db([(1, "a")], [(1, "b")])
-        heavy = EngineProfile(name="heavy", join_algorithm="hash", row_overhead=50)
-        light = ConventionalEngine(db, POSTGRESQL).execute(JOIN_SQL)
-        loaded = ConventionalEngine(db, heavy).execute(JOIN_SQL)
-        assert light.rows == loaded.rows
-        assert (
-            light.metrics.tuples_scanned == loaded.metrics.tuples_scanned == 2
-        )
-
-
 class TestIntermediate:
     def test_layout_cached_and_correct(self):
         intermediate = Intermediate(labels=["x", "y"], rows=[(1, 2)])
@@ -123,14 +89,14 @@ class TestIntermediate:
     def test_materialized_node_passthrough(self):
         db = Database()
         metrics = ExecutionMetrics()
-        executor = PhysicalExecutor(db, POSTGRESQL, metrics)
+        executor = PhysicalExecutor(db, metrics)
         node = MaterializedNode(labels=["v"], rows=[(1,), (2,)])
         result = executor.run(node)
         assert result.rows == [(1,), (2,)]
 
     def test_set_op_over_materialized_nodes(self):
         db = Database()
-        executor = PhysicalExecutor(db, POSTGRESQL, ExecutionMetrics())
+        executor = PhysicalExecutor(db, ExecutionMetrics())
         left = MaterializedNode(labels=["v"], rows=[(1,), (2,), (2,)])
         right = MaterializedNode(labels=["v"], rows=[(2,)])
         union = executor.run(SetOpNode("UNION", left, right))

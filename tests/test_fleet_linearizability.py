@@ -246,9 +246,9 @@ def test_fleet_history_is_linearizable_with_replica_kill():
         wire_served = 0
         for per_reader in observations:
             for name, rows, fetched, versions, replica_id, _, _ in per_reader:
-                expected_rows, expected_fetched = oracle.answer(name, versions)
-                assert rows == expected_rows, (name, versions, replica_id)
-                assert fetched == expected_fetched, (name, versions, replica_id)
+                oracle_rows, oracle_fetched = oracle.answer(name, versions)
+                assert rows == oracle_rows, (name, versions, replica_id)
+                assert fetched == oracle_fetched, (name, versions, replica_id)
                 if replica_id >= 0:
                     wire_served += 1
     finally:

@@ -1,20 +1,18 @@
 """Regression tests: engine statistics freshness under data updates.
 
-``BEAS.host_engine()`` caches engines by ``profile.name``, and
-``insert``/``delete`` historically invalidated statistics only on the
-engines present at call time; the statistics cache itself was keyed on
-the table's *row count*, so an insert+delete sequence that left the
+The statistics cache of a conventional engine was once keyed on the
+table's *row count*, and ``insert``/``delete`` cleared it on the engines
+present at call time; an insert+delete sequence that left the
 cardinality unchanged (e.g. routed directly through
-``MaintenanceManager``) served stale statistics. The cache is now keyed
-on :attr:`Table.version`, a monotonic mutation counter, which makes
-every engine — whenever it was created, whoever mutated the data —
-observe fresh statistics.
+``MaintenanceManager``) served stale statistics. The cache is keyed on
+:attr:`Table.version`, a monotonic mutation counter, which makes every
+engine — whenever it was created, whoever mutated the data — observe
+fresh statistics with no invalidation call at all.
 """
 
 from __future__ import annotations
 
 from repro import BEAS, ConventionalEngine
-from repro.engine.profiles import MYSQL
 from repro.maintenance.incremental import MaintenanceManager
 
 NEW_CALLS = [
@@ -27,13 +25,13 @@ class TestProfileEngineFreshness:
     def test_engine_created_after_insert_sees_fresh_statistics(self, ex1_beas):
         before = len(ex1_beas.database.table("call"))
         ex1_beas.insert("call", NEW_CALLS)
-        engine = ex1_beas.host_engine(MYSQL)  # created *after* the insert
+        engine = ex1_beas.host_engine()  # first read *after* the insert
         stats = engine.statistics()["call"]
         assert stats.row_count == before + 2
         assert stats.column("region").distinct_count >= 2
 
     def test_engine_created_before_insert_is_invalidated(self, ex1_beas):
-        engine = ex1_beas.host_engine(MYSQL)
+        engine = ex1_beas.host_engine()
         engine.statistics()  # populate the cache
         ex1_beas.insert("call", NEW_CALLS)
         stats = engine.statistics()["call"]

@@ -219,6 +219,11 @@ def test_explain_of_a_rebound_partial_decision_keeps_its_residual(tlc_small):
         assert listing == fresh.explain(bound)
         assert "residual plan" in listing and "d.month = 5" in listing
         assert "probes data_usage as d by its key index on (pnum)" in listing
+        # the residual lists the probe it runs; the host plan still scans
+        residual, host = listing.split("host plan:")
+        assert "Probe data_usage AS d on (pnum) filter [d.month = 5]" in residual
+        assert "Scan data_usage AS d" not in residual
+        assert "Scan data_usage AS d filter [d.month = 5]" in host
         assert query.bind({"d.month": 5}).decide().provenance == "rebound"
         assert beas.checker_runs == 1  # neither explain nor decide checked
 

@@ -60,15 +60,12 @@ from repro.engine.logical import MaterializedNode
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.physical import Intermediate, PhysicalExecutor
 from repro.engine.planner import attach_tail
-from repro.engine.profiles import EngineProfile
 from repro.errors import ExecutionError
 from repro.serving.params import rebind_signature, resolve_overrides
 from repro.sql.normalize import Attribute, ConjunctiveQuery, normalize
 from repro.workloads.tlc import generate_tlc, tlc_access_schema, tlc_queries
 from tests.conftest import example1_access_schema, example1_database
 from tests.reference_evaluator import reference_execute
-
-_NEUTRAL_PROFILE = EngineProfile(name="beas-tail", join_algorithm="hash", row_overhead=0)
 
 
 # --------------------------------------------------------------------------- #
@@ -167,7 +164,7 @@ class ReferenceInterpreter:
             plan.cq,
             force_distinct=budget is not None or not plan.bag_exact,
         )
-        final = PhysicalExecutor(self._catalog.database, _NEUTRAL_PROFILE, metrics).run(tail)
+        final = PhysicalExecutor(self._catalog.database, metrics).run(tail)
         columns = [label if isinstance(label, str) else str(label) for label in final.labels]
         return columns, final.rows, metrics, dropped
 

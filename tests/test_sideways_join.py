@@ -42,7 +42,6 @@ from repro.engine.expressions import compile_predicate
 from repro.engine.logical import JoinNode, ScanNode
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.physical import Intermediate, PhysicalExecutor
-from repro.engine.profiles import MARIADB, MYSQL, POSTGRESQL
 from repro.sql.normalize import Attribute
 from repro.storage.table import Table
 from repro.workloads.tlc import generate_tlc, tlc_access_schema, tlc_queries
@@ -125,13 +124,13 @@ class ReferenceExecutor(PhysicalExecutor):
         return out
 
 
-def run_both(db: Database, sql: str, profile=POSTGRESQL):
+def run_both(db: Database, sql: str):
     """One plan, both kernels: (live rows, live metrics, reference rows,
     reference metrics)."""
-    plan = ConventionalEngine(db, profile).plan(sql)
+    plan = ConventionalEngine(db).plan(sql)
     live, reference = ExecutionMetrics(), ExecutionMetrics()
-    live_rows = PhysicalExecutor(db, profile, live).run(plan).rows
-    reference_rows = ReferenceExecutor(db, profile, reference).run(plan).rows
+    live_rows = PhysicalExecutor(db, live).run(plan).rows
+    reference_rows = ReferenceExecutor(db, reference).run(plan).rows
     return live_rows, live, reference_rows, reference
 
 
@@ -247,17 +246,6 @@ class TestAgainstTheReplacedKernel:
         probe, build = ("r", "l") if build_first == "left" else ("l", "r")
         assert fused == [f"scan({probe} as {probe}) ⋉ {build}[k]"]
 
-    @pytest.mark.parametrize("profile", [MARIADB, MYSQL], ids=lambda p: p.name)
-    def test_other_join_algorithms_are_left_alone(self, profile):
-        db = build_db([(1.0, 0, 1)] * 3, [(1.0, 0, 2)] * 5)
-        live_rows, live, reference_rows, reference = run_both(
-            db, _sql("l, r", "l.k = r.k", "r.b > 1"), profile
-        )
-        assert live_rows == reference_rows and len(live_rows) == 15
-        assert [(op.label, op.tuples_in, op.tuples_out) for op in live.operations] == [
-            (op.label, op.tuples_in, op.tuples_out) for op in reference.operations
-        ]
-
 
 # --------------------------------------------------------------------------- #
 # the 11 TLC queries: answers unchanged on every route
@@ -276,9 +264,8 @@ def test_tlc_answers_unchanged(tlc, index):
     _, live, reference_rows, reference = run_both(dataset.database, query.sql)
     assert_counts_equal(live, reference)
     expected = bag(reference_rows)
-    for profile in (POSTGRESQL, MARIADB, MYSQL):
-        answer = ConventionalEngine(dataset.database, profile).execute(query.sql)
-        assert bag(answer.rows) == expected, profile.name
+    answer = ConventionalEngine(dataset.database).execute(query.sql)
+    assert bag(answer.rows) == expected
     for allow_partial in (True, False):
         result = session.run(
             query.sql, allow_partial=allow_partial, use_result_cache=False

@@ -28,6 +28,7 @@ import tempfile
 import threading
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -49,9 +50,9 @@ from repro import (
     Session,
     TableSchema,
 )
+from repro.engine.logical import explain
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.physical import PhysicalExecutor, _KeyFilter, _probe
-from repro.engine.profiles import POSTGRESQL
 from repro.storage.table import Table
 
 from tests.conftest import nan_keyed
@@ -222,7 +223,7 @@ TestKeyIndexMachine.settings = settings(
 def _run(db: Database, sql: str, indexed: frozenset[str]):
     plan = ConventionalEngine(db).plan(sql)
     metrics = ExecutionMetrics()
-    rows = PhysicalExecutor(db, POSTGRESQL, metrics, indexed).run(plan).rows
+    rows = PhysicalExecutor(db, metrics, indexed).run(plan).rows
     return rows, metrics
 
 
@@ -246,6 +247,22 @@ class TestProbeAgainstScan:
         (probe,) = [op for op in probing.operations if "⋉" in op.label]
         assert probe.label.startswith("probe(")
         assert "index built" not in probe.label
+
+    @pytest.mark.parametrize("indexed", ["l", "r"])
+    def test_the_indexed_scan_is_probed_whichever_side_is_smaller(self, indexed):
+        """One indexed child is the probe side even where the estimates
+        would build on it, and the listing says so."""
+        db = build_db([(float(i % 5), i, i) for i in range(40)], [(1.0, 0, 7)])
+        sql = _sql("l, r", "l.k = r.k", None)
+        scanned, _ = _run(db, sql, frozenset())
+        for _ in range(2):  # the build, then a probe of the built index
+            probed, metrics = _run(db, sql, frozenset({indexed}))
+            assert bag(probed) == bag(scanned) and len(probed) == 8
+            (probe,) = [op for op in metrics.operations if "⋉" in op.label]
+            assert probe.label.startswith(f"probe({indexed} as {indexed}")
+        plan = ConventionalEngine(db).plan(sql)
+        listing = explain(plan, indexed=frozenset({indexed}))
+        assert f"Probe {indexed} AS {indexed} on (k)" in listing
 
     @given(_rows, _rows, _from, _keys, _pushed)
     @settings(max_examples=40, deadline=None)
