@@ -7,9 +7,10 @@ O(table). The locator is exact only while every edit of the list goes
 through a ``Table`` method; an ``x.rows.append(...)`` behind its back
 leaves the id column one short, and the next delete removes the *wrong*
 row. Before the locator existed four modules edited ``rows`` directly
-(the CSV loader, the partial-plan temp table, and the maintenance
-rollback and restore loops); they now call ``Table.from_trusted_rows``
-/ ``insert_rows`` / ``delete_rows``, and this rule keeps it that way.
+(the CSV loader, the partial-plan temp table since removed, and the
+maintenance rollback and restore loops); the others now call
+``Table.from_trusted_rows`` / ``insert_rows`` / ``delete_rows``, and
+this rule keeps it that way.
 
 Without type information the rule reads ``<expr>.rows`` as a table's
 rows, which is what the attribute means on every non-``self`` receiver

@@ -82,7 +82,6 @@ from repro.sql.fingerprint import statement_fingerprint
 from repro.storage.database import Database
 from repro.storage.mmapstore import MmapStore, StorageStats
 from repro.engine.executor import ConventionalEngine
-from repro.engine.logical import explain as explain_logical
 from repro.distributed.peerset import PeerStats
 from repro.engine.pool import EnginePool
 from repro.bounded.analyzer import PerformanceAnalysis, PerformanceAnalyzer
@@ -497,7 +496,7 @@ class BEAS:
         decision: Optional[CoverageDecision] = None,
     ) -> str:
         """Bounded plan listing when covered; otherwise the reasons, the
-        partially bounded plan with its residual's logical plan (if a
+        partially bounded plan with the steps its residual runs (if a
         bounded prefix exists), and the host plan of the whole query.
         ``decision`` is the query's own, already made: given one, nothing
         is checked again."""
@@ -509,16 +508,8 @@ class BEAS:
         lines = [decision.describe()]
         if partial is not None:
             lines.append(partial.describe())
-            lines.append(
-                f"residual plan ({partial.temp_schema.name} sized at the "
-                "prefix's deduced bound):"
-            )
-            lines.append(
-                explain_logical(
-                    self._optimizer.residual_plan(partial),
-                    indexed=partial.residual_tables,
-                )
-            )
+            lines.append("residual plan (its steps on the prefix's rows, in order):")
+            lines.append(partial.residual.explain(partial.cq))
         lines.append("host plan:")
         lines.append(self._host.explain(query))
         return "\n".join(lines)
@@ -540,10 +531,9 @@ class BEAS:
         its pinned plan, a not-covered one its pinned ``partial``), so a
         prepared binding is substituted only then. A
         :class:`~repro.bounded.rebind.ReboundDecision` runs the pinned
-        plan (or partially bounded plan's prefix) with its constant
-        vector, and a partially bounded one its residual with the
-        binding's selections; only a remote route, which ships the plan
-        to a peer, builds its patched copy.
+        plan (or partially bounded plan: prefix, then residual) with its
+        constant vector; only a remote route, which ships the plan to a
+        peer, builds its patched copy.
 
         A decision made without a budget carries ``within_budget=None``;
         under ``options.budget`` feasibility is derived from its access
@@ -580,12 +570,13 @@ class BEAS:
 
         if options.allow_partial and plan is not None:
             # ``plan`` is the partially bounded plan; a rebound one's
-            # prefix runs off ``constants``
+            # prefix and residual run off ``constants``
             if constants is not None and route not in LOCAL_ROUTES:
                 plan, constants = decision.partial, None
             return ExecutionMode.PARTIAL, self._optimizer.execute(
                 plan,
                 functools.partial(self.runner.run_route, route, constants=constants),
+                constants,
             )
         if callable(query):
             query = query()

@@ -23,10 +23,11 @@ operators and read every fetch key, selection value and selection label
 from that vector, so a rebound request copies no operator, query or
 plan. Its bounds — ``access_bound``, ``within_budget``, … — are the
 pinned decision's. A partially bounded decision runs its pinned prefix
-off the vector the same way, and its residual query with the binding's
-selections written in by value; the residual is still planned per
-request on the conventional engine. A slot whose equality class spans
-prefix and residual patches both.
+off the vector the same way, and its pinned residual
+(:class:`~repro.bounded.residual.Residual`, compiled once with the plan)
+too: the vector goes on with one merged tuple per constant class the
+residual selects on. A slot whose equality class spans prefix and
+residual writes both positions.
 
 The patched plan (every ``fetch`` op's ``KeyPart(source="const")``
 tuples, every ``selection`` op's values and the canonical query's
@@ -65,8 +66,8 @@ BE Checker run) whenever the new binding could change the decision:
   residual; set operations and not-covered verdicts without a bounded
   prefix are filed per binding and always re-check;
 * every override slot must surface as a selection of the decided query
-  (and so of the covered plan, of the prefix's CQ or of the residual
-  CQ), or the template is not built.
+  (and so of the covered plan, of the prefix's CQ or of the
+  residual's steps), or the template is not built.
 """
 
 from __future__ import annotations
@@ -87,9 +88,10 @@ if TYPE_CHECKING:  # pragma: no cover
 class _ClassSlot:
     """One equality class of the decided query that carries constants:
     who contributes to its merged constant tuple, the arity the decision
-    was pinned at, where the bounded plan reads it in the constant
-    vector (no position: no operator reads it), and, for a partially
-    bounded plan, the prefix selections it fills."""
+    was pinned at, where the bounded plan (or a partially bounded plan's
+    prefix and residual) reads it in the constant vector (no position:
+    nothing reads it), and, for a partially bounded plan, the prefix
+    selections it fills."""
 
     __slots__ = ("contributors", "arity", "positions", "prefix")
 
@@ -143,7 +145,8 @@ class RebindTemplate:
         assert isinstance(plan, BoundedPlan)
         self.plan: BoundedPlan = plan
         skeleton = self.skeleton = skeleton_of(plan)
-        #: the pinned binding's own constant vector
+        #: the pinned binding's own constant vector (a partially bounded
+        #: plan's: its prefix's, then its residual's)
         self.constants: Constants = skeleton.constants(plan)
         # the decided query, over whose classes the slots merge
         cq = plan.cq if partial is None else partial.cq
@@ -173,6 +176,11 @@ class RebindTemplate:
                 slot.positions.append(position)
             if partial is not None:
                 slot.prefix.append(attr)
+        if partial is not None:
+            residual = partial.residual
+            self.constants += residual.constants(cq)
+            for position, root in enumerate(residual.roots, residual.offset):
+                by_root[classes.find(root)].positions.append(position)
 
     # ------------------------------------------------------------------ #
     def rebind(self, overrides: Mapping[str, tuple]) -> Optional["ReboundDecision"]:
@@ -197,20 +205,7 @@ class RebindTemplate:
                 return None  # merged arity changed: bounds would move
             for position in slot.positions:
                 constants[position] = merged
-        partial = self.partial
-        if partial is None:
-            runs: Union[BoundedPlan, "PartialPlan"] = self.plan
-        else:
-            # the pinned prefix runs off the vector; the residual selects
-            # the binding's values
-            residual = partial.residual_cq
-            selections = dict(residual.selections)
-            for name, values in overrides.items():
-                attr = self._attributes[name]
-                if attr in selections:
-                    selections[attr] = values
-            residual = patched(residual, selections=selections)
-            runs = patched(partial, residual_cq=residual)
+        runs = self.plan if self.partial is None else self.partial
         return ReboundDecision(self, tuple(constants), overrides, runs)
 
     def coverage(self, rebound: "ReboundDecision") -> CoverageDecision:
@@ -262,7 +257,7 @@ class RebindTemplate:
         )
         return patched(
             self.decision,
-            partial=patched(rebound.runs, sub_plan=prefix, cq=cq),
+            partial=patched(partial, sub_plan=prefix, cq=cq),
             within_budget=rebound.within_budget,
         )
 
@@ -276,7 +271,7 @@ class ReboundDecision:
     deduced bound are the pinned decision's, with this request's
     ``within_budget``. ``runs`` is what executing it runs with
     ``constants``: the pinned bounded plan, or the pinned partially
-    bounded plan whose residual selects this binding's values. Only
+    bounded plan, prefix and residual alike. Only
     :attr:`coverage` / :attr:`plan` / :attr:`partial` build the fully
     patched copy, once. One is made per request, so the request may set
     its ``within_budget`` in place.

@@ -23,9 +23,12 @@ A rebound request brings its own vector
 plan's operators with it; any other plan runs off its own vector,
 :meth:`PlanSkeleton.constants`, read from its operators. The deduced
 bound and the access constraint still come from the operator
-(``zip(skeleton.steps, plan.ops)``). All three executors run off it:
-:class:`~repro.bounded.executor.BoundedPlanExecutor` in row and columnar
-mode and :class:`~repro.bounded.approximation.BoundedApproximator`.
+(``zip(skeleton.steps, plan.ops)``). Every executor of a bounded plan
+runs off it: :class:`~repro.bounded.executor.BoundedPlanExecutor` in row
+and columnar mode, :class:`~repro.bounded.approximation.BoundedApproximator`,
+and the BE Plan Optimizer for a partially bounded plan's prefix, whose
+residual (:mod:`repro.bounded.residual`, compiled once as well) reads
+its own constants from the positions after the prefix's.
 """
 
 from __future__ import annotations

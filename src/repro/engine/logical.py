@@ -9,7 +9,7 @@ executor (``repro.engine.physical``) interprets them. Row *labels* are
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.sql import ast
 from repro.sql.normalize import Attribute, OutputItem
@@ -116,8 +116,10 @@ class LimitNode(LogicalNode):
 class MaterializedNode(LogicalNode):
     """An already-computed intermediate injected into a plan.
 
-    The BE Plan Executor and Optimizer use this to hand bounded
-    (fetch-produced) results to the conventional physical operators.
+    The BE Plan Executor uses this to hand bounded (fetch-produced)
+    results to the conventional physical operators; a bounded plan's
+    skeleton and a partially bounded plan's residual attach their tail
+    above an empty one.
     """
 
     labels: list[object]
@@ -143,80 +145,49 @@ class SetOpNode(LogicalNode):
 PlanNode = LogicalNode
 
 
-def join_sides(
-    node: JoinNode, indexed: frozenset[str] = frozenset()
-) -> tuple[int, int]:
-    """``(build, probe)``: the child positions a hash join builds on and
-    probes with. A scan of a table in ``indexed`` is probed by its key
-    index, which reads only the buckets the build's keys name, so it is
-    the probe side when the other child is not such a scan too; else the
-    join builds on the child the planner expects to be smaller, the left
-    one on a tie."""
-    left, right = (
-        isinstance(child, ScanNode) and child.table_name in indexed
-        for child in (node.left, node.right)
-    )
-    if left != right:
-        return (1, 0) if left else (0, 1)
-    return (0, 1) if node.left.estimated_rows <= node.right.estimated_rows else (1, 0)
-
-
-def _scan_line(node: ScanNode, pad: str, probed_on: Sequence[str] = ()) -> str:
-    access = "Probe" if probed_on else "Scan"
-    on = f" on ({', '.join(probed_on)})" if probed_on else ""
-    pred = f" filter [{expression_to_sql(node.predicate)}]" if node.predicate else ""
-    return f"{pad}{access} {node.table_name} AS {node.binding}{on}{pred}"
-
-
-def explain(
-    node: PlanNode, indent: int = 0, indexed: frozenset[str] = frozenset()
-) -> str:
-    """Readable plan tree (used by tests, examples, and the demo analyzer).
-
-    ``indexed`` is what ``PhysicalExecutor`` is handed: a scan of one of
-    its tables on a hash join's probe side reads as the key-index probe
-    it runs as."""
+def explain(node: PlanNode, indent: int = 0) -> str:
+    """Readable plan tree (used by tests, examples, and the demo analyzer)."""
     pad = "  " * indent
     if isinstance(node, ScanNode):
-        return _scan_line(node, pad)
+        pred = node.predicate
+        where = f" filter [{expression_to_sql(pred)}]" if pred is not None else ""
+        return f"{pad}Scan {node.table_name} AS {node.binding}{where}"
     if isinstance(node, FilterNode):
         return (
             f"{pad}Filter [{expression_to_sql(node.predicate)}]\n"
-            + explain(node.child, indent + 1, indexed)
+            + explain(node.child, indent + 1)
         )
     if isinstance(node, JoinNode):
-        children = (node.left, node.right)
-        sides = [explain(child, indent + 1, indexed) for child in children]
-        _, probe = join_sides(node, indexed)
-        child = children[probe]
-        if node.pairs and isinstance(child, ScanNode) and child.table_name in indexed:
-            columns = [pair[probe].column for pair in node.pairs]
-            sides[probe] = _scan_line(child, pad + "  ", columns)
         condition = (
             ", ".join(f"{l} = {r}" for l, r in node.pairs) if node.pairs else "cross"
         )
-        return f"{pad}Join [{condition}]\n" + "\n".join(sides)
+        return (
+            f"{pad}Join [{condition}]\n"
+            + explain(node.left, indent + 1)
+            + "\n"
+            + explain(node.right, indent + 1)
+        )
     if isinstance(node, AggregateNode):
         keys = ", ".join(str(a) for a in node.group_by) or "()"
         calls = ", ".join(c.name for c in node.calls)
         return f"{pad}Aggregate group by {keys} [{calls}]\n" + explain(
-            node.child, indent + 1, indexed
+            node.child, indent + 1
         )
     if isinstance(node, ProjectNode):
         names = ", ".join(item.name for item in node.items)
-        return f"{pad}Project [{names}]\n" + explain(node.child, indent + 1, indexed)
+        return f"{pad}Project [{names}]\n" + explain(node.child, indent + 1)
     if isinstance(node, DistinctNode):
-        return f"{pad}Distinct\n" + explain(node.child, indent + 1, indexed)
+        return f"{pad}Distinct\n" + explain(node.child, indent + 1)
     if isinstance(node, SortNode):
-        return f"{pad}Sort\n" + explain(node.child, indent + 1, indexed)
+        return f"{pad}Sort\n" + explain(node.child, indent + 1)
     if isinstance(node, LimitNode):
-        return f"{pad}Limit {node.limit}\n" + explain(node.child, indent + 1, indexed)
+        return f"{pad}Limit {node.limit}\n" + explain(node.child, indent + 1)
     if isinstance(node, SetOpNode):
         return (
             f"{pad}{node.op}{' ALL' if node.all else ''}\n"
-            + explain(node.left, indent + 1, indexed)
+            + explain(node.left, indent + 1)
             + "\n"
-            + explain(node.right, indent + 1, indexed)
+            + explain(node.right, indent + 1)
         )
     if isinstance(node, MaterializedNode):
         return f"{pad}Materialized [{len(node.rows)} rows]"

@@ -14,26 +14,25 @@ and runs it once per request, whichever mode ran the plan's fetches: the
 BE Plan Executor's row and columnar modes and the approximator all end in
 it, so each tail operator has one implementation.
 
-A hash join hands its build keys sideways to a scan on its probe side.
-The conventional engine scans and tests each tuple's key; an executor
-built with ``indexed`` tables (the BE Plan Optimizer's residual) probes
-those tables' key indexes instead (:func:`_probe`), and counts in
-``tuples_scanned`` the rows of the buckets it read — or, on the request
-that builds the index, every row of the table.
+A hash join hands its build keys sideways to a scan on its probe side,
+which tests each tuple's key before interpreting anything on it. (A
+partially bounded plan's residual probes a key index instead; it runs
+its own compiled steps, :mod:`repro.bounded.residual`, and ends in the
+same :class:`PreparedTail`.)
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import compress
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.errors import ExecutionError
 from repro.sql import ast
 from repro.sql.normalize import Attribute
 from repro.storage.database import Database
-from repro.storage.table import KeyIndex, Table, group_by_key, key_tuples
+from repro.storage.table import KeyIndex, group_by_key, key_tuples
 from repro.engine.expressions import (
     _column_position,
     compile_expression,
@@ -51,7 +50,6 @@ from repro.engine.logical import (
     ScanNode,
     SetOpNode,
     SortNode,
-    join_sides,
 )
 from repro.engine.metrics import ExecutionMetrics
 
@@ -80,41 +78,15 @@ class _KeyFilter:
 
     positions: list[int]
     build: KeyIndex
-    label: str  # where the keys come from, e.g. ``__bounded__[pnum]``
-
-
-def _probe(table: Table, sideways: _KeyFilter) -> tuple[list[Row], bool]:
-    """The rows of ``table`` whose key on the sideways positions is one of
-    ``sideways.build``'s, bucket by bucket in the build's key order, each
-    bucket in table order; and whether the key index had to be built
-    first (then every row of the table was read)."""
-    positions = tuple(sideways.positions)
-    index = table.key_index(positions)
-    built = index is None
-    if index is None:
-        index = table.build_key_index(positions)
-    buckets = index.get
-    return list(chain.from_iterable(buckets(key, ()) for key in sideways.build)), built
+    label: str  # where the keys come from, e.g. ``d[k]``
 
 
 class PhysicalExecutor:
-    """Interprets logical plans against a database.
+    """Interprets logical plans against a database."""
 
-    ``indexed`` names the tables whose sideways-filtered scans probe a
-    key index instead (:meth:`_scan`), and which a hash join therefore
-    probes with (:func:`~repro.engine.logical.join_sides`): the BE Plan
-    Optimizer's residual passes its uncovered base tables; the
-    conventional engine passes none and scans."""
-
-    def __init__(
-        self,
-        database: Database,
-        metrics: ExecutionMetrics,
-        indexed: frozenset[str] = frozenset(),
-    ):
+    def __init__(self, database: Database, metrics: ExecutionMetrics):
         self._db = database
         self._metrics = metrics
-        self._indexed = indexed
 
     # ------------------------------------------------------------------ #
     def run(self, node: PlanNode) -> Intermediate:
@@ -146,31 +118,16 @@ class PhysicalExecutor:
         ``tuples_scanned``), keep those passing the pushed-down predicate,
         and project early. With ``sideways`` keys, key membership is tested
         first — one C-level pass — so the interpreted predicate and the
-        projection run on the rows that can join, and only on them.
-
-        A table in ``indexed`` that gets ``sideways`` keys is probed
-        instead: its key index on the sideways columns is looked up once
-        per key, and only the rows of the buckets read are counted — or
-        every row, on the request that builds the index."""
+        projection run on the rows that can join, and only on them."""
         start = time.perf_counter()
         table = self._db.table(node.table_name)
         labels: list[object] = [Attribute(node.binding, c) for c in node.columns]
         label = f"scan({node.table_name} as {node.binding})"
 
-        counted = len(table)
         kept: Iterable[Row] = table.rows
         if sideways is not None:
-            if node.table_name in self._indexed:
-                probed, built = _probe(table, sideways)
-                kept = probed
-                if built:
-                    label = f"probe({node.table_name} as {node.binding}; index built)"
-                else:
-                    label = f"probe({node.table_name} as {node.binding})"
-                    counted = len(probed)
-            else:
-                keys = key_tuples(table.rows, sideways.positions)
-                kept = compress(table.rows, map(sideways.build.__contains__, keys))
+            keys = key_tuples(table.rows, sideways.positions)
+            kept = compress(table.rows, map(sideways.build.__contains__, keys))
             label += f" ⋉ {sideways.label}"
         if node.predicate is not None:
             base_layout = {
@@ -179,8 +136,8 @@ class PhysicalExecutor:
             }
             kept = filter(compile_predicate(node.predicate, base_layout), kept)
         rows = list(key_tuples(kept, table.schema.positions(node.columns)))
-        self._metrics.tuples_scanned += counted
-        self._metrics.record(label, counted, len(rows), time.perf_counter() - start)
+        self._metrics.tuples_scanned += len(table)
+        self._metrics.record(label, len(table), len(rows), time.perf_counter() - start)
         return Intermediate(labels, rows)
 
     def _filter(self, node: FilterNode) -> Intermediate:
@@ -211,15 +168,16 @@ class PhysicalExecutor:
         return Intermediate(left.labels + right.labels, rows)
 
     def _hash_join(self, node: JoinNode) -> Intermediate:
-        """Build on the child :func:`join_sides` names (the smaller one
-        by estimate, unless one child is probed by key index), probe with
-        the other. A probe child that is a table scan is handed the
-        build table (sideways information passing): ``d JOIN T`` equals
-        ``(d SEMIJOIN T) JOIN T``, multiplicities included, so the scan may
-        drop every tuple whose key is not in ``T`` before interpreting
-        anything on it."""
+        """Build on the child the planner expects to be smaller (the left
+        one on a tie), probe with the other. A probe child that is a table
+        scan is handed the build table (sideways information passing):
+        ``d JOIN T`` equals ``(d SEMIJOIN T) JOIN T``, multiplicities
+        included, so the scan may drop every tuple whose key is not in
+        ``T`` before interpreting anything on it."""
         children = (node.left, node.right)
-        build, probe = join_sides(node, self._indexed)
+        build, probe = (
+            (0, 1) if node.left.estimated_rows <= node.right.estimated_rows else (1, 0)
+        )
         build_attrs = [pair[build] for pair in node.pairs]
         probe_attrs = [pair[probe] for pair in node.pairs]
 

@@ -28,11 +28,15 @@ from repro.engine.logical import (
 )
 
 
-def _selection_predicate(cq: ConjunctiveQuery, binding: str) -> Optional[ast.Expression]:
-    """Conjunction of constant selections + single-binding filters for one scan."""
+def scan_predicate(
+    cq: ConjunctiveQuery, binding: str, *, selections: bool = True
+) -> Optional[ast.Expression]:
+    """Conjunction of constant selections + single-binding filters for one
+    scan; without ``selections``, the filters alone (a partially bounded
+    plan's residual reads its selections from the constant vector)."""
     parts: list[ast.Expression] = []
     for attr, values in sorted(cq.selections.items()):
-        if attr.binding != binding:
+        if attr.binding != binding or not selections:
             continue
         ref = ast.ColumnRef(attr.column, table=attr.binding)
         if len(values) == 1:
@@ -125,7 +129,7 @@ def plan_conjunctive_query(
             binding=binding,
             table_name=table_name,
             columns=columns,
-            predicate=_selection_predicate(cq, binding),
+            predicate=scan_predicate(cq, binding),
         )
         stats = statistics.get(table_name, TableStatistics(table=table_name))
         scan.estimated_rows = _estimate_scan(cq, binding, stats)

@@ -181,7 +181,7 @@ class TestExecute:
             GROUP BY b.grp ORDER BY b.grp
         """
         partial = optimizer.analyze(sql)
-        assert partial is not None and partial.sub_plan_bag_exact
+        assert partial is not None and partial.sub_plan.bag_exact
         result = optimizer.execute(partial)
         host = ConventionalEngine(db).execute(sql)
         assert result.rows == host.rows

@@ -37,6 +37,7 @@ from repro import (
     Session,
     TableSchema,
 )
+from repro.bounded import residual
 from repro.engine import physical
 from repro.engine.expressions import compile_predicate
 from repro.engine.logical import JoinNode, ScanNode
@@ -327,7 +328,9 @@ def q11_shaped(big_rows: int) -> Database:
 
 @pytest.fixture
 def predicate_calls(monkeypatch):
-    """Counts every call of every interpreted scan/filter predicate."""
+    """Counts every call of every interpreted scan/filter predicate: the
+    conventional engine's, and a partially bounded plan's residual's
+    (compiled with the plan, so the fixture is in place first)."""
     calls = [0]
 
     def counting(expr, layout, aggregate_values=None):
@@ -340,6 +343,7 @@ def predicate_calls(monkeypatch):
         return counted
 
     monkeypatch.setattr(physical, "compile_predicate", counting)
+    monkeypatch.setattr(residual, "compile_predicate", counting)
     return calls
 
 

@@ -3,7 +3,7 @@
 A key index maps the key a row holds on some column positions to the
 rows holding it, in table order, keys containing NULL left out. The BE
 Plan Optimizer's residual probes one instead of scanning its uncovered
-relation (``engine/physical.py``), so an index must be exactly what
+relation (``bounded/residual.py``), so an index must be exactly what
 grouping ``rows`` would give, whatever wrote to the table since it was
 built. ``regrouped`` below is that grouping, written out plainly; it is
 the oracle.
@@ -27,6 +27,7 @@ import sys
 import tempfile
 import threading
 from collections import Counter
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -43,16 +44,17 @@ from repro import (
     BEAS,
     AccessConstraint,
     AccessSchema,
+    ASCatalog,
+    BEPlanOptimizer,
     ConventionalEngine,
     Database,
+    DatabaseSchema,
     DataType,
     ExecutionMode,
     Session,
     TableSchema,
 )
-from repro.engine.logical import explain
 from repro.engine.metrics import ExecutionMetrics
-from repro.engine.physical import PhysicalExecutor, _KeyFilter, _probe
 from repro.storage.table import Table
 
 from tests.conftest import nan_keyed
@@ -220,11 +222,50 @@ TestKeyIndexMachine.settings = settings(
 # --------------------------------------------------------------------------- #
 # a probe keeps what the scan keeps
 # --------------------------------------------------------------------------- #
-def _run(db: Database, sql: str, indexed: frozenset[str]):
-    plan = ConventionalEngine(db).plan(sql)
-    metrics = ExecutionMetrics()
-    rows = PhysicalExecutor(db, metrics, indexed).run(plan).rows
-    return rows, metrics
+def keyed_db(l_rows, r_rows) -> Database:
+    """``build_db``'s two relations, each row under a key ``i`` of its
+    own: a prefix that fetches one of them whole is bag-exact, so the
+    residual probing the other answers the query's bag."""
+    flat = build_db(l_rows, r_rows)
+    db = Database(
+        DatabaseSchema(
+            [
+                TableSchema(
+                    name,
+                    [("i", DataType.INT)]
+                    + [(c.name, c.dtype) for c in table.schema.columns],
+                    keys=[("i",)],
+                )
+                for name, table in (("l", flat.table("l")), ("r", flat.table("r")))
+            ]
+        )
+    )
+    for name in ("l", "r"):
+        rows = [(i,) + row for i, row in enumerate(flat.table(name))]
+        db.table(name).insert_rows(rows)
+    return db
+
+
+def _partial(db: Database, sql: str, probed: str):
+    """The partially bounded plan whose prefix fetches the relation other
+    than ``probed`` whole, and whose residual probes ``probed``."""
+    other = "r" if probed == "l" else "l"
+    columns = db.table(other).schema.column_names
+    access = AccessSchema([AccessConstraint(other, [], columns, 100, name="all")])
+    optimizer = BEPlanOptimizer(ASCatalog(db, access))
+    partial = optimizer.analyze(sql)
+    assert partial is not None and partial.uncovered_bindings == [probed]
+    return optimizer, partial
+
+
+def _run(db: Database, sql: str, probed: Optional[str] = None):
+    """The conventional engine's rows and metrics, or (``probed``) the
+    residual's that probes that relation."""
+    if probed is None:
+        return ConventionalEngine(db).execute(sql).rows, ExecutionMetrics()
+    optimizer, partial = _partial(db, sql, probed)
+    result = optimizer.execute(partial)
+    return result.rows, result.metrics
 
 
 class TestProbeAgainstScan:
@@ -233,45 +274,51 @@ class TestProbeAgainstScan:
     def test_row_bags_null_and_nan_keys_included(
         self, l_rows, r_rows, from_items, keys, pushed
     ):
-        db = build_db(l_rows, r_rows)
+        db = keyed_db(l_rows, r_rows)
         sql = _sql(from_items, keys, pushed)
-        scanned, scan = _run(db, sql, frozenset())
-        first, building = _run(db, sql, frozenset({"l", "r"}))
-        again, probing = _run(db, sql, frozenset({"l", "r"}))
-        assert bag(first) == bag(again) == bag(scanned)
-        assert nan_keyed(first) == nan_keyed(again)
-        # the request that builds counts every row, as the scan does; a
-        # later one the rows of the buckets it read
-        assert building.tuples_scanned == scan.tuples_scanned
-        assert probing.tuples_scanned <= scan.tuples_scanned
-        (probe,) = [op for op in probing.operations if "⋉" in op.label]
-        assert probe.label.startswith("probe(")
-        assert "index built" not in probe.label
+        scanned, _ = _run(db, sql)
+        for probed in ("l", "r"):
+            first, building = _run(db, sql, probed)
+            again, probing = _run(db, sql, probed)
+            assert bag(first) == bag(again) == bag(scanned)
+            assert nan_keyed(first) == nan_keyed(again)
+            # the request that builds counts every row, as the scan does; a
+            # later one the rows of the buckets it read (each with the
+            # prefix's rows)
+            (prefix,) = [
+                op for op in building.operations if "__bounded__ as" in op.label
+            ]
+            assert building.tuples_scanned == prefix.tuples_in + len(db.table(probed))
+            assert probing.tuples_scanned <= building.tuples_scanned
+            (probe,) = [op for op in probing.operations if "⋉" in op.label]
+            assert probe.label.startswith("probe(")
+            assert "index built" not in probe.label
 
     @pytest.mark.parametrize("indexed", ["l", "r"])
     def test_the_indexed_scan_is_probed_whichever_side_is_smaller(self, indexed):
-        """One indexed child is the probe side even where the estimates
-        would build on it, and the listing says so."""
-        db = build_db([(float(i % 5), i, i) for i in range(40)], [(1.0, 0, 7)])
+        """The uncovered relation is probed even where a hash join's
+        estimates would build on it, and the listing says so."""
+        db = keyed_db([(float(i % 5), i, i) for i in range(40)], [(1.0, 0, 7)])
         sql = _sql("l, r", "l.k = r.k", None)
-        scanned, _ = _run(db, sql, frozenset())
+        scanned, _ = _run(db, sql)
         for _ in range(2):  # the build, then a probe of the built index
-            probed, metrics = _run(db, sql, frozenset({indexed}))
+            probed, metrics = _run(db, sql, indexed)
             assert bag(probed) == bag(scanned) and len(probed) == 8
             (probe,) = [op for op in metrics.operations if "⋉" in op.label]
             assert probe.label.startswith(f"probe({indexed} as {indexed}")
-        plan = ConventionalEngine(db).plan(sql)
-        listing = explain(plan, indexed=frozenset({indexed}))
+        _, partial = _partial(db, sql, indexed)
+        listing = partial.residual.explain(partial.cq)
         assert f"Probe {indexed} AS {indexed} on (k)" in listing
 
     @given(_rows, _rows, _from, _keys, _pushed)
     @settings(max_examples=40, deadline=None)
     def test_order_by_is_list_equal(self, l_rows, r_rows, from_items, keys, pushed):
-        db = build_db(l_rows, r_rows)
+        db = keyed_db(l_rows, r_rows)
         sql = _sql(from_items, keys, pushed, tail=" ORDER BY a, b")
-        scanned, _ = _run(db, sql, frozenset())
-        probed, _ = _run(db, sql, frozenset({"l", "r"}))
-        assert probed == scanned
+        scanned, _ = _run(db, sql)
+        for indexed in ("l", "r"):
+            probed, _ = _run(db, sql, indexed)
+            assert probed == scanned
 
     @given(
         st.lists(st.sampled_from([0.0, 1.0, None, "nan"]), max_size=12),
@@ -279,13 +326,23 @@ class TestProbeAgainstScan:
     )
     @settings(max_examples=100, deadline=None)
     def test_nan_matches_as_the_scans_membership_test_does(self, cells, wanted):
-        """The table holds one canonical NaN object; a build key holding
+        """The table holds one canonical NaN object; a prefix key holding
         it meets every NaN row, one holding another NaN object meets
-        none — in the probe exactly as in ``build.__contains__``."""
-        table = Table(
-            TableSchema("n", [("k", DataType.FLOAT), ("i", DataType.INT)]),
-            [(float("nan") if k == "nan" else k, i) for i, k in enumerate(cells)],
+        none — in the probe step exactly as in a hash join's
+        ``build.__contains__``. The prefix's rows are handed to the
+        residual directly: no table holds a NaN but the canonical one."""
+        db = Database(
+            DatabaseSchema(
+                [
+                    TableSchema("n", [("k", DataType.FLOAT), ("i", DataType.INT)]),
+                    TableSchema("p", [("k", DataType.FLOAT)], keys=[("k",)]),
+                ]
+            )
         )
+        db.table("n").insert_rows(
+            [(float("nan") if k == "nan" else k, i) for i, k in enumerate(cells)]
+        )
+        table = db.table("n")
         stored_nan = next((row[0] for row in table.rows if row[0] != row[0]), None)
         build = {}
         for value in wanted:
@@ -296,11 +353,13 @@ class TestProbeAgainstScan:
             else:
                 key = (value,)
             build[key] = [key]
-        sideways = _KeyFilter([0], build, "b[k]")
-        kept = [row for row in table.rows if (row[0],) in build]
+        access = AccessSchema([AccessConstraint("p", [], ["k"], 100, name="p_all")])
+        optimizer = BEPlanOptimizer(ASCatalog(db, access))
+        partial = optimizer.analyze("SELECT n.i FROM n, p WHERE n.k = p.k")
+        kept = [row[1] for row in table.rows if (row[0],) in build]
         for _ in range(2):  # the build, then a probe of the built index
-            probed, _ = _probe(table, sideways)
-            assert Counter(map(id, probed)) == Counter(map(id, kept))
+            probed = partial.residual.run(list(build), (), db, ExecutionMetrics())
+            assert Counter(row[0] for row in probed.rows) == Counter(kept)
 
 
 # --------------------------------------------------------------------------- #
