@@ -1,5 +1,4 @@
-"""A1 — ablation: *reduced redundancy* (partial vs full tuples) and
-fetch-key dedup.
+"""A1 — ablation: *reduced redundancy* (partial vs full tuples).
 
 Paper §1(2): BEAS "fetches only (distinct) partial tuples needed for
 answering Q. This reduces duplicated and unnecessary attributes in tuples
@@ -7,10 +6,6 @@ fetched by traditional DBMS." We register an alternative access schema
 whose constraints carry *entire* rows (every column in Y) and compare:
 same bounded plans and bounds in tuple counts, but far more value cells
 moved and more time spent.
-
-Also ablated: ``dedup_keys`` — the paper's accounting presents every
-intermediate row's key to the index ("it still accesses over 12 million
-tuples"); deduplicating keys fetches each distinct key once.
 """
 
 from __future__ import annotations
@@ -84,9 +79,9 @@ def _cells(result, beas: BEAS) -> int:
     return total
 
 
-def _run(benchmark, access: AccessSchema, label: str, dedup: bool = False):
+def _run(benchmark, access: AccessSchema, label: str):
     ds = dataset(SCALE)
-    session = BEAS(ds.database, access, dedup_keys=dedup).session()
+    session = BEAS(ds.database, access).session()
     sql = query_by_name(ds.params, "Q1").sql
 
     timings: list[float] = []
@@ -117,20 +112,13 @@ def test_full_tuples(benchmark):
     _run(benchmark, _full_tuple_schema(), "full tuples (ablation)")
 
 
-def test_dedup_keys(benchmark):
-    _run(
-        benchmark, _partial_tuple_schema(), "partial + key dedup", dedup=True
-    )
-
-
 def test_ablation_report(benchmark):
     once(benchmark, lambda: None)
     report = "\n".join(
         [
             f"A1 — reduced redundancy ablation on Q1 at scale {SCALE}",
             "partial-tuple fetches move far fewer value cells than full-row "
-            "fetches at identical tuple bounds; key dedup reduces fetches "
-            "below the paper's per-row accounting",
+            "fetches at identical tuple bounds",
             "",
             format_table(("variant", "time", "tuples fetched", "value cells"), _rows),
         ]
@@ -143,6 +131,3 @@ def test_ablation_report(benchmark):
     assert full_cells > 2 * partial_cells, (
         "full-tuple fetches must move substantially more data"
     )
-    dedup_fetched = by_label["partial + key dedup"][2]
-    plain_fetched = by_label["partial tuples (BEAS)"][2]
-    assert dedup_fetched <= plain_fetched

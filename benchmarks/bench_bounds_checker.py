@@ -11,7 +11,6 @@ naive-vs-tight bound ablation (A3) over all covered TLC queries.
 from __future__ import annotations
 
 from repro.bench.reporting import format_table
-from repro.bounded.bounds import deduce_bounds
 from repro.workloads.tlc import query_by_name, tlc_queries
 
 from benchmarks.conftest import beas_for, dataset, few, once, write_report
@@ -42,12 +41,12 @@ def test_example2_bounds_exact(benchmark):
     beas = beas_for(SCALE)
     sql = query_by_name(dataset(SCALE).params, "Q1").sql
     decision = few(benchmark, lambda: beas.check(sql), rounds=5)
-    summary = deduce_bounds(decision.plan)
-    assert [f.access_bound for f in summary.fetches] == [
+    plan = decision.plan
+    assert [f.access_bound for f in plan.fetch_ops] == [
         2000, 24_000, 12_000_000,
     ], "Example 2's deduced bounds must match the paper exactly"
-    assert summary.access_bound == 12_026_000
-    assert summary.tight_access_bound == 1_026_000
+    assert plan.access_bound == 12_026_000
+    assert plan.tight_access_bound == 1_026_000
 
 
 def test_budget_feature(benchmark):

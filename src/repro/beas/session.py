@@ -413,7 +413,6 @@ class Session:
         *,
         beas: Optional[BEAS] = None,
         options: Optional[ExecutionOptions] = None,
-        dedup_keys: bool = False,
         require_exact_multiplicities: bool = False,
     ):
         if (database is None) == (beas is None):
@@ -434,7 +433,6 @@ class Session:
             beas = BEAS(
                 database,
                 access_schema,
-                dedup_keys=dedup_keys,
                 require_exact_multiplicities=require_exact_multiplicities,
                 executor=layer.executor,
                 rows_per_batch=layer.rows_per_batch,

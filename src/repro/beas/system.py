@@ -199,7 +199,6 @@ class BEAS:
         access_schema: Optional[AccessSchema] = None,
         *,
         require_exact_multiplicities: bool = False,
-        dedup_keys: bool = False,
         executor: Optional[str] = None,
         rows_per_batch: Optional[int] = None,
         parallelism: Optional[int] = None,
@@ -297,7 +296,6 @@ class BEAS:
             for policy in ViolationPolicy
         }
         self._require_exact = require_exact_multiplicities
-        self._dedup_keys = dedup_keys
         self._pool = _LazyPeers(functools.partial(EnginePool, options.parallelism))
         self._fleet = _LazyPeers(
             functools.partial(_spawn_fleet, self.catalog, options)
@@ -306,11 +304,12 @@ class BEAS:
         #: runs through ``runner.run_route`` (see repro.engine.router)
         self.runner = PlanRunner(
             self.catalog,
-            dedup_keys=self._dedup_keys,
             rows_per_batch=options.rows_per_batch,
             pool=self._pool.get if options.parallelism >= 2 else None,
             fleet=self._fleet.get if options.replicas >= 2 else None,
         )
+        #: the same executor's row pipeline under a tuple budget
+        self._approximator = BoundedApproximator(self.catalog)
         self._checker_runs_base = 0
         self._host = ConventionalEngine(database)
         self._refresh_components()
@@ -368,7 +367,6 @@ class BEAS:
             require_exact_multiplicities=self._require_exact,
         )
         self._optimizer = BEPlanOptimizer(self.catalog)
-        self._approximator = BoundedApproximator(self.catalog)
 
     # ------------------------------------------------------------------ #
     # the peers of the remote routes: engine pool and serving fleet
@@ -568,7 +566,7 @@ class BEAS:
                 route, plan, constants
             )
 
-        if options.allow_partial and plan is not None:
+        if plan is not None:
             # ``plan`` is the partially bounded plan; a rebound one's
             # prefix and residual run off ``constants``
             if constants is not None and route not in LOCAL_ROUTES:

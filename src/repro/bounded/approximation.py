@@ -1,11 +1,13 @@
 """Resource-bounded approximation (paper §2/§3).
 
 When a user "can afford only bounded resources and hence opts to take
-approximate query answers", BEAS executes the bounded plan under a hard
-tuple budget: each fetch stops consuming input rows once the budget is
-exhausted. For monotone SPJ queries this yields a **sound** subset of the
-exact answer, and the cardinality constraints let us derive a
-**deterministic accuracy (recall) lower bound**: every input row a fetch
+approximate query answers", BEAS runs the same bounded plan on the BE
+Plan Executor under a hard tuple budget
+(:class:`~repro.bounded.executor.TupleBudget`): a fetch takes a key's
+whole bucket or none of it, and once the budget is exhausted drops every
+later key. For monotone SPJ queries this yields a **sound** subset of
+the exact answer, and the cardinality constraints let us derive a
+**deterministic accuracy (recall) lower bound**: every key a fetch
 dropped can produce at most ``Π_{j ≥ i} (factor_j · N_j)`` final
 intermediate rows, so the number of missed answers is bounded above by a
 number computed from the access schema alone.
@@ -16,7 +18,6 @@ for them); the checker/facade fall back to exact evaluation instead.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -24,8 +25,9 @@ from typing import Optional
 from repro.access.catalog import ASCatalog
 from repro.errors import PlanningError
 from repro.engine.metrics import ExecutionMetrics
+from repro.bounded.executor import BoundedPlanExecutor, TupleBudget
 from repro.bounded.plan import BoundedPlan, FetchOp
-from repro.bounded.skeleton import Constants, _KeyPlan, skeleton_of
+from repro.bounded.skeleton import Constants
 
 
 @dataclass
@@ -51,12 +53,12 @@ class ApproximateResult:
 
 
 class BoundedApproximator:
-    """Executes bounded plans under a hard tuple budget."""
+    """Runs bounded plans under a hard tuple budget on the BE Plan
+    Executor's row pipeline, and bounds the answers the budget cost."""
 
     def __init__(self, catalog: ASCatalog):
-        self._catalog = catalog
+        self._executor = BoundedPlanExecutor(catalog)
 
-    # ------------------------------------------------------------------ #
     def execute(
         self, plan: BoundedPlan, budget: int, constants: Optional[Constants] = None
     ) -> ApproximateResult:
@@ -75,97 +77,20 @@ class BoundedApproximator:
         if budget < 0:
             raise PlanningError("budget must be non-negative")
 
-        metrics = ExecutionMetrics()
-        start = time.perf_counter()
-        remaining = budget
-        skeleton = skeleton_of(plan)
-        if constants is None:
-            constants = skeleton.constants(plan)
-        rows: list[tuple] = [()]
-        truncated = False
-        # dropped input rows per fetch index, for the missed-answer bound
-        fetch_ops = plan.fetch_ops
-        dropped: list[int] = [0] * len(fetch_ops)
-        fetch_index = -1
-
-        for step, op in zip(skeleton.steps, plan.ops):
-            if isinstance(step, _KeyPlan):
-                fetch_index += 1
-                rows, used, rows_dropped = self._fetch_within(
-                    step, op, constants, rows, remaining
-                )
-                remaining -= used
-                metrics.tuples_fetched += used
-                dropped[fetch_index] = rows_dropped
-                if rows_dropped:
-                    truncated = True
-            else:
-                rows = step.keep(constants, rows)
-
-        # approximate answers are a set
-        final = skeleton.tail(plan, as_set=True).run(rows, metrics)
-
-        missed = self._missed_bound(fetch_ops, dropped)
-        found = len(final.rows)
-        recall = 1.0 if (found + missed) == 0 else found / (found + missed)
-        metrics.seconds = time.perf_counter() - start
-        metrics.rows_output = found
-        columns = [
-            label if isinstance(label, str) else str(label)
-            for label in final.labels
-        ]
+        spent = TupleBudget(budget)
+        result = self._executor.execute(plan, constants, spent)
+        missed = self._missed_bound(plan.fetch_ops, spent.dropped)
+        found = len(result.rows)
         return ApproximateResult(
-            columns=columns,
-            rows=final.rows,
+            columns=result.columns,
+            rows=result.rows,
             budget=budget,
-            tuples_fetched=budget - remaining,
-            complete=not truncated,
-            missed_bound=0 if not truncated else missed,
-            recall_lower_bound=1.0 if not truncated else recall,
-            metrics=metrics,
+            tuples_fetched=result.metrics.tuples_fetched,
+            complete=not any(spent.dropped),
+            missed_bound=missed,
+            recall_lower_bound=found / (found + missed) if missed else 1.0,
+            metrics=result.metrics,
         )
-
-    # ------------------------------------------------------------------ #
-    def _fetch_within(
-        self,
-        key_plan: _KeyPlan,
-        op: FetchOp,
-        constants: Constants,
-        rows: list[tuple],
-        remaining: int,
-    ) -> tuple[list[tuple], int, int]:
-        """Run one fetch, stopping before the budget is exceeded.
-
-        (row, key) pairs are consumed atomically — a key's whole bucket or
-        nothing — so IN-list expansions truncate per key, and the count of
-        dropped keys cleanly bounds the missed answers (each dropped key
-        yields at most N output rows at this fetch).
-        """
-        fetch = self._catalog.index_for(op.constraint).fetch
-        const_keys = key_plan.const_keys(constants)
-        pick_x, pick_y, y_existing = key_plan.pick_x, key_plan.pick_y, key_plan.y_existing
-
-        used = 0
-        out_rows: list[tuple] = []
-        dropped_keys = 0
-        exhausted = False
-        for row in rows:
-            for key_tuple in key_plan.keys_for(row, const_keys):
-                if exhausted:
-                    dropped_keys += 1
-                    continue
-                bucket = fetch(key_tuple)
-                if used + len(bucket) > remaining:
-                    exhausted = True
-                    dropped_keys += 1
-                    continue
-                used += len(bucket)
-                prefix = row + pick_x(key_tuple)
-                for y_value in bucket:
-                    if any(y_value[i] != row[pos] for i, pos in y_existing):
-                        continue
-                    out_rows.append(prefix + pick_y(y_value))
-        return out_rows, used, dropped_keys
 
     # ------------------------------------------------------------------ #
     @staticmethod

@@ -9,11 +9,17 @@ distinct, limit) finish the job, which is exactly how the paper describes
 BEAS sitting on top of a DBMS's physical plan implementation: ``fetch``
 is the one operator BEAS adds, and the host's own operators do the rest.
 
-``dedup_keys=False`` (default) mirrors the paper's accounting, where the
-plan of Example 2 "still accesses over 12 million tuples": every
-intermediate row presents its key to the index. ``dedup_keys=True``
-fetches each distinct key once — an optimisation the paper's bound
-arithmetic does not assume (ablation bench A1).
+The accounting is the paper's, where the plan of Example 2 "still
+accesses over 12 million tuples": every intermediate row presents its
+key to the index, repeated keys included, and ``tuples_fetched`` counts
+every tuple those keys fetch.
+
+The resource-bounded approximation (paper §2/§3) is the same row
+pipeline run under a :class:`TupleBudget`: a fetch takes a key's whole
+bucket or none of it, and once the budget is exhausted drops every later
+key without presenting it; the run answers as a set, and
+:class:`~repro.bounded.approximation.BoundedApproximator` turns the
+keys dropped per fetch into its recall bound.
 
 Two execution modes share the same plans, bounds, and accounting, and
 differ only in how a fetch lays out its output:
@@ -31,14 +37,13 @@ the final intermediate, materialised as rows, goes into the same
 prepared tail the row mode runs. So the two modes agree on rows, row
 order, per-operation counts (under LIMIT too) and errors by
 construction. Both modes present exactly the same keys to the indices
-in the same order, so ``tuples_fetched``, the per-fetch bound
-enforcement, and the ``dedup_keys`` semantics are identical as well —
-the paper's §3 bound arithmetic holds unchanged. NULL semantics (both
-modes): a fetch key with a NULL part never matches any index entry (SQL
-three-valued logic — an equality against NULL is UNKNOWN), whether the
-part comes from a materialised column or an enumerated constant, and
-key dedup never conflates distinct NULL-bearing keys because such keys
-are never presented at all.
+in the same order, so ``tuples_fetched`` and the per-fetch bound
+enforcement are identical as well — the paper's §3 bound arithmetic
+holds unchanged. NULL semantics (both modes): a fetch key with a NULL
+part never matches any index entry (SQL three-valued logic — an
+equality against NULL is UNKNOWN), whether the part comes from a
+materialised column or an enumerated constant, so such a key is never
+presented at all.
 
 Neither mode interprets the plan per request: what depends on the plan's
 shape alone — key layouts, label lists, select positions and predicates,
@@ -64,6 +69,7 @@ answer until a write changes one of those buckets.
 
 from __future__ import annotations
 
+import sys
 import time
 from typing import Optional
 
@@ -88,6 +94,19 @@ from repro.bounded.skeleton import (
     skeleton_of,
 )
 
+
+class TupleBudget:
+    """The tuples one resource-bounded run may still fetch, and the keys
+    each of its fetches dropped (in plan order): what
+    :meth:`BoundedPlanExecutor.execute` spends when it is handed one."""
+
+    __slots__ = ("remaining", "dropped")
+
+    def __init__(self, tuples: int) -> None:
+        self.remaining = tuples
+        self.dropped: list[int] = []
+
+
 class BoundedPlanExecutor:
     """Executes bounded plans; the only data access is via access indices."""
 
@@ -95,27 +114,28 @@ class BoundedPlanExecutor:
         self,
         catalog: ASCatalog,
         *,
-        dedup_keys: bool = False,
         executor: str = "row",
         rows_per_batch: int = DEFAULT_ROWS_PER_BATCH,
     ):
         self._catalog = catalog
-        self._dedup_keys = dedup_keys
         self.executor = validate_executor(executor)
         self.rows_per_batch = validate_rows_per_batch(rows_per_batch)
 
     # ------------------------------------------------------------------ #
     def execute(
-        self, plan: AnyBoundedPlan, constants: Optional[Constants] = None
+        self,
+        plan: AnyBoundedPlan,
+        constants: Optional[Constants] = None,
+        budget: Optional[TupleBudget] = None,
     ) -> QueryResult:
         """Run ``plan``; ``constants`` is the constant vector to run it
-        with (a rebound request's), or None for the plan's own."""
+        with (a rebound request's), or None for the plan's own. A run
+        handed a ``budget`` spends it: it takes the row pipeline in
+        either mode and answers as a set."""
         metrics = ExecutionMetrics()
-        if self.executor == "columnar":
-            metrics.rows_per_batch = self.rows_per_batch
         start = time.perf_counter()
         read_set: ReadSet = {}
-        intermediate = self._run(plan, constants, metrics, read_set)
+        intermediate = self._run(plan, constants, metrics, read_set, budget)
         metrics.seconds = time.perf_counter() - start
         metrics.rows_output = len(intermediate.rows)
         columns = [
@@ -135,6 +155,7 @@ class BoundedPlanExecutor:
         constants: Optional[Constants],
         metrics: ExecutionMetrics,
         read_set: ReadSet,
+        budget: Optional[TupleBudget] = None,
     ) -> Intermediate:
         """``read_set`` gains every key the plan presents (a set
         operation's is the union of its branches')."""
@@ -151,11 +172,11 @@ class BoundedPlanExecutor:
         skeleton = skeleton_of(plan)
         if constants is None:
             constants = skeleton.constants(plan)
-        if self.executor == "columnar":
+        if self.executor == "columnar" and budget is None:
             return self._run_select_columnar(
                 plan, skeleton, constants, metrics, read_set
             )
-        return self._run_select(plan, skeleton, constants, metrics, read_set)
+        return self._run_select(plan, skeleton, constants, metrics, read_set, budget)
 
     # ------------------------------------------------------------------ #
     # row mode
@@ -167,12 +188,15 @@ class BoundedPlanExecutor:
         constants: Constants,
         metrics: ExecutionMetrics,
         read_set: ReadSet,
+        budget: Optional[TupleBudget],
     ) -> Intermediate:
         rows: list[tuple] = [()]
         for step, op in zip(skeleton.steps, plan.ops):
             if isinstance(step, _KeyPlan):
                 presented = read_set.setdefault(op.constraint.name, [])
-                rows = self._fetch(step, op, constants, rows, metrics, presented)
+                rows = self._fetch(
+                    step, op, constants, rows, metrics, presented, budget
+                )
             else:
                 start = time.perf_counter()
                 kept = step.keep(constants, rows)
@@ -184,7 +208,7 @@ class BoundedPlanExecutor:
                 )
                 rows = kept
         # hand the final intermediate to the conventional tail operators
-        return skeleton.tail(plan).run(rows, metrics)
+        return skeleton.tail(plan, as_set=budget is not None).run(rows, metrics)
 
     # ------------------------------------------------------------------ #
     def _fetch(
@@ -195,7 +219,12 @@ class BoundedPlanExecutor:
         rows: list[tuple],
         metrics: ExecutionMetrics,
         presented: list[tuple],
+        budget: Optional[TupleBudget],
     ) -> list[tuple]:
+        """Under ``budget`` a key's whole bucket is taken or none of it:
+        the first key whose bucket would overrun what is left exhausts the
+        budget, and it and every later key are dropped — a later one is
+        never presented — and counted in ``budget.dropped``."""
         start = time.perf_counter()
         fetch = self._catalog.index_for(op.constraint).fetch
         present = presented.append
@@ -203,23 +232,22 @@ class BoundedPlanExecutor:
         keys_for, pick_x, pick_y = key_plan.keys_for, key_plan.pick_x, key_plan.pick_y
         y_existing = key_plan.y_existing
 
-        cache: Optional[dict[tuple, list[tuple]]] = {} if self._dedup_keys else None
-        fetched = 0
+        limit = sys.maxsize if budget is None else budget.remaining
+        fetched = dropped = 0
         out_rows: list[tuple] = []
         for row in rows:
             for key_tuple in keys_for(row, const_keys):
-                if cache is None:
-                    present(key_tuple)
-                    bucket = fetch(key_tuple)
-                    fetched += len(bucket)
-                elif key_tuple in cache:
-                    bucket = cache[key_tuple]
-                else:
-                    present(key_tuple)
-                    bucket = cache[key_tuple] = fetch(key_tuple)
-                    fetched += len(bucket)
+                if dropped:
+                    dropped += 1
+                    continue
+                present(key_tuple)
+                bucket = fetch(key_tuple)
                 if not bucket:
                     continue
+                if fetched + len(bucket) > limit:
+                    dropped = 1
+                    continue
+                fetched += len(bucket)
                 prefix = row + pick_x(key_tuple)
                 for y_value in bucket:
                     # consistency with already-materialised Y columns
@@ -230,6 +258,9 @@ class BoundedPlanExecutor:
                     out_rows.append(prefix + pick_y(y_value))
 
         self._enforce_bound(op, fetched)
+        if budget is not None:
+            budget.remaining -= fetched
+            budget.dropped.append(dropped)
         metrics.tuples_fetched += fetched
         metrics.intermediate_rows += len(out_rows)
         metrics.record(
@@ -248,6 +279,7 @@ class BoundedPlanExecutor:
         metrics: ExecutionMetrics,
         read_set: ReadSet,
     ) -> Intermediate:
+        metrics.rows_per_batch = self.rows_per_batch
         intermediate = ColumnarIntermediate.seed()
         for step, op in zip(skeleton.steps, plan.ops):
             if isinstance(step, _KeyPlan):
@@ -274,8 +306,8 @@ class BoundedPlanExecutor:
     ) -> ColumnarIntermediate:
         """Batch fetch: resolve every live row's keys, gather the index
         postings, then materialise the output column by column (no
-        per-row tuples). The keys, the ``dedup_keys`` accounting and the
-        read set are the row fetch's exactly."""
+        per-row tuples). The keys, the accounting and the read set are
+        the row fetch's exactly."""
         start = time.perf_counter()
         fetch = self._catalog.index_for(op.constraint).fetch
         present = presented.append
@@ -285,7 +317,6 @@ class BoundedPlanExecutor:
         keys_at, x_new, y_new = key_plan.keys_at, key_plan.x_new, key_plan.y_new
         y_existing = key_plan.y_existing
 
-        cache: Optional[dict[tuple, list[tuple]]] = {} if self._dedup_keys else None
         fetched = 0
         # one gather position per output row (skipped entirely when there
         # are no input columns to replicate), plus the new columns' values
@@ -296,18 +327,11 @@ class BoundedPlanExecutor:
         out_count = 0
         for i in live:
             for key in keys_at(columns, i, const_keys):
-                if cache is None:
-                    present(key)
-                    bucket = fetch(key)
-                    fetched += len(bucket)
-                elif key in cache:
-                    bucket = cache[key]
-                else:
-                    present(key)
-                    bucket = cache[key] = fetch(key)
-                    fetched += len(bucket)
+                present(key)
+                bucket = fetch(key)
                 if not bucket:
                     continue
+                fetched += len(bucket)
                 if y_existing:
                     bucket = [
                         y_value

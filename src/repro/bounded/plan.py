@@ -73,7 +73,7 @@ class FetchOp:
     key_bound: int = 0  # number of keys presented to the index
     access_bound: int = 0  # key_bound * N  (paper's arithmetic)
     output_bound: int = 0  # |T'| after the extension
-    tight_key_bound: int = 0  # dedup-aware refinement (ablation A3)
+    tight_key_bound: int = 0  # distinct keys presentable: reported, not enforced
     tight_access_bound: int = 0
 
     def describe(self) -> str:

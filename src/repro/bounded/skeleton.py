@@ -23,10 +23,10 @@ A rebound request brings its own vector
 plan's operators with it; any other plan runs off its own vector,
 :meth:`PlanSkeleton.constants`, read from its operators. The deduced
 bound and the access constraint still come from the operator
-(``zip(skeleton.steps, plan.ops)``). Every executor of a bounded plan
-runs off it: :class:`~repro.bounded.executor.BoundedPlanExecutor` in row
-and columnar mode, :class:`~repro.bounded.approximation.BoundedApproximator`,
-and the BE Plan Optimizer for a partially bounded plan's prefix, whose
+(``zip(skeleton.steps, plan.ops)``). The one executor of a bounded
+plan runs off it: :class:`~repro.bounded.executor.BoundedPlanExecutor`
+in row and columnar mode, under a tuple budget too (the resource-bounded
+approximation), and for a partially bounded plan's prefix, whose
 residual (:mod:`repro.bounded.residual`, compiled once as well) reads
 its own constants from the positions after the prefix's.
 """
@@ -69,8 +69,7 @@ def _picker(positions: Sequence[int]) -> Callable[[tuple], tuple]:
 class _KeyPlan:
     """One fetch's resolved key layout: how each X part obtains its value,
     which fetched attributes extend the row, and which must match existing
-    columns. Shared by the BE Plan Executor (both modes) and the
-    resource-bounded approximator.
+    columns. Shared by the BE Plan Executor's two modes.
     """
 
     def __init__(
@@ -226,7 +225,7 @@ class _SelectPlan:
         return self._label
 
     def keep(self, constants: Constants, rows: list[Row]) -> list[Row]:
-        """The rows passing the select (row mode and approximation)."""
+        """The rows passing the select (row mode)."""
         if self.kind == "selection":
             position = self.a
             allowed = set(constants[self.slot])

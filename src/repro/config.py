@@ -219,7 +219,6 @@ _SETTINGS: dict[str, _Setting] = {
     ),
     "parallelism": _Setting(ENV_PARALLELISM, validate_parallelism, 1, _parse_int),
     "budget": _Setting(None, _validate_budget, None),
-    "allow_partial": _Setting(None, _validate_flag, True),
     "approximate_over_budget": _Setting(None, _validate_flag, False),
     "use_result_cache": _Setting(None, _validate_flag, True),
     "routing": _Setting(ENV_ROUTING, validate_routing, "static"),
@@ -248,7 +247,6 @@ class ExecutionOptions:
     rows_per_batch: Optional[int] = None
     parallelism: Optional[int] = None
     budget: Optional[int] = None  # tuple budget (None = unbounded)
-    allow_partial: Optional[bool] = None
     approximate_over_budget: Optional[bool] = None
     use_result_cache: Optional[bool] = None
     routing: Optional[str] = None  # "static" | "learned"

@@ -186,9 +186,7 @@ class ReplicaFleet(PeerSet):
     # ------------------------------------------------------------------ #
     # dispatch
     # ------------------------------------------------------------------ #
-    def execute_plan(
-        self, plan, *, dedup: bool, rows_per_batch: int
-    ) -> Optional[tuple]:
+    def execute_plan(self, plan, *, rows_per_batch: int) -> Optional[tuple]:
         """Serve one bounded plan from its co-located replica.
 
         Returns ``(columns, rows, metrics, wire_seconds, replica_id)``
@@ -209,7 +207,6 @@ class ReplicaFleet(PeerSet):
             key,
             lambda: self._capture_subset(replica_id),
             plan,
-            dedup,
             rows_per_batch,
         )
         return None if outcome is None else (*outcome[:3], *outcome[4:])

@@ -344,7 +344,6 @@ class PeerSet:
         key: tuple,
         payload_fn: Callable[[], dict],
         plan,
-        dedup: bool,
         rows_per_batch: int,
     ) -> Optional[tuple]:
         """Run one bounded plan on a peer (``peer_id``'s, or any idle
@@ -359,7 +358,7 @@ class PeerSet:
         if peer is None:
             self._count(fallbacks=1)
             return None
-        task = (MSG_PLAN, key, plan, dedup, rows_per_batch)
+        task = (MSG_PLAN, key, plan, rows_per_batch)
 
         def on_stale() -> None:
             # the peer's installed snapshot disagrees with our bookkeeping

@@ -101,7 +101,7 @@ def run_plan_task(indexes: dict, task: tuple) -> tuple:  # pragma: no cover - su
     """A peer's answer to one ``MSG_PLAN`` task: the bounded plan run in
     batches over the installed indices. Both peer loops (pool worker,
     fleet replica) call this."""
-    _, _, plan, dedup, rows_per_batch = task
+    _, _, plan, rows_per_batch = task
     try:
         # imported lazily: the executor pulls in the full engine stack,
         # which a peer only needs once it actually serves
@@ -109,7 +109,6 @@ def run_plan_task(indexes: dict, task: tuple) -> tuple:  # pragma: no cover - su
 
         result = BoundedPlanExecutor(
             SnapshotCatalog(indexes),
-            dedup_keys=dedup,
             executor="columnar",
             rows_per_batch=rows_per_batch,
         ).execute(plan)

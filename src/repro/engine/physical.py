@@ -11,8 +11,8 @@ and the input's labels (positions, compiled expressions), running reads
 rows. The conventional engine prepares and runs each back to back; a
 bounded plan's skeleton keeps the prepared tail (:class:`PreparedTail`)
 and runs it once per request, whichever mode ran the plan's fetches: the
-BE Plan Executor's row and columnar modes and the approximator all end in
-it, so each tail operator has one implementation.
+BE Plan Executor's row and columnar modes (a budgeted run included) all
+end in it, so each tail operator has one implementation.
 
 A hash join hands its build keys sideways to a scan on its probe side,
 which tests each tuple's key before interpreting anything on it. (A

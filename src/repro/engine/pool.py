@@ -67,7 +67,6 @@ class EnginePool(PeerSet):
         payload_fn,
         plan,
         *,
-        dedup: bool,
         rows_per_batch: int,
     ):
         """Run one bounded plan on a worker.
@@ -78,7 +77,5 @@ class EnginePool(PeerSet):
         errors raised by the plan itself
         (:class:`~repro.errors.ReproError`) propagate.
         """
-        outcome = self._run(
-            None, snapshot_key, payload_fn, plan, dedup, rows_per_batch
-        )
+        outcome = self._run(None, snapshot_key, payload_fn, plan, rows_per_batch)
         return None if outcome is None else outcome[:4]

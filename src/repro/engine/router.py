@@ -113,13 +113,15 @@ def _pool_snapshot(catalog: "ASCatalog") -> tuple[tuple, Callable[[], dict]]:
 
 class PlanRunner:
     """Runs a bounded plan down one route: the BE Plan Executor of the
-    paper's Fig. 1, wherever the plan physically runs."""
+    paper's Fig. 1, wherever the plan physically runs, with the paper's
+    accounting (every intermediate row presents its key). A budgeted run
+    (the resource-bounded approximation) is not routed: it is the row
+    executor's, in-process."""
 
     def __init__(
         self,
         catalog: "ASCatalog",
         *,
-        dedup_keys: bool = False,
         rows_per_batch: int = DEFAULT_ROWS_PER_BATCH,
         pool: Optional[Callable[[], Optional["EnginePool"]]] = None,
         fleet: Optional[Callable[[], Optional["ReplicaFleet"]]] = None,
@@ -128,15 +130,11 @@ class PlanRunner:
         peers (or ``None``): BEAS passes its lazy spawners, so processes
         start only when a remote route actually runs."""
         self._catalog = catalog
-        self._dedup_keys = dedup_keys
         self.rows_per_batch = rows_per_batch
         self._providers = {"pool": pool, "fleet": fleet}
         self._local = {
             mode: BoundedPlanExecutor(
-                catalog,
-                dedup_keys=dedup_keys,
-                executor=mode,
-                rows_per_batch=self.rows_per_batch,
+                catalog, executor=mode, rows_per_batch=self.rows_per_batch
             )
             for mode in LOCAL_ROUTES
         }
@@ -181,11 +179,7 @@ class PlanRunner:
         """Ship the whole plan to one worker; ``None`` means fall back."""
         snapshot_key, payload_fn = _pool_snapshot(self._catalog)
         outcome = pool.execute_plan(
-            snapshot_key,
-            payload_fn,
-            plan,
-            dedup=self._dedup_keys,
-            rows_per_batch=self.rows_per_batch,
+            snapshot_key, payload_fn, plan, rows_per_batch=self.rows_per_batch
         )
         if outcome is None:
             return None
@@ -200,9 +194,7 @@ class PlanRunner:
     ) -> Optional[QueryResult]:
         """Serve the plan from its co-located replica; ``None`` means
         fall back."""
-        outcome = fleet.execute_plan(
-            plan, dedup=self._dedup_keys, rows_per_batch=self.rows_per_batch
-        )
+        outcome = fleet.execute_plan(plan, rows_per_batch=self.rows_per_batch)
         if outcome is None:
             return None
         columns, rows, metrics, wire, replica_id = outcome

@@ -203,7 +203,6 @@ def observe(beas: "BEAS", request: Request) -> None:
     key = request.result_key = (
         request.fingerprint,
         options.budget,
-        options.allow_partial,
         options.approximate_over_budget,
     )
     # a table that moved below the engine is swept here

@@ -37,14 +37,6 @@ class TestModes:
         assert result.mode is ExecutionMode.CONVENTIONAL
         assert not result.decision.covered
 
-    def test_partial_disabled_falls_back(self, ex1_beas):
-        sql = """
-            SELECT DISTINCT p.pid FROM package p, business b
-            WHERE b.type = 'bank' AND b.region = 'east' AND p.pnum = b.pnum
-        """
-        result = ex1_beas.session().run(sql, allow_partial=False)
-        assert result.mode is ExecutionMode.CONVENTIONAL
-
     def test_describe_summary(self, ex1_beas):
         text = ex1_beas.session().run(EXAMPLE2_SQL).describe()
         assert "bounded" in text and "fetched" in text

@@ -718,7 +718,7 @@ class TestRemoteDispatch:
         report = _lint(
             """            def execute(self, plan):
                 outcome = self._fleet.execute_plan(
-                    plan, dedup=False, rows_per_batch=4
+                    plan, rows_per_batch=4
                 )
                 if outcome is None:
                     outcome = pool.execute_plan(key, payload_fn, plan)
@@ -740,7 +740,7 @@ class TestRemoteDispatch:
     def test_router_module_is_exempt(self):
         report = _lint(
             """            def _run_fleet(self, fleet, plan):
-                return fleet.execute_plan(plan, dedup=False, rows_per_batch=4)
+                return fleet.execute_plan(plan, rows_per_batch=4)
             """,
             "engine/router.py",
         )

@@ -1,5 +1,5 @@
 """BE Plan Executor tests: correctness vs the host engine, metrics,
-dedup-keys mode, runtime bound enforcement, set operations."""
+runtime bound enforcement, set operations."""
 
 import pytest
 
@@ -123,13 +123,6 @@ class TestMetrics:
         labels = [op.label for op in result.metrics.operations]
         assert any(label.startswith("fetch[psi3]") for label in labels)
         assert any(label.startswith("fetch[psi1]") for label in labels)
-
-    def test_dedup_keys_fetches_less(self, catalog, checker):
-        """With key dedup, repeated pnums hit the index once."""
-        plain = run_bounded(catalog, checker, EXAMPLE2_SQL, dedup_keys=False)
-        deduped = run_bounded(catalog, checker, EXAMPLE2_SQL, dedup_keys=True)
-        assert set(plain.rows) == set(deduped.rows)
-        assert deduped.metrics.tuples_fetched <= plain.metrics.tuples_fetched
 
 
 class TestBoundEnforcement:

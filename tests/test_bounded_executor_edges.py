@@ -178,11 +178,10 @@ class TestNullHandling:
         assert index.fetch(("k1",)) == [("c1",)]
 
     @pytest.mark.parametrize("executor", ["row", "columnar"])
-    @pytest.mark.parametrize("dedup_keys", [False, True])
-    def test_dedup_null_join_keys_differential(self, executor, dedup_keys):
-        """NULL-bearing join keys with key dedup on/off: answers must
-        match the scan-based engine, and the index must never be probed
-        with a NULL-bearing key (so dedup has no NULL keys to conflate)."""
+    def test_null_join_keys_differential(self, executor):
+        """NULL-bearing join keys: answers must match the scan-based
+        engine, and the index must never be probed with a NULL-bearing
+        key."""
         schema = DatabaseSchema(
             [
                 TableSchema("s", [("k", DataType.STRING), ("tag", DataType.STRING)]),
@@ -216,18 +215,19 @@ class TestNullHandling:
         checker = BoundedEvaluabilityChecker(db.schema, access)
         decision = checker.check(sql)
         assert decision.covered, decision.reasons
-        result = BoundedPlanExecutor(
-            catalog, dedup_keys=dedup_keys, executor=executor
-        ).execute(decision.plan)
+        result = BoundedPlanExecutor(catalog, executor=executor).execute(
+            decision.plan
+        )
         host = ConventionalEngine(db).execute(sql)
         assert set(result.rows) == set(host.rows) == {("v1",), ("v2",), ("v3",)}
         assert all(None not in key for key in probed), probed
 
     @pytest.mark.parametrize("executor", ["row", "columnar"])
-    def test_dedup_distinct_null_bearing_keys_not_conflated(self, executor):
+    def test_null_two_part_keys_not_presented(self, executor):
         """Two-part fetch keys that differ only in their non-NULL part:
-        key dedup must not fold them together, and neither may match
-        (a NULL part makes the whole key unmatchable under 3VL)."""
+        neither is presented, and neither may match (a NULL part makes
+        the whole key unmatchable under 3VL), while a repeated key is
+        presented once per row."""
         schema = DatabaseSchema(
             [
                 TableSchema(
@@ -254,7 +254,7 @@ class TestNullHandling:
             ("g", None, "a", "e1"),  # distinct NULL-bearing keys: (None, 'a')…
             ("g", None, "b", "e2"),  # …and (None, 'b') must stay distinct
             ("g", "x", "a", "e3"),   # matches
-            ("g", "x", "a", "e4"),   # same key, distinct row: dedup folds it
+            ("g", "x", "a", "e4"),   # same key, distinct row: presented again
             ("g", "x", None, "e5"),
         ]:
             db.insert("s", row)
@@ -274,16 +274,12 @@ class TestNullHandling:
         )
         host = ConventionalEngine(db).execute(sql)
         assert set(host.rows) == {("v1",)}
-        results = {}
-        for dedup_keys in (False, True):
-            result, _ = run(
-                db, access, sql, dedup_keys=dedup_keys, executor=executor
-            )
-            assert set(result.rows) == {("v1",)}
-            results[dedup_keys] = result.metrics.tuples_fetched
-        # dedup saves exactly the repeated ('x', 'a') probe; the two
-        # NULL-bearing keys contribute no fetches in either mode
-        assert results[True] < results[False]
+        result, _ = run(db, access, sql, executor=executor)
+        assert set(result.rows) == {("v1",)}
+        # the five s rows, then ('x', 'a') once per row that carries it;
+        # the three NULL-bearing keys are never presented
+        assert result.metrics.tuples_fetched == 5 + 2
+        assert result.read_set["t_by_k"] == [("x", "a"), ("x", "a")]
 
 
 class TestChainConsistency:

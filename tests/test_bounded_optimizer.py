@@ -95,7 +95,7 @@ class TestAnalyze:
             text = session.explain(SQL)
         residual, host = text.split("host plan:")
         assert "NOT covered" in residual and "partially bounded plan" in residual
-        # what runs under allow_partial: the temporary relation joined
+        # what a PARTIAL evaluation runs: the temporary relation joined
         # with the uncovered relation's key-index probe, dim nowhere in it ...
         assert "residual plan" in residual
         assert "Scan __bounded__ AS __bounded__" in residual

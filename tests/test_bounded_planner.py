@@ -4,7 +4,6 @@ key-chaining, fetch ordering, and failure explanations."""
 import pytest
 
 from repro import AccessConstraint, AccessSchema
-from repro.bounded.bounds import deduce_bounds
 from repro.bounded.plan import FetchOp, SelectOp
 from repro.bounded.planner import BoundedPlanGenerator
 from repro.errors import NotCoveredError
@@ -81,10 +80,10 @@ class TestExample2:
         assert {c.name for c in plan.constraints_used} == {"psi1", "psi2", "psi3"}
 
     def test_deduce_bounds_summary(self):
-        summary = deduce_bounds(plan_for(EXAMPLE2_SQL))
-        assert summary.access_bound == 12_026_000
-        assert [f.key_bound for f in summary.fetches] == [1, 2000, 24_000]
-        assert "psi3" in summary.describe()
+        plan = plan_for(EXAMPLE2_SQL)
+        assert plan.access_bound == 12_026_000
+        assert [f.key_bound for f in plan.fetch_ops] == [1, 2000, 24_000]
+        assert "fetch[psi3]" in plan.fetch_ops[0].describe()
 
     def test_not_bag_exact_without_keys(self):
         # psi1/psi2 do not expose call_id/pkg_id, business is keyed by pnum

@@ -159,20 +159,6 @@ class TestBoundedEqualsConventional:
 
     @settings(max_examples=60, deadline=None)
     @given(orders=_orders, users=_users)
-    def test_dedup_keys_equivalent(self, orders, users):
-        db = build_world(orders, users)
-        access = world_access()
-        catalog = ASCatalog(db, access)
-        checker = BoundedEvaluabilityChecker(db.schema, access)
-        sql = QUERIES[3]
-        decision = checker.check(sql)
-        plain = BoundedPlanExecutor(catalog, dedup_keys=False).execute(decision.plan)
-        dedup = BoundedPlanExecutor(catalog, dedup_keys=True).execute(decision.plan)
-        assert set(plain.rows) == set(dedup.rows)
-        assert dedup.metrics.tuples_fetched <= plain.metrics.tuples_fetched
-
-    @settings(max_examples=60, deadline=None)
-    @given(orders=_orders, users=_users)
     def test_incremental_maintenance_preserves_invariant(self, orders, users):
         """Insert rows through the maintenance manager, then re-check
         Q(D_Q) = Q(D) on the updated database."""

@@ -6,8 +6,8 @@ selection vector, then hands its live rows to the row mode's own tail.
 So the columnar executor must be observationally identical to the row
 executor: same answer rows (in the same order — both modes iterate
 fetch inputs and buckets identically), same ``tuples_fetched``
-accounting, the same per-operation breakdown (under LIMIT too), the
-same ``dedup_keys`` semantics, and the same errors, type and message.
+accounting, the same per-operation breakdown (under LIMIT too), and
+the same errors, type and message.
 This suite replays the seeded random SPJA workload of
 ``test_fuzz_differential`` through both executors side by side —
 including NULL-enriched instances — and separately pins down edge
@@ -51,8 +51,7 @@ from tests.test_fuzz_differential import (
 # the seeded differential sweep
 # --------------------------------------------------------------------------- #
 DIFFERENTIAL_SEEDS = 14
-QUERIES_PER_SEED = 4
-DEDUP_MODES = (False, True)
+QUERIES_PER_SEED = 8
 _SCENARIOS = 0  # row-vs-columnar comparisons performed
 
 
@@ -106,36 +105,28 @@ def test_row_vs_columnar_differential(seed: int):
     if seed % 2:
         _inject_nulls(db, rng)
     queries = [random_example1_query(rng)[0] for _ in range(QUERIES_PER_SEED)]
-    for dedup in DEDUP_MODES:
-        # parallelism pinned to 1: this suite isolates row vs columnar
-        # (the pooled mode has its own three-way differential suite in
-        # tests/test_parallel_differential.py), and a BEAS_PARALLELISM
-        # CI leg must not silently turn the row executor into a pooled
-        # columnar one here
-        row_beas = BEAS(
-            db,
-            example1_access_schema(),
-            dedup_keys=dedup,
-            executor="row",
-            parallelism=1,
-        )
-        col_beas = BEAS(
-            db,
-            example1_access_schema(),
-            dedup_keys=dedup,
-            executor="columnar",
-            rows_per_batch=rng.choice([1, 2, 3, 7, 4096]),
-            parallelism=1,
-        )
-        for sql in queries:
-            _compare_modes(row_beas, col_beas, sql)
-    assert _SCENARIOS - before == QUERIES_PER_SEED * len(DEDUP_MODES)
+    # parallelism pinned to 1: this suite isolates row vs columnar (the
+    # pooled mode has its own three-way differential suite in
+    # tests/test_parallel_differential.py), and a BEAS_PARALLELISM CI leg
+    # must not silently turn the row executor into a pooled columnar one
+    # here
+    row_beas = BEAS(db, example1_access_schema(), executor="row", parallelism=1)
+    col_beas = BEAS(
+        db,
+        example1_access_schema(),
+        executor="columnar",
+        rows_per_batch=rng.choice([1, 2, 3, 7, 4096]),
+        parallelism=1,
+    )
+    for sql in queries:
+        _compare_modes(row_beas, col_beas, sql)
+    assert _SCENARIOS - before == QUERIES_PER_SEED
 
 
 def test_differential_scenario_floor():
     """The acceptance bar: >= 100 seeded row-vs-columnar scenarios (each
     parametrized run above asserts its exact share)."""
-    total = DIFFERENTIAL_SEEDS * QUERIES_PER_SEED * len(DEDUP_MODES)
+    total = DIFFERENTIAL_SEEDS * QUERIES_PER_SEED
     assert total >= 100, f"configured for only {total} scenarios"
 
 

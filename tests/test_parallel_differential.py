@@ -2,8 +2,8 @@
 
 The engine pool (``repro.engine.pool``) must be observationally
 identical to the in-process executors: same answer rows in the same
-order, same ``tuples_fetched`` accounting (including ``dedup_keys``
-semantics) and the same per-operation breakdown. This suite replays the seeded
+order, same ``tuples_fetched`` accounting and the same per-operation
+breakdown. This suite replays the seeded
 random SPJA workload of ``test_fuzz_differential`` through **three**
 executions side by side —
 
@@ -37,10 +37,9 @@ from tests.test_fuzz_differential import (
 )
 
 DIFFERENTIAL_SEEDS = 13
-RANDOM_QUERIES_PER_SEED = 4
+RANDOM_QUERIES_PER_SEED = 5
 COVERED_QUERIES_PER_SEED = 3  # templates guaranteed to take the bounded path
 QUERIES_PER_SEED = RANDOM_QUERIES_PER_SEED + COVERED_QUERIES_PER_SEED
-DEDUP_MODES = (False, True)
 _SCENARIOS = 0  # three-way comparisons performed
 
 
@@ -83,7 +82,7 @@ def _compare_three(row_beas, col_beas, pool_beas, sql: str) -> ExecutionMode:
     assert all(r.columns == row.columns for r in runs), sql
     assert all(r.rows == row.rows for r in runs), sql
 
-    # the §3 accounting: identical tuples fetched (dedup-sensitive) and
+    # the §3 accounting: identical tuples fetched and
     # identical output cardinality in every placement
     fetched = row.metrics.tuples_fetched
     assert all(r.metrics.tuples_fetched == fetched for r in runs), sql
@@ -123,50 +122,40 @@ def test_row_vs_columnar_vs_pooled_differential(seed: int):
         random_example1_query(rng)[0] for _ in range(RANDOM_QUERIES_PER_SEED)
     ] + _covered_queries(rng)
     rows_per_batch = rng.choice([1, 2, 3, 7])
-    for dedup in DEDUP_MODES:
-        row_beas = BEAS(
-            db,
-            example1_access_schema(),
-            dedup_keys=dedup,
-            executor="row",
-            parallelism=1,
-        )
-        col_beas = BEAS(
-            db,
-            example1_access_schema(),
-            dedup_keys=dedup,
-            executor="columnar",
-            rows_per_batch=rows_per_batch,
-            parallelism=1,
-        )
-        pool_beas = BEAS(
-            db,
-            example1_access_schema(),
-            dedup_keys=dedup,
-            executor="columnar",
-            rows_per_batch=rows_per_batch,
-            parallelism=2,
-        )
-        try:
-            modes = [
-                _compare_three(row_beas, col_beas, pool_beas, sql)
-                for sql in queries
-            ]
-            # the covered templates guarantee bounded work every seed, and
-            # the pool route must really have run on workers
-            assert ExecutionMode.BOUNDED in modes
-            pool_stats = pool_beas.pool_stats()
-            assert pool_stats is not None
-            assert pool_stats.plans_dispatched > 0
-        finally:
-            pool_beas.close()
-    assert _SCENARIOS - before == QUERIES_PER_SEED * len(DEDUP_MODES)
+    row_beas = BEAS(db, example1_access_schema(), executor="row", parallelism=1)
+    col_beas = BEAS(
+        db,
+        example1_access_schema(),
+        executor="columnar",
+        rows_per_batch=rows_per_batch,
+        parallelism=1,
+    )
+    pool_beas = BEAS(
+        db,
+        example1_access_schema(),
+        executor="columnar",
+        rows_per_batch=rows_per_batch,
+        parallelism=2,
+    )
+    try:
+        modes = [
+            _compare_three(row_beas, col_beas, pool_beas, sql) for sql in queries
+        ]
+        # the covered templates guarantee bounded work every seed, and
+        # the pool route must really have run on workers
+        assert ExecutionMode.BOUNDED in modes
+        pool_stats = pool_beas.pool_stats()
+        assert pool_stats is not None
+        assert pool_stats.plans_dispatched > 0
+    finally:
+        pool_beas.close()
+    assert _SCENARIOS - before == QUERIES_PER_SEED
 
 
 def test_differential_scenario_floor():
     """The acceptance bar: >= 100 seeded cross-process scenarios (each
     parametrized run above asserts its exact share)."""
-    total = DIFFERENTIAL_SEEDS * QUERIES_PER_SEED * len(DEDUP_MODES)
+    total = DIFFERENTIAL_SEEDS * QUERIES_PER_SEED
     assert total >= 100, f"configured for only {total} scenarios"
 
 

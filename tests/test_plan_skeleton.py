@@ -138,12 +138,11 @@ class ReferenceKeyPlan:
 
 class ReferenceInterpreter:
     """The parent's ``BoundedPlanExecutor`` row mode and, with ``budget``,
-    its ``BoundedApproximator``: nothing survives from one call to the
-    next."""
+    the same run under a tuple budget (what ``BoundedApproximator`` runs):
+    nothing survives from one call to the next."""
 
-    def __init__(self, catalog, *, dedup_keys: bool = False):
+    def __init__(self, catalog):
         self._catalog = catalog
-        self._dedup_keys = dedup_keys
 
     def execute(self, plan: BoundedPlan, budget: Optional[int] = None):
         """-> (columns, rows, metrics, keys dropped per fetch)."""
@@ -158,7 +157,7 @@ class ReferenceInterpreter:
                 if remaining is not None:
                     remaining -= used
             else:
-                intermediate = self._select(op, intermediate, metrics, budget is None)
+                intermediate = self._select(op, intermediate, metrics)
         tail = attach_tail(
             MaterializedNode(intermediate.labels, intermediate.rows),
             plan.cq,
@@ -173,7 +172,6 @@ class ReferenceInterpreter:
         key_plan = ReferenceKeyPlan(op, intermediate.layout)
         labels = intermediate.labels + key_plan.new_labels
         parts_len = len(op.key_parts)
-        cache: dict[tuple, list[tuple]] = {}
         fetched = dropped = 0
         exhausted = False
         out_rows: list[tuple] = []
@@ -182,16 +180,12 @@ class ReferenceInterpreter:
                 if exhausted:
                     dropped += 1
                     continue
-                if self._dedup_keys and key_tuple in cache:
-                    bucket = cache[key_tuple]
-                else:
-                    bucket = index.fetch(key_tuple)
-                    if remaining is not None and fetched + len(bucket) > remaining:
-                        exhausted = True
-                        dropped += 1
-                        continue
-                    cache[key_tuple] = bucket
-                    fetched += len(bucket)
+                bucket = index.fetch(key_tuple)
+                if remaining is not None and fetched + len(bucket) > remaining:
+                    exhausted = True
+                    dropped += 1
+                    continue
+                fetched += len(bucket)
                 x_extension = tuple(key_tuple[i] for i in key_plan.x_new)
                 for y_value in bucket:
                     if any(y_value[i] != row[pos] for i, pos in key_plan.y_existing):
@@ -202,18 +196,17 @@ class ReferenceInterpreter:
         if fetched > op.access_bound:
             raise ExecutionError(f"fetch {op.constraint.name} exceeded its bound")
         metrics.tuples_fetched += fetched
-        if remaining is None:  # the approximator records no fetch rows
-            metrics.intermediate_rows += len(out_rows)
-            metrics.record(
-                f"fetch[{op.constraint.name}]({op.constraint.relation} as {op.binding})",
-                len(intermediate.rows),
-                len(out_rows),
-                0.0,
-            )
+        metrics.intermediate_rows += len(out_rows)
+        metrics.record(
+            f"fetch[{op.constraint.name}]({op.constraint.relation} as {op.binding})",
+            len(intermediate.rows),
+            len(out_rows),
+            0.0,
+        )
         return Intermediate(labels, out_rows), fetched, dropped
 
     @staticmethod
-    def _select(op: SelectOp, intermediate, metrics, record: bool):
+    def _select(op: SelectOp, intermediate, metrics):
         layout = intermediate.layout
         if op.kind == "selection":
             position = layout[op.column]
@@ -229,8 +222,7 @@ class ReferenceInterpreter:
         else:
             predicate = compile_predicate(op.predicate, layout)
             rows = [row for row in intermediate.rows if predicate(row)]
-        if record:
-            metrics.record(op.describe(), len(intermediate.rows), len(rows), 0.0)
+        metrics.record(op.describe(), len(intermediate.rows), len(rows), 0.0)
         return Intermediate(intermediate.labels, rows)
 
 
@@ -239,21 +231,19 @@ def profile_of(metrics: ExecutionMetrics):
     return (metrics.tuples_fetched, metrics.intermediate_rows, operations)
 
 
-def assert_modes_match_reference(catalog, plan: BoundedPlan, *, dedup_keys=False):
+def assert_modes_match_reference(catalog, plan: BoundedPlan):
     """Row and columnar answer list-equal to the reference, with its
     accounting; the approximator (under a budget that truncates and one
     that does not) equals the reference's truncating run."""
-    reference = ReferenceInterpreter(catalog, dedup_keys=dedup_keys)
+    reference = ReferenceInterpreter(catalog)
     columns, rows, metrics, _ = reference.execute(plan)
     cq = plan.cq
     for mode in ("row", "columnar"):
-        live = BoundedPlanExecutor(
-            catalog, executor=mode, rows_per_batch=3, dedup_keys=dedup_keys
-        ).execute(plan)
+        live = BoundedPlanExecutor(catalog, executor=mode, rows_per_batch=3).execute(plan)
         assert live.rows == rows, mode
         assert live.columns == columns, mode
         assert profile_of(live.metrics) == profile_of(metrics), mode
-    if cq.has_aggregates or cq.group_by or cq.having is not None or dedup_keys:
+    if cq.has_aggregates or cq.group_by or cq.having is not None:
         return rows
     for budget in (max(metrics.tuples_fetched // 2, 0), plan.access_bound):
         columns, rows_within, within, dropped = reference.execute(plan, budget)
@@ -398,10 +388,10 @@ def _in_list(column: str, values: list) -> str:
 
 
 class TestAgainstTheReplacedInterpreter:
-    @given(_r_rows, _s_rows, _shape, _a_values, _b_values, _a_values, _b_values, st.booleans())
+    @given(_r_rows, _s_rows, _shape, _a_values, _b_values, _a_values, _b_values)
     @settings(max_examples=150, deadline=None)
     def test_every_mode_and_a_rebinding(
-        self, r_rows, s_rows, shape, a_values, b_values, a_next, b_next, dedup_keys
+        self, r_rows, s_rows, shape, a_values, b_values, a_next, b_next
     ):
         """The template's own constants (IN lists with duplicates, values
         absent from the data), then a second binding of equal arity run
@@ -413,7 +403,7 @@ class TestAgainstTheReplacedInterpreter:
         )
         decision = beas.check(sql)
         assert decision.covered and isinstance(decision.plan, BoundedPlan)
-        rows = assert_modes_match_reference(beas.catalog, decision.plan, dedup_keys=dedup_keys)
+        rows = assert_modes_match_reference(beas.catalog, decision.plan)
         expected = reference_execute(db, sql)
         if "ORDER BY" in sql and "LIMIT" not in sql:
             assert rows == expected
@@ -447,12 +437,10 @@ class TestAgainstTheReplacedInterpreter:
         fresh = BEAS(db, AccessSchema(SMALL_SCHEMA)).check(bound_sql)
         assert rebound.plan == fresh.plan
         assert rebound.plan._shape is decision.plan._shape
-        rows = assert_modes_match_reference(beas.catalog, rebound.plan, dedup_keys=dedup_keys)
+        rows = assert_modes_match_reference(beas.catalog, rebound.plan)
         # what serving runs: the pinned plan with the rebound constant vector
         for mode in ("row", "columnar"):
-            executor = BoundedPlanExecutor(
-                beas.catalog, executor=mode, rows_per_batch=3, dedup_keys=dedup_keys
-            )
+            executor = BoundedPlanExecutor(beas.catalog, executor=mode, rows_per_batch=3)
             by_value = executor.execute(template.plan, rebound.constants)
             assert by_value.rows == rows, mode
             assert profile_of(by_value.metrics) == profile_of(

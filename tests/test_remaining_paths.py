@@ -1,9 +1,8 @@
-"""Coverage for remaining utility paths: set-op bound summaries, logical
+"""Coverage for remaining utility paths: set-op bounds, logical
 plan explain over every node type, and the bench dataset cache."""
 
 from repro import BoundedEvaluabilityChecker, ConventionalEngine
 from repro.bench.runner import cached_tlc
-from repro.bounded.bounds import deduce_bounds
 
 from tests.conftest import example1_access_schema, example1_database, example1_schema
 
@@ -19,10 +18,11 @@ class TestSetOpBounds:
             "SELECT pnum FROM business WHERE type = 'shop' AND region = 'west'"
         )
         assert decision.covered
-        summary = deduce_bounds(decision.plan)
-        assert len(summary.fetches) == 2
-        assert summary.access_bound == 4000
-        assert "psi3" in summary.describe()
+        plan = decision.plan
+        fetches = plan.left.fetch_ops + plan.right.fetch_ops
+        assert len(fetches) == 2
+        assert plan.access_bound == sum(f.access_bound for f in fetches) == 4000
+        assert all("fetch[psi3]" in f.describe() for f in fetches)
 
     def test_decision_describe_includes_budget_line(self):
         checker = BoundedEvaluabilityChecker(

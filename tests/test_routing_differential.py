@@ -47,9 +47,9 @@ EPSILONS = (1.0, 0.0)  # explore on every decision, then pure greedy
 _SCENARIOS = 0  # learned-vs-three-static comparisons performed
 
 
-def _static_oracles(db, dedup: bool, rows_per_batch: int):
+def _static_oracles(db, rows_per_batch: int):
     """The three static configurations the router chooses between."""
-    common = dict(dedup_keys=dedup, rows_per_batch=rows_per_batch)
+    common = dict(rows_per_batch=rows_per_batch)
     return {
         "row": BEAS(
             db, example1_access_schema(), executor="row", parallelism=1,
@@ -106,13 +106,11 @@ def test_learned_routing_vs_static_differential(seed: int):
         random_example1_query(rng)[0] for _ in range(RANDOM_QUERIES_PER_SEED)
     ] + _covered_queries(rng)
     rows_per_batch = rng.choice([1, 2, 3, 7])
-    dedup = bool(seed % 2)
 
-    oracles = _static_oracles(db, dedup, rows_per_batch)
+    oracles = _static_oracles(db, rows_per_batch)
     learned_beas = BEAS(
         db,
         example1_access_schema(),
-        dedup_keys=dedup,
         executor="columnar",
         rows_per_batch=rows_per_batch,
         parallelism=2,

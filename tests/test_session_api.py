@@ -315,12 +315,12 @@ class TestOptionsChain:
         with pytest.raises(BEASError):
             ExecutionOptions(budget=-5)
         with pytest.raises(BEASError):
-            ExecutionOptions(allow_partial="yes")
+            ExecutionOptions(use_result_cache="yes")
 
     def test_defaults_are_concrete(self):
         d = ExecutionOptions.defaults()
         assert d.executor == "row" and d.parallelism == 1
-        assert d.use_result_cache is True and d.allow_partial is True
+        assert d.use_result_cache is True
 
     def test_env_layer(self, monkeypatch):
         monkeypatch.setenv("BEAS_EXECUTOR", "columnar")

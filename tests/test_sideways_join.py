@@ -267,19 +267,14 @@ def test_tlc_answers_unchanged(tlc, index):
     expected = bag(reference_rows)
     answer = ConventionalEngine(dataset.database).execute(query.sql)
     assert bag(answer.rows) == expected
-    for allow_partial in (True, False):
-        result = session.run(
-            query.sql, allow_partial=allow_partial, use_result_cache=False
-        )
-        if query.covered and not session.beas.check(query.sql).bag_exact:
-            # a bounded plan that is not bag-exact answers as a set
-            assert set(result.rows) == set(expected)
-        else:
-            assert bag(result.rows) == expected
-        if not query.covered:
-            assert result.mode is (
-                ExecutionMode.PARTIAL if allow_partial else ExecutionMode.CONVENTIONAL
-            )
+    result = session.run(query.sql, use_result_cache=False)
+    if query.covered and not session.beas.check(query.sql).bag_exact:
+        # a bounded plan that is not bag-exact answers as a set
+        assert set(result.rows) == set(expected)
+    else:
+        assert bag(result.rows) == expected
+    if not query.covered:
+        assert result.mode is ExecutionMode.PARTIAL
 
 
 # --------------------------------------------------------------------------- #
