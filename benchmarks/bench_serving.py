@@ -30,6 +30,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT) not in sys.path:  # standalone invocation
     sys.path.insert(0, str(REPO_ROOT))
 
+from repro import Decision
 from repro.bench.reporting import format_table
 from repro.workloads.tlc import tlc_queries
 
@@ -59,7 +60,7 @@ def measure_serving(scale: int, repeats: int) -> dict[str, float]:
     prepared = session.query(q1.sql, name="bench-q1")
 
     def run_cold():
-        return beas.evaluate(q1.sql, beas.check(q1.sql), session.options)
+        return beas.evaluate(q1.sql, Decision(beas.check(q1.sql), "fresh", 0), session.options)
 
     mode, expected = run_cold()  # warms statistics, pins nothing
     assert mode.value == "bounded"

@@ -10,6 +10,11 @@ a deterministic accuracy lower bound, never fetching more than the budget.
 Run:  python examples/approximation_budget.py
 """
 
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
 from repro import Session
 from repro.bench.reporting import format_table
 from repro.errors import BudgetExceededError

@@ -9,6 +9,11 @@ management — over a database bootstrapped purely from a SQL script.
 Run:  python examples/demo_walkthrough.py
 """
 
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
 from repro import BEAS
 from repro.access.io import schema_to_dict
 from repro.discovery import discover

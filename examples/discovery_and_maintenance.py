@@ -11,6 +11,11 @@
 Run:  python examples/discovery_and_maintenance.py
 """
 
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
 from repro import BEAS
 from repro.bench.reporting import format_table
 from repro.discovery import DiscoveryObjective, discover

@@ -10,6 +10,11 @@ bounds, execute, and compare against the host engine.
 Run:  python examples/quickstart.py
 """
 
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
 from repro import (
     AccessConstraint,
     Database,

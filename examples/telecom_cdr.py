@@ -11,6 +11,9 @@ Run:  python examples/telecom_cdr.py [scale]
 """
 
 import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import BEAS
 from repro.bench.reporting import format_table

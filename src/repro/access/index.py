@@ -201,14 +201,6 @@ class AccessIndex:
         if refused is not None:
             raise self.violation(rows[refused])
 
-    def insert_row(self, row: Row, *, validate: bool = True) -> None:
-        """Incrementally account for one inserted base row."""
-        self.insert_rows((row,), validate=validate)
-
-    def delete_row(self, row: Row) -> None:
-        """Incrementally account for one deleted base row."""
-        self.remove_rows((row,))
-
     # ------------------------------------------------------------------ #
     # lookups (the fetch primitive)
     # ------------------------------------------------------------------ #
@@ -233,17 +225,6 @@ class AccessIndex:
         if bucket is None:
             return []
         return list(bucket)
-
-    def fetch_many(self, keys: Iterable[Key]) -> list[YValue]:
-        """Union of buckets for ``keys``, deduplicated, order-preserving."""
-        seen: set[YValue] = set()
-        out: list[YValue] = []
-        for key in keys:
-            for y_value in self.fetch(key):
-                if y_value not in seen:
-                    seen.add(y_value)
-                    out.append(y_value)
-        return out
 
     def __contains__(self, key: Key) -> bool:
         """Storage introspection (canonicalised), *not* equality lookup."""

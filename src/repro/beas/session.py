@@ -25,9 +25,11 @@ module is that lifecycle, and the only way to run a query::
 * :class:`Query` — an immutable handle for one prepared template;
   ``bind`` produces a new handle for a concrete binding, ``decide``
   pins (or rebinds) the coverage decision, ``run`` executes.
-* :class:`Decision` — the unified checker outcome: boundedness verdict,
-  pinned plan, deduced bounds, budget feasibility, and **cache
-  provenance** (``fresh`` | ``cached`` | ``rebound``).
+* :class:`Decision` (:mod:`repro.bounded.rebind`) — one request's
+  decision, one value: the pinned checker outcome (boundedness verdict,
+  plan, deduced bounds), a rebound binding's constant vector, budget
+  feasibility, and **cache provenance** (``fresh`` | ``cached`` |
+  ``rebound`` | ``result-cache``).
 * :class:`Result` — rows + schema + :class:`ExecutionMetrics`
   (executor/pool/lock counters) + the decision that produced them.
 * :class:`ExecutionOptions` (:mod:`repro.config`) — every execution
@@ -53,9 +55,7 @@ from repro.access.constraint import AccessConstraint
 from repro.access.schema import AccessSchema
 from repro.beas.result import ExecutionMode
 from repro.beas.system import BEAS
-from repro.bounded.coverage import CoverageDecision
-from repro.bounded.plan import AnyBoundedPlan, explain_plan
-from repro.bounded.rebind import AnyDecision, ReboundDecision
+from repro.bounded.rebind import Decision
 from repro.config import ExecutionOptions, options_layer
 from repro.engine.metrics import ExecutionMetrics
 from repro.errors import BEASError
@@ -87,7 +87,7 @@ class Result:
     rows: list[tuple]
     mode: ExecutionMode
     metrics: ExecutionMetrics
-    decision: "Decision"
+    decision: Decision
     options: ExecutionOptions
     approximation: Optional["ApproximateResult"] = None
 
@@ -120,135 +120,6 @@ class Result:
         if self.approximation is not None:
             summary += f"; {self.approximation.describe()}"
         return summary
-
-
-# --------------------------------------------------------------------------- #
-# decisions
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class Decision:
-    """The unified BE Checker outcome for one bound query.
-
-    Carries the boundedness verdict, the pinned plan and deduced
-    bounds, budget feasibility, and how the decision was obtained
-    (``provenance``): ``"fresh"`` — a full checker run; ``"cached"`` —
-    an exact decision-cache hit for this binding (a shape that does not
-    rebind: a set operation, not covered without a bounded prefix, a
-    guard fallback, or the template's own constants); ``"rebound"`` —
-    the signature's pinned decision (covered or partially bounded)
-    rebound to this binding's constants by value, without any checker
-    run (constraint-preserving rebinding,
-    :mod:`repro.bounded.rebind`); ``"result-cache"`` — the rows came
-    straight from the result cache.
-
-    A rebound decision holds the pinned template and a constant vector
-    (``outcome`` is a :class:`~repro.bounded.rebind.ReboundDecision`):
-    the verdict and every bound are read from the pinned decision, and
-    the patched plan is built only when :attr:`plan`, :attr:`coverage`
-    or :meth:`explain` asks for it.
-    """
-
-    outcome: AnyDecision
-    provenance: str
-    generation: int  # access-schema generation the decision was made under
-    query: Optional["Query"] = None
-    #: the tuple budget this decision was evaluated against (None = no
-    #: budget); ``run()`` defaults to it, so an over-budget verdict is
-    #: never silently executed unbounded
-    budget: Optional[int] = None
-
-    # ------------------------------------------------------------------ #
-    @property
-    def coverage(self) -> CoverageDecision:
-        """The checker outcome as a :class:`CoverageDecision`; a rebound
-        one is patched for this binding on first read."""
-        outcome = self.outcome
-        if isinstance(outcome, ReboundDecision):
-            return outcome.coverage
-        return outcome
-
-    @property
-    def covered(self) -> bool:
-        return self.outcome.covered
-
-    @property
-    def verdict(self) -> str:
-        """``"bounded"`` when a bounded plan exists, else
-        ``"not-covered"`` (execution falls back per §2)."""
-        return "bounded" if self.outcome.covered else "not-covered"
-
-    @property
-    def plan(self) -> Optional[AnyBoundedPlan]:
-        return self.coverage.plan
-
-    @property
-    def access_bound(self) -> Optional[int]:
-        return self.outcome.access_bound
-
-    @property
-    def tight_access_bound(self) -> Optional[int]:
-        return self.outcome.tight_access_bound
-
-    @property
-    def bag_exact(self) -> bool:
-        return self.outcome.bag_exact
-
-    @property
-    def within_budget(self) -> Optional[bool]:
-        return self.outcome.within_budget
-
-    @property
-    def reasons(self) -> list[str]:
-        return self.outcome.reasons
-
-    @property
-    def constraints_used(self) -> list[AccessConstraint]:
-        return self.outcome.constraints_used
-
-    # ------------------------------------------------------------------ #
-    def run(
-        self,
-        *,
-        options: Optional[ExecutionOptions] = None,
-        **fields,
-    ) -> Result:
-        """Execute under this (pinned) decision.
-
-        Runs the bound query through the serving caches: the decision
-        pinned here is an exact cache hit, so no BE Checker work is
-        repeated — decide once, run many. The budget the decision was
-        evaluated against carries over unless the call layer overrides
-        it, so ``decide(budget=...)`` → ``run()`` enforces the budget
-        (raising :class:`~repro.errors.BudgetExceededError` or taking
-        the approximation route) instead of silently running unbounded.
-        """
-        if self.query is None:
-            raise BEASError(
-                "this Decision is not attached to a Query handle; "
-                "use session.query(...).decide()"
-            )
-        if (
-            self.budget is not None
-            and "budget" not in fields
-            and (options is None or options.budget is None)
-        ):
-            fields["budget"] = self.budget
-        return self.query.run(options=options, **fields)
-
-    def explain(self) -> str:
-        """The bounded plan listing (or the not-covered reasons)."""
-        coverage = self.coverage
-        if coverage.covered and coverage.plan is not None:
-            return explain_plan(coverage.plan)
-        return coverage.describe()
-
-    def describe(self) -> str:
-        lines = [
-            f"decision: {self.verdict} ({self.provenance}, "
-            f"schema generation {self.generation})",
-            self.coverage.describe(),
-        ]
-        return "\n".join(lines)
 
 
 # --------------------------------------------------------------------------- #
@@ -504,9 +375,11 @@ class Session:
         return explain(self._beas, Request(self._resolved_options, sql))
 
     def analyze(self, sql: str):
-        """The Fig.-3 performance panel for a covered query (engine
-        knobs follow this session's resolved options)."""
-        return self._beas.analyze_performance(sql)
+        """The Fig.-3 performance panel for a covered query, under the
+        decision this session's decide path makes of ``sql`` (so the BE
+        Checker runs once per shape, counted, as for :meth:`run`)."""
+        request = Request(self._resolved_options, sql)
+        return self._beas.analyze_performance(sql, decide_only(self._beas, request))
 
     # ------------------------------------------------------------------ #
     # access schema + maintenance: the engine's

@@ -89,7 +89,7 @@ from repro.bounded.approximation import BoundedApproximator
 from repro.bounded.coverage import BoundedEvaluabilityChecker, CoverageDecision
 from repro.bounded.optimizer import BEPlanOptimizer
 from repro.bounded.plan import BoundedPlan, explain_plan
-from repro.bounded.rebind import AnyDecision, runnable
+from repro.bounded.rebind import Decision
 from repro.engine.router import (
     LOCAL_ROUTES,
     ExecutorRouter,
@@ -515,27 +515,26 @@ class BEAS:
     def evaluate(
         self,
         query: Union[str, ast.Statement, Callable[[], ast.Statement]],
-        decision: AnyDecision,
+        decision: Decision,
         options: "ExecutionOptions",
         *,
         route: Optional[str] = None,
     ) -> tuple[ExecutionMode, Union["QueryResult", "ApproximateResult"]]:
-        """The one engine entry: answer ``query`` under an already-made
-        checker ``decision`` and the resolved ``options``, choosing the
-        evaluation mode per paper §2. No serving cache is involved.
+        """The one engine entry: answer ``query`` under the request's
+        ``decision`` (:class:`~repro.bounded.rebind.Decision`) and the
+        resolved ``options``, choosing the evaluation mode per paper §2.
+        No serving cache is involved.
 
         ``query`` may be a zero-argument provider of the statement: only
         the conventional fallback needs the AST (a covered decision runs
         its pinned plan, a not-covered one its pinned ``partial``), so a
-        prepared binding is substituted only then. A
-        :class:`~repro.bounded.rebind.ReboundDecision` runs the pinned
-        plan (or partially bounded plan: prefix, then residual) with its
-        constant vector; only a remote route, which ships the plan to a
-        peer, builds its patched copy.
+        prepared binding is substituted only then. A rebound decision
+        runs the pinned plan (or partially bounded plan: prefix, then
+        residual) with its constant vector; only a remote route, which
+        ships the plan to a peer, builds its patched copy.
 
-        A decision made without a budget carries ``within_budget=None``;
-        under ``options.budget`` feasibility is derived from its access
-        bound: over budget raises
+        The budget is the decision's (``decision.budget``): over it,
+        a covered decision raises
         :class:`~repro.errors.BudgetExceededError` or, with
         ``approximate_over_budget``, takes the resource-bounded
         approximation route. ``route`` is the way the bounded plan (or a
@@ -544,15 +543,12 @@ class BEAS:
         :func:`~repro.engine.router.allowed_routes`. Answers are
         route-independent.
         """
-        budget = options.budget
-        plan, constants = runnable(decision)
+        plan, constants = decision.runs, decision.constants
         if route is None and plan is not None:
             route = allowed_routes(options, plan)[0]
         if decision.covered:
-            within_budget = decision.within_budget
-            if within_budget is None and budget is not None:
-                within_budget = decision.access_bound <= budget
-            if budget is not None and not within_budget:
+            budget = decision.budget
+            if budget is not None and not decision.within_budget:
                 if options.approximate_over_budget and isinstance(
                     plan, BoundedPlan
                 ):
@@ -570,7 +566,7 @@ class BEAS:
             # ``plan`` is the partially bounded plan; a rebound one's
             # prefix and residual run off ``constants``
             if constants is not None and route not in LOCAL_ROUTES:
-                plan, constants = decision.partial, None
+                plan, constants = decision.coverage.partial, None
             return ExecutionMode.PARTIAL, self._optimizer.execute(
                 plan,
                 functools.partial(self.runner.run_route, route, constants=constants),
@@ -861,14 +857,20 @@ class BEAS:
 
     # ------------------------------------------------------------------ #
     def analyze_performance(
-        self, query: Union[str, ast.Statement]
+        self,
+        query: Union[str, ast.Statement],
+        decision: Union[Decision, CoverageDecision, None] = None,
     ) -> PerformanceAnalysis:
-        """The Fig.-3 analysis panel for a covered query."""
+        """The Fig.-3 analysis panel for a covered query, under its
+        ``decision`` (``Session.analyze`` passes the one its decide path
+        made; without one, it is checked here). The bounded plan runs on
+        the engine's executor, the comparison on its host engine."""
         analyzer = PerformanceAnalyzer(
             self.catalog,
             functools.partial(self.runner.run_route, self.options.executor),
+            self._host,
         )
-        return analyzer.analyze(query)
+        return analyzer.analyze(query, decision or self.check(query))
 
     def host_engine(self) -> ConventionalEngine:
         """The conventional engine over the same data: the fallback for

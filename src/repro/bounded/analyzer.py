@@ -14,16 +14,19 @@ MariaDB ratios are not reproduced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from repro.access.catalog import ASCatalog
 from repro.errors import NotCoveredError
 from repro.sql import ast
 from repro.engine.executor import ConventionalEngine, QueryResult
 from repro.engine.metrics import OperationCost
-from repro.bounded.coverage import BoundedEvaluabilityChecker
+from repro.bounded.coverage import BoundedEvaluabilityChecker, CoverageDecision
 from repro.bounded.executor import BoundedPlanExecutor
 from repro.bounded.plan import AnyBoundedPlan
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.bounded.rebind import Decision
 
 
 @dataclass
@@ -79,25 +82,35 @@ class PerformanceAnalyzer:
         self,
         catalog: ASCatalog,
         run: Optional[Callable[[AnyBoundedPlan], QueryResult]] = None,
+        host: Optional[ConventionalEngine] = None,
     ):
-        """``run`` runs the covered query's bounded plan (BEAS passes its
-        runner); the default interprets it in-process."""
+        """``run`` runs the covered query's bounded plan and ``host`` is
+        the conventional engine (BEAS passes its runner and its host
+        engine, whose statistics it keeps per table version); the
+        defaults interpret the plan in-process and build an engine."""
         self._catalog = catalog
-        self._checker = BoundedEvaluabilityChecker(
-            catalog.database.schema, catalog.schema
-        )
         self._run = run or BoundedPlanExecutor(catalog).execute
+        self._host = host or ConventionalEngine(catalog.database)
 
-    def analyze(self, query: Union[str, ast.Statement]) -> PerformanceAnalysis:
-        decision = self._checker.check(query)
+    def analyze(
+        self,
+        query: Union[str, ast.Statement],
+        decision: Union["Decision", CoverageDecision, None] = None,
+    ) -> PerformanceAnalysis:
+        """The panel for ``query`` under its ``decision``, checked here
+        when none is given."""
+        if decision is None:
+            catalog = self._catalog
+            decision = BoundedEvaluabilityChecker(
+                catalog.database.schema, catalog.schema
+            ).check(query)
         if not decision.covered:
             raise NotCoveredError(
                 "performance analysis requires a covered query", decision.reasons
             )
         result = self._run(decision.plan)
-        engine = ConventionalEngine(self._catalog.database)
-        engine.statistics()  # offline ANALYZE, as a DBMS has it: not query time
-        conventional = engine.execute(query)
+        self._host.statistics()  # offline ANALYZE, as a DBMS has it: not query time
+        conventional = self._host.execute(query)
         speedup = (
             conventional.metrics.seconds / result.metrics.seconds
             if result.metrics.seconds > 0

@@ -14,15 +14,17 @@ dependencies à la Chirkova & Genesereth). So a
 of a prepared template is **rebound** for another binding of equal
 arity by value — a covered one, and a not-covered one with a partially
 bounded plan (:class:`~repro.bounded.optimizer.PartialPlan`), whose
-bounded prefix and residual are decided by the same shape: a
-:class:`ReboundDecision` is the pinned template plus
-one merged constant tuple per equality class (the tuple the arity guard
+bounded prefix and residual are decided by the same shape. One
+request's decision is one value, a :class:`Decision`: the pinned
+checker outcome, never copied, plus — rebound — the template and one
+merged constant tuple per equality class (the tuple the arity guard
 derives anyway), in the order the plan's skeleton numbers the classes
-(:mod:`repro.bounded.skeleton`). The executors run the pinned plan's
-operators and read every fetch key, selection value and selection label
-from that vector, so a rebound request copies no operator, query or
-plan. Its bounds — ``access_bound``, ``within_budget``, … — are the
-pinned decision's. A partially bounded decision runs its pinned prefix
+(:mod:`repro.bounded.skeleton`), plus the request's stamp. The
+executors run the pinned plan's operators and read every fetch key,
+selection value and selection label from that vector, so a rebound
+request copies no operator, query, plan or checker outcome. Its bounds
+are the pinned decision's; ``within_budget`` is derived from them and
+the request's budget. A partially bounded decision runs its pinned prefix
 off the vector the same way, and its pinned residual
 (:class:`~repro.bounded.residual.Residual`, compiled once with the plan)
 too: the vector goes on with one merged tuple per constant class the
@@ -72,17 +74,26 @@ BE Checker run) whenever the new binding could change the decision:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Any, Mapping, Optional, Union
 
 from repro.access.constraint import AccessConstraint
 from repro.bounded.coverage import CoverageDecision
-from repro.bounded.plan import AnyBoundedPlan, BoundedPlan, KeyPart, patched
+from repro.bounded.plan import (
+    AnyBoundedPlan,
+    BoundedPlan,
+    KeyPart,
+    explain_plan,
+    patched,
+)
 from repro.bounded.planner import class_constant_map, equality_classes
 from repro.bounded.skeleton import Constants, skeleton_of
+from repro.errors import BEASError
 from repro.sql.normalize import Attribute
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.beas.session import Query, Result
     from repro.bounded.optimizer import PartialPlan
+    from repro.config import ExecutionOptions
 
 
 class _ClassSlot:
@@ -183,9 +194,17 @@ class RebindTemplate:
                 by_root[classes.find(root)].positions.append(position)
 
     # ------------------------------------------------------------------ #
-    def rebind(self, overrides: Mapping[str, tuple]) -> Optional["ReboundDecision"]:
-        """The pinned decision rebound to ``overrides``, or ``None`` when
-        a guard demands a full re-check.
+    def rebind(
+        self,
+        overrides: Mapping[str, tuple],
+        *,
+        generation: int = 0,
+        query: Optional["Query"] = None,
+        budget: Optional[int] = None,
+    ) -> Optional["Decision"]:
+        """The pinned decision rebound to ``overrides`` and stamped with
+        ``generation`` / ``query`` / ``budget``, or ``None`` when a guard
+        demands a full re-check.
 
         ``overrides`` maps resolved slot names to canonical value tuples
         (``repro.serving.params.resolve_overrides`` output). Slots not
@@ -205,18 +224,21 @@ class RebindTemplate:
                 return None  # merged arity changed: bounds would move
             for position in slot.positions:
                 constants[position] = merged
-        runs = self.plan if self.partial is None else self.partial
-        return ReboundDecision(self, tuple(constants), overrides, runs)
+        return Decision(
+            self.decision, "rebound", generation, query, budget,
+            template=self, constants=tuple(constants), overrides=overrides,
+        )  # fmt: skip
 
-    def coverage(self, rebound: "ReboundDecision") -> CoverageDecision:
+    def coverage(self, rebound: "Decision") -> CoverageDecision:
         """The pinned decision with one binding's constants written into
         a copy of its plan: what a fresh BE Checker (and, not covered, BE
         Plan Optimizer) run of the bound query decides (``==``,
         ``repr``-equal). Untouched operators are shared, every deduced
         bound is kept, and the copy keeps the pinned plan's skeleton
         slot. Only a reader of the plan pays for it
-        (:attr:`ReboundDecision.coverage`)."""
+        (:attr:`Decision.coverage`)."""
         overrides, constants = rebound.overrides, rebound.constants
+        assert overrides is not None and constants is not None
         plan = self.plan
         pinned_ops = plan.ops
         ops = list(pinned_ops)
@@ -262,99 +284,188 @@ class RebindTemplate:
         )
 
 
-class ReboundDecision:
-    """A pinned decision by value: the :class:`RebindTemplate` plus this
-    binding's constant vector (one merged tuple per constant class, in
-    skeleton order).
+class Decision:
+    """One request's decision: the BE Checker's pinned outcome, this
+    binding's constants when it is rebound, and the request's stamp.
 
-    It reads like a :class:`CoverageDecision`: the verdict and every
-    deduced bound are the pinned decision's, with this request's
-    ``within_budget``. ``runs`` is what executing it runs with
-    ``constants``: the pinned bounded plan, or the pinned partially
-    bounded plan, prefix and residual alike. Only
-    :attr:`coverage` / :attr:`plan` / :attr:`partial` build the fully
-    patched copy, once. One is made per request, so the request may set
-    its ``within_budget`` in place.
+    ``pinned`` is the checker's :class:`CoverageDecision` (never copied);
+    the verdict and every deduced bound are read from it. A rebound
+    decision also holds its :class:`RebindTemplate`, its constant
+    vector (one merged tuple per constant class, in skeleton order) and
+    its resolved ``overrides``; any other runs off its plan's own
+    constants (``constants is None``). The stamp says how it was
+    obtained (``provenance``: ``"fresh"`` — a full checker run;
+    ``"cached"`` — an exact per-binding decision-cache hit;
+    ``"rebound"`` — the signature's pinned decision rebound by value;
+    ``"result-cache"`` — the rows came from the result cache), under
+    which access-schema ``generation``, through which ``query`` handle
+    and against which tuple ``budget`` (None: none). ``within_budget``
+    is derived from ``budget`` and the pinned ``access_bound``.
+
+    Built once per request by the ``decide`` stage and immutable from
+    then on: result-cache hits share one. The patched
+    :attr:`coverage` / :attr:`plan` are built on first read only (a
+    concurrent duplicate build is benign: both are the same value).
     """
 
     __slots__ = (
-        "template", "constants", "overrides", "runs", "within_budget", "_coverage",
+        "pinned", "provenance", "generation", "query", "budget",
+        "template", "constants", "overrides", "_coverage",
     )  # fmt: skip
 
     def __init__(
         self,
-        template: RebindTemplate,
-        constants: Constants,
-        overrides: Mapping[str, tuple],
-        runs: Union[BoundedPlan, "PartialPlan"],
+        pinned: CoverageDecision,
+        provenance: str,
+        generation: int,
+        query: Optional["Query"] = None,
+        budget: Optional[int] = None,
+        *,
+        template: Optional[RebindTemplate] = None,
+        constants: Optional[Constants] = None,
+        overrides: Optional[Mapping[str, tuple]] = None,
     ) -> None:
+        self.pinned = pinned
+        self.provenance = provenance
+        self.generation = generation
+        self.query = query
+        #: ``run()`` defaults to it, so an over-budget verdict is never
+        #: silently executed unbounded
+        self.budget = budget
         self.template = template
         self.constants = constants
-        #: the binding's resolved overrides (what the patched query selects)
         self.overrides = overrides
-        self.runs = runs
-        self.within_budget: Optional[bool] = None
         self._coverage: Optional[CoverageDecision] = None
 
-    @property
-    def coverage(self) -> CoverageDecision:
-        """The patched decision, built on first read (a concurrent
-        duplicate build is benign: both are the same value)."""
-        coverage = self._coverage
-        if coverage is None:
-            coverage = self._coverage = self.template.coverage(self)
-        return coverage
+    def __repr__(self) -> str:
+        return (
+            f"Decision({self.verdict}, {self.provenance}, "
+            f"generation={self.generation}, budget={self.budget})"
+        )
 
+    def restamped(self, provenance: str, query: Optional["Query"]) -> "Decision":
+        """This decision under another provenance and query handle (same
+        generation and budget), sharing whatever it has built."""
+        decision = Decision(
+            self.pinned, provenance, self.generation, query, self.budget,
+            template=self.template, constants=self.constants, overrides=self.overrides,
+        )  # fmt: skip
+        decision._coverage = self._coverage
+        return decision
+
+    # ------------------------------------------------------------------ #
     @property
     def covered(self) -> bool:
-        return self.template.decision.covered
+        return self.pinned.covered
 
     @property
-    def plan(self) -> Optional[AnyBoundedPlan]:
-        return self.coverage.plan
-
-    @property
-    def partial(self) -> Optional["PartialPlan"]:
-        if self.template.partial is None:
-            return None  # covered: no patched copy to build
-        return self.coverage.partial
+    def verdict(self) -> str:
+        """``"bounded"`` when a bounded plan exists, else
+        ``"not-covered"`` (execution falls back per §2)."""
+        return "bounded" if self.pinned.covered else "not-covered"
 
     @property
     def access_bound(self) -> Optional[int]:
-        return self.template.decision.access_bound
+        return self.pinned.access_bound
 
     @property
     def tight_access_bound(self) -> Optional[int]:
-        return self.template.decision.tight_access_bound
+        return self.pinned.tight_access_bound
 
     @property
     def bag_exact(self) -> bool:
-        return self.template.decision.bag_exact
+        return self.pinned.bag_exact
 
     @property
     def reasons(self) -> list[str]:
-        return self.template.decision.reasons
+        return self.pinned.reasons
 
     @property
     def constraints_used(self) -> list[AccessConstraint]:
-        return self.template.decision.constraints_used
+        return self.pinned.constraints_used
 
+    @property
+    def within_budget(self) -> Optional[bool]:
+        """Whether the access bound fits ``budget`` (None: no budget, or
+        not covered)."""
+        bound = self.pinned.access_bound
+        if self.budget is None or bound is None:
+            return None
+        return bound <= self.budget
 
-#: What the serving layer decides a request to: a checker outcome, or a
-#: pinned one rebound by value.
-AnyDecision = Union[CoverageDecision, ReboundDecision]
+    @property
+    def runs(self) -> Union[AnyBoundedPlan, "PartialPlan", None]:
+        """What executing this decision runs off ``constants``, without
+        building a patched plan: the pinned bounded plan, or the pinned
+        partially bounded plan (None: the conventional engine)."""
+        pinned = self.pinned
+        return pinned.plan if pinned.covered else pinned.partial
 
+    @property
+    def coverage(self) -> CoverageDecision:
+        """The checker outcome for this binding and budget: the pinned
+        one, or, rebound or with a budget verdict of its own, a copy
+        built on first read."""
+        coverage = self._coverage
+        if coverage is None:
+            pinned = self.pinned
+            if self.template is not None:
+                coverage = self.template.coverage(self)
+            elif self.within_budget != pinned.within_budget:
+                coverage = patched(pinned, within_budget=self.within_budget)
+            else:
+                return pinned
+            self._coverage = coverage
+        return coverage
 
-def runnable(
-    decision: AnyDecision,
-) -> tuple[Union[AnyBoundedPlan, "PartialPlan", None], Optional[Constants]]:
-    """What evaluating ``decision`` runs, without building a patched
-    plan: a rebound decision's ``runs`` with its constant vector;
-    otherwise the covered plan, or the partially bounded plan (or None),
-    which run off their own constants (``None``)."""
-    if isinstance(decision, ReboundDecision):
-        return decision.runs, decision.constants
-    return (decision.plan if decision.covered else decision.partial), None
+    @property
+    def plan(self) -> Optional[AnyBoundedPlan]:
+        return (self.pinned if self.template is None else self.coverage).plan
+
+    # ------------------------------------------------------------------ #
+    def run(
+        self,
+        *,
+        options: Optional["ExecutionOptions"] = None,
+        **fields: Any,
+    ) -> "Result":
+        """Execute under this (pinned) decision.
+
+        Runs the bound query through the serving caches: the decision
+        pinned here is a cache hit, so no BE Checker work is repeated —
+        decide once, run many. The budget the decision was evaluated
+        against carries over unless the call layer overrides it, so
+        ``decide(budget=...)`` → ``run()`` enforces the budget (raising
+        :class:`~repro.errors.BudgetExceededError` or taking the
+        approximation route) instead of silently running unbounded.
+        """
+        if self.query is None:
+            raise BEASError(
+                "this Decision is not attached to a Query handle; "
+                "use session.query(...).decide()"
+            )
+        if (
+            self.budget is not None
+            and "budget" not in fields
+            and (options is None or options.budget is None)
+        ):
+            fields["budget"] = self.budget
+        return self.query.run(options=options, **fields)
+
+    def explain(self) -> str:
+        """The bounded plan listing (or the not-covered reasons)."""
+        coverage = self.coverage
+        if coverage.covered and coverage.plan is not None:
+            return explain_plan(coverage.plan)
+        return coverage.describe()
+
+    def describe(self) -> str:
+        lines = [
+            f"decision: {self.verdict} ({self.provenance}, "
+            f"schema generation {self.generation})",
+            self.coverage.describe(),
+        ]
+        return "\n".join(lines)
 
 
 def build_rebind_template(

@@ -18,9 +18,9 @@ constant-carrying equality classes, and a run reads each class's merged
 constant tuple from a **constant vector** — one tuple per class, in that
 order: the fetch keys a group of constant key parts enumerates, the
 values a selection keeps, and the selection's ``OperationCost`` label.
-A rebound request brings its own vector
-(:class:`~repro.bounded.rebind.ReboundDecision`) and runs the pinned
-plan's operators with it; any other plan runs off its own vector,
+A rebound request brings its own vector (a
+:class:`~repro.bounded.rebind.Decision`'s ``constants``) and runs the
+pinned plan's operators with it; any other plan runs off its own vector,
 :meth:`PlanSkeleton.constants`, read from its operators. The deduced
 bound and the access constraint still come from the operator
 (``zip(skeleton.steps, plan.ops)``). The one executor of a bounded

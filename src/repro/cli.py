@@ -120,7 +120,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     with _build_session(args) as session:
-        analysis = session.beas.analyze_performance(_read_query(args))
+        analysis = session.analyze(_read_query(args))
         print(analysis.describe())
     return 0
 

@@ -8,7 +8,6 @@ can compare them operation by operation.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 
@@ -76,19 +75,3 @@ class ExecutionMetrics:
         op = OperationCost(label, tuples_in, tuples_out, seconds)
         self.operations.append(op)
         return op
-
-
-class Stopwatch:
-    """Tiny monotonic stopwatch used by the executors."""
-
-    def __init__(self) -> None:
-        self._start = time.perf_counter()
-
-    def elapsed(self) -> float:
-        return time.perf_counter() - self._start
-
-    def lap(self) -> float:
-        now = time.perf_counter()
-        elapsed = now - self._start
-        self._start = now
-        return elapsed

@@ -21,7 +21,7 @@ lists which stage feeds which field.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -34,14 +34,8 @@ from typing import (
 )
 
 from repro.beas.result import ExecutionMode
-from repro.beas.session import Decision, Result
-from repro.bounded.rebind import (
-    AnyDecision,
-    ReboundDecision,
-    RebindTemplate,
-    build_rebind_template,
-    runnable,
-)
+from repro.beas.session import Result
+from repro.bounded.rebind import Decision, RebindTemplate, build_rebind_template
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.router import allowed_routes
 from repro.errors import ServingError
@@ -71,21 +65,21 @@ class CachedResult:
     tables' sweep ``epochs`` its request observed (sorted table order).
     ``cost`` is the wall seconds the miss that produced it took from
     ``observe`` to ``admit`` (what a re-run would pay): the cache's
-    retention priority. ``stamped`` is the ``Decision`` an earlier hit
-    was stamped with, served again while it fits (:func:`_hit_decision`).
+    retention priority. ``decision`` is the miss's, stamped
+    ``"result-cache"`` without a query handle: what every hit without
+    one is served with (:func:`_hit_decision`).
     """
 
     columns: list[str]
     rows: list[tuple[Any, ...]]
     mode: ExecutionMode
-    decision: AnyDecision
+    decision: Decision
     schema_generation: int
     tables: frozenset[str]
     read_keys: tuple[tuple[str, tuple[Any, ...]], ...]
     coarse_tables: frozenset[str]
     epochs: tuple[int, ...]
     cost: float
-    stamped: Optional[Decision] = field(default=None, repr=False, compare=False)
 
 
 def _entry_fresh(entry: CachedResult, request: "Request") -> bool:
@@ -135,8 +129,7 @@ class Request:
     entry: Optional[CachedResult] = field(default=None, init=False)
     # decide / route / execute
     #: the decision this request runs; a rebound one by value
-    outcome: AnyDecision = field(init=False)
-    provenance: str = field(init=False)
+    decision: Decision = field(init=False)
     #: the way the plan runs; ``choice`` is set when the router picked it
     route: Optional[str] = field(default=None, init=False)
     choice: Optional["RouteChoice"] = field(default=None, init=False)
@@ -230,19 +223,11 @@ def probe_exact(beas: "BEAS", request: Request) -> Optional[Result]:
 def decide(beas: "BEAS", request: Request) -> None:
     """Decide or rebind: the decision for this request, from a pinned
     template, the decision cache, or a full BE Checker run."""
-    outcome, request.provenance = _decision(beas, request)
-    if request.provenance == "fresh":
+    decision = request.decision = _decision(beas, request)
+    if decision.provenance == "fresh":
         request.misses += 1
     else:
         request.hits += 1
-    budget = request.options.budget
-    if budget is not None and outcome.access_bound is not None:
-        within_budget = outcome.access_bound <= budget
-        if isinstance(outcome, ReboundDecision):
-            outcome.within_budget = within_budget  # this request's own
-        else:
-            outcome = replace(outcome, within_budget=within_budget)
-    request.outcome = outcome
 
 
 def route(beas: "BEAS", request: Request) -> None:
@@ -252,13 +237,13 @@ def route(beas: "BEAS", request: Request) -> None:
     lowest mean measured latency for this template and binding
     signature. Answers are route-independent, so a wrong pick costs
     latency only."""
-    options, outcome = request.options, request.outcome
-    plan, _ = runnable(outcome)  # a rebound request's: the pinned plan
+    options, decision = request.options, request.decision
+    plan = decision.runs  # a rebound request's: the pinned plan
     if plan is None:
         return  # conventional evaluation: nothing to route
     routes = allowed_routes(options, plan)
     request.route = routes[0]
-    if len(routes) > 1 and (options.budget is None or outcome.within_budget):
+    if len(routes) > 1 and (decision.budget is None or decision.within_budget):
         binding = request.binding
         request.choice = beas.router.route(
             binding.template_fingerprint, binding.signature, routes
@@ -270,7 +255,7 @@ def execute(beas: "BEAS", request: Request) -> None:
     """Run the decision on the engine and train the router on it."""
     mode, answer = beas.evaluate(
         request.statement,
-        request.outcome,
+        request.decision,
         request.options,
         route=request.route,
     )
@@ -300,7 +285,7 @@ def admit(beas: "BEAS", request: Request) -> Result:
         answer.rows,
         mode,
         answer.metrics,
-        _stamp(request, request.outcome, request.provenance),
+        request.decision,
         cast("ApproximateResult", answer) if approximate else None,
     )
 
@@ -342,7 +327,7 @@ def decide_only(beas: "BEAS", request: Request) -> Decision:
         # (write section) is guaranteed visible here
         request.generation = beas.observe_schema_generation()
         decide(beas, request)
-    return _stamp(request, request.outcome, request.provenance)
+    return request.decision
 
 
 def explain(beas: "BEAS", request: Request) -> str:
@@ -359,18 +344,6 @@ def explain(beas: "BEAS", request: Request) -> str:
 # --------------------------------------------------------------------------- #
 # stage helpers
 # --------------------------------------------------------------------------- #
-def _stamp(request: Request, outcome: AnyDecision, provenance: str) -> Decision:
-    """The ``Decision`` for this request, stamped with the generation
-    observed under the read locks — not the catalog's at return time."""
-    return Decision(
-        outcome=outcome,
-        provenance=provenance,
-        generation=request.generation,
-        query=request.query,
-        budget=request.options.budget,
-    )
-
-
 def _result(
     request: Request,
     columns: list[str],
@@ -412,28 +385,18 @@ def _serve_cached(request: Request, entry: CachedResult) -> Result:
 
 
 def _hit_decision(request: Request, entry: CachedResult) -> Decision:
-    """The ``Decision`` a hit on ``entry`` is stamped with. A ``Decision``
-    is an immutable value, so the one an earlier hit on the entry was
-    stamped with serves again while its generation, query handle and
-    budget are this request's. Only a handle-free one (SQL text) is kept:
-    a ``Query`` holds its Session, which holds the engine, and the cache
-    must not refer back to the engine."""
-    decision = entry.stamped
-    if (
-        decision is not None
-        and decision.generation == request.generation
-        and decision.query is request.query
-        and decision.budget == request.options.budget
-    ):
-        return decision
-    decision = _stamp(request, entry.decision, "result-cache")
+    """The ``Decision`` a hit on ``entry`` is stamped with: the entry's
+    own, handle-free one (a fresh entry's generation and budget are the
+    request's), or, for a ``Query`` handle's hit, a copy holding the
+    handle. The entry keeps no handle: a ``Query`` holds its Session,
+    which holds the engine, and the cache must not refer back to it."""
     if request.query is None:
-        entry.stamped = decision  # a racing hit's store is as good
-    return decision
+        return entry.decision
+    return entry.decision.restamped("result-cache", request.query)
 
 
-def _decision(beas: "BEAS", request: Request) -> tuple[AnyDecision, str]:
-    """The budget-free decision and its provenance: ``"rebound"`` (the
+def _decision(beas: "BEAS", request: Request) -> Decision:
+    """The request's decision, by provenance: ``"rebound"`` (the
     signature's pinned decision rebound to this binding by value — no
     BE Checker run, no copy), ``"cached"`` (an exact per-binding hit),
     or ``"fresh"`` (a full BE Checker run and, when that says not
@@ -453,6 +416,7 @@ def _decision(beas: "BEAS", request: Request) -> tuple[AnyDecision, str]:
     fallback's odd binding does not displace it.
     """
     cache, generation = beas.decision_cache, request.generation
+    query, budget = request.query, request.options.budget
     bound = request.binding
     rebind_key: Optional[tuple[Any, ...]] = None
     pinned: Optional[RebindTemplate] = None
@@ -460,23 +424,26 @@ def _decision(beas: "BEAS", request: Request) -> tuple[AnyDecision, str]:
         rebind_key = bound.rebind_key(generation)
         pinned = cache.get(rebind_key)
         if pinned is not None:
-            rebound = pinned.rebind(bound.overrides)
+            rebound = pinned.rebind(
+                bound.overrides, generation=generation, query=query, budget=budget
+            )
             if rebound is not None:
                 beas.count("rebinds")
-                return rebound, "rebound"
+                return rebound
             beas.count("rebind_fallbacks")
     key = (request.fingerprint, generation)
     cached: Optional["CoverageDecision"] = cache.get(key)
     if cached is not None:
-        return cached, "cached"
+        return Decision(cached, "cached", generation, query, budget)
     coverage: "CoverageDecision" = beas.check(request.statement())
+    template: Optional[RebindTemplate] = None
     if rebind_key is not None and pinned is None:
         template = build_rebind_template(coverage, bound.overrides)
-        if template is not None:
-            cache.put(rebind_key, template)
-            return coverage, "fresh"
-    cache.put(key, coverage)
-    return coverage, "fresh"
+    if template is not None:
+        cache.put(rebind_key, template)
+    else:
+        cache.put(key, coverage)
+    return Decision(coverage, "fresh", generation, query, budget)
 
 
 def _filing(
@@ -512,7 +479,7 @@ def _admit(beas: "BEAS", request: Request) -> None:
         columns=list(answer.columns),
         rows=list(answer.rows),
         mode=request.mode,
-        decision=request.outcome,
+        decision=request.decision.restamped("result-cache", None),
         schema_generation=request.generation,
         tables=request.tables,
         read_keys=read_keys,

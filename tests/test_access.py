@@ -105,11 +105,6 @@ class TestAccessIndex:
         index.build(table, validate=False)
         assert index.max_bucket_size == 2
 
-    def test_fetch_many_dedupes_preserving_order(self):
-        table = self.make_table([(1, 10, "a"), (2, 10, "b"), (2, 30, "c")])
-        index = AccessIndex(AccessConstraint("r", ["x"], ["y"], 5), table)
-        assert index.fetch_many([(1,), (2,)]) == [(10,), (30,)]
-
     def test_entry_and_key_counts(self):
         table = self.make_table([(1, 10, "a"), (1, 20, "b"), (2, 10, "c")])
         index = AccessIndex(AccessConstraint("r", ["x"], ["y"], 5), table)
@@ -121,36 +116,36 @@ class TestAccessIndex:
         table = self.make_table([(1, 10, "a")])
         index = AccessIndex(AccessConstraint("r", ["x"], ["y"], 5), table)
         before = index.snapshot()
-        index.insert_row((1, 30, "q"))
+        index.insert_rows([(1, 30, "q")])
         assert index.fetch((1,)) == [(10,), (30,)]
-        index.delete_row((1, 30, "q"))
+        index.remove_rows([(1, 30, "q")])
         assert index.snapshot() == before
 
     def test_delete_respects_support_counts(self):
         # two rows supporting the same (x, y): deleting one keeps the entry
         table = self.make_table([(1, 10, "a"), (1, 10, "b")])
         index = AccessIndex(AccessConstraint("r", ["x"], ["y"], 5), table)
-        index.delete_row((1, 10, "a"))
+        index.remove_rows([(1, 10, "a")])
         assert index.fetch((1,)) == [(10,)]
-        index.delete_row((1, 10, "b"))
+        index.remove_rows([(1, 10, "b")])
         assert index.fetch((1,)) == []
 
     def test_delete_missing_row_rejected(self):
         table = self.make_table([(1, 10, "a")])
         index = AccessIndex(AccessConstraint("r", ["x"], ["y"], 5), table)
         with pytest.raises(AccessSchemaError):
-            index.delete_row((9, 9, "q"))
+            index.remove_rows([(9, 9, "q")])
 
     def test_insert_violation_detected(self):
         table = self.make_table([(1, 10, "a")])
         index = AccessIndex(AccessConstraint("r", ["x"], ["y"], 1), table)
         with pytest.raises(ConformanceError):
-            index.insert_row((1, 20, "b"))
+            index.insert_rows([(1, 20, "b")])
 
     def test_unbuilt_index_rejects_updates(self):
         index = AccessIndex(AccessConstraint("r", ["x"], ["y"], 1))
         with pytest.raises(AccessSchemaError):
-            index.insert_row((1, 10, "a"))
+            index.insert_rows([(1, 10, "a")])
 
     def test_empty_x_constraint(self):
         table = self.make_table([(1, 10, "a"), (2, 20, "b")])
@@ -177,13 +172,13 @@ class TestAccessIndex:
 
         for row in inserts:
             table.insert(row)
-            index.insert_row(row)
+            index.insert_rows([row])
         for position in delete_positions:
             if not table.rows:
                 break
             row = table.rows[position % len(table.rows)]
             table.delete_rows([row])
-            index.delete_row(row)
+            index.remove_rows([row])
 
         rebuilt = AccessIndex(constraint, table)
         assert index.snapshot() == rebuilt.snapshot()

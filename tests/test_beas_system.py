@@ -5,6 +5,7 @@ import pytest
 from repro import (
     AccessConstraint,
     BEAS,
+    BoundedEvaluabilityChecker,
     ConventionalEngine,
     ExecutionMode,
 )
@@ -116,6 +117,27 @@ class TestAnalyzerIntegration:
         analysis = ex1_beas.analyze_performance(EXAMPLE2_SQL)
         assert analysis.constraints_used == ["psi3", "psi2", "psi1"]
         assert analysis.conventional.tuples_scanned > 0
+
+    def test_session_analyze_decides_once_and_counts_it(self, ex1_beas, monkeypatch):
+        """The panel runs under the session's decision: two analyses of
+        one text run the BE Checker once, and ``checker_runs`` counts
+        that run."""
+        checks = []
+        check = BoundedEvaluabilityChecker.check
+
+        def counted(checker, *args, **kwargs):
+            checks.append(args[0])
+            return check(checker, *args, **kwargs)
+
+        monkeypatch.setattr(BoundedEvaluabilityChecker, "check", counted)
+        session = ex1_beas.session()
+        before = session.stats().checker_runs
+        first = session.analyze(EXAMPLE2_SQL)
+        second = session.analyze(EXAMPLE2_SQL)
+        assert len(checks) == 1
+        assert session.stats().checker_runs == before + 1
+        assert first.constraints_used == second.constraints_used == ["psi3", "psi2", "psi1"]
+        assert first.tuples_fetched == second.tuples_fetched > 0
 
     def test_host_engine_profiles(self, ex1_beas):
         """``host_engine()`` is the one conventional engine, no profile."""

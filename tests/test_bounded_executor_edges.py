@@ -174,7 +174,7 @@ class TestNullHandling:
         assert index.key_count == 2
         # …but an equality lookup never reaches it
         assert index.fetch((None,)) == []
-        assert index.fetch_many([(None,), ("k1",)]) == [("c1",)]
+        assert index.fetch([None]) == []  # a key given as a list, too
         assert index.fetch(("k1",)) == [("c1",)]
 
     @pytest.mark.parametrize("executor", ["row", "columnar"])

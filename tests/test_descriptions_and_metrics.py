@@ -7,7 +7,7 @@ from repro import ASCatalog, BoundedEvaluabilityChecker
 from repro.bench.reporting import format_table, series_row
 from repro.bench.runner import measure
 from repro.bounded.plan import SetOpPlan, explain_plan
-from repro.engine.metrics import ExecutionMetrics, Stopwatch
+from repro.engine.metrics import ExecutionMetrics
 
 from tests.conftest import (
     EXAMPLE2_SQL,
@@ -70,12 +70,6 @@ class TestMetrics:
     def test_tuples_accessed_combines_scan_and_fetch(self):
         metrics = ExecutionMetrics(tuples_scanned=7, tuples_fetched=3)
         assert metrics.tuples_accessed == 10
-
-    def test_stopwatch_monotonic(self):
-        watch = Stopwatch()
-        first = watch.lap()
-        second = watch.elapsed()
-        assert first >= 0 and second >= 0
 
 
 class TestBenchHelpers:

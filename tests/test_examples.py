@@ -17,8 +17,10 @@ EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 def run_example(name: str, *args: str) -> subprocess.CompletedProcess:
     """Run one example in a fresh interpreter, warnings as errors —
     pytest's own ``filterwarnings`` cannot reach these child
-    interpreters."""
+    interpreters — and without the suite's ``PYTHONPATH``: an example
+    finds the package itself, as it must when a user runs it."""
     env = dict(os.environ)
+    env.pop("PYTHONPATH", None)
     env["PYTHONWARNINGS"] = "error"
     return subprocess.run(
         [sys.executable, str(EXAMPLES / name), *args],

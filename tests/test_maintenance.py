@@ -234,11 +234,10 @@ class TestDriftMonitor:
 
     def test_widen_after_unvalidated_growth(self, catalog):
         index = catalog.index_for(catalog.schema.get("psi2"))
-        for i in range(13):
-            index.insert_row(
-                (900 + i, "300", f"q{i}", "2016-01-01", "2016-12-31", 2016),
-                validate=False,
-            )
+        index.insert_rows(
+            [(900 + i, "300", f"q{i}", "2016-01-01", "2016-12-31", 2016) for i in range(13)],
+            validate=False,
+        )
         report = DriftMonitor(catalog).report()
         by_name = {s.constraint_name: s for s in report.suggestions}
         assert by_name["psi2"].kind == "widen"

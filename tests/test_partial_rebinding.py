@@ -33,7 +33,7 @@ from collections import Counter
 
 import pytest
 
-from repro import BEAS
+from repro import BEAS, Decision
 from repro.beas.result import ExecutionMode
 from repro.workloads.tlc import generate_tlc, tlc_access_schema, tlc_queries
 
@@ -106,7 +106,7 @@ def oracle(tlc_small):
         for binding in bindings:
             statement = prepared._prepared.binding(binding).statement
             decision = fresh.check(statement)
-            mode, answer = fresh.evaluate(statement, decision, fresh.options)
+            mode, answer = fresh.evaluate(statement, Decision(decision, "fresh", 0), fresh.options)
             assert mode is ExecutionMode.PARTIAL
             reference = Counter(
                 (category,)
@@ -255,7 +255,7 @@ def test_a_class_spanning_prefix_and_residual_patches_both(tlc_small):
             bound = SPANNING.format(t=params.t0, r=params.r0, p=pnum, m=params.m0)
             decision = fresh.check(bound)
             assert decision.partial is not None
-            _, answer = fresh.evaluate(bound, decision, fresh.options)
+            _, answer = fresh.evaluate(bound, Decision(decision, "fresh", 0), fresh.options)
             assert result.mode is ExecutionMode.PARTIAL
             assert result.decision.provenance == ("fresh" if step == 0 else "rebound")
             assert result.decision.coverage == decision, pnum

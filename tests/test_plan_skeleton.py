@@ -52,7 +52,7 @@ from repro.bounded import skeleton as skeleton_module
 from repro.bounded.coverage import CoverageDecision
 from repro.bounded.approximation import BoundedApproximator
 from repro.bounded.plan import BoundedPlan, FetchOp, KeyPart, SelectOp
-from repro.bounded.rebind import build_rebind_template
+from repro.bounded.rebind import Decision, build_rebind_template
 from repro.bounded.skeleton import skeleton_of
 from repro.engine import expressions, physical
 from repro.engine.expressions import compile_predicate
@@ -587,8 +587,11 @@ def _count_set_up(monkeypatch) -> _Counter:
 def _count_copies(counter: _Counter) -> None:
     """Count every plan-, query- and decision-sized object a request could
     build: constructions, and the ``patched`` shallow copies that skip
-    ``__init__`` (wrapped in each module that imported the name)."""
-    for cls in (FetchOp, SelectOp, KeyPart, BoundedPlan, ConjunctiveQuery, CoverageDecision):
+    ``__init__`` (wrapped in each module that imported the name). A
+    request's own ``Decision`` is counted too: it builds exactly one."""
+    for cls in (
+        FetchOp, SelectOp, KeyPart, BoundedPlan, ConjunctiveQuery, CoverageDecision, Decision,
+    ):  # fmt: skip
         counter.wrap(cls, "__init__", cls.__name__)
     counter.wrap(plan_module, "patched", "plan.patched")
     counter.wrap(rebind_module, "patched", "rebind.patched")
@@ -599,9 +602,10 @@ def test_cold_bindings_set_nothing_up_after_the_first_request(tlc, monkeypatch, 
     """After a template's first request, 200 further cold bindings
     construct no key plan, attach no tail, compile no expression or
     predicate, run no BE Checker and copy no operator, query, plan or
-    decision: a request pays for its constants, its fetches and running
-    its tail. Reading a bound builds nothing; reading the plan builds
-    the patched copy, equal to a fresh BE Checker run's."""
+    checker outcome: a request pays for its constants, its one
+    ``Decision``, its fetches and running its tail. Reading a bound
+    builds nothing; reading the plan builds the patched copy, equal to
+    a fresh BE Checker run's."""
     dataset, _ = tlc
     # in this process: a pool worker's set-up could not be counted here
     beas = BEAS(dataset.database, tlc_access_schema(), parallelism=1)
@@ -626,7 +630,8 @@ def test_cold_bindings_set_nothing_up_after_the_first_request(tlc, monkeypatch, 
             assert result.decision.provenance == "rebound", query.name
             assert result.decision.access_bound == first.decision.access_bound
         assert beas.checker_runs == checks, query.name
-        assert counter.counts == dict.fromkeys(counter.counts, 0), query.name
+        one_decision_each = {**dict.fromkeys(counter.counts, 0), "Decision": len(bindings) - 1}
+        assert counter.counts == one_decision_each, query.name
         # the plan is built when read, and is the plan a fresh run decides
         plan = result.decision.plan
         assert counter.counts["plan.patched"] + counter.counts["rebind.patched"] > 0
@@ -634,6 +639,29 @@ def test_cold_bindings_set_nothing_up_after_the_first_request(tlc, monkeypatch, 
         assert plan == fresh.plan and repr(plan) == repr(fresh.plan), query.name
         assert result.decision.coverage == fresh
         counter.reset()
+
+
+def test_a_budgeted_request_on_a_cached_decision_copies_no_checker_outcome(tlc, monkeypatch):
+    """A budget's verdict is derived from the pinned bound, not copied
+    in: a budgeted request served by the exact decision cache builds one
+    ``Decision`` and no ``CoverageDecision``. The copy that shows the
+    verdict in ``coverage`` is built when read, once."""
+    dataset, _ = tlc
+    with BEAS(dataset.database, tlc_access_schema(), parallelism=1) as beas:
+        prepared = Session(beas=beas).query(tlc_queries(dataset.params)[0].sql)
+        first = prepared.run(use_result_cache=False)
+        assert first.decision.provenance == "fresh"
+        budget = first.decision.access_bound
+        counter = _Counter(monkeypatch)
+        _count_copies(counter)
+        result = prepared.run(budget=budget, use_result_cache=False)
+        decision = result.decision
+        assert decision.provenance == "cached" and decision.within_budget is True
+        assert counter.counts == {**dict.fromkeys(counter.counts, 0), "Decision": 1}
+        assert decision.coverage.within_budget is True
+        assert decision.coverage is decision.coverage
+        assert decision.coverage == beas.check(prepared.sql, budget)
+        assert counter.counts["rebind.patched"] == 1
 
 
 # --------------------------------------------------------------------------- #

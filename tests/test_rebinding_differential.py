@@ -22,8 +22,8 @@ import random
 
 import pytest
 
-from repro import BEAS, Session
-from repro.errors import ServingError
+from repro import BEAS, Decision, Session
+from repro.errors import BudgetExceededError, ServingError
 from repro.serving.params import extract_slots, resolve_overrides, substitute
 from repro.sql.printer import to_sql
 
@@ -172,6 +172,55 @@ def test_rebound_equals_fresh_decision(rig, template_key, seed, form):
         assert _execution_profile(served.metrics) == _execution_profile(
             fresh.metrics
         ), (template_key, seed, binding)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("template_key", sorted(TEMPLATES))
+def test_rebound_equals_fresh_decision_under_a_budget(rig, template_key, seed):
+    """Under a tuple budget, a rebound decision's ``within_budget``, its
+    ``BudgetExceededError`` and its approximate answer are a fresh
+    decision's: the budget's verdict is derived per request from the
+    pinned bound, never carried over from another binding."""
+    oracle, session = rig
+    query = session.query(TEMPLATES[template_key], name=template_key)
+    oracle_slots = extract_slots(query._prepared.statement, oracle.database.schema)
+    rebound = 0
+    for binding in _binding_stream(template_key, query.slots, seed):
+        resolved = resolve_overrides(binding, oracle_slots)
+        statement = substitute(
+            query._prepared.statement, resolved, oracle.database.schema
+        )
+        pinned = oracle.check(statement)
+        handle = query.bind(binding)
+        bound = pinned.access_bound
+        for budget in sorted({bound, max(bound - 1, 0), 1}):
+            fresh = Decision(pinned, "fresh", 0, budget=budget)
+            served = handle.decide(budget=budget)
+            rebound += served.provenance == "rebound"
+            checked = oracle.check(statement, budget).within_budget
+            assert served.within_budget == fresh.within_budget == checked
+            assert served.coverage == fresh.coverage
+            assert repr(served.coverage) == repr(fresh.coverage)
+            if fresh.within_budget:
+                continue
+            with pytest.raises(BudgetExceededError) as ours:
+                handle.run(budget=budget, use_result_cache=False)
+            with pytest.raises(BudgetExceededError) as theirs:
+                oracle.evaluate(statement, fresh, oracle.options)
+            assert str(ours.value) == str(theirs.value)
+            mine = handle.run(budget=budget, approximate_over_budget=True).approximation
+            options = oracle.options.replace(approximate_over_budget=True)
+            _, expected = oracle.evaluate(statement, fresh, options)
+            assert mine is not None, (template_key, binding, budget)
+            assert mine.rows == expected.rows, (template_key, binding, budget)
+            assert mine.tuples_fetched == expected.tuples_fetched
+            assert mine.complete == expected.complete
+            assert mine.missed_bound == expected.missed_bound
+            assert mine.recall_lower_bound == expected.recall_lower_bound
+            assert _execution_profile(mine.metrics) == _execution_profile(
+                expected.metrics
+            )
+    assert rebound > 0
 
 
 def test_scenario_floor():

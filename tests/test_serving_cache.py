@@ -15,7 +15,7 @@ import threading
 
 import pytest
 
-from repro import BEAS, AccessConstraint, Session
+from repro import BEAS, AccessConstraint, Decision, Session
 from repro.beas.result import ExecutionMode
 from repro.errors import (
     BudgetExceededError,
@@ -370,17 +370,23 @@ class TestServingBudgets:
 
     def test_evaluate_budgets_an_unbudgeted_decision(self, ex1_beas):
         """A pinned decision carries within_budget=None; under a budget
-        the engine entry must derive feasibility from the access bound,
+        the request's Decision derives feasibility from the access bound,
         not treat None as over-budget."""
         decision = ex1_beas.check(CALL_SQL)
         assert decision.covered and decision.within_budget is None
         options = ex1_beas.session().options
         mode, _ = ex1_beas.evaluate(
-            CALL_SQL, decision, options.replace(budget=10_000)
+            CALL_SQL,
+            Decision(decision, "fresh", 0, budget=10_000),
+            options.replace(budget=10_000),
         )
         assert mode is ExecutionMode.BOUNDED
         with pytest.raises(BudgetExceededError):
-            ex1_beas.evaluate(CALL_SQL, decision, options.replace(budget=1))
+            ex1_beas.evaluate(
+                CALL_SQL,
+                Decision(decision, "fresh", 0, budget=1),
+                options.replace(budget=1),
+            )
 
     def test_metrics_expose_cache_counters(self, session):
         session.run(CALL_SQL)

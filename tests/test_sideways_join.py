@@ -391,7 +391,7 @@ class TestPinnedToTheDecision:
         # the text's own literals bind its template: the pinned partially
         # bounded decision is rebound by value, the pinned plan reused
         assert again.metrics.decision_provenance == "rebound"
-        pinned = again.decision.outcome.template.partial
+        pinned = again.decision.template.partial
         assert pinned is first.decision.coverage.partial
         assert again.decision.coverage.partial == first.decision.coverage.partial
         assert sorted(first.rows) == sorted(again.rows)

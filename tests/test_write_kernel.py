@@ -479,9 +479,9 @@ def test_a_bound_of_zero_leaves_no_empty_bucket_behind():
     index = AccessIndex(constraint, Table(OTHER))
     assert index.add_rows([(1, "a")]) == 0
     with pytest.raises(ConformanceError):
-        index.insert_row((1, "a"))
+        index.insert_rows([(1, "a")])
     assert index.snapshot() == {}
-    index.insert_row((1, "a"), validate=False)
+    index.insert_rows([(1, "a")], validate=False)
     assert index.snapshot() == {("a",): {(1,): 1}}
 
 
