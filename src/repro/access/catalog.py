@@ -5,12 +5,12 @@ statistics, including index sizes, "in a system table as catalog, for query
 plan generation and optimization". ``ASCatalog`` owns the built
 :class:`~repro.access.index.AccessIndex` objects and exposes exactly that:
 constraint lookup for the BE Query Planner and index handles + statistics
-for the BE Plan Executor and Optimizer.
+for the BE Plan Executor and Optimizer. The statistics keep no copy: each
+call reads the live indices, so it sees every write and bound change.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -32,7 +32,6 @@ class IndexStatistics:
     entry_count: int
     max_bucket_size: int
     storage_cells: int
-    build_seconds: float
 
 
 class ASCatalog:
@@ -42,7 +41,6 @@ class ASCatalog:
         self.database = database
         self.schema = schema or AccessSchema(name=f"{database.name}-schema")
         self._indexes: dict[str, AccessIndex] = {}
-        self._statistics: dict[str, IndexStatistics] = {}
         #: Monotonic counter bumped on every access-schema change
         #: (register / unregister / bound adjustment). Cached coverage
         #: decisions are valid only while this is unchanged.
@@ -80,24 +78,12 @@ class ASCatalog:
                 self._build(constraint, validate=validate)
 
     def _build(self, constraint: AccessConstraint, *, validate: bool) -> AccessIndex:
-        """Build one constraint's index from its table and record its
-        statistics row; nothing is recorded when the build fails."""
-        start = time.perf_counter()
+        """Build one constraint's index from its table; nothing is kept
+        when the build fails."""
         index = AccessIndex(constraint).build(
             self.database.table(constraint.relation), validate=validate
         )
-        elapsed = time.perf_counter() - start
         self._indexes[constraint.name] = index
-        entries = index.entry_count
-        self._statistics[constraint.name] = IndexStatistics(
-            constraint_name=constraint.name,
-            relation=constraint.relation,
-            key_count=index.key_count,
-            entry_count=entries,
-            max_bucket_size=index.max_bucket_size,
-            storage_cells=index.storage_cells(entries),
-            build_seconds=elapsed,
-        )
         return index
 
     def set_bounds(self, bounds: Mapping[str, int]) -> list[str]:
@@ -139,7 +125,6 @@ class ASCatalog:
         if name in self.schema:
             self.schema.remove(name)
         self._indexes.pop(name, None)
-        self._statistics.pop(name, None)
         self.note_schema_change()
 
     # ------------------------------------------------------------------ #
@@ -164,17 +149,19 @@ class ASCatalog:
         return dict(self._indexes)
 
     def statistics(self) -> list[IndexStatistics]:
-        """The catalog's statistics table, one row per index."""
-        return list(self._statistics.values())
-
-    def statistics_for(self, name: str) -> IndexStatistics:
-        try:
-            return self._statistics[name]
-        except KeyError:
-            raise AccessSchemaError(f"no statistics for constraint {name!r}") from None
-
-    def total_storage_cells(self) -> int:
-        return sum(s.storage_cells for s in self._statistics.values())
+        """The catalog's statistics table, one row per index, read from
+        the live indices."""
+        return [
+            IndexStatistics(
+                constraint_name=name,
+                relation=index.constraint.relation,
+                key_count=index.key_count,
+                entry_count=index.entry_count,
+                max_bucket_size=index.max_bucket_size,
+                storage_cells=index.storage_cells(),
+            )
+            for name, index in self._indexes.items()
+        ]
 
     def statistics_table(self) -> "Table":
         """The statistics as a real relation — the paper's Metadata module
@@ -199,8 +186,9 @@ class ASCatalog:
             keys=[("constraint_name",)],
         )
         table = Table(schema)
+        rows = {stats.constraint_name: stats for stats in self.statistics()}
         for constraint in self.schema:
-            stats = self._statistics.get(constraint.name)
+            stats = rows.get(constraint.name)
             if stats is None:
                 continue
             table.insert(
@@ -222,14 +210,6 @@ class ASCatalog:
     def verify_conformance(self) -> ConformanceReport:
         """Re-check ``D |= A`` from the base data (maintenance hook)."""
         return check_database(self.database, self.schema)
-
-    def require_conformance(self) -> None:
-        report = self.verify_conformance()
-        if not report.conforms:
-            raise ConformanceError(
-                f"{len(report.violations)} access-constraint violations",
-                report.violations,
-            )
 
     def __iter__(self) -> Iterator[AccessConstraint]:
         return iter(self.schema)

@@ -1,17 +1,21 @@
 """Conformance checking: does ``D |= A`` hold?
 
 A relation instance conforms to ``R(X -> Y, N)`` when every X-value has at
-most N distinct Y-values (paper §2). The checker reports *all* violations
-(each offending X-value with its actual count), which the maintenance
-module uses to propose adjusted bounds.
+most N distinct Y-values (paper §2): an access constraint is an embedded
+dependency, and conformance checks that the data satisfies it. The check
+builds the constraint's :class:`~repro.access.index.AccessIndex` without
+validation and reads its buckets, so it counts NULL and NaN exactly as the
+index does. It reports *all* violations (each offending X-value with its
+actual count, in the order the index first saw the keys), which the
+maintenance module uses to propose adjusted bounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-
 from repro.access.constraint import AccessConstraint
+from repro.access.index import AccessIndex
 from repro.access.schema import AccessSchema
 from repro.storage.database import Database
 from repro.storage.table import Table
@@ -38,7 +42,8 @@ class ConformanceReport:
 
     violations: list[Violation] = field(default_factory=list)
     checked_constraints: int = 0
-    max_group_size: int = 0  # largest distinct-Y group seen anywhere
+    # largest distinct-Y group seen anywhere: the tightest N that conforms
+    max_group_size: int = 0
 
     @property
     def conforms(self) -> bool:
@@ -49,28 +54,19 @@ class ConformanceReport:
         self.checked_constraints += other.checked_constraints
         self.max_group_size = max(self.max_group_size, other.max_group_size)
 
-    def tightest_bound(self) -> int:
-        """Smallest N for which the checked data would conform."""
-        return self.max_group_size
-
 
 def check_constraint(table: Table, constraint: AccessConstraint) -> ConformanceReport:
     """Check one constraint against one table, reporting every violation."""
-    constraint.validate_against(table.schema)
-    x_positions = table.schema.positions(constraint.x)
-    y_positions = table.schema.positions(constraint.y)
-    groups: dict[tuple, set[tuple]] = {}
-    for row in table.rows:
-        key = tuple(row[i] for i in x_positions)
-        groups.setdefault(key, set()).add(tuple(row[i] for i in y_positions))
-
-    report = ConformanceReport(checked_constraints=1)
-    for key, y_values in groups.items():
-        size = len(y_values)
-        report.max_group_size = max(report.max_group_size, size)
-        if size > constraint.n:
-            report.violations.append(Violation(constraint, key, size))
-    return report
+    index = AccessIndex(constraint).build(table, validate=False)
+    return ConformanceReport(
+        violations=[
+            Violation(constraint, key, size)
+            for key, size in index.bucket_sizes()
+            if size > constraint.n
+        ],
+        checked_constraints=1,
+        max_group_size=index.max_bucket_size,
+    )
 
 
 def check_database(database: Database, schema: AccessSchema) -> ConformanceReport:

@@ -9,6 +9,10 @@ Buckets here additionally store a support count per distinct Y-value (how
 many base rows project to it), which is what makes **incremental
 maintenance** exact under deletions: a Y-value leaves the bucket only when
 its last supporting row is deleted (paper §3, Maintenance module).
+
+It is the only code that groups a relation by X: the conformance check
+and discovery profiling read the counters of an unvalidated build, and
+the AS Catalog's statistics those of its live indices.
 """
 
 from __future__ import annotations
@@ -268,6 +272,12 @@ class AccessIndex:
     @property
     def max_bucket_size(self) -> int:
         return max(map(len, self._buckets.values()), default=0)
+
+    def bucket_sizes(self) -> Iterator[tuple[Key, int]]:
+        """``(key, distinct Y-values in its bucket)`` per stored key
+        (canonical, NULL and NaN keys included), in the order the keys
+        entered the index: first-seen row order for a fresh build."""
+        return ((key, len(bucket)) for key, bucket in self._buckets.items())
 
     def largest_bucket(self, keys: Iterable[Key]) -> int:
         """The most distinct Y-values any bucket among ``keys`` (canonical

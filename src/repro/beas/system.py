@@ -88,7 +88,7 @@ from repro.bounded.analyzer import PerformanceAnalysis, PerformanceAnalyzer
 from repro.bounded.approximation import BoundedApproximator
 from repro.bounded.coverage import BoundedEvaluabilityChecker, CoverageDecision
 from repro.bounded.optimizer import BEPlanOptimizer
-from repro.bounded.plan import BoundedPlan, explain_plan
+from repro.bounded.plan import BoundedPlan
 from repro.bounded.rebind import Decision
 from repro.engine.router import (
     LOCAL_ROUTES,
@@ -491,26 +491,19 @@ class BEAS:
     def explain(
         self,
         query: Union[str, ast.Statement],
-        decision: Optional[CoverageDecision] = None,
+        decision: Optional[Decision] = None,
     ) -> str:
-        """Bounded plan listing when covered; otherwise the reasons, the
-        partially bounded plan with the steps its residual runs (if a
-        bounded prefix exists), and the host plan of the whole query.
-        ``decision`` is the query's own, already made: given one, nothing
-        is checked again."""
+        """What :meth:`Decision.explain` lists, then, not covered, the
+        host plan of the whole query. ``decision`` is the query's own,
+        already made: given one, nothing is checked again."""
         if decision is None:
-            decision = self.check(query)
+            generation = self.catalog.schema_generation
+            decision = Decision(self.check(query), "fresh", generation)
         if decision.covered:
-            return explain_plan(decision.plan)
-        partial = decision.partial
-        lines = [decision.describe()]
-        if partial is not None:
-            lines.append(partial.describe())
-            lines.append("residual plan (its steps on the prefix's rows, in order):")
-            lines.append(partial.residual.explain(partial.cq))
-        lines.append("host plan:")
-        lines.append(self._host.explain(query))
-        return "\n".join(lines)
+            return decision.explain()
+        return "\n".join(
+            (decision.explain(), "host plan:", self._host.explain(query))
+        )
 
     def evaluate(
         self,

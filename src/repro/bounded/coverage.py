@@ -185,23 +185,22 @@ class BoundedEvaluabilityChecker:
         plan, reasons = self._generator.try_generate(
             cq, require_bag_exact=need_bag_exact
         )
-        if plan is None and need_bag_exact:
-            relaxed, _ = self._generator.try_generate(cq)
-            if relaxed is not None:
-                if sensitive:
-                    names = ", ".join(sorted({c.name for c in sensitive}))
-                    reason = (
-                        f"aggregates ({names}) need exact multiplicities, but "
-                        "no bag-exact bounded plan exists: some occurrence "
-                        "cannot be key-covered by its fetches"
-                    )
-                else:
-                    reason = (
-                        "exact multiplicities were requested "
-                        "(require_exact_multiplicities=True) but no bag-exact "
-                        "bounded plan exists"
-                    )
-                return CoverageDecision(covered=False, reasons=[reason])
+        if plan is None and not reasons:
+            # some plan covers every occurrence, but none anchors them all
+            if sensitive:
+                names = ", ".join(sorted({c.name for c in sensitive}))
+                reason = (
+                    f"aggregates ({names}) need exact multiplicities, but "
+                    "no bag-exact bounded plan exists: some occurrence "
+                    "cannot be key-covered by its fetches"
+                )
+            else:
+                reason = (
+                    "exact multiplicities were requested "
+                    "(require_exact_multiplicities=True) but no bag-exact "
+                    "bounded plan exists"
+                )
+            return CoverageDecision(covered=False, reasons=[reason])
         if plan is None:
             return CoverageDecision(covered=False, reasons=reasons)
 

@@ -196,7 +196,11 @@ class BoundedPlanGenerator:
         With ``require_bag_exact`` the search only accepts plans in which
         every occurrence is key-covered (needed for duplicate-sensitive
         aggregates); the DFS backtracks past covering-but-unanchored
-        choices. ``candidate_order`` selects the fetch-ordering heuristic:
+        choices. Failing after it reached such a choice, it returns
+        ``(None, [])``: a plan exists, but none is bag-exact (the search
+        without the rule would have stopped there, and it fails only
+        after visiting every reachable state, so no second search is
+        needed to tell). ``candidate_order`` selects the fetch-ordering heuristic:
         ``"greedy"`` (smallest deduced access bound first, the default) or
         ``"anti_greedy"`` (largest first — the ablation baseline showing
         what fetch-order optimisation buys).
@@ -212,7 +216,7 @@ class BoundedPlanGenerator:
         )
         state = context.search(_SearchState())
         if state is None:
-            return None, context.failure_reasons()
+            return None, [] if context.covered_unanchored else context.failure_reasons()
         return context.finalize(state), []
 
     def greedy_prefix(self, cq: ConjunctiveQuery) -> tuple[_SearchState, "_PlanContext"]:
@@ -261,6 +265,9 @@ class _PlanContext:
         self.class_constants = class_constant_map(cq, self.uf)
 
         self._visited: set[tuple] = set()
+        #: the search reached a state covering every occurrence without
+        #: anchoring them all (only ``require_bag_exact`` rejects one)
+        self.covered_unanchored = False
 
     # ------------------------------------------------------------------ #
     def table_schema(self, binding: str) -> TableSchema:
@@ -483,8 +490,11 @@ class _PlanContext:
     def _accepts(self, state: _SearchState) -> bool:
         if len(state.covered) != len(self.cq.occurrences):
             return False
-        if self.require_bag_exact:
-            return all(b in state.anchored for b in self.cq.occurrences)
+        if self.require_bag_exact and not all(
+            b in state.anchored for b in self.cq.occurrences
+        ):
+            self.covered_unanchored = True
+            return False
         return True
 
     def search(self, state: _SearchState) -> Optional[_SearchState]:

@@ -453,11 +453,19 @@ class Decision:
         return self.query.run(options=options, **fields)
 
     def explain(self) -> str:
-        """The bounded plan listing (or the not-covered reasons)."""
+        """The bounded plan listing; not covered, the reasons and, when a
+        bounded prefix exists, the partially bounded plan with the steps
+        its residual runs on the prefix's rows."""
         coverage = self.coverage
         if coverage.covered and coverage.plan is not None:
             return explain_plan(coverage.plan)
-        return coverage.describe()
+        lines = [coverage.describe()]
+        partial = coverage.partial
+        if partial is not None:
+            lines.append(partial.describe())
+            lines.append("residual plan (its steps on the prefix's rows, in order):")
+            lines.append(partial.residual.explain(partial.cq))
+        return "\n".join(lines)
 
     def describe(self) -> str:
         lines = [

@@ -1,16 +1,17 @@
 """Lightweight table statistics.
 
 The conventional planner uses row counts and per-column distinct counts for
-join ordering and selectivity estimates; the AS catalog stores index sizes
-derived from the same numbers; the discovery module profiles group
-cardinalities. Everything here is exact (computed over the data), which is
-affordable for an in-memory engine and keeps tests deterministic.
+join ordering and selectivity estimates. Everything here is exact (computed
+over the data), which is affordable for an in-memory engine and keeps tests
+deterministic. Grouping a relation by ``X`` (index sizes, the tightest
+bound ``N`` of a candidate, conformance) is not done here: the access
+index does it (:mod:`repro.access.index`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.table import Table
@@ -69,22 +70,3 @@ def collect_statistics(table: "Table") -> TableStatistics:
         )
     return stats
 
-
-def group_cardinality(
-    table: "Table", x_attrs: Iterable[str], y_attrs: Iterable[str]
-) -> int:
-    """Max over X-values of the number of distinct Y-projections.
-
-    This is exactly the smallest ``N`` for which the access constraint
-    ``R(X -> Y, N)`` holds on ``table`` (0 for an empty table). The
-    discovery profiler and the conformance checker both build on it.
-    """
-    x_positions = table.schema.positions(x_attrs)
-    y_positions = table.schema.positions(y_attrs)
-    groups: dict[tuple, set[tuple]] = {}
-    for row in table.rows:
-        key = tuple(row[i] for i in x_positions)
-        groups.setdefault(key, set()).add(tuple(row[i] for i in y_positions))
-    if not groups:
-        return 0
-    return max(len(values) for values in groups.values())

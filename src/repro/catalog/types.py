@@ -152,19 +152,3 @@ def is_compatible(value: Any, dtype: DataType) -> bool:
         return True
     return False  # pragma: no cover
 
-
-def infer_type(value: Any) -> DataType:
-    """Best-effort type inference for a single Python value."""
-    if isinstance(value, bool):
-        return DataType.BOOL
-    if isinstance(value, int):
-        return DataType.INT
-    if isinstance(value, float):
-        return DataType.FLOAT
-    if isinstance(value, str):
-        try:
-            _coerce_date(value)
-        except TypeMismatchError:
-            return DataType.STRING
-        return DataType.DATE
-    return DataType.STRING

@@ -12,8 +12,9 @@ inputs and outputs:
 1. :mod:`repro.discovery.candidates` mines candidate ``R(X -> Y)`` shapes
    from the workload's query patterns (constants and join attributes form
    ``X``; the attributes the query needs form ``Y``);
-2. :mod:`repro.discovery.profiler` computes the tightest bound ``N`` and
-   the index storage cost of each candidate from the data;
+2. :mod:`repro.discovery.profiler` reads the tightest bound ``N`` and
+   the index storage cost of each candidate off an unvalidated
+   :class:`~repro.access.index.AccessIndex` built over the data;
 3. :mod:`repro.discovery.selector` greedily selects candidates under the
    storage budget, maximising the chosen objective (queries covered,
    coverage per storage cell, or minimum total access bound).

@@ -1,7 +1,8 @@
 """Profile candidate constraints against the data.
 
-For each mined candidate ``R(X -> Y)`` the profiler computes, in one
-group-by pass over ``R``:
+For each mined candidate ``R(X -> Y)`` the profiler builds the
+candidate's :class:`~repro.access.index.AccessIndex` over ``R`` without
+validation (the one grouping of ``R`` by ``X``) and reads from it:
 
 * the tightest cardinality bound ``N`` the data supports (the paper's
   constants — 500, 12, 2000 in Example 1 — are "upper bounds aggregated
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.access.constraint import AccessConstraint
+from repro.access.index import AccessIndex
 from repro.discovery.candidates import CandidateConstraint
 from repro.storage.database import Database
 
@@ -60,28 +62,25 @@ def profile_candidate(
     how the paper's constants are aggregated upper bounds rather than
     exact maxima.
     """
-    table = database.table(candidate.relation)
-    x_positions = table.schema.positions(candidate.x)
-    y_positions = table.schema.positions(candidate.y)
-
-    groups: dict[tuple, set[tuple]] = {}
-    for row in table.rows:
-        key = tuple(row[i] for i in x_positions)
-        groups.setdefault(key, set()).add(tuple(row[i] for i in y_positions))
-
-    observed = max((len(v) for v in groups.values()), default=0)
+    # named: a nameless constraint would take the next global psi<n>
+    profiled = AccessConstraint(
+        candidate.relation, candidate.x, candidate.y, 0, name="candidate"
+    )
+    index = AccessIndex(profiled).build(
+        database.table(candidate.relation), validate=False
+    )
+    observed = index.max_bucket_size
     declared = max(int(math.ceil(observed * slack)), observed, 1)
     if max_n is not None and declared > max_n:
         return None
-    entries = sum(len(v) for v in groups.values())
-    storage = len(groups) * len(candidate.x) + entries * len(candidate.y)
+    entries = index.entry_count
     return ProfiledCandidate(
         candidate=candidate,
         n=declared,
         observed_max=observed,
-        key_count=len(groups),
+        key_count=index.key_count,
         entry_count=entries,
-        storage_cells=storage,
+        storage_cells=index.storage_cells(entries),
     )
 
 

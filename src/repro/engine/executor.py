@@ -52,9 +52,6 @@ class QueryResult:
     def to_set(self) -> set[tuple]:
         return set(self.rows)
 
-    def sorted_rows(self) -> list[tuple]:
-        return sorted(self.rows, key=lambda r: tuple((v is None, str(type(v)), v) for v in r))
-
     def __len__(self) -> int:
         return len(self.rows)
 

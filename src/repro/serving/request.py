@@ -332,13 +332,10 @@ def decide_only(beas: "BEAS", request: Request) -> Decision:
 
 def explain(beas: "BEAS", request: Request) -> str:
     """The explain path (``Query.explain``, ``Session.explain``): the
-    decision-only path, then the bounded plan listing, or, not covered,
-    the decision's own reasons and partially bounded plan and the host
-    plan — nothing is checked again."""
+    decision-only path, then what the decision explains, and, not
+    covered, the host plan — nothing is checked again."""
     decision = decide_only(beas, request)
-    if decision.covered:
-        return decision.explain()
-    return beas.explain(request.statement(), decision.coverage)
+    return beas.explain(request.statement(), decision)
 
 
 # --------------------------------------------------------------------------- #

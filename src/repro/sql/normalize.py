@@ -122,13 +122,6 @@ class ConjunctiveQuery:
                     needed.add(ref.name)
         return needed
 
-    def all_attributes(self) -> set[Attribute]:
-        return {
-            Attribute(binding, column)
-            for binding in self.occurrences
-            for column in self.attributes_of(binding)
-        }
-
 
 class _Resolver:
     """Resolves column names against the occurrences of one SELECT block."""

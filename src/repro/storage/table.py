@@ -366,9 +366,6 @@ class Table:
         """Append one row; returns it as stored."""
         return self.insert_rows((row,), coerce=coerce)[0]
 
-    def insert_many(self, rows: Iterable[Sequence[Any]], *, coerce: bool = False) -> int:
-        return len(self.insert_rows(rows, coerce=coerce))
-
     def delete(self, predicate: Callable[[Row], bool]) -> list[Row]:
         """Remove rows matching ``predicate``; returns the removed rows.
         O(rows), and the locator is rebuilt by the next ``delete_rows``."""
@@ -503,10 +500,6 @@ class Table:
                 seen.add(row)
                 out.append(row)
         return out
-
-    def column_values(self, column: str) -> list[Any]:
-        position = self.schema.position(column)
-        return [row[position] for row in self.rows]
 
     def statistics(self) -> TableStatistics:
         return collect_statistics(self)

@@ -202,7 +202,7 @@ class TestConformance:
     def test_tightest_bound(self):
         table = Table(rel_schema(), [(1, 10, "a"), (1, 20, "b"), (2, 10, "c")])
         report = check_constraint(table, AccessConstraint("r", ["x"], ["y"], 99))
-        assert report.tightest_bound() == 2
+        assert report.max_group_size == 2  # the smallest N that conforms
 
     def test_empty_table_conforms(self):
         report = check_constraint(
@@ -252,8 +252,8 @@ class TestASCatalog:
         )
         index = catalog.register(constraint)
         assert index.key_count > 0
-        stats = catalog.statistics_for("psi1")
-        assert stats.relation == "call"
+        (stats,) = catalog.statistics()
+        assert stats.constraint_name == "psi1" and stats.relation == "call"
         assert stats.entry_count == index.entry_count
 
     def test_register_validates_conformance(self):
@@ -280,8 +280,8 @@ class TestASCatalog:
 
     def test_total_storage(self):
         catalog = ASCatalog(example1_database(), example1_access_schema())
-        assert catalog.total_storage_cells() == sum(
-            s.storage_cells for s in catalog.statistics()
+        assert sum(s.storage_cells for s in catalog.statistics()) == sum(
+            index.storage_cells() for index in catalog.index_map().values()
         )
 
     def test_statistics_rows_read_what_the_index_reports(self):
@@ -305,13 +305,14 @@ class TestASCatalog:
     def test_verify_conformance(self):
         catalog = ASCatalog(example1_database(), example1_access_schema())
         assert catalog.verify_conformance().conforms
-        catalog.require_conformance()  # must not raise
 
-    def test_require_conformance_raises_after_drift(self):
+    def test_verify_conformance_reports_drift(self):
         db = example1_database()
         catalog = ASCatalog(db, example1_access_schema())
         # sneak rows in behind the catalog's back until psi2 (N=12) breaks
         for i in range(13):
             db.insert("package", (100 + i, "100", f"p{i}", "2016-01-01", "2016-12-31", 2016))
-        with pytest.raises(ConformanceError):
-            catalog.require_conformance()
+        report = catalog.verify_conformance()
+        assert not report.conforms
+        assert [v.constraint.name for v in report.violations] == ["psi2"]
+        assert report.violations[0].x_value == ("100", 2016)

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro import AccessConstraint, AccessSchema, BoundedEvaluabilityChecker
+from repro import BEAS, AccessConstraint, AccessSchema, BoundedEvaluabilityChecker
 from repro.bounded.plan import SetOpPlan
+from repro.bounded.planner import BoundedPlanGenerator
+from repro.workloads.tlc import tlc_access_schema
 
 from tests.conftest import EXAMPLE2_SQL, example1_access_schema, example1_schema
 
@@ -195,3 +197,33 @@ class TestSetOperations:
     def test_constraints_used_merged_without_duplicates(self, checker):
         decision = checker.check(f"{self.LEFT} UNION {self.RIGHT}")
         assert [c.name for c in decision.constraints_used] == ["psi3"]
+
+
+class TestOneSearch:
+    """A duplicate-sensitive aggregate over a plan that covers but is not
+    bag-exact: the strict search alone tells which reason applies."""
+
+    PROBE = (
+        "select cu.segment, count(*) from customer cu, package pk "
+        "where pk.pid = 'x' and pk.year = 2016 and pk.pnum = cu.pnum "
+        "group by cu.segment"
+    )
+
+    def test_check_searches_once(self, tlc_small, monkeypatch):
+        calls = []
+        try_generate = BoundedPlanGenerator.try_generate
+
+        def counting(self, cq, **kwargs):
+            calls.append(kwargs)
+            return try_generate(self, cq, **kwargs)
+
+        monkeypatch.setattr(BoundedPlanGenerator, "try_generate", counting)
+        with BEAS(tlc_small.database, tlc_access_schema()) as beas:
+            decision = beas.check(self.PROBE)
+        assert decision.reasons == [
+            "aggregates (COUNT) need exact multiplicities, but no bag-exact "
+            "bounded plan exists: some occurrence cannot be key-covered by "
+            "its fetches"
+        ]
+        # the strict search, then the BE Plan Optimizer's prefix
+        assert calls == [{"require_bag_exact": True}, {}]

@@ -1,7 +1,9 @@
 """Unit tests for repro.catalog.statistics."""
 
+from repro.access.conformance import check_constraint
+from repro.access.constraint import AccessConstraint
 from repro.catalog.schema import TableSchema
-from repro.catalog.statistics import collect_statistics, group_cardinality
+from repro.catalog.statistics import collect_statistics
 from repro.catalog.types import DataType
 from repro.storage.table import Table
 
@@ -52,27 +54,27 @@ class TestCollectStatistics:
 
 
 class TestGroupCardinality:
-    def test_paper_semantics(self):
-        """group_cardinality is the smallest valid N for R(X -> Y, N)."""
-        table = make_table()
-        # a=1 -> {x, y}: 2 distinct b values is the max group
-        assert group_cardinality(table, ["a"], ["b"]) == 2
+    """The largest distinct-Y group of ``R`` by ``X``, read off the access
+    index the conformance check builds: the smallest valid N for
+    ``R(X -> Y, N)``."""
 
-    def test_composite_x(self):
-        table = make_table()
-        assert group_cardinality(table, ["a", "b"], ["b"]) == 1
+    @staticmethod
+    def tightest(table: Table, x: list[str], y: list[str]) -> int:
+        constraint = AccessConstraint(table.schema.name, x, y, 0, name="t")
+        return check_constraint(table, constraint).max_group_size
+
+    def test_paper_semantics(self):
+        # a=1 -> {x, y}: 2 distinct b values is the max group
+        assert self.tightest(make_table(), ["a"], ["b"]) == 2
 
     def test_empty_x_bounds_whole_relation(self):
-        table = make_table()
         # distinct (a) values overall: 3
-        assert group_cardinality(table, [], ["a"]) == 3
+        assert self.tightest(make_table(), [], ["a"]) == 3
 
     def test_empty_table(self):
         schema = TableSchema("e", [("a", DataType.INT), ("b", DataType.INT)])
-        assert group_cardinality(Table(schema), ["a"], ["b"]) == 0
+        assert self.tightest(Table(schema), ["a"], ["b"]) == 0
 
     def test_nulls_count_as_values(self):
-        table = make_table()
         # a=3 -> {None, x}: NULL is a distinct Y-value in the index bucket
-        groups = group_cardinality(table, ["a"], ["b"])
-        assert groups == 2
+        assert self.tightest(make_table(), ["a"], ["b"]) == 2

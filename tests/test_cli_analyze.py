@@ -36,17 +36,6 @@ class TestAnalyzeCommand:
 
 
 class TestQueryResultHelpers:
-    def test_sorted_rows_handles_nulls_and_types(self):
-        result = QueryResult(
-            columns=["v"], rows=[(2,), (None,), (1,)]
-        )
-        # helper convention: NULLs sort last, values by type then value
-        assert result.sorted_rows() == [(1,), (2,), (None,)]
-
-    def test_sorted_rows_mixed_types_do_not_crash(self):
-        result = QueryResult(columns=["v"], rows=[("b",), (1,), ("a",)])
-        assert len(result.sorted_rows()) == 3
-
     def test_iteration_and_len(self):
         result = QueryResult(columns=["v"], rows=[(1,), (2,)])
         assert len(result) == 2

@@ -99,7 +99,7 @@ class TestStatisticsSystemTable:
         assert names == {"psi1", "psi2", "psi3"}
         by_name = {row[0]: row for row in table.rows}
         psi1 = by_name["psi1"]
-        stats = catalog.statistics_for("psi1")
+        (stats,) = [s for s in catalog.statistics() if s.constraint_name == "psi1"]
         assert psi1[5] == stats.key_count
         assert psi1[6] == stats.entry_count
         assert psi1[8] == stats.storage_cells

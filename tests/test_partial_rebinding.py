@@ -228,6 +228,22 @@ def test_explain_of_a_rebound_partial_decision_keeps_its_residual(tlc_small):
         assert beas.checker_runs == 1  # neither explain nor decide checked
 
 
+def test_a_partial_decision_explains_the_plan_that_runs(tlc_small):
+    """``decide().explain()`` lists the reasons, the partially bounded
+    plan and its residual's steps: ``explain()`` up to its host plan,
+    fresh and rebound."""
+    with BEAS(tlc_small.database, tlc_access_schema()) as beas:
+        query = beas.session().query(q11_text(tlc_small.params))
+        for month, provenance in ((6, "fresh"), (5, "rebound")):
+            bound = query.bind({"d.month": month})
+            decision = bound.decide()
+            assert decision.provenance == provenance
+            listing = decision.explain()
+            assert f"Probe data_usage AS d on (pnum) filter [d.month = {month}]" in listing
+            assert "host plan:" not in listing
+            assert bound.explain().split("\nhost plan:")[0] == listing
+
+
 #: Q11 with a number selected on the residual's side of the join: the
 #: class {d.pnum, b.pnum} spans prefix and residual
 SPANNING = """

@@ -174,7 +174,11 @@ class TestNeededAttributes:
 
     def test_all_attributes(self):
         cq = norm("SELECT region FROM call WHERE pnum = '1'")
-        assert cq.all_attributes() == {
+        assert {
+            Attribute(binding, column)
+            for binding in cq.occurrences
+            for column in cq.attributes_of(binding)
+        } == {
             Attribute("call", "region"),
             Attribute("call", "pnum"),
         }

@@ -57,10 +57,10 @@ class TestTable:
 
     def test_insert_many(self):
         table = Table(schema())
-        n = table.insert_many(
+        stored = table.insert_rows(
             [(1, 1.0, "a", False, "2016-01-01"), (2, 2.0, "b", True, "2016-01-02")]
         )
-        assert n == 2 and len(table) == 2
+        assert len(stored) == 2 and len(table) == 2
 
     def test_delete_predicate(self):
         table = Table(schema())
@@ -87,7 +87,7 @@ class TestTable:
     def test_column_values(self):
         table = Table(schema())
         table.insert((1, 1.0, "a", False, "2016-01-01"))
-        assert table.column_values("s") == ["a"]
+        assert table.project(["s"]) == [("a",)]
 
     def test_nulls_allowed(self):
         table = Table(schema())

@@ -1,7 +1,8 @@
 """Deeper TLC generator invariants: headroom under every bound, planted
 chain integrity, and query-metadata hygiene."""
 
-from repro.catalog.statistics import group_cardinality
+from repro.access.constraint import AccessConstraint
+from repro.access.index import AccessIndex
 from repro.workloads.tlc import (
     BUSINESS_TYPES,
     REGIONS,
@@ -19,7 +20,7 @@ class TestBoundHeadroom:
         db = tlc_small.database
         for constraint in tlc_access_schema():
             table = db.table(constraint.relation)
-            observed = group_cardinality(table, constraint.x, constraint.y)
+            observed = AccessIndex(constraint, table).max_bucket_size
             # psi8 (N=1, one customer row per pnum) is tight by design
             assert observed <= max(constraint.n * 0.5, 1), (
                 f"{constraint.name}: observed {observed} too close to "
@@ -27,9 +28,9 @@ class TestBoundHeadroom:
             )
 
     def test_customer_is_exactly_keyed(self, tlc_small):
-        table = tlc_small.database.table("customer")
-        observed = group_cardinality(table, ["pnum"], ["segment"])
-        assert observed == 1  # psi8's N=1 is tight by construction
+        segment = AccessConstraint("customer", ["pnum"], ["segment"], 1, name="segment")
+        index = AccessIndex(segment, tlc_small.database.table("customer"))
+        assert index.max_bucket_size == 1  # psi8's N=1 is tight by construction
 
 
 class TestPlantedChain:
