@@ -96,7 +96,8 @@ class ASCatalog:
         :class:`ConformanceError` naming the constraint, the N and its
         index's largest bucket, and then nothing changes: the whole
         mapping applies or none of it. Only the indices of constraints
-        whose N goes down are scanned."""
+        whose N goes down are scanned. Each constraint keeps its place
+        in the schema."""
         changes: list[tuple[AccessIndex, AccessConstraint]] = []
         for name, n in bounds.items():
             current = self.schema.get(name)
@@ -111,8 +112,7 @@ class ASCatalog:
             )
             changes.append((index, adjusted))
         for index, adjusted in changes:
-            self.schema.remove(adjusted.name)
-            self.schema.add(adjusted)
+            self.schema.replace(adjusted)
             index.constraint = adjusted
         if bounds:
             # new bounds change deduced plan bounds: cached coverage

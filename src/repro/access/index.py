@@ -25,6 +25,7 @@ from repro.access.constraint import AccessConstraint
 from repro.catalog.types import DataType
 from repro.errors import AccessSchemaError, ConformanceError
 from repro.storage.codec import canonical_key, is_nan, nan_free
+from repro.storage.heap import bulk_build
 from repro.storage.table import Table
 
 Key = tuple
@@ -79,7 +80,9 @@ class AccessIndex:
 
         With ``validate=True`` (default) a bucket growing past ``N``
         aborts the build with :class:`~repro.errors.ConformanceError` —
-        the dataset does not conform to the constraint.
+        the dataset does not conform to the constraint. The buckets are
+        built with the cycle collector paused and then frozen
+        (:mod:`repro.storage.heap`).
         """
         self.constraint.validate_against(table.schema)
         x_positions = table.schema.positions(self.constraint.x)
@@ -90,9 +93,10 @@ class AccessIndex:
             y_positions,
             [i for i in x_positions + y_positions if dtypes[i] is DataType.FLOAT],
         )
-        self._buckets = {}
-        self._built_from = table.schema.name
-        self.insert_rows(table.rows, validate=validate)
+        with bulk_build:
+            self._buckets = {}
+            self._built_from = table.schema.name
+            self.insert_rows(table.rows, validate=validate)
         return self
 
     def _project(self, rows: Sequence[Row]) -> tuple[list[Key], list[YValue]]:

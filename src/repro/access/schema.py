@@ -27,6 +27,13 @@ class AccessSchema:
         self._constraints[constraint.name] = constraint
         return constraint
 
+    def replace(self, constraint: AccessConstraint) -> AccessConstraint:
+        """Put ``constraint`` in the place of the one with its name: the
+        schema's order, which breaks the planner's ties, is kept."""
+        self.get(constraint.name)
+        self._constraints[constraint.name] = constraint
+        return constraint
+
     def remove(self, name: str) -> AccessConstraint:
         try:
             return self._constraints.pop(name)

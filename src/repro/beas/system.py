@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import gc
 import shutil
 import tempfile
 import threading
@@ -412,7 +413,9 @@ class BEAS:
         """Shut down the engine pool's workers and the fleet's replicas,
         close the store and remove a store directory this engine made
         for itself (idempotent; a caller-supplied ``storage_dir`` is
-        never removed), then hand the C heap's free pages back to the OS.
+        never removed), then hand the heap the index builds froze back to
+        the cycle collector (:mod:`repro.storage.heap`) and the C heap's
+        free pages back to the OS.
 
         Safe to call any number of times, including when a lazy spawn
         previously failed — ``with BEAS(...)`` blocks must exit cleanly
@@ -428,6 +431,7 @@ class BEAS:
             self._store.close()
         if self._temp_dir is not None:
             shutil.rmtree(self._temp_dir, ignore_errors=True)
+        gc.unfreeze()
         _release_free_heap()
 
     def __enter__(self) -> "BEAS":

@@ -22,6 +22,7 @@ from repro.catalog.statistics import TableStatistics, collect_statistics
 from repro.catalog.types import DataType, coerce_value, int_text_bits, is_compatible, shown
 from repro.errors import StorageError, TypeMismatchError
 from repro.storage.codec import EXACT_TYPES, canonical_key, exactly_typed, nan_free
+from repro.storage.heap import bulk_build
 
 Row = tuple
 
@@ -472,8 +473,10 @@ class Table:
         """Group every row by its key on ``positions`` and publish the
         index, for :meth:`key_index` and the writers to keep. Callable
         under a read lock: readers that race build equal indexes, and
-        each publishes its own with one store."""
-        index = group_by_key(self._rows, positions)
+        each publishes its own with one store. Built with the cycle
+        collector paused and then frozen (:mod:`repro.storage.heap`)."""
+        with bulk_build:
+            index = group_by_key(self._rows, positions)
         self._key_indexes[positions] = index
         return index
 

@@ -211,6 +211,42 @@ class TestSetBounds:
             result = beas.session().run(q2.sql, use_result_cache=False)
         assert result.rows and result.metrics.tuples_fetched <= largest
 
+    def test_an_adjusted_constraint_keeps_its_place(self):
+        """A bound change replaces the constraint where it stands: the
+        schema, ``constraints_for`` (whose order breaks the planner's
+        ties), the statistics table and the conformance report keep the
+        build order, after ``set_bounds`` and after an ADJUST batch."""
+        schema = example1_access_schema()
+        schema.add(AccessConstraint("call", ["region"], ["pnum"], 5, name="psi4"))
+        catalog = ASCatalog(example1_database(), schema)
+        built = ["psi1", "psi2", "psi3", "psi4"]
+
+        def assert_build_order():
+            assert [c.name for c in catalog.schema] == built
+            assert [c.name for c in catalog.constraints_for("call")] == ["psi1", "psi4"]
+            assert [row[0] for row in catalog.statistics_table().rows] == built
+
+        assert_build_order()
+        # every N down to its largest bucket, named last to first
+        catalog.set_bounds(
+            {name: self._largest(catalog, name) for name in reversed(built)}
+        )
+        assert_build_order()
+        # one row past psi1's and psi4's largest buckets
+        batch = MaintenanceManager(catalog, policy=ViolationPolicy.ADJUST).insert(
+            "call", [(8, "100", "999", "2016-06-01", "east")]
+        )
+        assert sorted(batch.adjusted_constraints) == ["psi1", "psi4"]
+        assert_build_order()
+        # rows past every bound, written around the indices
+        database = catalog.database
+        database.insert("call", (9, "100", "998", "2016-06-01", "south"))
+        database.insert("package", (7, "101", "c9", "2016-01-01", "2016-12-31", 2016))
+        database.insert("business", ("104", "bank", "east"))
+        database.insert("call", (10, "103", "997", "2016-06-02", "east"))
+        violated = [v.constraint.name for v in catalog.verify_conformance().violations]
+        assert violated == built
+
     def test_the_drift_monitor_never_goes_below_the_data(self, catalog):
         changed = DriftMonitor(catalog, slack=1.0, tighten_threshold=1.0).apply()
         assert changed

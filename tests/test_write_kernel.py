@@ -194,7 +194,8 @@ class ReferenceMaintenance:
                     index.delete_row(row)
             raise MaintenanceError(f"insert batch rejected: {error}") from error
         if self.policy is ViolationPolicy.ADJUST:
-            for index in list(self.indexes):
+            # a widened constraint keeps its place in the schema
+            for index in self.indexes:
                 actual = max(map(len, index.buckets.values()), default=0)
                 if actual > index.constraint.n:
                     c = index.constraint
@@ -202,10 +203,6 @@ class ReferenceMaintenance:
                         c.relation, c.x, c.y, actual, name=c.name
                     )
                     batch.adjusted_constraints.append(c.name)
-                    # AccessSchema.remove + add: a widened constraint is
-                    # the schema's newest, and later batches meet it last
-                    self.indexes.remove(index)
-                    self.indexes.append(index)
         batch.table_version = self.version
         if admitted:
             self._log("insert", admitted)
