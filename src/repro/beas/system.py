@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import gc
 import shutil
 import tempfile
 import threading
@@ -74,13 +73,14 @@ from repro.maintenance.incremental import (
     ViolationPolicy,
 )
 from repro.serving import server as geometry
-from repro.serving.cache import ResultCache, result_size
+from repro.serving.cache import ResultCache
 from repro.serving.prepared import AdhocTemplates, PreparedBinding, PreparedQuery
 from repro.serving.server import GLOBAL_SHARD, ServingStats
 from repro.serving.shard import Shard, ShardLock, StripedCache, grant, release
 from repro.sql import ast
 from repro.sql.fingerprint import statement_fingerprint
 from repro.storage.database import Database
+from repro.storage.heap import bulk_build
 from repro.storage.mmapstore import MmapStore, StorageStats
 from repro.engine.executor import ConventionalEngine
 from repro.distributed.peerset import PeerStats
@@ -260,6 +260,8 @@ class BEAS:
                 fleet_port_base=fleet_port_base,
             )
         )
+        #: counts this engine open until close() (repro.storage.heap)
+        self._held = bulk_build.hold(self)
         self.database = database
         self._store: Optional[MmapStore] = None
         #: the temporary store directory this engine made for itself
@@ -331,11 +333,7 @@ class BEAS:
             max_entries=geometry.DECISION_CACHE_ENTRIES,
             stripes=geometry.DECISION_STRIPES,
         )
-        self.results = ResultCache(
-            max_entries=geometry.RESULT_CACHE_ENTRIES,
-            max_bytes=geometry.RESULT_CACHE_BYTES,
-            sizeof=result_size,
-        )
+        self.results = ResultCache(max_bytes=geometry.RESULT_CACHE_BYTES)
         # the global shard stands in for names that are no table
         self._shards = {
             name: Shard(name, self._cond)
@@ -413,9 +411,10 @@ class BEAS:
         """Shut down the engine pool's workers and the fleet's replicas,
         close the store and remove a store directory this engine made
         for itself (idempotent; a caller-supplied ``storage_dir`` is
-        never removed), then hand the heap the index builds froze back to
-        the cycle collector (:mod:`repro.storage.heap`) and the C heap's
-        free pages back to the OS.
+        never removed), then, when no other engine is open, hand the heap
+        the index builds froze back to the cycle collector
+        (:mod:`repro.storage.heap`), and the C heap's free pages back to
+        the OS.
 
         Safe to call any number of times, including when a lazy spawn
         previously failed — ``with BEAS(...)`` blocks must exit cleanly
@@ -431,7 +430,7 @@ class BEAS:
             self._store.close()
         if self._temp_dir is not None:
             shutil.rmtree(self._temp_dir, ignore_errors=True)
-        gc.unfreeze()
+        self._held()
         _release_free_heap()
 
     def __enter__(self) -> "BEAS":

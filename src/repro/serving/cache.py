@@ -11,9 +11,9 @@ through ``BEAS.stats()`` and the CLI.
 (a stripe's mutex, a shard's).
 
 :class:`ResultCache` is the served-answer cache (``docs/invariants.md``,
-"Result-cache validity"), under the same two budgets but retained by
-cost (GreedyDual, Cao & Irani 1997): what goes first is the answer
-cheapest to recompute.
+"Result-cache validity"), under a byte budget alone (:func:`result_size`
+is its measure) and retained by cost (GreedyDual, Cao & Irani 1997):
+what goes first is the answer cheapest to recompute.
 """
 
 from __future__ import annotations
@@ -95,17 +95,24 @@ def approx_size(value: Any, _depth: int = 0) -> int:
     return 128  # opaque object: flat charge
 
 
-# result_size's charges, approx_size's for the same shapes
+# result_size's charges for the rows, approx_size's for the same shapes
 _ROWS = 56  # the list of rows
 _ROW = 8 + 56  # a list slot and a tuple
 _CELL = 8 + 28  # a tuple slot and a number
 _STRING = 49 - 28  # what a string costs beyond a number, before its length
+# ... and for what the cache files beside them, calibrated with
+# ``tracemalloc`` on the TLC answers (what dropping them frees, over what
+# the rows are charged): an entry's ``CachedResult``, restamped
+# ``Decision``, cache key, ``_Slot`` and heap record; and each read key's
+# (constraint, key) pair and its share of the ``_by_key`` filing
+_ENTRY = 1536
+_READ_KEY = 320
 
 
 def result_size(entry: "CachedResult") -> int:
     """The byte-budget measure of a result-cache entry, in one flat
     pass: ``approx_size`` of the same rows, but for charging a NULL or a
-    BOOL as any other cell."""
+    BOOL as any other cell, plus what filing the entry costs."""
     rows = entry.rows
     cells = list(chain.from_iterable(rows))
     strings = list(map(is_, map(type, cells), repeat(str)))
@@ -114,6 +121,7 @@ def result_size(entry: "CachedResult") -> int:
         + _ROWS + _ROW * len(rows) + _CELL * len(cells)
         + _STRING * sum(strings)
         + sum(map(len, compress(cells, strings)))
+        + _ENTRY + _READ_KEY * len(entry.read_keys)
     )  # fmt: skip
 
 
@@ -265,7 +273,7 @@ class _Slot:
 
 
 class ResultCache:
-    """Every served answer, under one budget, kept until a write changes
+    """Every served answer, under one byte budget, kept until a write changes
     what it read or retention evicts it: the doorkeeper (:meth:`admits`,
     asked for bounded answers only; :meth:`install` files without
     asking), the GreedyDual order, and the filing of each entry under
@@ -282,25 +290,18 @@ class ResultCache:
     leaf) are ``docs/invariants.md``, "Result-cache validity".
     """
 
-    #: doorkeeper capacity, as a multiple of the entry budget
-    _DOORKEEPER_FACTOR = 4
+    #: the keys the doorkeeper remembers
+    _DOORKEEPER_KEYS = 2048
     #: dead heap records allowed beyond one per live entry before a rebuild
     _HEAP_SLACK = 64
 
     def __init__(
-        self,
-        *,
-        max_entries: int,
-        max_bytes: Optional[int],
-        sizeof: Optional[Callable[[Any], int]] = None,
+        self, *, max_bytes: int, sizeof: Callable[[Any], int] = result_size
     ):
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
         self._mutex = threading.Lock()
         self.stats = CacheStats("result")
-        self.max_entries = max_entries
         self.max_bytes = max_bytes
-        self._sizeof = sizeof or (lambda value: 0)
+        self._sizeof = sizeof
         self._slots: dict[Hashable, _Slot] = {}
         #: (priority, tick, key): one live record per slot (the one whose
         #: tick is its ``filed``), and the dead ones left behind
@@ -309,7 +310,7 @@ class ResultCache:
         self._clock = 0.0
         self._bytes = 0
         self._saved = 0.0  # the costs of the entries hits were served from
-        self._doorkeeper = Doorkeeper(self._DOORKEEPER_FACTOR * max_entries)
+        self._doorkeeper = Doorkeeper(self._DOORKEEPER_KEYS)
         self._by_key: dict[tuple[str, tuple], set[Hashable]] = {}
         self._coarse: dict[str, set[Hashable]] = {}
         self._by_table: dict[str, set[Hashable]] = {}
@@ -372,15 +373,16 @@ class ResultCache:
 
     def install(self, key: Hashable, entry: Any) -> bool:
         """File ``entry``, no admission question asked, evicting the
-        lowest priorities to make room; False when it is larger than the
-        byte budget, or when its own priority would be the lowest (a
-        decline: the clock still moves to it). The doorkeeper learns the
-        key, so a re-admission after an invalidation takes one sighting."""
+        lowest priorities until its bytes fit; False when it is larger
+        than the byte budget, or when its own priority would be the
+        lowest (a decline: the clock still moves to it). The doorkeeper
+        learns the key, so a re-admission after an invalidation takes
+        one sighting."""
         with self._mutex:
             self._doorkeeper.knows(key)
             max_bytes = self.max_bytes
-            size = self._sizeof(entry) if max_bytes is not None else 0
-            if max_bytes is not None and size > max_bytes:
+            size = self._sizeof(entry)
+            if size > max_bytes:
                 return False
             old = self._slots.pop(key, None)
             if old is not None:
@@ -388,9 +390,7 @@ class ResultCache:
             cost = entry.cost
             priority = self._clock + cost
             slots, heap = self._slots, self._heap
-            while len(slots) >= self.max_entries or (
-                max_bytes is not None and self._bytes + size > max_bytes
-            ):
+            while self._bytes + size > max_bytes:
                 victim = self._lowest()
                 lowest = slots[victim].priority
                 if priority < lowest:  # on a tie, the older entry goes
@@ -546,6 +546,7 @@ class ResultCache:
             return replace(self.stats), {
                 "result_entries": len(self._slots),
                 "result_bytes": self._bytes,
+                "result_max_bytes": self.max_bytes,
                 "result_read_keys": self._filed,
                 "result_saved_s": self._saved,
                 "admission_declines": self._admission_declines,

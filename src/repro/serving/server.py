@@ -25,12 +25,12 @@ from repro.storage.mmapstore import StorageStats
 GLOBAL_SHARD = "__global__"
 
 #: The cache geometry: parse-cache and decision-cache entries and lock
-#: stripes, and the result cache's entry and byte budgets.
+#: stripes, and the result cache's byte budget (its one budget: what an
+#: entry is charged is ``serving.cache.result_size``).
 PARSE_CACHE_ENTRIES = 512
 PARSE_STRIPES = 4
 DECISION_CACHE_ENTRIES = 1024
 DECISION_STRIPES = 8
-RESULT_CACHE_ENTRIES = 512
 RESULT_CACHE_BYTES = 8 << 20
 
 
@@ -46,11 +46,12 @@ class ServingStats:
     adhoc: CacheStats = field(default_factory=lambda: CacheStats("template"))
     adhoc_templates: int = 0
     # what the result cache holds (read keys: the live entries' read-set
-    # sizes, summed), the re-execution seconds its hits saved (the
-    # measured cost of each entry a hit served), and
+    # sizes, summed) against its byte budget, the re-execution seconds its
+    # hits saved (the measured cost of each entry a hit served), and
     # ``result.invalidations`` by cause
     result_entries: int = 0
     result_bytes: int = 0
+    result_max_bytes: int = 0
     result_read_keys: int = 0
     result_saved_s: float = 0.0
     invalidated_exact: int = 0
@@ -107,7 +108,7 @@ class ServingStats:
             f"  {self.decision.describe()}",
             f"  {self.result.describe()}",
             f"  result cache: {self.result_entries} entries, "
-            f"{self.result_bytes} bytes, "
+            f"{self.result_bytes} of {self.result_max_bytes} bytes, "
             f"{self.result_read_keys} read-set keys filed, "
             f"{self.admission_declines} admissions declined; invalidated "
             f"{self.invalidated_exact} exact / {self.invalidated_coarse} "

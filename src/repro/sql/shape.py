@@ -34,9 +34,10 @@ _MARKS = {
 #: left-to-right scan, whatever other number stands in its place: not
 #: directly after a word character or a dot (``t1``, ``x.5``, ``1..5``),
 #: not directly before one (``1e5e5`` is ``1e5`` then ``e5``, but
-#: ``0.5e5`` is one number).
+#: ``0.5e5`` is one number). The lookahead on a literal's first
+#: character lets every other position fail at once.
 _LITERAL = re.compile(
-    rf"({STRING_PATTERN}|(?<![\w.])(?:{NUMBER_PATTERN})(?![\w.]))"
+    rf"(?=['0-9.])({STRING_PATTERN}|(?<![\w.])(?:{NUMBER_PATTERN})(?![\w.]))"
 )
 #: What is left outside the literals must not open a comment, a quoted
 #: identifier or an unclosed string (each could hide a literal from one

@@ -17,21 +17,30 @@ only if it was running on entry. A depth count under a lock makes it
 reentrant, and safe for builds that race on several threads. Frozen
 objects are still freed when their reference counts drop to zero;
 objects allocated after the freeze (the buckets writes add) stay
-collectable. ``BEAS.close()`` hands the frozen heap back
-(``gc.unfreeze()``), so whatever later turns cyclic is collected again.
+collectable.
 
-The entry does not run a full collection: after a ``close()`` the
-oldest generation holds every object of the process again, so each
+The frozen heap is every open engine's, so it is handed back
+(``gc.unfreeze()``), and whatever later turns cyclic is collected again,
+only when the last open engine closes: ``bulk_build.hold(engine)``
+counts an engine open until the release it returns is called
+(``BEAS.close()``; a second call does nothing) or the engine is freed
+unclosed (a ``weakref.finalize``, which refers to the engine weakly).
+Closing one engine beside a long-lived one thus leaves the long-lived
+one's indices out of every later full collection.
+
+The entry does not run a full collection: after the last ``close()``
+the oldest generation holds every object of the process again, so each
 engine opened after another closed would walk the whole heap (the test
 suite, which opens thousands, took 3.6x as long). Cyclic garbage that
 already reached the oldest generation is frozen with the rest, until
-the next ``close()`` hands it back.
+the last open engine closes.
 """
 
 from __future__ import annotations
 
 import gc
 import threading
+import weakref
 
 
 class _BulkBuild:
@@ -42,6 +51,7 @@ class _BulkBuild:
         self._lock = threading.RLock()
         self._depth = 0
         self._collecting = False
+        self._holders = 0  # the engines open
 
     def __enter__(self) -> None:
         with self._lock:
@@ -58,6 +68,19 @@ class _BulkBuild:
                 gc.freeze()
                 if self._collecting:
                     gc.enable()
+
+    def hold(self, owner: object) -> weakref.finalize:
+        """Count ``owner`` open; calling the release returned, or freeing
+        ``owner``, counts it closed, once (module doc)."""
+        with self._lock:
+            self._holders += 1
+        return weakref.finalize(owner, self._release)
+
+    def _release(self) -> None:
+        with self._lock:
+            self._holders -= 1
+            if not self._holders:
+                gc.unfreeze()
 
 
 #: the collector is the process's, so its pause is one depth count shared

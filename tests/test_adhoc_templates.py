@@ -22,6 +22,7 @@ Held here:
 from __future__ import annotations
 
 import gc
+import re
 import sys
 import threading
 import time
@@ -42,9 +43,10 @@ from repro.errors import LexerError, ParseError
 from repro.serving import prepared as prepared_module
 from repro.sql import ast
 from repro.sql import parser as parser_module
-from repro.sql.lexer import tokenize
+from repro.sql.lexer import NUMBER_PATTERN, STRING_PATTERN, tokenize
 from repro.sql.parser import parse
 from repro.sql.printer import expression_to_sql
+from repro.sql import shape as shape_module
 from repro.sql.shape import MARK, split_literals
 from repro.sql.tokens import TokenKind
 from repro.workloads.tlc import generate_tlc, tlc_access_schema, tlc_queries
@@ -389,6 +391,30 @@ def test_split_finds_exactly_the_lexers_literals(pieces, data):
     again = tokenize(rebuilt)
     assert _skeleton_tokens(again) == _skeleton_tokens(tokens)
     assert [t.value for t in again if t.kind in LITERAL_KINDS] == others
+
+
+#: the literal patterns without the unrolled string loop and the
+#: first-character guard: the same language, matched more slowly
+_PLAIN_STRING = r"'(?:[^']|'')*'(?!')"
+_PLAIN_LITERAL = re.compile(
+    rf"({_PLAIN_STRING}|(?<![\w.])(?:{NUMBER_PATTERN})(?![\w.]))"
+)
+_TEXTS = st.one_of(
+    st.text(),
+    st.text(alphabet="'a .1e5-+x\n\"", max_size=24),
+    st.lists(st.sampled_from(_PIECES), max_size=12).map("".join),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(text=_TEXTS)
+def test_the_fast_literal_patterns_match_as_the_plain_ones(text):
+    assert shape_module._LITERAL.split(text) == _PLAIN_LITERAL.split(text)
+    for fast, plain in [
+        (STRING_PATTERN, _PLAIN_STRING),
+        (shape_module._LITERAL.pattern, _PLAIN_LITERAL.pattern),
+    ]:
+        assert bool(re.fullmatch(fast, text)) == bool(re.fullmatch(plain, text))
 
 
 # --------------------------------------------------------------------------- #

@@ -2,14 +2,15 @@
 
 An index build runs with the collector paused and freezes what it
 built; the collector's state is restored on every way out, nested and
-racing builds included, and closing the engine hands the frozen heap
-back to the collector.
+racing builds included, and closing the last open engine hands the
+frozen heap back to the collector.
 """
 
 from __future__ import annotations
 
 import gc
 import threading
+import time
 import weakref
 
 import pytest
@@ -20,6 +21,7 @@ from repro.catalog.types import DataType
 from repro.errors import ConformanceError
 from repro.storage.heap import bulk_build
 from repro.storage.table import Table
+from repro.workloads.tlc import generate_tlc, tlc_access_schema
 
 from tests.conftest import example1_access_schema, example1_database
 
@@ -130,3 +132,49 @@ def test_the_freeze_count_returns_to_its_baseline_after_each_close():
         assert gc.get_freeze_count() > baseline
         session.close()
         assert gc.get_freeze_count() == baseline
+
+
+def _full_collect_ms() -> float:
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        gc.collect()
+        best = min(best, time.perf_counter() - start)
+    return best * 1000
+
+
+def test_closing_one_engine_leaves_the_other_engines_heap_frozen():
+    gc.unfreeze()
+    baseline = gc.get_freeze_count()
+    dataset = generate_tlc(5, 42)
+    with Session(dataset.database, tlc_access_schema()):
+        beside = Session(example1_database(), example1_access_schema())
+        beside.close()
+        assert gc.get_freeze_count() > baseline
+        assert _full_collect_ms() < 5
+    assert gc.get_freeze_count() == baseline
+
+
+def test_an_engine_dropped_unclosed_does_not_pin_the_freeze():
+    gc.unfreeze()
+    baseline = gc.get_freeze_count()
+    kept = Session(example1_database(), example1_access_schema())
+    dropped = Session(example1_database(), example1_access_schema())
+    engine = weakref.ref(dropped.beas)
+    del dropped
+    assert engine() is None  # freed by reference counting, never closed
+    assert gc.get_freeze_count() > baseline
+    kept.close()
+    assert gc.get_freeze_count() == baseline
+
+
+def test_an_engine_closed_twice_counts_closed_once():
+    gc.unfreeze()
+    baseline = gc.get_freeze_count()
+    first = BEAS(example1_database(), example1_access_schema())
+    second = BEAS(example1_database(), example1_access_schema())
+    first.close()
+    first.close()
+    assert gc.get_freeze_count() > baseline
+    second.close()
+    assert gc.get_freeze_count() == baseline

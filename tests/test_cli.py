@@ -219,7 +219,7 @@ class TestServeStats:
         assert "0 evictions" in out
         # the one result-cache block: what is held, and why entries left
         assert (
-            "result cache: 0 entries, 0 bytes, 0 read-set keys filed, "
+            "result cache: 0 entries, 0 of 8388608 bytes, 0 read-set keys filed, "
             "1 admissions declined; invalidated 0 exact / 0 coarse / 0 by sweep; "
             "hits saved 0.00 ms of re-execution"
         ) in out

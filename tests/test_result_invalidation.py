@@ -23,14 +23,16 @@ keeps it until a write changes the distinct-Y set of one of them
 
 from __future__ import annotations
 
+import gc
 import random
 import shutil
 import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import settings
@@ -59,7 +61,13 @@ from repro.beas.result import ExecutionMode
 from repro.errors import MaintenanceError
 from repro.maintenance.incremental import MaintenanceManager
 from repro.serving.cache import ResultCache, result_size
-from repro.workloads.tlc import generate_tlc, query_by_name, tlc_access_schema
+from repro.serving.server import PARSE_CACHE_ENTRIES
+from repro.workloads.tlc import (
+    generate_tlc,
+    query_by_name,
+    tlc_access_schema,
+    tlc_queries,
+)
 
 from tests.reference_evaluator import reference_execute
 
@@ -683,8 +691,10 @@ def test_a_sweep_says_why_in_the_log(tlc_session, caplog):
 
 
 def test_result_size_is_flat_and_close_to_the_recursive_measure(tlc_session):
-    """The byte budget evicts at the same order of magnitude as before:
-    512 TLC answers, old measure vs the flat pass."""
+    """The rows are charged as the recursive measure charges them, in one
+    flat pass (512 TLC answers, old measure vs the flat pass), and what
+    the cache files beside them on top: one charge per entry and one per
+    read key."""
     session, params = tlc_session
     call = session.database.table("call")
     keys = call.project(["pnum", "date"], distinct=True)[:512]
@@ -696,7 +706,9 @@ def test_result_size_is_flat_and_close_to_the_recursive_measure(tlc_session):
     class Answer:
         columns: list
         rows: list
+        read_keys: tuple = ()
 
+    filed = cache_module._ENTRY
     sizes = []
     for pnum, date in keys:
         result = session.run(
@@ -705,7 +717,7 @@ def test_result_size_is_flat_and_close_to_the_recursive_measure(tlc_session):
         answer = Answer(result.columns, result.rows)
         size = result_size(answer)
         sizes.append((len(result.rows), size))
-        new += size
+        new += size - filed
         old += cache_module.approx_size(answer.columns) + cache_module.approx_size(
             answer.rows
         )
@@ -715,6 +727,62 @@ def test_result_size_is_flat_and_close_to_the_recursive_measure(tlc_session):
     assert all(a[1] <= b[1] for a, b in zip(ordered, ordered[1:]) if a[0] < b[0])
     wide = Answer(["a", "b"], [(None, True), ("xy", 1.5), (7, "z" * 100)])
     assert result_size(wide) > result_size(Answer(["a", "b"], wide.rows[:2]))
+    # ... and in the read keys filed
+    keyed = Answer(wide.columns, wide.rows, (("psi1", ("100",)), ("psi2", ("7",))))
+    assert result_size(keyed) == result_size(wide) + 2 * cache_module._READ_KEY
+    assert cache_module._READ_KEY > 0 and filed > 0
+
+
+def tlc_texts(session: Session, params, bindings: int) -> list[str]:
+    """Q1-Q11 as ad-hoc text under ``bindings`` sets of constants drawn
+    from the data: a call key, a callee, a business, a package, a month."""
+    database = session.database
+    calls = database.table("call").project(["pnum", "date"], distinct=True)
+    callees = database.table("call").project(["recnum"], distinct=True)
+    businesses = database.table("business").project(["type", "region"], distinct=True)
+    packages = database.table("package").project(["pid"], distinct=True)
+    texts = []
+    for i in range(bindings):
+        (pnum, date), (callee,) = calls[7 * i % len(calls)], callees[11 * i % len(callees)]
+        (kind, region) = businesses[i % len(businesses)]
+        bound = replace(
+            params, p0=pnum, d0=date, x0=callee, t0=kind, r0=region,
+            c0=packages[i % len(packages)][0], m0=1 + i % 12,
+        )  # fmt: skip
+        texts += [query.sql for query in tlc_queries(bound)]
+    return texts
+
+
+def test_the_byte_budget_counts_what_the_entries_hold(tlc_session):
+    """``result_bytes`` is within 25 % of the memory the cached TLC
+    answers hold: what ``flush`` frees, read by ``tracemalloc`` (the
+    doorkeeper, bounded by its own key count, is emptied first). There
+    are more texts than the parse cache holds, so, as on a workload
+    larger than it, each entry's key is its own."""
+    session, params = tlc_session
+    results = session.beas.results
+    texts = tlc_texts(session, params, 150)
+    assert len(texts) > 3 * PARSE_CACHE_ENTRIES
+    for sql in texts:  # the parse, decision and template caches warm up
+        session.run(sql)
+    results.flush("test")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for _ in range(2):  # a bounded answer is installed on its second sighting
+            for sql in texts:
+                session.run(sql)
+        held = session.stats()
+        results._doorkeeper.clear()
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        results.flush("test")
+        gc.collect()
+        freed = before - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held.result_entries > 1000 and held.result.evictions == 0
+    assert 0.75 * freed <= held.result_bytes <= 1.25 * freed, (held.result_bytes, freed)
 
 
 # --------------------------------------------------------------------------- #
@@ -732,9 +800,7 @@ class _Entry:
 
 def test_the_filing_never_dangles():
     rng = random.Random(20)
-    results = ResultCache(
-        max_entries=64, max_bytes=4000, sizeof=lambda entry: 40 * entry.rows
-    )
+    results = ResultCache(max_bytes=4000, sizeof=lambda entry: 40 * entry.rows)
     tables = ["a", "b", "c"]
     versions = dict.fromkeys(tables, 0)
 
@@ -776,7 +842,8 @@ def test_the_filing_never_dangles():
     causes = [own[f"invalidated_{cause}"] for cause in ("exact", "coarse", "sweep")]
     assert lru.evictions > 0 and all(causes)
     assert lru.invalidations == sum(causes)
-    assert own["result_entries"] == len(results) <= 64
+    assert own["result_entries"] == len(results) <= 4000 // 40
+    assert own["result_bytes"] <= own["result_max_bytes"] == 4000
     assert_filing_is_tight(results)
     results.flush("test")
     assert len(results) == 0

@@ -11,7 +11,8 @@ entry at the current clock) and moves the clock to it. Five families:
 3. **The self-decline** — 5 000 random operations with random costs:
    the filings stay tight and the lazily re-keyed heap stays bounded.
 4. **TLC** — a Q11 PARTIAL answer (a residual scan of ``data_usage``)
-   stays cached in 16 entries across 200 distinct covered reads.
+   stays cached in a budget of about 16 answers across 200 distinct
+   covered reads.
 5. **Mutation** — with the cost flattened to a constant, (3) and (4)
    fail.
 """
@@ -30,7 +31,7 @@ from repro.serving import server as serving_server
 from repro.serving.cache import ResultCache
 from repro.workloads.tlc import generate_tlc, query_by_name, tlc_access_schema
 
-from tests.test_result_invalidation import assert_filing_is_tight
+from tests.test_result_invalidation import assert_filing_is_tight, tlc_texts
 
 TABLES = ["a", "b", "c"]
 
@@ -57,12 +58,9 @@ def _entry(rng: random.Random, cost: float) -> _Entry:
     )
 
 
-def _cache(entries: int, max_bytes=None) -> ResultCache:
-    return ResultCache(
-        max_entries=entries,
-        max_bytes=max_bytes,
-        sizeof=lambda entry: 40 * entry.rows,
-    )
+def _cache(max_bytes: int) -> ResultCache:
+    """A cache charging 40 bytes a row."""
+    return ResultCache(max_bytes=max_bytes, sizeof=lambda entry: 40 * entry.rows)
 
 
 def _keys(results: ResultCache) -> set:
@@ -78,7 +76,7 @@ def _heap_is_bounded(results: ResultCache) -> bool:
 # --------------------------------------------------------------------------- #
 def test_equal_costs_evict_exactly_as_lru():
     rng = random.Random(11)
-    results = _cache(24, max_bytes=1500)
+    results = _cache(1500)
     reference: OrderedDict = OrderedDict()  # key -> size, least recent first
     evicted = 0
     for step in range(10_000):
@@ -89,7 +87,7 @@ def test_equal_costs_evict_exactly_as_lru():
             assert results.install(key, entry)
             reference.pop(key, None)
             reference[key] = 40 * entry.rows
-            while len(reference) > 24 or sum(reference.values()) > 1500:
+            while sum(reference.values()) > 1500:
                 reference.popitem(last=False)
                 evicted += 1
         elif roll < 0.9:
@@ -110,7 +108,7 @@ def test_equal_costs_evict_exactly_as_lru():
 # (2) aging: costly entries outlive cheap floods, but not forever
 # --------------------------------------------------------------------------- #
 def test_a_costly_entry_outlives_a_cheap_flood_but_not_forever():
-    results = _cache(4)
+    results = _cache(4 * 40)  # four one-row entries
     assert results.install("dear", _Entry(cost=10.0))
     lived = 0
     while "dear" in _keys(results):
@@ -125,7 +123,7 @@ def test_a_costly_entry_outlives_a_cheap_flood_but_not_forever():
 
 
 def test_cheap_answers_are_declined_until_the_clock_ages_the_dear_ones():
-    results = _cache(4)
+    results = _cache(4 * 40)
     for i in range(4):
         assert results.install(("dear", i), _Entry(cost=10.0))
     declined = 0
@@ -143,7 +141,7 @@ def test_cheap_answers_are_declined_until_the_clock_ages_the_dear_ones():
 # (3) the self-decline leaves nothing behind
 # --------------------------------------------------------------------------- #
 def _self_declines_keep_the_filing_tight(rng: random.Random) -> None:
-    results = _cache(32, max_bytes=2000)
+    results = _cache(2000)
     versions = dict.fromkeys(TABLES, 0)
     for _ in range(5000):
         key = rng.randrange(300)
@@ -178,9 +176,13 @@ def test_self_declines_keep_the_filing_tight():
 # --------------------------------------------------------------------------- #
 # (4) TLC: the PARTIAL answer outlives the cheap covered ones
 # --------------------------------------------------------------------------- #
+#: about 16 answers: a one-row Q2 answer is charged 1 772 bytes
+TLC16_BYTES = 16 * 1800
+
+
 @pytest.fixture
 def tlc16(monkeypatch):
-    monkeypatch.setattr(serving_server, "RESULT_CACHE_ENTRIES", 16)
+    monkeypatch.setattr(serving_server, "RESULT_CACHE_BYTES", TLC16_BYTES)
     dataset = generate_tlc(1, 42)
     database = Database(dataset.database.schema, name=dataset.database.name)
     for table in dataset.database:
@@ -200,16 +202,37 @@ def _q11_outlives_covered_reads(session: Session, params) -> None:
     for read, (pnum, date) in enumerate(keys, 1):
         sql = q2.replace(params.p0, pnum).replace(params.d0, date)
         session.run(sql)
-        session.run(sql)  # admitted: the cache is full from the 16th on
+        session.run(sql)  # admitted: the cache is full from about the 16th on
         if read % 20 == 0:  # more distinct answers than the cache holds
             assert session.run(q11).metrics.served_from_cache, f"Q11 evicted by read {read}"
     stats = session.stats()
-    assert stats.result_entries == 16 and stats.result.evictions > 0
+    # full: the room left is less than a four-row answer
+    assert TLC16_BYTES - 4096 < stats.result_bytes <= TLC16_BYTES
+    assert stats.result.evictions > 0
     assert stats.result_saved_s > 0
 
 
 def test_a_q11_answer_stays_cached_across_200_covered_reads(tlc16):
     _q11_outlives_covered_reads(*tlc16)
+
+
+def test_the_bytes_held_never_exceed_the_budget(tlc16, monkeypatch):
+    session, params = tlc16
+    inner = ResultCache.install
+    installed = []
+
+    def install(self, key, entry):
+        installed.append(inner(self, key, entry))
+        held = self.snapshot()[1]
+        assert held["result_bytes"] <= held["result_max_bytes"] == TLC16_BYTES
+        return installed[-1]
+
+    monkeypatch.setattr(ResultCache, "install", install)
+    for sql in tlc_texts(session, params, 30) * 2:
+        session.run(sql)
+    stats = session.stats()
+    assert sum(installed) > 300 and stats.result.evictions > 200
+    assert stats.result_bytes <= stats.result_max_bytes == TLC16_BYTES
 
 
 # --------------------------------------------------------------------------- #

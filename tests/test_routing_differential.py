@@ -29,7 +29,7 @@ from repro.beas.result import ExecutionMode
 from repro.beas.session import ExecutionOptions
 from repro.errors import BEASError
 from repro.serving import server as serving_server
-from repro.serving.cache import ResultCache
+from repro.serving.cache import ResultCache, result_size
 
 from tests.conftest import engine_run, example1_access_schema
 from tests.test_columnar_differential import _inject_nulls
@@ -358,7 +358,7 @@ class TestCostAwareAdmission:
         """A one-entry cache holding an answer dear to recompute: a
         cheap answer would be the lowest priority, so it is declined and
         its repeats re-execute; the dear one stays."""
-        monkeypatch.setattr(serving_server, "RESULT_CACHE_ENTRIES", 1)
+        monkeypatch.setattr(serving_server, "RESULT_CACHE_BYTES", 3000)
         with _small_session(
             options=ExecutionOptions(routing="learned")
         ) as session:
@@ -366,6 +366,7 @@ class TestCostAwareAdmission:
             session.run(_OTHER_SQL)
             session.run(_OTHER_SQL)  # admitted on the second sighting
             ((key, entry),) = results.entries()
+            assert result_size(entry) <= 3000 < 2 * result_size(entry)  # room for one
             assert results.install(key, replace(entry, cost=10.0))
             first = session.run(_COVERED_SQL)
             assert first.mode is ExecutionMode.BOUNDED
@@ -398,7 +399,7 @@ class TestCostAwareAdmission:
     def test_retention_decline_rule(self):
         from repro.engine.router import ExecutorRouter, RouterStats
 
-        results = ResultCache(max_entries=1, max_bytes=None)
+        results = ResultCache(max_bytes=1, sizeof=lambda entry: 1)  # room for one
         assert results.install("cheap", _Priced(cost=0.001))  # room: admit
         assert results.install("dear", _Priced(cost=2.0))  # evicts the cheaper
         assert not results.install("cheap", _Priced(cost=0.001))  # would go first

@@ -388,7 +388,8 @@ class TestAdmissionPolicy:
     def test_one_off_queries_do_not_churn_the_lru(self, monkeypatch):
         """A scan of distinct one-off queries must not evict the hot
         entry — the ROADMAP's cache-churn complaint."""
-        monkeypatch.setattr(serving_server, "RESULT_CACHE_ENTRIES", 8)
+        # about eight answers of ~2.3 KB
+        monkeypatch.setattr(serving_server, "RESULT_CACHE_BYTES", 8 * 2500)
         session = BEAS(example1_database(), example1_access_schema()).session()
         session.run(CALL_SQL)
         session.run(CALL_SQL)  # admitted
