@@ -5,7 +5,9 @@ accesses data *only* through ``fetch(X ∈ T, Y, R)`` operations (paper §3,
 BE Plan Generator): each fetch extends the running intermediate ``T`` with
 the Y-values the access index returns for the X-keys drawn from ``T``.
 Selections, equality enforcement, aggregation, and projection are applied
-to intermediate results and never touch base data.
+to intermediate results and never touch base data; a plan holds a select
+only for what its fetches do not already guarantee (a fetch keyed by a
+class's constants returns only rows carrying one of them).
 
 Every fetch is annotated with the upper bound on the amount of data it can
 access, deduced from the cardinality constraints alone (Example 2 of the
@@ -90,8 +92,11 @@ class SelectOp:
     """Filter the intermediate; never touches base data.
 
     * ``selection`` — keep rows whose ``column`` value is among ``values``
+      (a constant class no fetch key carries; never a constant-keyed X
+      column, which its fetch already restricts)
     * ``equality``  — keep rows where ``column == other`` (enforces an
-      equi-join atom that no fetch keyed on)
+      equality no fetch keyed on: a join atom, or two columns of one
+      occurrence that one fetch brings in)
     * ``filter``    — arbitrary residual predicate over materialised columns
     """
 

@@ -18,6 +18,17 @@ attribute set. Following the Feasibility Theorem this is a sound PTIME
 under-approximation of (undecidable) bounded evaluability: a returned plan
 is always correct; a failure reports why each occurrence resisted coverage.
 
+A plan checks what its fetches do not guarantee, and only that. A
+fetch returns only tuples whose X-value is a key it was presented, so an
+X column keyed by its class's constants needs no selection, and one
+keyed by a materialised column needs no equality. Every other column a
+fetch brings in is equated to its class's earlier member, or, the first
+time a class is materialised, to the fetch's representative of it (a
+constant-keyed member if any, else the first new one); a class with
+constants whose representative no key part carries gets one selection,
+on the representative (``docs/invariants.md``, "What a bounded plan
+checks").
+
 Bound deduction follows Example 2's arithmetic: a fetch presented with at
 most ``k`` keys under constraint bound ``N`` accesses at most ``k·N``
 partial tuples and grows the intermediate to at most ``k·N`` rows. The
@@ -426,38 +437,56 @@ class _PlanContext:
         new.access_total += access_bound
         new.tight_access_total += tight_access
 
-        # maintain the per-class equality invariant and tight class bounds
-        key_sources = {
-            Attribute(binding, part.attribute): part.column
+        # what the fetch guarantees: a key part's column holds its key. A
+        # column-keyed part equals its source; the constant-keyed parts of
+        # one class all hold one value of the class's constants (the
+        # executor enumerates them per class, never a NULL)
+        keyed = {
+            Attribute(binding, part.attribute): part.source
             for part in candidate.key_parts
-            if part.source == "column"
         }
+        # the member each new column must equal: the class's earlier
+        # materialised member, else its representative in this fetch (a
+        # constant-keyed member if any, else the first new one)
+        anchors: dict[Attribute, Attribute] = {}
         for attr in new_columns:
             root = self.uf.find(attr)
-            previous = self._materialized_member(state, root)
+            anchor = anchors.get(root)
+            if anchor is None:
+                anchor = self._materialized_member(state, root)
+                if anchor is None:
+                    anchor = next(
+                        (
+                            member
+                            for member in new_columns
+                            if keyed.get(member) == "const"
+                            and self.uf.find(member) == root
+                        ),
+                        attr,
+                    )
+                anchors[root] = anchor
             new.materialized.add(attr)
-            source = key_sources.get(attr)
-            if previous is not None and source is None:
-                # a Y-column landed in a class with materialised members:
+            if attr != anchor and attr not in keyed:
                 # enforce the equality explicitly
                 new.ops.append(
-                    SelectOp(kind="equality", column=attr, other=previous)
+                    SelectOp(kind="equality", column=attr, other=anchor)
                 )
             bound = new.class_bound.get(root)
             grown = new.tight_size
             new.class_bound[root] = min(bound, grown) if bound is not None else grown
 
-        # apply constant selections on newly materialised classes
-        for attr in new_columns:
-            root = self.uf.find(attr)
+        # apply constants on newly materialised classes: a selection on
+        # the representative, unless the fetch keyed it by them
+        for root, anchor in anchors.items():
             if root in new.applied_selection_classes:
                 continue
             constants = self.class_constants.get(root)
             if constants is None:
                 continue
-            new.ops.append(
-                SelectOp(kind="selection", column=attr, values=constants)
-            )
+            if keyed.get(anchor) != "const":
+                new.ops.append(
+                    SelectOp(kind="selection", column=anchor, values=constants)
+                )
             new.applied_selection_classes.add(root)
             new.class_bound[root] = min(
                 new.class_bound.get(root, len(constants)), len(constants)

@@ -105,7 +105,7 @@ _STRING = 49 - 28  # what a string costs beyond a number, before its length
 # the rows are charged): an entry's ``CachedResult``, restamped
 # ``Decision``, cache key, ``_Slot`` and heap record; and each read key's
 # (constraint, key) pair and its share of the ``_by_key`` filing
-_ENTRY = 1536
+_ENTRY = 1216
 _READ_KEY = 320
 
 
@@ -239,19 +239,22 @@ class Doorkeeper:
     """Admit-on-second-hit: the last ``capacity`` keys seen, so that a
     one-off bounded query never churns the cache. The request path asks
     it about BOUNDED answers only: a PARTIAL or CONVENTIONAL one, whose
-    recompute scans a relation, is installed on first sight."""
+    recompute scans a relation, is installed on first sight. It remembers
+    each key's hash, not the key: its memory does not grow with the keys,
+    and a collision only admits an answer one sighting early."""
 
     def __init__(self, capacity: int):
         self._capacity = capacity
-        self._seen: OrderedDict[Hashable, bool] = OrderedDict()
+        self._seen: OrderedDict[int, bool] = OrderedDict()
 
     def knows(self, key: Hashable) -> bool:
         """Whether ``key`` was seen before; it is remembered either way."""
         seen = self._seen
-        if key in seen:
-            seen.move_to_end(key)
+        digest = hash(key)
+        if digest in seen:
+            seen.move_to_end(digest)
             return True
-        seen[key] = True
+        seen[digest] = True
         while len(seen) > self._capacity:
             seen.popitem(last=False)
         return False

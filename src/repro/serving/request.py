@@ -443,6 +443,10 @@ def _decision(beas: "BEAS", request: Request) -> Decision:
     return Decision(coverage, "fresh", generation, query, budget)
 
 
+#: the ``coarse_tables`` of most cached answers, one object for all of them
+_NO_TABLES: frozenset[str] = frozenset()
+
+
 def _filing(
     beas: "BEAS", request: Request
 ) -> tuple[tuple[tuple[str, tuple[Any, ...]], ...], frozenset[str]]:
@@ -459,7 +463,8 @@ def _filing(
     }
     constraints = beas.catalog.schema
     fetched = {constraints.get(name).relation for name in read_set}
-    return tuple(keys), answer.scanned_tables | (request.tables - fetched)
+    coarse = answer.scanned_tables | (request.tables - fetched)
+    return tuple(keys), coarse or _NO_TABLES
 
 
 def _admit(beas: "BEAS", request: Request) -> None:

@@ -288,7 +288,88 @@ class TestEqualityEnforcement:
         ]
         assert len(equalities) == 1
 
+    def test_columns_of_one_fetch_are_equated(self):
+        """recnum = region, both brought in by psi1: one equality select,
+        and no selection on the constant-keyed pnum and date."""
+        plan = plan_for(
+            "SELECT recnum FROM call WHERE pnum = '1' AND date = '2016-06-01' "
+            "AND recnum = region"
+        )
+        assert [op.describe() for op in plan.ops[1:]] == [
+            "select call.region = call.recnum"
+        ]
+
+    def test_a_constant_keyed_member_represents_its_class(self):
+        """recnum = pnum with pnum keyed by its constant: recnum is
+        equated to pnum, and no selection is needed."""
+        plan = plan_for(
+            "SELECT region FROM call WHERE pnum IN ('1', '2') "
+            "AND date = '2016-06-01' AND recnum = pnum"
+        )
+        assert [op.describe() for op in plan.ops[1:]] == [
+            "select call.recnum = call.pnum"
+        ]
+
+    def test_constants_reach_every_member_of_a_class(self):
+        """recnum = region = 'north', neither keyed: the first member takes
+        the selection, the other is equated to it."""
+        plan = plan_for(
+            "SELECT recnum FROM call WHERE pnum = '1' AND date = '2016-06-01' "
+            "AND recnum = region AND region = 'north'"
+        )
+        assert [op.describe() for op in plan.ops[1:]] == [
+            "select call.region = call.recnum",
+            "select call.recnum in ('north')",
+        ]
+
     def test_generate_raises_not_covered(self):
         with pytest.raises(NotCoveredError) as exc:
             plan_for("SELECT recnum FROM call WHERE pnum = '1'")
         assert exc.value.reasons
+
+
+class TestImpliedChecks:
+    """A fetch keyed by a class's constants returns only rows carrying
+    one of them: the plan selects on no constant-keyed X column (TLC,
+    scale 1)."""
+
+    @pytest.fixture(scope="class")
+    def tlc(self):
+        from repro import Session
+        from repro.workloads.tlc import generate_tlc, tlc_access_schema
+
+        dataset = generate_tlc(1, 42)
+        with Session(dataset.database, tlc_access_schema()) as session:
+            yield session, dataset.params
+
+    def test_no_tlc_plan_selects_a_constant_keyed_column(self, tlc):
+        from repro.workloads.tlc import tlc_queries
+
+        session, params = tlc
+        for query in tlc_queries(params):
+            decision = session.query(query.sql).decide()
+            plan = decision.plan if decision.covered else decision.coverage.partial.sub_plan
+            keyed = {
+                (op.binding, part.attribute)
+                for op in plan.fetch_ops
+                for part in op.key_parts
+                if part.source == "const"
+            }
+            assert keyed, query.name
+            selected = {
+                (op.column.binding, op.column.column)
+                for op in plan.ops
+                if isinstance(op, SelectOp) and op.kind == "selection"
+            }
+            assert not keyed & selected, (query.name, keyed & selected)
+
+    def test_q2_runs_its_fetch_and_its_tail(self, tlc):
+        from repro.workloads.tlc import query_by_name
+
+        session, params = tlc
+        result = session.run(query_by_name(params, "Q2").sql, use_result_cache=False)
+        assert [op.label for op in result.metrics.operations] == [
+            "fetch[psi1](call as call)",
+            "project",
+            "distinct",
+        ]

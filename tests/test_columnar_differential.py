@@ -272,13 +272,12 @@ _CALLS_OF_100 = (
 
 
 def _bounded_error(executor: str, sql: str) -> ExecutionError:
-    beas = BEAS(
+    with BEAS(
         example1_database(),
         example1_access_schema(),
         executor=executor,
         parallelism=1,
-    )
-    with pytest.raises(ExecutionError) as raised:
+    ) as beas, pytest.raises(ExecutionError) as raised:
         engine_run(beas, sql)
     return raised.value
 

@@ -85,6 +85,19 @@ def random_example1_db(rng: random.Random) -> Database:
                 rng.choice(REGIONS),
             ),
         )
+    # rows on which the same-occurrence equalities the queries draw hold:
+    # a business calling its own number, a callee numbered like a region,
+    # a business whose type names its region, a one-day package
+    pnum = rng.choice(PNUMS)
+    db.insert("call", (90, pnum, pnum, rng.choice(DATES), rng.choice(REGIONS)))
+    region = rng.choice(REGIONS)
+    db.insert("call", (91, rng.choice(PNUMS), region, rng.choice(DATES), region))
+    kind = rng.choice(TYPES)
+    db.insert("business", ("106", kind, kind))
+    db.insert(
+        "package",
+        (90, rng.choice(PNUMS), rng.choice(PIDS), "2016-06-01", "2016-06-01", 2016),
+    )
     return db
 
 
@@ -100,12 +113,17 @@ def _random_predicates(rng: random.Random, tables: list[str]) -> list[str]:
             f"call.region IN ({', '.join(repr(r) for r in rng.sample(REGIONS, 2))})",
             f"call.date >= '{rng.choice(DATES)}'",
             f"call.region <> '{rng.choice(REGIONS)}'",
+            # a keyed lookup (psi1's X) with an equality between two
+            # columns its one fetch brings in
+            f"call.pnum = '{rng.choice(PNUMS)}' AND call.date = '{rng.choice(DATES)}'"
+            f" AND {rng.choice(['call.pnum = call.recnum', 'call.recnum = call.region'])}",
         ]
     if "business" in tables:
         choices += [
             f"business.type = '{rng.choice(TYPES)}'",
             f"business.region = '{rng.choice(REGIONS)}'",
             f"business.type IN ({', '.join(repr(t) for t in rng.sample(TYPES, 2))})",
+            "business.type = business.region",
         ]
     if "package" in tables:
         choices += [
@@ -113,6 +131,7 @@ def _random_predicates(rng: random.Random, tables: list[str]) -> list[str]:
             f"package.pid = '{rng.choice(PIDS)}'",
             "package.year BETWEEN 2015 AND 2016",
             f"package.start <= '{rng.choice(DATES)}'",
+            "package.start = package.end",
         ]
     rng.shuffle(choices)
     return choices[: rng.randint(1, 3)]

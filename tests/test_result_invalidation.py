@@ -785,6 +785,30 @@ def test_the_byte_budget_counts_what_the_entries_hold(tlc_session):
     assert 0.75 * freed <= held.result_bytes <= 1.25 * freed, (held.result_bytes, freed)
 
 
+def test_the_full_doorkeeper_holds_hashes_not_keys():
+    """Filled past its capacity with keys of 1 KB each, the doorkeeper
+    holds under 200 B per key it remembers (the keys would be > 1 KB
+    each), and still admits exactly the keys it remembers."""
+    results = ResultCache(max_bytes=1 << 20)
+    capacity = ResultCache._DOORKEEPER_KEYS
+
+    def key(i: int) -> tuple:
+        return (f"{i:06}" + "x" * 1024, None, False)
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert not any(results.admits(key(i)) for i in range(2 * capacity))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 200 * capacity, held
+    assert results.admits(key(2 * capacity - 1))
+    assert not results.admits(key(0))
+
+
 # --------------------------------------------------------------------------- #
 # (3) hygiene: 5 000 admits over 600 keys, evictions and invalidations
 # interleaved
